@@ -9,9 +9,9 @@
 // The paper's headline is per-instruction generation cost (§1, §6);
 // this package is about the per-function overheads that dominate once
 // many small functions are generated at once (service warmup, adaptive
-// promotion sweeps): assembler construction, the install lock, and the
-// copy-on-write address-map publication are all amortized across the
-// batch, and the pure link/verify/encode middle runs in parallel.
+// promotion sweeps): assembler construction, the install lock and the
+// address-map insertion are amortized across the batch, and the pure
+// link/verify/encode middle runs in parallel.
 //
 // Error discipline: every item gets its own error slot — one poisoned
 // request fails alone while its siblings install.  A panicking compile
@@ -231,7 +231,10 @@ func (p *Pool) run(ctx context.Context, reqs []Request, res []Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := trace.Begin(trace.KindBatch, p.m.Backend().Name(), fmt.Sprintf("batch[%d]", len(reqs)))
+	var span trace.Active
+	if trace.Enabled() {
+		span = trace.Begin(trace.KindBatch, p.m.Backend().Name(), fmt.Sprintf("batch[%d]", len(reqs)))
+	}
 
 	// Fan the compiles out to the workers.  On cancellation mid-enqueue
 	// the not-yet-accepted remainder is failed immediately; items a

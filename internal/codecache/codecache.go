@@ -172,13 +172,19 @@ func New(cfg Config) *Cache {
 
 // HashKey condenses arbitrary client content into a cache key (FNV-1a).
 // Clients hash whatever determines the generated code: source bytecode,
-// a filter specification, assembly text.
-func HashKey(content string) string {
+// a filter specification, assembly text.  Several parts hash as their
+// concatenation with a NUL between neighbours, without building it.
+func HashKey(parts ...string) string {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for i := 0; i < len(content); i++ {
-		h ^= uint64(content[i])
-		h *= prime
+	for n, part := range parts {
+		if n > 0 {
+			h *= prime // (h ^ 0) * prime: the NUL separator
+		}
+		for i := 0; i < len(part); i++ {
+			h ^= uint64(part[i])
+			h *= prime
+		}
 	}
 	return strconv.FormatUint(h, 16)
 }
@@ -248,7 +254,9 @@ func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error
 	c.compileNanos.Add(uint64(time.Since(start)))
 	if err == nil {
 		c.compiles.Add(1)
-		if c.machine != nil {
+		// Front ends that place their own code (tinyc, vasm) return it
+		// resident; installing it again would only re-hash its words.
+		if c.machine != nil && !c.machine.Installed(fn) {
 			err = c.machine.Install(fn)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,6 +132,12 @@ type Machine struct {
 	freeCode []codeRegion
 	heapNext uint64
 	heapEnd  uint64
+	// heapFree holds the blocks Free returned, by their 16-rounded size;
+	// Alloc reuses one of the exact size before it bumps heapNext.
+	// heapFreeBytes is their sum.
+	heapFree      map[uint64][]uint64
+	heapFreeBytes uint64
+
 	stackTop uint64
 	haltAddr uint64
 	trapNext uint64
@@ -143,11 +150,16 @@ type Machine struct {
 	// verifyOff disables the pre-install code verifier (SetVerify).
 	verifyOff bool
 
-	// spanList maps installed code regions (and trap vectors) to names;
-	// sorted by Start, maintained under mu.  spans is its immutable
-	// published copy, rebuilt copy-on-write after every change so the
-	// PC-sampling profiler can symbolize from inside the simulator step
-	// loop without taking mu (which the run loop already holds).
+	// spanList maps installed code regions (and trap vectors) to names,
+	// sorted by Start.  Writers hold mu and spanMu; a change edits the
+	// list in place (binary search plus one move of the tail, no
+	// allocation) and clears spans, the immutable published copy.  The
+	// first FuncSpans after a change rebuilds the copy under spanMu alone,
+	// so the PC-sampling profiler can symbolize from inside the simulator
+	// step loop without taking mu (which the run loop already holds), and
+	// an install or evict nobody symbolizes between costs no copy at all.
+	// Lock order: mu, then spanMu.
+	spanMu   sync.Mutex
 	spanList []FuncSpan
 	spans    atomic.Pointer[[]FuncSpan]
 
@@ -215,7 +227,6 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 	mc.codeNextPub.Store(mc.codeNext)
 	mc.spanList = append(mc.spanList, FuncSpan{Start: trapBase, End: trapBase + 16, Name: "<halt>"})
 	registerDivHelpers(mc)
-	mc.publishSpans()
 	return mc
 }
 
@@ -259,55 +270,73 @@ func (m *Machine) DefineTrap(sym string, h TrapHandler) error {
 	return nil
 }
 
-// addSpan inserts s into the address map (sorted by Start) and publishes
-// a fresh immutable snapshot.  Caller holds mu (or is pre-concurrency).
+// spanIndex returns the position of the first span whose Start is at or
+// above start.  Caller holds mu or spanMu.
+func (m *Machine) spanIndex(start uint64) int {
+	return sort.Search(len(m.spanList), func(i int) bool { return m.spanList[i].Start >= start })
+}
+
+// openSpans makes room for n spans starting at address start and returns
+// the index of the first; the caller fills them and clears spans before it
+// releases spanMu.  Caller holds mu and spanMu.
+func (m *Machine) openSpans(start uint64, n int) int {
+	i := m.spanIndex(start)
+	old := len(m.spanList)
+	m.spanList = slices.Grow(m.spanList, n)[:old+n]
+	copy(m.spanList[i+n:], m.spanList[i:old])
+	return i
+}
+
+// addSpan inserts s into the address map.  Caller holds mu (or is
+// pre-concurrency).
 func (m *Machine) addSpan(s FuncSpan) {
-	i := sort.Search(len(m.spanList), func(i int) bool { return m.spanList[i].Start >= s.Start })
-	m.spanList = append(m.spanList, FuncSpan{})
-	copy(m.spanList[i+1:], m.spanList[i:])
-	m.spanList[i] = s
-	m.publishSpans()
+	m.spanMu.Lock()
+	m.spanList[m.openSpans(s.Start, 1)] = s
+	m.spans.Store(nil)
+	m.spanMu.Unlock()
 }
 
 // removeSpan drops the span starting at start.  Caller holds mu.
 func (m *Machine) removeSpan(start uint64) {
-	for i, s := range m.spanList {
-		if s.Start == start {
-			m.spanList = append(m.spanList[:i], m.spanList[i+1:]...)
-			m.publishSpans()
-			return
-		}
+	i := m.spanIndex(start)
+	if i == len(m.spanList) || m.spanList[i].Start != start {
+		return
 	}
+	m.spanMu.Lock()
+	m.spanList = slices.Delete(m.spanList, i, i+1)
+	m.spans.Store(nil)
+	m.spanMu.Unlock()
 }
 
 // pruneSpans drops every code span at or above limit (Release reclaims
 // wholesale; trap vectors live below codeBase and are never pruned).
 // Caller holds mu.
 func (m *Machine) pruneSpans(limit uint64) {
-	kept := m.spanList[:0]
-	for _, s := range m.spanList {
-		if s.Start >= m.codeBase && s.Start >= limit {
-			continue
-		}
-		kept = append(kept, s)
+	if limit < m.codeBase {
+		limit = m.codeBase
 	}
-	m.spanList = kept
-	m.publishSpans()
-}
-
-func (m *Machine) publishSpans() {
-	cp := append([]FuncSpan(nil), m.spanList...)
-	m.spans.Store(&cp)
+	m.spanMu.Lock()
+	m.spanList = slices.Delete(m.spanList, m.spanIndex(limit), len(m.spanList))
+	m.spans.Store(nil)
+	m.spanMu.Unlock()
 }
 
 // FuncSpans returns the current install-time address map as an immutable,
-// Start-sorted slice.  It is lock-free and safe to call from a sampling
-// hook running inside the simulator.
+// Start-sorted slice.  It never takes mu, so it is safe to call from a
+// sampling hook running inside the simulator; the first call after the map
+// changed copies it under spanMu, later calls are one atomic load.
 func (m *Machine) FuncSpans() []FuncSpan {
 	if p := m.spans.Load(); p != nil {
 		return *p
 	}
-	return nil
+	m.spanMu.Lock()
+	defer m.spanMu.Unlock()
+	if p := m.spans.Load(); p != nil {
+		return *p
+	}
+	cp := append([]FuncSpan(nil), m.spanList...)
+	m.spans.Store(&cp)
+	return cp
 }
 
 // InCodeRegion reports whether pc falls inside the machine's code arena
@@ -319,8 +348,8 @@ func (m *Machine) InCodeRegion(pc uint64) bool {
 }
 
 // SymbolizePC resolves a program counter to the name of the installed
-// function (or trap vector) containing it.  Lock-free; safe from a
-// sampling hook.
+// function (or trap vector) containing it.  Like FuncSpans it never takes
+// mu; safe from a sampling hook.
 func (m *Machine) SymbolizePC(pc uint64) (string, bool) {
 	spans := m.FuncSpans()
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].Start > pc })
@@ -385,20 +414,60 @@ func (m *Machine) Release(mk Mark) {
 	}
 	if mk.heap <= m.heapNext && mk.heap >= m.mem.Size()/2 {
 		m.heapNext = mk.heap
+		// Freed blocks above the mark are subsumed by the bump pointer.
+		for size, addrs := range m.heapFree {
+			kept := slices.DeleteFunc(addrs, func(a uint64) bool { return a >= mk.heap })
+			m.heapFreeBytes -= size * uint64(len(addrs)-len(kept))
+			m.heapFree[size] = kept
+		}
 	}
 }
+
+// heapBlock is the heap a request of n bytes occupies: blocks start
+// 16-aligned, so each owns a whole number of 16-byte units.
+func heapBlock(n int) uint64 { return (uint64(n) + 15) &^ 15 }
 
 // Alloc reserves n bytes of heap, aligned to at least 16 bytes, and
 // returns the simulated address.
 func (m *Machine) Alloc(n int) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	size := heapBlock(n)
+	if addrs := m.heapFree[size]; len(addrs) > 0 {
+		addr := addrs[len(addrs)-1]
+		m.heapFree[size] = addrs[:len(addrs)-1]
+		m.heapFreeBytes -= size
+		return addr, nil
+	}
 	addr := (m.heapNext + 15) &^ 15
-	if addr+uint64(n) > m.heapEnd {
+	if n < 0 || addr+size > m.heapEnd {
 		return 0, fmt.Errorf("machine: heap exhausted (%d bytes requested)", n)
 	}
-	m.heapNext = addr + uint64(n)
+	m.heapNext = addr + size
 	return addr, nil
+}
+
+// Free returns a block obtained from Alloc(n) to the heap: a later Alloc
+// of the same 16-rounded size reuses it.  This is the per-block
+// counterpart of Release, for owners evicted out of order (a cached
+// program's dispatch table).  The caller must own the block and free it
+// once; nothing resident may still refer to it.
+func (m *Machine) Free(addr uint64, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	size := heapBlock(n)
+	if n < 0 || addr%16 != 0 || addr < m.mem.Size()/2 || addr+size > m.heapNext {
+		return fmt.Errorf("machine: free of %d bytes at %#x: not an allocated heap block", n, addr)
+	}
+	if size == 0 {
+		return nil
+	}
+	if m.heapFree == nil {
+		m.heapFree = make(map[uint64][]uint64)
+	}
+	m.heapFree[size] = append(m.heapFree[size], addr)
+	m.heapFreeBytes += size
+	return nil
 }
 
 // codeRegion is a span of reclaimable simulated code memory.
@@ -448,7 +517,7 @@ func (m *Machine) Install(f *Func) error {
 func (m *Machine) Installed(f *Func) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return f.installed && f.owner == m
+	return f != nil && f.installed && f.owner == m
 }
 
 // Uninstall removes an installed function, returning its code region to a
@@ -496,8 +565,9 @@ type ArenaStats struct {
 	CodeBytesResident, CodeBytesHighWater uint64
 	// FreeRegions is the current free-list length (fragmentation signal).
 	FreeRegions int
-	// HeapBytesUsed is bump-allocated heap (dispatch tables, data
-	// sections); heap is reclaimed only by Mark/Release.
+	// HeapBytesUsed is the heap held by live allocations (dispatch
+	// tables, data sections): the bump pointer's extent minus the blocks
+	// Free returned.
 	HeapBytesUsed uint64
 	// Funcs is the number of installed code spans (trap vectors excluded).
 	Funcs int
@@ -521,7 +591,7 @@ func (m *Machine) ArenaStats() ArenaStats {
 		CodeBytesResident:  m.codeNext - m.codeBase - free,
 		CodeBytesHighWater: m.codeNext - m.codeBase,
 		FreeRegions:        len(m.freeCode),
-		HeapBytesUsed:      m.heapNext - m.mem.Size()/2,
+		HeapBytesUsed:      m.heapNext - m.mem.Size()/2 - m.heapFreeBytes,
 		Funcs:              funcs,
 	}
 }
@@ -541,10 +611,7 @@ func (m *Machine) CodeBytesResident() uint64 {
 // freeRegion inserts r into the free list sorted by address, coalescing
 // with its neighbours, then gives back any free tail to the bump pointer.
 func (m *Machine) freeRegion(r codeRegion) {
-	i := 0
-	for i < len(m.freeCode) && m.freeCode[i].addr < r.addr {
-		i++
-	}
+	i := sort.Search(len(m.freeCode), func(i int) bool { return m.freeCode[i].addr >= r.addr })
 	m.freeCode = append(m.freeCode, codeRegion{})
 	copy(m.freeCode[i+1:], m.freeCode[i:])
 	m.freeCode[i] = r
@@ -827,7 +894,7 @@ func reflectDuplicates(fns []*Func, firstIdx map[*Func]int, errs []error) {
 //     min(parallelism, len(fns)) goroutines — pure per-function work
 //     (parallelism <= 0 means GOMAXPROCS);
 //  3. (locked) the commit: images are copied into simulated memory and
-//     the address map is sorted and published once for the whole batch.
+//     the batch's spans enter the address map as one run.
 //
 // The returned slice has one error per input (nil on success).  A
 // rejected function's sub-reservation returns to the free list while its
@@ -1006,16 +1073,24 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 		f.sum = sumWords(f.Words)
 		f.sumValid = true
 		f.installed = true
-		m.spanList = append(m.spanList, FuncSpan{Start: f.addr, End: f.addr + it.size, Name: f.spanName()})
 		m.attachBody(it.body)
 		installed++
 		linkTotal += it.linkNS
 	}
 	if installed > 0 {
-		// One sort + one copy-on-write publication for the whole batch —
-		// the amortization a per-function install cannot have.
-		sort.Slice(m.spanList, func(i, j int) bool { return m.spanList[i].Start < m.spanList[j].Start })
-		m.publishSpans()
+		// The batch sits in one reservation in item order, so its spans
+		// are one ascending run with no resident span between them: one
+		// search and one move of the tail for the whole batch.
+		m.spanMu.Lock()
+		i := m.openSpans(base, installed)
+		for _, it := range items {
+			if f := it.f; errs[it.idx] == nil {
+				m.spanList[i] = FuncSpan{Start: f.addr, End: f.addr + it.size, Name: f.spanName()}
+				i++
+			}
+		}
+		m.spans.Store(nil)
+		m.spanMu.Unlock()
 	}
 	m.mu.Unlock()
 

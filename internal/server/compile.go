@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -22,11 +21,13 @@ const (
 
 // compileUnit runs the front end for lang over source on the shard's
 // machine and assembles the resident unit.  It is called inside a
-// single-flight compile (one caller per key), possibly on a batch-pool
-// worker during warm restore.
+// single-flight compile (one caller per key): on the request's goroutine
+// for a miss, on a batch-pool worker during warm restore.
 func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (*unit, error) {
 	var fns map[string]*core.Func
 	var order []string
+	var tableAddr uint64
+	var tableBytes int
 	switch lang {
 	case LangVasm:
 		prog, err := vasm.Assemble(m, source)
@@ -34,6 +35,7 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 			return nil, err
 		}
 		fns, order = prog.Funcs, prog.Order
+		tableAddr, tableBytes = prog.Table()
 	case LangTinyC:
 		prog, err := tinyc.Parse(source)
 		if err != nil {
@@ -44,6 +46,7 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 			return nil, err
 		}
 		fns = c.Funcs()
+		tableAddr, tableBytes = c.Table()
 		if entry == "" {
 			entry = "main"
 		}
@@ -69,6 +72,8 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 		entry:      entry,
 		source:     source,
 		entryFn:    entryFn,
+		tableAddr:  tableAddr,
+		tableBytes: tableBytes,
 	}
 	// Entry first: the cache holds fns[0]; eviction uninstalls the rest.
 	u.fns = append(u.fns, entryFn)
@@ -154,7 +159,8 @@ func renderResult(v core.Value) (any, string) {
 
 // contentKey derives the cache key for a source submission: the content
 // hash covers everything that determines the generated code — language,
-// entry point and source text.
+// entry point and source text, NUL-separated.  Keys are persisted in
+// snapshots and journals, so the bytes hashed must never change.
 func contentKey(lang, entry, source string) string {
-	return codecache.HashKey(fmt.Sprintf("%s\x00%s\x00%s", lang, entry, source))
+	return codecache.HashKey(lang, entry, source)
 }

@@ -78,10 +78,10 @@ const (
 	CodeRateLimited Code = "rate_limited"
 	// CodeCircuitOpen fast-fails a compile for a key that has failed
 	// repeatedly: the per-key circuit breaker is open and the request
-	// never reaches the batch pool.  503 with Retry-After.
+	// never reaches the front end.  503 with Retry-After.
 	CodeCircuitOpen Code = "circuit_open"
 	// CodeOverloaded is the global load-shedding watermark rejecting
-	// low-priority compile traffic while the batch queues are deep.  503
+	// low-priority compile traffic while the compile queues are deep.  503
 	// with Retry-After.
 	CodeOverloaded Code = "overloaded"
 )

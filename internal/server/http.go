@@ -141,6 +141,15 @@ func writeErr(w http.ResponseWriter, reqID string, ae *APIError) {
 	writeJSON(w, ae.Status(), errorResponse{RequestID: reqID, Error: ae})
 }
 
+// requestSpan opens a request's lifecycle span, named tenant/request-id.
+// The name is built only when tracing is on.
+func (s *Server) requestSpan(tenant, reqID string) trace.Active {
+	if !trace.Enabled() {
+		return trace.Active{}
+	}
+	return trace.Begin(trace.KindRequest, s.cfg.Backend, tenant+"/"+reqID)
+}
+
 // handleExec is compile-if-needed plus one sandboxed call.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -150,7 +159,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.requestID(req.RequestID)
-	sp := trace.Begin(trace.KindRequest, s.cfg.Backend, req.Tenant+"/"+reqID)
+	sp := s.requestSpan(req.Tenant, reqID)
 	fr := flightrec.Begin(reqID, req.Tenant)
 
 	t, ae := s.tenants.get(req.Tenant)
@@ -218,7 +227,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.requestID(req.RequestID)
-	sp := trace.Begin(trace.KindRequest, s.cfg.Backend, req.Tenant+"/"+reqID)
+	sp := s.requestSpan(req.Tenant, reqID)
 	fr := flightrec.Begin(reqID, req.Tenant)
 
 	t, ae := s.tenants.get(req.Tenant)

@@ -16,10 +16,10 @@ import (
 //     applied to every request before any work happens; 429
 //     rate_limited;
 //  2. a per-key compile circuit breaker — keys whose compiles keep
-//     failing fast-fail with 503 circuit_open instead of burning batch
-//     pool slots (this layers on codecache.FailureBackoff: the backoff
+//     failing fast-fail with 503 circuit_open instead of burning
+//     compile slots (this layers on codecache.FailureBackoff: the backoff
 //     caches one failure, the breaker counts consecutive ones);
-//  3. a global load-shedding watermark on summed batch queue depth —
+//  3. a global load-shedding watermark on summed compile queue depth —
 //     past the low watermark compile-requiring requests below priority 4
 //     are shed, past the high watermark everything below priority 8 is,
 //     with 503 overloaded.  Cache hits always serve.
@@ -100,8 +100,7 @@ func (bs *breakerSet) allow(key string) (wait time.Duration, open bool) {
 }
 
 // record feeds one compile outcome into the breaker.  Transient errors
-// (cancellation, pool shutdown) say nothing about the key and are
-// ignored.
+// (cancellation, shutdown) say nothing about the key and are ignored.
 func (bs *breakerSet) record(key string, err error) {
 	if err != nil && transientCompileErr(err) {
 		return
@@ -146,7 +145,8 @@ func (bs *breakerSet) pruneLocked() {
 func transientCompileErr(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, batch.ErrClosed)
+		errors.Is(err, batch.ErrClosed) ||
+		errors.Is(err, errShardClosed)
 }
 
 // Shed priorities: requests carry 0–9 (9 sheds last); tenants default
@@ -191,12 +191,12 @@ func (s *Server) shedCheck(prio int) *APIError {
 		withRetryAfter(retryAfterShedMS)
 }
 
-// totalQueueDepth sums the shards' batch queue depths — the signal the
+// totalQueueDepth sums the shards' compile backlogs — the signal the
 // shed watermarks watch.
 func (s *Server) totalQueueDepth() int64 {
 	var sum int64
 	for _, sh := range s.shards {
-		sum += sh.pool.QueueDepth()
+		sum += sh.queueDepth()
 	}
 	return sum
 }

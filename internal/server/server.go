@@ -5,14 +5,16 @@
 // compile-and-execute (and compile-and-cache) to many tenants at once.
 //
 // Requests are keyed by content hash.  Each key maps onto one of N
-// shards, each a full core.Machine arena with its own codecache and
-// batch pool, so resident code scales horizontally past one arena, and
-// calls (one simulated CPU per shard) run N-wide.  Multi-tenancy is
-// quota-based: per-tenant fuel per call, resident code bytes, and
-// compile concurrency, with admission control pushing back (429 +
-// Retry-After) when a shard's compile queue is past its bound.  Every
-// failure is a typed JSON error mapped one-to-one from the library error
-// model (see errors.go).
+// shards, each a full core.Machine arena with its own codecache, so
+// resident code scales horizontally past one arena, and calls (one
+// simulated CPU per shard) run N-wide.  A miss compiles on the goroutine
+// of the request that found it, behind a per-shard bound on concurrent
+// compiles; the batch pool runs the multi-item restore batches.
+// Multi-tenancy is quota-based: per-tenant fuel per call, resident code
+// bytes, and compile concurrency, with admission control pushing back
+// (429 + Retry-After) when a shard's compile queue is past its bound.
+// Every failure is a typed JSON error mapped one-to-one from the library
+// error model (see errors.go).
 //
 // A warm-cache snapshot serializes the verified, resident programs to
 // disk at shutdown; on boot the snapshot restores through the batch
@@ -23,13 +25,12 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -46,7 +47,9 @@ type Config struct {
 	Backend string
 	// Shards is the number of machine arenas (default 4).
 	Shards int
-	// WorkersPerShard bounds each shard's compile pool (default 2).
+	// WorkersPerShard bounds each shard's concurrent compiles: misses
+	// compiling on their request goroutines, and the workers of the
+	// restore/warm-up batch pool (default 2).
 	WorkersPerShard int
 	// MaxEntriesPerShard / MaxCodeBytesPerShard bound each shard's
 	// cache (defaults 512 entries, 1 MiB).
@@ -82,7 +85,7 @@ type Config struct {
 	// BreakerCooldown holds an open circuit before the half-open probe
 	// (default 5s).
 	BreakerCooldown time.Duration
-	// ShedLowWatermark / ShedHighWatermark are total batch-queue depths
+	// ShedLowWatermark / ShedHighWatermark are total compile-queue depths
 	// past which compile-requiring traffic below priority 4 / 8 is shed
 	// (defaults: half and 90% of Shards×QueueBound).
 	ShedLowWatermark  int64
@@ -179,7 +182,11 @@ type Server struct {
 
 	// Overload protection.
 	breakers   *breakerSet
-	queueDepth func() int64 // summed batch queue depth (tests may stub)
+	queueDepth func() int64 // summed compile backlog (tests may stub)
+
+	// frontEnd is compileUnit (tests may wrap it to watch or hold a miss
+	// inside its compile slot).
+	frontEnd func(m *core.Machine, key, tenantName, lang, source, entry string) (*unit, error)
 
 	recoveryMS atomic.Int64
 
@@ -237,6 +244,7 @@ func New(cfg Config) (*Server, error) {
 		s.log = slog.Default()
 	}
 	s.queueDepth = s.totalQueueDepth
+	s.frontEnd = compileUnit
 	if cfg.BreakerThreshold > 0 {
 		s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
@@ -299,8 +307,8 @@ func (s *Server) BeginDrain() {
 }
 
 // Close releases every shard's pool workers and stops the checkpointer
-// and journal.  In-flight batches finish (and their journal appends
-// settle) before the journal closes.
+// and journal.  In-flight compiles and batches finish (and their journal
+// appends settle) before the journal closes.
 func (s *Server) Close() {
 	s.closing.Store(true)
 	s.stopCheckpoints()
@@ -327,12 +335,12 @@ type compileResult struct {
 }
 
 // compile resolves (lang, source, entry) — or a bare key — to a
-// resident entry function, compiling through the shard's batch pool
-// under admission control and quotas on a miss.  Concurrent requests
-// for one key coalesce into a single flight regardless of tenant.
-// prio is the request's shed priority (0–9).  fr (nil-safe) records
-// the admission, cache and journal decisions on the request's flight
-// chain.
+// resident entry function.  A miss compiles on this goroutine, behind the
+// shard's compile gate, under admission control and quotas.  Concurrent
+// requests for one key coalesce into a single flight regardless of
+// tenant.  prio is the request's shed priority (0–9).  fr (nil-safe)
+// records the admission, cache and journal decisions on the request's
+// flight chain.
 func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, lang, source, entry, key string, prio int) (compileResult, *APIError) {
 	reject := func(apiE *APIError) (compileResult, *APIError) {
 		fr.Event(flightrec.StageAdmit, flightrec.Event{
@@ -366,7 +374,7 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	// failing fast-fail on the open circuit, then the global shed
 	// watermarks drop low-priority traffic while queues are deep.  Both
 	// run before the per-shard queue bound so a rejected request never
-	// touches the pool.
+	// queues for a compile slot.
 	if s.breakers != nil {
 		if wait, open := s.breakers.allow(key); open {
 			t.rejected.Inc()
@@ -385,7 +393,7 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	}
 
 	// Admission: shard compile-queue backpressure, then tenant quotas.
-	if depth := sh.pool.QueueDepth(); depth >= s.cfg.QueueBound {
+	if depth := sh.queueDepth(); depth >= s.cfg.QueueBound {
 		t.rejected.Inc()
 		return reject(apiErr(CodeQueueFull,
 			"shard %d compile queue at %d (bound %d)", sh.id, depth, s.cfg.QueueBound).
@@ -401,7 +409,7 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 
 	compiledHere := false
 	doCompile := func() (*core.Func, error) {
-		u, err := compileUnit(sh.machine, key, t.name, lang, source, entry)
+		u, err := s.frontEnd(sh.machine, key, t.name, lang, source, entry)
 		if err != nil {
 			return nil, err
 		}
@@ -435,13 +443,14 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		doCompile = inj.WrapCompile(doCompile)
 	}
 	fn, err := sh.cache.GetOrCompile(key, func() (*core.Func, error) {
-		// One-item batch: the pool bounds per-shard compile concurrency
-		// and is the queue the admission bound watches.
-		res := sh.pool.CompileBatch(ctx, []batch.Request{{
-			Name:    key,
-			Compile: func(*core.Asm) (*core.Func, error) { return doCompile() },
-		}})
-		return res[0].Func, res[0].Err
+		// Only the flight's leader gets here: coalesced requests wait on
+		// the flight, not on a slot.  A panic in the front end unwinds
+		// through leave into the cache's recovery.
+		if err := sh.gate.enter(ctx); err != nil {
+			return nil, err
+		}
+		defer sh.gate.leave()
+		return doCompile()
 	})
 	if err != nil {
 		apiE := classifyCompile(err)
@@ -509,12 +518,18 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, sh 
 	return execResult{value: v, stats: st}, nil
 }
 
-// requestID returns the caller-supplied ID or mints one.
+// requestID returns the caller-supplied ID or mints one: "r" and the
+// sequence number, zero-padded to six digits.
 func (s *Server) requestID(supplied string) string {
 	if supplied != "" {
 		return supplied
 	}
-	return fmt.Sprintf("r%06d", s.reqSeq.Add(1))
+	seq := s.reqSeq.Add(1)
+	buf := append(make([]byte, 0, 24), 'r')
+	for p := uint64(100000); p > seq && p > 1; p /= 10 {
+		buf = append(buf, '0')
+	}
+	return string(strconv.AppendUint(buf, seq, 10))
 }
 
 // finishRequest records the request's telemetry, its lifecycle span,
@@ -567,7 +582,7 @@ func (sh *shard) statsView() ShardStats {
 		UnitBytes:          sh.unitBytes(),
 		Calls:              sh.calls.Load(),
 		Compiles:           sh.compiles.Load(),
-		QueueDepth:         sh.pool.QueueDepth(),
+		QueueDepth:         sh.queueDepth(),
 		CodeBytesResident:  ar.CodeBytesResident,
 		CodeBytesHighWater: ar.CodeBytesHighWater,
 		HeapBytesUsed:      ar.HeapBytesUsed,

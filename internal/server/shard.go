@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,15 +17,17 @@ import (
 
 // shard is one compile-and-execute arena: a core.Machine (its own
 // simulated memory, trap table and code region), the codecache bound to
-// it, and a batch pool bounding compile concurrency.  Content hashes map
-// onto shards by hash, so resident code scales horizontally across N
-// arenas and eviction pressure in one tenant-heavy shard never touches
-// another shard's cache.  Calls serialize per shard (one simulated CPU
-// each); N shards give N-way call parallelism.
+// it, the gate bounding the miss compiles that run on request goroutines,
+// and the batch pool the multi-item restore and warm-up batches fan out
+// on.  Content hashes map onto shards by hash, so resident code scales
+// horizontally across N arenas and eviction pressure in one tenant-heavy
+// shard never touches another shard's cache.  Calls serialize per shard
+// (one simulated CPU each); N shards give N-way call parallelism.
 type shard struct {
 	id      int
 	machine *core.Machine
 	cache   *codecache.Cache
+	gate    compileGate
 	pool    *batch.Pool
 
 	mu    sync.Mutex
@@ -51,6 +54,10 @@ type unit struct {
 	entryFn    *core.Func
 	fns        []*core.Func
 	bytes      int64 // summed SizeBytes over fns
+	// tableAddr/tableBytes are the front end's function-pointer table on
+	// the shard's heap, returned when the unit is evicted.
+	tableAddr  uint64
+	tableBytes int
 
 	// durable flips true once the unit's journal record fsynced (or the
 	// unit was restored from disk) — the crash-survival guarantee the
@@ -73,6 +80,7 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, b
 	s := &shard{
 		id:      id,
 		machine: jm.Core(),
+		gate:    compileGate{slots: make(chan struct{}, workers)},
 		units:   make(map[string]*unit),
 	}
 	name := fmt.Sprintf("srv%d", id)
@@ -140,11 +148,10 @@ func (s *shard) unitBytes() int64 {
 }
 
 // onEvict is the codecache hook: the cache has already uninstalled the
-// entry function; reclaim the program's sibling functions and tell the
-// server so tenant residency accounting stays truthful.  Heap-side
-// allocations (dispatch tables, data sections) are bump-allocated and
-// not reclaimed per program — they are small (a pointer per function
-// plus declared data) and bounded by the admission quotas.
+// entry function; reclaim the program's sibling functions and its
+// function-pointer table, and tell the server so tenant residency
+// accounting stays truthful.  A vasm program's .data sections stay: they
+// are bound to machine symbols, which are never undefined.
 func (s *shard) onEvict(key string, fn *core.Func) {
 	s.mu.Lock()
 	u := s.units[key]
@@ -158,13 +165,81 @@ func (s *shard) onEvict(key string, fn *core.Func) {
 			_ = s.machine.Uninstall(f)
 		}
 	}
+	_ = s.machine.Free(u.tableAddr, u.tableBytes) // the unit owned the block
 	if s.evicted != nil {
 		s.evicted(u)
 	}
 }
 
-// close releases the shard's pool workers.
-func (s *shard) close() { s.pool.Close() }
+// queueDepth is the shard's compile backlog: misses waiting for a compile
+// slot plus batch items no pool worker has picked up.  Admission's
+// QueueBound and the shed watermarks watch it.
+func (s *shard) queueDepth() int64 { return s.gate.waiting.Load() + s.pool.QueueDepth() }
+
+// close waits for the compiles in flight and releases the pool workers.
+func (s *shard) close() {
+	s.gate.close()
+	s.pool.Close()
+}
+
+// errShardClosed fails a miss that reaches its shard after Close began.
+var errShardClosed = apiErr(CodeShuttingDown, "server is shutting down")
+
+// compileGate bounds the miss compiles of one shard.  A miss compiles on
+// the goroutine of the request that found it, so a cold request costs no
+// scheduler hand-off; the gate keeps at most cap(slots) of them compiling
+// at once and counts the rest as the queue admission watches.
+type compileGate struct {
+	slots   chan struct{} // counting semaphore, one token per compiling miss
+	waiting atomic.Int64  // misses inside enter, not yet holding a slot
+
+	mu       sync.Mutex
+	closed   bool
+	inflight sync.WaitGroup // misses between enter and leave
+}
+
+// enter takes a compile slot, waiting for one while ctx lives.  Every nil
+// return is paired with one leave.
+func (g *compileGate) enter(ctx context.Context) error {
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return errShardClosed
+	}
+	g.inflight.Add(1)
+	g.mu.Unlock()
+
+	g.waiting.Add(1)
+	var err error
+	select {
+	case g.slots <- struct{}{}:
+		// A request that gave up while it queued must not start compiling.
+		if err = ctx.Err(); err != nil {
+			<-g.slots
+		}
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	g.waiting.Add(-1)
+	if err != nil {
+		g.inflight.Done()
+	}
+	return err
+}
+
+// leave returns the slot enter took.
+func (g *compileGate) leave() {
+	<-g.slots
+	g.inflight.Done()
+}
+
+// close fails later enters and waits for the misses already inside.
+func (g *compileGate) close() {
+	g.mu.Lock()
+	g.closed = true
+	g.mu.Unlock()
+	g.inflight.Wait()
+}
 
 // shardOf maps a content-hash key onto one of n shards (FNV-1a over the
 // key, independent of the codecache's internal shard hash).

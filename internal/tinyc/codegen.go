@@ -34,8 +34,16 @@ func NewCompiler(m *core.Machine) *Compiler {
 // Funcs returns the compiled functions by name.
 func (c *Compiler) Funcs() map[string]*core.Func { return c.funcs }
 
-// Compile compiles a whole program and installs it.
-func (c *Compiler) Compile(prog *Program) error {
+// Table returns the compiled program's function-pointer table as the
+// (address, size) Machine.Alloc handed out.  An owner that uninstalls the
+// program's functions returns the table with Machine.Free.
+func (c *Compiler) Table() (addr uint64, size int) {
+	return c.table, c.backend.PtrBytes() * len(c.slots)
+}
+
+// Compile compiles a whole program and installs it.  When it fails the
+// function-pointer table goes back to the machine's heap.
+func (c *Compiler) Compile(prog *Program) (err error) {
 	for _, fd := range prog.Funcs {
 		if _, dup := c.sigs[fd.Name]; dup {
 			return fmt.Errorf("line %d: function %q redefined", fd.Line, fd.Name)
@@ -49,6 +57,11 @@ func (c *Compiler) Compile(prog *Program) error {
 		return err
 	}
 	c.table = table
+	defer func() {
+		if err != nil {
+			_ = c.machine.Free(c.Table()) // the block Alloc just returned
+		}
+	}()
 
 	for _, fd := range prog.Funcs {
 		fn, err := c.compileFunc(fd)

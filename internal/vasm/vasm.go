@@ -51,9 +51,17 @@ type Program struct {
 	table   uint64
 }
 
+// Table returns the program's function-pointer table as the (address,
+// size) Machine.Alloc handed out.  An owner that uninstalls the program's
+// functions returns the table with Machine.Free.
+func (p *Program) Table() (addr uint64, size int) {
+	return p.table, p.machine.Backend().PtrBytes() * len(p.slots)
+}
+
 // Assemble parses and assembles src for the machine's backend.  All
-// functions are installed and cross-function calls resolved.
-func Assemble(machine *core.Machine, src string) (*Program, error) {
+// functions are installed and cross-function calls resolved.  When it
+// fails the function-pointer table goes back to the machine's heap.
+func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 	p := &parser{
 		machine: machine,
 		backend: machine.Backend(),
@@ -75,6 +83,11 @@ func Assemble(machine *core.Machine, src string) (*Program, error) {
 		return nil, err
 	}
 	p.prog.table = table
+	defer func() {
+		if err != nil {
+			_ = machine.Free(p.prog.Table()) // the block Alloc just returned
+		}
+	}()
 	if err := p.assemble(src); err != nil {
 		return nil, err
 	}

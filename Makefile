@@ -55,6 +55,14 @@ bench:
 bench-miss:
 	go test -run '^$$' -bench BenchmarkServeMiss -benchtime 20000x -count 5 ./internal/server
 
+# The warm call in isolation: eight resident 13-instruction leaves called in
+# rotation through CallWithStats on each backend — ns and allocations per
+# call.  CI pins the allocations with TestWarmCallZeroAlloc; the
+# repository's benchmark (go run ./bench, workload call_hot) is what a
+# performance claim is judged by.
+bench-call:
+	go test -run '^$$' -bench BenchmarkWarmCall -benchtime 2000000x -count 5 ./internal/core
+
 # Machine-readable benchmark records: ns/generated-instruction for every
 # backend, cache hit rate and calls/sec, plus a bounded telemetry summary
 # (histogram summaries + top counters).  Also emits the lifecycle trace
@@ -87,4 +95,4 @@ bench-gate: bench-json
 		$(BENCH_OUT) $(BENCH_OUT:.json=.batch.json) $(BENCH_OUT:.json=.serve.json) \
 		$(BENCH_OUT:.json=.tier3.json)
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test bench bench-miss bench-json bench-gate
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test bench bench-miss bench-call bench-json bench-gate

@@ -115,6 +115,7 @@ func (m *Machine) attachBody(b *exec.Body) {
 	m.bodies = append(m.bodies, nil)
 	copy(m.bodies[i+1:], m.bodies[i:])
 	m.bodies[i] = b
+	m.bodyGen++
 }
 
 // dropBodies removes every body intersecting [addr, addr+size) —
@@ -152,6 +153,7 @@ func (m *Machine) dropBodies(addr, size uint64) {
 	if first == last {
 		return
 	}
+	m.bodyGen++
 	copy(m.bodies[first:], m.bodies[last:])
 	kept := n - (last - first)
 	// Nil the tail so dropped bodies are not pinned by the backing array.
@@ -159,6 +161,21 @@ func (m *Machine) dropBodies(addr, size uint64) {
 		m.bodies[i] = nil
 	}
 	m.bodies = m.bodies[:kept]
+}
+
+// entryBody is bodyAt(p.entry) and the index of the entry in that body,
+// without the search while no body has been attached or dropped since the
+// plan last looked: a rotation of warm callers always misses lastBody, and
+// its entry is where every call of a function starts.  Caller holds mu.
+func (m *Machine) entryBody(p *callPlan) (*exec.Body, int) {
+	if p.gen != m.bodyGen {
+		p.body, p.idx = m.bodyAt(p.entry), 0
+		if p.body != nil {
+			p.idx = p.body.IndexOf(p.entry)
+		}
+		p.gen = m.bodyGen
+	}
+	return p.body, p.idx
 }
 
 // bodyAt finds the attached body containing pc (word-aligned), or nil.

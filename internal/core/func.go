@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/trace"
 )
 
@@ -84,6 +85,53 @@ type Func struct {
 	// function generates (see internal/trace); 0 until tracing assigns
 	// one.
 	flow uint64
+	// plan is what a call needs of the function while it is resident;
+	// valid exactly while installed is set.
+	plan callPlan
+}
+
+// callPlan is everything about calling a resident function that cannot
+// change until it is uninstalled: where each argument goes under the
+// owner's convention and the entry PC.  The machine fills it when it marks
+// the function installed and drops it wherever it clears installed, so a
+// warm call lays nothing out and asks the backend nothing.
+type callPlan struct {
+	entry      uint64
+	stackBytes uint64
+	// nargs is len(Params) as laid out.  Up to callBufArgs locations live
+	// inline, so planning them allocates nothing; longer signatures spill.
+	nargs  int
+	inline [callBufArgs]argLoc
+	spill  []argLoc
+
+	// body and idx remember where the threaded engine enters the function.
+	// Bodies come and go behind the plan's back (Release drops them while
+	// the function still claims installed; attachBody can replace one at a
+	// reused address), so they are believed only while gen equals the
+	// machine's bodyGen.
+	body *exec.Body
+	idx  int
+	gen  uint64
+}
+
+// locs returns the planned argument locations, one per parameter.
+func (p *callPlan) locs() []argLoc {
+	if p.nargs <= callBufArgs {
+		return p.inline[:p.nargs]
+	}
+	return p.spill
+}
+
+// planCall records f's call plan under conv.  Caller holds the owner's mu
+// and has set f.addr.
+func (f *Func) planCall(conv *CallConv) {
+	p := &f.plan
+	*p = callPlan{entry: f.EntryAddr(), nargs: len(f.Params)}
+	locs, stackBytes := conv.layoutArgs(f.Params, p.inline[:0])
+	if len(locs) > callBufArgs {
+		p.spill = locs
+	}
+	p.stackBytes = uint64(stackBytes)
 }
 
 // TraceFlow returns the function's lifecycle span ID, or 0 if tracing
@@ -98,6 +146,18 @@ func (f *Func) lifecycleFlow() uint64 {
 		f.flow = trace.NextFlow()
 	}
 	return f.flow
+}
+
+// unplace forgets where f was (or was about to be) resident: Uninstall,
+// a rejected install and an aborted batch all end here, so the call plan
+// can never outlive installed.
+func (f *Func) unplace() {
+	f.addr = 0
+	f.installed = false
+	f.owner = nil
+	f.codeSize = 0
+	f.sumValid = false
+	f.plan = callPlan{}
 }
 
 // Installed reports whether a Machine has placed the function in memory.

@@ -143,6 +143,15 @@ type Machine struct {
 	trapNext uint64
 	trapEnd  uint64
 
+	// What every call needs of the backend, read once at construction: the
+	// default convention, the pointer width, the displacement a return adds
+	// to the link register, and the link-register value that returns to
+	// haltAddr.
+	conv     *CallConv
+	ptrBytes int
+	retOff   uint64
+	haltLink uint64
+
 	// MaxSteps bounds a single Call (guards against runaway generated
 	// code in tests).
 	MaxSteps uint64
@@ -170,11 +179,15 @@ type Machine struct {
 	// tcpu is the simulator's threaded engine, or nil if the CPU only
 	// implements Step; engine selects which one Call uses (engine.go).
 	// bodies holds the predecoded body per installed function, sorted by
-	// Base; lastBody is a single-entry dispatch cache.  All under mu.
+	// Base; lastBody is a single-entry dispatch cache.  bodyGen counts the
+	// changes to bodies (from 1, so a zero callPlan never matches): a body
+	// a call plan remembered is current while its stamp equals it.  All
+	// under mu.
 	tcpu     ThreadedCPU
 	engine   Engine
 	bodies   []*exec.Body
 	lastBody *exec.Body
+	bodyGen  uint64
 
 	trace io.Writer
 }
@@ -218,8 +231,13 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		trapNext: trapBase + 16,
 		trapEnd:  codeBase,
 		MaxSteps: 1 << 28,
+		haltAddr: trapBase,
+		bodyGen:  1,
+		conv:     b.DefaultConv(),
+		ptrBytes: b.PtrBytes(),
+		retOff:   uint64(b.RetAddrOffset()),
 	}
-	mc.haltAddr = trapBase
+	mc.haltLink = mc.haltAddr - mc.retOff
 	if t, ok := cpu.(ThreadedCPU); ok {
 		mc.tcpu = t
 		mc.engine = EngineThreaded
@@ -530,6 +548,9 @@ func (m *Machine) Installed(f *Func) bool {
 func (m *Machine) Uninstall(f *Func) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if f == nil {
+		return fmt.Errorf("machine: uninstall of nil function")
+	}
 	if !f.installed {
 		return fmt.Errorf("machine: uninstall %s: not installed", f.Name)
 	}
@@ -547,11 +568,7 @@ func (m *Machine) Uninstall(f *Func) error {
 		trace.Record(trace.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
 			time.Now(), 0, trace.Attrs{Bytes: int64(f.codeSize)})
 	}
-	f.addr = 0
-	f.installed = false
-	f.owner = nil
-	f.codeSize = 0
-	f.sumValid = false
+	f.unplace()
 	return nil
 }
 
@@ -710,6 +727,7 @@ func (m *Machine) install(f *Func) error {
 	f.owner = m
 	f.codeSize = size
 	f.sumValid = false
+	f.planCall(m.conv)
 	resolved, err := m.resolveRelocs(f, nil)
 	var image []byte
 	if err == nil {
@@ -723,10 +741,7 @@ func (m *Machine) install(f *Func) error {
 		// claims to be installed (a later retry — e.g. after the missing
 		// symbol is defined — starts clean).
 		m.freeRegion(codeRegion{addr: f.addr, size: f.codeSize})
-		f.addr = 0
-		f.installed = false
-		f.owner = nil
-		f.codeSize = 0
+		f.unplace()
 		return err
 	}
 	f.sum = sumWords(f.Words)
@@ -1041,10 +1056,7 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 		// Abort: the whole reservation is returned and nothing from this
 		// batch becomes installed or visible.
 		for _, it := range items {
-			f := it.f
-			f.addr = 0
-			f.owner = nil
-			f.codeSize = 0
+			it.f.unplace()
 		}
 		m.freeRegion(codeRegion{addr: base, size: total})
 		m.mu.Unlock()
@@ -1065,14 +1077,13 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 		}
 		if errs[it.idx] != nil {
 			m.freeRegion(codeRegion{addr: f.addr, size: it.size})
-			f.addr = 0
-			f.owner = nil
-			f.codeSize = 0
+			f.unplace()
 			continue
 		}
 		f.sum = sumWords(f.Words)
 		f.sumValid = true
 		f.installed = true
+		f.planCall(m.conv)
 		m.attachBody(it.body)
 		installed++
 		linkTotal += it.linkNS
@@ -1241,18 +1252,19 @@ func (m *Machine) CallWith(ctx context.Context, opts CallOpts, f *Func, args ...
 	return v, err
 }
 
-// CallStats describes one completed (or failed) call's cost: the
-// simulator's cycle and retired-instruction deltas for this call alone,
-// and the host wall time including any install-on-demand.  Because the
-// machine serializes calls internally, the deltas are exact per-call
-// attributions — no stat reset (and no reset race) is needed.
+// CallStats describes one completed (or failed) call's cost in simulated
+// terms: the simulator's cycle and retired-instruction deltas for this call
+// alone, and the fuel it consumed.  Because the machine serializes calls
+// internally, the deltas are exact per-call attributions — no stat reset
+// (and no reset race) is needed.  Host time is not here: a caller that
+// wants it reads the clock around the call, which then also covers the
+// wait for the machine.
 type CallStats struct {
 	Cycles, Insns uint64
 	// Fuel is the step budget the call consumed (0 when unlimited or the
 	// engine did not meter it) — the per-call cost a quota-billing layer
 	// or a flight recorder attributes to the request.
 	Fuel uint64
-	Wall time.Duration
 }
 
 // CallWithStats is CallWith returning per-call simulator statistics
@@ -1263,14 +1275,32 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
+	// The recorders own the clock: with both gates off a call reads none.
+	var start time.Time
+	if telemetry.Enabled() || trace.Enabled() {
+		start = time.Now()
+	}
 	cycles0, insns0 := m.cpu.Cycles(), m.cpu.Insns()
 	v, fuelUsed, err := m.callLocked(ctx, opts, f, args)
 	st := CallStats{
 		Cycles: m.cpu.Cycles() - cycles0,
 		Insns:  m.cpu.Insns() - insns0,
 		Fuel:   fuelUsed,
-		Wall:   time.Since(start),
+	}
+	if !start.IsZero() {
+		m.recordCall(f, start, st, err)
+	}
+	return v, st, err
+}
+
+// recordCall feeds one finished call, timed from start, to whichever
+// recorders are on.  f may be nil (the call failed on that), so the event
+// is then named by the machine alone.  Caller holds mu.
+func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) {
+	d := time.Since(start)
+	backend, name := m.backend.Name(), ""
+	if f != nil {
+		backend, name = f.BackendName, f.Name
 	}
 	if telemetry.Enabled() {
 		ts := m.stats()
@@ -1278,23 +1308,26 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		if err != nil {
 			ts.CallErrors.Inc()
 		}
-		ts.CallNS.Observe(uint64(st.Wall))
+		ts.CallNS.Observe(uint64(d))
 		ts.SimInsns.Add(st.Insns)
 		ts.SimCycles.Add(st.Cycles)
-		telemetry.TraceRecordAt(start.Add(st.Wall), telemetry.PhaseCall, f.BackendName, f.Name, st.Wall, int64(st.Insns))
+		telemetry.TraceRecordAt(start.Add(d), telemetry.PhaseCall, backend, name, d, int64(st.Insns))
 	}
 	if trace.Enabled() {
-		trace.Record(trace.KindCall, f.BackendName, f.Name, f.lifecycleFlow(),
-			start, st.Wall, trace.Attrs{N: int64(st.Insns), Fuel: fuelUsed, Err: errText(err)})
+		var flow uint64
+		if f != nil {
+			flow = f.lifecycleFlow()
+		}
+		trace.Record(trace.KindCall, backend, name, flow,
+			start, d, trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
 	}
-	return v, st, err
 }
 
 // callLocked is the hot body of a call: install-on-demand, argument
-// marshaling, the simulator run, and result extraction.  It is split from
-// CallWithStats so the wrapper's stats/telemetry bookkeeping closes over
-// nothing — with ≤ callBufArgs arguments the per-call path does not
-// allocate.  The second result is the simulated steps consumed (fuel).
+// marshaling from the function's call plan, the simulator run, and result
+// extraction.  With ≤ callBufArgs arguments nothing on the path allocates,
+// for a resident function nothing is laid out, and the backend is asked
+// nothing.  The second result is the simulated steps consumed (fuel).
 // Caller holds mu.
 func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args []Value) (Value, uint64, error) {
 	if f == nil || !f.installed || f.owner != m {
@@ -1311,60 +1344,50 @@ func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args [
 	if len(args) != len(f.Params) {
 		return Value{}, 0, fmt.Errorf("machine: %s takes %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	conv := m.backend.DefaultConv()
-
-	sp := m.stackTop
-	var tbuf [callBufArgs]Type
-	types := tbuf[:0]
 	for i, a := range args {
 		if a.T != f.Params[i] {
 			return Value{}, 0, fmt.Errorf("machine: %s arg %d: have %s, want %s", f.Name, i, a.T, f.Params[i])
 		}
-		types = append(types, a.T)
 	}
-	var lbuf [callBufArgs]argLoc
-	locs, stackBytes := conv.layoutArgs(types, lbuf[:0])
-	if stackBytes > 0 {
-		sp -= uint64(stackBytes)
+	plan := &f.plan
+	if plan.nargs != len(args) {
+		// Params was resized behind the resident function's back; lay the
+		// signature the arguments just matched out afresh.
+		f.planCall(m.conv)
 	}
+	conv := m.conv
+	sp := m.stackTop - plan.stackBytes
 	if a := uint64(conv.StackAlign); a > 0 {
 		sp &^= a - 1
 	}
-	for i, loc := range locs {
+	for i, loc := range plan.locs() {
 		if loc.reg != NoReg {
 			if loc.t.IsFloat() {
 				m.cpu.SetFReg(loc.reg, args[i].Bits, loc.t == TypeD)
 			} else {
-				m.cpu.SetReg(loc.reg, regBits(args[i], m.backend.PtrBytes()))
+				m.cpu.SetReg(loc.reg, regBits(args[i], m.ptrBytes))
 			}
 			continue
 		}
-		sz := loc.t.Size(m.backend.PtrBytes())
-		if err := m.mem.Store(sp+uint64(loc.stackOff), sz, args[i].Bits); err != nil {
+		if err := m.mem.Store(sp+uint64(loc.stackOff), loc.t.Size(m.ptrBytes), args[i].Bits); err != nil {
 			return Value{}, 0, err
 		}
 	}
 
 	m.cpu.SetReg(conv.SP, sp)
-	m.cpu.SetReg(conv.RA, m.retLinkValue(m.haltAddr))
-	m.cpu.SetPC(f.EntryAddr())
-	steps, err := m.run(ctx, opts, conv)
+	m.cpu.SetReg(conv.RA, m.haltLink)
+	m.cpu.SetPC(plan.entry)
+	steps, err := m.run(ctx, opts, plan)
 	if err != nil {
 		return Value{}, steps, fmt.Errorf("machine: running %s: %w", f.Name, err)
 	}
 
-	return m.result(f.Result, conv), steps, nil
+	return m.result(f.Result), steps, nil
 }
 
 // callBufArgs is how many arguments the call path can marshal without
 // heap allocation; calls with more still work, spilling to the heap.
 const callBufArgs = 8
-
-// retLinkValue converts a desired return target into the value stored in
-// the link register (SPARC's call convention returns to RA+8).
-func (m *Machine) retLinkValue(target uint64) uint64 {
-	return target - uint64(m.backend.RetAddrOffset())
-}
 
 // SetTrace enables (or, with nil, disables) single-step execution
 // tracing: every executed instruction is disassembled to w.  This is the
@@ -1375,7 +1398,9 @@ func (m *Machine) retLinkValue(target uint64) uint64 {
 // instructions appear automatically.
 func (m *Machine) SetTrace(w io.Writer) { m.trace = w }
 
-func (m *Machine) run(ctx context.Context, opts CallOpts, conv *CallConv) (steps uint64, err error) {
+// run steps the simulator from the PC callLocked set until the function
+// returns to haltAddr; plan is the called function's, for its entry body.
+func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps uint64, err error) {
 	// Last line of defense: the simulators are panic-proofed and fuzzed,
 	// but if one does panic the call must still return an error rather
 	// than unwind the caller (who may be a cache or a server loop).
@@ -1393,6 +1418,8 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, conv *CallConv) (steps
 		stride = 1024
 	}
 	cancelable := ctx.Done() != nil
+	// Engine, threaded CPU and trace writer are fixed while mu is held.
+	threaded := m.engine == EngineThreaded && m.tcpu != nil && m.trace == nil
 	for {
 		pc := m.cpu.PC()
 		if pc == m.haltAddr {
@@ -1421,15 +1448,23 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, conv *CallConv) (steps
 		// Step path.  A pending delay slot (materialized by a previous
 		// fuel-bounded exit), a fault-injection hook (which intercepts
 		// per-instruction fetches the threaded engine does not perform),
-		// and single-step tracing all force Step.
-		if m.engine == EngineThreaded && m.tcpu != nil && m.trace == nil &&
-			!m.tcpu.PendingDelay() && !m.mem.HasFaultHook() {
-			if b := m.bodyAt(pc); b != nil {
+		// and single-step tracing all force Step.  Every call's first
+		// dispatch is at the function's entry (recursion comes back to it
+		// too): the plan remembers that body, so it needs no search.
+		if threaded && !m.tcpu.PendingDelay() && !m.mem.HasFaultHook() {
+			var b *exec.Body
+			var idx int
+			if pc == plan.entry {
+				b, idx = m.entryBody(plan)
+			} else if b = m.bodyAt(pc); b != nil {
+				idx = b.IndexOf(pc)
+			}
+			if b != nil {
 				allow := budget - steps + 1
 				if cancelable && allow > stride {
 					allow = stride
 				}
-				n, rerr := m.tcpu.RunBody(b, b.IndexOf(pc), allow)
+				n, rerr := m.tcpu.RunBody(b, idx, allow)
 				if n > 0 {
 					steps += n - 1
 				}
@@ -1446,19 +1481,14 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, conv *CallConv) (steps
 			if err := m.safeTrap(pc, h); err != nil {
 				return steps, err
 			}
-			ret := m.cpu.Reg(conv.RA) + uint64(m.backend.RetAddrOffset())
-			m.cpu.SetPC(ret)
+			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
 			continue
 		}
 		if m.trace != nil {
+			// Tracing needs per-instruction visibility: stay on Step.
 			if w, err := m.mem.FetchWord(pc); err == nil {
 				fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
 			}
-			// Tracing needs per-instruction visibility: stay on Step.
-			if err := m.cpu.Step(); err != nil {
-				return steps, err
-			}
-			continue
 		}
 		if err := m.cpu.Step(); err != nil {
 			return steps, err
@@ -1487,7 +1517,8 @@ func (m *Machine) symAt(addr uint64) string {
 	return "?"
 }
 
-func (m *Machine) result(t Type, conv *CallConv) Value {
+func (m *Machine) result(t Type) Value {
+	conv := m.conv
 	switch t {
 	case TypeV:
 		return Value{T: TypeV}
@@ -1501,7 +1532,7 @@ func (m *Machine) result(t Type, conv *CallConv) Value {
 		return Value{T: t, Bits: uint64(uint32(m.cpu.Reg(conv.RetInt)))}
 	default:
 		bits := m.cpu.Reg(conv.RetInt)
-		if m.backend.PtrBytes() == 4 {
+		if m.ptrBytes == 4 {
 			switch t {
 			case TypeL:
 				bits = uint64(int64(int32(bits)))
@@ -1536,7 +1567,7 @@ func regBits(v Value, ptrBytes int) uint64 {
 // machines that do not provide division in hardware, the VCODE integer
 // division instructions require subroutine calls").
 func registerDivHelpers(m *Machine) {
-	conv := m.backend.DefaultConv()
+	conv := m.conv
 	a0, a1, v0 := conv.IntArgs[0], conv.IntArgs[1], conv.RetInt
 	type sem struct {
 		sym string

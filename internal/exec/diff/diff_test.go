@@ -31,10 +31,7 @@ func newPair(t *testing.T, tg regtest.Target) enginePair {
 }
 
 // run builds the program twice (once per machine — a *Func belongs to
-// one machine once installed), calls it under both engines with the
-// same arguments, and requires identical results, error text, per-call
-// cycle/instruction deltas, and full architectural CPU state.  With
-// checkMem it also requires byte-identical simulated memories.
+// one machine once installed) and holds the two calls to each other.
 func (p enginePair) run(t *testing.T, name string, build func() (*core.Func, error),
 	opts core.CallOpts, checkMem bool, args ...core.Value) {
 	t.Helper()
@@ -46,6 +43,17 @@ func (p enginePair) run(t *testing.T, name string, build func() (*core.Func, err
 	if err != nil {
 		t.Fatalf("%s: rebuild: %v", name, err)
 	}
+	p.call(t, name, f1, f2, opts, checkMem, args...)
+}
+
+// call calls f1 on the switch machine and f2, the same program, on the
+// threaded one with the same arguments, and requires identical results,
+// error text, per-call cycle/instruction/fuel deltas, and full
+// architectural CPU state.  With checkMem it also requires byte-identical
+// simulated memories.
+func (p enginePair) call(t *testing.T, name string, f1, f2 *core.Func,
+	opts core.CallOpts, checkMem bool, args ...core.Value) {
+	t.Helper()
 	v1, st1, err1 := p.sw.CallWithStats(context.Background(), opts, f1, args...)
 	v2, st2, err2 := p.th.CallWithStats(context.Background(), opts, f2, args...)
 	if d := ErrDiff(err1, err2); d != "" {
@@ -54,9 +62,8 @@ func (p enginePair) run(t *testing.T, name string, build func() (*core.Func, err
 	if err1 == nil && v1 != v2 {
 		t.Fatalf("%s: result: switch=%+v threaded=%+v", name, v1, v2)
 	}
-	if st1.Cycles != st2.Cycles || st1.Insns != st2.Insns {
-		t.Fatalf("%s: stats: switch={cycles %d insns %d} threaded={cycles %d insns %d}",
-			name, st1.Cycles, st1.Insns, st2.Cycles, st2.Insns)
+	if st1 != st2 {
+		t.Fatalf("%s: stats: switch=%+v threaded=%+v", name, st1, st2)
 	}
 	if d := StateDiff(p.sw.CPU(), p.th.CPU()); d != "" {
 		t.Fatalf("%s: state diverged:\n%s", name, d)
@@ -267,6 +274,73 @@ func TestDifferentialLoops(t *testing.T) {
 			// dispatch windows without changing architectural results.
 			p.run(t, "stride1", build,
 				core.CallOpts{PollStride: 1}, false, core.I(200))
+		})
+	}
+}
+
+// TestDifferentialRotatingCallers keeps eight functions resident on both
+// machines and calls them round-robin, the way a packet-filter set or a
+// server shard is driven: every call enters a different function than the
+// last, so the threaded engine's single-entry body cache always misses and
+// each function is entered through what the machine remembered of it at
+// install.  Rounds alternate unlimited calls with fuel budgets that expire
+// inside the callee, so the remembered entry is also taken on calls that
+// end in an error — whose text, fuel and cycles must match too.
+func TestDifferentialRotatingCallers(t *testing.T) {
+	for _, tg := range regtest.Targets() {
+		tg := tg
+		t.Run(tg.Name, func(t *testing.T) {
+			p := newPair(t, tg)
+			bk := tg.Backend
+			type resident struct {
+				name string
+				fs   [2]*core.Func // on p.sw, on p.th
+				args []core.Value
+			}
+			var fns []resident
+			add := func(name string, build func() (*core.Func, error), args ...core.Value) {
+				t.Helper()
+				r := resident{name: name, args: args}
+				for i, m := range []*core.Machine{p.sw, p.th} {
+					fn, err := build()
+					if err == nil {
+						err = m.Install(fn)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					r.fs[i] = fn
+				}
+				fns = append(fns, r)
+			}
+			for i, op := range []core.Op{core.OpAdd, core.OpSub, core.OpXor, core.OpMul} {
+				op, imm := op, int64(3+i)
+				add(fmt.Sprintf("alu%d", i), func() (*core.Func, error) {
+					return regtest.BuildALUImm(bk, op, core.TypeI, imm)
+				}, core.I(int32(1000+i)))
+			}
+			add("loop9", func() (*core.Func, error) { return buildLoop(bk) }, core.I(9))
+			add("loop40", func() (*core.Func, error) { return buildLoop(bk) }, core.I(40))
+			add("branch", func() (*core.Func, error) {
+				return regtest.BuildBranch(bk, core.OpBlt, core.TypeI)
+			}, core.I(-5), core.I(7))
+			add("div", func() (*core.Func, error) {
+				return regtest.BuildALU(bk, core.OpDiv, core.TypeI) // a trap helper where there is no divide
+			}, core.I(91), core.I(7))
+			if len(fns) != 8 {
+				t.Fatalf("%d resident functions, want 8", len(fns))
+			}
+
+			for round := 0; round < 12; round++ {
+				opts := core.CallOpts{}
+				if round%2 == 1 {
+					opts.Fuel = uint64(2 + 3*round) // 5..35 steps: runs out inside the loops
+				}
+				for _, r := range fns {
+					p.call(t, fmt.Sprintf("round %d fuel %d: %s", round, opts.Fuel, r.name),
+						r.fs[0], r.fs[1], opts, false, r.args...)
+				}
+			}
 		})
 	}
 }

@@ -16,7 +16,9 @@ import (
 // run from any number of goroutines; Run serializes on the single
 // simulated CPU (inside core.Machine), and per-call cycle costs come from
 // the machine's CallStats deltas — no stat reset, and so no reset race
-// between concurrent Runs.
+// between concurrent Runs.  CallStats is simulated cost only (cycles,
+// instructions, fuel); a caller that wants host time reads the clock
+// around Run.
 type Machine struct {
 	machine *core.Machine
 	backend core.Backend

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/flightrec"
+	"repro/internal/telemetry"
 )
 
 // withFlightRecording turns the flight recorder on for one test,
@@ -225,4 +227,65 @@ func keys(m map[string][]byte) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestExecReportsItsOwnWallTime: the machine keeps no clock on its call
+// path, so the exec stage's time — the response's wall_ns, the flight
+// chain's exec event, the two call_ns histograms — comes from the server's
+// own clock pair around the call, with telemetry off as well as on and for
+// a call that fails.
+func TestExecReportsItsOwnWallTime(t *testing.T) {
+	withFlightRecording(t)
+	defer telemetry.SetEnabled(telemetry.Enabled())
+	s, ts := newTestServer(t, nil)
+	tn, ae := s.tenants.get("alice")
+	if ae != nil {
+		t.Fatal(ae)
+	}
+	exec := func(id string, body map[string]any) (int, map[string]any, flightrec.Event) {
+		t.Helper()
+		body["tenant"], body["request_id"] = "alice", id
+		status, out := post(t, ts, "/v1/exec", body)
+		for _, e := range chainFor(flightrec.Events(), id) {
+			if e.Stage == flightrec.StageExec {
+				return status, out, e
+			}
+		}
+		t.Fatalf("%s: no exec event on the flight chain (status %d %v)", id, status, out)
+		return 0, nil, flightrec.Event{}
+	}
+	resident := map[string]any{"lang": "tinyc", "source": fibTinyC, "args": []int{10}}
+	if status, out, _ := exec("warm-up", resident); status != http.StatusOK {
+		t.Fatalf("warm-up = %d %v", status, out)
+	}
+
+	for _, on := range []bool{false, true} {
+		telemetry.SetEnabled(on)
+		global, perTenant := s.callNS.Count(), tn.callNS.Count()
+		id := fmt.Sprintf("wall-telemetry-%v", on)
+		status, out, ev := exec(id, resident)
+		if status != http.StatusOK || out["cached"] != true {
+			t.Fatalf("%s = %d %v, want a cached 200", id, status, out)
+		}
+		if wall, _ := out["wall_ns"].(json.Number).Int64(); wall <= 0 {
+			t.Errorf("%s: wall_ns = %v, want > 0", id, out["wall_ns"])
+		}
+		if ev.Verdict != "ok" || ev.DurNS <= 0 {
+			t.Errorf("%s: exec event %+v, want ok with DurNS > 0", id, ev)
+		}
+		var want uint64
+		if on {
+			want = 1
+		}
+		if g, p := s.callNS.Count()-global, tn.callNS.Count()-perTenant; g != want || p != want {
+			t.Errorf("%s: call_ns histograms observed %d and %d samples, want %d each", id, g, p, want)
+		}
+	}
+
+	status, out, ev := exec("wall-fuel", map[string]any{
+		"lang": "vasm", "source": factVasm, "args": []int{1 << 20}, "fuel": 50})
+	wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeFuelExhausted)
+	if ev.Verdict != string(CodeFuelExhausted) || ev.DurNS <= 0 {
+		t.Errorf("failed exec event %+v, want %s with DurNS > 0", ev, CodeFuelExhausted)
+	}
 }

@@ -213,7 +213,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		ResultType: typ,
 		Cycles:     er.stats.Cycles,
 		Insns:      er.stats.Insns,
-		WallNS:     er.stats.Wall.Nanoseconds(),
+		WallNS:     er.wall.Nanoseconds(),
 	})
 }
 

@@ -475,15 +475,19 @@ func truncate(s string) string {
 	return s
 }
 
-// execResult is one completed call.
+// execResult is one completed call.  wall is the exec stage's host time:
+// the wait for the shard's machine plus the call.
 type execResult struct {
 	value core.Value
 	stats core.CallStats
+	wall  time.Duration
 }
 
 // exec runs one sandboxed call under the tenant's fuel quota and the
 // server call timeout.  fr (nil-safe) records the call's engine, fuel
-// spend and wall time on the request's flight chain.
+// spend and wall time on the request's flight chain.  The machine keeps no
+// clock on its call path, so the stage is timed here, with one clock pair
+// around the call.
 func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, sh *shard, fn *core.Func, args []core.Value, fuel uint64) (execResult, *APIError) {
 	budget := t.quota.FuelPerCall
 	if fuel > 0 {
@@ -499,23 +503,25 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, sh 
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
 	defer cancel()
+	start := time.Now()
 	v, st, err := sh.machine.CallWithStats(cctx, core.CallOpts{Fuel: budget}, fn, args...)
+	wall := time.Since(start)
 	sh.calls.Add(1)
 	if telemetry.Enabled() {
-		s.callNS.Observe(uint64(st.Wall))
-		t.callNS.Observe(uint64(st.Wall))
+		s.callNS.Observe(uint64(wall))
+		t.callNS.Observe(uint64(wall))
 	}
 	if err != nil {
 		apiE := classify(err)
 		fr.Event(flightrec.StageExec, flightrec.Event{
 			Verdict: string(apiE.Code), Shard: int32(sh.id), Tier: 2,
-			Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: st.Wall.Nanoseconds()})
+			Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: wall.Nanoseconds()})
 		return execResult{}, apiE
 	}
 	fr.Event(flightrec.StageExec, flightrec.Event{
 		Verdict: "ok", Shard: int32(sh.id), Tier: 2,
-		Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: st.Wall.Nanoseconds()})
-	return execResult{value: v, stats: st}, nil
+		Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: wall.Nanoseconds()})
+	return execResult{value: v, stats: st, wall: wall}, nil
 }
 
 // requestID returns the caller-supplied ID or mints one: "r" and the

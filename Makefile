@@ -45,6 +45,15 @@ crash-soak:
 test:
 	go test ./...
 
+# Non-test Go lines per package and in total.  ROADMAP aim 2 expects the
+# per-ISA packages to go down as descriptions are merged; CI prints this
+# so every log carries the number.
+loc:
+	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		printf '%6d  %s\n' $$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$pkg; \
+	done
+	@printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+
 bench:
 	go test -bench . -benchtime 1s .
 
@@ -95,4 +104,4 @@ bench-gate: bench-json
 		$(BENCH_OUT) $(BENCH_OUT:.json=.batch.json) $(BENCH_OUT:.json=.serve.json) \
 		$(BENCH_OUT:.json=.tier3.json)
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test bench bench-miss bench-call bench-json bench-gate
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc bench bench-miss bench-call bench-json bench-gate

@@ -525,70 +525,3 @@ func truncToI64(v float64) int64 {
 		return int64(v)
 	}
 }
-
-// Decodable reports whether w decodes at pc — exactly when Disasm would
-// not fall back to ".word" — without building the disassembly string.
-// It is the verifier's round-trip fast path (verify.DecodableDecoder);
-// TestDecodableMatchesDisasm sweeps it against Disasm so the two cannot
-// drift.
-func (a *Backend) Decodable(w uint32, pc uint64) bool {
-	if w == encNop {
-		return true
-	}
-	switch w >> 26 {
-	case opLda, opLdah,
-		opLdl, opLdq, opLdqU, opLds, opLdt, opStl, opStq, opStqU, opSts, opStt,
-		opBr, opBsr, opBeq, opBne, opBlt, opBle, opBgt, opBge,
-		opFbeq, opFbne, opFblt, opFble, opFbgt, opFbge,
-		opJump, opInta, opIntl, opInts, opIntm, opFlti, opFltl, opFlts:
-		return true
-	}
-	return false
-}
-
-// Disasm decodes one instruction word (compact form).
-func (a *Backend) Disasm(w uint32, pc uint64) string {
-	if w == encNop {
-		return "nop"
-	}
-	op := w >> 26
-	ra := w >> 21 & 31
-	rb := w >> 16 & 31
-	disp16 := int64(int16(w))
-	disp21 := int64(int32(w<<11) >> 11)
-	g := func(n uint32) string { return gprNames[n] }
-	switch op {
-	case opLda:
-		return fmt.Sprintf("lda %s, %d(%s)", g(ra), disp16, g(rb))
-	case opLdah:
-		return fmt.Sprintf("ldah %s, %d(%s)", g(ra), disp16, g(rb))
-	case opLdl, opLdq, opLdqU, opLds, opLdt, opStl, opStq, opStqU, opSts, opStt:
-		name := map[uint32]string{opLdl: "ldl", opLdq: "ldq", opLdqU: "ldq_u",
-			opLds: "lds", opLdt: "ldt", opStl: "stl", opStq: "stq",
-			opStqU: "stq_u", opSts: "sts", opStt: "stt"}[op]
-		return fmt.Sprintf("%s %s, %d(%s)", name, g(ra), disp16, g(rb))
-	case opBr, opBsr, opBeq, opBne, opBlt, opBle, opBgt, opBge,
-		opFbeq, opFbne, opFblt, opFble, opFbgt, opFbge:
-		name := map[uint32]string{opBr: "br", opBsr: "bsr", opBeq: "beq", opBne: "bne",
-			opBlt: "blt", opBle: "ble", opBgt: "bgt", opBge: "bge",
-			opFbeq: "fbeq", opFbne: "fbne", opFblt: "fblt", opFble: "fble",
-			opFbgt: "fbgt", opFbge: "fbge"}[op]
-		return fmt.Sprintf("%s %s, %#x", name, g(ra), pc+4+uint64(disp21*4))
-	case opJump:
-		hint := w >> 14 & 3
-		name := map[uint32]string{hintJmp: "jmp", hintJsr: "jsr", hintRet: "ret"}[hint]
-		return fmt.Sprintf("%s %s, (%s)", name, g(ra), g(rb))
-	case opInta, opIntl, opInts, opIntm:
-		fn := w >> 5 & 0x7f
-		var o2 string
-		if w>>12&1 == 1 {
-			o2 = fmt.Sprintf("#%d", w>>13&0xff)
-		} else {
-			o2 = g(rb)
-		}
-		return fmt.Sprintf("op%x.%02x %s, %s, %s", op, fn, g(ra), o2, g(w&31))
-	case opFlti, opFltl, opFlts:
-		return fmt.Sprintf("fop%x.%03x f%d, f%d, f%d", op, w>>5&0x7ff, ra, rb, w&31)
-	}
-	return fmt.Sprintf(".word %#08x", w)
-}

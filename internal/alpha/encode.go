@@ -124,6 +124,7 @@ const (
 	hintJmp = 0
 	hintJsr = 1
 	hintRet = 2
+	hintCo  = 3 // jsr_coroutine
 )
 
 // memFmt builds a memory-format instruction.

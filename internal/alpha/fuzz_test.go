@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/isatest"
 	"repro/internal/mem"
 )
 
 // FuzzStep executes arbitrary instruction words on the simulator: every
-// word must either execute or come back as a typed error.  A panic — the
-// failure mode this hardening pass eliminates — fails the run.
+// word must either execute or come back as a typed error — a panic fails
+// the run — and the verifier and the predecoder must agree with the
+// simulator on which of the words are instructions at all.
 func FuzzStep(f *testing.F) {
 	// Seed with real encodings from the backend so the fuzzer starts
 	// inside the decoded space, plus the corner patterns.
@@ -45,8 +47,9 @@ func FuzzStep(f *testing.F) {
 		cpu.SetPC(base)
 		for i := 0; i < 32; i++ {
 			if err := cpu.Step(); err != nil {
-				return
+				break
 			}
 		}
+		(&isatest.ISA{Rows: rows, Dec: New(), CPU: cpu, Mem: m}).CheckWords(t, []uint32{w1, w2})
 	})
 }

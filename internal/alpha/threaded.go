@@ -148,258 +148,66 @@ func (c *CPU) abr(in *exec.Instr, taken bool) int32 {
 // PendingDelay: Alpha has no delay slots.
 func (c *CPU) PendingDelay() bool { return false }
 
-// Predecode unpacks words into a threaded body.  Pure function of its
-// arguments (safe from batch-install workers); malformed words become
-// error handlers reproducing the oracle's exact messages.
+// Predecode unpacks words into a threaded body: each word's row in the
+// instruction table (isa.go) names its handler and which operands to
+// unpack.  Pure function of its arguments (safe from batch-install
+// workers); a word with no row becomes the bad-op handler of its decode
+// group, reproducing the oracle's exact message.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
 	n := len(words)
 	for i, w := range words {
 		in := &code[i]
 		pc := base + 4*uint64(i)
-		in.PC = pc
-
-		op := w >> 26
 		ra := uint8(w >> 21 & 31)
 		rb := uint8(w >> 16 & 31)
-		disp16 := int64(int16(w))
-		disp21 := int64(int32(w<<11) >> 11)
-
+		regForm := w>>12&1 == 0
+		in.PC = pc
 		// Interlock metadata, mirroring the oracle's pre-dispatch check:
 		// ra is always a stall candidate; rb only for register-form
-		// operates.
-		in.SrcA = ra
-		in.SrcB = exec.NoReg
-		in.LoadReg = exec.NoReg
-		if op >= opInta && op <= opIntm && w>>12&1 == 0 {
-			in.SrcB = rb
-		}
+		// integer operates, decodable or not.
+		in.SrcA, in.SrcB, in.LoadReg = ra, exec.NoReg, exec.NoReg
 
-		resolveBr := func() {
-			t := pc + 4 + uint64(disp21*4)
-			if idx, ok := exec.ResolveTarget(base, n, t); ok {
-				in.Target = idx
-			} else {
-				in.Target = exec.External
-				in.Imm = int64(t)
+		r := isa.Lookup(w)
+		if r == nil {
+			in.Imm = int64(w)
+			switch op := w >> 26; op {
+			case opInta, opIntl, opInts, opIntm:
+				in.Op = [...]uint16{aBadInta, aBadIntl, aBadInts, aBadIntm}[op-opInta]
+				if regForm {
+					in.SrcB = rb
+				}
+			case opFltl:
+				in.Op = aBadFltl
+			case opFlts:
+				in.Op = aBadFlts
+			case opFlti:
+				in.Op = aBadFlti
+			default:
+				in.Op = aBadOp
 			}
+			continue
 		}
-		setOperands := func() {
-			in.A, in.C = ra, uint8(w&31)
-			if w>>12&1 == 1 {
+		in.Op, in.A, in.B = r.Op, ra, rb
+		switch r.Layout {
+		case layMem:
+			in.Imm = int64(int16(w))
+		case layMemHi:
+			in.Imm = int64(int16(w)) << 16
+		case layLoad:
+			in.Imm, in.LoadReg = int64(int16(w)), ra
+		case layBr:
+			in.SetTarget(base, n, branchTarget(w, pc))
+		case layOperate:
+			in.C = uint8(w & 31)
+			if regForm {
+				in.SrcB = rb
+			} else {
 				in.Flags |= exec.FImm
 				in.Imm = int64(w >> 13 & 0xff)
-			} else {
-				in.B = rb
 			}
-		}
-
-		switch op {
-		case opLda:
-			in.Op, in.A, in.B, in.Imm = aLda, ra, rb, disp16
-		case opLdah:
-			in.Op, in.A, in.B, in.Imm = aLda, ra, rb, disp16<<16
-		case opLdl:
-			in.Op, in.A, in.B, in.Imm, in.LoadReg = aLdl, ra, rb, disp16, ra
-		case opLdq:
-			in.Op, in.A, in.B, in.Imm, in.LoadReg = aLdq, ra, rb, disp16, ra
-		case opLdqU:
-			in.Op, in.A, in.B, in.Imm, in.LoadReg = aLdqU, ra, rb, disp16, ra
-		case opLds:
-			in.Op, in.A, in.B, in.Imm = aLds, ra, rb, disp16
-		case opLdt:
-			in.Op, in.A, in.B, in.Imm = aLdt, ra, rb, disp16
-		case opStl:
-			in.Op, in.A, in.B, in.Imm = aStl, ra, rb, disp16
-		case opStq:
-			in.Op, in.A, in.B, in.Imm = aStq, ra, rb, disp16
-		case opStqU:
-			in.Op, in.A, in.B, in.Imm = aStqU, ra, rb, disp16
-		case opSts:
-			in.Op, in.A, in.B, in.Imm = aSts, ra, rb, disp16
-		case opStt:
-			in.Op, in.A, in.B, in.Imm = aStt, ra, rb, disp16
-		case opBr, opBsr:
-			in.Op, in.A = aBr, ra
-			resolveBr()
-		case opBeq:
-			in.Op, in.A = aBeq, ra
-			resolveBr()
-		case opBne:
-			in.Op, in.A = aBne, ra
-			resolveBr()
-		case opBlt:
-			in.Op, in.A = aBlt, ra
-			resolveBr()
-		case opBle:
-			in.Op, in.A = aBle, ra
-			resolveBr()
-		case opBgt:
-			in.Op, in.A = aBgt, ra
-			resolveBr()
-		case opBge:
-			in.Op, in.A = aBge, ra
-			resolveBr()
-		case opFbeq:
-			in.Op, in.A = aFbeq, ra
-			resolveBr()
-		case opFbne:
-			in.Op, in.A = aFbne, ra
-			resolveBr()
-		case opFblt:
-			in.Op, in.A = aFblt, ra
-			resolveBr()
-		case opFble:
-			in.Op, in.A = aFble, ra
-			resolveBr()
-		case opFbgt:
-			in.Op, in.A = aFbgt, ra
-			resolveBr()
-		case opFbge:
-			in.Op, in.A = aFbge, ra
-			resolveBr()
-		case opJump:
-			in.Op, in.A, in.B = aJump, ra, rb
-		case opInta:
-			setOperands()
-			switch w >> 5 & 0x7f {
-			case fnAddl:
-				in.Op = aAddl
-			case fnSubl:
-				in.Op = aSubl
-			case fnAddq:
-				in.Op = aAddq
-			case fnSubq:
-				in.Op = aSubq
-			case fnCmpeq:
-				in.Op = aCmpeq
-			case fnCmplt:
-				in.Op = aCmplt
-			case fnCmple:
-				in.Op = aCmple
-			case fnCmpult:
-				in.Op = aCmpult
-			case fnCmpule:
-				in.Op = aCmpule
-			default:
-				in.Op, in.Imm = aBadInta, int64(w)
-			}
-		case opIntl:
-			setOperands()
-			switch w >> 5 & 0x7f {
-			case fnAnd:
-				in.Op = aAnd
-			case fnBic:
-				in.Op = aBic
-			case fnBis:
-				in.Op = aBis
-			case fnOrnot:
-				in.Op = aOrnot
-			case fnXor:
-				in.Op = aXor
-			case fnEqv:
-				in.Op = aEqv
-			default:
-				in.Op, in.Imm = aBadIntl, int64(w)
-			}
-		case opInts:
-			setOperands()
-			switch w >> 5 & 0x7f {
-			case fnSll:
-				in.Op = aSll
-			case fnSrl:
-				in.Op = aSrl
-			case fnSra:
-				in.Op = aSra
-			case fnZap:
-				in.Op = aZap
-			case fnZapnot:
-				in.Op = aZapnot
-			case fnExtbl:
-				in.Op = aExtbl
-			case fnExtwl:
-				in.Op = aExtwl
-			case fnInsbl:
-				in.Op = aInsbl
-			case fnInswl:
-				in.Op = aInswl
-			case fnMskbl:
-				in.Op = aMskbl
-			case fnMskwl:
-				in.Op = aMskwl
-			default:
-				in.Op, in.Imm = aBadInts, int64(w)
-			}
-		case opIntm:
-			setOperands()
-			switch w >> 5 & 0x7f {
-			case fnMull:
-				in.Op = aMull
-			case fnMulq:
-				in.Op = aMulq
-			default:
-				in.Op, in.Imm = aBadIntm, int64(w)
-			}
-		case opFltl:
-			in.A, in.B, in.C = ra, rb, uint8(w&31)
-			switch w >> 5 & 0x7ff {
-			case fnCpys:
-				in.Op = aCpys
-			case fnCpysn:
-				in.Op = aCpysn
-			default:
-				in.Op, in.Imm = aBadFltl, int64(w)
-			}
-		case opFlts:
-			in.A, in.B, in.C = ra, rb, uint8(w&31)
-			switch w >> 5 & 0x7ff {
-			case fnSqrts:
-				in.Op = aSqrts
-			case fnSqrtt:
-				in.Op = aSqrtt
-			default:
-				in.Op, in.Imm = aBadFlts, int64(w)
-			}
-		case opFlti:
-			in.A, in.B, in.C = ra, rb, uint8(w&31)
-			switch w >> 5 & 0x7ff {
-			case fnAdds:
-				in.Op = aAdds
-			case fnSubs:
-				in.Op = aSubs
-			case fnMuls:
-				in.Op = aMuls
-			case fnDivs:
-				in.Op = aDivs
-			case fnAddt:
-				in.Op = aAddt
-			case fnSubt:
-				in.Op = aSubt
-			case fnMult:
-				in.Op = aMultT
-			case fnDivt:
-				in.Op = aDivt
-			case fnCmpteq:
-				in.Op = aCmpteq
-			case fnCmptlt:
-				in.Op = aCmptlt
-			case fnCmptle:
-				in.Op = aCmptle
-			case fnCvtts:
-				in.Op = aCvtts
-			case fnCvtst:
-				in.Op = aCvtst
-			case fnCvtqs:
-				in.Op = aCvtqs
-			case fnCvtqt:
-				in.Op = aCvtqt
-			case fnCvttqc:
-				in.Op = aCvttqc
-			default:
-				in.Op, in.Imm = aBadFlti, int64(w)
-			}
-		default:
-			in.Op, in.Imm = aBadOp, int64(w)
+		case layFP:
+			in.C = uint8(w & 31)
 		}
 	}
 	return &exec.Body{Base: base, Code: code}

@@ -120,13 +120,13 @@ func (b *Body) Contains(pc uint64) bool {
 // checked Contains.
 func (b *Body) IndexOf(pc uint64) int { return int(pc-b.Base) / 4 }
 
-// ResolveTarget classifies a statically-known branch destination:
-// in-body aligned targets become array indices, everything else is
-// External with the raw address preserved in the instruction's Imm (the
-// caller stores it).
-func ResolveTarget(base uint64, n int, target uint64) (int32, bool) {
+// SetTarget records a statically-known branch destination: an in-body
+// aligned target becomes its array index, anything else is External with
+// the raw address kept in Imm.
+func (in *Instr) SetTarget(base uint64, n int, target uint64) {
 	if target >= base && target < base+4*uint64(n) && (target-base)%4 == 0 {
-		return int32((target - base) / 4), true
+		in.Target = int32((target - base) / 4)
+		return
 	}
-	return External, false
+	in.Target, in.Imm = External, int64(target)
 }

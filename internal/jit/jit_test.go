@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mem"
+	"repro/internal/regtest"
 )
 
 func refFib(n int32) int32 {
@@ -173,6 +174,9 @@ func TestJITOnAllTargets(t *testing.T) {
 			fn, err := m.Compile(f)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", target, f.Name, err)
+			}
+			if err := regtest.CheckRows(m.backend, fn); err != nil {
+				t.Error(err)
 			}
 			args := []int32{17}
 			if f.NArgs == 2 {

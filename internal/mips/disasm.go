@@ -8,197 +8,36 @@ import (
 
 // Disasm decodes one instruction word at byte address pc into DEC-style
 // assembly, for debugging generated code and for the quickstart example's
-// listing output.
+// listing output: the row's mnemonic, then its syntax with each field
+// letter (see isa.go) expanded.  A word with no row prints as ".word".
 func (m *Backend) Disasm(w uint32, pc uint64) string {
-	if w == encNop {
-		return "nop"
-	}
-	op := w >> 26
-	rs := w >> 21 & 31
-	rt := w >> 16 & 31
-	rd := w >> 11 & 31
-	sh := w >> 6 & 31
-	fn := w & 63
-	imm := int32(int16(w & 0xffff))
-	g := func(n uint32) string { return gprNames[n] }
-	f := func(n uint32) string { return fmt.Sprintf("$f%d", n) }
-	br := func() string { return fmt.Sprintf("%#x", pc+4+uint64(int64(imm)<<2)) }
-
-	switch op {
-	case opSpecial:
-		switch fn {
-		case fnSll:
-			return fmt.Sprintf("sll %s, %s, %d", g(rd), g(rt), sh)
-		case fnSrl:
-			return fmt.Sprintf("srl %s, %s, %d", g(rd), g(rt), sh)
-		case fnSra:
-			return fmt.Sprintf("sra %s, %s, %d", g(rd), g(rt), sh)
-		case fnSllv:
-			return fmt.Sprintf("sllv %s, %s, %s", g(rd), g(rt), g(rs))
-		case fnSrlv:
-			return fmt.Sprintf("srlv %s, %s, %s", g(rd), g(rt), g(rs))
-		case fnSrav:
-			return fmt.Sprintf("srav %s, %s, %s", g(rd), g(rt), g(rs))
-		case fnJr:
-			return fmt.Sprintf("jr %s", g(rs))
-		case fnJalr:
-			return fmt.Sprintf("jalr %s, %s", g(rd), g(rs))
-		case fnMfhi:
-			return fmt.Sprintf("mfhi %s", g(rd))
-		case fnMflo:
-			return fmt.Sprintf("mflo %s", g(rd))
-		case fnMult:
-			return fmt.Sprintf("mult %s, %s", g(rs), g(rt))
-		case fnMultu:
-			return fmt.Sprintf("multu %s, %s", g(rs), g(rt))
-		case fnDiv:
-			return fmt.Sprintf("div %s, %s", g(rs), g(rt))
-		case fnDivu:
-			return fmt.Sprintf("divu %s, %s", g(rs), g(rt))
-		case fnAddu:
-			if rt == 0 {
-				return fmt.Sprintf("move %s, %s", g(rd), g(rs))
-			}
-			return fmt.Sprintf("addu %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnSubu:
-			return fmt.Sprintf("subu %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnAnd:
-			return fmt.Sprintf("and %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnOr:
-			return fmt.Sprintf("or %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnXor:
-			return fmt.Sprintf("xor %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnNor:
-			return fmt.Sprintf("nor %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnSlt:
-			return fmt.Sprintf("slt %s, %s, %s", g(rd), g(rs), g(rt))
-		case fnSltu:
-			return fmt.Sprintf("sltu %s, %s, %s", g(rd), g(rs), g(rt))
+	return isa.Disasm(w, func(c byte) string {
+		switch c {
+		case 'd':
+			return gprNames[w>>11&31]
+		case 's':
+			return gprNames[w>>21&31]
+		case 't':
+			return gprNames[w>>16&31]
+		case 'h':
+			return fmt.Sprintf("%d", w>>6&31)
+		case 'i':
+			return fmt.Sprintf("%d", int16(w))
+		case 'u':
+			return fmt.Sprintf("%#x", w&0xffff)
+		case 'b':
+			return fmt.Sprintf("%#x", branchTarget(w, pc))
+		case 'j':
+			return fmt.Sprintf("%#x", jumpTarget(w, pc))
+		case 'D':
+			return fmt.Sprintf("$f%d", w>>6&31)
+		case 'S':
+			return fmt.Sprintf("$f%d", w>>11&31)
+		case 'T':
+			return fmt.Sprintf("$f%d", w>>16&31)
 		}
-	case opRegimm:
-		switch rt {
-		case rtBltz:
-			return fmt.Sprintf("bltz %s, %s", g(rs), br())
-		case rtBgez:
-			return fmt.Sprintf("bgez %s, %s", g(rs), br())
-		case rtBal:
-			return fmt.Sprintf("bal %s", br())
-		}
-	case opJ:
-		return fmt.Sprintf("j %#x", (pc+4)&0xf0000000|uint64(w&0x03ffffff)<<2)
-	case opJal:
-		return fmt.Sprintf("jal %#x", (pc+4)&0xf0000000|uint64(w&0x03ffffff)<<2)
-	case opBeq:
-		if rs == 0 && rt == 0 {
-			return fmt.Sprintf("b %s", br())
-		}
-		return fmt.Sprintf("beq %s, %s, %s", g(rs), g(rt), br())
-	case opBne:
-		return fmt.Sprintf("bne %s, %s, %s", g(rs), g(rt), br())
-	case opBlez:
-		return fmt.Sprintf("blez %s, %s", g(rs), br())
-	case opBgtz:
-		return fmt.Sprintf("bgtz %s, %s", g(rs), br())
-	case opAddiu:
-		if rs == 0 {
-			return fmt.Sprintf("li %s, %d", g(rt), imm)
-		}
-		return fmt.Sprintf("addiu %s, %s, %d", g(rt), g(rs), imm)
-	case opSlti:
-		return fmt.Sprintf("slti %s, %s, %d", g(rt), g(rs), imm)
-	case opSltiu:
-		return fmt.Sprintf("sltiu %s, %s, %d", g(rt), g(rs), imm)
-	case opAndi:
-		return fmt.Sprintf("andi %s, %s, %#x", g(rt), g(rs), w&0xffff)
-	case opOri:
-		return fmt.Sprintf("ori %s, %s, %#x", g(rt), g(rs), w&0xffff)
-	case opXori:
-		return fmt.Sprintf("xori %s, %s, %#x", g(rt), g(rs), w&0xffff)
-	case opLui:
-		return fmt.Sprintf("lui %s, %#x", g(rt), w&0xffff)
-	case opLb, opLbu, opLh, opLhu, opLw, opSb, opSh, opSw:
-		name := map[uint32]string{opLb: "lb", opLbu: "lbu", opLh: "lh", opLhu: "lhu",
-			opLw: "lw", opSb: "sb", opSh: "sh", opSw: "sw"}[op]
-		return fmt.Sprintf("%s %s, %d(%s)", name, g(rt), imm, g(rs))
-	case opLwc1, opLdc1, opSwc1, opSdc1:
-		name := map[uint32]string{opLwc1: "lwc1", opLdc1: "ldc1", opSwc1: "swc1", opSdc1: "sdc1"}[op]
-		return fmt.Sprintf("%s %s, %d(%s)", name, f(rt), imm, g(rs))
-	case opCop1:
-		switch rs {
-		case fmtMFC1:
-			return fmt.Sprintf("mfc1 %s, %s", g(rt), f(rd))
-		case fmtMTC1:
-			return fmt.Sprintf("mtc1 %s, %s", g(rt), f(rd))
-		case fmtBC:
-			if rt&1 == 1 {
-				return fmt.Sprintf("bc1t %s", br())
-			}
-			return fmt.Sprintf("bc1f %s", br())
-		case fmtS, fmtD, fmtW:
-			suffix := map[uint32]string{fmtS: "s", fmtD: "d", fmtW: "w"}[rs]
-			names := map[uint32]string{fpAdd: "add", fpSub: "sub", fpMul: "mul",
-				fpDiv: "div", fpSqrt: "sqrt", fpAbs: "abs", fpMov: "mov", fpNeg: "neg",
-				fpCvtS: "cvt.s", fpCvtD: "cvt.d", fpCvtW: "cvt.w",
-				fpCEq: "c.eq", fpCLt: "c.lt", fpCLe: "c.le"}
-			if n, ok := names[fn]; ok {
-				switch fn {
-				case fpCEq, fpCLt, fpCLe:
-					return fmt.Sprintf("%s.%s %s, %s", n, suffix, f(rd), f(rt))
-				case fpSqrt, fpAbs, fpMov, fpNeg, fpCvtS, fpCvtD, fpCvtW:
-					return fmt.Sprintf("%s.%s %s, %s", n, suffix, f(sh), f(rd))
-				default:
-					return fmt.Sprintf("%s.%s %s, %s, %s", n, suffix, f(sh), f(rd), f(rt))
-				}
-			}
-		}
-	}
-	return fmt.Sprintf(".word %#08x", w)
-}
-
-// Decodable reports whether w decodes at pc — exactly when Disasm would
-// not fall back to ".word" — without building the disassembly string.
-// It is the verifier's round-trip fast path (verify.DecodableDecoder);
-// TestDecodableMatchesDisasm sweeps it against Disasm so the two cannot
-// drift.
-func (m *Backend) Decodable(w uint32, pc uint64) bool {
-	if w == encNop {
-		return true
-	}
-	op := w >> 26
-	rs := w >> 21 & 31
-	rt := w >> 16 & 31
-	fn := w & 63
-	switch op {
-	case opSpecial:
-		switch fn {
-		case fnSll, fnSrl, fnSra, fnSllv, fnSrlv, fnSrav, fnJr, fnJalr,
-			fnMfhi, fnMflo, fnMult, fnMultu, fnDiv, fnDivu,
-			fnAddu, fnSubu, fnAnd, fnOr, fnXor, fnNor, fnSlt, fnSltu:
-			return true
-		}
-	case opRegimm:
-		switch rt {
-		case rtBltz, rtBgez, rtBal:
-			return true
-		}
-	case opJ, opJal, opBeq, opBne, opBlez, opBgtz,
-		opAddiu, opSlti, opSltiu, opAndi, opOri, opXori, opLui,
-		opLb, opLbu, opLh, opLhu, opLw, opSb, opSh, opSw,
-		opLwc1, opLdc1, opSwc1, opSdc1:
-		return true
-	case opCop1:
-		switch rs {
-		case fmtMFC1, fmtMTC1, fmtBC:
-			return true
-		case fmtS, fmtD, fmtW:
-			switch fn {
-			case fpAdd, fpSub, fpMul, fpDiv, fpSqrt, fpAbs, fpMov, fpNeg,
-				fpCvtS, fpCvtD, fpCvtW, fpCEq, fpCLt, fpCLe:
-				return true
-			}
-		}
-	}
-	return false
+		return ""
+	})
 }
 
 // DisasmFunc renders a generated function, one instruction per line,

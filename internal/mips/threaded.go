@@ -165,278 +165,81 @@ func (c *CPU) mindirect(b *exec.Body, a uint64) int32 {
 func (c *CPU) PendingDelay() bool { return c.inDelay }
 
 // Predecode unpacks words (the installed image of one function, starting
-// at base) into a threaded body.  It is a pure function of its arguments
-// — no CPU state is read or written — so the batch installer may call it
-// from worker goroutines.  Malformed words never fail predecode: they
-// become handlers that reproduce the oracle's exact error text, so
-// unreachable garbage (alignment pads, literal pools) still installs.
+// at base) into a threaded body: each word's row in the instruction
+// table (isa.go) names its handler and which operands to unpack.  It is
+// a pure function of its arguments — no CPU state is read or written —
+// so the batch installer may call it from worker goroutines.  Malformed
+// words never fail predecode: a word with no row becomes the bad-op
+// handler of its decode group, which reproduces the oracle's exact error
+// text, so unreachable garbage (alignment pads, literal pools) still
+// installs.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
 	n := len(words)
 	for i, w := range words {
 		in := &code[i]
 		pc := base + 4*uint64(i)
-		in.PC = pc
-		in.SrcA = uint8(w >> 21 & 31)
-		in.SrcB = exec.NoReg
-		in.LoadReg = exec.NoReg
-
-		op := w >> 26
 		rs := uint8(w >> 21 & 31)
 		rt := uint8(w >> 16 & 31)
 		rd := uint8(w >> 11 & 31)
 		sh := uint8(w >> 6 & 31)
-		fn := w & 63
-		imm := w & 0xffff
-		sImm := sx16(imm)
+		in.PC = pc
+		// The oracle charges the load-use interlock on the raw rs field
+		// of every word (and on rt where a layout says so) before it
+		// even validates the word.
+		in.SrcA, in.SrcB, in.LoadReg = rs, exec.NoReg, exec.NoReg
 
-		// The oracle charges the load-use interlock on the raw rt field
-		// for these opcodes, before it even validates the word.
-		switch op {
-		case opSpecial, opBeq, opBne, opSb, opSh, opSw:
+		r := isa.Lookup(w)
+		if r == nil {
+			in.Imm = int64(w)
+			switch w >> 26 {
+			case opSpecial:
+				in.Op, in.SrcB = mBadSpecial, rt
+			case opRegimm:
+				in.Op = mBadRegimm
+			case opCop1:
+				switch w >> 21 & 31 {
+				case fmtS:
+					in.Op = mBadFS
+				case fmtD:
+					in.Op = mBadFD
+				case fmtW:
+					in.Op = mBadFW
+				default:
+					in.Op = mBadCop1
+				}
+			default:
+				in.Op = mBadOp
+			}
+			continue
+		}
+		in.Op, in.A, in.B = r.Op, rs, rt
+		switch r.Layout {
+		case layR:
+			in.C, in.Imm, in.SrcB = rd, int64(sh), rt
+		case layBr1:
+			in.SetTarget(base, n, branchTarget(w, pc))
+		case layBr2:
 			in.SrcB = rt
-		}
-
-		resolveRel := func() {
-			t := pc + 4 + uint64(int64(sImm)<<2)
-			if idx, ok := exec.ResolveTarget(base, n, t); ok {
-				in.Target = idx
-			} else {
-				in.Target = exec.External
-				in.Imm = int64(t)
-			}
-		}
-
-		switch op {
-		case opSpecial:
-			in.A, in.B, in.C, in.Imm = rs, rt, rd, int64(sh)
-			switch fn {
-			case fnSll:
-				in.Op = mSll
-			case fnSrl:
-				in.Op = mSrl
-			case fnSra:
-				in.Op = mSra
-			case fnSllv:
-				in.Op = mSllv
-			case fnSrlv:
-				in.Op = mSrlv
-			case fnSrav:
-				in.Op = mSrav
-			case fnJr:
-				in.Op = mJr
-			case fnJalr:
-				in.Op = mJalr
-			case fnMfhi:
-				in.Op = mMfhi
-			case fnMflo:
-				in.Op = mMflo
-			case fnMult:
-				in.Op = mMult
-			case fnMultu:
-				in.Op = mMultu
-			case fnDiv:
-				in.Op = mDiv
-			case fnDivu:
-				in.Op = mDivu
-			case fnAddu:
-				in.Op = mAddu
-			case fnSubu:
-				in.Op = mSubu
-			case fnAnd:
-				in.Op = mAnd
-			case fnOr:
-				in.Op = mOr
-			case fnXor:
-				in.Op = mXor
-			case fnNor:
-				in.Op = mNor
-			case fnSlt:
-				in.Op = mSlt
-			case fnSltu:
-				in.Op = mSltu
-			default:
-				in.Op, in.Imm = mBadSpecial, int64(w)
-			}
-		case opRegimm:
-			in.A = rs
-			switch uint32(rt) {
-			case rtBltz:
-				in.Op = mBltz
-				resolveRel()
-			case rtBgez:
-				in.Op = mBgez
-				resolveRel()
-			case rtBal:
-				in.Op = mBal
-				resolveRel()
-			default:
-				in.Op, in.Imm = mBadRegimm, int64(w)
-			}
-		case opJ, opJal:
-			t := (pc + 4) & 0xf0000000
-			t |= uint64(w&0x03ffffff) << 2
-			if idx, ok := exec.ResolveTarget(base, n, t); ok {
-				in.Target = idx
-			} else {
-				in.Target = exec.External
-				in.Imm = int64(t)
-			}
-			if op == opJal {
-				in.Op = mJal
-			} else {
-				in.Op = mJ
-			}
-		case opBeq:
-			in.Op, in.A, in.B = mBeq, rs, rt
-			resolveRel()
-		case opBne:
-			in.Op, in.A, in.B = mBne, rs, rt
-			resolveRel()
-		case opBlez:
-			in.Op, in.A = mBlez, rs
-			resolveRel()
-		case opBgtz:
-			in.Op, in.A = mBgtz, rs
-			resolveRel()
-		case opAddiu:
-			in.Op, in.A, in.B, in.Imm = mAddiu, rs, rt, int64(sImm)
-		case opSlti:
-			in.Op, in.A, in.B, in.Imm = mSlti, rs, rt, int64(sImm)
-		case opSltiu:
-			in.Op, in.A, in.B, in.Imm = mSltiu, rs, rt, int64(sImm)
-		case opAndi:
-			in.Op, in.A, in.B, in.Imm = mAndi, rs, rt, int64(imm)
-		case opOri:
-			in.Op, in.A, in.B, in.Imm = mOri, rs, rt, int64(imm)
-		case opXori:
-			in.Op, in.A, in.B, in.Imm = mXori, rs, rt, int64(imm)
-		case opLui:
-			in.Op, in.B, in.Imm = mLui, rt, int64(imm)
-		case opLb, opLbu, opLh, opLhu, opLw, opLwc1, opLdc1:
-			in.A, in.B, in.Imm = rs, rt, int64(sImm)
-			switch op {
-			case opLb:
-				in.Op = mLb
-			case opLbu:
-				in.Op = mLbu
-			case opLh:
-				in.Op = mLh
-			case opLhu:
-				in.Op = mLhu
-			case opLw:
-				in.Op = mLw
-			case opLwc1:
-				in.Op = mLwc1
-			case opLdc1:
-				in.Op = mLdc1
-			}
-			if op != opLwc1 && op != opLdc1 {
-				in.LoadReg = rt
-			}
-		case opSb, opSh, opSw, opSwc1, opSdc1:
-			in.A, in.B, in.Imm = rs, rt, int64(sImm)
-			switch op {
-			case opSb:
-				in.Op = mSb
-			case opSh:
-				in.Op = mSh
-			case opSw:
-				in.Op = mSw
-			case opSwc1:
-				in.Op = mSwc1
-			case opSdc1:
-				in.Op = mSdc1
-			}
-		case opCop1:
+			in.SetTarget(base, n, branchTarget(w, pc))
+		case layJ:
+			in.SetTarget(base, n, jumpTarget(w, pc))
+		case layImmS:
+			in.Imm = int64(int16(w))
+		case layImmU:
+			in.Imm = int64(w & 0xffff)
+		case layLoad:
+			in.Imm, in.LoadReg = int64(int16(w)), rt
+		case layStore:
+			in.Imm, in.SrcB = int64(int16(w)), rt
+		case layFP, layFBr:
 			// cop1 operand convention: A = fs (rd field), B = ft (rt
 			// field), C = fd (sh field) — matching the oracle's cop1()
 			// parameter mapping.
 			in.A, in.B, in.C = rd, rt, sh
-			switch uint32(rs) {
-			case fmtMFC1:
-				in.Op = mMfc1
-			case fmtMTC1:
-				in.Op = mMtc1
-			case fmtBC:
-				in.Op = mBc1
-				resolveRel()
-			case fmtS:
-				switch fn {
-				case fpAdd:
-					in.Op = mFAddS
-				case fpSub:
-					in.Op = mFSubS
-				case fpMul:
-					in.Op = mFMulS
-				case fpDiv:
-					in.Op = mFDivS
-				case fpSqrt:
-					in.Op = mFSqrtS
-				case fpAbs:
-					in.Op = mFAbsS
-				case fpMov:
-					in.Op = mFMovS
-				case fpNeg:
-					in.Op = mFNegS
-				case fpCvtD:
-					in.Op = mFCvtDS
-				case fpCvtW:
-					in.Op = mFCvtWS
-				case fpCEq:
-					in.Op = mFCEqS
-				case fpCLt:
-					in.Op = mFCLtS
-				case fpCLe:
-					in.Op = mFCLeS
-				default:
-					in.Op, in.Imm = mBadFS, int64(w)
-				}
-			case fmtD:
-				switch fn {
-				case fpAdd:
-					in.Op = mFAddD
-				case fpSub:
-					in.Op = mFSubD
-				case fpMul:
-					in.Op = mFMulD
-				case fpDiv:
-					in.Op = mFDivD
-				case fpSqrt:
-					in.Op = mFSqrtD
-				case fpAbs:
-					in.Op = mFAbsD
-				case fpMov:
-					in.Op = mFMovD
-				case fpNeg:
-					in.Op = mFNegD
-				case fpCvtS:
-					in.Op = mFCvtSD
-				case fpCvtW:
-					in.Op = mFCvtWD
-				case fpCEq:
-					in.Op = mFCEqD
-				case fpCLt:
-					in.Op = mFCLtD
-				case fpCLe:
-					in.Op = mFCLeD
-				default:
-					in.Op, in.Imm = mBadFD, int64(w)
-				}
-			case fmtW:
-				switch fn {
-				case fpCvtS:
-					in.Op = mFCvtSW
-				case fpCvtD:
-					in.Op = mFCvtDW
-				default:
-					in.Op, in.Imm = mBadFW, int64(w)
-				}
-			default:
-				in.Op, in.Imm = mBadCop1, int64(w)
+			if r.Layout == layFBr {
+				in.SetTarget(base, n, branchTarget(w, pc))
 			}
-		default:
-			in.Op, in.Imm = mBadOp, int64(w)
 		}
 	}
 	return &exec.Body{Base: base, Code: code}

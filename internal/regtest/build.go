@@ -4,7 +4,32 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/verify"
 )
+
+// CheckRows holds an encoder to its target's instruction table: it
+// returns an error naming the first code word of fn that has no row
+// (Classify calls exactly those illegal), i.e. a word the simulator
+// would refuse to run.
+func CheckRows(bk core.Backend, fn *core.Func) error {
+	for i := fn.Entry; i < fn.PoolStart; i++ {
+		if w := fn.Words[i]; bk.Classify(w, uint64(4*i)).Kind == verify.KindIllegal {
+			return fmt.Errorf("%s/%s: word %d (%#08x) has no row in the instruction table", bk.Name(), fn.Name, i, w)
+		}
+	}
+	return nil
+}
+
+// end finishes a generated function and checks it with CheckRows, so a
+// mis-encoded instruction anywhere in the matrix is named when it is
+// built, not by an install failure downstream.
+func end(a *core.Asm) (*core.Func, error) {
+	fn, err := a.End()
+	if err != nil {
+		return nil, err
+	}
+	return fn, CheckRows(a.Backend(), fn)
+}
 
 // BuildALU generates fn(x, y) { return x op y } for type t.
 func BuildALU(bk core.Backend, op core.Op, t core.Type) (*core.Func, error) {
@@ -22,7 +47,7 @@ func BuildALUOn(a *core.Asm, op core.Op, t core.Type) (*core.Func, error) {
 	}
 	a.ALU(op, t, args[0], args[0], args[1])
 	a.Ret(t, args[0])
-	return a.End()
+	return end(a)
 }
 
 // BuildALUImm generates fn(x) { return x op imm }.
@@ -39,7 +64,7 @@ func BuildALUImmOn(a *core.Asm, op core.Op, t core.Type, imm int64) (*core.Func,
 	}
 	a.ALUI(op, t, args[0], args[0], imm)
 	a.Ret(t, args[0])
-	return a.End()
+	return end(a)
 }
 
 // BuildUnary generates fn(x) { return op x }.
@@ -65,7 +90,7 @@ func BuildUnaryOn(a *core.Asm, op core.Op, t core.Type) (*core.Func, error) {
 	}
 	a.Unary(op, t, rd, args[0])
 	a.Ret(t, rd)
-	return a.End()
+	return end(a)
 }
 
 // BuildBranch generates fn(x, y) { if x op y { return 1 } return 0 }.
@@ -90,7 +115,7 @@ func BuildBranchOn(a *core.Asm, op core.Op, t core.Type) (*core.Func, error) {
 	a.Seti(r, 0)
 	a.Bind(yes)
 	a.Reti(r)
-	return a.End()
+	return end(a)
 }
 
 // BuildBranchImm generates fn(x) { if x op imm { return 1 } return 0 }.
@@ -115,7 +140,7 @@ func BuildBranchImmOn(a *core.Asm, op core.Op, t core.Type, imm int64) (*core.Fu
 	a.Seti(r, 0)
 	a.Bind(yes)
 	a.Reti(r)
-	return a.End()
+	return end(a)
 }
 
 // BuildCvt generates fn(x from) { return (to)x }.
@@ -141,7 +166,7 @@ func BuildCvtOn(a *core.Asm, from, to core.Type) (*core.Func, error) {
 	}
 	a.Cvt(from, to, rd, args[0])
 	a.Ret(to, rd)
-	return a.End()
+	return end(a)
 }
 
 // ArgTypeFor returns the register-width parameter type used to carry a
@@ -173,7 +198,7 @@ func BuildMemRoundtripOn(a *core.Asm, t core.Type) (*core.Func, error) {
 	a.StI(t, args[1], args[0], 0)
 	a.LdI(t, args[1], args[0], 0)
 	a.Ret(at, args[1])
-	return a.End()
+	return end(a)
 }
 
 // BuildMemRoundtripRR is BuildMemRoundtrip with register-offset
@@ -194,7 +219,7 @@ func BuildMemRoundtripRROn(a *core.Asm, t core.Type) (*core.Func, error) {
 	a.St(t, args[2], args[0], args[1])
 	a.Ld(t, args[2], args[0], args[1])
 	a.Ret(at, args[2])
-	return a.End()
+	return end(a)
 }
 
 // RefMemRoundtrip truncates and re-extends x through memory type t.
@@ -255,7 +280,7 @@ func BuildWeightedSumOn(a *core.Asm, params []core.Type) (*core.Func, error) {
 		a.Addd(acc, acc, tmp)
 	}
 	a.Retd(acc)
-	return a.End()
+	return end(a)
 }
 
 // RefWeightedSum mirrors BuildWeightedSum in Go.

@@ -96,6 +96,67 @@ func TestVerifierRejectsCorruptedBranch(t *testing.T) {
 	}
 }
 
+// TestVerifierRejectsUnrunnableWord patches, over the nop of a
+// three-instruction function, a word each target's simulator refuses to
+// decode although its opcode group is a real one (MIPS div.w, a SPARC
+// op3 and an Alpha INTM function nobody defined).  The verifier used to
+// pass all three — they installed and failed only when called, with
+// "unknown fp.w funct" / "unknown op3" / "unknown INTM funct".  Install
+// must reject them as illegal, leave nothing resident, and accept the
+// repaired function.
+func TestVerifierRejectsUnrunnableWord(t *testing.T) {
+	unrunnable := map[string]uint32{"mips": 0x469ca343, "sparc": 0x9acb0442, "alpha": 0x4d088f48}
+	for _, tg := range Targets() {
+		tg := tg
+		t.Run(tg.Name, func(t *testing.T) {
+			m := tg.NewMachine()
+			a := core.NewAsm(tg.Backend)
+			a.SetName("patched")
+			args, err := a.Begin("%i", core.Leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Addii(args[0], args[0], 5)
+			nop := a.Buf().Len()
+			a.Nop()
+			a.Reti(args[0])
+			fn, err := a.End()
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := fn.Words[nop]
+			if s := tg.Backend.Disasm(good, 0); s != "nop" {
+				t.Fatalf("word %d is %q, not the nop to patch", nop, s)
+			}
+			fn.Words[nop] = unrunnable[tg.Name]
+
+			err = m.Install(fn)
+			var ve *verify.Error
+			if !errors.As(err, &ve) || !errors.Is(err, verify.ErrIllegalInsn) {
+				t.Fatalf("Install = %v, want a *verify.Error wrapping ErrIllegalInsn", err)
+			}
+			if ve.Word != nop {
+				t.Errorf("rejected word %d, want %d", ve.Word, nop)
+			}
+			if st := m.ArenaStats(); m.Installed(fn) || st.Funcs != 0 || st.CodeBytesResident != 0 {
+				t.Fatalf("rejected install left code resident: installed=%v %+v", m.Installed(fn), st)
+			}
+
+			fn.Words[nop] = good
+			if err := m.Install(fn); err != nil {
+				t.Fatalf("install of the repaired function: %v", err)
+			}
+			got, err := m.Call(fn, core.I(37))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Int() != 42 {
+				t.Errorf("patched(37) = %d, want 42", got.Int())
+			}
+		})
+	}
+}
+
 // TestUnboundSymbolInstall installs a function calling a symbol nobody
 // defined; the relocation step must fail with an error, not link
 // garbage.

@@ -543,99 +543,3 @@ func truncToI32(v float64) int32 {
 		return int32(v)
 	}
 }
-
-// Disasm decodes one instruction word (compact form, for debugging).
-func (s *Backend) Disasm(w uint32, pc uint64) string {
-	if w == encNop {
-		return "nop"
-	}
-	op := w >> 30
-	rd := w >> 25 & 31
-	switch op {
-	case 0:
-		op2 := w >> 22 & 7
-		disp := int64(int32(w<<10)>>10) * 4
-		switch op2 {
-		case 4:
-			return fmt.Sprintf("sethi %%hi(%#x), %s", w<<10, gprNames[rd])
-		case 2:
-			return fmt.Sprintf("b%s %#x", condName(w>>25&0xf, false), uint64(int64(pc)+disp))
-		case 6:
-			return fmt.Sprintf("fb%s %#x", condName(w>>25&0xf, true), uint64(int64(pc)+disp))
-		}
-	case 1:
-		disp := int64(int32(w<<2)>>2) * 4
-		return fmt.Sprintf("call %#x", uint64(int64(pc)+disp))
-	case 2, 3:
-		op3 := w >> 19 & 0x3f
-		rs1 := w >> 14 & 31
-		var o2 string
-		if w>>13&1 == 1 {
-			o2 = fmt.Sprintf("%d", int32(w<<19)>>19)
-		} else {
-			o2 = gprNames[w&31]
-		}
-		if op == 2 {
-			if op3 == op3FPop1 || op3 == op3FPop2 {
-				return fmt.Sprintf("fpop opf=%#x %%f%d, %%f%d, %%f%d", w>>5&0x1ff, rs1, w&31, rd)
-			}
-			if op3 == op3Jmpl {
-				return fmt.Sprintf("jmpl %s+%s, %s", gprNames[rs1], o2, gprNames[rd])
-			}
-			return fmt.Sprintf("%s %s, %s, %s", op3Name(op3), gprNames[rs1], o2, gprNames[rd])
-		}
-		return fmt.Sprintf("%s [%s+%s], %s", memName(op3), gprNames[rs1], o2, gprNames[rd])
-	}
-	return fmt.Sprintf(".word %#08x", w)
-}
-
-// Decodable reports whether w decodes at pc — exactly when Disasm would
-// not fall back to ".word" — without building the disassembly string.
-// It is the verifier's round-trip fast path (verify.DecodableDecoder);
-// TestDecodableMatchesDisasm sweeps it against Disasm so the two cannot
-// drift.  Formats 1-3 always render (unknown op3 values print as
-// "op3:..."/"mem:..." mnemonics, which Disasm treats as decoded);
-// format 0 decodes only for sethi and the two branch op2 forms.
-func (s *Backend) Decodable(w uint32, pc uint64) bool {
-	if w == encNop {
-		return true
-	}
-	if w>>30 != 0 {
-		return true
-	}
-	op2 := w >> 22 & 7
-	return op2 == 4 || op2 == 2 || op2 == 6
-}
-
-func condName(c uint32, fp bool) string {
-	if fp {
-		return map[uint32]string{fcondE: "e", fcondNE: "ne", fcondL: "l", fcondLE: "le", fcondG: "g", fcondGE: "ge"}[c]
-	}
-	m := map[uint32]string{condA: "a", condE: "e", condNE: "ne", condL: "l", condLE: "le",
-		condG: "g", condGE: "ge", condCS: "lu", condLEU: "leu", condGU: "gu", condCC: "geu"}
-	if n, ok := m[c]; ok {
-		return n
-	}
-	return fmt.Sprintf("?%d", c)
-}
-
-func op3Name(op3 uint32) string {
-	m := map[uint32]string{op3Add: "add", op3Sub: "sub", op3And: "and", op3Or: "or",
-		op3Xor: "xor", op3Xnor: "xnor", op3Sll: "sll", op3Srl: "srl", op3Sra: "sra",
-		op3Umul: "umul", op3Smul: "smul", op3Udiv: "udiv", op3Sdiv: "sdiv",
-		op3AddCC: "addcc", op3SubCC: "subcc", op3WrY: "wr%y", op3RdY: "rd%y", 0x08: "addx"}
-	if n, ok := m[op3]; ok {
-		return n
-	}
-	return fmt.Sprintf("op3:%#x", op3)
-}
-
-func memName(op3 uint32) string {
-	m := map[uint32]string{op3Ld: "ld", op3Ldub: "ldub", op3Lduh: "lduh", op3Ldsb: "ldsb",
-		op3Ldsh: "ldsh", op3St: "st", op3Stb: "stb", op3Sth: "sth",
-		op3Ldf: "ldf", op3Lddf: "lddf", op3Stf: "stf", op3Stdf: "stdf"}
-	if n, ok := m[op3]; ok {
-		return n
-	}
-	return fmt.Sprintf("mem:%#x", op3)
-}

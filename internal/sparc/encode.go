@@ -16,6 +16,7 @@ const (
 	op3Sub   = 0x04
 	op3Andn  = 0x05
 	op3Xnor  = 0x07
+	op3Addx  = 0x08
 	op3Umul  = 0x0a
 	op3Smul  = 0x0b
 	op3Udiv  = 0x0e

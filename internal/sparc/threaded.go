@@ -121,10 +121,12 @@ func (c *CPU) sjump(in *exec.Instr) int32 {
 // slot.
 func (c *CPU) PendingDelay() bool { return c.inDelay }
 
-// Predecode unpacks words into a threaded body.  Pure function of its
-// arguments (safe from batch-install workers); malformed words become
-// error handlers reproducing the oracle's exact messages, never a
-// predecode failure.
+// Predecode unpacks words into a threaded body: each word's row in the
+// instruction table (isa.go) names its handler and which operands to
+// unpack.  Pure function of its arguments (safe from batch-install
+// workers); a word with no row becomes the bad-op handler of its decode
+// group, reproducing the oracle's exact message, never a predecode
+// failure.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
 	n := len(words)
@@ -134,182 +136,44 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 		in.PC = pc
 		in.SrcA, in.SrcB, in.LoadReg = exec.NoReg, exec.NoReg, exec.NoReg
 
+		r := isa.Lookup(w)
+		if r == nil {
+			in.Imm = int64(w)
+			switch op3 := w >> 19 & 0x3f; {
+			case w>>30 == 0:
+				in.Op = sBadOp2
+			case w>>30 == 3:
+				in.Op = sBadMem
+			case op3 == op3FPop1:
+				in.Op = sBadFPop1
+			case op3 == op3FPop2:
+				in.Op = sBadFPop2
+			default:
+				in.Op = sBadOp3
+			}
+			continue
+		}
+		in.Op = r.Op
 		rd := uint8(w >> 25 & 31)
 		rs1 := uint8(w >> 14 & 31)
-
-		// operand2: sign-extended simm13 or rs2.
-		setOp2 := func() {
+		switch r.Layout {
+		case laySethi:
+			in.C, in.Imm = rd, int64(w<<10)
+		case layBr:
+			in.A = rd & 0xf // cond
+			in.SetTarget(base, n, dispTarget22(w, pc))
+		case layCall:
+			in.SetTarget(base, n, dispTarget30(w, pc))
+		case layArith:
+			in.A, in.C = rs1, rd
 			if w>>13&1 == 1 {
 				in.Flags |= exec.FImm
-				in.Imm = int64(int32(w<<19) >> 19)
+				in.Imm = int64(simm13(w))
 			} else {
 				in.B = uint8(w & 31)
 			}
-		}
-		resolveDisp := func(disp int64) {
-			t := uint64(int64(pc) + disp*4)
-			if idx, ok := exec.ResolveTarget(base, n, t); ok {
-				in.Target = idx
-			} else {
-				in.Target = exec.External
-				in.Imm = int64(t)
-			}
-		}
-
-		switch w >> 30 {
-		case 0:
-			switch op2 := w >> 22 & 7; op2 {
-			case 4:
-				in.Op, in.C, in.Imm = sSethi, rd, int64(w<<10)
-			case 2, 6:
-				if op2 == 2 {
-					in.Op = sBicc
-				} else {
-					in.Op = sFBfcc
-				}
-				in.A = uint8(w >> 25 & 0xf)
-				resolveDisp(int64(int32(w<<10) >> 10))
-			default:
-				in.Op, in.Imm = sBadOp2, int64(w)
-			}
-		case 1:
-			in.Op = sCall
-			resolveDisp(int64(int32(w<<2) >> 2))
-		case 2:
-			in.A, in.C = rs1, rd
-			setOp2()
-			switch op3 := w >> 19 & 0x3f; op3 {
-			case op3Add:
-				in.Op = sAdd
-			case op3Sub:
-				in.Op = sSub
-			case op3And:
-				in.Op = sAnd
-			case op3Andn:
-				in.Op = sAndn
-			case op3Or:
-				in.Op = sOr
-			case op3Xor:
-				in.Op = sXor
-			case op3Xnor:
-				in.Op = sXnor
-			case 0x08: // addx
-				in.Op = sAddx
-			case op3AddCC:
-				in.Op = sAddCC
-			case op3SubCC:
-				in.Op = sSubCC
-			case op3Sll:
-				in.Op = sSll
-			case op3Srl:
-				in.Op = sSrl
-			case op3Sra:
-				in.Op = sSra
-			case op3Umul:
-				in.Op = sUmul
-			case op3Smul:
-				in.Op = sSmul
-			case op3Udiv:
-				in.Op = sUdiv
-			case op3Sdiv:
-				in.Op = sSdiv
-			case op3RdY:
-				in.Op = sRdY
-			case op3WrY:
-				in.Op = sWrY
-			case op3Jmpl:
-				in.Op = sJmpl
-			case op3FPop1:
-				// FP operands: A=rs1, B=rs2, C=rd (no operand2 form).
-				in.Flags &^= exec.FImm
-				in.A, in.B, in.C = rs1, uint8(w&31), rd
-				switch w >> 5 & 0x1ff {
-				case opfFmovs:
-					in.Op = sFmovs
-				case opfFnegs:
-					in.Op = sFnegs
-				case opfFabss:
-					in.Op = sFabss
-				case opfFsqrts:
-					in.Op = sFsqrts
-				case opfFsqrtd:
-					in.Op = sFsqrtd
-				case opfFadds:
-					in.Op = sFadds
-				case opfFaddd:
-					in.Op = sFaddd
-				case opfFsubs:
-					in.Op = sFsubs
-				case opfFsubd:
-					in.Op = sFsubd
-				case opfFmuls:
-					in.Op = sFmuls
-				case opfFmuld:
-					in.Op = sFmuld
-				case opfFdivs:
-					in.Op = sFdivs
-				case opfFdivd:
-					in.Op = sFdivd
-				case opfFitos:
-					in.Op = sFitos
-				case opfFitod:
-					in.Op = sFitod
-				case opfFstoi:
-					in.Op = sFstoi
-				case opfFdtoi:
-					in.Op = sFdtoi
-				case opfFstod:
-					in.Op = sFstod
-				case opfFdtos:
-					in.Op = sFdtos
-				default:
-					in.Op, in.Imm = sBadFPop1, int64(w)
-				}
-			case op3FPop2:
-				in.Flags &^= exec.FImm
-				in.A, in.B = rs1, uint8(w&31)
-				switch w >> 5 & 0x1ff {
-				case opfFcmps:
-					in.Op = sFcmps
-				case opfFcmpd:
-					in.Op = sFcmpd
-				default:
-					in.Op, in.Imm = sBadFPop2, int64(w)
-				}
-			default:
-				in.Op, in.Imm = sBadOp3, int64(w)
-			}
-		case 3:
-			in.A, in.C = rs1, rd
-			setOp2()
-			switch op3 := w >> 19 & 0x3f; op3 {
-			case op3Ld:
-				in.Op = sLd
-			case op3Ldub:
-				in.Op = sLdub
-			case op3Lduh:
-				in.Op = sLduh
-			case op3Ldsb:
-				in.Op = sLdsb
-			case op3Ldsh:
-				in.Op = sLdsh
-			case op3Ldf:
-				in.Op = sLdf
-			case op3Lddf:
-				in.Op = sLddf
-			case op3St:
-				in.Op = sSt
-			case op3Stb:
-				in.Op = sStb
-			case op3Sth:
-				in.Op = sSth
-			case op3Stf:
-				in.Op = sStf
-			case op3Stdf:
-				in.Op = sStdf
-			default:
-				in.Op, in.Imm = sBadMem, int64(w)
-			}
+		case layFP:
+			in.A, in.B, in.C = rs1, uint8(w&31), rd
 		}
 	}
 	return &exec.Body{Base: base, Code: code}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mips"
+	"repro/internal/regtest"
 	"repro/internal/sparc"
 )
 
@@ -170,9 +171,15 @@ func compileAll(t *testing.T, tg target) *Compiler {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	c := NewCompiler(tg.mk())
+	m := tg.mk()
+	c := NewCompiler(m)
 	if err := c.Compile(prog); err != nil {
 		t.Fatalf("%s: compile: %v", tg.name, err)
+	}
+	for _, fn := range c.Funcs() {
+		if err := regtest.CheckRows(m.Backend(), fn); err != nil {
+			t.Error(err)
+		}
 	}
 	return c
 }

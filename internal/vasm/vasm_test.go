@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mips"
+	"repro/internal/regtest"
 	"repro/internal/sparc"
 )
 
@@ -36,6 +37,25 @@ done:
     reti    acc
 .end
 `
+
+// TestCorpusEmitsOnlyTableRows assembles every program of this file on
+// every target and holds the encoders to the instruction tables: each
+// emitted code word must be an instruction the simulator will run.
+func TestCorpusEmitsOnlyTableRows(t *testing.T) {
+	for _, src := range []string{factSrc, callSrc, recSrc, localSrc, dataSrc} {
+		for name, m := range machines() {
+			prog, err := Assemble(m, src)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for _, fn := range prog.Funcs {
+				if err := regtest.CheckRows(m.Backend(), fn); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+}
 
 func TestFactorialAllTargets(t *testing.T) {
 	for name, m := range machines() {

@@ -3,11 +3,12 @@
 // defense-in-depth story: the encoders are regression-tested at port time
 // (paper §3.3), but a client that hand-patches words, a buggy extension,
 // or a corrupted cache entry can still produce a word stream the encoders
-// never emitted.  The verifier decodes every word through the target
-// disassembler and checks the structural invariants every well-formed
-// VCODE function satisfies:
+// never emitted.  The verifier decodes every word through the target's
+// instruction table and checks the structural invariants every
+// well-formed VCODE function satisfies:
 //
-//   - every word in the code region decodes (no ".word" fallbacks);
+//   - every word in the code region is an instruction the simulator
+//     will run (it has a row in the target's table);
 //   - pc-relative branch targets land inside the function's code;
 //   - call targets are inside the function or on a resolved external
 //     address the machine vouches for (installed code, trap vectors);
@@ -22,7 +23,6 @@ package verify
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // Kind classifies one instruction word's control-flow behaviour.
@@ -30,8 +30,7 @@ type Kind int
 
 const (
 	// KindOther is a non-control-transfer instruction (ALU, load, store,
-	// ...).  Classify does not vouch for its legality; the disassembler
-	// round-trip does.
+	// ...).
 	KindOther Kind = iota
 	// KindBranch is a pc-relative (or region-absolute) jump or
 	// conditional branch whose target must stay inside the function.
@@ -42,7 +41,9 @@ const (
 	// KindJumpReg is a register-indirect jump, call or return; its
 	// target cannot be checked statically.
 	KindJumpReg
-	// KindIllegal is a word Classify knows the simulator will reject.
+	// KindIllegal is a word that is not an instruction of the target:
+	// the simulator would reject it with a decode fault.  Classify must
+	// return it for exactly those words — it is the one legality check.
 	KindIllegal
 )
 
@@ -80,21 +81,10 @@ type Insn struct {
 type Decoder interface {
 	// Classify decodes the control-flow behaviour of w at address pc.
 	Classify(w uint32, pc uint64) Insn
-	// Disasm renders w; a ".word" prefix marks an undecodable word.
+	// Disasm renders w, for error text.
 	Disasm(w uint32, pc uint64) string
 	// BranchDelaySlots returns the architectural delay-slot count (0/1).
 	BranchDelaySlots() int
-}
-
-// DecodableDecoder is an optional Decoder fast path: Decodable reports
-// whether w decodes at pc — exactly when Disasm would not fall back to a
-// ".word" rendering — without building the disassembly string.  The
-// round-trip check is the hot inner loop of every install (one string
-// format per verified word without it), so backends that can answer
-// decodability from the bit pattern alone should implement this; the
-// equivalence is regression-tested per backend against Disasm itself.
-type DecodableDecoder interface {
-	Decodable(w uint32, pc uint64) bool
 }
 
 // PoolRef is a relocated reference from code into the function's own
@@ -126,7 +116,6 @@ type Options struct {
 // Sentinel errors; a verification failure wraps exactly one of these.
 var (
 	ErrIllegalInsn  = errors.New("illegal instruction")
-	ErrRoundTrip    = errors.New("word does not disassemble")
 	ErrBranchTarget = errors.New("branch target outside function code")
 	ErrCallTarget   = errors.New("call target not a known destination")
 	ErrDelaySlot    = errors.New("control transfer in delay slot")
@@ -168,7 +157,6 @@ func Verify(d Decoder, c *Code, opt Options) error {
 	fail := func(i int, pc uint64, w uint32, err error) error {
 		return &Error{Func: c.Name, Word: i, PC: pc, Text: d.Disasm(w, pc), Err: err}
 	}
-	dec, fastDecode := d.(DecodableDecoder)
 
 	prevControl := false
 	for i := c.Entry; i < c.PoolStart; i++ {
@@ -177,18 +165,6 @@ func Verify(d Decoder, c *Code, opt Options) error {
 		ins := d.Classify(w, pc)
 		if ins.Kind == KindIllegal {
 			return fail(i, pc, w, ErrIllegalInsn)
-		}
-		// Round-trip: anything Classify accepts must disassemble.  The
-		// generated disassembler covers exactly the encoder's
-		// vocabulary, so a ".word" fallback means the word cannot have
-		// come from the encoders.  Decodable answers the same question
-		// without rendering the string.
-		if fastDecode {
-			if !dec.Decodable(w, pc) {
-				return fail(i, pc, w, ErrRoundTrip)
-			}
-		} else if strings.HasPrefix(d.Disasm(w, pc), ".word") {
-			return fail(i, pc, w, ErrRoundTrip)
 		}
 		if delay > 0 && prevControl && ins.Kind.IsControl() {
 			return fail(i, pc, w, ErrDelaySlot)

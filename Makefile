@@ -72,6 +72,15 @@ bench-miss:
 bench-call:
 	go test -run '^$$' -bench BenchmarkWarmCall -benchtime 2000000x -count 5 ./internal/core
 
+# Emission in isolation: Begin..End of a 1,000-instruction mix through the
+# generic front doors on a reused assembler, per backend — ns per generated
+# instruction and allocations per function.  CI pins the allocations with
+# TestEmitAllocBudget and the rejections with TestFrontDoorErrors; the
+# repository's benchmark (go run ./bench, workload emit) is what a
+# performance claim is judged by.
+bench-emit:
+	go test -run '^$$' -bench BenchmarkEmit -count 5 ./internal/core
+
 # Machine-readable benchmark records: ns/generated-instruction for every
 # backend, cache hit rate and calls/sec, plus a bounded telemetry summary
 # (histogram summaries + top counters).  Also emits the lifecycle trace
@@ -104,4 +113,4 @@ bench-gate: bench-json
 		$(BENCH_OUT) $(BENCH_OUT:.json=.batch.json) $(BENCH_OUT:.json=.serve.json) \
 		$(BENCH_OUT:.json=.tier3.json)
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc bench bench-miss bench-call bench-json bench-gate
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc bench bench-miss bench-call bench-emit bench-json bench-gate

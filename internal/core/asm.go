@@ -78,13 +78,18 @@ type Asm struct {
 	saveLayout  SaveLayout
 
 	params   []Type
+	sigBuf   []Type   // Begin's parse of its signature string
+	argLocs  []argLoc // Begin's layout of the incoming parameters
 	argRegs  []Reg
 	inStack  int64
 	pending  []pendingArgLoad
 	retSites []retSite
 	result   Type
 
-	ra *regAlloc
+	ra regAlloc
+	// emul is the backend's emulated-operation set (see emulated.go), read
+	// per ALU instruction in place of a Backend.EmulatedOp call.
+	emul *EmulatedOps
 
 	pool     []poolEntry
 	poolRefs []poolRef
@@ -129,6 +134,7 @@ func NewAsmConv(b Backend, conv *CallConv) *Asm {
 		backend: b,
 		conv:    conv,
 		buf:     NewBuf(256),
+		emul:    EmulatedOpsOf(b),
 	}
 }
 
@@ -161,15 +167,20 @@ func (a *Asm) failf(format string, args ...any) {
 	a.setErr(fmt.Errorf(format, args...))
 }
 
-func (a *Asm) ready() bool {
-	if a.err != nil {
-		return false
+// ready is every emitter's gate: a build is open and nothing has gone wrong
+// in it.  The accepted case inlines into the emitter; notReady is the rest.
+func (a *Asm) ready() bool { return a.err == nil && a.state == stBuilding || a.notReady() }
+
+// notReady makes emission outside Begin/End the sticky error, unless an
+// earlier one already is.  Kept out of line so that ready stays within the
+// inliner's budget.
+//
+//go:noinline
+func (a *Asm) notReady() bool {
+	if a.err == nil {
+		a.err = fmt.Errorf("%w: emission outside Begin/End", ErrState)
 	}
-	if a.state != stBuilding {
-		a.setErr(fmt.Errorf("%w: emission outside Begin/End", ErrState))
-		return false
-	}
-	return true
+	return false
 }
 
 // Leaf and NonLeaf are the v_lambda leaf-procedure flags.
@@ -186,10 +197,11 @@ const (
 // registers holding the parameters; parameters arriving on the stack are
 // copied into allocated registers, as in the paper.
 func (a *Asm) Begin(sig string, leaf bool) ([]Reg, error) {
-	params, err := ParseSig(sig)
+	params, err := appendSig(a.sigBuf[:0], sig)
 	if err != nil {
 		return nil, err
 	}
+	a.sigBuf = params
 	return a.BeginTypes(params, leaf)
 }
 
@@ -236,8 +248,9 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	a.result = TypeV
 	a.params = append(a.params[:0], params...)
 	a.saveLayout = NewSaveLayout(a.conv, a.backend.PtrBytes())
-	a.frame = Frame{Leaf: leaf, SaveAreaBytes: a.saveLayout.Bytes()}
-	a.ra = newRegAlloc(a.conv, leaf)
+	a.frame = Frame{Leaf: leaf, SaveAreaBytes: a.saveLayout.Bytes(),
+		SavedGPR: a.frame.SavedGPR[:0], SavedFPR: a.frame.SavedFPR[:0]}
+	a.ra = regAlloc{conv: a.conv, leaf: leaf}
 
 	// Reserve the prologue region; the real prologue is written into its
 	// tail at End and the entry point set past any unused words.
@@ -247,7 +260,8 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	}
 
 	// Locate incoming parameters.
-	locs, stackBytes := a.conv.layoutArgs(params, nil)
+	locs, stackBytes := a.conv.layoutArgs(params, a.argLocs[:0])
+	a.argLocs = locs
 	a.inStack = stackBytes
 	a.argRegs = a.argRegs[:0]
 	for _, loc := range locs {
@@ -467,16 +481,18 @@ func (a *Asm) Bind(l Label) {
 	if !a.ready() {
 		return
 	}
-	if int(l) >= len(a.labels) {
-		a.failf("%w: Bind of unknown label L%d", ErrBadReg, l)
+	if l < 0 || int(l) >= len(a.labels) {
+		a.failf("%w: Bind of unknown label L%d", ErrBadLabel, l)
 		return
 	}
 	if a.labels[l] >= 0 {
-		a.failf("vcode: label L%d bound twice", l)
+		a.failf("%w: label L%d bound twice", ErrBadLabel, l)
 		return
 	}
 	a.labels[l] = a.buf.Len()
-	a.record(RecEvent{Kind: RecBind, Label: l})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecBind, Label: l})
+	}
 }
 
 func (a *Asm) refLabel(site int, l Label) {
@@ -508,14 +524,16 @@ func (a *Asm) getReg(class RegClass, fp bool) (Reg, error) {
 	if save {
 		a.noteSaved(r)
 	}
-	a.record(RecEvent{Kind: RecGetReg, Rd: r, Class: class, FP: fp})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecGetReg, Rd: r, Class: class, FP: fp})
+	}
 	return r, nil
 }
 
 // PutReg returns an allocated register to the free pool (v_putreg).
 func (a *Asm) PutReg(r Reg) {
-	if a.ra != nil {
-		a.ra.free(r)
+	a.ra.free(r)
+	if a.rec != nil {
 		a.record(RecEvent{Kind: RecPutReg, Rd: r})
 	}
 }
@@ -541,17 +559,17 @@ func (a *Asm) hard(bank []Reg, n int, save bool) Reg {
 		return NoReg
 	}
 	r := bank[n]
-	if a.ra != nil {
-		a.ra.reserve(r)
-	}
+	a.ra.reserve(r)
 	if save && a.state == stBuilding {
 		a.noteSaved(r)
 	}
-	cl := Temp
-	if save {
-		cl = Var
+	if a.rec != nil {
+		cl := Temp
+		if save {
+			cl = Var
+		}
+		a.record(RecEvent{Kind: RecHardReg, Rd: r, Class: cl})
 	}
-	a.record(RecEvent{Kind: RecHardReg, Rd: r, Class: cl})
 	return r
 }
 
@@ -573,7 +591,9 @@ func (a *Asm) Local(t Type) int64 {
 	a.frame.LocalBytes = (a.frame.LocalBytes + sz - 1) &^ (sz - 1)
 	off := a.frame.SaveAreaBytes + a.frame.LocalBytes
 	a.frame.LocalBytes += sz
-	a.record(RecEvent{Kind: RecLocal, T: t, Imm: off})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecLocal, T: t, Imm: off})
+	}
 	return off
 }
 
@@ -591,7 +611,13 @@ func (a *Asm) StLocal(t Type, rs Reg, off int64) { a.StI(t, rs, a.conv.SP, off) 
 
 // ---- Generic emitters (the per-instruction methods in
 // instructions_gen.go delegate here; clients generating code from their
-// own tables may call these directly, as tcc does). ----
+// own tables may call these directly, as tcc does).
+//
+// Every one has the same shape, and an accepted instruction pays only the
+// tests on its way: ready's inlined half, one load from a legality table
+// (op.go), one fixed-arity register-bank test (reg.go; checkRegs runs only
+// when that fails, to say which operand and why), the recording gate, then
+// the backend's encoder. ----
 
 func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 	for _, r := range regs {
@@ -612,17 +638,19 @@ func (a *Asm) ALU(op Op, t Type, rd, rs1, rs2 Reg) {
 	if !a.ready() {
 		return
 	}
-	if !aluTypeOK(op, t) {
+	if !legal.alu[op].has(t) {
 		a.failf("%w: %s%s", ErrBadType, op, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd, rs1, rs2) {
+	if !bankOK(t, rd|rs1|rs2, rd&rs1&rs2) && !a.checkRegs(t, rd, rs1, rs2) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecALU, Op: op, T: t, Rd: rd, Rs1: rs1, Rs2: rs2})
-	if sym, ok := a.backend.EmulatedOp(op, t); ok {
-		a.emulCall(sym, rd, rs1, rs2, 0, false)
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecALU, Op: op, T: t, Rd: rd, Rs1: rs1, Rs2: rs2})
+	}
+	if a.emul.Has(op, t) {
+		a.emulCall(op, t, rd, rs1, rs2, 0, false)
 		return
 	}
 	a.setErr(a.backend.ALU(a.buf, op, t, rd, rs1, rs2))
@@ -633,17 +661,19 @@ func (a *Asm) ALUI(op Op, t Type, rd, rs Reg, imm int64) {
 	if !a.ready() {
 		return
 	}
-	if !aluTypeOK(op, t) || t.IsFloat() {
+	if !legal.alui[op].has(t) {
 		a.failf("%w: %s%si", ErrBadType, op, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd, rs) {
+	if !gprOK(rd|rs) && !a.checkRegs(t, rd, rs) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecALUI, Op: op, T: t, Rd: rd, Rs1: rs, Imm: imm})
-	if sym, ok := a.backend.EmulatedOp(op, t); ok {
-		a.emulCall(sym, rd, rs, NoReg, imm, true)
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecALUI, Op: op, T: t, Rd: rd, Rs1: rs, Imm: imm})
+	}
+	if a.emul.Has(op, t) {
+		a.emulCall(op, t, rd, rs, NoReg, imm, true)
 		return
 	}
 	a.setErr(a.backend.ALUImm(a.buf, op, t, rd, rs, imm))
@@ -654,15 +684,17 @@ func (a *Asm) Unary(op Op, t Type, rd, rs Reg) {
 	if !a.ready() {
 		return
 	}
-	if !unaryTypeOK(op, t) || op == OpSet {
+	if !legal.unary[op].has(t) {
 		a.failf("%w: %s%s", ErrBadType, op, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd, rs) {
+	if !bankOK(t, rd|rs, rd&rs) && !a.checkRegs(t, rd, rs) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecUnary, Op: op, T: t, Rd: rd, Rs1: rs})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecUnary, Op: op, T: t, Rd: rd, Rs1: rs})
+	}
 	a.setErr(a.backend.Unary(a.buf, op, t, rd, rs))
 }
 
@@ -671,39 +703,46 @@ func (a *Asm) SetI(t Type, rd Reg, imm int64) {
 	if !a.ready() {
 		return
 	}
-	if t.IsFloat() || !unaryTypeOK(OpSet, t) {
+	if !legal.seti.has(t) {
 		a.failf("%w: set%si", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd) {
+	if !gprOK(rd) && !a.checkRegs(t, rd) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecSetI, T: t, Rd: rd, Imm: imm})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecSetI, T: t, Rd: rd, Imm: imm})
+	}
 	a.setErr(a.backend.SetImm(a.buf, t, rd, imm))
 }
 
 // SetF emits rd = imm for TypeF via the per-function constant pool.
 func (a *Asm) SetF(rd Reg, imm float32) {
-	a.setFloat(TypeF, rd, f32bits(imm), false)
-	a.record(RecEvent{Kind: RecSetF, T: TypeF, Rd: rd, F: float64(imm)})
+	if a.setFloat(TypeF, rd, f32bits(imm), false) && a.rec != nil {
+		a.record(RecEvent{Kind: RecSetF, T: TypeF, Rd: rd, F: float64(imm)})
+	}
 }
 
 // SetD emits rd = imm for TypeD via the per-function constant pool.
 func (a *Asm) SetD(rd Reg, imm float64) {
-	a.setFloat(TypeD, rd, f64bits(imm), true)
-	a.record(RecEvent{Kind: RecSetD, T: TypeD, Rd: rd, F: imm})
+	if a.setFloat(TypeD, rd, f64bits(imm), true) && a.rec != nil {
+		a.record(RecEvent{Kind: RecSetD, T: TypeD, Rd: rd, F: imm})
+	}
 }
 
-func (a *Asm) setFloat(t Type, rd Reg, bits uint64, double bool) {
+// setFloat reports whether the instruction was accepted, so that only an
+// emitted one is recorded.
+func (a *Asm) setFloat(t Type, rd Reg, bits uint64, double bool) bool {
 	if !a.ready() {
-		return
+		return false
 	}
 	if !a.checkRegs(t, rd) {
-		return
+		return false
 	}
 	a.insnCount++
 	a.loadPool(t, rd, bits, double)
+	return true
 }
 
 // loadPool emits a load of a pooled constant into rd (the pool lives at
@@ -736,15 +775,17 @@ func (a *Asm) Ld(t Type, rd, base, roff Reg) {
 	if !a.ready() {
 		return
 	}
-	if !memTypeOK(t) {
+	if !legal.mem.has(t) {
 		a.failf("%w: ld%s", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd) || !a.checkRegs(TypeP, base, roff) {
+	if !(bankOK(t, rd, rd) && gprOK(base|roff)) && !(a.checkRegs(t, rd) && a.checkRegs(TypeP, base, roff)) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecLd, T: t, Rd: rd, Rs1: base, Rs2: roff})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecLd, T: t, Rd: rd, Rs1: base, Rs2: roff})
+	}
 	a.setErr(a.backend.LoadRR(a.buf, t, rd, base, roff))
 }
 
@@ -753,15 +794,17 @@ func (a *Asm) LdI(t Type, rd, base Reg, off int64) {
 	if !a.ready() {
 		return
 	}
-	if !memTypeOK(t) {
+	if !legal.mem.has(t) {
 		a.failf("%w: ld%si", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rd) || !a.checkRegs(TypeP, base) {
+	if !(bankOK(t, rd, rd) && gprOK(base)) && !(a.checkRegs(t, rd) && a.checkRegs(TypeP, base)) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecLdI, T: t, Rd: rd, Rs1: base, Imm: off})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecLdI, T: t, Rd: rd, Rs1: base, Imm: off})
+	}
 	a.setErr(a.backend.Load(a.buf, t, rd, base, off))
 }
 
@@ -770,15 +813,17 @@ func (a *Asm) St(t Type, rs, base, roff Reg) {
 	if !a.ready() {
 		return
 	}
-	if !memTypeOK(t) {
+	if !legal.mem.has(t) {
 		a.failf("%w: st%s", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rs) || !a.checkRegs(TypeP, base, roff) {
+	if !(bankOK(t, rs, rs) && gprOK(base|roff)) && !(a.checkRegs(t, rs) && a.checkRegs(TypeP, base, roff)) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecSt, T: t, Rd: rs, Rs1: base, Rs2: roff})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecSt, T: t, Rd: rs, Rs1: base, Rs2: roff})
+	}
 	a.setErr(a.backend.StoreRR(a.buf, t, rs, base, roff))
 }
 
@@ -787,15 +832,17 @@ func (a *Asm) StI(t Type, rs, base Reg, off int64) {
 	if !a.ready() {
 		return
 	}
-	if !memTypeOK(t) {
+	if !legal.mem.has(t) {
 		a.failf("%w: st%si", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rs) || !a.checkRegs(TypeP, base) {
+	if !(bankOK(t, rs, rs) && gprOK(base)) && !(a.checkRegs(t, rs) && a.checkRegs(TypeP, base)) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecStI, T: t, Rd: rs, Rs1: base, Imm: off})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecStI, T: t, Rd: rs, Rs1: base, Imm: off})
+	}
 	a.setErr(a.backend.Store(a.buf, t, rs, base, off))
 }
 
@@ -804,11 +851,11 @@ func (a *Asm) Br(op Op, t Type, rs1, rs2 Reg, l Label) {
 	if !a.ready() {
 		return
 	}
-	if !branchTypeOK(op, t) {
+	if !legal.br[op].has(t) {
 		a.failf("%w: %s%s", ErrBadType, op, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rs1, rs2) {
+	if !bankOK(t, rs1|rs2, rs1&rs2) && !a.checkRegs(t, rs1, rs2) {
 		return
 	}
 	a.insnCount++
@@ -818,7 +865,9 @@ func (a *Asm) Br(op Op, t Type, rs1, rs2 Reg, l Label) {
 		return
 	}
 	a.refLabel(site, l)
-	a.record(RecEvent{Kind: RecBr, Op: op, T: t, Rs1: rs1, Rs2: rs2, Label: l, Site: site})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecBr, Op: op, T: t, Rs1: rs1, Rs2: rs2, Label: l, Site: site})
+	}
 }
 
 // BrI emits a conditional branch to l comparing rs against an immediate.
@@ -826,11 +875,11 @@ func (a *Asm) BrI(op Op, t Type, rs Reg, imm int64, l Label) {
 	if !a.ready() {
 		return
 	}
-	if !branchTypeOK(op, t) || t.IsFloat() {
+	if !legal.bri[op].has(t) {
 		a.failf("%w: %s%si", ErrBadType, op, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rs) {
+	if !gprOK(rs) && !a.checkRegs(t, rs) {
 		return
 	}
 	a.insnCount++
@@ -840,7 +889,9 @@ func (a *Asm) BrI(op Op, t Type, rs Reg, imm int64, l Label) {
 		return
 	}
 	a.refLabel(site, l)
-	a.record(RecEvent{Kind: RecBrI, Op: op, T: t, Rs1: rs, Imm: imm, Label: l, Site: site})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecBrI, Op: op, T: t, Rs1: rs, Imm: imm, Label: l, Site: site})
+	}
 }
 
 // Jmp emits an unconditional jump to l (v_jv with a label target).
@@ -855,7 +906,9 @@ func (a *Asm) Jmp(l Label) {
 		return
 	}
 	a.refLabel(site, l)
-	a.record(RecEvent{Kind: RecJmp, Label: l, Site: site})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecJmp, Label: l, Site: site})
+	}
 }
 
 // JmpReg emits an unconditional jump through register r.
@@ -877,7 +930,9 @@ func (a *Asm) Nop() {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecNop})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecNop})
+	}
 	a.backend.Nop(a.buf)
 }
 
@@ -887,15 +942,17 @@ func (a *Asm) Ret(t Type, rs Reg) {
 	if !a.ready() {
 		return
 	}
-	if !unaryTypeOK(OpMov, t) {
+	if !legal.ret.has(t) {
 		a.failf("%w: ret%s", ErrBadType, t.Letter())
 		return
 	}
-	if !a.checkRegs(t, rs) {
+	if !bankOK(t, rs, rs) && !a.checkRegs(t, rs) {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecRet, T: t, Rs1: rs})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecRet, T: t, Rs1: rs})
+	}
 	a.result = t
 	ret := a.conv.RetInt
 	if t.IsFloat() {
@@ -922,7 +979,9 @@ func (a *Asm) RetVoid() {
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecRetVoid})
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecRetVoid})
+	}
 	a.emitRetJump(-1)
 }
 
@@ -949,22 +1008,22 @@ func (a *Asm) Cvt(from, to Type, rd, rs Reg) {
 		a.failf("%w: cv%s2%s", ErrBadType, from.Letter(), to.Letter())
 		return
 	}
-	if !a.checkRegs(from, rs) || !a.checkRegs(to, rd) {
+	if !(bankOK(from, rs, rs) && bankOK(to, rd, rd)) && !(a.checkRegs(from, rs) && a.checkRegs(to, rd)) {
+		return
+	}
+	if from.IsFloat() && (to == TypeU || to == TypeUL || to == TypeP) {
+		a.failf("%w: cv%s2%s (float to unsigned is not in the VCODE set)", ErrBadType, from.Letter(), to.Letter())
 		return
 	}
 	a.insnCount++
-	a.record(RecEvent{Kind: RecCvt, T: from, T2: to, Rd: rd, Rs1: rs})
-	// The unsigned->float path below synthesizes through public emitters;
-	// replay re-expands it from the single event recorded above.
-	defer a.pauseRecord()()
-
-	unsigned := from == TypeU || from == TypeUL || from == TypeP
-	if unsigned && to.IsFloat() {
-		a.cvtUnsignedToFloat(from, to, rd, rs)
-		return
+	if a.rec != nil {
+		a.record(RecEvent{Kind: RecCvt, T: from, T2: to, Rd: rd, Rs1: rs})
 	}
-	if (from == TypeF || from == TypeD) && (to == TypeU || to == TypeUL || to == TypeP) {
-		a.failf("%w: cv%s2%s (float to unsigned is not in the VCODE set)", ErrBadType, from.Letter(), to.Letter())
+	if (from == TypeU || from == TypeUL || from == TypeP) && to.IsFloat() {
+		// The synthesis goes through public emitters; replay re-expands
+		// it from the single event recorded above.
+		defer a.pauseRecord()()
+		a.cvtUnsignedToFloat(from, to, rd, rs)
 		return
 	}
 	a.setErr(a.backend.Cvt(a.buf, from, to, rd, rs))
@@ -1250,8 +1309,9 @@ const relocEntry int64 = -1
 // every other register preserved.  The sequence saves and restores the
 // registers it borrows, including RA, so it is legal even in a declared
 // leaf procedure — exactly the paper's "VCODE ignores client hints" escape.
-func (a *Asm) emulCall(sym string, rd, rs1, rs2 Reg, imm int64, hasImm bool) {
+func (a *Asm) emulCall(op Op, t Type, rd, rs1, rs2 Reg, imm int64, hasImm bool) {
 	bk, b, c := a.backend, a.buf, a.conv
+	sym, _ := bk.EmulatedOp(op, t)
 	a0, a1, v0, ra, sp := c.IntArgs[0], c.IntArgs[1], c.RetInt, c.RA, c.SP
 	if rs1 == sp || rs2 == sp {
 		a.failf("vcode: emulated op on SP is unsupported")

@@ -123,7 +123,9 @@ type Backend interface {
 	// target cannot perform inline (e.g. integer division on Alpha).
 	// The helper convention: operands in the first integer argument
 	// registers, result in the integer return register, all other
-	// registers preserved.
+	// registers preserved.  The answer must depend only on the port, not
+	// on the instance: the core asks once per Backend type and keeps the
+	// set (EmulatedOpsOf).
 	EmulatedOp(op Op, t Type) (sym string, ok bool)
 
 	// Extension hooks (paper §5.4): TryExt emits the named extension

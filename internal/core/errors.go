@@ -26,6 +26,9 @@ var (
 	// ErrUnboundLabel is reported at End when a referenced label was
 	// never bound.
 	ErrUnboundLabel = errors.New("vcode: unbound label")
+	// ErrBadLabel is reported when Bind is given a label NewLabel never
+	// handed out, or one that is already bound.
+	ErrBadLabel = errors.New("vcode: invalid label")
 	// ErrBranchRange is reported when a branch displacement does not fit
 	// the target's encoding.
 	ErrBranchRange = errors.New("vcode: branch displacement out of range")

@@ -74,7 +74,9 @@ func (a *Asm) Ext(name string, t Type, rd Reg, rs ...Reg) {
 		// to the same backend.  The Synth path below needs no event of
 		// its own — its expansion goes through the public emitters and is
 		// recorded instruction by instruction.
-		a.record(RecEvent{Kind: RecExt, Name: name, T: t, Rd: rd, Srcs: append([]Reg(nil), rs...)})
+		if a.rec != nil {
+			a.record(RecEvent{Kind: RecExt, Name: name, T: t, Rd: rd, Srcs: append([]Reg(nil), rs...)})
+		}
 		return
 	}
 	if d.Synth == nil {

@@ -35,6 +35,22 @@ func (r Reg) Num() int {
 // Valid reports whether r names a register at all.
 func (r Reg) Valid() bool { return r >= 0 && r < 2*fprBase }
 
+// bankOK is checkRegs for the accepted case, at a fixed arity and without a
+// loop: given the bitwise OR and AND of an instruction's register operands
+// it reports whether every one of them is valid and in the bank type t
+// uses.  (An invalid operand — negative or past the FP bank — leaves a bit
+// above the banks set in the OR; an integer operand among FP ones clears
+// the FP bit of the AND.)
+func bankOK(t Type, or, and Reg) bool {
+	if t.IsFloat() {
+		return uint16(or) < 2*fprBase && and&fprBase != 0
+	}
+	return gprOK(or)
+}
+
+// gprOK is bankOK for an integer or pointer type.
+func gprOK(or Reg) bool { return uint16(or) < fprBase }
+
 func (r Reg) String() string {
 	switch {
 	case !r.Valid():

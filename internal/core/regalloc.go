@@ -15,10 +15,6 @@ type regAlloc struct {
 	leaf  bool
 }
 
-func newRegAlloc(conv *CallConv, leaf bool) *regAlloc {
-	return &regAlloc{conv: conv, leaf: leaf}
-}
-
 // reserve marks r in use without classifying it (argument registers,
 // hard-coded names).
 func (ra *regAlloc) reserve(r Reg) {

@@ -128,8 +128,10 @@ func ParseType(s string) (Type, error) {
 // ParseSig parses a v_lambda-style signature string such as "%i%p%d" into
 // the list of parameter types.  An empty string or "%v" denotes no
 // parameters.
-func ParseSig(sig string) ([]Type, error) {
-	var out []Type
+func ParseSig(sig string) ([]Type, error) { return appendSig(nil, sig) }
+
+// appendSig is ParseSig appending to out, for callers that keep the slice.
+func appendSig(out []Type, sig string) ([]Type, error) {
 	for i := 0; i < len(sig); {
 		if sig[i] != '%' {
 			return nil, fmt.Errorf("vcode: bad signature %q: expected %%", sig)

@@ -204,7 +204,7 @@ type memKey struct {
 type writer struct {
 	a     *core.Asm
 	w     *peep.Asm
-	bk    core.Backend
+	emul  *core.EmulatedOps
 	ptr   int
 	stats *CompileStats
 
@@ -221,7 +221,7 @@ func newWriter(a *core.Asm, stats *CompileStats) *writer {
 	return &writer{
 		a:      a,
 		w:      peep.New(a),
-		bk:     a.Backend(),
+		emul:   core.EmulatedOpsOf(a.Backend()),
 		ptr:    a.Backend().PtrBytes(),
 		stats:  stats,
 		consts: make(map[core.Reg]int64),
@@ -281,8 +281,7 @@ func (w *writer) emulated(op core.Op, t core.Type) bool {
 	// tier-3's dead-stack bytes differ from tier-2's, which the
 	// differential oracle's memory compare would flag — so they are
 	// always re-emitted.
-	_, ok := w.bk.EmulatedOp(op, t)
-	return ok
+	return w.emul.Has(op, t)
 }
 
 func (w *writer) bind(l core.Label) {

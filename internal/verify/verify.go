@@ -212,10 +212,3 @@ func Verify(d Decoder, c *Code, opt Options) error {
 	}
 	return nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

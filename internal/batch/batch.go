@@ -1,8 +1,8 @@
 // Package batch is the parallel batch compilation pipeline: a worker
 // pool that fans a set of compile requests across GOMAXPROCS-bounded
-// goroutines, each emitting into its own reused core.Asm buffer (no
-// shared emit lock), then installs the finished bodies into the
-// core.Machine arena through one batched, verification-included
+// goroutines, each emitting into an assembler borrowed from the machine
+// for the item (no shared emit lock), then installs the finished bodies
+// into the core.Machine arena through one batched, verification-included
 // InstallBatch — a single lock acquisition and one contiguous arena
 // reservation per batch instead of per function.
 //
@@ -54,15 +54,14 @@ func (e *PanicError) Error() string {
 }
 
 // Request is one unit of work: Compile emits a function into the
-// worker-owned assembler it is handed (Begin…End, or any front end that
-// drives the Asm) and returns the finished Func.  The assembler is
-// reused across requests on the same worker, so Compile must not retain
-// it past the call.
+// assembler it is handed (Begin…End, or any front end that drives the
+// Asm) and returns the finished Func.  The assembler goes back to the
+// machine afterwards, so Compile must not retain it past the call.
 type Request struct {
 	// Name labels the item in errors and spans (the compiled Func
 	// carries its own name for the machine's address map).
 	Name string
-	// Compile builds the function on the worker's assembler.
+	// Compile builds the function on the assembler the worker borrowed.
 	Compile func(a *core.Asm) (*core.Func, error)
 }
 
@@ -75,8 +74,8 @@ type Result struct {
 
 // Config sizes a Pool.
 type Config struct {
-	// Machine receives the batched installs and supplies the backend the
-	// worker assemblers emit for.  Required.
+	// Machine receives the batched installs and lends the workers their
+	// assemblers.  Required.
 	Machine *core.Machine
 	// Workers is the number of compile goroutines (<= 0 means
 	// GOMAXPROCS).  The same bound caps the parallel phase of the
@@ -307,14 +306,13 @@ func (p *Pool) run(ctx context.Context, reqs []Request, res []Result) {
 	span.End(trace.NextFlow(), trace.Attrs{N: int64(len(reqs)), Bytes: installedBytes, Verdict: verdict})
 }
 
-// worker is one compile goroutine.  It owns one assembler, reused
-// across items so buffer and bookkeeping allocations amortize; the
-// assembler is discarded whenever a compile fails or panics, because a
-// callback that errored out mid-build leaves the Asm in an unknown
-// state.
+// worker is one compile goroutine.  Each item is built on an assembler
+// borrowed from the machine, so buffer and bookkeeping allocations amortize
+// across items (and across the machine's other compilers); the assembler is
+// handed back only after a compile that succeeded, because a callback that
+// errored out or panicked mid-build leaves the Asm in an unknown state.
 func (p *Pool) worker() {
 	defer p.workerWg.Done()
-	var asm *core.Asm
 	for t := range p.queue {
 		p.queueDepth.Add(-1)
 		if err := t.ctx.Err(); err != nil {
@@ -322,9 +320,7 @@ func (p *Pool) worker() {
 			t.wg.Done()
 			continue
 		}
-		if asm == nil {
-			asm = core.NewAsm(p.m.Backend())
-		}
+		asm := p.m.BorrowAsm()
 		var t0 time.Time
 		if telemetry.Enabled() && p.compileNS != nil {
 			t0 = time.Now()
@@ -333,8 +329,8 @@ func (p *Pool) worker() {
 		if !t0.IsZero() {
 			p.compileNS.Observe(uint64(time.Since(t0)))
 		}
-		if t.res.Err != nil {
-			asm = nil
+		if t.res.Err == nil {
+			p.m.ReturnAsm(asm)
 		}
 		t.wg.Done()
 	}

@@ -78,7 +78,7 @@ type Asm struct {
 	saveLayout  SaveLayout
 
 	params   []Type
-	sigBuf   []Type   // Begin's parse of its signature string
+	sigBuf   []Type   // Begin's and StartCall's parse of their signature strings
 	argLocs  []argLoc // Begin's layout of the incoming parameters
 	argRegs  []Reg
 	inStack  int64
@@ -95,7 +95,10 @@ type Asm struct {
 	poolRefs []poolRef
 	relocs   []Reloc
 
-	call *callState
+	// call is the open call, nil between calls; callBuf is its storage, kept
+	// so that a call site allocates nothing.
+	call    *callState
+	callBuf callState
 
 	insnCount int
 	exts      map[string]*ExtDef
@@ -1128,25 +1131,46 @@ func (a *Asm) JalReg(r Reg) {
 // marshaling capability the paper highlights (§2).  Place each argument
 // with SetArg, then finish with CallFunc, CallSym or CallReg.
 func (a *Asm) StartCall(sig string) {
-	if !a.ready() {
+	if !a.callOpenable() {
 		return
 	}
-	if a.frame.Leaf {
-		a.setErr(ErrLeafCall)
-		return
-	}
-	if a.call != nil {
-		a.failf("%w: StartCall while a call is already open", ErrState)
-		return
-	}
-	params, err := ParseSig(sig)
+	params, err := appendSig(a.sigBuf[:0], sig)
 	if err != nil {
 		a.setErr(err)
 		return
 	}
-	locs, stackBytes := a.conv.layoutArgs(params, nil)
+	a.sigBuf = params
+	a.openCall(params)
+}
+
+// StartCallTypes is StartCall with an explicit argument type list, which
+// it does not retain.
+func (a *Asm) StartCallTypes(params []Type) {
+	if a.callOpenable() {
+		a.openCall(params)
+	}
+}
+
+func (a *Asm) callOpenable() bool {
+	if !a.ready() {
+		return false
+	}
+	if a.frame.Leaf {
+		a.setErr(ErrLeafCall)
+		return false
+	}
+	if a.call != nil {
+		a.failf("%w: StartCall while a call is already open", ErrState)
+		return false
+	}
+	return true
+}
+
+func (a *Asm) openCall(params []Type) {
+	locs, stackBytes := a.conv.layoutArgs(params, a.callBuf.locs[:0])
 	a.frame.SaveRA = true
-	a.call = &callState{locs: locs, stackBytes: stackBytes}
+	a.callBuf = callState{locs: locs, stackBytes: stackBytes}
+	a.call = &a.callBuf
 	if stackBytes > 0 {
 		a.setErr(a.backend.ALUImm(a.buf, OpAdd, TypeL, a.conv.SP, a.conv.SP, -stackBytes))
 	}

@@ -190,6 +190,13 @@ type Machine struct {
 	bodyGen  uint64
 
 	trace io.Writer
+
+	// idleAsms[:nIdleAsms] are the assemblers BorrowAsm hands out again
+	// (asmpool.go), under asmMu — a leaf lock, so a front end never waits
+	// for a running call to borrow one.
+	asmMu     sync.Mutex
+	idleAsms  [maxIdleAsms]*Asm
+	nIdleAsms int
 }
 
 // FuncSpan maps one installed code region — or a trap vector — to a

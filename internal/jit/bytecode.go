@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/codecache"
+	"repro/internal/core"
 )
 
 // Op is a bytecode opcode.
@@ -109,67 +110,94 @@ func stackEffect(o Op) (pops, pushes int) {
 // property the JIT's register assignment relies on).  It returns the
 // maximum operand-stack depth.
 func (f *Func) Validate() (int, error) {
-	depth := make([]int, len(f.Code))
-	for i := range depth {
-		depth[i] = -1
+	_, max, err := f.validate()
+	return max, err
+}
+
+// pcState is what validation learns, and compilation then keeps, about one
+// instruction: the operand-stack depth on entry (-1 when no path reaches
+// it) and, once the compiler has scanned for branch targets, the label
+// bound there (noLabel when nothing jumps to it).
+type pcState struct {
+	depth int32
+	label core.Label
+}
+
+// noLabel marks an instruction nothing jumps to.
+const noLabel core.Label = -1
+
+// validate is Validate, returning also the per-instruction table: the
+// compiler resumes from its depths after an unconditional transfer.
+func (f *Func) validate() (pcs []pcState, max int, err error) {
+	v := validator{f: f, pcs: make([]pcState, len(f.Code))}
+	for i := range v.pcs {
+		v.pcs[i] = pcState{depth: -1, label: noLabel}
 	}
-	max := 0
-	var walk func(pc, d int) error
-	walk = func(pc, d int) error {
-		for pc < len(f.Code) {
-			if d > max {
-				max = d
-			}
-			if depth[pc] >= 0 {
-				if depth[pc] != d {
-					return fmt.Errorf("jit: %s: depth mismatch at pc %d (%d vs %d)", f.Name, pc, depth[pc], d)
-				}
-				return nil
-			}
-			depth[pc] = d
-			in := f.Code[pc]
-			pops, pushes := stackEffect(in.Op)
-			if d < pops {
-				return fmt.Errorf("jit: %s: stack underflow at pc %d", f.Name, pc)
-			}
-			d = d - pops + pushes
-			switch in.Op {
-			case OpPushK:
-				if in.A < 0 || in.A >= len(f.Consts) {
-					return fmt.Errorf("jit: %s: bad constant index at pc %d", f.Name, pc)
-				}
-			case OpLoadArg:
-				if in.A < 0 || in.A >= f.NArgs {
-					return fmt.Errorf("jit: %s: bad arg index at pc %d", f.Name, pc)
-				}
-			case OpLoadVar, OpStoreVar:
-				if in.A < 0 || in.A >= f.NVars {
-					return fmt.Errorf("jit: %s: bad var index at pc %d", f.Name, pc)
-				}
-			case OpJmp:
-				if in.A < 0 || in.A >= len(f.Code) {
-					return fmt.Errorf("jit: %s: bad jump target at pc %d", f.Name, pc)
-				}
-				pc = in.A
-				continue
-			case OpJz:
-				if in.A < 0 || in.A >= len(f.Code) {
-					return fmt.Errorf("jit: %s: bad branch target at pc %d", f.Name, pc)
-				}
-				if err := walk(in.A, d); err != nil {
-					return err
-				}
-			case OpRet:
-				return nil
-			}
-			pc++
+	if err := v.walk(0, 0); err != nil {
+		return nil, 0, err
+	}
+	return v.pcs, v.max, nil
+}
+
+type validator struct {
+	f   *Func
+	pcs []pcState
+	max int
+}
+
+// walk follows the path entering pc at depth d until it returns or joins
+// one already walked, taking the far side of each conditional first.
+func (v *validator) walk(pc, d int) error {
+	f := v.f
+	for pc < len(f.Code) {
+		if d > v.max {
+			v.max = d
 		}
-		return fmt.Errorf("jit: %s: fell off the end", f.Name)
+		if seen := int(v.pcs[pc].depth); seen >= 0 {
+			if seen != d {
+				return fmt.Errorf("jit: %s: depth mismatch at pc %d (%d vs %d)", f.Name, pc, seen, d)
+			}
+			return nil
+		}
+		v.pcs[pc].depth = int32(d)
+		in := f.Code[pc]
+		pops, pushes := stackEffect(in.Op)
+		if d < pops {
+			return fmt.Errorf("jit: %s: stack underflow at pc %d", f.Name, pc)
+		}
+		d = d - pops + pushes
+		switch in.Op {
+		case OpPushK:
+			if in.A < 0 || in.A >= len(f.Consts) {
+				return fmt.Errorf("jit: %s: bad constant index at pc %d", f.Name, pc)
+			}
+		case OpLoadArg:
+			if in.A < 0 || in.A >= f.NArgs {
+				return fmt.Errorf("jit: %s: bad arg index at pc %d", f.Name, pc)
+			}
+		case OpLoadVar, OpStoreVar:
+			if in.A < 0 || in.A >= f.NVars {
+				return fmt.Errorf("jit: %s: bad var index at pc %d", f.Name, pc)
+			}
+		case OpJmp:
+			if in.A < 0 || in.A >= len(f.Code) {
+				return fmt.Errorf("jit: %s: bad jump target at pc %d", f.Name, pc)
+			}
+			pc = in.A
+			continue
+		case OpJz:
+			if in.A < 0 || in.A >= len(f.Code) {
+				return fmt.Errorf("jit: %s: bad branch target at pc %d", f.Name, pc)
+			}
+			if err := v.walk(in.A, d); err != nil {
+				return err
+			}
+		case OpRet:
+			return nil
+		}
+		pc++
 	}
-	if err := walk(0, 0); err != nil {
-		return 0, err
-	}
-	return max, nil
+	return fmt.Errorf("jit: %s: fell off the end", f.Name)
 }
 
 // --- the interpreter being stripped ---

@@ -69,42 +69,69 @@ func NewMachineTarget(target string, conf mem.MachineConfig) (*Machine, error) {
 // stack slot and local variable is assigned a VCODE register at compile
 // time; stack traffic disappears entirely.
 func (m *Machine) Compile(f *Func) (*core.Func, error) {
-	return CompileInto(core.NewAsm(m.backend), f)
+	a := m.machine.BorrowAsm()
+	fn, err := CompileInto(a, f)
+	if err == nil {
+		m.machine.ReturnAsm(a)
+	}
+	return fn, err
 }
 
+// The VCODE operation each arithmetic bytecode maps to, the branch that
+// materializes each comparison, and its inverse for the fused compare+jz.
+var (
+	aluOps = [...]core.Op{OpAdd: core.OpAdd, OpSub: core.OpSub, OpMul: core.OpMul, OpDiv: core.OpDiv, OpMod: core.OpMod}
+	cmpOps = [...]core.Op{OpLt: core.OpBlt, OpLe: core.OpBle, OpGt: core.OpBgt, OpGe: core.OpBge, OpEq: core.OpBeq, OpNe: core.OpBne}
+	invOps = [...]core.Op{OpLt: core.OpBge, OpLe: core.OpBgt, OpGt: core.OpBle, OpGe: core.OpBlt, OpEq: core.OpBne, OpNe: core.OpBeq}
+)
+
+// intParams[:n] is the signature of an n-argument bytecode function.  No
+// target gets near this many arguments into registers, so a longer
+// signature is refused by Begin whatever it is made of.
+var intParams = func() (p [32]core.Type) {
+	for i := range p {
+		p[i] = core.TypeI
+	}
+	return p
+}()
+
 // CompileInto is Compile emitting into a caller-supplied assembler, so
-// callers that compile many functions (the batch pipeline's per-worker
-// buffers) amortize the assembler's buffer and bookkeeping allocations
-// across functions.  The assembler must be idle (not mid-build); the
-// returned Func does not alias it.
+// callers that compile many functions (the batch pipeline's workers)
+// amortize the assembler's buffer and bookkeeping allocations across
+// functions.  The assembler must be idle (not mid-build); the returned Func
+// does not alias it.
 func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	backend := a.Backend()
 	comp := trace.Begin(trace.KindCompile, backend.Name(), f.Name)
-	maxDepth, err := f.Validate()
+	pcs, maxDepth, err := f.validate()
 	if err != nil {
 		return nil, err
 	}
 	a.SetName(f.Name)
-	params := make([]core.Type, f.NArgs)
-	for i := range params {
-		params[i] = core.TypeI
+	params := intParams[:]
+	if f.NArgs > len(params) {
+		params = make([]core.Type, f.NArgs)
+		for i := range params {
+			params[i] = core.TypeI
+		}
 	}
-	args, err := a.BeginTypes(params, core.Leaf)
+	args, err := a.BeginTypes(params[:f.NArgs], core.Leaf)
 	if err != nil {
 		return nil, err
 	}
 
 	// Register assignment: locals first (persistent), then one register
 	// per operand-stack slot (temporaries — the stack is empty across
-	// no call, and this machine has no calls).
+	// no call, and this machine has no calls).  One allocation backs the
+	// locals, the slots and the slots' aliases (below).
 	ra := trace.Begin(trace.KindRegalloc, backend.Name(), f.Name)
-	vars := make([]core.Reg, f.NVars)
+	regs := make([]core.Reg, f.NVars+2*maxDepth)
+	vars, slots, alias := regs[:f.NVars], regs[f.NVars:f.NVars+maxDepth], regs[f.NVars+maxDepth:]
 	for i := range vars {
 		if vars[i], err = a.GetReg(core.Var); err != nil {
 			return nil, fmt.Errorf("jit: %s: locals exceed registers: %w", f.Name, err)
 		}
 	}
-	slots := make([]core.Reg, maxDepth)
 	for i := range slots {
 		if slots[i], err = a.GetReg(core.Temp); err != nil {
 			return nil, fmt.Errorf("jit: %s: stack depth %d exceeds registers: %w", f.Name, maxDepth, err)
@@ -112,29 +139,39 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	}
 	ra.End(a.TraceFlow(), trace.Attrs{N: int64(len(vars) + len(slots))})
 
-	labels := make([]core.Label, len(f.Code))
-	needLabel := make([]bool, len(f.Code))
-	for _, in := range f.Code {
+	// A label for every branch target, in pc order: the first loop marks
+	// the targets (any label but noLabel will do), the second numbers them.
+	// Validation checked the targets of the jumps a path reaches; the
+	// others are checked here.
+	for pc, in := range f.Code {
 		if in.Op == OpJmp || in.Op == OpJz {
-			needLabel[in.A] = true
+			if in.A < 0 || in.A >= len(pcs) {
+				return nil, fmt.Errorf("jit: %s: bad jump target at pc %d", f.Name, pc)
+			}
+			pcs[in.A].label = 0
 		}
 	}
-	for pc := range f.Code {
-		if needLabel[pc] {
-			labels[pc] = a.NewLabel()
+	for pc := range pcs {
+		if pcs[pc].label != noLabel {
+			pcs[pc].label = a.NewLabel()
 		}
 	}
 
 	// Copy propagation: OpLoadVar/OpLoadArg do not emit a Movi into
-	// their stack slot.  Instead the slot records the source register as
-	// an alias, and consumers read the var/arg register directly — the
-	// Movi only materializes if the value must survive past a point where
-	// the alias could go stale (the var is overwritten) or where the
-	// canonical slot assignment is observable (a control-flow join).
-	alias := make([]core.Reg, maxDepth)
-	aliased := make([]bool, maxDepth)
+	// their stack slot.  Instead alias[d] records the source register, and
+	// consumers read the var/arg register directly — the Movi only
+	// materializes if the value must survive past a point where the alias
+	// could go stale (the var is overwritten) or where the canonical slot
+	// assignment is observable (a control-flow join).  A slot holding its
+	// own value has alias NoReg.
+	clearAliases := func() {
+		for j := range alias {
+			alias[j] = core.NoReg
+		}
+	}
+	clearAliases()
 	src := func(d int) core.Reg {
-		if aliased[d] {
+		if alias[d] != core.NoReg {
 			return alias[d]
 		}
 		return slots[d]
@@ -144,15 +181,10 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	// the canonical assignment) sees the right values.
 	spill := func(d int) {
 		for j := 0; j < d && j < maxDepth; j++ {
-			if aliased[j] {
+			if alias[j] != core.NoReg {
 				a.Movi(slots[j], alias[j])
-				aliased[j] = false
+				alias[j] = core.NoReg
 			}
-		}
-	}
-	clearAliases := func() {
-		for j := range aliased {
-			aliased[j] = false
 		}
 	}
 
@@ -166,59 +198,57 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 			skip = false
 			continue
 		}
-		if needLabel[pc] {
+		if l := pcs[pc].label; l != noLabel {
 			// Fall-through into a join point: canonicalize first, then
 			// forget aliases (the other predecessors did the same).
 			spill(depth)
 			clearAliases()
-			a.Bind(labels[pc])
+			a.Bind(l)
 		}
 		switch in.Op {
 		case OpPushK:
 			a.Seti(slots[depth], int64(f.Consts[in.A]))
-			aliased[depth] = false
+			alias[depth] = core.NoReg
 			depth++
 		case OpLoadArg:
-			alias[depth], aliased[depth] = args[in.A], true
+			alias[depth] = args[in.A]
 			depth++
 		case OpLoadVar:
-			alias[depth], aliased[depth] = vars[in.A], true
+			alias[depth] = vars[in.A]
 			depth++
 		case OpStoreVar:
 			depth--
 			// Any live slot still aliasing this var must be
 			// materialized before the var changes under it.
 			for j := 0; j < depth; j++ {
-				if aliased[j] && alias[j] == vars[in.A] {
+				if alias[j] == vars[in.A] {
 					a.Movi(slots[j], alias[j])
-					aliased[j] = false
+					alias[j] = core.NoReg
 				}
 			}
 			if from := src(depth); from != vars[in.A] {
 				a.Movi(vars[in.A], from)
 			}
-			aliased[depth] = false
+			alias[depth] = core.NoReg
 		case OpNeg:
 			a.Negi(slots[depth-1], src(depth-1))
-			aliased[depth-1] = false
+			alias[depth-1] = core.NoReg
 		case OpJmp:
 			spill(depth)
-			a.Jmp(labels[in.A])
+			a.Jmp(pcs[in.A].label)
 			depth = -1 // unreachable until next label; re-established below
 		case OpJz:
 			depth--
 			cond := src(depth)
 			spill(depth)
-			a.Beqii(cond, 0, labels[in.A])
-			aliased[depth] = false
+			a.Beqii(cond, 0, pcs[in.A].label)
+			alias[depth] = core.NoReg
 		case OpRet:
 			a.Reti(src(depth - 1))
 			depth = -1
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod:
-			op := map[Op]core.Op{OpAdd: core.OpAdd, OpSub: core.OpSub,
-				OpMul: core.OpMul, OpDiv: core.OpDiv, OpMod: core.OpMod}[in.Op]
-			a.ALU(op, ty, slots[depth-2], src(depth-2), src(depth-1))
-			aliased[depth-2] = false
+			a.ALU(aluOps[in.Op], ty, slots[depth-2], src(depth-2), src(depth-1))
+			alias[depth-2] = core.NoReg
 			depth--
 		case OpLt, OpLe, OpGt, OpGe, OpEq, OpNe:
 			// Peephole: a comparison feeding directly into OpJz fuses
@@ -226,21 +256,17 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 			// 0/1 flag, its re-test, and two jumps all disappear.  Only
 			// legal when the OpJz is not itself a branch target (a
 			// jump landing there expects a flag on the stack).
-			if pc+1 < len(f.Code) && f.Code[pc+1].Op == OpJz && !needLabel[pc+1] {
-				inv := map[Op]core.Op{OpLt: core.OpBge, OpLe: core.OpBgt, OpGt: core.OpBle,
-					OpGe: core.OpBlt, OpEq: core.OpBne, OpNe: core.OpBeq}[in.Op]
+			if pc+1 < len(f.Code) && f.Code[pc+1].Op == OpJz && pcs[pc+1].label == noLabel {
 				sa, sb := src(depth-2), src(depth-1)
 				depth -= 2
 				spill(depth)
-				a.Br(inv, ty, sa, sb, labels[f.Code[pc+1].A])
-				aliased[depth], aliased[depth+1] = false, false
+				a.Br(invOps[in.Op], ty, sa, sb, pcs[f.Code[pc+1].A].label)
+				alias[depth], alias[depth+1] = core.NoReg, core.NoReg
 				skip = true
 				continue
 			}
-			op := map[Op]core.Op{OpLt: core.OpBlt, OpLe: core.OpBle, OpGt: core.OpBgt,
-				OpGe: core.OpBge, OpEq: core.OpBeq, OpNe: core.OpBne}[in.Op]
 			set1 := a.NewLabel()
-			a.Br(op, ty, src(depth-2), src(depth-1), set1)
+			a.Br(cmpOps[in.Op], ty, src(depth-2), src(depth-1), set1)
 			// Fall-through: 0; taken: 1.  Use the same slot.
 			done := a.NewLabel()
 			a.Seti(slots[depth-2], 0)
@@ -248,16 +274,19 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 			a.Bind(set1)
 			a.Seti(slots[depth-2], 1)
 			a.Bind(done)
-			aliased[depth-2] = false
+			alias[depth-2] = core.NoReg
 			depth--
 		default:
 			return nil, fmt.Errorf("jit: %s: unhandled opcode %v", f.Name, in.Op)
 		}
 		if depth < 0 {
-			// After an unconditional transfer the depth is whatever
-			// the next labelled instruction was validated at; recover
-			// it lazily.
-			depth = depthAfter(f, pc+1)
+			// After an unconditional transfer the depth is the one the
+			// next instruction was validated at (0 when nothing reaches
+			// it, or there is none).
+			depth = 0
+			if pc+1 < len(pcs) && pcs[pc+1].depth > 0 {
+				depth = int(pcs[pc+1].depth)
+			}
 			clearAliases()
 		}
 	}
@@ -267,39 +296,6 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	}
 	comp.End(fn.TraceFlow(), trace.Attrs{N: int64(len(f.Code)), Bytes: int64(fn.SizeBytes())})
 	return fn, nil
-}
-
-// depthAfter recomputes the validated stack depth at instruction pc
-// (0 when pc is past the end or unreachable).
-func depthAfter(f *Func, pc int) int {
-	depths := map[int]int{}
-	var walk func(p, d int)
-	walk = func(p, d int) {
-		for p < len(f.Code) {
-			if _, seen := depths[p]; seen {
-				return
-			}
-			depths[p] = d
-			in := f.Code[p]
-			pops, pushes := stackEffect(in.Op)
-			d = d - pops + pushes
-			switch in.Op {
-			case OpJmp:
-				p = in.A
-				continue
-			case OpJz:
-				walk(in.A, d)
-			case OpRet:
-				return
-			}
-			p++
-		}
-	}
-	walk(0, 0)
-	if d, ok := depths[pc]; ok {
-		return d
-	}
-	return 0
 }
 
 // Core exposes the underlying simulated machine (the code cache binds to

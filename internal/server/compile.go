@@ -45,7 +45,7 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 		if err := c.Compile(prog); err != nil {
 			return nil, err
 		}
-		fns = c.Funcs()
+		fns, order = c.Funcs(), c.Order()
 		tableAddr, tableBytes = c.Table()
 		if entry == "" {
 			entry = "main"
@@ -75,10 +75,12 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 		tableAddr:  tableAddr,
 		tableBytes: tableBytes,
 	}
-	// Entry first: the cache holds fns[0]; eviction uninstalls the rest.
-	u.fns = append(u.fns, entryFn)
-	for _, f := range fns {
-		if f != entryFn {
+	// Entry first: the cache holds fns[0]; eviction uninstalls the rest,
+	// which follow in declaration order.
+	u.fns = make([]*core.Func, 1, len(order))
+	u.fns[0] = entryFn
+	for _, name := range order {
+		if f := fns[name]; f != entryFn {
 			u.fns = append(u.fns, f)
 		}
 	}

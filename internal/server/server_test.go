@@ -227,6 +227,14 @@ func TestErrorTaxonomy(t *testing.T) {
 		{"parse error", "/v1/compile",
 			map[string]any{"lang": "tinyc", "source": "int main( {"},
 			http.StatusUnprocessableEntity, CodeCompileError},
+		// A register jump or call with no operand is the source's mistake
+		// (422), not a front-end panic (500 compile_panic).
+		{"jmpr without operand", "/v1/exec",
+			map[string]any{"lang": "vasm", "source": ".func f (%i) leaf\n jmpr\n.end", "args": []int{1}},
+			http.StatusUnprocessableEntity, CodeCompileError},
+		{"callr without operand", "/v1/exec",
+			map[string]any{"lang": "vasm", "source": ".func f (%i)\n callr\n.end", "args": []int{1}},
+			http.StatusUnprocessableEntity, CodeCompileError},
 		{"fuel exhausted", "/v1/exec",
 			map[string]any{"lang": "vasm", "source": factVasm, "args": []int{1 << 20}, "fuel": 50},
 			http.StatusUnprocessableEntity, CodeFuelExhausted},

@@ -1,6 +1,10 @@
 package tinyc
 
-import "repro/internal/core"
+import (
+	"math"
+
+	"repro/internal/core"
+)
 
 // CType is a tiny-C type.
 type CType uint8
@@ -27,134 +31,91 @@ func (t CType) VType() core.Type {
 	return core.TypeI
 }
 
-// Program is a parsed translation unit.
+// Program is a parsed translation unit.  It is immutable once Parse returns
+// it, so one Program may be compiled for several machines and interpreted
+// at the same time.
+//
+// The tree is flat: every statement and expression is a node in one slice,
+// naming its operands by index, and every identifier is a small integer
+// (its index in names) resolved once, when it was parsed.
 type Program struct {
-	Funcs []*FuncDecl
+	nodes  []node
+	funcs  []funcDecl
+	params []param
+	names  []string // identifier -> spelling
+	// funcOf maps an identifier to the function it names, as an index into
+	// funcs — the first, if the program defines it twice — or -1.
+	funcOf []int32
 }
 
-// FuncDecl is one function definition.
-type FuncDecl struct {
-	Name   string
-	Ret    CType
-	Params []Param
-	Body   *Block
-	Line   int
+// funcDecl is one function definition.
+type funcDecl struct {
+	name       nameID
+	ret        CType
+	firstParam int32 // params[firstParam:firstParam+nParams]
+	nParams    int32
+	body       nodeID // an nBlock
+	line       int32
 }
 
-// Param is a formal parameter.
-type Param struct {
-	Name string
-	Type CType
+func (p *Program) paramsOf(fd *funcDecl) []param {
+	return p.params[fd.firstParam : fd.firstParam+fd.nParams]
 }
 
-// Stmt is a statement node.
-type Stmt interface{ stmt() }
-
-// Block is a brace-delimited statement list with its own scope.
-type Block struct {
-	Stmts []Stmt
+// param is a formal parameter.
+type param struct {
+	name nameID
+	typ  CType
 }
 
-// DeclStmt declares (and optionally initializes) a local variable.
-type DeclStmt struct {
-	Name string
-	Type CType
-	Init Expr
-	Line int
+// nameID is an identifier: an index into Program.names.
+type nameID = int32
+
+// nodeID is a node: an index into Program.nodes.
+type nodeID int32
+
+// noNode stands where a node has no such operand (an if without else, a
+// declaration without initializer, the end of a list).
+const noNode nodeID = -1
+
+type nodeKind uint8
+
+// The operands a, b and c of each kind of node:
+const (
+	// Expressions.
+	nIntLit   nodeKind = iota // a, b: the low and high halves of the value
+	nFloatLit                 // a, b: the low and high halves of the bits
+	nVarRef                   // a: the variable's name
+	nBin                      // op; a, b: the left and right operands
+	nUn                       // op (pSub or pNot); a: the operand
+	nCast                     // typ; a: the operand
+	nCall                     // a: the callee's name; b: the first argument, the others follow by next
+	// Statements.
+	nBlock    // b: the first statement, the others follow by next
+	nDecl     // typ; a: the variable's name; b: the initializer or noNode
+	nAssign   // a: the variable's name; b: the value
+	nReturn   // a: the value
+	nIf       // a: the condition; b: then; c: else or noNode
+	nWhile    // a: the condition; b: the body; c: the post statement (a desugared for's; continue's target) or noNode
+	nBreak    //
+	nContinue //
+	nExprStmt // a: the expression, evaluated for effect (a call, usually)
+)
+
+// node is one statement or expression.  hasCall says that it, or something
+// below it, calls a function: the code generator keeps a value across such
+// a subtree in a register that survives calls, and a function whose body
+// has none is a leaf.
+type node struct {
+	a, b, c int32
+	next    nodeID // the next statement of the block, or argument of the call, this node is in
+	line    int32
+	kind    nodeKind
+	op      sym
+	typ     CType
+	hasCall bool
 }
 
-// AssignStmt assigns to a variable.
-type AssignStmt struct {
-	Name string
-	Val  Expr
-	Line int
-}
+func (n *node) intVal() int64 { return int64(uint64(uint32(n.a)) | uint64(uint32(n.b))<<32) }
 
-// ReturnStmt returns a value.
-type ReturnStmt struct {
-	Val  Expr
-	Line int
-}
-
-// IfStmt is if/else.
-type IfStmt struct {
-	Cond Expr
-	Then Stmt
-	Else Stmt
-}
-
-// WhileStmt is a while (or desugared for) loop; Post, when present, runs
-// after the body and is the target of continue.
-type WhileStmt struct {
-	Cond Expr
-	Body Stmt
-	Post Stmt
-}
-
-// BreakStmt exits the innermost loop.
-type BreakStmt struct{ Line int }
-
-// ContinueStmt restarts the innermost loop.
-type ContinueStmt struct{ Line int }
-
-// ExprStmt evaluates an expression for effect (a call, usually).
-type ExprStmt struct{ X Expr }
-
-func (*Block) stmt()        {}
-func (*DeclStmt) stmt()     {}
-func (*AssignStmt) stmt()   {}
-func (*ReturnStmt) stmt()   {}
-func (*IfStmt) stmt()       {}
-func (*WhileStmt) stmt()    {}
-func (*BreakStmt) stmt()    {}
-func (*ContinueStmt) stmt() {}
-func (*ExprStmt) stmt()     {}
-
-// Expr is an expression node.
-type Expr interface{ expr() }
-
-// IntLit is an integer literal.
-type IntLit struct{ V int64 }
-
-// FloatLit is a floating literal.
-type FloatLit struct{ V float64 }
-
-// VarRef references a variable.
-type VarRef struct {
-	Name string
-	Line int
-}
-
-// BinExpr is a binary operation ("+", "==", "&&", ...).
-type BinExpr struct {
-	Op   string
-	L, R Expr
-	Line int
-}
-
-// UnExpr is unary ("-" or "!").
-type UnExpr struct {
-	Op string
-	X  Expr
-}
-
-// CastExpr is an explicit conversion.
-type CastExpr struct {
-	To CType
-	X  Expr
-}
-
-// CallExpr calls a named function.
-type CallExpr struct {
-	Name string
-	Args []Expr
-	Line int
-}
-
-func (*IntLit) expr()   {}
-func (*FloatLit) expr() {}
-func (*VarRef) expr()   {}
-func (*BinExpr) expr()  {}
-func (*UnExpr) expr()   {}
-func (*CastExpr) expr() {}
-func (*CallExpr) expr() {}
+func (n *node) floatVal() float64 { return math.Float64frombits(uint64(n.intVal())) }

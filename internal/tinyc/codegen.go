@@ -14,68 +14,79 @@ type Compiler struct {
 	machine *core.Machine
 	backend core.Backend
 
-	sigs  map[string]*FuncDecl
 	funcs map[string]*core.Func
-	slots map[string]int
+	order []string // funcs' keys, in declaration order
 	table uint64
+	slots int // entries in table: the functions of the program compiled last
 }
 
 // NewCompiler returns a compiler bound to a machine.
 func NewCompiler(m *core.Machine) *Compiler {
-	return &Compiler{
-		machine: m,
-		backend: m.Backend(),
-		sigs:    make(map[string]*FuncDecl),
-		funcs:   make(map[string]*core.Func),
-		slots:   make(map[string]int),
-	}
+	return &Compiler{machine: m, backend: m.Backend(), funcs: make(map[string]*core.Func)}
 }
 
 // Funcs returns the compiled functions by name.
 func (c *Compiler) Funcs() map[string]*core.Func { return c.funcs }
 
+// Order returns the compiled functions' names in the order the source
+// declares them, which is the order they were installed in.
+func (c *Compiler) Order() []string { return c.order }
+
 // Table returns the compiled program's function-pointer table as the
 // (address, size) Machine.Alloc handed out.  An owner that uninstalls the
 // program's functions returns the table with Machine.Free.
 func (c *Compiler) Table() (addr uint64, size int) {
-	return c.table, c.backend.PtrBytes() * len(c.slots)
+	return c.table, c.backend.PtrBytes() * c.slots
 }
 
-// Compile compiles a whole program and installs it.  When it fails the
-// function-pointer table goes back to the machine's heap.
+// Compile compiles a whole program and installs it, in declaration order.
+// When it fails the function-pointer table goes back to the machine's
+// heap.  A program's functions call each other, not those of a program
+// the compiler was given before.
 func (c *Compiler) Compile(prog *Program) (err error) {
-	for _, fd := range prog.Funcs {
-		if _, dup := c.sigs[fd.Name]; dup {
-			return fmt.Errorf("line %d: function %q redefined", fd.Line, fd.Name)
+	for i := range prog.funcs {
+		fd := &prog.funcs[i]
+		if _, dup := c.funcs[prog.names[fd.name]]; dup || prog.funcOf[fd.name] != int32(i) {
+			return fmt.Errorf("line %d: function %q redefined", fd.line, prog.names[fd.name])
 		}
-		c.sigs[fd.Name] = fd
-		c.slots[fd.Name] = len(c.slots)
 	}
 	ptr := c.backend.PtrBytes()
-	table, err := c.machine.Alloc(ptr * len(c.slots))
+	table, err := c.machine.Alloc(ptr * len(prog.funcs))
 	if err != nil {
 		return err
 	}
-	c.table = table
+	c.table, c.slots = table, len(prog.funcs)
 	defer func() {
 		if err != nil {
 			_ = c.machine.Free(c.Table()) // the block Alloc just returned
 		}
 	}()
 
-	for _, fd := range prog.Funcs {
-		fn, err := c.compileFunc(fd)
-		if err != nil {
-			return fmt.Errorf("function %s: %w", fd.Name, err)
-		}
-		c.funcs[fd.Name] = fn
+	// Every function is built on one borrowed assembler, handed back only
+	// when all of them compiled: after an error it may be mid-build.
+	g := fnGen{c: c, a: c.machine.BorrowAsm(), prog: prog,
+		vars: make([]scopeVar, 0, len(prog.names)), cur: make([]int32, len(prog.names))}
+	for i := range g.cur {
+		g.cur[i] = -1
 	}
-	for _, fn := range c.funcs {
-		if err := c.machine.Install(fn); err != nil {
+	first := len(c.order)
+	for i := range prog.funcs {
+		fd := &prog.funcs[i]
+		name := prog.names[fd.name]
+		fn, err := g.compileFunc(fd)
+		if err != nil {
+			return fmt.Errorf("function %s: %w", name, err)
+		}
+		c.funcs[name] = fn
+		c.order = append(c.order, name)
+	}
+	c.machine.ReturnAsm(g.a)
+	for _, name := range c.order[first:] {
+		if err := c.machine.Install(c.funcs[name]); err != nil {
 			return err
 		}
 	}
-	for name, slot := range c.slots {
+	for slot, name := range c.order[first:] {
 		addr := c.table + uint64(slot*ptr)
 		if err := c.machine.Mem().Store(addr, ptr, c.funcs[name].EntryAddr()); err != nil {
 			return err
@@ -114,66 +125,101 @@ type varInfo struct {
 	inReg bool
 }
 
-type fnGen struct {
-	c      *Compiler
-	a      *core.Asm
-	fd     *FuncDecl
-	scopes []map[string]varInfo
-	breaks []core.Label
-	conts  []core.Label
+// scopeVar is one variable in scope.  prev is what its name meant before
+// the declaration (an index into fnGen.vars, or -1), restored when the
+// variable's block ends.
+type scopeVar struct {
+	varInfo
+	name nameID
+	prev int32
 }
 
-func (c *Compiler) compileFunc(fd *FuncDecl) (*core.Func, error) {
-	a := core.NewAsm(c.backend)
-	a.SetName(fd.Name)
-	sig := ""
-	for _, p := range fd.Params {
-		sig += "%" + p.Type.VType().Letter()
+// loopLabels are the targets of break and continue inside one loop.
+type loopLabels struct{ brk, cont core.Label }
+
+// fnGen is the state of one Compile, reused from function to function.
+type fnGen struct {
+	c    *Compiler
+	a    *core.Asm
+	prog *Program
+	fd   *funcDecl
+
+	// vars is the scope stack: every variable in scope, innermost block
+	// last; the current block's start at scope.  cur maps each identifier
+	// to its innermost variable (an index into vars), or -1.
+	vars  []scopeVar
+	scope int
+	cur   []int32
+
+	loops   []loopLabels
+	sig     []core.Type // a signature on its way to BeginTypes or StartCallTypes
+	argRegs []core.Reg  // the evaluated arguments of every call under construction
+}
+
+func (g *fnGen) node(id nodeID) *node { return &g.prog.nodes[id] }
+
+func (g *fnGen) compileFunc(fd *funcDecl) (*core.Func, error) {
+	a, params := g.a, g.prog.paramsOf(fd)
+	g.fd = fd
+	a.SetName(g.prog.names[fd.name])
+	g.sig = g.sig[:0]
+	for _, p := range params {
+		g.sig = append(g.sig, p.typ.VType())
 	}
 	// Functions that make no calls are declared leaf, buying the leaf
 	// optimizations (no RA save, caller-saved registers satisfy
 	// persistent requests).
-	leaf := !hasCallStmt(fd.Body)
-	args, err := a.Begin(sig, leaf)
+	leaf := !g.node(fd.body).hasCall
+	args, err := a.BeginTypes(g.sig, leaf)
 	if err != nil {
 		return nil, err
 	}
-	g := &fnGen{c: c, a: a, fd: fd}
-	g.push()
+	outer := g.push()
 	// Move parameters out of the argument registers into persistent
 	// homes (argument registers die across calls).
-	for i, p := range fd.Params {
-		v, err := g.declare(p.Name, p.Type, fd.Line)
+	for i, p := range params {
+		v, err := g.declare(p.name, p.typ, fd.line)
 		if err != nil {
 			return nil, err
 		}
 		g.storeVar(v, args[i])
 	}
-	if err := g.block(fd.Body); err != nil {
+	if err := g.block(fd.body); err != nil {
 		return nil, err
 	}
+	g.pop(outer)
 	// Fall off the end: return zero.
-	z, err := g.temp(fd.Ret, false)
+	z, err := g.temp(fd.ret, false)
 	if err != nil {
 		return nil, err
 	}
-	if fd.Ret == CDouble {
+	if fd.ret == CDouble {
 		a.Setd(z, 0)
 	} else {
 		a.Seti(z, 0)
 	}
-	a.Ret(fd.Ret.VType(), z)
+	a.Ret(fd.ret.VType(), z)
 	return a.End()
 }
 
-func (g *fnGen) push() { g.scopes = append(g.scopes, map[string]varInfo{}) }
-func (g *fnGen) pop()  { g.scopes = g.scopes[:len(g.scopes)-1] }
+// push opens a block scope and returns the enclosing one's start, for pop.
+func (g *fnGen) push() (outer int) {
+	outer, g.scope = g.scope, len(g.vars)
+	return outer
+}
 
-func (g *fnGen) lookup(name string) (varInfo, bool) {
-	for i := len(g.scopes) - 1; i >= 0; i-- {
-		if v, ok := g.scopes[i][name]; ok {
-			return v, true
-		}
+// pop closes the current block scope: its variables' names mean again what
+// they meant before it.
+func (g *fnGen) pop(outer int) {
+	for i := len(g.vars) - 1; i >= g.scope; i-- {
+		g.cur[g.vars[i].name] = g.vars[i].prev
+	}
+	g.vars, g.scope = g.vars[:g.scope], outer
+}
+
+func (g *fnGen) lookup(name nameID) (varInfo, bool) {
+	if i := g.cur[name]; i >= 0 {
+		return g.vars[i].varInfo, true
 	}
 	return varInfo{}, false
 }
@@ -181,10 +227,9 @@ func (g *fnGen) lookup(name string) (varInfo, bool) {
 // declare allocates a home for a variable: a persistent register when one
 // is available, otherwise a stack local — exactly the division of labor
 // the paper describes for VCODE's limited-scope allocator.
-func (g *fnGen) declare(name string, t CType, line int) (varInfo, error) {
-	scope := g.scopes[len(g.scopes)-1]
-	if _, dup := scope[name]; dup {
-		return varInfo{}, fmt.Errorf("line %d: %q redeclared", line, name)
+func (g *fnGen) declare(name nameID, t CType, line int32) (varInfo, error) {
+	if int(g.cur[name]) >= g.scope {
+		return varInfo{}, fmt.Errorf("line %d: %q redeclared", line, g.prog.names[name])
 	}
 	v := varInfo{t: t}
 	var reg core.Reg
@@ -201,7 +246,8 @@ func (g *fnGen) declare(name string, t CType, line int) (varInfo, error) {
 	} else {
 		return varInfo{}, err
 	}
-	scope[name] = v
+	g.vars = append(g.vars, scopeVar{varInfo: v, name: name, prev: g.cur[name]})
+	g.cur[name] = int32(len(g.vars) - 1)
 	return v, nil
 }
 
@@ -238,33 +284,33 @@ func (g *fnGen) free(r core.Reg) { g.a.PutReg(r) }
 
 // --- statements ---
 
-func (g *fnGen) block(b *Block) error {
-	g.push()
-	defer g.pop()
-	for _, s := range b.Stmts {
+func (g *fnGen) block(id nodeID) error {
+	outer := g.push()
+	for s := nodeID(g.node(id).b); s != noNode; s = g.node(s).next {
 		if err := g.stmt(s); err != nil {
 			return err
 		}
 	}
+	g.pop(outer)
 	return nil
 }
 
-func (g *fnGen) stmt(s Stmt) error {
-	a := g.a
-	switch st := s.(type) {
-	case *Block:
-		return g.block(st)
-	case *DeclStmt:
-		v, err := g.declare(st.Name, st.Type, st.Line)
+func (g *fnGen) stmt(id nodeID) error {
+	a, st := g.a, g.node(id)
+	switch st.kind {
+	case nBlock:
+		return g.block(id)
+	case nDecl:
+		v, err := g.declare(st.a, st.typ, st.line)
 		if err != nil {
 			return err
 		}
-		if st.Init != nil {
-			r, t, err := g.expr(st.Init, false)
+		if init := nodeID(st.b); init != noNode {
+			r, t, err := g.expr(init, false)
 			if err != nil {
 				return err
 			}
-			r, err = g.convert(r, t, st.Type)
+			r, err = g.convert(r, t, st.typ)
 			if err != nil {
 				return err
 			}
@@ -272,12 +318,12 @@ func (g *fnGen) stmt(s Stmt) error {
 			g.free(r)
 		}
 		return nil
-	case *AssignStmt:
-		v, ok := g.lookup(st.Name)
+	case nAssign:
+		v, ok := g.lookup(st.a)
 		if !ok {
-			return fmt.Errorf("line %d: undefined variable %q", st.Line, st.Name)
+			return fmt.Errorf("line %d: undefined variable %q", st.line, g.prog.names[st.a])
 		}
-		r, t, err := g.expr(st.Val, false)
+		r, t, err := g.expr(nodeID(st.b), false)
 		if err != nil {
 			return err
 		}
@@ -288,31 +334,31 @@ func (g *fnGen) stmt(s Stmt) error {
 		g.storeVar(v, r)
 		g.free(r)
 		return nil
-	case *ReturnStmt:
-		r, t, err := g.expr(st.Val, false)
+	case nReturn:
+		r, t, err := g.expr(nodeID(st.a), false)
 		if err != nil {
 			return err
 		}
-		r, err = g.convert(r, t, g.fd.Ret)
+		r, err = g.convert(r, t, g.fd.ret)
 		if err != nil {
 			return err
 		}
-		a.Ret(g.fd.Ret.VType(), r)
+		a.Ret(g.fd.ret.VType(), r)
 		g.free(r)
 		return nil
-	case *IfStmt:
+	case nIf:
 		elseL := a.NewLabel()
-		if err := g.condBranchFalse(st.Cond, elseL); err != nil {
+		if err := g.condBranchFalse(nodeID(st.a), elseL); err != nil {
 			return err
 		}
-		if err := g.stmt(st.Then); err != nil {
+		if err := g.stmt(nodeID(st.b)); err != nil {
 			return err
 		}
-		if st.Else != nil {
+		if els := nodeID(st.c); els != noNode {
 			doneL := a.NewLabel()
 			a.Jmp(doneL)
 			a.Bind(elseL)
-			if err := g.stmt(st.Else); err != nil {
+			if err := g.stmt(els); err != nil {
 				return err
 			}
 			a.Bind(doneL)
@@ -320,58 +366,56 @@ func (g *fnGen) stmt(s Stmt) error {
 		}
 		a.Bind(elseL)
 		return nil
-	case *WhileStmt:
+	case nWhile:
 		top, done := a.NewLabel(), a.NewLabel()
-		cont := top
-		if st.Post != nil {
+		cont, post := top, nodeID(st.c)
+		if post != noNode {
 			cont = a.NewLabel()
 		}
 		a.Bind(top)
-		if err := g.condBranchFalse(st.Cond, done); err != nil {
+		if err := g.condBranchFalse(nodeID(st.a), done); err != nil {
 			return err
 		}
-		g.breaks = append(g.breaks, done)
-		g.conts = append(g.conts, cont)
-		err := g.stmt(st.Body)
-		g.breaks = g.breaks[:len(g.breaks)-1]
-		g.conts = g.conts[:len(g.conts)-1]
+		g.loops = append(g.loops, loopLabels{brk: done, cont: cont})
+		err := g.stmt(nodeID(st.b))
+		g.loops = g.loops[:len(g.loops)-1]
 		if err != nil {
 			return err
 		}
-		if st.Post != nil {
+		if post != noNode {
 			a.Bind(cont)
-			if err := g.stmt(st.Post); err != nil {
+			if err := g.stmt(post); err != nil {
 				return err
 			}
 		}
 		a.Jmp(top)
 		a.Bind(done)
 		return nil
-	case *BreakStmt:
-		if len(g.breaks) == 0 {
-			return fmt.Errorf("line %d: break outside loop", st.Line)
+	case nBreak:
+		if len(g.loops) == 0 {
+			return fmt.Errorf("line %d: break outside loop", st.line)
 		}
-		a.Jmp(g.breaks[len(g.breaks)-1])
+		a.Jmp(g.loops[len(g.loops)-1].brk)
 		return nil
-	case *ContinueStmt:
-		if len(g.conts) == 0 {
-			return fmt.Errorf("line %d: continue outside loop", st.Line)
+	case nContinue:
+		if len(g.loops) == 0 {
+			return fmt.Errorf("line %d: continue outside loop", st.line)
 		}
-		a.Jmp(g.conts[len(g.conts)-1])
+		a.Jmp(g.loops[len(g.loops)-1].cont)
 		return nil
-	case *ExprStmt:
-		r, _, err := g.expr(st.X, false)
+	case nExprStmt:
+		r, _, err := g.expr(nodeID(st.a), false)
 		if err != nil {
 			return err
 		}
 		g.free(r)
 		return nil
 	}
-	return fmt.Errorf("tinyc: unknown statement %T", s)
+	return fmt.Errorf("tinyc: unknown statement kind %d", st.kind)
 }
 
 // condBranchFalse evaluates cond and branches to l when it is false.
-func (g *fnGen) condBranchFalse(cond Expr, l core.Label) error {
+func (g *fnGen) condBranchFalse(cond nodeID, l core.Label) error {
 	r, t, err := g.expr(cond, false)
 	if err != nil {
 		return err
@@ -389,38 +433,44 @@ func (g *fnGen) condBranchFalse(cond Expr, l core.Label) error {
 
 // --- expressions ---
 
-var intOps = map[string]core.Op{
-	"+": core.OpAdd, "-": core.OpSub, "*": core.OpMul, "/": core.OpDiv, "%": core.OpMod,
-}
+// The VCODE operation of each arithmetic operator and the branch of each
+// comparison; opNone for every other symbol.
+const opNone = core.Op(0xff)
 
-var cmpOps = map[string]core.Op{
-	"<": core.OpBlt, "<=": core.OpBle, ">": core.OpBgt, ">=": core.OpBge,
-	"==": core.OpBeq, "!=": core.OpBne,
-}
+var arithOps, cmpOps = func() (arith, cmp [numSyms]core.Op) {
+	for i := range arith {
+		arith[i], cmp[i] = opNone, opNone
+	}
+	arith[pAdd], arith[pSub], arith[pMul], arith[pDiv], arith[pMod] =
+		core.OpAdd, core.OpSub, core.OpMul, core.OpDiv, core.OpMod
+	cmp[pLt], cmp[pLe], cmp[pGt], cmp[pGe], cmp[pEq], cmp[pNe] =
+		core.OpBlt, core.OpBle, core.OpBgt, core.OpBge, core.OpBeq, core.OpBne
+	return arith, cmp
+}()
 
 // expr compiles e into a freshly allocated register owned by the caller.
 // wantVar forces a call-surviving register class for the result.
-func (g *fnGen) expr(e Expr, wantVar bool) (core.Reg, CType, error) {
-	a := g.a
-	switch ex := e.(type) {
-	case *IntLit:
+func (g *fnGen) expr(id nodeID, wantVar bool) (core.Reg, CType, error) {
+	a, ex := g.a, g.node(id)
+	switch ex.kind {
+	case nIntLit:
 		r, err := g.temp(CInt, wantVar)
 		if err != nil {
 			return core.NoReg, 0, err
 		}
-		a.Seti(r, ex.V)
+		a.Seti(r, ex.intVal())
 		return r, CInt, a.Err()
-	case *FloatLit:
+	case nFloatLit:
 		r, err := g.temp(CDouble, wantVar)
 		if err != nil {
 			return core.NoReg, 0, err
 		}
-		a.Setd(r, ex.V)
+		a.Setd(r, ex.floatVal())
 		return r, CDouble, a.Err()
-	case *VarRef:
-		v, ok := g.lookup(ex.Name)
+	case nVarRef:
+		v, ok := g.lookup(ex.a)
 		if !ok {
-			return core.NoReg, 0, fmt.Errorf("line %d: undefined variable %q", ex.Line, ex.Name)
+			return core.NoReg, 0, fmt.Errorf("line %d: undefined variable %q", ex.line, g.prog.names[ex.a])
 		}
 		r, err := g.temp(v.t, wantVar)
 		if err != nil {
@@ -428,67 +478,60 @@ func (g *fnGen) expr(e Expr, wantVar bool) (core.Reg, CType, error) {
 		}
 		g.loadVar(v, r)
 		return r, v.t, a.Err()
-	case *UnExpr:
-		r, t, err := g.expr(ex.X, wantVar)
+	case nUn:
+		r, t, err := g.expr(nodeID(ex.a), wantVar)
 		if err != nil {
 			return core.NoReg, 0, err
 		}
-		switch ex.Op {
-		case "-":
-			vt := core.TypeI
-			if t == CDouble {
-				vt = core.TypeD
-			}
-			a.Unary(core.OpNeg, vt, r, r)
+		if ex.op == pSub {
+			a.Unary(core.OpNeg, t.VType(), r, r)
 			return r, t, a.Err()
-		case "!":
-			if t == CDouble {
-				// (d == 0.0) as an int.
-				ri, err := g.temp(CInt, wantVar)
-				if err != nil {
-					return core.NoReg, 0, err
-				}
-				fz := g.c.backend.ScratchFPR()
-				a.Setd(fz, 0)
-				yes := a.NewLabel()
-				a.Seti(ri, 1)
-				a.Br(core.OpBeq, core.TypeD, r, fz, yes)
-				a.Seti(ri, 0)
-				a.Bind(yes)
-				g.free(r)
-				return ri, CInt, a.Err()
-			}
-			a.Unary(core.OpNot, core.TypeI, r, r)
-			return r, CInt, a.Err()
 		}
-		return core.NoReg, 0, fmt.Errorf("tinyc: unknown unary %q", ex.Op)
-	case *CastExpr:
-		r, t, err := g.expr(ex.X, wantVar)
+		if t == CDouble {
+			// (d == 0.0) as an int.
+			ri, err := g.temp(CInt, wantVar)
+			if err != nil {
+				return core.NoReg, 0, err
+			}
+			fz := g.c.backend.ScratchFPR()
+			a.Setd(fz, 0)
+			yes := a.NewLabel()
+			a.Seti(ri, 1)
+			a.Br(core.OpBeq, core.TypeD, r, fz, yes)
+			a.Seti(ri, 0)
+			a.Bind(yes)
+			g.free(r)
+			return ri, CInt, a.Err()
+		}
+		a.Unary(core.OpNot, core.TypeI, r, r)
+		return r, CInt, a.Err()
+	case nCast:
+		r, t, err := g.expr(nodeID(ex.a), wantVar)
 		if err != nil {
 			return core.NoReg, 0, err
 		}
-		r, err = g.convert(r, t, ex.To)
-		return r, ex.To, err
-	case *BinExpr:
+		r, err = g.convert(r, t, ex.typ)
+		return r, ex.typ, err
+	case nBin:
 		return g.binExpr(ex, wantVar)
-	case *CallExpr:
+	case nCall:
 		return g.call(ex, wantVar)
 	}
-	return core.NoReg, 0, fmt.Errorf("tinyc: unknown expression %T", e)
+	return core.NoReg, 0, fmt.Errorf("tinyc: unknown expression kind %d", ex.kind)
 }
 
-func (g *fnGen) binExpr(ex *BinExpr, wantVar bool) (core.Reg, CType, error) {
+func (g *fnGen) binExpr(ex *node, wantVar bool) (core.Reg, CType, error) {
 	a := g.a
-	if ex.Op == "&&" || ex.Op == "||" {
+	if ex.op == pAndAnd || ex.op == pOrOr {
 		return g.shortCircuit(ex, wantVar)
 	}
 	// The left value must survive evaluation of the right; if the right
 	// contains a call, hold it in a persistent register.
-	l, lt, err := g.expr(ex.L, wantVar || hasCall(ex.R))
+	l, lt, err := g.expr(nodeID(ex.a), wantVar || g.node(nodeID(ex.b)).hasCall)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
-	r, rt, err := g.expr(ex.R, false)
+	r, rt, err := g.expr(nodeID(ex.b), false)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
@@ -505,15 +548,15 @@ func (g *fnGen) binExpr(ex *BinExpr, wantVar bool) (core.Reg, CType, error) {
 	}
 	vt := ct.VType()
 
-	if op, ok := intOps[ex.Op]; ok {
-		if ct == CDouble && (ex.Op == "%") {
-			return core.NoReg, 0, fmt.Errorf("line %d: %% needs integer operands", ex.Line)
+	if op := arithOps[ex.op]; op != opNone {
+		if ct == CDouble && ex.op == pMod {
+			return core.NoReg, 0, fmt.Errorf("line %d: %% needs integer operands", ex.line)
 		}
 		a.ALU(op, vt, l, l, r)
 		g.free(r)
 		return l, ct, a.Err()
 	}
-	if op, ok := cmpOps[ex.Op]; ok {
+	if op := cmpOps[ex.op]; op != opNone {
 		res, err := g.temp(CInt, wantVar)
 		if err != nil {
 			return core.NoReg, 0, err
@@ -527,12 +570,12 @@ func (g *fnGen) binExpr(ex *BinExpr, wantVar bool) (core.Reg, CType, error) {
 		g.free(r)
 		return res, CInt, a.Err()
 	}
-	return core.NoReg, 0, fmt.Errorf("line %d: unknown operator %q", ex.Line, ex.Op)
+	return core.NoReg, 0, fmt.Errorf("line %d: unknown operator %d", ex.line, ex.op)
 }
 
-func (g *fnGen) shortCircuit(ex *BinExpr, wantVar bool) (core.Reg, CType, error) {
+func (g *fnGen) shortCircuit(ex *node, wantVar bool) (core.Reg, CType, error) {
 	a := g.a
-	res, err := g.temp(CInt, wantVar || hasCall(ex.R))
+	res, err := g.temp(CInt, wantVar || g.node(nodeID(ex.b)).hasCall)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
@@ -541,11 +584,11 @@ func (g *fnGen) shortCircuit(ex *BinExpr, wantVar bool) (core.Reg, CType, error)
 	// decides, we jump straight out with it.
 	shortVal := int64(0) // && shorts to 0 when the left is false
 	brOnShort := core.OpBeq
-	if ex.Op == "||" {
+	if ex.op == pOrOr {
 		shortVal = 1 // || shorts to 1 when the left is true
 		brOnShort = core.OpBne
 	}
-	l, lt, err := g.expr(ex.L, false)
+	l, lt, err := g.expr(nodeID(ex.a), false)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
@@ -556,7 +599,7 @@ func (g *fnGen) shortCircuit(ex *BinExpr, wantVar bool) (core.Reg, CType, error)
 	a.BrI(brOnShort, core.TypeI, l, 0, out)
 	g.free(l)
 	// Otherwise the result is the truthiness of the right operand.
-	r, rt, err := g.expr(ex.R, false)
+	r, rt, err := g.expr(nodeID(ex.b), false)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
@@ -592,37 +635,36 @@ func (g *fnGen) truthy(r core.Reg, t CType) (core.Reg, error) {
 	return ri, a.Err()
 }
 
-func (g *fnGen) call(ex *CallExpr, wantVar bool) (core.Reg, CType, error) {
-	a := g.a
-	fd, ok := g.c.sigs[ex.Name]
-	if !ok {
-		return core.NoReg, 0, fmt.Errorf("line %d: call to undefined function %q", ex.Line, ex.Name)
+func (g *fnGen) call(ex *node, wantVar bool) (core.Reg, CType, error) {
+	a, name := g.a, g.prog.names[ex.a]
+	callee := g.prog.funcOf[ex.a]
+	if callee < 0 {
+		return core.NoReg, 0, fmt.Errorf("line %d: call to undefined function %q", ex.line, name)
 	}
-	if len(ex.Args) != len(fd.Params) {
-		return core.NoReg, 0, fmt.Errorf("line %d: %s takes %d args, got %d",
-			ex.Line, ex.Name, len(fd.Params), len(ex.Args))
-	}
+	fd := &g.prog.funcs[callee]
+	params := g.prog.paramsOf(fd)
 	// If any argument itself contains a call, every earlier argument
 	// value must survive it.
-	anyCall := false
-	for _, arg := range ex.Args {
-		if hasCall(arg) {
-			anyCall = true
-		}
+	nargs, anyCall := 0, false
+	for arg := nodeID(ex.b); arg != noNode; arg = g.node(arg).next {
+		nargs++
+		anyCall = anyCall || g.node(arg).hasCall
 	}
-	sig := ""
-	regs := make([]core.Reg, len(ex.Args))
-	for i, arg := range ex.Args {
-		pt := fd.Params[i].Type
-		sig += "%" + pt.VType().Letter()
+	if nargs != len(params) {
+		return core.NoReg, 0, fmt.Errorf("line %d: %s takes %d args, got %d", ex.line, name, len(params), nargs)
+	}
+	// The argument registers go on a stack shared with the calls among the
+	// arguments, which push above base and are gone again by now.
+	base := len(g.argRegs)
+	for i, arg := 0, nodeID(ex.b); arg != noNode; i, arg = i+1, g.node(arg).next {
 		r, t, err := g.expr(arg, anyCall)
 		if err != nil {
 			return core.NoReg, 0, err
 		}
-		if r, err = g.convert(r, t, pt); err != nil {
+		if r, err = g.convert(r, t, params[i].typ); err != nil {
 			return core.NoReg, 0, err
 		}
-		regs[i] = r
+		g.argRegs = append(g.argRegs, r)
 	}
 	// Load the callee's entry from the function table (the table slot
 	// address is a link-time constant of this compilation).
@@ -630,24 +672,29 @@ func (g *fnGen) call(ex *CallExpr, wantVar bool) (core.Reg, CType, error) {
 	if err != nil {
 		return core.NoReg, 0, err
 	}
-	slotAddr := g.c.table + uint64(g.c.slots[ex.Name]*g.c.backend.PtrBytes())
+	slotAddr := g.c.table + uint64(int(callee)*g.c.backend.PtrBytes())
 	a.Setp(ptr, int64(slotAddr))
 	a.Ldpi(ptr, ptr, 0)
-	a.StartCall(sig)
-	for i, r := range regs {
+	g.sig = g.sig[:0]
+	for _, p := range params {
+		g.sig = append(g.sig, p.typ.VType())
+	}
+	a.StartCallTypes(g.sig)
+	for i, r := range g.argRegs[base:] {
 		a.SetArg(i, r)
 	}
 	a.CallReg(ptr)
 	g.free(ptr)
-	for _, r := range regs {
+	for _, r := range g.argRegs[base:] {
 		g.free(r)
 	}
-	res, err := g.temp(fd.Ret, wantVar)
+	g.argRegs = g.argRegs[:base]
+	res, err := g.temp(fd.ret, wantVar)
 	if err != nil {
 		return core.NoReg, 0, err
 	}
-	a.RetVal(fd.Ret.VType(), res)
-	return res, fd.Ret, a.Err()
+	a.RetVal(fd.ret.VType(), res)
+	return res, fd.ret, a.Err()
 }
 
 // convert moves a value between tiny-C types, re-homing it in a register
@@ -667,45 +714,4 @@ func (g *fnGen) convert(r core.Reg, from, to CType) (core.Reg, error) {
 	}
 	g.free(r)
 	return nr, g.a.Err()
-}
-
-// --- call analysis ---
-
-func hasCall(e Expr) bool {
-	switch ex := e.(type) {
-	case *CallExpr:
-		return true
-	case *BinExpr:
-		return hasCall(ex.L) || hasCall(ex.R)
-	case *UnExpr:
-		return hasCall(ex.X)
-	case *CastExpr:
-		return hasCall(ex.X)
-	}
-	return false
-}
-
-func hasCallStmt(s Stmt) bool {
-	switch st := s.(type) {
-	case *Block:
-		for _, x := range st.Stmts {
-			if hasCallStmt(x) {
-				return true
-			}
-		}
-	case *DeclStmt:
-		return st.Init != nil && hasCall(st.Init)
-	case *AssignStmt:
-		return hasCall(st.Val)
-	case *ReturnStmt:
-		return hasCall(st.Val)
-	case *IfStmt:
-		return hasCall(st.Cond) || hasCallStmt(st.Then) || (st.Else != nil && hasCallStmt(st.Else))
-	case *WhileStmt:
-		return hasCall(st.Cond) || hasCallStmt(st.Body) ||
-			(st.Post != nil && hasCallStmt(st.Post))
-	case *ExprStmt:
-		return hasCall(st.X)
-	}
-	return false
 }

@@ -28,6 +28,7 @@ func FuzzTinyCCompile(f *testing.F) {
 	f.Add("int f() " + strings.Repeat("{", 2000))
 	f.Add("int f() { return " + strings.Repeat("!", 2000) + "1; }")
 	f.Fuzz(func(t *testing.T, src string) {
+		checkLex(t, src)
 		prog, err := Parse(src)
 		if err != nil {
 			return

@@ -8,18 +8,11 @@ import "fmt"
 // interpretation that dynamic code generation strips (§1).
 type Interp struct {
 	prog  *Program
-	sigs  map[string]*FuncDecl
 	steps int
 }
 
 // NewInterp builds an interpreter over a parsed program.
-func NewInterp(prog *Program) *Interp {
-	in := &Interp{prog: prog, sigs: map[string]*FuncDecl{}}
-	for _, f := range prog.Funcs {
-		in.sigs[f.Name] = f
-	}
-	return in
-}
+func NewInterp(prog *Program) *Interp { return &Interp{prog: prog} }
 
 // CVal is an interpreter value.
 type CVal struct {
@@ -56,10 +49,10 @@ func (v CVal) truthy() bool {
 }
 
 type interpFrame struct {
-	vars []map[string]*CVal
+	vars []map[nameID]*CVal
 }
 
-func (f *interpFrame) lookup(name string) (*CVal, bool) {
+func (f *interpFrame) lookup(name nameID) (*CVal, bool) {
 	for i := len(f.vars) - 1; i >= 0; i-- {
 		if v, ok := f.vars[i][name]; ok {
 			return v, true
@@ -79,30 +72,36 @@ const (
 
 // Call interprets a function.
 func (in *Interp) Call(name string, args ...CVal) (CVal, error) {
-	fd, ok := in.sigs[name]
-	if !ok {
-		return CVal{}, fmt.Errorf("interp: no function %q", name)
+	for i := range in.prog.funcs {
+		if fd := &in.prog.funcs[i]; in.prog.names[fd.name] == name {
+			return in.call(fd, args)
+		}
 	}
-	if len(args) != len(fd.Params) {
-		return CVal{}, fmt.Errorf("interp: %s takes %d args, got %d", name, len(fd.Params), len(args))
+	return CVal{}, fmt.Errorf("interp: no function %q", name)
+}
+
+func (in *Interp) call(fd *funcDecl, args []CVal) (CVal, error) {
+	params := in.prog.paramsOf(fd)
+	if len(args) != len(params) {
+		return CVal{}, fmt.Errorf("interp: %s takes %d args, got %d", in.prog.names[fd.name], len(params), len(args))
 	}
 	in.steps++
 	if in.steps > 1<<22 {
 		return CVal{}, fmt.Errorf("interp: step budget exceeded")
 	}
-	fr := &interpFrame{vars: []map[string]*CVal{{}}}
-	for i, p := range fd.Params {
-		v := convertVal(args[i], p.Type)
-		fr.vars[0][p.Name] = &v
+	fr := &interpFrame{vars: []map[nameID]*CVal{{}}}
+	for i, p := range params {
+		v := convertVal(args[i], p.typ)
+		fr.vars[0][p.name] = &v
 	}
-	rv, flow, err := in.stmt(fr, fd.Body)
+	rv, flow, err := in.stmt(fr, fd.body)
 	if err != nil {
 		return CVal{}, err
 	}
 	if flow != flowReturn {
-		rv = convertVal(IntV(0), fd.Ret)
+		rv = convertVal(IntV(0), fd.ret)
 	}
-	return convertVal(rv, fd.Ret), nil
+	return convertVal(rv, fd.ret), nil
 }
 
 func convertVal(v CVal, to CType) CVal {
@@ -115,58 +114,59 @@ func convertVal(v CVal, to CType) CVal {
 	return IntV(v.toI())
 }
 
-func (in *Interp) stmt(fr *interpFrame, s Stmt) (CVal, ctlFlow, error) {
-	switch st := s.(type) {
-	case *Block:
-		fr.vars = append(fr.vars, map[string]*CVal{})
+func (in *Interp) stmt(fr *interpFrame, id nodeID) (CVal, ctlFlow, error) {
+	st := &in.prog.nodes[id]
+	switch st.kind {
+	case nBlock:
+		fr.vars = append(fr.vars, map[nameID]*CVal{})
 		defer func() { fr.vars = fr.vars[:len(fr.vars)-1] }()
-		for _, x := range st.Stmts {
+		for x := nodeID(st.b); x != noNode; x = in.prog.nodes[x].next {
 			v, flow, err := in.stmt(fr, x)
 			if err != nil || flow != flowNormal {
 				return v, flow, err
 			}
 		}
 		return CVal{}, flowNormal, nil
-	case *DeclStmt:
-		v := convertVal(IntV(0), st.Type)
-		if st.Init != nil {
-			iv, err := in.expr(fr, st.Init)
+	case nDecl:
+		v := convertVal(IntV(0), st.typ)
+		if init := nodeID(st.b); init != noNode {
+			iv, err := in.expr(fr, init)
 			if err != nil {
 				return CVal{}, flowNormal, err
 			}
-			v = convertVal(iv, st.Type)
+			v = convertVal(iv, st.typ)
 		}
-		fr.vars[len(fr.vars)-1][st.Name] = &v
+		fr.vars[len(fr.vars)-1][st.a] = &v
 		return CVal{}, flowNormal, nil
-	case *AssignStmt:
-		slot, ok := fr.lookup(st.Name)
+	case nAssign:
+		slot, ok := fr.lookup(st.a)
 		if !ok {
-			return CVal{}, flowNormal, fmt.Errorf("interp: undefined %q", st.Name)
+			return CVal{}, flowNormal, fmt.Errorf("interp: undefined %q", in.prog.names[st.a])
 		}
-		v, err := in.expr(fr, st.Val)
+		v, err := in.expr(fr, nodeID(st.b))
 		if err != nil {
 			return CVal{}, flowNormal, err
 		}
 		*slot = convertVal(v, slot.T)
 		return CVal{}, flowNormal, nil
-	case *ReturnStmt:
-		v, err := in.expr(fr, st.Val)
+	case nReturn:
+		v, err := in.expr(fr, nodeID(st.a))
 		return v, flowReturn, err
-	case *IfStmt:
-		c, err := in.expr(fr, st.Cond)
+	case nIf:
+		c, err := in.expr(fr, nodeID(st.a))
 		if err != nil {
 			return CVal{}, flowNormal, err
 		}
 		if c.truthy() {
-			return in.stmt(fr, st.Then)
+			return in.stmt(fr, nodeID(st.b))
 		}
-		if st.Else != nil {
-			return in.stmt(fr, st.Else)
+		if els := nodeID(st.c); els != noNode {
+			return in.stmt(fr, els)
 		}
 		return CVal{}, flowNormal, nil
-	case *WhileStmt:
+	case nWhile:
 		for {
-			c, err := in.expr(fr, st.Cond)
+			c, err := in.expr(fr, nodeID(st.a))
 			if err != nil {
 				return CVal{}, flowNormal, err
 			}
@@ -177,7 +177,7 @@ func (in *Interp) stmt(fr *interpFrame, s Stmt) (CVal, ctlFlow, error) {
 			if in.steps > 1<<22 {
 				return CVal{}, flowNormal, fmt.Errorf("interp: step budget exceeded")
 			}
-			v, flow, err := in.stmt(fr, st.Body)
+			v, flow, err := in.stmt(fr, nodeID(st.b))
 			if err != nil {
 				return CVal{}, flowNormal, err
 			}
@@ -188,133 +188,125 @@ func (in *Interp) stmt(fr *interpFrame, s Stmt) (CVal, ctlFlow, error) {
 				return CVal{}, flowNormal, nil
 			}
 			// Normal completion and continue both run the post clause.
-			if st.Post != nil {
-				if _, _, err := in.stmt(fr, st.Post); err != nil {
+			if post := nodeID(st.c); post != noNode {
+				if _, _, err := in.stmt(fr, post); err != nil {
 					return CVal{}, flowNormal, err
 				}
 			}
 		}
-	case *BreakStmt:
+	case nBreak:
 		return CVal{}, flowBreak, nil
-	case *ContinueStmt:
+	case nContinue:
 		return CVal{}, flowContinue, nil
-	case *ExprStmt:
-		_, err := in.expr(fr, st.X)
+	case nExprStmt:
+		_, err := in.expr(fr, nodeID(st.a))
 		return CVal{}, flowNormal, err
 	}
-	return CVal{}, flowNormal, fmt.Errorf("interp: unknown stmt %T", s)
+	return CVal{}, flowNormal, fmt.Errorf("interp: unknown statement kind %d", st.kind)
 }
 
-func (in *Interp) expr(fr *interpFrame, e Expr) (CVal, error) {
-	switch ex := e.(type) {
-	case *IntLit:
-		return IntV(int32(ex.V)), nil
-	case *FloatLit:
-		return DblV(ex.V), nil
-	case *VarRef:
-		v, ok := fr.lookup(ex.Name)
+func (in *Interp) expr(fr *interpFrame, id nodeID) (CVal, error) {
+	ex := &in.prog.nodes[id]
+	switch ex.kind {
+	case nIntLit:
+		return IntV(int32(ex.intVal())), nil
+	case nFloatLit:
+		return DblV(ex.floatVal()), nil
+	case nVarRef:
+		v, ok := fr.lookup(ex.a)
 		if !ok {
-			return CVal{}, fmt.Errorf("interp: undefined %q", ex.Name)
+			return CVal{}, fmt.Errorf("interp: undefined %q", in.prog.names[ex.a])
 		}
 		return *v, nil
-	case *UnExpr:
-		v, err := in.expr(fr, ex.X)
+	case nUn:
+		v, err := in.expr(fr, nodeID(ex.a))
 		if err != nil {
 			return CVal{}, err
 		}
-		switch ex.Op {
-		case "-":
+		if ex.op == pSub {
 			if v.T == CDouble {
 				return DblV(-v.D), nil
 			}
 			return IntV(-v.I), nil
-		case "!":
-			if v.truthy() {
-				return IntV(0), nil
-			}
-			return IntV(1), nil
 		}
-		return CVal{}, fmt.Errorf("interp: unary %q", ex.Op)
-	case *CastExpr:
-		v, err := in.expr(fr, ex.X)
+		return boolV(!v.truthy()), nil
+	case nCast:
+		v, err := in.expr(fr, nodeID(ex.a))
 		if err != nil {
 			return CVal{}, err
 		}
-		return convertVal(v, ex.To), nil
-	case *CallExpr:
-		args := make([]CVal, len(ex.Args))
-		for i, a := range ex.Args {
-			v, err := in.expr(fr, a)
+		return convertVal(v, ex.typ), nil
+	case nCall:
+		var args []CVal
+		for arg := nodeID(ex.b); arg != noNode; arg = in.prog.nodes[arg].next {
+			v, err := in.expr(fr, arg)
 			if err != nil {
 				return CVal{}, err
 			}
-			args[i] = v
+			args = append(args, v)
 		}
-		return in.Call(ex.Name, args...)
-	case *BinExpr:
-		if ex.Op == "&&" || ex.Op == "||" {
-			l, err := in.expr(fr, ex.L)
-			if err != nil {
-				return CVal{}, err
-			}
-			if ex.Op == "&&" && !l.truthy() {
-				return IntV(0), nil
-			}
-			if ex.Op == "||" && l.truthy() {
-				return IntV(1), nil
-			}
-			r, err := in.expr(fr, ex.R)
-			if err != nil {
-				return CVal{}, err
-			}
-			if r.truthy() {
-				return IntV(1), nil
-			}
-			return IntV(0), nil
+		callee := in.prog.funcOf[ex.a]
+		if callee < 0 {
+			return CVal{}, fmt.Errorf("interp: no function %q", in.prog.names[ex.a])
 		}
-		l, err := in.expr(fr, ex.L)
+		return in.call(&in.prog.funcs[callee], args)
+	case nBin:
+		l, err := in.expr(fr, nodeID(ex.a))
 		if err != nil {
 			return CVal{}, err
 		}
-		r, err := in.expr(fr, ex.R)
+		if ex.op == pAndAnd || ex.op == pOrOr {
+			if ex.op == pAndAnd && !l.truthy() {
+				return IntV(0), nil
+			}
+			if ex.op == pOrOr && l.truthy() {
+				return IntV(1), nil
+			}
+			r, err := in.expr(fr, nodeID(ex.b))
+			if err != nil {
+				return CVal{}, err
+			}
+			return boolV(r.truthy()), nil
+		}
+		r, err := in.expr(fr, nodeID(ex.b))
 		if err != nil {
 			return CVal{}, err
 		}
 		if l.T == CDouble || r.T == CDouble {
 			a, b := l.toD(), r.toD()
-			switch ex.Op {
-			case "+":
+			switch ex.op {
+			case pAdd:
 				return DblV(a + b), nil
-			case "-":
+			case pSub:
 				return DblV(a - b), nil
-			case "*":
+			case pMul:
 				return DblV(a * b), nil
-			case "/":
+			case pDiv:
 				return DblV(a / b), nil
-			case "<":
+			case pLt:
 				return boolV(a < b), nil
-			case "<=":
+			case pLe:
 				return boolV(a <= b), nil
-			case ">":
+			case pGt:
 				return boolV(a > b), nil
-			case ">=":
+			case pGe:
 				return boolV(a >= b), nil
-			case "==":
+			case pEq:
 				return boolV(a == b), nil
-			case "!=":
+			case pNe:
 				return boolV(a != b), nil
 			}
-			return CVal{}, fmt.Errorf("interp: double op %q", ex.Op)
+			return CVal{}, fmt.Errorf("interp: double op %d", ex.op)
 		}
 		a, b := l.I, r.I
-		switch ex.Op {
-		case "+":
+		switch ex.op {
+		case pAdd:
 			return IntV(a + b), nil
-		case "-":
+		case pSub:
 			return IntV(a - b), nil
-		case "*":
+		case pMul:
 			return IntV(a * b), nil
-		case "/":
+		case pDiv:
 			if b == 0 {
 				return IntV(0), nil // matches the machine helpers
 			}
@@ -322,7 +314,7 @@ func (in *Interp) expr(fr *interpFrame, e Expr) (CVal, error) {
 				return IntV(a), nil
 			}
 			return IntV(a / b), nil
-		case "%":
+		case pMod:
 			if b == 0 {
 				return IntV(0), nil
 			}
@@ -330,22 +322,22 @@ func (in *Interp) expr(fr *interpFrame, e Expr) (CVal, error) {
 				return IntV(0), nil
 			}
 			return IntV(a % b), nil
-		case "<":
+		case pLt:
 			return boolV(a < b), nil
-		case "<=":
+		case pLe:
 			return boolV(a <= b), nil
-		case ">":
+		case pGt:
 			return boolV(a > b), nil
-		case ">=":
+		case pGe:
 			return boolV(a >= b), nil
-		case "==":
+		case pEq:
 			return boolV(a == b), nil
-		case "!=":
+		case pNe:
 			return boolV(a != b), nil
 		}
-		return CVal{}, fmt.Errorf("interp: int op %q", ex.Op)
+		return CVal{}, fmt.Errorf("interp: int op %d", ex.op)
 	}
-	return CVal{}, fmt.Errorf("interp: unknown expr %T", e)
+	return CVal{}, fmt.Errorf("interp: unknown expression kind %d", ex.kind)
 }
 
 func boolV(b bool) CVal {

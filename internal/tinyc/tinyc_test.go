@@ -381,3 +381,43 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallOrderIsDeclarationOrder: a program lands at the same addresses
+// on every fresh machine, its functions in the order the source declares
+// them (they were installed in map order, so a three-function program had
+// six layouts, and with them six sets of address-dependent words).
+func TestInstallOrderIsDeclarationOrder(t *testing.T) {
+	const src = `
+int zeta(int n) { return n + 1; }
+double alpha(double x) { return x * 0.5; }
+int main(int n) { return zeta(n) + (int)alpha(3.0); }
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range targets() {
+		var first map[string]uint64
+		for trial := 0; trial < 20; trial++ {
+			c := NewCompiler(tg.mk())
+			if err := c.Compile(prog); err != nil {
+				t.Fatalf("%s: %v", tg.name, err)
+			}
+			if got := fmt.Sprint(c.Order()); got != "[zeta alpha main]" {
+				t.Fatalf("%s: Order() = %s", tg.name, got)
+			}
+			addrs := map[string]uint64{}
+			for name, fn := range c.Funcs() {
+				addrs[name] = fn.Addr()
+			}
+			if !(addrs["zeta"] < addrs["alpha"] && addrs["alpha"] < addrs["main"]) {
+				t.Fatalf("%s: trial %d: not installed in declaration order: %#x", tg.name, trial, addrs)
+			}
+			if first == nil {
+				first = addrs
+			} else if fmt.Sprint(addrs) != fmt.Sprint(first) {
+				t.Fatalf("%s: trial %d: layout %#x, first trial's %#x", tg.name, trial, addrs, first)
+			}
+		}
+	}
+}

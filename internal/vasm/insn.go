@@ -23,6 +23,19 @@ const (
 	kBrI
 	kRet
 	kCvt
+	// The instructions that are not an (operation, type) pair.
+	kNop
+	kRetV
+	kJmp
+	kJmpR
+	kStartCall
+	kSetArg
+	kCall
+	kSetSym
+	kCallSym
+	kCallR
+	kRetVal
+	kExt
 )
 
 type insnDef struct {
@@ -32,33 +45,21 @@ type insnDef struct {
 	from, to core.Type
 }
 
-// insnTable maps the paper's instruction names (addii, bltuli, cvi2d, …)
-// onto the generic emitters — built by composition, exactly like the
-// generated method layer.  A construction failure (a typo'd type letter in
-// the table source) is held in insnTableErr and surfaced on first lookup
-// rather than panicking at package init.
-var insnTable, insnTableErr = buildInsnTable()
+// insnTable maps every mnemonic — the paper's instruction names (addii,
+// bltuli, cvi2d, …), built by composition exactly like the generated method
+// layer, and the handful of untyped ones — onto the emitter that takes it.
+var insnTable = buildInsnTable()
 
-func buildInsnTable() (map[string]insnDef, error) {
-	m := map[string]insnDef{}
-	var buildErr error
-	types := func(ss ...string) []core.Type {
-		out := make([]core.Type, len(ss))
-		for i, s := range ss {
-			t, err := core.ParseType(s)
-			if err != nil {
-				if buildErr == nil {
-					buildErr = fmt.Errorf("vasm: instruction table: %w", err)
-				}
-				continue
-			}
-			out[i] = t
-		}
-		return out
+func buildInsnTable() map[string]insnDef {
+	m := map[string]insnDef{
+		"nop": {kind: kNop}, "retv": {kind: kRetV}, "jmp": {kind: kJmp}, "jmpr": {kind: kJmpR},
+		"startcall": {kind: kStartCall}, "setarg": {kind: kSetArg}, "call": {kind: kCall},
+		"setsym": {kind: kSetSym}, "callsym": {kind: kCallSym}, "callr": {kind: kCallR},
+		"retval": {kind: kRetVal}, "ext": {kind: kExt},
 	}
-	word := types("i", "u", "l", "ul")
-	all := types("i", "u", "l", "ul", "p", "f", "d")
-	memT := types("c", "uc", "s", "us", "i", "u", "l", "ul", "p", "f", "d")
+	word := []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}
+	all := append(word[:4:4], core.TypeP, core.TypeF, core.TypeD)
+	memT := append([]core.Type{core.TypeC, core.TypeUC, core.TypeS, core.TypeUS}, all...)
 
 	addFam := func(base string, op core.Op, ts []core.Type, imm bool) {
 		for _, t := range ts {
@@ -72,7 +73,7 @@ func buildInsnTable() (map[string]insnDef, error) {
 	addFam("sub", core.OpSub, all, true)
 	addFam("mul", core.OpMul, all, true)
 	addFam("div", core.OpDiv, all, true)
-	addFam("mod", core.OpMod, types("i", "u", "l", "ul", "p"), true)
+	addFam("mod", core.OpMod, append(word[:4:4], core.TypeP), true)
 	addFam("and", core.OpAnd, word, true)
 	addFam("or", core.OpOr, word, true)
 	addFam("xor", core.OpXor, word, true)
@@ -87,7 +88,7 @@ func buildInsnTable() (map[string]insnDef, error) {
 		{"com", core.OpCom, word},
 		{"not", core.OpNot, word},
 		{"mov", core.OpMov, all},
-		{"neg", core.OpNeg, types("i", "l", "f", "d")},
+		{"neg", core.OpNeg, []core.Type{core.TypeI, core.TypeL, core.TypeF, core.TypeD}},
 	} {
 		for _, t := range u.ts {
 			m[u.base+t.Letter()] = insnDef{kind: kUnary, op: u.op, t: t}
@@ -124,61 +125,90 @@ func buildInsnTable() (map[string]insnDef, error) {
 			}
 		}
 	}
-	return m, buildErr
+	return m
 }
 
-func (p *parser) insn(f []string) error {
-	name, ops := f[0], f[1:]
-	a := p.a
+// operands is how many operands each typed instruction takes (the untyped
+// ones check their own).
+var operands = [kExt + 1]int{kALU: 3, kALUI: 3, kUnary: 2, kSet: 2, kLd: 3, kLdI: 3, kSt: 3, kStI: 3, kBr: 3, kBrI: 3, kRet: 1, kCvt: 2}
 
-	// Directive-like instructions first.
-	switch name {
-	case "nop":
+// regs resolves the first len(out) operands as registers.
+func (p *parser) regs(ops []tok, out []core.Reg) error {
+	for i := range out {
+		r, err := p.reg(ops[i])
+		if err != nil {
+			return err
+		}
+		out[i] = r
+	}
+	return nil
+}
+
+func (p *parser) insn(f []tok) error {
+	name, ops := p.text(f[0]), f[1:]
+	a := p.a
+	d, ok := insnTable[name]
+	if !ok {
+		return p.errf("unknown instruction %q", name)
+	}
+	var r [3]core.Reg
+
+	// The untyped instructions first; each reports the assembler's refusal
+	// as it stands.
+	switch d.kind {
+	case kNop:
 		a.Nop()
 		return a.Err()
-	case "retv":
+	case kRetV:
 		a.RetVoid()
 		return a.Err()
-	case "jmp":
+	case kJmp:
 		if len(ops) != 1 {
 			return p.errf("jmp needs a label")
 		}
-		a.Jmp(p.label(ops[0]))
+		a.Jmp(p.label(p.text(ops[0])))
 		return a.Err()
-	case "jmpr":
-		r, err := p.reg(ops[0])
+	case kJmpR, kCallR:
+		if len(ops) == 0 {
+			return p.errf("%s needs a register", name)
+		}
+		rs, err := p.reg(ops[0])
 		if err != nil {
 			return err
 		}
-		a.JmpReg(r)
+		if d.kind == kJmpR {
+			a.JmpReg(rs)
+		} else {
+			a.CallReg(rs)
+		}
 		return a.Err()
-	case "startcall":
+	case kStartCall:
 		if len(ops) != 1 {
 			return p.errf("startcall needs a signature")
 		}
-		a.StartCall(strings.Trim(ops[0], "()"))
+		a.StartCall(strings.Trim(p.text(ops[0]), "()"))
 		return a.Err()
-	case "setarg":
+	case kSetArg:
 		if len(ops) != 2 {
 			return p.errf("setarg needs: index, reg")
 		}
-		n, err := strconv.Atoi(ops[0])
+		n, err := strconv.Atoi(p.text(ops[0]))
 		if err != nil {
-			return p.errf("bad argument index %q", ops[0])
+			return p.errf("bad argument index %q", p.text(ops[0]))
 		}
-		r, err := p.reg(ops[1])
+		rs, err := p.reg(ops[1])
 		if err != nil {
 			return err
 		}
-		a.SetArg(n, r)
+		a.SetArg(n, rs)
 		return a.Err()
-	case "call":
+	case kCall:
 		if len(ops) != 1 {
 			return p.errf("call needs a function name")
 		}
-		slot, ok := p.prog.slots[ops[0]]
+		slot, ok := p.slot(p.text(ops[0]))
 		if !ok {
-			return p.errf("call to unknown function %q", ops[0])
+			return p.errf("call to unknown function %q", p.text(ops[0]))
 		}
 		ptrReg, err := a.GetReg(core.Temp)
 		if err != nil {
@@ -190,48 +220,41 @@ func (p *parser) insn(f []string) error {
 		a.CallReg(ptrReg)
 		a.PutReg(ptrReg)
 		return a.Err()
-	case "setsym":
+	case kSetSym:
 		if len(ops) != 2 {
 			return p.errf("setsym needs: reg, symbol")
 		}
-		r, err := p.reg(ops[0])
+		rd, err := p.reg(ops[0])
 		if err != nil {
 			return err
 		}
-		a.SetSym(r, ops[1])
+		a.SetSym(rd, p.text(ops[1]))
 		return a.Err()
-	case "callsym":
+	case kCallSym:
 		if len(ops) != 1 {
 			return p.errf("callsym needs a symbol")
 		}
-		a.CallSym(ops[0])
+		a.CallSym(p.text(ops[0]))
 		return a.Err()
-	case "callr":
-		r, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.CallReg(r)
-		return a.Err()
-	case "retval":
+	case kRetVal:
 		if len(ops) != 2 {
 			return p.errf("retval needs: type, reg")
 		}
-		t, err := core.ParseType(ops[0])
+		t, err := core.ParseType(p.text(ops[0]))
 		if err != nil {
 			return p.errf("%v", err)
 		}
-		r, err := p.reg(ops[1])
+		rd, err := p.reg(ops[1])
 		if err != nil {
 			return err
 		}
-		a.RetVal(t, r)
+		a.RetVal(t, rd)
 		return a.Err()
-	case "ext":
+	case kExt:
 		if len(ops) < 3 {
 			return p.errf("ext needs: name, type, rd [, rs...]")
 		}
-		t, err := core.ParseType(ops[1])
+		t, err := core.ParseType(p.text(ops[1]))
 		if err != nil {
 			return p.errf("%v", err)
 		}
@@ -239,208 +262,116 @@ func (p *parser) insn(f []string) error {
 		if err != nil {
 			return err
 		}
-		var rs []core.Reg
-		for _, o := range ops[3:] {
-			r, err := p.reg(o)
-			if err != nil {
-				return err
-			}
-			rs = append(rs, r)
+		rs := make([]core.Reg, len(ops)-3)
+		if err := p.regs(ops[3:], rs); err != nil {
+			return err
 		}
-		a.Ext(ops[0], t, rd, rs...)
+		a.Ext(p.text(ops[0]), t, rd, rs...)
 		return a.Err()
 	}
 
-	if insnTableErr != nil {
-		return insnTableErr
-	}
-	d, ok := insnTable[name]
-	if !ok {
-		return p.errf("unknown instruction %q", name)
-	}
-	need := func(n int) error {
-		if len(ops) != n {
-			return p.errf("%s takes %d operands, got %d", name, n, len(ops))
-		}
-		return nil
+	if n := operands[d.kind]; len(ops) != n {
+		return p.errf("%s takes %d operands, got %d", name, n, len(ops))
 	}
 	switch d.kind {
 	case kALU:
-		if err := need(3); err != nil {
+		if err := p.regs(ops, r[:3]); err != nil {
 			return err
 		}
-		rd, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs1, err := p.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		rs2, err := p.reg(ops[2])
-		if err != nil {
-			return err
-		}
-		a.ALU(d.op, d.t, rd, rs1, rs2)
+		a.ALU(d.op, d.t, r[0], r[1], r[2])
 	case kALUI:
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := p.reg(ops[1])
-		if err != nil {
+		if err := p.regs(ops, r[:2]); err != nil {
 			return err
 		}
 		imm, err := p.imm(ops[2])
 		if err != nil {
 			return err
 		}
-		a.ALUI(d.op, d.t, rd, rs, imm)
+		a.ALUI(d.op, d.t, r[0], r[1], imm)
 	case kUnary:
-		if err := need(2); err != nil {
+		if err := p.regs(ops, r[:2]); err != nil {
 			return err
 		}
-		rd, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := p.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.Unary(d.op, d.t, rd, rs)
+		a.Unary(d.op, d.t, r[0], r[1])
 	case kSet:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := p.reg(ops[0])
-		if err != nil {
+		if err := p.regs(ops, r[:1]); err != nil {
 			return err
 		}
 		switch d.t {
 		case core.TypeF:
-			v, err := strconv.ParseFloat(ops[1], 32)
+			v, err := strconv.ParseFloat(p.text(ops[1]), 32)
 			if err != nil {
-				return p.errf("bad float %q", ops[1])
+				return p.errf("bad float %q", p.text(ops[1]))
 			}
-			a.SetF(rd, float32(v))
+			a.SetF(r[0], float32(v))
 		case core.TypeD:
-			v, err := strconv.ParseFloat(ops[1], 64)
+			v, err := strconv.ParseFloat(p.text(ops[1]), 64)
 			if err != nil {
-				return p.errf("bad double %q", ops[1])
+				return p.errf("bad double %q", p.text(ops[1]))
 			}
-			a.SetD(rd, v)
+			a.SetD(r[0], v)
 		default:
 			imm, err := p.imm(ops[1])
 			if err != nil {
 				return err
 			}
-			a.SetI(d.t, rd, imm)
+			a.SetI(d.t, r[0], imm)
 		}
 	case kLd, kSt:
-		if err := need(3); err != nil {
-			return err
-		}
-		r0, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		r1, err := p.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		r2, err := p.reg(ops[2])
-		if err != nil {
+		if err := p.regs(ops, r[:3]); err != nil {
 			return err
 		}
 		if d.kind == kLd {
-			a.Ld(d.t, r0, r1, r2)
+			a.Ld(d.t, r[0], r[1], r[2])
 		} else {
-			a.St(d.t, r0, r1, r2)
+			a.St(d.t, r[0], r[1], r[2])
 		}
 	case kLdI, kStI:
-		if err := need(3); err != nil {
-			return err
-		}
-		r0, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		r1, err := p.reg(ops[1])
-		if err != nil {
+		if err := p.regs(ops, r[:2]); err != nil {
 			return err
 		}
 		// The offset may be a named local.
 		var off int64
-		if lo, ok := p.locals[ops[2]]; ok {
-			off = lo
-			r1stash := r1
-			_ = r1stash
-			if ops[1] != "sp" {
-				return p.errf("local %q must be addressed off sp", ops[2])
+		if sym := p.syms[p.text(ops[2])]; sym.has&symLocal != 0 {
+			off = sym.local
+			if p.text(ops[1]) != "sp" {
+				return p.errf("local %q must be addressed off sp", p.text(ops[2]))
 			}
 		} else {
-			off, err = p.imm(ops[2])
-			if err != nil {
+			var err error
+			if off, err = p.imm(ops[2]); err != nil {
 				return err
 			}
 		}
 		if d.kind == kLdI {
-			a.LdI(d.t, r0, r1, off)
+			a.LdI(d.t, r[0], r[1], off)
 		} else {
-			a.StI(d.t, r0, r1, off)
+			a.StI(d.t, r[0], r[1], off)
 		}
 	case kBr:
-		if err := need(3); err != nil {
+		if err := p.regs(ops, r[:2]); err != nil {
 			return err
 		}
-		rs1, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs2, err := p.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.Br(d.op, d.t, rs1, rs2, p.label(ops[2]))
+		a.Br(d.op, d.t, r[0], r[1], p.label(p.text(ops[2])))
 	case kBrI:
-		if err := need(3); err != nil {
-			return err
-		}
-		rs, err := p.reg(ops[0])
-		if err != nil {
+		if err := p.regs(ops, r[:1]); err != nil {
 			return err
 		}
 		imm, err := p.imm(ops[1])
 		if err != nil {
 			return err
 		}
-		a.BrI(d.op, d.t, rs, imm, p.label(ops[2]))
+		a.BrI(d.op, d.t, r[0], imm, p.label(p.text(ops[2])))
 	case kRet:
-		if err := need(1); err != nil {
+		if err := p.regs(ops, r[:1]); err != nil {
 			return err
 		}
-		rs, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.Ret(d.t, rs)
+		a.Ret(d.t, r[0])
 	case kCvt:
-		if err := need(2); err != nil {
+		if err := p.regs(ops, r[:2]); err != nil {
 			return err
 		}
-		rd, err := p.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := p.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.Cvt(d.from, d.to, rd, rs)
+		a.Cvt(d.from, d.to, r[0], r[1])
 	default:
 		return p.errf("unhandled instruction kind for %q", name)
 	}

@@ -35,8 +35,11 @@ package vasm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/core"
 )
@@ -47,7 +50,6 @@ type Program struct {
 	Order []string
 
 	machine *core.Machine
-	slots   map[string]int
 	table   uint64
 }
 
@@ -55,30 +57,31 @@ type Program struct {
 // size) Machine.Alloc handed out.  An owner that uninstalls the program's
 // functions returns the table with Machine.Free.
 func (p *Program) Table() (addr uint64, size int) {
-	return p.table, p.machine.Backend().PtrBytes() * len(p.slots)
+	return p.table, p.machine.Backend().PtrBytes() * len(p.Order)
 }
 
 // Assemble parses and assembles src for the machine's backend.  All
 // functions are installed and cross-function calls resolved.  When it
 // fails the function-pointer table goes back to the machine's heap.
 func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("vasm: source of %d bytes is too long", len(src))
+	}
 	p := &parser{
 		machine: machine,
 		backend: machine.Backend(),
-		prog: &Program{
-			Funcs:   map[string]*core.Func{},
-			machine: machine,
-			slots:   map[string]int{},
-		},
+		prog:    &Program{machine: machine},
+		src:     src,
 	}
-	if err := p.scanFuncs(src); err != nil {
+	p.tokenise()
+	if err := p.scanFuncs(); err != nil {
 		return nil, err
 	}
-	if err := p.layoutData(src); err != nil {
+	if err := p.layoutData(); err != nil {
 		return nil, err
 	}
 	ptr := p.backend.PtrBytes()
-	table, err := machine.Alloc(ptr * len(p.prog.slots))
+	table, err := machine.Alloc(ptr * len(p.prog.Order))
 	if err != nil {
 		return nil, err
 	}
@@ -88,15 +91,19 @@ func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 			_ = machine.Free(p.prog.Table()) // the block Alloc just returned
 		}
 	}()
-	if err := p.assemble(src); err != nil {
+	// Every function is built on one borrowed assembler, handed back only
+	// when all of them assembled: after an error it may be mid-build.
+	p.asm = machine.BorrowAsm()
+	if err := p.assemble(); err != nil {
 		return nil, err
 	}
+	machine.ReturnAsm(p.asm)
 	for _, name := range p.prog.Order {
 		if err := machine.Install(p.prog.Funcs[name]); err != nil {
 			return nil, err
 		}
 	}
-	for name, slot := range p.prog.slots {
+	for slot, name := range p.prog.Order {
 		addr := table + uint64(slot*ptr)
 		if err := machine.Mem().Store(addr, ptr, p.prog.Funcs[name].EntryAddr()); err != nil {
 			return nil, err
@@ -114,73 +121,241 @@ func (p *Program) Run(name string, args ...core.Value) (core.Value, error) {
 	return p.machine.Call(fn, args...)
 }
 
+// tok is one token: src[off:end].
+type tok struct{ off, end int32 }
+
+// directive classes a line by its first token, once, for all three phases.
+type directive uint8
+
+const (
+	dirNone directive = iota // an instruction, a label, or nothing
+	dirFunc
+	dirEnd
+	dirData
+	dirWord
+	dirReg
+	dirLocal
+)
+
+// srcLine is one source line: its tokens are toks[previous line's end:end].
+type srcLine struct {
+	end int32
+	dir directive
+}
+
+// symbol is what one name means inside the function being assembled.  A
+// register, a stack slot and a label may share a name: has says which of
+// the three the name currently is.
+type symbol struct {
+	local int64
+	label core.Label
+	reg   core.Reg
+	has   uint8
+}
+
+const (
+	symReg uint8 = 1 << iota
+	symLocal
+	symLabel
+)
+
 type parser struct {
 	machine *core.Machine
 	backend core.Backend
 	prog    *Program
 
+	// The source, tokenised once; scanFuncs, layoutData and assemble each
+	// walk the lines.
+	src   string
+	toks  []tok
+	lines []srcLine
+	slots map[string]int // function name -> slot in the function-pointer table
+
+	asm  *core.Asm // borrowed for the whole program
+	line int
+
 	// per-function state
-	a      *core.Asm
-	name   string
-	regs   map[string]core.Reg
-	locals map[string]int64
-	labels map[string]core.Label
-	line   int
+	a    *core.Asm // asm while between .func and .end, else nil
+	name string
+	args []core.Reg        // arg0..argN; owned by the assembler
+	syms map[string]symbol // .reg, .local and label names; emptied at .func
 }
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("vasm: line %d: %s", p.line, fmt.Sprintf(format, args...))
 }
 
+func (p *parser) text(t tok) string { return p.src[t.off:t.end] }
+
+// lineToks returns the tokens of line i (0-based) and makes it the line
+// errors are reported at.
+func (p *parser) lineToks(i int) []tok {
+	p.line = i + 1
+	first := int32(0)
+	if i > 0 {
+		first = p.lines[i-1].end
+	}
+	return p.toks[first:p.lines[i].end]
+}
+
+// Byte classes of the tokeniser.
+const (
+	cTok  uint8 = iota // part of a token
+	cSep               // a comma or ASCII white space
+	cWide              // 0x80 and up: white space or not, by the rune it starts
+	cSemi              // starts a comment
+	cNL
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 0x80; c < len(t); c++ {
+		t[c] = cWide
+	}
+	for _, c := range []byte(", \t\v\f\r") {
+		t[c] = cSep
+	}
+	t[';'], t['\n'] = cSemi, cNL
+	return t
+}()
+
+// tokenise splits src into lines at "\n" and each line, up to its first ';',
+// into tokens separated by commas and white space — Unicode's, as
+// strings.Fields has it, so a no-break space separates and a stray 0xA0
+// byte does not.
+func (p *parser) tokenise() {
+	src := p.src
+	p.lines = make([]srcLine, 0, strings.Count(src, "\n")+1)
+	// Assembly runs five to seven bytes a token; append covers denser text.
+	p.toks = make([]tok, 0, len(src)/4+8)
+	for pos := 0; ; pos++ { // one line a turn; the increment steps over its "\n"
+		first := len(p.toks)
+		for pos < len(src) {
+			c := byteClass[src[pos]]
+			if c == cSep {
+				pos++
+				continue
+			}
+			if c == cNL {
+				break
+			}
+			if c == cSemi {
+				if nl := strings.IndexByte(src[pos:], '\n'); nl >= 0 {
+					pos += nl
+				} else {
+					pos = len(src)
+				}
+				break
+			}
+			if c == cWide {
+				if r, w := utf8.DecodeRuneInString(src[pos:]); unicode.IsSpace(r) {
+					pos += w
+					continue
+				}
+			}
+			start := pos
+			for pos < len(src) {
+				if c := byteClass[src[pos]]; c == cTok {
+					pos++
+				} else if c != cWide {
+					break
+				} else if r, w := utf8.DecodeRuneInString(src[pos:]); unicode.IsSpace(r) {
+					break
+				} else {
+					pos += w
+				}
+			}
+			p.toks = append(p.toks, tok{int32(start), int32(pos)})
+		}
+		ln := srcLine{end: int32(len(p.toks))}
+		if len(p.toks) > first && src[p.toks[first].off] == '.' {
+			switch p.text(p.toks[first]) {
+			case ".func":
+				ln.dir = dirFunc
+			case ".end":
+				ln.dir = dirEnd
+			case ".data":
+				ln.dir = dirData
+			case ".word":
+				ln.dir = dirWord
+			case ".reg":
+				ln.dir = dirReg
+			case ".local":
+				ln.dir = dirLocal
+			}
+		}
+		p.lines = append(p.lines, ln)
+		if pos >= len(src) {
+			return
+		}
+	}
+}
+
 // scanFuncs pre-registers every function name so calls resolve in any
 // order.
-func (p *parser) scanFuncs(src string) error {
-	for i, raw := range strings.Split(src, "\n") {
-		p.line = i + 1
-		f := fields(raw)
-		if len(f) > 0 && f[0] == ".func" {
-			if len(f) < 2 {
-				return p.errf(".func needs a name")
-			}
-			if _, dup := p.prog.slots[f[1]]; dup {
-				return p.errf("function %q redefined", f[1])
-			}
-			p.prog.slots[f[1]] = len(p.prog.slots)
-			p.prog.Order = append(p.prog.Order, f[1])
+func (p *parser) scanFuncs() error {
+	for i, ln := range p.lines {
+		if ln.dir != dirFunc {
+			continue
 		}
+		f := p.lineToks(i)
+		if len(f) < 2 {
+			return p.errf(".func needs a name")
+		}
+		name := p.text(f[1])
+		if _, dup := p.prog.Funcs[name]; dup {
+			return p.errf("function %q redefined", name)
+		}
+		if p.prog.Funcs == nil {
+			p.prog.Funcs = make(map[string]*core.Func)
+		}
+		p.prog.Funcs[name] = nil // until its .end
+		p.prog.Order = append(p.prog.Order, name)
+	}
+	if p.prog.Funcs == nil {
+		p.prog.Funcs = map[string]*core.Func{}
 	}
 	return nil
 }
 
+// slot returns the function-pointer table slot of a function: its place in
+// Order, looked up through a map the first call instruction builds.
+func (p *parser) slot(name string) (int, bool) {
+	if p.slots == nil {
+		p.slots = make(map[string]int, len(p.prog.Order))
+		for i, fn := range p.prog.Order {
+			p.slots[fn] = i
+		}
+	}
+	i, ok := p.slots[name]
+	return i, ok
+}
+
 // layoutData allocates and fills .data sections and registers their
 // symbols before any code is assembled.
-func (p *parser) layoutData(src string) error {
-	lines := strings.Split(src, "\n")
-	for i := 0; i < len(lines); i++ {
-		p.line = i + 1
-		f := fields(lines[i])
-		if len(f) == 0 || f[0] != ".data" {
+func (p *parser) layoutData() error {
+	for i := 0; i < len(p.lines); i++ {
+		if p.lines[i].dir != dirData {
 			continue
 		}
+		f := p.lineToks(i)
 		if len(f) != 2 {
 			return p.errf(".data needs a name")
 		}
-		name := f[1]
+		name := p.text(f[1])
 		var words []uint32
 		j := i + 1
-		for ; j < len(lines); j++ {
-			p.line = j + 1
-			df := fields(lines[j])
+		for ; j < len(p.lines); j++ {
+			df := p.lineToks(j)
 			if len(df) == 0 {
 				continue
 			}
-			if df[0] != ".word" {
+			if p.lines[j].dir != dirWord {
 				break
 			}
-			for _, tok := range df[1:] {
-				v, err := strconv.ParseInt(tok, 0, 64)
+			for _, t := range df[1:] {
+				v, err := strconv.ParseInt(p.text(t), 0, 64)
 				if err != nil {
-					return p.errf("bad .word value %q", tok)
+					return p.errf("bad .word value %q", p.text(t))
 				}
 				words = append(words, uint32(v))
 			}
@@ -205,33 +380,21 @@ func (p *parser) layoutData(src string) error {
 	return nil
 }
 
-// fields splits an assembly line into tokens, dropping comments and
-// commas.
-func fields(raw string) []string {
-	if i := strings.IndexByte(raw, ';'); i >= 0 {
-		raw = raw[:i]
-	}
-	raw = strings.ReplaceAll(raw, ",", " ")
-	return strings.Fields(raw)
-}
-
-func (p *parser) assemble(src string) error {
-	lines := strings.Split(src, "\n")
-	for i := 0; i < len(lines); i++ {
-		p.line = i + 1
-		f := fields(lines[i])
+func (p *parser) assemble() error {
+	for i, ln := range p.lines {
+		f := p.lineToks(i)
 		if len(f) == 0 {
 			continue
 		}
-		switch f[0] {
-		case ".func":
+		switch ln.dir {
+		case dirFunc:
 			if p.a != nil {
 				return p.errf("nested .func")
 			}
 			if err := p.beginFunc(f[1:]); err != nil {
 				return err
 			}
-		case ".end":
+		case dirEnd:
 			if p.a == nil {
 				return p.errf(".end outside .func")
 			}
@@ -241,16 +404,16 @@ func (p *parser) assemble(src string) error {
 			}
 			p.prog.Funcs[p.name] = fn
 			p.a = nil
-		case ".data", ".word":
+		case dirData, dirWord:
 			// Consumed by layoutData; must sit outside functions.
 			if p.a != nil {
-				return p.errf("%s inside .func", f[0])
+				return p.errf("%s inside .func", p.text(f[0]))
 			}
-		case ".reg":
+		case dirReg:
 			if err := p.declReg(f[1:]); err != nil {
 				return err
 			}
-		case ".local":
+		case dirLocal:
 			if err := p.declLocal(f[1:]); err != nil {
 				return err
 			}
@@ -258,8 +421,8 @@ func (p *parser) assemble(src string) error {
 			if p.a == nil {
 				return p.errf("instruction outside .func")
 			}
-			if strings.HasSuffix(f[0], ":") {
-				p.a.Bind(p.label(strings.TrimSuffix(f[0], ":")))
+			if name := p.text(f[0]); strings.HasSuffix(name, ":") {
+				p.a.Bind(p.label(name[:len(name)-1]))
 				f = f[1:]
 				if len(f) == 0 {
 					continue
@@ -276,29 +439,30 @@ func (p *parser) assemble(src string) error {
 	return nil
 }
 
-func (p *parser) beginFunc(f []string) error {
+func (p *parser) beginFunc(f []tok) error {
 	if len(f) < 2 {
 		return p.errf(".func needs: name (sig) [leaf]")
 	}
-	p.name = f[0]
-	sig := strings.Trim(f[1], "()")
-	leaf := len(f) > 2 && f[2] == "leaf"
-	p.a = core.NewAsm(p.backend)
+	p.name = p.text(f[0])
+	sig := strings.Trim(p.text(f[1]), "()")
+	leaf := len(f) > 2 && p.text(f[2]) == "leaf"
+	p.a = p.asm
 	p.a.SetName(p.name)
 	args, err := p.a.Begin(sig, leaf)
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	p.regs = map[string]core.Reg{}
-	p.locals = map[string]int64{}
-	p.labels = map[string]core.Label{}
-	for i, r := range args {
-		p.regs[fmt.Sprintf("arg%d", i)] = r
+	p.args = args
+	if p.syms == nil {
+		// Room for a function's worth of names from the start; a map grown
+		// to it entry by entry is built twice.
+		p.syms = make(map[string]symbol, 16)
 	}
+	clear(p.syms)
 	return nil
 }
 
-func (p *parser) declReg(f []string) error {
+func (p *parser) declReg(f []tok) error {
 	if p.a == nil {
 		return p.errf(".reg outside .func")
 	}
@@ -306,14 +470,14 @@ func (p *parser) declReg(f []string) error {
 		return p.errf(".reg needs: name temp|var type")
 	}
 	class := core.Temp
-	switch f[1] {
+	switch p.text(f[1]) {
 	case "temp":
 	case "var":
 		class = core.Var
 	default:
-		return p.errf("class %q (want temp or var)", f[1])
+		return p.errf("class %q (want temp or var)", p.text(f[1]))
 	}
-	t, err := core.ParseType(f[2])
+	t, err := core.ParseType(p.text(f[2]))
 	if err != nil {
 		return p.errf("%v", err)
 	}
@@ -326,64 +490,110 @@ func (p *parser) declReg(f []string) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	p.regs[f[0]] = r
+	name := p.text(f[0])
+	sym := p.syms[name]
+	sym.reg, sym.has = r, sym.has|symReg
+	p.syms[name] = sym
 	return nil
 }
 
-func (p *parser) declLocal(f []string) error {
+func (p *parser) declLocal(f []tok) error {
 	if p.a == nil {
 		return p.errf(".local outside .func")
 	}
 	if len(f) != 2 {
 		return p.errf(".local needs: name type")
 	}
-	t, err := core.ParseType(f[1])
+	t, err := core.ParseType(p.text(f[1]))
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	p.locals[f[0]] = p.a.Local(t)
+	name := p.text(f[0])
+	sym := p.syms[name]
+	sym.local, sym.has = p.a.Local(t), sym.has|symLocal
+	p.syms[name] = sym
 	return nil
 }
 
 func (p *parser) label(name string) core.Label {
-	if l, ok := p.labels[name]; ok {
-		return l
+	sym := p.syms[name]
+	if sym.has&symLabel == 0 {
+		sym.label, sym.has = p.a.NewLabel(), sym.has|symLabel
+		p.syms[name] = sym
 	}
-	l := p.a.NewLabel()
-	p.labels[name] = l
-	return l
+	return sym.label
 }
 
-func (p *parser) reg(tok string) (core.Reg, error) {
-	if r, ok := p.regs[tok]; ok {
-		return r, nil
+// reg resolves a register operand: a .reg name first (it may shadow any of
+// the others), then argN, sp, and the hard-coded names tN, sN, ftN, fsN.
+func (p *parser) reg(t tok) (core.Reg, error) {
+	s := p.text(t)
+	if sym := p.syms[s]; sym.has&symReg != 0 {
+		return sym.reg, nil
 	}
-	if tok == "sp" {
+	if n, ok := argIndex(s); ok && n < len(p.args) {
+		return p.args[n], nil
+	}
+	if s == "sp" {
 		return p.a.SP(), nil
 	}
-	for _, h := range []struct {
-		prefix string
-		get    func(int) core.Reg
-	}{
-		{"ft", p.a.FT}, {"fs", p.a.FS}, {"t", p.a.T}, {"s", p.a.S},
-	} {
-		if strings.HasPrefix(tok, h.prefix) {
-			if n, err := strconv.Atoi(tok[len(h.prefix):]); err == nil {
-				r := h.get(n)
-				if err := p.a.Err(); err != nil {
-					return core.NoReg, p.errf("%q: %v", tok, err)
-				}
-				return r, nil
+	if bank, rest := hardBank(s); bank != 0 {
+		if n, err := strconv.Atoi(rest); err == nil {
+			var r core.Reg
+			switch bank {
+			case 't':
+				r = p.a.T(n)
+			case 's':
+				r = p.a.S(n)
+			case 'T':
+				r = p.a.FT(n)
+			default:
+				r = p.a.FS(n)
 			}
+			if err := p.a.Err(); err != nil {
+				return core.NoReg, p.errf("%q: %v", s, err)
+			}
+			return r, nil
 		}
 	}
-	return core.NoReg, p.errf("unknown register %q", tok)
+	return core.NoReg, p.errf("unknown register %q", s)
 }
 
-func (p *parser) imm(tok string) (int64, error) {
-	v, err := strconv.ParseInt(tok, 0, 64)
+// argIndex decodes "arg<N>", N in plain decimal: no sign, no leading zero.
+func argIndex(s string) (n int, ok bool) {
+	if len(s) < 4 || len(s) > 12 || s[:3] != "arg" || s[3] == '0' && len(s) > 4 {
+		return 0, false
+	}
+	for _, c := range []byte(s[3:]) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// hardBank splits a hard-coded register name into its bank — 't', 's', or
+// 'T' and 'S' for the floating-point ft and fs — and the index text that
+// follows; bank 0 means s names none.
+func hardBank(s string) (bank byte, rest string) {
+	switch {
+	case strings.HasPrefix(s, "ft"):
+		return 'T', s[2:]
+	case strings.HasPrefix(s, "fs"):
+		return 'S', s[2:]
+	case strings.HasPrefix(s, "t"):
+		return 't', s[1:]
+	case strings.HasPrefix(s, "s"):
+		return 's', s[1:]
+	}
+	return 0, ""
+}
+
+func (p *parser) imm(t tok) (int64, error) {
+	v, err := strconv.ParseInt(p.text(t), 0, 64)
 	if err != nil {
-		return 0, p.errf("bad immediate %q", tok)
+		return 0, p.errf("bad immediate %q", p.text(t))
 	}
 	return v, nil
 }

@@ -168,9 +168,7 @@ const localSrc = `
 .end
 `
 
-func TestLocalsAndDoubles(t *testing.T) {
-	m := machines()["mips"]
-	prog, err := Assemble(m, localSrc+`
+const doubleSrc = `
 .func half (%d) leaf
 .reg two temp d
     setd   two, 2.0
@@ -185,7 +183,11 @@ func TestLocalsAndDoubles(t *testing.T) {
     ext    sqrt, d, arg0, arg0
     retd   arg0
 .end
-`)
+`
+
+func TestLocalsAndDoubles(t *testing.T) {
+	m := machines()["mips"]
+	prog, err := Assemble(m, localSrc+doubleSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +264,7 @@ func TestAssemblyErrors(t *testing.T) {
 	}
 }
 
-func TestCallSymTrap(t *testing.T) {
-	m := machines()["mips"]
-	conv := m.Backend().DefaultConv()
-	if err := m.DefineTrap("triple", func(c core.CPU, _ *mem.Memory) {
-		c.SetReg(conv.RetInt, 3*c.Reg(conv.IntArgs[0]))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Assemble(m, `
+const callsymSrc = `
 .func t3 (%i)
 .reg r temp i
     startcall (%i)
@@ -279,7 +273,39 @@ func TestCallSymTrap(t *testing.T) {
     retval  i, r
     reti    r
 .end
-`)
+`
+
+// defineTriple registers the trap callsymSrc calls.
+func defineTriple(m *core.Machine) error {
+	conv := m.Backend().DefaultConv()
+	return m.DefineTrap("triple", func(c core.CPU, _ *mem.Memory) {
+		c.SetReg(conv.RetInt, 3*c.Reg(conv.IntArgs[0]))
+	})
+}
+
+// TestRegisterJumpNeedsOperand: jmpr and callr with no operand are refused
+// with a line-numbered error, as every other arity mistake is (they indexed
+// their first operand unchecked, and panicked).
+func TestRegisterJumpNeedsOperand(t *testing.T) {
+	m := machines()["mips"]
+	for src, want := range map[string]string{
+		".func f (%i) leaf\n jmpr\n.end":       "vasm: line 2: jmpr needs a register",
+		".func f (%i)\n\n callr ; r\n.end":     "vasm: line 3: callr needs a register",
+		".func f (%i) leaf\nl: jmpr , ,\n.end": "vasm: line 2: jmpr needs a register",
+	} {
+		_, err := Assemble(m, src)
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", src, err, want)
+		}
+	}
+}
+
+func TestCallSymTrap(t *testing.T) {
+	m := machines()["mips"]
+	if err := defineTriple(m); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Assemble(m, callsymSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/alpha"
 	"repro/internal/ash"
-	"repro/internal/cgbench"
-	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/dcg"
 	"repro/internal/dpf"
@@ -30,7 +28,7 @@ func benchCodegenVCODE(b *testing.B, bk core.Backend, hard bool) {
 	b.ReportAllocs()
 	insns := 0
 	for i := 0; i < b.N; i++ {
-		fn, n, err := cgbench.EmitVCODE(a, cgbench.Blocks, hard)
+		fn, n, err := emitVCODE(a, hard)
 		if err != nil || fn == nil {
 			b.Fatal(err)
 		}
@@ -54,13 +52,13 @@ func BenchmarkCodegenVCODEHardRegs(b *testing.B) { benchCodegenVCODE(b, mips.New
 // emulation dispatch).
 func BenchmarkCodegenRawEmit(b *testing.B) {
 	bk := mips.New()
-	buf := core.NewBuf(16 * cgbench.Blocks)
+	buf := core.NewBuf(16 * blocks)
 	t0, t1 := core.GPR(8), core.GPR(9)
-	insns := 10 * cgbench.Blocks
+	insns := 10 * blocks
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		for j := 0; j < cgbench.Blocks; j++ {
+		for j := 0; j < blocks; j++ {
 			k := int64(j&15 + 1)
 			_ = bk.ALUImm(buf, core.OpAdd, core.TypeI, t0, t1, k)
 			_ = bk.ALUImm(buf, core.OpLsh, core.TypeI, t1, t0, 3)
@@ -82,7 +80,7 @@ func BenchmarkCodegenDCG(b *testing.B) {
 	b.ReportAllocs()
 	insns := 0
 	for i := 0; i < b.N; i++ {
-		fn, n, err := cgbench.EmitDCG(g, cgbench.Blocks)
+		fn, n, err := emitDCG(g)
 		if err != nil || fn == nil {
 			b.Fatal(err)
 		}
@@ -115,7 +113,7 @@ func BenchmarkCodegenVReg(b *testing.B) {
 		v.MovFrom(core.TypeP, base, args[0])
 		v.MovFrom(core.TypeI, n, args[1])
 		r1, r2 := v.Reg(core.TypeI), v.Reg(core.TypeI)
-		for j := 0; j < cgbench.Blocks; j++ {
+		for j := 0; j < blocks; j++ {
 			k := int64(j&15 + 1)
 			v.ALUI(core.OpAdd, core.TypeI, r1, n, k)
 			v.ALUI(core.OpLsh, core.TypeI, r2, r1, 3)
@@ -134,7 +132,7 @@ func BenchmarkCodegenVReg(b *testing.B) {
 		if _, err := a.End(); err != nil {
 			b.Fatal(err)
 		}
-		insns = 10 * cgbench.Blocks
+		insns = 10 * blocks
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insns), "ns/insn")
 }
@@ -370,96 +368,6 @@ func benchStrength(b *testing.B, reduced bool) {
 
 func BenchmarkStrengthReduced(b *testing.B) { benchStrength(b, true) }
 func BenchmarkStrengthNative(b *testing.B)  { benchStrength(b, false) }
-
-// ---- Code cache (internal/codecache): the concurrent compiled-function
-// cache over the JIT.  Hit is the steady-state fast path every cached
-// lookup pays; MissCompile is the full cold cost (compile + install +
-// evict the displaced entry's code region); Concurrent is a mixed
-// hot/cold stream across goroutines through the sharded maps. ----
-
-func benchCacheMachine(b *testing.B, capacity int) (*jit.Machine, *codecache.Cache) {
-	b.Helper()
-	m := jit.NewMachine(mem.Uncosted)
-	return m, codecache.New(codecache.Config{Machine: m.Core(), MaxEntries: capacity})
-}
-
-func BenchmarkCodeCacheHit(b *testing.B) {
-	m, c := benchCacheMachine(b, 8)
-	f := jit.Synthetic(1)
-	key := f.CacheKey()
-	compile := func() (*core.Func, error) { return m.Compile(f) }
-	if _, err := c.GetOrCompile(key, compile); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOrCompile(key, compile); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if s := c.Snapshot(); s.Compiles != 1 {
-		b.Fatalf("hit benchmark compiled %d times", s.Compiles)
-	}
-}
-
-// BenchmarkCodeCacheMissCompile alternates two same-sized functions
-// through a capacity-1 cache, so every request is a miss that compiles,
-// installs into the hole the previous eviction freed, and evicts its
-// predecessor: the complete cold-path cycle.
-func BenchmarkCodeCacheMissCompile(b *testing.B) {
-	m, c := benchCacheMachine(b, 1)
-	fs := []*jit.Func{jit.Synthetic(1), jit.Synthetic(2)}
-	keys := []string{fs[0].CacheKey(), fs[1].CacheKey()}
-	compile := func(i int) func() (*core.Func, error) {
-		return func() (*core.Func, error) { return m.Compile(fs[i]) }
-	}
-	compiles := []func() (*core.Func, error){compile(0), compile(1)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.GetOrCompile(keys[i&1], compiles[i&1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if s := c.Snapshot(); b.N > 2 && s.Hits > uint64(b.N)/2 {
-		b.Fatalf("miss benchmark mostly hit: %+v", s)
-	}
-}
-
-func BenchmarkCodeCacheConcurrent(b *testing.B) {
-	const nkeys, hot = 64, 8
-	m, c := benchCacheMachine(b, 16)
-	keys := make([]string, nkeys)
-	compiles := make([]func() (*core.Func, error), nkeys)
-	for i := range keys {
-		f := jit.Synthetic(int32(i))
-		keys[i] = f.CacheKey()
-		compiles[i] = func() (*core.Func, error) { return m.Compile(f) }
-	}
-	for i := 0; i < hot; i++ { // warm the hot set
-		if _, err := c.GetOrCompile(keys[i], compiles[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			k := i % hot // ~95% hot keys, 5% cold tail forcing eviction churn
-			if i%20 == 19 {
-				k = hot + (i/20)%(nkeys-hot)
-			}
-			if _, err := c.GetOrCompile(keys[k], compiles[k]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
 
 // ---- E8: portable delay-slot scheduling (§5.3) ----
 //

@@ -59,6 +59,26 @@ func TestCompileBatchBasic(t *testing.T) {
 			t.Fatalf("syn%d(10) = %d, want %d", i, got, want)
 		}
 	}
+
+	// The same functions compiled and installed one at a time on a fresh
+	// machine hold the same code volume: the batched install leaks and
+	// pads nothing.
+	serial, err := jit.NewMachineTarget("mips", mem.Uncosted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		fn, err := serial.Compile(jit.Synthetic(int32(i)))
+		if err == nil {
+			err = serial.Core().Install(fn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pooled, want := jm.Core().CodeBytesResident(), serial.Core().CodeBytesResident(); pooled != want {
+		t.Errorf("pooled installs left %d code bytes resident, serial installs %d", pooled, want)
+	}
 }
 
 func TestPoisonedItemFailsAlone(t *testing.T) {

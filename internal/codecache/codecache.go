@@ -550,16 +550,3 @@ func (c *Cache) Snapshot() Metrics {
 		CodeBytes:     c.codeBytes.Load(),
 	}
 }
-
-// String renders the snapshot through the telemetry text formatter — the
-// same rendering path the registry HTTP endpoint uses, so there is one
-// metrics format across the system.
-//
-// Deprecated: bind the live cache to a registry instead (Config.Name or
-// RegisterTelemetry) and render the registry; String survives for
-// existing CLI output and renders a frozen snapshot.
-func (m Metrics) String() string {
-	reg := telemetry.NewRegistry()
-	m.register(reg, "codecache")
-	return "codecache:\n" + reg.TextString()
-}

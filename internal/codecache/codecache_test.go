@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mips"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -234,8 +235,8 @@ func TestCompileErrorNotCached(t *testing.T) {
 // with a key space larger than capacity; meaningful chiefly under -race.
 func TestConcurrentStress(t *testing.T) {
 	m := newTestMachine(t)
-	c := New(Config{MaxEntries: 4, Machine: m})
-	const workers, opsPerWorker, keys = 8, 150, 16
+	const workers, opsPerWorker, keys, capacity = 8, 150, 16, 4
+	c := New(Config{MaxEntries: capacity, Machine: m})
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -268,8 +269,8 @@ func TestConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	s := c.Snapshot()
-	if s.Entries > 4 {
-		t.Errorf("entries %d exceed capacity 4", s.Entries)
+	if s.Entries > capacity {
+		t.Errorf("entries %d exceed capacity %d", s.Entries, capacity)
 	}
 	if s.Hits+s.Misses+s.Coalesced != workers*opsPerWorker {
 		t.Errorf("request accounting off: %+v", s)
@@ -277,17 +278,55 @@ func TestConcurrentStress(t *testing.T) {
 	if s.CompileErrors != 0 {
 		t.Errorf("%d compile errors", s.CompileErrors)
 	}
+
+	// The stream compiled far more code than stays resident: eviction
+	// bounds the arena at capacity functions plus one in flight.
+	var resident []string
+	maxFn := 0
+	for k := 0; k < keys; k++ {
+		if fn, ok := c.Get(fmt.Sprint(k)); ok {
+			resident = append(resident, fmt.Sprint(k))
+			maxFn = max(maxFn, fn.SizeBytes())
+		}
+	}
+	if got, bound := m.CodeBytesResident(), uint64(capacity+1)*uint64(maxFn+64)+4096; got > bound {
+		t.Errorf("resident code %d bytes after %d compiles, want <= %d", got, s.Compiles, bound)
+	}
+
+	// Warm phase: the resident keys, from every worker, compile nothing.
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < opsPerWorker; i++ {
+				_, err := c.GetOrCompile(resident[(w+i)%len(resident)], func() (*core.Func, error) {
+					return nil, errors.New("the hit path compiled")
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if warm := c.Snapshot(); warm.Compiles != s.Compiles || warm.Misses != s.Misses {
+		t.Errorf("warm phase: %d new compiles, %d new misses", warm.Compiles-s.Compiles, warm.Misses-s.Misses)
+	}
 }
 
-// TestMetricsString smoke-tests the human-readable dump.
-func TestMetricsString(t *testing.T) {
+// TestRegisterTelemetry: a named cache's counters read live through the
+// registry's text rendering.
+func TestRegisterTelemetry(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	c := New(Config{Shards: 1, MaxEntries: 1})
+	c.RegisterTelemetry(reg, "t")
 	var n atomic.Int64
 	c.GetOrCompile("a", fake(&n, 4))
 	c.GetOrCompile("a", fake(&n, 4))
 	c.GetOrCompile("b", fake(&n, 4))
-	got := c.Snapshot().String()
-	for _, want := range []string{"codecache_entries 1", "codecache_hits 1", "codecache_evictions 1"} {
+	got := reg.TextString()
+	for _, want := range []string{"codecache_t_entries 1", "codecache_t_hits 1", "codecache_t_evictions 1"} {
 		if !contains(got, want) {
 			t.Errorf("dump missing %q:\n%s", want, got)
 		}

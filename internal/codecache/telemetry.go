@@ -4,9 +4,8 @@ import "repro/internal/telemetry"
 
 // RegisterTelemetry exports the cache's counters through reg as derived
 // gauges named "codecache.<name>.*" — the hit/miss/eviction/single-flight
-// metrics the cache already keeps, re-read live at every snapshot.  The
-// derived hit_rate_pct and mean_compile_ns gauges replace the arithmetic
-// the old ad-hoc Metrics.String formatting performed inline.
+// metrics the cache already keeps, re-read live at every snapshot, plus
+// the derived hit_rate_pct and mean_compile_ns gauges.
 func (c *Cache) RegisterTelemetry(reg *telemetry.Registry, name string) {
 	prefix := "codecache." + name + "."
 	u := func(metric string, load func() uint64) {
@@ -31,30 +30,6 @@ func (c *Cache) RegisterTelemetry(reg *telemetry.Registry, name string) {
 	reg.GaugeFunc(prefix+"mean_compile_ns", func() float64 {
 		return meanCompileNS(c.compileNanos.Load(), c.compiles.Load()+c.compileErrors.Load())
 	})
-}
-
-// register exports a frozen Metrics snapshot (the deprecated String path)
-// through the same gauge names RegisterTelemetry uses live.
-func (m Metrics) register(reg *telemetry.Registry, name string) {
-	prefix := name + "."
-	set := func(metric string, v float64) {
-		reg.GaugeFunc(prefix+metric, func() float64 { return v })
-	}
-	set("hits", float64(m.Hits))
-	set("misses", float64(m.Misses))
-	set("coalesced", float64(m.Coalesced))
-	set("negative_hits", float64(m.NegativeHits))
-	set("compiles", float64(m.Compiles))
-	set("compile_errors", float64(m.CompileErrors))
-	set("compile_panics", float64(m.CompilePanics))
-	set("compile_ns_total", float64(m.CompileNanos))
-	set("evictions", float64(m.Evictions))
-	set("warmed", float64(m.Warmed))
-	set("warm_skipped", float64(m.WarmSkipped))
-	set("entries", float64(m.Entries))
-	set("code_bytes", float64(m.CodeBytes))
-	set("hit_rate_pct", hitRatePct(m.Hits, m.Misses))
-	set("mean_compile_ns", meanCompileNS(m.CompileNanos, m.Compiles+m.CompileErrors))
 }
 
 func hitRatePct(hits, misses uint64) float64 {

@@ -55,17 +55,6 @@ func (e Engine) String() string {
 	return "switch"
 }
 
-// ParseEngine converts a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "switch":
-		return EngineSwitch, nil
-	case "threaded":
-		return EngineThreaded, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want switch or threaded)", s)
-}
-
 // SetEngine selects the execution engine for subsequent calls.  Asking
 // for the threaded engine on a CPU without one reports an error.
 func (m *Machine) SetEngine(e Engine) error {

@@ -182,11 +182,14 @@ func TestResetAndTelemetry(t *testing.T) {
 	}
 }
 
-// edgeMachine builds a mips JIT target with an edge profiler attached and
-// runs a loop-heavy workload so conditional branches resolve many times.
-func edgeMachine(t *testing.T, stride uint64) (*jit.Machine, *profile.EdgeProfiler) {
+// targets are the three backends the end-to-end tests run on.
+var targets = []string{"mips", "sparc", "alpha"}
+
+// edgeMachine builds a JIT target with an edge profiler attached and runs
+// a loop-heavy workload so conditional branches resolve many times.
+func edgeMachine(t *testing.T, target string, stride uint64) (*jit.Machine, *profile.EdgeProfiler) {
 	t.Helper()
-	m, err := jit.NewMachineTarget("mips", mem.Uncosted)
+	m, err := jit.NewMachineTarget(target, mem.Uncosted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,13 @@ func edgeMachine(t *testing.T, stride uint64) (*jit.Machine, *profile.EdgeProfil
 // TestEdgeProfileEndToEnd drives the full path: simulator edge probe →
 // symbolized taken/not-taken counts → bias report.
 func TestEdgeProfileEndToEnd(t *testing.T) {
-	_, e := edgeMachine(t, 3)
+	for _, target := range targets {
+		t.Run(target, func(t *testing.T) { edgeProfileEndToEnd(t, target) })
+	}
+}
+
+func edgeProfileEndToEnd(t *testing.T, target string) {
+	_, e := edgeMachine(t, target, 3)
 	rep := e.Snapshot(-1)
 	if rep.TotalEvents < 100 {
 		t.Fatalf("too few edge events: %d", rep.TotalEvents)
@@ -250,7 +259,7 @@ func TestEdgeProfileEndToEnd(t *testing.T) {
 
 // TestEdgeDetachStops verifies the edge probe is actually removed.
 func TestEdgeDetachStops(t *testing.T) {
-	m, e := edgeMachine(t, 3)
+	m, e := edgeMachine(t, "mips", 3)
 	e.Detach(m.Core())
 	before := e.TotalEvents()
 	fn, err := m.Compile(jit.Synthetic(4))
@@ -278,7 +287,13 @@ func TestEdgeDetachStops(t *testing.T) {
 // branch-bias comments, and reports uninstalled functions instead of
 // silently skipping them.
 func TestAnnotate(t *testing.T) {
-	m, err := jit.NewMachineTarget("mips", mem.Uncosted)
+	for _, target := range targets {
+		t.Run(target, func(t *testing.T) { annotate(t, target) })
+	}
+}
+
+func annotate(t *testing.T, target string) {
+	m, err := jit.NewMachineTarget(target, mem.Uncosted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +331,7 @@ func TestAnnotate(t *testing.T) {
 	var buf bytes.Buffer
 	profile.Annotate(&buf, m.Core().Backend(), []*core.Func{fn, gone}, p, e)
 	out := buf.String()
-	for _, want := range []string{"syn1 [mips]", "; taken", "samples", "syn2 [mips]: not installed"} {
+	for _, want := range []string{"syn1 [" + target + "]", "; taken", "samples", "syn2 [" + target + "]: not installed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("annotated disassembly missing %q:\n%s", want, out)
 		}

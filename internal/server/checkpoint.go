@@ -25,9 +25,9 @@ func (st RecoveryStats) String() string {
 }
 
 // Recover rebuilds the resident set from the last snapshot plus the
-// journal tail, flips readiness, and — when journalPath is non-empty —
-// folds the recovered state into a fresh snapshot, opens a fresh journal
-// for steady-state appends, and starts the periodic checkpointer.
+// journal tail and — when journalPath is non-empty — folds the recovered
+// state into a fresh snapshot, opens a fresh journal for steady-state
+// appends and starts the periodic checkpointer; then it flips readiness.
 //
 // Recovery is tolerant by construction: a missing snapshot is a cold
 // start, a corrupt snapshot is counted and reported but still boots
@@ -120,29 +120,38 @@ func (s *Server) Recover(snapPath, journalPath string) (RecoveryStats, error) {
 	}
 	s.health.Set("snapshot_restored", true)
 	st.Warm, st.Resharded = s.restoreEntries(live)
+	// Before readiness flips: a client that waited for /readyz gets durable
+	// acks, and these fields are set before any request it sends reads them.
+	if journalPath != "" {
+		if err := s.startJournal(snapPath, journalPath); err != nil {
+			firstErr = err
+		}
+	}
 	s.health.Set("warmup_drained", true)
 	st.DurationMS = time.Since(start).Milliseconds()
 	s.recoveryMS.Store(st.DurationMS)
-
-	if journalPath != "" {
-		// Fold the recovered state into a fresh snapshot *before*
-		// truncating the journal: if the fold crashes, the old snapshot
-		// + old journal still reproduce this state on the next boot.
-		if _, err := s.SaveSnapshot(snapPath); err != nil {
-			return st, fmt.Errorf("server: recovery checkpoint failed, journaling disabled: %w", err)
-		}
-		_ = os.Remove(journalPath + ".rot")
-		j, err := openJournal(journalPath, s.cfg.FsyncInterval, s.cfg.Injector, s.cfg.Registry)
-		if err != nil {
-			return st, fmt.Errorf("server: opening journal, journaling disabled: %w", err)
-		}
-		s.journal = j
-		s.snapPath, s.jrnlPath = snapPath, journalPath
-		if s.cfg.CheckpointInterval > 0 {
-			s.startCheckpoints(s.cfg.CheckpointInterval)
-		}
-	}
 	return st, firstErr
+}
+
+// startJournal folds the recovered state into a fresh snapshot, opens a
+// fresh journal for steady-state appends and starts the checkpointer.
+func (s *Server) startJournal(snapPath, journalPath string) error {
+	// Fold *before* truncating the journal: if the fold crashes, the old
+	// snapshot + old journal still reproduce this state on the next boot.
+	if _, err := s.SaveSnapshot(snapPath); err != nil {
+		return fmt.Errorf("server: recovery checkpoint failed, journaling disabled: %w", err)
+	}
+	_ = os.Remove(journalPath + ".rot")
+	j, err := openJournal(journalPath, s.cfg.FsyncInterval, s.cfg.Injector, s.cfg.Registry)
+	if err != nil {
+		return fmt.Errorf("server: opening journal, journaling disabled: %w", err)
+	}
+	s.journal = j
+	s.snapPath, s.jrnlPath = snapPath, journalPath
+	if s.cfg.CheckpointInterval > 0 {
+		s.startCheckpoints(s.cfg.CheckpointInterval)
+	}
+	return nil
 }
 
 // Checkpoint folds the current resident set and the journal into a new

@@ -19,7 +19,7 @@ import (
 //
 // The latency assertion is deliberately generous and absolute (shared
 // CI boxes): the point is "victim p99 stays in the same universe", not
-// a benchmark — the bench-gate tracks regressions statistically.
+// a benchmark — latency is measured by `go run ./bench` (serve_hot).
 const victimP99Bound = 500 * time.Millisecond
 
 // quietPost is the raw client used by the isolation hammer: no testing

@@ -347,3 +347,69 @@ func TestGracefulDrain(t *testing.T) {
 	})
 	wantErrCode(t, status, out, http.StatusServiceUnavailable, CodeShuttingDown)
 }
+
+// TestReadyMeansJournalOpen: a server that listens while it recovers (as
+// vcoded does) turns ready only once its journal is open, so the first
+// request of a client that waited for readiness is acknowledged durably.
+func TestReadyMeansJournalOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Shards: 2, AllowUnknownTenants: true, Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTP(t, s)
+	defer func() { ts.Close(); s.Close() }()
+	recovered := make(chan error, 1)
+	go func() {
+		_, err := s.Recover(filepath.Join(dir, "s.vcsnap"), filepath.Join(dir, "j.vcjrnl"))
+		recovered <- err
+	}()
+	waitFor(t, "readiness", func() bool { ready, _ := s.Health().Ready(); return ready })
+	status, out := post(t, ts, "/v1/exec", map[string]any{
+		"tenant": "a", "lang": "tinyc", "source": "int main(int n) { return n + 1; }", "args": []int{1},
+	})
+	if status != http.StatusOK || out["durable"] != true {
+		t.Errorf("first request after readiness: status %d, %v; want a durable ack", status, out)
+	}
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointKeepsInFlightUnit: a miss whose journal record fsynced
+// into the generation a checkpoint then retires, but which has not yet
+// returned to the cache when the checkpoint walks the resident set, must
+// be in the snapshot — publishing the rotation deletes the only journal
+// record of a unit that is about to be acknowledged durable.
+func TestCheckpointKeepsInFlightUnit(t *testing.T) {
+	dir := t.TempDir()
+	snap, jrnl := filepath.Join(dir, "s.vcsnap"), filepath.Join(dir, "j.vcjrnl")
+	s1, ts1, _, err := newJournaledServer(t, 2, snap, jrnl)
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	const source = "int main(int n) { return n * 5 + 1; }"
+	key := contentKey(LangTinyC, "", source)
+	sh := s1.shards[shardOf(key, 2)]
+	// The first half of a miss, as Server.compile runs it inside the
+	// cache's flight: compile, register, journal.
+	u, err := compileUnit(sh.machine, key, "alice", LangTinyC, source, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.register(u)
+	if _, err := s1.journal.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id), Shards: 2}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	s1.Close() // no final checkpoint: a crash
+
+	_, ts2, _, err := newJournaledServer(t, 2, snap, jrnl)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	verifyKeys(t, ts2, map[string]int64{key: 16})
+}

@@ -80,17 +80,18 @@ func snapEntryOf(u *unit, shardID int) snapEntry {
 
 // SaveSnapshot writes the warm-cache snapshot for every shard to path
 // (atomically: temp file, fsync, rename).  It returns the number of
-// programs saved.
+// programs saved.  It walks the registered units, not the cache's ready
+// entries: a miss registers its unit before it journals it, so a unit
+// whose record is in the generation a checkpoint retires is saved even
+// if its flight has not yet returned to the cache.
 func (s *Server) SaveSnapshot(path string) (int, error) {
 	file := snapFile{Backend: s.cfg.Backend, Shards: len(s.shards)}
 	for _, sh := range s.shards {
-		sh.cache.Each(func(key string, fn *core.Func) {
-			u := sh.unit(key)
-			if u == nil {
-				return
-			}
+		sh.mu.Lock()
+		for _, u := range sh.units {
 			file.Entries = append(file.Entries, snapEntryOf(u, sh.id))
-		})
+		}
+		sh.mu.Unlock()
 	}
 	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].Key < file.Entries[j].Key })
 

@@ -335,8 +335,8 @@ func (w *Watchdog) setDegraded(t *Tracker, state *atomic.Bool, breached bool, re
 }
 
 // View evaluates nothing but reads every tracker's current window — the
-// snapshot path for /v1/stats, cgbench records and bundles, valid even
-// before the first tick.
+// snapshot path for /v1/stats and bundles, valid even before the first
+// tick.
 func (w *Watchdog) View() Snapshot {
 	snap := Snapshot{
 		WindowMS:           w.obj.Window.Milliseconds(),

@@ -370,7 +370,7 @@ func buildClamp(a *core.Asm) (*core.Func, error) {
 
 // TestOracleHotLoops drives the loop-shaped workloads through the oracle
 // on all three backends, asserts formation actually restructured them,
-// and requires the optimized body to cost fewer cycles.
+// and requires the optimized body to cost at least 15% fewer cycles.
 func TestOracleHotLoops(t *testing.T) {
 	for _, tgt := range regtest.Targets() {
 		tgt := tgt
@@ -442,9 +442,13 @@ func TestOracleHotLoops(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep.Detach(m2) // measure tier-2 cycles without probe overhead
+			// The tier's floor, in exact simulated cycles: at least 15%
+			// fewer per call than tier 2 (measured 1.93x mips, 1.35x
+			// sparc, 2.00x alpha).
 			c2, c3 := cycles(m2, fn2), cycles(m3, fn3)
-			if c3 >= c2 {
-				t.Fatalf("superblock not faster: tier-2 %d cycles, tier-3 %d", c2, c3)
+			t.Logf("tier-2 %d cycles, tier-3 %d (%.2fx)", c2, c3, float64(c2)/float64(c3))
+			if 100*c2 < 115*c3 {
+				t.Fatalf("superblock below the 1.15x floor: tier-2 %d cycles, tier-3 %d", c2, c3)
 			}
 
 			var ctrain [][]core.Value

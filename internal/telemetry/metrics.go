@@ -166,8 +166,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Summary is the compact five-number reduction of a histogram, sized for
-// bounded machine-readable records (the cgbench/v2 bench artifact) and
-// one-line human renderings (the trace timeline).  P50/P99 are estimated
+// bounded machine-readable records (the diagnostic bundle's
+// metrics_summary.json) and one-line human renderings (the trace timeline).  P50/P99 are estimated
 // from the bucket layout: the reported value is the upper bound of the
 // bucket the quantile falls in, clamped to the observed [Min, Max].
 type Summary struct {

@@ -55,6 +55,15 @@ loc:
 	done
 	@printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
+# internal/ packages that no non-test code in the module imports: test
+# harnesses belong here, anything else is a candidate for deletion
+# (ROADMAP item 7).  Print-only, like loc.
+orphans:
+	@imported=$$(go list -f '{{join .Imports "\n"}}' ./...); \
+	for pkg in $$(go list ./internal/...); do \
+		echo "$$imported" | grep -qx "$$pkg" || echo "$$pkg"; \
+	done
+
 bench:
 	go test -bench . -benchtime 1s .
 
@@ -93,4 +102,4 @@ bench-cold:
 	go test -run '^$$' -bench BenchmarkColdPath -benchtime 20000x -count 3 \
 		./internal/jit ./internal/tinyc ./internal/vasm
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc bench bench-miss bench-call bench-emit bench-cold
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc orphans bench bench-miss bench-call bench-emit bench-cold

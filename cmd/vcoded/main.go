@@ -6,7 +6,7 @@
 // machine arenas, tenants get fuel / resident-bytes / compile-concurrency
 // / request-rate quotas, and -snapshot gives warm-cache restarts: the
 // resident programs are serialized on shutdown and re-verified back in on
-// boot, with /readyz turning ready only once the restore warmup drains.
+// boot, with /readyz turning ready only once the restore has finished.
 //
 // Crash safety: -journal adds an incremental write-ahead journal beside
 // the snapshot.  Every compile is group-committed (fsynced) before its
@@ -80,7 +80,7 @@ func main() {
 		addr       = flag.String("addr", ":8753", "listen address")
 		backend    = flag.String("backend", "mips", "simulated target (mips, sparc, alpha)")
 		shards     = flag.Int("shards", 4, "machine arenas (code-cache shards)")
-		workers    = flag.Int("workers", 2, "compile-pool workers per shard")
+		workers    = flag.Int("workers", 2, "concurrent miss compiles per shard")
 		maxEntries = flag.Int("max-entries", 512, "cached programs per shard")
 		maxBytes   = flag.Int64("max-code-bytes", 1<<20, "resident code bytes per shard")
 		queueBound = flag.Int64("queue-bound", 64, "compile-queue depth before 429 queue_full")
@@ -232,7 +232,7 @@ func main() {
 		"addr", *addr, "backend", *backend, "shards", *shards, "workers_per_shard", *workers)
 
 	// Recover after the listener is up: /healthz answers immediately,
-	// /readyz flips only once the warmup flights drain.  Recovery is
+	// /readyz flips only once the restore has finished.  Recovery is
 	// tolerant — a corrupt snapshot or torn journal boots cold or
 	// partially warm with a typed line, never fatally.
 	st, err := srv.Recover(*snapshot, *journalPath)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/mem"
-	"repro/internal/telemetry"
 )
 
 func newPool(t *testing.T, workers int) (*jit.Machine, *batch.Pool) {
@@ -29,7 +27,7 @@ func newPool(t *testing.T, workers int) (*jit.Machine, *batch.Pool) {
 	return jm, p
 }
 
-// synReq compiles jit.Synthetic(k) through the worker's assembler.
+// synReq compiles jit.Synthetic(k) on the assembler it is lent.
 func synReq(k int32) batch.Request {
 	return batch.Request{
 		Name:    fmt.Sprintf("syn%d", k),
@@ -60,9 +58,8 @@ func TestCompileBatchBasic(t *testing.T) {
 		}
 	}
 
-	// The same functions compiled and installed one at a time on a fresh
-	// machine hold the same code volume: the batched install leaks and
-	// pads nothing.
+	// The same functions compiled and installed by hand on a fresh machine
+	// hold the same code volume.
 	serial, err := jit.NewMachineTarget("mips", mem.Uncosted)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +74,7 @@ func TestCompileBatchBasic(t *testing.T) {
 		}
 	}
 	if pooled, want := jm.Core().CodeBytesResident(), serial.Core().CodeBytesResident(); pooled != want {
-		t.Errorf("pooled installs left %d code bytes resident, serial installs %d", pooled, want)
+		t.Errorf("CompileBatch left %d code bytes resident, Compile + Install %d", pooled, want)
 	}
 }
 
@@ -89,8 +86,16 @@ func TestPoisonedItemFailsAlone(t *testing.T) {
 		{Name: "panics", Compile: func(a *core.Asm) (*core.Func, error) { panic("kaboom") }},
 		{Name: "errors", Compile: func(a *core.Asm) (*core.Func, error) { return nil, boom }},
 		synReq(2),
+		// An undecodable word outside any constant pool: Install's verifier
+		// rejects it.
+		{Name: "unverifiable", Compile: func(a *core.Asm) (*core.Func, error) {
+			return &core.Func{Name: "poison", BackendName: "mips", Words: []uint32{0xffffffff}, PoolStart: 1}, nil
+		}},
 	}
 	res := p.CompileBatch(context.Background(), reqs)
+	if res[4].Err == nil || res[4].Func != nil {
+		t.Fatalf("res[4] = %v, %v, want no function and the verifier's error", res[4].Func, res[4].Err)
+	}
 	var pe *batch.PanicError
 	if !errors.As(res[1].Err, &pe) || pe.Name != "panics" {
 		t.Fatalf("res[1].Err = %v, want *batch.PanicError", res[1].Err)
@@ -109,44 +114,40 @@ func TestPoisonedItemFailsAlone(t *testing.T) {
 }
 
 // TestCancelMidBatch cancels the context from inside one item's compile
-// callback: later compiles are skipped, the batched install aborts, and
-// the machine arena is exactly as before — nothing half-installed.
+// callback: that item and the ones before it install, every later item
+// reports the cancellation and leaves nothing behind.
 func TestCancelMidBatch(t *testing.T) {
 	jm, p := newPool(t, 2)
 	m := jm.Core()
-	resident := m.CodeBytesResident()
-	spans := len(m.FuncSpans())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const n = 16
+	const n, stopAt = 16, 4
 	reqs := make([]batch.Request, n)
 	for i := range reqs {
 		k := int32(i)
 		reqs[i] = batch.Request{
 			Name: fmt.Sprintf("syn%d", k),
 			Compile: func(a *core.Asm) (*core.Func, error) {
-				if k == 4 {
+				if k == stopAt {
 					cancel()
 				}
 				return jit.CompileInto(a, jit.Synthetic(k))
 			},
 		}
 	}
+	before := m.ArenaStats().Funcs
 	res := p.CompileBatch(ctx, reqs)
 	for i, r := range res {
-		if r.Err == nil {
-			t.Fatalf("item %d: nil error after mid-batch cancel", i)
-		}
-		if r.Func != nil && m.Installed(r.Func) {
-			t.Fatalf("item %d installed despite cancel", i)
+		switch {
+		case i <= stopAt && (r.Err != nil || !m.Installed(r.Func)):
+			t.Fatalf("item %d, compiled before the cancel: err %v", i, r.Err)
+		case i > stopAt && (!errors.Is(r.Err, context.Canceled) || r.Func != nil):
+			t.Fatalf("item %d, after the cancel: func %v, err %v", i, r.Func, r.Err)
 		}
 	}
-	if got := m.CodeBytesResident(); got != resident {
-		t.Fatalf("resident code %d after canceled batch, want %d", got, resident)
-	}
-	if got := len(m.FuncSpans()); got != spans {
-		t.Fatalf("span count %d after canceled batch, want %d", got, spans)
+	if got := m.ArenaStats().Funcs - before; got != stopAt+1 {
+		t.Fatalf("%d functions installed by a batch canceled at item %d", got, stopAt)
 	}
 	// The pool stays usable with a fresh context.
 	res = p.CompileBatch(context.Background(), []batch.Request{synReq(3)})
@@ -155,63 +156,6 @@ func TestCancelMidBatch(t *testing.T) {
 	}
 	if got, _, err := jm.Run(res[0].Func, 10); err != nil || got != 415 {
 		t.Fatalf("run after cancel = %d, %v", got, err)
-	}
-}
-
-func TestSubmitAsyncAndCloseWaits(t *testing.T) {
-	_, p := newPool(t, 2)
-	var done atomic.Int32
-	for b := 0; b < 3; b++ {
-		reqs := []batch.Request{synReq(int32(b)), synReq(int32(b + 100))}
-		err := p.Submit(context.Background(), reqs, func(res []batch.Result) {
-			for _, r := range res {
-				if r.Err != nil {
-					t.Errorf("submit item: %v", r.Err)
-				}
-			}
-			done.Add(1)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Close() // must wait for all accepted submits and their callbacks
-	if got := done.Load(); got != 3 {
-		t.Fatalf("%d callbacks ran by Close return, want 3", got)
-	}
-	if err := p.Submit(context.Background(), []batch.Request{synReq(9)}, nil); !errors.Is(err, batch.ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
-	res := p.CompileBatch(context.Background(), []batch.Request{synReq(9)})
-	if !errors.Is(res[0].Err, batch.ErrClosed) {
-		t.Fatalf("CompileBatch after Close = %v, want ErrClosed", res[0].Err)
-	}
-}
-
-func TestPoolTelemetry(t *testing.T) {
-	telemetry.SetEnabled(true)
-	defer telemetry.SetEnabled(false)
-	_, p := newPool(t, 2)
-	reg := telemetry.NewRegistry()
-	p.RegisterTelemetry(reg, "t")
-	res := p.CompileBatch(context.Background(), []batch.Request{synReq(1), synReq(2), synReq(3)})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap["batch.t.batches"]; got != uint64(1) {
-		t.Fatalf("batches = %v, want 1", got)
-	}
-	if got := snap["batch.t.items"]; got != uint64(3) {
-		t.Fatalf("items = %v, want 3", got)
-	}
-	if _, ok := snap["batch.t.queue_depth"]; !ok {
-		t.Fatal("queue_depth gauge missing")
-	}
-	if _, ok := snap["batch.t.compile_ns"]; !ok {
-		t.Fatal("compile_ns histogram missing")
 	}
 }
 

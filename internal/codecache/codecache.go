@@ -15,6 +15,8 @@
 package codecache
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -47,9 +49,10 @@ type Config struct {
 	// FailureBackoff, when positive, negative-caches failed compiles:
 	// requests for a key whose compile just failed are answered with the
 	// cached error (no recompile) until the backoff expires, so a bad key
-	// under heavy traffic cannot form a compile storm.  Zero keeps the
-	// legacy behaviour — failures are not cached and the next request
-	// retries immediately.
+	// under heavy traffic cannot form a compile storm.  A compile that ends
+	// in context.Canceled or DeadlineExceeded is never cached: the caller
+	// gave up, the key did not fail.  Zero keeps the legacy behaviour —
+	// failures are not cached and the next request retries immediately.
 	FailureBackoff time.Duration
 	// Name, when non-empty, registers the cache's counters in the
 	// process-wide telemetry registry under "codecache.<Name>.*", so the
@@ -108,7 +111,6 @@ type Cache struct {
 	evictions, compiles         atomic.Uint64
 	compileErrors, compileNanos atomic.Uint64
 	compilePanics, negativeHits atomic.Uint64
-	warmed, warmSkipped         atomic.Uint64
 	entries, codeBytes          atomic.Int64
 }
 
@@ -205,7 +207,8 @@ func (c *Cache) shard(key string) *shard {
 // rest wait for its result.  A compile that fails — or panics; the panic
 // is recovered into a *CompilePanicError — always closes the flight, so
 // waiters never deadlock.  Failed keys are negative-cached for
-// Config.FailureBackoff (not at all when zero — the next request retries).
+// Config.FailureBackoff (not at all when zero — the next request retries),
+// except when the failure is a context cancellation or deadline.
 func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error) {
 	var lkStart time.Time
 	if trace.Enabled() {
@@ -264,7 +267,9 @@ func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error
 		c.compileErrors.Add(1)
 		e.err = err
 		s.mu.Lock()
-		if c.failureBackoff > 0 {
+		// The caller's own cancellation or deadline is no verdict on the
+		// key: it settles this flight and is not remembered.
+		if c.failureBackoff > 0 && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			e.failed = true
 			e.negUntil = time.Now().Add(c.failureBackoff)
 		} else {
@@ -432,9 +437,6 @@ func (c *Cache) drop(e *entry, evicted bool) {
 	c.codeBytes.Add(-e.size)
 	if evicted {
 		c.evictions.Add(1)
-		if telemetry.Enabled() {
-			telemetry.TraceRecord(telemetry.PhaseEvict, e.fn.BackendName, e.fn.Name, 0, e.size)
-		}
 	}
 	if c.machine != nil {
 		// A racing caller may already be re-running the function (Call
@@ -522,9 +524,6 @@ type Metrics struct {
 	CompilePanics, NegativeHits uint64
 	// Evictions counts capacity-driven removals.
 	Evictions uint64
-	// Warmed counts entries inserted by WarmUp batches; WarmSkipped
-	// counts WarmUp items that were already ready or in flight.
-	Warmed, WarmSkipped uint64
 	// Entries and CodeBytes describe current residency as accounted by
 	// the cache (the bound Machine's CodeBytesResident may differ if
 	// other clients install code too).
@@ -544,8 +543,6 @@ func (c *Cache) Snapshot() Metrics {
 		CompilePanics: c.compilePanics.Load(),
 		NegativeHits:  c.negativeHits.Load(),
 		Evictions:     c.evictions.Load(),
-		Warmed:        c.warmed.Load(),
-		WarmSkipped:   c.warmSkipped.Load(),
 		Entries:       c.entries.Load(),
 		CodeBytes:     c.codeBytes.Load(),
 	}

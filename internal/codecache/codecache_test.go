@@ -1,6 +1,7 @@
 package codecache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -491,6 +492,38 @@ func TestLookupTraceVerdicts(t *testing.T) {
 	for _, s := range trace.Spans() {
 		if s.Kind == trace.KindLookup && s.Attrs.Verdict == "hit" && s.Name != "fake" {
 			t.Errorf("hit span name = %q, want compiled function name", s.Name)
+		}
+	}
+}
+
+// A compile that ends in the caller's own cancellation or deadline is no
+// verdict on the key: the flight settles with the error for whoever waited
+// on it, but nothing is negative-cached, so the next caller inside the
+// backoff window compiles.  (A client that gave up while queued for a
+// compile slot used to poison the key for every tenant for the whole
+// backoff.)
+func TestCancellationIsNotNegativeCached(t *testing.T) {
+	for _, gaveUp := range []error{context.Canceled, context.DeadlineExceeded} {
+		var results []error
+		c := New(Config{
+			FailureBackoff:  time.Minute,
+			OnCompileResult: func(_ string, err error) { results = append(results, err) },
+		})
+		wrapped := fmt.Errorf("waiting for a compile slot: %w", gaveUp)
+		if _, err := c.GetOrCompile("k", func() (*core.Func, error) { return nil, wrapped }); !errors.Is(err, gaveUp) {
+			t.Fatalf("first caller: err = %v, want %v", err, gaveUp)
+		}
+		var n atomic.Int64
+		if _, err := c.GetOrCompile("k", fake(&n, 4)); err != nil || n.Load() != 1 {
+			t.Fatalf("second caller inside the backoff: err = %v after %d compiles, want its own compile", err, n.Load())
+		}
+		if m := c.Snapshot(); m.NegativeHits != 0 || !c.Contains("k") {
+			t.Errorf("NegativeHits = %d, resident %v; want 0, true", m.NegativeHits, c.Contains("k"))
+		}
+		// One flight, one report each: the breaker above the cache decides
+		// what a cancellation means to it.
+		if len(results) != 2 || !errors.Is(results[0], gaveUp) || results[1] != nil {
+			t.Errorf("OnCompileResult saw %v, want [%v, nil]", results, gaveUp)
 		}
 	}
 }

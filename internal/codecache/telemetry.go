@@ -20,8 +20,6 @@ func (c *Cache) RegisterTelemetry(reg *telemetry.Registry, name string) {
 	u("compile_panics", c.compilePanics.Load)
 	u("compile_ns_total", c.compileNanos.Load)
 	u("evictions", c.evictions.Load)
-	u("warmed", c.warmed.Load)
-	u("warm_skipped", c.warmSkipped.Load)
 	reg.GaugeFunc(prefix+"entries", func() float64 { return float64(c.entries.Load()) })
 	reg.GaugeFunc(prefix+"code_bytes", func() float64 { return float64(c.codeBytes.Load()) })
 	reg.GaugeFunc(prefix+"hit_rate_pct", func() float64 {

@@ -450,7 +450,6 @@ func (a *Asm) End() (*Func, error) {
 			a.tstats.EmitNS.Observe(uint64(d))
 			a.tstats.Insns.Add(uint64(a.insnCount))
 			a.tstats.Funcs.Inc()
-			telemetry.TraceRecord(telemetry.PhaseEmit, a.backend.Name(), a.name, d, int64(a.insnCount))
 		}
 		if trace.Enabled() {
 			trace.Record(trace.KindEmit, a.backend.Name(), a.name, fn.lifecycleFlow(),

@@ -9,8 +9,7 @@ package core
 const (
 	// maxIdleAsms is how many idle assemblers a machine keeps: enough for
 	// the compiles that overlap on one machine (a server shard's compile
-	// slots, a batch pool's workers between items); one returned beyond it
-	// is dropped.
+	// slots); one returned beyond it is dropped.
 	maxIdleAsms = 4
 	// maxIdleAsmWords keeps one enormous function from pinning its code
 	// buffer to the machine for good.

@@ -20,9 +20,7 @@ import (
 type ThreadedCPU interface {
 	CPU
 	// Predecode unpacks words (already linked, as installed at base) into
-	// a threaded body.  It must be a pure function of its arguments —
-	// InstallBatch calls it from unlocked worker goroutines while the
-	// simulator may be running.
+	// a threaded body.  It must be a pure function of its arguments.
 	Predecode(words []uint32, base uint64) *exec.Body
 	// RunBody executes up to allow instructions starting at body index
 	// idx, returning how many retired.  On return the CPU's PC is
@@ -120,8 +118,7 @@ func (m *Machine) dropBodies(addr, size uint64) {
 	// The slice is sorted by Base and bodies never overlap each other
 	// (attachBody drops intersections first), so the bodies hit by
 	// [addr, end) form one contiguous run.  Binary-search its start —
-	// a linear filter here made every install O(resident bodies), which
-	// the batch pipeline turns into O(n²).
+	// a linear filter here made every install O(resident bodies).
 	lo, hi := 0, n // first body with End() > addr
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -148,9 +148,9 @@ func (f *Func) lifecycleFlow() uint64 {
 	return f.flow
 }
 
-// unplace forgets where f was (or was about to be) resident: Uninstall,
-// a rejected install and an aborted batch all end here, so the call plan
-// can never outlive installed.
+// unplace forgets where f was (or was about to be) resident: Uninstall
+// and a rejected install both end here, so the call plan can never outlive
+// installed.
 func (f *Func) unplace() {
 	f.addr = 0
 	f.installed = false

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -301,22 +300,11 @@ func (m *Machine) spanIndex(start uint64) int {
 	return sort.Search(len(m.spanList), func(i int) bool { return m.spanList[i].Start >= start })
 }
 
-// openSpans makes room for n spans starting at address start and returns
-// the index of the first; the caller fills them and clears spans before it
-// releases spanMu.  Caller holds mu and spanMu.
-func (m *Machine) openSpans(start uint64, n int) int {
-	i := m.spanIndex(start)
-	old := len(m.spanList)
-	m.spanList = slices.Grow(m.spanList, n)[:old+n]
-	copy(m.spanList[i+n:], m.spanList[i:old])
-	return i
-}
-
 // addSpan inserts s into the address map.  Caller holds mu (or is
 // pre-concurrency).
 func (m *Machine) addSpan(s FuncSpan) {
 	m.spanMu.Lock()
-	m.spanList[m.openSpans(s.Start, 1)] = s
+	m.spanList = slices.Insert(m.spanList, m.spanIndex(s.Start), s)
 	m.spans.Store(nil)
 	m.spanMu.Unlock()
 }
@@ -503,7 +491,7 @@ type codeRegion struct {
 // sumWords fingerprints machine code: four interleaved FNV-1a lanes
 // folded at the end.  The lanes break the serial xor-multiply dependency
 // chain — this runs on every call of an installed function (the
-// mutation-after-install guard in installPrecheck), so its latency is
+// mutation-after-install guard in install), so its latency is
 // part of the warm call path.
 func sumWords(words []uint32) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
@@ -569,7 +557,6 @@ func (m *Machine) Uninstall(f *Func) error {
 	m.removeSpan(f.addr)
 	if telemetry.Enabled() {
 		m.stats().Uninstalls.Inc()
-		telemetry.TraceRecord(telemetry.PhaseEvict, f.BackendName, f.Name, 0, int64(f.codeSize))
 	}
 	if trace.Enabled() {
 		trace.Record(trace.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
@@ -681,50 +668,27 @@ func (m *Machine) allocCode(size uint64) (uint64, error) {
 	return addr, nil
 }
 
-// installSize is the 16-aligned code-region reservation f needs.
-func installSize(f *Func) uint64 { return (uint64(4*len(f.Words)) + 15) &^ 15 }
-
-// installPrecheck handles the cases where no code placement should
-// happen: f is already installed here (possibly mutated since), installed
-// elsewhere, or targets the wrong backend.  done means install must
-// return err (nil for the benign already-installed case) without placing
-// code.  Caller holds mu.
-func (m *Machine) installPrecheck(f *Func) (done bool, err error) {
+func (m *Machine) install(f *Func) error {
 	if f == nil {
-		return true, fmt.Errorf("machine: install of nil function")
+		return fmt.Errorf("machine: install of nil function")
 	}
 	if f.installed {
 		if f.owner != m {
-			return true, fmt.Errorf("machine: %s is installed on a different machine", f.Name)
+			return fmt.Errorf("machine: %s is installed on a different machine", f.Name)
 		}
 		if f.sumValid && sumWords(f.Words) != f.sum {
-			return true, fmt.Errorf("machine: %s was mutated after install; Uninstall it first", f.Name)
+			return fmt.Errorf("machine: %s was mutated after install; Uninstall it first", f.Name)
 		}
-		return true, nil
+		return nil
 	}
 	if f.BackendName != m.backend.Name() {
-		return true, fmt.Errorf("machine: %s code installed on %s machine", f.BackendName, m.backend.Name())
-	}
-	return false, nil
-}
-
-// spanName labels f's code region in the address map.
-func (f *Func) spanName() string {
-	if f.Name == "" {
-		return fmt.Sprintf("func@%#x", f.addr)
-	}
-	return f.Name
-}
-
-func (m *Machine) install(f *Func) error {
-	if done, err := m.installPrecheck(f); done || err != nil {
-		return err
+		return fmt.Errorf("machine: %s code installed on %s machine", f.BackendName, m.backend.Name())
 	}
 	var start time.Time
 	if telemetry.Enabled() || trace.Enabled() {
 		start = time.Now()
 	}
-	size := installSize(f)
+	size := (uint64(4*len(f.Words)) + 15) &^ 15
 	addr, err := m.allocCode(size)
 	if err != nil {
 		return err
@@ -735,10 +699,10 @@ func (m *Machine) install(f *Func) error {
 	f.codeSize = size
 	f.sumValid = false
 	f.planCall(m.conv)
-	resolved, err := m.resolveRelocs(f, nil)
+	resolved, err := m.resolveRelocs(f)
 	var image []byte
 	if err == nil {
-		image, err = m.linkAndVerify(f, resolved, m.validCallTarget, m.verifyOff)
+		image, err = m.linkAndVerify(f, resolved)
 	}
 	if err == nil {
 		err = m.mem.WriteBytes(f.addr, image)
@@ -753,7 +717,11 @@ func (m *Machine) install(f *Func) error {
 	}
 	f.sum = sumWords(f.Words)
 	f.sumValid = true
-	m.addSpan(FuncSpan{Start: addr, End: addr + size, Name: f.spanName()})
+	name := f.Name
+	if name == "" {
+		name = fmt.Sprintf("func@%#x", addr)
+	}
+	m.addSpan(FuncSpan{Start: addr, End: addr + size, Name: name})
 	if m.tcpu != nil {
 		// f.Words were patched in place by linkAndVerify, so they match
 		// the installed image exactly.
@@ -767,7 +735,6 @@ func (m *Machine) install(f *Func) error {
 			st := m.stats()
 			st.InstallNS.Observe(uint64(d))
 			st.Installs.Inc()
-			telemetry.TraceRecord(telemetry.PhaseInstall, f.BackendName, f.Name, d, int64(size))
 		}
 		if trace.Enabled() {
 			trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
@@ -777,9 +744,7 @@ func (m *Machine) install(f *Func) error {
 	return nil
 }
 
-// resolvedReloc is one relocation with its target address pinned — the
-// part of linking that needs the machine's symbol table and therefore the
-// lock.
+// resolvedReloc is one relocation with its target address pinned.
 type resolvedReloc struct {
 	kind   RelocKind
 	sites  []int
@@ -787,11 +752,10 @@ type resolvedReloc struct {
 }
 
 // resolveRelocs pins every relocation of f to an absolute target address,
-// recursively installing referenced functions that are not placed yet.
-// assigned maps batch members to their pre-reserved base addresses so
-// intra-batch references resolve before the members are committed.
-// Caller holds mu.
-func (m *Machine) resolveRelocs(f *Func, assigned map[*Func]uint64) ([]resolvedReloc, error) {
+// recursively installing referenced functions that are not placed yet, so
+// a missing symbol or a callee that does not install is found before any
+// of f's words is patched.  Caller holds mu.
+func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 	if len(f.Relocs) == 0 {
 		return nil, nil
 	}
@@ -800,13 +764,10 @@ func (m *Machine) resolveRelocs(f *Func, assigned map[*Func]uint64) ([]resolvedR
 		var target uint64
 		switch {
 		case r.Target != nil:
-			base, ok := assigned[r.Target]
-			if !ok {
-				if err := m.install(r.Target); err != nil {
-					return nil, err
-				}
-				base = r.Target.addr
+			if err := m.install(r.Target); err != nil {
+				return nil, err
 			}
+			base := r.Target.addr
 			switch {
 			case r.Kind == RelocCall:
 				target = base + 4*uint64(r.Target.Entry)
@@ -829,10 +790,8 @@ func (m *Machine) resolveRelocs(f *Func, assigned map[*Func]uint64) ([]resolvedR
 
 // linkAndVerify patches f's words with the resolved relocation targets,
 // runs the pre-install verifier, and encodes the finished image in target
-// byte order.  It reads only f, the stateless backend, and the supplied
-// extern predicate — no machine state — so batched installs run it
-// without the machine lock, in parallel across functions.
-func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc, extern func(uint64) bool, verifyOff bool) ([]byte, error) {
+// byte order.  Caller holds mu.
+func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc) ([]byte, error) {
 	buf := &Buf{w: f.Words}
 	for _, r := range resolved {
 		var err error
@@ -847,8 +806,8 @@ func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc, extern func(u
 		}
 	}
 
-	if !verifyOff {
-		if err := m.verifyFunc(f, extern); err != nil {
+	if !m.verifyOff {
+		if err := m.verifyFunc(f); err != nil {
 			return nil, err
 		}
 	}
@@ -872,275 +831,6 @@ func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc, extern func(u
 	return image, nil
 }
 
-// externSnapshot captures validCallTarget's answer set — the halt vector,
-// the trap table, and the current code-region bounds — so batch verifiers
-// can consult it without holding mu.  Caller holds mu; the snapshot is
-// taken after the batch reservation, so intra-batch calls are in range.
-func (m *Machine) externSnapshot() func(uint64) bool {
-	traps := make(map[uint64]struct{}, len(m.traps))
-	for a := range m.traps {
-		traps[a] = struct{}{}
-	}
-	halt, base, next := m.haltAddr, m.codeBase, m.codeNext
-	return func(addr uint64) bool {
-		if addr == halt {
-			return true
-		}
-		if _, ok := traps[addr]; ok {
-			return true
-		}
-		return addr >= base && addr < next && addr%4 == 0
-	}
-}
-
-// reflectDuplicates copies the first instance's outcome onto any
-// duplicate *Func entries in a batch.
-func reflectDuplicates(fns []*Func, firstIdx map[*Func]int, errs []error) {
-	for i, f := range fns {
-		if f == nil {
-			continue
-		}
-		if j, ok := firstIdx[f]; ok && j != i {
-			errs[i] = errs[j]
-		}
-	}
-}
-
-// InstallBatch installs fns in one batched, verification-included install
-// with a single contiguous arena reservation covering the whole batch.
-// The work is split so the expensive middle runs outside the lock:
-//
-//  1. (locked) prechecks, one contiguous code reservation, address
-//     assignment, and relocation-target resolution for every function;
-//  2. (unlocked) linking, verification and image encoding, fanned across
-//     min(parallelism, len(fns)) goroutines — pure per-function work
-//     (parallelism <= 0 means GOMAXPROCS);
-//  3. (locked) the commit: images are copied into simulated memory and
-//     the batch's spans enter the address map as one run.
-//
-// The returned slice has one error per input (nil on success).  A
-// rejected function's sub-reservation returns to the free list while its
-// siblings install.  If ctx is canceled before the commit, the whole
-// reservation is released, no function from the batch becomes installed,
-// and every pending item reports the context's error — there are no
-// half-installed bodies.
-//
-// The caller must own fns exclusively for the duration of the call (no
-// concurrent Install or Call on the same *Func values).  Functions
-// already installed on m are tolerated and report success.
-func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func) []error {
-	errs := make([]error, len(fns))
-	if len(fns) == 0 {
-		return errs
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
-		start = time.Now()
-	}
-
-	type item struct {
-		f        *Func
-		idx      int // index into fns/errs
-		size     uint64
-		resolved []resolvedReloc
-		image    []byte
-		body     *exec.Body // predecoded in phase 2, attached in phase 3
-		linkNS   int64
-		skip     bool // phase-1 failure; later phases pass it over
-	}
-
-	// --- phase 1 (locked): reserve, assign, resolve ---
-	m.mu.Lock()
-	items := make([]*item, 0, len(fns))
-	firstIdx := make(map[*Func]int, len(fns))
-	assigned := make(map[*Func]uint64, len(fns))
-	var total uint64
-	for i, f := range fns {
-		if f != nil {
-			if _, dup := firstIdx[f]; dup {
-				continue // reflectDuplicates mirrors the first outcome
-			}
-			firstIdx[f] = i
-		}
-		if done, err := m.installPrecheck(f); done || err != nil {
-			errs[i] = err
-			continue
-		}
-		size := installSize(f)
-		assigned[f] = total // offset within the reservation, for now
-		items = append(items, &item{f: f, idx: i, size: size})
-		total += size
-	}
-	if len(items) == 0 {
-		m.mu.Unlock()
-		reflectDuplicates(fns, firstIdx, errs)
-		return errs
-	}
-	base, err := m.allocCode(total)
-	if err != nil {
-		// The contiguous reservation failed (fragmentation, or a batch
-		// larger than the remaining arena): fall back to per-function
-		// placement under this same lock so individually fitting
-		// functions still install.
-		for _, it := range items {
-			errs[it.idx] = m.install(it.f)
-		}
-		m.mu.Unlock()
-		reflectDuplicates(fns, firstIdx, errs)
-		return errs
-	}
-	for _, it := range items {
-		f := it.f
-		f.addr = base + assigned[f]
-		assigned[f] = f.addr
-		f.owner = m
-		f.codeSize = it.size
-		f.sumValid = false
-	}
-	for _, it := range items {
-		var rerr error
-		if it.resolved, rerr = m.resolveRelocs(it.f, assigned); rerr != nil {
-			errs[it.idx] = rerr
-			it.skip = true
-		}
-	}
-	extern := m.externSnapshot()
-	verifyOff := m.verifyOff
-	m.mu.Unlock()
-
-	// --- phase 2 (unlocked): link + verify + encode, fanned out ---
-	if ctx.Err() == nil {
-		n := parallelism
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > len(items) {
-			n = len(items)
-		}
-		work := make(chan *item)
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for it := range work {
-					if ctx.Err() != nil {
-						continue // the commit below reports the ctx error
-					}
-					t0 := time.Now()
-					image, lerr := m.linkAndVerify(it.f, it.resolved, extern, verifyOff)
-					it.linkNS = time.Since(t0).Nanoseconds()
-					if lerr != nil {
-						errs[it.idx] = lerr // each item owns only its slot
-						it.skip = true
-						continue
-					}
-					it.image = image
-					if m.tcpu != nil {
-						// Predecode is pure, so it parallelizes with the
-						// linking fan-out; the body is attached under the
-						// commit lock in phase 3.
-						it.body = m.tcpu.Predecode(it.f.Words, it.f.addr)
-					}
-				}
-			}()
-		}
-		for _, it := range items {
-			if !it.skip {
-				work <- it
-			}
-		}
-		close(work)
-		wg.Wait()
-	}
-
-	// --- phase 3 (locked): commit or abort ---
-	m.mu.Lock()
-	if cerr := ctx.Err(); cerr != nil {
-		// Abort: the whole reservation is returned and nothing from this
-		// batch becomes installed or visible.
-		for _, it := range items {
-			it.f.unplace()
-		}
-		m.freeRegion(codeRegion{addr: base, size: total})
-		m.mu.Unlock()
-		for _, it := range items {
-			if errs[it.idx] == nil {
-				errs[it.idx] = cerr
-			}
-		}
-		reflectDuplicates(fns, firstIdx, errs)
-		return errs
-	}
-	installed := 0
-	var linkTotal int64
-	for _, it := range items {
-		f := it.f
-		if !it.skip && errs[it.idx] == nil {
-			errs[it.idx] = m.mem.WriteBytes(f.addr, it.image)
-		}
-		if errs[it.idx] != nil {
-			m.freeRegion(codeRegion{addr: f.addr, size: it.size})
-			f.unplace()
-			continue
-		}
-		f.sum = sumWords(f.Words)
-		f.sumValid = true
-		f.installed = true
-		f.planCall(m.conv)
-		m.attachBody(it.body)
-		installed++
-		linkTotal += it.linkNS
-	}
-	if installed > 0 {
-		// The batch sits in one reservation in item order, so its spans
-		// are one ascending run with no resident span between them: one
-		// search and one move of the tail for the whole batch.
-		m.spanMu.Lock()
-		i := m.openSpans(base, installed)
-		for _, it := range items {
-			if f := it.f; errs[it.idx] == nil {
-				m.spanList[i] = FuncSpan{Start: f.addr, End: f.addr + it.size, Name: f.spanName()}
-				i++
-			}
-		}
-		m.spans.Store(nil)
-		m.spanMu.Unlock()
-	}
-	m.mu.Unlock()
-
-	if !start.IsZero() && installed > 0 {
-		// Per-item install spans: the item's own (parallel) link + verify
-		// + encode time plus an equal share of the locked phases.
-		share := (time.Since(start).Nanoseconds() - linkTotal) / int64(installed)
-		if share < 0 {
-			share = 0
-		}
-		for _, it := range items {
-			f := it.f
-			if errs[it.idx] != nil {
-				continue
-			}
-			d := time.Duration(it.linkNS + share)
-			if telemetry.Enabled() {
-				st := telemetry.ForBackend(f.BackendName)
-				st.InstallNS.Observe(uint64(d))
-				st.Installs.Inc()
-				telemetry.TraceRecord(telemetry.PhaseInstall, f.BackendName, f.Name, d, int64(it.size))
-			}
-			if trace.Enabled() {
-				trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
-					start, d, trace.Attrs{Bytes: int64(it.size)})
-			}
-		}
-	}
-	reflectDuplicates(fns, firstIdx, errs)
-	return errs
-}
-
 // SetVerify enables or disables the pre-install code verifier.  It is on
 // by default; benchmarks that install in a hot loop may turn it off.
 func (m *Machine) SetVerify(on bool) {
@@ -1149,13 +839,9 @@ func (m *Machine) SetVerify(on bool) {
 	m.verifyOff = !on
 }
 
-// verifyFunc runs the static verifier over f's relocated image.  extern
-// answers out-of-function call-target queries: m.validCallTarget under
-// the lock, or an externSnapshot closure from a lock-free batch phase.
-// The function reads no mutable machine state (telemetry goes through
-// the concurrency-safe ForBackend lookup), so batch installs call it
-// from their parallel phase.
-func (m *Machine) verifyFunc(f *Func, extern func(uint64) bool) error {
+// verifyFunc runs the static verifier over f's relocated image.  Caller
+// holds mu.
+func (m *Machine) verifyFunc(f *Func) error {
 	var start time.Time
 	if telemetry.Enabled() || trace.Enabled() {
 		start = time.Now()
@@ -1177,12 +863,11 @@ func (m *Machine) verifyFunc(f *Func, extern func(uint64) bool) error {
 		Entry:     f.Entry,
 		PoolStart: ps,
 		PoolRefs:  prs,
-	}, verify.Options{ExternTarget: extern})
+	}, verify.Options{ExternTarget: m.validCallTarget})
 	if !start.IsZero() {
 		d := time.Since(start)
 		if telemetry.Enabled() {
-			telemetry.ForBackend(f.BackendName).VerifyNS.Observe(uint64(d))
-			telemetry.TraceRecord(telemetry.PhaseVerify, f.BackendName, f.Name, d, int64(len(f.Words)))
+			m.stats().VerifyNS.Observe(uint64(d))
 		}
 		if trace.Enabled() {
 			verdict := "ok"
@@ -1318,7 +1003,6 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 		ts.CallNS.Observe(uint64(d))
 		ts.SimInsns.Add(st.Insns)
 		ts.SimCycles.Add(st.Cycles)
-		telemetry.TraceRecordAt(start.Add(d), telemetry.PhaseCall, backend, name, d, int64(st.Insns))
 	}
 	if trace.Enabled() {
 		var flow uint64

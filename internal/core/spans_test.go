@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,49 +11,36 @@ import (
 )
 
 // churnCost installs resident functions, then measures allocations and
-// bytes per install+uninstall cycle of one more (or, with batch, of a
-// four-function InstallBatch).  The churned code sits in the middle of the
-// address map: half the residents are installed after a placeholder that
-// is then uninstalled, so the cycle reuses its hole.
-func churnCost(t *testing.T, resident int, batch bool) (allocs, bytes float64) {
+// bytes per install+uninstall cycle of one more.  The churned code sits in
+// the middle of the address map: half the residents are installed after a
+// placeholder that is then uninstalled, so the cycle reuses its hole.
+func churnCost(t *testing.T, resident int) (allocs, bytes float64) {
 	t.Helper()
 	bk, m := newMips()
 	res := make([]*core.Func, resident)
 	for i := range res {
 		res[i] = buildAddK(t, bk, int64(i))
 	}
-	churn := make([]*core.Func, 4)
-	for i := range churn {
-		churn[i] = buildAddK(t, bk, int64(9000+i))
-	}
-	if !batch {
-		churn = churn[:1]
-	}
-	install := func(fns []*core.Func) {
-		for i, err := range m.InstallBatch(context.Background(), 1, fns) {
-			if err != nil {
+	churn := buildAddK(t, bk, 9000)
+	install := func(fns ...*core.Func) {
+		for i, f := range fns {
+			if err := m.Install(f); err != nil {
 				t.Fatalf("install %d: %v", i, err)
 			}
 		}
 	}
-	install(res[:resident/2])
+	install(res[:resident/2]...)
 	install(churn)
-	install(res[resident/2:])
+	install(res[resident/2:]...)
 	uninstall := func() {
-		for _, f := range churn {
-			if err := m.Uninstall(f); err != nil {
-				t.Fatal(err)
-			}
+		if err := m.Uninstall(churn); err != nil {
+			t.Fatal(err)
 		}
 	}
 	uninstall()
 
 	cycle := func() {
-		if batch {
-			install(churn)
-		} else if err := m.Install(churn[0]); err != nil {
-			t.Fatal(err)
-		}
+		install(churn)
 		uninstall()
 	}
 	cycle() // let the free list and the span slice reach their steady size
@@ -78,32 +64,26 @@ func churnCost(t *testing.T, resident int, batch bool) (allocs, bytes float64) {
 // cycle allocated 145 KB at 2,048 residents where it allocated 2.6 KB at 16.
 //
 // The cycle is also held to what it allocated before install started
-// recording each function's call plan (4 allocations and 776 B for one
-// Install, 29 and 4,048 B for a batch of four): the plan lives inline in the
-// Func, so building it is free.
+// recording each function's call plan (4 allocations and 776 B): the plan
+// lives inline in the Func, so building it is free.
 func TestInstallUninstallCostIndependentOfResidents(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		name, maxAllocs, maxBytes := "Install", 4.0, 800.0
-		if batch {
-			name, maxAllocs, maxBytes = "InstallBatch", 29.0, 4150.0
+	t.Run("Install", func(t *testing.T) {
+		const maxAllocs, maxBytes = 4.0, 800.0
+		smallAllocs, smallBytes := churnCost(t, 16)
+		largeAllocs, largeBytes := churnCost(t, 2048)
+		t.Logf("16 resident: %.1f allocs %.0f B; 2048 resident: %.1f allocs %.0f B",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+		if largeAllocs > smallAllocs*1.1 {
+			t.Errorf("allocs per cycle grew with residents: %.1f at 16, %.1f at 2048", smallAllocs, largeAllocs)
 		}
-		t.Run(name, func(t *testing.T) {
-			smallAllocs, smallBytes := churnCost(t, 16, batch)
-			largeAllocs, largeBytes := churnCost(t, 2048, batch)
-			t.Logf("16 resident: %.1f allocs %.0f B; 2048 resident: %.1f allocs %.0f B",
-				smallAllocs, smallBytes, largeAllocs, largeBytes)
-			if largeAllocs > smallAllocs*1.1 {
-				t.Errorf("allocs per cycle grew with residents: %.1f at 16, %.1f at 2048", smallAllocs, largeAllocs)
-			}
-			if largeBytes > smallBytes*1.1 {
-				t.Errorf("bytes per cycle grew with residents: %.0f at 16, %.0f at 2048", smallBytes, largeBytes)
-			}
-			if smallAllocs > maxAllocs || smallBytes > maxBytes {
-				t.Errorf("a cycle allocates %.1f times, %.0f B; before the call plan it was %.0f times, under %.0f B",
-					smallAllocs, smallBytes, maxAllocs, maxBytes)
-			}
-		})
-	}
+		if largeBytes > smallBytes*1.1 {
+			t.Errorf("bytes per cycle grew with residents: %.0f at 16, %.0f at 2048", smallBytes, largeBytes)
+		}
+		if smallAllocs > maxAllocs || smallBytes > maxBytes {
+			t.Errorf("a cycle allocates %.1f times, %.0f B; before the call plan it was %.0f times, under %.0f B",
+				smallAllocs, smallBytes, maxAllocs, maxBytes)
+		}
+	})
 }
 
 // buildCountdown generates fn(n) { while (n > 0) n--; return n }: long
@@ -184,27 +164,18 @@ func TestSpanSnapshotsUnderChurn(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { // writer: single installs and batches, in and out
+	go func() { // writer: installs and evicts
 		defer wg.Done()
-		for round := 0; ; round++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if round%2 == 0 {
-				for _, err := range m.InstallBatch(context.Background(), 2, fns) {
-					if err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			} else {
-				for _, f := range fns {
-					if err := m.Install(f); err != nil {
-						t.Error(err)
-						return
-					}
+			for _, f := range fns {
+				if err := m.Install(f); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 			for i := range fns { // evict out of address order

@@ -1,10 +1,8 @@
 package jit
 
 import (
-	"context"
 	"sync"
 
-	"repro/internal/batch"
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -36,15 +34,7 @@ type Adaptive struct {
 
 	cache *codecache.Cache
 
-	// pool, when set, takes over promotion compiles: a hot function is
-	// handed to the batch pipeline in the background while the caller
-	// keeps interpreting, so crossing the threshold never blocks a call
-	// on compile+install latency.  Nil means promotion compiles inline
-	// (the classic blocking behaviour).
-	pool *batch.Pool
-	// promoting tracks keys with a background promotion in flight so a
-	// hot function is submitted once, not once per call.
-	promoting sync.Map // key (string) -> struct{}
+	// promoteWG counts the tier-3 formations running in the background.
 	promoteWG sync.WaitGroup
 
 	// hot is the shared hot-count table (profile.HotCounts): one atomic
@@ -85,40 +75,10 @@ func NewAdaptiveCache(m *Machine, threshold int, cache *codecache.Cache) *Adapti
 	}
 }
 
-// SetPool routes promotion compiles through a batch pool: once a
-// function crosses the threshold it is submitted to the pool in the
-// background and the triggering call (and every call until the compile
-// lands) keeps interpreting.  The pool must install into the same
-// core.Machine the Adaptive runs on.  Pass nil to restore inline
-// (blocking) promotion.  SetPool is not safe to call concurrently with
-// Call.
-func (ad *Adaptive) SetPool(p *batch.Pool) { ad.pool = p }
-
-// WaitPromotions blocks until every background promotion submitted so
-// far has settled (landed in the cache or failed).  Tests and shutdown
-// paths use it; steady-state callers never need to.
+// WaitPromotions blocks until every background tier-3 formation started
+// so far has settled (installed or failed).  Tests and shutdown paths use
+// it; steady-state callers never need to.
 func (ad *Adaptive) WaitPromotions() { ad.promoteWG.Wait() }
-
-// promote hands f's compile to the pool unless a promotion for the same
-// key is already in flight.  The WarmUp path claims the cache entry
-// before compiling, so GetOrCompile callers arriving while the pool
-// works coalesce onto this flight instead of compiling inline.
-func (ad *Adaptive) promote(key string, f *Func) {
-	if _, inflight := ad.promoting.LoadOrStore(key, struct{}{}); inflight {
-		return
-	}
-	ad.promoteWG.Add(1)
-	go func() {
-		defer ad.promoteWG.Done()
-		defer ad.promoting.Delete(key)
-		// Errors land in the cache's negative-cache/metrics; the function
-		// simply stays interpreted and a later hot call retries.
-		ad.cache.WarmUp(context.Background(), ad.pool, []codecache.WarmItem{{
-			Key:     key,
-			Compile: func(a *core.Asm) (*core.Func, error) { return CompileInto(a, f) },
-		}})
-	}()
-}
 
 // Cache exposes the underlying code cache (for metrics and sharing).
 func (ad *Adaptive) Cache() *codecache.Cache { return ad.cache }
@@ -174,23 +134,13 @@ func (ad *Adaptive) Call(f *Func, args ...int32) (int32, uint64, error) {
 		hot = ad.blocks.Get(key)+ad.blocks.Get("edge:"+f.Name) >= ad.BlockThreshold
 	}
 	if hot {
-		if ad.pool != nil {
-			// Pool mode: run compiled code when it has landed; otherwise
-			// kick the background promotion and keep interpreting — the
-			// hot call never blocks on compile+install latency.
-			if fn, ok := ad.cache.Get(key); ok {
-				return ad.runCompiled(key, f, fn, n, args...)
-			}
-			ad.promote(key, f)
-		} else {
-			fn, err := ad.cache.GetOrCompile(key, func() (*core.Func, error) {
-				return ad.m.Compile(f)
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			return ad.runCompiled(key, f, fn, n, args...)
+		fn, err := ad.cache.GetOrCompile(key, func() (*core.Func, error) {
+			return ad.m.Compile(f)
+		})
+		if err != nil {
+			return 0, 0, err
 		}
+		return ad.runCompiled(key, f, fn, n, args...)
 	}
 	r, cycles, backedges, err := InterpCounted(f, args...)
 	if backedges > 0 {

@@ -96,10 +96,10 @@ var intParams = func() (p [32]core.Type) {
 }()
 
 // CompileInto is Compile emitting into a caller-supplied assembler, so
-// callers that compile many functions (the batch pipeline's workers)
-// amortize the assembler's buffer and bookkeeping allocations across
-// functions.  The assembler must be idle (not mid-build); the returned Func
-// does not alias it.
+// callers that compile many functions amortize the assembler's buffer and
+// bookkeeping allocations across functions, and the superblock tier can
+// arm a recording on it first.  The assembler must be idle (not mid-build);
+// the returned Func does not alias it.
 func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	backend := a.Backend()
 	comp := trace.Begin(trace.KindCompile, backend.Name(), f.Name)

@@ -41,8 +41,7 @@ func sbAdaptive(t *testing.T, body func(t *testing.T, ad *Adaptive)) {
 	}
 }
 
-// settle drains background promotions (tier-2 compiles and tier-3
-// formations both ride promoteWG).
+// settle drains the background tier-3 formations.
 func settle(ad *Adaptive) { ad.WaitPromotions() }
 
 // callChecked runs f(x) and asserts the result, whatever tier served it.

@@ -2,10 +2,10 @@
 // code: it hooks the target simulators (via core.SamplingCPU) on a
 // configurable retired-instruction stride, symbolizes each sample against
 // the install-time address map core.Machine maintains, and renders flat
-// (per-PC) and cumulative (per-function) reports plus a pprof-compatible
-// protobuf profile.  It answers the question the Valgrind line of work
-// poses for generated binary code — where do the cycles actually go? —
-// which the adaptive JIT and later perf PRs need before they can act.
+// (per-PC) and cumulative (per-function) reports.  It answers the question
+// the Valgrind line of work poses for generated binary code — where do the
+// cycles actually go? — which the adaptive JIT and later perf PRs need
+// before they can act.
 package profile
 
 import (

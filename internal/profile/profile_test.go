@@ -2,8 +2,6 @@ package profile_test
 
 import (
 	"bytes"
-	"compress/gzip"
-	"io"
 	"strings"
 	"testing"
 
@@ -137,29 +135,6 @@ func TestHotCounts(t *testing.T) {
 	snap := h.Snapshot()
 	if len(snap) != 2 || snap[0].Key != "k1" || snap[0].Calls != 5 {
 		t.Errorf("snapshot = %+v, want k1 first with 5 calls", snap)
-	}
-}
-
-// TestWritePprof checks the hand-rolled protobuf is a gzip stream whose
-// payload carries the function names in its string table.
-func TestWritePprof(t *testing.T) {
-	_, p := hotColdMachine(t, 8)
-	var buf bytes.Buffer
-	if err := p.WritePprof(&buf); err != nil {
-		t.Fatal(err)
-	}
-	zr, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatalf("profile is not gzip: %v", err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"syn1", "syn2", "samples", "instructions", "count"} {
-		if !bytes.Contains(raw, []byte(want)) {
-			t.Errorf("pprof payload missing string %q", want)
-		}
 	}
 }
 

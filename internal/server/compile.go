@@ -22,7 +22,7 @@ const (
 // compileUnit runs the front end for lang over source on the shard's
 // machine and assembles the resident unit.  It is called inside a
 // single-flight compile (one caller per key): on the request's goroutine
-// for a miss, on a batch-pool worker during warm restore.
+// for a miss, on Recover's during warm restore.
 func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (*unit, error) {
 	var fns map[string]*core.Func
 	var order []string

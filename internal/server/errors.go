@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/batch"
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -51,7 +50,7 @@ const (
 	// codegen error).
 	CodeCompileError Code = "compile_error"
 	// CodeCompilePanic is a compile callback panic recovered by the
-	// cache or the batch pool.
+	// cache.
 	CodeCompilePanic Code = "compile_panic"
 	// CodeFuelExhausted is generated code running past its step budget.
 	CodeFuelExhausted Code = "fuel_exhausted"
@@ -147,14 +146,13 @@ func classify(err error) *APIError {
 	var (
 		ve *verify.Error
 		cp *codecache.CompilePanicError
-		bp *batch.PanicError
 		tp *core.TrapPanicError
 		sp *core.PanicError
 	)
 	switch {
 	case errors.As(err, &ve):
 		return apiErr(CodeVerifyReject, "%v", err)
-	case errors.As(err, &cp), errors.As(err, &bp):
+	case errors.As(err, &cp):
 		return apiErr(CodeCompilePanic, "%v", err)
 	case errors.As(err, &tp):
 		return apiErr(CodeTrapPanic, "%v", err)

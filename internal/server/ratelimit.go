@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"repro/internal/batch"
 )
 
 // Overload protection is three layers, checked in admission order:
@@ -140,12 +138,11 @@ func (bs *breakerSet) pruneLocked() {
 	}
 }
 
-// transientCompileErr mirrors codecache's transient-warmup filter: these
-// outcomes must not move a key's breaker state.
+// transientCompileErr reports the outcomes that say nothing about the key
+// and must not move its breaker state.
 func transientCompileErr(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, batch.ErrClosed) ||
 		errors.Is(err, errShardClosed)
 }
 

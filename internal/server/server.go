@@ -1,25 +1,25 @@
 // Package server is the codegen-as-a-service layer: an HTTP front end
 // over the whole library stack — vasm/tinyc front ends, the VCODE
-// assembler and verifier, the sharded code cache, the batch compile
-// pool, sandboxed calls, telemetry and lifecycle tracing — serving
-// compile-and-execute (and compile-and-cache) to many tenants at once.
+// assembler and verifier, the sharded code cache, sandboxed calls,
+// telemetry and lifecycle tracing — serving compile-and-execute (and
+// compile-and-cache) to many tenants at once.
 //
 // Requests are keyed by content hash.  Each key maps onto one of N
 // shards, each a full core.Machine arena with its own codecache, so
 // resident code scales horizontally past one arena, and calls (one
 // simulated CPU per shard) run N-wide.  A miss compiles on the goroutine
 // of the request that found it, behind a per-shard bound on concurrent
-// compiles; the batch pool runs the multi-item restore batches.
-// Multi-tenancy is quota-based: per-tenant fuel per call, resident code
-// bytes, and compile concurrency, with admission control pushing back
-// (429 + Retry-After) when a shard's compile queue is past its bound.
+// compiles.  Multi-tenancy is quota-based: per-tenant fuel per call,
+// resident code bytes, and compile concurrency, with admission control
+// pushing back (429 + Retry-After) when a shard's compile queue is past its
+// bound.
 // Every failure is a typed JSON error mapped one-to-one from the library
 // error model (see errors.go).
 //
 // A warm-cache snapshot serializes the verified, resident programs to
-// disk at shutdown; on boot the snapshot restores through the batch
-// pool's warmup path and the /readyz endpoint turns ready only once the
-// restore flights drain — zero-cold-start restarts.
+// disk at shutdown; on boot the snapshot restores through the same cache
+// flights requests use and the /readyz endpoint turns ready only once
+// they drain — zero-cold-start restarts.
 package server
 
 import (
@@ -47,9 +47,8 @@ type Config struct {
 	Backend string
 	// Shards is the number of machine arenas (default 4).
 	Shards int
-	// WorkersPerShard bounds each shard's concurrent compiles: misses
-	// compiling on their request goroutines, and the workers of the
-	// restore/warm-up batch pool (default 2).
+	// WorkersPerShard is the number of concurrent miss compiles per
+	// shard; a miss compiles on its request goroutine (default 2).
 	WorkersPerShard int
 	// MaxEntriesPerShard / MaxCodeBytesPerShard bound each shard's
 	// cache (defaults 512 entries, 1 MiB).

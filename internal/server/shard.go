@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/jit"
@@ -17,18 +16,16 @@ import (
 
 // shard is one compile-and-execute arena: a core.Machine (its own
 // simulated memory, trap table and code region), the codecache bound to
-// it, the gate bounding the miss compiles that run on request goroutines,
-// and the batch pool the multi-item restore and warm-up batches fan out
-// on.  Content hashes map onto shards by hash, so resident code scales
-// horizontally across N arenas and eviction pressure in one tenant-heavy
-// shard never touches another shard's cache.  Calls serialize per shard
-// (one simulated CPU each); N shards give N-way call parallelism.
+// it, and the gate bounding the miss compiles that run on request
+// goroutines.  Content hashes map onto shards by hash, so resident code
+// scales horizontally across N arenas and eviction pressure in one
+// tenant-heavy shard never touches another shard's cache.  Calls serialize
+// per shard (one simulated CPU each); N shards give N-way call parallelism.
 type shard struct {
 	id      int
 	machine *core.Machine
 	cache   *codecache.Cache
 	gate    compileGate
-	pool    *batch.Pool
 
 	mu    sync.Mutex
 	units map[string]*unit
@@ -83,20 +80,15 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, b
 		gate:    compileGate{slots: make(chan struct{}, workers)},
 		units:   make(map[string]*unit),
 	}
-	name := fmt.Sprintf("srv%d", id)
 	s.cache = codecache.New(codecache.Config{
 		Machine:         s.machine,
 		MaxEntries:      maxEntries,
 		MaxCodeBytes:    maxBytes,
-		Name:            name,
+		Name:            fmt.Sprintf("srv%d", id),
 		OnEvict:         s.onEvict,
 		FailureBackoff:  backoff,
 		OnCompileResult: onCompileResult,
 	})
-	s.pool, err = batch.New(batch.Config{Machine: s.machine, Workers: workers, Name: name})
-	if err != nil {
-		return nil, err
-	}
 	reg.GaugeFunc(fmt.Sprintf("server.shard.%d.code_bytes_resident", id), func() float64 {
 		return float64(s.machine.CodeBytesResident())
 	})
@@ -172,15 +164,11 @@ func (s *shard) onEvict(key string, fn *core.Func) {
 }
 
 // queueDepth is the shard's compile backlog: misses waiting for a compile
-// slot plus batch items no pool worker has picked up.  Admission's
-// QueueBound and the shed watermarks watch it.
-func (s *shard) queueDepth() int64 { return s.gate.waiting.Load() + s.pool.QueueDepth() }
+// slot.  Admission's QueueBound and the shed watermarks watch it.
+func (s *shard) queueDepth() int64 { return s.gate.waiting.Load() }
 
-// close waits for the compiles in flight and releases the pool workers.
-func (s *shard) close() {
-	s.gate.close()
-	s.pool.Close()
-}
+// close waits for the compiles in flight.
+func (s *shard) close() { s.gate.close() }
 
 // errShardClosed fails a miss that reaches its shard after Close began.
 var errShardClosed = apiErr(CodeShuttingDown, "server is shutting down")

@@ -10,14 +10,13 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/codecache"
 	"repro/internal/core"
 )
 
 // Warm-cache snapshots: the server serializes every resident program —
 // key, owning tenant, language, entry point, source, home shard, and the
 // verified entry function's final code words — and restores them through
-// the batch pool's warmup path.  Restore recompiles from source, which
+// the cache's GetOrCompile.  Restore recompiles from source, which
 // re-runs the verifier and the normal install pipeline, so a snapshot
 // can never smuggle unverified code into an arena: the stored words are
 // a cross-check, not the load path.  Code words are compared against the
@@ -182,11 +181,12 @@ func (s *Server) Restore(path string) (int, error) {
 }
 
 // restoreEntries routes recovered entries through shardOf under the
-// current shard count and recompiles them through each shard's warmup
-// path — the same single-flight protocol live requests use, so requests
-// arriving mid-restore coalesce instead of duplicating work.  Entries
-// whose recorded home shard differs from their current one are counted
-// as resharded.  Restored units are marked durable: they came from disk.
+// current shard count and recompiles them, shard by shard in snapshot
+// order, through the cache's GetOrCompile — the flight live requests use,
+// so a request arriving mid-restore coalesces instead of compiling again,
+// and a key the snapshot holds twice compiles once.  Entries whose recorded
+// home shard differs from their current one are counted as resharded.
+// Restored units are marked durable: they came from disk.
 func (s *Server) restoreEntries(entries []snapEntry) (warm, resharded int) {
 	perShard := make([][]snapEntry, len(s.shards))
 	for _, e := range entries {
@@ -200,33 +200,26 @@ func (s *Server) restoreEntries(entries []snapEntry) (warm, resharded int) {
 
 	for i, list := range perShard {
 		sh := s.shards[i]
-		items := make([]codecache.WarmItem, 0, len(list))
 		for _, e := range list {
-			e := e
-			items = append(items, codecache.WarmItem{
-				Key: e.Key,
-				Compile: func(*core.Asm) (*core.Func, error) {
-					t, apiE := s.tenants.get(e.Tenant)
-					if apiE != nil {
-						return nil, apiE
-					}
-					u, err := compileUnit(sh.machine, e.Key, e.Tenant, e.Lang, e.Source, e.Entry)
-					if err != nil {
-						return nil, err
-					}
-					u.durable.Store(true)
-					sh.register(u)
-					t.resident.Add(u.bytes)
-					if wordsEqual(u.entryFn.Words, e.Words) {
-						s.snapExact.Inc()
-					} else {
-						s.snapRecompiled.Inc()
-					}
-					return u.entryFn, nil
-				},
+			_, err := sh.cache.GetOrCompile(e.Key, func() (*core.Func, error) {
+				t, apiE := s.tenants.get(e.Tenant)
+				if apiE != nil {
+					return nil, apiE
+				}
+				u, err := compileUnit(sh.machine, e.Key, e.Tenant, e.Lang, e.Source, e.Entry)
+				if err != nil {
+					return nil, err
+				}
+				u.durable.Store(true)
+				sh.register(u)
+				t.resident.Add(u.bytes)
+				if wordsEqual(u.entryFn.Words, e.Words) {
+					s.snapExact.Inc()
+				} else {
+					s.snapRecompiled.Inc()
+				}
+				return u.entryFn, nil
 			})
-		}
-		for _, err := range sh.cache.WarmUp(nil, sh.pool, items) {
 			if err != nil {
 				s.snapErrors.Inc()
 			} else {

@@ -22,13 +22,12 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 var expvarOnce sync.Once
 
-// PublishExpvar publishes the Default registry's snapshot (and the trace
-// ring) under the standard expvar names, so /debug/vars includes
-// telemetry alongside the runtime's memstats.  Safe to call repeatedly.
+// PublishExpvar publishes the Default registry's snapshot under the
+// standard expvar name, so /debug/vars includes telemetry alongside the
+// runtime's memstats.  Safe to call repeatedly.
 func PublishExpvar() {
 	expvarOnce.Do(func() {
 		expvar.Publish("telemetry", expvar.Func(func() any { return Default.Snapshot() }))
-		expvar.Publish("telemetry_trace", expvar.Func(func() any { return TraceEvents() }))
 	})
 }
 

@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer for the code-generation
 // pipeline: a lock-light metrics registry (atomic counters, gauges and
-// bounded histograms), a structured trace ring for the full
+// bounded histograms), the per-backend instrument bundle for the
 // v_lambda → emit → v_end → verify → install → call/evict lifecycle, and
-// HTTP/JSON/expvar exporters.
+// HTTP/JSON/expvar exporters.  (The lifecycle's events are internal/trace.)
 //
 // The whole package sits behind one global switch (SetEnabled); with it
 // off, instrumented hot paths pay a single atomic load and allocate

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -100,8 +99,6 @@ func TestDisabledPathAllocFree(t *testing.T) {
 		if Enabled() {
 			t.Fatal("telemetry unexpectedly enabled")
 		}
-		// Disabled trace records are equally free.
-		TraceRecord(PhaseEmit, "mips", "f", time.Nanosecond, 1)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled gate allocates %.1f per run, want 0", allocs)
@@ -161,24 +158,6 @@ func TestWriteTextAndJSON(t *testing.T) {
 	}
 	if m["codegen.mips.funcs"] != float64(3) {
 		t.Errorf("json counter = %v, want 3", m["codegen.mips.funcs"])
-	}
-}
-
-func TestTraceRing(t *testing.T) {
-	SetTraceEnabled(true)
-	defer SetTraceEnabled(false)
-	TraceRecord(PhaseInstall, "mips", "f1", 100*time.Nanosecond, 1)
-	TraceRecord(PhaseCall, "mips", "f1", 200*time.Nanosecond, 1)
-	evs := TraceEvents()
-	if len(evs) < 2 {
-		t.Fatalf("trace events = %d, want >= 2", len(evs))
-	}
-	last := evs[len(evs)-1]
-	if last.Phase != "call" || last.Name != "f1" || last.DurNS != 200 {
-		t.Errorf("last event = %+v, want call/f1/200ns", last)
-	}
-	if evs[len(evs)-2].Seq >= last.Seq {
-		t.Error("trace sequence numbers must be increasing")
 	}
 }
 
@@ -265,58 +244,6 @@ func TestSummarySnapshotBounded(t *testing.T) {
 	for _, name := range []string{"t", "s", "r", "q", "p"} {
 		if _, ok := out[name]; !ok {
 			t.Errorf("top-5 missing %q", name)
-		}
-	}
-}
-
-// TestTraceRingConcurrent hammers the telemetry trace ring under the race
-// detector: N writers, concurrent snapshot readers, bounded retention and
-// no torn events.
-func TestTraceRingConcurrent(t *testing.T) {
-	SetTraceEnabled(true)
-	defer SetTraceEnabled(false)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				evs := TraceEvents()
-				if len(evs) > traceCap {
-					t.Error("trace snapshot exceeds ring capacity")
-					return
-				}
-				for i := 1; i < len(evs); i++ {
-					if evs[i].Seq != evs[i-1].Seq+1 {
-						t.Error("torn trace snapshot: non-contiguous seq")
-						return
-					}
-				}
-			}
-		}()
-	}
-	var writers sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			for i := 0; i < 2000; i++ {
-				TraceRecord(PhaseCall, "mips", "ring", time.Duration(i), int64(w))
-			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	wg.Wait()
-	for _, ev := range TraceEvents() {
-		if ev.Name == "ring" && (ev.Phase != "call" || ev.Backend != "mips") {
-			t.Fatalf("torn trace event: %+v", ev)
 		}
 	}
 }

@@ -47,11 +47,6 @@ const (
 	// KindLookup is a code-cache probe; its Verdict attribute records
 	// hit, miss, coalesced or negative.
 	KindLookup
-	// KindBatch covers one whole batch through the parallel compilation
-	// pipeline (internal/batch): fan-out compile plus the batched
-	// install.  Its N attribute is the item count, Bytes the installed
-	// code bytes.
-	KindBatch
 	// KindRequest covers one whole server request (internal/server):
 	// admission, cache lookup/compile, and the sandboxed call.  Its
 	// Name carries "tenant/request-id" so a lifecycle lane ties back to
@@ -67,7 +62,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"compile", "regalloc", "emit", "verify", "install", "call", "evict", "lookup", "batch", "request",
+	"compile", "regalloc", "emit", "verify", "install", "call", "evict", "lookup", "request",
 	"superblock",
 }
 

@@ -102,4 +102,13 @@ bench-cold:
 	go test -run '^$$' -bench BenchmarkColdPath -benchtime 20000x -count 3 \
 		./internal/jit ./internal/tinyc ./internal/vasm
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc orphans bench bench-miss bench-call bench-emit bench-cold
+# Dispatch in isolation: the threaded engine per simulated instruction, per
+# backend, on a loop that is almost all straight-line run and on a
+# branch-dense one where no run is longer than one instruction (the
+# per-instruction path on its own).  CI holds the run path to the switch
+# engine with TestDifferentialRuns; the repository's benchmark (go run
+# ./bench, workload loop_long) is what a performance claim is judged by.
+bench-loop:
+	go test -run '^$$' -bench BenchmarkLoopDispatch -benchtime 2000x -count 5 ./internal/exec/diff
+
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc orphans bench bench-miss bench-call bench-emit bench-cold bench-loop

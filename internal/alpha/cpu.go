@@ -87,8 +87,10 @@ func NewCPU(m *mem.Memory) *CPU { return &CPU{m: m, lastLoad: -1} }
 // PC returns the program counter.
 func (c *CPU) PC() uint64 { return c.pc }
 
-// SetPC jumps the simulator.
-func (c *CPU) SetPC(pc uint64) { c.pc = pc }
+// SetPC jumps the simulator, clearing the load-use interlock: what a call
+// (or a trap's return) costs must not depend on the last instruction of
+// whatever ran before it.
+func (c *CPU) SetPC(pc uint64) { c.pc, c.lastLoad = pc, -1 }
 
 // Reg reads an integer register.
 func (c *CPU) Reg(r core.Reg) uint64 { return c.r[r.Num()&31] }

@@ -15,20 +15,11 @@ import (
 // The fetch/switch Step in cpu.go stays the verification oracle;
 // internal/exec/diff requires bit-identical state from both engines.
 
-// Dense opcodes: indices into alphaHandlers.
+// Dense opcodes.  Each is described exactly once: a transfer or an
+// undecodable word by the entry of alphaHandlers its number indexes, a
+// plain instruction (a row of kind verify.KindOther) by a case of plain.
 const (
-	aLda uint16 = iota // also ldah (displacement pre-shifted)
-	aLdl
-	aLdq
-	aLdqU
-	aLds
-	aLdt
-	aStl
-	aStq
-	aStqU
-	aSts
-	aStt
-	aBr // also bsr: identical semantics
+	aBr uint16 = iota // also bsr: identical semantics
 	aBeq
 	aBne
 	aBlt
@@ -42,6 +33,22 @@ const (
 	aFbgt
 	aFbge
 	aJump
+	aBad // a word with no row
+	aNumHandlers
+)
+
+const (
+	aLda = aNumHandlers + iota // also ldah (displacement pre-shifted)
+	aLdl
+	aLdq
+	aLdqU
+	aLds
+	aLdt
+	aStl
+	aStq
+	aStqU
+	aSts
+	aStt
 	aAddl
 	aSubl
 	aAddq
@@ -51,14 +58,12 @@ const (
 	aCmple
 	aCmpult
 	aCmpule
-	aBadInta
 	aAnd
 	aBic
 	aBis
 	aOrnot
 	aXor
 	aEqv
-	aBadIntl
 	aSll
 	aSrl
 	aSra
@@ -70,16 +75,12 @@ const (
 	aInswl
 	aMskbl
 	aMskwl
-	aBadInts
 	aMull
 	aMulq
-	aBadIntm
 	aCpys
 	aCpysn
-	aBadFltl
 	aSqrts
 	aSqrtt
-	aBadFlts
 	aAdds
 	aSubs
 	aMuls
@@ -96,24 +97,15 @@ const (
 	aCvtqs
 	aCvtqt
 	aCvttqc
-	aBadFlti
-	aBadOp
-	aNumOps
 )
 
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-var alphaHandlers [exec.OpTableSize]thandler
-
-// opMask aliases exec.OpMask for the dispatch hot loop; the next line
-// fails to compile if the opcode count ever outgrows the table.
-const opMask = exec.OpMask
-
-var _ [exec.OpTableSize - aNumOps]struct{}
-
+// Register helpers over the narrow predecoded operand fields.  Predecode
+// only stores numbers below 32 in them; the mask tells the compiler, which
+// would otherwise check every index (see the MIPS engine).
+func (c *CPU) tr(n uint8) uint64 { return c.r[n&31] }
 func (c *CPU) twr(n uint8, v uint64) {
 	if n != 31 {
-		c.r[n] = v
+		c.r[n&31] = v
 	}
 }
 
@@ -123,17 +115,11 @@ func (c *CPU) topnd(in *exec.Instr) uint64 {
 	if in.Flags&exec.FImm != 0 {
 		return uint64(in.Imm)
 	}
-	return c.r[in.B]
+	return c.tr(in.B)
 }
 
-// ajump follows a statically resolved transfer.
-func (c *CPU) ajump(in *exec.Instr) int32 {
-	if in.Target == exec.External {
-		c.extPC = uint64(in.Imm)
-		return exec.External
-	}
-	return in.Target
-}
+// taddr is the effective address of a load or store.
+func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
 
 // abr resolves a conditional branch; the edge probe fires on every
 // resolution, taken or not.
@@ -142,17 +128,16 @@ func (c *CPU) abr(in *exec.Instr, taken bool) int32 {
 	if !taken {
 		return exec.NoBranch
 	}
-	return c.ajump(in)
+	return in.Jump(&c.extPC)
 }
 
 // PendingDelay: Alpha has no delay slots.
 func (c *CPU) PendingDelay() bool { return false }
 
 // Predecode unpacks words into a threaded body: each word's row in the
-// instruction table (isa.go) names its handler and which operands to
-// unpack.  Pure function of its arguments (safe from batch-install
-// workers); a word with no row becomes the bad-op handler of its decode
-// group, reproducing the oracle's exact message.
+// instruction table (isa.go) names its opcode, whether it is plain, and
+// which operands to unpack.  Pure function of its arguments; a word with
+// no row becomes aBad, whose handler reproduces the oracle's exact message.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
 	n := len(words)
@@ -170,25 +155,13 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 
 		r := isa.Lookup(w)
 		if r == nil {
-			in.Imm = int64(w)
-			switch op := w >> 26; op {
-			case opInta, opIntl, opInts, opIntm:
-				in.Op = [...]uint16{aBadInta, aBadIntl, aBadInts, aBadIntm}[op-opInta]
-				if regForm {
-					in.SrcB = rb
-				}
-			case opFltl:
-				in.Op = aBadFltl
-			case opFlts:
-				in.Op = aBadFlts
-			case opFlti:
-				in.Op = aBadFlti
-			default:
-				in.Op = aBadOp
+			in.Op, in.Imm = aBad, int64(w)
+			if op := w >> 26; op >= opInta && op <= opIntm && regForm {
+				in.SrcB = rb
 			}
 			continue
 		}
-		in.Op, in.A, in.B = r.Op, ra, rb
+		in.Op, in.A, in.B, in.Run = r.Op, ra, rb, r.Run()
 		switch r.Layout {
 		case layMem:
 			in.Imm = int64(int16(w))
@@ -210,6 +183,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.C = uint8(w & 31)
 		}
 	}
+	exec.MarkRuns(code, 31)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -228,15 +202,41 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
+		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
+			// A straight-line run that fits the budget, nobody sampling:
+			// plain executes all of it (one instruction alone costs less
+			// on the path below).  ll decides its first instruction's
+			// bubble, the Stall bits plain sums the others' (see the MIPS
+			// engine).
+			if ll >= 0 && ll != 31 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
+				stall++
+			}
+			done, bubbles, err := c.plain(code[idx : idx+int(run)])
+			stall += bubbles - uint64(in.Stall)
+			if done > 0 {
+				ll = int(int8(code[idx+done-1].LoadReg))
+			}
+			idx += done
+			n += uint64(done)
+			if err != nil {
+				n++ // code[idx] faulted, and retires
+				c.flushBody(code[idx].PC, n-flushed, stall, ll)
+				return n, err
+			}
+			if idx == len(code) {
+				c.flushBody(b.End(), n-flushed, stall, ll)
+				return n, nil
+			}
+			continue
+		}
 		// One combined predicate guards both rare per-instruction
 		// concerns (PC sampling, a pending load-use interlock), so the
-		// common ALU-stream iteration pays a single not-taken branch.
+		// common iteration pays a single not-taken branch.
 		if sampling || ll >= 0 {
 			if sampling {
 				if c.sampleLeft--; c.sampleLeft == 0 {
 					c.sampleLeft = c.sampleEvery
-					c.insns += n + 1 - flushed
-					c.baseCycles += n + 1 - flushed + stall
+					c.flushBody(in.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
 					c.sampleFn(in.PC)
 				}
@@ -247,261 +247,309 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 				}
 			}
 		}
-		br, err := alphaHandlers[in.Op&opMask](c, b, in)
+		br, err := exec.NoBranch, error(nil)
+		if in.Run != 0 {
+			_, _, err = c.plain(code[idx : idx+1])
+		} else {
+			br, err = alphaHandlers[in.Op](c, b, in)
+		}
 		n++
 		if err != nil {
-			c.pc = in.PC
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(in.PC, n-flushed, stall, ll)
 			return n, err
 		}
 		ll = int(int8(in.LoadReg))
 		if br == exec.NoBranch {
-			// Fall-through is always idx+1 (predecode sets Instr.Next to
-			// exactly that), so skip the field load.
 			idx++
 			if idx == len(code) {
-				c.pc = in.PC + 4
-				c.flushBody(n-flushed, stall, ll)
+				c.flushBody(in.PC+4, n-flushed, stall, ll)
 				return n, nil
 			}
 			continue
 		}
 		if br == exec.External {
-			c.pc = c.extPC
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(c.extPC, n-flushed, stall, ll)
 			return n, nil
 		}
 		idx = int(br)
 	}
-	c.pc = code[idx].PC
-	c.flushBody(n-flushed, stall, ll)
+	c.flushBody(code[idx].PC, n-flushed, stall, ll)
 	return n, nil
 }
 
-// flushBody applies the dispatch loop's locally-accumulated bookkeeping:
-// pend retired instructions not yet counted, their base cycles plus
-// stall interlock bubbles, and the interlock producer register.
-func (c *CPU) flushBody(pend, stall uint64, ll int) {
+// flushBody brings the simulator's own state up to date at pc, where the
+// dispatch loop is leaving or a probe is about to look: pend retired
+// instructions not yet counted, their base cycles plus stall interlock
+// bubbles, and the interlock producer register.
+func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
+	c.pc = pc
 	c.insns += pend
 	c.baseCycles += pend + stall
 	c.lastLoad = ll
 }
 
-func init() {
-	h := alphaHandlers[:]
-	nb := exec.NoBranch
+// thandler executes one transfer (or refuses one undecodable word); see
+// the MIPS engine for what it returns.
+type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
 
-	h[aLda] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.A, c.r[in.B]+uint64(in.Imm))
-		return nb, nil
-	}
-	h[aLdl] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(c.r[in.B]+uint64(in.Imm), 4)
-		if err != nil {
-			return 0, fmt.Errorf("alpha: ldl at pc %#x: %w", in.PC, err)
-		}
-		c.twr(in.A, uint64(int64(int32(v))))
-		return nb, nil
-	}
-	h[aLdq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(c.r[in.B]+uint64(in.Imm), 8)
-		if err != nil {
-			return 0, fmt.Errorf("alpha: ldq at pc %#x: %w", in.PC, err)
-		}
-		c.twr(in.A, v)
-		return nb, nil
-	}
-	h[aLdqU] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load((c.r[in.B]+uint64(in.Imm))&^uint64(7), 8)
-		if err != nil {
-			return 0, fmt.Errorf("alpha: ldq_u at pc %#x: %w", in.PC, err)
-		}
-		c.twr(in.A, v)
-		return nb, nil
-	}
-	h[aLds] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(c.r[in.B]+uint64(in.Imm), 4)
-		if err != nil {
-			return 0, fmt.Errorf("alpha: lds at pc %#x: %w", in.PC, err)
-		}
-		if in.A != 31 {
-			c.f[in.A] = v
-		}
-		return nb, nil
-	}
-	h[aLdt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(c.r[in.B]+uint64(in.Imm), 8)
-		if err != nil {
-			return 0, fmt.Errorf("alpha: ldt at pc %#x: %w", in.PC, err)
-		}
-		if in.A != 31 {
-			c.f[in.A] = v
-		}
-		return nb, nil
-	}
-	h[aStl] = astore(4, func(c *CPU, in *exec.Instr) uint64 { return uint64(uint32(c.r[in.A])) }, false)
-	h[aStq] = astore(8, func(c *CPU, in *exec.Instr) uint64 { return c.r[in.A] }, false)
-	h[aStqU] = astore(8, func(c *CPU, in *exec.Instr) uint64 { return c.r[in.A] }, true)
-	h[aSts] = astore(4, func(c *CPU, in *exec.Instr) uint64 { return c.f[in.A] & 0xffffffff }, false)
-	h[aStt] = astore(8, func(c *CPU, in *exec.Instr) uint64 { return c.f[in.A] }, false)
-	h[aBr] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+var alphaHandlers = [aNumHandlers]thandler{
+	aBr: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		c.twr(in.A, in.PC+4)
-		return c.ajump(in), nil
-	}
-	h[aBeq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) == 0), nil
-	}
-	h[aBne] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) != 0), nil
-	}
-	h[aBlt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) < 0), nil
-	}
-	h[aBle] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) <= 0), nil
-	}
-	h[aBgt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) > 0), nil
-	}
-	h[aBge] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.r[in.A]) >= 0), nil
-	}
-	h[aFbeq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	aBeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) == 0), nil
+	},
+	aBne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) != 0), nil
+	},
+	aBlt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) < 0), nil
+	},
+	aBle: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) <= 0), nil
+	},
+	aBgt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) > 0), nil
+	},
+	aBge: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return c.abr(in, int64(c.tr(in.A)) >= 0), nil
+	},
+	aFbeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) == 0), nil
-	}
-	h[aFbne] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aFbne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) != 0), nil
-	}
-	h[aFblt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aFblt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) < 0), nil
-	}
-	h[aFble] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aFble: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) <= 0), nil
-	}
-	h[aFbgt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aFbgt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) > 0), nil
-	}
-	h[aFbge] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aFbge: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.abr(in, c.fT(uint32(in.A)) >= 0), nil
-	}
-	h[aJump] = func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 		// Read rb before the link write, as the oracle does.
-		t := c.r[in.B] &^ 3
+		t := c.tr(in.B) &^ 3
 		c.twr(in.A, in.PC+4)
-		if b.Contains(t) {
-			return int32(b.IndexOf(t)), nil
+		return b.Indirect(t, &c.extPC), nil
+	},
+	aBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return 0, badWord(uint32(in.Imm), in.PC)
+	},
+}
+
+// badWord is what the oracle says of a word with no row: of its function
+// field where the major opcode is an operate group, else of the opcode.
+func badWord(w uint32, pc uint64) error {
+	group, fn := "", w>>5&0x7f
+	switch w >> 26 {
+	case opInta:
+		group = "INTA"
+	case opIntl:
+		group = "INTL"
+	case opInts:
+		group = "INTS"
+	case opIntm:
+		group = "INTM"
+	case opFltl:
+		group, fn = "FLTL", w>>5&0x7ff
+	case opFlts:
+		group, fn = "FLTS", w>>5&0x7ff
+	case opFlti:
+		group, fn = "FLTI", w>>5&0x7ff
+	default:
+		return fmt.Errorf("alpha: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
+	}
+	return fmt.Errorf("alpha: unknown %s funct %#x at %#x", group, fn, pc)
+}
+
+// plain executes code, which holds only plain instructions, in order.  It
+// returns how many completed, the sum of the Stall bits of those it
+// started, and the fault of the one that did not complete, if any.
+func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
+	for i := range code {
+		in := &code[i]
+		bubbles += uint64(in.Stall)
+		switch in.Op {
+		case aLda:
+			c.twr(in.A, c.taddr(in))
+		case aLdl:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, bubbles, memErr("ldl", in, err)
+			}
+			c.twr(in.A, uint64(int64(int32(v))))
+		case aLdq:
+			v, err := c.m.Load(c.taddr(in), 8)
+			if err != nil {
+				return i, bubbles, memErr("ldq", in, err)
+			}
+			c.twr(in.A, v)
+		case aLdqU:
+			v, err := c.m.Load(c.taddr(in)&^7, 8)
+			if err != nil {
+				return i, bubbles, memErr("ldq_u", in, err)
+			}
+			c.twr(in.A, v)
+		case aLds:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, bubbles, memErr("lds", in, err)
+			}
+			if in.A != 31 {
+				c.f[in.A] = v
+			}
+		case aLdt:
+			v, err := c.m.Load(c.taddr(in), 8)
+			if err != nil {
+				return i, bubbles, memErr("ldt", in, err)
+			}
+			if in.A != 31 {
+				c.f[in.A] = v
+			}
+		case aStl:
+			if err := c.m.Store(c.taddr(in), 4, uint64(uint32(c.tr(in.A)))); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case aStq:
+			if err := c.m.Store(c.taddr(in), 8, c.tr(in.A)); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case aStqU:
+			if err := c.m.Store(c.taddr(in)&^7, 8, c.tr(in.A)); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case aSts:
+			if err := c.m.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case aStt:
+			if err := c.m.Store(c.taddr(in), 8, c.f[in.A]); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case aAddl:
+			c.twr(in.C, uint64(int64(int32(c.tr(in.A)+c.topnd(in)))))
+		case aSubl:
+			c.twr(in.C, uint64(int64(int32(c.tr(in.A)-c.topnd(in)))))
+		case aAddq:
+			c.twr(in.C, c.tr(in.A)+c.topnd(in))
+		case aSubq:
+			c.twr(in.C, c.tr(in.A)-c.topnd(in))
+		case aCmpeq:
+			c.twr(in.C, b2u64(c.tr(in.A) == c.topnd(in)))
+		case aCmplt:
+			c.twr(in.C, b2u64(int64(c.tr(in.A)) < int64(c.topnd(in))))
+		case aCmple:
+			c.twr(in.C, b2u64(int64(c.tr(in.A)) <= int64(c.topnd(in))))
+		case aCmpult:
+			c.twr(in.C, b2u64(c.tr(in.A) < c.topnd(in)))
+		case aCmpule:
+			c.twr(in.C, b2u64(c.tr(in.A) <= c.topnd(in)))
+		case aAnd:
+			c.twr(in.C, c.tr(in.A)&c.topnd(in))
+		case aBic:
+			c.twr(in.C, c.tr(in.A)&^c.topnd(in))
+		case aBis:
+			c.twr(in.C, c.tr(in.A)|c.topnd(in))
+		case aOrnot:
+			c.twr(in.C, c.tr(in.A)|^c.topnd(in))
+		case aXor:
+			c.twr(in.C, c.tr(in.A)^c.topnd(in))
+		case aEqv:
+			c.twr(in.C, c.tr(in.A)^^c.topnd(in))
+		case aSll:
+			c.twr(in.C, c.tr(in.A)<<(c.topnd(in)&63))
+		case aSrl:
+			c.twr(in.C, c.tr(in.A)>>(c.topnd(in)&63))
+		case aSra:
+			c.twr(in.C, uint64(int64(c.tr(in.A))>>(c.topnd(in)&63)))
+		case aZap:
+			c.twr(in.C, c.tr(in.A)&^zapMask(c.topnd(in)))
+		case aZapnot:
+			c.twr(in.C, c.tr(in.A)&zapMask(c.topnd(in)))
+		case aExtbl:
+			c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xff)
+		case aExtwl:
+			c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xffff)
+		case aInsbl:
+			c.twr(in.C, (c.tr(in.A)&0xff)<<(8*(c.topnd(in)&7)))
+		case aInswl:
+			c.twr(in.C, (c.tr(in.A)&0xffff)<<(8*(c.topnd(in)&7)))
+		case aMskbl:
+			c.twr(in.C, c.tr(in.A)&^(uint64(0xff)<<(8*(c.topnd(in)&7))))
+		case aMskwl:
+			c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
+		case aMull:
+			c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
+			c.baseCycles += 7
+		case aMulq:
+			c.twr(in.C, c.tr(in.A)*c.topnd(in))
+			c.baseCycles += 11
+		case aCpys:
+			if in.C != 31 {
+				c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
+			}
+		case aCpysn:
+			// The oracle writes f31 here (no guard); keep the quirk.
+			c.f[in.C] = c.f[in.B] ^ 1<<63
+		case aSqrts:
+			c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
+			c.baseCycles += 29
+		case aSqrtt:
+			c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
+			c.baseCycles += 29
+		case aAdds:
+			c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
+			c.baseCycles++
+		case aSubs:
+			c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
+			c.baseCycles++
+		case aMuls:
+			c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
+			c.baseCycles += 3
+		case aDivs:
+			c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
+			c.baseCycles += 11
+		case aAddt:
+			c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
+			c.baseCycles++
+		case aSubt:
+			c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
+			c.baseCycles++
+		case aMultT:
+			c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
+			c.baseCycles += 4
+		case aDivt:
+			c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
+			c.baseCycles += 18
+		case aCmpteq:
+			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
+		case aCmptlt:
+			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
+		case aCmptle:
+			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
+		case aCvtts:
+			c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
+		case aCvtst:
+			c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
+		case aCvtqs:
+			c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
+		case aCvtqt:
+			c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
+		case aCvttqc:
+			// The oracle writes f[fc] unguarded here; keep the quirk.
+			c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
+		default:
+			panic(fmt.Sprintf("alpha: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
 		}
-		c.extPC = t
-		return exec.External, nil
 	}
-	h[aAddl] = aop(func(a, b uint64) uint64 { return uint64(int64(int32(a + b))) })
-	h[aSubl] = aop(func(a, b uint64) uint64 { return uint64(int64(int32(a - b))) })
-	h[aAddq] = aop(func(a, b uint64) uint64 { return a + b })
-	h[aSubq] = aop(func(a, b uint64) uint64 { return a - b })
-	h[aCmpeq] = aop(func(a, b uint64) uint64 { return b2u64(a == b) })
-	h[aCmplt] = aop(func(a, b uint64) uint64 { return b2u64(int64(a) < int64(b)) })
-	h[aCmple] = aop(func(a, b uint64) uint64 { return b2u64(int64(a) <= int64(b)) })
-	h[aCmpult] = aop(func(a, b uint64) uint64 { return b2u64(a < b) })
-	h[aCmpule] = aop(func(a, b uint64) uint64 { return b2u64(a <= b) })
-	h[aBadInta] = badFn("alpha: unknown INTA funct %#x at %#x", 0x7f)
-	h[aAnd] = aop(func(a, b uint64) uint64 { return a & b })
-	h[aBic] = aop(func(a, b uint64) uint64 { return a &^ b })
-	h[aBis] = aop(func(a, b uint64) uint64 { return a | b })
-	h[aOrnot] = aop(func(a, b uint64) uint64 { return a | ^b })
-	h[aXor] = aop(func(a, b uint64) uint64 { return a ^ b })
-	h[aEqv] = aop(func(a, b uint64) uint64 { return a ^ ^b })
-	h[aBadIntl] = badFn("alpha: unknown INTL funct %#x at %#x", 0x7f)
-	h[aSll] = aop(func(a, b uint64) uint64 { return a << (b & 63) })
-	h[aSrl] = aop(func(a, b uint64) uint64 { return a >> (b & 63) })
-	h[aSra] = aop(func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
-	h[aZap] = aop(func(a, b uint64) uint64 { return a &^ zapMask(b) })
-	h[aZapnot] = aop(func(a, b uint64) uint64 { return a & zapMask(b) })
-	h[aExtbl] = aop(func(a, b uint64) uint64 { return a >> (8 * (b & 7)) & 0xff })
-	h[aExtwl] = aop(func(a, b uint64) uint64 { return a >> (8 * (b & 7)) & 0xffff })
-	h[aInsbl] = aop(func(a, b uint64) uint64 { return (a & 0xff) << (8 * (b & 7)) })
-	h[aInswl] = aop(func(a, b uint64) uint64 { return (a & 0xffff) << (8 * (b & 7)) })
-	h[aMskbl] = aop(func(a, b uint64) uint64 { return a &^ (uint64(0xff) << (8 * (b & 7))) })
-	h[aMskwl] = aop(func(a, b uint64) uint64 { return a &^ (uint64(0xffff) << (8 * (b & 7))) })
-	h[aBadInts] = badFn("alpha: unknown INTS funct %#x at %#x", 0x7f)
-	h[aMull] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, uint64(int64(int32(c.r[in.A])*int32(c.topnd(in)))))
-		c.baseCycles += 7
-		return nb, nil
-	}
-	h[aMulq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.r[in.A]*c.topnd(in))
-		c.baseCycles += 11
-		return nb, nil
-	}
-	h[aBadIntm] = badFn("alpha: unknown INTM funct %#x at %#x", 0x7f)
-	h[aCpys] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		if in.C != 31 {
-			c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
-		}
-		return nb, nil
-	}
-	h[aCpysn] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		// The oracle writes f31 here (no guard); keep the quirk.
-		c.f[in.C] = c.f[in.B] ^ 1<<63
-		return nb, nil
-	}
-	h[aBadFltl] = badFn11("alpha: unknown FLTL funct %#x at %#x")
-	h[aSqrts] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
-		c.baseCycles += 29
-		return nb, nil
-	}
-	h[aSqrtt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
-		c.baseCycles += 29
-		return nb, nil
-	}
-	h[aBadFlts] = badFn11("alpha: unknown FLTS funct %#x at %#x")
-	h[aAdds] = afS(1, func(a, b float32) float32 { return a + b })
-	h[aSubs] = afS(1, func(a, b float32) float32 { return a - b })
-	h[aMuls] = afS(3, func(a, b float32) float32 { return a * b })
-	h[aDivs] = afS(11, func(a, b float32) float32 { return a / b })
-	h[aAddt] = afT(1, func(a, b float64) float64 { return a + b })
-	h[aSubt] = afT(1, func(a, b float64) float64 { return a - b })
-	h[aMultT] = afT(4, func(a, b float64) float64 { return a * b })
-	h[aDivt] = afT(18, func(a, b float64) float64 { return a / b })
-	h[aCmpteq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
-		return nb, nil
-	}
-	h[aCmptlt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
-		return nb, nil
-	}
-	h[aCmptle] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
-		return nb, nil
-	}
-	h[aCvtts] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
-		return nb, nil
-	}
-	h[aCvtst] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
-		return nb, nil
-	}
-	h[aCvtqs] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
-		return nb, nil
-	}
-	h[aCvtqt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
-		return nb, nil
-	}
-	h[aCvttqc] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		// The oracle writes f[fc] unguarded here; keep the quirk.
-		c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
-		return nb, nil
-	}
-	h[aBadFlti] = badFn11("alpha: unknown FLTI funct %#x at %#x")
-	h[aBadOp] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("alpha: unknown opcode %#x (word %#08x) at %#x", uint32(in.Imm)>>26, uint32(in.Imm), in.PC)
-	}
+	return len(code), bubbles, nil
 }
 
 func zapMask(b uint64) uint64 {
@@ -514,50 +562,6 @@ func zapMask(b uint64) uint64 {
 	return mask
 }
 
-func aop(f func(a, b uint64) uint64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, f(c.r[in.A], c.topnd(in)))
-		return exec.NoBranch, nil
-	}
-}
-
-func afS(cycles uint64, f func(a, b float32) float32) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfS(uint32(in.C), f(c.fS(uint32(in.A)), c.fS(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func afT(cycles uint64, f func(a, b float64) float64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfT(uint32(in.C), f(c.fT(uint32(in.A)), c.fT(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func astore(size int, src func(c *CPU, in *exec.Instr) uint64, alignQ bool) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		addr := c.r[in.B] + uint64(in.Imm)
-		if alignQ {
-			addr &^= 7
-		}
-		if err := c.m.Store(addr, size, src(c, in)); err != nil {
-			return 0, fmt.Errorf("alpha: store at pc %#x: %w", in.PC, err)
-		}
-		return exec.NoBranch, nil
-	}
-}
-
-func badFn(format string, mask uint32) thandler {
-	return func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf(format, uint32(in.Imm)>>5&mask, in.PC)
-	}
-}
-
-func badFn11(format string) thandler {
-	return func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf(format, uint32(in.Imm)>>5&0x7ff, in.PC)
-	}
+func memErr(what string, in *exec.Instr, err error) error {
+	return fmt.Errorf("alpha: %s at pc %#x: %w", what, in.PC, err)
 }

@@ -1,10 +1,11 @@
 // Execution-engine selection and the predecoded-body registry behind the
 // direct-threaded engine (internal/exec).  At install time each verified
 // function is predecoded once into a flat array of unpacked-operand
-// instruction structs; the call loop then dispatches through the
-// backend's handler table instead of fetching and re-decoding a word per
-// step.  The fetch/switch Step loop remains available (EngineSwitch) and
-// is the verification oracle: internal/exec/diff requires bit-identical
+// instruction structs; the call loop then executes that array — runs of
+// plain instructions in one switch loop, transfers through the backend's
+// handler table — instead of fetching and re-decoding a word per step.
+// The fetch/switch Step loop remains available (EngineSwitch) and is the
+// verification oracle: internal/exec/diff requires bit-identical
 // architectural state from both engines on every regtest program.
 package core
 

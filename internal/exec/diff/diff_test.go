@@ -31,9 +31,10 @@ func newPair(t *testing.T, tg regtest.Target) enginePair {
 }
 
 // run builds the program twice (once per machine — a *Func belongs to
-// one machine once installed) and holds the two calls to each other.
+// one machine once installed) and holds the two calls to each other.  It
+// returns the error both calls ended with.
 func (p enginePair) run(t *testing.T, name string, build func() (*core.Func, error),
-	opts core.CallOpts, checkMem bool, args ...core.Value) {
+	opts core.CallOpts, checkMem bool, args ...core.Value) error {
 	t.Helper()
 	f1, err := build()
 	if err != nil {
@@ -43,19 +44,23 @@ func (p enginePair) run(t *testing.T, name string, build func() (*core.Func, err
 	if err != nil {
 		t.Fatalf("%s: rebuild: %v", name, err)
 	}
-	p.call(t, name, f1, f2, opts, checkMem, args...)
+	return p.call(t, name, f1, f2, opts, checkMem, args...)
 }
 
 // call calls f1 on the switch machine and f2, the same program, on the
 // threaded one with the same arguments, and requires identical results,
 // error text, per-call cycle/instruction/fuel deltas, and full
 // architectural CPU state.  With checkMem it also requires byte-identical
-// simulated memories.
+// simulated memories.  It returns the error both calls ended with.
 func (p enginePair) call(t *testing.T, name string, f1, f2 *core.Func,
-	opts core.CallOpts, checkMem bool, args ...core.Value) {
+	opts core.CallOpts, checkMem bool, args ...core.Value) error {
 	t.Helper()
-	v1, st1, err1 := p.sw.CallWithStats(context.Background(), opts, f1, args...)
-	v2, st2, err2 := p.th.CallWithStats(context.Background(), opts, f2, args...)
+	// Never cancelled, but cancelable: PollStride slices the threaded
+	// engine's dispatch windows only under a context that can end.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	v1, st1, err1 := p.sw.CallWithStats(ctx, opts, f1, args...)
+	v2, st2, err2 := p.th.CallWithStats(ctx, opts, f2, args...)
 	if d := ErrDiff(err1, err2); d != "" {
 		t.Fatalf("%s: %s", name, d)
 	}
@@ -75,6 +80,7 @@ func (p enginePair) call(t *testing.T, name string, f1, f2 *core.Func,
 			t.Fatalf("%s: simulated memories diverged", name)
 		}
 	}
+	return err1
 }
 
 // TestDifferentialEngines sweeps the regtest program generators — the

@@ -32,8 +32,11 @@ func fuzzTargets() []fuzzTarget {
 // the fetch/switch Step oracle, one via Predecode+RunBody — and fails
 // on any divergence in error text, registers, counters, PC, or memory.
 // The driver falls back to Step whenever the PC leaves the predecoded
-// body or a delay pair is in flight, exactly as Machine.run does.
-func diffWords(t *testing.T, ft fuzzTarget, words []uint32) {
+// body or a delay pair is in flight, exactly as Machine.run does, and
+// hands RunBody its budget chunk instructions at a time, the way a poll
+// stride does: a window can end anywhere in a run or between a branch and
+// its slot.
+func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64) {
 	t.Helper()
 	const base = 0x1000
 	const insnCap = 256
@@ -86,7 +89,11 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32) {
 			}
 			continue
 		}
-		if _, err := tc.RunBody(body, body.IndexOf(pc), insnCap-tc.Insns()); err != nil {
+		allow := insnCap - tc.Insns()
+		if allow > chunk {
+			allow = chunk
+		}
+		if _, err := tc.RunBody(body, body.IndexOf(pc), allow); err != nil {
 			err2 = err
 			break
 		}
@@ -115,24 +122,25 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32) {
 // fuzzer explores malformed encodings, wild branches and partial delay
 // pairs that no code generator emits.
 func FuzzExecDifferential(f *testing.F) {
-	// Seed with real generated code from each backend (raw words are
-	// cross-fed to the other two, which is itself a useful corner) plus
-	// boundary patterns.
+	// Seed with real generated code from each backend, from its entry on
+	// (the words before it are the unused part of the reserved prologue,
+	// and only sixteen words are run) — raw words are cross-fed to the
+	// other two, which is itself a useful corner — plus boundary patterns.
 	for _, tg := range regtest.Targets() {
 		if fn, err := regtest.BuildALU(tg.Backend, core.OpAdd, core.TypeI); err == nil {
-			f.Add(wordBytes(fn.Words))
+			f.Add(wordBytes(fn.Words[fn.Entry:]), uint8(255))
 		}
 		if fn, err := regtest.BuildMemRoundtrip(tg.Backend, core.TypeS); err == nil {
-			f.Add(wordBytes(fn.Words))
+			f.Add(wordBytes(fn.Words[fn.Entry:]), uint8(3))
 		}
 		if fn, err := buildLoop(tg.Backend); err == nil {
-			f.Add(wordBytes(fn.Words))
+			f.Add(wordBytes(fn.Words[fn.Entry:]), uint8(1))
 		}
 	}
-	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
-	f.Add(wordBytes([]uint32{0x80000000, 0x0000003f, 0x45000000, 0xc1a00000}))
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, uint8(2))
+	f.Add(wordBytes([]uint32{0x80000000, 0x0000003f, 0x45000000, 0xc1a00000}), uint8(7))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		n := len(data) / 4
 		if n == 0 {
 			return
@@ -145,7 +153,7 @@ func FuzzExecDifferential(f *testing.F) {
 			words[i] = binary.LittleEndian.Uint32(data[4*i:])
 		}
 		for _, ft := range fuzzTargets() {
-			diffWords(t, ft, words)
+			diffWords(t, ft, words, uint64(chunk)+1)
 		}
 	})
 }

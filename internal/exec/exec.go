@@ -5,10 +5,11 @@
 // retired instruction.  The threaded engine instead pays decode cost
 // once, at install time: each verified function body is unpacked into a
 // flat contiguous []Instr — one struct per word, operands extracted,
-// static branch targets pre-resolved to array indices — and execution
-// becomes a tight loop over a dense opcode-indexed table of handler
-// function pointers (the minijit "VMCodeGen" idiom: contiguous memory,
-// locality, fewer per-instruction checks).
+// static branch targets pre-resolved to array indices, straight-line
+// runs measured — and execution becomes one switch loop per run of plain
+// instructions, with a call through a small table of handler function
+// pointers only at a control transfer (the minijit "VMCodeGen" idiom:
+// contiguous memory, locality, fewer per-instruction checks).
 //
 // This package deliberately imports nothing from internal/core: core
 // caches *Body values beside installed code, the three backend packages
@@ -20,7 +21,10 @@
 // bit-identical architectural state from both engines.
 package exec
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // Handler results / pre-resolved target sentinels.  An Instr.Target of
 // External means the statically-known destination lies outside the body
@@ -42,30 +46,24 @@ const (
 // pending load" value the switch interpreters keep in lastLoad.
 const NoReg uint8 = 0xff
 
-// OpTableSize is the dispatch-table length every backend declares: a
-// power of two no smaller than any backend's opcode count, so the hot
-// loop can index its table with Op & OpMask and the compiler elides the
-// bounds check.  Predecoders only assign opcodes below their backend's
-// count (each backend static-asserts that fits), so the mask never
-// changes which handler runs.
-const (
-	OpTableSize = 128
-	OpMask      = OpTableSize - 1
-)
-
 // Instr flags.
 const (
 	// FImm marks the immediate/literal operand form of an instruction
 	// whose second source is otherwise a register (SPARC operand2,
 	// Alpha operate literals).
 	FImm uint8 = 1 << 0
+	// FNop marks the canonical nop.  RunBody retires one in the delay slot
+	// of a taken transfer, where the code generators put one unless a
+	// client scheduled the slot, without dispatching it.
+	FNop uint8 = 1 << 1
 )
 
 // Instr is one predecoded instruction.  Field meaning is backend- and
-// opcode-specific (the predecoder and the handler table for a backend
-// agree on the convention); the shared shape is:
+// opcode-specific (a backend's predecoder and its RunBody agree on the
+// convention); the shared shape is:
 //
-//	Op      dense backend-local opcode, the handler-table index
+//	Op      dense backend-local opcode: a case of the backend's run
+//	        switch if the instruction is plain, else its handler's index
 //	A, B, C unpacked register operands (sources / destination)
 //	Imm     sign-extended immediate, shift count, or — for a static
 //	        control transfer that leaves the body — the target address;
@@ -78,6 +76,14 @@ const (
 //	        (NoReg when the backend charges no stall on that slot)
 //	LoadReg the interlock-producing destination of a tracked load
 //	        (NoReg otherwise)
+//	Run     how many consecutive instructions from this one on are plain
+//	        (their table row is verify.KindOther: they fall through and
+//	        touch no control state); 0 for a transfer or a word with no
+//	        row.  RunBody executes a run in one switch loop, without a
+//	        call or a per-instruction check (MarkRuns)
+//	Stall   1 when this instruction reads what its array predecessor
+//	        loads: its load-use bubble when it is reached by falling
+//	        through, which inside a run is the only way to reach it
 //
 // There is no fall-through field: the next instruction is always the
 // next array element (the dispatch loops increment the index), and the
@@ -95,6 +101,8 @@ type Instr struct {
 	SrcA    uint8
 	SrcB    uint8
 	LoadReg uint8
+	Stall   uint8
+	Run     uint16
 }
 
 // Compile-time pin: Instr must stay exactly 32 bytes.
@@ -119,6 +127,52 @@ func (b *Body) Contains(pc uint64) bool {
 // IndexOf maps an in-body pc to its Code index.  The caller must have
 // checked Contains.
 func (b *Body) IndexOf(pc uint64) int { return int(pc-b.Base) / 4 }
+
+// MarkRuns is the backward pass that ends a Predecode.  The forward pass
+// left Run at 1 on every plain instruction and 0 elsewhere; MarkRuns
+// turns that into the length of the straight-line run starting at each
+// instruction (saturating: a longer run is executed in pieces) and sets
+// Stall from the interlock metadata.  never is the register the backend's
+// interlock does not charge (the hardwired zero), NoReg if it has none.
+func MarkRuns(code []Instr, never uint8) {
+	run := uint16(0)
+	for i := len(code) - 1; i >= 0; i-- {
+		in := &code[i]
+		if in.Run == 0 {
+			run = 0
+		} else {
+			if run < math.MaxUint16 {
+				run++
+			}
+			in.Run = run
+		}
+		if ld := in.LoadReg; ld != NoReg && ld != never && i+1 < len(code) {
+			if next := &code[i+1]; next.SrcA == ld || next.SrcB == ld {
+				next.Stall = 1
+			}
+		}
+	}
+}
+
+// Jump follows a statically resolved transfer: it returns the in-body
+// index of its destination, or External after depositing the destination
+// address in *ext, the CPU's external-target slot.
+func (in *Instr) Jump(ext *uint64) int32 {
+	if in.Target == External {
+		*ext = uint64(in.Imm)
+	}
+	return in.Target
+}
+
+// Indirect classifies the runtime-computed destination a of a transfer
+// out of b's code the way Jump does a static one.
+func (b *Body) Indirect(a uint64, ext *uint64) int32 {
+	if b.Contains(a) {
+		return int32(b.IndexOf(a))
+	}
+	*ext = a
+	return External
+}
 
 // SetTarget records a statically-known branch destination: an in-body
 // aligned target becomes its array index, anything else is External with

@@ -10,7 +10,7 @@ import (
 
 // Row is one instruction of an ISA: the single place a backend pairs a
 // bit pattern with a mnemonic, an operand layout, a control-flow kind
-// and a threaded handler.  The backend's Classify, Disasm and Predecode
+// and a threaded opcode.  The backend's Classify, Disasm and Predecode
 // all read it; a word no row matches is illegal.  Syntax and Layout are
 // backend-local vocabularies (the backend's Disasm expands one, its
 // Predecode switches on the other).
@@ -21,14 +21,24 @@ type Row struct {
 	Syntax string      // operands as Disasm prints them, one letter per field
 	Layout uint8       // which fields Predecode unpacks, and where to
 	Kind   verify.Kind // control-flow behaviour, for the verifier
-	Op     uint16      // dense opcode: the threaded handler index
+	Op     uint16      // dense opcode: what the threaded engine executes it as
 }
 
 // Ins builds a Row from positional arguments, so a backend's table reads
-// one line per instruction.  The row is verify.KindOther; the few that
-// transfer control say so with As.
+// one line per instruction.  The row is verify.KindOther — plain: the
+// threaded engine executes runs of such rows without looking up — and the
+// few that transfer control say so with As.
 func Ins(name string, match, mask uint32, syntax string, layout uint8, op uint16) Row {
 	return Row{Name: name, Match: match, Mask: mask, Syntax: syntax, Layout: layout, Op: op}
+}
+
+// Run is what a predecoder starts Instr.Run at, for MarkRuns to extend: 1
+// for a plain row, 0 for a transfer.
+func (r *Row) Run() uint16 {
+	if r.Kind == verify.KindOther {
+		return 1
+	}
+	return 0
 }
 
 // As returns r with its control-flow kind set.

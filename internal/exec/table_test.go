@@ -44,3 +44,32 @@ func TestLookupIsFirstMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkRuns: Run is the number of plain instructions from each one on,
+// a transfer's is 0 and ends the run before it, a run longer than the
+// field holds saturates (and is then executed in pieces), and Stall marks
+// the instruction that reads what its array predecessor loads — unless
+// that is the register the interlock never charges.
+func TestMarkRuns(t *testing.T) {
+	const never = 31
+	code := make([]Instr, 70000)
+	for i := range code {
+		code[i] = Instr{Run: 1, SrcA: NoReg, SrcB: NoReg, LoadReg: NoReg}
+	}
+	code[10].Run = 0 // a transfer
+	code[3].LoadReg, code[4].SrcA = 7, 7
+	code[5].LoadReg, code[6].SrcB = 8, 8
+	code[7].LoadReg, code[8].SrcA = never, never
+	code[9].LoadReg, code[10].SrcA = 9, 9 // a transfer pays a bubble too
+	MarkRuns(code, never)
+	for i, want := range map[int]uint16{0: 10, 9: 1, 10: 0, 11: 65535, 69999 - 65535: 65535, 69999 - 65534: 65535, 69999 - 65533: 65534, 69998: 2, 69999: 1} {
+		if got := code[i].Run; got != want {
+			t.Errorf("code[%d].Run = %d, want %d", i, got, want)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		if want := i == 4 || i == 6 || i == 10; (code[i].Stall == 1) != want {
+			t.Errorf("code[%d].Stall = %d, want set: %v", i, code[i].Stall, want)
+		}
+	}
+}

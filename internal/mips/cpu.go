@@ -101,10 +101,13 @@ func NewCPU(m *mem.Memory) *CPU {
 // PC returns the current program counter.
 func (c *CPU) PC() uint64 { return c.pc }
 
-// SetPC jumps the simulator, clearing any pending delay-slot state.
+// SetPC jumps the simulator, clearing any pending delay-slot state and
+// the load-use interlock: what a call (or a trap's return) costs must not
+// depend on the last instruction of whatever ran before it.
 func (c *CPU) SetPC(pc uint64) {
 	c.pc = pc
 	c.inDelay = false
+	c.lastLoad = -1
 }
 
 // Reg reads an integer register.

@@ -7,9 +7,9 @@ import (
 
 // This file is the MIPS instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
-// a threaded handler.  Classify (below), Disasm (disasm.go) and
+// a threaded opcode.  Classify (below), Disasm (disasm.go) and
 // Predecode (threaded.go) read it, so a word verifies exactly when it
-// has a handler.  The fetch/switch Step in cpu.go deliberately does not:
+// has an opcode.  The fetch/switch Step in cpu.go deliberately does not:
 // it is the independent oracle the table is tested against row by row.
 
 // Operand layouts: which fields of the word Predecode unpacks.

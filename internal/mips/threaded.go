@@ -10,23 +10,42 @@ import (
 // This file is the MIPS port of the predecoded direct-threaded execution
 // engine (internal/exec).  Predecode unpacks every word of an installed
 // function once — operands extracted, static branch targets resolved to
-// body indices, load-use interlock metadata precomputed — and RunBody
-// drives a dense function-pointer dispatch table over the resulting
-// contiguous []exec.Instr.  Semantics must stay bit-identical to the
-// fetch/switch oracle in cpu.go: same registers, memory, cycle charges,
-// interlock stalls, sampling/edge probes, delay-slot behaviour, and
-// error strings.  internal/exec/diff enforces that differentially.
+// body indices, load-use interlock metadata precomputed, straight-line
+// runs measured — and RunBody executes the resulting contiguous
+// []exec.Instr: a run of plain instructions in one switch loop (plain), a
+// transfer through a small function-pointer table.  Semantics must stay
+// bit-identical to the fetch/switch oracle in cpu.go: same registers,
+// memory, cycle charges, interlock stalls, sampling/edge probes,
+// delay-slot behaviour, and error strings.  internal/exec/diff enforces
+// that differentially.
 
-// Dense opcodes: indices into mipsHandlers.
+// Dense opcodes.  Each is described exactly once: a transfer or an
+// undecodable word by the entry of mipsHandlers its number indexes, a
+// plain instruction (a row of kind verify.KindOther) by a case of plain.
 const (
-	mSll uint16 = iota
+	mJr uint16 = iota
+	mJalr
+	mBltz
+	mBgez
+	mBal
+	mJ
+	mJal
+	mBeq
+	mBne
+	mBlez
+	mBgtz
+	mBc1
+	mBad // a word with no row
+	mNumHandlers
+)
+
+const (
+	mSll = mNumHandlers + iota
 	mSrl
 	mSra
 	mSllv
 	mSrlv
 	mSrav
-	mJr
-	mJalr
 	mMfhi
 	mMflo
 	mMult
@@ -41,17 +60,6 @@ const (
 	mNor
 	mSlt
 	mSltu
-	mBadSpecial
-	mBltz
-	mBgez
-	mBal
-	mBadRegimm
-	mJ
-	mJal
-	mBeq
-	mBne
-	mBlez
-	mBgtz
 	mAddiu
 	mSlti
 	mSltiu
@@ -73,7 +81,6 @@ const (
 	mSdc1
 	mMfc1
 	mMtc1
-	mBc1
 	mFAddS
 	mFSubS
 	mFMulS
@@ -87,7 +94,6 @@ const (
 	mFCEqS
 	mFCLtS
 	mFCLeS
-	mBadFS
 	mFAddD
 	mFSubD
 	mFMulD
@@ -101,36 +107,23 @@ const (
 	mFCEqD
 	mFCLtD
 	mFCLeD
-	mBadFD
 	mFCvtSW
 	mFCvtDW
-	mBadFW
-	mBadCop1
-	mBadOp
-	mNumOps
 )
 
-// thandler executes one predecoded instruction.  It returns NoBranch for
-// fall-through, an in-body index for a resolved taken transfer, or
-// External after depositing the destination in c.extPC.
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-var mipsHandlers [exec.OpTableSize]thandler
-
-// opMask aliases exec.OpMask for the dispatch hot loop; the next line
-// fails to compile if the opcode count ever outgrows the table.
-const opMask = exec.OpMask
-
-var _ [exec.OpTableSize - mNumOps]struct{}
-
-// Register helpers over the narrow predecoded operand fields.
-func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n]) }
-func (c *CPU) trs(n uint8) int32  { return int32(c.r[n]) }
+// Register helpers over the narrow predecoded operand fields.  Predecode
+// only stores numbers below 32 in them; the mask tells the compiler, which
+// would otherwise check every index (5% of loop_long).
+func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n&31]) }
+func (c *CPU) trs(n uint8) int32  { return int32(c.r[n&31]) }
 func (c *CPU) twr(n uint8, v uint32) {
 	if n != 0 {
-		c.r[n] = uint64(v)
+		c.r[n&31] = uint64(v)
 	}
 }
+
+// taddr is the effective address of a load or store.
+func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + uint32(int32(in.Imm))) }
 
 // mbr resolves a conditional relative branch: edge probe fires on every
 // resolution (taken or not), exactly like the oracle's branchRel.
@@ -139,25 +132,7 @@ func (c *CPU) mbr(in *exec.Instr, taken bool) int32 {
 	if !taken {
 		return exec.NoBranch
 	}
-	return c.mjump(in)
-}
-
-// mjump follows a statically resolved transfer.
-func (c *CPU) mjump(in *exec.Instr) int32 {
-	if in.Target == exec.External {
-		c.extPC = uint64(in.Imm)
-		return exec.External
-	}
-	return in.Target
-}
-
-// mindirect classifies a runtime-computed transfer destination.
-func (c *CPU) mindirect(b *exec.Body, a uint64) int32 {
-	if b.Contains(a) {
-		return int32(b.IndexOf(a))
-	}
-	c.extPC = a
-	return exec.External
+	return in.Jump(&c.extPC)
 }
 
 // PendingDelay reports whether a taken branch is waiting on its delay
@@ -166,12 +141,11 @@ func (c *CPU) PendingDelay() bool { return c.inDelay }
 
 // Predecode unpacks words (the installed image of one function, starting
 // at base) into a threaded body: each word's row in the instruction
-// table (isa.go) names its handler and which operands to unpack.  It is
-// a pure function of its arguments — no CPU state is read or written —
-// so the batch installer may call it from worker goroutines.  Malformed
-// words never fail predecode: a word with no row becomes the bad-op
-// handler of its decode group, which reproduces the oracle's exact error
-// text, so unreachable garbage (alignment pads, literal pools) still
+// table (isa.go) names its opcode, whether it is plain, and which
+// operands to unpack.  It is a pure function of its arguments — no CPU
+// state is read or written.  Malformed words never fail predecode: a word
+// with no row becomes mBad, whose handler reproduces the oracle's exact
+// error text, so unreachable garbage (alignment pads, literal pools) still
 // installs.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
@@ -191,29 +165,16 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 
 		r := isa.Lookup(w)
 		if r == nil {
-			in.Imm = int64(w)
-			switch w >> 26 {
-			case opSpecial:
-				in.Op, in.SrcB = mBadSpecial, rt
-			case opRegimm:
-				in.Op = mBadRegimm
-			case opCop1:
-				switch w >> 21 & 31 {
-				case fmtS:
-					in.Op = mBadFS
-				case fmtD:
-					in.Op = mBadFD
-				case fmtW:
-					in.Op = mBadFW
-				default:
-					in.Op = mBadCop1
-				}
-			default:
-				in.Op = mBadOp
+			in.Op, in.Imm = mBad, int64(w)
+			if w>>26 == opSpecial {
+				in.SrcB = rt
 			}
 			continue
 		}
-		in.Op, in.A, in.B = r.Op, rs, rt
+		in.Op, in.A, in.B, in.Run = r.Op, rs, rt, r.Run()
+		if w == encNop {
+			in.Flags |= exec.FNop
+		}
 		switch r.Layout {
 		case layR:
 			in.C, in.Imm, in.SrcB = rd, int64(sh), rt
@@ -242,6 +203,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 		}
 	}
+	exec.MarkRuns(code, 0)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -257,7 +219,7 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	// Retired instructions and base cycles accumulate in locals (n, plus
 	// stall for load-use bubbles) and flush into c.insns/c.baseCycles at
 	// every exit: two read-modify-writes per instruction are a measurable
-	// fraction of threaded dispatch cost.  Handlers that charge extra
+	// fraction of threaded dispatch cost.  Instructions that charge extra
 	// cycles still add to c.baseCycles directly — addition commutes, so
 	// the totals stay oracle-exact.  The sampler branch flushes through
 	// the current instruction first (flushed tracks how much of n is
@@ -268,15 +230,46 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
+		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
+			// A straight-line run that fits the budget, nobody sampling:
+			// plain executes all of it.  (One instruction alone costs
+			// less on the path below, which need not ask how far plain
+			// got.)  Its first instruction may have been reached by a
+			// branch, so ll decides its bubble; each of the others
+			// follows its array predecessor and carries its bubble as a
+			// bit, which plain sums (the first one's bit comes off
+			// again).
+			if ll > 0 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
+				stall++
+			}
+			done, bubbles, err := c.plain(code[idx : idx+int(run)])
+			stall += bubbles - uint64(in.Stall)
+			if done > 0 {
+				ll = int(int8(code[idx+done-1].LoadReg))
+			}
+			idx += done
+			n += uint64(done)
+			if err != nil {
+				// code[idx] faulted: it retires and has paid its bubble,
+				// but does not become the interlock producer.
+				n++
+				c.flushBody(code[idx].PC, n-flushed, stall, ll)
+				return n, err
+			}
+			if idx == len(code) {
+				c.flushBody(b.End(), n-flushed, stall, ll)
+				return n, nil
+			}
+			continue
+		}
 		// One combined predicate guards both rare per-instruction
 		// concerns (PC sampling, a pending load-use interlock), so the
-		// common ALU-stream iteration pays a single not-taken branch.
+		// common iteration pays a single not-taken branch.
 		if sampling || ll > 0 {
 			if sampling {
 				if c.sampleLeft--; c.sampleLeft == 0 {
 					c.sampleLeft = c.sampleEvery
-					c.insns += n + 1 - flushed
-					c.baseCycles += n + 1 - flushed + stall
+					c.flushBody(in.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
 					c.sampleFn(in.PC)
 				}
@@ -287,21 +280,22 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 				}
 			}
 		}
-		br, err := mipsHandlers[in.Op&opMask](c, b, in)
+		br, err := exec.NoBranch, error(nil)
+		if in.Run != 0 {
+			_, _, err = c.plain(code[idx : idx+1])
+		} else {
+			br, err = mipsHandlers[in.Op](c, b, in)
+		}
 		n++
 		if err != nil {
-			c.pc = in.PC
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(in.PC, n-flushed, stall, ll)
 			return n, err
 		}
 		ll = int(int8(in.LoadReg))
 		if br == exec.NoBranch {
-			// Fall-through is always idx+1 (predecode sets Instr.Next to
-			// exactly that), so skip the field load.
 			idx++
 			if idx == len(code) {
-				c.pc = in.PC + 4
-				c.flushBody(n-flushed, stall, ll)
+				c.flushBody(in.PC+4, n-flushed, stall, ll)
 				return n, nil
 			}
 			continue
@@ -320,10 +314,9 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 			// Delay slot beyond this body or beyond budget: hand the
 			// pending transfer back in architectural form so the
 			// generic engine (or the next RunBody) resumes correctly.
-			c.pc = in.PC + 4
 			c.inDelay = true
 			c.delayTarget = pendAddr
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(in.PC+4, n-flushed, stall, ll)
 			return n, nil
 		}
 		din := &code[dIdx]
@@ -331,8 +324,7 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 			if sampling {
 				if c.sampleLeft--; c.sampleLeft == 0 {
 					c.sampleLeft = c.sampleEvery
-					c.insns += n + 1 - flushed
-					c.baseCycles += n + 1 - flushed + stall
+					c.flushBody(din.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
 					c.sampleFn(din.PC)
 				}
@@ -343,359 +335,346 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 				}
 			}
 		}
-		dbr, derr := mipsHandlers[din.Op&opMask](c, b, din)
+		dbr, derr := exec.NoBranch, error(nil)
+		switch {
+		case din.Flags&exec.FNop != 0:
+			// What most slots hold: it retires, and that is all it does.
+		case din.Run != 0:
+			_, _, derr = c.plain(code[dIdx : dIdx+1])
+		default:
+			dbr, derr = mipsHandlers[din.Op](c, b, din)
+		}
 		n++
 		if derr != nil {
-			c.pc = din.PC
 			c.inDelay = true
 			c.delayTarget = pendAddr
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(din.PC, n-flushed, stall, ll)
 			return n, derr
 		}
 		ll = int(int8(din.LoadReg))
 		if dbr != exec.NoBranch {
 			// Branch in a delay slot: the oracle resolves the pending
 			// transfer first, then reports the bug at the landing pc.
-			c.pc = pendAddr
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(pendAddr, n-flushed, stall, ll)
 			return n, fmt.Errorf("mips: branch in delay slot at %#x", c.pc)
 		}
 		if br == exec.External {
-			c.pc = pendAddr
-			c.flushBody(n-flushed, stall, ll)
+			c.flushBody(pendAddr, n-flushed, stall, ll)
 			return n, nil
 		}
 		idx = int(br)
 	}
-	c.pc = code[idx].PC
-	c.flushBody(n-flushed, stall, ll)
+	c.flushBody(code[idx].PC, n-flushed, stall, ll)
 	return n, nil
 }
 
-// flushBody applies the dispatch loop's locally-accumulated bookkeeping:
-// pend retired instructions not yet counted, their base cycles plus
-// stall interlock bubbles, and the interlock producer register.
-func (c *CPU) flushBody(pend, stall uint64, ll int) {
+// flushBody brings the simulator's own state up to date at pc, where the
+// dispatch loop is leaving or a probe is about to look: pend retired
+// instructions not yet counted, their base cycles plus stall interlock
+// bubbles, and the interlock producer register.
+func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
+	c.pc = pc
 	c.insns += pend
 	c.baseCycles += pend + stall
 	c.lastLoad = ll
 }
 
-func init() {
-	h := mipsHandlers[:]
-	nb := exec.NoBranch
+// thandler executes one transfer (or refuses one undecodable word).  It
+// returns NoBranch for fall-through, an in-body index for a resolved
+// taken transfer, or External after depositing the destination in
+// c.extPC.
+type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
 
-	h[mSll] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.B)<<uint32(in.Imm))
-		return nb, nil
-	}
-	h[mSrl] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.B)>>uint32(in.Imm))
-		return nb, nil
-	}
-	h[mSra] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, uint32(c.trs(in.B)>>uint32(in.Imm)))
-		return nb, nil
-	}
-	h[mSllv] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
-		return nb, nil
-	}
-	h[mSrlv] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
-		return nb, nil
-	}
-	h[mSrav] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
-		return nb, nil
-	}
-	h[mJr] = func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mindirect(b, uint64(c.tru(in.A))), nil
-	}
-	h[mJalr] = func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+var mipsHandlers = [mNumHandlers]thandler{
+	mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
+	},
+	mJalr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 		// Link before reading rs, as the oracle does (rd == rs uses the
 		// freshly written link value).
 		c.twr(in.C, uint32(in.PC+8))
-		return c.mindirect(b, uint64(c.tru(in.A))), nil
-	}
-	h[mMfhi] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.hi)
-		return nb, nil
-	}
-	h[mMflo] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.lo)
-		return nb, nil
-	}
-	h[mMult] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		p := int64(c.trs(in.A)) * int64(c.trs(in.B))
-		c.lo, c.hi = uint32(p), uint32(p>>32)
-		c.baseCycles += 11
-		return nb, nil
-	}
-	h[mMultu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
-		c.lo, c.hi = uint32(p), uint32(p>>32)
-		c.baseCycles += 11
-		return nb, nil
-	}
-	h[mDiv] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		d := c.trs(in.B)
-		if d == 0 {
-			c.lo, c.hi = 0, 0
-		} else if c.trs(in.A) == math.MinInt32 && d == -1 {
-			c.lo, c.hi = 0x80000000, 0
-		} else {
-			c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
-		}
-		c.baseCycles += 34
-		return nb, nil
-	}
-	h[mDivu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		d := c.tru(in.B)
-		if d == 0 {
-			c.lo, c.hi = 0, 0
-		} else {
-			c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
-		}
-		c.baseCycles += 34
-		return nb, nil
-	}
-	h[mAddu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.A)+c.tru(in.B))
-		return nb, nil
-	}
-	h[mSubu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.A)-c.tru(in.B))
-		return nb, nil
-	}
-	h[mAnd] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.A)&c.tru(in.B))
-		return nb, nil
-	}
-	h[mOr] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.A)|c.tru(in.B))
-		return nb, nil
-	}
-	h[mXor] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.tru(in.A)^c.tru(in.B))
-		return nb, nil
-	}
-	h[mNor] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
-		return nb, nil
-	}
-	h[mSlt] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
-		return nb, nil
-	}
-	h[mSltu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
-		return nb, nil
-	}
-	h[mBadSpecial] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown SPECIAL funct %#x at %#x", uint32(in.Imm)&63, in.PC)
-	}
-	h[mBltz] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
+	},
+	mBltz: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.trs(in.A) < 0), nil
-	}
-	h[mBgez] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBgez: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.trs(in.A) >= 0), nil
-	}
-	h[mBal] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		// The oracle writes the link register before evaluating the
 		// condition, taken or not.
 		c.twr(rRA, uint32(in.PC+8))
 		return c.mbr(in, c.trs(in.A) >= 0), nil
-	}
-	h[mBadRegimm] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown REGIMM rt %#x at %#x", uint32(in.Imm)>>16&31, in.PC)
-	}
-	h[mJ] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mjump(in), nil
-	}
-	h[mJal] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mJ: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	mJal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		c.twr(rRA, uint32(in.PC+8))
-		return c.mjump(in), nil
-	}
-	h[mBeq] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	mBeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.tru(in.A) == c.tru(in.B)), nil
-	}
-	h[mBne] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.tru(in.A) != c.tru(in.B)), nil
-	}
-	h[mBlez] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBlez: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.trs(in.A) <= 0), nil
-	}
-	h[mBgtz] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBgtz: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, c.trs(in.A) > 0), nil
-	}
-	h[mAddiu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
-		return nb, nil
-	}
-	h[mSlti] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
-		return nb, nil
-	}
-	h[mSltiu] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
-		return nb, nil
-	}
-	h[mAndi] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
-		return nb, nil
-	}
-	h[mOri] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
-		return nb, nil
-	}
-	h[mXori] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
-		return nb, nil
-	}
-	h[mLui] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, uint32(in.Imm)<<16)
-		return nb, nil
-	}
-	h[mLb] = mipsLoad(1, func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.B, uint32(int32(int8(v)))) })
-	h[mLbu] = mipsLoad(1, func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.B, uint32(uint8(v))) })
-	h[mLh] = mipsLoad(2, func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.B, uint32(int32(int16(v)))) })
-	h[mLhu] = mipsLoad(2, func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.B, uint32(uint16(v))) })
-	h[mLw] = mipsLoad(4, func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.B, uint32(v)) })
-	h[mLwc1] = mipsLoad(4, func(c *CPU, in *exec.Instr, v uint64) { c.f[in.B] = uint64(uint32(v)) })
-	h[mLdc1] = mipsLoad(8, func(c *CPU, in *exec.Instr, v uint64) { c.f[in.B] = v })
-	h[mSb] = mipsStore(1, func(c *CPU, in *exec.Instr) uint64 { return uint64(uint8(c.tru(in.B))) })
-	h[mSh] = mipsStore(2, func(c *CPU, in *exec.Instr) uint64 { return uint64(uint16(c.tru(in.B))) })
-	h[mSw] = mipsStore(4, func(c *CPU, in *exec.Instr) uint64 { return uint64(c.tru(in.B)) })
-	h[mSwc1] = mipsStore(4, func(c *CPU, in *exec.Instr) uint64 { return uint64(uint32(c.f[in.B])) })
-	h[mSdc1] = mipsStore(8, func(c *CPU, in *exec.Instr) uint64 { return c.f[in.B] })
-	h[mMfc1] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.B, uint32(c.f[in.A]))
-		return nb, nil
-	}
-	h[mMtc1] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.A] = uint64(c.tru(in.B))
-		return nb, nil
-	}
-	h[mBc1] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	},
+	mBc1: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return c.mbr(in, (in.B&1 == 1) == c.cc), nil
-	}
-	h[mFAddS] = fpS(1, func(a, b float32) float32 { return a + b })
-	h[mFSubS] = fpS(1, func(a, b float32) float32 { return a - b })
-	h[mFMulS] = fpS(3, func(a, b float32) float32 { return a * b })
-	h[mFDivS] = fpS(11, func(a, b float32) float32 { return a / b })
-	h[mFSqrtS] = fpS(29, func(a, _ float32) float32 { return float32(math.Sqrt(float64(a))) })
-	h[mFAbsS] = fpS(0, func(a, _ float32) float32 { return float32(math.Abs(float64(a))) })
-	h[mFMovS] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = c.f[in.A] & 0xffffffff
-		return nb, nil
-	}
-	h[mFNegS] = fpS(0, func(a, _ float32) float32 { return -a })
-	h[mFCvtDS] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
-		return nb, nil
-	}
-	h[mFCvtWS] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
-		return nb, nil
-	}
-	h[mFCEqS] = fcmpS(func(a, b float32) bool { return a == b })
-	h[mFCLtS] = fcmpS(func(a, b float32) bool { return a < b })
-	h[mFCLeS] = fcmpS(func(a, b float32) bool { return a <= b })
-	h[mBadFS] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown fp.s funct %#x at %#x", uint32(in.Imm)&63, in.PC)
-	}
-	h[mFAddD] = fpD(1, func(a, b float64) float64 { return a + b })
-	h[mFSubD] = fpD(1, func(a, b float64) float64 { return a - b })
-	h[mFMulD] = fpD(4, func(a, b float64) float64 { return a * b })
-	h[mFDivD] = fpD(18, func(a, b float64) float64 { return a / b })
-	h[mFSqrtD] = fpD(29, func(a, _ float64) float64 { return math.Sqrt(a) })
-	h[mFAbsD] = fpD(0, func(a, _ float64) float64 { return math.Abs(a) })
-	h[mFMovD] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = c.f[in.A]
-		return nb, nil
-	}
-	h[mFNegD] = fpD(0, func(a, _ float64) float64 { return -a })
-	h[mFCvtSD] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
-		return nb, nil
-	}
-	h[mFCvtWD] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
-		return nb, nil
-	}
-	h[mFCEqD] = fcmpD(func(a, b float64) bool { return a == b })
-	h[mFCLtD] = fcmpD(func(a, b float64) bool { return a < b })
-	h[mFCLeD] = fcmpD(func(a, b float64) bool { return a <= b })
-	h[mBadFD] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown fp.d funct %#x at %#x", uint32(in.Imm)&63, in.PC)
-	}
-	h[mFCvtSW] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
-		return nb, nil
-	}
-	h[mFCvtDW] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
-		return nb, nil
-	}
-	h[mBadFW] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown fp.w funct %#x at %#x", uint32(in.Imm)&63, in.PC)
-	}
-	h[mBadCop1] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown COP1 fmt %#x (word %#08x) at %#x", uint32(in.Imm)>>21&31, uint32(in.Imm), in.PC)
-	}
-	h[mBadOp] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", uint32(in.Imm)>>26, uint32(in.Imm), in.PC)
-	}
+	},
+	mBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return 0, badWord(uint32(in.Imm), in.PC)
+	},
 }
 
-func mipsLoad(size int, sink func(c *CPU, in *exec.Instr, v uint64)) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(uint64(c.tru(in.A)+uint32(int32(in.Imm))), size)
-		if err != nil {
-			return 0, fmt.Errorf("mips: load at pc %#x: %w", in.PC, err)
+// badWord is what the oracle says of a word with no row, decode group by
+// decode group.
+func badWord(w uint32, pc uint64) error {
+	switch w >> 26 {
+	case opSpecial:
+		return fmt.Errorf("mips: unknown SPECIAL funct %#x at %#x", w&63, pc)
+	case opRegimm:
+		return fmt.Errorf("mips: unknown REGIMM rt %#x at %#x", w>>16&31, pc)
+	case opCop1:
+		switch w >> 21 & 31 {
+		case fmtS:
+			return fmt.Errorf("mips: unknown fp.s funct %#x at %#x", w&63, pc)
+		case fmtD:
+			return fmt.Errorf("mips: unknown fp.d funct %#x at %#x", w&63, pc)
+		case fmtW:
+			return fmt.Errorf("mips: unknown fp.w funct %#x at %#x", w&63, pc)
 		}
-		sink(c, in, v)
-		return exec.NoBranch, nil
+		return fmt.Errorf("mips: unknown COP1 fmt %#x (word %#08x) at %#x", w>>21&31, w, pc)
 	}
+	return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
 }
 
-func mipsStore(size int, src func(c *CPU, in *exec.Instr) uint64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		addr := uint64(c.tru(in.A) + uint32(int32(in.Imm)))
-		if err := c.m.Store(addr, size, src(c, in)); err != nil {
-			return 0, fmt.Errorf("mips: store at pc %#x: %w", in.PC, err)
+// plain executes code, which holds only plain instructions, in order.  It
+// returns how many completed, the sum of the Stall bits of those it
+// started, and the fault of the one that did not complete, if any.
+func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
+	for i := range code {
+		in := &code[i]
+		bubbles += uint64(in.Stall)
+		switch in.Op {
+		case mSll:
+			c.twr(in.C, c.tru(in.B)<<uint32(in.Imm))
+		case mSrl:
+			c.twr(in.C, c.tru(in.B)>>uint32(in.Imm))
+		case mSra:
+			c.twr(in.C, uint32(c.trs(in.B)>>uint32(in.Imm)))
+		case mSllv:
+			c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
+		case mSrlv:
+			c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
+		case mSrav:
+			c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
+		case mMfhi:
+			c.twr(in.C, c.hi)
+		case mMflo:
+			c.twr(in.C, c.lo)
+		case mMult:
+			p := int64(c.trs(in.A)) * int64(c.trs(in.B))
+			c.lo, c.hi = uint32(p), uint32(p>>32)
+			c.baseCycles += 11
+		case mMultu:
+			p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
+			c.lo, c.hi = uint32(p), uint32(p>>32)
+			c.baseCycles += 11
+		case mDiv:
+			d := c.trs(in.B)
+			if d == 0 {
+				c.lo, c.hi = 0, 0
+			} else if c.trs(in.A) == math.MinInt32 && d == -1 {
+				c.lo, c.hi = 0x80000000, 0
+			} else {
+				c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
+			}
+			c.baseCycles += 34
+		case mDivu:
+			d := c.tru(in.B)
+			if d == 0 {
+				c.lo, c.hi = 0, 0
+			} else {
+				c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
+			}
+			c.baseCycles += 34
+		case mAddu:
+			c.twr(in.C, c.tru(in.A)+c.tru(in.B))
+		case mSubu:
+			c.twr(in.C, c.tru(in.A)-c.tru(in.B))
+		case mAnd:
+			c.twr(in.C, c.tru(in.A)&c.tru(in.B))
+		case mOr:
+			c.twr(in.C, c.tru(in.A)|c.tru(in.B))
+		case mXor:
+			c.twr(in.C, c.tru(in.A)^c.tru(in.B))
+		case mNor:
+			c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
+		case mSlt:
+			c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
+		case mSltu:
+			c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
+		case mAddiu:
+			c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
+		case mSlti:
+			c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
+		case mSltiu:
+			c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
+		case mAndi:
+			c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
+		case mOri:
+			c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
+		case mXori:
+			c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
+		case mLui:
+			c.twr(in.B, uint32(in.Imm)<<16)
+		case mLb:
+			v, err := c.m.Load(c.taddr(in), 1)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.twr(in.B, uint32(int32(int8(v))))
+		case mLbu:
+			v, err := c.m.Load(c.taddr(in), 1)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.twr(in.B, uint32(uint8(v)))
+		case mLh:
+			v, err := c.m.Load(c.taddr(in), 2)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.twr(in.B, uint32(int32(int16(v))))
+		case mLhu:
+			v, err := c.m.Load(c.taddr(in), 2)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.twr(in.B, uint32(uint16(v)))
+		case mLw:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.twr(in.B, uint32(v))
+		case mLwc1:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.f[in.B] = uint64(uint32(v))
+		case mLdc1:
+			v, err := c.m.Load(c.taddr(in), 8)
+			if err != nil {
+				return i, bubbles, memErr("load", in, err)
+			}
+			c.f[in.B] = v
+		case mSb:
+			if err := c.m.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case mSh:
+			if err := c.m.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case mSw:
+			if err := c.m.Store(c.taddr(in), 4, uint64(c.tru(in.B))); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case mSwc1:
+			if err := c.m.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case mSdc1:
+			if err := c.m.Store(c.taddr(in), 8, c.f[in.B]); err != nil {
+				return i, bubbles, memErr("store", in, err)
+			}
+		case mMfc1:
+			c.twr(in.B, uint32(c.f[in.A]))
+		case mMtc1:
+			c.f[in.A] = uint64(c.tru(in.B))
+		case mFAddS:
+			c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
+			c.baseCycles++
+		case mFSubS:
+			c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
+			c.baseCycles++
+		case mFMulS:
+			c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
+			c.baseCycles += 3
+		case mFDivS:
+			c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
+			c.baseCycles += 11
+		case mFSqrtS:
+			c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
+			c.baseCycles += 29
+		case mFAbsS:
+			c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
+		case mFMovS:
+			c.f[in.C] = c.f[in.A] & 0xffffffff
+		case mFNegS:
+			c.wfs(uint32(in.C), -c.fs(uint32(in.A)))
+		case mFCvtDS:
+			c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
+		case mFCvtWS:
+			c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
+		case mFCEqS:
+			c.cc = c.fs(uint32(in.A)) == c.fs(uint32(in.B))
+		case mFCLtS:
+			c.cc = c.fs(uint32(in.A)) < c.fs(uint32(in.B))
+		case mFCLeS:
+			c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
+		case mFAddD:
+			c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
+			c.baseCycles++
+		case mFSubD:
+			c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
+			c.baseCycles++
+		case mFMulD:
+			c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
+			c.baseCycles += 4
+		case mFDivD:
+			c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
+			c.baseCycles += 18
+		case mFSqrtD:
+			c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
+			c.baseCycles += 29
+		case mFAbsD:
+			c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
+		case mFMovD:
+			c.f[in.C] = c.f[in.A]
+		case mFNegD:
+			c.wfd(uint32(in.C), -c.fd(uint32(in.A)))
+		case mFCvtSD:
+			c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
+		case mFCvtWD:
+			c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
+		case mFCEqD:
+			c.cc = c.fd(uint32(in.A)) == c.fd(uint32(in.B))
+		case mFCLtD:
+			c.cc = c.fd(uint32(in.A)) < c.fd(uint32(in.B))
+		case mFCLeD:
+			c.cc = c.fd(uint32(in.A)) <= c.fd(uint32(in.B))
+		case mFCvtSW:
+			c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
+		case mFCvtDW:
+			c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
+		default:
+			panic(fmt.Sprintf("mips: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
 		}
-		return exec.NoBranch, nil
 	}
+	return len(code), bubbles, nil
 }
 
-func fpS(cycles uint64, f func(a, b float32) float32) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfs(uint32(in.C), f(c.fs(uint32(in.A)), c.fs(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func fpD(cycles uint64, f func(a, b float64) float64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfd(uint32(in.C), f(c.fd(uint32(in.A)), c.fd(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func fcmpS(f func(a, b float32) bool) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.cc = f(c.fs(uint32(in.A)), c.fs(uint32(in.B)))
-		return exec.NoBranch, nil
-	}
-}
-
-func fcmpD(f func(a, b float64) bool) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.cc = f(c.fd(uint32(in.A)), c.fd(uint32(in.B)))
-		return exec.NoBranch, nil
-	}
+func memErr(what string, in *exec.Instr, err error) error {
+	return fmt.Errorf("mips: %s at pc %#x: %w", what, in.PC, err)
 }

@@ -16,13 +16,20 @@ import (
 // metadata stays NoReg and lastLoad is never touched — exactly like the
 // oracle.
 
-// Dense opcodes: indices into sparcHandlers.
+// Dense opcodes.  Each is described exactly once: a transfer or an
+// undecodable word by the entry of sparcHandlers its number indexes, a
+// plain instruction (a row of kind verify.KindOther) by a case of plain.
 const (
-	sSethi uint16 = iota
-	sBicc
+	sBicc uint16 = iota
 	sFBfcc
-	sBadOp2
 	sCall
+	sJmpl
+	sBad // a word with no row
+	sNumHandlers
+)
+
+const (
+	sSethi = sNumHandlers + iota
 	sAdd
 	sSub
 	sAnd
@@ -42,8 +49,6 @@ const (
 	sSdiv
 	sRdY
 	sWrY
-	sJmpl
-	sBadOp3
 	sFmovs
 	sFnegs
 	sFabss
@@ -63,10 +68,8 @@ const (
 	sFdtoi
 	sFstod
 	sFdtos
-	sBadFPop1
 	sFcmps
 	sFcmpd
-	sBadFPop2
 	sLd
 	sLdub
 	sLduh
@@ -79,20 +82,12 @@ const (
 	sSth
 	sStf
 	sStdf
-	sBadMem
-	sNumOps
 )
 
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-var sparcHandlers [exec.OpTableSize]thandler
-
-// opMask aliases exec.OpMask for the dispatch hot loop; the next line
-// fails to compile if the opcode count ever outgrows the table.
-const opMask = exec.OpMask
-
-var _ [exec.OpTableSize - sNumOps]struct{}
-
+// Register helpers over the narrow predecoded operand fields.  (Not
+// masked with 31 to spare the compiler's index check, as on MIPS and
+// Alpha: here that form reads 10% slower on loop_long, EXPERIMENTS S8.)
+func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n]) }
 func (c *CPU) twr(n uint8, v uint32) {
 	if n != 0 {
 		c.r[n] = uint64(v)
@@ -105,28 +100,21 @@ func (c *CPU) topnd2(in *exec.Instr) uint32 {
 	if in.Flags&exec.FImm != 0 {
 		return uint32(in.Imm)
 	}
-	return uint32(c.r[in.B])
+	return c.tru(in.B)
 }
 
-// sjump follows a statically resolved transfer.
-func (c *CPU) sjump(in *exec.Instr) int32 {
-	if in.Target == exec.External {
-		c.extPC = uint64(in.Imm)
-		return exec.External
-	}
-	return in.Target
-}
+// taddr is the effective address of a load or store.
+func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + c.topnd2(in)) }
 
 // PendingDelay reports whether a taken branch is waiting on its delay
 // slot.
 func (c *CPU) PendingDelay() bool { return c.inDelay }
 
 // Predecode unpacks words into a threaded body: each word's row in the
-// instruction table (isa.go) names its handler and which operands to
-// unpack.  Pure function of its arguments (safe from batch-install
-// workers); a word with no row becomes the bad-op handler of its decode
-// group, reproducing the oracle's exact message, never a predecode
-// failure.
+// instruction table (isa.go) names its opcode, whether it is plain, and
+// which operands to unpack.  Pure function of its arguments; a word with
+// no row becomes sBad, whose handler reproduces the oracle's exact message,
+// never a predecode failure.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
 	n := len(words)
@@ -138,22 +126,13 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 
 		r := isa.Lookup(w)
 		if r == nil {
-			in.Imm = int64(w)
-			switch op3 := w >> 19 & 0x3f; {
-			case w>>30 == 0:
-				in.Op = sBadOp2
-			case w>>30 == 3:
-				in.Op = sBadMem
-			case op3 == op3FPop1:
-				in.Op = sBadFPop1
-			case op3 == op3FPop2:
-				in.Op = sBadFPop2
-			default:
-				in.Op = sBadOp3
-			}
+			in.Op, in.Imm = sBad, int64(w)
 			continue
 		}
-		in.Op = r.Op
+		in.Op, in.Run = r.Op, r.Run()
+		if w == encNop {
+			in.Flags |= exec.FNop
+		}
 		rd := uint8(w >> 25 & 31)
 		rs1 := uint8(w >> 14 & 31)
 		switch r.Layout {
@@ -176,6 +155,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rs1, uint8(w&31), rd
 		}
 	}
+	exec.MarkRuns(code, exec.NoReg)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -193,31 +173,47 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
+		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
+			// A straight-line run that fits the budget, nobody sampling:
+			// plain executes all of it (one instruction alone costs less
+			// on the path below).
+			done, err := c.plain(code[idx : idx+int(run)])
+			idx += done
+			n += uint64(done)
+			if err != nil {
+				n++ // code[idx] faulted, and retires
+				c.flushBody(code[idx].PC, n-flushed)
+				return n, err
+			}
+			if idx == len(code) {
+				c.flushBody(b.End(), n-flushed)
+				return n, nil
+			}
+			continue
+		}
 		if sampling {
 			if c.sampleLeft--; c.sampleLeft == 0 {
 				c.sampleLeft = c.sampleEvery
-				c.insns += n + 1 - flushed
-				c.baseCycles += n + 1 - flushed
+				c.flushBody(in.PC, n+1-flushed)
 				flushed = n + 1
 				c.sampleFn(in.PC)
 			}
 		}
-		br, err := sparcHandlers[in.Op&opMask](c, b, in)
+		br, err := exec.NoBranch, error(nil)
+		if in.Run != 0 {
+			_, err = c.plain(code[idx : idx+1])
+		} else {
+			br, err = sparcHandlers[in.Op](c, b, in)
+		}
 		n++
 		if err != nil {
-			c.pc = in.PC
-			c.insns += n - flushed
-			c.baseCycles += n - flushed
+			c.flushBody(in.PC, n-flushed)
 			return n, err
 		}
 		if br == exec.NoBranch {
-			// Fall-through is always idx+1 (predecode sets Instr.Next to
-			// exactly that), so skip the field load.
 			idx++
 			if idx == len(code) {
-				c.pc = in.PC + 4
-				c.insns += n - flushed
-				c.baseCycles += n - flushed
+				c.flushBody(in.PC+4, n-flushed)
 				return n, nil
 			}
 			continue
@@ -232,282 +228,324 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 		}
 		dIdx := idx + 1
 		if dIdx == len(code) || n >= allow {
-			c.pc = in.PC + 4
 			c.inDelay = true
 			c.delayTarget = pendAddr
-			c.insns += n - flushed
-			c.baseCycles += n - flushed
+			c.flushBody(in.PC+4, n-flushed)
 			return n, nil
 		}
 		din := &code[dIdx]
 		if sampling {
 			if c.sampleLeft--; c.sampleLeft == 0 {
 				c.sampleLeft = c.sampleEvery
-				c.insns += n + 1 - flushed
-				c.baseCycles += n + 1 - flushed
+				c.flushBody(din.PC, n+1-flushed)
 				flushed = n + 1
 				c.sampleFn(din.PC)
 			}
 		}
-		dbr, derr := sparcHandlers[din.Op&opMask](c, b, din)
+		dbr, derr := exec.NoBranch, error(nil)
+		switch {
+		case din.Flags&exec.FNop != 0:
+			// What most slots hold: it retires, and that is all it does.
+		case din.Run != 0:
+			_, derr = c.plain(code[dIdx : dIdx+1])
+		default:
+			dbr, derr = sparcHandlers[din.Op](c, b, din)
+		}
 		n++
 		if derr != nil {
-			c.pc = din.PC
 			c.inDelay = true
 			c.delayTarget = pendAddr
-			c.insns += n - flushed
-			c.baseCycles += n - flushed
+			c.flushBody(din.PC, n-flushed)
 			return n, derr
 		}
 		if dbr != exec.NoBranch {
-			c.pc = pendAddr
-			c.insns += n - flushed
-			c.baseCycles += n - flushed
+			c.flushBody(pendAddr, n-flushed)
 			return n, fmt.Errorf("sparc: branch in delay slot at %#x", c.pc)
 		}
 		if br == exec.External {
-			c.pc = pendAddr
-			c.insns += n - flushed
-			c.baseCycles += n - flushed
+			c.flushBody(pendAddr, n-flushed)
 			return n, nil
 		}
 		idx = int(br)
 	}
-	c.pc = code[idx].PC
-	c.insns += n - flushed
-	c.baseCycles += n - flushed
+	c.flushBody(code[idx].PC, n-flushed)
 	return n, nil
 }
 
-func init() {
-	h := sparcHandlers[:]
-	nb := exec.NoBranch
+// flushBody brings the simulator's own state up to date at pc, where the
+// dispatch loop is leaving or a probe is about to look: pend retired
+// instructions not yet counted, and their base cycles.
+func (c *CPU) flushBody(pc, pend uint64) {
+	c.pc = pc
+	c.insns += pend
+	c.baseCycles += pend
+}
 
-	h[sSethi] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, uint32(in.Imm))
-		return nb, nil
-	}
-	h[sBicc] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+// thandler executes one transfer (or refuses one undecodable word); see
+// the MIPS engine for what it returns.
+type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
+
+var sparcHandlers = [sNumHandlers]thandler{
+	sBicc: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		taken := c.takenI(uint32(in.A))
 		c.edge(in.PC, taken)
 		if !taken {
-			return nb, nil
+			return exec.NoBranch, nil
 		}
-		return c.sjump(in), nil
-	}
-	h[sFBfcc] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	sFBfcc: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		taken := c.takenF(uint32(in.A))
 		c.edge(in.PC, taken)
 		if !taken {
-			return nb, nil
+			return exec.NoBranch, nil
 		}
-		return c.sjump(in), nil
-	}
-	h[sBadOp2] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("sparc: unknown op2 %d at %#x", uint32(in.Imm)>>22&7, in.PC)
-	}
-	h[sCall] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		c.twr(rO7, uint32(in.PC))
-		return c.sjump(in), nil
-	}
-	h[sAdd] = alu(func(a, b uint32) uint32 { return a + b })
-	h[sSub] = alu(func(a, b uint32) uint32 { return a - b })
-	h[sAnd] = alu(func(a, b uint32) uint32 { return a & b })
-	h[sAndn] = alu(func(a, b uint32) uint32 { return a &^ b })
-	h[sOr] = alu(func(a, b uint32) uint32 { return a | b })
-	h[sXor] = alu(func(a, b uint32) uint32 { return a ^ b })
-	h[sXnor] = alu(func(a, b uint32) uint32 { return ^(a ^ b) })
-	h[sAddx] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		x := uint32(0)
-		if c.c {
-			x = 1
-		}
-		c.twr(in.C, uint32(c.r[in.A])+c.topnd2(in)+x)
-		return nb, nil
-	}
-	h[sAddCC] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		a, b := uint32(c.r[in.A]), c.topnd2(in)
-		r := a + b
-		c.twr(in.C, r)
-		c.n, c.z = int32(r) < 0, r == 0
-		c.v = (a>>31 == b>>31) && (r>>31 != a>>31)
-		c.c = r < a
-		return nb, nil
-	}
-	h[sSubCC] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		a, b := uint32(c.r[in.A]), c.topnd2(in)
-		r := a - b
-		c.twr(in.C, r)
-		c.n, c.z = int32(r) < 0, r == 0
-		c.v = (a>>31 != b>>31) && (r>>31 != a>>31)
-		c.c = a < b
-		return nb, nil
-	}
-	h[sSll] = alu(func(a, b uint32) uint32 { return a << (b & 31) })
-	h[sSrl] = alu(func(a, b uint32) uint32 { return a >> (b & 31) })
-	h[sSra] = alu(func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) })
-	h[sUmul] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		p := uint64(uint32(c.r[in.A])) * uint64(c.topnd2(in))
-		c.y = uint32(p >> 32)
-		c.twr(in.C, uint32(p))
-		c.baseCycles += 4
-		return nb, nil
-	}
-	h[sSmul] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		p := int64(int32(c.r[in.A])) * int64(int32(c.topnd2(in)))
-		c.y = uint32(uint64(p) >> 32)
-		c.twr(in.C, uint32(p))
-		c.baseCycles += 4
-		return nb, nil
-	}
-	h[sUdiv] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		b := c.topnd2(in)
-		dividend := uint64(c.y)<<32 | uint64(uint32(c.r[in.A]))
-		if b == 0 {
-			c.twr(in.C, 0)
-		} else {
-			q := dividend / uint64(b)
-			if q > math.MaxUint32 {
-				q = math.MaxUint32
-			}
-			c.twr(in.C, uint32(q))
-		}
-		c.baseCycles += 36
-		return nb, nil
-	}
-	h[sSdiv] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		b := c.topnd2(in)
-		dividend := int64(uint64(c.y)<<32 | uint64(uint32(c.r[in.A])))
-		if b == 0 {
-			c.twr(in.C, 0)
-		} else {
-			q := dividend / int64(int32(b))
-			switch {
-			case q > math.MaxInt32:
-				q = math.MaxInt32
-			case q < math.MinInt32:
-				q = math.MinInt32
-			}
-			c.twr(in.C, uint32(int32(q)))
-		}
-		c.baseCycles += 36
-		return nb, nil
-	}
-	h[sRdY] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, c.y)
-		return nb, nil
-	}
-	h[sWrY] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.y = uint32(c.r[in.A]) ^ c.topnd2(in)
-		return nb, nil
-	}
-	h[sJmpl] = func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+		return in.Jump(&c.extPC), nil
+	},
+	sJmpl: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 		// Read the sources before the link write, as the oracle does.
-		a := uint32(c.r[in.A])
-		o2 := c.topnd2(in)
+		t := c.taddr(in)
 		c.twr(in.C, uint32(in.PC))
-		t := uint64(a + o2)
-		if b.Contains(t) {
-			return int32(b.IndexOf(t)), nil
+		return b.Indirect(t, &c.extPC), nil
+	},
+	sBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		return 0, badWord(uint32(in.Imm), in.PC)
+	},
+}
+
+// badWord is what the oracle says of a word with no row, decode group by
+// decode group.
+func badWord(w uint32, pc uint64) error {
+	op3 := w >> 19 & 0x3f
+	switch {
+	case w>>30 == 0:
+		return fmt.Errorf("sparc: unknown op2 %d at %#x", w>>22&7, pc)
+	case w>>30 == 3:
+		return fmt.Errorf("sparc: unknown mem op3 %#x at %#x", op3, pc)
+	case op3 == op3FPop1:
+		return fmt.Errorf("sparc: unknown FPop1 opf %#x at %#x", w>>5&0x1ff, pc)
+	case op3 == op3FPop2:
+		return fmt.Errorf("sparc: unknown FPop2 opf %#x at %#x", w>>5&0x1ff, pc)
+	}
+	return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, pc)
+}
+
+// plain executes code, which holds only plain instructions, in order.  It
+// returns how many completed and the fault of the one that did not, if
+// any.
+func (c *CPU) plain(code []exec.Instr) (done int, err error) {
+	for i := range code {
+		in := &code[i]
+		switch in.Op {
+		case sSethi:
+			c.twr(in.C, uint32(in.Imm))
+		case sAdd:
+			c.twr(in.C, c.tru(in.A)+c.topnd2(in))
+		case sSub:
+			c.twr(in.C, c.tru(in.A)-c.topnd2(in))
+		case sAnd:
+			c.twr(in.C, c.tru(in.A)&c.topnd2(in))
+		case sAndn:
+			c.twr(in.C, c.tru(in.A)&^c.topnd2(in))
+		case sOr:
+			c.twr(in.C, c.tru(in.A)|c.topnd2(in))
+		case sXor:
+			c.twr(in.C, c.tru(in.A)^c.topnd2(in))
+		case sXnor:
+			c.twr(in.C, ^(c.tru(in.A) ^ c.topnd2(in)))
+		case sAddx:
+			x := uint32(0)
+			if c.c {
+				x = 1
+			}
+			c.twr(in.C, c.tru(in.A)+c.topnd2(in)+x)
+		case sAddCC:
+			a, b := c.tru(in.A), c.topnd2(in)
+			r := a + b
+			c.twr(in.C, r)
+			c.n, c.z = int32(r) < 0, r == 0
+			c.v = (a>>31 == b>>31) && (r>>31 != a>>31)
+			c.c = r < a
+		case sSubCC:
+			a, b := c.tru(in.A), c.topnd2(in)
+			r := a - b
+			c.twr(in.C, r)
+			c.n, c.z = int32(r) < 0, r == 0
+			c.v = (a>>31 != b>>31) && (r>>31 != a>>31)
+			c.c = a < b
+		case sSll:
+			c.twr(in.C, c.tru(in.A)<<(c.topnd2(in)&31))
+		case sSrl:
+			c.twr(in.C, c.tru(in.A)>>(c.topnd2(in)&31))
+		case sSra:
+			c.twr(in.C, uint32(int32(c.tru(in.A))>>(c.topnd2(in)&31)))
+		case sUmul:
+			p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
+			c.y = uint32(p >> 32)
+			c.twr(in.C, uint32(p))
+			c.baseCycles += 4
+		case sSmul:
+			p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
+			c.y = uint32(uint64(p) >> 32)
+			c.twr(in.C, uint32(p))
+			c.baseCycles += 4
+		case sUdiv:
+			b := c.topnd2(in)
+			dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
+			if b == 0 {
+				c.twr(in.C, 0)
+			} else {
+				q := dividend / uint64(b)
+				if q > math.MaxUint32 {
+					q = math.MaxUint32
+				}
+				c.twr(in.C, uint32(q))
+			}
+			c.baseCycles += 36
+		case sSdiv:
+			b := c.topnd2(in)
+			dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
+			if b == 0 {
+				c.twr(in.C, 0)
+			} else {
+				q := dividend / int64(int32(b))
+				switch {
+				case q > math.MaxInt32:
+					q = math.MaxInt32
+				case q < math.MinInt32:
+					q = math.MinInt32
+				}
+				c.twr(in.C, uint32(int32(q)))
+			}
+			c.baseCycles += 36
+		case sRdY:
+			c.twr(in.C, c.y)
+		case sWrY:
+			c.y = c.tru(in.A) ^ c.topnd2(in)
+		case sFmovs:
+			c.f[in.C] = c.f[in.B]
+		case sFnegs:
+			c.f[in.C] = c.f[in.B] ^ 0x80000000
+		case sFabss:
+			c.f[in.C] = c.f[in.B] &^ 0x80000000
+		case sFsqrts:
+			c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
+			c.baseCycles += 29
+		case sFsqrtd:
+			c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
+			c.baseCycles += 29
+		case sFadds:
+			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
+			c.baseCycles++
+		case sFaddd:
+			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
+			c.baseCycles++
+		case sFsubs:
+			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
+			c.baseCycles++
+		case sFsubd:
+			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
+			c.baseCycles++
+		case sFmuls:
+			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
+			c.baseCycles += 3
+		case sFmuld:
+			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
+			c.baseCycles += 4
+		case sFdivs:
+			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
+			c.baseCycles += 12
+		case sFdivd:
+			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
+			c.baseCycles += 18
+		case sFitos:
+			c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
+		case sFitod:
+			c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
+		case sFstoi:
+			c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
+		case sFdtoi:
+			c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
+		case sFstod:
+			c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
+		case sFdtos:
+			c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
+		case sFcmps:
+			c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
+		case sFcmpd:
+			c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
+		case sLd:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, memErr("load", in, err)
+			}
+			c.twr(in.C, uint32(v))
+		case sLdub:
+			v, err := c.m.Load(c.taddr(in), 1)
+			if err != nil {
+				return i, memErr("load", in, err)
+			}
+			c.twr(in.C, uint32(v))
+		case sLduh:
+			v, err := c.m.Load(c.taddr(in), 2)
+			if err != nil {
+				return i, memErr("load", in, err)
+			}
+			c.twr(in.C, uint32(v))
+		case sLdsb:
+			v, err := c.m.Load(c.taddr(in), 1)
+			if err != nil {
+				return i, memErr("load", in, err)
+			}
+			c.twr(in.C, uint32(int32(int8(v))))
+		case sLdsh:
+			v, err := c.m.Load(c.taddr(in), 2)
+			if err != nil {
+				return i, memErr("load", in, err)
+			}
+			c.twr(in.C, uint32(int32(int16(v))))
+		case sLdf:
+			v, err := c.m.Load(c.taddr(in), 4)
+			if err != nil {
+				return i, memErr("ldf", in, err)
+			}
+			c.f[in.C] = uint32(v)
+		case sLddf:
+			v, err := c.m.Load(c.taddr(in), 8)
+			if err != nil {
+				return i, memErr("lddf", in, err)
+			}
+			c.f[in.C&^1] = uint32(v >> 32)
+			c.f[in.C|1] = uint32(v)
+		case sSt:
+			if err := c.m.Store(c.taddr(in), 4, uint64(c.tru(in.C))); err != nil {
+				return i, memErr("store", in, err)
+			}
+		case sStb:
+			if err := c.m.Store(c.taddr(in), 1, uint64(c.tru(in.C))); err != nil {
+				return i, memErr("store", in, err)
+			}
+		case sSth:
+			if err := c.m.Store(c.taddr(in), 2, uint64(c.tru(in.C))); err != nil {
+				return i, memErr("store", in, err)
+			}
+		case sStf:
+			if err := c.m.Store(c.taddr(in), 4, uint64(c.f[in.C])); err != nil {
+				return i, memErr("stf", in, err)
+			}
+		case sStdf:
+			if err := c.m.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])); err != nil {
+				return i, memErr("stdf", in, err)
+			}
+		default:
+			panic(fmt.Sprintf("sparc: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
 		}
-		c.extPC = t
-		return exec.External, nil
 	}
-	h[sBadOp3] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("sparc: unknown op3 %#x at %#x", uint32(in.Imm)>>19&0x3f, in.PC)
-	}
-	h[sFmovs] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = c.f[in.B]
-		return nb, nil
-	}
-	h[sFnegs] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = c.f[in.B] ^ 0x80000000
-		return nb, nil
-	}
-	h[sFabss] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = c.f[in.B] &^ 0x80000000
-		return nb, nil
-	}
-	h[sFsqrts] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
-		c.baseCycles += 29
-		return nb, nil
-	}
-	h[sFsqrtd] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
-		c.baseCycles += 29
-		return nb, nil
-	}
-	h[sFadds] = fps(1, func(a, b float32) float32 { return a + b })
-	h[sFaddd] = fpd(1, func(a, b float64) float64 { return a + b })
-	h[sFsubs] = fps(1, func(a, b float32) float32 { return a - b })
-	h[sFsubd] = fpd(1, func(a, b float64) float64 { return a - b })
-	h[sFmuls] = fps(3, func(a, b float32) float32 { return a * b })
-	h[sFmuld] = fpd(4, func(a, b float64) float64 { return a * b })
-	h[sFdivs] = fps(12, func(a, b float32) float32 { return a / b })
-	h[sFdivd] = fpd(18, func(a, b float64) float64 { return a / b })
-	h[sFitos] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
-		return nb, nil
-	}
-	h[sFitod] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
-		return nb, nil
-	}
-	h[sFstoi] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
-		return nb, nil
-	}
-	h[sFdtoi] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
-		return nb, nil
-	}
-	h[sFstod] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
-		return nb, nil
-	}
-	h[sFdtos] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
-		return nb, nil
-	}
-	h[sBadFPop1] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("sparc: unknown FPop1 opf %#x at %#x", uint32(in.Imm)>>5&0x1ff, in.PC)
-	}
-	h[sFcmps] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
-		return nb, nil
-	}
-	h[sFcmpd] = func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
-		return nb, nil
-	}
-	h[sBadFPop2] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("sparc: unknown FPop2 opf %#x at %#x", uint32(in.Imm)>>5&0x1ff, in.PC)
-	}
-	h[sLd] = sload(4, "load", func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.C, uint32(v)) })
-	h[sLdub] = sload(1, "load", func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.C, uint32(v)) })
-	h[sLduh] = sload(2, "load", func(c *CPU, in *exec.Instr, v uint64) { c.twr(in.C, uint32(v)) })
-	h[sLdsb] = sload(1, "load", func(c *CPU, in *exec.Instr, v uint64) {
-		c.twr(in.C, uint32(int32(int8(v))))
-	})
-	h[sLdsh] = sload(2, "load", func(c *CPU, in *exec.Instr, v uint64) {
-		c.twr(in.C, uint32(int32(int16(v))))
-	})
-	h[sLdf] = sload(4, "ldf", func(c *CPU, in *exec.Instr, v uint64) { c.f[in.C] = uint32(v) })
-	h[sLddf] = sload(8, "lddf", func(c *CPU, in *exec.Instr, v uint64) {
-		c.f[in.C&^1] = uint32(v >> 32)
-		c.f[in.C|1] = uint32(v)
-	})
-	h[sSt] = sstore(4, "store", func(c *CPU, in *exec.Instr) uint64 { return uint64(uint32(c.r[in.C])) })
-	h[sStb] = sstore(1, "store", func(c *CPU, in *exec.Instr) uint64 { return uint64(uint32(c.r[in.C])) })
-	h[sSth] = sstore(2, "store", func(c *CPU, in *exec.Instr) uint64 { return uint64(uint32(c.r[in.C])) })
-	h[sStf] = sstore(4, "stf", func(c *CPU, in *exec.Instr) uint64 { return uint64(c.f[in.C]) })
-	h[sStdf] = sstore(8, "stdf", func(c *CPU, in *exec.Instr) uint64 {
-		return uint64(c.f[in.C&^1])<<32 | uint64(c.f[in.C|1])
-	})
-	h[sBadMem] = func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, fmt.Errorf("sparc: unknown mem op3 %#x at %#x", uint32(in.Imm)>>19&0x3f, in.PC)
-	}
+	return len(code), nil
 }
 
 // fcmp sets fcc exactly like the oracle's fpop2 tail.
@@ -524,46 +562,6 @@ func (c *CPU) fcmp(a, b float64) {
 	}
 }
 
-func alu(f func(a, b uint32) uint32) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.C, f(uint32(c.r[in.A]), c.topnd2(in)))
-		return exec.NoBranch, nil
-	}
-}
-
-func fps(cycles uint64, f func(a, b float32) float32) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfsingle(uint32(in.C), f(c.fsingle(uint32(in.A)), c.fsingle(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func fpd(cycles uint64, f func(a, b float64) float64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.wfdouble(uint32(in.C), f(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B))))
-		c.baseCycles += cycles
-		return exec.NoBranch, nil
-	}
-}
-
-func sload(size int, what string, sink func(c *CPU, in *exec.Instr, v uint64)) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		v, err := c.m.Load(uint64(uint32(c.r[in.A])+c.topnd2(in)), size)
-		if err != nil {
-			return 0, fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
-		}
-		sink(c, in, v)
-		return exec.NoBranch, nil
-	}
-}
-
-func sstore(size int, what string, src func(c *CPU, in *exec.Instr) uint64) thandler {
-	return func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		addr := uint64(uint32(c.r[in.A]) + c.topnd2(in))
-		if err := c.m.Store(addr, size, src(c, in)); err != nil {
-			return 0, fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
-		}
-		return exec.NoBranch, nil
-	}
+func memErr(what string, in *exec.Instr, err error) error {
+	return fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
 }

@@ -10,8 +10,9 @@
 // the same key into a single flight, and bounds capacity by entry count
 // and by resident code bytes.  When bound to a core.Machine it installs
 // compiled functions on insert and reclaims their simulated code memory on
-// eviction through Machine.Uninstall — the eager, out-of-order complement
-// to the paper's stack-style Mark/Release arena (§5.2).
+// eviction (Machine.Uninstall, or Unit.Unload for a program's entry function,
+// sized and evicted as the whole program) — the eager, out-of-order
+// complement to the paper's stack-style Mark/Release arena (§5.2).
 package codecache
 
 import (
@@ -40,8 +41,8 @@ type Config struct {
 	Shards int
 	// MaxEntries bounds the cached function count (0 = unlimited).
 	MaxEntries int
-	// MaxCodeBytes bounds the summed SizeBytes of cached functions
-	// (0 = unlimited).
+	// MaxCodeBytes bounds the summed code bytes of cached functions and
+	// programs (0 = unlimited).
 	MaxCodeBytes int64
 	// Machine, when set, receives Install on insert and Uninstall on
 	// eviction, so eviction actually frees simulator code memory.
@@ -62,11 +63,10 @@ type Config struct {
 	// RegisterTelemetry.
 	Name string
 	// OnEvict, when set, runs after an entry leaves the cache (capacity
-	// eviction or Invalidate) and after the bound Machine uninstall.  A
-	// caller that attaches resources to a key beyond the cached function
-	// itself — sibling functions of a multi-function program, per-tenant
-	// residency accounting — reclaims them here.  It runs without any
-	// cache lock held and may call back into the cache.
+	// eviction or Invalidate) and after its code left the machine.  A
+	// caller that keeps books by key — per-tenant residency accounting —
+	// settles them here.  It runs without any cache lock held and may call
+	// back into the cache.
 	OnEvict func(key string, fn *core.Func)
 	// OnCompileResult, when set, fires exactly once per actual compile
 	// flight as it settles — err is nil on success, the compile/install
@@ -285,6 +285,9 @@ func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error
 	}
 	e.fn = fn
 	e.size = int64(fn.SizeBytes())
+	if u := fn.Unit(); u != nil {
+		e.size = u.CodeBytes()
+	}
 	s.mu.Lock()
 	e.stamp = c.clock.Add(1)
 	e.ready = true
@@ -438,9 +441,11 @@ func (c *Cache) drop(e *entry, evicted bool) {
 	if evicted {
 		c.evictions.Add(1)
 	}
-	if c.machine != nil {
-		// A racing caller may already be re-running the function (Call
-		// re-installs on demand), so a failed uninstall is not fatal.
+	if u := e.fn.Unit(); c.machine != nil && u != nil {
+		u.Unload() // a caller still holding e.fn gets core.ErrUnloaded
+	} else if c.machine != nil {
+		// A racing caller may already be re-running the loose function
+		// (Call re-installs it on demand): a failed uninstall is not fatal.
 		_ = c.machine.Uninstall(e.fn)
 	}
 	if c.onEvict != nil {

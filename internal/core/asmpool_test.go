@@ -35,7 +35,7 @@ var (
 // takes it out again, returning the masked hash of each function.
 func poolCompile(m *core.Machine, i int) ([]string, error) {
 	var fns []*core.Func
-	var table func() error
+	var unit *core.Unit // nil for the jit's loose function
 	switch n := i % 3; n {
 	case 0:
 		prog, err := tinyc.Parse(poolTinyc[i/3%len(poolTinyc)])
@@ -46,19 +46,15 @@ func poolCompile(m *core.Machine, i int) ([]string, error) {
 		if err := c.Compile(prog); err != nil {
 			return nil, err
 		}
-		for _, name := range c.Order() {
-			fns = append(fns, c.Funcs()[name])
-		}
-		table = func() error { return m.Free(c.Table()) }
+		unit = c.Unit()
+		fns = unit.Funcs()
 	case 1:
 		prog, err := vasm.Assemble(m, poolVasm[i/3%len(poolVasm)])
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range prog.Order {
-			fns = append(fns, prog.Funcs[name])
-		}
-		table = func() error { return m.Free(prog.Table()) }
+		unit = prog.Unit
+		fns = unit.Funcs()
 	default:
 		a := m.BorrowAsm()
 		fn, err := jit.CompileInto(a, poolJit[i/3%len(poolJit)])
@@ -69,16 +65,21 @@ func poolCompile(m *core.Machine, i int) ([]string, error) {
 		if err := m.Install(fn); err != nil {
 			return nil, err
 		}
-		fns, table = []*core.Func{fn}, func() error { return nil }
+		fns = []*core.Func{fn}
 	}
 	var hashes []string
 	for _, fn := range fns {
 		hashes = append(hashes, fn.Name+" "+regtest.WordsHash(fn, true))
-		if err := m.Uninstall(fn); err != nil {
-			return nil, err
+		if unit == nil {
+			if err := m.Uninstall(fn); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return hashes, table()
+	if unit != nil {
+		unit.Unload()
+	}
+	return hashes, nil
 }
 
 // TestRecycledAsmsLeakNothing: while eight goroutines compile the three

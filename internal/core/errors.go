@@ -48,6 +48,9 @@ var (
 	// runs past its step budget (CallOpts.Fuel, or the machine-wide
 	// MaxSteps backstop).
 	ErrFuelExhausted = errors.New("vcode: fuel exhausted")
+	// ErrUnloaded is reported when a function of an unloaded Unit is
+	// installed or called: the program is never put back on the machine.
+	ErrUnloaded = errors.New("vcode: program unit is unloaded")
 )
 
 // TrapPanicError reports that a runtime-helper trap handler panicked

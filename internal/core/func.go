@@ -74,6 +74,9 @@ type Func struct {
 	// codeSize is the 16-aligned code-region reservation it holds there.
 	owner    *Machine
 	codeSize uint64
+	// unit is the program Unit.Install made the function a member of, for
+	// good; nil for a loose function.
+	unit *Unit
 	// sum fingerprints Words as of the last completed install, so a
 	// re-Install of a function whose code was mutated afterwards can be
 	// rejected instead of silently running the stale copy.  sumValid is
@@ -159,6 +162,9 @@ func (f *Func) unplace() {
 	f.sumValid = false
 	f.plan = callPlan{}
 }
+
+// Unit returns the program the function is a member of; nil if loose.
+func (f *Func) Unit() *Unit { return f.unit }
 
 // Installed reports whether a Machine has placed the function in memory.
 func (f *Func) Installed() bool { return f.installed }

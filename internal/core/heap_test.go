@@ -2,14 +2,26 @@ package core_test
 
 import "testing"
 
-// Free hands a block back to Alloc by its 16-rounded size, Release forgets
-// the free blocks above its mark, and HeapBytesUsed counts live blocks only.
+// An unloaded unit hands its blocks back to Alloc by their 16-rounded size,
+// Release forgets the free blocks above its mark, and HeapBytesUsed counts
+// live blocks only.
 func TestHeapFreeReuse(t *testing.T) {
 	_, m := newMips()
 	used := func() uint64 { return m.ArenaStats().HeapBytesUsed }
 	base := used()
+	// allocFree is one block of n bytes through a unit's whole life.
+	allocFree := func(n int) {
+		t.Helper()
+		u := m.NewUnit()
+		if _, err := u.Alloc(n); err != nil {
+			t.Fatal(err)
+		}
+		u.Unload()
+		u.Unload() // a second Unload frees nothing twice
+	}
 
-	a, err := m.Alloc(8)
+	ua := m.NewUnit()
+	a, err := ua.Alloc(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,11 +32,12 @@ func TestHeapFreeReuse(t *testing.T) {
 	if got := used() - base; got != 16+48 {
 		t.Fatalf("two live blocks use %d bytes, want 64", got)
 	}
-	if err := m.Free(a, 8); err != nil {
-		t.Fatal(err)
+	if got := ua.HeapBytes(); got != 16 {
+		t.Fatalf("unit holds %d heap bytes, want 16", got)
 	}
+	ua.Unload()
 	if got := used() - base; got != 48 {
-		t.Fatalf("after Free: %d bytes used, want 48", got)
+		t.Fatalf("after Unload: %d bytes used, want 48", got)
 	}
 	if c, _ := m.Alloc(33); c == a || c == b {
 		t.Fatalf("Alloc(33) reused a block of another size (%#x)", c)
@@ -45,13 +58,7 @@ func TestHeapFreeReuse(t *testing.T) {
 	// Sustained alloc/free of one size stays put.
 	steady := used()
 	for i := 0; i < 1000; i++ {
-		p, err := m.Alloc(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Free(p, 16); err != nil {
-			t.Fatal(err)
-		}
+		allocFree(16)
 	}
 	if got := used(); got != steady {
 		t.Fatalf("1000 alloc/free pairs moved HeapBytesUsed from %d to %d", steady, got)
@@ -60,11 +67,13 @@ func TestHeapFreeReuse(t *testing.T) {
 	// A block freed above a mark is gone with the Release, not handed out
 	// again from under the bump pointer.
 	mk := m.Mark()
-	p, _ := m.Alloc(64)
-	if err := m.Free(p, 64); err != nil {
+	allocFree(64)
+	late := m.NewUnit()
+	if _, err := late.Alloc(64); err != nil {
 		t.Fatal(err)
 	}
 	m.Release(mk)
+	late.Unload() // its block is the bump pointer's again: nothing to free
 	if got := used(); got != steady {
 		t.Fatalf("after Release: %d bytes used, want %d", got, steady)
 	}

@@ -131,8 +131,8 @@ type Machine struct {
 	freeCode []codeRegion
 	heapNext uint64
 	heapEnd  uint64
-	// heapFree holds the blocks Free returned, by their 16-rounded size;
-	// Alloc reuses one of the exact size before it bumps heapNext.
+	// heapFree holds the blocks unloaded units returned, by their 16-rounded
+	// size; Alloc reuses one of the exact size before it bumps heapNext.
 	// heapFreeBytes is their sum.
 	heapFree      map[uint64][]uint64
 	heapFreeBytes uint64
@@ -372,8 +372,8 @@ func (m *Machine) SymbolizePC(pc uint64) (string, bool) {
 	return "", false
 }
 
-// DefineSym binds a symbol to an arbitrary address (e.g. a data table the
-// generated code should reference).
+// DefineSym binds a machine-wide symbol to an arbitrary address (e.g. a
+// data table the generated code should reference); see Unit.DefineSym.
 func (m *Machine) DefineSym(sym string, addr uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -441,7 +441,7 @@ func (m *Machine) Release(mk Mark) {
 func heapBlock(n int) uint64 { return (uint64(n) + 15) &^ 15 }
 
 // Alloc reserves n bytes of heap, aligned to at least 16 bytes, and
-// returns the simulated address.
+// returns the simulated address; a program's blocks come from Unit.Alloc.
 func (m *Machine) Alloc(n int) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -460,14 +460,12 @@ func (m *Machine) Alloc(n int) (uint64, error) {
 	return addr, nil
 }
 
-// Free returns a block obtained from Alloc(n) to the heap: a later Alloc
+// free returns a block obtained from Alloc(n) to the heap: a later Alloc
 // of the same 16-rounded size reuses it.  This is the per-block
-// counterpart of Release, for owners evicted out of order (a cached
-// program's dispatch table).  The caller must own the block and free it
-// once; nothing resident may still refer to it.
-func (m *Machine) Free(addr uint64, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// counterpart of Release, and Unit.Unload its one caller: a unit frees each
+// block it owns once, when nothing of the program is resident.  A block a
+// Release already took is refused.  Caller holds mu.
+func (m *Machine) free(addr uint64, n int) error {
 	size := heapBlock(n)
 	if n < 0 || addr%16 != 0 || addr < m.mem.Size()/2 || addr+size > m.heapNext {
 		return fmt.Errorf("machine: free of %d bytes at %#x: not an allocated heap block", n, addr)
@@ -543,6 +541,11 @@ func (m *Machine) Installed(f *Func) bool {
 func (m *Machine) Uninstall(f *Func) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.uninstall(f)
+}
+
+// uninstall is Uninstall for a caller that holds mu.
+func (m *Machine) uninstall(f *Func) error {
 	if f == nil {
 		return fmt.Errorf("machine: uninstall of nil function")
 	}
@@ -578,7 +581,7 @@ type ArenaStats struct {
 	FreeRegions int
 	// HeapBytesUsed is the heap held by live allocations (dispatch
 	// tables, data sections): the bump pointer's extent minus the blocks
-	// Free returned.
+	// of unloaded units.
 	HeapBytesUsed uint64
 	// Funcs is the number of installed code spans (trap vectors excluded).
 	Funcs int
@@ -681,6 +684,9 @@ func (m *Machine) install(f *Func) error {
 		}
 		return nil
 	}
+	if f.unit != nil && f.unit.unloaded {
+		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+	}
 	if f.BackendName != m.backend.Name() {
 		return fmt.Errorf("machine: %s code installed on %s machine", f.BackendName, m.backend.Name())
 	}
@@ -777,7 +783,13 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 				target = base + uint64(r.Addend)
 			}
 		default:
+			// A program's own names first, then the machine-wide ones.
 			a, ok := m.syms[r.Sym]
+			if f.unit != nil {
+				if ua, own := f.unit.syms[r.Sym]; own {
+					a, ok = ua, true
+				}
+			}
 			if !ok {
 				return nil, fmt.Errorf("machine: undefined symbol %q in %s", r.Sym, f.Name)
 			}
@@ -1014,12 +1026,12 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 	}
 }
 
-// callLocked is the hot body of a call: install-on-demand, argument
-// marshaling from the function's call plan, the simulator run, and result
-// extraction.  With ≤ callBufArgs arguments nothing on the path allocates,
-// for a resident function nothing is laid out, and the backend is asked
-// nothing.  The second result is the simulated steps consumed (fuel).
-// Caller holds mu.
+// callLocked is the hot body of a call: install-on-demand (ErrUnloaded for
+// a member of an unloaded unit), argument marshaling from the function's
+// call plan, the simulator run, and result extraction.  With ≤ callBufArgs
+// arguments nothing on the path allocates, for a resident function nothing
+// is laid out, and the backend is asked nothing.  The second result is the
+// simulated steps consumed (fuel).  Caller holds mu.
 func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args []Value) (Value, uint64, error) {
 	if f == nil || !f.installed || f.owner != m {
 		// Slow path: install-on-demand (or surface the nil/wrong-machine

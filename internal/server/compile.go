@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"sort"
 	"strconv"
 
 	"repro/internal/codecache"
@@ -20,74 +19,59 @@ const (
 )
 
 // compileUnit runs the front end for lang over source on the shard's
-// machine and assembles the resident unit.  It is called inside a
-// single-flight compile (one caller per key): on the request's goroutine
-// for a miss, on Recover's during warm restore.
+// machine and returns the resident unit; a refused program leaves nothing
+// on the machine.  It is called inside a single-flight compile (one caller
+// per key): on the request's goroutine for a miss, on Recover's during warm
+// restore.
 func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (*unit, error) {
-	var fns map[string]*core.Func
-	var order []string
-	var tableAddr uint64
-	var tableBytes int
+	var prog *core.Unit
 	switch lang {
 	case LangVasm:
-		prog, err := vasm.Assemble(m, source)
+		p, err := vasm.Assemble(m, source)
 		if err != nil {
 			return nil, err
 		}
-		fns, order = prog.Funcs, prog.Order
-		tableAddr, tableBytes = prog.Table()
+		prog = p.Unit
 	case LangTinyC:
-		prog, err := tinyc.Parse(source)
+		p, err := tinyc.Parse(source)
 		if err != nil {
 			return nil, err
 		}
 		c := tinyc.NewCompiler(m)
-		if err := c.Compile(prog); err != nil {
+		if err := c.Compile(p); err != nil {
 			return nil, err
 		}
-		fns, order = c.Funcs(), c.Order()
-		tableAddr, tableBytes = c.Table()
+		prog = c.Unit()
 		if entry == "" {
 			entry = "main"
 		}
 	default:
 		return nil, apiErr(CodeBadRequest, "unknown language %q (want %q or %q)", lang, LangVasm, LangTinyC)
 	}
-	if entry == "" && len(order) > 0 {
-		entry = order[0]
+	// The unit lists the functions as the source declares them.
+	fns := prog.Funcs()
+	if entry == "" && len(fns) > 0 {
+		entry = fns[0].Name
 	}
-	entryFn, ok := fns[entry]
-	if !ok {
-		names := make([]string, 0, len(fns))
-		for name := range fns {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return nil, apiErr(CodeNotFound, "no entry function %q in program (have %v)", entry, names)
-	}
-	u := &unit{
-		key:        key,
-		tenantName: tenantName,
-		lang:       lang,
-		entry:      entry,
-		source:     source,
-		entryFn:    entryFn,
-		tableAddr:  tableAddr,
-		tableBytes: tableBytes,
-	}
-	// Entry first: the cache holds fns[0]; eviction uninstalls the rest,
-	// which follow in declaration order.
-	u.fns = make([]*core.Func, 1, len(order))
-	u.fns[0] = entryFn
-	for _, name := range order {
-		if f := fns[name]; f != entryFn {
-			u.fns = append(u.fns, f)
+	for _, f := range fns {
+		if f.Name == entry {
+			return &unit{
+				key:        key,
+				tenantName: tenantName,
+				lang:       lang,
+				entry:      entry,
+				source:     source,
+				entryFn:    f,
+				prog:       prog,
+			}, nil
 		}
 	}
-	for _, f := range u.fns {
-		u.bytes += int64(f.SizeBytes())
+	prog.Unload()
+	names := make([]string, len(fns))
+	for i, f := range fns {
+		names[i] = f.Name
 	}
-	return u, nil
+	return nil, apiErr(CodeNotFound, "no entry function %q in program (have %v)", entry, names)
 }
 
 // buildArgs marshals the JSON request arguments against the entry

@@ -160,6 +160,9 @@ func classify(err error) *APIError {
 		return apiErr(CodeSimPanic, "%v", err)
 	case errors.Is(err, faultinject.ErrInjected):
 		return apiErr(CodeInjectedFault, "%v", err)
+	case errors.Is(err, core.ErrUnloaded):
+		// Evicted between lookup and call: the key is not resident.
+		return apiErr(CodeNotFound, "%v", err)
 	case errors.Is(err, core.ErrFuelExhausted):
 		return apiErr(CodeFuelExhausted, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

@@ -188,14 +188,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, reqID, ae)
 		return
 	}
-	args, err := buildArgs(cr.fn.Params, req.Args)
-	if err != nil {
-		ae = classify(err)
-		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, ae)
-		writeErr(w, reqID, ae)
-		return
-	}
-	er, ae := s.exec(r.Context(), fr, t, cr.shard, cr.fn, args, req.Fuel)
+	er, ae := s.exec(r.Context(), fr, t, &cr, req)
 	if ae != nil {
 		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, ae)
 		writeErr(w, reqID, ae)
@@ -262,13 +255,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Durable:   cr.durable,
 		Entry:     cr.fn.Name,
 		Params:    len(cr.fn.Params),
-	}
-	if u := cr.shard.unit(cr.key); u != nil {
-		resp.CodeBytes = u.bytes
-		resp.Functions = len(u.fns)
-	} else {
-		resp.CodeBytes = int64(cr.fn.SizeBytes())
-		resp.Functions = 1
+		CodeBytes: cr.fn.Unit().CodeBytes(),
+		Functions: len(cr.fn.Unit().Funcs()),
 	}
 	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, nil)
 	writeJSON(w, http.StatusOK, resp)

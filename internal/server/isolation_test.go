@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,7 @@ func quietPost(ts *httptest.Server, path string, body map[string]any) (int, map[
 }
 
 func TestCrossTenantIsolation(t *testing.T) {
+	t.Run("symbols", testSymbolsArePerUnit)
 	cases := []struct {
 		name   string
 		lang   string
@@ -185,6 +187,76 @@ func TestCrossTenantIsolation(t *testing.T) {
 	}
 }
 
+// dataProgram is a vasm program whose .data section is named name, holds
+// word, and is read by get and overwritten by set.
+func dataProgram(name string, word int) string {
+	return fmt.Sprintf(".data %s\n.word %d\n"+
+		".func get () leaf\n setsym t0, %s\n ldii t0, t0, 0\n reti t0\n.end\n"+
+		".func set (%%i) leaf\n setsym t0, %s\n stii arg0, t0, 0\n reti arg0\n.end\n", name, word, name, name)
+}
+
+// testSymbolsArePerUnit is TestCrossTenantIsolation's naming half: a
+// program's .data names are its own.  Two tenants use one name for
+// different data and each reads its own, cached and after the other is
+// evicted; a tenant cannot name another's data; a name the machine defines
+// is refused whoever else is resident.  (A guessed address still reaches
+// the victim's data: memory windows are ROADMAP item 9b.)
+func testSymbolsArePerUnit(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) { c.Shards = 1 })
+	exec := func(tenant, source, entry string, args ...int) (int, map[string]any) {
+		t.Helper()
+		return post(t, ts, "/v1/exec", map[string]any{
+			"tenant": tenant, "lang": LangVasm, "source": source, "entry": entry, "args": args})
+	}
+	wantResult := func(what string, want int64, status int, out map[string]any) {
+		t.Helper()
+		if status != http.StatusOK || asInt(t, out["result"]) != want {
+			t.Fatalf("%s: %d %v, want %d", what, status, out, want)
+		}
+	}
+	const trapData = ".data __div_i\n.word 1\n.func f () leaf\n retv\n.end\n"
+	status, out := exec("a", trapData, "")
+	wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeCompileError)
+	alone := out["error"].(map[string]any)["message"]
+
+	progA, progB := dataProgram("tab", 111), dataProgram("tab", 222)
+	for round := 0; round < 2; round++ { // compiled, then cached
+		status, out = exec("a", progA, "get")
+		wantResult("a's tab", 111, status, out)
+		status, out = exec("b", progB, "get")
+		wantResult("b's tab", 222, status, out)
+	}
+	keyA := contentKey(LangVasm, "get", progA)
+	if !s.shards[0].cache.Invalidate(keyA) {
+		t.Fatal("a's program was not resident")
+	}
+	status, out = exec("b", progB, "get")
+	wantResult("b's tab with a evicted", 222, status, out)
+	status, out = exec("a", progA, "get")
+	wantResult("a's tab compiled again beside b's", 111, status, out)
+
+	victim := dataProgram("secret", 42)
+	status, out = exec("victim", victim, "get")
+	wantResult("victim's secret", 42, status, out)
+	status, out = exec("hostile", ".func grab () leaf\n setsym t0, secret\n seti t1, 666\n stii t1, t0, 0\n reti t1\n.end\n", "")
+	wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeCompileError)
+	if msg, _ := out["error"].(map[string]any)["message"].(string); !strings.Contains(msg, `undefined symbol "secret"`) {
+		t.Fatalf("hostile setsym refused with %q, want an undefined symbol", msg)
+	}
+	status, out = exec("victim", victim, "get")
+	wantResult("victim's cached get after the hostile program", 42, status, out)
+	if out["cached"] != true {
+		t.Fatalf("victim's second get was not served from the cache: %v", out)
+	}
+
+	status, out = exec("a", trapData+"; a key of its own, not the first refusal remembered\n", "")
+	wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeCompileError)
+	if crowded := out["error"].(map[string]any)["message"]; crowded != alone {
+		t.Fatalf(".data named like a trap: %q with tenants resident, %q on the empty shard", crowded, alone)
+	}
+	machineLedger(t, s)
+}
+
 // TestIsolationResidencyLedger checks the accounting ends consistent
 // after the storm: summed tenant residency equals summed live unit
 // bytes.
@@ -204,7 +276,7 @@ func TestIsolationResidencyLedger(t *testing.T) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, u := range sh.units {
-			unitBytes += u.bytes
+			unitBytes += u.prog.CodeBytes()
 		}
 		sh.mu.Unlock()
 	}

@@ -288,7 +288,7 @@ func (s *Server) Shards() int { return len(s.shards) }
 // effort — a lost tombstone just re-warms an evicted key on recovery).
 func (s *Server) unitEvicted(u *unit) {
 	if t, apiE := s.tenants.get(u.tenantName); apiE == nil {
-		t.resident.Add(-u.bytes)
+		t.resident.Add(-u.prog.CodeBytes())
 	}
 	if s.journal != nil {
 		s.journal.tombstones.Inc()
@@ -413,7 +413,7 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 			return nil, err
 		}
 		sh.register(u)
-		t.resident.Add(u.bytes)
+		t.resident.Add(u.prog.CodeBytes())
 		t.compiles.Inc()
 		compiledHere = true
 		if s.journal != nil {
@@ -482,45 +482,62 @@ type execResult struct {
 	wall  time.Duration
 }
 
-// exec runs one sandboxed call under the tenant's fuel quota and the
-// server call timeout.  fr (nil-safe) records the call's engine, fuel
-// spend and wall time on the request's flight chain.  The machine keeps no
-// clock on its call path, so the stage is timed here, with one clock pair
-// around the call.
-func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, sh *shard, fn *core.Func, args []core.Value, fuel uint64) (execResult, *APIError) {
+// exec runs one sandboxed call of the compiled entry function under the
+// tenant's fuel quota and the server call timeout.  fr (nil-safe) records
+// the call's engine, fuel spend and wall time on the request's flight chain.
+// The machine keeps no clock on its call path, so the stage is timed here,
+// with one clock pair around the call.  A program evicted since compile
+// returned *cr answers core.ErrUnloaded: the request goes through compile
+// again, once (not_found when it carries no source, and on a second
+// eviction), and *cr becomes what the call ran on.
+func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr *compileResult, req *request) (execResult, *APIError) {
 	budget := t.quota.FuelPerCall
-	if fuel > 0 {
+	if fuel := req.Fuel; fuel > 0 {
 		if budget > 0 && fuel > budget {
 			t.rejected.Inc()
 			apiE := apiErr(CodeQuotaFuel,
 				"requested fuel %d exceeds tenant cap %d", fuel, budget)
 			fr.Event(flightrec.StageExec, flightrec.Event{
-				Verdict: string(apiE.Code), Shard: int32(sh.id), Tier: 2})
+				Verdict: string(apiE.Code), Shard: int32(cr.shard.id), Tier: 2})
 			return execResult{}, apiE
 		}
 		budget = fuel
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
 	defer cancel()
-	start := time.Now()
-	v, st, err := sh.machine.CallWithStats(cctx, core.CallOpts{Fuel: budget}, fn, args...)
-	wall := time.Since(start)
-	sh.calls.Add(1)
-	if telemetry.Enabled() {
-		s.callNS.Observe(uint64(wall))
-		t.callNS.Observe(uint64(wall))
-	}
-	if err != nil {
-		apiE := classify(err)
+	for attempt := 0; ; attempt++ {
+		sh := cr.shard
+		args, err := buildArgs(cr.fn.Params, req.Args)
+		if err != nil {
+			return execResult{}, classify(err)
+		}
+		start := time.Now()
+		v, st, err := sh.machine.CallWithStats(cctx, core.CallOpts{Fuel: budget}, cr.fn, args...)
+		wall := time.Since(start)
+		if attempt == 0 && errors.Is(err, core.ErrUnloaded) {
+			again, apiE := s.compile(ctx, fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
+			if apiE != nil {
+				return execResult{}, apiE
+			}
+			*cr = again
+			continue
+		}
+		sh.calls.Add(1)
+		if telemetry.Enabled() {
+			s.callNS.Observe(uint64(wall))
+			t.callNS.Observe(uint64(wall))
+		}
+		verdict := "ok"
+		var apiE *APIError
+		if err != nil {
+			apiE = classify(err)
+			verdict = string(apiE.Code)
+		}
 		fr.Event(flightrec.StageExec, flightrec.Event{
-			Verdict: string(apiE.Code), Shard: int32(sh.id), Tier: 2,
+			Verdict: verdict, Shard: int32(sh.id), Tier: 2,
 			Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: wall.Nanoseconds()})
-		return execResult{}, apiE
+		return execResult{value: v, stats: st, wall: wall}, apiE
 	}
-	fr.Event(flightrec.StageExec, flightrec.Event{
-		Verdict: "ok", Shard: int32(sh.id), Tier: 2,
-		Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: wall.Nanoseconds()})
-	return execResult{value: v, stats: st, wall: wall}, nil
 }
 
 // requestID returns the caller-supplied ID or mints one: "r" and the

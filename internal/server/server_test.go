@@ -343,8 +343,8 @@ func TestEvictionReturnsResidency(t *testing.T) {
 	if u == nil {
 		t.Fatalf("unit B not registered")
 	}
-	if got := alice.resident.Load(); got != u.bytes {
-		t.Fatalf("resident after eviction = %d, want %d (B only)", got, u.bytes)
+	if got := alice.resident.Load(); got != u.prog.CodeBytes() {
+		t.Fatalf("resident after eviction = %d, want %d (B only)", got, u.prog.CodeBytes())
 	}
 	status, out = post(t, ts, "/v1/exec", map[string]any{
 		"tenant": "alice", "key": keyA, "args": []int{3},

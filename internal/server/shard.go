@@ -30,18 +30,18 @@ type shard struct {
 	mu    sync.Mutex
 	units map[string]*unit
 
-	// evicted is the server's hook: sibling-function reclamation and
-	// tenant residency accounting on cache eviction/invalidation.
+	// evicted is the server's hook: tenant residency accounting and the
+	// journal tombstone on cache eviction/invalidation.
 	evicted func(u *unit)
 
 	calls    atomic.Uint64
 	compiles atomic.Uint64
 }
 
-// unit is one resident program: the cache holds its entry function; the
-// unit remembers the siblings a multi-function program installed
-// alongside, so eviction reclaims the whole program, and the compile
-// metadata the warm-cache snapshot serializes.
+// unit is what the server knows of one resident program: whose it is, the
+// compile metadata the warm-cache snapshot serializes, and which function
+// the cache holds.  What the program occupies on the shard's machine is
+// prog's, and leaves with it when the cache evicts the entry function.
 type unit struct {
 	key        string
 	tenantName string
@@ -49,12 +49,7 @@ type unit struct {
 	entry      string
 	source     string
 	entryFn    *core.Func
-	fns        []*core.Func
-	bytes      int64 // summed SizeBytes over fns
-	// tableAddr/tableBytes are the front end's function-pointer table on
-	// the shard's heap, returned when the unit is evicted.
-	tableAddr  uint64
-	tableBytes int
+	prog       *core.Unit
 
 	// durable flips true once the unit's journal record fsynced (or the
 	// unit was restored from disk) — the crash-survival guarantee the
@@ -121,9 +116,7 @@ func (s *shard) unit(key string) *unit {
 // disk (false for unknown keys and for units compiled while the
 // journal was degraded).
 func (s *shard) unitDurable(key string) bool {
-	s.mu.Lock()
-	u := s.units[key]
-	s.mu.Unlock()
+	u := s.unit(key)
 	return u != nil && u.durable.Load()
 }
 
@@ -134,31 +127,20 @@ func (s *shard) unitBytes() int64 {
 	defer s.mu.Unlock()
 	var sum int64
 	for _, u := range s.units {
-		sum += u.bytes
+		sum += u.prog.CodeBytes()
 	}
 	return sum
 }
 
-// onEvict is the codecache hook: the cache has already uninstalled the
-// entry function; reclaim the program's sibling functions and its
-// function-pointer table, and tell the server so tenant residency
-// accounting stays truthful.  A vasm program's .data sections stay: they
-// are bound to machine symbols, which are never undefined.
+// onEvict is the codecache hook: the cache has already unloaded the
+// program; forget the unit and tell the server so tenant residency
+// accounting stays truthful.
 func (s *shard) onEvict(key string, fn *core.Func) {
 	s.mu.Lock()
 	u := s.units[key]
 	delete(s.units, key)
 	s.mu.Unlock()
-	if u == nil {
-		return
-	}
-	for _, f := range u.fns {
-		if f != u.entryFn {
-			_ = s.machine.Uninstall(f)
-		}
-	}
-	_ = s.machine.Free(u.tableAddr, u.tableBytes) // the unit owned the block
-	if s.evicted != nil {
+	if u != nil && s.evicted != nil {
 		s.evicted(u)
 	}
 }

@@ -212,7 +212,7 @@ func (s *Server) restoreEntries(entries []snapEntry) (warm, resharded int) {
 				}
 				u.durable.Store(true)
 				sh.register(u)
-				t.resident.Add(u.bytes)
+				t.resident.Add(u.prog.CodeBytes())
 				if wordsEqual(u.entryFn.Words, e.Words) {
 					s.snapExact.Inc()
 				} else {

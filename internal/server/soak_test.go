@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/telemetry"
 )
@@ -22,20 +23,24 @@ const (
 	soakSeed     = 7
 )
 
-// churnVasm sums n..1 through a stack slot, so every iteration runs a
-// generated store and load for the injector's access faults to hit.  (A
-// .data table would do the same, but its symbol is permanent on the
-// machine: the program could never be recompiled after an eviction.)
+// churnVasm sums n..1 through a word of its .data section, so every
+// iteration runs a generated store and load for the injector's access
+// faults to hit, and every compile and eviction of it (the soak sends 16
+// variants into a cache too small to keep them) takes a data block and a
+// name and must give both back.
 const churnVasm = `
+.data cell
+.word 0
 .func churn (%i) leaf
 .reg acc temp i
-.local slot i
+.reg p temp p
+    setsym  p, cell
     seti    acc, 0
 loop:
     bleii   arg0, 0, done
     addi    acc, acc, arg0
-    stii    acc, sp, slot
-    ldii    acc, sp, slot
+    stii    acc, p, 0
+    ldii    acc, p, 0
     subii   arg0, arg0, 1
     jmp     loop
 done:
@@ -80,7 +85,7 @@ func soakRequest(rng *rand.Rand, client, i int) (path string, body map[string]an
 		}
 	case 3:
 		return "/v1/exec", map[string]any{
-			"tenant": tenant, "lang": "vasm", "source": churnVasm, "args": []int{200},
+			"tenant": tenant, "lang": "vasm", "source": churnVasm + fmt.Sprintf("; variant %d", i%16), "args": []int{200},
 		}
 	default:
 		return "/v1/exec", map[string]any{
@@ -101,7 +106,10 @@ func soakRequest(rng *rand.Rand, client, i int) (path string, body map[string]an
 // admission, every configured fault class fires, and the rejection,
 // injection, panic-recovery and fuel paths are all seen.  It then folds
 // the resident set into a snapshot and restores it into a server with a
-// different shard count, which must conserve the residency ledger.
+// different shard count, which must conserve the residency ledger.  Last,
+// every machine must hold exactly its resident units, and with the caches
+// emptied exactly what a fresh machine holds: code, heap and names of every
+// program compiled, refused or evicted on the way came back.
 func TestServeSoak(t *testing.T) {
 	withFlightRecording(t)
 	requests := soakRequests
@@ -121,7 +129,7 @@ func TestServeSoak(t *testing.T) {
 	cfg := Config{
 		Shards:             4,
 		WorkersPerShard:    2,
-		MaxEntriesPerShard: 64,
+		MaxEntriesPerShard: 16, // under the ~60 programs that recur: they churn
 		QueueBound:         64,
 		DefaultQuota: Quota{
 			FuelPerCall:           1 << 18,
@@ -230,4 +238,19 @@ func TestServeSoak(t *testing.T) {
 		t.Errorf("no unit resharded across a 4->3 shard change: %+v", rst)
 	}
 	t.Logf("%d-entry snapshot into 3 shards: %v (ledger %d B conserved)", saved, rst, ledgerConserved(t, cold))
+
+	machineLedger(t, srv)
+	machineLedger(t, cold)
+	var evictions uint64
+	want := freshArenas(t, srv)
+	for _, sh := range srv.shards {
+		evictions += sh.cache.Snapshot().Evictions
+		sh.cache.Each(func(key string, _ *core.Func) { sh.cache.Invalidate(key) })
+		if got := sh.machine.ArenaStats(); got != want {
+			t.Errorf("shard %d emptied: arenas %+v, a fresh machine's %+v", sh.id, got, want)
+		}
+	}
+	if evictions == 0 {
+		t.Error("the entry cap never evicted a program")
+	}
 }

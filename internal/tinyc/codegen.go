@@ -6,18 +6,17 @@ import (
 	"repro/internal/core"
 )
 
-// Compiler compiles tiny-C programs through VCODE onto one simulated
+// Compiler compiles one tiny-C program through VCODE onto one simulated
 // machine.  Functions call each other through a function-pointer table in
 // data memory, so mutual recursion needs no compile ordering; the table
-// is patched once every function is installed.
+// is filled as the functions are installed.
 type Compiler struct {
 	machine *core.Machine
 	backend core.Backend
 
 	funcs map[string]*core.Func
-	order []string // funcs' keys, in declaration order
+	unit  *core.Unit // nil until Compile
 	table uint64
-	slots int // entries in table: the functions of the program compiled last
 }
 
 // NewCompiler returns a compiler bound to a machine.
@@ -28,39 +27,33 @@ func NewCompiler(m *core.Machine) *Compiler {
 // Funcs returns the compiled functions by name.
 func (c *Compiler) Funcs() map[string]*core.Func { return c.funcs }
 
-// Order returns the compiled functions' names in the order the source
-// declares them, which is the order they were installed in.
-func (c *Compiler) Order() []string { return c.order }
-
-// Table returns the compiled program's function-pointer table as the
-// (address, size) Machine.Alloc handed out.  An owner that uninstalls the
-// program's functions returns the table with Machine.Free.
-func (c *Compiler) Table() (addr uint64, size int) {
-	return c.table, c.backend.PtrBytes() * c.slots
-}
+// Unit returns the owner of what Compile placed on the machine — the
+// functions, in the order the source declares them, and their table;
+// Unload returns it.  Nil before Compile.
+func (c *Compiler) Unit() *core.Unit { return c.unit }
 
 // Compile compiles a whole program and installs it, in declaration order.
-// When it fails the function-pointer table goes back to the machine's
-// heap.  A program's functions call each other, not those of a program
-// the compiler was given before.
+// When it fails nothing of the program stays on the machine.  A compiler
+// compiles one program.
 func (c *Compiler) Compile(prog *Program) (err error) {
+	if c.unit != nil {
+		return fmt.Errorf("tinyc: Compile called twice on one Compiler")
+	}
 	for i := range prog.funcs {
 		fd := &prog.funcs[i]
-		if _, dup := c.funcs[prog.names[fd.name]]; dup || prog.funcOf[fd.name] != int32(i) {
+		if prog.funcOf[fd.name] != int32(i) {
 			return fmt.Errorf("line %d: function %q redefined", fd.line, prog.names[fd.name])
 		}
 	}
-	ptr := c.backend.PtrBytes()
-	table, err := c.machine.Alloc(ptr * len(prog.funcs))
-	if err != nil {
-		return err
-	}
-	c.table, c.slots = table, len(prog.funcs)
+	c.unit = c.machine.NewUnit()
 	defer func() {
 		if err != nil {
-			_ = c.machine.Free(c.Table()) // the block Alloc just returned
+			c.unit.Unload()
 		}
 	}()
+	if c.table, err = c.unit.Table(len(prog.funcs)); err != nil {
+		return err
+	}
 
 	// Every function is built on one borrowed assembler, handed back only
 	// when all of them compiled: after an error it may be mid-build.
@@ -69,7 +62,6 @@ func (c *Compiler) Compile(prog *Program) (err error) {
 	for i := range g.cur {
 		g.cur[i] = -1
 	}
-	first := len(c.order)
 	for i := range prog.funcs {
 		fd := &prog.funcs[i]
 		name := prog.names[fd.name]
@@ -78,17 +70,10 @@ func (c *Compiler) Compile(prog *Program) (err error) {
 			return fmt.Errorf("function %s: %w", name, err)
 		}
 		c.funcs[name] = fn
-		c.order = append(c.order, name)
 	}
 	c.machine.ReturnAsm(g.a)
-	for _, name := range c.order[first:] {
-		if err := c.machine.Install(c.funcs[name]); err != nil {
-			return err
-		}
-	}
-	for slot, name := range c.order[first:] {
-		addr := c.table + uint64(slot*ptr)
-		if err := c.machine.Mem().Store(addr, ptr, c.funcs[name].EntryAddr()); err != nil {
+	for i := range prog.funcs {
+		if err := c.unit.Install(c.funcs[prog.names[prog.funcs[i].name]]); err != nil {
 			return err
 		}
 	}

@@ -38,27 +38,22 @@ func coldOp(tb testing.TB, m *core.Machine, src string) (words int) {
 	if err := c.Compile(prog); err != nil {
 		tb.Fatal(err)
 	}
-	for _, name := range c.Order() {
-		fn := c.Funcs()[name]
+	for _, fn := range c.Unit().Funcs() {
 		words += len(fn.Words)
-		if err := m.Uninstall(fn); err != nil {
-			tb.Fatal(err)
-		}
 	}
-	if err := m.Free(c.Table()); err != nil {
-		tb.Fatal(err)
-	}
+	c.Unit().Unload()
 	return words
 }
 
-// TestColdPathAllocBudget pins what Parse + Compile + Install + Uninstall
-// of a corpus-sized program may allocate — per program, not per token, node,
+// TestColdPathAllocBudget pins what Parse + Compile + Install + Unload of
+// a corpus-sized program may allocate — per program, not per token, node,
 // scope or function: the count at twice the source length is the same.
-// Measured: 23 on every backend (the tokens, the nodes, the identifier
+// Measured: 24 on every backend (the tokens, the nodes, the identifier
 // table and the names; the Program with its functions, parameters and
-// function index; the Compiler, its Funcs and Order; the scope stack, the
-// name bindings, the signature buffer, the loop stack; the Func with its
-// Words and Params; Install's four), where the parent commit allocated 164.
+// function index; the Compiler and its Funcs; the Unit and its members;
+// the scope stack, the name bindings, the signature buffer, the loop stack;
+// the Func with its Words and Params; Install's four), where PR 17's parent
+// allocated 164.
 func TestColdPathAllocBudget(t *testing.T) {
 	const ceiling = 28
 	for _, tg := range targets() {
@@ -69,7 +64,7 @@ func TestColdPathAllocBudget(t *testing.T) {
 			got := testing.AllocsPerRun(50, func() { coldOp(t, m, src) })
 			t.Logf("%s: %d-byte source: %.0f allocations", tg.name, len(src), got)
 			if got > ceiling {
-				t.Errorf("%s: %d-byte source: %.0f allocations per Parse+Compile+Install+Uninstall, budget %d",
+				t.Errorf("%s: %d-byte source: %.0f allocations per Parse+Compile+Install+Unload, budget %d",
 					tg.name, len(src), got, ceiling)
 			}
 		}

@@ -446,6 +446,46 @@ func TestGoldenRefusals(t *testing.T) {
 	regtest.Golden(t, "testdata/refusals.golden", got, *update)
 }
 
+// TestRefusedProgramLeavesNothing: on one machine, every program of the
+// refusal table that parses — and one refused by the code generator in its
+// second function, after the table is allocated — leaves the arenas as it
+// found them, whether Compile refused it or accepted it and its unit was
+// unloaded; and a compiler compiles one program.
+func TestRefusedProgramLeavesNothing(t *testing.T) {
+	mm := mem.New(1<<22, false)
+	m := core.NewMachine(mips.New(), mips.NewCPU(mm), mm)
+	base := m.ArenaStats()
+	// try compiles src, which must fail with refusal (any outcome when
+	// empty), and holds the arenas to their starting state.
+	try := func(name, src, refusal string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		c := NewCompiler(m)
+		err = c.Compile(prog)
+		switch {
+		case err == nil && refusal != "":
+			t.Errorf("%s: accepted", name)
+		case err == nil:
+			c.Unit().Unload()
+		case !strings.Contains(err.Error(), refusal):
+			t.Errorf("%s: refused with %v, want %q", name, err, refusal)
+		}
+		if got := m.ArenaStats(); got != base {
+			t.Fatalf("%s (err %v): arenas %+v, want %+v", name, err, got, base)
+		}
+		if c.Compile(prog) == nil {
+			t.Fatalf("%s: a second Compile on one Compiler succeeded", name)
+		}
+	}
+	try("second-func-undefined-variable",
+		"int one(int n) { return n + 1; }\nint two(int n) { return one(n) + missing; }\n", "undefined variable")
+	for _, tc := range refusals {
+		try(tc.name, tc.src, "")
+	}
+}
+
 // answer parses and compiles src for mips and renders the outcome as one
 // golden value.
 func answer(src string) (out string) {

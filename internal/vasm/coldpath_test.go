@@ -48,24 +48,21 @@ func coldOp(tb testing.TB, m *core.Machine, src string) (words int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, name := range prog.Order {
-		words += len(prog.Funcs[name].Words)
-		if err := m.Uninstall(prog.Funcs[name]); err != nil {
-			tb.Fatal(err)
-		}
+	for _, fn := range prog.Unit.Funcs() {
+		words += len(fn.Words)
 	}
-	if err := m.Free(prog.Table()); err != nil {
-		tb.Fatal(err)
-	}
+	prog.Unit.Unload()
 	return words
 }
 
-// TestColdPathAllocBudget pins what Assemble + Install + Uninstall of a
+// TestColdPathAllocBudget pins what Assemble + Install + Unload of a
 // corpus-sized program may allocate — per program, not per line, token,
 // name or function: the count at twice the source length is the same.
-// Measured: 17 on every backend (the token and line indexes; the Program,
-// its Funcs and Order; the symbol table; the Func with its Words and
-// Params; Install's four), where the parent commit allocated 251.
+// Measured: 19 on every backend (the token and line indexes; the Program,
+// its Funcs and Order; the Unit and its members; the symbol table; the
+// Func with its Words and Params; Install's four), where PR 17's parent
+// allocated 251.  A program with .data adds the unit's name map and block
+// list.
 func TestColdPathAllocBudget(t *testing.T) {
 	const ceiling = 20
 	for _, tg := range regtest.Targets() {
@@ -76,7 +73,7 @@ func TestColdPathAllocBudget(t *testing.T) {
 			got := testing.AllocsPerRun(50, func() { coldOp(t, m, src) })
 			t.Logf("%s: %d-instruction source: %.0f allocations", tg.Name, 30*scale, got)
 			if got > ceiling {
-				t.Errorf("%s: %d-instruction source: %.0f allocations per Assemble+Install+Uninstall, budget %d",
+				t.Errorf("%s: %d-instruction source: %.0f allocations per Assemble+Install+Unload, budget %d",
 					tg.Name, 30*scale, got, ceiling)
 			}
 		}

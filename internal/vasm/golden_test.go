@@ -373,6 +373,45 @@ func TestGoldenRefusals(t *testing.T) {
 	regtest.Golden(t, "testdata/refusals.golden", got, *update)
 }
 
+// TestRefusedProgramLeavesNothing: on one machine, every program of the
+// refusal table — and two that are refused only once data is laid out or a
+// function installed — leaves the arenas as it found them, whether Assemble
+// refused it or accepted it and its unit was unloaded.  Then the data
+// program with its typo fixed assembles under the same name and runs.
+func TestRefusedProgramLeavesNothing(t *testing.T) {
+	mm := mem.New(1<<22, false)
+	m := core.NewMachine(mips.New(), mips.NewCPU(mm), mm)
+	base := m.ArenaStats()
+	// try assembles src, which must fail with refusal (any outcome when
+	// empty), and holds the arenas to their starting state.
+	try := func(name, src, refusal string) {
+		prog, err := Assemble(m, src)
+		switch {
+		case err == nil && refusal != "":
+			t.Errorf("%s: accepted", name)
+		case err == nil:
+			prog.Unit.Unload()
+		case !strings.Contains(err.Error(), refusal):
+			t.Errorf("%s: refused with %v, want %q", name, err, refusal)
+		}
+		if got := m.ArenaStats(); got != base {
+			t.Fatalf("%s (err %v): arenas %+v, want %+v", name, err, got, base)
+		}
+	}
+	try("data-then-unknown-insn", ".data tab\n.word 5, 6, 7\n.func get () leaf\n frobnicate t0\n.end\n", "unknown instruction")
+	try("second-func-undefined-symbol", ".func a (%i) leaf\n reti arg0\n.end\n.func b () leaf\n setsym t0, nowhere\n retv\n.end\n", "undefined symbol")
+	for _, tc := range refusals {
+		try(tc.name, tc.src, "")
+	}
+	prog, err := Assemble(m, ".data tab\n.word 5, 6, 7\n.func get () leaf\n setsym t0, tab\n ldii t0, t0, 4\n reti t0\n.end\n")
+	if err != nil {
+		t.Fatalf("the corrected program: %v", err)
+	}
+	if got, err := prog.Run("get"); err != nil || got.Int() != 6 {
+		t.Fatalf("get() = %v, %v, want 6", got, err)
+	}
+}
+
 // answer assembles src and renders the outcome as one golden value.
 func answer(m *core.Machine, src string) (out string) {
 	defer func() {

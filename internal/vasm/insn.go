@@ -48,9 +48,9 @@ type insnDef struct {
 // insnTable maps every mnemonic — the paper's instruction names (addii,
 // bltuli, cvi2d, …), built by composition exactly like the generated method
 // layer, and the handful of untyped ones — onto the emitter that takes it.
-var insnTable = buildInsnTable()
+var insnTable = buildInsns()
 
-func buildInsnTable() map[string]insnDef {
+func buildInsns() map[string]insnDef {
 	m := map[string]insnDef{
 		"nop": {kind: kNop}, "retv": {kind: kRetV}, "jmp": {kind: kJmp}, "jmpr": {kind: kJmpR},
 		"startcall": {kind: kStartCall}, "setarg": {kind: kSetArg}, "call": {kind: kCall},
@@ -214,7 +214,7 @@ func (p *parser) insn(f []tok) error {
 		if err != nil {
 			return p.errf("%v", err)
 		}
-		addr := p.prog.table + uint64(slot*p.backend.PtrBytes())
+		addr := p.table + uint64(slot*p.backend.PtrBytes())
 		a.Setp(ptrReg, int64(addr))
 		a.Ldpi(ptrReg, ptrReg, 0)
 		a.CallReg(ptrReg)

@@ -30,7 +30,9 @@
 //	.data squares
 //	.word 0, 1, 4, 9, 16
 //
-// and generated code takes their address with `setsym rd, squares`.
+// and generated code takes their address with `setsym rd, squares`.  Data
+// names belong to the program: two programs on one machine may both say
+// `.data squares`, and neither sees the other's.
 package vasm
 
 import (
@@ -44,25 +46,19 @@ import (
 	"repro/internal/core"
 )
 
-// Program is an assembled unit, ready to install.
+// Program is an assembled program, installed.
 type Program struct {
 	Funcs map[string]*core.Func
 	Order []string
+	// Unit owns what the program placed on the machine; Unload returns it.
+	Unit *core.Unit
 
 	machine *core.Machine
-	table   uint64
-}
-
-// Table returns the program's function-pointer table as the (address,
-// size) Machine.Alloc handed out.  An owner that uninstalls the program's
-// functions returns the table with Machine.Free.
-func (p *Program) Table() (addr uint64, size int) {
-	return p.table, p.machine.Backend().PtrBytes() * len(p.Order)
 }
 
 // Assemble parses and assembles src for the machine's backend.  All
 // functions are installed and cross-function calls resolved.  When it
-// fails the function-pointer table goes back to the machine's heap.
+// fails nothing of the program stays on the machine.
 func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 	if len(src) > math.MaxInt32 {
 		return nil, fmt.Errorf("vasm: source of %d bytes is too long", len(src))
@@ -70,9 +66,14 @@ func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 	p := &parser{
 		machine: machine,
 		backend: machine.Backend(),
-		prog:    &Program{machine: machine},
+		prog:    &Program{machine: machine, Unit: machine.NewUnit()},
 		src:     src,
 	}
+	defer func() {
+		if err != nil {
+			p.prog.Unit.Unload()
+		}
+	}()
 	p.tokenise()
 	if err := p.scanFuncs(); err != nil {
 		return nil, err
@@ -80,17 +81,9 @@ func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 	if err := p.layoutData(); err != nil {
 		return nil, err
 	}
-	ptr := p.backend.PtrBytes()
-	table, err := machine.Alloc(ptr * len(p.prog.Order))
-	if err != nil {
+	if p.table, err = p.prog.Unit.Table(len(p.prog.Order)); err != nil {
 		return nil, err
 	}
-	p.prog.table = table
-	defer func() {
-		if err != nil {
-			_ = machine.Free(p.prog.Table()) // the block Alloc just returned
-		}
-	}()
 	// Every function is built on one borrowed assembler, handed back only
 	// when all of them assembled: after an error it may be mid-build.
 	p.asm = machine.BorrowAsm()
@@ -99,13 +92,7 @@ func Assemble(machine *core.Machine, src string) (_ *Program, err error) {
 	}
 	machine.ReturnAsm(p.asm)
 	for _, name := range p.prog.Order {
-		if err := machine.Install(p.prog.Funcs[name]); err != nil {
-			return nil, err
-		}
-	}
-	for slot, name := range p.prog.Order {
-		addr := table + uint64(slot*ptr)
-		if err := machine.Mem().Store(addr, ptr, p.prog.Funcs[name].EntryAddr()); err != nil {
+		if err := p.prog.Unit.Install(p.prog.Funcs[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -169,7 +156,8 @@ type parser struct {
 	src   string
 	toks  []tok
 	lines []srcLine
-	slots map[string]int // function name -> slot in the function-pointer table
+	table uint64         // the unit's function-pointer table
+	slots map[string]int // function name -> slot in the table
 
 	asm  *core.Asm // borrowed for the whole program
 	line int
@@ -363,7 +351,7 @@ func (p *parser) layoutData() error {
 		if len(words) == 0 {
 			return p.errf(".data %s has no .word lines", name)
 		}
-		addr, err := p.machine.Alloc(4 * len(words))
+		addr, err := p.prog.Unit.Alloc(4 * len(words))
 		if err != nil {
 			return p.errf("%v", err)
 		}
@@ -372,7 +360,7 @@ func (p *parser) layoutData() error {
 				return p.errf("%v", err)
 			}
 		}
-		if err := p.machine.DefineSym(name, addr); err != nil {
+		if err := p.prog.Unit.DefineSym(name, addr); err != nil {
 			return p.errf("%v", err)
 		}
 		i = j - 1

@@ -97,10 +97,10 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestLRUEvictionOrder pins strict LRU order on a single shard: touching
-// an entry saves it, the least-recently-used one goes.
+// TestLRUEvictionOrder pins strict LRU order: touching an entry saves it,
+// the least-recently-used one goes.
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New(Config{Shards: 1, MaxEntries: 2})
+	c := New(Config{MaxEntries: 2})
 	var n atomic.Int64
 	for _, k := range []string{"a", "b"} {
 		if _, err := c.GetOrCompile(k, fake(&n, 4)); err != nil {
@@ -129,7 +129,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 // TestByteBoundEviction bounds the cache by code bytes rather than count.
 func TestByteBoundEviction(t *testing.T) {
-	c := New(Config{Shards: 1, MaxCodeBytes: 100})
+	c := New(Config{MaxCodeBytes: 100})
 	var n atomic.Int64
 	for i := 0; i < 10; i++ {
 		if _, err := c.GetOrCompile(fmt.Sprint(i), fake(&n, 8)); err != nil { // 32 bytes each
@@ -151,7 +151,7 @@ func TestByteBoundEviction(t *testing.T) {
 func TestEvictionFreesAndRecompiles(t *testing.T) {
 	m := newTestMachine(t)
 	base := m.CodeBytesResident()
-	c := New(Config{Shards: 1, MaxEntries: 1, Machine: m})
+	c := New(Config{MaxEntries: 1, Machine: m})
 
 	compiles := 0
 	get := func(k int64) *core.Func {
@@ -240,12 +240,15 @@ func TestConcurrentStress(t *testing.T) {
 	c := New(Config{MaxEntries: capacity, Machine: m})
 
 	var wg sync.WaitGroup
+	var asks atomic.Uint64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < opsPerWorker; i++ {
 				k := int64((w + i*7) % keys)
+			again:
+				asks.Add(1)
 				fn, err := c.GetOrCompile(fmt.Sprint(k), func() (*core.Func, error) {
 					return buildAdder(t, k), nil
 				})
@@ -255,6 +258,9 @@ func TestConcurrentStress(t *testing.T) {
 				}
 				if i%10 == 0 {
 					got, err := m.Call(fn, core.I(100))
+					if errors.Is(err, core.ErrUnloaded) {
+						goto again // evicted between lookup and call: ask again
+					}
 					if err != nil {
 						t.Error(err)
 						return
@@ -273,8 +279,8 @@ func TestConcurrentStress(t *testing.T) {
 	if s.Entries > capacity {
 		t.Errorf("entries %d exceed capacity %d", s.Entries, capacity)
 	}
-	if s.Hits+s.Misses+s.Coalesced != workers*opsPerWorker {
-		t.Errorf("request accounting off: %+v", s)
+	if s.Hits+s.Misses+s.Coalesced != asks.Load() {
+		t.Errorf("request accounting off: %d asks, %+v", asks.Load(), s)
 	}
 	if s.CompileErrors != 0 {
 		t.Errorf("%d compile errors", s.CompileErrors)
@@ -320,7 +326,7 @@ func TestConcurrentStress(t *testing.T) {
 // registry's text rendering.
 func TestRegisterTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := New(Config{Shards: 1, MaxEntries: 1})
+	c := New(Config{MaxEntries: 1})
 	c.RegisterTelemetry(reg, "t")
 	var n atomic.Int64
 	c.GetOrCompile("a", fake(&n, 4))
@@ -407,56 +413,6 @@ func TestPanickingCompileClosesFlight(t *testing.T) {
 	}
 }
 
-// TestFailureBackoff negative-caches a failed compile: within the window
-// requests get the stored error without invoking the compiler; after it
-// expires the key recompiles.
-func TestFailureBackoff(t *testing.T) {
-	c := New(Config{FailureBackoff: 80 * time.Millisecond})
-	boom := errors.New("boom")
-	var calls atomic.Int64
-	failing := func() (*core.Func, error) { calls.Add(1); return nil, boom }
-
-	if _, err := c.GetOrCompile("k", failing); !errors.Is(err, boom) {
-		t.Fatalf("first compile: err = %v", err)
-	}
-	if _, err := c.GetOrCompile("k", failing); !errors.Is(err, boom) {
-		t.Fatalf("negative hit: err = %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("compiler invoked %d times inside backoff window", calls.Load())
-	}
-	if got := c.Snapshot().NegativeHits; got != 1 {
-		t.Errorf("NegativeHits = %d, want 1", got)
-	}
-	if c.Contains("k") {
-		t.Error("Contains reports a negative entry as present")
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Error("Get returned a negative entry")
-	}
-
-	time.Sleep(100 * time.Millisecond)
-	var n atomic.Int64
-	if _, err := c.GetOrCompile("k", fake(&n, 4)); err != nil {
-		t.Fatalf("recompile after expiry: %v", err)
-	}
-	if calls.Load() != 1 || n.Load() != 1 {
-		t.Errorf("expiry retry: failing=%d fresh=%d", calls.Load(), n.Load())
-	}
-
-	// Invalidate clears a fresh negative entry immediately.
-	if _, err := c.GetOrCompile("k2", failing); !errors.Is(err, boom) {
-		t.Fatal(err)
-	}
-	if c.Invalidate("k2") {
-		t.Error("Invalidate counted a negative entry as live")
-	}
-	var n2 atomic.Int64
-	if _, err := c.GetOrCompile("k2", fake(&n2, 4)); err != nil || n2.Load() != 1 {
-		t.Errorf("k2 not retryable after Invalidate: err=%v compiles=%d", err, n2.Load())
-	}
-}
-
 // TestLookupTraceVerdicts: GetOrCompile emits one KindLookup span per
 // outcome, with the verdict naming which path answered.
 func TestLookupTraceVerdicts(t *testing.T) {
@@ -464,7 +420,7 @@ func TestLookupTraceVerdicts(t *testing.T) {
 	trace.Reset()
 	defer func() { trace.SetEnabled(false); trace.Reset() }()
 
-	c := New(Config{FailureBackoff: time.Minute})
+	c := New(Config{})
 	var n atomic.Int64
 	if _, err := c.GetOrCompile("k1", fake(&n, 4)); err != nil { // miss
 		t.Fatal(err)
@@ -476,9 +432,6 @@ func TestLookupTraceVerdicts(t *testing.T) {
 	if _, err := c.GetOrCompile("bad", func() (*core.Func, error) { return nil, boom }); err == nil {
 		t.Fatal("want compile error") // miss (failed)
 	}
-	if _, err := c.GetOrCompile("bad", fake(&n, 4)); err == nil {
-		t.Fatal("want negative-cache error") // negative
-	}
 
 	got := map[string]int{}
 	for _, s := range trace.Spans() {
@@ -486,8 +439,8 @@ func TestLookupTraceVerdicts(t *testing.T) {
 			got[s.Attrs.Verdict]++
 		}
 	}
-	if got["miss"] != 2 || got["hit"] != 1 || got["negative"] != 1 {
-		t.Errorf("lookup verdicts = %v, want miss=2 hit=1 negative=1", got)
+	if got["miss"] != 2 || got["hit"] != 1 || len(got) != 2 {
+		t.Errorf("lookup verdicts = %v, want miss=2 hit=1", got)
 	}
 	for _, s := range trace.Spans() {
 		if s.Kind == trace.KindLookup && s.Attrs.Verdict == "hit" && s.Name != "fake" {
@@ -496,34 +449,86 @@ func TestLookupTraceVerdicts(t *testing.T) {
 	}
 }
 
-// A compile that ends in the caller's own cancellation or deadline is no
-// verdict on the key: the flight settles with the error for whoever waited
-// on it, but nothing is negative-cached, so the next caller inside the
-// backoff window compiles.  (A client that gave up while queued for a
-// compile slot used to poison the key for every tenant for the whole
-// backoff.)
-func TestCancellationIsNotNegativeCached(t *testing.T) {
+// TestFollowerSurvivesLeaderCancel: a compile that ends in its caller's own
+// cancellation or deadline is no verdict on the key.  The leader gets its
+// error; a follower coalesced onto that flight does not — it goes round
+// again and runs its own closure (ROADMAP 6e) — and nothing is remembered,
+// so the next caller compiles too.
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 	for _, gaveUp := range []error{context.Canceled, context.DeadlineExceeded} {
-		var results []error
-		c := New(Config{
-			FailureBackoff:  time.Minute,
-			OnCompileResult: func(_ string, err error) { results = append(results, err) },
-		})
-		wrapped := fmt.Errorf("waiting for a compile slot: %w", gaveUp)
-		if _, err := c.GetOrCompile("k", func() (*core.Func, error) { return nil, wrapped }); !errors.Is(err, gaveUp) {
-			t.Fatalf("first caller: err = %v, want %v", err, gaveUp)
+		c := New(Config{})
+		entered, giveUp := make(chan struct{}), make(chan struct{})
+		leaderErr := make(chan error, 1)
+		go func() {
+			_, err := c.GetOrCompile("k", func() (*core.Func, error) {
+				close(entered)
+				<-giveUp
+				return nil, fmt.Errorf("waiting for a compile slot: %w", gaveUp)
+			})
+			leaderErr <- err
+		}()
+		<-entered
+		var own atomic.Int64
+		followerFn := make(chan *core.Func, 1)
+		go func() {
+			fn, err := c.GetOrCompile("k", fake(&own, 4))
+			if err != nil {
+				t.Errorf("follower of a leader that ended in %v: %v, want its own compile", gaveUp, err)
+			}
+			followerFn <- fn
+		}()
+		for deadline := time.Now().Add(5 * time.Second); c.Snapshot().Coalesced != 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the follower never joined the leader's flight")
+			}
 		}
-		var n atomic.Int64
-		if _, err := c.GetOrCompile("k", fake(&n, 4)); err != nil || n.Load() != 1 {
-			t.Fatalf("second caller inside the backoff: err = %v after %d compiles, want its own compile", err, n.Load())
+		close(giveUp)
+		if err := <-leaderErr; !errors.Is(err, gaveUp) {
+			t.Fatalf("leader: err = %v, want %v", err, gaveUp)
 		}
-		if m := c.Snapshot(); m.NegativeHits != 0 || !c.Contains("k") {
-			t.Errorf("NegativeHits = %d, resident %v; want 0, true", m.NegativeHits, c.Contains("k"))
+		if fn := <-followerFn; fn == nil || own.Load() != 1 || !c.Contains("k") {
+			t.Fatalf("follower: fn %v after %d compiles of its own, resident %v; want a function from 1", fn, own.Load(), c.Contains("k"))
 		}
-		// One flight, one report each: the breaker above the cache decides
-		// what a cancellation means to it.
-		if len(results) != 2 || !errors.Is(results[0], gaveUp) || results[1] != nil {
-			t.Errorf("OnCompileResult saw %v, want [%v, nil]", results, gaveUp)
+		if m := c.Snapshot(); m.Misses != 2 || m.Coalesced != 1 || m.Compiles != 1 || m.CompileErrors != 1 {
+			t.Errorf("%+v: want 2 misses (leader, follower), 1 coalesced, 1 compile, 1 compile error", m)
 		}
+		c.Invalidate("k")
+		if _, err := c.GetOrCompile("k", fake(&own, 4)); err != nil || own.Load() != 2 {
+			t.Errorf("next caller: err = %v after %d compiles, want its own compile", err, own.Load())
+		}
+	}
+}
+
+// TestInstalledLooseFunctionIsRefused: the cache owns what it holds, so a
+// compile callback that hands it a function the client installed itself is
+// refused with core.ErrOwned and the function stays the client's; taken off
+// the machine by its owner, the same function is adopted as a unit of one.
+func TestInstalledLooseFunctionIsRefused(t *testing.T) {
+	m := newTestMachine(t)
+	base := m.ArenaStats()
+	c := New(Config{Machine: m})
+	fn := buildAdder(t, 1)
+	if err := m.Install(fn); err != nil {
+		t.Fatal(err)
+	}
+	mine := m.ArenaStats()
+	if _, err := c.GetOrCompile("k", func() (*core.Func, error) { return fn, nil }); !errors.Is(err, core.ErrOwned) {
+		t.Fatalf("installed loose function: err = %v, want core.ErrOwned", err)
+	}
+	if c.Contains("k") || !m.Installed(fn) || fn.Unit() != nil || m.ArenaStats() != mine {
+		t.Fatalf("refusal changed something: resident %v, installed %v, unit %v", c.Contains("k"), m.Installed(fn), fn.Unit())
+	}
+	if err := m.Uninstall(fn); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.GetOrCompile("k", func() (*core.Func, error) { return fn, nil }); err != nil || got != fn || fn.Unit() == nil {
+		t.Fatalf("function nobody has placed: %v, %v, unit %v; want it adopted", got, err, fn.Unit())
+	}
+	if s, st := c.Snapshot(), m.ArenaStats(); s.Entries != 1 || s.CodeBytes != int64(fn.SizeBytes()) || st.Funcs != base.Funcs+1 {
+		t.Errorf("adopted: cache books %d entries, %d bytes, machine %d functions; want 1, %d, %d", s.Entries, s.CodeBytes, st.Funcs, fn.SizeBytes(), base.Funcs+1)
+	}
+	c.Invalidate("k")
+	if _, err := m.Call(fn, core.I(1)); !errors.Is(err, core.ErrUnloaded) || m.ArenaStats() != base {
+		t.Errorf("after Invalidate: call err = %v, arenas %+v; want ErrUnloaded and %+v", err, m.ArenaStats(), base)
 	}
 }

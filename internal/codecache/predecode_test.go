@@ -17,7 +17,7 @@ func TestEvictionDropsPredecodedBody(t *testing.T) {
 	if m.Engine() != core.EngineThreaded {
 		t.Fatal("threaded engine is not the default")
 	}
-	c := New(Config{Shards: 1, MaxEntries: 1, Machine: m})
+	c := New(Config{MaxEntries: 1, Machine: m})
 
 	get := func(k int64) *core.Func {
 		t.Helper()

@@ -14,14 +14,13 @@ func (c *Cache) RegisterTelemetry(reg *telemetry.Registry, name string) {
 	u("hits", c.hits.Load)
 	u("misses", c.misses.Load)
 	u("coalesced", c.coalesced.Load)
-	u("negative_hits", c.negativeHits.Load)
 	u("compiles", c.compiles.Load)
 	u("compile_errors", c.compileErrors.Load)
 	u("compile_panics", c.compilePanics.Load)
 	u("compile_ns_total", c.compileNanos.Load)
 	u("evictions", c.evictions.Load)
-	reg.GaugeFunc(prefix+"entries", func() float64 { return float64(c.entries.Load()) })
-	reg.GaugeFunc(prefix+"code_bytes", func() float64 { return float64(c.codeBytes.Load()) })
+	reg.GaugeFunc(prefix+"entries", func() float64 { return float64(c.Len()) })
+	reg.GaugeFunc(prefix+"code_bytes", func() float64 { return float64(c.Snapshot().CodeBytes) })
 	reg.GaugeFunc(prefix+"hit_rate_pct", func() float64 {
 		return hitRatePct(c.hits.Load(), c.misses.Load())
 	})

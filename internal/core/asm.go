@@ -599,9 +599,6 @@ func (a *Asm) Local(t Type) int64 {
 	return off
 }
 
-// LocalBytesInUse returns the bytes of locals allocated so far.
-func (a *Asm) LocalBytesInUse() int64 { return a.frame.LocalBytes }
-
 // SP returns the stack pointer register, for addressing locals.
 func (a *Asm) SP() Reg { return a.conv.SP }
 

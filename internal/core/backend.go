@@ -191,9 +191,3 @@ type Frame struct {
 	// Size is the final frame size in bytes (set at End).
 	Size int64
 }
-
-// SaveSlot returns the save-area offset (from SP after the frame push) of
-// the i'th saved slot; slot 0 is RA, integer saves follow, then FP saves.
-func (fr *Frame) SaveSlot(i int, ptrBytes int) int64 {
-	return int64(i) * int64(ptrBytes)
-}

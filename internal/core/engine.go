@@ -85,18 +85,11 @@ func (m *Machine) PredecodedBodies() int {
 // attachBody registers a freshly predecoded body.  Any stale body
 // overlapping the same address range is dropped first, so a re-install
 // at a reused arena address can never execute the old function's
-// predecoded instructions.  A body containing a registered trap address
-// is not attached at all: the threaded loop only re-checks for traps at
-// dispatch boundaries, and sequential fall-through into a trap word
-// would otherwise bypass the handler.  Caller holds mu.
+// predecoded instructions.  (No body holds a trap word: the trap vectors
+// all lie below codeBase.)  Caller holds mu.
 func (m *Machine) attachBody(b *exec.Body) {
 	if b == nil || len(b.Code) == 0 {
 		return
-	}
-	for a := range m.traps {
-		if a >= b.Base && a < b.End() {
-			return
-		}
 	}
 	m.dropBodies(b.Base, b.End()-b.Base)
 	i := sort.Search(len(m.bodies), func(i int) bool { return m.bodies[i].Base >= b.Base })

@@ -51,6 +51,10 @@ var (
 	// ErrUnloaded is reported when a function of an unloaded Unit is
 	// installed or called: the program is never put back on the machine.
 	ErrUnloaded = errors.New("vcode: program unit is unloaded")
+	// ErrOwned is reported when a Unit is asked to take a function that is
+	// already installed or already a unit's member: what a client placed
+	// itself stays the client's to remove.
+	ErrOwned = errors.New("vcode: function is already installed or owned")
 )
 
 // TrapPanicError reports that a runtime-helper trap handler panicked

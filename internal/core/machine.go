@@ -481,16 +481,27 @@ func (m *Machine) free(addr uint64, n int) error {
 	return nil
 }
 
+// DrainCounter returns the 32-bit word at addr and leaves zero there, under
+// the machine's lock: how a client reads a counter its generated code bumps
+// while other goroutines' calls are running.
+func (m *Machine) DrainCounter(addr uint64) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n, err := m.mem.Load(addr, 4)
+	if err == nil {
+		err = m.mem.Store(addr, 4, 0)
+	}
+	return n, err
+}
+
 // codeRegion is a span of reclaimable simulated code memory.
 type codeRegion struct {
 	addr, size uint64
 }
 
-// sumWords fingerprints machine code: four interleaved FNV-1a lanes
-// folded at the end.  The lanes break the serial xor-multiply dependency
-// chain — this runs on every call of an installed function (the
-// mutation-after-install guard in install), so its latency is
-// part of the warm call path.
+// sumWords fingerprints machine code for install's mutation-after-install
+// guard: four interleaved FNV-1a lanes, folded at the end, break the serial
+// xor-multiply dependency chain.
 func sumWords(words []uint32) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h0 := uint64(offset)

@@ -104,18 +104,6 @@ func (r *Recording) Eligible() (bool, string) {
 	return true, ""
 }
 
-// Branches returns the indices (into Events) of the conditional branch
-// events, the sites a bias source can speak to.
-func (r *Recording) Branches() []int {
-	var out []int
-	for i, ev := range r.Events {
-		if ev.Kind == RecBr || ev.Kind == RecBrI {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // UsedRegs returns the set of registers mentioned anywhere in the
 // recording (allocation or instruction events).  A rewriter that needs
 // scratch state of its own (side-exit counters) must stay out of this set.

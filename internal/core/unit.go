@@ -79,8 +79,11 @@ func (u *Unit) Install(fns ...*Func) error {
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
 	for _, f := range fns {
-		if f == nil || f.unit != nil || f.installed {
-			return fmt.Errorf("machine: unit install of a nil, installed or already owned function")
+		if f == nil {
+			return fmt.Errorf("machine: unit install of nil function")
+		}
+		if f.unit != nil || f.installed {
+			return fmt.Errorf("machine: unit install of %s: %w", f.Name, ErrOwned)
 		}
 		f.unit = u
 		if err := u.m.install(f); err != nil { // ErrUnloaded when u is

@@ -39,9 +39,9 @@ type DPF struct {
 	// cache holds compiled classifiers keyed by filter-spec hash, so
 	// re-installing a previously seen filter set (the demultiplexer
 	// flipping between configurations) reuses its machine code instead
-	// of recompiling; eviction frees the stale classifiers' code.  When
-	// nil, every Install recompiles into a Mark/Release arena (the
-	// paper's original discipline).
+	// of recompiling; eviction unloads the stale classifier's unit, code
+	// and dispatch tables together.  When nil, every Install recompiles
+	// into a Mark/Release arena (the paper's original discipline).
 	cache *codecache.Cache
 
 	fn      *core.Func
@@ -208,9 +208,9 @@ func filtersKey(filters []Filter, minHashEdges int, disableHash bool) string {
 // Install compiles the filter set (the paper compiles at install time)
 // and makes it the active classifier.  With the cache enabled, a filter
 // set seen before reactivates its resident machine code without any code
-// generation; new sets compile once and stale ones are evicted (their
-// code memory freed, though dispatch tables allocated on the simulated
-// heap stay until the engine is discarded).
+// generation; new sets compile once, each into one unit holding the
+// classifier and its dispatch tables, and a stale set's unit is unloaded
+// whole when the cache evicts it.
 func (d *DPF) Install(filters []Filter) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -223,8 +223,17 @@ func (d *DPF) Install(filters []Filter) error {
 			if err != nil {
 				return nil, err
 			}
-			c := &dpfCompiler{d: d, a: core.NewAsm(d.backend)}
-			return c.compile(root)
+			u := d.machine.NewUnit()
+			c := &dpfCompiler{d: d, a: core.NewAsm(d.backend), alloc: u.Alloc}
+			fn, err := c.compile(root)
+			if err == nil {
+				err = u.Install(fn)
+			}
+			if err != nil {
+				u.Unload()
+				return nil, err
+			}
+			return fn, nil
 		})
 	if err != nil {
 		return err
@@ -247,7 +256,7 @@ func (d *DPF) installFresh(filters []Filter) error {
 	}
 	d.mark = d.machine.Mark()
 	d.marked = true
-	c := &dpfCompiler{d: d, a: core.NewAsm(d.backend)}
+	c := &dpfCompiler{d: d, a: core.NewAsm(d.backend), alloc: d.machine.Alloc}
 	fn, err := c.compile(root)
 	if err != nil {
 		return err
@@ -296,8 +305,12 @@ func (d *DPF) Micros(cycles uint64) float64 { return d.conf.Micros(cycles) }
 // --- the compiler ---
 
 type dpfCompiler struct {
-	d    *DPF
-	a    *core.Asm
+	d *DPF
+	a *core.Asm
+	// alloc reserves a dispatch table: the classifier's unit's Alloc, or the
+	// machine's inside installFresh's Mark/Release arena.
+	alloc func(n int) (uint64, error)
+
 	pkt  core.Reg
 	plen core.Reg
 	val  core.Reg
@@ -478,7 +491,7 @@ func (c *dpfCompiler) hashed(edges []trieEdge) error {
 	}
 
 	// Lay the key and id tables into simulated data memory.
-	table, err := c.d.machine.Alloc(8 * size)
+	table, err := c.alloc(8 * size)
 	if err != nil {
 		return err
 	}

@@ -231,3 +231,40 @@ func TestDPFClassifierCache(t *testing.T) {
 		t.Fatalf("compiles = %d after knob change, want 3", m.Compiles)
 	}
 }
+
+// TestEvictedClassifierReturnsItsTables cycles 24 filter sets through the
+// default 8-entry cache, eight times over: a classifier is one unit with its
+// hash dispatch tables, so evicting it returns them with its code.  The same
+// eight classifiers are resident at the end of every pass, and the heap in
+// use there is the same every time; the machine never holds a function the
+// cache does not.
+func TestEvictedClassifierReturnsItsTables(t *testing.T) {
+	d, err := NewDPF(mem.DEC5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sets = 24
+	var heapAfterFirst uint64
+	for pass := 0; pass < 8; pass++ {
+		for round := 0; round < sets; round++ {
+			w := NewWorkload(7 + round%sets)
+			if err := d.Install(w.Filters); err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(d, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, m := d.Machine().ArenaStats(), d.CacheMetrics()
+		if pass == 0 {
+			heapAfterFirst = st.HeapBytesUsed
+		}
+		if st.HeapBytesUsed != heapAfterFirst || int64(st.Funcs) != m.Entries {
+			t.Fatalf("pass %d: %d heap bytes in use (%d after the first pass), %d functions for %d cache entries",
+				pass, st.HeapBytesUsed, heapAfterFirst, st.Funcs, m.Entries)
+		}
+	}
+	if m := d.CacheMetrics(); m.Evictions != 8*sets-8 {
+		t.Errorf("evictions = %d, want %d: every install past the first eight evicts", m.Evictions, 8*sets-8)
+	}
+}

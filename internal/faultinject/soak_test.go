@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/codecache"
+	"repro/internal/codecache/cachetest"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/jit"
@@ -147,13 +148,8 @@ func TestFaultSoak(t *testing.T) {
 		})
 		injectors[w] = inj
 		m.Core().Mem().SetFaultHook(inj)
-		cacheCfg := codecache.Config{Machine: m.Core(), MaxEntries: soakCapacity}
-		if w%2 == 1 {
-			// Half the workers negative-cache failed compiles, so both
-			// retry policies soak.
-			cacheCfg.FailureBackoff = 100 * time.Microsecond
-		}
-		cache := codecache.New(cacheCfg)
+		base := m.Core().ArenaStats() // the summer is this test's, not the cache's
+		cache := codecache.New(codecache.Config{Machine: m.Core(), MaxEntries: soakCapacity})
 
 		// one is this worker's i-th call; a panic out of it is counted by
 		// the caller's recover.
@@ -238,6 +234,7 @@ func TestFaultSoak(t *testing.T) {
 					}
 				}()
 			}
+			cachetest.Ledger(t, cache, m.Core(), base)
 		}()
 	}
 

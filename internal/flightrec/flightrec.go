@@ -239,7 +239,6 @@ var (
 	slowPrev   []Exemplar                // the completed previous window
 	errRing    [errCap]Exemplar
 	errSeq     uint64
-	exRetained atomic.Uint64 // exemplars admitted (slow + errored)
 )
 
 // SetWindow changes the slowest-N rotation window (default 60s).
@@ -288,12 +287,10 @@ func retain(r *Request, outcome string, flow uint64, dur int64) {
 	}
 	if slowIdx >= 0 {
 		slowCur[slowIdx] = ex
-		exRetained.Add(1)
 	}
 	if errored {
 		errRing[errSeq%errCap] = ex
 		errSeq++
-		exRetained.Add(1)
 	}
 }
 
@@ -327,9 +324,6 @@ func Exemplars() ExemplarSet {
 	}
 	return set
 }
-
-// Retained reports how many exemplars were ever admitted.
-func Retained() uint64 { return exRetained.Load() }
 
 // Events snapshots the ring, oldest first.
 func Events() []Event {

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/codecache"
@@ -64,7 +65,7 @@ func NewAdaptive(m *Machine, threshold int) *Adaptive {
 
 // NewAdaptiveCache wraps a JIT machine with an explicit code cache.  The
 // cache must be bound to m.Core() (or to no machine at all, in which case
-// compiled functions install lazily on first call).
+// compiled functions install on first call and nothing reclaims them).
 func NewAdaptiveCache(m *Machine, threshold int, cache *codecache.Cache) *Adaptive {
 	return &Adaptive{
 		m:         m,
@@ -133,14 +134,17 @@ func (ad *Adaptive) Call(f *Func, args ...int32) (int32, uint64, error) {
 		// could promote a cold same-named function in another.
 		hot = ad.blocks.Get(key)+ad.blocks.Get("edge:"+f.Name) >= ad.BlockThreshold
 	}
-	if hot {
+	for hot {
 		fn, err := ad.cache.GetOrCompile(key, func() (*core.Func, error) {
 			return ad.m.Compile(f)
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		return ad.runCompiled(key, f, fn, n, args...)
+		// Evicted between the lookup and the call: ask the cache again.
+		if r, cycles, err := ad.runCompiled(key, f, fn, n, args...); !errors.Is(err, core.ErrUnloaded) {
+			return r, cycles, err
+		}
 	}
 	r, cycles, backedges, err := InterpCounted(f, args...)
 	if backedges > 0 {

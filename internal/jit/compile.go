@@ -308,12 +308,6 @@ func (m *Machine) Run(fn *core.Func, args ...int32) (int32, uint64, error) {
 	return m.RunWith(context.Background(), core.CallOpts{}, fn, args...)
 }
 
-// RunContext is Run with cancellation: the simulator run loop observes
-// ctx's deadline on a stride.
-func (m *Machine) RunContext(ctx context.Context, fn *core.Func, args ...int32) (int32, uint64, error) {
-	return m.RunWith(ctx, core.CallOpts{}, fn, args...)
-}
-
 // RunWith executes with the full sandbox (context plus per-call fuel).
 // The returned cycle count is this call's simulator delta (CallStats), so
 // concurrent Runs never clobber each other's statistics.

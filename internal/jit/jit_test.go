@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/codecache"
+	"repro/internal/codecache/cachetest"
 	"repro/internal/mem"
 	"repro/internal/regtest"
 )
@@ -253,6 +255,40 @@ func TestAdaptiveConcurrent(t *testing.T) {
 	if ad.Calls(progs[0]) == 0 {
 		t.Error("call counting lost under concurrency")
 	}
+}
+
+// TestConcurrentEvictionLeavesNoOrphans: four goroutines call four functions
+// through a one-entry cache, so nearly every call evicts the function some
+// other goroutine is about to run.  Every result is right, and at the end
+// the machine holds the cache's one entry and nothing else: an evicted
+// function is ErrUnloaded to the caller that lost the race, who asks the
+// cache again — it is never put back on the machine behind the cache's
+// back, where nothing would ever remove it.
+func TestConcurrentEvictionLeavesNoOrphans(t *testing.T) {
+	m := NewMachine(mem.Uncosted)
+	base := m.Core().ArenaStats()
+	cache := codecache.New(codecache.Config{Machine: m.Core(), MaxEntries: 1})
+	ad := NewAdaptiveCache(m, 0, cache)
+	const workers, calls, arg = 4, 3000, 10
+	var wg sync.WaitGroup
+	for g := int32(0); g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := Synthetic(g)
+			for i := 0; i < calls; i++ {
+				if got, _, err := ad.Call(f, arg); err != nil || got != 385+arg*g {
+					t.Errorf("%s(%d), call %d: %d, %v; want %d", f.Name, arg, i, got, err, 385+arg*g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := cache.Snapshot(); s.Entries != 1 || s.Evictions == 0 {
+		t.Errorf("%d entries after %d evictions: the churn this test is about did not happen", s.Entries, s.Evictions)
+	}
+	cachetest.Ledger(t, cache, m.Core(), base)
 }
 
 // TestConcurrentRunCycles pins the statistics fix: per-call cycle counts

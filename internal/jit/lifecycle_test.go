@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/codecache"
+	"repro/internal/codecache/cachetest"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
@@ -35,6 +36,7 @@ func TestLifecycleTraceAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := m.Core().ArenaStats()
 	cache := codecache.New(codecache.Config{Machine: m.Core(), MaxEntries: capacity, Name: "lifecycle"})
 	for i := 0; i < keys; i++ {
 		f := Synthetic(int32(i))
@@ -52,6 +54,7 @@ func TestLifecycleTraceAndTelemetry(t *testing.T) {
 	if s := cache.Snapshot(); s.Evictions != keys-capacity {
 		t.Fatalf("evictions = %d, want %d", s.Evictions, keys-capacity)
 	}
+	cachetest.Ledger(t, cache, m.Core(), base)
 
 	lifecycle := []trace.Kind{
 		trace.KindCompile, trace.KindRegalloc, trace.KindEmit,

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -67,9 +68,9 @@ func (c SuperblockConfig) withDefaults() SuperblockConfig {
 // (math.MaxInt64 = never, for recordings that cannot replay).
 type tier3state struct {
 	mu      sync.RWMutex
-	fn      *core.Func
-	counter uint64 // side-exit counter word (simulated memory), 0 until allocated
-	exits   uint64 // counter value at the last poll
+	fn      *core.Func // a unit of one: deopt unloads it
+	counter uint64     // side-exit counter word (simulated memory), 0 until allocated
+	exits   uint64     // side exits drained from the counter since fn was installed
 	calls   atomic.Int64
 	retryAt atomic.Int64
 }
@@ -122,39 +123,41 @@ func (ad *Adaptive) runCompiled(key string, f *Func, fn2 *core.Func, n int64, ar
 	if calls := st.calls.Add(1); calls%cfg.PollEvery == 0 {
 		ad.pollSideExits(key, st, fn2, calls)
 	}
-	return ad.m.Run(fn3, args...)
+	r, cycles, err := ad.m.Run(fn3, args...)
+	if errors.Is(err, core.ErrUnloaded) {
+		// Deoptimised since st.fn was read: tier 2 serves the call.
+		return ad.m.Run(fn2, args...)
+	}
+	return r, cycles, err
 }
 
-// pollSideExits reads the function's side-exit counter and de-optimizes
-// when exits outrun calls by the configured factor: the tier-3 body is
-// uninstalled, the stale edge profile over the tier-2 body is discarded so
+// pollSideExits drains the function's side-exit counter — under the
+// machine's lock, since another goroutine's call may be bumping it — and
+// de-optimizes when exits outrun calls by the configured factor: the tier-3
+// body is unloaded (a caller that already read st.fn gets ErrUnloaded and
+// runs tier 2), the stale edge profile over the tier-2 body is discarded so
 // retraining starts clean, and formation is retried after the cooldown.
 func (ad *Adaptive) pollSideExits(key string, st *tier3state, fn2 *core.Func, calls int64) {
 	cfg := ad.sb
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.fn == nil || st.counter == 0 {
+	if st.fn == nil {
 		return
 	}
-	mem := ad.m.Core().Mem()
-	exits, err := mem.Load(st.counter, 4)
+	d, err := ad.m.Core().DrainCounter(st.counter)
 	if err != nil {
 		return
 	}
-	if d := exits - st.exits; d > 0 {
+	if d > 0 {
 		superblock.NoteSideExits(d)
 	}
-	st.exits = exits
-	if exits <= cfg.DeoptFactor*uint64(calls) {
+	st.exits += d
+	if st.exits <= cfg.DeoptFactor*uint64(calls) {
 		return
 	}
 	// Bias flip: back to tier 2.
-	old := st.fn
+	st.fn.Unit().Unload()
 	st.fn = nil
-	st.exits = 0
-	st.calls.Store(0)
-	_ = mem.Store(st.counter, 4, 0)
-	_ = ad.m.Core().Uninstall(old)
 	superblock.NoteDeopt()
 	if cfg.Edges != nil && fn2.Addr() != 0 {
 		cfg.Edges.ResetSpan(fn2.Addr(), fn2.Addr()+uint64(fn2.SizeBytes()))
@@ -247,12 +250,12 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 			park(math.MaxInt64)
 			return
 		}
-		if err := ad.m.Core().Install(fn3); err != nil {
+		if err := ad.m.Core().NewUnit().Install(fn3); err != nil {
 			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "install-error"})
 			park(ad.hot.Get(key) + cfg.Cooldown)
 			return
 		}
-		_ = ad.m.Core().Mem().Store(counter, 4, 0)
+		_, _ = ad.m.Core().DrainCounter(counter) // exits a deopted body left behind
 		st.mu.Lock()
 		st.exits = 0
 		st.calls.Store(0)

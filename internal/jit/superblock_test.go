@@ -1,8 +1,10 @@
 package jit
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/codecache/cachetest"
 	"repro/internal/mem"
 	"repro/internal/profile"
 )
@@ -10,10 +12,9 @@ import (
 // sbAdaptive runs body on each backend, on an Adaptive with an attached
 // stride-1 edge profiler and the superblock tier enabled with small,
 // test-friendly thresholds.  MIPS keeps the costed DEC5000 memory model
-// these tests have always run on; SPARC and Alpha run uncosted, so the
-// known race between formSuperblock's counter reset and a running call's
-// cache-penalty counter (ROADMAP item 6c, about one -race run in 25) is
-// exposed once, not three times.
+// these tests have always run on, where a bare host access to the side-exit
+// counter races a running call's cache-penalty count; SPARC and Alpha run
+// uncosted.
 func sbAdaptive(t *testing.T, body func(t *testing.T, ad *Adaptive)) {
 	for _, tgt := range []struct {
 		name string
@@ -138,6 +139,52 @@ func superblockDeoptAndRepromote(t *testing.T, ad *Adaptive) {
 	}
 	callChecked(t, ad, f, 90, 200)
 	callChecked(t, ad, f, 10, 100)
+}
+
+// TestSuperblockDeoptUnderConcurrentCalls flips the bias under four
+// goroutines calling at once: one of them polls and deoptimises while the
+// others may already hold the tier-3 body, which is ErrUnloaded to them and
+// tier 2 serves the call.  No result is wrong, and afterwards the machine
+// holds the cache's tier-2 entry and nothing else — the tier-3 body was a
+// unit of one and its deopt returned it.
+func TestSuperblockDeoptUnderConcurrentCalls(t *testing.T) {
+	sbAdaptive(t, func(t *testing.T, ad *Adaptive) {
+		base := ad.m.Core().ArenaStats()
+		f := BiasedLoop()
+		for i := 0; i < 40 && !ad.Superblocked(f); i++ {
+			callChecked(t, ad, f, 10, 100)
+			settle(ad)
+		}
+		if !ad.Superblocked(f) {
+			t.Fatal("function never reached tier 3")
+		}
+		// No callers are running: stretch the cooldown so the deopt below is
+		// final and the ledger is taken on a settled machine.
+		cfg := *ad.sb
+		cfg.Cooldown = 1 << 40
+		ad.EnableSuperblocks(cfg)
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if got, _, err := ad.Call(f, 90); err != nil || got != 200 {
+						t.Errorf("call %d across the flip: %d, %v; want 200", i, got, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		settle(ad)
+		if ad.Superblocked(f) {
+			t.Fatal("bias flip never de-optimized")
+		}
+		callChecked(t, ad, f, 10, 100)
+		cachetest.Ledger(t, ad.Cache(), ad.m.Core(), base)
+	})
 }
 
 // TestBlockHeatScopedToIdentity is the regression test for block-heat

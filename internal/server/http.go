@@ -150,58 +150,72 @@ func (s *Server) requestSpan(tenant, reqID string) trace.Active {
 	return trace.Begin(trace.KindRequest, s.cfg.Backend, tenant+"/"+reqID)
 }
 
-// handleExec is compile-if-needed plus one sandboxed call.
-func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+// admitted is a request past the preamble /v1/exec and /v1/compile share:
+// what the rest of its handler, and finishRequest, need of it.
+type admitted struct {
+	start time.Time
+	req   *request
+	reqID string
+	sp    trace.Active
+	fr    *flightrec.Request
+	t     *tenant
+	cr    compileResult
+}
+
+// begin runs the shared preamble: decode, request ID, span, flight handle,
+// tenant, rate limit, compile.  A request one of them refuses is answered and
+// finished here, and ok is false.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request) (a admitted, ok bool) {
+	a.start = time.Now()
 	req, ae := decode(r)
 	if ae != nil {
 		writeErr(w, "", ae)
-		return
+		return a, false
 	}
-	reqID := s.requestID(req.RequestID)
-	sp := s.requestSpan(req.Tenant, reqID)
-	fr := flightrec.Begin(reqID, req.Tenant)
-
-	t, ae := s.tenants.get(req.Tenant)
-	if ae != nil {
+	a.req, a.reqID = req, s.requestID(req.RequestID)
+	a.sp = s.requestSpan(req.Tenant, a.reqID)
+	a.fr = flightrec.Begin(a.reqID, req.Tenant)
+	if a.t, ae = s.tenants.get(req.Tenant); ae != nil {
 		s.requests.Inc()
 		s.errorsAll.Inc()
-		sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
-		fr.Finish(string(ae.Code), ae.Message, 0)
-		writeErr(w, reqID, ae)
-		return
+		a.sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
+		a.fr.Finish(string(ae.Code), ae.Message, 0)
+		writeErr(w, a.reqID, ae)
+		return a, false
 	}
-
-	if ae := t.admitRate(); ae != nil {
+	if ae = a.t.admitRate(); ae != nil {
 		s.rateLimited.Inc()
-		t.rejected.Inc()
-		fr.Event(flightrec.StageAdmit, flightrec.Event{
-			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(t))})
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
-		writeErr(w, reqID, ae)
-		return
+		a.t.rejected.Inc()
+		a.fr.Event(flightrec.StageAdmit, flightrec.Event{
+			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(a.t))})
+	} else {
+		a.cr, ae = s.compile(r.Context(), a.fr, a.t, req.Lang, req.Source, req.Entry, req.Key, req.prio(a.t))
 	}
+	if ae != nil {
+		s.finishRequest(w, &a, ae)
+		return a, false
+	}
+	return a, true
+}
 
-	cr, ae := s.compile(r.Context(), fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
-	if ae != nil {
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
-		writeErr(w, reqID, ae)
+// handleExec is compile-if-needed plus one sandboxed call.
+func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
+	a, ok := s.begin(w, r)
+	if !ok {
 		return
 	}
-	er, ae := s.exec(r.Context(), fr, t, &cr, req)
+	er, ae := s.exec(r.Context(), a.fr, a.t, &a.cr, a.req)
+	s.finishRequest(w, &a, ae)
 	if ae != nil {
-		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, ae)
-		writeErr(w, reqID, ae)
 		return
 	}
 	res, typ := renderResult(er.value)
-	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, nil)
 	writeJSON(w, http.StatusOK, execResponse{
-		RequestID:  reqID,
-		Key:        cr.key,
-		Shard:      cr.shard.id,
-		Cached:     cr.cached,
-		Durable:    cr.durable,
+		RequestID:  a.reqID,
+		Key:        a.cr.key,
+		Shard:      a.cr.shard.id,
+		Cached:     a.cr.cached,
+		Durable:    a.cr.durable,
 		Result:     res,
 		ResultType: typ,
 		Cycles:     er.stats.Cycles,
@@ -213,52 +227,22 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // handleCompile is compile-and-cache: the program becomes resident (and
 // callable by key) without running it.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	req, ae := decode(r)
-	if ae != nil {
-		writeErr(w, "", ae)
-		return
-	}
-	reqID := s.requestID(req.RequestID)
-	sp := s.requestSpan(req.Tenant, reqID)
-	fr := flightrec.Begin(reqID, req.Tenant)
-
-	t, ae := s.tenants.get(req.Tenant)
-	if ae != nil {
-		s.requests.Inc()
-		s.errorsAll.Inc()
-		sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
-		fr.Finish(string(ae.Code), ae.Message, 0)
-		writeErr(w, reqID, ae)
-		return
-	}
-	if ae := t.admitRate(); ae != nil {
-		s.rateLimited.Inc()
-		t.rejected.Inc()
-		fr.Event(flightrec.StageAdmit, flightrec.Event{
-			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(t))})
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
-		writeErr(w, reqID, ae)
-		return
-	}
-	cr, ae := s.compile(r.Context(), fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
-	if ae != nil {
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
-		writeErr(w, reqID, ae)
+	a, ok := s.begin(w, r)
+	if !ok {
 		return
 	}
 	resp := compileResponse{
-		RequestID: reqID,
-		Key:       cr.key,
-		Shard:     cr.shard.id,
-		Cached:    cr.cached,
-		Durable:   cr.durable,
-		Entry:     cr.fn.Name,
-		Params:    len(cr.fn.Params),
-		CodeBytes: cr.fn.Unit().CodeBytes(),
-		Functions: len(cr.fn.Unit().Funcs()),
+		RequestID: a.reqID,
+		Key:       a.cr.key,
+		Shard:     a.cr.shard.id,
+		Cached:    a.cr.cached,
+		Durable:   a.cr.durable,
+		Entry:     a.cr.fn.Name,
+		Params:    len(a.cr.fn.Params),
+		CodeBytes: a.cr.fn.Unit().CodeBytes(),
+		Functions: len(a.cr.fn.Unit().Funcs()),
 	}
-	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, nil)
+	s.finishRequest(w, &a, nil)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -15,8 +15,8 @@ import (
 //     rate_limited;
 //  2. a per-key compile circuit breaker — keys whose compiles keep
 //     failing fast-fail with 503 circuit_open instead of burning
-//     compile slots (this layers on codecache.FailureBackoff: the backoff
-//     caches one failure, the breaker counts consecutive ones);
+//     compile slots (the cache remembers no failure; this is the one
+//     failure memory, fed by server.compile once per flight it led);
 //  3. a global load-shedding watermark on summed compile queue depth —
 //     past the low watermark compile-requiring requests below priority 4
 //     are shed, past the high watermark everything below priority 8 is,

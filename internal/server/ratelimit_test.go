@@ -128,9 +128,8 @@ func TestServerBreakerOpens(t *testing.T) {
 		c.BreakerCooldown = time.Hour
 	})
 	body := map[string]any{"tenant": "a", "lang": "vasm", "source": factVasm, "entry": "fact", "key": "doomed", "args": []int{4}}
-	// Three consecutive compile failures trip the breaker.  FailureBackoff
-	// caches each failure briefly, so pace the attempts past its TTL —
-	// only settled compile flights feed the breaker.
+	// Three consecutive compile failures trip the breaker: only settled
+	// compile flights feed it.
 	sawFailure := 0
 	for i := 0; i < 10 && sawFailure < 3; i++ {
 		status, out := post(t, ts, "/v1/exec", body)

@@ -392,12 +392,16 @@ func TestCheckpointKeepsInFlightUnit(t *testing.T) {
 	key := contentKey(LangTinyC, "", source)
 	sh := s1.shards[shardOf(key, 2)]
 	// The first half of a miss, as Server.compile runs it inside the
-	// cache's flight: compile, register, journal.
+	// cache's flight: compile, admit, journal.
 	u, err := compileUnit(sh.machine, key, "alice", LangTinyC, source, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.register(u)
+	alice, ae := s1.tenants.get("alice")
+	if ae != nil {
+		t.Fatal(ae)
+	}
+	sh.admit(u, alice)
 	if _, err := s1.journal.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id), Shards: 2}, true); err != nil {
 		t.Fatal(err)
 	}

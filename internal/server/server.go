@@ -1,6 +1,6 @@
 // Package server is the codegen-as-a-service layer: an HTTP front end
 // over the whole library stack — vasm/tinyc front ends, the VCODE
-// assembler and verifier, the sharded code cache, sandboxed calls,
+// assembler and verifier, the code cache, sandboxed calls,
 // telemetry and lifecycle tracing — serving compile-and-execute (and
 // compile-and-cache) to many tenants at once.
 //
@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -67,9 +68,6 @@ type Config struct {
 	Tenants             map[string]Quota
 	DefaultQuota        Quota
 	AllowUnknownTenants bool
-	// FailureBackoff negative-caches failed compiles per key (0 = every
-	// request retries).
-	FailureBackoff time.Duration
 	// FsyncInterval is the journal writer's group-commit window: appends
 	// gather up to this long (or a batch bound) before one write+fsync
 	// releases them all (default 2ms).
@@ -194,6 +192,7 @@ type Server struct {
 	callNS    *telemetry.Histogram
 	requestNS *telemetry.Histogram
 
+	execRetries            *telemetry.Counter // exec's re-entries into compile after an eviction
 	rateLimited            *telemetry.Counter
 	shedded                *telemetry.Counter
 	breakerFast            *telemetry.Counter
@@ -223,6 +222,7 @@ func New(cfg Config) (*Server, error) {
 		errorsAll:      reg.Counter("server.errors"),
 		callNS:         reg.Histogram("server.call_ns", nil),
 		requestNS:      reg.Histogram("server.request_ns", nil),
+		execRetries:    reg.Counter("server.exec_retries"),
 		rateLimited:    reg.Counter("server.rate_limited"),
 		shedded:        reg.Counter("server.shed"),
 		breakerFast:    reg.Counter("server.breaker_open"),
@@ -258,12 +258,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	s.health.Expect("snapshot_restored")
 	s.health.Expect("warmup_drained")
-	var onResult func(key string, err error)
-	if s.breakers != nil {
-		onResult = s.breakers.record
-	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(i, cfg.Backend, cfg.WorkersPerShard, cfg.MaxEntriesPerShard, cfg.MaxCodeBytesPerShard, cfg.FailureBackoff, reg, onResult)
+		sh, err := newShard(i, cfg.Backend, cfg.WorkersPerShard, cfg.MaxEntriesPerShard, cfg.MaxCodeBytesPerShard, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -406,16 +402,13 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	fr.Event(flightrec.StageAdmit, flightrec.Event{
 		Verdict: "ok", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
 
-	compiledHere := false
 	doCompile := func() (*core.Func, error) {
 		u, err := s.frontEnd(sh.machine, key, t.name, lang, source, entry)
 		if err != nil {
 			return nil, err
 		}
-		sh.register(u)
-		t.resident.Add(u.prog.CodeBytes())
+		sh.admit(u, t)
 		t.compiles.Inc()
-		compiledHere = true
 		if s.journal != nil {
 			// Group commit: block this flight until the record fsyncs.
 			// A degraded journal (write/fsync failure) still serves the
@@ -441,16 +434,22 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	if inj := s.cfg.Injector; inj != nil {
 		doCompile = inj.WrapCompile(doCompile)
 	}
+	led := false
 	fn, err := sh.cache.GetOrCompile(key, func() (*core.Func, error) {
 		// Only the flight's leader gets here: coalesced requests wait on
 		// the flight, not on a slot.  A panic in the front end unwinds
 		// through leave into the cache's recovery.
+		led = true
 		if err := sh.gate.enter(ctx); err != nil {
 			return nil, err
 		}
 		defer sh.gate.leave()
 		return doCompile()
 	})
+	if led && s.breakers != nil {
+		// One report per flight, from the request that flew it.
+		s.breakers.record(key, err)
+	}
 	if err != nil {
 		apiE := classifyCompile(err)
 		fr.Event(flightrec.StageCache, flightrec.Event{
@@ -458,12 +457,12 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		return compileResult{}, apiE
 	}
 	verdict := "compiled"
-	if !compiledHere {
+	if !led {
 		verdict = "coalesced"
 	}
 	fr.Event(flightrec.StageCache, flightrec.Event{
 		Verdict: verdict, Key: key, Shard: int32(sh.id)})
-	return compileResult{key: key, shard: sh, fn: fn, cached: !compiledHere, durable: sh.unitDurable(key)}, nil
+	return compileResult{key: key, shard: sh, fn: fn, cached: !led, durable: sh.unitDurable(key)}, nil
 }
 
 // truncate bounds error text carried in flight events and logs.
@@ -488,8 +487,8 @@ type execResult struct {
 // The machine keeps no clock on its call path, so the stage is timed here,
 // with one clock pair around the call.  A program evicted since compile
 // returned *cr answers core.ErrUnloaded: the request goes through compile
-// again, once (not_found when it carries no source, and on a second
-// eviction), and *cr becomes what the call ran on.
+// again (not_found when it carries no source), as often as it is evicted
+// while the call's deadline lives, and *cr becomes what the call ran on.
 func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr *compileResult, req *request) (execResult, *APIError) {
 	budget := t.quota.FuelPerCall
 	if fuel := req.Fuel; fuel > 0 {
@@ -505,7 +504,7 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 	}
 	cctx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
 	defer cancel()
-	for attempt := 0; ; attempt++ {
+	for {
 		sh := cr.shard
 		args, err := buildArgs(cr.fn.Params, req.Args)
 		if err != nil {
@@ -514,13 +513,18 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 		start := time.Now()
 		v, st, err := sh.machine.CallWithStats(cctx, core.CallOpts{Fuel: budget}, cr.fn, args...)
 		wall := time.Since(start)
-		if attempt == 0 && errors.Is(err, core.ErrUnloaded) {
-			again, apiE := s.compile(ctx, fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
-			if apiE != nil {
-				return execResult{}, apiE
+		if errors.Is(err, core.ErrUnloaded) {
+			// Evicted since compile: ask again, or report the deadline
+			// that ran out asking.
+			if err = cctx.Err(); err == nil {
+				s.execRetries.Inc()
+				again, apiE := s.compile(ctx, fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
+				if apiE != nil {
+					return execResult{}, apiE
+				}
+				*cr = again
+				continue
 			}
-			*cr = again
-			continue
 		}
 		sh.calls.Add(1)
 		if telemetry.Enabled() {
@@ -554,16 +558,20 @@ func (s *Server) requestID(supplied string) string {
 	return string(strconv.AppendUint(buf, seq, 10))
 }
 
-// finishRequest records the request's telemetry, its lifecycle span,
-// its SLO observation, its flight-recorder outcome and (at Debug) its
-// structured log line.  The span's name carries tenant/request-id; its
-// flow joins the entry function's lifecycle lane when the function is
-// known, so a Perfetto lane ties verify/install/call spans back to the
-// network request.
-func (s *Server) finishRequest(t *tenant, reqID, key string, shardID int, start time.Time, fn *core.Func, sp trace.Active, fr *flightrec.Request, apiE *APIError) {
+// finishRequest records an admitted request's telemetry, its lifecycle
+// span, its SLO observation, its flight-recorder outcome and (at Debug) its
+// structured log line, and answers a failed one with apiE.  The span's name
+// carries tenant/request-id; its flow joins the entry function's lifecycle
+// lane when the function is known, so a Perfetto lane ties
+// verify/install/call spans back to the network request.
+func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIError) {
+	t, key, shardID := a.t, a.req.Key, -1
+	if a.cr.shard != nil {
+		key, shardID = a.cr.key, a.cr.shard.id
+	}
 	s.requests.Inc()
 	t.requests.Inc()
-	d := time.Since(start)
+	d := time.Since(a.start)
 	if telemetry.Enabled() {
 		s.requestNS.Observe(uint64(d))
 		t.requestNS.Observe(uint64(d))
@@ -580,15 +588,18 @@ func (s *Server) finishRequest(t *tenant, reqID, key string, shardID int, start 
 	s.sloGlobal.Observe(uint64(d), isFault)
 	t.slo.Observe(uint64(d), isFault)
 	var flow uint64
-	if fn != nil {
-		flow = fn.TraceFlow()
+	if a.cr.fn != nil {
+		flow = a.cr.fn.TraceFlow()
 	}
-	sp.End(flow, trace.Attrs{Verdict: verdict, Err: errText})
-	fr.Finish(verdict, errText, flow)
+	a.sp.End(flow, trace.Attrs{Verdict: verdict, Err: errText})
+	a.fr.Finish(verdict, errText, flow)
 	if s.log.Enabled(context.Background(), slog.LevelDebug) {
 		s.log.Debug("request",
-			"request_id", reqID, "tenant", t.name, "shard", shardID,
+			"request_id", a.reqID, "tenant", t.name, "shard", shardID,
 			"key", key, "code", verdict, "dur_ms", d.Milliseconds())
+	}
+	if apiE != nil {
+		writeErr(w, a.reqID, apiE)
 	}
 }
 

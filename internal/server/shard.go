@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/codecache"
 	"repro/internal/core"
@@ -61,10 +60,8 @@ type unit struct {
 	lsn atomic.Uint64
 }
 
-// newShard builds one arena on the given backend.  onCompileResult,
-// when non-nil, receives every settled compile flight (the server's
-// circuit breaker feeds on it).
-func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, backoff time.Duration, reg *telemetry.Registry, onCompileResult func(key string, err error)) (*shard, error) {
+// newShard builds one arena on the given backend.
+func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, reg *telemetry.Registry) (*shard, error) {
 	jm, err := jit.NewMachineTarget(backend, mem.Uncosted)
 	if err != nil {
 		return nil, err
@@ -76,13 +73,11 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, b
 		units:   make(map[string]*unit),
 	}
 	s.cache = codecache.New(codecache.Config{
-		Machine:         s.machine,
-		MaxEntries:      maxEntries,
-		MaxCodeBytes:    maxBytes,
-		Name:            fmt.Sprintf("srv%d", id),
-		OnEvict:         s.onEvict,
-		FailureBackoff:  backoff,
-		OnCompileResult: onCompileResult,
+		Machine:      s.machine,
+		MaxEntries:   maxEntries,
+		MaxCodeBytes: maxBytes,
+		Name:         fmt.Sprintf("srv%d", id),
+		OnEvict:      s.onEvict,
 	})
 	reg.GaugeFunc(fmt.Sprintf("server.shard.%d.code_bytes_resident", id), func() float64 {
 		return float64(s.machine.CodeBytesResident())
@@ -95,14 +90,16 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, b
 	return s, nil
 }
 
-// register records a freshly compiled unit.  Called from inside the
-// compile flight, before the cache entry becomes ready, so an eviction
-// of the key always finds its unit.
-func (s *shard) register(u *unit) {
+// admit records a freshly compiled unit and charges its tenant's residency:
+// the one step a miss and a snapshot restore share.  Called from inside the
+// compile flight, before the cache entry becomes ready, so an eviction of
+// the key always finds its unit.
+func (s *shard) admit(u *unit, t *tenant) {
 	s.mu.Lock()
 	s.units[u.key] = u
 	s.mu.Unlock()
 	s.compiles.Add(1)
+	t.resident.Add(u.prog.CodeBytes())
 }
 
 // unit returns the resident unit for key, if any.
@@ -212,7 +209,7 @@ func (g *compileGate) close() {
 }
 
 // shardOf maps a content-hash key onto one of n shards (FNV-1a over the
-// key, independent of the codecache's internal shard hash).
+// key).
 func shardOf(key string, n int) int {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

@@ -211,8 +211,7 @@ func (s *Server) restoreEntries(entries []snapEntry) (warm, resharded int) {
 					return nil, err
 				}
 				u.durable.Store(true)
-				sh.register(u)
-				t.resident.Add(u.prog.CodeBytes())
+				sh.admit(u, t)
 				if wordsEqual(u.entryFn.Words, e.Words) {
 					s.snapExact.Inc()
 				} else {

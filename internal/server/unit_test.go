@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -214,6 +218,79 @@ func TestCacheBoundsWholePrograms(t *testing.T) {
 	if st.Units != 1 || st.Cache.Evictions != 1 || st.Cache.CodeBytes != st.UnitBytes || st.UnitBytes < whole-8 {
 		t.Fatalf("after two %d-byte programs under a %d-byte cap: %d units, %d evictions, cache charges %d, units hold %d",
 			whole, limit, st.Units, st.Cache.Evictions, st.Cache.CodeBytes, st.UnitBytes)
+	}
+	machineLedger(t, s)
+}
+
+// TestLeaseSurvivesChurn: a one-entry shard under eight clients, each posting
+// its own program, evicts nearly every program between its compile and its
+// call.  A request that carries its source goes through compile again as
+// often as that happens (ROADMAP 9c): none is answered not_found, every
+// result is right, and the machine ends holding the one resident unit.
+func TestLeaseSurvivesChurn(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) {
+		c.Shards = 1
+		c.MaxEntriesPerShard = 1
+	})
+	h := s.Handler()
+	const clients, posts = 8, 60
+	var wg sync.WaitGroup
+	for i := 1; i <= clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, want := missBody(t, i), int64(35+2*i)
+			if i%3 == 0 {
+				want = int64(14 + i)
+			}
+			for n := 0; n < posts; n++ {
+				rec := serve(h, body)
+				var out struct{ Result int64 }
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || out.Result != want {
+					t.Errorf("client %d, post %d: %d %s (%v), want %d", i, n, rec.Code, rec.Body, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d requests, %d evictions, %d re-entries into compile",
+		clients*posts, s.shards[0].cache.Snapshot().Evictions, s.execRetries.Load())
+	machineLedger(t, s)
+}
+
+// TestFollowerSurvivesLeaderCancel, through /v1/exec: the front end holds
+// the leader of a flight in its compile slot until the leader's client goes
+// away.  The leader is answered with its own deadline; the request that had
+// coalesced onto its flight is not — it compiles under its own context and
+// is answered 200 (ROADMAP 6e).
+func TestFollowerSurvivesLeaderCancel(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) { c.Shards = 1 })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	inner, first := s.frontEnd, true // the front end is entered one flight at a time
+	s.frontEnd = func(m *core.Machine, key, tenantName, lang, source, entry string) (*unit, error) {
+		if first {
+			first = false
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return inner(m, key, tenantName, lang, source, entry)
+	}
+	h, body := s.Handler(), missBody(t, 1)
+	leader, follower := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/exec", bytes.NewReader(body)).WithContext(ctx))
+		leader <- rec
+	}()
+	waitFor(t, "the leader to take the flight", func() bool { return s.shards[0].cache.Snapshot().Misses == 1 })
+	go func() { follower <- serve(h, body) }()
+	waitFor(t, "the follower to join the leader's flight", func() bool { return s.shards[0].cache.Snapshot().Coalesced == 1 })
+	cancel()
+	wantServeErr(t, <-leader, http.StatusGatewayTimeout, CodeDeadline)
+	if rec := <-follower; rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":false`) {
+		t.Fatalf("follower of a cancelled leader: %d %s, want 200 from its own compile", rec.Code, rec.Body)
 	}
 	machineLedger(t, s)
 }

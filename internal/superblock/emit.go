@@ -22,12 +22,6 @@ type CompileStats struct {
 	CounterActive  bool // side-exit stubs bump the counter word
 }
 
-// Wins reports the number of instruction-level improvements the trace
-// pass made (excluding control-flow edits, which Plan tracks).
-func (s CompileStats) Wins() int {
-	return s.Folded + s.Reduced + s.LoadsForwarded + s.LoadsDropped + s.PeepSaved
-}
-
 // Compile re-emits the plan through a: the optimized trace first, then
 // the side-exit stubs, then a verbatim cold copy of the original body.
 // The assembler must be fresh (before Begin) and on the same backend the

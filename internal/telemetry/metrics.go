@@ -10,10 +10,7 @@
 // generated instruction — honest even in instrumented builds.
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // enabled is the global gate.  Instrumented call sites check Enabled()
 // before touching clocks or metrics, so a disabled build's only cost is
@@ -114,15 +111,6 @@ func (h *Histogram) Observe(v uint64) {
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
-	}
-}
-
-// ObserveSince records the nanoseconds elapsed since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if d := time.Since(start); d > 0 {
-		h.Observe(uint64(d))
-	} else {
-		h.Observe(0)
 	}
 }
 

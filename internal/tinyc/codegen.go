@@ -89,18 +89,6 @@ func (c *Compiler) Run(name string, args ...core.Value) (core.Value, error) {
 	return c.machine.Call(fn, args...)
 }
 
-// CompileAndRun is the one-shot convenience used by examples.
-func (c *Compiler) CompileAndRun(src, entry string, args ...core.Value) (core.Value, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return core.Value{}, err
-	}
-	if err := c.Compile(prog); err != nil {
-		return core.Value{}, err
-	}
-	return c.Run(entry, args...)
-}
-
 // --- per-function generation ---
 
 type varInfo struct {

@@ -45,7 +45,7 @@ const (
 	// KindEvict is code reclamation (cache eviction or Uninstall).
 	KindEvict
 	// KindLookup is a code-cache probe; its Verdict attribute records
-	// hit, miss, coalesced or negative.
+	// hit, miss or coalesced.
 	KindLookup
 	// KindRequest covers one whole server request (internal/server):
 	// admission, cache lookup/compile, and the sandboxed call.  Its
@@ -87,7 +87,7 @@ type Attrs struct {
 	// unknown).
 	Fuel uint64
 	// Verdict is a short outcome label: "ok"/"reject" for verify,
-	// "hit"/"miss"/"coalesced"/"negative" for cache lookups.
+	// "hit"/"miss"/"coalesced" for cache lookups.
 	Verdict string
 	// Err is the error text when the phase failed (truncated).
 	Err string

@@ -9,7 +9,7 @@ verify:
 # Packages with a single Fuzz* target each, so -fuzz=Fuzz is unambiguous.
 FUZZ_PKGS = internal/vasm internal/tinyc internal/dpf internal/spec \
 	internal/mips internal/sparc internal/alpha internal/exec/diff \
-	internal/superblock
+	internal/superblock internal/core
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -87,7 +87,10 @@ bench-call:
 # instruction and allocations per function.  CI pins the allocations with
 # TestEmitAllocBudget and the rejections with TestFrontDoorErrors; the
 # repository's benchmark (go run ./bench, workload emit) is what a
-# performance claim is judged by.
+# performance claim is judged by.  Each backend also runs the function made
+# of one kind of instruction (alu, alui, mem: the template path; branch:
+# label table, fixup and PatchBranch, the interface path), so the next gap
+# is a row and not a remainder.
 bench-emit:
 	go test -run '^$$' -bench BenchmarkEmit -count 5 ./internal/core
 

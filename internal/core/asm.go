@@ -90,6 +90,9 @@ type Asm struct {
 	// emul is the backend's emulated-operation set (see emulated.go), read
 	// per ALU instruction in place of a Backend.EmulatedOp call.
 	emul *EmulatedOps
+	// tmpl is the backend's single-word encodings (see tmpl.go): where one
+	// covers the instruction the emitter appends the word itself.
+	tmpl *Templates
 
 	pool     []poolEntry
 	poolRefs []poolRef
@@ -133,11 +136,13 @@ func NewAsm(b Backend) *Asm { return NewAsmConv(b, b.DefaultConv()) }
 // convention (obtain one with DefaultConv().Clone() and adjust register
 // classes as needed).
 func NewAsmConv(b Backend, conv *CallConv) *Asm {
+	p := portOf(b)
 	return &Asm{
 		backend: b,
 		conv:    conv,
 		buf:     NewBuf(256),
-		emul:    EmulatedOpsOf(b),
+		emul:    &p.emul,
+		tmpl:    &p.tmpl,
 	}
 }
 
@@ -616,7 +621,9 @@ func (a *Asm) StLocal(t Type, rs Reg, off int64) { a.StI(t, rs, a.conv.SP, off) 
 // tests on its way: ready's inlined half, one load from a legality table
 // (op.go), one fixed-arity register-bank test (reg.go; checkRegs runs only
 // when that fails, to say which operand and why), the recording gate, then
-// the backend's encoder. ----
+// the encoding: the port's template for (op, type) filled in here when there
+// is one and the immediate is inside its range (tmpl.go), the backend's
+// encoder otherwise. ----
 
 func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 	for _, r := range regs {
@@ -652,6 +659,10 @@ func (a *Asm) ALU(op Op, t Type, rd, rs1, rs2 Reg) {
 		a.emulCall(op, t, rd, rs1, rs2, 0, false)
 		return
 	}
+	if tp := &a.tmpl.alu[op][t]; tp.ok {
+		a.buf.Emit(tp.regs(rd, rs1, rs2))
+		return
+	}
 	a.setErr(a.backend.ALU(a.buf, op, t, rd, rs1, rs2))
 }
 
@@ -673,6 +684,10 @@ func (a *Asm) ALUI(op Op, t Type, rd, rs Reg, imm int64) {
 	}
 	if a.emul.Has(op, t) {
 		a.emulCall(op, t, rd, rs, NoReg, imm, true)
+		return
+	}
+	if tp := &a.tmpl.alui[op][t]; tp.holds(imm) {
+		a.buf.Emit(tp.imm(rd, rs, imm))
 		return
 	}
 	a.setErr(a.backend.ALUImm(a.buf, op, t, rd, rs, imm))
@@ -804,6 +819,10 @@ func (a *Asm) LdI(t Type, rd, base Reg, off int64) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecLdI, T: t, Rd: rd, Rs1: base, Imm: off})
 	}
+	if tp := &a.tmpl.ld[t]; tp.holds(off) {
+		a.buf.Emit(tp.imm(rd, base, off))
+		return
+	}
 	a.setErr(a.backend.Load(a.buf, t, rd, base, off))
 }
 
@@ -841,6 +860,10 @@ func (a *Asm) StI(t Type, rs, base Reg, off int64) {
 	a.insnCount++
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecStI, T: t, Rd: rs, Rs1: base, Imm: off})
+	}
+	if tp := &a.tmpl.st[t]; tp.holds(off) {
+		a.buf.Emit(tp.imm(rs, base, off))
+		return
 	}
 	a.setErr(a.backend.Store(a.buf, t, rs, base, off))
 }

@@ -41,6 +41,12 @@ type Backend interface {
 	// form the return address (8 on SPARC, 0 elsewhere).
 	RetAddrOffset() int
 
+	// ALU, ALUImm, Load and Store must be pure functions of their
+	// arguments — the same words for the same (op, type, registers,
+	// immediate) on every instance of the port, whatever was emitted
+	// before: the core reads each single-word encoding off them once per
+	// Backend type (TemplatesOf) and from then on fills it in itself.
+
 	// ALU emits rd = rs1 op rs2 for a binary operation.
 	ALU(b *Buf, op Op, t Type, rd, rs1, rs2 Reg) error
 	// ALUImm emits rd = rs op imm.  Out-of-range immediates are

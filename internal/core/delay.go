@@ -38,9 +38,10 @@ func (a *Asm) ScheduleDelay(branch, slot func()) {
 	// Place the slot instruction(s) before the branch: rotate
 	// [start,mid) after [mid,end) and remap every recorded site in one
 	// pass (branch part moves right by slotWords, slot part moves left
-	// by the branch length).
+	// by the branch length).  A label at start names the pair, not the
+	// branch: it stays, so that a jump to it still runs the slot.
 	rotate(a.buf.Words()[start:end], mid-start)
-	a.remapSites(func(s int) int {
+	a.remapSites(start, func(s int) int {
 		switch {
 		case s >= start && s < mid:
 			return s + slotWords
@@ -120,8 +121,9 @@ func (a *Asm) boundIn(lo, hi int) bool {
 	return false
 }
 
-// remapSites applies adj to every recorded instruction index.
-func (a *Asm) remapSites(adj func(int) int) {
+// remapSites applies adj to every recorded instruction index, and to every
+// bound label except those at keep.
+func (a *Asm) remapSites(keep int, adj func(int) int) {
 	for i := range a.fixups {
 		a.fixups[i].site = adj(a.fixups[i].site)
 	}
@@ -145,7 +147,7 @@ func (a *Asm) remapSites(adj func(int) int) {
 		}
 	}
 	for i := range a.labels {
-		if a.labels[i] >= 0 {
+		if a.labels[i] >= 0 && a.labels[i] != keep {
 			a.labels[i] = adj(a.labels[i])
 		}
 	}

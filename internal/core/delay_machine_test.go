@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/mips"
+	"repro/internal/regtest"
 )
 
 // TestScheduleDelayFillsSlot checks that on a delay-slot machine the slot
@@ -389,5 +391,59 @@ func TestInterruptHandlerConvention(t *testing.T) {
 	}
 	if fn.FrameBytes == 0 {
 		t.Error("interrupt-handler code should save registers (frame expected)")
+	}
+}
+
+// TestScheduleDelayKeepsLabelAtLoopTop: a label bound just before
+// ScheduleDelay names the scheduled pair, so when the slot instructions are
+// placed before the branch (a two-instruction slot fits no delay slot) a
+// loop back to that label still runs them on every trip.  The scheduled
+// build is held to the same loop written out by hand.
+func TestScheduleDelayKeepsLabelAtLoopTop(t *testing.T) {
+	build := func(tg regtest.Target, schedule bool) *core.Func {
+		a := core.NewAsm(tg.Backend)
+		args, err := a.Begin("%i", core.Leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := args[0]
+		acc, err := a.GetReg(core.Temp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Seti(acc, 0)
+		top := a.NewLabel()
+		a.Bind(top)
+		branch := func() { a.Bgtii(n, 0, top) }
+		slot := func() { a.Subii(n, n, 1); a.Addii(acc, acc, 100000) }
+		if schedule {
+			a.ScheduleDelay(branch, slot)
+		} else {
+			slot()
+			branch()
+		}
+		a.Reti(acc)
+		fn, err := a.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fn
+	}
+	for _, tg := range regtest.Targets() {
+		m := tg.NewMachine()
+		opts := core.CallOpts{Fuel: 10000}
+		want, wantStats, err := m.CallWithStats(context.Background(), opts, build(tg, false), core.I(5))
+		if err != nil || want.Int() != 500000 {
+			t.Fatalf("%s: unscheduled loop returned %d, %v", tg.Name, want.Int(), err)
+		}
+		got, gotStats, err := m.CallWithStats(context.Background(), opts, build(tg, true), core.I(5))
+		if err != nil {
+			t.Errorf("%s: scheduled loop: %v", tg.Name, err)
+			continue
+		}
+		if got.Int() != want.Int() || gotStats.Insns != wantStats.Insns {
+			t.Errorf("%s: scheduled loop returned %d in %d instructions, unscheduled %d in %d",
+				tg.Name, got.Int(), gotStats.Insns, want.Int(), wantStats.Insns)
+		}
 	}
 }

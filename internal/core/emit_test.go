@@ -14,7 +14,22 @@ import (
 // LdI, StI, BrI, Bind, Ret) and the doors that workload does not reach
 // (Unary, Ld, St, Br, Jmp, Nop, Cvt).  Nothing in it is emulated or pooled,
 // so what it allocates is what the assembler allocates.
-func emitMix(a *core.Asm, n int) (*core.Func, error) {
+func emitMix(a *core.Asm, n int) (*core.Func, error) { return emitSlots(a, n, nil) }
+
+// mixKinds names the slots of the mix that BenchmarkEmit times on their own.
+var mixKinds = []struct {
+	name  string
+	slots []int
+}{
+	{"alu", []int{1, 6}},
+	{"alui", []int{2, 15}},
+	{"mem", []int{3, 4}},
+	{"branch", []int{5, 11, 14}}, // each with its NewLabel and Bind
+}
+
+// emitSlots is emitMix drawing only from the given slots of its sixteen, in
+// rotation; all of them when slots is nil.
+func emitSlots(a *core.Asm, n int, slots []int) (*core.Func, error) {
 	args, err := a.Begin("%p%i", core.Leaf)
 	if err != nil {
 		return nil, err
@@ -26,10 +41,17 @@ func emitMix(a *core.Asm, n int) (*core.Func, error) {
 			return nil, err
 		}
 	}
-	ty := core.TypeI
+	ty, next := core.TypeI, 0
 	for i := 0; i < n-1; i++ {
 		d, s, k := r[i%4], r[(i+1)%4], int64(i%97)
-		switch i % 16 {
+		slot := i % 16
+		if slots != nil {
+			slot = slots[next]
+			if next++; next == len(slots) {
+				next = 0
+			}
+		}
+		switch slot {
 		case 0:
 			a.SetI(ty, d, k)
 		case 1:
@@ -150,19 +172,26 @@ func TestEmulatedOpsAgree(t *testing.T) {
 }
 
 // BenchmarkEmit is the emit workload's shape inside the package: Begin..End
-// of the 1,000-instruction mix on a reused assembler, per backend.
+// of the 1,000-instruction mix on a reused assembler, per backend — and the
+// same function made of one kind of instruction only, so that what the
+// template path costs (alu, alui, mem) and what stays on the interface path
+// (branch: label table, one fixup, PatchBranch at End) are each a number.
 func BenchmarkEmit(b *testing.B) {
 	const n = 1000
-	for _, tg := range regtest.Targets() {
-		b.Run(tg.Name, func(b *testing.B) {
-			a := core.NewAsm(tg.Backend)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if fn, err := emitMix(a, n); err != nil || fn.NumInsns != n {
-					b.Fatal(fmt.Sprint(fn, err))
-				}
+	run := func(b *testing.B, bk core.Backend, slots []int) {
+		a := core.NewAsm(bk)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if fn, err := emitSlots(a, n, slots); err != nil || fn.NumInsns != n {
+				b.Fatal(fmt.Sprint(fn, err))
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insn")
-		})
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insn")
+	}
+	for _, tg := range regtest.Targets() {
+		b.Run(tg.Name+"/mix", func(b *testing.B) { run(b, tg.Backend, nil) })
+		for _, k := range mixKinds {
+			b.Run(tg.Name+"/"+k.name, func(b *testing.B) { run(b, tg.Backend, k.slots) })
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestCompileBatchBasic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pooled, want := jm.Core().CodeBytesResident(), serial.Core().CodeBytesResident(); pooled != want {
+	if pooled, want := jm.Core().ArenaStats().CodeBytesResident, serial.Core().ArenaStats().CodeBytesResident; pooled != want {
 		t.Errorf("CompileBatch left %d code bytes resident, Compile + Install %d", pooled, want)
 	}
 }

@@ -150,7 +150,7 @@ func TestByteBoundEviction(t *testing.T) {
 // later request for the evicted key must recompile a working function.
 func TestEvictionFreesAndRecompiles(t *testing.T) {
 	m := newTestMachine(t)
-	base := m.CodeBytesResident()
+	base := m.ArenaStats().CodeBytesResident
 	c := New(Config{MaxEntries: 1, Machine: m})
 
 	compiles := 0
@@ -178,7 +178,7 @@ func TestEvictionFreesAndRecompiles(t *testing.T) {
 
 	f1 := get(1)
 	call(f1, 10, 11)
-	oneResident := m.CodeBytesResident()
+	oneResident := m.ArenaStats().CodeBytesResident
 
 	f2 := get(2) // evicts f1
 	if m.Installed(f1) {
@@ -187,7 +187,7 @@ func TestEvictionFreesAndRecompiles(t *testing.T) {
 	if !m.Installed(f2) {
 		t.Error("resident function not installed")
 	}
-	if r := m.CodeBytesResident(); r != oneResident {
+	if r := m.ArenaStats().CodeBytesResident; r != oneResident {
 		t.Errorf("resident bytes %d after eviction, want %d (memory not freed)", r, oneResident)
 	}
 	call(f2, 10, 12)
@@ -206,7 +206,7 @@ func TestEvictionFreesAndRecompiles(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		call(get(int64(i%5)), 1, int32(1+i%5))
 	}
-	if r := m.CodeBytesResident(); r != oneResident {
+	if r := m.ArenaStats().CodeBytesResident; r != oneResident {
 		t.Errorf("resident bytes %d after stream, want %d", r, oneResident)
 	}
 	_ = base
@@ -296,7 +296,7 @@ func TestConcurrentStress(t *testing.T) {
 			maxFn = max(maxFn, fn.SizeBytes())
 		}
 	}
-	if got, bound := m.CodeBytesResident(), uint64(capacity+1)*uint64(maxFn+64)+4096; got > bound {
+	if got, bound := m.ArenaStats().CodeBytesResident, uint64(capacity+1)*uint64(maxFn+64)+4096; got > bound {
 		t.Errorf("resident code %d bytes after %d compiles, want <= %d", got, s.Compiles, bound)
 	}
 

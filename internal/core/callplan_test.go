@@ -143,8 +143,7 @@ func (h *countingHook) StoreFault(uint64, int) error                  { return n
 
 // TestCallPlanLifecycle walks a resident function's plan through every way
 // it can go stale — uninstall and reinstall elsewhere, another function at
-// its reused address, Release dropping bodies under a function that still
-// claims to be installed, an engine switch — and through everything that
+// its reused address, Release taking it, an engine switch — and through everything that
 // must force the Step path, holding each call to the switch engine.
 func TestCallPlanLifecycle(t *testing.T) {
 	for _, tg := range regtest.Targets() {
@@ -184,9 +183,9 @@ func TestCallPlanLifecycle(t *testing.T) {
 				p.callLeaf("evicted handle, installed on demand", 1)
 				p.callLeaf("new function again", 3)
 
-				// Mark, install, Release: the released function still claims
-				// to be installed but its body is gone; the next function at
-				// that address must run its own code.
+				// Mark, install, Release: the released function is taken with
+				// its body; the next function at that address must run its
+				// own code.
 				mark, refMark := p.m.Mark(), p.ref.Mark()
 				p.both("install above the mark", p.leaf(4), install)
 				p.callLeaf("above the mark", 4)
@@ -199,13 +198,13 @@ func TestCallPlanLifecycle(t *testing.T) {
 				}
 				p.callLeaf("function at the released address", 5)
 				p.callLeaf("a survivor below the mark", 3)
-				// Calling the released handle is a caller's bug with a defined
-				// outcome on the switch engine: it runs whatever is at that
-				// address now.  A remembered body would run what was there.
-				stale := p.leaf(4)
-				if v, _ := p.call("released handle", stale, core.I(12345), core.I(678)); int32(v.Int()) != leafWant(5, 12345, 678) {
-					t.Fatalf("released handle = %d, want leaf5's %d", v.Int(), leafWant(5, 12345, 678))
+				// The released handle is loose again, as after Uninstall: a
+				// call installs it elsewhere and runs its own code, never
+				// what now occupies its old address.
+				if p.m.Installed(p.leaf(4)[0]) {
+					t.Fatal("the released leaf4 still claims to be installed")
 				}
+				p.callLeaf("released handle, installed on demand", 4)
 
 				// Switch engines between calls of the same resident function.
 				for _, flip := range []core.Engine{core.EngineSwitch, core.EngineThreaded, core.EngineSwitch, e} {
@@ -236,11 +235,11 @@ func TestCallPlanLifecycle(t *testing.T) {
 
 				// A trap symbol called from generated code.
 				conv := tg.Backend.DefaultConv()
-				var traps [2]int
+				var ran [2]int
 				for i, m := range []*core.Machine{p.m, p.ref} {
 					i := i
 					if err := m.DefineTrap("plus7", func(c core.CPU, _ *mem.Memory) {
-						traps[i]++
+						ran[i]++
 						c.SetReg(conv.RetInt, c.Reg(conv.IntArgs[0])+7)
 					}); err != nil {
 						t.Fatal(err)
@@ -252,8 +251,8 @@ func TestCallPlanLifecycle(t *testing.T) {
 						t.Fatalf("trap caller = %d, want 42", v.Int())
 					}
 				}
-				if traps != [2]int{2, 2} {
-					t.Fatalf("trap handlers ran %v times, want 2 each", traps)
+				if ran != [2]int{2, 2} {
+					t.Fatalf("trap handlers ran %v times, want 2 each", ran)
 				}
 			})
 		}
@@ -507,6 +506,9 @@ func TestCallErrorsWithRecorders(t *testing.T) {
 	}
 	if err := m.Uninstall(nil); err == nil || !strings.Contains(err.Error(), "nil function") {
 		t.Errorf("Uninstall(nil) = %v, want a nil-function error", err)
+	}
+	if err := m.Install(&core.Func{Name: "empty", BackendName: "mips"}); err == nil || !strings.Contains(err.Error(), "no code") {
+		t.Errorf("Install of a function without words = %v, want a no-code error", err)
 	}
 }
 

@@ -70,10 +70,8 @@ type Func struct {
 
 	addr      uint64
 	installed bool
-	// owner is the Machine the function is currently installed on;
-	// codeSize is the 16-aligned code-region reservation it holds there.
-	owner    *Machine
-	codeSize uint64
+	// owner is the Machine the function is currently installed on.
+	owner *Machine
 	// unit is the program Unit.Install made the function a member of, for
 	// good; nil for a loose function.
 	unit *Unit
@@ -107,11 +105,9 @@ type callPlan struct {
 	inline [callBufArgs]argLoc
 	spill  []argLoc
 
-	// body and idx remember where the threaded engine enters the function.
-	// Bodies come and go behind the plan's back (Release drops them while
-	// the function still claims installed; attachBody can replace one at a
-	// reused address), so they are believed only while gen equals the
-	// machine's bodyGen.
+	// body and idx remember where the threaded engine enters the function,
+	// believed only while gen equals the machine's bodyGen (no body came
+	// or went since the plan looked).
 	body *exec.Body
 	idx  int
 	gen  uint64
@@ -151,14 +147,13 @@ func (f *Func) lifecycleFlow() uint64 {
 	return f.flow
 }
 
-// unplace forgets where f was (or was about to be) resident: Uninstall
-// and a rejected install both end here, so the call plan can never outlive
-// installed.
+// unplace forgets where f was (or was about to be) resident: every way
+// out of the code region ends here (Machine.remove), so the call plan can
+// never outlive installed.
 func (f *Func) unplace() {
 	f.addr = 0
 	f.installed = false
 	f.owner = nil
-	f.codeSize = 0
 	f.sumValid = false
 	f.plan = callPlan{}
 }

@@ -116,19 +116,22 @@ type Machine struct {
 	cpu     CPU
 	mem     *mem.Memory
 
-	syms  map[string]uint64
-	traps map[uint64]TrapHandler
+	syms map[string]uint64
 
-	codeBase uint64
-	codeNext uint64
-	// codeNextPub mirrors codeNext for lock-free readers (InCodeRegion,
-	// called from sampling hooks inside the simulator step loop); it is
-	// refreshed after every mutation of codeNext under mu.
+	// regions is what occupies memory below codeNext, sorted by address
+	// (region.go).  codeNext is the top entry's end: the bump pointer.
+	// codeNextPub mirrors it for lock-free readers (InCodeRegion, called
+	// from sampling hooks inside the simulator step loop).  spans is the
+	// immutable copy FuncSpans publishes, nil after a change until the
+	// next FuncSpans rebuilds it under spanMu.  Lock order: mu, then
+	// spanMu.
+	regions     []region
+	codeBase    uint64
+	codeNext    uint64
 	codeNextPub atomic.Uint64
-	// freeCode holds code regions returned by Uninstall: sorted by
-	// address, coalesced, and all strictly below codeNext.  Installs are
-	// served first-fit from here before bumping codeNext.
-	freeCode []codeRegion
+	spanMu      sync.Mutex
+	spans       atomic.Pointer[[]FuncSpan]
+
 	heapNext uint64
 	heapEnd  uint64
 	// heapFree holds the blocks unloaded units returned, by their 16-rounded
@@ -158,33 +161,18 @@ type Machine struct {
 	// verifyOff disables the pre-install code verifier (SetVerify).
 	verifyOff bool
 
-	// spanList maps installed code regions (and trap vectors) to names,
-	// sorted by Start.  Writers hold mu and spanMu; a change edits the
-	// list in place (binary search plus one move of the tail, no
-	// allocation) and clears spans, the immutable published copy.  The
-	// first FuncSpans after a change rebuilds the copy under spanMu alone,
-	// so the PC-sampling profiler can symbolize from inside the simulator
-	// step loop without taking mu (which the run loop already holds), and
-	// an install or evict nobody symbolizes between costs no copy at all.
-	// Lock order: mu, then spanMu.
-	spanMu   sync.Mutex
-	spanList []FuncSpan
-	spans    atomic.Pointer[[]FuncSpan]
-
 	// tstats caches the telemetry instrument bundle for this backend
 	// (resolved lazily on the first enabled-telemetry operation).
 	tstats *telemetry.CodegenStats
 
 	// tcpu is the simulator's threaded engine, or nil if the CPU only
 	// implements Step; engine selects which one Call uses (engine.go).
-	// bodies holds the predecoded body per installed function, sorted by
-	// Base; lastBody is a single-entry dispatch cache.  bodyGen counts the
-	// changes to bodies (from 1, so a zero callPlan never matches): a body
-	// a call plan remembered is current while its stamp equals it.  All
-	// under mu.
+	// lastBody is a single-entry cache of bodyAt.  bodyGen counts the
+	// bodies that came and went (from 1, so a zero callPlan never
+	// matches): a body a call plan remembered is current while its stamp
+	// equals it.  All under mu.
 	tcpu     ThreadedCPU
 	engine   Engine
-	bodies   []*exec.Body
 	lastBody *exec.Body
 	bodyGen  uint64
 
@@ -228,7 +216,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		cpu:      cpu,
 		mem:      m,
 		syms:     make(map[string]uint64),
-		traps:    make(map[uint64]TrapHandler),
+		regions:  []region{{start: trapBase, end: trapBase + 16, name: "<halt>"}},
 		codeBase: codeBase,
 		codeNext: codeBase,
 		heapNext: m.Size() / 2,
@@ -249,7 +237,6 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		mc.engine = EngineThreaded
 	}
 	mc.codeNextPub.Store(mc.codeNext)
-	mc.spanList = append(mc.spanList, FuncSpan{Start: trapBase, End: trapBase + 16, Name: "<halt>"})
 	registerDivHelpers(mc)
 	return mc
 }
@@ -289,67 +276,8 @@ func (m *Machine) DefineTrap(sym string, h TrapHandler) error {
 	addr := m.trapNext
 	m.trapNext += 16
 	m.syms[sym] = addr
-	m.traps[addr] = h
-	m.addSpan(FuncSpan{Start: addr, End: addr + 16, Name: sym})
+	m.insert(region{start: addr, end: addr + 16, name: sym, trap: h})
 	return nil
-}
-
-// spanIndex returns the position of the first span whose Start is at or
-// above start.  Caller holds mu or spanMu.
-func (m *Machine) spanIndex(start uint64) int {
-	return sort.Search(len(m.spanList), func(i int) bool { return m.spanList[i].Start >= start })
-}
-
-// addSpan inserts s into the address map.  Caller holds mu (or is
-// pre-concurrency).
-func (m *Machine) addSpan(s FuncSpan) {
-	m.spanMu.Lock()
-	m.spanList = slices.Insert(m.spanList, m.spanIndex(s.Start), s)
-	m.spans.Store(nil)
-	m.spanMu.Unlock()
-}
-
-// removeSpan drops the span starting at start.  Caller holds mu.
-func (m *Machine) removeSpan(start uint64) {
-	i := m.spanIndex(start)
-	if i == len(m.spanList) || m.spanList[i].Start != start {
-		return
-	}
-	m.spanMu.Lock()
-	m.spanList = slices.Delete(m.spanList, i, i+1)
-	m.spans.Store(nil)
-	m.spanMu.Unlock()
-}
-
-// pruneSpans drops every code span at or above limit (Release reclaims
-// wholesale; trap vectors live below codeBase and are never pruned).
-// Caller holds mu.
-func (m *Machine) pruneSpans(limit uint64) {
-	if limit < m.codeBase {
-		limit = m.codeBase
-	}
-	m.spanMu.Lock()
-	m.spanList = slices.Delete(m.spanList, m.spanIndex(limit), len(m.spanList))
-	m.spans.Store(nil)
-	m.spanMu.Unlock()
-}
-
-// FuncSpans returns the current install-time address map as an immutable,
-// Start-sorted slice.  It never takes mu, so it is safe to call from a
-// sampling hook running inside the simulator; the first call after the map
-// changed copies it under spanMu, later calls are one atomic load.
-func (m *Machine) FuncSpans() []FuncSpan {
-	if p := m.spans.Load(); p != nil {
-		return *p
-	}
-	m.spanMu.Lock()
-	defer m.spanMu.Unlock()
-	if p := m.spans.Load(); p != nil {
-		return *p
-	}
-	cp := append([]FuncSpan(nil), m.spanList...)
-	m.spans.Store(&cp)
-	return cp
 }
 
 // InCodeRegion reports whether pc falls inside the machine's code arena
@@ -385,7 +313,7 @@ func (m *Machine) DefineSym(sym string, addr uint64) error {
 }
 
 // Mark captures the machine's code and heap allocation state so that
-// everything installed or allocated afterwards can be reclaimed in one
+// everything placed above it or allocated afterwards can be reclaimed in one
 // Release — the arena discipline behind the paper's observation that a
 // dynamic function's storage "is easily reclaimed when the function is
 // deallocated" (§5.2).
@@ -401,29 +329,20 @@ func (m *Machine) Mark() Mark {
 }
 
 // Release reclaims all code and heap space allocated since mk was taken.
-// Functions installed after the mark become invalid and must not be
-// called or re-installed.  Mark/Release is a stack discipline; it and the
-// per-function Uninstall path are alternatives — free regions above the
-// mark are simply forgotten (the bump pointer subsumes them).
+// It takes every function whose code reaches above the mark, one placed
+// across it included, as Uninstall would: a loose function is installed
+// again on its next call, and a unit that loses a member is unloaded whole,
+// so its members answer ErrUnloaded.  Functions placed below the mark (in
+// a hole an Uninstall left) stay resident.
 func (m *Machine) Release(mk Mark) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if mk.code >= m.codeBase && mk.code <= m.codeNext {
-		m.codeNext = mk.code
-		kept := m.freeCode[:0]
-		for _, r := range m.freeCode {
-			if r.addr >= m.codeNext {
-				continue
-			}
-			if r.addr+r.size > m.codeNext {
-				r.size = m.codeNext - r.addr
-			}
-			kept = append(kept, r)
+	for mk.code >= m.codeBase && m.codeNext > mk.code {
+		if f := m.regions[len(m.regions)-1].fn; f.unit != nil && f.unit.m == m {
+			f.unit.unload()
+		} else {
+			m.remove(f)
 		}
-		m.freeCode = kept
-		m.codeNextPub.Store(m.codeNext)
-		m.pruneSpans(m.codeNext)
-		m.dropBodies(m.codeNext, m.mem.Size()-m.codeNext)
 	}
 	if mk.heap <= m.heapNext && mk.heap >= m.mem.Size()/2 {
 		m.heapNext = mk.heap
@@ -494,11 +413,6 @@ func (m *Machine) DrainCounter(addr uint64) (uint64, error) {
 	return n, err
 }
 
-// codeRegion is a span of reclaimable simulated code memory.
-type codeRegion struct {
-	addr, size uint64
-}
-
 // sumWords fingerprints machine code for install's mutation-after-install
 // guard: four interleaved FNV-1a lanes, folded at the end, break the serial
 // xor-multiply dependency chain.
@@ -533,9 +447,9 @@ func (m *Machine) Install(f *Func) error {
 	return m.install(f)
 }
 
-// Installed reports whether f is currently installed on this machine (a
-// function released wholesale via Release still claims to be installed —
-// Mark/Release does not track individual functions).
+// Installed reports whether f is currently installed on this machine:
+// false after Uninstall, after its unit's Unload and after a Release took
+// it.
 func (m *Machine) Installed(f *Func) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -566,17 +480,7 @@ func (m *Machine) uninstall(f *Func) error {
 	if f.owner != m {
 		return fmt.Errorf("machine: uninstall %s: installed on a different machine", f.Name)
 	}
-	m.dropBodies(f.addr, f.codeSize)
-	m.freeRegion(codeRegion{addr: f.addr, size: f.codeSize})
-	m.removeSpan(f.addr)
-	if telemetry.Enabled() {
-		m.stats().Uninstalls.Inc()
-	}
-	if trace.Enabled() {
-		trace.Record(trace.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
-			time.Now(), 0, trace.Attrs{Bytes: int64(f.codeSize)})
-	}
-	f.unplace()
+	m.remove(f)
 	return nil
 }
 
@@ -602,84 +506,20 @@ type ArenaStats struct {
 func (m *Machine) ArenaStats() ArenaStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var free uint64
-	for _, r := range m.freeCode {
-		free += r.size
-	}
-	funcs := 0
-	for _, s := range m.spanList {
-		if s.Start >= m.codeBase {
-			funcs++
-		}
-	}
-	return ArenaStats{
-		CodeBytesResident:  m.codeNext - m.codeBase - free,
+	st := ArenaStats{
 		CodeBytesHighWater: m.codeNext - m.codeBase,
-		FreeRegions:        len(m.freeCode),
 		HeapBytesUsed:      m.heapNext - m.mem.Size()/2 - m.heapFreeBytes,
-		Funcs:              funcs,
 	}
-}
-
-// CodeBytesResident returns the installed code bytes currently occupying
-// the code region (allocated span minus freed holes).
-func (m *Machine) CodeBytesResident() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var free uint64
-	for _, r := range m.freeCode {
-		free += r.size
-	}
-	return m.codeNext - m.codeBase - free
-}
-
-// freeRegion inserts r into the free list sorted by address, coalescing
-// with its neighbours, then gives back any free tail to the bump pointer.
-func (m *Machine) freeRegion(r codeRegion) {
-	i := sort.Search(len(m.freeCode), func(i int) bool { return m.freeCode[i].addr >= r.addr })
-	m.freeCode = append(m.freeCode, codeRegion{})
-	copy(m.freeCode[i+1:], m.freeCode[i:])
-	m.freeCode[i] = r
-	// Coalesce with the successor, then the predecessor.
-	if i+1 < len(m.freeCode) && r.addr+r.size == m.freeCode[i+1].addr {
-		m.freeCode[i].size += m.freeCode[i+1].size
-		m.freeCode = append(m.freeCode[:i+1], m.freeCode[i+2:]...)
-	}
-	if i > 0 && m.freeCode[i-1].addr+m.freeCode[i-1].size == m.freeCode[i].addr {
-		m.freeCode[i-1].size += m.freeCode[i].size
-		m.freeCode = append(m.freeCode[:i], m.freeCode[i+1:]...)
-	}
-	if n := len(m.freeCode); n > 0 {
-		if top := m.freeCode[n-1]; top.addr+top.size == m.codeNext {
-			m.codeNext = top.addr
-			m.freeCode = m.freeCode[:n-1]
-			m.codeNextPub.Store(m.codeNext)
+	prev := m.codeBase
+	for _, r := range m.regions[m.find(m.codeBase):] {
+		if r.start > prev {
+			st.FreeRegions++
 		}
+		st.CodeBytesResident += r.end - r.start
+		st.Funcs++
+		prev = r.end
 	}
-}
-
-// allocCode reserves a 16-aligned code span: first fit from the free list,
-// else the bump pointer.
-func (m *Machine) allocCode(size uint64) (uint64, error) {
-	for i, r := range m.freeCode {
-		if r.size >= size {
-			addr := r.addr
-			if r.size == size {
-				m.freeCode = append(m.freeCode[:i], m.freeCode[i+1:]...)
-			} else {
-				m.freeCode[i] = codeRegion{addr: r.addr + size, size: r.size - size}
-			}
-			return addr, nil
-		}
-	}
-	addr := (m.codeNext + 15) &^ 15
-	end := addr + size
-	if end > m.heapNext-(m.heapEnd-m.heapNext) && end > m.mem.Size()/2 {
-		return 0, fmt.Errorf("machine: code region exhausted")
-	}
-	m.codeNext = end
-	m.codeNextPub.Store(m.codeNext)
-	return addr, nil
+	return st
 }
 
 func (m *Machine) install(f *Func) error {
@@ -701,19 +541,21 @@ func (m *Machine) install(f *Func) error {
 	if f.BackendName != m.backend.Name() {
 		return fmt.Errorf("machine: %s code installed on %s machine", f.BackendName, m.backend.Name())
 	}
+	if len(f.Words) == 0 {
+		return fmt.Errorf("machine: %s has no code", f.Name)
+	}
 	var start time.Time
 	if telemetry.Enabled() || trace.Enabled() {
 		start = time.Now()
 	}
 	size := (uint64(4*len(f.Words)) + 15) &^ 15
-	addr, err := m.allocCode(size)
+	addr, err := m.place(f, size)
 	if err != nil {
 		return err
 	}
 	f.addr = addr
 	f.installed = true
 	f.owner = m
-	f.codeSize = size
 	f.sumValid = false
 	f.planCall(m.conv)
 	resolved, err := m.resolveRelocs(f)
@@ -728,8 +570,7 @@ func (m *Machine) install(f *Func) error {
 		// Roll back so a rejected function neither leaks code space nor
 		// claims to be installed (a later retry — e.g. after the missing
 		// symbol is defined — starts clean).
-		m.freeRegion(codeRegion{addr: f.addr, size: f.codeSize})
-		f.unplace()
+		m.remove(f)
 		return err
 	}
 	f.sum = sumWords(f.Words)
@@ -738,12 +579,13 @@ func (m *Machine) install(f *Func) error {
 	if name == "" {
 		name = fmt.Sprintf("func@%#x", addr)
 	}
-	m.addSpan(FuncSpan{Start: addr, End: addr + size, Name: name})
+	var body *exec.Body
 	if m.tcpu != nil {
 		// f.Words were patched in place by linkAndVerify, so they match
 		// the installed image exactly.
-		m.attachBody(m.tcpu.Predecode(f.Words, f.addr))
+		body = m.tcpu.Predecode(f.Words, f.addr)
 	}
+	m.complete(f, name, body)
 	if !start.IsZero() {
 		// Nested installs (referenced functions) are timed individually;
 		// the parent's duration includes its children.
@@ -921,13 +763,7 @@ func errText(err error) string {
 // address the machine can account for: the halt vector, a registered trap,
 // or somewhere in the installed-code region.
 func (m *Machine) validCallTarget(addr uint64) bool {
-	if addr == m.haltAddr {
-		return true
-	}
-	if _, ok := m.traps[addr]; ok {
-		return true
-	}
-	return addr >= m.codeBase && addr < m.codeNext && addr%4 == 0
+	return m.vector(addr) != nil || addr >= m.codeBase && addr < m.codeNext && addr%4 == 0
 }
 
 // CallOpts tunes the sandbox around one call.
@@ -1151,10 +987,9 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps
 			return steps, fmt.Errorf("%w: %d steps (runaway generated code?)", ErrFuelExhausted, budget)
 		}
 		// Threaded fast path: dispatch through the predecoded body when
-		// one covers pc.  It runs before the trap lookup because
-		// attachBody refuses bodies overlapping a trap address — an
-		// in-body pc is never a trap — and the per-iteration map probe
-		// is measurable on the call hot path.  The budget check above
+		// one covers pc.  It runs before the trap lookup because bodies
+		// and trap vectors are disjoint entries of one table — an
+		// in-body pc is never a trap.  The budget check above
 		// already admitted this instruction, so the body may retire up
 		// to budget-steps+1 more before the loop must regain control;
 		// with a cancelable context the slice is clamped to the poll
@@ -1188,11 +1023,11 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps
 				continue
 			}
 		}
-		if h, ok := m.traps[pc]; ok {
+		if v := m.vector(pc); v != nil && v.trap != nil {
 			if m.trace != nil {
-				fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, m.symAt(pc))
+				fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)
 			}
-			if err := m.safeTrap(pc, h); err != nil {
+			if err := m.safeTrap(pc, v); err != nil {
 				return steps, err
 			}
 			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
@@ -1210,25 +1045,17 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps
 	}
 }
 
-// safeTrap runs one trap handler with panic isolation: a faulty runtime
-// helper becomes a *TrapPanicError instead of unwinding the process.
-func (m *Machine) safeTrap(pc uint64, h TrapHandler) (err error) {
+// safeTrap runs trap vector v's handler with panic isolation: a faulty
+// runtime helper becomes a *TrapPanicError instead of unwinding the
+// process.
+func (m *Machine) safeTrap(pc uint64, v *region) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &TrapPanicError{Sym: m.symAt(pc), PC: pc, Value: r}
+			err = &TrapPanicError{Sym: v.name, PC: pc, Value: r}
 		}
 	}()
-	h(m.cpu, m.mem)
+	v.trap(m.cpu, m.mem)
 	return nil
-}
-
-func (m *Machine) symAt(addr uint64) string {
-	for name, a := range m.syms {
-		if a == addr {
-			return name
-		}
-	}
-	return "?"
 }
 
 func (m *Machine) result(t Type) Value {

@@ -8,7 +8,7 @@ import "fmt"
 // (§5.2's "easily reclaimed when the function is deallocated", for a program
 // of several pieces), and a member is then never installed again: calling
 // it is ErrUnloaded.  The machine's lock guards the unit, so Unload waits for
-// a running call.  A unit whose pieces a Release took must not be used.
+// a running call.  A Release that takes one member unloads the whole unit.
 type Unit struct {
 	m *Machine
 
@@ -56,9 +56,10 @@ func (u *Unit) reserve(n, slots int) (uint64, error) {
 }
 
 // DefineSym binds a name in the unit's own scope: relocations of its
-// members resolve there first, then among the machine-wide names (traps and
-// Machine.DefineSym).  A name the machine defines is refused: a program
-// neither shadows a runtime helper nor sees another program's names.
+// members resolve there first, then among the machine-wide names (trap
+// vectors and Machine.DefineSym).  A name the machine defines is refused:
+// a program neither shadows a runtime helper nor sees another program's
+// names.
 func (u *Unit) DefineSym(sym string, addr uint64) error {
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
@@ -113,10 +114,15 @@ func (u *Unit) HeapBytes() uint64 { return u.heapBytes }
 func (u *Unit) Unload() {
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
+	u.unload()
+}
+
+// unload is Unload for a caller that holds the machine's lock.
+func (u *Unit) unload() {
 	u.unloaded = true
 	for _, f := range u.fns {
 		if f.installed && f.owner == u.m {
-			_ = u.m.uninstall(f) // cannot fail: installed here
+			u.m.remove(f)
 		}
 	}
 	for _, b := range u.blocks {

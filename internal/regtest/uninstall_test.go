@@ -39,7 +39,7 @@ func TestUninstallFreesAndReuses(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			two := m.CodeBytesResident()
+			two := m.ArenaStats().CodeBytesResident
 			addr1 := f1.Addr()
 
 			if err := m.Uninstall(f1); err != nil {
@@ -51,7 +51,7 @@ func TestUninstallFreesAndReuses(t *testing.T) {
 			if !m.Installed(f2) {
 				t.Error("f2 lost by f1's Uninstall")
 			}
-			if r := m.CodeBytesResident(); r >= two {
+			if r := m.ArenaStats().CodeBytesResident; r >= two {
 				t.Errorf("resident %d did not shrink from %d", r, two)
 			}
 			if err := m.Uninstall(f1); err == nil {
@@ -65,7 +65,7 @@ func TestUninstallFreesAndReuses(t *testing.T) {
 			if f3.Addr() != addr1 {
 				t.Errorf("freed region not reused: f3 at %#x, hole at %#x", f3.Addr(), addr1)
 			}
-			if r := m.CodeBytesResident(); r != two {
+			if r := m.ArenaStats().CodeBytesResident; r != two {
 				t.Errorf("resident %d after refill, want %d", r, two)
 			}
 			for _, c := range []struct {

@@ -78,11 +78,10 @@ func (s *Server) bundleEntries() []bundleEntry {
 		entries = append(entries, jsonEntry("slo.json", s.slo.View()))
 	}
 
-	positions := map[string]any{
-		"snapshot_path": s.snapPath,
-		"journal_path":  s.jrnlPath,
-	}
-	if j := s.journal; j != nil {
+	positions := map[string]any{"snapshot_path": "", "journal_path": ""}
+	if d := s.dur.Load(); d != nil {
+		j := d.journal
+		positions["snapshot_path"], positions["journal_path"] = d.snapPath, d.jrnlPath
 		positions["journal_lsn"] = j.lsn.Load()
 		positions["journal_pending"] = j.pending.Load()
 		positions["journal_degraded"] = j.failed.Load()
@@ -123,10 +122,10 @@ func (s *Server) WriteBundle(w *bytes.Buffer) error {
 	return gz.Close()
 }
 
-// WriteBundleFile writes the archive atomically (temp file + rename in
-// the target directory) so a crash mid-write never leaves a torn
-// bundle, and returns the final path.  The filename carries a
-// timestamp; dir is created if missing.
+// WriteBundleFile writes the archive atomically, as a snapshot is written
+// (writeFileAtomic), so a crash mid-write never leaves a torn bundle, and
+// returns the final path.  The filename carries a timestamp; dir is
+// created if missing.
 func (s *Server) WriteBundleFile(dir, reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -135,24 +134,9 @@ func (s *Server) WriteBundleFile(dir, reason string) (string, error) {
 	if err := s.WriteBundle(&buf); err != nil {
 		return "", err
 	}
-	name := fmt.Sprintf("vcoded-bundle-%s-%s.tar.gz",
-		reason, time.Now().UTC().Format("20060102T150405"))
-	final := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, ".bundle-*")
-	if err != nil {
-		return "", err
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	final := filepath.Join(dir, fmt.Sprintf("vcoded-bundle-%s-%s.tar.gz",
+		reason, time.Now().UTC().Format("20060102T150405")))
+	if err := writeFileAtomic(final, buf.Bytes()); err != nil {
 		return "", err
 	}
 	return final, nil

@@ -118,16 +118,15 @@ func (s *Server) Recover(snapPath, journalPath string) (RecoveryStats, error) {
 			live = append(live, e)
 		}
 	}
-	s.health.Set("snapshot_restored", true)
 	st.Warm, st.Resharded = s.restoreEntries(live)
 	// Before readiness flips: a client that waited for /readyz gets durable
-	// acks, and these fields are set before any request it sends reads them.
+	// acks.  A request that did not wait reads the journal published or not.
 	if journalPath != "" {
 		if err := s.startJournal(snapPath, journalPath); err != nil {
 			firstErr = err
 		}
 	}
-	s.health.Set("warmup_drained", true)
+	s.health.Set("recovered", true)
 	st.DurationMS = time.Since(start).Milliseconds()
 	s.recoveryMS.Store(st.DurationMS)
 	return st, firstErr
@@ -146,8 +145,7 @@ func (s *Server) startJournal(snapPath, journalPath string) error {
 	if err != nil {
 		return fmt.Errorf("server: opening journal, journaling disabled: %w", err)
 	}
-	s.journal = j
-	s.snapPath, s.jrnlPath = snapPath, journalPath
+	s.dur.Store(&durability{journal: j, snapPath: snapPath, jrnlPath: journalPath})
 	if s.cfg.CheckpointInterval > 0 {
 		s.startCheckpoints(s.cfg.CheckpointInterval)
 	}
@@ -164,24 +162,21 @@ func (s *Server) startJournal(snapPath, journalPath string) error {
 func (s *Server) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	if s.snapPath == "" {
+	d := s.dur.Load()
+	if d == nil {
 		return errors.New("server: no snapshot path configured (call Recover first)")
 	}
-	if s.journal != nil {
-		if err := s.journal.rotate(); err != nil {
-			s.ckptErrors.Inc()
-			return err
-		}
-	}
-	if _, err := s.SaveSnapshot(s.snapPath); err != nil {
+	if err := d.journal.rotate(); err != nil {
 		s.ckptErrors.Inc()
 		return err
 	}
-	if s.journal != nil {
-		if err := s.journal.finishRotation(); err != nil {
-			s.ckptErrors.Inc()
-			return err
-		}
+	if _, err := s.SaveSnapshot(d.snapPath); err != nil {
+		s.ckptErrors.Inc()
+		return err
+	}
+	if err := d.journal.finishRotation(); err != nil {
+		s.ckptErrors.Inc()
+		return err
 	}
 	s.checkpoints.Inc()
 	return nil

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -402,7 +406,7 @@ func TestCheckpointKeepsInFlightUnit(t *testing.T) {
 		t.Fatal(ae)
 	}
 	sh.admit(u, alice)
-	if _, err := s1.journal.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id), Shards: 2}, true); err != nil {
+	if _, err := s1.dur.Load().journal.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id), Shards: 2}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Checkpoint(); err != nil {
@@ -416,4 +420,84 @@ func TestCheckpointKeepsInFlightUnit(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	verifyKeys(t, ts2, map[string]int64{key: 16})
+}
+
+// TestRequestsDuringRecover: vcoded listens before it recovers, so a client
+// that does not wait for /readyz posts while Recover rebuilds the resident
+// set and opens the journal.  Every reply is a 200 — durable or not — or a
+// typed error, and (under -race) no request reads the journal Recover is
+// publishing without synchronising with it.
+func TestRequestsDuringRecover(t *testing.T) {
+	dir := t.TempDir()
+	snap, jrnl := filepath.Join(dir, "s.vcsnap"), filepath.Join(dir, "j.vcjrnl")
+	// A first life leaves programs behind, so Recover has work to do.
+	s1, ts1, _, err := newJournaledServer(t, 2, snap, jrnl)
+	if err != nil {
+		t.Fatalf("first boot: %v", err)
+	}
+	compileN(t, ts1, 16, 7, true)
+	ts1.Close()
+	s1.Close()
+
+	s, err := New(Config{Shards: 2, AllowUnknownTenants: true, Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	// exec posts a never-seen source and checks the reply.
+	exec := func(k int) (durable bool, err error) {
+		body := fmt.Sprintf(`{"tenant":"t","lang":"tinyc","source":"int main(int n) { return n + %d; }","args":[1]}`, k)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/exec", strings.NewReader(body)))
+		var out struct {
+			Result  json.Number
+			Durable bool
+			Error   *APIError
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			return false, fmt.Errorf("source %d: %d %q: %v", k, rec.Code, rec.Body, err)
+		}
+		switch {
+		case rec.Code == http.StatusOK && out.Result.String() == fmt.Sprint(k+1):
+			return out.Durable, nil
+		case rec.Code != http.StatusOK && out.Error != nil && statusFor(out.Error.Code) == rec.Code:
+			return false, nil
+		}
+		return false, fmt.Errorf("source %d: %d %s", k, rec.Code, rec.Body)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := exec(w*1000000 + i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	st, err := s.Recover(snap, jrnl)
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err != nil || st.Warm != 16 {
+		t.Fatalf("Recover = %+v, %v; want 16 warm", st, err)
+	}
+	if durable, err := exec(-1); err != nil || !durable {
+		t.Fatalf("after Recover: durable %v, %v; want a durable ack", durable, err)
+	}
 }

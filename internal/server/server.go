@@ -168,11 +168,10 @@ type Server struct {
 	reqSeq  atomic.Uint64
 	closing atomic.Bool
 
-	// Crash durability: the steady-state journal and the paths the
-	// periodic checkpointer folds into (set by Recover).
-	journal  *journal
-	snapPath string
-	jrnlPath string
+	// Crash durability, published once by Recover's startJournal: nil
+	// until then, and read with one Load by every request, eviction,
+	// checkpoint and bundle, which may run while Recover does.
+	dur      atomic.Pointer[durability]
 	ckptMu   sync.Mutex
 	ckptQuit chan struct{}
 	ckptWG   sync.WaitGroup
@@ -206,10 +205,17 @@ type Server struct {
 	snapResharded             *telemetry.Counter
 }
 
+// durability is the steady-state journal and the snapshot and journal
+// paths the periodic checkpointer folds into.
+type durability struct {
+	journal            *journal
+	snapPath, jrnlPath string
+}
+
 // New builds the server: N shard arenas on the configured backend, the
-// tenant set, and the health state with the two startup conditions
-// (snapshot_restored, warmup_drained) registered unmet — call Restore
-// (with "" when there is nothing to load) to flip them.
+// tenant set, and the health state with the startup condition "recovered"
+// registered unmet — call Restore (with "" when there is nothing to load)
+// to flip it.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
@@ -256,8 +262,7 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("server.recovery_ms", func() float64 {
 		return float64(s.recoveryMS.Load())
 	})
-	s.health.Expect("snapshot_restored")
-	s.health.Expect("warmup_drained")
+	s.health.Expect("recovered")
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := newShard(i, cfg.Backend, cfg.WorkersPerShard, cfg.MaxEntriesPerShard, cfg.MaxCodeBytesPerShard, reg)
 		if err != nil {
@@ -286,9 +291,9 @@ func (s *Server) unitEvicted(u *unit) {
 	if t, apiE := s.tenants.get(u.tenantName); apiE == nil {
 		t.resident.Add(-u.prog.CodeBytes())
 	}
-	if s.journal != nil {
-		s.journal.tombstones.Inc()
-		_, _ = s.journal.append(journalRecord{Op: journalOpDel, Key: u.key, Shards: len(s.shards)}, false)
+	if d := s.dur.Load(); d != nil {
+		d.journal.tombstones.Inc()
+		_, _ = d.journal.append(journalRecord{Op: journalOpDel, Key: u.key, Shards: len(s.shards)}, false)
 	}
 }
 
@@ -313,8 +318,8 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		sh.close()
 	}
-	if s.journal != nil {
-		s.journal.close()
+	if d := s.dur.Load(); d != nil {
+		d.journal.close()
 	}
 }
 
@@ -409,12 +414,12 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		}
 		sh.admit(u, t)
 		t.compiles.Inc()
-		if s.journal != nil {
+		if d := s.dur.Load(); d != nil {
 			// Group commit: block this flight until the record fsyncs.
 			// A degraded journal (write/fsync failure) still serves the
 			// unit — the ack just goes out durable=false until the next
 			// checkpoint rotation hands the writer a fresh file.
-			lsn, jerr := s.journal.append(journalRecord{
+			lsn, jerr := d.journal.append(journalRecord{
 				Op:     journalOpAdd,
 				Entry:  snapEntryOf(u, sh.id),
 				Shards: len(s.shards),

@@ -80,7 +80,7 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, r
 		OnEvict:      s.onEvict,
 	})
 	reg.GaugeFunc(fmt.Sprintf("server.shard.%d.code_bytes_resident", id), func() float64 {
-		return float64(s.machine.CodeBytesResident())
+		return float64(s.machine.ArenaStats().CodeBytesResident)
 	})
 	reg.GaugeFunc(fmt.Sprintf("server.shard.%d.units", id), func() float64 {
 		s.mu.Lock()

@@ -11,9 +11,8 @@ import (
 // /readyz endpoints.  Liveness is implicit (the handler answering at all
 // is the signal); readiness is an explicit, named set of conditions the
 // owner flips as startup milestones complete — a server marks
-// "snapshot_restored" after reloading its warm cache and
-// "warmup_drained" once the restore flights settle, and /readyz turns
-// 200 only when every registered condition is true.
+// "recovered" once its warm cache is reloaded and its journal open — and
+// /readyz turns 200 only when every registered condition is true.
 //
 // The zero value is ready (no conditions registered).  Safe for
 // concurrent use.

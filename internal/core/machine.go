@@ -176,6 +176,10 @@ type Machine struct {
 	lastBody *exec.Body
 	bodyGen  uint64
 
+	// dctx is the running call's context when its CallOpts carry a
+	// Deadline (deadlineCtx), kept here so a call allocates none.  Under mu.
+	dctx deadlineCtx
+
 	trace io.Writer
 
 	// idleAsms[:nIdleAsms] are the assemblers BorrowAsm hands out again
@@ -777,6 +781,13 @@ type CallOpts struct {
 	// the default (1024).  Smaller strides bound cancellation latency
 	// more tightly at a small dispatch cost.
 	PollStride uint64
+	// Deadline, when non-zero, ends the call as a context deadline would:
+	// the run loop reads the clock at the polls it makes of ctx (step 0
+	// and every PollStride steps), so a call that waited past Deadline for
+	// the machine fails before its first instruction, with an error
+	// wrapping context.DeadlineExceeded.  It spares a caller the timer a
+	// context.WithTimeout arms, and a call without one pays nothing.
+	Deadline time.Time
 }
 
 // Call installs f if needed, marshals args per the backend's default
@@ -832,7 +843,15 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		start = time.Now()
 	}
 	cycles0, insns0 := m.cpu.Cycles(), m.cpu.Insns()
-	v, fuelUsed, err := m.callLocked(ctx, opts, f, args)
+	timed := !opts.Deadline.IsZero()
+	if timed {
+		m.dctx = deadlineCtx{Context: ctx, deadline: opts.Deadline}
+		ctx = &m.dctx
+	}
+	v, fuelUsed, err := m.callLocked(ctx, opts.Fuel, opts.PollStride, f, args)
+	if timed {
+		m.dctx = deadlineCtx{}
+	}
 	st := CallStats{
 		Cycles: m.cpu.Cycles() - cycles0,
 		Insns:  m.cpu.Insns() - insns0,
@@ -878,8 +897,9 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 // call plan, the simulator run, and result extraction.  With ≤ callBufArgs
 // arguments nothing on the path allocates, for a resident function nothing
 // is laid out, and the backend is asked nothing.  The second result is the
-// simulated steps consumed (fuel).  Caller holds mu.
-func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args []Value) (Value, uint64, error) {
+// simulated steps consumed (fuel).  fuel and stride are the call's
+// CallOpts.Fuel and PollStride; its Deadline is on ctx.  Caller holds mu.
+func (m *Machine) callLocked(ctx context.Context, fuel, stride uint64, f *Func, args []Value) (Value, uint64, error) {
 	if f == nil || !f.installed || f.owner != m {
 		// Slow path: install-on-demand (or surface the nil/wrong-machine
 		// error).  Already-resident functions skip install entirely: the
@@ -927,7 +947,7 @@ func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args [
 	m.cpu.SetReg(conv.SP, sp)
 	m.cpu.SetReg(conv.RA, m.haltLink)
 	m.cpu.SetPC(plan.entry)
-	steps, err := m.run(ctx, opts, plan)
+	steps, err := m.run(ctx, fuel, stride, plan)
 	if err != nil {
 		return Value{}, steps, fmt.Errorf("machine: running %s: %w", f.Name, err)
 	}
@@ -950,7 +970,7 @@ func (m *Machine) SetTrace(w io.Writer) { m.trace = w }
 
 // run steps the simulator from the PC callLocked set until the function
 // returns to haltAddr; plan is the called function's, for its entry body.
-func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps uint64, err error) {
+func (m *Machine) run(ctx context.Context, fuel, stride uint64, plan *callPlan) (steps uint64, err error) {
 	// Last line of defense: the simulators are panic-proofed and fuzzed,
 	// but if one does panic the call must still return an error rather
 	// than unwind the caller (who may be a cache or a server loop).
@@ -960,10 +980,9 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps
 		}
 	}()
 	budget := m.MaxSteps
-	if opts.Fuel > 0 && opts.Fuel < budget {
-		budget = opts.Fuel
+	if fuel > 0 && fuel < budget {
+		budget = fuel
 	}
-	stride := opts.PollStride
 	if stride == 0 {
 		stride = 1024
 	}
@@ -1043,6 +1062,32 @@ func (m *Machine) run(ctx context.Context, opts CallOpts, plan *callPlan) (steps
 			return steps, err
 		}
 	}
+}
+
+// deadlineCtx is a call's context with its CallOpts.Deadline on it, for
+// the polls run makes of ctx anyway: Err reports
+// context.DeadlineExceeded once the clock reaches the deadline.  No timer
+// backs it, so Done never closes: it lives for one call inside the
+// machine, where run reads only Done (to know it must poll) and Err.
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+var neverDone = make(chan struct{})
+
+// Done is non-nil, so run polls, and is not the parent's: asking a
+// request's context for its Done channel makes one.
+func (c *deadlineCtx) Done() <-chan struct{} { return neverDone }
+
+func (c *deadlineCtx) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if time.Until(c.deadline) <= 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // safeTrap runs trap vector v's handler with panic isolation: a faulty

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 
 	"repro/internal/codecache"
@@ -77,12 +78,13 @@ func compileUnit(m *core.Machine, key, tenantName, lang, source, entry string) (
 // buildArgs marshals the JSON request arguments against the entry
 // function's signature.  Integer parameters take JSON integers, float
 // parameters JSON numbers; arity or domain mismatches are bad requests,
-// not execution faults.
-func buildArgs(params []core.Type, args []json.Number) ([]core.Value, error) {
+// not execution faults.  The values are appended to out, which a caller
+// with a small array to hand passes so nothing is allocated.
+func buildArgs(out []core.Value, params []core.Type, args []json.Number) ([]core.Value, error) {
 	if len(args) != len(params) {
 		return nil, apiErr(CodeBadRequest, "entry takes %d args, got %d", len(params), len(args))
 	}
-	out := make([]core.Value, len(params))
+	out = slices.Grow(out[:0], len(params))[:len(params)]
 	for i, t := range params {
 		if t.IsFloat() {
 			f, err := args[i].Float64()
@@ -125,22 +127,6 @@ func buildArgs(params []core.Type, args []json.Number) ([]core.Value, error) {
 		}
 	}
 	return out, nil
-}
-
-// renderResult converts a typed call result into its JSON form.
-func renderResult(v core.Value) (any, string) {
-	switch v.T {
-	case core.TypeV:
-		return nil, "void"
-	case core.TypeF:
-		return v.Float32(), "f"
-	case core.TypeD:
-		return v.Float64(), "d"
-	case core.TypeU, core.TypeUL, core.TypeP:
-		return v.Uint(), v.T.Letter()
-	default:
-		return v.Int(), v.T.Letter()
-	}
 }
 
 // contentKey derives the cache key for a source submission: the content

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/flightrec"
@@ -15,7 +17,8 @@ import (
 // request is the JSON body shared by /v1/exec and /v1/compile.  A body
 // may carry source (compile-if-needed) or just a key (must be
 // resident); content hashes make retries and cross-client sharing
-// idempotent.
+// idempotent.  decodeRequest (wire.go) parses it, field by field: a field
+// added here is added there, and FuzzDecodeRequest fails until it is.
 type request struct {
 	// Tenant names the quota row; empty means "default".
 	Tenant string `json:"tenant"`
@@ -48,20 +51,6 @@ func (req *request) prio(t *tenant) int {
 		return clampPriority(*req.Priority)
 	}
 	return t.priority
-}
-
-// execResponse is the /v1/exec success body.
-type execResponse struct {
-	RequestID  string `json:"request_id"`
-	Key        string `json:"key"`
-	Shard      int    `json:"shard"`
-	Cached     bool   `json:"cached"`
-	Durable    bool   `json:"durable"`
-	Result     any    `json:"result"`
-	ResultType string `json:"result_type"`
-	Cycles     uint64 `json:"cycles"`
-	Insns      uint64 `json:"insns"`
-	WallNS     int64  `json:"wall_ns"`
 }
 
 // compileResponse is the /v1/compile success body.
@@ -100,32 +89,89 @@ func (s *Server) Handler() *http.ServeMux {
 	return mux
 }
 
-// decode parses and bounds the request body.
-func decode(r *http.Request) (*request, *APIError) {
+// exchange is the reusable bytes of one /v1/exec or /v1/compile request:
+// the body as read, the decoder's unescaped strings and the reply as
+// appended.  What the request keeps is copied out of them, and the exchange
+// goes back to the pool when the handler returns.
+type exchange struct {
+	body, text, reply []byte
+}
+
+var exchanges = sync.Pool{New: func() any { return new(exchange) }}
+
+// maxPooledBytes bounds the buffers an exchange takes back to the pool, so
+// one large body does not stay allocated for good.
+const maxPooledBytes = 64 << 10
+
+func getExchange() *exchange { return exchanges.Get().(*exchange) }
+
+func (x *exchange) release() {
+	for _, b := range []*[]byte{&x.body, &x.text, &x.reply} {
+		if cap(*b) > maxPooledBytes {
+			*b = nil
+		}
+	}
+	exchanges.Put(x)
+}
+
+// decode reads, bounds and parses the request body into req.
+func decode(r *http.Request, x *exchange, req *request) *APIError {
 	if r.Method != http.MethodPost {
-		return nil, apiErr(CodeBadRequest, "method %s not allowed (POST)", r.Method)
+		return apiErr(CodeBadRequest, "method %s not allowed (POST)", r.Method)
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		return nil, apiErr(CodeBadRequest, "reading body: %v", err)
+	var err error
+	if x.body, err = readBody(r.Body, x.body[:0]); err != nil {
+		return apiErr(CodeBadRequest, "reading body: %v", err)
 	}
-	if len(body) > maxBodyBytes {
-		return nil, apiErr(CodeBadRequest, "body over %d bytes", maxBodyBytes)
+	if len(x.body) > maxBodyBytes {
+		return apiErr(CodeBadRequest, "body over %d bytes", maxBodyBytes)
 	}
-	var req request
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, apiErr(CodeBadRequest, "parsing JSON: %v", err)
+	if x.text, err = decodeRequest(x.body, req, x.text); err != nil {
+		return apiErr(CodeBadRequest, "parsing JSON: %v", err)
 	}
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	return &req, nil
+	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// readBody appends r's contents to b, stopping once past maxBodyBytes: what
+// io.ReadAll(io.LimitReader(r, maxBodyBytes+1)) reads, into a reused buffer.
+func readBody(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF || len(b) > maxBodyBytes {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// jsonType is every reply's Content-Type, one slice shared by all.
+var jsonType = []string{"application/json"}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeJSON answers with v as encoding/json renders it, marshalled before
+// the status goes out: a value it cannot render is a 500, never a 200 with
+// no body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encoding the reply: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, reqID string, ae *APIError) {
@@ -154,7 +200,7 @@ func (s *Server) requestSpan(tenant, reqID string) trace.Active {
 // what the rest of its handler, and finishRequest, need of it.
 type admitted struct {
 	start time.Time
-	req   *request
+	req   request
 	reqID string
 	sp    trace.Active
 	fr    *flightrec.Request
@@ -162,17 +208,18 @@ type admitted struct {
 	cr    compileResult
 }
 
-// begin runs the shared preamble: decode, request ID, span, flight handle,
-// tenant, rate limit, compile.  A request one of them refuses is answered and
-// finished here, and ok is false.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request) (a admitted, ok bool) {
+// begin runs the shared preamble into a: decode, request ID, span, flight
+// handle, tenant, rate limit, compile.  A request one of them refuses is
+// answered and finished here, and begin returns false.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, x *exchange, a *admitted) bool {
 	a.start = time.Now()
-	req, ae := decode(r)
+	req := &a.req
+	ae := decode(r, x, req)
 	if ae != nil {
 		writeErr(w, "", ae)
-		return a, false
+		return false
 	}
-	a.req, a.reqID = req, s.requestID(req.RequestID)
+	a.reqID = s.requestID(req.RequestID)
 	a.sp = s.requestSpan(req.Tenant, a.reqID)
 	a.fr = flightrec.Begin(a.reqID, req.Tenant)
 	if a.t, ae = s.tenants.get(req.Tenant); ae != nil {
@@ -181,7 +228,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) (a admitted, ok b
 		a.sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
 		a.fr.Finish(string(ae.Code), ae.Message, 0)
 		writeErr(w, a.reqID, ae)
-		return a, false
+		return false
 	}
 	if ae = a.t.admitRate(); ae != nil {
 		s.rateLimited.Inc()
@@ -192,43 +239,36 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request) (a admitted, ok b
 		a.cr, ae = s.compile(r.Context(), a.fr, a.t, req.Lang, req.Source, req.Entry, req.Key, req.prio(a.t))
 	}
 	if ae != nil {
-		s.finishRequest(w, &a, ae)
-		return a, false
+		s.finishRequest(w, a, ae)
+		return false
 	}
-	return a, true
+	return true
 }
 
 // handleExec is compile-if-needed plus one sandboxed call.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	a, ok := s.begin(w, r)
-	if !ok {
+	x := getExchange()
+	defer x.release()
+	var a admitted
+	if !s.begin(w, r, x, &a) {
 		return
 	}
-	er, ae := s.exec(r.Context(), a.fr, a.t, &a.cr, a.req)
+	er, ae := s.exec(r.Context(), a.fr, a.t, &a.cr, &a.req)
 	s.finishRequest(w, &a, ae)
 	if ae != nil {
 		return
 	}
-	res, typ := renderResult(er.value)
-	writeJSON(w, http.StatusOK, execResponse{
-		RequestID:  a.reqID,
-		Key:        a.cr.key,
-		Shard:      a.cr.shard.id,
-		Cached:     a.cr.cached,
-		Durable:    a.cr.durable,
-		Result:     res,
-		ResultType: typ,
-		Cycles:     er.stats.Cycles,
-		Insns:      er.stats.Insns,
-		WallNS:     er.wall.Nanoseconds(),
-	})
+	x.reply = appendExecReply(x.reply[:0], a.reqID, &a.cr, &er)
+	writeBody(w, http.StatusOK, x.reply)
 }
 
 // handleCompile is compile-and-cache: the program becomes resident (and
 // callable by key) without running it.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	a, ok := s.begin(w, r)
-	if !ok {
+	x := getExchange()
+	defer x.release()
+	var a admitted
+	if !s.begin(w, r, x, &a) {
 		return
 	}
 	resp := compileResponse{

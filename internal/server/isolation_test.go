@@ -274,11 +274,8 @@ func TestIsolationResidencyLedger(t *testing.T) {
 	}
 	var unitBytes, tenantBytes int64
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, u := range sh.units {
-			unitBytes += u.prog.CodeBytes()
-		}
-		sh.mu.Unlock()
+		_, n := sh.unitTotals()
+		unitBytes += n
 	}
 	for _, name := range s.tenants.names() {
 		tn, _ := s.tenants.get(name)

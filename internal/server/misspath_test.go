@@ -274,6 +274,42 @@ func TestInlineCompileCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// A miss that takes a free compile slot is never counted as queued.  It
+// used to be, for the instant between counting itself and taking the slot,
+// and a request admitted in that instant was refused queue_full with
+// QueueBound 1 (TestInlineCompileCoalescesSameKey failed about one run in
+// a hundred, and one in twelve once the hit path's decode got faster).
+func TestFreeSlotIsNotQueued(t *testing.T) {
+	g := compileGate{slots: make(chan struct{}, 1)}
+	stop, seen := make(chan struct{}), make(chan int64, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(seen)
+				return
+			default:
+				if d := g.waiting.Load(); d != 0 {
+					seen <- d
+					<-stop
+					close(seen)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200000; i++ {
+		if err := g.enter(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		g.leave()
+	}
+	close(stop)
+	if d, ok := <-seen; ok {
+		t.Fatalf("queue depth read %d with the only slot free", d)
+	}
+}
+
 // Close waits for a miss that is compiling on its request goroutine, and a
 // miss arriving at the closed gate is turned away as shutting_down.
 func TestCloseWaitsForInlineCompile(t *testing.T) {

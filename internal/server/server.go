@@ -59,8 +59,10 @@ type Config struct {
 	// depth; past it, compile-requiring requests get queue_full
 	// (default 64).
 	QueueBound int64
-	// CallTimeout is the wall deadline around one sandboxed call,
-	// including its wait for the shard CPU (default 2s).
+	// CallTimeout is the wall deadline of one sandboxed call, counted from
+	// when the call asks for the shard's machine (default 2s).  The wait
+	// for the machine cannot be interrupted: a call that got it past its
+	// deadline fails at its first poll, before running an instruction.
 	CallTimeout time.Duration
 	// Tenants declares the known tenants' quotas.  DefaultQuota fills
 	// zero fields and governs unknown tenants when AllowUnknownTenants
@@ -490,10 +492,12 @@ type execResult struct {
 // tenant's fuel quota and the server call timeout.  fr (nil-safe) records
 // the call's engine, fuel spend and wall time on the request's flight chain.
 // The machine keeps no clock on its call path, so the stage is timed here,
-// with one clock pair around the call.  A program evicted since compile
-// returned *cr answers core.ErrUnloaded: the request goes through compile
-// again (not_found when it carries no source), as often as it is evicted
-// while the call's deadline lives, and *cr becomes what the call ran on.
+// with one clock pair around the call.  The timeout is a deadline the
+// machine's run loop reads at the polls it makes for ctx anyway — no timer
+// is armed.  A program evicted since compile returned *cr answers
+// core.ErrUnloaded: the request goes through compile again (not_found when
+// it carries no source), as often as it is evicted while ctx and the
+// deadline live, and *cr becomes what the call ran on.
 func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr *compileResult, req *request) (execResult, *APIError) {
 	budget := t.quota.FuelPerCall
 	if fuel := req.Fuel; fuel > 0 {
@@ -507,21 +511,26 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 		}
 		budget = fuel
 	}
-	cctx, cancel := context.WithTimeout(ctx, s.cfg.CallTimeout)
-	defer cancel()
+	var (
+		deadline time.Time
+		argBuf   [4]core.Value
+	)
 	for {
 		sh := cr.shard
-		args, err := buildArgs(cr.fn.Params, req.Args)
+		args, err := buildArgs(argBuf[:0], cr.fn.Params, req.Args)
 		if err != nil {
 			return execResult{}, classify(err)
 		}
 		start := time.Now()
-		v, st, err := sh.machine.CallWithStats(cctx, core.CallOpts{Fuel: budget}, cr.fn, args...)
+		if deadline.IsZero() {
+			deadline = start.Add(s.cfg.CallTimeout)
+		}
+		v, st, err := sh.machine.CallWithStats(ctx, core.CallOpts{Fuel: budget, Deadline: deadline}, cr.fn, args...)
 		wall := time.Since(start)
 		if errors.Is(err, core.ErrUnloaded) {
 			// Evicted since compile: ask again, or report the deadline
 			// that ran out asking.
-			if err = cctx.Err(); err == nil {
+			if err = ctx.Err(); err == nil && time.Until(deadline) > 0 {
 				s.execRetries.Inc()
 				again, apiE := s.compile(ctx, fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
 				if apiE != nil {
@@ -529,6 +538,9 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 				}
 				*cr = again
 				continue
+			}
+			if err == nil {
+				err = context.DeadlineExceeded
 			}
 		}
 		sh.calls.Add(1)
@@ -611,13 +623,11 @@ func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIErro
 // lookupStats aggregates one shard's cache metrics for /v1/stats.
 func (sh *shard) statsView() ShardStats {
 	ar := sh.machine.ArenaStats()
-	sh.mu.Lock()
-	units := len(sh.units)
-	sh.mu.Unlock()
+	units, unitBytes := sh.unitTotals()
 	return ShardStats{
 		ID:                 sh.id,
 		Units:              units,
-		UnitBytes:          sh.unitBytes(),
+		UnitBytes:          unitBytes,
 		Calls:              sh.calls.Load(),
 		Compiles:           sh.compiles.Load(),
 		QueueDepth:         sh.queueDepth(),

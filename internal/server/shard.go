@@ -26,8 +26,9 @@ type shard struct {
 	cache   *codecache.Cache
 	gate    compileGate
 
-	mu    sync.Mutex
-	units map[string]*unit
+	// units maps key to *unit.  A hit reads it for the reply's durable
+	// flag, so reads take no lock.
+	units sync.Map
 
 	// evicted is the server's hook: tenant residency accounting and the
 	// journal tombstone on cache eviction/invalidation.
@@ -70,7 +71,6 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, r
 		id:      id,
 		machine: jm.Core(),
 		gate:    compileGate{slots: make(chan struct{}, workers)},
-		units:   make(map[string]*unit),
 	}
 	s.cache = codecache.New(codecache.Config{
 		Machine:      s.machine,
@@ -83,9 +83,8 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, r
 		return float64(s.machine.ArenaStats().CodeBytesResident)
 	})
 	reg.GaugeFunc(fmt.Sprintf("server.shard.%d.units", id), func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.units))
+		n, _ := s.unitTotals()
+		return float64(n)
 	})
 	return s, nil
 }
@@ -95,18 +94,24 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, r
 // compile flight, before the cache entry becomes ready, so an eviction of
 // the key always finds its unit.
 func (s *shard) admit(u *unit, t *tenant) {
-	s.mu.Lock()
-	s.units[u.key] = u
-	s.mu.Unlock()
+	s.units.Store(u.key, u)
 	s.compiles.Add(1)
 	t.resident.Add(u.prog.CodeBytes())
 }
 
 // unit returns the resident unit for key, if any.
 func (s *shard) unit(key string) *unit {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.units[key]
+	v, _ := s.units.Load(key)
+	u, _ := v.(*unit)
+	return u
+}
+
+// eachUnit calls fn for every resident unit.
+func (s *shard) eachUnit(fn func(*unit)) {
+	s.units.Range(func(_, u any) bool {
+		fn(u.(*unit))
+		return true
+	})
 }
 
 // unitDurable reports whether key's unit has its journal record on
@@ -117,28 +122,23 @@ func (s *shard) unitDurable(key string) bool {
 	return u != nil && u.durable.Load()
 }
 
-// unitBytes sums the resident units' bytes — the shard side of the
-// residency ledger (the tenant side is each tenant's resident counter).
-func (s *shard) unitBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sum int64
-	for _, u := range s.units {
-		sum += u.prog.CodeBytes()
-	}
-	return sum
+// unitTotals counts the resident units and sums their bytes — the shard
+// side of the residency ledger (the tenant side is each tenant's resident
+// counter).
+func (s *shard) unitTotals() (n int, bytes int64) {
+	s.eachUnit(func(u *unit) {
+		n++
+		bytes += u.prog.CodeBytes()
+	})
+	return n, bytes
 }
 
 // onEvict is the codecache hook: the cache has already unloaded the
 // program; forget the unit and tell the server so tenant residency
 // accounting stays truthful.
 func (s *shard) onEvict(key string, fn *core.Func) {
-	s.mu.Lock()
-	u := s.units[key]
-	delete(s.units, key)
-	s.mu.Unlock()
-	if u != nil && s.evicted != nil {
-		s.evicted(u)
+	if u, ok := s.units.LoadAndDelete(key); ok && s.evicted != nil {
+		s.evicted(u.(*unit))
 	}
 }
 
@@ -165,8 +165,11 @@ type compileGate struct {
 	inflight sync.WaitGroup // misses between enter and leave
 }
 
-// enter takes a compile slot, waiting for one while ctx lives.  Every nil
-// return is paired with one leave.
+// enter takes a compile slot, waiting for one while ctx lives.  Only a miss
+// that finds no slot free counts as waiting: one that takes a free slot
+// never shows in the queue depth admission reads, so a burst of requests
+// behind it is not refused queue_full for a wait that did not happen.
+// Every nil return is paired with one leave.
 func (g *compileGate) enter(ctx context.Context) error {
 	g.mu.Lock()
 	if g.closed {
@@ -176,18 +179,24 @@ func (g *compileGate) enter(ctx context.Context) error {
 	g.inflight.Add(1)
 	g.mu.Unlock()
 
-	g.waiting.Add(1)
-	var err error
+	took := false
 	select {
 	case g.slots <- struct{}{}:
-		// A request that gave up while it queued must not start compiling.
-		if err = ctx.Err(); err != nil {
-			<-g.slots
+		took = true
+	default:
+		g.waiting.Add(1)
+		select {
+		case g.slots <- struct{}{}:
+			took = true
+		case <-ctx.Done():
 		}
-	case <-ctx.Done():
-		err = ctx.Err()
+		g.waiting.Add(-1)
 	}
-	g.waiting.Add(-1)
+	err := ctx.Err()
+	if took && err != nil {
+		// A request that gave up while it queued must not start compiling.
+		<-g.slots
+	}
 	if err != nil {
 		g.inflight.Done()
 	}

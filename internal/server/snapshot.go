@@ -86,11 +86,9 @@ func snapEntryOf(u *unit, shardID int) snapEntry {
 func (s *Server) SaveSnapshot(path string) (int, error) {
 	file := snapFile{Backend: s.cfg.Backend, Shards: len(s.shards)}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, u := range sh.units {
+		sh.eachUnit(func(u *unit) {
 			file.Entries = append(file.Entries, snapEntryOf(u, sh.id))
-		}
-		sh.mu.Unlock()
+		})
 	}
 	sort.Slice(file.Entries, func(i, j int) bool { return file.Entries[i].Key < file.Entries[j].Key })
 

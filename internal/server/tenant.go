@@ -180,65 +180,74 @@ func (e *APIError) withRetryAfter(ms int64) *APIError {
 }
 
 // tenantSet resolves tenant names to runtime state, creating rows for
-// unknown tenants from the default quota when that is enabled.
+// unknown tenants from the default quota when that is enabled.  The
+// configured tenants are fixed once the server is built and are read with
+// no lock; only the lazily admitted ones are behind mu.
 type tenantSet struct {
-	mu           sync.Mutex
-	tenants      map[string]*tenant
+	configured   map[string]*tenant
 	reg          *telemetry.Registry
 	defaultQuota Quota
 	allowUnknown bool
 	// watchdog, when set, hands every tenant its SLO tracker.
 	watchdog *slo.Watchdog
+
+	mu   sync.Mutex
+	lazy map[string]*tenant
 }
 
 func newTenantSet(reg *telemetry.Registry, quotas map[string]Quota, defaultQuota Quota, allowUnknown bool) *tenantSet {
 	ts := &tenantSet{
-		tenants:      make(map[string]*tenant, len(quotas)),
+		configured:   make(map[string]*tenant, len(quotas)),
 		reg:          reg,
 		defaultQuota: defaultQuota,
 		allowUnknown: allowUnknown,
+		lazy:         make(map[string]*tenant),
 	}
 	for name, q := range quotas {
-		ts.tenants[name] = newTenant(reg, name, q.withDefaults(defaultQuota))
+		ts.configured[name] = newTenant(reg, name, q.withDefaults(defaultQuota))
 	}
 	return ts
 }
 
-// setWatchdog attaches the SLO watchdog, wiring trackers onto the
-// tenants declared at construction (lazily-admitted tenants get theirs
-// in get).
+// setWatchdog attaches the SLO watchdog while the server is being built,
+// wiring trackers onto the configured tenants (lazily admitted tenants get
+// theirs in get).
 func (ts *tenantSet) setWatchdog(w *slo.Watchdog) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	ts.watchdog = w
-	for name, t := range ts.tenants {
+	for name, t := range ts.configured {
 		t.slo = w.Tenant(name)
 	}
 }
 
 // get resolves name, lazily admitting unknown tenants when allowed.
 func (ts *tenantSet) get(name string) (*tenant, *APIError) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if t, ok := ts.tenants[name]; ok {
+	if t, ok := ts.configured[name]; ok {
 		return t, nil
 	}
 	if !ts.allowUnknown {
 		return nil, apiErr(CodeUnknownTenant, "tenant %q has no quota configured", name)
 	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	if t, ok := ts.lazy[name]; ok {
+		return t, nil
+	}
 	t := newTenant(ts.reg, name, ts.defaultQuota)
 	if ts.watchdog != nil {
 		t.slo = ts.watchdog.Tenant(name)
 	}
-	ts.tenants[name] = t
+	ts.lazy[name] = t
 	return t, nil
 }
 
 // names returns the known tenant names, sorted.
 func (ts *tenantSet) names() []string {
+	out := make([]string, 0, len(ts.configured))
+	for name := range ts.configured {
+		out = append(out, name)
+	}
 	ts.mu.Lock()
-	out := make([]string, 0, len(ts.tenants))
-	for name := range ts.tenants {
+	for name := range ts.lazy {
 		out = append(out, name)
 	}
 	ts.mu.Unlock()

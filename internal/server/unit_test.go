@@ -37,15 +37,13 @@ func machineLedger(t testing.TB, s *Server) {
 	for _, sh := range s.shards {
 		var code, heap uint64
 		funcs := 0
-		sh.mu.Lock()
-		for _, u := range sh.units {
+		sh.eachUnit(func(u *unit) {
 			for _, f := range u.prog.Funcs() {
 				code += (uint64(f.SizeBytes()) + 15) &^ 15
 				funcs++
 			}
 			heap += u.prog.HeapBytes()
-		}
-		sh.mu.Unlock()
+		})
 		st := sh.machine.ArenaStats()
 		if st.Funcs != funcs || st.CodeBytesResident != code || st.HeapBytesUsed-heapBase != heap {
 			t.Errorf("shard %d: machine holds %d functions, %d code bytes, %d heap bytes; its units account for %d, %d, %d",

@@ -55,6 +55,13 @@ loc:
 	done
 	@printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
+# The documents that describe the tree (README, DESIGN, the verify skill)
+# name only internal/, cmd/ and examples/ paths, make targets and tests it
+# has; the records (CHANGES, EXPERIMENTS, ROADMAP, bench/README.md) are
+# exempt.  go test ./... runs it too.
+doccheck:
+	go test -count=1 -run TestDocsNameWhatExists .
+
 # internal/ packages that no non-test code in the module imports: test
 # harnesses belong here, anything else is a candidate for deletion
 # (ROADMAP item 7).  Print-only, like loc.
@@ -121,4 +128,4 @@ bench-cold:
 bench-loop:
 	go test -run '^$$' -bench BenchmarkLoopDispatch -benchtime 2000x -count 5 ./internal/exec/diff
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc orphans bench bench-miss bench-hit bench-call bench-emit bench-cold bench-loop
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc doccheck orphans bench bench-miss bench-hit bench-call bench-emit bench-cold bench-loop

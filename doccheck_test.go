@@ -1,0 +1,133 @@
+package repro
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"unicode"
+)
+
+// The documents that describe the tree as it is: README.md, DESIGN.md and
+// the verify notes (SKILL.md in the repository's hidden skills directory).
+// CHANGES.md, EXPERIMENTS.md, ROADMAP.md and the frozen bench/README.md are
+// records of how it got here and may name what is gone.
+func describingDocs(t *testing.T) []string {
+	skills, err := filepath.Glob(".*/skills/verify/SKILL.md")
+	if err != nil || len(skills) != 1 {
+		t.Fatalf("verify notes: %v, %v", skills, err)
+	}
+	return append([]string{"README.md", "DESIGN.md"}, skills...)
+}
+
+var (
+	fenceRE    = regexp.MustCompile("(?s)```.*?```")
+	inlineRE   = regexp.MustCompile("`[^`\n]+`")
+	testNameRE = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	makeRE     = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	targetRE   = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	bracesRE   = regexp.MustCompile(`\{([^{}]*)\}`)
+)
+
+// TestDocsNameWhatExists is `make doccheck`: every internal/, cmd/ or
+// examples/ path, `make` target and Test/Benchmark/Fuzz name that a
+// describing document puts in backticks or a code block is one the tree
+// has.  A test name may be a prefix, as in a -run pattern.
+func TestDocsNameWhatExists(t *testing.T) {
+	var tests []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFuncRE.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range targetRE.FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+
+	for _, doc := range describingDocs(t) {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(src)
+		code := fenceRE.FindAllString(text, -1)
+		code = append(code, inlineRE.FindAllString(fenceRE.ReplaceAllString(text, ""), -1)...)
+		for _, c := range code {
+			for _, p := range docPaths(c) {
+				if ms, _ := filepath.Glob(p); len(ms) == 0 {
+					t.Errorf("%s names %s, which the tree does not have", doc, p)
+				}
+			}
+			for _, m := range makeRE.FindAllStringSubmatch(c, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s names make target %q, which the Makefile does not have", doc, m[1])
+				}
+			}
+			for _, name := range testNameRE.FindAllString(c, -1) {
+				if !hasPrefixIn(tests, name) {
+					t.Errorf("%s names %s, which no test file declares", doc, name)
+				}
+			}
+		}
+	}
+}
+
+// docPaths returns the internal/, cmd/ and examples/ paths in a code span,
+// as globs, with {a,b} alternatives expanded and a trailing /... or
+// Go-qualified .Name dropped.
+func docPaths(code string) []string {
+	var out []string
+	for _, tok := range strings.FieldsFunc(code, func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && !strings.ContainsRune("_./{},*-", r)
+	}) {
+		tok = strings.TrimRight(strings.TrimPrefix(tok, "./"), ".,")
+		if !strings.HasPrefix(tok, "internal/") && !strings.HasPrefix(tok, "cmd/") && !strings.HasPrefix(tok, "examples/") {
+			continue
+		}
+		tok, _, _ = strings.Cut(tok, "...")
+		tok = strings.TrimRight(tok, "/")
+		if i := strings.LastIndexByte(tok, '.'); i > strings.LastIndexByte(tok, '/') && unicode.IsUpper(rune(tok[min(i+1, len(tok)-1)])) {
+			tok = tok[:i] // internal/core.Machine: the package
+		}
+		out = append(out, expandBraces(tok)...)
+	}
+	return out
+}
+
+// expandBraces expands the first {a,b,...} in p, recursively.
+func expandBraces(p string) []string {
+	loc := bracesRE.FindStringSubmatchIndex(p)
+	if loc == nil {
+		return []string{p}
+	}
+	var out []string
+	for _, alt := range strings.Split(p[loc[2]:loc[3]], ",") {
+		out = append(out, expandBraces(p[:loc[0]]+alt+p[loc[1]:])...)
+	}
+	return out
+}
+
+func hasPrefixIn(names []string, prefix string) bool {
+	for _, n := range names {
+		if strings.HasPrefix(n, prefix) {
+			return true
+		}
+	}
+	return false
+}

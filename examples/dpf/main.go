@@ -54,4 +54,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(dpf.FormatTable3(rows))
+
+	fmt.Println("\nscaling with the number of installed filters:")
+	pts, err := dpf.RunScaling([]int{1, 2, 5, 10, 20, 50}, 2000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(dpf.FormatScaling(pts))
 }

@@ -9,7 +9,7 @@
 // the same key share a single flight, and capacity is bounded by entry
 // count and by resident code bytes.  Bound to a core.Machine, the cache owns
 // what it holds: every entry is a core.Unit — the program its front end
-// built, or a unit of one the cache adopts a bare function into — and
+// built, or the unit of one Machine.Install places a bare function in — and
 // eviction is Unit.Unload, which returns code, tables and data together
 // (§5.2: storage "is easily reclaimed when the function is deallocated").
 // A caller still holding an evicted function gets core.ErrUnloaded from the
@@ -33,14 +33,14 @@ import (
 // CompileFunc produces the function for a key on a cache miss.  It runs
 // without the cache lock held, so it may itself use the machine (build a
 // unit, allocate dispatch tables, define symbols).  With a machine bound it
-// returns either a member of a unit it installed or a function nobody has
-// placed yet; one a client installed itself is refused (core.ErrOwned).
+// returns a member of a unit resident there, whose unit the cache then
+// owns, or a function resident nowhere, which the cache installs.
 type CompileFunc func() (*core.Func, error)
 
 // Config sizes a Cache.
 type Config struct {
-	// Machine, when set, is where entries live: the cache adopts each bare
-	// function into a unit on it, and eviction unloads the entry's unit.
+	// Machine, when set, is where entries live: the cache installs each
+	// bare function there, and eviction unloads the entry's unit.
 	Machine *core.Machine
 	// MaxEntries bounds the cached function count (0 = unlimited).
 	MaxEntries int
@@ -232,8 +232,8 @@ func lookupSpan(lkStart time.Time, verdict string, fn *core.Func, key string, er
 // runCompile runs the client's compile callback with panic isolation — the
 // single-flight contract requires the flight to complete no matter what
 // the callback does, so a panic becomes an error like any other — and, with
-// a machine bound, adopts a function that came back without a unit into a
-// unit of one.  size is what the entry charges: its whole unit's code.
+// a machine bound, installs it there (a no-op for a function its front end
+// already placed).  size is what the entry charges: its whole unit's code.
 func (c *Cache) runCompile(key string, compile CompileFunc) (fn *core.Func, size int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -244,17 +244,15 @@ func (c *Cache) runCompile(key string, compile CompileFunc) (fn *core.Func, size
 	if fn, err = compile(); err != nil {
 		return nil, 0, err
 	}
-	u := fn.Unit()
-	if u == nil && c.machine != nil {
-		u = c.machine.NewUnit()
-		if err = u.Install(fn); err != nil {
+	if c.machine != nil {
+		if err = c.machine.Install(fn); err != nil {
 			return nil, 0, err
 		}
 	}
-	if u == nil {
-		return fn, int64(fn.SizeBytes()), nil
+	if u := fn.Unit(); u != nil {
+		return fn, u.CodeBytes(), nil
 	}
-	return fn, u.CodeBytes(), nil
+	return fn, int64(fn.SizeBytes()), nil
 }
 
 // Get returns the cached function for key without compiling, counting a

@@ -499,11 +499,13 @@ func TestFollowerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// TestInstalledLooseFunctionIsRefused: the cache owns what it holds, so a
-// compile callback that hands it a function the client installed itself is
-// refused with core.ErrOwned and the function stays the client's; taken off
-// the machine by its owner, the same function is adopted as a unit of one.
-func TestInstalledLooseFunctionIsRefused(t *testing.T) {
+// TestCacheOwnsTheUnitItIsHanded: the cache owns the unit of whatever a
+// compile callback returns.  A function the client installed is the only
+// member of the unit Install made, and the cache takes that unit; one whose
+// unit is gone is placed again as a new unit of one.  Either way,
+// Invalidate unloads the unit whole: the handle is ErrUnloaded and the
+// machine is as the client found it.
+func TestCacheOwnsTheUnitItIsHanded(t *testing.T) {
 	m := newTestMachine(t)
 	base := m.ArenaStats()
 	c := New(Config{Machine: m})
@@ -511,24 +513,24 @@ func TestInstalledLooseFunctionIsRefused(t *testing.T) {
 	if err := m.Install(fn); err != nil {
 		t.Fatal(err)
 	}
-	mine := m.ArenaStats()
-	if _, err := c.GetOrCompile("k", func() (*core.Func, error) { return fn, nil }); !errors.Is(err, core.ErrOwned) {
-		t.Fatalf("installed loose function: err = %v, want core.ErrOwned", err)
-	}
-	if c.Contains("k") || !m.Installed(fn) || fn.Unit() != nil || m.ArenaStats() != mine {
-		t.Fatalf("refusal changed something: resident %v, installed %v, unit %v", c.Contains("k"), m.Installed(fn), fn.Unit())
-	}
-	if err := m.Uninstall(fn); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.GetOrCompile("k", func() (*core.Func, error) { return fn, nil }); err != nil || got != fn || fn.Unit() == nil {
-		t.Fatalf("function nobody has placed: %v, %v, unit %v; want it adopted", got, err, fn.Unit())
-	}
-	if s, st := c.Snapshot(), m.ArenaStats(); s.Entries != 1 || s.CodeBytes != int64(fn.SizeBytes()) || st.Funcs != base.Funcs+1 {
-		t.Errorf("adopted: cache books %d entries, %d bytes, machine %d functions; want 1, %d, %d", s.Entries, s.CodeBytes, st.Funcs, fn.SizeBytes(), base.Funcs+1)
-	}
-	c.Invalidate("k")
-	if _, err := m.Call(fn, core.I(1)); !errors.Is(err, core.ErrUnloaded) || m.ArenaStats() != base {
-		t.Errorf("after Invalidate: call err = %v, arenas %+v; want ErrUnloaded and %+v", err, m.ArenaStats(), base)
+	placed := fn.Unit()
+	for _, round := range []string{"installed", "uninstalled"} {
+		got, err := c.GetOrCompile("k", func() (*core.Func, error) { return fn, nil })
+		if err != nil || got != fn || !m.Installed(fn) {
+			t.Fatalf("%s: %v, %v, resident %v; want the function, resident", round, got, err, m.Installed(fn))
+		}
+		if u := fn.Unit(); (u == placed) != (round == "installed") {
+			t.Errorf("%s: unit %p, Install's %p", round, u, placed)
+		}
+		if s, st := c.Snapshot(), m.ArenaStats(); s.Entries != 1 || s.CodeBytes != int64(fn.SizeBytes()) || st.Funcs != base.Funcs+1 {
+			t.Errorf("%s: cache books %d entries, %d bytes, machine %d functions; want 1, %d, %d", round, s.Entries, s.CodeBytes, st.Funcs, fn.SizeBytes(), base.Funcs+1)
+		}
+		c.Invalidate("k")
+		if _, err := m.Call(fn, core.I(1)); !errors.Is(err, core.ErrUnloaded) || m.ArenaStats() != base {
+			t.Errorf("%s, after Invalidate: call err = %v, arenas %+v; want ErrUnloaded and %+v", round, err, m.ArenaStats(), base)
+		}
+		if err := m.Uninstall(fn); err != nil {
+			t.Fatalf("%s: Uninstall of a function whose unit is gone: %v", round, err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ var (
 // takes it out again, returning the masked hash of each function.
 func poolCompile(m *core.Machine, i int) ([]string, error) {
 	var fns []*core.Func
-	var unit *core.Unit // nil for the jit's loose function
+	var unit *core.Unit // nil for the jit's function, a unit of one
 	switch n := i % 3; n {
 	case 0:
 		prog, err := tinyc.Parse(poolTinyc[i/3%len(poolTinyc)])

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -127,6 +128,21 @@ func (p *planPair) callLeaf(what string, k int64) core.CallStats {
 	return st
 }
 
+// callGone calls leaf k, which has left both machines: each call must be
+// ErrUnloaded and leave the address map and the arenas as they were.
+func (p *planPair) callGone(what string, k int64) {
+	p.t.Helper()
+	for i, m := range []*core.Machine{p.m, p.ref} {
+		spans, st := len(m.FuncSpans()), m.ArenaStats()
+		if _, err := m.Call(p.leaf(k)[i], core.I(1), core.I(2)); !errors.Is(err, core.ErrUnloaded) {
+			p.t.Fatalf("%s (machine %d): err %v, want ErrUnloaded", what, i, err)
+		}
+		if got := len(m.FuncSpans()); got != spans || m.ArenaStats() != st {
+			p.t.Fatalf("%s (machine %d): %d spans, %+v after the call; before, %d and %+v", what, i, got, m.ArenaStats(), spans, st)
+		}
+	}
+}
+
 // The two lifecycle operations planPair.both applies.
 var (
 	install   = (*core.Machine).Install
@@ -143,8 +159,10 @@ func (h *countingHook) StoreFault(uint64, int) error                  { return n
 
 // TestCallPlanLifecycle walks a resident function's plan through every way
 // it can go stale — uninstall and reinstall elsewhere, another function at
-// its reused address, Release taking it, an engine switch — and through everything that
-// must force the Step path, holding each call to the switch engine.
+// its reused address, Release taking it, an engine switch — and through
+// everything that must force the Step path, holding each call to the
+// switch engine.  A handle that left is called too: it is ErrUnloaded and
+// places nothing.
 func TestCallPlanLifecycle(t *testing.T) {
 	for _, tg := range regtest.Targets() {
 		for _, e := range engines {
@@ -172,7 +190,8 @@ func TestCallPlanLifecycle(t *testing.T) {
 				p.callLeaf("occupant of the old address", 2)
 
 				// Evict, put a different function at the reused address, call
-				// both handles: the evicted one installs on demand elsewhere.
+				// both handles: the evicted one is never placed again, and
+				// never runs the new occupant.
 				second := f[0].Addr()
 				p.both("evict", f, uninstall)
 				p.both("install a different function", p.leaf(3), install)
@@ -180,7 +199,7 @@ func TestCallPlanLifecycle(t *testing.T) {
 					t.Fatalf("leaf3 at %#x, want the reused %#x", got, second)
 				}
 				p.callLeaf("new function at the reused address", 3)
-				p.callLeaf("evicted handle, installed on demand", 1)
+				p.callGone("evicted handle", 1)
 				p.callLeaf("new function again", 3)
 
 				// Mark, install, Release: the released function is taken with
@@ -198,13 +217,12 @@ func TestCallPlanLifecycle(t *testing.T) {
 				}
 				p.callLeaf("function at the released address", 5)
 				p.callLeaf("a survivor below the mark", 3)
-				// The released handle is loose again, as after Uninstall: a
-				// call installs it elsewhere and runs its own code, never
-				// what now occupies its old address.
+				// The released handle left as after Uninstall: a call neither
+				// places it again nor runs what now occupies its old address.
 				if p.m.Installed(p.leaf(4)[0]) {
 					t.Fatal("the released leaf4 still claims to be installed")
 				}
-				p.callLeaf("released handle, installed on demand", 4)
+				p.callGone("released handle", 4)
 
 				// Switch engines between calls of the same resident function.
 				for _, flip := range []core.Engine{core.EngineSwitch, core.EngineThreaded, core.EngineSwitch, e} {
@@ -509,6 +527,72 @@ func TestCallErrorsWithRecorders(t *testing.T) {
 	}
 	if err := m.Install(&core.Func{Name: "empty", BackendName: "mips"}); err == nil || !strings.Contains(err.Error(), "no code") {
 		t.Errorf("Install of a function without words = %v, want a no-code error", err)
+	}
+}
+
+// SetTrace takes the machine's lock, as SetEngine and SetVerify do: run
+// reads the writer under it.  Run under -race.
+func TestSetTraceWhileCalling(t *testing.T) {
+	bk, m := newMips()
+	leaf := buildLeaf(t, bk, 1)
+	if err := m.Install(leaf); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if v, err := m.Call(leaf, core.I(1), core.I(2)); err != nil || int32(v.Int()) != leafWant(1, 1, 2) {
+				done <- fmt.Errorf("call %d = %v, %v", i, v, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 200; i++ {
+		m.SetTrace(io.Discard)
+		m.SetTrace(nil)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A traced call of a function resident on another machine fails, and its
+// record carries flow 0: the function's flow is its own machine's to
+// assign, under that machine's lock.  Before, the failed call assigned it
+// under the wrong lock while the owner's calls read it.  Run under -race.
+func TestTracedCallOfAnotherMachinesFunc(t *testing.T) {
+	bk, m := newMips()
+	_, other := newMips()
+	leaf := buildLeaf(t, bk, 1)
+	if err := m.Install(leaf); err != nil { // tracing off: the flow stays 0
+		t.Fatal(err)
+	}
+	trace.SetEnabled(true)
+	defer trace.SetEnabled(false)
+	defer trace.Reset()
+	done := make(chan error)
+	for _, on := range []*core.Machine{m, other} {
+		go func(on *core.Machine) {
+			for i := 0; i < 100; i++ {
+				_, err := on.Call(leaf, core.I(1), core.I(2))
+				if (err == nil) != (on == m) {
+					done <- fmt.Errorf("call %d: %v", i, err)
+					return
+				}
+			}
+			done <- nil
+		}(on)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sp := range trace.Spans() {
+		if sp.Kind == trace.KindCall && (sp.Flow == leaf.TraceFlow()) != (sp.Attrs.Err == "") {
+			t.Fatalf("call span flow %d, error %q; the function's flow is %d", sp.Flow, sp.Attrs.Err, leaf.TraceFlow())
+		}
 	}
 }
 

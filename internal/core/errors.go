@@ -48,12 +48,12 @@ var (
 	// runs past its step budget (CallOpts.Fuel, or the machine-wide
 	// MaxSteps backstop).
 	ErrFuelExhausted = errors.New("vcode: fuel exhausted")
-	// ErrUnloaded is reported when a function of an unloaded Unit is
-	// installed or called: the program is never put back on the machine.
+	// ErrUnloaded is reported when a function that left (its Unit was
+	// unloaded) is called, or an unloaded Unit is given a function: a call
+	// never puts a program back on the machine.
 	ErrUnloaded = errors.New("vcode: program unit is unloaded")
 	// ErrOwned is reported when a Unit is asked to take a function that is
-	// already installed or already a unit's member: what a client placed
-	// itself stays the client's to remove.
+	// resident: it belongs to the unit that placed it.
 	ErrOwned = errors.New("vcode: function is already installed or owned")
 )
 

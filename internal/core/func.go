@@ -68,34 +68,27 @@ type Func struct {
 	// pre-install verifier decodes only [Entry, PoolStart).
 	PoolStart int
 
-	addr      uint64
-	installed bool
-	// owner is the Machine the function is currently installed on.
-	owner *Machine
-	// unit is the program Unit.Install made the function a member of, for
-	// good; nil for a loose function.
+	addr uint64
+	// unit is the program that placed the function last, nil until one
+	// does; the function is resident while that unit is not unloaded.
 	unit *Unit
 	// sum fingerprints Words as of the last completed install, so a
 	// re-Install of a function whose code was mutated afterwards can be
-	// rejected instead of silently running the stale copy.  sumValid is
-	// false while an install is in flight (self-referential relocations
-	// re-enter Install before the final words exist).
-	sum      uint64
-	sumValid bool
+	// rejected instead of silently running the stale copy.
+	sum uint64
 	// flow is the lifecycle span ID shared by every trace span this
 	// function generates (see internal/trace); 0 until tracing assigns
 	// one.
 	flow uint64
-	// plan is what a call needs of the function while it is resident;
-	// valid exactly while installed is set.
+	// plan is what a call needs of the function while it is resident.
 	plan callPlan
 }
 
 // callPlan is everything about calling a resident function that cannot
-// change until it is uninstalled: where each argument goes under the
-// owner's convention and the entry PC.  The machine fills it when it marks
-// the function installed and drops it wherever it clears installed, so a
-// warm call lays nothing out and asks the backend nothing.
+// change until it leaves: where each argument goes under the machine's
+// convention and the entry PC.  The machine fills it when it places the
+// function and drops it when the function leaves, so a warm call lays
+// nothing out and asks the backend nothing.
 type callPlan struct {
 	entry      uint64
 	stackBytes uint64
@@ -147,22 +140,20 @@ func (f *Func) lifecycleFlow() uint64 {
 	return f.flow
 }
 
-// unplace forgets where f was (or was about to be) resident: every way
-// out of the code region ends here (Machine.remove), so the call plan can
-// never outlive installed.
-func (f *Func) unplace() {
-	f.addr = 0
-	f.installed = false
-	f.owner = nil
-	f.sumValid = false
-	f.plan = callPlan{}
+// home returns the machine f is resident on (its unit's, unless the unit
+// is unloaded), or nil, also for a nil f.  Caller holds that machine's mu.
+func (f *Func) home() *Machine {
+	if f != nil && f.unit != nil && !f.unit.unloaded {
+		return f.unit.m
+	}
+	return nil
 }
 
-// Unit returns the program the function is a member of; nil if loose.
+// Unit returns the program that placed the function last; nil if none has.
 func (f *Func) Unit() *Unit { return f.unit }
 
-// Installed reports whether a Machine has placed the function in memory.
-func (f *Func) Installed() bool { return f.installed }
+// Installed is Machine.Installed on the machine of the function's unit.
+func (f *Func) Installed() bool { return f.home() != nil }
 
 // Addr returns the base byte address of word 0 after installation.
 func (f *Func) Addr() uint64 { return f.addr }

@@ -1,7 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,13 +31,9 @@ func buildAddK(t *testing.T, bk core.Backend, k int64) *core.Func {
 	return fn
 }
 
-// Installing a caller places the callee it references first, through
-// install's own recursion, so a program goes in with a loop of Install in
-// any order: the callee's own turn is then the already-resident no-op.
-func TestInstallRecursesIntoCallee(t *testing.T) {
-	bk, m := newMips()
-	callee := buildAddK(t, bk, 5)
-
+// buildCaller generates fn(x) = callee(x) + x, calling callee directly.
+func buildCaller(t *testing.T, bk core.Backend, callee *core.Func) *core.Func {
+	t.Helper()
 	a := core.NewAsm(bk)
 	a.SetName("caller")
 	args, err := a.Begin("%i", core.NonLeaf)
@@ -57,6 +59,16 @@ func TestInstallRecursesIntoCallee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return caller
+}
+
+// Installing a caller places the callee it references first, in the
+// caller's unit, so a program goes in with a loop of Install in any order:
+// the callee's own turn is then the already-resident no-op.
+func TestInstallRecursesIntoCallee(t *testing.T) {
+	bk, m := newMips()
+	callee := buildAddK(t, bk, 5)
+	caller := buildCaller(t, bk, callee)
 
 	spans := len(m.FuncSpans())
 	for _, f := range []*core.Func{caller, callee} {
@@ -78,5 +90,99 @@ func TestInstallRecursesIntoCallee(t *testing.T) {
 	}
 	if got.Int() != 25 {
 		t.Fatalf("caller(10) = %d, want 25", got.Int())
+	}
+}
+
+// A callee resident nowhere joins the unit of the function that references
+// it, so unloading the unit — or uninstalling the caller Install placed —
+// returns the machine to where it was.  Before, the callee was installed
+// on its own and stayed behind (ROADMAP 9e).  A callee already resident
+// stays in its own unit.
+func TestCalleeJoinsItsCallersUnit(t *testing.T) {
+	bk, m := newMips()
+	base := m.ArenaStats()
+
+	callee := buildAddK(t, bk, 5)
+	u := m.NewUnit()
+	if err := u.Install(buildCaller(t, bk, callee)); err != nil {
+		t.Fatal(err)
+	}
+	caller := u.Funcs()[len(u.Funcs())-1]
+	if fs := u.Funcs(); len(fs) != 2 || fs[0] != callee || callee.Unit() != u {
+		t.Fatalf("unit members %v, callee's unit %p; want [callee caller] in %p", fs, callee.Unit(), u)
+	}
+	if got, err := m.Call(caller, core.I(10)); err != nil || got.Int() != 25 {
+		t.Fatalf("caller(10) = %v, %v, want 25", got, err)
+	}
+	u.Unload()
+	if st := m.ArenaStats(); st != base {
+		t.Fatalf("after Unload: %+v, want the empty machine's %+v", st, base)
+	}
+	if _, err := m.Call(callee, core.I(10)); !errors.Is(err, core.ErrUnloaded) {
+		t.Fatalf("callee of an unloaded unit: %v, want ErrUnloaded", err)
+	}
+
+	callee = buildAddK(t, bk, 6)
+	caller = buildCaller(t, bk, callee)
+	if err := m.Install(caller); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Uninstall(caller); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.ArenaStats(); st != base || m.Installed(callee) {
+		t.Fatalf("after Uninstall of the caller: %+v, callee resident %v; want %+v and gone", st, m.Installed(callee), base)
+	}
+
+	shared := buildAddK(t, bk, 7)
+	if err := m.Install(shared); err != nil {
+		t.Fatal(err)
+	}
+	caller = buildCaller(t, bk, shared)
+	if err := m.Install(caller); err != nil {
+		t.Fatal(err)
+	}
+	if shared.Unit() == caller.Unit() || len(caller.Unit().Funcs()) != 1 {
+		t.Fatalf("a resident callee joined its caller's unit: %v", caller.Unit().Funcs())
+	}
+	if err := m.Uninstall(caller); err != nil || !m.Installed(shared) {
+		t.Fatalf("Uninstall of the caller: %v; shared callee resident %v, want true", err, m.Installed(shared))
+	}
+}
+
+// Machine.install writes a function into the code region, and Unit.add is
+// its one caller: every function is placed by a unit.
+func TestInstallOnlyFromUnit(t *testing.T) {
+	fset := token.NewFileSet()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "install" {
+						callers = append(callers, fmt.Sprintf("%s (%s)", fd.Name.Name, fset.Position(c.Pos())))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(callers) != 1 || !strings.HasPrefix(callers[0], "add (unit.go:") {
+		t.Fatalf("Machine.install is called from %v; want Unit.add alone", callers)
 	}
 }

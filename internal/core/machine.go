@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -333,20 +334,15 @@ func (m *Machine) Mark() Mark {
 }
 
 // Release reclaims all code and heap space allocated since mk was taken.
-// It takes every function whose code reaches above the mark, one placed
-// across it included, as Uninstall would: a loose function is installed
-// again on its next call, and a unit that loses a member is unloaded whole,
-// so its members answer ErrUnloaded.  Functions placed below the mark (in
-// a hole an Uninstall left) stay resident.
+// It unloads, as Uninstall does, the unit of every function whose code
+// reaches above the mark, one placed across it included, so those units'
+// members answer ErrUnloaded.  Units wholly below the mark (in holes an
+// Uninstall left) stay resident.
 func (m *Machine) Release(mk Mark) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for mk.code >= m.codeBase && m.codeNext > mk.code {
-		if f := m.regions[len(m.regions)-1].fn; f.unit != nil && f.unit.m == m {
-			f.unit.unload()
-		} else {
-			m.remove(f)
-		}
+		m.regions[len(m.regions)-1].fn.unit.unload()
 	}
 	if mk.heap <= m.heapNext && mk.heap >= m.mem.Size()/2 {
 		m.heapNext = mk.heap
@@ -439,52 +435,57 @@ func sumWords(words []uint32) uint64 {
 	return ((h0*prime^h1)*prime^h2)*prime ^ h3
 }
 
-// Install places f (and, recursively, every generated function it
-// references) into simulated code memory and resolves its relocations.
-// Re-installing an installed, unmodified function is a no-op; if the
-// function's code was mutated since it was installed, or it is installed
-// on a different Machine, Install reports an error instead of silently
-// running stale code.
+// Install places f, resident nowhere, as a new unit of one (with the
+// functions it references that are resident nowhere either).  Installing
+// a resident, unmodified function is a no-op; if its code was mutated
+// since, or it is resident on a different Machine, Install reports an
+// error instead of silently running stale code.
 func (m *Machine) Install(f *Func) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.install(f)
+	return m.installLocked(f)
 }
 
-// Installed reports whether f is currently installed on this machine:
-// false after Uninstall, after its unit's Unload and after a Release took
-// it.
+// installLocked is Install for a caller that holds mu.
+func (m *Machine) installLocked(f *Func) error {
+	switch h := f.home(); {
+	case h == nil:
+		u := &Unit{m: m}
+		err := u.add(f)
+		if err != nil {
+			u.unload()
+		}
+		return err
+	case h != m:
+		return fmt.Errorf("machine: %s is installed on a different machine", f.Name)
+	case sumWords(f.Words) != f.sum:
+		return fmt.Errorf("machine: %s was mutated after install; Uninstall it first", f.Name)
+	}
+	return nil
+}
+
+// Installed reports whether f is resident on this machine.
 func (m *Machine) Installed(f *Func) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return f != nil && f.installed && f.owner == m
+	return f.home() == m
 }
 
-// Uninstall removes an installed function, returning its code region to a
-// free list that later installs reuse — the per-function reclamation path
-// a cache with out-of-order eviction needs, complementing the paper's
-// stack-style Mark/Release arena (§5.2).  Only f's own words are freed;
-// functions it references stay installed.  The caller must ensure nothing
-// resident still jumps into f.  The function itself stays valid and may be
-// installed again (here or on another machine).
+// Uninstall unloads f's unit (f alone, if Install placed it): out-of-order
+// reclamation beside the paper's stack-style Mark/Release (§5.2).  The
+// caller must ensure nothing resident still jumps into the unit; a member
+// of a unit already unloaded is a no-op.  f may be installed again (here
+// or on another machine), but a call no longer places it.
 func (m *Machine) Uninstall(f *Func) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.uninstall(f)
-}
-
-// uninstall is Uninstall for a caller that holds mu.
-func (m *Machine) uninstall(f *Func) error {
-	if f == nil {
+	switch {
+	case f == nil:
 		return fmt.Errorf("machine: uninstall of nil function")
+	case f.unit == nil || f.unit.m != m:
+		return fmt.Errorf("machine: uninstall %s: not installed on this machine", f.Name)
 	}
-	if !f.installed {
-		return fmt.Errorf("machine: uninstall %s: not installed", f.Name)
-	}
-	if f.owner != m {
-		return fmt.Errorf("machine: uninstall %s: installed on a different machine", f.Name)
-	}
-	m.remove(f)
+	f.unit.unload()
 	return nil
 }
 
@@ -496,7 +497,8 @@ type ArenaStats struct {
 	// (allocated span minus freed holes); CodeBytesHighWater is the
 	// bump-pointer high-water mark including holes.
 	CodeBytesResident, CodeBytesHighWater uint64
-	// FreeRegions is the current free-list length (fragmentation signal).
+	// FreeRegions counts the holes between resident functions below the
+	// high-water mark (fragmentation signal).
 	FreeRegions int
 	// HeapBytesUsed is the heap held by live allocations (dispatch
 	// tables, data sections): the bump pointer's extent minus the blocks
@@ -526,22 +528,9 @@ func (m *Machine) ArenaStats() ArenaStats {
 	return st
 }
 
+// install places f, whose unit Unit.add has just set, and is the one
+// thing that writes a function into the code region.  Caller holds mu.
 func (m *Machine) install(f *Func) error {
-	if f == nil {
-		return fmt.Errorf("machine: install of nil function")
-	}
-	if f.installed {
-		if f.owner != m {
-			return fmt.Errorf("machine: %s is installed on a different machine", f.Name)
-		}
-		if f.sumValid && sumWords(f.Words) != f.sum {
-			return fmt.Errorf("machine: %s was mutated after install; Uninstall it first", f.Name)
-		}
-		return nil
-	}
-	if f.unit != nil && f.unit.unloaded {
-		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
-	}
 	if f.BackendName != m.backend.Name() {
 		return fmt.Errorf("machine: %s code installed on %s machine", f.BackendName, m.backend.Name())
 	}
@@ -558,17 +547,10 @@ func (m *Machine) install(f *Func) error {
 		return err
 	}
 	f.addr = addr
-	f.installed = true
-	f.owner = m
-	f.sumValid = false
 	f.planCall(m.conv)
 	resolved, err := m.resolveRelocs(f)
-	var image []byte
 	if err == nil {
-		image, err = m.linkAndVerify(f, resolved)
-	}
-	if err == nil {
-		err = m.mem.WriteBytes(f.addr, image)
+		err = m.linkAndVerify(f, resolved)
 	}
 	if err != nil {
 		// Roll back so a rejected function neither leaks code space nor
@@ -578,7 +560,6 @@ func (m *Machine) install(f *Func) error {
 		return err
 	}
 	f.sum = sumWords(f.Words)
-	f.sumValid = true
 	name := f.Name
 	if name == "" {
 		name = fmt.Sprintf("func@%#x", addr)
@@ -614,10 +595,10 @@ type resolvedReloc struct {
 	target uint64
 }
 
-// resolveRelocs pins every relocation of f to an absolute target address,
-// recursively installing referenced functions that are not placed yet, so
-// a missing symbol or a callee that does not install is found before any
-// of f's words is patched.  Caller holds mu.
+// resolveRelocs pins every relocation of f to an absolute target address.
+// A referenced function resident nowhere joins f's unit first, so a
+// missing symbol or a callee that does not install is found before any of
+// f's words is patched.  Caller holds mu.
 func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 	if len(f.Relocs) == 0 {
 		return nil, nil
@@ -627,8 +608,10 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 		var target uint64
 		switch {
 		case r.Target != nil:
-			if err := m.install(r.Target); err != nil {
-				return nil, err
+			if r.Target.home() != m { // ErrOwned if it is another machine's
+				if err := f.unit.add(r.Target); err != nil {
+					return nil, err
+				}
 			}
 			base := r.Target.addr
 			switch {
@@ -658,46 +641,45 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 }
 
 // linkAndVerify patches f's words with the resolved relocation targets,
-// runs the pre-install verifier, and encodes the finished image in target
-// byte order.  Caller holds mu.
-func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc) ([]byte, error) {
-	buf := &Buf{w: f.Words}
-	for _, r := range resolved {
-		var err error
-		switch r.kind {
-		case RelocCall:
-			err = m.backend.PatchCall(buf, r.sites, f.addr, r.target)
-		case RelocAddr:
-			err = m.backend.PatchAddr(buf, r.sites, r.target)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("machine: relocating %s: %w", f.Name, err)
+// runs the pre-install verifier, and writes the finished words into f's
+// place in target byte order.  Caller holds mu.
+func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc) error {
+	if len(resolved) > 0 { // the patch buffer escapes: allocate it only when used
+		buf := &Buf{w: f.Words}
+		for _, r := range resolved {
+			var err error
+			switch r.kind {
+			case RelocCall:
+				err = m.backend.PatchCall(buf, r.sites, f.addr, r.target)
+			case RelocAddr:
+				err = m.backend.PatchAddr(buf, r.sites, r.target)
+			}
+			if err != nil {
+				return fmt.Errorf("machine: relocating %s: %w", f.Name, err)
+			}
 		}
 	}
 
 	if !m.verifyOff {
 		if err := m.verifyFunc(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	// Encode the finished words in target byte order.
-	image := make([]byte, 4*len(f.Words))
-	big := m.backend.BigEndian()
-	for i, w := range f.Words {
-		if big {
-			image[4*i] = byte(w >> 24)
-			image[4*i+1] = byte(w >> 16)
-			image[4*i+2] = byte(w >> 8)
-			image[4*i+3] = byte(w)
-		} else {
-			image[4*i] = byte(w)
-			image[4*i+1] = byte(w >> 8)
-			image[4*i+2] = byte(w >> 16)
-			image[4*i+3] = byte(w >> 24)
+	image, err := m.mem.Bytes(f.addr, 4*len(f.Words))
+	if err != nil {
+		return err
+	}
+	if m.backend.BigEndian() {
+		for i, w := range f.Words {
+			binary.BigEndian.PutUint32(image[4*i:], w)
+		}
+	} else {
+		for i, w := range f.Words {
+			binary.LittleEndian.PutUint32(image[4*i:], w)
 		}
 	}
-	return image, nil
+	return nil
 }
 
 // SetVerify enables or disables the pre-install code verifier.  It is on
@@ -790,9 +772,10 @@ type CallOpts struct {
 	Deadline time.Time
 }
 
-// Call installs f if needed, marshals args per the backend's default
-// calling convention, runs the simulator until the function returns, and
-// returns the typed result.
+// Call installs f as Install would if no unit has placed it yet (one that
+// left is ErrUnloaded), marshals args per the backend's default calling
+// convention, runs the simulator until the function returns, and returns
+// the typed result.
 func (m *Machine) Call(f *Func, args ...Value) (Value, error) {
 	return m.CallWith(context.Background(), CallOpts{}, f, args...)
 }
@@ -883,8 +866,8 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 		ts.SimCycles.Add(st.Cycles)
 	}
 	if trace.Enabled() {
-		var flow uint64
-		if f != nil {
+		var flow uint64 // f's machine alone assigns it, under its lock
+		if f.home() == m {
 			flow = f.lifecycleFlow()
 		}
 		trace.Record(trace.KindCall, backend, name, flow,
@@ -892,22 +875,16 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 	}
 }
 
-// callLocked is the hot body of a call: install-on-demand (ErrUnloaded for
-// a member of an unloaded unit), argument marshaling from the function's
-// call plan, the simulator run, and result extraction.  With ≤ callBufArgs
-// arguments nothing on the path allocates, for a resident function nothing
-// is laid out, and the backend is asked nothing.  The second result is the
-// simulated steps consumed (fuel).  fuel and stride are the call's
-// CallOpts.Fuel and PollStride; its Deadline is on ctx.  Caller holds mu.
+// callLocked is the hot body of a call: placement of a function never
+// placed, argument marshaling from the function's call plan, the simulator
+// run, and result extraction.  With ≤ callBufArgs arguments nothing on the
+// path allocates, for a resident function nothing is laid out, and the
+// backend is asked nothing.  The second result is the simulated steps
+// consumed (fuel).  fuel and stride are the call's CallOpts.Fuel and
+// PollStride; its Deadline is on ctx.  Caller holds mu.
 func (m *Machine) callLocked(ctx context.Context, fuel, stride uint64, f *Func, args []Value) (Value, uint64, error) {
-	if f == nil || !f.installed || f.owner != m {
-		// Slow path: install-on-demand (or surface the nil/wrong-machine
-		// error).  Already-resident functions skip install entirely: the
-		// mutation fingerprint is verified on explicit Install, and a
-		// call always executes the installed image, so a mutated Words
-		// slice cannot affect it — re-hashing every call would put an
-		// O(code size) scan on the warm path.
-		if err := m.install(f); err != nil {
+	if f.home() != m {
+		if err := m.placeForCall(f); err != nil {
 			return Value{}, 0, err
 		}
 	}
@@ -955,6 +932,16 @@ func (m *Machine) callLocked(ctx context.Context, fuel, stride uint64, f *Func, 
 	return m.result(f.Result), steps, nil
 }
 
+// placeForCall is callLocked's slow path, out of line to keep the warm path
+// lean (which never re-hashes the words: Install checks the fingerprint): a
+// function no unit has placed is installed, one that left never is again.
+func (m *Machine) placeForCall(f *Func) error {
+	if f != nil && f.unit != nil && f.unit.unloaded {
+		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+	}
+	return m.installLocked(f)
+}
+
 // callBufArgs is how many arguments the call path can marshal without
 // heap allocation; calls with more still work, spilling to the heap.
 const callBufArgs = 8
@@ -966,7 +953,11 @@ const callBufArgs = 8
 // stepping through it at the level of host-specific machine code") — the
 // disassembler is generated alongside the encoders, so client-added
 // instructions appear automatically.
-func (m *Machine) SetTrace(w io.Writer) { m.trace = w }
+func (m *Machine) SetTrace(w io.Writer) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.trace = w
+}
 
 // run steps the simulator from the PC callLocked set until the function
 // returns to haltAddr; plan is the called function's, for its entry body.

@@ -84,9 +84,10 @@ func (m *Machine) complete(f *Func, name string, b *exec.Body) {
 	m.bodyGen++
 }
 
-// remove is the one way out of the code region: Uninstall, Unit.Unload,
-// Release and a rejected install all take f's entry out here, with its
-// body, and forget where f was.  Caller holds mu.
+// remove is the one way out of the code region, as Machine.install is the
+// one way in: a unit's unload (Unload, Uninstall, Release) and a rejected
+// install take f's entry out here, with its body, and forget where f was.
+// Caller holds mu.
 func (m *Machine) remove(f *Func) {
 	i := m.find(f.addr)
 	r := m.regions[i]
@@ -99,7 +100,7 @@ func (m *Machine) remove(f *Func) {
 	m.spanMu.Unlock()
 	m.setCodeNext()
 	m.bodyGen++
-	f.unplace()
+	f.addr, f.plan = 0, callPlan{} // f forgets where it was
 	if r.name == "" {
 		return // a reservation: it never was resident
 	}

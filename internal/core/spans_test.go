@@ -43,7 +43,7 @@ func churnCost(t *testing.T, resident int) (allocs, bytes float64) {
 		install(churn)
 		uninstall()
 	}
-	cycle() // let the free list and the span slice reach their steady size
+	cycle() // let the region table reach its steady size
 	const runs = 200
 	allocs = testing.AllocsPerRun(runs, cycle)
 	var before, after runtime.MemStats
@@ -65,7 +65,10 @@ func churnCost(t *testing.T, resident int) (allocs, bytes float64) {
 //
 // The cycle is also held to what it allocated before install started
 // recording each function's call plan (4 allocations and 776 B): the plan
-// lives inline in the Func, so building it is free.
+// lives inline in the Func, so building it is free, and the unit of one
+// Install now places the function in (a Unit and its member slice) is paid
+// for by linking the words straight into memory, with no image buffer and
+// no patch buffer when there is nothing to patch.
 func TestInstallUninstallCostIndependentOfResidents(t *testing.T) {
 	t.Run("Install", func(t *testing.T) {
 		const maxAllocs, maxBytes = 4.0, 800.0

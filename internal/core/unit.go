@@ -2,28 +2,24 @@ package core
 
 import "fmt"
 
-// Unit is one program on a machine and the one owner of what the program
-// placed there: functions, function-pointer table, data blocks and names.
-// A front end builds into a unit; Unload returns every byte in one call
-// (§5.2's "easily reclaimed when the function is deallocated", for a program
-// of several pieces), and a member is then never installed again: calling
-// it is ErrUnloaded.  The machine's lock guards the unit, so Unload waits for
-// a running call.  A Release that takes one member unloads the whole unit.
+// Unit is one program on a machine, the one owner of what it placed there
+// (functions, function-pointer table, data blocks, names), and the one way
+// code gets in: Machine.Install and a never-placed function's first call
+// make a unit of one.  Unload — or an Uninstall or Release that takes one
+// member — returns every byte in one call (§5.2's "easily reclaimed when
+// the function is deallocated"), and a call of a member is then
+// ErrUnloaded.  The machine's lock guards the unit.
 type Unit struct {
-	m *Machine
-
-	fns       []*Func // members, in install order
-	codeBytes int64   // their summed SizeBytes
+	m        *Machine
+	unloaded bool
+	fns      []*Func // members, in install order
 	// table holds a pointer per member: slot i is fns[i]'s entry address.
 	table uint64
 	slots int
 	// blocks is what the unit allocated, the table included, each as
-	// {address, bytes asked for}; heapBytes is what they occupy.
-	blocks    [][2]uint64
-	first     [1][2]uint64 // where the first of blocks lives
-	heapBytes uint64
-	syms      map[string]uint64 // the unit's own names; nil until DefineSym
-	unloaded  bool
+	// {address, bytes asked for}.
+	blocks [][2]uint64
+	syms   map[string]uint64 // the unit's own names; nil until DefineSym
 }
 
 // NewUnit returns an empty program on m.
@@ -44,11 +40,7 @@ func (u *Unit) reserve(n, slots int) (uint64, error) {
 	}
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
-	if u.blocks == nil {
-		u.blocks = u.first[:0]
-	}
 	u.blocks = append(u.blocks, [2]uint64{addr, uint64(n)})
-	u.heapBytes += heapBlock(n)
 	if slots >= 0 {
 		u.table, u.slots, u.fns = addr, slots, make([]*Func, 0, slots)
 	}
@@ -74,30 +66,40 @@ func (u *Unit) DefineSym(sym string, addr uint64) error {
 	return nil
 }
 
-// Install makes fns members and places them in order, as Machine.Install
-// would, filling their table slots.  After an error the caller unloads.
+// Install makes fns members and places them in order, filling their table
+// slots; a generated function a member references that is resident nowhere
+// joins the unit ahead of it.  A function resident anywhere is refused
+// (ErrOwned); one whose earlier unit was unloaded may join.  After an error
+// the caller unloads.
 func (u *Unit) Install(fns ...*Func) error {
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
 	for _, f := range fns {
-		if f == nil {
-			return fmt.Errorf("machine: unit install of nil function")
-		}
-		if f.unit != nil || f.installed {
-			return fmt.Errorf("machine: unit install of %s: %w", f.Name, ErrOwned)
-		}
-		f.unit = u
-		if err := u.m.install(f); err != nil { // ErrUnloaded when u is
-			f.unit = nil
+		if err := u.add(f); err != nil {
 			return err
 		}
-		u.fns = append(u.fns, f)
-		u.codeBytes += int64(f.SizeBytes())
-		if slot, ptr := len(u.fns)-1, u.m.ptrBytes; slot < u.slots {
-			if err := u.m.mem.Store(u.table+uint64(slot*ptr), ptr, f.EntryAddr()); err != nil {
-				return err
-			}
-		}
+	}
+	return nil
+}
+
+// add places f as a member.  Caller holds the machine's lock.
+func (u *Unit) add(f *Func) error {
+	switch {
+	case f == nil:
+		return fmt.Errorf("machine: install of nil function")
+	case u.unloaded:
+		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+	case f.home() != nil:
+		return fmt.Errorf("machine: unit install of %s: %w", f.Name, ErrOwned)
+	}
+	f.unit = u
+	if err := u.m.install(f); err != nil {
+		f.unit = nil
+		return err
+	}
+	u.fns = append(u.fns, f)
+	if slot, ptr := len(u.fns)-1, u.m.ptrBytes; slot < u.slots {
+		return u.m.mem.Store(u.table+uint64(slot*ptr), ptr, f.EntryAddr())
 	}
 	return nil
 }
@@ -105,28 +107,40 @@ func (u *Unit) Install(fns ...*Func) error {
 // Funcs returns the members in install order (the unit's slice), CodeBytes
 // their summed SizeBytes (what a code-bounded cache charges), HeapBytes what
 // table and data occupy: for after the last Install, unchanged by Unload.
-func (u *Unit) Funcs() []*Func    { return u.fns }
-func (u *Unit) CodeBytes() int64  { return u.codeBytes }
-func (u *Unit) HeapBytes() uint64 { return u.heapBytes }
+func (u *Unit) Funcs() []*Func { return u.fns }
+func (u *Unit) CodeBytes() (n int64) {
+	for _, f := range u.fns {
+		n += int64(f.SizeBytes())
+	}
+	return n
+}
+func (u *Unit) HeapBytes() (n uint64) {
+	for _, b := range u.blocks {
+		n += heapBlock(int(b[1]))
+	}
+	return n
+}
 
 // Unload takes the program off the machine under one hold of its lock:
-// members still installed, then table, data and names.  Idempotent.
+// members, then table, data and names.  Idempotent.
 func (u *Unit) Unload() {
 	u.m.mu.Lock()
 	defer u.m.mu.Unlock()
 	u.unload()
 }
 
-// unload is Unload for a caller that holds the machine's lock.
+// unload is Unload for a caller that holds the machine's lock.  Every
+// member of a unit not yet unloaded is resident.
 func (u *Unit) unload() {
+	if u.unloaded {
+		return
+	}
 	u.unloaded = true
 	for _, f := range u.fns {
-		if f.installed && f.owner == u.m {
-			u.m.remove(f)
-		}
+		u.m.remove(f)
 	}
 	for _, b := range u.blocks {
 		_ = u.m.free(b[0], int(b[1])) // refuses only a block a Release took back
 	}
-	u.blocks, u.syms = nil, nil
+	u.syms = nil
 }

@@ -41,12 +41,11 @@ type DPF struct {
 	// flipping between configurations) reuses its machine code instead
 	// of recompiling; eviction unloads the stale classifier's unit, code
 	// and dispatch tables together.  When nil, every Install recompiles
-	// into a Mark/Release arena (the paper's original discipline).
+	// and unloads the previous classifier (the paper's original
+	// discipline).
 	cache *codecache.Cache
 
 	fn      *core.Func
-	mark    core.Mark
-	marked  bool
 	pktAddr uint64
 	pktCap  int
 
@@ -171,8 +170,8 @@ func buildTrie(filters []Filter) (*trieNode, error) {
 }
 
 // DisableCache switches the engine to the paper's original discipline:
-// every Install recompiles and the previous classifier's arena (code and
-// dispatch tables) is released wholesale.  Used by the compile-cost
+// every Install recompiles and the previous classifier's unit (code and
+// dispatch tables) is unloaded wholesale.  Used by the compile-cost
 // benchmark; not reversible.
 func (d *DPF) DisableCache() {
 	d.mu.Lock()
@@ -206,62 +205,43 @@ func filtersKey(filters []Filter, minHashEdges int, disableHash bool) string {
 }
 
 // Install compiles the filter set (the paper compiles at install time)
-// and makes it the active classifier.  With the cache enabled, a filter
-// set seen before reactivates its resident machine code without any code
-// generation; new sets compile once, each into one unit holding the
-// classifier and its dispatch tables, and a stale set's unit is unloaded
-// whole when the cache evicts it.
+// into one unit holding the classifier and its dispatch tables, and makes
+// it the active classifier.  With the cache enabled, a filter set seen
+// before reactivates its resident machine code without any code
+// generation, and a stale set's unit is unloaded whole when the cache
+// evicts it.  With it disabled, the previous classifier's unit is unloaded
+// first — deallocating a dynamic function frees all its storage (§5.2).
 func (d *DPF) Install(filters []Filter) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cache == nil {
-		return d.installFresh(filters)
+	compile := func() (*core.Func, error) {
+		root, err := buildTrie(filters)
+		if err != nil {
+			return nil, err
+		}
+		c := &dpfCompiler{d: d, a: core.NewAsm(d.backend), unit: d.machine.NewUnit()}
+		fn, err := c.compile(root)
+		if err == nil {
+			err = c.unit.Install(fn)
+		}
+		if err != nil {
+			c.unit.Unload()
+			return nil, err
+		}
+		return fn, nil
 	}
-	fn, err := d.cache.GetOrCompile(filtersKey(filters, d.MinHashEdges, d.DisableHash),
-		func() (*core.Func, error) {
-			root, err := buildTrie(filters)
-			if err != nil {
-				return nil, err
-			}
-			u := d.machine.NewUnit()
-			c := &dpfCompiler{d: d, a: core.NewAsm(d.backend), alloc: u.Alloc}
-			fn, err := c.compile(root)
-			if err == nil {
-				err = u.Install(fn)
-			}
-			if err != nil {
-				u.Unload()
-				return nil, err
-			}
-			return fn, nil
-		})
+	var fn *core.Func
+	var err error
+	if d.cache != nil {
+		fn, err = d.cache.GetOrCompile(filtersKey(filters, d.MinHashEdges, d.DisableHash), compile)
+	} else {
+		if d.fn != nil {
+			d.fn.Unit().Unload()
+			d.fn = nil
+		}
+		fn, err = compile()
+	}
 	if err != nil {
-		return err
-	}
-	d.fn = fn
-	return nil
-}
-
-// installFresh is the cache-disabled path: the previous classifier and
-// its dispatch tables are reclaimed — deallocating a dynamic function
-// frees all its storage (§5.2).
-func (d *DPF) installFresh(filters []Filter) error {
-	root, err := buildTrie(filters)
-	if err != nil {
-		return err
-	}
-	if d.marked {
-		d.fn = nil
-		d.machine.Release(d.mark)
-	}
-	d.mark = d.machine.Mark()
-	d.marked = true
-	c := &dpfCompiler{d: d, a: core.NewAsm(d.backend), alloc: d.machine.Alloc}
-	fn, err := c.compile(root)
-	if err != nil {
-		return err
-	}
-	if err := d.machine.Install(fn); err != nil {
 		return err
 	}
 	d.fn = fn
@@ -305,11 +285,9 @@ func (d *DPF) Micros(cycles uint64) float64 { return d.conf.Micros(cycles) }
 // --- the compiler ---
 
 type dpfCompiler struct {
-	d *DPF
-	a *core.Asm
-	// alloc reserves a dispatch table: the classifier's unit's Alloc, or the
-	// machine's inside installFresh's Mark/Release arena.
-	alloc func(n int) (uint64, error)
+	d    *DPF
+	a    *core.Asm
+	unit *core.Unit // the classifier's program: its dispatch tables go here
 
 	pkt  core.Reg
 	plen core.Reg
@@ -491,7 +469,7 @@ func (c *dpfCompiler) hashed(edges []trieEdge) error {
 	}
 
 	// Lay the key and id tables into simulated data memory.
-	table, err := c.alloc(8 * size)
+	table, err := c.unit.Alloc(8 * size)
 	if err != nil {
 		return err
 	}

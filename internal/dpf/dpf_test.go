@@ -268,3 +268,29 @@ func TestEvictedClassifierReturnsItsTables(t *testing.T) {
 		t.Errorf("evictions = %d, want %d: every install past the first eight evicts", m.Evictions, 8*sets-8)
 	}
 }
+
+// TestCacheOffInstallUnloadsThePrevious: with the cache off, every Install
+// compiles the classifier into a unit of its own and unloads the previous
+// one's, so the machine holds the active classifier and its tables alone.
+func TestCacheOffInstallUnloadsThePrevious(t *testing.T) {
+	d, err := NewDPF(mem.DEC5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DisableCache()
+	base := d.Machine().ArenaStats()
+	for round := 0; round < 16; round++ {
+		w := NewWorkload(7 + round%8)
+		if err := d.Install(w.Filters); err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(d, w); err != nil {
+			t.Fatal(err)
+		}
+		st, u := d.Machine().ArenaStats(), d.Func().Unit()
+		if st.Funcs != 1 || u.HeapBytes() == 0 || st.HeapBytesUsed != base.HeapBytesUsed+u.HeapBytes() {
+			t.Fatalf("round %d: %d functions, %d heap bytes in use; want 1 and %d + the classifier's %d",
+				round, st.Funcs, st.HeapBytesUsed, base.HeapBytesUsed, u.HeapBytes())
+		}
+	}
+}

@@ -250,7 +250,7 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 			park(math.MaxInt64)
 			return
 		}
-		if err := ad.m.Core().NewUnit().Install(fn3); err != nil {
+		if err := ad.m.Core().Install(fn3); err != nil { // a unit of one
 			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "install-error"})
 			park(ad.hot.Get(key) + cfg.Cooldown)
 			return

@@ -3,8 +3,11 @@ package regtest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -123,9 +126,11 @@ func TestEvictedCallKeepsTrace(t *testing.T) {
 	if err := m.Core().Uninstall(fn); err != nil {
 		t.Fatal(err)
 	}
-	// Post-eviction the machine reinstalls on demand; force the
-	// not-installed path through the core call instead.
-	var evictSeen bool
+	// An evicted function is never placed again: the call fails.
+	if _, _, err := m.Run(fn, 5); !errors.Is(err, core.ErrUnloaded) {
+		t.Fatalf("call after eviction: %v, want ErrUnloaded", err)
+	}
+	var evictSeen, failedCall bool
 	for _, s := range trace.Spans() {
 		if s.Flow == fn.TraceFlow() && s.Kind == trace.KindEvict {
 			evictSeen = true
@@ -133,8 +138,9 @@ func TestEvictedCallKeepsTrace(t *testing.T) {
 				t.Error("evict span carries no reclaimed-bytes attribute")
 			}
 		}
+		failedCall = failedCall || s.Kind == trace.KindCall && strings.Contains(s.Attrs.Err, core.ErrUnloaded.Error())
 	}
-	if !evictSeen {
-		t.Fatal("no evict span for uninstalled function")
+	if !evictSeen || !failedCall {
+		t.Fatalf("evict span %v, failed call span %v; want both", evictSeen, failedCall)
 	}
 }

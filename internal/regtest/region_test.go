@@ -54,12 +54,12 @@ func call(m *core.Machine, f *core.Func) (int64, error) {
 }
 
 // Release takes what it reclaims: every function whose code reaches above
-// the mark is no longer installed afterwards, whoever holds a handle to it.
-// Before, a released function still claimed to be installed, so its handle
-// ran whatever was placed at its old address next, and its Uninstall freed
-// that occupant's code; and a function placed across the mark (in the hole
-// an Uninstall left below it) kept running while the next install landed
-// inside it.
+// the mark is no longer installed afterwards, whoever holds a handle to it,
+// and a call of that handle is ErrUnloaded.  Before, a released function
+// still claimed to be installed, so its handle ran whatever was placed at
+// its old address next, and its Uninstall freed that occupant's code; and
+// a function placed across the mark (in the hole an Uninstall left below
+// it) kept running while the next install landed inside it.
 func TestReleaseTakesWhatItReclaims(t *testing.T) {
 	for _, tg := range Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
@@ -82,8 +82,8 @@ func TestReleaseTakesWhatItReclaims(t *testing.T) {
 				if f2.Addr() != old {
 					t.Fatalf("f2 at %#x, want the released %#x", f2.Addr(), old)
 				}
-				if v, err := call(m, f1); err != nil || v != 11 {
-					t.Errorf("f1(10) = %d, %v after f2 took its address; want 11", v, err)
+				if v, err := call(m, f1); !errors.Is(err, core.ErrUnloaded) {
+					t.Errorf("f1(10) = %d, %v after f2 took its address; want ErrUnloaded", v, err)
 				}
 				if v, err := call(m, f2); err != nil || v != 1010 {
 					t.Errorf("f2(10) = %d, %v; want 1010", v, err)
@@ -101,8 +101,8 @@ func TestReleaseTakesWhatItReclaims(t *testing.T) {
 				if err := m.Install(f2); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Uninstall(f1); err == nil {
-					t.Errorf("Uninstall of the released f1 succeeded (f2 lives at %#x)", f2.Addr())
+				if err := m.Uninstall(f1); err != nil || !m.Installed(f2) {
+					t.Errorf("Uninstall of the released f1: %v, f2 at %#x resident %v; want nil and f2 untouched", err, f2.Addr(), m.Installed(f2))
 				}
 				if err := m.Install(f3); err != nil {
 					t.Fatal(err)
@@ -143,10 +143,13 @@ func TestReleaseTakesWhatItReclaims(t *testing.T) {
 				for _, w := range []struct {
 					f    *core.Func
 					want int64
-				}{{c, 46}, {a, 11}, {d, 13}} {
+				}{{a, 11}, {d, 13}} {
 					if v, err := call(m, w.f); err != nil || v != w.want {
 						t.Errorf("%s(10) = %d, %v; want %d (d at %#x)", w.f.Name, v, err, w.want, d.Addr())
 					}
+				}
+				if v, err := call(m, c); !errors.Is(err, core.ErrUnloaded) {
+					t.Errorf("c(10) = %d, %v after the Release took it; want ErrUnloaded", v, err)
 				}
 				if err := overlap(m.FuncSpans()); err != nil {
 					t.Error(err)
@@ -185,12 +188,12 @@ type modelFn struct {
 	f          *core.Func
 	want       int64 // f(10)
 	size, addr uint64
-	unit       *modelUnit // nil for a loose function
+	unit       *modelUnit // the program that placed it last; nil until one has
 	live       bool
 }
 
 type modelUnit struct {
-	u        *core.Unit
+	u        *core.Unit // nil for a unit of one that Install or a first call made
 	members  []*modelFn
 	unloaded bool
 }
@@ -198,10 +201,12 @@ type modelUnit struct {
 // regionModel is the code region's placement policy written down
 // independently of the machine: a function goes at the lowest of codeBase
 // and the live functions' ends where its bytes are free (first fit, else
-// the top), Release takes every function reaching above the mark, and a
-// unit that loses a member loses them all.
+// the top); Install, or the first call of a function never placed, makes
+// it a unit of one; Uninstall and Release take a function's whole unit,
+// Release every one reaching above the mark; and a call never places a
+// function that left.
 type regionModel struct {
-	fns []*modelFn // the loose pool, then the members of units not unloaded
+	fns []*modelFn // the pool, then the members of units not unloaded
 	// What the Releases took: functions, those of them placed across the
 	// mark, and units.
 	taken, across, units int
@@ -249,12 +254,13 @@ func (md *regionModel) release(mark uint64) {
 			if f.addr < mark {
 				md.across++
 			}
-			if f.unit != nil {
-				md.units++
-				md.unload(f.unit)
+			for _, g := range f.unit.members {
+				if g.live {
+					md.taken++
+				}
 			}
-			md.taken++
-			f.live = false
+			md.units++
+			md.unload(f.unit)
 		}
 	}
 }
@@ -287,13 +293,20 @@ func (md *regionModel) live() []*modelFn {
 }
 
 // check holds the machine to the model: every function's residence and
-// address, the arena counters, the published spans, the predecoded bodies
-// and every live function's result.
+// address, that a live unit of its program on this machine placed every
+// resident function, the arena counters, the published spans, the
+// predecoded bodies and every live function's result.
 func (md *regionModel) check(m *core.Machine, heap uint64) error {
 	live := md.live()
 	for _, f := range md.fns {
 		if m.Installed(f.f) != f.live || (f.live && f.f.Addr() != f.addr) {
 			return fmt.Errorf("%s: installed %v at %#x, model says %v at %#x", f.f.Name, m.Installed(f.f), f.f.Addr(), f.live, f.addr)
+		}
+	}
+	for _, f := range live {
+		u := f.f.Unit()
+		if u == nil || !slices.Contains(u.Funcs(), f.f) || len(u.Funcs()) != len(f.unit.members) || (f.unit.u != nil && u != f.unit.u) {
+			return fmt.Errorf("%s is resident, but no live unit of its %d-function program placed it (unit %p)", f.f.Name, len(f.unit.members), u)
 		}
 	}
 	if st, want := m.ArenaStats(), md.stats(heap); st != want {
@@ -327,8 +340,9 @@ func (md *regionModel) check(m *core.Machine, heap uint64) error {
 // stream of installs of varied sizes, uninstalls, nested Mark/Release,
 // unit installs and unloads and calls, and holds it to regionModel after
 // every operation.  The "install-uninstall" stream uses neither Mark nor
-// units; its placement hash (every address and arena counter, op by op) is
-// the same before and after the region table replaced the free list.
+// multi-function units; its placement hash (every address and arena
+// counter, op by op) is the same before and after the region table
+// replaced the free list, and before and after Install made units of one.
 func TestCodeRegionAgainstModel(t *testing.T) {
 	ops := 20000
 	if testing.Short() {
@@ -371,24 +385,20 @@ func runRegionModel(t *testing.T, tg Target, ops int, full bool) {
 	drop := func() error {
 		for _, u := range units {
 			for _, f := range u.members {
-				if !u.unloaded {
-					break
-				}
-				if _, err := call(m, f.f); !errors.Is(err, core.ErrUnloaded) {
+				if _, err := call(m, f.f); u.unloaded && !errors.Is(err, core.ErrUnloaded) {
 					return fmt.Errorf("%s of an unloaded unit: call err %v", f.f.Name, err)
 				}
 			}
 		}
-		md.fns = slices.DeleteFunc(md.fns, func(f *modelFn) bool { return f.unit != nil && f.unit.unloaded })
+		md.fns = append(md.fns[:pool], slices.DeleteFunc(md.fns[pool:], func(f *modelFn) bool { return f.unit.unloaded })...)
 		units = slices.DeleteFunc(units, func(u *modelUnit) bool { return u.unloaded })
 		return nil
 	}
-	// install is an Install (or a call's install on demand) of a function
-	// the model says is not resident.
-	install := func(f *modelFn) {
-		if !f.live && (f.unit == nil || !f.unit.unloaded) {
-			md.place(f)
-		}
+	// placeOne is an Install, or the first call, of a pool function the
+	// model says is not resident: a unit of one.
+	placeOne := func(f *modelFn) {
+		f.unit = &modelUnit{members: []*modelFn{f}}
+		md.place(f)
 	}
 	h := fnv.New64a()
 	for op := 0; op < ops; op++ {
@@ -403,21 +413,27 @@ func runRegionModel(t *testing.T, tg Target, ops int, full bool) {
 		case r < 30:
 			f = md.fns[rng.Intn(pool)]
 			what = "install " + f.f.Name
-			install(f)
+			if !f.live {
+				placeOne(f)
+			}
 			err = m.Install(f.f)
 		case r < 55:
 			what = "uninstall " + f.f.Name
-			if err = m.Uninstall(f.f); (err == nil) != f.live {
-				err = fmt.Errorf("Uninstall = %v with the model saying resident=%v", err, f.live)
-			} else {
-				err, f.live = nil, false
+			if err = m.Uninstall(f.f); (err == nil) != (f.unit != nil) {
+				err = fmt.Errorf("Uninstall = %v with the model saying placed=%v", err, f.unit != nil)
+			} else if err = nil; f.unit != nil {
+				md.unload(f.unit)
 			}
 		case r < 65:
 			what = "call " + f.f.Name
-			install(f)
+			if f.unit == nil {
+				placeOne(f)
+			}
 			var v int64
-			if v, err = call(m, f.f); f.unit != nil && f.unit.unloaded {
-				if errors.Is(err, core.ErrUnloaded) {
+			if v, err = call(m, f.f); f.unit.unloaded {
+				if !errors.Is(err, core.ErrUnloaded) {
+					err = fmt.Errorf("= %d, %v from a function that left; want ErrUnloaded", v, err)
+				} else {
 					err = nil
 				}
 			} else if err == nil && v != f.want {
@@ -434,7 +450,7 @@ func runRegionModel(t *testing.T, tg Target, ops int, full bool) {
 				u.members = append(u.members, mf)
 				md.fns = append(md.fns, mf)
 				fns = append(fns, mf.f)
-				install(mf)
+				md.place(mf)
 			}
 			units = append(units, u)
 			what = fmt.Sprintf("unit install of %d", len(fns))

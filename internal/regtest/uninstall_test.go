@@ -25,9 +25,8 @@ func buildAdd(t *testing.T, tg Target, k int64) *core.Func {
 }
 
 // TestUninstallFreesAndReuses pins the per-function reclamation path on
-// every target: Uninstall returns the code region to a free list, a
-// same-size install reuses the hole, and surviving functions keep
-// working.
+// every target: Uninstall returns the code region, a same-size install
+// reuses the hole, and surviving functions keep working.
 func TestUninstallFreesAndReuses(t *testing.T) {
 	for _, tg := range Targets() {
 		tg := tg
@@ -54,8 +53,8 @@ func TestUninstallFreesAndReuses(t *testing.T) {
 			if r := m.ArenaStats().CodeBytesResident; r >= two {
 				t.Errorf("resident %d did not shrink from %d", r, two)
 			}
-			if err := m.Uninstall(f1); err == nil {
-				t.Error("double Uninstall succeeded")
+			if err := m.Uninstall(f1); err != nil || !m.Installed(f2) {
+				t.Errorf("second Uninstall of f1: %v, f2 resident %v; want a no-op", err, m.Installed(f2))
 			}
 
 			// The freed hole is reused by a same-size install.

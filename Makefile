@@ -27,7 +27,7 @@ soak:
 # The vcoded codegen server, warm-cache snapshot on, lifecycle tracing
 # served at /trace.  curl examples in README.md.
 run-server:
-	go run ./cmd/vcoded -addr :8753 -snapshot vcoded.snap -trace
+	go run ./cmd/vcoded -addr :8753 -snapshot vcoded.snap
 
 # Mixed-tenant server soak: an in-process vcoded with deterministic fault
 # injection, every failure must come back typed, zero panics tolerated.

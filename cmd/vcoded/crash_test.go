@@ -310,18 +310,18 @@ func fetchBundle(client *http.Client, base string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// flightEvent is the slice of a flight-recorder event the harness checks
+// bundleRecord is the slice of a recorder record the harness checks
 // (decoded from bundle JSON, not linked against the package, so this
 // also pins the wire format).
-type flightEvent struct {
-	Stage   string `json:"stage"`
+type bundleRecord struct {
+	Kind    string `json:"kind"`
 	ReqID   string `json:"request_id"`
 	Verdict string `json:"verdict"`
 	LSN     uint64 `json:"lsn"`
 }
 
-// bundleFlightEvents decodes the flight-recorder ring out of a bundle.
-func bundleFlightEvents(bundle []byte) ([]flightEvent, error) {
+// bundleRecords decodes the recorder's ring out of a bundle.
+func bundleRecords(bundle []byte) ([]bundleRecord, error) {
 	gz, err := gzip.NewReader(bytes.NewReader(bundle))
 	if err != nil {
 		return nil, fmt.Errorf("bundle not gzip: %v", err)
@@ -330,17 +330,17 @@ func bundleFlightEvents(bundle []byte) ([]flightEvent, error) {
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
-			return nil, fmt.Errorf("bundle has no flight.json")
+			return nil, fmt.Errorf("bundle has no events.json")
 		}
 		if err != nil {
 			return nil, fmt.Errorf("bundle tar: %v", err)
 		}
-		if hdr.Name != "flight.json" {
+		if hdr.Name != "events.json" {
 			continue
 		}
-		var events []flightEvent
+		var events []bundleRecord
 		if err := json.NewDecoder(tr).Decode(&events); err != nil {
-			return nil, fmt.Errorf("flight.json: %v", err)
+			return nil, fmt.Errorf("events.json: %v", err)
 		}
 		return events, nil
 	}
@@ -348,7 +348,7 @@ func bundleFlightEvents(bundle []byte) ([]flightEvent, error) {
 
 // verifyFlightChain drives one fresh durably-acked exec with a known
 // request ID against the finale child, pulls its diagnostic bundle, and
-// asserts the flight ring reconstructs the complete
+// asserts the recorder's ring reconstructs the complete
 // admit→journal→compile→exec→outcome chain for that request — the
 // incident-debugging contract: any durable ack is explainable from a
 // bundle alone.
@@ -365,7 +365,7 @@ func verifyFlightChain(client *http.Client, base string, keyCtr *atomic.Int64) (
 	if err != nil {
 		return "", err
 	}
-	events, err := bundleFlightEvents(bundle)
+	events, err := bundleRecords(bundle)
 	if err != nil {
 		return "", err
 	}
@@ -375,8 +375,8 @@ func verifyFlightChain(client *http.Client, base string, keyCtr *atomic.Int64) (
 		if e.ReqID != reqID {
 			continue
 		}
-		got = append(got, e.Stage+":"+e.Verdict)
-		if e.Stage == "journal" {
+		got = append(got, e.Kind+":"+e.Verdict)
+		if e.Kind == "journal" {
 			lsn = e.LSN
 		}
 	}
@@ -504,7 +504,7 @@ func crashSoak(t *testing.T, seed int64) (flipCycles int) {
 	}
 	t.Logf("%d cycles (%d chaos, %d bit-flip): all %d acked keys served by the finale, %d verifications, %d dropped with a flipped journal generation, recovery_ms=%d, resharded=%d, ledger %dB conserved",
 		cycles, chaosCycles, flipCycles, len(ledger), verified, dropped, stats.RecoveryMS, stats.Resharded, tenantBytes)
-	t.Logf("flight chain reconstructed for %s", chain)
+	t.Logf("request chain reconstructed for %s", chain)
 	return flipCycles
 }
 

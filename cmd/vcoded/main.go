@@ -27,15 +27,15 @@
 // Observability rides on the same listener: /metrics, /metrics.json,
 // /debug/vars, /debug/pprof/*, /trace, /trace.txt, /healthz, /readyz,
 // /v1/stats, and /debug/bundle — a one-request gzipped diagnostic
-// archive (flight-recorder ring + exemplars, metrics, trace, goroutine
-// dump, shard stats, journal positions).  The flight recorder (-flight,
-// on by default) records every request's admission/cache/journal/exec
-// decision chain into a lock-light ring; SIGQUIT writes a bundle to
-// -bundle-dir without stopping the server, and a panic on the serve
-// path writes one on the way down.  The SLO watchdog (-slo-p99,
-// -slo-error-rate, -slo-window) tracks windowed p99 latency and
-// server-fault error rate per tenant and globally, exports slo.*
-// gauges, and annotates /readyz with "degraded:" reasons while an
+// archive (the recorder's ring + exemplars, metrics, goroutine dump,
+// shard stats, journal positions).  The recorder (-record, on by
+// default) keeps every request's admit/cache/journal/exec/outcome chain
+// and the compile→…→call lifecycle of the code it ran in one ring;
+// SIGQUIT writes a bundle to -bundle-dir without stopping the server,
+// and a panic on the serve path writes one on the way down.  The SLO
+// watchdog (-slo-p99, -slo-error-rate, -slo-window) tracks windowed p99
+// latency and server-fault error rate per tenant and globally, exports
+// slo.* gauges, and annotates /readyz with "degraded:" reasons while an
 // objective is breached.
 //
 // Logs are structured (log/slog) with -log-format=text|json; request
@@ -62,7 +62,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/flightrec"
 	"repro/internal/server"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
@@ -111,8 +110,7 @@ func main() {
 		chaosJrnlSync  = flag.Float64("chaos-journal-sync-rate", 0, "injected journal fsync-failure probability")
 		chaosCompile   = flag.Float64("chaos-compile-rate", 0, "injected compile-failure probability")
 
-		traceOn  = flag.Bool("trace", false, "record lifecycle spans (serve at /trace)")
-		flightOn = flag.Bool("flight", true, "record per-request flight events (served in /debug/bundle)")
+		recordOn = flag.Bool("record", true, "record request chains and code lifecycles (served at /trace and in /debug/bundle)")
 
 		bundleDir = flag.String("bundle-dir", ".", "directory for SIGQUIT/panic diagnostic bundles")
 
@@ -146,10 +144,7 @@ func main() {
 	slog.SetDefault(logger)
 
 	telemetry.SetEnabled(true)
-	if *traceOn {
-		trace.SetEnabled(true)
-	}
-	flightrec.SetEnabled(*flightOn)
+	trace.SetEnabled(*recordOn)
 	if *journalPath != "" && *snapshot == "" {
 		fatal("-journal requires -snapshot (the file checkpoints compact into)")
 	}

@@ -1,6 +1,9 @@
 package repro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -30,12 +33,21 @@ var (
 	makeRE     = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	targetRE   = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	bracesRE   = regexp.MustCompile(`\{([^{}]*)\}`)
+	identRE    = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 )
 
+// stdlibNamesakes are qualified names a document may cite from a standard
+// package that shares its name with one of the tree's.
+var stdlibNamesakes = map[string]bool{
+	"exec.Command": true, // os/exec
+	"trace.Start":  true, // runtime/trace
+}
+
 // TestDocsNameWhatExists is `make doccheck`: every internal/, cmd/ or
-// examples/ path, `make` target and Test/Benchmark/Fuzz name that a
-// describing document puts in backticks or a code block is one the tree
-// has.  A test name may be a prefix, as in a -run pattern.
+// examples/ path, `make` target, Test/Benchmark/Fuzz name and pkg.Ident
+// (pkg a package directory under internal/ or cmd/) that a describing
+// document puts in backticks or a code block is one the tree has.  A test
+// name may be a prefix, as in a -run pattern.
 func TestDocsNameWhatExists(t *testing.T) {
 	var tests []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -59,6 +71,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	for _, m := range targetRE.FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
 	}
+	decls := declarations(t)
 
 	for _, doc := range describingDocs(t) {
 		src, err := os.ReadFile(doc)
@@ -84,8 +97,65 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s names %s, which no test file declares", doc, name)
 				}
 			}
+			for _, m := range identRE.FindAllStringSubmatch(c, -1) {
+				if names, ok := decls[m[1]]; ok && !names[m[2]] && !stdlibNamesakes[m[0]] {
+					t.Errorf("%s names %s, which package %s does not declare", doc, m[0], m[1])
+				}
+			}
 		}
 	}
+}
+
+// declarations maps the name of every package directory under internal/
+// and cmd/ to the top-level identifiers its non-test files declare.
+func declarations(t *testing.T) map[string]map[string]bool {
+	decls := map[string]map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+				return !strings.HasSuffix(fi.Name(), "_test.go")
+			}, parser.SkipObjectResolution)
+			if err != nil || len(pkgs) == 0 {
+				return err
+			}
+			names := decls[filepath.Base(dir)]
+			if names == nil {
+				names = map[string]bool{}
+				decls[filepath.Base(dir)] = names
+			}
+			for _, p := range pkgs {
+				for _, f := range p.Files {
+					for _, d := range f.Decls {
+						switch d := d.(type) {
+						case *ast.FuncDecl:
+							if d.Recv == nil {
+								names[d.Name.Name] = true
+							}
+						case *ast.GenDecl:
+							for _, sp := range d.Specs {
+								switch sp := sp.(type) {
+								case *ast.TypeSpec:
+									names[sp.Name.Name] = true
+								case *ast.ValueSpec:
+									for _, n := range sp.Names {
+										names[n.Name] = true
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return decls
 }
 
 // docPaths returns the internal/, cmd/ and examples/ paths in a code span,

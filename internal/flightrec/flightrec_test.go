@@ -1,207 +1,107 @@
 package flightrec
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/trace"
 )
 
-// withRecording flips the gate for one test and restores the prior
-// state (plus a clean ring) afterwards.
-func withRecording(t *testing.T, on bool) {
-	t.Helper()
-	prev := Enabled()
-	SetEnabled(on)
-	Reset()
-	t.Cleanup(func() {
-		SetEnabled(prev)
-		Reset()
-		SetWindow(60 * time.Second)
-	})
-}
+// The bench measures request recording by this package's switch, so the
+// forwards must switch and clear the one recorder.
 
 func TestDisabledZeroAlloc(t *testing.T) {
-	withRecording(t, false)
-	allocs := testing.AllocsPerRun(1000, func() {
-		fr := Begin("r1", "acme")
-		fr.Event(StageAdmit, Event{Verdict: "ok", Shard: 2, Priority: 5})
-		fr.Event(StageExec, Event{Verdict: "ok", Fuel: 100})
-		fr.Finish("ok", "", 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled flight recording allocated %v times per request, want 0", allocs)
+	SetEnabled(false)
+	if n := testing.AllocsPerRun(1000, func() {
+		r := trace.BeginRequest("r1", "acme")
+		r.Record(trace.Span{Kind: trace.KindAdmit, Attrs: trace.Attrs{Verdict: "ok", Shard: 2, Priority: 5}})
+		r.Finish(0, trace.Attrs{Verdict: "ok"})
+	}); n != 0 {
+		t.Fatalf("disabled request recording allocated %v times per request, want 0", n)
 	}
 }
 
 func TestChainRecorded(t *testing.T) {
-	withRecording(t, true)
-	fr := Begin("r42", "acme")
-	fr.Event(StageAdmit, Event{Verdict: "ok", Shard: 1, Priority: 7, Key: "k1"})
-	fr.Event(StageCache, Event{Verdict: "compiled", Shard: 1, Key: "k1"})
-	fr.Event(StageJournal, Event{Verdict: "durable", LSN: 9, Shard: 1, Key: "k1"})
-	fr.Event(StageExec, Event{Verdict: "ok", Detail: "threaded", Fuel: 123, Shard: 1})
-	fr.Finish("ok", "", 77)
-
-	evs := Events()
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5", len(evs))
+	SetEnabled(true)
+	Reset()
+	t.Cleanup(func() { SetEnabled(false); Reset() })
+	r := trace.BeginRequest("r42", "acme")
+	r.Record(trace.Span{Kind: trace.KindAdmit, Attrs: trace.Attrs{Verdict: "ok"}})
+	r.Finish(7, trace.Attrs{Verdict: "ok"})
+	spans := trace.Spans()
+	if len(spans) != 2 || spans[0].ReqID != "r42" || spans[1].Kind != trace.KindOutcome || spans[1].Flow != 7 {
+		t.Fatalf("ring after one request = %+v, want its admit and outcome records", spans)
 	}
-	wantStages := []Stage{StageAdmit, StageCache, StageJournal, StageExec, StageOutcome}
-	for i, ev := range evs {
-		if ev.Stage != wantStages[i] {
-			t.Fatalf("event %d stage %v, want %v", i, ev.Stage, wantStages[i])
-		}
-		if ev.ReqID != "r42" || ev.Tenant != "acme" {
-			t.Fatalf("event %d identity %q/%q, want r42/acme", i, ev.ReqID, ev.Tenant)
-		}
-		if ev.Seq != uint64(i) {
-			t.Fatalf("event %d seq %d", i, ev.Seq)
-		}
-	}
-	if evs[2].LSN != 9 {
-		t.Fatalf("journal event LSN %d, want 9", evs[2].LSN)
-	}
-	if evs[3].Fuel != 123 || evs[3].Detail != "threaded" {
-		t.Fatalf("exec event fuel/engine = %d/%q", evs[3].Fuel, evs[3].Detail)
-	}
-	if evs[4].DurNS <= 0 {
-		t.Fatalf("outcome event has no duration")
+	Reset()
+	if n := len(trace.Spans()); n != 0 {
+		t.Fatalf("Reset left %d records", n)
 	}
 }
 
-func TestStageJSONNames(t *testing.T) {
-	raw, err := json.Marshal(Event{Stage: StageJournal, Verdict: "durable"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m["stage"] != "journal" {
-		t.Fatalf("stage marshaled as %v, want \"journal\"", m["stage"])
-	}
-}
-
-// TestRingConcurrent hammers the ring from many writers while readers
-// snapshot it, mirroring the trace ring race test: every snapshot must
-// hold contiguous sequence numbers and no torn events (an event's
-// request ID must match its verdict's writer).
+// TestRingConcurrent runs request writers under this package's switch
+// while readers snapshot the ring and the exemplars: every snapshot is
+// contiguous, no record is torn, and a full ring stays full without
+// growing (run under -race in CI).
 func TestRingConcurrent(t *testing.T) {
-	withRecording(t, true)
+	SetEnabled(true)
+	Reset()
+	t.Cleanup(func() { SetEnabled(false); Reset() })
 	const writers, perWriter = 8, 2000
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			id := fmt.Sprintf("w%d", w)
 			for i := 0; i < perWriter; i++ {
-				fr := Begin(id, id)
-				fr.Event(StageAdmit, Event{Verdict: id, Shard: int32(w), Priority: int8(w)})
-				fr.Finish("ok", "", 0)
+				r := trace.BeginRequest(id, id)
+				r.Record(trace.Span{Kind: trace.KindAdmit, Attrs: trace.Attrs{Verdict: id, Shard: int32(w), Priority: int8(w)}})
+				r.Finish(0, trace.Attrs{Verdict: "ok"})
 			}
 		}(w)
 	}
+	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for {
+			// A bounded number of snapshots, so copying the ring under its
+			// lock cannot starve the writers.
+			for n := 0; n < 100; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				evs := Events()
-				for i := 1; i < len(evs); i++ {
-					if evs[i].Seq != evs[i-1].Seq+1 {
-						t.Errorf("non-contiguous seq %d after %d", evs[i].Seq, evs[i-1].Seq)
+				spans := trace.Spans()
+				for i := 1; i < len(spans); i++ {
+					if spans[i].Seq != spans[i-1].Seq+1 {
+						t.Errorf("non-contiguous seq %d after %d", spans[i].Seq, spans[i-1].Seq)
 						return
 					}
 				}
-				for _, ev := range evs {
-					if ev.Stage == StageAdmit && ev.Verdict != ev.ReqID {
-						t.Errorf("torn event: request %q verdict %q", ev.ReqID, ev.Verdict)
+				for _, s := range spans {
+					if s.Kind == trace.KindAdmit && s.Verdict != s.ReqID {
+						t.Errorf("torn record: request %q verdict %q", s.ReqID, s.Verdict)
 						return
 					}
 				}
-				_ = Exemplars()
+				_ = trace.Exemplars()
 			}
 		}()
 	}
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	if Len() != ringCap {
-		t.Fatalf("ring holds %d events after %d records, want full %d", Len(), writers*perWriter*3, ringCap)
+	full := len(trace.Spans())
+	if full == 0 || full >= writers*perWriter*2 {
+		t.Fatalf("ring holds %d records after %d, want a bounded, non-empty window", full, writers*perWriter*2)
 	}
-}
-
-func TestExemplarErroredRetention(t *testing.T) {
-	withRecording(t, true)
-	for i := 0; i < errCap+5; i++ {
-		fr := Begin(fmt.Sprintf("e%d", i), "t")
-		fr.Event(StageAdmit, Event{Verdict: "ok"})
-		fr.Finish("sim_panic", "boom", 0)
-	}
-	set := Exemplars()
-	if len(set.Errored) != errCap {
-		t.Fatalf("got %d errored exemplars, want the %d most recent", len(set.Errored), errCap)
-	}
-	// Oldest first: the first 5 must have aged out.
-	if set.Errored[0].ReqID != "e5" {
-		t.Fatalf("oldest retained errored exemplar is %s, want e5", set.Errored[0].ReqID)
-	}
-	last := set.Errored[len(set.Errored)-1]
-	if last.Outcome != "sim_panic" || len(last.Events) != 2 {
-		t.Fatalf("exemplar outcome %q with %d events, want sim_panic with full 2-event chain", last.Outcome, len(last.Events))
-	}
-}
-
-func TestExemplarSlowestWindow(t *testing.T) {
-	withRecording(t, true)
-	SetWindow(time.Hour) // no rotation during the test
-	// More ok requests than slots: only the slowest survive.  Durations
-	// are faked by backdating the start time.
-	for i := 0; i < slowCap*3; i++ {
-		fr := Begin(fmt.Sprintf("s%d", i), "t")
-		fr.start = time.Now().Add(-time.Duration(i+1) * time.Millisecond)
-		fr.Event(StageAdmit, Event{Verdict: "ok"})
-		fr.Finish("ok", "", uint64(i))
-	}
-	set := Exemplars()
-	if len(set.Slowest) != slowCap {
-		t.Fatalf("got %d slowest exemplars, want %d", len(set.Slowest), slowCap)
-	}
-	for i := 1; i < len(set.Slowest); i++ {
-		if set.Slowest[i].DurNS > set.Slowest[i-1].DurNS {
-			t.Fatalf("slowest set unsorted at %d", i)
-		}
-	}
-	// The slowest request was the last one submitted (largest backdate).
-	if want := fmt.Sprintf("s%d", slowCap*3-1); set.Slowest[0].ReqID != want {
-		t.Fatalf("slowest exemplar is %s, want %s", set.Slowest[0].ReqID, want)
-	}
-	if set.Slowest[0].Flow != uint64(slowCap*3-1) {
-		t.Fatalf("exemplar lost its flow/span ID")
-	}
-}
-
-func TestWindowRotation(t *testing.T) {
-	withRecording(t, true)
-	SetWindow(time.Nanosecond) // every Finish rotates
-	for i := 0; i < 4; i++ {
-		fr := Begin(fmt.Sprintf("w%d", i), "t")
-		fr.Finish("ok", "", 0)
-	}
-	set := Exemplars()
-	// Current + previous window survive; older windows are discarded.
-	if len(set.Slowest) == 0 || len(set.Slowest) > 2 {
-		t.Fatalf("got %d slowest exemplars across rotating windows, want 1-2", len(set.Slowest))
+	r := trace.BeginRequest("last", "t")
+	r.Finish(0, trace.Attrs{Verdict: "ok"})
+	if n := len(trace.Spans()); n != full {
+		t.Fatalf("full ring went from %d to %d records after one more request", full, n)
 	}
 }

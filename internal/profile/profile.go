@@ -26,7 +26,8 @@ const DefaultStride = 64
 
 // Profiler accumulates PC samples.  Samples are symbolized eagerly (the
 // machine's address map is lock-free), so functions evicted between
-// sampling and reporting keep their attribution.  A profiler may be
+// sampling and reporting keep their attribution, also once another
+// function is placed at their addresses.  A profiler may be
 // attached to several machines; each attachment carries its own
 // symbolizer.  Safe for concurrent use.
 type Profiler struct {
@@ -35,6 +36,7 @@ type Profiler struct {
 
 	mu       sync.Mutex
 	samples  map[uint64]*pcBucket
+	retired  map[string]uint64 // samples of PCs a later function took over, by their old function
 	total    uint64
 	dropped  uint64
 	machines []*core.Machine
@@ -57,6 +59,7 @@ func New(stride uint64) *Profiler {
 		stride:  stride,
 		maxPCs:  1 << 16,
 		samples: make(map[uint64]*pcBucket),
+		retired: make(map[string]uint64),
 	}
 }
 
@@ -104,16 +107,19 @@ func (p *Profiler) Detach(m *core.Machine) {
 // the containing function was just evicted — keep their previous
 // attribution if the PC was seen before, and otherwise count under
 // "[evicted]" (PC inside the code arena) or "[unknown]"; they are never
-// silently dropped.
+// silently dropped.  A PC that resolves to a new function (the address
+// was reused) retires its count to the function that had it and starts
+// the new function's row at zero.
 func (p *Profiler) record(resolve func(uint64) (string, bool), inCode func(uint64) bool, pc uint64) {
 	name, ok := resolve(pc)
 	p.mu.Lock()
 	p.total++
 	if b, seen := p.samples[pc]; seen {
-		b.count++
-		if ok {
-			b.name = name // re-resolve: the address may have been reused
+		if ok && b.name != name {
+			p.retired[b.name] += b.count
+			b.name, b.count = name, 0
 		}
+		b.count++
 	} else if len(p.samples) < p.maxPCs {
 		if !ok {
 			name = "[unknown]"
@@ -151,6 +157,7 @@ func (p *Profiler) TotalSamples() uint64 {
 func (p *Profiler) Reset() {
 	p.mu.Lock()
 	p.samples = make(map[uint64]*pcBucket)
+	p.retired = make(map[string]uint64)
 	p.total, p.dropped = 0, 0
 	p.mu.Unlock()
 }
@@ -190,7 +197,10 @@ func (p *Profiler) Snapshot(topPCs int) Report {
 	}
 	p.mu.Lock()
 	pcs := make([]PCSample, 0, len(p.samples))
-	byFunc := make(map[string]uint64)
+	byFunc := make(map[string]uint64, len(p.retired))
+	for name, n := range p.retired {
+		byFunc[name] = n
+	}
 	for pc, b := range p.samples {
 		pcs = append(pcs, PCSample{PC: pc, Name: b.name, Count: b.count})
 		byFunc[b.name] += b.count

@@ -58,17 +58,27 @@ func TestRecordEvictionRegression(t *testing.T) {
 }
 
 // TestRecordReuseRebinds: a PC reused by a new function after eviction
-// must rebind to the new owner on the next resolving sample.
+// rebinds to the new owner, whose row starts at zero, while the function
+// that had the address keeps its samples in the per-function rows.
 func TestRecordReuseRebinds(t *testing.T) {
-	r := &fakeResolver{names: map[uint64]string{0x1000: "old"}}
+	r := &fakeResolver{names: map[uint64]string{0x1000: "A"}}
 	inCode := func(uint64) bool { return true }
 	p := New(1)
-	p.record(r.resolve, inCode, 0x1000)
-	r.names[0x1000] = "new"
+	for i := 0; i < 10; i++ {
+		p.record(r.resolve, inCode, 0x1000)
+	}
+	r.names[0x1000] = "B"
 	p.record(r.resolve, inCode, 0x1000)
 	rep := p.Snapshot(10)
-	if len(rep.TopPCs) != 1 || rep.TopPCs[0].Name != "new" || rep.TopPCs[0].Count != 2 {
-		t.Errorf("reused PC = %+v, want name=new count=2", rep.TopPCs)
+	if len(rep.TopPCs) != 1 || rep.TopPCs[0].Name != "B" || rep.TopPCs[0].Count != 1 {
+		t.Errorf("reused PC = %+v, want name=B count=1", rep.TopPCs)
+	}
+	byName := make(map[string]uint64)
+	for _, f := range rep.Funcs {
+		byName[f.Name] = f.Count
+	}
+	if byName["A"] != 10 || byName["B"] != 1 || rep.TotalSamples != 11 {
+		t.Errorf("per-function samples = %v of %d, want A=10 B=1 of 11", byName, rep.TotalSamples)
 	}
 }
 

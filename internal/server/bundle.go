@@ -13,18 +13,16 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/flightrec"
 	"repro/internal/trace"
 )
 
 // The diagnostic bundle is the server's one-request incident artifact:
 // a gzipped tar whose entries snapshot everything an operator needs to
-// reconstruct what the service was doing — the flight-recorder ring and
-// its exemplars (per-request decision chains keyed by request ID), the
-// metrics registry (raw and summarized), the lifecycle trace ring, a
-// full goroutine dump, the shard/arena/tenant stats document, the SLO
-// view, and the journal/snapshot positions that anchor durability
-// claims.  It is served at /debug/bundle, captured by the SIGQUIT and
+// reconstruct what the service was doing — the recorder's ring (request
+// chains keyed by request ID beside the code lifecycle they ran) and its
+// exemplars, the metrics registry (raw and summarized), a full goroutine
+// dump, the shard/arena/tenant stats document, the SLO view, and the
+// journal/snapshot positions that anchor durability claims.  It is served at /debug/bundle, captured by the SIGQUIT and
 // panic handlers in cmd/vcoded, and saved by the soak drivers on
 // failure.
 
@@ -56,15 +54,13 @@ func (s *Server) bundleEntries() []bundleEntry {
 		"pid":            os.Getpid(),
 		"go_version":     runtime.Version(),
 		"goroutines":     runtime.NumGoroutine(),
-		"flight_enabled": flightrec.Enabled(),
-		"trace_enabled":  trace.Enabled(),
+		"record_enabled": trace.Enabled(),
 	}
 	entries := []bundleEntry{
 		jsonEntry("meta.json", meta),
-		jsonEntry("flight.json", flightrec.Events()),
-		jsonEntry("exemplars.json", flightrec.Exemplars()),
+		jsonEntry("events.json", trace.Spans()),
+		jsonEntry("exemplars.json", trace.Exemplars()),
 		jsonEntry("stats.json", s.StatsView()),
-		jsonEntry("trace.json", trace.Spans()),
 	}
 
 	var metrics bytes.Buffer

@@ -11,27 +11,27 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/flightrec"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
-// withFlightRecording turns the flight recorder on for one test,
-// restoring the prior state (and clearing the ring) afterwards.
-func withFlightRecording(t *testing.T) {
+// withRecording turns the recorder on for one test, restoring the prior
+// state (and clearing the ring) afterwards.
+func withRecording(t *testing.T) {
 	t.Helper()
-	was := flightrec.Enabled()
-	flightrec.Reset()
-	flightrec.SetEnabled(true)
+	was := trace.Enabled()
+	trace.Reset()
+	trace.SetEnabled(true)
 	t.Cleanup(func() {
-		flightrec.SetEnabled(was)
-		flightrec.Reset()
+		trace.SetEnabled(was)
+		trace.Reset()
 	})
 }
 
-// chainFor extracts the events carrying reqID from a ring snapshot, in
+// chainFor extracts the records carrying reqID from a ring snapshot, in
 // ring order.
-func chainFor(events []flightrec.Event, reqID string) []flightrec.Event {
-	var out []flightrec.Event
+func chainFor(events []trace.Span, reqID string) []trace.Span {
+	var out []trace.Span
 	for _, e := range events {
 		if e.ReqID == reqID {
 			out = append(out, e)
@@ -45,7 +45,7 @@ func chainFor(events []flightrec.Event, reqID string) []flightrec.Event {
 // admit→cache→journal→exec→outcome chain, with the journal event
 // carrying a nonzero LSN behind the durable ack.
 func TestFlightChainDurableExec(t *testing.T) {
-	withFlightRecording(t)
+	withRecording(t)
 	dir := t.TempDir()
 	_, ts, _, rerr := newJournaledServer(t, 2, filepath.Join(dir, "snap"), filepath.Join(dir, "j.wal"))
 	if rerr != nil {
@@ -63,10 +63,10 @@ func TestFlightChainDurableExec(t *testing.T) {
 		t.Fatalf("ack not durable: %v", out)
 	}
 
-	chain := chainFor(flightrec.Events(), "flight-1")
+	chain := chainFor(trace.Spans(), "flight-1")
 	stages := make([]string, len(chain))
 	for i, e := range chain {
-		stages[i] = e.Stage.String() + ":" + e.Verdict
+		stages[i] = e.Kind.String() + ":" + e.Verdict
 	}
 	want := []string{"admit:ok", "journal:durable", "cache:compiled", "exec:ok", "outcome:ok"}
 	if len(stages) != len(want) {
@@ -85,10 +85,10 @@ func TestFlightChainDurableExec(t *testing.T) {
 	if chain[1].LSN == 0 {
 		t.Fatalf("journal event has no LSN: %+v", chain[1])
 	}
-	if chain[3].Detail == "" || chain[3].Fuel == 0 {
+	if chain[3].Name == "" || chain[3].Fuel == 0 {
 		t.Fatalf("exec event missing engine/fuel: %+v", chain[3])
 	}
-	if chain[4].DurNS <= 0 {
+	if chain[4].Dur <= 0 {
 		t.Fatalf("outcome event missing duration: %+v", chain[4])
 	}
 }
@@ -96,7 +96,7 @@ func TestFlightChainDurableExec(t *testing.T) {
 // TestFlightErrorExemplar asserts an errored request retains its full
 // chain as an exemplar.
 func TestFlightErrorExemplar(t *testing.T) {
-	withFlightRecording(t)
+	withRecording(t)
 	_, ts := newTestServer(t, nil)
 
 	status, out := post(t, ts, "/v1/exec", map[string]any{
@@ -106,21 +106,17 @@ func TestFlightErrorExemplar(t *testing.T) {
 		t.Fatalf("exec = %d %v", status, out)
 	}
 
-	var found *flightrec.Exemplar
-	set := flightrec.Exemplars()
-	for i := range set.Errored {
-		if set.Errored[i].ReqID == "flight-miss" {
-			found = &set.Errored[i]
+	var found []trace.Span
+	for _, chain := range trace.Exemplars().Errored {
+		if chain[0].ReqID == "flight-miss" {
+			found = chain
 		}
 	}
-	if found == nil {
-		t.Fatalf("no errored exemplar for flight-miss: %+v", set.Errored)
+	if len(found) < 2 {
+		t.Fatalf("no errored exemplar chain for flight-miss: %+v", found)
 	}
-	if found.Outcome != string(CodeNotFound) {
-		t.Fatalf("exemplar outcome = %q, want %s", found.Outcome, CodeNotFound)
-	}
-	if len(found.Events) < 2 {
-		t.Fatalf("exemplar chain too short: %+v", found.Events)
+	if out := found[len(found)-1]; out.Kind != trace.KindOutcome || out.Verdict != string(CodeNotFound) {
+		t.Fatalf("exemplar ends %+v, want a %s outcome", out, CodeNotFound)
 	}
 }
 
@@ -151,9 +147,9 @@ func readBundle(t *testing.T, data []byte) map[string][]byte {
 }
 
 // TestBundleEndpoint asserts /debug/bundle returns a well-formed
-// archive whose flight ring reconstructs a request chain by ID.
+// archive whose one ring reconstructs a request chain by ID.
 func TestBundleEndpoint(t *testing.T) {
-	withFlightRecording(t)
+	withRecording(t)
 	srv, ts := newTestServer(t, nil)
 
 	status, out := post(t, ts, "/v1/exec", map[string]any{
@@ -181,23 +177,23 @@ func TestBundleEndpoint(t *testing.T) {
 	}
 	files := readBundle(t, raw)
 	for _, name := range []string{
-		"meta.json", "flight.json", "exemplars.json", "stats.json",
-		"trace.json", "metrics.json", "metrics_summary.json",
+		"meta.json", "events.json", "exemplars.json", "stats.json",
+		"metrics.json", "metrics_summary.json",
 		"slo.json", "positions.json", "goroutines.txt",
 	} {
 		if _, ok := files[name]; !ok {
 			t.Fatalf("bundle missing %s (has %v)", name, keys(files))
 		}
 	}
-	var events []flightrec.Event
-	if err := json.Unmarshal(files["flight.json"], &events); err != nil {
-		t.Fatalf("flight.json: %v", err)
+	var events []trace.Span
+	if err := json.Unmarshal(files["events.json"], &events); err != nil {
+		t.Fatalf("events.json: %v", err)
 	}
 	chain := chainFor(events, "bundle-1")
 	if len(chain) < 4 {
 		t.Fatalf("bundle chain for bundle-1 too short: %+v", chain)
 	}
-	if chain[len(chain)-1].Stage.String() != "outcome" || chain[len(chain)-1].Verdict != "ok" {
+	if chain[len(chain)-1].Kind != trace.KindOutcome || chain[len(chain)-1].Verdict != "ok" {
 		t.Fatalf("bundle chain does not end ok: %+v", chain)
 	}
 	if !bytes.Contains(files["goroutines.txt"], []byte("goroutine")) {
@@ -230,29 +226,29 @@ func keys(m map[string][]byte) []string {
 }
 
 // TestExecReportsItsOwnWallTime: the machine keeps no clock on its call
-// path, so the exec stage's time — the response's wall_ns, the flight
-// chain's exec event, the two call_ns histograms — comes from the server's
+// path, so the exec stage's time — the response's wall_ns, the request
+// chain's exec record, the two call_ns histograms — comes from the server's
 // own clock pair around the call, with telemetry off as well as on and for
 // a call that fails.
 func TestExecReportsItsOwnWallTime(t *testing.T) {
-	withFlightRecording(t)
+	withRecording(t)
 	defer telemetry.SetEnabled(telemetry.Enabled())
 	s, ts := newTestServer(t, nil)
 	tn, ae := s.tenants.get("alice")
 	if ae != nil {
 		t.Fatal(ae)
 	}
-	exec := func(id string, body map[string]any) (int, map[string]any, flightrec.Event) {
+	exec := func(id string, body map[string]any) (int, map[string]any, trace.Span) {
 		t.Helper()
 		body["tenant"], body["request_id"] = "alice", id
 		status, out := post(t, ts, "/v1/exec", body)
-		for _, e := range chainFor(flightrec.Events(), id) {
-			if e.Stage == flightrec.StageExec {
+		for _, e := range chainFor(trace.Spans(), id) {
+			if e.Kind == trace.KindExec {
 				return status, out, e
 			}
 		}
-		t.Fatalf("%s: no exec event on the flight chain (status %d %v)", id, status, out)
-		return 0, nil, flightrec.Event{}
+		t.Fatalf("%s: no exec record on the request's chain (status %d %v)", id, status, out)
+		return 0, nil, trace.Span{}
 	}
 	resident := map[string]any{"lang": "tinyc", "source": fibTinyC, "args": []int{10}}
 	if status, out, _ := exec("warm-up", resident); status != http.StatusOK {
@@ -270,8 +266,8 @@ func TestExecReportsItsOwnWallTime(t *testing.T) {
 		if wall, _ := out["wall_ns"].(json.Number).Int64(); wall <= 0 {
 			t.Errorf("%s: wall_ns = %v, want > 0", id, out["wall_ns"])
 		}
-		if ev.Verdict != "ok" || ev.DurNS <= 0 {
-			t.Errorf("%s: exec event %+v, want ok with DurNS > 0", id, ev)
+		if ev.Verdict != "ok" || ev.Dur <= 0 {
+			t.Errorf("%s: exec record %+v, want ok with Dur > 0", id, ev)
 		}
 		var want uint64
 		if on {
@@ -285,7 +281,47 @@ func TestExecReportsItsOwnWallTime(t *testing.T) {
 	status, out, ev := exec("wall-fuel", map[string]any{
 		"lang": "vasm", "source": factVasm, "args": []int{1 << 20}, "fuel": 50})
 	wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeFuelExhausted)
-	if ev.Verdict != string(CodeFuelExhausted) || ev.DurNS <= 0 {
-		t.Errorf("failed exec event %+v, want %s with DurNS > 0", ev, CodeFuelExhausted)
+	if ev.Verdict != string(CodeFuelExhausted) || ev.Dur <= 0 {
+		t.Errorf("failed exec record %+v, want %s with Dur > 0", ev, CodeFuelExhausted)
+	}
+}
+
+// TestOneRecordClosesARequest: with the recorder on, one /v1/exec leaves
+// exactly one outcome record and no other record that closes a request.
+// The outcome's flow is the entry function's, and the ring holds that
+// flow's install and call records, so the request joins its code's
+// lifecycle.
+func TestOneRecordClosesARequest(t *testing.T) {
+	withRecording(t)
+	s, ts := newTestServer(t, nil)
+	status, out := post(t, ts, "/v1/exec", map[string]any{
+		"tenant": "alice", "lang": "tinyc", "source": fibTinyC, "args": []int{10}, "request_id": "one-close",
+	})
+	if status != http.StatusOK {
+		t.Fatalf("exec = %d %v", status, out)
+	}
+	key, _ := out["key"].(string)
+	fn, ok := s.shards[shardOf(key, len(s.shards))].cache.Get(key)
+	if !ok || fn.TraceFlow() == 0 {
+		t.Fatalf("entry function for %s not resident or never traced", key)
+	}
+	var outcomes []trace.Span
+	kinds := map[trace.Kind]int{}
+	for _, sp := range trace.Spans() {
+		if sp.Kind == trace.KindOutcome {
+			outcomes = append(outcomes, sp)
+		}
+		if sp.Flow == fn.TraceFlow() {
+			kinds[sp.Kind]++
+		}
+	}
+	if len(outcomes) != 1 || outcomes[0].ReqID != "one-close" || outcomes[0].Verdict != "ok" {
+		t.Fatalf("outcome records = %+v, want one ok outcome for one-close", outcomes)
+	}
+	if outcomes[0].Flow != fn.TraceFlow() {
+		t.Fatalf("outcome flow = %d, entry function's flow = %d", outcomes[0].Flow, fn.TraceFlow())
+	}
+	if kinds[trace.KindInstall] == 0 || kinds[trace.KindCall] == 0 {
+		t.Fatalf("flow %d holds %v, want its install and call records", fn.TraceFlow(), kinds)
 	}
 }

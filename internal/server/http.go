@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flightrec"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -187,28 +186,18 @@ func writeErr(w http.ResponseWriter, reqID string, ae *APIError) {
 	writeJSON(w, ae.Status(), errorResponse{RequestID: reqID, Error: ae})
 }
 
-// requestSpan opens a request's lifecycle span, named tenant/request-id.
-// The name is built only when tracing is on.
-func (s *Server) requestSpan(tenant, reqID string) trace.Active {
-	if !trace.Enabled() {
-		return trace.Active{}
-	}
-	return trace.Begin(trace.KindRequest, s.cfg.Backend, tenant+"/"+reqID)
-}
-
 // admitted is a request past the preamble /v1/exec and /v1/compile share:
 // what the rest of its handler, and finishRequest, need of it.
 type admitted struct {
 	start time.Time
 	req   request
 	reqID string
-	sp    trace.Active
-	fr    *flightrec.Request
+	rec   *trace.Request
 	t     *tenant
 	cr    compileResult
 }
 
-// begin runs the shared preamble into a: decode, request ID, span, flight
+// begin runs the shared preamble into a: decode, request ID, recorder
 // handle, tenant, rate limit, compile.  A request one of them refuses is
 // answered and finished here, and begin returns false.
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, x *exchange, a *admitted) bool {
@@ -220,23 +209,21 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, x *exchange, a *a
 		return false
 	}
 	a.reqID = s.requestID(req.RequestID)
-	a.sp = s.requestSpan(req.Tenant, a.reqID)
-	a.fr = flightrec.Begin(a.reqID, req.Tenant)
+	a.rec = trace.BeginRequest(a.reqID, req.Tenant)
 	if a.t, ae = s.tenants.get(req.Tenant); ae != nil {
 		s.requests.Inc()
 		s.errorsAll.Inc()
-		a.sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
-		a.fr.Finish(string(ae.Code), ae.Message, 0)
+		a.rec.Finish(0, trace.Attrs{Verdict: string(ae.Code), Err: truncate(ae.Message), Shard: -1})
 		writeErr(w, a.reqID, ae)
 		return false
 	}
 	if ae = a.t.admitRate(); ae != nil {
 		s.rateLimited.Inc()
 		a.t.rejected.Inc()
-		a.fr.Event(flightrec.StageAdmit, flightrec.Event{
-			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(a.t))})
+		a.rec.Record(trace.Span{Kind: trace.KindAdmit, Attrs: trace.Attrs{
+			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(a.t))}})
 	} else {
-		a.cr, ae = s.compile(r.Context(), a.fr, a.t, req.Lang, req.Source, req.Entry, req.Key, req.prio(a.t))
+		a.cr, ae = s.compile(r.Context(), a.rec, a.t, req.Lang, req.Source, req.Entry, req.Key, req.prio(a.t))
 	}
 	if ae != nil {
 		s.finishRequest(w, a, ae)
@@ -253,7 +240,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !s.begin(w, r, x, &a) {
 		return
 	}
-	er, ae := s.exec(r.Context(), a.fr, a.t, &a.cr, &a.req)
+	er, ae := s.exec(r.Context(), a.rec, a.t, &a.cr, &a.req)
 	s.finishRequest(w, &a, ae)
 	if ae != nil {
 		return

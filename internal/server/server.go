@@ -35,7 +35,6 @@ import (
 	"repro/internal/codecache"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/flightrec"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -340,13 +339,16 @@ type compileResult struct {
 // resident entry function.  A miss compiles on this goroutine, behind the
 // shard's compile gate, under admission control and quotas.  Concurrent
 // requests for one key coalesce into a single flight regardless of
-// tenant.  prio is the request's shed priority (0–9).  fr (nil-safe)
+// tenant.  prio is the request's shed priority (0–9).  rec (nil-safe)
 // records the admission, cache and journal decisions on the request's
-// flight chain.
-func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, lang, source, entry, key string, prio int) (compileResult, *APIError) {
+// chain.
+func (s *Server) compile(ctx context.Context, rec *trace.Request, t *tenant, lang, source, entry, key string, prio int) (compileResult, *APIError) {
+	record := func(kind trace.Kind, at trace.Attrs) {
+		at.Key = key
+		rec.Record(trace.Span{Kind: kind, Attrs: at})
+	}
 	reject := func(apiE *APIError) (compileResult, *APIError) {
-		fr.Event(flightrec.StageAdmit, flightrec.Event{
-			Verdict: string(apiE.Code), Key: key, Shard: -1, Priority: int8(prio)})
+		record(trace.KindAdmit, trace.Attrs{Verdict: string(apiE.Code), Shard: -1, Priority: int8(prio)})
 		return compileResult{}, apiE
 	}
 	if s.closing.Load() {
@@ -362,13 +364,11 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	if fn, ok := sh.cache.Get(key); ok {
 		// Hit path: no admission gates ran, so the chain goes straight
 		// to the cache verdict.
-		fr.Event(flightrec.StageCache, flightrec.Event{
-			Verdict: "hit", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
+		record(trace.KindCache, trace.Attrs{Verdict: "hit", Shard: int32(sh.id), Priority: int8(prio)})
 		return compileResult{key: key, shard: sh, fn: fn, cached: true, durable: sh.unitDurable(key)}, nil
 	}
 	if source == "" {
-		fr.Event(flightrec.StageCache, flightrec.Event{
-			Verdict: string(CodeNotFound), Key: key, Shard: int32(sh.id), Priority: int8(prio)})
+		record(trace.KindCache, trace.Attrs{Verdict: string(CodeNotFound), Shard: int32(sh.id), Priority: int8(prio)})
 		return compileResult{}, apiErr(CodeNotFound, "key %s is not resident and no source was given", key)
 	}
 
@@ -406,8 +406,7 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		return reject(apiE)
 	}
 	defer t.releaseCompile()
-	fr.Event(flightrec.StageAdmit, flightrec.Event{
-		Verdict: "ok", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
+	record(trace.KindAdmit, trace.Attrs{Verdict: "ok", Shard: int32(sh.id), Priority: int8(prio)})
 
 	doCompile := func() (*core.Func, error) {
 		u, err := s.frontEnd(sh.machine, key, t.name, lang, source, entry)
@@ -429,11 +428,9 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 			if jerr == nil {
 				u.durable.Store(true)
 				u.lsn.Store(lsn)
-				fr.Event(flightrec.StageJournal, flightrec.Event{
-					Verdict: "durable", Key: key, Shard: int32(sh.id), LSN: lsn})
+				record(trace.KindJournal, trace.Attrs{Verdict: "durable", Shard: int32(sh.id), LSN: lsn})
 			} else {
-				fr.Event(flightrec.StageJournal, flightrec.Event{
-					Verdict: "degraded", Key: key, Shard: int32(sh.id), Detail: truncate(jerr.Error())})
+				record(trace.KindJournal, trace.Attrs{Verdict: "degraded", Shard: int32(sh.id), Err: truncate(jerr.Error())})
 			}
 		}
 		return u.entryFn, nil
@@ -459,20 +456,18 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	}
 	if err != nil {
 		apiE := classifyCompile(err)
-		fr.Event(flightrec.StageCache, flightrec.Event{
-			Verdict: "error", Key: key, Shard: int32(sh.id), Detail: string(apiE.Code)})
+		record(trace.KindCache, trace.Attrs{Verdict: "error", Shard: int32(sh.id), Err: string(apiE.Code)})
 		return compileResult{}, apiE
 	}
 	verdict := "compiled"
 	if !led {
 		verdict = "coalesced"
 	}
-	fr.Event(flightrec.StageCache, flightrec.Event{
-		Verdict: verdict, Key: key, Shard: int32(sh.id)})
+	record(trace.KindCache, trace.Attrs{Verdict: verdict, Shard: int32(sh.id)})
 	return compileResult{key: key, shard: sh, fn: fn, cached: !led, durable: sh.unitDurable(key)}, nil
 }
 
-// truncate bounds error text carried in flight events and logs.
+// truncate bounds error text carried in request records and logs.
 func truncate(s string) string {
 	if len(s) > 120 {
 		return s[:120]
@@ -489,8 +484,8 @@ type execResult struct {
 }
 
 // exec runs one sandboxed call of the compiled entry function under the
-// tenant's fuel quota and the server call timeout.  fr (nil-safe) records
-// the call's engine, fuel spend and wall time on the request's flight chain.
+// tenant's fuel quota and the server call timeout.  rec (nil-safe) records
+// the call's engine, fuel spend and wall time on the request's chain.
 // The machine keeps no clock on its call path, so the stage is timed here,
 // with one clock pair around the call.  The timeout is a deadline the
 // machine's run loop reads at the polls it makes for ctx anyway — no timer
@@ -498,15 +493,15 @@ type execResult struct {
 // core.ErrUnloaded: the request goes through compile again (not_found when
 // it carries no source), as often as it is evicted while ctx and the
 // deadline live, and *cr becomes what the call ran on.
-func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr *compileResult, req *request) (execResult, *APIError) {
+func (s *Server) exec(ctx context.Context, rec *trace.Request, t *tenant, cr *compileResult, req *request) (execResult, *APIError) {
 	budget := t.quota.FuelPerCall
 	if fuel := req.Fuel; fuel > 0 {
 		if budget > 0 && fuel > budget {
 			t.rejected.Inc()
 			apiE := apiErr(CodeQuotaFuel,
 				"requested fuel %d exceeds tenant cap %d", fuel, budget)
-			fr.Event(flightrec.StageExec, flightrec.Event{
-				Verdict: string(apiE.Code), Shard: int32(cr.shard.id), Tier: 2})
+			rec.Record(trace.Span{Kind: trace.KindExec, Attrs: trace.Attrs{
+				Verdict: string(apiE.Code), Shard: int32(cr.shard.id), Tier: 2}})
 			return execResult{}, apiE
 		}
 		budget = fuel
@@ -532,7 +527,7 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 			// that ran out asking.
 			if err = ctx.Err(); err == nil && time.Until(deadline) > 0 {
 				s.execRetries.Inc()
-				again, apiE := s.compile(ctx, fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
+				again, apiE := s.compile(ctx, rec, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
 				if apiE != nil {
 					return execResult{}, apiE
 				}
@@ -554,9 +549,8 @@ func (s *Server) exec(ctx context.Context, fr *flightrec.Request, t *tenant, cr 
 			apiE = classify(err)
 			verdict = string(apiE.Code)
 		}
-		fr.Event(flightrec.StageExec, flightrec.Event{
-			Verdict: verdict, Shard: int32(sh.id), Tier: 2,
-			Detail: sh.machine.Engine().String(), Fuel: st.Fuel, DurNS: wall.Nanoseconds()})
+		rec.Record(trace.Span{Kind: trace.KindExec, Name: sh.machine.Engine().String(), Dur: wall.Nanoseconds(),
+			Attrs: trace.Attrs{Verdict: verdict, Shard: int32(sh.id), Tier: 2, Fuel: st.Fuel}})
 		return execResult{value: v, stats: st, wall: wall}, apiE
 	}
 }
@@ -575,12 +569,11 @@ func (s *Server) requestID(supplied string) string {
 	return string(strconv.AppendUint(buf, seq, 10))
 }
 
-// finishRequest records an admitted request's telemetry, its lifecycle
-// span, its SLO observation, its flight-recorder outcome and (at Debug) its
-// structured log line, and answers a failed one with apiE.  The span's name
-// carries tenant/request-id; its flow joins the entry function's lifecycle
-// lane when the function is known, so a Perfetto lane ties
-// verify/install/call spans back to the network request.
+// finishRequest records an admitted request's telemetry, its SLO
+// observation, its outcome record and (at Debug) its structured log line,
+// and answers a failed one with apiE.  The outcome's flow is the entry
+// function's lifecycle flow when the function is known, so its
+// verify/install/call records join the request.
 func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIError) {
 	t, key, shardID := a.t, a.req.Key, -1
 	if a.cr.shard != nil {
@@ -608,8 +601,7 @@ func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIErro
 	if a.cr.fn != nil {
 		flow = a.cr.fn.TraceFlow()
 	}
-	a.sp.End(flow, trace.Attrs{Verdict: verdict, Err: errText})
-	a.fr.Finish(verdict, errText, flow)
+	a.rec.Finish(flow, trace.Attrs{Verdict: verdict, Err: errText, Key: key, Shard: int32(shardID)})
 	if s.log.Enabled(context.Background(), slog.LevelDebug) {
 		s.log.Debug("request",
 			"request_id", a.reqID, "tenant", t.name, "shard", shardID,

@@ -111,7 +111,7 @@ func soakRequest(rng *rand.Rand, client, i int) (path string, body map[string]an
 // emptied exactly what a fresh machine holds: code, heap and names of every
 // program compiled, refused or evicted on the way came back.
 func TestServeSoak(t *testing.T) {
-	withFlightRecording(t)
+	withRecording(t)
 	requests := soakRequests
 	if testing.Short() {
 		requests /= 10

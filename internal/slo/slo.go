@@ -123,16 +123,8 @@ func (t *Tracker) window() (count, errs, p99 uint64) {
 	if count == 0 {
 		return 0, 0, 0
 	}
-	rank := uint64(math.Ceil(0.99 * float64(count)))
-	var cum uint64
-	for i, n := range totals {
-		cum += n
-		if cum >= rank {
-			if i < len(t.wd.bounds) {
-				return count, errs, t.wd.bounds[i]
-			}
-			break
-		}
+	if i := telemetry.NearestRank(totals, 0.99); i < len(t.wd.bounds) {
+		return count, errs, t.wd.bounds[i]
 	}
 	// Overflow bucket: report just past the largest bound.
 	return count, errs, t.wd.bounds[len(t.wd.bounds)-1] + 1

@@ -165,3 +165,23 @@ func TestStartStop(t *testing.T) {
 	w2, _ := newTestWatchdog(Objectives{})
 	w2.Stop()
 }
+
+// TestOneP99Rule: the watchdog's windowed p99 and a telemetry histogram fed
+// the same latencies rank the same way, nearest rank, so both see the two
+// slow requests in 150 in the same bucket.
+func TestOneP99Rule(t *testing.T) {
+	w, _ := newTestWatchdog(Objectives{})
+	h := telemetry.NewHistogram(telemetry.DefTimeBounds)
+	for i := 0; i < 150; i++ {
+		v := uint64(100)
+		if i%75 == 0 {
+			v = 10_000
+		}
+		w.Global().Observe(v, false)
+		h.Observe(v)
+	}
+	_, _, p99 := w.Global().window()
+	if got := h.Summary().P99; w.bucketOf(got) != w.bucketOf(p99) || got < 10_000 {
+		t.Fatalf("telemetry p99 = %d ns, slo p99 = %d ns: want both in the slow requests' bucket", got, p99)
+	}
+}

@@ -10,7 +10,10 @@
 // generated instruction — honest even in instrumented builds.
 package telemetry
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // enabled is the global gate.  Instrumented call sites check Enabled()
 // before touching clocks or metrics, so a disabled build's only cost is
@@ -178,32 +181,42 @@ func (h *Histogram) Summary() Summary {
 	s.Mean = float64(s.Sum) / float64(s.Count)
 	s.Min = h.min.Load()
 	s.Max = h.max.Load()
-	s.P50 = h.quantile(0.50, s)
-	s.P99 = h.quantile(0.99, s)
+	counts := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	s.P50 = h.quantile(counts, 0.50, s)
+	s.P99 = h.quantile(counts, 0.99, s)
 	return s
 }
 
-// quantile returns the bucket-resolution estimate for q in (0,1].
-func (h *Histogram) quantile(q float64, s Summary) uint64 {
-	target := uint64(q * float64(s.Count))
-	if target < 1 {
-		target = 1
+// quantile returns the bucket-resolution estimate for q in (0,1] over the
+// bucket counts loaded once by Summary.
+func (h *Histogram) quantile(counts []uint64, q float64, s Summary) uint64 {
+	v := s.Max // overflow bucket: all we know is "above the last bound"
+	if i := NearestRank(counts, q); i < len(h.bounds) && h.bounds[i] < v {
+		v = h.bounds[i]
 	}
+	return max(v, s.Min)
+}
+
+// NearestRank returns the index of the bucket holding the ⌈q·n⌉-th
+// smallest of the n observations counted per bucket in counts (at least
+// the first): the nearest-rank q-quantile, which every p99 in the tree
+// reads, so one slow request in a hundred shows.
+func NearestRank(counts []uint64, q float64) int {
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	rank := max(uint64(math.Ceil(q*float64(n))), 1)
 	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			v := s.Max // overflow bucket: all we know is "above the last bound"
-			if i < len(h.bounds) && h.bounds[i] < v {
-				v = h.bounds[i]
-			}
-			if v < s.Min {
-				v = s.Min
-			}
-			return v
+	for i, c := range counts {
+		if cum += c; cum >= rank {
+			return i
 		}
 	}
-	return s.Max
+	return len(counts) - 1
 }
 
 // Count returns the number of observations so far.

@@ -81,6 +81,9 @@ func WriteChromeTrace(w io.Writer) error {
 		if s.Attrs.Err != "" {
 			args["err"] = s.Attrs.Err
 		}
+		if s.ReqID != "" {
+			args["request_id"] = s.ReqID
+		}
 		dur := float64(s.Dur) / 1e3
 		if dur <= 0 {
 			// Zero-width slices render invisibly; give instantaneous
@@ -115,13 +118,14 @@ type flowLine struct {
 	verdicts []string
 }
 
-// WriteTimeline renders the span ring as a compact text timeline: one
-// line per lifecycle flow, phases in order with durations and attributes,
-// calls aggregated.  When reg is non-nil a header of per-phase histogram
-// summaries (the *_ns instruments) precedes the flows.
+// WriteTimeline renders the ring as a compact text timeline: one line per
+// lifecycle flow, phases in order with durations and attributes, calls
+// aggregated, a request's outcome on its entry function's line.  When reg
+// is non-nil a header of per-phase histogram summaries (the *_ns
+// instruments) precedes the flows.
 func WriteTimeline(w io.Writer, reg *telemetry.Registry) {
 	spans := Spans()
-	fmt.Fprintf(w, "trace: %d span(s) retained (ring capacity %d)\n", len(spans), spanCap)
+	fmt.Fprintf(w, "trace: %d record(s) retained (ring capacity %d)\n", len(spans), ringCap)
 	if reg != nil {
 		var hdr []string
 		reg.EachHistogram(func(name string, h *telemetry.Histogram) {
@@ -145,6 +149,9 @@ func WriteTimeline(w io.Writer, reg *telemetry.Registry) {
 	byFlow := map[uint64]*flowLine{}
 	order := []uint64{}
 	for _, s := range spans {
+		if s.Flow == 0 && s.ReqID != "" {
+			continue // a request stage before its function is known: no lifecycle to join
+		}
 		fl, ok := byFlow[s.Flow]
 		if !ok {
 			fl = &flowLine{flow: s.Flow, backend: s.Backend, name: s.Name, start: s.Start}

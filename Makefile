@@ -120,11 +120,15 @@ bench-cold:
 		./internal/jit ./internal/tinyc ./internal/vasm
 
 # Dispatch in isolation: the threaded engine per simulated instruction, per
-# backend, on a loop that is almost all straight-line run and on a
-# branch-dense one where no run is longer than one instruction (the
-# per-instruction path on its own).  CI holds the run path to the switch
-# engine with TestDifferentialRuns; the repository's benchmark (go run
-# ./bench, workload loop_long) is what a performance claim is judged by.
+# backend, on three loops: long-run, almost all straight-line run;
+# branch-dense, where no run is longer than one instruction, so what it
+# shows is the per-instruction path and the branch fold on their own; and
+# load-led, shaped like the benchmark's loop_long — a run a load opens,
+# closed by a counted back-edge with a nop slot, so one trip is one run and
+# one folded branch.  CI holds the run path and the fold to the switch
+# engine with TestDifferentialRuns and TestDifferentialFold; the
+# repository's benchmark (go run ./bench, workload loop_long) is what a
+# performance claim is judged by.
 bench-loop:
 	go test -run '^$$' -bench BenchmarkLoopDispatch -benchtime 2000x -count 5 ./internal/exec/diff
 

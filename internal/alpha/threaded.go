@@ -121,14 +121,49 @@ func (c *CPU) topnd(in *exec.Instr) uint64 {
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
 
-// abr resolves a conditional branch; the edge probe fires on every
-// resolution, taken or not.
-func (c *CPU) abr(in *exec.Instr, taken bool) int32 {
-	c.edge(in.PC, taken)
-	if !taken {
-		return exec.NoBranch
+// branch resolves in, an instruction of a pc-relative branch row
+// (verify.KindBranch, and bsr, which shares br's opcode): it reports
+// whether in is taken.  A conditional one fires the edge probe on every
+// resolution, taken or not; br and bsr write their link and are not
+// conditional.  RunBody calls it for a branch it folds, the handler for
+// any other.
+func (c *CPU) branch(in *exec.Instr) bool {
+	var taken bool
+	switch in.Op {
+	case aBr:
+		c.twr(in.A, in.PC+4)
+		return true
+	case aBeq:
+		taken = int64(c.tr(in.A)) == 0
+	case aBne:
+		taken = int64(c.tr(in.A)) != 0
+	case aBlt:
+		taken = int64(c.tr(in.A)) < 0
+	case aBle:
+		taken = int64(c.tr(in.A)) <= 0
+	case aBgt:
+		taken = int64(c.tr(in.A)) > 0
+	case aBge:
+		taken = int64(c.tr(in.A)) >= 0
+	case aFbeq:
+		taken = c.fT(uint32(in.A)) == 0
+	case aFbne:
+		taken = c.fT(uint32(in.A)) != 0
+	case aFblt:
+		taken = c.fT(uint32(in.A)) < 0
+	case aFble:
+		taken = c.fT(uint32(in.A)) <= 0
+	case aFbgt:
+		taken = c.fT(uint32(in.A)) > 0
+	case aFbge:
+		taken = c.fT(uint32(in.A)) >= 0
+	default:
+		panic(fmt.Sprintf("alpha: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
-	return in.Jump(&c.extPC)
+	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
+		c.edge(in.PC, taken)
+	}
+	return taken
 }
 
 // PendingDelay: Alpha has no delay slots.
@@ -161,7 +196,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		in.Op, in.A, in.B, in.Run = r.Op, ra, rb, r.Run()
+		in.Op, in.A, in.B, in.Run, in.Flags = r.Op, ra, rb, r.Run(), r.Fold()
 		switch r.Layout {
 		case layMem:
 			in.Imm = int64(int16(w))
@@ -183,7 +218,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.C = uint8(w & 31)
 		}
 	}
-	exec.MarkRuns(code, 31)
+	exec.MarkRuns(code, 31, 0)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -202,9 +237,29 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
-		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
-			// A straight-line run that fits the budget, nobody sampling:
-			// plain executes all of it (one instruction alone costs less
+		if in.Flags&exec.FFold != 0 && !sampling {
+			// An in-body branch: resolved here, with no handler call, and
+			// the trip goes on at its successor (see the MIPS engine; there
+			// is no slot, so the budget always admits it).
+			if ll >= 0 && ll != 31 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
+				stall++
+			}
+			ll = -1
+			n++
+			if c.branch(in) {
+				idx = int(in.Target)
+			} else if idx++; idx == len(code) {
+				c.flushBody(in.PC+4, n-flushed, stall, ll)
+				return n, nil
+			}
+			if n == allow {
+				break
+			}
+			in = &code[idx]
+		}
+		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
+			// A straight-line run, nobody sampling: plain executes as much
+			// of it as the budget admits (one instruction alone costs less
 			// on the path below).  ll decides its first instruction's
 			// bubble, the Stall bits plain sums the others' (see the MIPS
 			// engine).
@@ -292,47 +347,29 @@ func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
 // the MIPS engine for what it returns.
 type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
 
+// tbranch is the handler of every pc-relative branch row (and of bsr): a
+// branch RunBody did not fold.
+func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	if !c.branch(in) {
+		return exec.NoBranch, nil
+	}
+	return in.Jump(&c.extPC), nil
+}
+
 var alphaHandlers = [aNumHandlers]thandler{
-	aBr: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(in.A, in.PC+4)
-		return in.Jump(&c.extPC), nil
-	},
-	aBeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) == 0), nil
-	},
-	aBne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) != 0), nil
-	},
-	aBlt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) < 0), nil
-	},
-	aBle: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) <= 0), nil
-	},
-	aBgt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) > 0), nil
-	},
-	aBge: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, int64(c.tr(in.A)) >= 0), nil
-	},
-	aFbeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) == 0), nil
-	},
-	aFbne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) != 0), nil
-	},
-	aFblt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) < 0), nil
-	},
-	aFble: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) <= 0), nil
-	},
-	aFbgt: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) > 0), nil
-	},
-	aFbge: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.abr(in, c.fT(uint32(in.A)) >= 0), nil
-	},
+	aBr:   tbranch,
+	aBeq:  tbranch,
+	aBne:  tbranch,
+	aBlt:  tbranch,
+	aBle:  tbranch,
+	aBgt:  tbranch,
+	aBge:  tbranch,
+	aFbeq: tbranch,
+	aFbne: tbranch,
+	aFblt: tbranch,
+	aFble: tbranch,
+	aFbgt: tbranch,
+	aFbge: tbranch,
 	aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 		// Read rb before the link write, as the oracle does.
 		t := c.tr(in.B) &^ 3
@@ -380,15 +417,24 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 		case aLda:
 			c.twr(in.A, c.taddr(in))
 		case aLdl:
-			v, err := c.m.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, bubbles, memErr("ldl", in, err)
+			a := c.taddr(in)
+			v, ok := c.m.Load4(a)
+			if !ok {
+				w, err := c.m.Load(a, 4)
+				if err != nil {
+					return i, bubbles, memErr("ldl", in, err)
+				}
+				v = uint32(w)
 			}
 			c.twr(in.A, uint64(int64(int32(v))))
 		case aLdq:
-			v, err := c.m.Load(c.taddr(in), 8)
-			if err != nil {
-				return i, bubbles, memErr("ldq", in, err)
+			a := c.taddr(in)
+			v, ok := c.m.Load8(a)
+			if !ok {
+				var err error
+				if v, err = c.m.Load(a, 8); err != nil {
+					return i, bubbles, memErr("ldq", in, err)
+				}
 			}
 			c.twr(in.A, v)
 		case aLdqU:
@@ -414,12 +460,16 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 				c.f[in.A] = v
 			}
 		case aStl:
-			if err := c.m.Store(c.taddr(in), 4, uint64(uint32(c.tr(in.A)))); err != nil {
-				return i, bubbles, memErr("store", in, err)
+			if a, v := c.taddr(in), uint32(c.tr(in.A)); !c.m.Store4(a, v) {
+				if err := c.m.Store(a, 4, uint64(v)); err != nil {
+					return i, bubbles, memErr("store", in, err)
+				}
 			}
 		case aStq:
-			if err := c.m.Store(c.taddr(in), 8, c.tr(in.A)); err != nil {
-				return i, bubbles, memErr("store", in, err)
+			if a, v := c.taddr(in), c.tr(in.A); !c.m.Store8(a, v) {
+				if err := c.m.Store(a, 8, v); err != nil {
+					return i, bubbles, memErr("store", in, err)
+				}
 			}
 		case aStqU:
 			if err := c.m.Store(c.taddr(in)&^7, 8, c.tr(in.A)); err != nil {

@@ -35,8 +35,8 @@ func fuzzTargets() []fuzzTarget {
 // body or a delay pair is in flight, exactly as Machine.run does, and
 // hands RunBody its budget chunk instructions at a time, the way a poll
 // stride does: a window can end anywhere in a run or between a branch and
-// its slot.
-func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64) {
+// its slot.  setup, when not nil, sets up both CPUs further (arguments).
+func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup func(core.CPU)) {
 	t.Helper()
 	const base = 0x1000
 	const insnCap = 256
@@ -65,6 +65,9 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64) {
 		c.SetReg(core.GPR(9), 0x2010)
 		c.SetFReg(core.FPR(2), 0x400921fb54442d18, true) // pi bits
 		c.SetPC(base)
+		if setup != nil {
+			setup(c)
+		}
 	}
 	tc, ok := c2.(core.ThreadedCPU)
 	if !ok {
@@ -136,6 +139,9 @@ func FuzzExecDifferential(f *testing.F) {
 		if fn, err := buildLoop(tg.Backend); err == nil {
 			f.Add(wordBytes(fn.Words[fn.Entry:]), uint8(1))
 		}
+		if fn, err := buildLoadLedLoop(tg.Backend); err == nil {
+			f.Add(wordBytes(fn.Words[fn.Entry:]), uint8(6)) // windows of 7 end inside its run
+		}
 	}
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, uint8(2))
 	f.Add(wordBytes([]uint32{0x80000000, 0x0000003f, 0x45000000, 0xc1a00000}), uint8(7))
@@ -153,7 +159,7 @@ func FuzzExecDifferential(f *testing.F) {
 			words[i] = binary.LittleEndian.Uint32(data[4*i:])
 		}
 		for _, ft := range fuzzTargets() {
-			diffWords(t, ft, words, uint64(chunk)+1)
+			diffWords(t, ft, words, uint64(chunk)+1, nil)
 		}
 	})
 }

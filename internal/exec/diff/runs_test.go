@@ -12,10 +12,11 @@ import (
 	"repro/internal/regtest"
 )
 
-// This file holds the two loop bodies the dispatch paths are tested and
-// timed on — one that is almost all straight-line run, one that has no
-// run to speak of — and what is done with them: the differential sweeps
-// of the run path, the share of a call that retires inside runs, and
+// This file holds the loop bodies the dispatch paths are tested and timed
+// on — one that is almost all straight-line run, one that has no run to
+// speak of, one shaped like the benchmark's loop_long — and what is done
+// with them: the differential sweeps of the run path, the share of a call
+// that retires inside runs and in folded branches, and
 // BenchmarkLoopDispatch.
 
 // runLoop says where buildRunLoop puts the access that can fault.
@@ -146,6 +147,44 @@ func buildBranchyLoop(bk core.Backend) (*core.Func, error) {
 	}
 	a.BrI(core.OpBgt, I, n, 0, top)
 	a.Ret(I, n)
+	return a.End()
+}
+
+// buildLoadLedLoop generates fn(p, n), a loop of n trips shaped like the
+// benchmark's loop_long: one run that a load opens, some ALU work that
+// leaves the loaded register alone, its consumer and the decrement, closed
+// by a counted back-edge whose slot (where there is one) the generator
+// fills with a nop.  Every trip is one run and one folded branch.
+func buildLoadLedLoop(bk core.Backend) (*core.Func, error) {
+	a := core.NewAsm(bk)
+	a.SetName("loadled")
+	args, err := a.BeginTypes([]core.Type{core.TypeP, core.TypeI}, core.Leaf)
+	if err != nil {
+		return nil, err
+	}
+	p, n := args[0], args[1]
+	var r [3]core.Reg
+	for i := range r {
+		if r[i], err = a.GetReg(core.Temp); err != nil {
+			return nil, err
+		}
+	}
+	acc, x, t := r[0], r[1], r[2]
+	const I = core.TypeI
+	a.SetI(I, acc, 0)
+	top := a.NewLabel()
+	a.Bind(top)
+	a.LdI(I, x, p, 0)
+	a.ALUI(core.OpAdd, I, t, acc, 7)
+	a.ALU(core.OpXor, I, acc, acc, t)
+	a.ALUI(core.OpLsh, I, t, t, 2)
+	a.ALU(core.OpSub, I, acc, acc, t)
+	a.ALUI(core.OpRsh, I, t, acc, 3)
+	a.ALU(core.OpOr, I, acc, acc, t)
+	a.ALU(core.OpAdd, I, acc, acc, x)
+	a.ALUI(core.OpSub, I, n, n, 1)
+	a.BrI(core.OpBgt, I, n, 0, top)
+	a.Ret(I, acc)
 	return a.End()
 }
 
@@ -308,13 +347,15 @@ func predecode(t testing.TB, m *core.Machine, fn *core.Func) *exec.Body {
 
 // runShare builds a function, calls it on the switch engine with a
 // sampler at stride 1, and replays the program counters it saw against the
-// function's predecoded body the way RunBody would walk them.  It returns
-// how many instructions retired, how many of those the run path would
-// execute in runs of two or more, and the longest run in the body.  args
-// is given a 32-byte buffer on the machine.  No engine counts this; the
-// hot loops stay free of the counter.
+// function's predecoded body the way RunBody would walk them, with no
+// budget and no sampler in its way.  It returns how many instructions
+// retired, how many of those the run path would execute in runs of two or
+// more, how many it would retire in folded transfers (a branch marked
+// exec.FFold, and its slot when taken), and the longest run in the body.
+// args is given a 32-byte buffer on the machine.  No engine counts this;
+// the hot loops stay free of the counter.
 func runShare(t testing.TB, tg regtest.Target, build func() (*core.Func, error),
-	args func(buf uint64) []core.Value) (total, inRuns, longest int) {
+	args func(buf uint64) []core.Value) (total, inRuns, folded, longest int) {
 	t.Helper()
 	fn, err := build()
 	if err != nil {
@@ -341,8 +382,8 @@ func runShare(t testing.TB, tg regtest.Target, build func() (*core.Func, error),
 	if _, err := m.Call(fn, args(buf)...); err != nil {
 		t.Fatal(err)
 	}
-	// A taken transfer's successor executes on the per-instruction path
-	// where it is a delay slot.
+	// A taken transfer's successor executes with it where it is a delay
+	// slot: folded, or on the per-instruction path.
 	hasDelay := tg.Backend.BranchDelaySlots() > 0
 	for i := 0; i < len(pcs); {
 		if !body.Contains(pcs[i]) {
@@ -350,49 +391,65 @@ func runShare(t testing.TB, tg regtest.Target, build func() (*core.Func, error),
 			continue
 		}
 		in := &body.Code[body.IndexOf(pcs[i])]
+		step := 1
+		if in.Run == 0 && hasDelay && (i+2 >= len(pcs) || pcs[i+2] != in.PC+8) {
+			step = 2 // a taken transfer and its delay slot
+		}
 		switch {
 		case in.Run >= 2:
 			inRuns += int(in.Run)
-			i += int(in.Run)
-		case in.Run == 0 && hasDelay && (i+2 >= len(pcs) || pcs[i+2] != in.PC+8):
-			i += 2 // a taken transfer and its delay slot
-		default:
-			i++
+			step = int(in.Run)
+		case in.Flags&exec.FFold != 0:
+			folded += step
 		}
+		i += step
 	}
-	return len(pcs), inRuns, longest
+	return len(pcs), inRuns, folded, longest
 }
 
-// TestRunShare pins the two bodies to what their names say: most of the
-// long-run loop retires inside runs of two or more, next to none of the
-// branch-dense one does.
+// TestRunShare pins the bodies to what their names say: most of the
+// long-run loop retires inside runs of two or more; next to none of the
+// branch-dense one does, and most of it retires in folded transfers; the
+// load-led one retires everything in a run or a folded back-edge.
 func TestRunShare(t *testing.T) {
+	pct := func(n, total int) float64 { return 100 * float64(n) / float64(total) }
 	for _, tg := range regtest.Targets() {
 		bk := tg.Backend
-		total, in, longest := runShare(t, tg,
+		total, in, folded, longest := runShare(t, tg,
 			func() (*core.Func, error) { return buildRunLoop(bk, runLoop{faultAt: -1}) },
 			func(buf uint64) []core.Value { return []core.Value{core.P(buf), core.I(100), core.P(0)} })
-		t.Logf("%s long-run loop: %d of %d retired instructions in runs of 2 or more (%.1f%%), longest run %d",
-			tg.Name, in, total, 100*float64(in)/float64(total), longest)
+		t.Logf("%s long-run loop: of %d retired instructions %.1f%% in runs of 2 or more, %.1f%% folded; longest run %d",
+			tg.Name, total, pct(in, total), pct(folded, total), longest)
 		if longest < 8 || in*10 < total*7 {
 			t.Errorf("%s: the long-run loop should have a run of 8 or more and retire mostly inside runs", tg.Name)
 		}
 
-		total, in, _ = runShare(t, tg,
+		total, in, folded, _ = runShare(t, tg,
 			func() (*core.Func, error) { return buildBranchyLoop(bk) },
 			func(uint64) []core.Value { return []core.Value{core.I(100)} })
-		t.Logf("%s branch-dense loop: %d of %d retired instructions in runs of 2 or more", tg.Name, in, total)
-		if in*50 > total {
-			t.Errorf("%s: the branch-dense loop should retire next to nothing inside runs of 2 or more", tg.Name)
+		t.Logf("%s branch-dense loop: of %d retired instructions %.1f%% in runs of 2 or more, %.1f%% folded",
+			tg.Name, total, pct(in, total), pct(folded, total))
+		if in*50 > total || folded*2 < total {
+			t.Errorf("%s: the branch-dense loop should retire next to nothing inside runs of 2 or more, and most of it folded", tg.Name)
+		}
+
+		total, in, folded, _ = runShare(t, tg,
+			func() (*core.Func, error) { return buildLoadLedLoop(bk) },
+			func(buf uint64) []core.Value { return []core.Value{core.P(buf), core.I(100)} })
+		t.Logf("%s load-led loop: of %d retired instructions %.1f%% in runs of 2 or more, %.1f%% folded",
+			tg.Name, total, pct(in, total), pct(folded, total))
+		if (in+folded)*100 < total*97 {
+			t.Errorf("%s: the load-led loop should retire all but its entry and exit in runs and folded back-edges", tg.Name)
 		}
 	}
 }
 
 // BenchmarkLoopDispatch times the threaded engine per simulated
-// instruction on each backend, on the long-run loop (the run path) and on
-// the branch-dense one (the per-instruction path on its own).  The
-// repository's benchmark (go run ./bench, workload loop_long) is what a
-// performance claim is judged by; this is the number to watch while
+// instruction on each backend, on the long-run loop (the run path), on
+// the branch-dense one (the per-instruction path and the branch fold on
+// their own) and on the load-led one (a run and a folded branch a trip).
+// The repository's benchmark (go run ./bench, workload loop_long) is what
+// a performance claim is judged by; this is the number to watch while
 // working on RunBody.
 func BenchmarkLoopDispatch(b *testing.B) {
 	for _, tg := range regtest.Targets() {
@@ -409,6 +466,10 @@ func BenchmarkLoopDispatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		loadLed, err := buildLoadLedLoop(tg.Backend)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, bc := range []struct {
 			name string
 			fn   *core.Func
@@ -416,6 +477,7 @@ func BenchmarkLoopDispatch(b *testing.B) {
 		}{
 			{"long-run", long, []core.Value{core.P(buf), core.I(2000), core.P(0)}},
 			{"branch-dense", branchy, []core.Value{core.I(2000)}},
+			{"load-led", loadLed, []core.Value{core.P(buf), core.I(2000)}},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", tg.Name, bc.name), func(b *testing.B) {
 				ctx := context.Background()

@@ -7,9 +7,10 @@
 // flat contiguous []Instr — one struct per word, operands extracted,
 // static branch targets pre-resolved to array indices, straight-line
 // runs measured — and execution becomes one switch loop per run of plain
-// instructions, with a call through a small table of handler function
-// pointers only at a control transfer (the minijit "VMCodeGen" idiom:
-// contiguous memory, locality, fewer per-instruction checks).
+// instructions, an in-body branch resolved in the same loop, and a call
+// through a small table of handler function pointers only at any other
+// control transfer (the minijit "VMCodeGen" idiom: contiguous memory,
+// locality, fewer per-instruction checks).
 //
 // This package deliberately imports nothing from internal/core: core
 // caches *Body values beside installed code, the three backend packages
@@ -56,6 +57,12 @@ const (
 	// of a taken transfer, where the code generators put one unless a
 	// client scheduled the slot, without dispatching it.
 	FNop uint8 = 1 << 1
+	// FFold marks a branch RunBody resolves in its own loop, with no
+	// handler call and no transfer bookkeeping: its row is a pc-relative
+	// branch (verify.KindBranch), its target is in the body, and where the
+	// ISA has a delay slot the slot is the canonical nop.  Row.Fold starts
+	// it and MarkRuns keeps it only where all three hold.
+	FFold uint8 = 1 << 2
 )
 
 // Instr is one predecoded instruction.  Field meaning is backend- and
@@ -131,13 +138,20 @@ func (b *Body) IndexOf(pc uint64) int { return int(pc-b.Base) / 4 }
 // MarkRuns is the backward pass that ends a Predecode.  The forward pass
 // left Run at 1 on every plain instruction and 0 elsewhere; MarkRuns
 // turns that into the length of the straight-line run starting at each
-// instruction (saturating: a longer run is executed in pieces) and sets
-// Stall from the interlock metadata.  never is the register the backend's
-// interlock does not charge (the hardwired zero), NoReg if it has none.
-func MarkRuns(code []Instr, never uint8) {
+// instruction (saturating: a longer run is executed in pieces), sets
+// Stall from the interlock metadata, and keeps FFold only on a branch
+// whose target is in the body and, when the ISA has slots (delay slots
+// per transfer, 0 or 1), whose slot is in the body and a nop.  never is
+// the register the backend's interlock does not charge (the hardwired
+// zero), NoReg if it has none.
+func MarkRuns(code []Instr, never uint8, slots int) {
 	run := uint16(0)
 	for i := len(code) - 1; i >= 0; i-- {
 		in := &code[i]
+		if in.Flags&FFold != 0 && (in.Target < 0 ||
+			slots > 0 && (i+1 == len(code) || code[i+1].Flags&FNop == 0)) {
+			in.Flags &^= FFold
+		}
 		if in.Run == 0 {
 			run = 0
 		} else {

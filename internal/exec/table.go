@@ -41,6 +41,16 @@ func (r *Row) Run() uint16 {
 	return 0
 }
 
+// Fold is what a predecoder starts Instr.Flags at: FFold for a
+// pc-relative branch, which MarkRuns keeps where RunBody can resolve the
+// branch in its own loop, else nothing.
+func (r *Row) Fold() uint8 {
+	if r.Kind == verify.KindBranch {
+		return FFold
+	}
+	return 0
+}
+
 // As returns r with its control-flow kind set.
 func (r Row) As(k verify.Kind) Row { r.Kind = k; return r }
 

@@ -61,7 +61,7 @@ func TestMarkRuns(t *testing.T) {
 	code[5].LoadReg, code[6].SrcB = 8, 8
 	code[7].LoadReg, code[8].SrcA = never, never
 	code[9].LoadReg, code[10].SrcA = 9, 9 // a transfer pays a bubble too
-	MarkRuns(code, never)
+	MarkRuns(code, never, 0)
 	for i, want := range map[int]uint16{0: 10, 9: 1, 10: 0, 11: 65535, 69999 - 65535: 65535, 69999 - 65534: 65535, 69999 - 65533: 65534, 69998: 2, 69999: 1} {
 		if got := code[i].Run; got != want {
 			t.Errorf("code[%d].Run = %d, want %d", i, got, want)
@@ -70,6 +70,27 @@ func TestMarkRuns(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		if want := i == 4 || i == 6 || i == 10; (code[i].Stall == 1) != want {
 			t.Errorf("code[%d].Stall = %d, want set: %v", i, code[i].Stall, want)
+		}
+	}
+}
+
+// TestMarkRunsKeepsFolds: FFold survives predecode only on a branch whose
+// target is in the body and, on an ISA with a delay slot, whose slot is
+// an in-body nop.
+func TestMarkRunsKeepsFolds(t *testing.T) {
+	for _, slots := range []int{0, 1} {
+		code := []Instr{
+			{Flags: FFold, Target: 2}, {Flags: FNop, Run: 1}, // nop slot
+			{Flags: FFold, Target: External},    // leaves the body
+			{Flags: FFold, Target: 0}, {Run: 1}, // a slot that is not a nop
+			{Flags: FFold, Target: 5}, // no slot in the body: a branch to itself
+		}
+		MarkRuns(code, NoReg, slots)
+		want := map[int]bool{0: true, 3: slots == 0, 5: slots == 0}
+		for i := range code {
+			if got := code[i].Flags&FFold != 0; got != want[i] {
+				t.Errorf("slots %d: code[%d] keeps FFold: %v, want %v", slots, i, got, want[i])
+			}
 		}
 	}
 }

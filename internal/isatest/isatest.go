@@ -23,6 +23,9 @@ type ISA struct {
 	Dec  verify.Decoder   // the backend: Classify and Disasm
 	CPU  core.ThreadedCPU // Step is the oracle, Predecode the table's reader, RunBody what executes its output
 	Mem  *mem.Memory
+	// Branch is CPU's branch switch: whether a predecoded instruction of
+	// a pc-relative branch row is taken.  RunBody folds a branch with it.
+	Branch func(in *exec.Instr) bool
 }
 
 const base = 0x100 // where the word under test is placed
@@ -207,4 +210,47 @@ func (a *ISA) CheckRows(t *testing.T) {
 			t.Errorf("%s: its row is a transfer (%v), and the oracle fell through on every trial", r.Name, r.Kind)
 		}
 	}
+}
+
+// CheckFolds is the table walk behind RunBody's fold: Predecode may mark
+// any instruction of a pc-relative branch row (verify.KindBranch) for
+// RunBody to resolve with Branch, so every such row must have a case in
+// Branch's switch — a row without one panics, and fails here — and on
+// every trial Branch must decide taken exactly as the oracle's Step does.
+// Each trial first steps every row's word on the oracle, so the condition
+// codes and registers the branches test vary.
+func (a *ISA) CheckFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	failed := make([]bool, len(a.Rows))
+	for k := 0; k < 256; k++ {
+		a.scramble(rng)
+		for i := range a.Rows {
+			r := &a.Rows[i]
+			w := synth(r, rng)
+			_, transfers := a.oracleStep(t, w)
+			if r.Kind != verify.KindBranch || a.row(w).Kind != verify.KindBranch || failed[i] ||
+				a.Dec.Classify(w, base).Target == base+4 { // taken or not, the oracle lands on the next word
+				continue
+			}
+			in := a.CPU.Predecode([]uint32{w}, base).Code[0]
+			taken, ok := a.branch(t, r, &in)
+			if ok && taken != transfers {
+				t.Errorf("%s %#08x: Branch says taken=%v, the oracle transferred=%v", r.Name, w, taken, transfers)
+				ok = false
+			}
+			failed[i] = !ok
+		}
+	}
+}
+
+// branch calls a.Branch, reporting a panic (no case for r's opcode) as a
+// failure of r.
+func (a *ISA) branch(t *testing.T, r *exec.Row, in *exec.Instr) (taken, ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			t.Errorf("%s: Branch: %v", r.Name, p)
+			ok = false
+		}
+	}()
+	return a.Branch(in), true
 }

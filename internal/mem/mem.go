@@ -15,8 +15,15 @@ import (
 // instruction mis-mapping).
 type Memory struct {
 	data []byte
-	big  bool
-	dc   *Cache
+	// [lo, hi) is what a simulated load, store or fetch may touch: the one
+	// bounds pair check and the fast accessors compare against.  New makes
+	// it the whole memory.
+	lo, hi uint64
+	// plain holds while no fault hook and no cache model is attached: the
+	// fast accessors answer only then.
+	plain bool
+	big   bool
+	dc    *Cache
 	// penaltyCycles accumulates memory-system stall cycles charged by
 	// the cache model.
 	penaltyCycles uint64
@@ -39,7 +46,10 @@ type FaultHook interface {
 }
 
 // SetFaultHook installs (or with nil removes) a fault-injection hook.
-func (m *Memory) SetFaultHook(h FaultHook) { m.hook = h }
+func (m *Memory) SetFaultHook(h FaultHook) {
+	m.hook = h
+	m.plain = m.hook == nil && m.dc == nil
+}
 
 // HasFaultHook reports whether a fault-injection hook is installed.  The
 // threaded execution engine (internal/exec) skips per-instruction fetches,
@@ -50,7 +60,7 @@ func (m *Memory) HasFaultHook() bool { return m.hook != nil }
 // New returns a memory of the given size.  bigEndian selects the byte
 // order (SPARC is big-endian; the DECstation MIPS and Alpha are little).
 func New(size int, bigEndian bool) *Memory {
-	return &Memory{data: make([]byte, size), big: bigEndian}
+	return &Memory{data: make([]byte, size), hi: uint64(size), plain: true, big: bigEndian}
 }
 
 // Size returns the memory size in bytes.
@@ -59,8 +69,14 @@ func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
 // BigEndian reports the configured byte order.
 func (m *Memory) BigEndian() bool { return m.big }
 
+// within reports whether the n bytes at addr lie inside [lo, hi), with no
+// wrap past 2^64 on the way: the one range test of this package.
+func within(addr, n, lo, hi uint64) bool {
+	return addr-lo <= hi-lo && n <= hi-addr
+}
+
 func (m *Memory) check(addr uint64, size int) error {
-	if addr+uint64(size) > uint64(len(m.data)) || addr+uint64(size) < addr {
+	if !within(addr, uint64(size), m.lo, m.hi) {
 		return fmt.Errorf("mem: access [%#x,+%d) out of range (size %#x)", addr, size, len(m.data))
 	}
 	if addr&uint64(size-1) != 0 {
@@ -84,6 +100,61 @@ func (m *Memory) Load(addr uint64, size int) (uint64, error) {
 		m.penaltyCycles += m.dc.access(addr, false)
 	}
 	return m.loadRaw(addr, size), nil
+}
+
+// Load4, Load8, Store4 and Store8 are the forms of Load and Store the
+// simulators' run loops inline.  Each answers only when the access needs
+// nothing but the copy: no fault hook, no cache model, an aligned address
+// inside the bounds.  Otherwise it declines (ok false) and touches nothing,
+// and the caller takes Load or Store, which give the error, call the hook
+// and charge the cache as they always have.
+
+// Load4 is Load(addr, 4) when that is a plain copy.
+func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
+	if !m.plain || addr&3 != 0 || !within(addr, 4, m.lo, m.hi) {
+		return 0, false
+	}
+	if m.big {
+		return binary.BigEndian.Uint32(m.data[addr:]), true
+	}
+	return binary.LittleEndian.Uint32(m.data[addr:]), true
+}
+
+// Load8 is Load(addr, 8) when that is a plain copy.
+func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
+	if !m.plain || addr&7 != 0 || !within(addr, 8, m.lo, m.hi) {
+		return 0, false
+	}
+	if m.big {
+		return binary.BigEndian.Uint64(m.data[addr:]), true
+	}
+	return binary.LittleEndian.Uint64(m.data[addr:]), true
+}
+
+// Store4 is Store(addr, 4, v) when that is a plain copy.
+func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
+	if !m.plain || addr&3 != 0 || !within(addr, 4, m.lo, m.hi) {
+		return false
+	}
+	if m.big {
+		binary.BigEndian.PutUint32(m.data[addr:], v)
+	} else {
+		binary.LittleEndian.PutUint32(m.data[addr:], v)
+	}
+	return true
+}
+
+// Store8 is Store(addr, 8, v) when that is a plain copy.
+func (m *Memory) Store8(addr uint64, v uint64) (ok bool) {
+	if !m.plain || addr&7 != 0 || !within(addr, 8, m.lo, m.hi) {
+		return false
+	}
+	if m.big {
+		binary.BigEndian.PutUint64(m.data[addr:], v)
+	} else {
+		binary.LittleEndian.PutUint64(m.data[addr:], v)
+	}
+	return true
 }
 
 // loadRaw reads without cost accounting or checks (callers have checked).
@@ -168,18 +239,21 @@ func (m *Memory) FetchWord(addr uint64) (uint32, error) {
 	return w, nil
 }
 
-// WriteBytes copies raw bytes into memory (loader use; no cost accounting).
+// WriteBytes, ReadBytes and Bytes are the loader's and the tests' raw
+// access: no cost accounting, and the bounds are the whole memory.
+
+// WriteBytes copies raw bytes into memory.
 func (m *Memory) WriteBytes(addr uint64, p []byte) error {
-	if addr+uint64(len(p)) > uint64(len(m.data)) {
+	if !within(addr, uint64(len(p)), 0, m.Size()) {
 		return fmt.Errorf("mem: WriteBytes [%#x,+%d) out of range", addr, len(p))
 	}
 	copy(m.data[addr:], p)
 	return nil
 }
 
-// ReadBytes copies raw bytes out of memory (no cost accounting).
+// ReadBytes copies n raw bytes out of memory.
 func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
-	if addr+uint64(n) > uint64(len(m.data)) {
+	if !within(addr, uint64(n), 0, m.Size()) {
 		return nil, fmt.Errorf("mem: ReadBytes [%#x,+%d) out of range", addr, n)
 	}
 	out := make([]byte, n)
@@ -187,16 +261,19 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// Bytes returns a writable window into memory (test and workload setup).
+// Bytes returns a writable window of n bytes into memory.
 func (m *Memory) Bytes(addr uint64, n int) ([]byte, error) {
-	if addr+uint64(n) > uint64(len(m.data)) {
+	if !within(addr, uint64(n), 0, m.Size()) {
 		return nil, fmt.Errorf("mem: Bytes [%#x,+%d) out of range", addr, n)
 	}
 	return m.data[addr : addr+uint64(n)], nil
 }
 
 // AttachCache installs a data-cache cost model.
-func (m *Memory) AttachCache(c *Cache) { m.dc = c }
+func (m *Memory) AttachCache(c *Cache) {
+	m.dc = c
+	m.plain = m.hook == nil && m.dc == nil
+}
 
 // Cache returns the attached cache model (nil if none).
 func (m *Memory) Cache() *Cache { return m.dc }

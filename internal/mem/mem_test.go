@@ -202,3 +202,98 @@ func TestMachineConfigs(t *testing.T) {
 		t.Errorf("25MHz: 2500 cycles = %v us, want 100", us)
 	}
 }
+
+// TestRawAccessorsRefuseWrap: a range whose end wraps past 2^64 is out of
+// range for the raw accessors too, not a slice-bounds panic.
+func TestRawAccessorsRefuseWrap(t *testing.T) {
+	m := New(4096, false)
+	const addr, n = 1<<64 - 8, 16
+	if err := m.WriteBytes(addr, make([]byte, n)); err == nil {
+		t.Error("WriteBytes across 2^64 should fail")
+	}
+	if _, err := m.ReadBytes(addr, n); err == nil {
+		t.Error("ReadBytes across 2^64 should fail")
+	}
+	if _, err := m.Bytes(addr, n); err == nil {
+		t.Error("Bytes across 2^64 should fail")
+	}
+}
+
+// nopHook intercepts every access and faults none.
+type nopHook struct{}
+
+func (nopHook) FetchFault(_ uint64, w uint32) (uint32, error) { return w, nil }
+func (nopHook) LoadFault(uint64, int) error                   { return nil }
+func (nopHook) StoreFault(uint64, int) error                  { return nil }
+
+// TestFastAccessorsAgree holds Load4/Load8/Store4/Store8 to Load and Store
+// at every address within 16 bytes of either end of memory (and at the
+// top of the address space), on both byte orders: on a plain memory each
+// answers exactly when Load or Store would succeed, with the same value or
+// the same bytes written.  With a fault hook or a cache model attached
+// they decline even an aligned in-range access, and answer again once it
+// is gone.
+func TestFastAccessorsAgree(t *testing.T) {
+	const size = 256
+	var addrs []uint64
+	for a := uint64(0); a < 16; a++ {
+		addrs = append(addrs, a, size-16+a, size+a, 1<<64-16+a)
+	}
+	for _, big := range []bool{false, true} {
+		m, ref := New(size, big), New(size, big)
+		for i := uint64(0); i < size; i++ {
+			b := byte(i*7 + 3)
+			if err := m.Store(i, 1, uint64(b)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Store(i, 1, uint64(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, a := range addrs {
+			want4, err4 := ref.Load(a, 4)
+			if v, ok := m.Load4(a); ok != (err4 == nil) || ok && uint64(v) != want4 {
+				t.Errorf("big %v: Load4(%#x) = %#x, %v; Load gives %#x, %v", big, a, v, ok, want4, err4)
+			}
+			want8, err8 := ref.Load(a, 8)
+			if v, ok := m.Load8(a); ok != (err8 == nil) || ok && v != want8 {
+				t.Errorf("big %v: Load8(%#x) = %#x, %v; Load gives %#x, %v", big, a, v, ok, want8, err8)
+			}
+			v := 0x0102030405060708 ^ a
+			if ok, err := m.Store4(a, uint32(v)), ref.Store(a, 4, uint64(uint32(v))); ok != (err == nil) {
+				t.Errorf("big %v: Store4(%#x) = %v; Store gives %v", big, a, ok, err)
+			}
+			if ok, err := m.Store8(a, v), ref.Store(a, 8, v); ok != (err == nil) {
+				t.Errorf("big %v: Store8(%#x) = %v; Store gives %v", big, a, ok, err)
+			}
+		}
+		got, _ := m.ReadBytes(0, size)
+		want, _ := ref.ReadBytes(0, size)
+		if string(got) != string(want) {
+			t.Errorf("big %v: the fast stores wrote other bytes than Store", big)
+		}
+
+		c, err := NewCache(16, 4, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, attach := range []struct {
+			name    string
+			on, off func()
+		}{
+			{"fault hook", func() { m.SetFaultHook(nopHook{}) }, func() { m.SetFaultHook(nil) }},
+			{"cache model", func() { m.AttachCache(c) }, func() { m.AttachCache(nil) }},
+		} {
+			attach.on()
+			_, ok4 := m.Load4(8)
+			_, ok8 := m.Load8(8)
+			if ok4 || ok8 || m.Store4(8, 1) || m.Store8(8, 1) {
+				t.Errorf("big %v: with a %s attached a fast accessor answered", big, attach.name)
+			}
+			attach.off()
+			if _, ok := m.Load4(8); !ok {
+				t.Errorf("big %v: with the %s gone again Load4 still declines", big, attach.name)
+			}
+		}
+	}
+}

@@ -12,12 +12,13 @@ import (
 // function once — operands extracted, static branch targets resolved to
 // body indices, load-use interlock metadata precomputed, straight-line
 // runs measured — and RunBody executes the resulting contiguous
-// []exec.Instr: a run of plain instructions in one switch loop (plain), a
-// transfer through a small function-pointer table.  Semantics must stay
-// bit-identical to the fetch/switch oracle in cpu.go: same registers,
-// memory, cycle charges, interlock stalls, sampling/edge probes,
-// delay-slot behaviour, and error strings.  internal/exec/diff enforces
-// that differentially.
+// []exec.Instr: a run of plain instructions in one switch loop (plain), an
+// in-body branch with a nop in its slot in RunBody's own loop (branch),
+// any other transfer through a small function-pointer table.  Semantics
+// must stay bit-identical to the fetch/switch oracle in cpu.go: same
+// registers, memory, cycle charges, interlock stalls, sampling/edge
+// probes, delay-slot behaviour, and error strings.  internal/exec/diff
+// enforces that differentially.
 
 // Dense opcodes.  Each is described exactly once: a transfer or an
 // undecodable word by the entry of mipsHandlers its number indexes, a
@@ -125,14 +126,37 @@ func (c *CPU) twr(n uint8, v uint32) {
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + uint32(int32(in.Imm))) }
 
-// mbr resolves a conditional relative branch: edge probe fires on every
-// resolution (taken or not), exactly like the oracle's branchRel.
-func (c *CPU) mbr(in *exec.Instr, taken bool) int32 {
-	c.edge(in.PC, taken)
-	if !taken {
-		return exec.NoBranch
+// branch resolves in, an instruction of a pc-relative branch row
+// (verify.KindBranch): it reports whether in is taken.  A conditional one
+// fires the edge probe on every resolution, taken or not, exactly like the
+// oracle's branchRel; j is not conditional.  RunBody calls it for a
+// branch it folds, the handler for one it does not.
+func (c *CPU) branch(in *exec.Instr) bool {
+	var taken bool
+	switch in.Op {
+	case mJ:
+		return true
+	case mBltz:
+		taken = c.trs(in.A) < 0
+	case mBgez:
+		taken = c.trs(in.A) >= 0
+	case mBeq:
+		taken = c.tru(in.A) == c.tru(in.B)
+	case mBne:
+		taken = c.tru(in.A) != c.tru(in.B)
+	case mBlez:
+		taken = c.trs(in.A) <= 0
+	case mBgtz:
+		taken = c.trs(in.A) > 0
+	case mBc1:
+		taken = (in.B&1 == 1) == c.cc
+	default:
+		panic(fmt.Sprintf("mips: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
-	return in.Jump(&c.extPC)
+	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
+		c.edge(in.PC, taken)
+	}
+	return taken
 }
 
 // PendingDelay reports whether a taken branch is waiting on its delay
@@ -171,7 +195,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		in.Op, in.A, in.B, in.Run = r.Op, rs, rt, r.Run()
+		in.Op, in.A, in.B, in.Run, in.Flags = r.Op, rs, rt, r.Run(), r.Fold()
 		if w == encNop {
 			in.Flags |= exec.FNop
 		}
@@ -203,7 +227,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 		}
 	}
-	exec.MarkRuns(code, 0)
+	exec.MarkRuns(code, 0, 1)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -230,9 +254,32 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
-		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
-			// A straight-line run that fits the budget, nobody sampling:
-			// plain executes all of it.  (One instruction alone costs
+		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
+			// An in-body branch with a nop in its slot — usually the one
+			// that closed the run the previous trip executed — and the
+			// budget admits both: resolved here, with no handler call, and
+			// the trip goes on at its successor.  It pays its bubble as on
+			// the path below; taken, it retires its slot too, not taken,
+			// the slot is its successor.  Neither loads, so no bubble waits
+			// at the successor.
+			if ll > 0 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
+				stall++
+			}
+			ll = -1
+			if n++; c.branch(in) {
+				n++
+				idx = int(in.Target)
+			} else {
+				idx++
+			}
+			if n == allow {
+				break
+			}
+			in = &code[idx]
+		}
+		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
+			// A straight-line run, nobody sampling: plain executes as much
+			// of it as the budget admits.  (One instruction alone costs
 			// less on the path below, which need not ask how far plain
 			// got.)  Its first instruction may have been reached by a
 			// branch, so ll decides its bubble; each of the others
@@ -385,6 +432,15 @@ func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
 // c.extPC.
 type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
 
+// tbranch is the handler of every pc-relative branch row: a branch
+// RunBody did not fold.
+func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	if !c.branch(in) {
+		return exec.NoBranch, nil
+	}
+	return in.Jump(&c.extPC), nil
+}
+
 var mipsHandlers = [mNumHandlers]thandler{
 	mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
@@ -395,40 +451,29 @@ var mipsHandlers = [mNumHandlers]thandler{
 		c.twr(in.C, uint32(in.PC+8))
 		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
 	},
-	mBltz: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.trs(in.A) < 0), nil
-	},
-	mBgez: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.trs(in.A) >= 0), nil
-	},
+	mBltz: tbranch,
+	mBgez: tbranch,
 	mBal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		// The oracle writes the link register before evaluating the
-		// condition, taken or not.
+		// condition, taken or not; the condition is bgez's.
 		c.twr(rRA, uint32(in.PC+8))
-		return c.mbr(in, c.trs(in.A) >= 0), nil
-	},
-	mJ: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+		taken := c.trs(in.A) >= 0
+		c.edge(in.PC, taken)
+		if !taken {
+			return exec.NoBranch, nil
+		}
 		return in.Jump(&c.extPC), nil
 	},
+	mJ: tbranch,
 	mJal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		c.twr(rRA, uint32(in.PC+8))
 		return in.Jump(&c.extPC), nil
 	},
-	mBeq: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.tru(in.A) == c.tru(in.B)), nil
-	},
-	mBne: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.tru(in.A) != c.tru(in.B)), nil
-	},
-	mBlez: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.trs(in.A) <= 0), nil
-	},
-	mBgtz: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, c.trs(in.A) > 0), nil
-	},
-	mBc1: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return c.mbr(in, (in.B&1 == 1) == c.cc), nil
-	},
+	mBeq:  tbranch,
+	mBne:  tbranch,
+	mBlez: tbranch,
+	mBgtz: tbranch,
+	mBc1:  tbranch,
 	mBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		return 0, badWord(uint32(in.Imm), in.PC)
 	},
@@ -561,11 +606,16 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			}
 			c.twr(in.B, uint32(uint16(v)))
 		case mLw:
-			v, err := c.m.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
+			a := c.taddr(in)
+			v, ok := c.m.Load4(a)
+			if !ok {
+				w, err := c.m.Load(a, 4)
+				if err != nil {
+					return i, bubbles, memErr("load", in, err)
+				}
+				v = uint32(w)
 			}
-			c.twr(in.B, uint32(v))
+			c.twr(in.B, v)
 		case mLwc1:
 			v, err := c.m.Load(c.taddr(in), 4)
 			if err != nil {
@@ -587,8 +637,10 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case mSw:
-			if err := c.m.Store(c.taddr(in), 4, uint64(c.tru(in.B))); err != nil {
-				return i, bubbles, memErr("store", in, err)
+			if a, v := c.taddr(in), c.tru(in.B); !c.m.Store4(a, v) {
+				if err := c.m.Store(a, 4, uint64(v)); err != nil {
+					return i, bubbles, memErr("store", in, err)
+				}
 			}
 		case mSwc1:
 			if err := c.m.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))); err != nil {

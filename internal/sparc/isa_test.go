@@ -11,7 +11,8 @@ import (
 // a fresh switch-engine CPU, the oracle they are held to.
 func tableUnderTest() *isatest.ISA {
 	m := mem.New(1<<16, true)
-	return &isatest.ISA{Rows: rows, Dec: New(), CPU: NewCPU(m), Mem: m}
+	c := NewCPU(m)
+	return &isatest.ISA{Rows: rows, Dec: New(), CPU: c, Mem: m, Branch: c.branch}
 }
 
 // TestISATableLegality: a word verifies exactly when the oracle decodes
@@ -21,6 +22,10 @@ func TestISATableLegality(t *testing.T) { tableUnderTest().CheckLegality(t) }
 // TestISATableRows: every row round-trips through the oracle, the
 // predecoder, the classifier and the disassembler.
 func TestISATableRows(t *testing.T) { tableUnderTest().CheckRows(t) }
+
+// TestISATableFolds: every pc-relative branch row has a case in the
+// switch RunBody folds branches with, and it agrees with the oracle.
+func TestISATableFolds(t *testing.T) { tableUnderTest().CheckFolds(t) }
 
 // TestDisasmListing pins the disassembly of one instruction of each
 // operand layout (and each alias), at pc 0x1000.

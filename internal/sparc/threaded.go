@@ -106,6 +106,26 @@ func (c *CPU) topnd2(in *exec.Instr) uint32 {
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + c.topnd2(in)) }
 
+// branch resolves in, an instruction of a pc-relative branch row
+// (verify.KindBranch): it reports whether in is taken, after the edge probe
+// that fires on every resolution, as in the oracle.  RunBody calls it for a
+// branch it folds, the handler for one it does not.
+func (c *CPU) branch(in *exec.Instr) bool {
+	var taken bool
+	switch in.Op {
+	case sBicc:
+		taken = c.takenI(uint32(in.A))
+	case sFBfcc:
+		taken = c.takenF(uint32(in.A))
+	default:
+		panic(fmt.Sprintf("sparc: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
+	}
+	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
+		c.edge(in.PC, taken)
+	}
+	return taken
+}
+
 // PendingDelay reports whether a taken branch is waiting on its delay
 // slot.
 func (c *CPU) PendingDelay() bool { return c.inDelay }
@@ -129,7 +149,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.Op, in.Imm = sBad, int64(w)
 			continue
 		}
-		in.Op, in.Run = r.Op, r.Run()
+		in.Op, in.Run, in.Flags = r.Op, r.Run(), r.Fold()
 		if w == encNop {
 			in.Flags |= exec.FNop
 		}
@@ -155,7 +175,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rs1, uint8(w&31), rd
 		}
 	}
-	exec.MarkRuns(code, exec.NoReg)
+	exec.MarkRuns(code, exec.NoReg, 1)
 	return &exec.Body{Base: base, Code: code}
 }
 
@@ -173,9 +193,24 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	sampling := c.sampleEvery != 0
 	for n < allow {
 		in := &code[idx]
-		if run := uint64(in.Run); run > 1 && run <= allow-n && !sampling {
-			// A straight-line run that fits the budget, nobody sampling:
-			// plain executes all of it (one instruction alone costs less
+		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
+			// An in-body branch with a nop in its slot, and the budget
+			// admits both: resolved here, with no handler call, and the
+			// trip goes on at its successor (see the MIPS engine).
+			if n++; c.branch(in) {
+				n++
+				idx = int(in.Target)
+			} else {
+				idx++
+			}
+			if n == allow {
+				break
+			}
+			in = &code[idx]
+		}
+		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
+			// A straight-line run, nobody sampling: plain executes as much
+			// of it as the budget admits (one instruction alone costs less
 			// on the path below).
 			done, err := c.plain(code[idx : idx+int(run)])
 			idx += done
@@ -285,23 +320,18 @@ func (c *CPU) flushBody(pc, pend uint64) {
 // the MIPS engine for what it returns.
 type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
 
+// tbranch is the handler of every pc-relative branch row: a branch
+// RunBody did not fold.
+func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+	if !c.branch(in) {
+		return exec.NoBranch, nil
+	}
+	return in.Jump(&c.extPC), nil
+}
+
 var sparcHandlers = [sNumHandlers]thandler{
-	sBicc: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		taken := c.takenI(uint32(in.A))
-		c.edge(in.PC, taken)
-		if !taken {
-			return exec.NoBranch, nil
-		}
-		return in.Jump(&c.extPC), nil
-	},
-	sFBfcc: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		taken := c.takenF(uint32(in.A))
-		c.edge(in.PC, taken)
-		if !taken {
-			return exec.NoBranch, nil
-		}
-		return in.Jump(&c.extPC), nil
-	},
+	sBicc:  tbranch,
+	sFBfcc: tbranch,
 	sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 		c.twr(rO7, uint32(in.PC))
 		return in.Jump(&c.extPC), nil
@@ -479,11 +509,16 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 		case sFcmpd:
 			c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
 		case sLd:
-			v, err := c.m.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, memErr("load", in, err)
+			a := c.taddr(in)
+			v, ok := c.m.Load4(a)
+			if !ok {
+				w, err := c.m.Load(a, 4)
+				if err != nil {
+					return i, memErr("load", in, err)
+				}
+				v = uint32(w)
 			}
-			c.twr(in.C, uint32(v))
+			c.twr(in.C, v)
 		case sLdub:
 			v, err := c.m.Load(c.taddr(in), 1)
 			if err != nil {
@@ -522,8 +557,10 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 			c.f[in.C&^1] = uint32(v >> 32)
 			c.f[in.C|1] = uint32(v)
 		case sSt:
-			if err := c.m.Store(c.taddr(in), 4, uint64(c.tru(in.C))); err != nil {
-				return i, memErr("store", in, err)
+			if a, v := c.taddr(in), c.tru(in.C); !c.m.Store4(a, v) {
+				if err := c.m.Store(a, 4, uint64(v)); err != nil {
+					return i, memErr("store", in, err)
+				}
 			}
 		case sStb:
 			if err := c.m.Store(c.taddr(in), 1, uint64(c.tru(in.C))); err != nil {

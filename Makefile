@@ -90,9 +90,11 @@ bench-hit:
 
 # The warm call in isolation: eight resident 13-instruction leaves called in
 # rotation through CallWithStats on each backend — ns and allocations per
-# call.  CI pins the allocations with TestWarmCallZeroAlloc; the
-# repository's benchmark (go run ./bench, workload call_hot) is what a
-# performance claim is judged by.
+# call — once per recorder setting (off, telemetry, trace, both), so what
+# recording adds to a warm call is a row of its own.  CI pins the
+# allocations of every row with TestWarmCallZeroAlloc; the repository's
+# benchmark (go run ./bench, workload call_hot) is what a performance claim
+# is judged by.
 bench-call:
 	go test -run '^$$' -bench BenchmarkWarmCall -benchtime 2000000x -count 5 ./internal/core
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -106,14 +105,12 @@ type Asm struct {
 	insnCount int
 	exts      map[string]*ExtDef
 
-	// emitStart stamps Begin when telemetry or tracing is enabled (zero
-	// otherwise); tstats caches the per-backend instrument handles.  With
-	// both off the only emission-path cost is one atomic load in Begin
-	// and one in End — nothing per instruction.
+	// emitStart stamps Begin when a recorder is on (zero otherwise).  With
+	// both off the only emission-path cost is two atomic loads in Begin —
+	// nothing per instruction.
 	emitStart time.Time
-	tstats    *telemetry.CodegenStats
 	// flow is the lifecycle span ID for the function under construction,
-	// assigned at Begin when tracing is on so front ends (jit.Compile)
+	// assigned at Begin when a recorder is on so front ends (jit.Compile)
 	// can hang regalloc/compile spans on it before End produces the Func.
 	flow uint64
 
@@ -223,19 +220,9 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 			return nil, fmt.Errorf("%w: parameter type %s", ErrBadType, t)
 		}
 	}
-	a.emitStart = time.Time{}
-	a.flow = 0
-	if telemetry.Enabled() {
-		if a.tstats == nil {
-			a.tstats = telemetry.ForBackend(a.backend.Name())
-		}
-		a.emitStart = time.Now()
-	}
-	if trace.Enabled() {
-		a.flow = trace.NextFlow()
-		if a.emitStart.IsZero() {
-			a.emitStart = time.Now()
-		}
+	a.emitStart, a.flow = time.Time{}, 0
+	if trace.Recording() {
+		a.emitStart, a.flow = time.Now(), trace.NextFlow()
 	}
 	a.buf.Reset()
 	a.err = nil
@@ -450,16 +437,8 @@ func (a *Asm) End() (*Func, error) {
 	}
 	fn.flow = a.flow
 	if !a.emitStart.IsZero() {
-		d := time.Since(a.emitStart)
-		if telemetry.Enabled() && a.tstats != nil {
-			a.tstats.EmitNS.Observe(uint64(d))
-			a.tstats.Insns.Add(uint64(a.insnCount))
-			a.tstats.Funcs.Inc()
-		}
-		if trace.Enabled() {
-			trace.Record(trace.KindEmit, a.backend.Name(), a.name, fn.lifecycleFlow(),
-				a.emitStart, d, trace.Attrs{N: int64(a.insnCount), Bytes: int64(fn.SizeBytes())})
-		}
+		trace.Record(trace.KindEmit, a.backend.Name(), a.name, fn.flow, a.emitStart, time.Since(a.emitStart),
+			trace.Attrs{N: int64(a.insnCount), Bytes: int64(fn.SizeBytes())})
 	}
 	return fn, nil
 }

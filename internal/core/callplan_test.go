@@ -419,7 +419,7 @@ func buildSum8(t *testing.T, bk core.Backend) *core.Func {
 
 // TestWarmCallZeroAlloc pins the warm path: a resident function with at
 // most callBufArgs arguments is called without touching the heap, under
-// either engine, with both recorders off.
+// either engine, with each recorder off and on.
 func TestWarmCallZeroAlloc(t *testing.T) {
 	if telemetry.Enabled() || trace.Enabled() {
 		t.Fatal("a recorder is on")
@@ -434,16 +434,20 @@ func TestWarmCallZeroAlloc(t *testing.T) {
 			if err := m.SetEngine(e); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, _, err := m.CallWithStats(ctx, core.CallOpts{}, leaf, two...); err != nil {
-					t.Fatal(err)
+			for _, rc := range recorders {
+				off := setRecorders(rc.telemetry, rc.trace)
+				allocs := testing.AllocsPerRun(200, func() {
+					if _, _, err := m.CallWithStats(ctx, core.CallOpts{}, leaf, two...); err != nil {
+						t.Fatal(err)
+					}
+					if v, _, err := m.CallWithStats(ctx, core.CallOpts{}, sum8, eight...); err != nil || v.Int() != 9 {
+						t.Fatalf("sum8 = %v, %v", v, err)
+					}
+				})
+				off()
+				if allocs != 0 {
+					t.Errorf("%s/%s/recorders %s: %.1f allocations per pair of warm calls, want 0", tg.Name, e, rc.name, allocs)
 				}
-				if v, _, err := m.CallWithStats(ctx, core.CallOpts{}, sum8, eight...); err != nil || v.Int() != 9 {
-					t.Fatalf("sum8 = %v, %v", v, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%s: %.1f allocations per pair of warm calls, want 0", tg.Name, e, allocs)
 			}
 		}
 	}
@@ -476,7 +480,7 @@ func TestCallErrorsWithRecorders(t *testing.T) {
 		{"wrong arg count", resident, []core.Value{core.I(1)}, "takes 2 args, got 1"},
 		{"wrong arg type", resident, []core.Value{core.I(1), core.D(2)}, "arg 1: have d, want i"},
 	}
-	stats := telemetry.ForBackend("mips")
+	calls, failures := telemetry.Default.Counter("machine.mips.calls"), telemetry.Default.Counter("machine.mips.call_errors")
 	defer telemetry.SetEnabled(false)
 	defer trace.SetEnabled(false)
 	defer trace.Reset()
@@ -487,7 +491,7 @@ func TestCallErrorsWithRecorders(t *testing.T) {
 					telemetry.SetEnabled(tel)
 					trace.SetEnabled(tr)
 					trace.Reset()
-					calls, failed := stats.Calls.Load(), stats.CallErrors.Load()
+					called, failed := calls.Load(), failures.Load()
 
 					_, _, err := m.CallWithStats(context.Background(), core.CallOpts{}, c.f, c.args...)
 					if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -498,10 +502,10 @@ func TestCallErrorsWithRecorders(t *testing.T) {
 					if tel {
 						on = 1
 					}
-					if got := stats.Calls.Load() - calls; got != on {
+					if got := calls.Load() - called; got != on {
 						t.Errorf("telemetry counted %d calls, want %d", got, on)
 					}
-					if got := stats.CallErrors.Load() - failed; got != on {
+					if got := failures.Load() - failed; got != on {
 						t.Errorf("telemetry counted %d failed calls, want %d", got, on)
 					}
 					spans := trace.Spans()
@@ -599,32 +603,37 @@ func TestTracedCallOfAnotherMachinesFunc(t *testing.T) {
 // BenchmarkWarmCall is the call_hot shape inside the package: eight
 // resident 13-instruction leaves called in rotation through CallWithStats,
 // so every call misses the run loop's last-body cache and what is timed is
-// the per-call fixed cost plus a dozen dispatches.
+// the per-call fixed cost plus a dozen dispatches — once per setting of the
+// recorders, so the rows off/telemetry/trace/both price what recording
+// adds to a warm call.
 func BenchmarkWarmCall(b *testing.B) {
 	for _, tg := range regtest.Targets() {
-		b.Run(tg.Name, func(b *testing.B) {
-			m := tg.NewMachine()
-			fns := make([]*core.Func, 8)
-			for i := range fns {
-				fns[i] = buildLeaf(b, tg.Backend, int64(i))
-				if err := m.Install(fns[i]); err != nil {
-					b.Fatal(err)
-				}
+		m := tg.NewMachine()
+		fns := make([]*core.Func, 8)
+		for i := range fns {
+			fns[i] = buildLeaf(b, tg.Backend, int64(i))
+			if err := m.Install(fns[i]); err != nil {
+				b.Fatal(err)
 			}
-			args := []core.Value{core.I(12345), core.I(678)}
-			ctx := context.Background()
-			var insns uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % len(fns)
-				v, st, err := m.CallWithStats(ctx, core.CallOpts{}, fns[k], args...)
-				if err != nil || int32(v.Int()) != leafWant(int64(k), 12345, 678) {
-					b.Fatalf("leaf%d = %v, %v", k, v, err)
+		}
+		args := []core.Value{core.I(12345), core.I(678)}
+		ctx := context.Background()
+		for _, rc := range recorders {
+			b.Run(tg.Name+"/"+rc.name, func(b *testing.B) {
+				defer setRecorders(rc.telemetry, rc.trace)()
+				var insns uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i % len(fns)
+					v, st, err := m.CallWithStats(ctx, core.CallOpts{}, fns[k], args...)
+					if err != nil || int32(v.Int()) != leafWant(int64(k), 12345, 678) {
+						b.Fatalf("leaf%d = %v, %v", k, v, err)
+					}
+					insns += st.Insns
 				}
-				insns += st.Insns
-			}
-			b.ReportMetric(float64(insns)/float64(b.N), "sim_insns/call")
-		})
+				b.ReportMetric(float64(insns)/float64(b.N), "sim_insns/call")
+			})
+		}
 	}
 }

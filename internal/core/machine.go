@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/mem"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
@@ -162,10 +161,6 @@ type Machine struct {
 	// verifyOff disables the pre-install code verifier (SetVerify).
 	verifyOff bool
 
-	// tstats caches the telemetry instrument bundle for this backend
-	// (resolved lazily on the first enabled-telemetry operation).
-	tstats *telemetry.CodegenStats
-
 	// tcpu is the simulator's threaded engine, or nil if the CPU only
 	// implements Step; engine selects which one Call uses (engine.go).
 	// lastBody is a single-entry cache of bodyAt.  bodyGen counts the
@@ -244,15 +239,6 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 	mc.codeNextPub.Store(mc.codeNext)
 	registerDivHelpers(mc)
 	return mc
-}
-
-// stats lazily resolves the machine's telemetry handles (callers hold mu
-// or are otherwise serialized; NewMachine runs before any concurrency).
-func (m *Machine) stats() *telemetry.CodegenStats {
-	if m.tstats == nil {
-		m.tstats = telemetry.ForBackend(m.backend.Name())
-	}
-	return m.tstats
 }
 
 // Backend returns the machine's target port.
@@ -538,7 +524,7 @@ func (m *Machine) install(f *Func) error {
 		return fmt.Errorf("machine: %s has no code", f.Name)
 	}
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if trace.Recording() {
 		start = time.Now()
 	}
 	size := (uint64(4*len(f.Words)) + 15) &^ 15
@@ -574,16 +560,8 @@ func (m *Machine) install(f *Func) error {
 	if !start.IsZero() {
 		// Nested installs (referenced functions) are timed individually;
 		// the parent's duration includes its children.
-		d := time.Since(start)
-		if telemetry.Enabled() {
-			st := m.stats()
-			st.InstallNS.Observe(uint64(d))
-			st.Installs.Inc()
-		}
-		if trace.Enabled() {
-			trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
-				start, d, trace.Attrs{Bytes: int64(size)})
-		}
+		trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
+			start, time.Since(start), trace.Attrs{Bytes: int64(size)})
 	}
 	return nil
 }
@@ -694,7 +672,7 @@ func (m *Machine) SetVerify(on bool) {
 // holds mu.
 func (m *Machine) verifyFunc(f *Func) error {
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if trace.Recording() {
 		start = time.Now()
 	}
 	var prs []verify.PoolRef
@@ -716,18 +694,12 @@ func (m *Machine) verifyFunc(f *Func) error {
 		PoolRefs:  prs,
 	}, verify.Options{ExternTarget: m.validCallTarget})
 	if !start.IsZero() {
-		d := time.Since(start)
-		if telemetry.Enabled() {
-			m.stats().VerifyNS.Observe(uint64(d))
+		verdict := "ok"
+		if err != nil {
+			verdict = "reject"
 		}
-		if trace.Enabled() {
-			verdict := "ok"
-			if err != nil {
-				verdict = "reject"
-			}
-			trace.Record(trace.KindVerify, f.BackendName, f.Name, f.lifecycleFlow(),
-				start, d, trace.Attrs{N: int64(len(f.Words)), Verdict: verdict, Err: errText(err)})
-		}
+		trace.Record(trace.KindVerify, f.BackendName, f.Name, f.lifecycleFlow(),
+			start, time.Since(start), trace.Attrs{N: int64(len(f.Words)), Verdict: verdict, Err: errText(err)})
 	}
 	return err
 }
@@ -822,7 +794,7 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	}
 	// The recorders own the clock: with both gates off a call reads none.
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if trace.Recording() {
 		start = time.Now()
 	}
 	cycles0, insns0 := m.cpu.Cycles(), m.cpu.Insns()
@@ -846,33 +818,19 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	return v, st, err
 }
 
-// recordCall feeds one finished call, timed from start, to whichever
-// recorders are on.  f may be nil (the call failed on that), so the event
-// is then named by the machine alone.  Caller holds mu.
+// recordCall records one finished call, timed from start.  f may be nil
+// (the call failed on that), so the event is then named by the machine
+// alone.  Caller holds mu.
 func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) {
-	d := time.Since(start)
-	backend, name := m.backend.Name(), ""
+	backend, name, flow := m.backend.Name(), "", uint64(0)
 	if f != nil {
 		backend, name = f.BackendName, f.Name
 	}
-	if telemetry.Enabled() {
-		ts := m.stats()
-		ts.Calls.Inc()
-		if err != nil {
-			ts.CallErrors.Inc()
-		}
-		ts.CallNS.Observe(uint64(d))
-		ts.SimInsns.Add(st.Insns)
-		ts.SimCycles.Add(st.Cycles)
+	if f.home() == m { // f's machine alone assigns its flow, under its lock
+		flow = f.lifecycleFlow()
 	}
-	if trace.Enabled() {
-		var flow uint64 // f's machine alone assigns it, under its lock
-		if f.home() == m {
-			flow = f.lifecycleFlow()
-		}
-		trace.Record(trace.KindCall, backend, name, flow,
-			start, d, trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
-	}
+	trace.Record(trace.KindCall, backend, name, flow,
+		start, time.Since(start), trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
 }
 
 // callLocked is the hot body of a call: placement of a function never

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -104,10 +103,7 @@ func (m *Machine) remove(f *Func) {
 	if r.name == "" {
 		return // a reservation: it never was resident
 	}
-	if telemetry.Enabled() {
-		m.stats().Uninstalls.Inc()
-	}
-	if trace.Enabled() {
+	if trace.Recording() {
 		trace.Record(trace.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
 			time.Now(), 0, trace.Attrs{Bytes: int64(r.end - r.start)})
 	}

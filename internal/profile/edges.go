@@ -3,9 +3,7 @@ package profile
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -19,57 +17,24 @@ const DefaultEdgeStride = 13
 
 // EdgeProfiler accumulates basic-block edge profiles: taken/not-taken
 // counts per conditional-branch PC, fed by the simulators' countdown-
-// gated edge probes (core.EdgeProfilingCPU).  Samples are symbolized
-// eagerly through the machine's lock-free address map, keyed by
-// (function, branch PC), so evicted functions keep their attribution —
-// the same discipline as the PC-sampling Profiler.  Safe for concurrent
-// use; may be attached to several machines.
-type EdgeProfiler struct {
-	stride   uint64
-	maxEdges int
-
-	mu       sync.Mutex
-	edges    map[uint64]*edgeBucket
-	total    uint64
-	dropped  uint64
-	machines []*core.Machine
-	hot      *HotCounts
-}
-
-type edgeBucket struct {
-	name   string
-	hotKey string // "" when the PC never resolved (evicted/unknown)
-	taken  uint64
-	not    uint64
-}
+// gated edge probes (core.EdgeProfilingCPU), in the same table as the
+// PC-sampling Profiler.  Safe for concurrent use; may be attached to
+// several machines.
+type EdgeProfiler struct{ table }
 
 // NewEdgeProfiler returns an edge profiler recording every stride
 // conditional-branch resolutions (0 selects DefaultEdgeStride).
 // Distinct-branch tracking is bounded (65536 PCs); overflow events are
-// counted but not attributed.
+// counted but not attributed.  A linked HotCounts (SetHotCounts) is fed
+// stride — the estimated true branch-resolution count an event stands
+// for — under "edge:" and the containing function's name; jit.Adaptive
+// reads it to promote functions whose blocks are hot even when their call
+// counts are not (one call spinning a million-iteration loop).
 func NewEdgeProfiler(stride uint64) *EdgeProfiler {
 	if stride == 0 {
 		stride = DefaultEdgeStride
 	}
-	return &EdgeProfiler{
-		stride:   stride,
-		maxEdges: 1 << 16,
-		edges:    make(map[uint64]*edgeBucket),
-	}
-}
-
-// Stride returns the branch-event sampling period.
-func (e *EdgeProfiler) Stride() uint64 { return e.stride }
-
-// SetHotCounts links a block-heat table: every recorded edge event adds
-// stride (the estimated true branch-resolution count it stands for) under
-// the containing function's name.  jit.Adaptive reads the same table to
-// promote functions whose *blocks* are hot even when their call counts
-// are not (one call spinning a million-iteration loop).
-func (e *EdgeProfiler) SetHotCounts(h *HotCounts) {
-	e.mu.Lock()
-	e.hot = h
-	e.mu.Unlock()
+	return &EdgeProfiler{newTable(stride, "edge:")}
 }
 
 // Attach hooks the profiler onto m's simulator.  It fails if the CPU does
@@ -77,98 +42,34 @@ func (e *EdgeProfiler) SetHotCounts(h *HotCounts) {
 // at attach time.
 func (e *EdgeProfiler) Attach(m *core.Machine) error {
 	resolve, inCode := m.SymbolizePC, m.InCodeRegion
-	if err := m.SetEdgeProbe(func(pc uint64, taken bool) { e.record(resolve, inCode, pc, taken) }, e.stride); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.machines = append(e.machines, m)
-	e.mu.Unlock()
-	return nil
+	return e.attach(m, m.SetEdgeProbe(func(pc uint64, taken bool) { e.record(resolve, inCode, pc, taken) }, e.stride))
 }
 
 // Detach removes the profiler's probe from m.
 func (e *EdgeProfiler) Detach(m *core.Machine) {
 	_ = m.SetEdgeProbe(nil, 0)
-	e.mu.Lock()
-	for i, mm := range e.machines {
-		if mm == m {
-			e.machines = append(e.machines[:i], e.machines[i+1:]...)
-			break
-		}
-	}
-	e.mu.Unlock()
+	e.detach(m)
 }
 
-// record is the edge probe: it runs inside the simulator's step loop, so
-// it symbolizes lock-free and takes only the profiler's own lock.
+// record is the edge probe.
 func (e *EdgeProfiler) record(resolve func(uint64) (string, bool), inCode func(uint64) bool, pc uint64, taken bool) {
-	name, ok := resolve(pc)
-	var hot *HotCounts
-	var hotKey, hotName string
-	e.mu.Lock()
-	e.total++
-	b, seen := e.edges[pc]
-	switch {
-	case seen:
-		if ok && b.name != name {
-			// Address reuse after eviction: restart attribution under the
-			// new owner rather than blending two functions' counts.
-			b.name, b.hotKey, b.taken, b.not = name, "edge:"+name, 0, 0
-		}
-	case len(e.edges) < e.maxEdges:
-		b = &edgeBucket{name: name}
-		if ok {
-			b.hotKey = "edge:" + name
-		} else {
-			b.name = "[unknown]"
-			if inCode != nil && inCode(pc) {
-				b.name = "[evicted]"
-			}
-		}
-		e.edges[pc] = b
-	default:
-		e.dropped++
-		e.mu.Unlock()
-		return
-	}
-	if taken {
-		b.taken++
-	} else {
-		b.not++
-	}
-	if ok && b.hotKey != "" {
-		hot, hotKey, hotName = e.hot, b.hotKey, b.name
-	}
-	e.mu.Unlock()
-	if hot != nil {
-		hot.Add(hotKey, hotName, int64(e.stride))
+	if hot, key, name := e.add(resolve, inCode, pc, taken); hot != nil {
+		hot.Add(key, name, int64(e.stride))
 	}
 }
 
 // TotalEvents returns the number of probe firings recorded so far (each
 // stands for stride branch resolutions).
-func (e *EdgeProfiler) TotalEvents() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.total
-}
+func (e *EdgeProfiler) TotalEvents() uint64 { return e.events() }
 
 // EdgeAt returns the recorded taken/not-taken counts for a branch PC.
 func (e *EdgeProfiler) EdgeAt(pc uint64) (taken, notTaken uint64, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if b, found := e.edges[pc]; found {
-		return b.taken, b.not, true
+	if r, found := e.rows[pc]; found {
+		return r.taken, r.n - r.taken, true
 	}
 	return 0, 0, false
-}
-
-// Reset discards all accumulated edge counts.
-func (e *EdgeProfiler) Reset() {
-	e.mu.Lock()
-	e.edges = make(map[uint64]*edgeBucket)
-	e.total, e.dropped = 0, 0
-	e.mu.Unlock()
 }
 
 // ResetSpan discards accumulated counts for branch PCs in [start, end).
@@ -177,9 +78,9 @@ func (e *EdgeProfiler) Reset() {
 // stale pre-flip history into the next formation decision.
 func (e *EdgeProfiler) ResetSpan(start, end uint64) {
 	e.mu.Lock()
-	for pc := range e.edges {
+	for pc := range e.rows {
 		if pc >= start && pc < end {
-			delete(e.edges, pc)
+			delete(e.rows, pc)
 		}
 	}
 	e.mu.Unlock()
@@ -210,43 +111,15 @@ func (e *EdgeProfiler) Snapshot(topEdges int) EdgeReport {
 	if topEdges == 0 {
 		topEdges = 32
 	}
-	e.mu.Lock()
-	rep := EdgeReport{Stride: e.stride, TotalEvents: e.total, DroppedPCs: e.dropped}
-	rows := make([]EdgeSample, 0, len(e.edges))
-	for pc, b := range e.edges {
-		s := EdgeSample{PC: pc, Name: b.name, Taken: b.taken, NotTaken: b.not}
-		if tot := b.taken + b.not; tot > 0 {
-			s.Bias = float64(b.taken) / float64(tot)
-		}
-		rows = append(rows, s)
+	v := e.view()
+	if topEdges > 0 {
+		v.rows = v.rows[:min(topEdges, len(v.rows))]
 	}
-	machines := append([]*core.Machine(nil), e.machines...)
-	e.mu.Unlock()
-
-	base := make(map[string]uint64)
-	for _, m := range machines {
-		for _, s := range m.FuncSpans() {
-			if _, ok := base[s.Name]; !ok {
-				base[s.Name] = s.Start
-			}
-		}
+	rep := EdgeReport{Stride: e.stride, TotalEvents: v.total, DroppedPCs: v.dropped, Edges: make([]EdgeSample, 0, len(v.rows))}
+	for _, s := range v.rows {
+		rep.Edges = append(rep.Edges, EdgeSample{PC: s.pc, Name: s.name, Offset: s.offset,
+			Taken: s.taken, NotTaken: s.n - s.taken, Bias: float64(s.taken) / float64(s.n)})
 	}
-	for i := range rows {
-		if b, ok := base[rows[i].Name]; ok && rows[i].PC >= b {
-			rows[i].Offset = rows[i].PC - b
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ti, tj := rows[i].Taken+rows[i].NotTaken, rows[j].Taken+rows[j].NotTaken
-		if ti != tj {
-			return ti > tj
-		}
-		return rows[i].PC < rows[j].PC
-	})
-	if topEdges > 0 && len(rows) > topEdges {
-		rows = rows[:topEdges]
-	}
-	rep.Edges = rows
 	return rep
 }
 
@@ -270,12 +143,5 @@ func (r EdgeReport) String() string {
 // RegisterTelemetry exports the edge profiler's aggregate state through a
 // telemetry registry.
 func (e *EdgeProfiler) RegisterTelemetry(reg *telemetry.Registry, name string) {
-	prefix := "edges." + name + "."
-	reg.GaugeFunc(prefix+"events", func() float64 { return float64(e.TotalEvents()) })
-	reg.GaugeFunc(prefix+"stride", func() float64 { return float64(e.stride) })
-	reg.GaugeFunc(prefix+"distinct_branches", func() float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(len(e.edges))
-	})
+	e.register(reg, "edges."+name+".", "events", "distinct_branches")
 }

@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -60,35 +59,5 @@ func (h *HotCounts) GetByName(name string) int64 {
 		}
 		return true
 	})
-	return n
-}
-
-// HotCount is one snapshot row.
-type HotCount struct {
-	Key, Name string
-	Calls     int64
-}
-
-// Snapshot returns all entries sorted by call count, hottest first.
-func (h *HotCounts) Snapshot() []HotCount {
-	var out []HotCount
-	h.m.Range(func(k, v any) bool {
-		e := v.(*hotEntry)
-		out = append(out, HotCount{Key: k.(string), Name: e.name, Calls: e.n.Load()})
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Calls != out[j].Calls {
-			return out[i].Calls > out[j].Calls
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// Len returns the number of tracked keys.
-func (h *HotCounts) Len() int {
-	n := 0
-	h.m.Range(func(_, _ any) bool { n++; return true })
 	return n
 }

@@ -13,7 +13,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
@@ -24,29 +23,11 @@ import (
 // percent while still attributing hot loops within a few hundred calls.
 const DefaultStride = 64
 
-// Profiler accumulates PC samples.  Samples are symbolized eagerly (the
-// machine's address map is lock-free), so functions evicted between
-// sampling and reporting keep their attribution, also once another
-// function is placed at their addresses.  A profiler may be
-// attached to several machines; each attachment carries its own
-// symbolizer.  Safe for concurrent use.
-type Profiler struct {
-	stride uint64
-	maxPCs int
-
-	mu       sync.Mutex
-	samples  map[uint64]*pcBucket
-	retired  map[string]uint64 // samples of PCs a later function took over, by their old function
-	total    uint64
-	dropped  uint64
-	machines []*core.Machine
-	hot      *HotCounts
-}
-
-type pcBucket struct {
-	name  string
-	count uint64
-}
+// Profiler accumulates PC samples in a table (see table for its
+// symbolization and reuse rules).  A profiler may be attached to several
+// machines; each attachment carries its own symbolizer.  Safe for
+// concurrent use.
+type Profiler struct{ table }
 
 // New returns a profiler sampling every stride retired instructions
 // (0 selects DefaultStride).  Distinct-PC tracking is bounded (65536
@@ -55,23 +36,7 @@ func New(stride uint64) *Profiler {
 	if stride == 0 {
 		stride = DefaultStride
 	}
-	return &Profiler{
-		stride:  stride,
-		maxPCs:  1 << 16,
-		samples: make(map[uint64]*pcBucket),
-		retired: make(map[string]uint64),
-	}
-}
-
-// Stride returns the sampling period in retired instructions.
-func (p *Profiler) Stride() uint64 { return p.stride }
-
-// SetHotCounts links an invocation-count table (e.g. the adaptive JIT's)
-// so reports can show calls alongside samples.
-func (p *Profiler) SetHotCounts(h *HotCounts) {
-	p.mu.Lock()
-	p.hot = h
-	p.mu.Unlock()
+	return &Profiler{newTable(stride, "")}
 }
 
 // Attach hooks the profiler onto m's simulator.  It fails if the CPU does
@@ -79,59 +44,13 @@ func (p *Profiler) SetHotCounts(h *HotCounts) {
 // per-machine symbolizer is captured here, at attach time.
 func (p *Profiler) Attach(m *core.Machine) error {
 	resolve, inCode := m.SymbolizePC, m.InCodeRegion
-	if err := m.SetSampler(func(pc uint64) { p.record(resolve, inCode, pc) }, p.stride); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.machines = append(p.machines, m)
-	p.mu.Unlock()
-	return nil
+	return p.attach(m, m.SetSampler(func(pc uint64) { p.add(resolve, inCode, pc, false) }, p.stride))
 }
 
 // Detach removes the profiler's hook from m.
 func (p *Profiler) Detach(m *core.Machine) {
 	_ = m.SetSampler(nil, 0)
-	p.mu.Lock()
-	for i, mm := range p.machines {
-		if mm == m {
-			p.machines = append(p.machines[:i], p.machines[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
-}
-
-// record is the sampling hook: it runs inside the simulator's step loop,
-// so it symbolizes through the machine's lock-free address map and then
-// takes only the profiler's own lock.  Samples that no longer resolve —
-// the containing function was just evicted — keep their previous
-// attribution if the PC was seen before, and otherwise count under
-// "[evicted]" (PC inside the code arena) or "[unknown]"; they are never
-// silently dropped.  A PC that resolves to a new function (the address
-// was reused) retires its count to the function that had it and starts
-// the new function's row at zero.
-func (p *Profiler) record(resolve func(uint64) (string, bool), inCode func(uint64) bool, pc uint64) {
-	name, ok := resolve(pc)
-	p.mu.Lock()
-	p.total++
-	if b, seen := p.samples[pc]; seen {
-		if ok && b.name != name {
-			p.retired[b.name] += b.count
-			b.name, b.count = name, 0
-		}
-		b.count++
-	} else if len(p.samples) < p.maxPCs {
-		if !ok {
-			name = "[unknown]"
-			if inCode != nil && inCode(pc) {
-				name = "[evicted]"
-			}
-		}
-		p.samples[pc] = &pcBucket{name: name, count: 1}
-	} else {
-		p.dropped++
-	}
-	p.mu.Unlock()
+	p.detach(m)
 }
 
 // PCCounts snapshots the raw per-PC sample counts (the annotated-
@@ -139,28 +58,15 @@ func (p *Profiler) record(resolve func(uint64) (string, bool), inCode func(uint6
 func (p *Profiler) PCCounts() map[uint64]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[uint64]uint64, len(p.samples))
-	for pc, b := range p.samples {
-		out[pc] = b.count
+	out := make(map[uint64]uint64, len(p.rows))
+	for pc, r := range p.rows {
+		out[pc] = r.n
 	}
 	return out
 }
 
 // TotalSamples returns the number of samples recorded so far.
-func (p *Profiler) TotalSamples() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}
-
-// Reset discards all accumulated samples.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	p.samples = make(map[uint64]*pcBucket)
-	p.retired = make(map[string]uint64)
-	p.total, p.dropped = 0, 0
-	p.mu.Unlock()
-}
+func (p *Profiler) TotalSamples() uint64 { return p.events() }
 
 // PCSample is one flat-report row: samples attributed to a single
 // program counter.
@@ -195,39 +101,12 @@ func (p *Profiler) Snapshot(topPCs int) Report {
 	if topPCs <= 0 {
 		topPCs = 20
 	}
-	p.mu.Lock()
-	pcs := make([]PCSample, 0, len(p.samples))
-	byFunc := make(map[string]uint64, len(p.retired))
-	for name, n := range p.retired {
-		byFunc[name] = n
-	}
-	for pc, b := range p.samples {
-		pcs = append(pcs, PCSample{PC: pc, Name: b.name, Count: b.count})
-		byFunc[b.name] += b.count
-	}
-	rep := Report{TotalSamples: p.total, DroppedPCs: p.dropped, Stride: p.stride}
-	hot := p.hot
-	machines := append([]*core.Machine(nil), p.machines...)
-	p.mu.Unlock()
-
-	// Function base addresses (for PC offsets) from the live address maps.
-	base := make(map[string]uint64)
-	for _, m := range machines {
-		for _, s := range m.FuncSpans() {
-			if _, ok := base[s.Name]; !ok {
-				base[s.Name] = s.Start
-			}
-		}
-	}
-
-	total := float64(rep.TotalSamples)
-	for name, n := range byFunc {
-		fs := FuncSample{Name: name, Count: n}
-		if total > 0 {
-			fs.Pct = 100 * float64(n) / total
-		}
-		if hot != nil {
-			fs.Calls = hot.GetByName(name)
+	v := p.view()
+	rep := Report{TotalSamples: v.total, DroppedPCs: v.dropped, Stride: p.stride, TopPCs: []PCSample{}}
+	for name, n := range v.byFunc {
+		fs := FuncSample{Name: name, Count: n, Pct: pct(n, v.total)}
+		if v.hot != nil {
+			fs.Calls = v.hot.GetByName(name)
 		}
 		rep.Funcs = append(rep.Funcs, fs)
 	}
@@ -237,25 +116,9 @@ func (p *Profiler) Snapshot(topPCs int) Report {
 		}
 		return rep.Funcs[i].Name < rep.Funcs[j].Name
 	})
-
-	sort.Slice(pcs, func(i, j int) bool {
-		if pcs[i].Count != pcs[j].Count {
-			return pcs[i].Count > pcs[j].Count
-		}
-		return pcs[i].PC < pcs[j].PC
-	})
-	if len(pcs) > topPCs {
-		pcs = pcs[:topPCs]
+	for _, s := range v.rows[:min(topPCs, len(v.rows))] {
+		rep.TopPCs = append(rep.TopPCs, PCSample{PC: s.pc, Name: s.name, Count: s.n, Pct: pct(s.n, v.total), Offset: s.offset})
 	}
-	for i := range pcs {
-		if total > 0 {
-			pcs[i].Pct = 100 * float64(pcs[i].Count) / total
-		}
-		if b, ok := base[pcs[i].Name]; ok && pcs[i].PC >= b {
-			pcs[i].Offset = pcs[i].PC - b
-		}
-	}
-	rep.TopPCs = pcs
 	return rep
 }
 
@@ -287,12 +150,5 @@ func (r Report) String() string {
 // RegisterTelemetry exports the profiler's aggregate state through a
 // telemetry registry.
 func (p *Profiler) RegisterTelemetry(reg *telemetry.Registry, name string) {
-	prefix := "profile." + name + "."
-	reg.GaugeFunc(prefix+"samples", func() float64 { return float64(p.TotalSamples()) })
-	reg.GaugeFunc(prefix+"stride", func() float64 { return float64(p.stride) })
-	reg.GaugeFunc(prefix+"distinct_pcs", func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return float64(len(p.samples))
-	})
+	p.register(reg, "profile."+name+".", "samples", "distinct_pcs")
 }

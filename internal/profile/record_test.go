@@ -31,11 +31,11 @@ func TestRecordEvictionRegression(t *testing.T) {
 	inCode := func(pc uint64) bool { return pc >= 0x1000 && pc < 0x2000 }
 	p := New(1)
 
-	p.record(r.resolve, inCode, 0x1000) // resolves: seeds the bucket
-	delete(r.names, 0x1000)             // evict between samples
-	p.record(r.resolve, inCode, 0x1000) // seen PC, resolve now fails
-	p.record(r.resolve, inCode, 0x1004) // fresh PC inside arena, unresolvable
-	p.record(r.resolve, inCode, 0x9000) // fresh PC outside arena
+	p.add(r.resolve, inCode, 0x1000, false) // resolves: seeds the bucket
+	delete(r.names, 0x1000)                 // evict between samples
+	p.add(r.resolve, inCode, 0x1000, false) // seen PC, resolve now fails
+	p.add(r.resolve, inCode, 0x1004, false) // fresh PC inside arena, unresolvable
+	p.add(r.resolve, inCode, 0x9000, false) // fresh PC outside arena
 
 	if got := p.TotalSamples(); got != 4 {
 		t.Fatalf("TotalSamples = %d, want 4 (no sample may be dropped)", got)
@@ -65,10 +65,10 @@ func TestRecordReuseRebinds(t *testing.T) {
 	inCode := func(uint64) bool { return true }
 	p := New(1)
 	for i := 0; i < 10; i++ {
-		p.record(r.resolve, inCode, 0x1000)
+		p.add(r.resolve, inCode, 0x1000, false)
 	}
 	r.names[0x1000] = "B"
-	p.record(r.resolve, inCode, 0x1000)
+	p.add(r.resolve, inCode, 0x1000, false)
 	rep := p.Snapshot(10)
 	if len(rep.TopPCs) != 1 || rep.TopPCs[0].Name != "B" || rep.TopPCs[0].Count != 1 {
 		t.Errorf("reused PC = %+v, want name=B count=1", rep.TopPCs)
@@ -83,8 +83,9 @@ func TestRecordReuseRebinds(t *testing.T) {
 }
 
 // TestEdgeRecordEviction pins the same contract for the edge profiler,
-// plus the address-reuse rule: counts restart under the new owner
-// instead of blending two functions' branch statistics.
+// plus the address-reuse rule the PC profiler keeps too: counts restart
+// under the new owner instead of blending two functions' branch
+// statistics, and the old owner's retire under its name.
 func TestEdgeRecordEviction(t *testing.T) {
 	r := &fakeResolver{names: map[uint64]string{0x1000: "victim"}}
 	inCode := func(pc uint64) bool { return pc >= 0x1000 && pc < 0x2000 }
@@ -116,6 +117,9 @@ func TestEdgeRecordEviction(t *testing.T) {
 	e.record(r.resolve, inCode, 0x1000, true)
 	if taken, not, _ := e.EdgeAt(0x1000); taken != 1 || not != 0 {
 		t.Errorf("after reuse EdgeAt = %d/%d, want counts restarted at 1/0", taken, not)
+	}
+	if got := e.view().byFunc; got["victim"] != 2 || got["heir"] != 1 {
+		t.Errorf("events per function after reuse = %v, want victim's 2 retired under its name, heir 1", got)
 	}
 	out := e.Snapshot(-1).String()
 	if !strings.Contains(out, "heir") {

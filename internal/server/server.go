@@ -190,7 +190,6 @@ type Server struct {
 	requests  *telemetry.Counter
 	errorsAll *telemetry.Counter
 	callNS    *telemetry.Histogram
-	requestNS *telemetry.Histogram
 
 	execRetries            *telemetry.Counter // exec's re-entries into compile after an eviction
 	rateLimited            *telemetry.Counter
@@ -228,7 +227,6 @@ func New(cfg Config) (*Server, error) {
 		requests:       reg.Counter("server.requests"),
 		errorsAll:      reg.Counter("server.errors"),
 		callNS:         reg.Histogram("server.call_ns", nil),
-		requestNS:      reg.Histogram("server.request_ns", nil),
 		execRetries:    reg.Counter("server.exec_retries"),
 		rateLimited:    reg.Counter("server.rate_limited"),
 		shedded:        reg.Counter("server.shed"),
@@ -569,11 +567,11 @@ func (s *Server) requestID(supplied string) string {
 	return string(strconv.AppendUint(buf, seq, 10))
 }
 
-// finishRequest records an admitted request's telemetry, its SLO
-// observation, its outcome record and (at Debug) its structured log line,
-// and answers a failed one with apiE.  The outcome's flow is the entry
-// function's lifecycle flow when the function is known, so its
-// verify/install/call records join the request.
+// finishRequest records an admitted request's counters, its one latency
+// observation (the SLO trackers'), its outcome record and (at Debug) its
+// structured log line, and answers a failed one with apiE.  The outcome's
+// flow is the entry function's lifecycle flow when the function is known,
+// so its verify/install/call records join the request.
 func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIError) {
 	t, key, shardID := a.t, a.req.Key, -1
 	if a.cr.shard != nil {
@@ -582,10 +580,6 @@ func (s *Server) finishRequest(w http.ResponseWriter, a *admitted, apiE *APIErro
 	s.requests.Inc()
 	t.requests.Inc()
 	d := time.Since(a.start)
-	if telemetry.Enabled() {
-		s.requestNS.Observe(uint64(d))
-		t.requestNS.Observe(uint64(d))
-	}
 	verdict, errText := "ok", ""
 	if apiE != nil {
 		s.errorsAll.Inc()

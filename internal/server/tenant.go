@@ -75,12 +75,11 @@ type tenant struct {
 	// compiling counts in-flight compile flights this tenant owns.
 	compiling atomic.Int64
 
-	requests  *telemetry.Counter
-	errors    *telemetry.Counter
-	rejected  *telemetry.Counter // admission/quota rejections (subset of errors)
-	compiles  *telemetry.Counter
-	callNS    *telemetry.Histogram
-	requestNS *telemetry.Histogram
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
+	rejected *telemetry.Counter // admission/quota rejections (subset of errors)
+	compiles *telemetry.Counter
+	callNS   *telemetry.Histogram
 
 	// slo is the tenant's SLO tracker (nil when the watchdog is
 	// disabled; Observe is nil-safe).
@@ -92,15 +91,14 @@ type tenant struct {
 func newTenant(reg *telemetry.Registry, name string, q Quota) *tenant {
 	prefix := "server.tenant." + name + "."
 	t := &tenant{
-		name:      name,
-		quota:     q,
-		priority:  clampPriority(q.Priority),
-		requests:  reg.Counter(prefix + "requests"),
-		errors:    reg.Counter(prefix + "errors"),
-		rejected:  reg.Counter(prefix + "rejected"),
-		compiles:  reg.Counter(prefix + "compiles"),
-		callNS:    reg.Histogram(prefix+"call_ns", nil),
-		requestNS: reg.Histogram(prefix+"request_ns", nil),
+		name:     name,
+		quota:    q,
+		priority: clampPriority(q.Priority),
+		requests: reg.Counter(prefix + "requests"),
+		errors:   reg.Counter(prefix + "errors"),
+		rejected: reg.Counter(prefix + "rejected"),
+		compiles: reg.Counter(prefix + "compiles"),
+		callNS:   reg.Histogram(prefix+"call_ns", nil),
 	}
 	if q.Priority == 0 {
 		t.priority = shedDefaultPriority

@@ -7,10 +7,11 @@
 // telemetry.Health — degradation is an annotation, not unreadiness, so
 // load balancers keep routing while operators see the burn.
 //
-// The observation path is lock-free: each tracker keeps a ring of
-// sub-window bucket sets (the same bounds as telemetry.DefTimeBounds)
-// updated with atomic adds, and the evaluator rotates the ring so the
-// window slides without ever resetting a histogram mid-read.
+// A request's latency is observed here once.  The observation path is
+// lock-free: each tracker keeps a ring of sub-window telemetry.Histograms
+// on telemetry.DefTimeBounds, and the evaluator rotates the ring, handing
+// the slot about to become current a fresh histogram, so the window slides
+// without ever resetting one mid-read.
 package slo
 
 import (
@@ -60,30 +61,14 @@ func (o Objectives) withDefaults() Objectives {
 // Window/subWindows steps.
 const subWindows = 6
 
-// subWin is one rotation slot: latency buckets plus scalar tallies, all
-// atomics so Observe never takes a lock.
-type subWin struct {
-	buckets []atomic.Uint64 // len(bounds)+1, last is overflow
-	count   atomic.Uint64
-	errs    atomic.Uint64
-	sum     atomic.Uint64
-}
-
-func (w *subWin) reset() {
-	for i := range w.buckets {
-		w.buckets[i].Store(0)
-	}
-	w.count.Store(0)
-	w.errs.Store(0)
-	w.sum.Store(0)
-}
-
 // Tracker accumulates one scope's observations (global or one tenant).
 // Observe is nil-receiver-safe so callers thread handles unconditionally.
 type Tracker struct {
 	name string
 	wd   *Watchdog
-	wins [subWindows]*subWin
+	// wins are the sub-windows' latencies and errs their server faults.
+	wins [subWindows]atomic.Pointer[telemetry.Histogram]
+	errs [subWindows]atomic.Uint64
 
 	latencyBreaches atomic.Uint64
 	errorBreaches   atomic.Uint64
@@ -100,34 +85,28 @@ func (t *Tracker) Observe(durNS uint64, isErr bool) {
 	if t == nil {
 		return
 	}
-	w := t.wins[t.wd.cur.Load()]
-	w.buckets[t.wd.bucketOf(durNS)].Add(1)
-	w.count.Add(1)
-	w.sum.Add(durNS)
+	i := t.wd.cur.Load()
+	t.wins[i].Load().Observe(durNS)
 	if isErr {
-		w.errs.Add(1)
+		t.errs[i].Add(1)
 	}
 }
 
-// window sums the ring into (count, errs, p99) over the full window.
-func (t *Tracker) window() (count, errs, p99 uint64) {
-	nb := len(t.wd.bounds) + 1
-	totals := make([]uint64, nb)
-	for _, w := range t.wins {
-		for i := 0; i < nb; i++ {
-			totals[i] += w.buckets[i].Load()
-		}
-		count += w.count.Load()
-		errs += w.errs.Load()
+// window merges the ring into the full window's request count, p99 and
+// server-fault rate; p99 is the merged histogram's, so it ranks as every
+// p99 in the tree does.
+func (t *Tracker) window() (count, p99 uint64, errRate float64) {
+	h := telemetry.NewHistogram(nil)
+	var errs uint64
+	for i := range t.wins {
+		h.Merge(t.wins[i].Load())
+		errs += t.errs[i].Load()
 	}
-	if count == 0 {
-		return 0, 0, 0
+	s := h.Summary()
+	if s.Count > 0 {
+		errRate = float64(errs) / float64(s.Count)
 	}
-	if i := telemetry.NearestRank(totals, 0.99); i < len(t.wd.bounds) {
-		return count, errs, t.wd.bounds[i]
-	}
-	// Overflow bucket: report just past the largest bound.
-	return count, errs, t.wd.bounds[len(t.wd.bounds)-1] + 1
+	return s.Count, s.P99, errRate
 }
 
 // Report is one tracker's evaluated state.
@@ -157,7 +136,6 @@ type Snapshot struct {
 // telemetry + health surfacing.
 type Watchdog struct {
 	obj    Objectives
-	bounds []uint64
 	reg    *telemetry.Registry
 	health *telemetry.Health // may be nil
 
@@ -180,7 +158,6 @@ func New(obj Objectives, reg *telemetry.Registry, health *telemetry.Health) *Wat
 	}
 	w := &Watchdog{
 		obj:    obj.withDefaults(),
-		bounds: telemetry.DefTimeBounds,
 		reg:    reg,
 		health: health,
 		byName: make(map[string]*Tracker),
@@ -191,17 +168,10 @@ func New(obj Objectives, reg *telemetry.Registry, health *telemetry.Health) *Wat
 	return w
 }
 
-// Objectives reports the effective (defaulted) objectives.
-func (w *Watchdog) Objectives() Objectives { return w.obj }
-
-func (w *Watchdog) bucketOf(v uint64) int {
-	return sort.Search(len(w.bounds), func(i int) bool { return v <= w.bounds[i] })
-}
-
 func (w *Watchdog) newTracker(name, prefix string) *Tracker {
 	t := &Tracker{name: name, wd: w}
-	for i := range t.wins {
-		t.wins[i] = &subWin{buckets: make([]atomic.Uint64, len(w.bounds)+1)}
+	for i := range int32(subWindows) {
+		t.clear(i)
 	}
 	w.reg.GaugeFunc(prefix+"p99_ns", func() float64 { return float64(t.lastP99.Load()) })
 	w.reg.GaugeFunc(prefix+"error_rate", func() float64 {
@@ -267,8 +237,14 @@ func (w *Watchdog) Stop() {
 // first, so it only ever carries observations from the newest sub-window.
 func (w *Watchdog) rotate() {
 	next := (w.cur.Load() + 1) % subWindows
-	w.trackers(func(t *Tracker) { t.wins[next].reset() })
+	w.trackers(func(t *Tracker) { t.clear(next) })
 	w.cur.Store(next)
+}
+
+// clear empties sub-window i.
+func (t *Tracker) clear(i int32) {
+	t.wins[i].Store(telemetry.NewHistogram(nil))
+	t.errs[i].Store(0)
 }
 
 func (w *Watchdog) trackers(fn func(*Tracker)) {
@@ -293,11 +269,7 @@ func (w *Watchdog) Evaluate(elapsed time.Duration) {
 }
 
 func (w *Watchdog) evaluate(t *Tracker, elapsed time.Duration) {
-	count, errs, p99 := t.window()
-	errRate := 0.0
-	if count > 0 {
-		errRate = float64(errs) / float64(count)
-	}
+	count, p99, errRate := t.window()
 	t.lastP99.Store(p99)
 	t.lastErrRate.Store(math.Float64bits(errRate))
 	latBreach := count >= w.obj.MinSamples && p99 > w.obj.P99NS
@@ -311,11 +283,11 @@ func (w *Watchdog) evaluate(t *Tracker, elapsed time.Duration) {
 	if latBreach || errBreach {
 		t.burnMS.Add(uint64(elapsed.Milliseconds()))
 	}
-	w.setDegraded(t, &t.breachedLat, latBreach, "slo:p99:"+t.name)
-	w.setDegraded(t, &t.breachedErr, errBreach, "slo:error_rate:"+t.name)
+	w.setDegraded(&t.breachedLat, latBreach, "slo:p99:"+t.name)
+	w.setDegraded(&t.breachedErr, errBreach, "slo:error_rate:"+t.name)
 }
 
-func (w *Watchdog) setDegraded(t *Tracker, state *atomic.Bool, breached bool, reason string) {
+func (w *Watchdog) setDegraded(state *atomic.Bool, breached bool, reason string) {
 	if state.Swap(breached) == breached || w.health == nil {
 		return
 	}
@@ -334,39 +306,28 @@ func (w *Watchdog) View() Snapshot {
 		WindowMS:           w.obj.Window.Milliseconds(),
 		P99ObjectiveNS:     w.obj.P99NS,
 		ErrorRateObjective: w.obj.ErrorRate,
-		Global:             w.report(w.global),
 	}
-	w.mu.Lock()
-	names := make([]string, 0, len(w.byName))
-	for name := range w.byName {
-		names = append(names, name)
-	}
-	w.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		snap.Tenants = append(snap.Tenants, w.report(w.Tenant(name)))
-	}
-	collect := func(t *Tracker, r Report) {
+	w.trackers(func(t *Tracker) {
+		if r := w.report(t); t == w.global {
+			snap.Global = r
+		} else {
+			snap.Tenants = append(snap.Tenants, r)
+		}
+	})
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Name < snap.Tenants[j].Name })
+	for _, r := range append([]Report{snap.Global}, snap.Tenants...) {
 		if r.BreachedLatency {
-			snap.Degraded = append(snap.Degraded, "slo:p99:"+t.name)
+			snap.Degraded = append(snap.Degraded, "slo:p99:"+r.Name)
 		}
 		if r.BreachedError {
-			snap.Degraded = append(snap.Degraded, "slo:error_rate:"+t.name)
+			snap.Degraded = append(snap.Degraded, "slo:error_rate:"+r.Name)
 		}
-	}
-	collect(w.global, snap.Global)
-	for i, name := range names {
-		collect(w.Tenant(name), snap.Tenants[i])
 	}
 	return snap
 }
 
 func (w *Watchdog) report(t *Tracker) Report {
-	count, errs, p99 := t.window()
-	errRate := 0.0
-	if count > 0 {
-		errRate = float64(errs) / float64(count)
-	}
+	count, p99, errRate := t.window()
 	return Report{
 		Name:            t.name,
 		Count:           count,

@@ -26,14 +26,7 @@ type Health struct {
 // Set(name, true) is called, Ready reports false and /readyz serves 503
 // naming the unmet condition.  Re-registering an existing condition
 // resets it to false.
-func (h *Health) Expect(name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.conds == nil {
-		h.conds = make(map[string]bool)
-	}
-	h.conds[name] = false
-}
+func (h *Health) Expect(name string) { h.Set(name, false) }
 
 // Set marks one readiness condition met (or, with false, unmet again —
 // a server draining for shutdown can flip itself unready so load
@@ -48,7 +41,7 @@ func (h *Health) Set(name string, ok bool) {
 }
 
 // Ready reports whether every registered condition is met, and the names
-// of those still unmet.
+// of those still unmet, sorted.
 func (h *Health) Ready() (bool, []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -58,6 +51,7 @@ func (h *Health) Ready() (bool, []string) {
 			unmet = append(unmet, name)
 		}
 	}
+	sort.Strings(unmet)
 	return len(unmet) == 0, unmet
 }
 

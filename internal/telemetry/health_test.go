@@ -82,6 +82,17 @@ func TestHealthReadyReportsUnmet(t *testing.T) {
 	if ready || len(unmet) != 1 || unmet[0] != "b" {
 		t.Fatalf("Ready() = %v %v, want false [b]", ready, unmet)
 	}
+
+	// Two unmet, as on a server that drains before Recover finishes: the
+	// same order on every poll.
+	var s Health
+	s.Expect("recovered")
+	s.Expect("accepting_traffic")
+	for i := 0; i < 50; i++ {
+		if ready, unmet := s.Ready(); ready || strings.Join(unmet, ",") != "accepting_traffic,recovered" {
+			t.Fatalf("poll %d: Ready() = %v %v, want false [accepting_traffic recovered]", i, ready, unmet)
+		}
+	}
 }
 
 func TestDegradedLifecycle(t *testing.T) {

@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer for the code-generation
 // pipeline: a lock-light metrics registry (atomic counters, gauges and
-// bounded histograms), the per-backend instrument bundle for the
-// v_lambda → emit → v_end → verify → install → call/evict lifecycle, and
-// HTTP/JSON/expvar exporters.  (The lifecycle's events are internal/trace.)
+// bounded histograms) and HTTP/JSON/expvar exporters.  The lifecycle's
+// events reach its per-backend instruments ("codegen.<backend>.*",
+// "machine.<backend>.*") through internal/trace's Record, which folds
+// each event in while this package's gate is on.
 //
 // The whole package sits behind one global switch (SetEnabled); with it
 // off, instrumented hot paths pay a single atomic load and allocate
@@ -103,15 +104,30 @@ func (h *Histogram) Observe(v uint64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
+	h.widen(v, v)
+}
+
+// Merge adds o's observations to h.  Both must have the same bounds.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.counts {
+		h.counts[i].Add(o.counts[i].Load())
+	}
+	h.sum.Add(o.sum.Load())
+	h.count.Add(o.count.Load())
+	h.widen(o.min.Load(), o.max.Load())
+}
+
+// widen extends the observed [min, max] to take in [lo, hi].
+func (h *Histogram) widen(lo, hi uint64) {
 	for {
 		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
+		if lo >= cur || h.min.CompareAndSwap(cur, lo) {
 			break
 		}
 	}
 	for {
 		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
 			break
 		}
 	}
@@ -193,34 +209,20 @@ func (h *Histogram) Summary() Summary {
 // quantile returns the bucket-resolution estimate for q in (0,1] over the
 // bucket counts loaded once by Summary.
 func (h *Histogram) quantile(counts []uint64, q float64, s Summary) uint64 {
-	v := s.Max // overflow bucket: all we know is "above the last bound"
-	if i := NearestRank(counts, q); i < len(h.bounds) && h.bounds[i] < v {
-		v = h.bounds[i]
-	}
-	return max(v, s.Min)
-}
-
-// NearestRank returns the index of the bucket holding the ⌈q·n⌉-th
-// smallest of the n observations counted per bucket in counts (at least
-// the first): the nearest-rank q-quantile, which every p99 in the tree
-// reads, so one slow request in a hundred shows.
-func NearestRank(counts []uint64, q float64) int {
-	var n uint64
+	var n, cum uint64
 	for _, c := range counts {
 		n += c
 	}
+	// The nearest rank, ⌈q·n⌉ (at least the first), which every p99 in the
+	// tree reads, so one slow request in a hundred shows.
 	rank := max(uint64(math.Ceil(q*float64(n))), 1)
-	var cum uint64
-	for i, c := range counts {
+	for i, c := range counts[:len(h.bounds)] {
 		if cum += c; cum >= rank {
-			return i
+			return max(min(h.bounds[i], s.Max), s.Min)
 		}
 	}
-	return len(counts) - 1
+	return s.Max // the overflow bucket: all we know is "above the last bound"
 }
 
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }

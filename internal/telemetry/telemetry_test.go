@@ -283,15 +283,3 @@ func TestHTTPEndpoint(t *testing.T) {
 		t.Errorf("/metrics?format=json: code %d, body %q", code, body)
 	}
 }
-
-func TestForBackendMemoized(t *testing.T) {
-	a := ForBackend("testbk")
-	b := ForBackend("testbk")
-	if a != b {
-		t.Error("ForBackend must return the same stats for the same backend")
-	}
-	a.Funcs.Inc()
-	if b.Funcs.Load() != 1 {
-		t.Error("memoized stats must share counters")
-	}
-}

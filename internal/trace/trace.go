@@ -8,7 +8,9 @@
 // call site pays a single atomic load and allocates nothing (pinned by a
 // zero-alloc test).  With it on, recording is one mutex acquisition and a
 // struct copy into a lazily allocated ring — no allocation on the record
-// path either.
+// path either.  Record is also the one way a lifecycle event reaches the
+// per-backend telemetry instruments: with telemetry's gate on, it folds
+// the event into them, so a site records each event once.
 //
 // Records of one function share a flow ID (see NextFlow); exporters group
 // by flow, so the Chrome trace-event rendering shows one lane per
@@ -23,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Kind identifies what a record describes.  The lifecycle kinds follow
@@ -207,7 +211,6 @@ type Active struct {
 	backend string
 	name    string
 	kind    Kind
-	live    bool
 }
 
 // Begin opens a span if recording is enabled; otherwise it returns an
@@ -218,29 +221,117 @@ func Begin(kind Kind, backend, name string) Active {
 	if !enabled.Load() {
 		return Active{}
 	}
-	return Active{start: time.Now(), backend: backend, name: name, kind: kind, live: true}
+	return Active{start: time.Now(), backend: backend, name: name, kind: kind}
 }
 
 // End closes the span and records it.  No-op on an inert handle or if
 // recording was disabled mid-span.
 func (a Active) End(flow uint64, at Attrs) {
-	if !a.live || !enabled.Load() {
+	if a.start.IsZero() || !enabled.Load() {
 		return
 	}
-	record(a.kind, a.backend, a.name, flow, a.start, time.Since(a.start), at)
+	record(a.kind, a.backend, a.name, flow, a.start, time.Since(a.start), &at)
 }
 
-// Record appends one span with caller-measured timing.  It is a no-op
-// (one atomic load) unless recording is enabled.  Use this where the
-// caller already times the phase for telemetry; use Begin/End otherwise.
+// Recording reports whether either gate is on — this package's or
+// telemetry's — so a site that records with Record knows whether to read
+// the clock at all.
+func Recording() bool { return enabled.Load() || telemetry.Enabled() }
+
+// Record is the one recording call of an event with caller-measured
+// timing.  With the trace gate on it appends the span; with telemetry's on
+// it folds the same kind, backend, duration and attributes into the
+// backend's lifecycle instruments (see folds).  With both off it is two
+// atomic loads.
 func Record(kind Kind, backend, name string, flow uint64, start time.Time, dur time.Duration, at Attrs) {
-	if !enabled.Load() {
-		return
+	if enabled.Load() {
+		record(kind, backend, name, flow, start, dur, &at)
 	}
-	record(kind, backend, name, flow, start, dur, at)
+	if telemetry.Enabled() && folds[kind].layer != "" {
+		instrumentsFor(backend)[kind].observe(uint64(dur), uint64(at.N), at.Err != "")
+	}
 }
 
-func record(kind Kind, backend, name string, flow uint64, start time.Time, dur time.Duration, at Attrs) {
+// folds names, per lifecycle kind, the telemetry instruments an event
+// feeds: "<layer>.<backend>.<name>" for a duration histogram, a count of
+// events, a sum of the events' N, and a count of the events that carried
+// an error.  An empty name feeds nothing, and a kind without a layer is
+// not folded.
+var folds = [numKinds]struct{ layer, dur, count, n, errs string }{
+	KindEmit:    {"codegen", "emit_ns", "funcs", "insns", ""},
+	KindVerify:  {"machine", "verify_ns", "", "", ""},
+	KindInstall: {"machine", "install_ns", "installs", "", ""},
+	KindCall:    {"machine", "call_ns", "calls", "sim_insns", "call_errors"},
+	KindEvict:   {"machine", "", "uninstalls", "", ""},
+}
+
+// fold is one kind's instruments on one backend; a nil one is not kept.
+type fold struct {
+	dur            *telemetry.Histogram
+	count, n, errs *telemetry.Counter
+}
+
+func (f *fold) observe(dur, n uint64, failed bool) {
+	if f.dur != nil {
+		f.dur.Observe(dur)
+	}
+	if f.count != nil {
+		f.count.Inc()
+	}
+	if f.n != nil {
+		f.n.Add(n)
+	}
+	if f.errs != nil && failed {
+		f.errs.Inc()
+	}
+}
+
+// backendFolds is every backend's instruments, copy-on-write: there are a
+// handful, so on the call path a scan beats hashing the name.
+var backendFolds atomic.Pointer[[]backendFold]
+
+type backendFold struct {
+	backend string
+	kinds   *[numKinds]fold
+}
+
+// instrumentsFor resolves backend's instruments in telemetry.Default,
+// registering them on its first event.  Registration is get-or-create, so
+// losing the race to publish them costs nothing.
+func instrumentsFor(backend string) *[numKinds]fold {
+	for {
+		p := backendFolds.Load()
+		var bs []backendFold
+		if p != nil {
+			bs = *p
+		}
+		for _, b := range bs {
+			if b.backend == backend {
+				return b.kinds
+			}
+		}
+		kinds := new([numKinds]fold)
+		for k, names := range folds {
+			f, at := &kinds[k], func(name string) string { return names.layer + "." + backend + "." + name }
+			if names.dur != "" {
+				f.dur = telemetry.Default.Histogram(at(names.dur), nil)
+			}
+			f.count, f.n, f.errs = counter(at, names.count), counter(at, names.n), counter(at, names.errs)
+		}
+		grown := append(bs[:len(bs):len(bs)], backendFold{backend, kinds})
+		backendFolds.CompareAndSwap(p, &grown)
+	}
+}
+
+// counter gets or creates the counter named at(name); nil for no name.
+func counter(at func(string) string, name string) *telemetry.Counter {
+	if name == "" {
+		return nil
+	}
+	return telemetry.Default.Counter(at(name))
+}
+
+func record(kind Kind, backend, name string, flow uint64, start time.Time, dur time.Duration, at *Attrs) {
 	put(&Span{
 		Flow:    flow,
 		Kind:    kind,
@@ -248,7 +339,7 @@ func record(kind Kind, backend, name string, flow uint64, start time.Time, dur t
 		Name:    name,
 		Start:   start.Sub(epoch).Nanoseconds(),
 		Dur:     dur.Nanoseconds(),
-		Attrs:   at,
+		Attrs:   *at,
 	})
 }
 

@@ -100,6 +100,40 @@ func TestEnabledRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFoldConcurrent: writers folding events of backends telemetry has not
+// seen yet race to register their instruments; each backend ends with one
+// set, and every event lands in it.  Run under -race.
+func TestFoldConcurrent(t *testing.T) {
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(false)
+	const writers, perWriter = 4, 300
+	backends := []string{"fold-a", "fold-b", "fold-c"}
+	calls := func(b string) uint64 { return telemetry.Default.Counter("machine." + b + ".calls").Load() }
+	before := make([]uint64, len(backends))
+	for i, b := range backends {
+		before[i] = calls(b)
+	}
+	var wg sync.WaitGroup
+	for wr := 0; wr < writers; wr++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				Record(KindCall, backends[i%len(backends)], "f", 0, time.Now(), time.Microsecond, Attrs{N: 2})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, b := range backends {
+		if instrumentsFor(b) != instrumentsFor(b) {
+			t.Errorf("%s: two sets of instruments", b)
+		}
+		if got, want := calls(b)-before[i], uint64(writers*perWriter/len(backends)); got != want {
+			t.Errorf("%s: %d calls folded, want %d", b, got, want)
+		}
+	}
+}
+
 // TestSpanRingConcurrent hammers the ring from lifecycle and request
 // writers while readers snapshot it and the exemplars, asserting bounded
 // memory and no torn records (run under -race in CI).

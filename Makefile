@@ -39,9 +39,11 @@ soak-server:
 # bit-flipped journal tails.  Every durably-acknowledged key must come
 # back correct after each restart; cycles alternate shard counts so the
 # resharding restore path runs too.  The child is the test binary itself,
-# so it is race-instrumented as well.
+# so it is race-instrumented as well.  Then a checkpoint's compaction is
+# failed at each of its steps and the acknowledged set recovered.
 crash-soak:
 	go test -race -count=1 -run TestCrashSoak -v ./cmd/vcoded
+	go test -race -count=1 -run TestCompactionKilledAtEachStep -v ./internal/server
 
 test:
 	go test ./...

@@ -4,6 +4,8 @@ import (
 	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,10 +33,10 @@ import (
 // contract on every restart:
 //
 //   - every key acknowledged durable=true serves its exact expected
-//     result after recovery.  After a bit flip, only keys acknowledged in
-//     the flipped journal generation may be gone (404): every earlier key
-//     was folded into the snapshot when that process booted.  A recovered
-//     key never computes a different answer;
+//     result after recovery.  After a bit flip, a key may be gone (404)
+//     only if none of its add records ends before the flipped byte:
+//     replay trusts every record before the first corrupt one.  A
+//     recovered key never computes a different answer;
 //   - no process panics (or, under -race, reports a data race) and every
 //     failure is typed;
 //   - restarts alternate the shard count, and a final restart with yet
@@ -259,10 +261,10 @@ func runLoad(client *http.Client, base string, ledger map[string]acked, keyCtr *
 }
 
 // verifyLedger checks every acknowledged key against the restarted
-// server.  flipped is the cycle whose journal generation had a bit
-// flipped before this boot (-1 for none): its keys may come back
-// not_found, and are pruned; nothing else may.
-func verifyLedger(client *http.Client, base string, ledger map[string]acked, flipped int) (ok, dropped int, violations []string) {
+// server.  kept, after a bit flip, holds the keys with an add record
+// ending before the flipped byte: any other key may come back not_found,
+// and is pruned.  Without a flip (kept nil) every key must serve.
+func verifyLedger(client *http.Client, base string, ledger map[string]acked, kept map[string]bool) (ok, dropped int, violations []string) {
 	for key, a := range ledger {
 		r, err := crashExec(client, base, map[string]any{"key": key, "args": []int{3}})
 		switch {
@@ -270,7 +272,7 @@ func verifyLedger(client *http.Client, base string, ledger map[string]acked, fli
 			violations = append(violations, fmt.Sprintf("%s: transport: %v", key, err))
 		case r.status == http.StatusOK && r.result == a.want:
 			ok++
-		case r.status == http.StatusNotFound && a.cycle == flipped:
+		case r.status == http.StatusNotFound && kept != nil && !kept[key]:
 			delete(ledger, key)
 			dropped++
 		default:
@@ -281,20 +283,47 @@ func verifyLedger(client *http.Client, base string, ledger map[string]acked, fli
 	return ok, dropped, violations
 }
 
-// flipJournalTail flips one bit in the last quarter of the journal's
-// records — simulated disk corruption the next recovery must survive
-// (truncated replay, typed log line, no panic, no wrong answers).  It
-// reports false when the kill landed just after a rotation and the file
-// holds no record to corrupt.
-func flipJournalTail(path string, rng *rand.Rand) (bool, error) {
+// journalFrame mirrors the fields of the server's journal record the
+// harness reads; gob matches them by name, so this also pins the format.
+type journalFrame struct {
+	Op    byte
+	Entry struct{ Key string }
+}
+
+// flipJournalTail flips one bit in the last quarter of the journal —
+// simulated disk corruption the next recovery must survive (truncated
+// replay, typed log line, no panic, no wrong answers) — and returns the
+// keys with an add record that ends before the flipped byte, walking the
+// 8-byte frame headers before the flip.  hit is false when the flip
+// landed in no complete record (a torn tail, or a file without records).
+func flipJournalTail(path string, rng *rand.Rand) (kept map[string]bool, hit bool, err error) {
 	const header = 7 // magic + version: a separate test's job
 	data, err := os.ReadFile(path)
 	if err != nil || len(data) <= header {
-		return false, err
+		return nil, false, err
 	}
 	i := len(data) - 1 - rng.Intn((len(data)-header+3)/4)
+	kept = make(map[string]bool)
+	for off := header; off+8 <= len(data); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if end > len(data) {
+			break
+		}
+		if end > i {
+			hit = true
+			break
+		}
+		var rec journalFrame
+		if err := gob.NewDecoder(bytes.NewReader(data[off+8 : end])).Decode(&rec); err != nil {
+			return nil, false, fmt.Errorf("record at byte %d: %v", off, err)
+		}
+		if rec.Op == 1 {
+			kept[rec.Entry.Key] = true
+		}
+		off = end
+	}
 	data[i] ^= 1 << uint(rng.Intn(8))
-	return true, os.WriteFile(path, data, 0o644)
+	return kept, hit, os.WriteFile(path, data, 0o644)
 }
 
 // fetchBundle returns a live child's /debug/bundle archive.
@@ -403,7 +432,7 @@ func crashSoak(t *testing.T, seed int64) (flipCycles int) {
 	var keyCtr atomic.Int64
 	keyCtr.Store(seed * 1000)
 	var verified, dropped, chaosCycles int
-	flipped := -1
+	var kept map[string]bool // set by a bit flip before the next boot
 
 	// boot starts a child and holds it to the recovery contract: everything
 	// durably acked before the last kill serves its exact result now.
@@ -416,8 +445,8 @@ func crashSoak(t *testing.T, seed int64) (flipCycles int) {
 			c.kill()
 			t.Fatalf("%s: %v\n--- child stderr ---\n%s", what, err, c.stderr.String())
 		}
-		ok, gone, violations := verifyLedger(client, c.base, ledger, flipped)
-		verified, dropped, flipped = verified+ok, dropped+gone, -1
+		ok, gone, violations := verifyLedger(client, c.base, ledger, kept)
+		verified, dropped, kept = verified+ok, dropped+gone, nil
 		if len(violations) > 0 {
 			fail(t, client, c, seed, "%s: %d acknowledged keys wrong after recovery, e.g. %v",
 				what, len(violations), violations[:min(len(violations), 5)])
@@ -452,12 +481,13 @@ func crashSoak(t *testing.T, seed int64) (flipCycles int) {
 			t.Fatalf("%s: child panicked or raced\n--- child stderr ---\n%s", what, c.stderr.String())
 		}
 		if cycle%5 == 4 {
-			did, err := flipJournalTail(filepath.Join(dir, "journal.vcjrnl"), rng)
+			var hit bool
+			var err error
+			kept, hit, err = flipJournalTail(filepath.Join(dir, "journal.vcjrnl"), rng)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if did {
-				flipped = cycle
+			if hit {
 				flipCycles++
 			}
 		}
@@ -502,7 +532,7 @@ func crashSoak(t *testing.T, seed int64) (flipCycles int) {
 	if c.misbehaved() {
 		t.Fatalf("finale: child panicked or raced\n--- child stderr ---\n%s", c.stderr.String())
 	}
-	t.Logf("%d cycles (%d chaos, %d bit-flip): all %d acked keys served by the finale, %d verifications, %d dropped with a flipped journal generation, recovery_ms=%d, resharded=%d, ledger %dB conserved",
+	t.Logf("%d cycles (%d chaos, %d bit-flip): all %d acked keys served by the finale, %d verifications, %d dropped at or after a flipped byte, recovery_ms=%d, resharded=%d, ledger %dB conserved",
 		cycles, chaosCycles, flipCycles, len(ledger), verified, dropped, stats.RecoveryMS, stats.Resharded, tenantBytes)
 	t.Logf("request chain reconstructed for %s", chain)
 	return flipCycles

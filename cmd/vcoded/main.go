@@ -5,17 +5,19 @@
 // comes back as a typed JSON error.  Resident code shards across N
 // machine arenas, tenants get fuel / resident-bytes / compile-concurrency
 // / request-rate quotas, and -snapshot gives warm-cache restarts: the
-// resident programs are serialized on shutdown and re-verified back in on
+// resident programs are written on shutdown and re-verified back in on
 // boot, with /readyz turning ready only once the restore has finished.
 //
-// Crash safety: -journal adds an incremental write-ahead journal beside
-// the snapshot.  Every compile is group-committed (fsynced) before its
-// response reports durable=true, a periodic checkpoint folds journal +
-// snapshot into a fresh snapshot generation, and recovery replays the
-// last snapshot plus the journal tail — stopping at the first torn
-// record — so a SIGKILL at any instant loses nothing acknowledged
-// durable.  Recovery routes units through the *current* -shards value,
-// so a snapshot taken with N shards restores into an M-shard server.
+// Crash safety: -journal replaces -snapshot with a write-ahead journal,
+// the one file the server then reads and writes (-snapshot is accepted
+// and ignored).  Every compile is group-committed (fsynced) before its
+// response reports durable=true; boot, a periodic checkpoint
+// (-checkpoint-interval) and shutdown compact the journal to one record
+// per resident program; and recovery replays it — stopping at the first
+// torn record — so a SIGKILL at any instant loses nothing acknowledged
+// durable.  A -snapshot file is the same format, compacted on shutdown.
+// Recovery routes units through the *current* -shards value, so a file
+// written with N shards restores into an M-shard server.
 //
 // Overload protection: per-tenant token-bucket rate limiting (-default-rate
 // / -default-burst or per-tenant quota rows), a per-key compile circuit
@@ -94,10 +96,10 @@ func main() {
 
 		quotaPath    = flag.String("quotas", "", "JSON file of per-tenant quotas")
 		allowUnknown = flag.Bool("allow-unknown", true, "admit tenants without a quota row under the defaults")
-		snapshot     = flag.String("snapshot", "", "warm-cache snapshot path (restored on boot, saved on shutdown)")
-		journalPath  = flag.String("journal", "", "write-ahead journal path (requires -snapshot; makes acks durable)")
+		snapshot     = flag.String("snapshot", "", "warm-cache file without -journal (restored on boot, written on shutdown; ignored with -journal)")
+		journalPath  = flag.String("journal", "", "write-ahead journal path (restored on boot, compacted by checkpoints; makes acks durable)")
 		fsyncEvery   = flag.Duration("fsync-interval", 2*time.Millisecond, "journal group-commit window")
-		ckptEvery    = flag.Duration("checkpoint-interval", 30*time.Second, "journal+snapshot compaction period (0 = only at shutdown)")
+		ckptEvery    = flag.Duration("checkpoint-interval", 30*time.Second, "journal compaction period (0 = only at boot and shutdown)")
 		drainTO      = flag.Duration("drain-timeout", 5*time.Second, "in-flight drain deadline on SIGTERM")
 
 		breakerN  = flag.Int("breaker-threshold", 3, "consecutive compile failures to open a key's circuit (negative disables)")
@@ -145,9 +147,6 @@ func main() {
 
 	telemetry.SetEnabled(true)
 	trace.SetEnabled(*recordOn)
-	if *journalPath != "" && *snapshot == "" {
-		fatal("-journal requires -snapshot (the file checkpoints compact into)")
-	}
 
 	cfg := server.Config{
 		Backend:              *backend,
@@ -228,12 +227,12 @@ func main() {
 
 	// Recover after the listener is up: /healthz answers immediately,
 	// /readyz flips only once the restore has finished.  Recovery is
-	// tolerant — a corrupt snapshot or torn journal boots cold or
-	// partially warm with a typed line, never fatally.
+	// tolerant — a torn or corrupt file boots cold or partially warm
+	// with a typed line, never fatally.
 	st, err := srv.Recover(*snapshot, *journalPath)
 	if err != nil {
 		logger.Warn("recovery degraded", "stats", st.String(), "err", err)
-	} else if st.Warm > 0 || *snapshot != "" {
+	} else if st.Warm > 0 || *snapshot != "" || *journalPath != "" {
 		logger.Info("recovered", "stats", st.String())
 	}
 
@@ -261,8 +260,8 @@ func main() {
 	}
 
 	// Graceful shutdown: stop admitting (readyz flips not-ready at
-	// once), give in-flight requests the drain window, then write the
-	// final snapshot generation and release everything.
+	// once), give in-flight requests the drain window, then compact the
+	// journal (or write the snapshot) and release everything.
 	srv.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
@@ -273,7 +272,7 @@ func main() {
 		if err := srv.Checkpoint(); err != nil {
 			logger.Error("final checkpoint failed", "err", err)
 		} else {
-			logger.Info("final checkpoint written", "path", *snapshot)
+			logger.Info("final checkpoint written", "path", *journalPath)
 		}
 	} else if *snapshot != "" {
 		if n, err := srv.SaveSnapshot(*snapshot); err != nil {

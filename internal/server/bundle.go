@@ -22,9 +22,9 @@ import (
 // chains keyed by request ID beside the code lifecycle they ran) and its
 // exemplars, the metrics registry (raw and summarized), a full goroutine
 // dump, the shard/arena/tenant stats document, the SLO view, and the
-// journal/snapshot positions that anchor durability claims.  It is served at /debug/bundle, captured by the SIGQUIT and
-// panic handlers in cmd/vcoded, and saved by the soak drivers on
-// failure.
+// journal positions that anchor durability claims.  It is served at
+// /debug/bundle, captured by the SIGQUIT and panic handlers in
+// cmd/vcoded, and saved by the soak drivers on failure.
 
 // bundleEntry is one file inside the archive.
 type bundleEntry struct {
@@ -74,14 +74,12 @@ func (s *Server) bundleEntries() []bundleEntry {
 		entries = append(entries, jsonEntry("slo.json", s.slo.View()))
 	}
 
-	positions := map[string]any{"snapshot_path": "", "journal_path": ""}
-	if d := s.dur.Load(); d != nil {
-		j := d.journal
-		positions["snapshot_path"], positions["journal_path"] = d.snapPath, d.jrnlPath
+	positions := map[string]any{"journal_path": ""}
+	if j := s.dur.Load(); j != nil {
+		positions["journal_path"] = j.path
 		positions["journal_lsn"] = j.lsn.Load()
 		positions["journal_pending"] = j.pending.Load()
 		positions["journal_degraded"] = j.failed.Load()
-		positions["journal_rotated"] = j.rotated.Load()
 	}
 	entries = append(entries, jsonEntry("positions.json", positions))
 
@@ -118,10 +116,10 @@ func (s *Server) WriteBundle(w *bytes.Buffer) error {
 	return gz.Close()
 }
 
-// WriteBundleFile writes the archive atomically, as a snapshot is written
-// (writeFileAtomic), so a crash mid-write never leaves a torn bundle, and
-// returns the final path.  The filename carries a timestamp; dir is
-// created if missing.
+// WriteBundleFile writes the archive atomically, as a compacted journal
+// is written (writeAtomic), so a crash mid-write never leaves a torn
+// bundle, and returns the final path.  The filename carries a
+// timestamp; dir is created if missing.
 func (s *Server) WriteBundleFile(dir, reason string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -132,10 +130,11 @@ func (s *Server) WriteBundleFile(dir, reason string) (string, error) {
 	}
 	final := filepath.Join(dir, fmt.Sprintf("vcoded-bundle-%s-%s.tar.gz",
 		reason, time.Now().UTC().Format("20060102T150405")))
-	if err := writeFileAtomic(final, buf.Bytes()); err != nil {
-		return "", err
+	f, err := disk{}.writeAtomic(final, buf.Bytes())
+	if f != nil {
+		f.Close()
 	}
-	return final, nil
+	return final, err
 }
 
 // handleBundle serves the archive at /debug/bundle.

@@ -3,127 +3,159 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
+	"slices"
+	"strings"
 	"time"
+
+	"repro/internal/core"
 )
+
+// Warm restarts: the server writes every resident program — key, owning
+// tenant, language, entry point, source, home shard, and the verified
+// entry function's final code words — as one add record in a compacted
+// journal (journal.go), and restores them through the cache's
+// GetOrCompile.  Restore recompiles from source, whatever backend wrote
+// the file, which re-runs the verifier and the normal install pipeline,
+// so a file can never smuggle unverified code into an arena: the stored
+// words are a cross-check, not the load path.  Code words are compared
+// against the recompiled function and counted as exact or recompiled
+// (words legitimately differ across restarts when allocation order
+// shifts the absolute addresses linked into the code, and across
+// backends).
+//
+// Every entry records the shard it lived in, but restore routes each key
+// through shardOf under the *current* shard count: operators can change
+// -shards across restarts and the file reshards on load (counted in
+// server.snapshot.resharded).
+
+// snapEntry is one resident program, as an add record carries it.
+type snapEntry struct {
+	Key    string
+	Tenant string
+	Lang   string
+	Entry  string
+	Source string
+	Shard  int // home shard when recorded
+	Words  []uint32
+}
+
+// snapEntryOf serializes one resident unit.
+func snapEntryOf(u *unit, shardID int) snapEntry {
+	return snapEntry{
+		Key:    u.key,
+		Tenant: u.tenantName,
+		Lang:   u.lang,
+		Entry:  u.entry,
+		Source: u.source,
+		Shard:  shardID,
+		Words:  slices.Clone(u.entryFn.Words),
+	}
+}
+
+// liveSet is the resident set in key order.  It walks the registered
+// units, not the cache's ready entries: a miss registers its unit before
+// it journals it, so a unit whose record is in the generation a
+// compaction replaces is kept even if its flight has not yet returned to
+// the cache (TestCheckpointKeepsInFlightUnit).
+func (s *Server) liveSet() []snapEntry {
+	var entries []snapEntry
+	for _, sh := range s.shards {
+		sh.eachUnit(func(u *unit) {
+			entries = append(entries, snapEntryOf(u, sh.id))
+		})
+	}
+	slices.SortFunc(entries, func(a, b snapEntry) int { return strings.Compare(a.Key, b.Key) })
+	return entries
+}
+
+// SaveSnapshot writes the resident set to path as a compacted journal
+// (temp file, fsync, rename, directory sync) — the file Restore, or
+// Recover without a journal, replays.  It returns the number of programs
+// saved.  A journaled server compacts its journal with Checkpoint
+// instead.
+func (s *Server) SaveSnapshot(path string) (int, error) {
+	entries := s.liveSet()
+	f, err := disk{}.writeGeneration(path, entries)
+	if f != nil {
+		f.Close()
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.snapSaved.Add(uint64(len(entries)))
+	return len(entries), nil
+}
+
+// Restore replays the file at path (if any) and marks the server ready.
+// Call it exactly once after New, with "" or a missing path when there
+// is nothing to restore — readiness (/readyz) stays false until both
+// restore conditions flip.  Restore is Recover without a journal.  It
+// returns the number of programs made warm.
+func (s *Server) Restore(path string) (int, error) {
+	st, err := s.Recover(path, "")
+	return st.Warm, err
+}
 
 // RecoveryStats is what Recover found and did — the typed material for
 // the operator log line.
 type RecoveryStats struct {
-	Warm            int   // programs recompiled and resident
-	SnapshotEntries int   // entries the snapshot contributed
-	JournalRecords  int   // journal records applied on top
-	Resharded       int   // units whose recorded home shard moved
-	SnapshotCorrupt bool  // snapshot present but failed validation
-	JournalTorn     bool  // journal replay stopped at a torn/corrupt record
-	DurationMS      int64 // wall time of the whole recovery
+	Warm           int   // programs recompiled and resident
+	JournalRecords int   // records replayed
+	Resharded      int   // units whose recorded home shard moved
+	JournalTorn    bool  // replay stopped at a torn or corrupt record or header
+	DurationMS     int64 // wall time of the whole recovery
 }
 
 func (st RecoveryStats) String() string {
-	return fmt.Sprintf("warm=%d snapshot_entries=%d journal_records=%d resharded=%d snapshot_corrupt=%v journal_torn=%v duration_ms=%d",
-		st.Warm, st.SnapshotEntries, st.JournalRecords, st.Resharded, st.SnapshotCorrupt, st.JournalTorn, st.DurationMS)
+	return fmt.Sprintf("warm=%d journal_records=%d resharded=%d journal_torn=%v duration_ms=%d",
+		st.Warm, st.JournalRecords, st.Resharded, st.JournalTorn, st.DurationMS)
 }
 
-// Recover rebuilds the resident set from the last snapshot plus the
-// journal tail and — when journalPath is non-empty — folds the recovered
-// state into a fresh snapshot, opens a fresh journal for steady-state
-// appends and starts the periodic checkpointer; then it flips readiness.
+// Recover rebuilds the resident set by replaying one file — journalPath
+// when it is set, else snapPath, a SaveSnapshot file — and, with a
+// journal, compacts it to the recovered set, keeps appending to it and
+// starts the periodic checkpointer; then it flips readiness.  With a
+// journal, snapPath is neither read nor written.
 //
-// Recovery is tolerant by construction: a missing snapshot is a cold
-// start, a corrupt snapshot is counted and reported but still boots
-// (partially warm from the journal if it has self-contained records),
-// and a torn journal tail truncates the replay at the first bad CRC.
-// The server always comes up; the returned error (alongside the stats)
-// is diagnostic, never fatal.  Replay routes every unit through shardOf
-// under the current shard count, so a snapshot taken with N shards
-// restores into an M-shard server.
+// Recovery is tolerant by construction: a missing file is a cold start,
+// and a torn or corrupt record (or a header that is not a journal's)
+// truncates the replay there — counted, reported as errTorn, and every
+// record before it still restored.  The server always comes up; the
+// returned error (alongside the stats) is diagnostic, never fatal.
+// Replay routes every unit through shardOf under the current shard
+// count, so a file written with N shards restores into an M-shard
+// server.
 func (s *Server) Recover(snapPath, journalPath string) (RecoveryStats, error) {
 	start := time.Now()
 	var st RecoveryStats
 	var firstErr error
-	if journalPath != "" && snapPath == "" {
-		return st, errors.New("server: a journal requires a snapshot path to compact into")
+	path := journalPath
+	if path == "" {
+		path = snapPath
 	}
-
-	// The snapshot is the base layer.
 	var entries []snapEntry
-	index := make(map[string]int)
-	add := func(e snapEntry) {
-		if i, ok := index[e.Key]; ok {
-			entries[i] = e
-			return
+	if path != "" {
+		recs, diag := replayJournal(path)
+		if diag.Torn || diag.HeaderBad {
+			st.JournalTorn = true
+			s.jrnlTorn.Inc()
+			firstErr = fmt.Errorf("%w: %s after %d records (replay truncated)", errTorn, path, diag.Records)
 		}
-		index[e.Key] = len(entries)
-		entries = append(entries, e)
+		entries = foldRecords(recs)
+		st.JournalRecords = len(recs)
+		s.jrnlReplayed.Add(uint64(len(recs)))
 	}
-	del := func(key string) {
-		if i, ok := index[key]; ok {
-			entries[i].Key = "" // tombstone; skipped below
-			delete(index, key)
-		}
-	}
-	if snapPath != "" {
-		file, err := loadSnapshot(snapPath)
-		switch {
-		case err == nil:
-			if file.Backend != s.cfg.Backend {
-				s.snapIncompat.Add(uint64(len(file.Entries)))
-			} else {
-				for _, e := range file.Entries {
-					add(e)
-				}
-				st.SnapshotEntries = len(file.Entries)
-			}
-		case os.IsNotExist(err):
-			// Cold start: nothing to restore.
-		default:
-			st.SnapshotCorrupt = true
-			s.snapErrors.Inc()
-			firstErr = err
-		}
-	}
-
-	// The journal tail mutates it.  The steady-state generation replays
-	// first, then the rotation file a checkpoint left behind (covering a
-	// crash in any window of the rotate→snapshot→rename protocol; replay
-	// is idempotent, so records both files carry apply cleanly).
-	if journalPath != "" {
-		for _, p := range []string{journalPath, journalPath + ".rot"} {
-			recs, diag := replayJournal(p)
-			if diag.Torn || diag.HeaderBad {
-				st.JournalTorn = true
-				s.jrnlTorn.Inc()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("server: journal %s is torn or corrupt after %d records (replay truncated)", p, diag.Records)
-				}
-			}
-			for _, r := range recs {
-				switch r.Op {
-				case journalOpAdd:
-					if r.Entry.Key != "" {
-						add(r.Entry)
-					}
-				case journalOpDel:
-					del(r.Key)
-				}
-			}
-			st.JournalRecords += len(recs)
-			s.jrnlReplayed.Add(uint64(len(recs)))
-		}
-	}
-
-	live := entries[:0]
-	for _, e := range entries {
-		if e.Key != "" {
-			live = append(live, e)
-		}
-	}
-	st.Warm, st.Resharded = s.restoreEntries(live)
+	st.Warm, st.Resharded = s.restoreEntries(entries)
 	// Before readiness flips: a client that waited for /readyz gets durable
 	// acks.  A request that did not wait reads the journal published or not.
 	if journalPath != "" {
-		if err := s.startJournal(snapPath, journalPath); err != nil {
-			firstErr = err
+		j, err := openJournal(journalPath, s.cfg.FsyncInterval, s.cfg.Injector, s.cfg.Registry, s.liveSet)
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("server: boot-time compaction failed, journal degraded until a checkpoint: %w", err)
+		}
+		s.dur.Store(j)
+		if s.cfg.CheckpointInterval > 0 {
+			s.startCheckpoints(s.cfg.CheckpointInterval)
 		}
 	}
 	s.health.Set("recovered", true)
@@ -132,49 +164,91 @@ func (s *Server) Recover(snapPath, journalPath string) (RecoveryStats, error) {
 	return st, firstErr
 }
 
-// startJournal folds the recovered state into a fresh snapshot, opens a
-// fresh journal for steady-state appends and starts the checkpointer.
-func (s *Server) startJournal(snapPath, journalPath string) error {
-	// Fold *before* truncating the journal: if the fold crashes, the old
-	// snapshot + old journal still reproduce this state on the next boot.
-	if _, err := s.SaveSnapshot(snapPath); err != nil {
-		return fmt.Errorf("server: recovery checkpoint failed, journaling disabled: %w", err)
+// foldRecords applies replayed records in order and returns the entries
+// still live, in the order their keys were first added.
+func foldRecords(recs []journalRecord) []snapEntry {
+	var entries []snapEntry
+	index := make(map[string]int)
+	for _, r := range recs {
+		switch {
+		case r.Op == journalOpAdd && r.Entry.Key != "":
+			if i, ok := index[r.Entry.Key]; ok {
+				entries[i] = r.Entry
+				continue
+			}
+			index[r.Entry.Key] = len(entries)
+			entries = append(entries, r.Entry)
+		case r.Op == journalOpDel:
+			if i, ok := index[r.Key]; ok {
+				entries[i].Key = "" // dropped below
+				delete(index, r.Key)
+			}
+		}
 	}
-	_ = os.Remove(journalPath + ".rot")
-	j, err := openJournal(journalPath, s.cfg.FsyncInterval, s.cfg.Injector, s.cfg.Registry)
-	if err != nil {
-		return fmt.Errorf("server: opening journal, journaling disabled: %w", err)
-	}
-	s.dur.Store(&durability{journal: j, snapPath: snapPath, jrnlPath: journalPath})
-	if s.cfg.CheckpointInterval > 0 {
-		s.startCheckpoints(s.cfg.CheckpointInterval)
-	}
-	return nil
+	return slices.DeleteFunc(entries, func(e snapEntry) bool { return e.Key == "" })
 }
 
-// Checkpoint folds the current resident set and the journal into a new
-// snapshot generation: rotate the journal (new appends go to a fresh
-// .rot file), write the snapshot atomically, then publish the rotation
-// by renaming .rot over the journal.  A crash in any window leaves a
-// snapshot+journal pair that replays to the same state.  Rotation also
-// clears a degraded journal — the recovery path for injected or real
-// fsync failures.
+// restoreEntries routes recovered entries through shardOf under the
+// current shard count and recompiles them, shard by shard in file order,
+// through the cache's GetOrCompile — the flight live requests use, so a
+// request arriving mid-restore coalesces instead of compiling again, and
+// a key the file holds twice compiles once.  Entries whose recorded home
+// shard differs from their current one are counted as resharded.
+// Restored units are marked durable: they came from disk.
+func (s *Server) restoreEntries(entries []snapEntry) (warm, resharded int) {
+	perShard := make([][]snapEntry, len(s.shards))
+	for _, e := range entries {
+		i := shardOf(e.Key, len(s.shards))
+		if e.Shard != i {
+			resharded++
+		}
+		perShard[i] = append(perShard[i], e)
+	}
+	s.snapResharded.Add(uint64(resharded))
+
+	for i, list := range perShard {
+		sh := s.shards[i]
+		for _, e := range list {
+			_, err := sh.cache.GetOrCompile(e.Key, func() (*core.Func, error) {
+				t, apiE := s.tenants.get(e.Tenant)
+				if apiE != nil {
+					return nil, apiE
+				}
+				u, err := compileUnit(sh.machine, e.Key, e.Tenant, e.Lang, e.Source, e.Entry)
+				if err != nil {
+					return nil, err
+				}
+				u.durable.Store(true)
+				sh.admit(u, t)
+				if slices.Equal(u.entryFn.Words, e.Words) {
+					s.snapExact.Inc()
+				} else {
+					s.snapRecompiled.Inc()
+				}
+				return u.entryFn, nil
+			})
+			if err != nil {
+				s.snapErrors.Inc()
+			} else {
+				warm++
+			}
+		}
+	}
+	s.snapRestored.Add(uint64(warm))
+	return warm, resharded
+}
+
+// Checkpoint compacts the journal: at its next batch boundary the writer
+// goroutine rewrites it as one add record per resident unit and keeps
+// appending to the new file (journal.compact).  A successful compaction
+// also clears a degraded journal — the recovery path for injected or
+// real fsync failures.
 func (s *Server) Checkpoint() error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	d := s.dur.Load()
-	if d == nil {
-		return errors.New("server: no snapshot path configured (call Recover first)")
+	j := s.dur.Load()
+	if j == nil {
+		return errors.New("server: no journal to compact (call Recover with a journal path first)")
 	}
-	if err := d.journal.rotate(); err != nil {
-		s.ckptErrors.Inc()
-		return err
-	}
-	if _, err := s.SaveSnapshot(d.snapPath); err != nil {
-		s.ckptErrors.Inc()
-		return err
-	}
-	if err := d.journal.finishRotation(); err != nil {
+	if err := j.checkpoint(); err != nil {
 		s.ckptErrors.Inc()
 		return err
 	}

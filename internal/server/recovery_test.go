@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -177,7 +180,7 @@ func TestReshardingRestore(t *testing.T) {
 }
 
 // TestCheckpointFoldsJournal verifies compaction: after Checkpoint the
-// journal restarts near-empty and the snapshot alone carries the state.
+// journal holds exactly the live set as add records and recovers alone.
 func TestCheckpointFoldsJournal(t *testing.T) {
 	dir := t.TempDir()
 	snap, jrnl := filepath.Join(dir, "s.vcsnap"), filepath.Join(dir, "j.vcjrnl")
@@ -187,35 +190,85 @@ func TestCheckpointFoldsJournal(t *testing.T) {
 		t.Fatalf("boot: %v", err)
 	}
 	want := compileN(t, ts1, 4, 3, true)
+	for key := range compileN(t, ts1, 2, 4, true) { // evicted: a del follows each add
+		if !s1.shards[shardOf(key, 2)].cache.Invalidate(key) {
+			t.Fatalf("key %s not resident", key)
+		}
+	}
 	if err := s1.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	recs, diag := replayJournal(jrnl)
-	if diag.HeaderBad || len(recs) != 0 {
-		t.Fatalf("journal not emptied by checkpoint: %d records, %+v", len(recs), diag)
+	if diag.Torn || diag.HeaderBad || len(recs) != len(want) {
+		t.Fatalf("compacted journal: %d records, %+v; want the %d live units", len(recs), diag, len(want))
+	}
+	for _, r := range recs {
+		if _, ok := want[r.Entry.Key]; r.Op != journalOpAdd || !ok {
+			t.Fatalf("compacted journal holds %+v, not an add of a live key", r)
+		}
 	}
 	ts1.Close()
 	s1.Close()
 
-	// Delete the journal entirely: the folded snapshot must be enough.
-	if err := os.Remove(jrnl); err != nil {
-		t.Fatal(err)
+	// The journal alone carries the state; the snapshot path was never used.
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("a journaled server wrote its snapshot path: %v", err)
 	}
-	_, ts2, st, err := newJournaledServer(t, 2, snap, jrnl)
+	_, ts2, st, err := newJournaledServer(t, 2, "", jrnl)
 	if err != nil {
-		t.Fatalf("recovery from snapshot alone: %v", err)
+		t.Fatalf("recovery from the compacted journal: %v", err)
 	}
-	if st.Warm != 4 || st.SnapshotEntries != 4 {
-		t.Fatalf("recovery stats %+v, want 4 warm from the snapshot", st)
+	if st.Warm != 4 || st.JournalRecords != 4 {
+		t.Fatalf("recovery stats %+v, want 4 warm from 4 records", st)
 	}
 	verifyKeys(t, ts2, want)
 }
 
-// TestSnapshotBitFlips flips single bytes across every region of the
-// snapshot format — magic, version, CRC, gob payload — and requires the
-// server to boot cold with a typed diagnostic each time: no panic, no
-// partially-trusted payload, and (because the source CRC failed) never a
-// wrong answer under a stale key.
+// TestRecoverAcrossBackends: a file a mips server wrote — entries folded
+// by a checkpoint plus a journal tail — recovers fully warm into a sparc
+// server, because every entry recompiles from source whatever backend
+// wrote it.
+func TestRecoverAcrossBackends(t *testing.T) {
+	dir := t.TempDir()
+	snap, jrnl := filepath.Join(dir, "s.vcsnap"), filepath.Join(dir, "j.vcjrnl")
+	boot := func(backend string) (*Server, *httptest.Server, RecoveryStats) {
+		s, err := New(Config{Backend: backend, Shards: 2, WorkersPerShard: 2, AllowUnknownTenants: true, Registry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatalf("New(%s): %v", backend, err)
+		}
+		st, err := s.Recover(snap, jrnl)
+		if err != nil {
+			t.Fatalf("Recover(%s): %v", backend, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		return s, ts, st
+	}
+	s1, ts1, _ := boot("mips")
+	want := compileN(t, ts1, 4, 8, true)
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	maps.Copy(want, compileN(t, ts1, 3, 9, true))
+	ts1.Close()
+	s1.Close() // no final checkpoint: the last three are the journal tail
+
+	s2, ts2, st := boot("sparc")
+	if st.Warm != len(want) {
+		t.Fatalf("sparc recovered %d of %d mips entries warm (%+v)", st.Warm, len(want), st)
+	}
+	verifyKeys(t, ts2, want)
+	if got := s2.snapExact.Load() + s2.snapRecompiled.Load(); got != uint64(len(want)) {
+		t.Fatalf("exact+recompiled = %d, want %d", got, len(want))
+	}
+}
+
+// TestSnapshotBitFlips flips single bytes across every region of a
+// SaveSnapshot file — magic, version, a record's frame header, record
+// payloads — and requires a typed diagnostic each time, no panic, a
+// serving server, every key whose record is at or after the flip
+// answering 404, every key before it answering correctly, and never a
+// wrong answer under a stale key (each record has passed its own CRC).
 func TestSnapshotBitFlips(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "s.vcsnap")
@@ -233,12 +286,22 @@ func TestSnapshotBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, _ := replayJournal(snap)
+	// ends[i] is the offset just past record i.
+	var ends []int
+	for off := len(journalHeader()); off < len(clean); {
+		off += 8 + int(binary.LittleEndian.Uint32(clean[off:]))
+		ends = append(ends, off)
+	}
+	if len(recs) != 3 || len(ends) != 3 {
+		t.Fatalf("clean file: %d records, %d frames; want 3", len(recs), len(ends))
+	}
 
 	regions := map[string]int{
 		"magic":        0,
-		"version":      len(snapshotMagic),
-		"crc":          len(snapshotMagic) + 2,
-		"payload-head": len(snapshotMagic) + 1 + 4 + 3,
+		"version":      len(journalMagic),
+		"crc":          ends[0] + 5,
+		"payload-head": len(journalHeader()) + 8 + 3,
 		"payload-mid":  len(clean) / 2,
 		"payload-tail": len(clean) - 2,
 	}
@@ -251,21 +314,38 @@ func TestSnapshotBitFlips(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, ts, st, rerr := newJournaledServer(t, 2, p, "")
-			if rerr == nil {
-				t.Fatalf("corrupt snapshot (%s) loaded without a diagnostic", name)
-			}
-			if !st.SnapshotCorrupt || st.Warm != 0 {
-				t.Fatalf("stats %+v, want cold corrupt boot", st)
+			if !errors.Is(rerr, errTorn) || !st.JournalTorn {
+				t.Fatalf("corrupt file (%s): err %v, stats %+v; want errTorn", name, rerr, st)
 			}
 			if ready, missing := s.Health().Ready(); !ready {
-				t.Fatalf("server not serving after corrupt snapshot: %v", missing)
+				t.Fatalf("server not serving after a corrupt file: %v", missing)
 			}
-			for key := range want {
+			before := make(map[string]bool)
+			for i, r := range recs {
+				before[r.Entry.Key] = ends[i] <= off
+			}
+			if kept := st.Warm; kept != countTrue(before) {
+				t.Fatalf("warm = %d, want the %d records before byte %d", kept, countTrue(before), off)
+			}
+			for key, exp := range want {
 				status, out := post(t, ts, "/v1/exec", map[string]any{"tenant": "alice", "key": key, "args": []int{3}})
-				wantErrCode(t, status, out, http.StatusNotFound, CodeNotFound)
+				if !before[key] {
+					wantErrCode(t, status, out, http.StatusNotFound, CodeNotFound)
+				} else if status != http.StatusOK || asInt(t, out["result"]) != exp {
+					t.Fatalf("key %s before the flip: %d %v, want %d", key, status, out, exp)
+				}
 			}
 		})
 	}
+}
+
+func countTrue(m map[string]bool) (n int) {
+	for _, v := range m {
+		if v {
+			n++
+		}
+	}
+	return n
 }
 
 // TestJournalBitFlipRecovery flips a byte inside a journal record region
@@ -383,7 +463,7 @@ func TestReadyMeansJournalOpen(t *testing.T) {
 // TestCheckpointKeepsInFlightUnit: a miss whose journal record fsynced
 // into the generation a checkpoint then retires, but which has not yet
 // returned to the cache when the checkpoint walks the resident set, must
-// be in the snapshot — publishing the rotation deletes the only journal
+// be in the compacted file — the compaction replaces the only journal
 // record of a unit that is about to be acknowledged durable.
 func TestCheckpointKeepsInFlightUnit(t *testing.T) {
 	dir := t.TempDir()
@@ -406,7 +486,7 @@ func TestCheckpointKeepsInFlightUnit(t *testing.T) {
 		t.Fatal(ae)
 	}
 	sh.admit(u, alice)
-	if _, err := s1.dur.Load().journal.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id), Shards: 2}, true); err != nil {
+	if _, err := s1.dur.Load().append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id)}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.Checkpoint(); err != nil {

@@ -16,10 +16,11 @@
 // Every failure is a typed JSON error mapped one-to-one from the library
 // error model (see errors.go).
 //
-// A warm-cache snapshot serializes the verified, resident programs to
-// disk at shutdown; on boot the snapshot restores through the same cache
-// flights requests use and the /readyz endpoint turns ready only once
-// they drain — zero-cold-start restarts.
+// The resident programs go to disk in one format, a journal (journal.go):
+// appended as they compile, compacted at checkpoints or written once at
+// shutdown.  On boot the file restores through the same cache flights
+// requests use and the /readyz endpoint turns ready only once they drain
+// — zero-cold-start restarts.
 package server
 
 import (
@@ -73,9 +74,9 @@ type Config struct {
 	// gather up to this long (or a batch bound) before one write+fsync
 	// releases them all (default 2ms).
 	FsyncInterval time.Duration
-	// CheckpointInterval, when positive, folds journal + snapshot into a
-	// fresh snapshot generation on this period (started by Recover when
-	// a journal path is given).
+	// CheckpointInterval, when positive, compacts the journal to the
+	// resident set on this period (started by Recover when a journal path
+	// is given).
 	CheckpointInterval time.Duration
 	// BreakerThreshold opens a key's compile circuit after this many
 	// consecutive failures (default 3; negative disables the breaker).
@@ -169,11 +170,10 @@ type Server struct {
 	reqSeq  atomic.Uint64
 	closing atomic.Bool
 
-	// Crash durability, published once by Recover's startJournal: nil
-	// until then, and read with one Load by every request, eviction,
-	// checkpoint and bundle, which may run while Recover does.
-	dur      atomic.Pointer[durability]
-	ckptMu   sync.Mutex
+	// The journal, published once by Recover: nil until then, and read
+	// with one Load by every request, eviction, checkpoint and bundle,
+	// which may run while Recover does.
+	dur      atomic.Pointer[journal]
 	ckptQuit chan struct{}
 	ckptWG   sync.WaitGroup
 
@@ -201,15 +201,7 @@ type Server struct {
 
 	snapSaved, snapRestored   *telemetry.Counter
 	snapExact, snapRecompiled *telemetry.Counter
-	snapErrors, snapIncompat  *telemetry.Counter
-	snapResharded             *telemetry.Counter
-}
-
-// durability is the steady-state journal and the snapshot and journal
-// paths the periodic checkpointer folds into.
-type durability struct {
-	journal            *journal
-	snapPath, jrnlPath string
+	snapErrors, snapResharded *telemetry.Counter
 }
 
 // New builds the server: N shard arenas on the configured backend, the
@@ -240,7 +232,6 @@ func New(cfg Config) (*Server, error) {
 		snapExact:      reg.Counter("server.snapshot.exact"),
 		snapRecompiled: reg.Counter("server.snapshot.recompiled"),
 		snapErrors:     reg.Counter("server.snapshot.errors"),
-		snapIncompat:   reg.Counter("server.snapshot.incompatible"),
 		snapResharded:  reg.Counter("server.snapshot.resharded"),
 	}
 	s.log = cfg.Logger
@@ -290,9 +281,9 @@ func (s *Server) unitEvicted(u *unit) {
 	if t, apiE := s.tenants.get(u.tenantName); apiE == nil {
 		t.resident.Add(-u.prog.CodeBytes())
 	}
-	if d := s.dur.Load(); d != nil {
-		d.journal.tombstones.Inc()
-		_, _ = d.journal.append(journalRecord{Op: journalOpDel, Key: u.key, Shards: len(s.shards)}, false)
+	if j := s.dur.Load(); j != nil {
+		j.tombstones.Inc()
+		_, _ = j.append(journalRecord{Op: journalOpDel, Key: u.key}, false)
 	}
 }
 
@@ -317,8 +308,8 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		sh.close()
 	}
-	if d := s.dur.Load(); d != nil {
-		d.journal.close()
+	if j := s.dur.Load(); j != nil {
+		j.close()
 	}
 }
 
@@ -413,16 +404,12 @@ func (s *Server) compile(ctx context.Context, rec *trace.Request, t *tenant, lan
 		}
 		sh.admit(u, t)
 		t.compiles.Inc()
-		if d := s.dur.Load(); d != nil {
+		if j := s.dur.Load(); j != nil {
 			// Group commit: block this flight until the record fsyncs.
 			// A degraded journal (write/fsync failure) still serves the
 			// unit — the ack just goes out durable=false until the next
-			// checkpoint rotation hands the writer a fresh file.
-			lsn, jerr := d.journal.append(journalRecord{
-				Op:     journalOpAdd,
-				Entry:  snapEntryOf(u, sh.id),
-				Shards: len(s.shards),
-			}, true)
+			// checkpoint's compaction hands the writer a fresh file.
+			lsn, jerr := j.append(journalRecord{Op: journalOpAdd, Entry: snapEntryOf(u, sh.id)}, true)
 			if jerr == nil {
 				u.durable.Store(true)
 				u.lsn.Store(lsn)

@@ -39,9 +39,9 @@ type shard struct {
 }
 
 // unit is what the server knows of one resident program: whose it is, the
-// compile metadata the warm-cache snapshot serializes, and which function
-// the cache holds.  What the program occupies on the shard's machine is
-// prog's, and leaves with it when the cache evicts the entry function.
+// compile metadata the journal records, and which function the cache
+// holds.  What the program occupies on the shard's machine is prog's,
+// and leaves with it when the cache evicts the entry function.
 type unit struct {
 	key        string
 	tenantName string
@@ -56,7 +56,7 @@ type unit struct {
 	// response's "durable" field reports.
 	durable atomic.Bool
 	// lsn is the journal sequence number behind the durable ack (0 for
-	// units restored from a snapshot or compiled without a journal) — the
+	// units restored from disk or compiled without a journal) — the
 	// correlation ID flight-recorder events and bundles carry.
 	lsn atomic.Uint64
 }

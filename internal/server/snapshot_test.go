@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -114,26 +115,34 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	if _, err := s.Restore(bad); err == nil {
-		t.Fatalf("garbage snapshot restored without error")
+	if _, err := s.Restore(bad); !errors.Is(err, errTorn) {
+		t.Fatalf("garbage snapshot restored with error %v, want errTorn", err)
 	}
 	// A bad snapshot serves cold, it does not wedge boot.
 	if ready, missing := s.Health().Ready(); !ready {
 		t.Fatalf("not ready after failed restore: %v", missing)
 	}
-	if s.snapErrors.Load() == 0 {
+	if s.jrnlTorn.Load() == 0 {
 		t.Fatalf("restore failure not counted")
 	}
 }
 
+// A file with another format's magic, or a journal of a future version,
+// is not read: it fails the header check (and Restore boots cold, as
+// TestSnapshotRejectsGarbage checks).
 func TestSnapshotVersionGate(t *testing.T) {
 	dir := t.TempDir()
-	future := filepath.Join(dir, "future.snap")
-	if err := os.WriteFile(future, append([]byte(snapshotMagic), 99), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSnapshot(future); err == nil {
-		t.Fatalf("future snapshot version accepted")
+	for name, raw := range map[string][]byte{
+		"foreign": append([]byte("VCXXXX"), journalVersion, 0, 0, 0, 0),
+		"future":  append([]byte(journalMagic), 99),
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if recs, diag := replayJournal(p); !diag.HeaderBad || len(recs) != 0 {
+			t.Fatalf("%s header accepted: %d records, %+v", name, len(recs), diag)
+		}
 	}
 }
 

@@ -50,11 +50,14 @@ test:
 
 # Non-test Go lines per package and in total.  ROADMAP aim 2 expects the
 # per-ISA packages to go down as descriptions are merged; CI prints this
-# so every log carries the number.
+# so every log carries the number.  The test-only harness packages (only
+# tests import them) are in the total, and summed on a line of their own.
+HARNESS_PKGS = internal/regtest internal/isatest internal/exec/diff internal/codecache/cachetest
 loc:
 	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
 		printf '%6d  %s\n' $$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$pkg; \
 	done
+	@printf '%6d  harness (%s)\n' $$(for d in $(HARNESS_PKGS); do find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go'; done | xargs cat | wc -l) '$(HARNESS_PKGS)'
 	@printf '%6d  total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # The documents that describe the tree (README, DESIGN, the verify skill)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 )
 
 // Register numbers (OSF/1 conventional names).
@@ -18,15 +19,18 @@ const (
 	rZero = 31
 )
 
-// Backend is the Alpha port of VCODE.
+// Backend is the Alpha port of VCODE.  Its instruction table (isa.go)
+// gives it ISA, Classify and Disasm.
 type Backend struct {
+	*exec.Table
 	conv *core.CallConv
 	regs *core.RegFile
 }
 
 // New returns the Alpha backend.
 func New() *Backend {
-	return &Backend{conv: newConv(), regs: newRegFile()}
+	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fprNames}
+	return &Backend{Table: isa, conv: newConv(), regs: regs}
 }
 
 func newConv() *core.CallConv {
@@ -70,14 +74,6 @@ var gprNames = []string{
 	"t7", "s0", "s1", "s2", "s3", "s4", "s5", "s6",
 	"a0", "a1", "a2", "a3", "a4", "a5", "t8", "t9",
 	"t10", "t11", "ra", "pv", "at", "gp", "sp", "zero",
-}
-
-func newRegFile() *core.RegFile {
-	fpr := make([]string, 32)
-	for i := range fpr {
-		fpr[i] = fmt.Sprintf("f%d", i)
-	}
-	return &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fpr}
 }
 
 func (*Backend) Name() string                  { return "alpha" }
@@ -622,16 +618,6 @@ func (a *Backend) CallReg(b *core.Buf, r core.Reg) error {
 	return nil
 }
 
-// PatchBranch resolves a branch-format displacement.
-func (a *Backend) PatchBranch(b *core.Buf, site, target int) error {
-	disp := int64(target - (site + 1))
-	if disp < -(1<<20) || disp >= 1<<20 {
-		return fmt.Errorf("%w: %d words", core.ErrBranchRange, disp)
-	}
-	b.Set(site, b.At(site)&^uint32(0x1fffff)|uint32(disp)&0x1fffff)
-	return nil
-}
-
 // PatchCall resolves the ldah/lda pair of a CallSite.
 func (a *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
 	return a.PatchAddr(b, sites, target)
@@ -657,15 +643,6 @@ func (a *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
 	lo := int64(addr) - hi<<16
 	b.Set(sites[0], b.At(sites[0])&^uint32(0xffff)|uint32(hi)&0xffff)
 	b.Set(sites[1], b.At(sites[1])&^uint32(0xffff)|uint32(lo)&0xffff)
-	return nil
-}
-
-// PatchMemOffset rewrites a disp16.
-func (a *Backend) PatchMemOffset(b *core.Buf, site int, off int64) error {
-	if !fitsS16(off) {
-		return fmt.Errorf("alpha: patched offset %d out of range", off)
-	}
-	b.Set(site, b.At(site)&^uint32(0xffff)|uint32(off)&0xffff)
 	return nil
 }
 

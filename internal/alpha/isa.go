@@ -1,18 +1,16 @@
 package alpha
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/verify"
 )
 
 // This file is the Alpha instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
-// a threaded opcode.  Classify and Disasm (below) and Predecode
-// (threaded.go) read it, so a word verifies exactly when it has an
-// opcode.  The fetch/switch Step in cpu.go deliberately does not: it is
-// the independent oracle the table is tested against row by row.
+// a threaded opcode, and a syntax letter with its field.  Classify,
+// Disasm, Predecode and the core read it; a word verifies exactly when
+// it has an opcode.  The fetch/switch Step in cpu.go deliberately does
+// not: it is the independent oracle the table is tested against row by row.
 
 // Operand layouts: which fields of the word Predecode unpacks.
 const (
@@ -34,10 +32,28 @@ const (
 	fieldRa     = 0x1f << 21
 )
 
-// Disasm syntax letters: a b c = ra rb rc, l = operand2 (rb or #literal),
-// i = disp16, t = branch target, A B C = fa fb fc.  A jump-format word
-// that links into r31 is a plain jump or return; one that writes a real
-// link register is an indirect call, whatever its hint says.
+// The syntax letters: a b c = ra rb rc, l = operand2 (an 8-bit literal
+// when bit 12 is set, else rb), i = disp16, t = branch target (from the
+// updated pc), A B C = fa fb fc.
+var fields = map[byte]exec.Field{
+	'a': {Shift: 21, Width: 5, Names: gprNames},
+	'b': rbField,
+	'c': {Width: 5, Names: gprNames},
+	'l': {Shift: 13, Width: 8, Fmt: "#%d", Sel: 12, Else: &rbField},
+	'i': {Width: 16, Signed: true, Fmt: "%d"},
+	't': {Width: 21, Signed: true, Scale: 2, Target: true, PC: 4},
+	'A': {Shift: 21, Width: 5, Names: fprNames},
+	'B': {Shift: 16, Width: 5, Names: fprNames},
+	'C': {Width: 5, Names: fprNames},
+}
+
+var rbField = exec.Field{Shift: 16, Width: 5, Names: gprNames}
+
+var fprNames = exec.Numbered("f%d")
+
+// A jump-format word that links into r31 is a plain jump or return; one
+// that writes a real link register is an indirect call, whatever its hint
+// says.
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", layOperate, aBis),
 
@@ -133,55 +149,4 @@ var rows = []exec.Row{
 	exec.Ins("cvtst", fpFmt(opFlti, 0, 0, fnCvtst, 0), maskFP, " B, C", layFP, aCvtst),
 }
 
-var isa = exec.NewTable(rows)
-
-// branchTarget is relative to the updated pc (pc+4).
-func branchTarget(w uint32, pc uint64) uint64 {
-	return pc + 4 + uint64(int64(int32(w<<11)>>11)*4)
-}
-
-// Classify decodes the control-flow behaviour of one Alpha word for the
-// pre-install verifier; a word with no row is illegal.  The jump format
-// (jmp/jsr/ret) is register-indirect and carries no target.
-func (a *Backend) Classify(w uint32, pc uint64) verify.Insn {
-	r := isa.Lookup(w)
-	if r == nil {
-		return verify.Insn{Kind: verify.KindIllegal}
-	}
-	if r.Layout == layBr {
-		return verify.Insn{Kind: r.Kind, Target: branchTarget(w, pc), HasTarget: true}
-	}
-	return verify.Insn{Kind: r.Kind}
-}
-
-// Disasm decodes one instruction word: the row's mnemonic, then its
-// syntax with each field letter expanded.  A word with no row prints as
-// ".word".
-func (a *Backend) Disasm(w uint32, pc uint64) string {
-	return isa.Disasm(w, func(c byte) string {
-		switch c {
-		case 'a':
-			return gprNames[w>>21&31]
-		case 'b':
-			return gprNames[w>>16&31]
-		case 'c':
-			return gprNames[w&31]
-		case 'l':
-			if w>>12&1 == 1 {
-				return fmt.Sprintf("#%d", w>>13&0xff)
-			}
-			return gprNames[w>>16&31]
-		case 'i':
-			return fmt.Sprintf("%d", int16(w))
-		case 't':
-			return fmt.Sprintf("%#x", branchTarget(w, pc))
-		case 'A':
-			return fmt.Sprintf("f%d", w>>21&31)
-		case 'B':
-			return fmt.Sprintf("f%d", w>>16&31)
-		case 'C':
-			return fmt.Sprintf("f%d", w&31)
-		}
-		return ""
-	})
-}
+var isa = exec.NewTable(rows, fields)

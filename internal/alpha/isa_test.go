@@ -12,7 +12,7 @@ import (
 func tableUnderTest() *isatest.ISA {
 	m := mem.New(1<<16, false)
 	c := NewCPU(m)
-	return &isatest.ISA{Rows: rows, Dec: New(), CPU: c, Mem: m, Branch: c.branch}
+	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Branch: c.branch}
 }
 
 // TestISATableLegality: a word verifies exactly when the oracle decodes
@@ -26,6 +26,11 @@ func TestISATableRows(t *testing.T) { tableUnderTest().CheckRows(t) }
 // TestISATableFolds: every pc-relative branch row has a case in the
 // switch RunBody folds branches with, and it agrees with the oracle.
 func TestISATableFolds(t *testing.T) { tableUnderTest().CheckFolds(t) }
+
+// TestISATableFields: every field the table declares writes and reads
+// back within its range, and every target it gives is where the oracle
+// lands.
+func TestISATableFields(t *testing.T) { tableUnderTest().CheckFields(t) }
 
 // TestDisasmListing pins the disassembly of one instruction of each
 // operand layout (and each alias), at pc 0x1000.

@@ -175,14 +175,13 @@ func (c *CPU) PendingDelay() bool { return false }
 // no row becomes aBad, whose handler reproduces the oracle's exact message.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
-	n := len(words)
+	body := &exec.Body{Base: base, Code: code}
 	for i, w := range words {
 		in := &code[i]
-		pc := base + 4*uint64(i)
 		ra := uint8(w >> 21 & 31)
 		rb := uint8(w >> 16 & 31)
 		regForm := w>>12&1 == 0
-		in.PC = pc
+		in.PC = base + 4*uint64(i)
 		// Interlock metadata, mirroring the oracle's pre-dispatch check:
 		// ra is always a stall candidate; rb only for register-form
 		// integer operates, decodable or not.
@@ -196,7 +195,8 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		in.Op, in.A, in.B, in.Run, in.Flags = r.Op, ra, rb, r.Run(), r.Fold()
+		r.Start(in, w, body)
+		in.A, in.B = ra, rb
 		switch r.Layout {
 		case layMem:
 			in.Imm = int64(int16(w))
@@ -204,8 +204,6 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.Imm = int64(int16(w)) << 16
 		case layLoad:
 			in.Imm, in.LoadReg = int64(int16(w)), ra
-		case layBr:
-			in.SetTarget(base, n, branchTarget(w, pc))
 		case layOperate:
 			in.C = uint8(w & 31)
 			if regForm {
@@ -219,7 +217,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 		}
 	}
 	exec.MarkRuns(code, 31, 0)
-	return &exec.Body{Base: base, Code: code}
+	return body
 }
 
 // RunBody executes predecoded instructions starting at idx until allow

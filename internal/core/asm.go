@@ -333,14 +333,15 @@ func (a *Asm) End() (*Func, error) {
 	}
 
 	// Returns: either a shared epilogue or rewritten direct returns.
+	isa := a.backend.ISA()
 	if need {
 		epi := a.buf.Len()
 		if err := a.backend.Epilogue(a.buf, a.conv, &a.frame); err != nil {
 			return nil, err
 		}
 		for _, rs := range a.retSites {
-			if err := a.backend.PatchBranch(a.buf, rs.jmpIdx, epi); err != nil {
-				return nil, err
+			if !isa.Retarget(a.buf.Words(), rs.jmpIdx, epi) {
+				return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, rs.jmpIdx, epi)
 			}
 		}
 	} else {
@@ -363,8 +364,8 @@ func (a *Asm) End() (*Func, error) {
 
 	// Incoming stack-argument loads now know the frame size.
 	for _, p := range a.pending {
-		if err := a.backend.PatchMemOffset(a.buf, p.site, a.frame.Size+p.stackOff); err != nil {
-			return nil, err
+		if off := a.frame.Size + p.stackOff; !isa.SetImm(a.buf.Words(), p.site, off) {
+			return nil, fmt.Errorf("%w: incoming argument at %d(sp), word %d", ErrFrameRange, off, p.site)
 		}
 	}
 
@@ -374,8 +375,8 @@ func (a *Asm) End() (*Func, error) {
 		if t < 0 {
 			return nil, fmt.Errorf("%w: label L%d", ErrUnboundLabel, f.label)
 		}
-		if err := a.backend.PatchBranch(a.buf, f.site, t); err != nil {
-			return nil, err
+		if !isa.Retarget(a.buf.Words(), f.site, t) {
+			return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, f.site, t)
 		}
 	}
 

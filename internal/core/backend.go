@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/verify"
+import (
+	"repro/internal/exec"
+	"repro/internal/verify"
+)
 
 // Backend is the per-target port of VCODE: the mapping from the core
 // instruction set onto one machine's binary encodings plus that machine's
@@ -83,20 +86,13 @@ type Backend interface {
 	// must patch (RelocCall).
 	CallSite(b *Buf) ([]int, error)
 	// CallLabel emits a PC-relative call to an intra-function label,
-	// returning a patch site resolvable with PatchBranch.
+	// returning a patch site, which End resolves as it does a Branch.
 	CallLabel(b *Buf) (int, error)
 	// CallReg emits a call through a register.
 	CallReg(b *Buf, r Reg) error
-	// PatchBranch resolves the branch or jump at patch site to target
-	// (an instruction index in the same buffer).
-	PatchBranch(b *Buf, site, target int) error
 	// PatchCall resolves a CallSite to an absolute byte address; base is
 	// the address of buffer word 0.
 	PatchCall(b *Buf, sites []int, base, target uint64) error
-	// PatchMemOffset rewrites the immediate displacement of the load or
-	// store at site (used to fix incoming stack-argument loads once the
-	// final frame size is known).
-	PatchMemOffset(b *Buf, site int, off int64) error
 	// RetEncoding returns the single-word plain-return instruction, used
 	// to rewrite jump-to-epilogue sites into direct returns when the
 	// finished function turns out to need no epilogue (paper §5.2).
@@ -138,6 +134,11 @@ type Backend interface {
 	// instruction directly if the hardware supports it, reporting
 	// whether it did; otherwise the portable core-level definition runs.
 	TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (bool, error)
+
+	// ISA returns the port's instruction table, with its one declaration
+	// of where each operand sits: the core reads templates off it, and End
+	// patches branch sites and incoming stack-argument loads through it.
+	ISA() *exec.Table
 
 	// Disasm decodes one instruction word at byte address pc for
 	// debugging and tests.

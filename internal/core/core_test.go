@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/verify"
 )
 
@@ -136,15 +137,6 @@ func (f *fakeBackend) CallReg(b *Buf, r Reg) error {
 	return nil
 }
 
-func (f *fakeBackend) PatchBranch(b *Buf, site, target int) error {
-	disp := target - (site + 1)
-	if disp < -(1<<15) || disp >= 1<<15 {
-		return ErrBranchRange
-	}
-	b.Set(site, b.At(site)&^uint32(0xffff)|uint32(uint16(disp)))
-	return nil
-}
-
 func (f *fakeBackend) PatchCall(b *Buf, sites []int, base, target uint64) error { return nil }
 
 func (f *fakeBackend) LoadAddr(b *Buf, rd Reg) ([]int, error) {
@@ -155,11 +147,6 @@ func (f *fakeBackend) LoadAddr(b *Buf, rd Reg) ([]int, error) {
 }
 
 func (f *fakeBackend) PatchAddr(b *Buf, sites []int, addr uint64) error { return nil }
-
-func (f *fakeBackend) PatchMemOffset(b *Buf, site int, off int64) error {
-	b.Set(site, b.At(site)&^uint32(0xffff)|uint32(uint16(off)))
-	return nil
-}
 
 func (f *fakeBackend) Nop(b *Buf)          { b.Emit(0) }
 func (f *fakeBackend) IsNop(w uint32) bool { return w == 0 }
@@ -194,6 +181,21 @@ func (f *fakeBackend) EmulatedOp(op Op, t Type) (string, bool) { return "", fals
 func (f *fakeBackend) TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (bool, error) {
 	return false, nil
 }
+
+// fakeISA decodes what End patches: the fake's branch, jump and label-call
+// words (a 16-bit displacement from the delay slot, as on mips) and its
+// immediate load (a 16-bit offset).
+var fakeISA = exec.NewTable([]exec.Row{
+	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(verify.KindBranch),
+	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(verify.KindBranch),
+	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(verify.KindCall),
+	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
+}, map[byte]exec.Field{
+	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
+	'i': {Width: 16, Signed: true, Fmt: "%d"},
+})
+
+func (f *fakeBackend) ISA() *exec.Table { return fakeISA }
 
 func (f *fakeBackend) Disasm(w uint32, pc uint64) string { return "?" }
 

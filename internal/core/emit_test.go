@@ -175,7 +175,8 @@ func TestEmulatedOpsAgree(t *testing.T) {
 // of the 1,000-instruction mix on a reused assembler, per backend — and the
 // same function made of one kind of instruction only, so that what the
 // template path costs (alu, alui, mem) and what stays on the interface path
-// (branch: label table, one fixup, PatchBranch at End) are each a number.
+// (branch: label table, one fixup, Retarget through the table at End) are
+// each a number.
 func BenchmarkEmit(b *testing.B) {
 	const n = 1000
 	run := func(b *testing.B, bk core.Backend, slots []int) {

@@ -2,7 +2,8 @@ package core
 
 import (
 	"math"
-	"math/bits"
+
+	"repro/internal/exec"
 )
 
 // tmpl is one (op, type) of one port as the generic emitters use it: the
@@ -20,9 +21,11 @@ import (
 //
 // Anything else — a multi-word expansion, an immediate outside [lo, hi], an
 // emulated operation, a branch — has no template and goes through the
-// Backend interface.  That path is the reference: a template is read off the
-// port's encoder (fit) and held to it word for word
-// (TestTemplatesAgreeWithEncoders); no port declares one.
+// Backend interface, the reference.  A template is read from the port's
+// field declaration (Backend.ISA), not found by probing: the encoder's word
+// names the row, the row's syntax the fields, and their declared shifts and
+// ranges are the template's (TestTemplatesAgreeWithEncoders holds it to the
+// encoder word for word).
 type tmpl struct {
 	word, mask    uint32
 	d, s1, s2, sh uint8 // field shifts: rd (or the stored register), rs1, rs2, immediate
@@ -64,177 +67,95 @@ type Templates struct {
 // Backend type from the port's own methods and shared.
 func TemplatesOf(b Backend) *Templates { return &portOf(b).tmpl }
 
-// encoder is one Backend method with its op and type bound, as fit calls
-// it.  Unused operands are ignored.
-type encoder func(b *Buf, r [3]Reg, imm int64) error
-
 // derive fills ts in from bk's ALU, ALUImm, Load and Store, over every (op,
 // type) the generic emitters accept.
 func (ts *Templates) derive(bk Backend) {
-	buf := NewBuf(8)
+	isa, buf := bk.ISA(), NewBuf(8)
 	for t := TypeV; t < numTypes; t++ {
-		bank := [3]bool{t.IsFloat(), t.IsFloat(), t.IsFloat()}
+		reg := GPR
+		if t.IsFloat() {
+			reg = FPR
+		}
+		r := [3]Reg{reg(5), reg(6), reg(7)}
 		for op := Op(0); op < numBinOps; op++ {
 			if legal.alu[op].has(t) {
-				ts.alu[op][t] = fit(buf, bank, false, func(b *Buf, r [3]Reg, _ int64) error {
+				ts.alu[op][t] = read(isa, buf, r[:], func(b *Buf, _ int64) error {
 					return bk.ALU(b, op, t, r[0], r[1], r[2])
 				})
 			}
 			if legal.alui[op].has(t) {
-				ts.alui[op][t] = fit(buf, bank, true, func(b *Buf, r [3]Reg, imm int64) error {
+				ts.alui[op][t] = read(isa, buf, r[:2], func(b *Buf, imm int64) error {
 					return bk.ALUImm(b, op, t, r[0], r[1], imm)
 				})
 			}
 		}
 		if legal.mem.has(t) {
-			bank[1] = false // the base is an address whatever is loaded
-			ts.ld[t] = fit(buf, bank, true, func(b *Buf, r [3]Reg, off int64) error {
-				return bk.Load(b, t, r[0], r[1], off)
+			m := []Reg{r[0], GPR(6)} // the base is an address whatever is loaded
+			ts.ld[t] = read(isa, buf, m, func(b *Buf, off int64) error {
+				return bk.Load(b, t, m[0], m[1], off)
 			})
-			ts.st[t] = fit(buf, bank, true, func(b *Buf, r [3]Reg, off int64) error {
-				return bk.Store(b, t, r[0], r[1], off)
+			ts.st[t] = read(isa, buf, m, func(b *Buf, off int64) error {
+				return bk.Store(b, t, m[0], m[1], off)
 			})
 		}
 	}
 }
 
-// fit fits enc — three register operands, or two and an immediate when
-// hasImm, in the banks fp names — to the template model by probing it, and
-// returns the zero tmpl when it does not fit.  The probes are a sample:
-// every register bit alone, some register triples, both ends of the
-// immediate range, every power of two inside it and its neighbours; the
-// exhaustive check is the test's.
-func fit(buf *Buf, fp [3]bool, hasImm bool, enc encoder) tmpl {
-	one := func(n [3]int, imm int64) (uint32, bool) {
-		var r [3]Reg
-		for i := range r {
-			if r[i] = GPR(n[i]); fp[i] {
-				r[i] = FPR(n[i])
-			}
-		}
+// read reads enc's template off the row of the word it encodes and that
+// row's fields in isa, or returns the zero tmpl.  enc's operands are regs
+// (rd, rs1, and rs2 for a form without an immediate), registers no port
+// hardwires, so the field each turns up in is its operand's; probes at a
+// few immediates settle how the immediate goes in.
+func read(isa *exec.Table, buf *Buf, regs []Reg, enc func(b *Buf, imm int64) error) tmpl {
+	one := func(imm int64) (uint32, bool) {
 		buf.Reset()
-		if enc(buf, r, imm) != nil || buf.Len() != 1 {
+		if enc(buf, imm) != nil || buf.Len() != 1 {
 			return 0, false
 		}
 		return buf.At(0), true
 	}
-	var none [3]int
-	base, ok := one(none, 0)
-	if !ok {
+	w, ok := one(0)
+	row := isa.Lookup(w)
+	if !ok || row == nil {
 		return tmpl{}
 	}
-	tp := tmpl{word: base, ok: true}
-
-	// A register field starts where register 1 shows up, and every bit of
-	// the number lands in it.
-	fields := []*uint8{&tp.d, &tp.s1, &tp.s2}
+	tp, found := tmpl{word: w, ok: true}, 0
+	shift := [3]*uint8{&tp.d, &tp.s1, &tp.s2}
+	var imm *exec.Field
+	for _, c := range []byte(row.Syntax) {
+		f := isa.Field(c).In(w)
+		if f == nil {
+			continue
+		}
+		for i, r := range regs {
+			if f.Names != nil && f.Get(w) == int64(r.Num()) {
+				*shift[i], found = f.Shift, found|1<<i
+				tp.word &^= f.Bits() << f.Shift
+			}
+		}
+		if f.Names == nil && !f.Target && f.Scale == 0 {
+			imm = f
+		}
+	}
+	hasImm := len(regs) == 2
+	if found != 1<<len(regs)-1 || hasImm && imm == nil {
+		return tmpl{}
+	}
 	if hasImm {
-		fields = fields[:2]
-	}
-	for i, sh := range fields {
-		n := none
-		n[i] = 1
-		w, ok := one(n, 0)
-		if !ok || bits.OnesCount32(w^base) != 1 {
-			return tmpl{}
+		// The field holds imm, or -imm (mips subtracts by addiu), over its
+		// declared range; or the encoder masks imm into it (a shift count)
+		// and every imm is one word.
+		tp.sh, tp.mask = imm.Shift, imm.Bits()
+		tp.lo, tp.hi = imm.Range()
+		if w, _ := one(1); imm.Get(w) == -1 {
+			tp.neg, tp.lo, tp.hi = 1, -tp.hi, -tp.lo
 		}
-		*sh = uint8(bits.TrailingZeros32(w ^ base))
-		for k := 1; k < 6; k++ {
-			n[i] = 1 << k
-			if w, ok := one(n, 0); !ok || w != tp.at(n, 0) {
-				return tmpl{}
-			}
-		}
-	}
-
-	imms := make([]int64, 1, 256) // 0, and what the range below adds
-	if hasImm {
-		single := func(imm int64) bool { _, ok := one(none, imm); return ok }
-		tp.lo, tp.hi = edge(single, math.MinInt64), edge(single, math.MaxInt64)
-		for k := 0; k < 63; k++ {
-			for _, v := range [...]int64{1<<k - 1, 1 << k, -1 << k, -1<<k - 1} {
-				if tp.holds(v) {
-					imms = append(imms, v)
-				}
-			}
-		}
-		imms = append(imms, tp.lo, tp.hi)
-		// The field starts where 1 shows up, or -1 if it holds -imm.
-		field := func(imm int64) uint32 {
-			if w, ok := one(none, imm); ok && tp.holds(imm) {
-				return w ^ base
-			}
-			return 0
-		}
-		if f := field(1); bits.OnesCount32(f) == 1 {
-			tp.sh = uint8(bits.TrailingZeros32(f))
-		} else if f := field(-1); bits.OnesCount32(f) == 1 {
-			tp.sh, tp.neg = uint8(bits.TrailingZeros32(f)), 1
-		} else {
-			return tmpl{}
-		}
-	}
-
-	// Every immediate once, among registers that vary (sixteen triples at
-	// least): the field is as wide as the bits they set between them, and
-	// with that the template must give each word back.
-	for len(imms) < 16 {
-		imms = append(imms, 0)
-	}
-	regs := func(j int) [3]int {
-		n := [3]int{5 * j % 64, (7*j + 1) % 64, (11*j + 3) % 64}
-		if hasImm {
-			n[2] = 0
-		}
-		return n
-	}
-	words := make([]uint32, len(imms))
-	for j, v := range imms {
-		n := regs(j)
-		if words[j], ok = one(n, v); !ok {
-			return tmpl{}
-		}
-		if hasImm {
-			tp.mask |= (words[j] ^ tp.at(n, 0)) >> tp.sh
-		}
-	}
-	for j, v := range imms {
-		if words[j] != tp.at(regs(j), v) {
-			return tmpl{}
+		_, min := one(math.MinInt64)
+		if _, max := one(math.MaxInt64); min && max {
+			w, _ := one(-1)
+			tp.mask &= uint32(imm.Get(w))
+			tp.lo, tp.hi = math.MinInt64, math.MaxInt64
 		}
 	}
 	return tp
-}
-
-// at is the template's word for register numbers n, of whichever bank.
-func (tp *tmpl) at(n [3]int, imm int64) uint32 {
-	return tp.imm(Reg(n[0]), Reg(n[1]), imm) | tp.regs(0, 0, Reg(n[2]))
-}
-
-// edge returns the last immediate, going from 0 towards lim, of the run for
-// which single holds (0 is known to).  An encoder switches to its multi-word
-// expansion where the immediate stops fitting a field: double the step until
-// it does, then bisect.
-func edge(single func(int64) bool, lim int64) int64 {
-	if single(lim) {
-		return lim
-	}
-	in, out := int64(0), int64(1)
-	if lim < 0 {
-		out = -1
-	}
-	for single(out) {
-		in = out
-		if out *= 2; out/2 != in {
-			out = lim // doubling overflowed
-		}
-	}
-	for d := out - in; d > 1 || d < -1; d = out - in {
-		if mid := in + d/2; single(mid) {
-			in = mid
-		} else {
-			out = mid
-		}
-	}
-	return in
 }

@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -106,30 +108,55 @@ func TestTemplatesAgreeWithEncoders(t *testing.T) {
 	}
 }
 
-// TestTemplatesExist pins how many (op, type) pairs of each generic emitter
-// have a template on each port: an encoder that starts special-casing a
-// register, or grows a second word, drops out of the fast path here and not
-// in a benchmark.
+// TestTemplatesExist pins every template of every port: the generic emitter
+// it serves, its (op, type) and the immediates it holds for, one line per
+// (port, emitter, range).  It pins the fast path itself, not its size: an
+// encoder that starts special-casing a register or grows a second word, or
+// a field declaration that drifts from the encoders, changes an entry here
+// and not just a benchmark.
 func TestTemplatesExist(t *testing.T) {
-	want := map[string]map[string]int{
-		"mips":  {"ALU": 38, "ALUI": 30, "LdI": 11, "StI": 11},
-		"sparc": {"ALU": 43, "ALUI": 30, "LdI": 11, "StI": 11},
-		"alpha": {"ALU": 40, "ALUI": 32, "LdI": 7, "StI": 7},
-	}
+	const want = `
+mips ALU [0, 0]: addi addu addl addul addp addf addd subi subu subl subul subp subf subd mulf muld divf divd andi andu andl andul ori oru orl orul xori xoru xorl xorul lshi lshu lshl lshul rshi rshu rshl rshul
+mips ALUI [-32768, 32767]: addi addu addl addul addp
+mips ALUI [-32767, 32768]: subi subu subl subul subp
+mips ALUI [0, 65535]: andi andu andl andul ori oru orl orul xori xoru xorl xorul
+mips ALUI [-9223372036854775808, 9223372036854775807]: lshi lshu lshl lshul rshi rshu rshl rshul
+mips LdI [-32768, 32767]: ldc lduc lds ldus ldi ldu ldl ldul ldp ldf ldd
+mips StI [-32768, 32767]: stc stuc sts stus sti stu stl stul stp stf std
+sparc ALU [0, 0]: addi addu addl addul addp addf addd subi subu subl subul subp subf subd muli mulu mull mulul mulp mulf muld divf divd andi andu andl andul ori oru orl orul xori xoru xorl xorul lshi lshu lshl lshul rshi rshu rshl rshul
+sparc ALUI [-4096, 4095]: addi addu addl addul addp subi subu subl subul subp andi andu andl andul ori oru orl orul xori xoru xorl xorul
+sparc ALUI [-9223372036854775808, 9223372036854775807]: lshi lshu lshl lshul rshi rshu rshl rshul
+sparc LdI [-4096, 4095]: ldc lduc lds ldus ldi ldu ldl ldul ldp ldf ldd
+sparc StI [-4096, 4095]: stc stuc sts stus sti stu stl stul stp stf std
+alpha ALU [0, 0]: addi addu addl addul addp addf addd subi subu subl subul subp subf subd muli mulu mull mulul mulp mulf muld divf divd andi andu andl andul ori oru orl orul xori xoru xorl xorul lshl lshul rshi rshl rshul
+alpha ALUI [0, 255]: addi addu addl addul addp subi subu subl subul subp muli mulu mull mulul mulp andi andu andl andul ori oru orl orul xori xoru xorl xorul lshl lshul rshi rshl rshul
+alpha LdI [-32768, 32767]: ldi ldu ldl ldul ldp ldf ldd
+alpha StI [-32768, 32767]: sti stu stl stul stp stf std
+`
+	var got []string
 	for _, tg := range regtest.Targets() {
-		got := map[string]int{}
 		ts := core.TemplatesOf(tg.Backend)
+		var keys []string
+		groups := map[string][]string{}
 		for _, tp := range ts.All() {
-			got[tp.Door]++
-		}
-		for door, n := range want[tg.Name] {
-			if got[door] != n {
-				t.Errorf("%s: %d %s templates, want %d", tg.Name, got[door], door, n)
+			k := fmt.Sprintf("%s %s [%d, %d]", tg.Name, tp.Door, tp.Lo, tp.Hi)
+			if groups[k] == nil {
+				keys = append(keys, k)
 			}
+			groups[k] = append(groups[k], fmt.Sprint(tp.Op)+tp.T.Letter())
+		}
+		slices.SortStableFunc(keys, func(a, b string) int {
+			return strings.Index("ALU ALUI LdI StI", strings.Fields(a)[1]) - strings.Index("ALU ALUI LdI StI", strings.Fields(b)[1])
+		})
+		for _, k := range keys {
+			got = append(got, k+": "+strings.Join(groups[k], " "))
 		}
 		if again := core.TemplatesOf(tg.NewMachine().Backend()); again != ts {
 			t.Errorf("%s: a second backend of the port derived templates of its own", tg.Name)
 		}
+	}
+	if g, w := strings.Join(got, "\n")+"\n", strings.TrimPrefix(want, "\n"); g != w {
+		t.Errorf("templates:\n%s\nwant:\n%s", g, w)
 	}
 }
 

@@ -60,7 +60,7 @@ const (
 	// FFold marks a branch RunBody resolves in its own loop, with no
 	// handler call and no transfer bookkeeping: its row is a pc-relative
 	// branch (verify.KindBranch), its target is in the body, and where the
-	// ISA has a delay slot the slot is the canonical nop.  Row.Fold starts
+	// ISA has a delay slot the slot is the canonical nop.  Row.Start sets
 	// it and MarkRuns keeps it only where all three hold.
 	FFold uint8 = 1 << 2
 )
@@ -186,15 +186,4 @@ func (b *Body) Indirect(a uint64, ext *uint64) int32 {
 	}
 	*ext = a
 	return External
-}
-
-// SetTarget records a statically-known branch destination: an in-body
-// aligned target becomes its array index, anything else is External with
-// the raw address kept in Imm.
-func (in *Instr) SetTarget(base uint64, n int, target uint64) {
-	if target >= base && target < base+4*uint64(n) && (target-base)%4 == 0 {
-		in.Target = int32((target - base) / 4)
-		return
-	}
-	in.Target, in.Imm = External, int64(target)
 }

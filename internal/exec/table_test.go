@@ -23,7 +23,7 @@ func TestLookupIsFirstMatch(t *testing.T) {
 			}
 			rows[i] = Row{Mask: mask, Match: rng.Uint32() & mask, Op: uint16(i)}
 		}
-		tab := NewTable(rows)
+		tab := NewTable(rows, nil)
 		for k := 0; k < 2000; k++ {
 			w := rng.Uint32()
 			if len(rows) > 0 && k%2 == 0 { // half the probes hit some row's pattern

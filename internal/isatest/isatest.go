@@ -1,9 +1,10 @@
 // Package isatest holds the checks that keep a backend's instruction
-// table (exec.Row rows: the verifier, disassembler and threaded
-// predecoder all read it) honest against the backend's fetch/switch
-// simulator, which decodes on its own and is the oracle.  The three
-// backends' tests and FuzzStep targets call it; nothing outside tests
-// imports it.
+// table (exec.Row rows and the exec.Field declaration of their operand
+// letters: the verifier, disassembler, threaded predecoder and the core's
+// templates and patcher all read it) honest against the backend's
+// fetch/switch simulator, which decodes on its own and is the oracle.
+// The three backends' tests and FuzzStep targets call it; nothing
+// outside tests imports it.
 package isatest
 
 import (
@@ -19,10 +20,11 @@ import (
 
 // ISA is one backend as the checks see it.  CPU must execute out of Mem.
 type ISA struct {
-	Rows []exec.Row       // in declaration order: the first match wins
-	Dec  verify.Decoder   // the backend: Classify and Disasm
-	CPU  core.ThreadedCPU // Step is the oracle, Predecode the table's reader, RunBody what executes its output
-	Mem  *mem.Memory
+	Rows  []exec.Row // in declaration order: the first match wins
+	Table *exec.Table
+	Dec   verify.Decoder   // the backend: Classify and Disasm
+	CPU   core.ThreadedCPU // Step is the oracle, Predecode the table's reader, RunBody what executes its output
+	Mem   *mem.Memory
 	// Branch is CPU's branch switch: whether a predecoded instruction of
 	// a pc-relative branch row is taken.  RunBody folds a branch with it.
 	Branch func(in *exec.Instr) bool
@@ -253,4 +255,97 @@ func (a *ISA) branch(t *testing.T, r *exec.Row, in *exec.Instr) (taken, ok bool)
 		}
 	}()
 	return a.Branch(in), true
+}
+
+// CheckFields holds the field declaration to the oracle.  For every row
+// and every field its syntax names (in the form each trial's word
+// selects), a value written through the field reads back and leaves the
+// word's other bits alone, and one step past either end of the field's
+// range is refused.  For every row with a target field, the table's
+// target is where the oracle lands when it takes the transfer, with the
+// displacement at either end of the field's range or anywhere between.
+func (a *ISA) CheckFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pick := func(f *exec.Field, k int) int64 {
+		lo, hi := f.Range()
+		return [...]int64{lo, hi, lo + rng.Int63n(hi-lo+1)}[k%3] &^ (1<<f.Scale - 1)
+	}
+	var nop uint32 // the delay slot land steps after a transfer
+	for _, r := range a.Rows {
+		if r.Name == "nop" {
+			nop = r.Match
+		}
+	}
+	for i := range a.Rows {
+		r := &a.Rows[i]
+		var target *exec.Field
+		for _, c := range []byte(r.Syntax) {
+			decl := a.Table.Field(c)
+			if decl == nil {
+				continue
+			}
+			if decl.Target {
+				target = decl
+			}
+			for k := 0; k < 48; k++ {
+				w := synth(r, rng)
+				f := decl.In(w)
+				v := pick(f, k)
+				got, ok := f.Put(w, v)
+				if !ok || decl.In(got) != f || f.Get(got) != v || (got^w)&^(f.Bits()<<f.Shift) != 0 {
+					t.Errorf("%s %c %#08x: put %d gives %#08x (ok %v), which reads back %d", r.Name, c, w, v, got, ok, f.Get(got))
+					break
+				}
+				lo, hi := f.Range()
+				if _, ok := f.Put(w, hi+1<<f.Scale); ok {
+					t.Errorf("%s %c: %d, past the top of the field, is accepted", r.Name, c, hi+1<<f.Scale)
+				}
+				if _, ok := f.Put(w, lo-1<<f.Scale); ok {
+					t.Errorf("%s %c: %d, past the bottom of the field, is accepted", r.Name, c, lo-1<<f.Scale)
+				}
+			}
+		}
+		if target == nil {
+			continue
+		}
+		taken := 0
+		for k := 0; k < 48; k++ {
+			v := pick(target, k)
+			for try := 0; try < 64; try++ {
+				w, _ := target.Put(synth(r, rng), v)
+				a.scramble(rng)
+				a.oracleStep(t, synth(&a.Rows[rng.Intn(len(a.Rows))], rng)) // vary the condition codes
+				pc, ok := a.land(t, w, nop)
+				if !ok {
+					continue
+				}
+				if want := a.Table.Classify(w, base); !want.HasTarget || want.Target != pc {
+					t.Errorf("%s %#08x: the table's target is %#x (%v), the oracle lands at %#x", r.Name, w, want.Target, want.HasTarget, pc)
+				}
+				taken++
+				break
+			}
+		}
+		if taken == 0 {
+			t.Errorf("%s: the oracle never took the transfer", r.Name)
+		}
+	}
+}
+
+// land steps the transfer w on the oracle, and slot in its delay slot
+// when there is one, and reports where it landed if it took the transfer.
+func (a *ISA) land(t *testing.T, w, slot uint32) (pc uint64, taken bool) {
+	if err := a.Mem.Store(base+4, 4, uint64(slot)); err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := a.oracleStep(t, w); !runs {
+		return 0, false
+	}
+	if a.CPU.PendingDelay() {
+		if err := a.CPU.Step(); err != nil {
+			t.Fatalf("%#08x: the slot after it: %v", w, err)
+		}
+		return a.CPU.PC(), true
+	}
+	return a.CPU.PC(), a.CPU.PC() != base+4
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 )
 
 // Register numbers in MIPS conventional naming.
@@ -18,15 +19,18 @@ const (
 	rRA   = 31
 )
 
-// Backend is the MIPS port of VCODE.
+// Backend is the MIPS port of VCODE.  Its instruction table (isa.go) gives
+// it ISA, Classify and Disasm.
 type Backend struct {
+	*exec.Table
 	conv *core.CallConv
 	regs *core.RegFile
 }
 
 // New returns the MIPS backend.
 func New() *Backend {
-	return &Backend{conv: newConv(), regs: newRegFile()}
+	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: exec.Numbered("f%d")}
+	return &Backend{Table: isa, conv: newConv(), regs: regs}
 }
 
 func newConv() *core.CallConv {
@@ -65,14 +69,6 @@ var gprNames = []string{
 	"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
 	"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
 	"t8", "t9", "k0", "k1", "gp", "sp", "s8", "ra",
-}
-
-func newRegFile() *core.RegFile {
-	fpr := make([]string, 32)
-	for i := range fpr {
-		fpr[i] = fmt.Sprintf("f%d", i)
-	}
-	return &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fpr}
 }
 
 func (*Backend) Name() string                  { return "mips" }
@@ -524,16 +520,6 @@ func (m *Backend) CallReg(b *core.Buf, r core.Reg) error {
 	return nil
 }
 
-// PatchBranch resolves a relative branch site to a target word index.
-func (m *Backend) PatchBranch(b *core.Buf, site, target int) error {
-	disp := int64(target - (site + 1))
-	if !fitsS16(disp) {
-		return fmt.Errorf("%w: %d words", core.ErrBranchRange, disp)
-	}
-	b.Set(site, b.At(site)&^0xffff|uint32(uint16(disp)))
-	return nil
-}
-
 // PatchCall resolves jal sites to an absolute target address.
 func (m *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
 	for _, site := range sites {
@@ -561,15 +547,6 @@ func (m *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
 	}
 	b.Set(sites[0], b.At(sites[0])&^0xffff|uint32(addr>>16&0xffff))
 	b.Set(sites[1], b.At(sites[1])&^0xffff|uint32(addr&0xffff))
-	return nil
-}
-
-// PatchMemOffset rewrites a load/store displacement.
-func (m *Backend) PatchMemOffset(b *core.Buf, site int, off int64) error {
-	if !fitsS16(off) {
-		return fmt.Errorf("mips: patched offset %d out of range", off)
-	}
-	b.Set(site, b.At(site)&^0xffff|uint32(uint16(off)))
 	return nil
 }
 

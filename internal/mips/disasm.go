@@ -6,40 +6,6 @@ import (
 	"repro/internal/core"
 )
 
-// Disasm decodes one instruction word at byte address pc into DEC-style
-// assembly, for debugging generated code and for the quickstart example's
-// listing output: the row's mnemonic, then its syntax with each field
-// letter (see isa.go) expanded.  A word with no row prints as ".word".
-func (m *Backend) Disasm(w uint32, pc uint64) string {
-	return isa.Disasm(w, func(c byte) string {
-		switch c {
-		case 'd':
-			return gprNames[w>>11&31]
-		case 's':
-			return gprNames[w>>21&31]
-		case 't':
-			return gprNames[w>>16&31]
-		case 'h':
-			return fmt.Sprintf("%d", w>>6&31)
-		case 'i':
-			return fmt.Sprintf("%d", int16(w))
-		case 'u':
-			return fmt.Sprintf("%#x", w&0xffff)
-		case 'b':
-			return fmt.Sprintf("%#x", branchTarget(w, pc))
-		case 'j':
-			return fmt.Sprintf("%#x", jumpTarget(w, pc))
-		case 'D':
-			return fmt.Sprintf("$f%d", w>>6&31)
-		case 'S':
-			return fmt.Sprintf("$f%d", w>>11&31)
-		case 'T':
-			return fmt.Sprintf("$f%d", w>>16&31)
-		}
-		return ""
-	})
-}
-
 // DisasmFunc renders a generated function, one instruction per line,
 // marking the entry point.  The unused head of the reserved prologue
 // region (before the entry point) is summarized rather than listed.

@@ -7,10 +7,10 @@ import (
 
 // This file is the MIPS instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
-// a threaded opcode.  Classify (below), Disasm (disasm.go) and
-// Predecode (threaded.go) read it, so a word verifies exactly when it
-// has an opcode.  The fetch/switch Step in cpu.go deliberately does not:
-// it is the independent oracle the table is tested against row by row.
+// a threaded opcode, and a syntax letter with its field.  Classify,
+// Disasm, Predecode and the core read it; a word verifies exactly when
+// it has an opcode.  The fetch/switch Step in cpu.go deliberately does
+// not: it is the independent oracle the table is tested against row by row.
 
 // Operand layouts: which fields of the word Predecode unpacks.
 const (
@@ -37,9 +37,26 @@ const (
 	fieldRt     = 0x1f << 16
 )
 
-// Disasm syntax letters: d s t = rd rs rt, h = shamt, i = signed imm16,
-// u = imm16 in hex, b = branch target, j = jump target, D S T = the FP
-// registers named by the shamt, rd and rt fields (fd, fs, ft).
+// The syntax letters: d s t = rd rs rt, h = shamt, i = signed imm16,
+// u = imm16 in hex, b = branch target (from the delay slot), j = jump
+// target (within the 256MB region of the delay slot), D S T = the FP
+// registers in the shamt, rd and rt fields (fd, fs, ft).
+var fields = map[byte]exec.Field{
+	'd': {Shift: 11, Width: 5, Names: gprNames},
+	's': {Shift: 21, Width: 5, Names: gprNames},
+	't': {Shift: 16, Width: 5, Names: gprNames},
+	'h': {Shift: 6, Width: 5, Fmt: "%d"},
+	'i': {Width: 16, Signed: true, Fmt: "%d"},
+	'u': {Width: 16, Fmt: "%#x"},
+	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
+	'j': {Width: 26, Scale: 2, Target: true, Region: true, PC: 4},
+	'D': {Shift: 6, Width: 5, Names: fprNames},
+	'S': {Shift: 11, Width: 5, Names: fprNames},
+	'T': {Shift: 16, Width: 5, Names: fprNames},
+}
+
+var fprNames = exec.Numbered("$f%d")
+
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", layR, mSll),
 	exec.Ins("sll", rType(fnSll, 0, 0, 0, 0), maskSpecial, " d, t, h", layR, mSll),
@@ -136,26 +153,4 @@ var rows = []exec.Row{
 	exec.Ins("cvt.d.w", fpRType(fmtW, 0, 0, 0, fpCvtD), maskFP, " D, S", layFP, mFCvtDW),
 }
 
-var isa = exec.NewTable(rows)
-
-// Static transfer targets: branch displacements are delay-slot-relative
-// (pc+4), J-format targets are absolute within the 256MB region.
-func branchTarget(w uint32, pc uint64) uint64 { return pc + 4 + uint64(int64(int16(w))<<2) }
-func jumpTarget(w uint32, pc uint64) uint64   { return (pc+4)&0xf0000000 | uint64(w&0x03ffffff)<<2 }
-
-// Classify decodes the control-flow behaviour of one MIPS word for the
-// pre-install verifier; a word with no row is illegal.  jr/jalr are
-// register-indirect and carry no target.
-func (m *Backend) Classify(w uint32, pc uint64) verify.Insn {
-	r := isa.Lookup(w)
-	if r == nil {
-		return verify.Insn{Kind: verify.KindIllegal}
-	}
-	switch r.Layout {
-	case layBr1, layBr2, layFBr:
-		return verify.Insn{Kind: r.Kind, Target: branchTarget(w, pc), HasTarget: true}
-	case layJ:
-		return verify.Insn{Kind: r.Kind, Target: jumpTarget(w, pc), HasTarget: true}
-	}
-	return verify.Insn{Kind: r.Kind}
-}
+var isa = exec.NewTable(rows, fields)

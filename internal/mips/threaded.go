@@ -173,15 +173,14 @@ func (c *CPU) PendingDelay() bool { return c.inDelay }
 // installs.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
-	n := len(words)
+	body := &exec.Body{Base: base, Code: code}
 	for i, w := range words {
 		in := &code[i]
-		pc := base + 4*uint64(i)
 		rs := uint8(w >> 21 & 31)
 		rt := uint8(w >> 16 & 31)
 		rd := uint8(w >> 11 & 31)
 		sh := uint8(w >> 6 & 31)
-		in.PC = pc
+		in.PC = base + 4*uint64(i)
 		// The oracle charges the load-use interlock on the raw rs field
 		// of every word (and on rt where a layout says so) before it
 		// even validates the word.
@@ -195,20 +194,16 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		in.Op, in.A, in.B, in.Run, in.Flags = r.Op, rs, rt, r.Run(), r.Fold()
+		r.Start(in, w, body)
+		in.A, in.B = rs, rt
 		if w == encNop {
 			in.Flags |= exec.FNop
 		}
 		switch r.Layout {
 		case layR:
 			in.C, in.Imm, in.SrcB = rd, int64(sh), rt
-		case layBr1:
-			in.SetTarget(base, n, branchTarget(w, pc))
 		case layBr2:
 			in.SrcB = rt
-			in.SetTarget(base, n, branchTarget(w, pc))
-		case layJ:
-			in.SetTarget(base, n, jumpTarget(w, pc))
 		case layImmS:
 			in.Imm = int64(int16(w))
 		case layImmU:
@@ -222,13 +217,10 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			// field), C = fd (sh field) — matching the oracle's cop1()
 			// parameter mapping.
 			in.A, in.B, in.C = rd, rt, sh
-			if r.Layout == layFBr {
-				in.SetTarget(base, n, branchTarget(w, pc))
-			}
 		}
 	}
 	exec.MarkRuns(code, 0, 1)
-	return &exec.Body{Base: base, Code: code}
+	return body
 }
 
 // RunBody executes predecoded instructions starting at body index idx

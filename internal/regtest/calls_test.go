@@ -1,6 +1,7 @@
 package regtest
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,35 +111,118 @@ func TestGeneratedCallerStackArgs(t *testing.T) {
 	}
 }
 
-// TestBranchRangeError pins the error for displacements beyond the
-// encodable range (the latent-bug class the paper calls out: "constants
-// that don't fit in immediate fields").
+// TestBranchRangeError pins the reach of a forward branch on every port
+// (the latent-bug class the paper calls out: "constants that don't fit in
+// immediate fields").  BrI is followed by padding up to its label: at the
+// farthest label the port's displacement field reaches, End succeeds and
+// the branch lands on the label; one word farther, or farther still, End
+// fails with ErrBranchRange.
 func TestBranchRangeError(t *testing.T) {
+	// reach is the displacement field's largest value in words; from is
+	// where the port counts it from, in words after the end of what BrI
+	// emitted (mips: the delay slot, sparc: the branch, alpha: the
+	// updated pc); far is another padding outside the field.
+	ports := map[string]struct{ reach, from, far int }{
+		"mips":  {1<<15 - 1, -1, 40000},
+		"sparc": {1<<21 - 1, -2, 1<<21 + 10},
+		"alpha": {1<<20 - 1, 0, 1 << 20},
+	}
 	for _, tg := range Targets() {
-		tg := tg
+		p := ports[tg.Name]
+		t.Run(tg.Name, func(t *testing.T) {
+			inside := p.reach + p.from
+			fn, end, err := buildFarBranch(tg.Backend, inside)
+			if err != nil {
+				t.Fatalf("padding %d, inside the field: %v", inside, err)
+			}
+			m := tg.NewMachine()
+			if got, want := landing(t, m, fn, end), 4*uint64(end+inside-fn.Entry); got != want {
+				t.Errorf("padding %d: the branch lands at +%#x, its label is at +%#x", inside, got, want)
+			}
+			if len(fn.Words) <= 1<<16 { // small enough to install and run whole
+				for x, want := range map[int32]int32{0: 42, 1: 1} {
+					if got, err := m.Call(fn, core.I(x)); err != nil || got.Int() != int64(want) {
+						t.Errorf("padding %d: f(%d) = %v, %v; want %d", inside, x, got, err, want)
+					}
+				}
+			}
+			for _, n := range []int{inside + 1, p.far} {
+				if _, _, err := buildFarBranch(tg.Backend, n); !errors.Is(err, core.ErrBranchRange) {
+					t.Errorf("padding %d: End = %v, want ErrBranchRange", n, err)
+				}
+			}
+		})
+	}
+}
+
+// buildFarBranch builds f(x) = x == 0 ? 42 : x with the branch to 42 taken
+// over padding nops: the label sits pad words after end, the end of what
+// BrI emitted.
+func buildFarBranch(bk core.Backend, pad int) (fn *core.Func, end int, err error) {
+	a := core.NewAsm(bk)
+	args, err := a.BeginTypes([]core.Type{core.TypeI}, core.Leaf)
+	if err != nil {
+		return nil, 0, err
+	}
+	far := a.NewLabel()
+	a.BrI(core.OpBeq, core.TypeI, args[0], 0, far)
+	end = a.Buf().Len()
+	a.Reti(args[0])
+	for a.Buf().Len() < end+pad {
+		a.Nop()
+	}
+	a.Bind(far)
+	a.SetI(core.TypeI, args[0], 42)
+	a.Reti(args[0])
+	fn, err = a.End()
+	return fn, end, err
+}
+
+// landing runs fn's words up to end — its entry through BrI — on m's
+// switch-engine CPU with x = 0 (the rest of fn is not in memory) and
+// returns where the taken branch lands, as an offset from the entry.
+func landing(t *testing.T, m *core.Machine, fn *core.Func, end int) uint64 {
+	const base = 0x1000
+	for i, w := range fn.Words[fn.Entry:end] {
+		if err := m.Mem().Store(base+4*uint64(i), 4, uint64(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cpu := m.CPU()
+	cpu.SetReg(m.Backend().DefaultConv().IntArgs[0], 0)
+	cpu.SetPC(base)
+	for steps := 0; cpu.PC() >= base && cpu.PC() < base+4*uint64(end-fn.Entry); steps++ {
+		if err := cpu.Step(); err != nil || steps > 16 {
+			t.Fatalf("stepping to the branch: %v after %d steps", err, steps)
+		}
+	}
+	return cpu.PC() - base
+}
+
+// TestFrameRangeError: an incoming stack argument whose offset in the
+// finished frame does not fit the port's load displacement fails End with
+// ErrFrameRange, the same sentinel on every port.  The leaf takes ten int
+// parameters, so some arrive on the stack, and its long locals push the
+// frame past the field: mips at 9,000 locals, sparc and alpha at 5,000.
+func TestFrameRangeError(t *testing.T) {
+	locals := map[string]int{"mips": 9000, "sparc": 5000, "alpha": 5000}
+	for _, tg := range Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
 			a := core.NewAsm(tg.Backend)
-			args, err := a.BeginTypes([]core.Type{core.TypeI}, core.Leaf)
+			params := make([]core.Type, 10)
+			for i := range params {
+				params[i] = core.TypeI
+			}
+			args, err := a.BeginTypes(params, core.Leaf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			far := a.NewLabel()
-			a.BrI(core.OpBeq, core.TypeI, args[0], 0, far)
-			// MIPS/SPARC branches reach far; Alpha's 21-bit reaches
-			// ~1M words, so emit past the shortest range (2^15 words
-			// on MIPS).
-			limit := 1 << 16
-			if tg.Name != "mips" {
-				t.Skip("only the 16-bit-displacement target needs the short-range check")
+			for i := 0; i < locals[tg.Name]; i++ {
+				a.Local(core.TypeL)
 			}
-			for i := 0; i < limit; i++ {
-				a.Nop()
-			}
-			a.Bind(far)
-			a.Reti(args[0])
-			_, err = a.End()
-			if err == nil {
-				t.Fatal("out-of-range branch should fail at End")
+			a.Reti(args[9])
+			if _, err := a.End(); !errors.Is(err, core.ErrFrameRange) {
+				t.Errorf("End = %v, want ErrFrameRange", err)
 			}
 		})
 	}

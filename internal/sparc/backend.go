@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 )
 
 // Register numbers.
@@ -19,15 +20,18 @@ const (
 	rFP = 30 // %i6 (unused in flat model, kept reserved)
 )
 
-// Backend is the SPARC V8 (flat model) port of VCODE.
+// Backend is the SPARC V8 (flat model) port of VCODE.  Its instruction
+// table (isa.go) gives it ISA, Classify and Disasm.
 type Backend struct {
+	*exec.Table
 	conv *core.CallConv
 	regs *core.RegFile
 }
 
 // New returns the SPARC backend.
 func New() *Backend {
-	return &Backend{conv: newConv(), regs: newRegFile()}
+	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fprNames}
+	return &Backend{Table: isa, conv: newConv(), regs: regs}
 }
 
 func newConv() *core.CallConv {
@@ -67,14 +71,6 @@ var gprNames = []string{
 	"%o0", "%o1", "%o2", "%o3", "%o4", "%o5", "%sp", "%o7",
 	"%l0", "%l1", "%l2", "%l3", "%l4", "%l5", "%l6", "%l7",
 	"%i0", "%i1", "%i2", "%i3", "%i4", "%i5", "%fp", "%i7",
-}
-
-func newRegFile() *core.RegFile {
-	fpr := make([]string, 32)
-	for i := range fpr {
-		fpr[i] = fmt.Sprintf("%%f%d", i)
-	}
-	return &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fpr}
 }
 
 func (*Backend) Name() string                  { return "sparc" }
@@ -505,21 +501,6 @@ func (s *Backend) CallReg(b *core.Buf, r core.Reg) error {
 	return nil
 }
 
-// PatchBranch resolves a branch/call site to a target word index.
-func (s *Backend) PatchBranch(b *core.Buf, site, target int) error {
-	w := b.At(site)
-	disp := int64(target - site)
-	if w>>30 == 1 { // call: disp30
-		b.Set(site, fmtCall(int32(disp)))
-		return nil
-	}
-	if disp < -(1<<21) || disp >= 1<<21 {
-		return fmt.Errorf("%w: %d words", core.ErrBranchRange, disp)
-	}
-	b.Set(site, w&^uint32(0x3fffff)|uint32(disp)&0x3fffff)
-	return nil
-}
-
 // PatchCall resolves call sites to an absolute address (the call
 // instruction is PC-relative, so the site address matters).
 func (s *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
@@ -546,15 +527,6 @@ func (s *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
 	}
 	b.Set(sites[0], b.At(sites[0])&^uint32(0x3fffff)|uint32(addr>>10)&0x3fffff)
 	b.Set(sites[1], b.At(sites[1])&^uint32(0x1fff)|uint32(addr)&0x3ff)
-	return nil
-}
-
-// PatchMemOffset rewrites a simm13 displacement.
-func (s *Backend) PatchMemOffset(b *core.Buf, site int, off int64) error {
-	if !fitsS13(off) {
-		return fmt.Errorf("sparc: patched offset %d out of range", off)
-	}
-	b.Set(site, b.At(site)&^uint32(0x1fff)|uint32(off)&0x1fff)
 	return nil
 }
 

@@ -1,18 +1,16 @@
 package sparc
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/verify"
 )
 
 // This file is the SPARC instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
-// a threaded opcode.  Classify and Disasm (below) and Predecode
-// (threaded.go) read it, so a word verifies exactly when it has an
-// opcode.  The fetch/switch Step in cpu.go deliberately does not: it is
-// the independent oracle the table is tested against row by row.
+// a threaded opcode, and a syntax letter with its field.  Classify,
+// Disasm, Predecode and the core read it; a word verifies exactly when
+// it has an opcode.  The fetch/switch Step in cpu.go deliberately does
+// not: it is the independent oracle the table is tested against row by row.
 
 // Operand layouts: which fields of the word Predecode unpacks.
 const (
@@ -32,11 +30,34 @@ const (
 	fieldRd = 0x1f << 25
 )
 
-// Disasm syntax letters: 1 = rs1, 2 = operand2 (rs2 or simm13), d = rd,
-// h = %hi(imm22), c k = integer / FP condition suffix, b = disp22
-// target, C = disp30 target, A B D = rs1 rs2 rd as FP registers.
+// The syntax letters: 1 = rs1, 2 = operand2 (simm13 when bit 13 is set,
+// else rs2), d = rd, h = %hi(imm22), c k = integer / FP condition suffix,
+// b = disp22 target, C = disp30 target (both from the branch itself),
+// A B D = rs1 rs2 rd as FP registers.
+var fields = map[byte]exec.Field{
+	'1': {Shift: 14, Width: 5, Names: gprNames},
+	'2': {Width: 13, Signed: true, Fmt: "%d", Sel: 13, Else: &exec.Field{Width: 5, Names: gprNames}},
+	'd': {Shift: 25, Width: 5, Names: gprNames},
+	'h': {Width: 22, Scale: 10, Fmt: "%%hi(%#x)"},
+	'c': {Shift: 25, Width: 4, Names: iccNames[:]},
+	'k': {Shift: 25, Width: 4, Names: fccNames[:]},
+	'b': {Width: 22, Signed: true, Scale: 2, Target: true},
+	'C': {Width: 30, Signed: true, Scale: 2, Target: true},
+	'A': {Shift: 14, Width: 5, Names: fprNames},
+	'B': {Width: 5, Names: fprNames},
+	'D': {Shift: 25, Width: 5, Names: fprNames},
+}
+
+var fprNames = exec.Numbered("%%f%d")
+
+// Condition suffixes of Bicc and FBfcc, indexed by the cond field.
 // Bicc/FBfcc take any of the sixteen conditions (the handlers treat the
 // ones VCODE never emits as "never"), so they are one row each.
+var (
+	iccNames = [16]string{"n", "e", "le", "l", "leu", "lu", "neg", "vs", "a", "ne", "g", "ge", "gu", "geu", "pos", "vc"}
+	fccNames = [16]string{"n", "ne", "lg", "ul", "l", "ug", "g", "u", "a", "e", "ue", "ge", "uge", "le", "ule", "o"}
+)
+
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", laySethi, sSethi),
 	exec.Ins("sethi", fmtSethi(0, 0), maskOp2, " h, d", laySethi, sSethi),
@@ -104,70 +125,4 @@ var rows = []exec.Row{
 	exec.Ins("stdf", fmt3r(3, 0, op3Stdf, 0, 0), maskOp3, " D, [1+2]", layArith, sStdf),
 }
 
-var isa = exec.NewTable(rows)
-
-// Static transfer targets are relative to the branch itself.
-func dispTarget22(w uint32, pc uint64) uint64 { return uint64(int64(pc) + int64(int32(w<<10)>>10)*4) }
-func dispTarget30(w uint32, pc uint64) uint64 { return uint64(int64(pc) + int64(int32(w<<2)>>2)*4) }
-
-// simm13 is operand2's sign-extended immediate form.
-func simm13(w uint32) int32 { return int32(w<<19) >> 19 }
-
-// Classify decodes the control-flow behaviour of one SPARC word for the
-// pre-install verifier; a word with no row is illegal.  jmpl is
-// register-indirect and carries no target.
-func (s *Backend) Classify(w uint32, pc uint64) verify.Insn {
-	r := isa.Lookup(w)
-	if r == nil {
-		return verify.Insn{Kind: verify.KindIllegal}
-	}
-	switch r.Layout {
-	case layBr:
-		return verify.Insn{Kind: r.Kind, Target: dispTarget22(w, pc), HasTarget: true}
-	case layCall:
-		return verify.Insn{Kind: r.Kind, Target: dispTarget30(w, pc), HasTarget: true}
-	}
-	return verify.Insn{Kind: r.Kind}
-}
-
-// Condition suffixes of Bicc and FBfcc, indexed by the cond field.
-var (
-	iccNames = [16]string{"n", "e", "le", "l", "leu", "lu", "neg", "vs", "a", "ne", "g", "ge", "gu", "geu", "pos", "vc"}
-	fccNames = [16]string{"n", "ne", "lg", "ul", "l", "ug", "g", "u", "a", "e", "ue", "ge", "uge", "le", "ule", "o"}
-)
-
-// Disasm decodes one instruction word: the row's mnemonic, then its
-// syntax with each field letter expanded.  A word with no row prints as
-// ".word".
-func (s *Backend) Disasm(w uint32, pc uint64) string {
-	return isa.Disasm(w, func(c byte) string {
-		switch c {
-		case '1':
-			return gprNames[w>>14&31]
-		case '2':
-			if w>>13&1 == 1 {
-				return fmt.Sprintf("%d", simm13(w))
-			}
-			return gprNames[w&31]
-		case 'd':
-			return gprNames[w>>25&31]
-		case 'h':
-			return fmt.Sprintf("%%hi(%#x)", w<<10)
-		case 'c':
-			return iccNames[w>>25&0xf]
-		case 'k':
-			return fccNames[w>>25&0xf]
-		case 'b':
-			return fmt.Sprintf("%#x", dispTarget22(w, pc))
-		case 'C':
-			return fmt.Sprintf("%#x", dispTarget30(w, pc))
-		case 'A':
-			return fmt.Sprintf("%%f%d", w>>14&31)
-		case 'B':
-			return fmt.Sprintf("%%f%d", w&31)
-		case 'D':
-			return fmt.Sprintf("%%f%d", w>>25&31)
-		}
-		return ""
-	})
-}
+var isa = exec.NewTable(rows, fields)

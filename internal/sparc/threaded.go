@@ -137,11 +137,10 @@ func (c *CPU) PendingDelay() bool { return c.inDelay }
 // never a predecode failure.
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	code := make([]exec.Instr, len(words))
-	n := len(words)
+	body := &exec.Body{Base: base, Code: code}
 	for i, w := range words {
 		in := &code[i]
-		pc := base + 4*uint64(i)
-		in.PC = pc
+		in.PC = base + 4*uint64(i)
 		in.SrcA, in.SrcB, in.LoadReg = exec.NoReg, exec.NoReg, exec.NoReg
 
 		r := isa.Lookup(w)
@@ -149,7 +148,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.Op, in.Imm = sBad, int64(w)
 			continue
 		}
-		in.Op, in.Run, in.Flags = r.Op, r.Run(), r.Fold()
+		r.Start(in, w, body)
 		if w == encNop {
 			in.Flags |= exec.FNop
 		}
@@ -160,14 +159,11 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.C, in.Imm = rd, int64(w<<10)
 		case layBr:
 			in.A = rd & 0xf // cond
-			in.SetTarget(base, n, dispTarget22(w, pc))
-		case layCall:
-			in.SetTarget(base, n, dispTarget30(w, pc))
 		case layArith:
 			in.A, in.C = rs1, rd
 			if w>>13&1 == 1 {
 				in.Flags |= exec.FImm
-				in.Imm = int64(simm13(w))
+				in.Imm = int64(int32(w<<19) >> 19)
 			} else {
 				in.B = uint8(w & 31)
 			}
@@ -176,7 +172,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 		}
 	}
 	exec.MarkRuns(code, exec.NoReg, 1)
-	return &exec.Body{Base: base, Code: code}
+	return body
 }
 
 // RunBody executes predecoded instructions starting at idx until allow

@@ -652,68 +652,9 @@ func (a *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
 // IsNop reports the canonical nop.
 func (a *Backend) IsNop(w uint32) bool { return w == encNop }
 
-// RetEncoding returns ret zero, (ra).
-func (a *Backend) RetEncoding(conv *core.CallConv) uint32 {
-	return jmpFmt(rZero, rRA, hintRet)
-}
-
-// MaxPrologueWords: frame push + RA + callee-saved int and FP registers.
-func (a *Backend) MaxPrologueWords(conv *core.CallConv) int {
-	return 2 + len(conv.CalleeSaved) + len(conv.CalleeSavedFP)
-}
-
-// Prologue writes into the reserved region's tail.
-func (a *Backend) Prologue(b *core.Buf, at int, conv *core.CallConv, fr *core.Frame) (int, error) {
-	if !fitsS16(fr.Size) {
-		return 0, fmt.Errorf("alpha: frame size %d out of range", fr.Size)
-	}
-	lay := core.NewSaveLayout(conv, 8)
-	var w []uint32
-	w = append(w, memFmt(opLda, rSP, rSP, int32(-fr.Size)))
-	if fr.SaveRA {
-		w = append(w, memFmt(opStq, rRA, rSP, int32(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		off := lay.GPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("alpha: %v saved but not callee-saved", r)
-		}
-		w = append(w, memFmt(opStq, gn(r), rSP, int32(off)))
-	}
-	for _, r := range fr.SavedFPR {
-		off := lay.FPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("alpha: %v saved but not callee-saved", r)
-		}
-		w = append(w, memFmt(opStt, gn(r), rSP, int32(off)))
-	}
-	max := a.MaxPrologueWords(conv)
-	if len(w) > max {
-		return 0, fmt.Errorf("alpha: prologue overflow")
-	}
-	start := at + max - len(w)
-	for i, word := range w {
-		b.Set(start+i, word)
-	}
-	return len(w), nil
-}
-
-// Epilogue restores, pops and returns.
-func (a *Backend) Epilogue(b *core.Buf, conv *core.CallConv, fr *core.Frame) error {
-	lay := core.NewSaveLayout(conv, 8)
-	if fr.SaveRA {
-		b.Emit(memFmt(opLdq, rRA, rSP, int32(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		b.Emit(memFmt(opLdq, gn(r), rSP, int32(lay.GPROff(r))))
-	}
-	for _, r := range fr.SavedFPR {
-		b.Emit(memFmt(opLdt, gn(r), rSP, int32(lay.FPROff(r))))
-	}
-	b.Emit(memFmt(opLda, rSP, rSP, int32(fr.Size)))
-	b.Emit(jmpFmt(rZero, rRA, hintRet))
-	return nil
-}
+// RetEncoding returns ret zero, (ra); FrameAdjust, lda sp, 0(sp).
+func (a *Backend) RetEncoding(conv *core.CallConv) uint32 { return jmpFmt(rZero, rRA, hintRet) }
+func (*Backend) FrameAdjust() uint32                      { return memFmt(opLda, rSP, rSP, 0) }
 
 // EmulatedOp: the Alpha has no integer divide; division and remainder go
 // through the machine's runtime helpers (§5.2).

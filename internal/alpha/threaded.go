@@ -160,8 +160,8 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	default:
 		panic(fmt.Sprintf("alpha: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
-	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
-		c.edge(in.PC, taken)
+	if c.Edging() { // Edge's own guard: Edge is too big to inline
+		c.Edge(in.PC, taken)
 	}
 	return taken
 }
@@ -232,7 +232,7 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	// through the current instruction before its probe fires.
 	var n, stall, flushed uint64
 	ll := c.lastLoad
-	sampling := c.sampleEvery != 0
+	sampling := c.Sampling()
 	for n < allow {
 		in := &code[idx]
 		if in.Flags&exec.FFold != 0 && !sampling {
@@ -287,11 +287,10 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 		// common iteration pays a single not-taken branch.
 		if sampling || ll >= 0 {
 			if sampling {
-				if c.sampleLeft--; c.sampleLeft == 0 {
-					c.sampleLeft = c.sampleEvery
+				if c.SampleDue() {
 					c.flushBody(in.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
-					c.sampleFn(in.PC)
+					c.Sample(in.PC)
 				}
 			}
 			if ll >= 0 && ll != 31 {

@@ -72,9 +72,9 @@ type Asm struct {
 	labels []int
 	fixups []fixup
 
-	frame       Frame
+	frame       frame
 	prologueCap int
-	saveLayout  SaveLayout
+	saveLayout  saveLayout
 
 	params   []Type
 	sigBuf   []Type   // Begin's and StartCall's parse of their signature strings
@@ -242,14 +242,13 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	a.insnCount = 0
 	a.result = TypeV
 	a.params = append(a.params[:0], params...)
-	a.saveLayout = NewSaveLayout(a.conv, a.backend.PtrBytes())
-	a.frame = Frame{Leaf: leaf, SaveAreaBytes: a.saveLayout.Bytes(),
-		SavedGPR: a.frame.SavedGPR[:0], SavedFPR: a.frame.SavedFPR[:0]}
+	a.saveLayout = newSaveLayout(a.conv, a.backend.PtrBytes())
+	a.frame = frame{Leaf: leaf, SavedGPR: a.frame.SavedGPR[:0], SavedFPR: a.frame.SavedFPR[:0]}
 	a.ra = regAlloc{conv: a.conv, leaf: leaf}
 
 	// Reserve the prologue region; the real prologue is written into its
 	// tail at End and the entry point set past any unused words.
-	a.prologueCap = a.backend.MaxPrologueWords(a.conv)
+	a.prologueCap = a.saveLayout.prologueWords()
 	for i := 0; i < a.prologueCap; i++ {
 		a.backend.Nop(a.buf)
 	}
@@ -325,7 +324,7 @@ func (a *Asm) End() (*Func, error) {
 	need := a.needFrame()
 	if need {
 		align := int64(a.conv.StackAlign)
-		size := a.frame.SaveAreaBytes + a.frame.LocalBytes
+		size := a.saveLayout.total + a.frame.LocalBytes
 		if align > 0 {
 			size = (size + align - 1) &^ (align - 1)
 		}
@@ -333,10 +332,11 @@ func (a *Asm) End() (*Func, error) {
 	}
 
 	// Returns: either a shared epilogue or rewritten direct returns.
-	isa := a.backend.ISA()
+	isa, pop := a.backend.ISA(), 0
 	if need {
 		epi := a.buf.Len()
-		if err := a.backend.Epilogue(a.buf, a.conv, &a.frame); err != nil {
+		var err error
+		if pop, err = a.epilogue(); err != nil {
 			return nil, err
 		}
 		for _, rs := range a.retSites {
@@ -383,11 +383,10 @@ func (a *Asm) End() (*Func, error) {
 	// Write the prologue into the tail of its reserved region.
 	entry := a.prologueCap
 	if need {
-		used, err := a.backend.Prologue(a.buf, 0, a.conv, &a.frame)
-		if err != nil {
+		var err error
+		if entry, err = a.prologue(pop); err != nil {
 			return nil, err
 		}
-		entry = a.prologueCap - used
 	}
 
 	// Constant pool: 8-byte entries after the code.
@@ -576,7 +575,7 @@ func (a *Asm) Local(t Type) int64 {
 		return 0
 	}
 	a.frame.LocalBytes = (a.frame.LocalBytes + sz - 1) &^ (sz - 1)
-	off := a.frame.SaveAreaBytes + a.frame.LocalBytes
+	off := a.saveLayout.total + a.frame.LocalBytes
 	a.frame.LocalBytes += sz
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecLocal, T: t, Imm: off})

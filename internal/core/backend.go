@@ -7,8 +7,11 @@ import (
 
 // Backend is the per-target port of VCODE: the mapping from the core
 // instruction set onto one machine's binary encodings plus that machine's
-// calling conventions and activation-record layout.  Retargeting VCODE
-// means implementing this interface (paper §3.3); the MIPS, SPARC and Alpha
+// calling convention.  What is the same on every machine is not restated
+// here: core lays down the activation record (frame.go) from the port's
+// Load, Store, return word and one stack-pointer adjust, and patches
+// through the port's instruction table (ISA).  Retargeting VCODE means
+// implementing this interface (paper §3.3); the MIPS, SPARC and Alpha
 // ports live in internal/mips, internal/sparc and internal/alpha.
 //
 // All emitters append encoded words to b immediately.  Emitters that need a
@@ -93,9 +96,9 @@ type Backend interface {
 	// PatchCall resolves a CallSite to an absolute byte address; base is
 	// the address of buffer word 0.
 	PatchCall(b *Buf, sites []int, base, target uint64) error
-	// RetEncoding returns the single-word plain-return instruction, used
-	// to rewrite jump-to-epilogue sites into direct returns when the
-	// finished function turns out to need no epilogue (paper §5.2).
+	// RetEncoding returns the single-word plain-return instruction: the
+	// epilogue's last transfer, and what jump-to-epilogue sites become
+	// when the finished function turns out to need no frame (paper §5.2).
 	RetEncoding(conv *CallConv) uint32
 
 	// LoadAddr emits code materializing an absolute address into rd,
@@ -109,17 +112,12 @@ type Backend interface {
 	// IsNop reports whether word w encodes the canonical nop.
 	IsNop(w uint32) bool
 
-	// MaxPrologueWords returns the worst-case prologue size in words for
-	// the given convention (frame adjust + RA + all callee-saved saves).
-	MaxPrologueWords(conv *CallConv) int
-	// Prologue writes the actual prologue for frame fr into
-	// b.w[at:at+MaxPrologueWords] and returns the number of words
-	// written; the caller points the function entry at the tail of the
-	// reserved region so no filler executes.
-	Prologue(b *Buf, at int, conv *CallConv, fr *Frame) (int, error)
-	// Epilogue appends the epilogue: restore saved registers, pop the
-	// frame, return.
-	Epilogue(b *Buf, conv *CallConv, fr *Frame) error
+	// FrameAdjust returns the word that adds a displacement to the stack
+	// pointer, the displacement zero.  It is all a port states of the §5.2
+	// frame (frame.go): End writes -size into the prologue's copy and
+	// +size into the epilogue's through the number field ISA declares for
+	// it, and a size the field cannot hold is ErrFrameRange.
+	FrameAdjust() uint32
 
 	// EmulatedOp reports the runtime-helper symbol for operations the
 	// target cannot perform inline (e.g. integer division on Alpha).
@@ -174,27 +172,4 @@ func (f *RegFile) Name(r Reg) string {
 		return f.GPRName[n]
 	}
 	return r.String()
-}
-
-// Frame describes one generated function's activation record.  Following
-// the paper (§5.2), the register save area is allocated at its worst-case
-// fixed size so that save-area offsets and local offsets are known the
-// moment they are needed; the space cost is at most a few dozen words of
-// stack per live activation.
-type Frame struct {
-	// Leaf records the client's v_lambda leaf declaration.
-	Leaf bool
-	// SavedGPR/SavedFPR list the callee-saved registers actually used,
-	// in save order.  Filled in as the allocator hands them out.
-	SavedGPR []Reg
-	SavedFPR []Reg
-	// SaveRA is set when the function may call (non-leaf).
-	SaveRA bool
-	// LocalBytes is the running size of v_local allocations.
-	LocalBytes int64
-	// SaveAreaBytes is the fixed worst-case register save area size,
-	// computed from the convention at Begin.
-	SaveAreaBytes int64
-	// Size is the final frame size in bytes (set at End).
-	Size int64
 }

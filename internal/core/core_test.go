@@ -153,28 +153,7 @@ func (f *fakeBackend) IsNop(w uint32) bool { return w == 0 }
 
 func (f *fakeBackend) RetEncoding(conv *CallConv) uint32 { return 0x1b000000 }
 
-func (f *fakeBackend) MaxPrologueWords(conv *CallConv) int {
-	return 2 + len(conv.CalleeSaved) + len(conv.CalleeSavedFP)
-}
-
-func (f *fakeBackend) Prologue(b *Buf, at int, conv *CallConv, fr *Frame) (int, error) {
-	used := 1
-	if fr.SaveRA {
-		used++
-	}
-	used += len(fr.SavedGPR) + len(fr.SavedFPR)
-	start := at + f.MaxPrologueWords(conv) - used
-	for i := 0; i < used; i++ {
-		b.Set(start+i, 0x1c000000)
-	}
-	return used, nil
-}
-
-func (f *fakeBackend) Epilogue(b *Buf, conv *CallConv, fr *Frame) error {
-	b.Emit(0x1d000000)
-	b.Emit(0x1b000000)
-	return nil
-}
+func (f *fakeBackend) FrameAdjust() uint32 { return 0x1c000000 }
 
 func (f *fakeBackend) EmulatedOp(op Op, t Type) (string, bool) { return "", false }
 
@@ -183,13 +162,14 @@ func (f *fakeBackend) TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (boo
 }
 
 // fakeISA decodes what End patches: the fake's branch, jump and label-call
-// words (a 16-bit displacement from the delay slot, as on mips) and its
-// immediate load (a 16-bit offset).
+// words (a 16-bit displacement from the delay slot, as on mips), its
+// immediate load and its stack-pointer adjust (a 16-bit number each).
 var fakeISA = exec.NewTable([]exec.Row{
 	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(verify.KindBranch),
 	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(verify.KindBranch),
 	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(verify.KindCall),
 	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
+	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
 }, map[byte]exec.Field{
 	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
 	'i': {Width: 16, Signed: true, Fmt: "%d"},
@@ -437,8 +417,8 @@ func TestEntryOffsetSkipsUnusedPrologue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fn.Entry != bk.MaxPrologueWords(bk.DefaultConv()) {
-		t.Errorf("leaf entry = %d, want %d", fn.Entry, bk.MaxPrologueWords(bk.DefaultConv()))
+	if reserved := newSaveLayout(bk.DefaultConv(), bk.PtrBytes()).prologueWords(); fn.Entry != reserved {
+		t.Errorf("leaf entry = %d, want %d", fn.Entry, reserved)
 	}
 	// Direct-return rewriting: no jump word should remain.
 	for i := fn.Entry; i < len(fn.Words); i++ {
@@ -468,21 +448,18 @@ func TestConvSetClass(t *testing.T) {
 
 func TestSaveLayoutStable(t *testing.T) {
 	conv := newFake().DefaultConv()
-	lay := NewSaveLayout(conv, 4)
-	if lay.RAOff() != 0 {
-		t.Error("RA should be slot 0")
-	}
-	off := lay.GPROff(conv.CalleeSaved[1])
+	lay := newSaveLayout(conv, 4)
+	off := lay.gprOff(conv.CalleeSaved[1])
 	if off != 8 {
 		t.Errorf("second callee-saved at %d, want 8", off)
 	}
-	if lay.GPROff(GPR(9)) != -1 {
+	if lay.gprOff(GPR(9)) != -1 {
 		t.Error("caller-saved register should have no slot")
 	}
-	if lay.FPROff(conv.CalleeSavedFP[0])%8 != 0 {
+	if lay.fprOff(conv.CalleeSavedFP[0])%8 != 0 {
 		t.Error("FP slot not 8-aligned")
 	}
-	if lay.Bytes()%8 != 0 {
+	if lay.total%8 != 0 {
 		t.Error("save area not 8-aligned")
 	}
 }

@@ -32,8 +32,9 @@ var (
 	// ErrBranchRange is reported when a branch displacement does not fit
 	// the target's encoding.
 	ErrBranchRange = errors.New("vcode: branch displacement out of range")
-	// ErrFrameRange is reported at End when an incoming stack argument's
-	// offset from the finished frame does not fit the target's load.
+	// ErrFrameRange is reported at End when the finished frame's size
+	// does not fit the target's stack-pointer adjust, or an incoming stack
+	// argument's offset from it does not fit the target's load.
 	ErrFrameRange = errors.New("vcode: frame offset out of range")
 	// ErrState is reported when the Asm lifecycle is misused (emitting
 	// before Begin or after End, ending twice, ...).

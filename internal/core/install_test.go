@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,5 +185,37 @@ func TestInstallOnlyFromUnit(t *testing.T) {
 	}
 	if len(callers) != 1 || !strings.HasPrefix(callers[0], "add (unit.go:") {
 		t.Fatalf("Machine.install is called from %v; want Unit.add alone", callers)
+	}
+}
+
+// TestOwnedIsRefused: a function resident in one unit cannot be installed
+// by another unit on the same machine, and a callee resident on machine A
+// cannot be linked into a caller installed on machine B.  Both refusals
+// are ErrOwned and leave the refusing machine's regions as they were.
+func TestOwnedIsRefused(t *testing.T) {
+	bk, m := newMips()
+	fn := buildAddK(t, bk, 3)
+	if err := m.NewUnit().Install(fn); err != nil {
+		t.Fatal(err)
+	}
+	spans, st := slices.Clone(m.FuncSpans()), m.ArenaStats()
+	if err := m.NewUnit().Install(fn); !errors.Is(err, core.ErrOwned) {
+		t.Errorf("second unit's Install of a resident function: %v, want ErrOwned", err)
+	}
+	if !slices.Equal(m.FuncSpans(), spans) || m.ArenaStats() != st {
+		t.Errorf("after the refusal: %v, %+v; before, %v and %+v", m.FuncSpans(), m.ArenaStats(), spans, st)
+	}
+
+	_, b := newMips()
+	spans, st = slices.Clone(b.FuncSpans()), b.ArenaStats()
+	caller := buildCaller(t, bk, fn)
+	if err := b.NewUnit().Install(caller); !errors.Is(err, core.ErrOwned) {
+		t.Errorf("caller on B of a callee resident on A: %v, want ErrOwned", err)
+	}
+	if !slices.Equal(b.FuncSpans(), spans) || b.ArenaStats() != st || b.Installed(caller) {
+		t.Errorf("after the refusal: %v, %+v, caller resident %v; before, %v and %+v", b.FuncSpans(), b.ArenaStats(), b.Installed(caller), spans, st)
+	}
+	if got, err := m.Call(fn, core.I(4)); err != nil || got.Int() != 7 {
+		t.Errorf("the owner's function after both refusals: %v, %v; want 7", got, err)
 	}
 }

@@ -44,56 +44,31 @@ type CPU interface {
 	Insns() uint64
 	// ResetStats zeroes both counters.
 	ResetStats()
-}
-
-// SamplingCPU is implemented by simulators that can invoke a hook with
-// the pre-execution program counter every fixed number of retired
-// instructions — the substrate of the PC-sampling profiler.  The hook
-// runs inside Step, so it must not call back into the Machine's locked
-// API (the lock-free FuncSpans/SymbolizePC are safe).
-type SamplingCPU interface {
-	// SetSampler installs fn to fire every stride instructions; nil fn
-	// or zero stride disables sampling.
+	// SetSampler installs fn to fire with the pre-execution pc every
+	// stride retired instructions, SetEdgeProbe fn to fire with (branch
+	// pc, taken) every stride conditional-branch resolutions; nil fn or
+	// zero stride removes the hook (exec.Probes).  A hook runs inside Step,
+	// so it must not call back into the Machine's locked API (the
+	// lock-free FuncSpans/SymbolizePC/InCodeRegion are safe).
 	SetSampler(fn func(pc uint64), stride uint64)
-}
-
-// SetSampler installs (or, with a nil fn, removes) a PC-sampling hook on
-// the machine's simulator.  It reports an error if the CPU does not
-// implement SamplingCPU.
-func (m *Machine) SetSampler(fn func(pc uint64), stride uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sc, ok := m.cpu.(SamplingCPU)
-	if !ok {
-		return fmt.Errorf("machine: %s CPU does not support PC sampling", m.backend.Name())
-	}
-	sc.SetSampler(fn, stride)
-	return nil
-}
-
-// EdgeProfilingCPU is implemented by simulators that can invoke a hook
-// with (branch PC, taken) at conditional-branch resolution, countdown-
-// gated so only every strideth branch event fires — the substrate of
-// basic-block edge profiling.  Like the sampling hook, it runs inside
-// Step and must not call back into the Machine's locked API (the
-// lock-free FuncSpans/SymbolizePC/InCodeRegion are safe).
-type EdgeProfilingCPU interface {
-	// SetEdgeProbe installs fn to fire every stride conditional-branch
-	// resolutions; nil fn or zero stride disables the probe.
 	SetEdgeProbe(fn func(pc uint64, taken bool), stride uint64)
 }
 
+// SetSampler installs (or, with a nil fn, removes) a PC-sampling hook on
+// the machine's simulator; it never fails.
+func (m *Machine) SetSampler(fn func(pc uint64), stride uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.cpu.SetSampler(fn, stride)
+	return nil
+}
+
 // SetEdgeProbe installs (or, with a nil fn, removes) a branch edge probe
-// on the machine's simulator.  It reports an error if the CPU does not
-// implement EdgeProfilingCPU.
+// on the machine's simulator; it never fails.
 func (m *Machine) SetEdgeProbe(fn func(pc uint64, taken bool), stride uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ec, ok := m.cpu.(EdgeProfilingCPU)
-	if !ok {
-		return fmt.Errorf("machine: %s CPU does not support edge profiling", m.backend.Name())
-	}
-	ec.SetEdgeProbe(fn, stride)
+	m.cpu.SetEdgeProbe(fn, stride)
 	return nil
 }
 

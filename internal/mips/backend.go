@@ -556,70 +556,9 @@ func (m *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
 // IsNop reports whether w is the canonical nop.
 func (m *Backend) IsNop(w uint32) bool { return w == encNop }
 
-// RetEncoding returns jr ra.
-func (m *Backend) RetEncoding(conv *core.CallConv) uint32 {
-	return rType(fnJr, rRA, 0, 0, 0)
-}
-
-// MaxPrologueWords: frame push + RA + every callee-saved register.
-func (m *Backend) MaxPrologueWords(conv *core.CallConv) int {
-	return 2 + len(conv.CalleeSaved) + len(conv.CalleeSavedFP)
-}
-
-// Prologue writes the actual prologue into the tail of the reserved region
-// [at, at+MaxPrologueWords) and returns the words used.
-func (m *Backend) Prologue(b *core.Buf, at int, conv *core.CallConv, fr *core.Frame) (int, error) {
-	if !fitsS16(fr.Size) {
-		return 0, fmt.Errorf("mips: frame size %d out of range", fr.Size)
-	}
-	lay := core.NewSaveLayout(conv, 4)
-	var w []uint32
-	w = append(w, iType(opAddiu, rSP, rSP, uint16(-fr.Size)))
-	if fr.SaveRA {
-		w = append(w, iType(opSw, rSP, rRA, uint16(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		off := lay.GPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("mips: %v saved but not callee-saved in convention", r)
-		}
-		w = append(w, iType(opSw, rSP, gn(r), uint16(off)))
-	}
-	for _, r := range fr.SavedFPR {
-		off := lay.FPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("mips: %v saved but not callee-saved in convention", r)
-		}
-		w = append(w, iType(opSdc1, rSP, gn(r), uint16(off)))
-	}
-	max := m.MaxPrologueWords(conv)
-	if len(w) > max {
-		return 0, fmt.Errorf("mips: prologue overflow (%d > %d words)", len(w), max)
-	}
-	start := at + max - len(w)
-	for i, word := range w {
-		b.Set(start+i, word)
-	}
-	return len(w), nil
-}
-
-// Epilogue restores saved registers, pops the frame and returns.
-func (m *Backend) Epilogue(b *core.Buf, conv *core.CallConv, fr *core.Frame) error {
-	lay := core.NewSaveLayout(conv, 4)
-	if fr.SaveRA {
-		b.Emit(iType(opLw, rSP, rRA, uint16(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		b.Emit(iType(opLw, rSP, gn(r), uint16(lay.GPROff(r))))
-	}
-	for _, r := range fr.SavedFPR {
-		b.Emit(iType(opLdc1, rSP, gn(r), uint16(lay.FPROff(r))))
-	}
-	b.Emit(rType(fnJr, rRA, 0, 0, 0))
-	// Pop the frame in the return's delay slot.
-	b.Emit(iType(opAddiu, rSP, rSP, uint16(fr.Size)))
-	return nil
-}
+// RetEncoding returns jr ra; FrameAdjust, addiu sp, sp, 0.
+func (m *Backend) RetEncoding(conv *core.CallConv) uint32 { return rType(fnJr, rRA, 0, 0, 0) }
+func (*Backend) FrameAdjust() uint32                      { return iType(opAddiu, rSP, rSP, 0) }
 
 // EmulatedOp: MIPS has hardware multiply and divide; nothing is emulated.
 func (m *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }

@@ -153,8 +153,8 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	default:
 		panic(fmt.Sprintf("mips: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
-	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
-		c.edge(in.PC, taken)
+	if c.Edging() { // Edge's own guard: Edge is too big to inline
+		c.Edge(in.PC, taken)
 	}
 	return taken
 }
@@ -243,7 +243,7 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	// loop would show.
 	var n, stall, flushed uint64
 	ll := c.lastLoad
-	sampling := c.sampleEvery != 0
+	sampling := c.Sampling()
 	for n < allow {
 		in := &code[idx]
 		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
@@ -306,11 +306,10 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 		// common iteration pays a single not-taken branch.
 		if sampling || ll > 0 {
 			if sampling {
-				if c.sampleLeft--; c.sampleLeft == 0 {
-					c.sampleLeft = c.sampleEvery
+				if c.SampleDue() {
 					c.flushBody(in.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
-					c.sampleFn(in.PC)
+					c.Sample(in.PC)
 				}
 			}
 			if ll > 0 {
@@ -361,11 +360,10 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 		din := &code[dIdx]
 		if sampling || ll > 0 {
 			if sampling {
-				if c.sampleLeft--; c.sampleLeft == 0 {
-					c.sampleLeft = c.sampleEvery
+				if c.SampleDue() {
 					c.flushBody(din.PC, n+1-flushed, stall, ll)
 					flushed, stall = n+1, 0
-					c.sampleFn(din.PC)
+					c.Sample(din.PC)
 				}
 			}
 			if ll > 0 {
@@ -450,7 +448,7 @@ var mipsHandlers = [mNumHandlers]thandler{
 		// condition, taken or not; the condition is bgez's.
 		c.twr(rRA, uint32(in.PC+8))
 		taken := c.trs(in.A) >= 0
-		c.edge(in.PC, taken)
+		c.Edge(in.PC, taken)
 		if !taken {
 			return exec.NoBranch, nil
 		}

@@ -17,7 +17,7 @@ const DefaultEdgeStride = 13
 
 // EdgeProfiler accumulates basic-block edge profiles: taken/not-taken
 // counts per conditional-branch PC, fed by the simulators' countdown-
-// gated edge probes (core.EdgeProfilingCPU), in the same table as the
+// gated edge probes (exec.Probes), in the same table as the
 // PC-sampling Profiler.  Safe for concurrent use; may be attached to
 // several machines.
 type EdgeProfiler struct{ table }

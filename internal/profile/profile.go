@@ -1,5 +1,5 @@
 // Package profile is a PC-sampling profiler for dynamically generated
-// code: it hooks the target simulators (via core.SamplingCPU) on a
+// code: it hooks the target simulators (via exec.Probes) on a
 // configurable retired-instruction stride, symbolizes each sample against
 // the install-time address map core.Machine maintains, and renders flat
 // (per-PC) and cumulative (per-function) reports.  It answers the question

@@ -199,33 +199,104 @@ func landing(t *testing.T, m *core.Machine, fn *core.Func, end int) uint64 {
 	return cpu.PC() - base
 }
 
-// TestFrameRangeError: an incoming stack argument whose offset in the
-// finished frame does not fit the port's load displacement fails End with
-// ErrFrameRange, the same sentinel on every port.  The leaf takes ten int
-// parameters, so some arrive on the stack, and its long locals push the
-// frame past the field: mips at 9,000 locals, sparc and alpha at 5,000.
+// TestFrameRangeError pins the reach of the frame on every port: a frame
+// the stack-pointer adjust cannot hold, or one that puts an incoming stack
+// argument past the load's displacement field, fails End with
+// ErrFrameRange, the same sentinel on every port.
+//   - stack-args: a leaf of ten int parameters, some on the stack, whose
+//     long locals push the frame past the field (mips at 9,000 locals,
+//     sparc and alpha at 5,000);
+//   - no-stack-args: a one-int leaf whose frame is as large (36,080,
+//     20,080 and 40,128 bytes);
+//   - boundary: the largest frame the adjust's field holds, rounded down
+//     to StackAlign, ends and runs; the next aligned size fails.
 func TestFrameRangeError(t *testing.T) {
 	locals := map[string]int{"mips": 9000, "sparc": 5000, "alpha": 5000}
+	far := map[string]int64{"mips": 36080, "sparc": 20080, "alpha": 40128}
 	for _, tg := range Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
-			a := core.NewAsm(tg.Backend)
-			params := make([]core.Type, 10)
-			for i := range params {
-				params[i] = core.TypeI
-			}
-			args, err := a.BeginTypes(params, core.Leaf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < locals[tg.Name]; i++ {
-				a.Local(core.TypeL)
-			}
-			a.Reti(args[9])
-			if _, err := a.End(); !errors.Is(err, core.ErrFrameRange) {
-				t.Errorf("End = %v, want ErrFrameRange", err)
-			}
+			t.Run("stack-args", func(t *testing.T) {
+				a := core.NewAsm(tg.Backend)
+				params := make([]core.Type, 10)
+				for i := range params {
+					params[i] = core.TypeI
+				}
+				args, err := a.BeginTypes(params, core.Leaf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < locals[tg.Name]; i++ {
+					a.Local(core.TypeL)
+				}
+				a.Reti(args[9])
+				if _, err := a.End(); !errors.Is(err, core.ErrFrameRange) {
+					t.Errorf("End = %v, want ErrFrameRange", err)
+				}
+			})
+			t.Run("no-stack-args", func(t *testing.T) {
+				if _, err := leafOfFrame(tg.Backend, far[tg.Name]); !errors.Is(err, core.ErrFrameRange) {
+					t.Errorf("End = %v, want ErrFrameRange", err)
+				}
+			})
+			t.Run("boundary", func(t *testing.T) {
+				max := maxFrame(t, tg.Backend)
+				fn, err := leafOfFrame(tg.Backend, max)
+				if err != nil {
+					t.Fatalf("frame of %d bytes: %v", max, err)
+				}
+				if got, err := tg.NewMachine().Call(fn, core.I(-7)); err != nil || got.Int() != -7 {
+					t.Errorf("frame of %d bytes: Call = %v, %v; want -7", max, got, err)
+				}
+				next := max + int64(tg.Backend.DefaultConv().StackAlign)
+				if _, err := leafOfFrame(tg.Backend, next); !errors.Is(err, core.ErrFrameRange) {
+					t.Errorf("frame of %d bytes: End = %v, want ErrFrameRange", next, err)
+				}
+			})
 		})
 	}
+}
+
+// leafOfFrame builds a one-int leaf whose frame is size bytes (the save
+// area, then doubles up to size), which stores its argument to the deepest
+// local and returns it from there.
+func leafOfFrame(bk core.Backend, size int64) (*core.Func, error) {
+	a := core.NewAsm(bk)
+	args, err := a.Begin("%i", core.Leaf)
+	if err != nil {
+		return nil, err
+	}
+	deep := a.Local(core.TypeD)
+	for top := deep + 8; top < size; top += 8 {
+		deep = a.Local(core.TypeD)
+	}
+	a.StLocal(core.TypeI, args[0], deep)
+	r, _ := a.GetReg(core.Temp)
+	a.LdLocal(core.TypeI, r, deep)
+	a.Reti(r)
+	return a.End()
+}
+
+// maxFrame is the largest frame bk's stack-pointer adjust holds: the
+// number field of a prologue's first word, both ways (the epilogue adds
+// what the prologue subtracts), rounded down to the stack alignment.
+func maxFrame(t *testing.T, bk core.Backend) int64 {
+	fn, err := leafOfFrame(bk, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isa, w := bk.ISA(), fn.Words[fn.Entry]
+	row := isa.Lookup(w)
+	if row == nil {
+		t.Fatalf("prologue word %#08x has no row", w)
+	}
+	for _, c := range []byte(row.Syntax) {
+		if f := isa.Field(c).In(w); f != nil && f.Names == nil && !f.Target {
+			lo, hi := f.Range()
+			return min(hi, -lo) &^ int64(bk.DefaultConv().StackAlign-1)
+		}
+	}
+	t.Fatalf("prologue word %#08x (%s) has no number field", w, row.Name)
+	return 0
 }
 
 // TestPoolDeduplication checks identical float constants share one pool

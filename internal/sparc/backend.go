@@ -536,70 +536,9 @@ func (s *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
 // IsNop reports the canonical nop.
 func (s *Backend) IsNop(w uint32) bool { return w == encNop }
 
-// RetEncoding returns jmpl %o7+8, %g0.
-func (s *Backend) RetEncoding(conv *core.CallConv) uint32 {
-	return fmt3i(2, 0, op3Jmpl, rO7, 8)
-}
-
-// MaxPrologueWords: frame push + RA + callee-saved (doubles take one stdf
-// each).
-func (s *Backend) MaxPrologueWords(conv *core.CallConv) int {
-	return 2 + len(conv.CalleeSaved) + len(conv.CalleeSavedFP)
-}
-
-// Prologue writes the flat-model prologue into the reserved region's tail.
-func (s *Backend) Prologue(b *core.Buf, at int, conv *core.CallConv, fr *core.Frame) (int, error) {
-	if !fitsS13(fr.Size) {
-		return 0, fmt.Errorf("sparc: frame size %d out of range", fr.Size)
-	}
-	lay := core.NewSaveLayout(conv, 4)
-	var w []uint32
-	w = append(w, fmt3i(2, rSP, op3Add, rSP, int32(-fr.Size)))
-	if fr.SaveRA {
-		w = append(w, fmt3i(3, rO7, op3St, rSP, int32(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		off := lay.GPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("sparc: %v saved but not callee-saved", r)
-		}
-		w = append(w, fmt3i(3, gn(r), op3St, rSP, int32(off)))
-	}
-	for _, r := range fr.SavedFPR {
-		off := lay.FPROff(r)
-		if off < 0 {
-			return 0, fmt.Errorf("sparc: %v saved but not callee-saved", r)
-		}
-		w = append(w, fmt3i(3, gn(r), op3Stdf, rSP, int32(off)))
-	}
-	max := s.MaxPrologueWords(conv)
-	if len(w) > max {
-		return 0, fmt.Errorf("sparc: prologue overflow")
-	}
-	start := at + max - len(w)
-	for i, word := range w {
-		b.Set(start+i, word)
-	}
-	return len(w), nil
-}
-
-// Epilogue restores and returns.
-func (s *Backend) Epilogue(b *core.Buf, conv *core.CallConv, fr *core.Frame) error {
-	lay := core.NewSaveLayout(conv, 4)
-	if fr.SaveRA {
-		b.Emit(fmt3i(3, rO7, op3Ld, rSP, int32(lay.RAOff())))
-	}
-	for _, r := range fr.SavedGPR {
-		b.Emit(fmt3i(3, gn(r), op3Ld, rSP, int32(lay.GPROff(r))))
-	}
-	for _, r := range fr.SavedFPR {
-		b.Emit(fmt3i(3, gn(r), op3Lddf, rSP, int32(lay.FPROff(r))))
-	}
-	b.Emit(fmt3i(2, 0, op3Jmpl, rO7, 8))
-	// Pop the frame in the return's delay slot.
-	b.Emit(fmt3i(2, rSP, op3Add, rSP, int32(fr.Size)))
-	return nil
-}
+// RetEncoding returns jmpl %o7+8, %g0; FrameAdjust, add %sp, 0, %sp.
+func (s *Backend) RetEncoding(conv *core.CallConv) uint32 { return fmt3i(2, 0, op3Jmpl, rO7, 8) }
+func (*Backend) FrameAdjust() uint32                      { return fmt3i(2, rSP, op3Add, rSP, 0) }
 
 // EmulatedOp: SPARC V8 has hardware multiply and divide.
 func (s *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }

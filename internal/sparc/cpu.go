@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/mem"
 )
 
@@ -33,57 +34,7 @@ type CPU struct {
 	insns      uint64
 	lastLoad   int
 
-	// PC-sampling hook (core.SamplingCPU).
-	sampleFn    func(pc uint64)
-	sampleEvery uint64
-	sampleLeft  uint64
-
-	// Branch edge probe (core.EdgeProfilingCPU).
-	edgeFn    func(pc uint64, taken bool)
-	edgeEvery uint64
-	edgeLeft  uint64
-}
-
-// SetSampler installs fn to be called with the pre-execution program
-// counter every stride retired instructions; nil fn or zero stride
-// disables sampling.
-func (c *CPU) SetSampler(fn func(pc uint64), stride uint64) {
-	if fn == nil || stride == 0 {
-		c.sampleFn, c.sampleEvery, c.sampleLeft = nil, 0, 0
-		return
-	}
-	c.sampleFn, c.sampleEvery, c.sampleLeft = fn, stride, stride
-}
-
-// SetEdgeProbe installs fn to be called with (branch PC, taken) every
-// stride conditional-branch resolutions; nil fn or zero stride disables
-// the probe.
-func (c *CPU) SetEdgeProbe(fn func(pc uint64, taken bool), stride uint64) {
-	if fn == nil || stride == 0 {
-		c.edgeFn, c.edgeEvery, c.edgeLeft = nil, 0, 0
-		return
-	}
-	c.edgeFn, c.edgeEvery, c.edgeLeft = fn, stride, stride
-}
-
-// edge is the countdown-gated probe call at conditional-branch
-// resolution.
-func (c *CPU) edge(pc uint64, taken bool) {
-	// Split guard/slow-path so the no-probe case inlines into the branch
-	// handlers: with no edge probe attached this is a loaded-field test,
-	// not a call, and branch resolution is the threaded engine's hottest
-	// non-ALU operation.
-	if c.edgeEvery == 0 {
-		return
-	}
-	c.edgeSlow(pc, taken)
-}
-
-func (c *CPU) edgeSlow(pc uint64, taken bool) {
-	if c.edgeLeft--; c.edgeLeft == 0 {
-		c.edgeLeft = c.edgeEvery
-		c.edgeFn(pc, taken)
-	}
+	exec.Probes // the PC sampler and the branch edge probe
 }
 
 // NewCPU returns a simulator bound to m.
@@ -217,11 +168,8 @@ func (c *CPU) Step() error {
 	}
 	c.insns++
 	c.baseCycles++
-	if c.sampleEvery != 0 {
-		if c.sampleLeft--; c.sampleLeft == 0 {
-			c.sampleLeft = c.sampleEvery
-			c.sampleFn(c.pc)
-		}
+	if c.Sampling() && c.SampleDue() {
+		c.Sample(c.pc)
 	}
 
 	var target uint64
@@ -244,7 +192,7 @@ func (c *CPU) Step() error {
 			} else {
 				taken = c.takenF(cond)
 			}
-			c.edge(c.pc, taken)
+			c.Edge(c.pc, taken)
 			if taken {
 				target = uint64(int64(c.pc) + disp*4)
 				hasTarget = true

@@ -120,8 +120,8 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	default:
 		panic(fmt.Sprintf("sparc: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
-	if c.edgeEvery != 0 { // edge's own guard: edge is too big to inline
-		c.edge(in.PC, taken)
+	if c.Edging() { // Edge's own guard: Edge is too big to inline
+		c.Edge(in.PC, taken)
 	}
 	return taken
 }
@@ -186,7 +186,7 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 	// the sampler branch can flush through the current instruction
 	// before its probe fires.
 	var n, flushed uint64
-	sampling := c.sampleEvery != 0
+	sampling := c.Sampling()
 	for n < allow {
 		in := &code[idx]
 		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
@@ -223,11 +223,10 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 			continue
 		}
 		if sampling {
-			if c.sampleLeft--; c.sampleLeft == 0 {
-				c.sampleLeft = c.sampleEvery
+			if c.SampleDue() {
 				c.flushBody(in.PC, n+1-flushed)
 				flushed = n + 1
-				c.sampleFn(in.PC)
+				c.Sample(in.PC)
 			}
 		}
 		br, err := exec.NoBranch, error(nil)
@@ -266,11 +265,10 @@ func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
 		}
 		din := &code[dIdx]
 		if sampling {
-			if c.sampleLeft--; c.sampleLeft == 0 {
-				c.sampleLeft = c.sampleEvery
+			if c.SampleDue() {
 				c.flushBody(din.PC, n+1-flushed)
 				flushed = n + 1
-				c.sampleFn(din.PC)
+				c.Sample(din.PC)
 			}
 		}
 		dbr, derr := exec.NoBranch, error(nil)

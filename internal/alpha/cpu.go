@@ -19,29 +19,11 @@ type CPU struct {
 	r [32]uint64
 	f [32]uint64
 
-	pc         uint64
-	m          *mem.Memory
-	baseCycles uint64
-	insns      uint64
-	lastLoad   int
-
-	// extPC holds the destination of a control transfer that leaves the
-	// current predecoded body (threaded engine only; see threaded.go).
-	extPC uint64
-
-	exec.Probes // the PC sampler and the branch edge probe
+	exec.State // pc, memory, counters, interlock, probes
 }
 
 // NewCPU returns a simulator bound to m.
-func NewCPU(m *mem.Memory) *CPU { return &CPU{m: m, lastLoad: -1} }
-
-// PC returns the program counter.
-func (c *CPU) PC() uint64 { return c.pc }
-
-// SetPC jumps the simulator, clearing the load-use interlock: what a call
-// (or a trap's return) costs must not depend on the last instruction of
-// whatever ran before it.
-func (c *CPU) SetPC(pc uint64) { c.pc, c.lastLoad = pc, -1 }
+func NewCPU(m *mem.Memory) *CPU { return &CPU{State: exec.NewState(m)} }
 
 // Reg reads an integer register.
 func (c *CPU) Reg(r core.Reg) uint64 { return c.r[r.Num()&31] }
@@ -71,15 +53,6 @@ func (c *CPU) SetFReg(r core.Reg, v uint64, double bool) {
 		}
 	}
 }
-
-// Cycles returns cycles including memory stalls.
-func (c *CPU) Cycles() uint64 { return c.baseCycles + c.m.PenaltyCycles() }
-
-// Insns returns retired instructions.
-func (c *CPU) Insns() uint64 { return c.insns }
-
-// ResetStats zeroes counters.
-func (c *CPU) ResetStats() { c.baseCycles, c.insns = 0, 0; c.m.ResetStats() }
 
 func (c *CPU) rr(n uint32) uint64 { return c.r[n] }
 
@@ -113,14 +86,14 @@ func b2u64(b bool) uint64 {
 
 // Step executes one instruction.
 func (c *CPU) Step() error {
-	w, err := c.m.FetchWord(c.pc)
+	w, err := c.Mem.FetchWord(c.Pc)
 	if err != nil {
-		return fmt.Errorf("alpha: fetch at %#x: %w", c.pc, err)
+		return fmt.Errorf("alpha: fetch at %#x: %w", c.Pc, err)
 	}
-	c.insns++
-	c.baseCycles++
+	c.Retired++
+	c.BaseCycles++
 	if c.Sampling() && c.SampleDue() {
-		c.Sample(c.pc)
+		c.Sample(c.Pc)
 	}
 
 	op := w >> 26
@@ -130,15 +103,15 @@ func (c *CPU) Step() error {
 	disp21 := int64(int32(w<<11) >> 11)
 
 	// Approximate load-use interlock.
-	if c.lastLoad >= 0 && c.lastLoad != 31 {
-		ll := uint32(c.lastLoad)
+	if c.LastLoad >= 0 && c.LastLoad != 31 {
+		ll := uint32(c.LastLoad)
 		if ra == ll || (op >= opInta && op <= opIntm && w>>12&1 == 0 && rb == ll) {
-			c.baseCycles++
+			c.BaseCycles++
 		}
 	}
 	loaded := -1
 
-	next := c.pc + 4
+	next := c.Pc + 4
 	switch op {
 	case opLda:
 		c.wr(ra, c.rr(rb)+uint64(disp16))
@@ -148,38 +121,38 @@ func (c *CPU) Step() error {
 		addr := c.rr(rb) + uint64(disp16)
 		switch op {
 		case opLdl:
-			v, err := c.m.Load(addr, 4)
+			v, err := c.Mem.Load(addr, 4)
 			if err != nil {
-				return fmt.Errorf("alpha: ldl at pc %#x: %w", c.pc, err)
+				return fmt.Errorf("alpha: ldl at pc %#x: %w", c.Pc, err)
 			}
 			c.wr(ra, uint64(int64(int32(v))))
 			loaded = int(ra)
 		case opLdq:
-			v, err := c.m.Load(addr, 8)
+			v, err := c.Mem.Load(addr, 8)
 			if err != nil {
-				return fmt.Errorf("alpha: ldq at pc %#x: %w", c.pc, err)
+				return fmt.Errorf("alpha: ldq at pc %#x: %w", c.Pc, err)
 			}
 			c.wr(ra, v)
 			loaded = int(ra)
 		case opLdqU:
-			v, err := c.m.Load(addr&^7, 8)
+			v, err := c.Mem.Load(addr&^7, 8)
 			if err != nil {
-				return fmt.Errorf("alpha: ldq_u at pc %#x: %w", c.pc, err)
+				return fmt.Errorf("alpha: ldq_u at pc %#x: %w", c.Pc, err)
 			}
 			c.wr(ra, v)
 			loaded = int(ra)
 		case opLds:
-			v, err := c.m.Load(addr, 4)
+			v, err := c.Mem.Load(addr, 4)
 			if err != nil {
-				return fmt.Errorf("alpha: lds at pc %#x: %w", c.pc, err)
+				return fmt.Errorf("alpha: lds at pc %#x: %w", c.Pc, err)
 			}
 			if ra != 31 {
 				c.f[ra] = v
 			}
 		case opLdt:
-			v, err := c.m.Load(addr, 8)
+			v, err := c.Mem.Load(addr, 8)
 			if err != nil {
-				return fmt.Errorf("alpha: ldt at pc %#x: %w", c.pc, err)
+				return fmt.Errorf("alpha: ldt at pc %#x: %w", c.Pc, err)
 			}
 			if ra != 31 {
 				c.f[ra] = v
@@ -201,8 +174,8 @@ func (c *CPU) Step() error {
 		case opStt:
 			size, v = 8, c.f[ra]
 		}
-		if err := c.m.Store(addr, size, v); err != nil {
-			return fmt.Errorf("alpha: store at pc %#x: %w", c.pc, err)
+		if err := c.Mem.Store(addr, size, v); err != nil {
+			return fmt.Errorf("alpha: store at pc %#x: %w", c.Pc, err)
 		}
 	case opBr, opBsr:
 		if ra != 31 {
@@ -226,7 +199,7 @@ func (c *CPU) Step() error {
 		case opBge:
 			taken = v >= 0
 		}
-		c.Edge(c.pc, taken)
+		c.Edge(c.Pc, taken)
 		if taken {
 			next = next + uint64(disp21*4)
 		}
@@ -247,7 +220,7 @@ func (c *CPU) Step() error {
 		case opFbge:
 			taken = v >= 0
 		}
-		c.Edge(c.pc, taken)
+		c.Edge(c.Pc, taken)
 		if taken {
 			next = next + uint64(disp21*4)
 		}
@@ -268,11 +241,11 @@ func (c *CPU) Step() error {
 			return err
 		}
 	default:
-		return fmt.Errorf("alpha: unknown opcode %#x (word %#08x) at %#x", op, w, c.pc)
+		return fmt.Errorf("alpha: unknown opcode %#x (word %#08x) at %#x", op, w, c.Pc)
 	}
 
-	c.lastLoad = loaded
-	c.pc = next
+	c.LastLoad = loaded
+	c.Pc = next
 	return nil
 }
 
@@ -309,7 +282,7 @@ func (c *CPU) operate(w, op, ra, rb uint32) error {
 		case fnCmpule:
 			c.wr(rc, b2u64(a <= b))
 		default:
-			return fmt.Errorf("alpha: unknown INTA funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown INTA funct %#x at %#x", fn, c.Pc)
 		}
 	case opIntl:
 		switch fn {
@@ -326,7 +299,7 @@ func (c *CPU) operate(w, op, ra, rb uint32) error {
 		case fnEqv:
 			c.wr(rc, a^^b)
 		default:
-			return fmt.Errorf("alpha: unknown INTL funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown INTL funct %#x at %#x", fn, c.Pc)
 		}
 	case opInts:
 		sh := b & 63
@@ -362,18 +335,18 @@ func (c *CPU) operate(w, op, ra, rb uint32) error {
 		case fnMskwl:
 			c.wr(rc, a&^(uint64(0xffff)<<(8*(b&7))))
 		default:
-			return fmt.Errorf("alpha: unknown INTS funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown INTS funct %#x at %#x", fn, c.Pc)
 		}
 	case opIntm:
 		switch fn {
 		case fnMull:
 			c.wr(rc, uint64(int64(int32(a)*int32(b))))
-			c.baseCycles += 7
+			c.BaseCycles += 7
 		case fnMulq:
 			c.wr(rc, a*b)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		default:
-			return fmt.Errorf("alpha: unknown INTM funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown INTM funct %#x at %#x", fn, c.Pc)
 		}
 	}
 	return nil
@@ -394,45 +367,45 @@ func (c *CPU) fpOperate(w, op uint32) error {
 		case fnCpysn:
 			c.f[fc] = c.f[fb] ^ 1<<63
 		default:
-			return fmt.Errorf("alpha: unknown FLTL funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown FLTL funct %#x at %#x", fn, c.Pc)
 		}
 	case opFlts:
 		switch fn {
 		case fnSqrts:
 			c.wfS(fc, float32(math.Sqrt(float64(c.fS(fb)))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case fnSqrtt:
 			c.wfT(fc, math.Sqrt(c.fT(fb)))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		default:
-			return fmt.Errorf("alpha: unknown FLTS funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown FLTS funct %#x at %#x", fn, c.Pc)
 		}
 	case opFlti:
 		switch fn {
 		case fnAdds:
 			c.wfS(fc, c.fS(fa)+c.fS(fb))
-			c.baseCycles++
+			c.BaseCycles++
 		case fnSubs:
 			c.wfS(fc, c.fS(fa)-c.fS(fb))
-			c.baseCycles++
+			c.BaseCycles++
 		case fnMuls:
 			c.wfS(fc, c.fS(fa)*c.fS(fb))
-			c.baseCycles += 3
+			c.BaseCycles += 3
 		case fnDivs:
 			c.wfS(fc, c.fS(fa)/c.fS(fb))
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case fnAddt:
 			c.wfT(fc, c.fT(fa)+c.fT(fb))
-			c.baseCycles++
+			c.BaseCycles++
 		case fnSubt:
 			c.wfT(fc, c.fT(fa)-c.fT(fb))
-			c.baseCycles++
+			c.BaseCycles++
 		case fnMult:
 			c.wfT(fc, c.fT(fa)*c.fT(fb))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case fnDivt:
 			c.wfT(fc, c.fT(fa)/c.fT(fb))
-			c.baseCycles += 18
+			c.BaseCycles += 18
 		case fnCmpteq:
 			c.wfT(fc, cmpResult(c.fT(fa) == c.fT(fb)))
 		case fnCmptlt:
@@ -450,7 +423,7 @@ func (c *CPU) fpOperate(w, op uint32) error {
 		case fnCvttqc:
 			c.f[fc&31] = uint64(truncToI64(c.fT(fb)))
 		default:
-			return fmt.Errorf("alpha: unknown FLTI funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("alpha: unknown FLTI funct %#x at %#x", fn, c.Pc)
 		}
 	}
 	return nil

@@ -1,9 +1,6 @@
 package alpha
 
-import (
-	"repro/internal/exec"
-	"repro/internal/verify"
-)
+import "repro/internal/exec"
 
 // This file is the Alpha instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
@@ -70,29 +67,29 @@ var rows = []exec.Row{
 	exec.Ins("sts", memFmt(opSts, 0, 0, 0), maskOp, " A, i(b)", layMem, aSts),
 	exec.Ins("stt", memFmt(opStt, 0, 0, 0), maskOp, " A, i(b)", layMem, aStt),
 
-	exec.Ins("br", brFmt(opBr, 0, 0), maskOp, " a, t", layBr, aBr).As(verify.KindBranch),
-	exec.Ins("bsr", brFmt(opBsr, 0, 0), maskOp, " a, t", layBr, aBr).As(verify.KindCall),
-	exec.Ins("beq", brFmt(opBeq, 0, 0), maskOp, " a, t", layBr, aBeq).As(verify.KindBranch),
-	exec.Ins("bne", brFmt(opBne, 0, 0), maskOp, " a, t", layBr, aBne).As(verify.KindBranch),
-	exec.Ins("blt", brFmt(opBlt, 0, 0), maskOp, " a, t", layBr, aBlt).As(verify.KindBranch),
-	exec.Ins("ble", brFmt(opBle, 0, 0), maskOp, " a, t", layBr, aBle).As(verify.KindBranch),
-	exec.Ins("bgt", brFmt(opBgt, 0, 0), maskOp, " a, t", layBr, aBgt).As(verify.KindBranch),
-	exec.Ins("bge", brFmt(opBge, 0, 0), maskOp, " a, t", layBr, aBge).As(verify.KindBranch),
-	exec.Ins("fbeq", brFmt(opFbeq, 0, 0), maskOp, " A, t", layBr, aFbeq).As(verify.KindBranch),
-	exec.Ins("fbne", brFmt(opFbne, 0, 0), maskOp, " A, t", layBr, aFbne).As(verify.KindBranch),
-	exec.Ins("fblt", brFmt(opFblt, 0, 0), maskOp, " A, t", layBr, aFblt).As(verify.KindBranch),
-	exec.Ins("fble", brFmt(opFble, 0, 0), maskOp, " A, t", layBr, aFble).As(verify.KindBranch),
-	exec.Ins("fbgt", brFmt(opFbgt, 0, 0), maskOp, " A, t", layBr, aFbgt).As(verify.KindBranch),
-	exec.Ins("fbge", brFmt(opFbge, 0, 0), maskOp, " A, t", layBr, aFbge).As(verify.KindBranch),
+	exec.Ins("br", brFmt(opBr, 0, 0), maskOp, " a, t", layBr, aBr).As(exec.KindBranch),
+	exec.Ins("bsr", brFmt(opBsr, 0, 0), maskOp, " a, t", layBr, aBr).As(exec.KindCall),
+	exec.Ins("beq", brFmt(opBeq, 0, 0), maskOp, " a, t", layBr, aBeq).As(exec.KindBranch),
+	exec.Ins("bne", brFmt(opBne, 0, 0), maskOp, " a, t", layBr, aBne).As(exec.KindBranch),
+	exec.Ins("blt", brFmt(opBlt, 0, 0), maskOp, " a, t", layBr, aBlt).As(exec.KindBranch),
+	exec.Ins("ble", brFmt(opBle, 0, 0), maskOp, " a, t", layBr, aBle).As(exec.KindBranch),
+	exec.Ins("bgt", brFmt(opBgt, 0, 0), maskOp, " a, t", layBr, aBgt).As(exec.KindBranch),
+	exec.Ins("bge", brFmt(opBge, 0, 0), maskOp, " a, t", layBr, aBge).As(exec.KindBranch),
+	exec.Ins("fbeq", brFmt(opFbeq, 0, 0), maskOp, " A, t", layBr, aFbeq).As(exec.KindBranch),
+	exec.Ins("fbne", brFmt(opFbne, 0, 0), maskOp, " A, t", layBr, aFbne).As(exec.KindBranch),
+	exec.Ins("fblt", brFmt(opFblt, 0, 0), maskOp, " A, t", layBr, aFblt).As(exec.KindBranch),
+	exec.Ins("fble", brFmt(opFble, 0, 0), maskOp, " A, t", layBr, aFble).As(exec.KindBranch),
+	exec.Ins("fbgt", brFmt(opFbgt, 0, 0), maskOp, " A, t", layBr, aFbgt).As(exec.KindBranch),
+	exec.Ins("fbge", brFmt(opFbge, 0, 0), maskOp, " A, t", layBr, aFbge).As(exec.KindBranch),
 
-	exec.Ins("jmp", jmpFmt(31, 0, hintJmp), maskJump|fieldRa, " a, (b)", layJump, aJump).As(verify.KindJumpReg),
-	exec.Ins("jmp", jmpFmt(0, 0, hintJmp), maskJump, " a, (b)", layJump, aJump).As(verify.KindCall),
-	exec.Ins("jsr", jmpFmt(31, 0, hintJsr), maskJump|fieldRa, " a, (b)", layJump, aJump).As(verify.KindJumpReg),
-	exec.Ins("jsr", jmpFmt(0, 0, hintJsr), maskJump, " a, (b)", layJump, aJump).As(verify.KindCall),
-	exec.Ins("ret", jmpFmt(31, 0, hintRet), maskJump|fieldRa, " a, (b)", layJump, aJump).As(verify.KindJumpReg),
-	exec.Ins("ret", jmpFmt(0, 0, hintRet), maskJump, " a, (b)", layJump, aJump).As(verify.KindCall),
-	exec.Ins("jsr_coroutine", jmpFmt(31, 0, hintCo), maskJump|fieldRa, " a, (b)", layJump, aJump).As(verify.KindJumpReg),
-	exec.Ins("jsr_coroutine", jmpFmt(0, 0, hintCo), maskJump, " a, (b)", layJump, aJump).As(verify.KindCall),
+	exec.Ins("jmp", jmpFmt(31, 0, hintJmp), maskJump|fieldRa, " a, (b)", layJump, aJump).As(exec.KindJumpReg),
+	exec.Ins("jmp", jmpFmt(0, 0, hintJmp), maskJump, " a, (b)", layJump, aJump).As(exec.KindCall),
+	exec.Ins("jsr", jmpFmt(31, 0, hintJsr), maskJump|fieldRa, " a, (b)", layJump, aJump).As(exec.KindJumpReg),
+	exec.Ins("jsr", jmpFmt(0, 0, hintJsr), maskJump, " a, (b)", layJump, aJump).As(exec.KindCall),
+	exec.Ins("ret", jmpFmt(31, 0, hintRet), maskJump|fieldRa, " a, (b)", layJump, aJump).As(exec.KindJumpReg),
+	exec.Ins("ret", jmpFmt(0, 0, hintRet), maskJump, " a, (b)", layJump, aJump).As(exec.KindCall),
+	exec.Ins("jsr_coroutine", jmpFmt(31, 0, hintCo), maskJump|fieldRa, " a, (b)", layJump, aJump).As(exec.KindJumpReg),
+	exec.Ins("jsr_coroutine", jmpFmt(0, 0, hintCo), maskJump, " a, (b)", layJump, aJump).As(exec.KindCall),
 
 	exec.Ins("addl", opFmtR(opInta, 0, 0, fnAddl, 0), maskOperate, " a, l, c", layOperate, aAddl),
 	exec.Ins("subl", opFmtR(opInta, 0, 0, fnSubl, 0), maskOperate, " a, l, c", layOperate, aSubl),

@@ -24,7 +24,7 @@ func TestISATableLegality(t *testing.T) { tableUnderTest().CheckLegality(t) }
 func TestISATableRows(t *testing.T) { tableUnderTest().CheckRows(t) }
 
 // TestISATableFolds: every pc-relative branch row has a case in the
-// switch RunBody folds branches with, and it agrees with the oracle.
+// switch the run loop folds branches with, and it agrees with the oracle.
 func TestISATableFolds(t *testing.T) { tableUnderTest().CheckFolds(t) }
 
 // TestISATableFields: every field the table declares writes and reads

@@ -8,16 +8,18 @@ import (
 )
 
 // Alpha port of the predecoded direct-threaded execution engine
-// (internal/exec); see internal/mips/threaded.go for the scheme.  Alpha
-// has no delay slots, which makes RunBody the simplest of the three
-// loops; the load-use interlock (ra always, rb only for register-form
-// operates, r31 never charged) is precomputed into SrcA/SrcB/LoadReg.
-// The fetch/switch Step in cpu.go stays the verification oracle;
-// internal/exec/diff requires bit-identical state from both engines.
+// (internal/exec): Predecode, and what exec's run loop executes the body
+// through (port): plain, branch and the transfer handlers.  Alpha has no
+// delay slots; the load-use interlock (ra always, rb only for
+// register-form operates, r31 never charged) is precomputed into
+// SrcA/SrcB/LoadReg.  The fetch/switch Step in cpu.go stays the
+// verification oracle; internal/exec/diff requires bit-identical state
+// from both engines.
 
-// Dense opcodes.  Each is described exactly once: a transfer or an
-// undecodable word by the entry of alphaHandlers its number indexes, a
-// plain instruction (a row of kind verify.KindOther) by a case of plain.
+// Dense opcodes.  Each is described exactly once: a pc-relative branch
+// (a row of kind exec.KindBranch, and bsr) by a case of branch, any other
+// transfer or an undecodable word by the handler its number indexes, a
+// plain instruction (a row of kind exec.KindOther) by a case of plain.
 const (
 	aBr uint16 = iota // also bsr: identical semantics
 	aBeq
@@ -101,7 +103,7 @@ const (
 
 // Register helpers over the narrow predecoded operand fields.  Predecode
 // only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index (see the MIPS engine).
+// would otherwise check every index.
 func (c *CPU) tr(n uint8) uint64 { return c.r[n&31] }
 func (c *CPU) twr(n uint8, v uint64) {
 	if n != 31 {
@@ -122,11 +124,10 @@ func (c *CPU) topnd(in *exec.Instr) uint64 {
 func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
 
 // branch resolves in, an instruction of a pc-relative branch row
-// (verify.KindBranch, and bsr, which shares br's opcode): it reports
+// (exec.KindBranch, and bsr, which shares br's opcode): it reports
 // whether in is taken.  A conditional one fires the edge probe on every
 // resolution, taken or not; br and bsr write their link and are not
-// conditional.  RunBody calls it for a branch it folds, the handler for
-// any other.
+// conditional.
 func (c *CPU) branch(in *exec.Instr) bool {
 	var taken bool
 	switch in.Op {
@@ -165,9 +166,6 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	}
 	return taken
 }
-
-// PendingDelay: Alpha has no delay slots.
-func (c *CPU) PendingDelay() bool { return false }
 
 // Predecode unpacks words into a threaded body: each word's row in the
 // instruction table (isa.go) names its opcode, whether it is plain, and
@@ -216,166 +214,31 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.C = uint8(w & 31)
 		}
 	}
-	exec.MarkRuns(code, 31, 0)
+	exec.MarkRuns(code, port.Never, port.Slots)
 	return body
 }
 
-// RunBody executes predecoded instructions starting at idx until allow
-// retire, control leaves the body, or a fault; same contract as the
-// MIPS engine minus delay slots.
-func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	code := b.Code
-	// Retired instructions and base cycles accumulate in locals (n, plus
-	// stall for load-use bubbles) and flush into c.insns/c.baseCycles at
-	// every exit (see the MIPS engine for the rationale); flushed tracks
-	// how much of n is already applied so the sampler branch can flush
-	// through the current instruction before its probe fires.
-	var n, stall, flushed uint64
-	ll := c.lastLoad
-	sampling := c.Sampling()
-	for n < allow {
-		in := &code[idx]
-		if in.Flags&exec.FFold != 0 && !sampling {
-			// An in-body branch: resolved here, with no handler call, and
-			// the trip goes on at its successor (see the MIPS engine; there
-			// is no slot, so the budget always admits it).
-			if ll >= 0 && ll != 31 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
-			}
-			ll = -1
-			n++
-			if c.branch(in) {
-				idx = int(in.Target)
-			} else if idx++; idx == len(code) {
-				c.flushBody(in.PC+4, n-flushed, stall, ll)
-				return n, nil
-			}
-			if n == allow {
-				break
-			}
-			in = &code[idx]
-		}
-		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
-			// A straight-line run, nobody sampling: plain executes as much
-			// of it as the budget admits (one instruction alone costs less
-			// on the path below).  ll decides its first instruction's
-			// bubble, the Stall bits plain sums the others' (see the MIPS
-			// engine).
-			if ll >= 0 && ll != 31 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
-			}
-			done, bubbles, err := c.plain(code[idx : idx+int(run)])
-			stall += bubbles - uint64(in.Stall)
-			if done > 0 {
-				ll = int(int8(code[idx+done-1].LoadReg))
-			}
-			idx += done
-			n += uint64(done)
-			if err != nil {
-				n++ // code[idx] faulted, and retires
-				c.flushBody(code[idx].PC, n-flushed, stall, ll)
-				return n, err
-			}
-			if idx == len(code) {
-				c.flushBody(b.End(), n-flushed, stall, ll)
-				return n, nil
-			}
-			continue
-		}
-		// One combined predicate guards both rare per-instruction
-		// concerns (PC sampling, a pending load-use interlock), so the
-		// common iteration pays a single not-taken branch.
-		if sampling || ll >= 0 {
-			if sampling {
-				if c.SampleDue() {
-					c.flushBody(in.PC, n+1-flushed, stall, ll)
-					flushed, stall = n+1, 0
-					c.Sample(in.PC)
-				}
-			}
-			if ll >= 0 && ll != 31 {
-				if in.SrcA == uint8(ll) || in.SrcB == uint8(ll) {
-					stall++
-				}
-			}
-		}
-		br, err := exec.NoBranch, error(nil)
-		if in.Run != 0 {
-			_, _, err = c.plain(code[idx : idx+1])
-		} else {
-			br, err = alphaHandlers[in.Op](c, b, in)
-		}
-		n++
-		if err != nil {
-			c.flushBody(in.PC, n-flushed, stall, ll)
-			return n, err
-		}
-		ll = int(int8(in.LoadReg))
-		if br == exec.NoBranch {
-			idx++
-			if idx == len(code) {
-				c.flushBody(in.PC+4, n-flushed, stall, ll)
-				return n, nil
-			}
-			continue
-		}
-		if br == exec.External {
-			c.flushBody(c.extPC, n-flushed, stall, ll)
-			return n, nil
-		}
-		idx = int(br)
-	}
-	c.flushBody(code[idx].PC, n-flushed, stall, ll)
-	return n, nil
-}
-
-// flushBody brings the simulator's own state up to date at pc, where the
-// dispatch loop is leaving or a probe is about to look: pend retired
-// instructions not yet counted, their base cycles plus stall interlock
-// bubbles, and the interlock producer register.
-func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
-	c.pc = pc
-	c.insns += pend
-	c.baseCycles += pend + stall
-	c.lastLoad = ll
-}
-
-// thandler executes one transfer (or refuses one undecodable word); see
-// the MIPS engine for what it returns.
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-// tbranch is the handler of every pc-relative branch row (and of bsr): a
-// branch RunBody did not fold.
-func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-	if !c.branch(in) {
-		return exec.NoBranch, nil
-	}
-	return in.Jump(&c.extPC), nil
-}
-
-var alphaHandlers = [aNumHandlers]thandler{
-	aBr:   tbranch,
-	aBeq:  tbranch,
-	aBne:  tbranch,
-	aBlt:  tbranch,
-	aBle:  tbranch,
-	aBgt:  tbranch,
-	aBge:  tbranch,
-	aFbeq: tbranch,
-	aFbne: tbranch,
-	aFblt: tbranch,
-	aFble: tbranch,
-	aFbgt: tbranch,
-	aFbge: tbranch,
-	aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-		// Read rb before the link write, as the oracle does.
-		t := c.tr(in.B) &^ 3
-		c.twr(in.A, in.PC+4)
-		return b.Indirect(t, &c.extPC), nil
+// port is what Alpha gives exec's run loop: no delay slots, an interlock
+// that never charges $31, and its switches and handlers.
+var port = exec.Port[*CPU]{
+	Name: "alpha", Slots: 0, Never: 31,
+	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Handlers: []exec.Handler[*CPU]{
+		aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+			// Read rb before the link write, as the oracle does.
+			t := c.tr(in.B) &^ 3
+			c.twr(in.A, in.PC+4)
+			return b.Indirect(t, &c.ExtPC), nil
+		},
+		aBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			return 0, badWord(uint32(in.Imm), in.PC)
+		},
 	},
-	aBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, badWord(uint32(in.Imm), in.PC)
-	},
+}
+
+// Run executes b from index idx through the run loop every port shares.
+func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
+	return port.Run(c, &c.State, b, idx, allow)
 }
 
 // badWord is what the oracle says of a word with no row: of its function
@@ -415,9 +278,9 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.twr(in.A, c.taddr(in))
 		case aLdl:
 			a := c.taddr(in)
-			v, ok := c.m.Load4(a)
+			v, ok := c.Mem.Load4(a)
 			if !ok {
-				w, err := c.m.Load(a, 4)
+				w, err := c.Mem.Load(a, 4)
 				if err != nil {
 					return i, bubbles, memErr("ldl", in, err)
 				}
@@ -426,22 +289,22 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.twr(in.A, uint64(int64(int32(v))))
 		case aLdq:
 			a := c.taddr(in)
-			v, ok := c.m.Load8(a)
+			v, ok := c.Mem.Load8(a)
 			if !ok {
 				var err error
-				if v, err = c.m.Load(a, 8); err != nil {
+				if v, err = c.Mem.Load(a, 8); err != nil {
 					return i, bubbles, memErr("ldq", in, err)
 				}
 			}
 			c.twr(in.A, v)
 		case aLdqU:
-			v, err := c.m.Load(c.taddr(in)&^7, 8)
+			v, err := c.Mem.Load(c.taddr(in)&^7, 8)
 			if err != nil {
 				return i, bubbles, memErr("ldq_u", in, err)
 			}
 			c.twr(in.A, v)
 		case aLds:
-			v, err := c.m.Load(c.taddr(in), 4)
+			v, err := c.Mem.Load(c.taddr(in), 4)
 			if err != nil {
 				return i, bubbles, memErr("lds", in, err)
 			}
@@ -449,7 +312,7 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 				c.f[in.A] = v
 			}
 		case aLdt:
-			v, err := c.m.Load(c.taddr(in), 8)
+			v, err := c.Mem.Load(c.taddr(in), 8)
 			if err != nil {
 				return i, bubbles, memErr("ldt", in, err)
 			}
@@ -457,27 +320,27 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 				c.f[in.A] = v
 			}
 		case aStl:
-			if a, v := c.taddr(in), uint32(c.tr(in.A)); !c.m.Store4(a, v) {
-				if err := c.m.Store(a, 4, uint64(v)); err != nil {
+			if a, v := c.taddr(in), uint32(c.tr(in.A)); !c.Mem.Store4(a, v) {
+				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
 					return i, bubbles, memErr("store", in, err)
 				}
 			}
 		case aStq:
-			if a, v := c.taddr(in), c.tr(in.A); !c.m.Store8(a, v) {
-				if err := c.m.Store(a, 8, v); err != nil {
+			if a, v := c.taddr(in), c.tr(in.A); !c.Mem.Store8(a, v) {
+				if err := c.Mem.Store(a, 8, v); err != nil {
 					return i, bubbles, memErr("store", in, err)
 				}
 			}
 		case aStqU:
-			if err := c.m.Store(c.taddr(in)&^7, 8, c.tr(in.A)); err != nil {
+			if err := c.Mem.Store(c.taddr(in)&^7, 8, c.tr(in.A)); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case aSts:
-			if err := c.m.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case aStt:
-			if err := c.m.Store(c.taddr(in), 8, c.f[in.A]); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 8, c.f[in.A]); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case aAddl:
@@ -534,10 +397,10 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
 		case aMull:
 			c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
-			c.baseCycles += 7
+			c.BaseCycles += 7
 		case aMulq:
 			c.twr(in.C, c.tr(in.A)*c.topnd(in))
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case aCpys:
 			if in.C != 31 {
 				c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
@@ -547,34 +410,34 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.f[in.C] = c.f[in.B] ^ 1<<63
 		case aSqrts:
 			c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case aSqrtt:
 			c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case aAdds:
 			c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case aSubs:
 			c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case aMuls:
 			c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
-			c.baseCycles += 3
+			c.BaseCycles += 3
 		case aDivs:
 			c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case aAddt:
 			c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case aSubt:
 			c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case aMultT:
 			c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case aDivt:
 			c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
-			c.baseCycles += 18
+			c.BaseCycles += 18
 		case aCmpteq:
 			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
 		case aCmptlt:

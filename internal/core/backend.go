@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/exec"
-	"repro/internal/verify"
-)
+import "repro/internal/exec"
 
 // Backend is the per-target port of VCODE: the mapping from the core
 // instruction set onto one machine's binary encodings plus that machine's
@@ -147,7 +144,7 @@ type Backend interface {
 	// calls or jumps indirect, and the absolute target when it is
 	// statically known.  Together with Disasm and BranchDelaySlots this
 	// makes every Backend a verify.Decoder.
-	Classify(w uint32, pc uint64) verify.Insn
+	Classify(w uint32, pc uint64) exec.Insn
 }
 
 // RegFile describes a target's register banks.

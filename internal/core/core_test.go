@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/exec"
-	"repro/internal/verify"
 )
 
 // fakeBackend is a minimal backend for exercising the Asm lifecycle
@@ -165,9 +164,9 @@ func (f *fakeBackend) TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (boo
 // words (a 16-bit displacement from the delay slot, as on mips), its
 // immediate load and its stack-pointer adjust (a 16-bit number each).
 var fakeISA = exec.NewTable([]exec.Row{
-	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(verify.KindBranch),
-	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(verify.KindBranch),
-	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(verify.KindCall),
+	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(exec.KindBranch),
+	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(exec.KindBranch),
+	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
 	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
 	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
 }, map[byte]exec.Field{
@@ -179,8 +178,8 @@ func (f *fakeBackend) ISA() *exec.Table { return fakeISA }
 
 func (f *fakeBackend) Disasm(w uint32, pc uint64) string { return "?" }
 
-func (f *fakeBackend) Classify(w uint32, pc uint64) verify.Insn {
-	return verify.Insn{Kind: verify.KindOther}
+func (f *fakeBackend) Classify(w uint32, pc uint64) exec.Insn {
+	return exec.Insn{Kind: exec.KindOther}
 }
 
 // --- tests ---

@@ -16,21 +16,24 @@ import (
 )
 
 // ThreadedCPU is implemented by simulators that provide a predecoded
-// direct-threaded execution engine alongside Step.
+// direct-threaded execution engine alongside Step.  The dispatch loop is
+// exec's, written once (exec.Port.Run): a port gives it the switch its
+// plain instructions execute in, the conditions of its pc-relative
+// branches and the handlers of its other transfers, and Run binds them to
+// the CPU.
 type ThreadedCPU interface {
 	CPU
 	// Predecode unpacks words (already linked, as installed at base) into
 	// a threaded body.  It must be a pure function of its arguments.
 	Predecode(words []uint32, base uint64) *exec.Body
-	// RunBody executes up to allow instructions starting at body index
-	// idx, returning how many retired.  On return the CPU's PC is
+	// Run executes up to allow instructions starting at body index idx,
+	// returning how many retired.  On return the CPU's PC is
 	// architecturally consistent: the next instruction to execute, or the
 	// faulting instruction when err is non-nil.
-	RunBody(b *exec.Body, idx int, allow uint64) (uint64, error)
+	Run(b *exec.Body, idx int, allow uint64) (uint64, error)
 	// PendingDelay reports whether a delay-slot branch is in flight
-	// (materialized inDelay state); the threaded engine cannot resume
-	// mid-delay-pair, so the run loop must fall back to Step until the
-	// pair completes.
+	// (exec.State.InDelay); Run cannot resume mid-delay-pair, so the run
+	// loop must fall back to Step until the pair completes.
 	PendingDelay() bool
 }
 

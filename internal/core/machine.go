@@ -956,7 +956,7 @@ func (m *Machine) run(ctx context.Context, fuel, stride uint64, plan *callPlan) 
 				if cancelable && allow > stride {
 					allow = stride
 				}
-				n, rerr := m.tcpu.RunBody(b, idx, allow)
+				n, rerr := m.tcpu.Run(b, idx, allow)
 				if n > 0 {
 					steps += n - 1
 				}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/regtest"
 )
 
-// This file holds RunBody's branch fold to the switch engine: the programs
+// This file holds the run loop's branch fold to the switch engine: the programs
 // it folds and declines on, and the sweeps that end the budget, probe the
 // edges and fault around a folded branch.
 
@@ -107,7 +107,7 @@ func buildSelfBranch(bk core.Backend) (*core.Func, error) {
 	return a.End()
 }
 
-// folds returns the indices of body's instructions RunBody folds.
+// folds returns the indices of body's instructions the run loop folds.
 func folds(body *exec.Body) []int {
 	var at []int
 	for i := range body.Code {
@@ -118,7 +118,7 @@ func folds(body *exec.Body) []int {
 	return at
 }
 
-// TestDifferentialFold holds RunBody's branch fold to the switch engine.
+// TestDifferentialFold holds the run loop's branch fold to the switch engine.
 // The loops fold on every target (SPARC's branches follow a compare,
 // Alpha's have no slot); a back-edge with a plain instruction or a load in
 // its slot must not fold on MIPS and SPARC.  Over every slot, a fuel sweep

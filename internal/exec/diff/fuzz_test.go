@@ -29,14 +29,15 @@ func fuzzTargets() []fuzzTarget {
 }
 
 // diffWords runs the same word sequence on two identical CPUs — one via
-// the fetch/switch Step oracle, one via Predecode+RunBody — and fails
+// the fetch/switch Step oracle, one via Predecode+Run — and fails
 // on any divergence in error text, registers, counters, PC, or memory.
 // The driver falls back to Step whenever the PC leaves the predecoded
 // body or a delay pair is in flight, exactly as Machine.run does, and
-// hands RunBody its budget chunk instructions at a time, the way a poll
+// hands Run its budget chunk instructions at a time, the way a poll
 // stride does: a window can end anywhere in a run or between a branch and
 // its slot.  setup, when not nil, sets up both CPUs further (arguments).
-func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup func(core.CPU)) {
+// It returns the error the switch engine ended with.
+func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup func(core.CPU)) error {
 	t.Helper()
 	const base = 0x1000
 	const insnCap = 256
@@ -96,7 +97,7 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 		if allow > chunk {
 			allow = chunk
 		}
-		if _, err := tc.RunBody(body, body.IndexOf(pc), allow); err != nil {
+		if _, err := tc.Run(body, body.IndexOf(pc), allow); err != nil {
 			err2 = err
 			break
 		}
@@ -115,6 +116,7 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 			t.Fatalf("%s: memory diverged at %#x: switch=%#x threaded=%#x", ft.name, i, b1[i], b2[i])
 		}
 	}
+	return err1
 }
 
 // FuzzExecDifferential feeds arbitrary word sequences through both

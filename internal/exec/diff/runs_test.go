@@ -347,7 +347,7 @@ func predecode(t testing.TB, m *core.Machine, fn *core.Func) *exec.Body {
 
 // runShare builds a function, calls it on the switch engine with a
 // sampler at stride 1, and replays the program counters it saw against the
-// function's predecoded body the way RunBody would walk them, with no
+// function's predecoded body the way the run loop would walk them, with no
 // budget and no sampler in its way.  It returns how many instructions
 // retired, how many of those the run path would execute in runs of two or
 // more, how many it would retire in folded transfers (a branch marked
@@ -450,7 +450,7 @@ func TestRunShare(t *testing.T) {
 // their own) and on the load-led one (a run and a folded branch a trip).
 // The repository's benchmark (go run ./bench, workload loop_long) is what
 // a performance claim is judged by; this is the number to watch while
-// working on RunBody.
+// working on the run loop (exec.Port.Run).
 func BenchmarkLoopDispatch(b *testing.B) {
 	for _, tg := range regtest.Targets() {
 		m := tg.NewMachine()

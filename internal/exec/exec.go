@@ -1,4 +1,4 @@
-// Package exec holds the backend-neutral data types for the predecoded
+// Package exec holds the backend-neutral part of the predecoded
 // direct-threaded execution engine (ROADMAP item 1).
 //
 // The fetch/switch simulators re-decode every raw uint32 word on every
@@ -10,7 +10,10 @@
 // instructions, an in-body branch resolved in the same loop, and a call
 // through a small table of handler function pointers only at any other
 // control transfer (the minijit "VMCodeGen" idiom: contiguous memory,
-// locality, fewer per-instruction checks).
+// locality, fewer per-instruction checks).  That loop is Port.Run, one
+// function every backend runs through: a backend gives it its plain
+// switch, its branch conditions and its transfer handlers (Port), and its
+// simulator keeps the state the loop shares with Step in State.
 //
 // This package deliberately imports nothing from internal/core: core
 // caches *Body values beside installed code, the three backend packages
@@ -53,21 +56,22 @@ const (
 	// whose second source is otherwise a register (SPARC operand2,
 	// Alpha operate literals).
 	FImm uint8 = 1 << 0
-	// FNop marks the canonical nop.  RunBody retires one in the delay slot
+	// FNop marks the canonical nop.  Port.Run retires one in the delay slot
 	// of a taken transfer, where the code generators put one unless a
 	// client scheduled the slot, without dispatching it.
 	FNop uint8 = 1 << 1
-	// FFold marks a branch RunBody resolves in its own loop, with no
+	// FFold marks a branch Port.Run resolves in its own loop, with no
 	// handler call and no transfer bookkeeping: its row is a pc-relative
-	// branch (verify.KindBranch), its target is in the body, and where the
+	// branch (exec.KindBranch), its target is in the body, and where the
 	// ISA has a delay slot the slot is the canonical nop.  Row.Start sets
 	// it and MarkRuns keeps it only where all three hold.
 	FFold uint8 = 1 << 2
 )
 
 // Instr is one predecoded instruction.  Field meaning is backend- and
-// opcode-specific (a backend's predecoder and its RunBody agree on the
-// convention); the shared shape is:
+// opcode-specific (a backend's predecoder and its plain, branch and
+// handlers agree on the convention; Port.Run reads only the shared
+// fields); the shared shape is:
 //
 //	Op      dense backend-local opcode: a case of the backend's run
 //	        switch if the instruction is plain, else its handler's index
@@ -84,9 +88,9 @@ const (
 //	LoadReg the interlock-producing destination of a tracked load
 //	        (NoReg otherwise)
 //	Run     how many consecutive instructions from this one on are plain
-//	        (their table row is verify.KindOther: they fall through and
+//	        (their table row is exec.KindOther: they fall through and
 //	        touch no control state); 0 for a transfer or a word with no
-//	        row.  RunBody executes a run in one switch loop, without a
+//	        row.  Port.Run executes a run in one Plain call, without a
 //	        call or a per-instruction check (MarkRuns)
 //	Stall   1 when this instruction reads what its array predecessor
 //	        loads: its load-use bubble when it is reached by falling

@@ -1,7 +1,7 @@
 package exec
 
-// Probes is a simulator's two observation hooks, embedded by each port's
-// CPU so that its Step, RunBody and branch handlers fire them alike: a PC
+// Probes is a simulator's two observation hooks, embedded in its State so
+// that its Step, the run loop and branch handlers fire them alike: a PC
 // sampler, called with the pre-execution pc every strideth retired
 // instruction (internal/profile's sampler), and a branch edge probe,
 // called with (branch pc, taken) every strideth conditional-branch

@@ -4,9 +4,58 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-
-	"repro/internal/verify"
 )
+
+// Kind classifies one instruction word's control-flow behaviour.
+type Kind int
+
+const (
+	// KindOther is a non-control-transfer instruction (ALU, load, store,
+	// ...).
+	KindOther Kind = iota
+	// KindBranch is a pc-relative (or region-absolute) jump or
+	// conditional branch whose target must stay inside the function.
+	KindBranch
+	// KindCall is a call: the target (when statically known) may be
+	// inside the function or an external address the machine resolves.
+	KindCall
+	// KindJumpReg is a register-indirect jump, call or return; its
+	// target cannot be checked statically.
+	KindJumpReg
+	// KindIllegal is a word that is not an instruction of the target:
+	// the simulator would reject it with a decode fault.  Classify must
+	// return it for exactly those words — it is the one legality check.
+	KindIllegal
+)
+
+func (k Kind) String() string {
+	switch k {
+	case KindOther:
+		return "other"
+	case KindBranch:
+		return "branch"
+	case KindCall:
+		return "call"
+	case KindJumpReg:
+		return "jump-reg"
+	case KindIllegal:
+		return "illegal"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// IsControl reports whether the kind transfers control (and therefore owns
+// a delay slot on delayed-branch targets).
+func (k Kind) IsControl() bool {
+	return k == KindBranch || k == KindCall || k == KindJumpReg
+}
+
+// Insn is the classification of one instruction word.
+type Insn struct {
+	Kind      Kind
+	Target    uint64 // absolute target address; meaningful iff HasTarget
+	HasTarget bool
+}
 
 // Row is one instruction of an ISA: the single place a backend pairs a
 // bit pattern with a mnemonic, an operand layout, a control-flow kind and
@@ -18,10 +67,10 @@ type Row struct {
 	Name   string // mnemonic
 	Match  uint32 // the row decodes w when w&Mask == Match
 	Mask   uint32
-	Syntax string      // operands as Disasm prints them, one letter per field
-	Layout uint8       // which fields Predecode unpacks, and where to
-	Kind   verify.Kind // control-flow behaviour, for the verifier
-	Op     uint16      // dense opcode: what the threaded engine executes it as
+	Syntax string // operands as Disasm prints them, one letter per field
+	Layout uint8  // which fields Predecode unpacks, and where to
+	Kind   Kind   // control-flow behaviour, for the verifier
+	Op     uint16 // dense opcode: what the threaded engine executes it as
 
 	tgt, imm *Field // the fields Syntax names that hold a target and a number
 }
@@ -110,7 +159,7 @@ func (r *Row) target(w uint32, pc uint64) (uint64, bool) {
 }
 
 // Ins builds a Row from positional arguments, so a backend's table reads
-// one line per instruction.  The row is verify.KindOther — plain: the
+// one line per instruction.  The row is KindOther — plain: the
 // threaded engine executes runs of such rows without looking up — and the
 // few that transfer control say so with As.
 func Ins(name string, match, mask uint32, syntax string, layout uint8, op uint16) Row {
@@ -119,14 +168,14 @@ func Ins(name string, match, mask uint32, syntax string, layout uint8, op uint16
 
 // Start starts in, the predecoded form of w, a word of r at in.PC in b:
 // r's opcode, Run 1 for a plain row (for MarkRuns to extend), FFold for a
-// pc-relative branch (MarkRuns keeps it where RunBody can resolve the
-// branch itself), and the target r's field gives, in b or External.
+// pc-relative branch (MarkRuns keeps it where the run loop can resolve
+// the branch itself), and the target r's field gives, in b or External.
 func (r *Row) Start(in *Instr, w uint32, b *Body) {
 	in.Op, in.Run, in.Flags = r.Op, 0, 0
 	switch r.Kind {
-	case verify.KindOther:
+	case KindOther:
 		in.Run = 1
-	case verify.KindBranch:
+	case KindBranch:
 		in.Flags = FFold
 	}
 	if tg, ok := r.target(w, in.PC); ok && b.Contains(tg) {
@@ -137,7 +186,7 @@ func (r *Row) Start(in *Instr, w uint32, b *Body) {
 }
 
 // As returns r with its control-flow kind set.
-func (r Row) As(k verify.Kind) Row { r.Kind = k; return r }
+func (r Row) As(k Kind) Row { r.Kind = k; return r }
 
 // Table is a backend's rows behind a decode index.  The first row that
 // matches wins, so an alias (nop, move, li) is listed before the
@@ -259,12 +308,12 @@ func (t *Table) Lookup(w uint32) *Row {
 // Classify decodes the control-flow behaviour of w at pc for the
 // pre-install verifier: its row's kind and static target; a word with no
 // row is illegal.
-func (t *Table) Classify(w uint32, pc uint64) verify.Insn {
+func (t *Table) Classify(w uint32, pc uint64) Insn {
 	if r := t.Lookup(w); r != nil {
 		tg, ok := r.target(w, pc)
-		return verify.Insn{Kind: r.Kind, Target: tg, HasTarget: ok}
+		return Insn{Kind: r.Kind, Target: tg, HasTarget: ok}
 	}
-	return verify.Insn{Kind: verify.KindIllegal}
+	return Insn{Kind: KindIllegal}
 }
 
 // Retarget points the transfer code[site] to code[target] through the

@@ -23,10 +23,10 @@ type ISA struct {
 	Rows  []exec.Row // in declaration order: the first match wins
 	Table *exec.Table
 	Dec   verify.Decoder   // the backend: Classify and Disasm
-	CPU   core.ThreadedCPU // Step is the oracle, Predecode the table's reader, RunBody what executes its output
+	CPU   core.ThreadedCPU // Step is the oracle, Predecode the table's reader, Run what executes its output
 	Mem   *mem.Memory
 	// Branch is CPU's branch switch: whether a predecoded instruction of
-	// a pc-relative branch row is taken.  RunBody folds a branch with it.
+	// a pc-relative branch row is taken.  The run loop folds a branch with it.
 	Branch func(in *exec.Instr) bool
 }
 
@@ -72,7 +72,7 @@ func (a *ISA) CheckWords(t testing.TB, words []uint32) (legal int) {
 	body := a.CPU.Predecode(words, base)
 	bad := 0
 	for i, w := range words {
-		verifies := a.Dec.Classify(w, base).Kind != verify.KindIllegal
+		verifies := a.Dec.Classify(w, base).Kind != exec.KindIllegal
 		runs, _ := a.oracleStep(t, w)
 		handled := rowOp[body.Code[i].Op]
 		if verifies {
@@ -121,17 +121,17 @@ func (a *ISA) scramble(rng *rand.Rand) {
 	}
 }
 
-// runPlain has RunBody execute the one plain word in body.  Whether the
+// runPlain has Run execute the one plain word in body.  Whether the
 // word faults (its operands are random) is not the point: an opcode that
 // Predecode marks plain and plain has no case for panics.
 func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 	defer func() {
 		if p := recover(); p != nil {
-			t.Errorf("%s: RunBody: %v", r.Name, p)
+			t.Errorf("%s: Run: %v", r.Name, p)
 		}
 	}()
 	a.CPU.SetPC(base)
-	_, _ = a.CPU.RunBody(body, 0, 1)
+	_, _ = a.CPU.Run(body, 0, 1)
 }
 
 // CheckRows is the per-row round trip: words synthesised from each row's
@@ -143,11 +143,11 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 // are then the expected ones), but never all of them.
 //
 // It also holds "plain" to be one fact.  Predecode derives the runs
-// RunBody executes without looking from Kind == verify.KindOther, so: a
+// the run loop executes without looking from Kind == exec.KindOther, so: a
 // word predecodes to Run >= 1 exactly when its row is of that kind; no
 // such word ever transfers control on the oracle, whatever the registers
 // hold; every row of another kind does on some trial; rows that share an
-// opcode (one switch case, or one handler) agree; and RunBody executes
+// opcode (one switch case, or one handler) agree; and Run executes
 // every plain word (an opcode marked plain that plain has no case for
 // panics).  Trials are the outer loop, so the condition codes a branch
 // row tests are whatever the previous sweep's compares left.
@@ -158,7 +158,7 @@ func (a *ISA) CheckRows(t *testing.T) {
 	plainOp := map[uint16]bool{}
 	for i := range a.Rows {
 		r := &a.Rows[i]
-		plain := r.Kind == verify.KindOther
+		plain := r.Kind == exec.KindOther
 		if was, seen := plainOp[r.Op]; seen && was != plain {
 			t.Errorf("%s: shares opcode %d with a row that disagrees on whether it is plain", r.Name, r.Op)
 		}
@@ -180,7 +180,7 @@ func (a *ISA) CheckRows(t *testing.T) {
 			if !runs {
 				t.Errorf("%s %#08x: the oracle faults decoding it", r.Name, w)
 			}
-			plain := want.Kind == verify.KindOther
+			plain := want.Kind == exec.KindOther
 			if transfers && plain {
 				t.Errorf("%s %#08x: its row is plain, and the oracle transfers control", r.Name, w)
 			}
@@ -208,15 +208,15 @@ func (a *ISA) CheckRows(t *testing.T) {
 		if !reached[i] {
 			t.Errorf("%s (match %#08x mask %#08x) is unreachable: earlier rows claim every word of it", r.Name, r.Match, r.Mask)
 		}
-		if r.Kind != verify.KindOther && !transferred[i] {
+		if r.Kind != exec.KindOther && !transferred[i] {
 			t.Errorf("%s: its row is a transfer (%v), and the oracle fell through on every trial", r.Name, r.Kind)
 		}
 	}
 }
 
-// CheckFolds is the table walk behind RunBody's fold: Predecode may mark
-// any instruction of a pc-relative branch row (verify.KindBranch) for
-// RunBody to resolve with Branch, so every such row must have a case in
+// CheckFolds is the table walk behind the run loop's fold: Predecode may mark
+// any instruction of a pc-relative branch row (exec.KindBranch) for
+// the run loop to resolve with Branch, so every such row must have a case in
 // Branch's switch — a row without one panics, and fails here — and on
 // every trial Branch must decide taken exactly as the oracle's Step does.
 // Each trial first steps every row's word on the oracle, so the condition
@@ -230,7 +230,7 @@ func (a *ISA) CheckFolds(t *testing.T) {
 			r := &a.Rows[i]
 			w := synth(r, rng)
 			_, transfers := a.oracleStep(t, w)
-			if r.Kind != verify.KindBranch || a.row(w).Kind != verify.KindBranch || failed[i] ||
+			if r.Kind != exec.KindBranch || a.row(w).Kind != exec.KindBranch || failed[i] ||
 				a.Dec.Classify(w, base).Target == base+4 { // taken or not, the oracle lands on the next word
 				continue
 			}

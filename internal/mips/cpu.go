@@ -22,39 +22,11 @@ type CPU struct {
 	lo uint32
 	cc bool // FP condition flag
 
-	pc          uint64
-	inDelay     bool
-	delayTarget uint64
-
-	// extPC holds the destination of a control transfer that leaves the
-	// current predecoded body (threaded engine only; see threaded.go).
-	extPC uint64
-
-	m *mem.Memory
-
-	baseCycles uint64
-	insns      uint64
-	lastLoad   int // GPR written by the immediately preceding load, or -1
-
-	exec.Probes // the PC sampler and the branch edge probe
+	exec.State // pc, delay slot, memory, counters, interlock, probes
 }
 
 // NewCPU returns a simulator bound to m.
-func NewCPU(m *mem.Memory) *CPU {
-	return &CPU{m: m, lastLoad: -1}
-}
-
-// PC returns the current program counter.
-func (c *CPU) PC() uint64 { return c.pc }
-
-// SetPC jumps the simulator, clearing any pending delay-slot state and
-// the load-use interlock: what a call (or a trap's return) costs must not
-// depend on the last instruction of whatever ran before it.
-func (c *CPU) SetPC(pc uint64) {
-	c.pc = pc
-	c.inDelay = false
-	c.lastLoad = -1
-}
+func NewCPU(m *mem.Memory) *CPU { return &CPU{State: exec.NewState(m)} }
 
 // Reg reads an integer register.
 func (c *CPU) Reg(r core.Reg) uint64 {
@@ -92,19 +64,6 @@ func (c *CPU) SetFReg(r core.Reg, v uint64, double bool) {
 	c.f[r.Num()] = v & 0xffffffff
 }
 
-// Cycles returns executed cycles including memory-system stalls.
-func (c *CPU) Cycles() uint64 { return c.baseCycles + c.m.PenaltyCycles() }
-
-// Insns returns retired instructions.
-func (c *CPU) Insns() uint64 { return c.insns }
-
-// ResetStats zeroes cycle/instruction counters (and the memory penalty
-// accumulator).
-func (c *CPU) ResetStats() {
-	c.baseCycles, c.insns = 0, 0
-	c.m.ResetStats()
-}
-
 func (c *CPU) ru(n uint32) uint32  { return uint32(c.r[n]) }
 func (c *CPU) rs32(n uint32) int32 { return int32(c.r[n]) }
 
@@ -138,14 +97,14 @@ func truncToI32(v float64) int32 {
 
 // Step executes one instruction.
 func (c *CPU) Step() error {
-	w, err := c.m.FetchWord(c.pc)
+	w, err := c.Mem.FetchWord(c.Pc)
 	if err != nil {
-		return fmt.Errorf("mips: fetch at %#x: %w", c.pc, err)
+		return fmt.Errorf("mips: fetch at %#x: %w", c.Pc, err)
 	}
-	c.insns++
-	c.baseCycles++
+	c.Retired++
+	c.BaseCycles++
 	if c.Sampling() && c.SampleDue() {
-		c.Sample(c.pc)
+		c.Sample(c.Pc)
 	}
 
 	op := w >> 26
@@ -159,15 +118,15 @@ func (c *CPU) Step() error {
 
 	// Approximate load-use interlock: stall one cycle when this
 	// instruction reads the register loaded by the previous one.
-	if c.lastLoad >= 0 {
-		ll := uint32(c.lastLoad)
+	if c.LastLoad >= 0 {
+		ll := uint32(c.LastLoad)
 		reads := rs == ll
 		switch op {
 		case opSpecial, opBeq, opBne, opSb, opSh, opSw:
 			reads = reads || rt == ll
 		}
 		if reads && ll != 0 {
-			c.baseCycles++
+			c.BaseCycles++
 		}
 	}
 	loadedReg := -1
@@ -175,9 +134,9 @@ func (c *CPU) Step() error {
 	var target uint64
 	hasTarget := false
 	branchRel := func(taken bool) {
-		c.Edge(c.pc, taken)
+		c.Edge(c.Pc, taken)
 		if taken {
-			target = c.pc + 4 + uint64(int64(sImm)<<2)
+			target = c.Pc + 4 + uint64(int64(sImm)<<2)
 			hasTarget = true
 		}
 	}
@@ -200,7 +159,7 @@ func (c *CPU) Step() error {
 		case fnJr:
 			target, hasTarget = uint64(c.ru(rs)), true
 		case fnJalr:
-			c.wr(rd, uint32(c.pc+8))
+			c.wr(rd, uint32(c.Pc+8))
 			target, hasTarget = uint64(c.ru(rs)), true
 		case fnMfhi:
 			c.wr(rd, c.hi)
@@ -209,11 +168,11 @@ func (c *CPU) Step() error {
 		case fnMult:
 			p := int64(c.rs32(rs)) * int64(c.rs32(rt))
 			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case fnMultu:
 			p := uint64(c.ru(rs)) * uint64(c.ru(rt))
 			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case fnDiv:
 			d := c.rs32(rt)
 			if d == 0 {
@@ -223,7 +182,7 @@ func (c *CPU) Step() error {
 			} else {
 				c.lo, c.hi = uint32(c.rs32(rs)/d), uint32(c.rs32(rs)%d)
 			}
-			c.baseCycles += 34
+			c.BaseCycles += 34
 		case fnDivu:
 			d := c.ru(rt)
 			if d == 0 {
@@ -231,7 +190,7 @@ func (c *CPU) Step() error {
 			} else {
 				c.lo, c.hi = c.ru(rs)/d, c.ru(rs)%d
 			}
-			c.baseCycles += 34
+			c.BaseCycles += 34
 		case fnAddu:
 			c.wr(rd, c.ru(rs)+c.ru(rt))
 		case fnSubu:
@@ -249,7 +208,7 @@ func (c *CPU) Step() error {
 		case fnSltu:
 			c.wr(rd, b2u(c.ru(rs) < c.ru(rt)))
 		default:
-			return fmt.Errorf("mips: unknown SPECIAL funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("mips: unknown SPECIAL funct %#x at %#x", fn, c.Pc)
 		}
 	case opRegimm:
 		switch rt {
@@ -258,17 +217,17 @@ func (c *CPU) Step() error {
 		case rtBgez:
 			branchRel(c.rs32(rs) >= 0)
 		case rtBal:
-			c.wr(rRA, uint32(c.pc+8))
+			c.wr(rRA, uint32(c.Pc+8))
 			branchRel(c.rs32(rs) >= 0)
 		default:
-			return fmt.Errorf("mips: unknown REGIMM rt %#x at %#x", rt, c.pc)
+			return fmt.Errorf("mips: unknown REGIMM rt %#x at %#x", rt, c.Pc)
 		}
 	case opJ, opJal:
-		target = (c.pc + 4) & 0xf0000000
+		target = (c.Pc + 4) & 0xf0000000
 		target |= uint64(w&0x03ffffff) << 2
 		hasTarget = true
 		if op == opJal {
-			c.wr(rRA, uint32(c.pc+8))
+			c.wr(rRA, uint32(c.Pc+8))
 		}
 	case opBeq:
 		branchRel(c.ru(rs) == c.ru(rt))
@@ -295,9 +254,9 @@ func (c *CPU) Step() error {
 	case opLb, opLbu, opLh, opLhu, opLw, opLwc1, opLdc1:
 		addr := uint64(c.ru(rs) + uint32(sImm))
 		size := map[uint32]int{opLb: 1, opLbu: 1, opLh: 2, opLhu: 2, opLw: 4, opLwc1: 4, opLdc1: 8}[op]
-		v, err := c.m.Load(addr, size)
+		v, err := c.Mem.Load(addr, size)
 		if err != nil {
-			return fmt.Errorf("mips: load at pc %#x: %w", c.pc, err)
+			return fmt.Errorf("mips: load at pc %#x: %w", c.Pc, err)
 		}
 		switch op {
 		case opLb:
@@ -334,34 +293,34 @@ func (c *CPU) Step() error {
 		case opSdc1:
 			size, v = 8, c.f[rt]
 		}
-		if err := c.m.Store(addr, size, v); err != nil {
-			return fmt.Errorf("mips: store at pc %#x: %w", c.pc, err)
+		if err := c.Mem.Store(addr, size, v); err != nil {
+			return fmt.Errorf("mips: store at pc %#x: %w", c.Pc, err)
 		}
 	case opCop1:
 		if err := c.cop1(w, rs, rt, rd, sh, fn, sImm, &target, &hasTarget); err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", op, w, c.pc)
+		return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", op, w, c.Pc)
 	}
 
-	c.lastLoad = loadedReg
+	c.LastLoad = loadedReg
 
 	switch {
-	case c.inDelay:
-		c.pc = c.delayTarget
-		c.inDelay = false
+	case c.InDelay:
+		c.Pc = c.DelayTarget
+		c.InDelay = false
 		if hasTarget {
 			// Branch in a delay slot is architecturally undefined;
 			// surface it as a bug.
-			return fmt.Errorf("mips: branch in delay slot at %#x", c.pc)
+			return fmt.Errorf("mips: branch in delay slot at %#x", c.Pc)
 		}
 	case hasTarget:
-		c.inDelay = true
-		c.delayTarget = target
-		c.pc += 4
+		c.InDelay = true
+		c.DelayTarget = target
+		c.Pc += 4
 	default:
-		c.pc += 4
+		c.Pc += 4
 	}
 	return nil
 }
@@ -377,9 +336,9 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		return nil
 	case fmtBC:
 		taken := (ft&1 == 1) == c.cc
-		c.Edge(c.pc, taken)
+		c.Edge(c.Pc, taken)
 		if taken {
-			*target = c.pc + 4 + uint64(int64(sImm)<<2)
+			*target = c.Pc + 4 + uint64(int64(sImm)<<2)
 			*hasTarget = true
 		}
 		return nil
@@ -388,19 +347,19 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		switch fn {
 		case fpAdd:
 			c.wfs(fd, a+b)
-			c.baseCycles++
+			c.BaseCycles++
 		case fpSub:
 			c.wfs(fd, a-b)
-			c.baseCycles++
+			c.BaseCycles++
 		case fpMul:
 			c.wfs(fd, a*b)
-			c.baseCycles += 3
+			c.BaseCycles += 3
 		case fpDiv:
 			c.wfs(fd, a/b)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case fpSqrt:
 			c.wfs(fd, float32(math.Sqrt(float64(a))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case fpAbs:
 			c.wfs(fd, float32(math.Abs(float64(a))))
 		case fpMov:
@@ -418,7 +377,7 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		case fpCLe:
 			c.cc = a <= b
 		default:
-			return fmt.Errorf("mips: unknown fp.s funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("mips: unknown fp.s funct %#x at %#x", fn, c.Pc)
 		}
 		return nil
 	case fmtD:
@@ -426,19 +385,19 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		switch fn {
 		case fpAdd:
 			c.wfd(fd, a+b)
-			c.baseCycles++
+			c.BaseCycles++
 		case fpSub:
 			c.wfd(fd, a-b)
-			c.baseCycles++
+			c.BaseCycles++
 		case fpMul:
 			c.wfd(fd, a*b)
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case fpDiv:
 			c.wfd(fd, a/b)
-			c.baseCycles += 18
+			c.BaseCycles += 18
 		case fpSqrt:
 			c.wfd(fd, math.Sqrt(a))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case fpAbs:
 			c.wfd(fd, math.Abs(a))
 		case fpMov:
@@ -456,7 +415,7 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		case fpCLe:
 			c.cc = a <= b
 		default:
-			return fmt.Errorf("mips: unknown fp.d funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("mips: unknown fp.d funct %#x at %#x", fn, c.Pc)
 		}
 		return nil
 	case fmtW:
@@ -468,11 +427,11 @@ func (c *CPU) cop1(w, fmtf, ft, fs, fd, fn uint32, sImm int32, target *uint64, h
 		case fpCvtD:
 			c.wfd(fd, float64(iv))
 		default:
-			return fmt.Errorf("mips: unknown fp.w funct %#x at %#x", fn, c.pc)
+			return fmt.Errorf("mips: unknown fp.w funct %#x at %#x", fn, c.Pc)
 		}
 		return nil
 	}
-	return fmt.Errorf("mips: unknown COP1 fmt %#x (word %#08x) at %#x", fmtf, w, c.pc)
+	return fmt.Errorf("mips: unknown COP1 fmt %#x (word %#08x) at %#x", fmtf, w, c.Pc)
 }
 
 func b2u(b bool) uint32 {

@@ -1,9 +1,6 @@
 package mips
 
-import (
-	"repro/internal/exec"
-	"repro/internal/verify"
-)
+import "repro/internal/exec"
 
 // This file is the MIPS instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
@@ -65,8 +62,8 @@ var rows = []exec.Row{
 	exec.Ins("sllv", rType(fnSllv, 0, 0, 0, 0), maskSpecial, " d, t, s", layR, mSllv),
 	exec.Ins("srlv", rType(fnSrlv, 0, 0, 0, 0), maskSpecial, " d, t, s", layR, mSrlv),
 	exec.Ins("srav", rType(fnSrav, 0, 0, 0, 0), maskSpecial, " d, t, s", layR, mSrav),
-	exec.Ins("jr", rType(fnJr, 0, 0, 0, 0), maskSpecial, " s", layR, mJr).As(verify.KindJumpReg),
-	exec.Ins("jalr", rType(fnJalr, 0, 0, 0, 0), maskSpecial, " d, s", layR, mJalr).As(verify.KindCall),
+	exec.Ins("jr", rType(fnJr, 0, 0, 0, 0), maskSpecial, " s", layR, mJr).As(exec.KindJumpReg),
+	exec.Ins("jalr", rType(fnJalr, 0, 0, 0, 0), maskSpecial, " d, s", layR, mJalr).As(exec.KindCall),
 	exec.Ins("mfhi", rType(fnMfhi, 0, 0, 0, 0), maskSpecial, " d", layR, mMfhi),
 	exec.Ins("mflo", rType(fnMflo, 0, 0, 0, 0), maskSpecial, " d", layR, mMflo),
 	exec.Ins("mult", rType(fnMult, 0, 0, 0, 0), maskSpecial, " s, t", layR, mMult),
@@ -83,16 +80,16 @@ var rows = []exec.Row{
 	exec.Ins("slt", rType(fnSlt, 0, 0, 0, 0), maskSpecial, " d, s, t", layR, mSlt),
 	exec.Ins("sltu", rType(fnSltu, 0, 0, 0, 0), maskSpecial, " d, s, t", layR, mSltu),
 
-	exec.Ins("bltz", iType(opRegimm, 0, rtBltz, 0), maskRegimm, " s, b", layBr1, mBltz).As(verify.KindBranch),
-	exec.Ins("bgez", iType(opRegimm, 0, rtBgez, 0), maskRegimm, " s, b", layBr1, mBgez).As(verify.KindBranch),
-	exec.Ins("bal", iType(opRegimm, 0, rtBal, 0), maskRegimm, " b", layBr1, mBal).As(verify.KindCall),
-	exec.Ins("j", jType(opJ, 0), maskOp, " j", layJ, mJ).As(verify.KindBranch),
-	exec.Ins("jal", jType(opJal, 0), maskOp, " j", layJ, mJal).As(verify.KindCall),
-	exec.Ins("b", iType(opBeq, 0, 0, 0), maskOp|fieldRs|fieldRt, " b", layBr2, mBeq).As(verify.KindBranch),
-	exec.Ins("beq", iType(opBeq, 0, 0, 0), maskOp, " s, t, b", layBr2, mBeq).As(verify.KindBranch),
-	exec.Ins("bne", iType(opBne, 0, 0, 0), maskOp, " s, t, b", layBr2, mBne).As(verify.KindBranch),
-	exec.Ins("blez", iType(opBlez, 0, 0, 0), maskOp, " s, b", layBr1, mBlez).As(verify.KindBranch),
-	exec.Ins("bgtz", iType(opBgtz, 0, 0, 0), maskOp, " s, b", layBr1, mBgtz).As(verify.KindBranch),
+	exec.Ins("bltz", iType(opRegimm, 0, rtBltz, 0), maskRegimm, " s, b", layBr1, mBltz).As(exec.KindBranch),
+	exec.Ins("bgez", iType(opRegimm, 0, rtBgez, 0), maskRegimm, " s, b", layBr1, mBgez).As(exec.KindBranch),
+	exec.Ins("bal", iType(opRegimm, 0, rtBal, 0), maskRegimm, " b", layBr1, mBal).As(exec.KindCall),
+	exec.Ins("j", jType(opJ, 0), maskOp, " j", layJ, mJ).As(exec.KindBranch),
+	exec.Ins("jal", jType(opJal, 0), maskOp, " j", layJ, mJal).As(exec.KindCall),
+	exec.Ins("b", iType(opBeq, 0, 0, 0), maskOp|fieldRs|fieldRt, " b", layBr2, mBeq).As(exec.KindBranch),
+	exec.Ins("beq", iType(opBeq, 0, 0, 0), maskOp, " s, t, b", layBr2, mBeq).As(exec.KindBranch),
+	exec.Ins("bne", iType(opBne, 0, 0, 0), maskOp, " s, t, b", layBr2, mBne).As(exec.KindBranch),
+	exec.Ins("blez", iType(opBlez, 0, 0, 0), maskOp, " s, b", layBr1, mBlez).As(exec.KindBranch),
+	exec.Ins("bgtz", iType(opBgtz, 0, 0, 0), maskOp, " s, b", layBr1, mBgtz).As(exec.KindBranch),
 
 	exec.Ins("li", iType(opAddiu, 0, 0, 0), maskOp|fieldRs, " t, i", layImmS, mAddiu),
 	exec.Ins("addiu", iType(opAddiu, 0, 0, 0), maskOp, " t, s, i", layImmS, mAddiu),
@@ -118,8 +115,8 @@ var rows = []exec.Row{
 
 	exec.Ins("mfc1", fpRType(fmtMFC1, 0, 0, 0, 0), maskCop1, " t, S", layFP, mMfc1),
 	exec.Ins("mtc1", fpRType(fmtMTC1, 0, 0, 0, 0), maskCop1, " t, S", layFP, mMtc1),
-	exec.Ins("bc1f", fpRType(fmtBC, 0, 0, 0, 0), maskCop1|1<<16, " b", layFBr, mBc1).As(verify.KindBranch),
-	exec.Ins("bc1t", fpRType(fmtBC, 1, 0, 0, 0), maskCop1|1<<16, " b", layFBr, mBc1).As(verify.KindBranch),
+	exec.Ins("bc1f", fpRType(fmtBC, 0, 0, 0, 0), maskCop1|1<<16, " b", layFBr, mBc1).As(exec.KindBranch),
+	exec.Ins("bc1t", fpRType(fmtBC, 1, 0, 0, 0), maskCop1|1<<16, " b", layFBr, mBc1).As(exec.KindBranch),
 
 	exec.Ins("add.s", fpRType(fmtS, 0, 0, 0, fpAdd), maskFP, " D, S, T", layFP, mFAddS),
 	exec.Ins("sub.s", fpRType(fmtS, 0, 0, 0, fpSub), maskFP, " D, S, T", layFP, mFSubS),

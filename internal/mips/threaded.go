@@ -11,18 +11,19 @@ import (
 // engine (internal/exec).  Predecode unpacks every word of an installed
 // function once — operands extracted, static branch targets resolved to
 // body indices, load-use interlock metadata precomputed, straight-line
-// runs measured — and RunBody executes the resulting contiguous
-// []exec.Instr: a run of plain instructions in one switch loop (plain), an
-// in-body branch with a nop in its slot in RunBody's own loop (branch),
-// any other transfer through a small function-pointer table.  Semantics
-// must stay bit-identical to the fetch/switch oracle in cpu.go: same
-// registers, memory, cycle charges, interlock stalls, sampling/edge
+// runs measured — and exec's run loop executes the resulting contiguous
+// []exec.Instr through what this file gives it (port): plain, the switch
+// a run of plain instructions executes in; branch, the conditions of the
+// pc-relative branches; and the handlers of the other transfers.
+// Semantics must stay bit-identical to the fetch/switch oracle in cpu.go:
+// same registers, memory, cycle charges, interlock stalls, sampling/edge
 // probes, delay-slot behaviour, and error strings.  internal/exec/diff
 // enforces that differentially.
 
-// Dense opcodes.  Each is described exactly once: a transfer or an
-// undecodable word by the entry of mipsHandlers its number indexes, a
-// plain instruction (a row of kind verify.KindOther) by a case of plain.
+// Dense opcodes.  Each is described exactly once: a pc-relative branch
+// (a row of kind exec.KindBranch) by a case of branch, any other transfer
+// or an undecodable word by the handler its number indexes, a plain
+// instruction (a row of kind exec.KindOther) by a case of plain.
 const (
 	mJr uint16 = iota
 	mJalr
@@ -127,10 +128,9 @@ func (c *CPU) twr(n uint8, v uint32) {
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + uint32(int32(in.Imm))) }
 
 // branch resolves in, an instruction of a pc-relative branch row
-// (verify.KindBranch): it reports whether in is taken.  A conditional one
+// (exec.KindBranch): it reports whether in is taken.  A conditional one
 // fires the edge probe on every resolution, taken or not, exactly like the
-// oracle's branchRel; j is not conditional.  RunBody calls it for a
-// branch it folds, the handler for one it does not.
+// oracle's branchRel; j is not conditional.
 func (c *CPU) branch(in *exec.Instr) bool {
 	var taken bool
 	switch in.Op {
@@ -158,10 +158,6 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	}
 	return taken
 }
-
-// PendingDelay reports whether a taken branch is waiting on its delay
-// slot; the generic fetch/switch engine must run the next instruction.
-func (c *CPU) PendingDelay() bool { return c.inDelay }
 
 // Predecode unpacks words (the installed image of one function, starting
 // at base) into a threaded body: each word's row in the instruction
@@ -219,254 +215,49 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rd, rt, sh
 		}
 	}
-	exec.MarkRuns(code, 0, 1)
+	exec.MarkRuns(code, port.Never, port.Slots)
 	return body
 }
 
-// RunBody executes predecoded instructions starting at body index idx
-// until allow instructions have retired, control leaves the body, or an
-// instruction faults; it returns the number retired.  Preconditions
-// (enforced by core.Machine): allow > 0, no pending delay slot.  On
-// return the architectural state — including pc and any delay-slot
-// state handed back via inDelay/delayTarget — is exactly what the
-// fetch/switch loop would have produced.
-func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	code := b.Code
-	// Retired instructions and base cycles accumulate in locals (n, plus
-	// stall for load-use bubbles) and flush into c.insns/c.baseCycles at
-	// every exit: two read-modify-writes per instruction are a measurable
-	// fraction of threaded dispatch cost.  Instructions that charge extra
-	// cycles still add to c.baseCycles directly — addition commutes, so
-	// the totals stay oracle-exact.  The sampler branch flushes through
-	// the current instruction first (flushed tracks how much of n is
-	// already applied) so probes observe the counters the fetch/switch
-	// loop would show.
-	var n, stall, flushed uint64
-	ll := c.lastLoad
-	sampling := c.Sampling()
-	for n < allow {
-		in := &code[idx]
-		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
-			// An in-body branch with a nop in its slot — usually the one
-			// that closed the run the previous trip executed — and the
-			// budget admits both: resolved here, with no handler call, and
-			// the trip goes on at its successor.  It pays its bubble as on
-			// the path below; taken, it retires its slot too, not taken,
-			// the slot is its successor.  Neither loads, so no bubble waits
-			// at the successor.
-			if ll > 0 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
+// port is what MIPS gives exec's run loop: one delay slot, an interlock
+// that never charges $zero, and its switches and handlers.
+var port = exec.Port[*CPU]{
+	Name: "mips", Slots: 1, Never: 0,
+	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Handlers: []exec.Handler[*CPU]{
+		mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+			return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+		},
+		mJalr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+			// Link before reading rs, as the oracle does (rd == rs uses the
+			// freshly written link value).
+			c.twr(in.C, uint32(in.PC+8))
+			return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+		},
+		mBal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			// The oracle writes the link register before evaluating the
+			// condition, taken or not; the condition is bgez's.
+			c.twr(rRA, uint32(in.PC+8))
+			taken := c.trs(in.A) >= 0
+			c.Edge(in.PC, taken)
+			if !taken {
+				return exec.NoBranch, nil
 			}
-			ll = -1
-			if n++; c.branch(in) {
-				n++
-				idx = int(in.Target)
-			} else {
-				idx++
-			}
-			if n == allow {
-				break
-			}
-			in = &code[idx]
-		}
-		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
-			// A straight-line run, nobody sampling: plain executes as much
-			// of it as the budget admits.  (One instruction alone costs
-			// less on the path below, which need not ask how far plain
-			// got.)  Its first instruction may have been reached by a
-			// branch, so ll decides its bubble; each of the others
-			// follows its array predecessor and carries its bubble as a
-			// bit, which plain sums (the first one's bit comes off
-			// again).
-			if ll > 0 && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
-			}
-			done, bubbles, err := c.plain(code[idx : idx+int(run)])
-			stall += bubbles - uint64(in.Stall)
-			if done > 0 {
-				ll = int(int8(code[idx+done-1].LoadReg))
-			}
-			idx += done
-			n += uint64(done)
-			if err != nil {
-				// code[idx] faulted: it retires and has paid its bubble,
-				// but does not become the interlock producer.
-				n++
-				c.flushBody(code[idx].PC, n-flushed, stall, ll)
-				return n, err
-			}
-			if idx == len(code) {
-				c.flushBody(b.End(), n-flushed, stall, ll)
-				return n, nil
-			}
-			continue
-		}
-		// One combined predicate guards both rare per-instruction
-		// concerns (PC sampling, a pending load-use interlock), so the
-		// common iteration pays a single not-taken branch.
-		if sampling || ll > 0 {
-			if sampling {
-				if c.SampleDue() {
-					c.flushBody(in.PC, n+1-flushed, stall, ll)
-					flushed, stall = n+1, 0
-					c.Sample(in.PC)
-				}
-			}
-			if ll > 0 {
-				if in.SrcA == uint8(ll) || in.SrcB == uint8(ll) {
-					stall++
-				}
-			}
-		}
-		br, err := exec.NoBranch, error(nil)
-		if in.Run != 0 {
-			_, _, err = c.plain(code[idx : idx+1])
-		} else {
-			br, err = mipsHandlers[in.Op](c, b, in)
-		}
-		n++
-		if err != nil {
-			c.flushBody(in.PC, n-flushed, stall, ll)
-			return n, err
-		}
-		ll = int(int8(in.LoadReg))
-		if br == exec.NoBranch {
-			idx++
-			if idx == len(code) {
-				c.flushBody(in.PC+4, n-flushed, stall, ll)
-				return n, nil
-			}
-			continue
-		}
-
-		// Taken transfer: the next word is the delay slot and the
-		// transfer lands after it.
-		var pendAddr uint64
-		if br == exec.External {
-			pendAddr = c.extPC
-		} else {
-			pendAddr = b.Base + 4*uint64(br)
-		}
-		dIdx := idx + 1
-		if dIdx == len(code) || n >= allow {
-			// Delay slot beyond this body or beyond budget: hand the
-			// pending transfer back in architectural form so the
-			// generic engine (or the next RunBody) resumes correctly.
-			c.inDelay = true
-			c.delayTarget = pendAddr
-			c.flushBody(in.PC+4, n-flushed, stall, ll)
-			return n, nil
-		}
-		din := &code[dIdx]
-		if sampling || ll > 0 {
-			if sampling {
-				if c.SampleDue() {
-					c.flushBody(din.PC, n+1-flushed, stall, ll)
-					flushed, stall = n+1, 0
-					c.Sample(din.PC)
-				}
-			}
-			if ll > 0 {
-				if din.SrcA == uint8(ll) || din.SrcB == uint8(ll) {
-					stall++
-				}
-			}
-		}
-		dbr, derr := exec.NoBranch, error(nil)
-		switch {
-		case din.Flags&exec.FNop != 0:
-			// What most slots hold: it retires, and that is all it does.
-		case din.Run != 0:
-			_, _, derr = c.plain(code[dIdx : dIdx+1])
-		default:
-			dbr, derr = mipsHandlers[din.Op](c, b, din)
-		}
-		n++
-		if derr != nil {
-			c.inDelay = true
-			c.delayTarget = pendAddr
-			c.flushBody(din.PC, n-flushed, stall, ll)
-			return n, derr
-		}
-		ll = int(int8(din.LoadReg))
-		if dbr != exec.NoBranch {
-			// Branch in a delay slot: the oracle resolves the pending
-			// transfer first, then reports the bug at the landing pc.
-			c.flushBody(pendAddr, n-flushed, stall, ll)
-			return n, fmt.Errorf("mips: branch in delay slot at %#x", c.pc)
-		}
-		if br == exec.External {
-			c.flushBody(pendAddr, n-flushed, stall, ll)
-			return n, nil
-		}
-		idx = int(br)
-	}
-	c.flushBody(code[idx].PC, n-flushed, stall, ll)
-	return n, nil
+			return in.Jump(&c.ExtPC), nil
+		},
+		mJal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			c.twr(rRA, uint32(in.PC+8))
+			return in.Jump(&c.ExtPC), nil
+		},
+		mBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			return 0, badWord(uint32(in.Imm), in.PC)
+		},
+	},
 }
 
-// flushBody brings the simulator's own state up to date at pc, where the
-// dispatch loop is leaving or a probe is about to look: pend retired
-// instructions not yet counted, their base cycles plus stall interlock
-// bubbles, and the interlock producer register.
-func (c *CPU) flushBody(pc, pend, stall uint64, ll int) {
-	c.pc = pc
-	c.insns += pend
-	c.baseCycles += pend + stall
-	c.lastLoad = ll
-}
-
-// thandler executes one transfer (or refuses one undecodable word).  It
-// returns NoBranch for fall-through, an in-body index for a resolved
-// taken transfer, or External after depositing the destination in
-// c.extPC.
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-// tbranch is the handler of every pc-relative branch row: a branch
-// RunBody did not fold.
-func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-	if !c.branch(in) {
-		return exec.NoBranch, nil
-	}
-	return in.Jump(&c.extPC), nil
-}
-
-var mipsHandlers = [mNumHandlers]thandler{
-	mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
-	},
-	mJalr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-		// Link before reading rs, as the oracle does (rd == rs uses the
-		// freshly written link value).
-		c.twr(in.C, uint32(in.PC+8))
-		return b.Indirect(uint64(c.tru(in.A)), &c.extPC), nil
-	},
-	mBltz: tbranch,
-	mBgez: tbranch,
-	mBal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		// The oracle writes the link register before evaluating the
-		// condition, taken or not; the condition is bgez's.
-		c.twr(rRA, uint32(in.PC+8))
-		taken := c.trs(in.A) >= 0
-		c.Edge(in.PC, taken)
-		if !taken {
-			return exec.NoBranch, nil
-		}
-		return in.Jump(&c.extPC), nil
-	},
-	mJ: tbranch,
-	mJal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(rRA, uint32(in.PC+8))
-		return in.Jump(&c.extPC), nil
-	},
-	mBeq:  tbranch,
-	mBne:  tbranch,
-	mBlez: tbranch,
-	mBgtz: tbranch,
-	mBc1:  tbranch,
-	mBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, badWord(uint32(in.Imm), in.PC)
-	},
+// Run executes b from index idx through the run loop every port shares.
+func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
+	return port.Run(c, &c.State, b, idx, allow)
 }
 
 // badWord is what the oracle says of a word with no row, decode group by
@@ -518,11 +309,11 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 		case mMult:
 			p := int64(c.trs(in.A)) * int64(c.trs(in.B))
 			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case mMultu:
 			p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
 			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case mDiv:
 			d := c.trs(in.B)
 			if d == 0 {
@@ -532,7 +323,7 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			} else {
 				c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
 			}
-			c.baseCycles += 34
+			c.BaseCycles += 34
 		case mDivu:
 			d := c.tru(in.B)
 			if d == 0 {
@@ -540,7 +331,7 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			} else {
 				c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
 			}
-			c.baseCycles += 34
+			c.BaseCycles += 34
 		case mAddu:
 			c.twr(in.C, c.tru(in.A)+c.tru(in.B))
 		case mSubu:
@@ -572,34 +363,34 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 		case mLui:
 			c.twr(in.B, uint32(in.Imm)<<16)
 		case mLb:
-			v, err := c.m.Load(c.taddr(in), 1)
+			v, err := c.Mem.Load(c.taddr(in), 1)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.twr(in.B, uint32(int32(int8(v))))
 		case mLbu:
-			v, err := c.m.Load(c.taddr(in), 1)
+			v, err := c.Mem.Load(c.taddr(in), 1)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.twr(in.B, uint32(uint8(v)))
 		case mLh:
-			v, err := c.m.Load(c.taddr(in), 2)
+			v, err := c.Mem.Load(c.taddr(in), 2)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.twr(in.B, uint32(int32(int16(v))))
 		case mLhu:
-			v, err := c.m.Load(c.taddr(in), 2)
+			v, err := c.Mem.Load(c.taddr(in), 2)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.twr(in.B, uint32(uint16(v)))
 		case mLw:
 			a := c.taddr(in)
-			v, ok := c.m.Load4(a)
+			v, ok := c.Mem.Load4(a)
 			if !ok {
-				w, err := c.m.Load(a, 4)
+				w, err := c.Mem.Load(a, 4)
 				if err != nil {
 					return i, bubbles, memErr("load", in, err)
 				}
@@ -607,37 +398,37 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			}
 			c.twr(in.B, v)
 		case mLwc1:
-			v, err := c.m.Load(c.taddr(in), 4)
+			v, err := c.Mem.Load(c.taddr(in), 4)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.f[in.B] = uint64(uint32(v))
 		case mLdc1:
-			v, err := c.m.Load(c.taddr(in), 8)
+			v, err := c.Mem.Load(c.taddr(in), 8)
 			if err != nil {
 				return i, bubbles, memErr("load", in, err)
 			}
 			c.f[in.B] = v
 		case mSb:
-			if err := c.m.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case mSh:
-			if err := c.m.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case mSw:
-			if a, v := c.taddr(in), c.tru(in.B); !c.m.Store4(a, v) {
-				if err := c.m.Store(a, 4, uint64(v)); err != nil {
+			if a, v := c.taddr(in), c.tru(in.B); !c.Mem.Store4(a, v) {
+				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
 					return i, bubbles, memErr("store", in, err)
 				}
 			}
 		case mSwc1:
-			if err := c.m.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case mSdc1:
-			if err := c.m.Store(c.taddr(in), 8, c.f[in.B]); err != nil {
+			if err := c.Mem.Store(c.taddr(in), 8, c.f[in.B]); err != nil {
 				return i, bubbles, memErr("store", in, err)
 			}
 		case mMfc1:
@@ -646,19 +437,19 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.f[in.A] = uint64(c.tru(in.B))
 		case mFAddS:
 			c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case mFSubS:
 			c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case mFMulS:
 			c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
-			c.baseCycles += 3
+			c.BaseCycles += 3
 		case mFDivS:
 			c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
-			c.baseCycles += 11
+			c.BaseCycles += 11
 		case mFSqrtS:
 			c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case mFAbsS:
 			c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
 		case mFMovS:
@@ -677,19 +468,19 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 			c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
 		case mFAddD:
 			c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case mFSubD:
 			c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case mFMulD:
 			c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case mFDivD:
 			c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
-			c.baseCycles += 18
+			c.BaseCycles += 18
 		case mFSqrtD:
 			c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case mFAbsD:
 			c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
 		case mFMovD:

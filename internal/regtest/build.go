@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/verify"
+	"repro/internal/exec"
 )
 
 // CheckRows holds an encoder to its target's instruction table: it
@@ -13,7 +13,7 @@ import (
 // would refuse to run.
 func CheckRows(bk core.Backend, fn *core.Func) error {
 	for i := fn.Entry; i < fn.PoolStart; i++ {
-		if w := fn.Words[i]; bk.Classify(w, uint64(4*i)).Kind == verify.KindIllegal {
+		if w := fn.Words[i]; bk.Classify(w, uint64(4*i)).Kind == exec.KindIllegal {
 			return fmt.Errorf("%s/%s: word %d (%#08x) has no row in the instruction table", bk.Name(), fn.Name, i, w)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/verify"
 )
@@ -57,7 +58,7 @@ func TestVerifierRejectsCorruptedBranch(t *testing.T) {
 			branch := -1
 			for i, w := range fn.Words {
 				in := tg.Backend.Classify(w, uint64(4*i))
-				if in.Kind == verify.KindBranch && in.HasTarget {
+				if in.Kind == exec.KindBranch && in.HasTarget {
 					branch = i
 					break
 				}

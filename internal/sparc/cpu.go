@@ -21,30 +21,11 @@ type CPU struct {
 	n, z, v, c bool
 	fcc        uint8 // 0 =, 1 <, 2 >, 3 unordered
 
-	pc          uint64
-	inDelay     bool
-	delayTarget uint64
-
-	// extPC holds the destination of a control transfer that leaves the
-	// current predecoded body (threaded engine only; see threaded.go).
-	extPC uint64
-
-	m          *mem.Memory
-	baseCycles uint64
-	insns      uint64
-	lastLoad   int
-
-	exec.Probes // the PC sampler and the branch edge probe
+	exec.State // pc, delay slot, memory, counters, probes
 }
 
 // NewCPU returns a simulator bound to m.
-func NewCPU(m *mem.Memory) *CPU { return &CPU{m: m, lastLoad: -1} }
-
-// PC returns the program counter.
-func (c *CPU) PC() uint64 { return c.pc }
-
-// SetPC jumps the simulator.
-func (c *CPU) SetPC(pc uint64) { c.pc = pc; c.inDelay = false }
+func NewCPU(m *mem.Memory) *CPU { return &CPU{State: exec.NewState(m)} }
 
 // Reg reads an integer register.
 func (c *CPU) Reg(r core.Reg) uint64 { return c.r[r.Num()&31] }
@@ -76,15 +57,6 @@ func (c *CPU) SetFReg(r core.Reg, v uint64, double bool) {
 	}
 	c.f[n] = uint32(v)
 }
-
-// Cycles returns cycles including memory stalls.
-func (c *CPU) Cycles() uint64 { return c.baseCycles + c.m.PenaltyCycles() }
-
-// Insns returns retired instructions.
-func (c *CPU) Insns() uint64 { return c.insns }
-
-// ResetStats zeroes counters.
-func (c *CPU) ResetStats() { c.baseCycles, c.insns = 0, 0; c.m.ResetStats() }
 
 func (c *CPU) ru(n uint32) uint32 { return uint32(c.r[n]) }
 
@@ -162,14 +134,14 @@ func (c *CPU) takenF(cond uint32) bool {
 
 // Step executes one instruction.
 func (c *CPU) Step() error {
-	w, err := c.m.FetchWord(c.pc)
+	w, err := c.Mem.FetchWord(c.Pc)
 	if err != nil {
-		return fmt.Errorf("sparc: fetch at %#x: %w", c.pc, err)
+		return fmt.Errorf("sparc: fetch at %#x: %w", c.Pc, err)
 	}
-	c.insns++
-	c.baseCycles++
+	c.Retired++
+	c.BaseCycles++
 	if c.Sampling() && c.SampleDue() {
-		c.Sample(c.pc)
+		c.Sample(c.Pc)
 	}
 
 	var target uint64
@@ -192,18 +164,18 @@ func (c *CPU) Step() error {
 			} else {
 				taken = c.takenF(cond)
 			}
-			c.Edge(c.pc, taken)
+			c.Edge(c.Pc, taken)
 			if taken {
-				target = uint64(int64(c.pc) + disp*4)
+				target = uint64(int64(c.Pc) + disp*4)
 				hasTarget = true
 			}
 		default:
-			return fmt.Errorf("sparc: unknown op2 %d at %#x", op2, c.pc)
+			return fmt.Errorf("sparc: unknown op2 %d at %#x", op2, c.Pc)
 		}
 	case 1: // call
 		disp := int64(int32(w<<2) >> 2)
-		c.wr(rO7, uint32(c.pc))
-		target = uint64(int64(c.pc) + disp*4)
+		c.wr(rO7, uint32(c.Pc))
+		target = uint64(int64(c.Pc) + disp*4)
 		hasTarget = true
 	case 2:
 		if err := c.arith(w, &target, &hasTarget); err != nil {
@@ -216,18 +188,18 @@ func (c *CPU) Step() error {
 	}
 
 	switch {
-	case c.inDelay:
-		c.pc = c.delayTarget
-		c.inDelay = false
+	case c.InDelay:
+		c.Pc = c.DelayTarget
+		c.InDelay = false
 		if hasTarget {
-			return fmt.Errorf("sparc: branch in delay slot at %#x", c.pc)
+			return fmt.Errorf("sparc: branch in delay slot at %#x", c.Pc)
 		}
 	case hasTarget:
-		c.inDelay = true
-		c.delayTarget = target
-		c.pc += 4
+		c.InDelay = true
+		c.DelayTarget = target
+		c.Pc += 4
 	default:
-		c.pc += 4
+		c.Pc += 4
 	}
 	return nil
 }
@@ -289,12 +261,12 @@ func (c *CPU) arith(w uint32, target *uint64, hasTarget *bool) error {
 		p := uint64(a) * uint64(b)
 		c.y = uint32(p >> 32)
 		c.wr(rd, uint32(p))
-		c.baseCycles += 4
+		c.BaseCycles += 4
 	case op3Smul:
 		p := int64(int32(a)) * int64(int32(b))
 		c.y = uint32(uint64(p) >> 32)
 		c.wr(rd, uint32(p))
-		c.baseCycles += 4
+		c.BaseCycles += 4
 	case op3Udiv:
 		dividend := uint64(c.y)<<32 | uint64(a)
 		if b == 0 {
@@ -306,7 +278,7 @@ func (c *CPU) arith(w uint32, target *uint64, hasTarget *bool) error {
 			}
 			c.wr(rd, uint32(q))
 		}
-		c.baseCycles += 36
+		c.BaseCycles += 36
 	case op3Sdiv:
 		dividend := int64(uint64(c.y)<<32 | uint64(a))
 		if b == 0 {
@@ -321,13 +293,13 @@ func (c *CPU) arith(w uint32, target *uint64, hasTarget *bool) error {
 			}
 			c.wr(rd, uint32(int32(q)))
 		}
-		c.baseCycles += 36
+		c.BaseCycles += 36
 	case op3RdY:
 		c.wr(rd, c.y)
 	case op3WrY:
 		c.y = a ^ b
 	case op3Jmpl:
-		c.wr(rd, uint32(c.pc))
+		c.wr(rd, uint32(c.Pc))
 		*target = uint64(a + b)
 		*hasTarget = true
 	case op3FPop1:
@@ -335,7 +307,7 @@ func (c *CPU) arith(w uint32, target *uint64, hasTarget *bool) error {
 	case op3FPop2:
 		return c.fpop2(w)
 	default:
-		return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, c.pc)
+		return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, c.Pc)
 	}
 	return nil
 }
@@ -354,34 +326,34 @@ func (c *CPU) fpop1(w uint32) error {
 		c.f[rd] = c.f[rs2] &^ 0x80000000
 	case opfFsqrts:
 		c.wfsingle(rd, float32(math.Sqrt(float64(c.fsingle(rs2)))))
-		c.baseCycles += 29
+		c.BaseCycles += 29
 	case opfFsqrtd:
 		c.wfdouble(rd, math.Sqrt(c.fdouble(rs2)))
-		c.baseCycles += 29
+		c.BaseCycles += 29
 	case opfFadds:
 		c.wfsingle(rd, c.fsingle(rs1)+c.fsingle(rs2))
-		c.baseCycles++
+		c.BaseCycles++
 	case opfFaddd:
 		c.wfdouble(rd, c.fdouble(rs1)+c.fdouble(rs2))
-		c.baseCycles++
+		c.BaseCycles++
 	case opfFsubs:
 		c.wfsingle(rd, c.fsingle(rs1)-c.fsingle(rs2))
-		c.baseCycles++
+		c.BaseCycles++
 	case opfFsubd:
 		c.wfdouble(rd, c.fdouble(rs1)-c.fdouble(rs2))
-		c.baseCycles++
+		c.BaseCycles++
 	case opfFmuls:
 		c.wfsingle(rd, c.fsingle(rs1)*c.fsingle(rs2))
-		c.baseCycles += 3
+		c.BaseCycles += 3
 	case opfFmuld:
 		c.wfdouble(rd, c.fdouble(rs1)*c.fdouble(rs2))
-		c.baseCycles += 4
+		c.BaseCycles += 4
 	case opfFdivs:
 		c.wfsingle(rd, c.fsingle(rs1)/c.fsingle(rs2))
-		c.baseCycles += 12
+		c.BaseCycles += 12
 	case opfFdivd:
 		c.wfdouble(rd, c.fdouble(rs1)/c.fdouble(rs2))
-		c.baseCycles += 18
+		c.BaseCycles += 18
 	case opfFitos:
 		c.wfsingle(rd, float32(int32(c.f[rs2])))
 	case opfFitod:
@@ -395,7 +367,7 @@ func (c *CPU) fpop1(w uint32) error {
 	case opfFdtos:
 		c.wfsingle(rd, float32(c.fdouble(rs2)))
 	default:
-		return fmt.Errorf("sparc: unknown FPop1 opf %#x at %#x", opf, c.pc)
+		return fmt.Errorf("sparc: unknown FPop1 opf %#x at %#x", opf, c.Pc)
 	}
 	return nil
 }
@@ -411,7 +383,7 @@ func (c *CPU) fpop2(w uint32) error {
 	case opfFcmpd:
 		a, b = c.fdouble(rs1), c.fdouble(rs2)
 	default:
-		return fmt.Errorf("sparc: unknown FPop2 opf %#x at %#x", opf, c.pc)
+		return fmt.Errorf("sparc: unknown FPop2 opf %#x at %#x", opf, c.Pc)
 	}
 	switch {
 	case a != a || b != b:
@@ -435,9 +407,9 @@ func (c *CPU) memOp(w uint32) error {
 	switch op3 {
 	case op3Ld, op3Ldub, op3Lduh, op3Ldsb, op3Ldsh:
 		size := map[uint32]int{op3Ld: 4, op3Ldub: 1, op3Lduh: 2, op3Ldsb: 1, op3Ldsh: 2}[op3]
-		v, err := c.m.Load(addr, size)
+		v, err := c.Mem.Load(addr, size)
 		if err != nil {
-			return fmt.Errorf("sparc: load at pc %#x: %w", c.pc, err)
+			return fmt.Errorf("sparc: load at pc %#x: %w", c.Pc, err)
 		}
 		switch op3 {
 		case op3Ldsb:
@@ -447,34 +419,34 @@ func (c *CPU) memOp(w uint32) error {
 		}
 		c.wr(rd, uint32(v))
 	case op3Ldf:
-		v, err := c.m.Load(addr, 4)
+		v, err := c.Mem.Load(addr, 4)
 		if err != nil {
-			return fmt.Errorf("sparc: ldf at pc %#x: %w", c.pc, err)
+			return fmt.Errorf("sparc: ldf at pc %#x: %w", c.Pc, err)
 		}
 		c.f[rd] = uint32(v)
 	case op3Lddf:
-		v, err := c.m.Load(addr, 8)
+		v, err := c.Mem.Load(addr, 8)
 		if err != nil {
-			return fmt.Errorf("sparc: lddf at pc %#x: %w", c.pc, err)
+			return fmt.Errorf("sparc: lddf at pc %#x: %w", c.Pc, err)
 		}
 		c.f[rd&^1] = uint32(v >> 32)
 		c.f[rd|1] = uint32(v)
 	case op3St, op3Stb, op3Sth:
 		size := map[uint32]int{op3St: 4, op3Stb: 1, op3Sth: 2}[op3]
-		if err := c.m.Store(addr, size, uint64(c.ru(rd))); err != nil {
-			return fmt.Errorf("sparc: store at pc %#x: %w", c.pc, err)
+		if err := c.Mem.Store(addr, size, uint64(c.ru(rd))); err != nil {
+			return fmt.Errorf("sparc: store at pc %#x: %w", c.Pc, err)
 		}
 	case op3Stf:
-		if err := c.m.Store(addr, 4, uint64(c.f[rd])); err != nil {
-			return fmt.Errorf("sparc: stf at pc %#x: %w", c.pc, err)
+		if err := c.Mem.Store(addr, 4, uint64(c.f[rd])); err != nil {
+			return fmt.Errorf("sparc: stf at pc %#x: %w", c.Pc, err)
 		}
 	case op3Stdf:
 		v := uint64(c.f[rd&^1])<<32 | uint64(c.f[rd|1])
-		if err := c.m.Store(addr, 8, v); err != nil {
-			return fmt.Errorf("sparc: stdf at pc %#x: %w", c.pc, err)
+		if err := c.Mem.Store(addr, 8, v); err != nil {
+			return fmt.Errorf("sparc: stdf at pc %#x: %w", c.Pc, err)
 		}
 	default:
-		return fmt.Errorf("sparc: unknown mem op3 %#x at %#x", op3, c.pc)
+		return fmt.Errorf("sparc: unknown mem op3 %#x at %#x", op3, c.Pc)
 	}
 	return nil
 }

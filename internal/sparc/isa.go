@@ -1,9 +1,6 @@
 package sparc
 
-import (
-	"repro/internal/exec"
-	"repro/internal/verify"
-)
+import "repro/internal/exec"
 
 // This file is the SPARC instruction table: the one place a bit pattern
 // is paired with a mnemonic, an operand layout, a control-flow kind and
@@ -61,9 +58,9 @@ var (
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", laySethi, sSethi),
 	exec.Ins("sethi", fmtSethi(0, 0), maskOp2, " h, d", laySethi, sSethi),
-	exec.Ins("b", fmtBicc(0, 0), maskOp2, "c b", layBr, sBicc).As(verify.KindBranch),
-	exec.Ins("fb", fmtFBfcc(0, 0), maskOp2, "k b", layBr, sFBfcc).As(verify.KindBranch),
-	exec.Ins("call", fmtCall(0), maskOp, " C", layCall, sCall).As(verify.KindCall),
+	exec.Ins("b", fmtBicc(0, 0), maskOp2, "c b", layBr, sBicc).As(exec.KindBranch),
+	exec.Ins("fb", fmtFBfcc(0, 0), maskOp2, "k b", layBr, sFBfcc).As(exec.KindBranch),
+	exec.Ins("call", fmtCall(0), maskOp, " C", layCall, sCall).As(exec.KindCall),
 
 	exec.Ins("add", fmt3r(2, 0, op3Add, 0, 0), maskOp3, " 1, 2, d", layArith, sAdd),
 	exec.Ins("and", fmt3r(2, 0, op3And, 0, 0), maskOp3, " 1, 2, d", layArith, sAnd),
@@ -86,8 +83,8 @@ var rows = []exec.Row{
 	exec.Ins("wr", fmt3r(2, 0, op3WrY, 0, 0), maskOp3, " 1, 2, %y", layArith, sWrY),
 	// jmpl that writes no link register is a jump or return; one that
 	// does is an indirect call.
-	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3|fieldRd, " 1+2, d", layArith, sJmpl).As(verify.KindJumpReg),
-	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3, " 1+2, d", layArith, sJmpl).As(verify.KindCall),
+	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3|fieldRd, " 1+2, d", layArith, sJmpl).As(exec.KindJumpReg),
+	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3, " 1+2, d", layArith, sJmpl).As(exec.KindCall),
 
 	exec.Ins("fmovs", fmtFP(op3FPop1, 0, opfFmovs, 0, 0), maskOpf, " B, D", layFP, sFmovs),
 	exec.Ins("fnegs", fmtFP(op3FPop1, 0, opfFnegs, 0, 0), maskOpf, " B, D", layFP, sFnegs),

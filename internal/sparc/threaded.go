@@ -8,17 +8,18 @@ import (
 )
 
 // SPARC port of the predecoded direct-threaded execution engine
-// (internal/exec); see internal/mips/threaded.go for the scheme.  The
+// (internal/exec): Predecode, and what exec's run loop executes the body
+// through (port): plain, branch and the transfer handlers.  The
 // fetch/switch Step in cpu.go stays the verification oracle: registers,
-// memory, icc/fcc/Y state, cycle charges, probes, delay slots, and
-// error strings must match bit for bit (internal/exec/diff enforces it).
-// SPARC models no load-use interlock, so the predecoded interlock
-// metadata stays NoReg and lastLoad is never touched — exactly like the
-// oracle.
+// memory, icc/fcc/Y state, cycle charges, probes, delay slots, and error
+// strings must match bit for bit (internal/exec/diff enforces it).  SPARC
+// models no load-use interlock, so the predecoded interlock metadata stays
+// NoReg — exactly like the oracle.
 
-// Dense opcodes.  Each is described exactly once: a transfer or an
-// undecodable word by the entry of sparcHandlers its number indexes, a
-// plain instruction (a row of kind verify.KindOther) by a case of plain.
+// Dense opcodes.  Each is described exactly once: a pc-relative branch
+// (a row of kind exec.KindBranch) by a case of branch, any other transfer
+// or an undecodable word by the handler its number indexes, a plain
+// instruction (a row of kind exec.KindOther) by a case of plain.
 const (
 	sBicc uint16 = iota
 	sFBfcc
@@ -107,9 +108,8 @@ func (c *CPU) topnd2(in *exec.Instr) uint32 {
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + c.topnd2(in)) }
 
 // branch resolves in, an instruction of a pc-relative branch row
-// (verify.KindBranch): it reports whether in is taken, after the edge probe
-// that fires on every resolution, as in the oracle.  RunBody calls it for a
-// branch it folds, the handler for one it does not.
+// (exec.KindBranch): it reports whether in is taken, after the edge probe
+// that fires on every resolution, as in the oracle.
 func (c *CPU) branch(in *exec.Instr) bool {
 	var taken bool
 	switch in.Op {
@@ -125,10 +125,6 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	}
 	return taken
 }
-
-// PendingDelay reports whether a taken branch is waiting on its delay
-// slot.
-func (c *CPU) PendingDelay() bool { return c.inDelay }
 
 // Predecode unpacks words into a threaded body: each word's row in the
 // instruction table (isa.go) names its opcode, whether it is plain, and
@@ -171,174 +167,35 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rs1, uint8(w&31), rd
 		}
 	}
-	exec.MarkRuns(code, exec.NoReg, 1)
+	exec.MarkRuns(code, port.Never, port.Slots)
 	return body
 }
 
-// RunBody executes predecoded instructions starting at idx until allow
-// retire, control leaves the body, or a fault; same contract as the
-// MIPS engine (see internal/mips/threaded.go RunBody).
-func (c *CPU) RunBody(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	code := b.Code
-	// Retired instructions and base cycles accumulate in n and flush
-	// into c.insns/c.baseCycles at every exit (see the MIPS engine for
-	// the rationale); flushed tracks how much of n is already applied so
-	// the sampler branch can flush through the current instruction
-	// before its probe fires.
-	var n, flushed uint64
-	sampling := c.Sampling()
-	for n < allow {
-		in := &code[idx]
-		if in.Flags&exec.FFold != 0 && allow-n >= 2 && !sampling {
-			// An in-body branch with a nop in its slot, and the budget
-			// admits both: resolved here, with no handler call, and the
-			// trip goes on at its successor (see the MIPS engine).
-			if n++; c.branch(in) {
-				n++
-				idx = int(in.Target)
-			} else {
-				idx++
-			}
-			if n == allow {
-				break
-			}
-			in = &code[idx]
-		}
-		if run := min(uint64(in.Run), allow-n); run > 1 && !sampling {
-			// A straight-line run, nobody sampling: plain executes as much
-			// of it as the budget admits (one instruction alone costs less
-			// on the path below).
-			done, err := c.plain(code[idx : idx+int(run)])
-			idx += done
-			n += uint64(done)
-			if err != nil {
-				n++ // code[idx] faulted, and retires
-				c.flushBody(code[idx].PC, n-flushed)
-				return n, err
-			}
-			if idx == len(code) {
-				c.flushBody(b.End(), n-flushed)
-				return n, nil
-			}
-			continue
-		}
-		if sampling {
-			if c.SampleDue() {
-				c.flushBody(in.PC, n+1-flushed)
-				flushed = n + 1
-				c.Sample(in.PC)
-			}
-		}
-		br, err := exec.NoBranch, error(nil)
-		if in.Run != 0 {
-			_, err = c.plain(code[idx : idx+1])
-		} else {
-			br, err = sparcHandlers[in.Op](c, b, in)
-		}
-		n++
-		if err != nil {
-			c.flushBody(in.PC, n-flushed)
-			return n, err
-		}
-		if br == exec.NoBranch {
-			idx++
-			if idx == len(code) {
-				c.flushBody(in.PC+4, n-flushed)
-				return n, nil
-			}
-			continue
-		}
-
-		// Taken transfer: delay slot next, transfer after it.
-		var pendAddr uint64
-		if br == exec.External {
-			pendAddr = c.extPC
-		} else {
-			pendAddr = b.Base + 4*uint64(br)
-		}
-		dIdx := idx + 1
-		if dIdx == len(code) || n >= allow {
-			c.inDelay = true
-			c.delayTarget = pendAddr
-			c.flushBody(in.PC+4, n-flushed)
-			return n, nil
-		}
-		din := &code[dIdx]
-		if sampling {
-			if c.SampleDue() {
-				c.flushBody(din.PC, n+1-flushed)
-				flushed = n + 1
-				c.Sample(din.PC)
-			}
-		}
-		dbr, derr := exec.NoBranch, error(nil)
-		switch {
-		case din.Flags&exec.FNop != 0:
-			// What most slots hold: it retires, and that is all it does.
-		case din.Run != 0:
-			_, derr = c.plain(code[dIdx : dIdx+1])
-		default:
-			dbr, derr = sparcHandlers[din.Op](c, b, din)
-		}
-		n++
-		if derr != nil {
-			c.inDelay = true
-			c.delayTarget = pendAddr
-			c.flushBody(din.PC, n-flushed)
-			return n, derr
-		}
-		if dbr != exec.NoBranch {
-			c.flushBody(pendAddr, n-flushed)
-			return n, fmt.Errorf("sparc: branch in delay slot at %#x", c.pc)
-		}
-		if br == exec.External {
-			c.flushBody(pendAddr, n-flushed)
-			return n, nil
-		}
-		idx = int(br)
-	}
-	c.flushBody(code[idx].PC, n-flushed)
-	return n, nil
+// port is what SPARC gives exec's run loop: one delay slot, no load-use
+// interlock, and its switches and handlers.
+var port = exec.Port[*CPU]{
+	Name: "sparc", Slots: 1, Never: exec.NoReg,
+	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Handlers: []exec.Handler[*CPU]{
+		sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			c.twr(rO7, uint32(in.PC))
+			return in.Jump(&c.ExtPC), nil
+		},
+		sJmpl: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
+			// Read the sources before the link write, as the oracle does.
+			t := c.taddr(in)
+			c.twr(in.C, uint32(in.PC))
+			return b.Indirect(t, &c.ExtPC), nil
+		},
+		sBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
+			return 0, badWord(uint32(in.Imm), in.PC)
+		},
+	},
 }
 
-// flushBody brings the simulator's own state up to date at pc, where the
-// dispatch loop is leaving or a probe is about to look: pend retired
-// instructions not yet counted, and their base cycles.
-func (c *CPU) flushBody(pc, pend uint64) {
-	c.pc = pc
-	c.insns += pend
-	c.baseCycles += pend
-}
-
-// thandler executes one transfer (or refuses one undecodable word); see
-// the MIPS engine for what it returns.
-type thandler func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error)
-
-// tbranch is the handler of every pc-relative branch row: a branch
-// RunBody did not fold.
-func tbranch(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-	if !c.branch(in) {
-		return exec.NoBranch, nil
-	}
-	return in.Jump(&c.extPC), nil
-}
-
-var sparcHandlers = [sNumHandlers]thandler{
-	sBicc:  tbranch,
-	sFBfcc: tbranch,
-	sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		c.twr(rO7, uint32(in.PC))
-		return in.Jump(&c.extPC), nil
-	},
-	sJmpl: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-		// Read the sources before the link write, as the oracle does.
-		t := c.taddr(in)
-		c.twr(in.C, uint32(in.PC))
-		return b.Indirect(t, &c.extPC), nil
-	},
-	sBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-		return 0, badWord(uint32(in.Imm), in.PC)
-	},
+// Run executes b from index idx through the run loop every port shares.
+func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
+	return port.Run(c, &c.State, b, idx, allow)
 }
 
 // badWord is what the oracle says of a word with no row, decode group by
@@ -359,9 +216,10 @@ func badWord(w uint32, pc uint64) error {
 }
 
 // plain executes code, which holds only plain instructions, in order.  It
-// returns how many completed and the fault of the one that did not, if
-// any.
-func (c *CPU) plain(code []exec.Instr) (done int, err error) {
+// returns how many completed, no bubbles (no instruction has a Stall bit
+// without an interlock), and the fault of the one that did not complete,
+// if any.
+func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 	for i := range code {
 		in := &code[i]
 		switch in.Op {
@@ -411,12 +269,12 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 			p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
 			c.y = uint32(p >> 32)
 			c.twr(in.C, uint32(p))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case sSmul:
 			p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
 			c.y = uint32(uint64(p) >> 32)
 			c.twr(in.C, uint32(p))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case sUdiv:
 			b := c.topnd2(in)
 			dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
@@ -429,7 +287,7 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 				}
 				c.twr(in.C, uint32(q))
 			}
-			c.baseCycles += 36
+			c.BaseCycles += 36
 		case sSdiv:
 			b := c.topnd2(in)
 			dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
@@ -445,7 +303,7 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 				}
 				c.twr(in.C, uint32(int32(q)))
 			}
-			c.baseCycles += 36
+			c.BaseCycles += 36
 		case sRdY:
 			c.twr(in.C, c.y)
 		case sWrY:
@@ -458,34 +316,34 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 			c.f[in.C] = c.f[in.B] &^ 0x80000000
 		case sFsqrts:
 			c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case sFsqrtd:
 			c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
-			c.baseCycles += 29
+			c.BaseCycles += 29
 		case sFadds:
 			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case sFaddd:
 			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case sFsubs:
 			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case sFsubd:
 			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
-			c.baseCycles++
+			c.BaseCycles++
 		case sFmuls:
 			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
-			c.baseCycles += 3
+			c.BaseCycles += 3
 		case sFmuld:
 			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
-			c.baseCycles += 4
+			c.BaseCycles += 4
 		case sFdivs:
 			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
-			c.baseCycles += 12
+			c.BaseCycles += 12
 		case sFdivd:
 			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
-			c.baseCycles += 18
+			c.BaseCycles += 18
 		case sFitos:
 			c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
 		case sFitod:
@@ -504,79 +362,79 @@ func (c *CPU) plain(code []exec.Instr) (done int, err error) {
 			c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
 		case sLd:
 			a := c.taddr(in)
-			v, ok := c.m.Load4(a)
+			v, ok := c.Mem.Load4(a)
 			if !ok {
-				w, err := c.m.Load(a, 4)
+				w, err := c.Mem.Load(a, 4)
 				if err != nil {
-					return i, memErr("load", in, err)
+					return i, 0, memErr("load", in, err)
 				}
 				v = uint32(w)
 			}
 			c.twr(in.C, v)
 		case sLdub:
-			v, err := c.m.Load(c.taddr(in), 1)
+			v, err := c.Mem.Load(c.taddr(in), 1)
 			if err != nil {
-				return i, memErr("load", in, err)
+				return i, 0, memErr("load", in, err)
 			}
 			c.twr(in.C, uint32(v))
 		case sLduh:
-			v, err := c.m.Load(c.taddr(in), 2)
+			v, err := c.Mem.Load(c.taddr(in), 2)
 			if err != nil {
-				return i, memErr("load", in, err)
+				return i, 0, memErr("load", in, err)
 			}
 			c.twr(in.C, uint32(v))
 		case sLdsb:
-			v, err := c.m.Load(c.taddr(in), 1)
+			v, err := c.Mem.Load(c.taddr(in), 1)
 			if err != nil {
-				return i, memErr("load", in, err)
+				return i, 0, memErr("load", in, err)
 			}
 			c.twr(in.C, uint32(int32(int8(v))))
 		case sLdsh:
-			v, err := c.m.Load(c.taddr(in), 2)
+			v, err := c.Mem.Load(c.taddr(in), 2)
 			if err != nil {
-				return i, memErr("load", in, err)
+				return i, 0, memErr("load", in, err)
 			}
 			c.twr(in.C, uint32(int32(int16(v))))
 		case sLdf:
-			v, err := c.m.Load(c.taddr(in), 4)
+			v, err := c.Mem.Load(c.taddr(in), 4)
 			if err != nil {
-				return i, memErr("ldf", in, err)
+				return i, 0, memErr("ldf", in, err)
 			}
 			c.f[in.C] = uint32(v)
 		case sLddf:
-			v, err := c.m.Load(c.taddr(in), 8)
+			v, err := c.Mem.Load(c.taddr(in), 8)
 			if err != nil {
-				return i, memErr("lddf", in, err)
+				return i, 0, memErr("lddf", in, err)
 			}
 			c.f[in.C&^1] = uint32(v >> 32)
 			c.f[in.C|1] = uint32(v)
 		case sSt:
-			if a, v := c.taddr(in), c.tru(in.C); !c.m.Store4(a, v) {
-				if err := c.m.Store(a, 4, uint64(v)); err != nil {
-					return i, memErr("store", in, err)
+			if a, v := c.taddr(in), c.tru(in.C); !c.Mem.Store4(a, v) {
+				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
+					return i, 0, memErr("store", in, err)
 				}
 			}
 		case sStb:
-			if err := c.m.Store(c.taddr(in), 1, uint64(c.tru(in.C))); err != nil {
-				return i, memErr("store", in, err)
+			if err := c.Mem.Store(c.taddr(in), 1, uint64(c.tru(in.C))); err != nil {
+				return i, 0, memErr("store", in, err)
 			}
 		case sSth:
-			if err := c.m.Store(c.taddr(in), 2, uint64(c.tru(in.C))); err != nil {
-				return i, memErr("store", in, err)
+			if err := c.Mem.Store(c.taddr(in), 2, uint64(c.tru(in.C))); err != nil {
+				return i, 0, memErr("store", in, err)
 			}
 		case sStf:
-			if err := c.m.Store(c.taddr(in), 4, uint64(c.f[in.C])); err != nil {
-				return i, memErr("stf", in, err)
+			if err := c.Mem.Store(c.taddr(in), 4, uint64(c.f[in.C])); err != nil {
+				return i, 0, memErr("stf", in, err)
 			}
 		case sStdf:
-			if err := c.m.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])); err != nil {
-				return i, memErr("stdf", in, err)
+			if err := c.Mem.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])); err != nil {
+				return i, 0, memErr("stdf", in, err)
 			}
 		default:
 			panic(fmt.Sprintf("sparc: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
 		}
 	}
-	return len(code), nil
+	return len(code), 0, nil
 }
 
 // fcmp sets fcc exactly like the oracle's fpop2 tail.

@@ -15,72 +15,24 @@
 //   - on delayed-branch targets, no control transfer sits in a delay slot;
 //   - constant-pool references stay inside the function's pool.
 //
-// The package depends on nothing else in the repo: targets describe their
-// control flow through the small Decoder interface, and the machine layer
-// supplies addresses and symbol knowledge through Code and Options.
+// Targets describe their control flow through the small Decoder
+// interface, in the terms of internal/exec's instruction table (exec.Kind,
+// exec.Insn), and the machine layer supplies addresses and symbol
+// knowledge through Code and Options.
 package verify
 
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/exec"
 )
-
-// Kind classifies one instruction word's control-flow behaviour.
-type Kind int
-
-const (
-	// KindOther is a non-control-transfer instruction (ALU, load, store,
-	// ...).
-	KindOther Kind = iota
-	// KindBranch is a pc-relative (or region-absolute) jump or
-	// conditional branch whose target must stay inside the function.
-	KindBranch
-	// KindCall is a call: the target (when statically known) may be
-	// inside the function or an external address the machine resolves.
-	KindCall
-	// KindJumpReg is a register-indirect jump, call or return; its
-	// target cannot be checked statically.
-	KindJumpReg
-	// KindIllegal is a word that is not an instruction of the target:
-	// the simulator would reject it with a decode fault.  Classify must
-	// return it for exactly those words — it is the one legality check.
-	KindIllegal
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindOther:
-		return "other"
-	case KindBranch:
-		return "branch"
-	case KindCall:
-		return "call"
-	case KindJumpReg:
-		return "jump-reg"
-	case KindIllegal:
-		return "illegal"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// IsControl reports whether the kind transfers control (and therefore owns
-// a delay slot on delayed-branch targets).
-func (k Kind) IsControl() bool {
-	return k == KindBranch || k == KindCall || k == KindJumpReg
-}
-
-// Insn is the classification of one instruction word.
-type Insn struct {
-	Kind      Kind
-	Target    uint64 // absolute target address; meaningful iff HasTarget
-	HasTarget bool
-}
 
 // Decoder is the slice of a backend the verifier needs.  Backends satisfy
 // it directly.
 type Decoder interface {
 	// Classify decodes the control-flow behaviour of w at address pc.
-	Classify(w uint32, pc uint64) Insn
+	Classify(w uint32, pc uint64) exec.Insn
 	// Disasm renders w, for error text.
 	Disasm(w uint32, pc uint64) string
 	// BranchDelaySlots returns the architectural delay-slot count (0/1).
@@ -163,7 +115,7 @@ func Verify(d Decoder, c *Code, opt Options) error {
 		w := c.Words[i]
 		pc := c.Base + 4*uint64(i)
 		ins := d.Classify(w, pc)
-		if ins.Kind == KindIllegal {
+		if ins.Kind == exec.KindIllegal {
 			return fail(i, pc, w, ErrIllegalInsn)
 		}
 		if delay > 0 && prevControl && ins.Kind.IsControl() {
@@ -173,11 +125,11 @@ func Verify(d Decoder, c *Code, opt Options) error {
 
 		if ins.HasTarget {
 			switch ins.Kind {
-			case KindBranch:
+			case exec.KindBranch:
 				if ins.Target < codeLo || ins.Target >= codeHi || ins.Target%4 != 0 {
 					return fail(i, pc, w, fmt.Errorf("%w: %#x not in [%#x,%#x)", ErrBranchTarget, ins.Target, codeLo, codeHi))
 				}
-			case KindCall:
+			case exec.KindCall:
 				in := ins.Target >= codeLo && ins.Target < codeHi && ins.Target%4 == 0
 				if !in && (opt.ExternTarget == nil || !opt.ExternTarget(ins.Target)) {
 					return fail(i, pc, w, fmt.Errorf("%w: %#x", ErrCallTarget, ins.Target))

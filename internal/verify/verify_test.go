@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // fakeDecoder interprets a tiny synthetic ISA so every verifier rule can
@@ -31,18 +33,18 @@ func disp(w uint32) int64 {
 	return d
 }
 
-func (f fakeDecoder) Classify(w uint32, pc uint64) Insn {
+func (f fakeDecoder) Classify(w uint32, pc uint64) exec.Insn {
 	switch w & 0xff000000 {
 	case opBranch:
-		return Insn{Kind: KindBranch, Target: uint64(int64(pc) + 4*disp(w)), HasTarget: true}
+		return exec.Insn{Kind: exec.KindBranch, Target: uint64(int64(pc) + 4*disp(w)), HasTarget: true}
 	case opCall:
-		return Insn{Kind: KindCall, Target: uint64(int64(pc) + 4*disp(w)), HasTarget: true}
+		return exec.Insn{Kind: exec.KindCall, Target: uint64(int64(pc) + 4*disp(w)), HasTarget: true}
 	case opJumpReg:
-		return Insn{Kind: KindJumpReg}
+		return exec.Insn{Kind: exec.KindJumpReg}
 	case opIllegal:
-		return Insn{Kind: KindIllegal}
+		return exec.Insn{Kind: exec.KindIllegal}
 	}
-	return Insn{Kind: KindOther}
+	return exec.Insn{Kind: exec.KindOther}
 }
 
 func (f fakeDecoder) Disasm(w uint32, pc uint64) string {

@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
+	"unicode/utf8"
 )
 
 // The documents that describe the tree as it is: README.md, DESIGN.md and
@@ -102,6 +104,37 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s names %s, which package %s does not declare", doc, m[0], m[1])
 				}
 			}
+		}
+	}
+}
+
+// changesEntryRE finds where a CHANGES entry starts, and its PR number.
+var changesEntryRE = regexp.MustCompile(`(?m)^- PR (\d+):`)
+
+// TestChangesEntrySize keeps the record short enough to read: the newest
+// CHANGES entry is at most 12 lines, none over 100 characters.  Entries
+// before PR 37, written before the rule, are exempt.
+func TestChangesEntrySize(t *testing.T) {
+	src, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	locs := changesEntryRE.FindAllStringSubmatchIndex(text, -1)
+	if len(locs) == 0 {
+		t.Fatal("CHANGES.md has no entry")
+	}
+	last := locs[len(locs)-1]
+	if pr, _ := strconv.Atoi(text[last[2]:last[3]]); pr < 37 {
+		return
+	}
+	lines := strings.Split(strings.TrimRight(text[last[0]:], "\n"), "\n")
+	if len(lines) > 12 {
+		t.Errorf("the newest CHANGES entry has %d lines, at most 12 allowed", len(lines))
+	}
+	for i, l := range lines {
+		if n := utf8.RuneCountInString(l); n > 100 {
+			t.Errorf("line %d of the newest CHANGES entry has %d characters, at most 100 allowed", i+1, n)
 		}
 	}
 }

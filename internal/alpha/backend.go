@@ -582,79 +582,22 @@ func pick(cond bool, a, b uint32) uint32 {
 	return b
 }
 
-// Jump emits br zero with an unresolved displacement.
-func (a *Backend) Jump(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(brFmt(opBr, rZero, 0))
-	return site, nil
+// fixed is what core emits for a jump, a call, an address and a frame.  A
+// call materializes its target in pv and jsr's through it.
+var fixed = core.Fixed{
+	Nop:         encNop,
+	Jump:        brFmt(opBr, rZero, 0),
+	CallLabel:   brFmt(opBsr, rRA, 0),
+	Call:        []uint32{memFmt(opLdah, rPV, rZero, 0), memFmt(opLda, rPV, rPV, 0), jmpFmt(rRA, rPV, hintJsr)},
+	Addr:        [2]core.Word{{W: memFmt(opLdah, 0, rZero, 0), Reg: "a"}, {W: memFmt(opLda, 0, 0, 0), Reg: "ab"}},
+	AddrShift:   16,
+	JumpReg:     core.Word{W: jmpFmt(rZero, 0, hintJmp), Reg: "b"},
+	CallReg:     core.Word{W: jmpFmt(rRA, 0, hintJsr), Reg: "b"},
+	FrameAdjust: memFmt(opLda, rSP, rSP, 0),
+	Ret:         jmpFmt(rZero, rRA, hintRet),
 }
 
-// JumpReg emits jmp (r).
-func (a *Backend) JumpReg(b *core.Buf, r core.Reg) error {
-	b.Emit(jmpFmt(rZero, gn(r), hintJmp))
-	return nil
-}
-
-// CallSite materializes the target into pv and jsr's through it; the two
-// address words are the relocation sites.
-func (a *Backend) CallSite(b *core.Buf) ([]int, error) {
-	s0 := b.Len()
-	b.Emit(memFmt(opLdah, rPV, rZero, 0))
-	b.Emit(memFmt(opLda, rPV, rPV, 0))
-	b.Emit(jmpFmt(rRA, rPV, hintJsr))
-	return []int{s0, s0 + 1}, nil
-}
-
-// CallLabel emits bsr.
-func (a *Backend) CallLabel(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(brFmt(opBsr, rRA, 0))
-	return site, nil
-}
-
-// CallReg emits jsr ra, (r).
-func (a *Backend) CallReg(b *core.Buf, r core.Reg) error {
-	b.Emit(jmpFmt(rRA, gn(r), hintJsr))
-	return nil
-}
-
-// PatchCall resolves the ldah/lda pair of a CallSite.
-func (a *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
-	return a.PatchAddr(b, sites, target)
-}
-
-// LoadAddr emits ldah/lda materializing a patched absolute address.
-func (a *Backend) LoadAddr(b *core.Buf, rd core.Reg) ([]int, error) {
-	s0 := b.Len()
-	b.Emit(memFmt(opLdah, gn(rd), rZero, 0))
-	b.Emit(memFmt(opLda, gn(rd), gn(rd), 0))
-	return []int{s0, s0 + 1}, nil
-}
-
-// PatchAddr resolves a LoadAddr pair with the carry-corrected hi/lo split.
-func (a *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
-	if len(sites) != 2 {
-		return fmt.Errorf("alpha: PatchAddr wants 2 sites, got %d", len(sites))
-	}
-	if addr >= 1<<31 {
-		return fmt.Errorf("alpha: address %#x out of ldah/lda range", addr)
-	}
-	hi := (int64(addr) + 0x8000) >> 16
-	lo := int64(addr) - hi<<16
-	b.Set(sites[0], b.At(sites[0])&^uint32(0xffff)|uint32(hi)&0xffff)
-	b.Set(sites[1], b.At(sites[1])&^uint32(0xffff)|uint32(lo)&0xffff)
-	return nil
-}
-
-// Nop emits bis zero, zero, zero.
-func (a *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
-
-// IsNop reports the canonical nop.
-func (a *Backend) IsNop(w uint32) bool { return w == encNop }
-
-// RetEncoding returns ret zero, (ra); FrameAdjust, lda sp, 0(sp).
-func (a *Backend) RetEncoding(conv *core.CallConv) uint32 { return jmpFmt(rZero, rRA, hintRet) }
-func (*Backend) FrameAdjust() uint32                      { return memFmt(opLda, rSP, rSP, 0) }
+func (*Backend) Fixed() *core.Fixed { return &fixed }
 
 // EmulatedOp: the Alpha has no integer divide; division and remainder go
 // through the machine's runtime helpers (§5.2).

@@ -92,6 +92,8 @@ type Asm struct {
 	// tmpl is the backend's single-word encodings (see tmpl.go): where one
 	// covers the instruction the emitter appends the word itself.
 	tmpl *Templates
+	// fx is the backend's fixed-shape words (see fixed.go).
+	fx *fixed
 
 	pool     []poolEntry
 	poolRefs []poolRef
@@ -140,6 +142,7 @@ func NewAsmConv(b Backend, conv *CallConv) *Asm {
 		buf:     NewBuf(256),
 		emul:    &p.emul,
 		tmpl:    &p.tmpl,
+		fx:      &p.fixed,
 	}
 }
 
@@ -250,7 +253,7 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	// tail at End and the entry point set past any unused words.
 	a.prologueCap = a.saveLayout.prologueWords()
 	for i := 0; i < a.prologueCap; i++ {
-		a.backend.Nop(a.buf)
+		a.buf.Emit(a.fx.Nop)
 	}
 
 	// Locate incoming parameters.
@@ -308,6 +311,12 @@ func (a *Asm) needFrame() bool {
 		len(a.frame.SavedGPR) > 0 || len(a.frame.SavedFPR) > 0
 }
 
+// retarget points the transfer at word site to word target, through the
+// target field the port's table declares for it.
+func (a *Asm) retarget(site, target int) bool {
+	return a.fx.isa.Retarget(a.buf.Words(), site, 4*uint64(site), 4*uint64(target))
+}
+
 // End finishes the function (v_end): it writes the real prologue and
 // epilogue, backpatches branches and the jump-to-epilogue returns
 // (rewriting them into direct returns when no epilogue is needed), lays
@@ -340,19 +349,19 @@ func (a *Asm) End() (*Func, error) {
 			return nil, err
 		}
 		for _, rs := range a.retSites {
-			if !isa.Retarget(a.buf.Words(), rs.jmpIdx, epi) {
+			if !a.retarget(rs.jmpIdx, epi) {
 				return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, rs.jmpIdx, epi)
 			}
 		}
 	} else {
-		retWord := a.backend.RetEncoding(a.conv)
+		retWord := a.fx.Ret
 		for _, rs := range a.retSites {
 			// Swap the preceding result move into the jump's position
 			// so it lands in the delay slot of the return (producing
 			// the paper's "j ra; move v0,a0" shape) — but only when
 			// nothing targets the move.
 			if rs.moveIdx >= 0 && rs.jmpIdx == rs.moveIdx+1 &&
-				a.backend.BranchDelaySlots() == 1 && !a.anyTargets(rs.moveIdx, rs.jmpIdx+1) {
+				a.fx.slots == 1 && !a.anyTargets(rs.moveIdx, rs.jmpIdx+1) {
 				mv := a.buf.At(rs.moveIdx)
 				a.buf.Set(rs.moveIdx, retWord)
 				a.buf.Set(rs.jmpIdx, mv)
@@ -375,7 +384,7 @@ func (a *Asm) End() (*Func, error) {
 		if t < 0 {
 			return nil, fmt.Errorf("%w: label L%d", ErrUnboundLabel, f.label)
 		}
-		if !isa.Retarget(a.buf.Words(), f.site, t) {
+		if !a.retarget(f.site, t) {
 			return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, f.site, t)
 		}
 	}
@@ -393,7 +402,7 @@ func (a *Asm) End() (*Func, error) {
 	poolStart := a.buf.Len()
 	if len(a.pool) > 0 {
 		if a.buf.Len()%2 != 0 {
-			a.backend.Nop(a.buf)
+			a.buf.Emit(a.fx.Nop)
 		}
 		poolStart = a.buf.Len()
 		for _, e := range a.pool {
@@ -754,12 +763,7 @@ func (a *Asm) loadPool(t Type, rd Reg, bits uint64, double bool) {
 		entry = len(a.pool) - 1
 	}
 	scratch := a.backend.ScratchReg()
-	sites, err := a.backend.LoadAddr(a.buf, scratch)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	a.poolRefs = append(a.poolRefs, poolRef{sites: sites, entry: entry})
+	a.poolRefs = append(a.poolRefs, poolRef{sites: a.loadAddr(scratch), entry: entry})
 	a.setErr(a.backend.Load(a.buf, t, rd, scratch, 0))
 }
 
@@ -901,11 +905,7 @@ func (a *Asm) Jmp(l Label) {
 		return
 	}
 	a.insnCount++
-	site, err := a.backend.Jump(a.buf)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
+	site := a.transfer(a.fx.Jump)
 	a.refLabel(site, l)
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecJmp, Label: l, Site: site})
@@ -922,7 +922,7 @@ func (a *Asm) JmpReg(r Reg) {
 	}
 	a.recordUnsupported("indirect jump")
 	a.insnCount++
-	a.setErr(a.backend.JumpReg(a.buf, r))
+	a.transfer(a.fx.jumpReg.with(r))
 }
 
 // Nop emits a no-operation.
@@ -934,7 +934,7 @@ func (a *Asm) Nop() {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecNop})
 	}
-	a.backend.Nop(a.buf)
+	a.buf.Emit(a.fx.Nop)
 }
 
 // Ret emits a typed return of rs (v_ret*).  The epilogue jump is elided at
@@ -987,12 +987,7 @@ func (a *Asm) RetVoid() {
 }
 
 func (a *Asm) emitRetJump(moveIdx int) {
-	site, err := a.backend.Jump(a.buf)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	a.retSites = append(a.retSites, retSite{moveIdx: moveIdx, jmpIdx: site})
+	a.retSites = append(a.retSites, retSite{moveIdx: moveIdx, jmpIdx: a.transfer(a.fx.Jump)})
 }
 
 // ---- Conversions ----
@@ -1098,12 +1093,7 @@ func (a *Asm) Jal(l Label) {
 	}
 	a.frame.SaveRA = true
 	a.insnCount++
-	site, err := a.backend.CallLabel(a.buf)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	a.refLabel(site, l)
+	a.refLabel(a.transfer(a.fx.CallLabel), l)
 }
 
 // JalReg emits a call through register r (v_jalp with a register target).
@@ -1121,7 +1111,7 @@ func (a *Asm) JalReg(r Reg) {
 	}
 	a.frame.SaveRA = true
 	a.insnCount++
-	a.setErr(a.backend.CallReg(a.buf, r))
+	a.transfer(a.fx.callReg.with(r))
 }
 
 // StartCall begins construction of a call whose argument signature is sig
@@ -1214,12 +1204,7 @@ func (a *Asm) finishCall() {
 // the target when both are installed.
 func (a *Asm) CallFunc(f *Func) {
 	a.callCommon(func() {
-		sites, err := a.backend.CallSite(a.buf)
-		if err != nil {
-			a.setErr(err)
-			return
-		}
-		a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: sites, Target: f})
+		a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: a.callSite(), Target: f})
 	})
 }
 
@@ -1227,12 +1212,7 @@ func (a *Asm) CallFunc(f *Func) {
 // client-registered entry point).
 func (a *Asm) CallSym(sym string) {
 	a.callCommon(func() {
-		sites, err := a.backend.CallSite(a.buf)
-		if err != nil {
-			a.setErr(err)
-			return
-		}
-		a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: sites, Sym: sym})
+		a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: a.callSite(), Sym: sym})
 	})
 }
 
@@ -1240,7 +1220,7 @@ func (a *Asm) CallSym(sym string) {
 func (a *Asm) CallReg(r Reg) {
 	a.callCommon(func() {
 		if a.checkRegs(TypeP, r) {
-			a.setErr(a.backend.CallReg(a.buf, r))
+			a.transfer(a.fx.callReg.with(r))
 		}
 	})
 }
@@ -1291,12 +1271,7 @@ func (a *Asm) Setfunc(rd Reg, f *Func) {
 	}
 	a.recordUnsupported("function-address materialization")
 	a.insnCount++
-	sites, err := a.backend.LoadAddr(a.buf, rd)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	a.relocs = append(a.relocs, Reloc{Kind: RelocAddr, Sites: sites, Target: f, Addend: relocEntry})
+	a.relocs = append(a.relocs, Reloc{Kind: RelocAddr, Sites: a.loadAddr(rd), Target: f, Addend: relocEntry})
 }
 
 // SetSym materializes the address of a machine symbol into rd (resolved
@@ -1311,12 +1286,7 @@ func (a *Asm) SetSym(rd Reg, sym string) {
 	}
 	a.recordUnsupported("symbol-address materialization")
 	a.insnCount++
-	sites, err := a.backend.LoadAddr(a.buf, rd)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	a.relocs = append(a.relocs, Reloc{Kind: RelocAddr, Sites: sites, Sym: sym})
+	a.relocs = append(a.relocs, Reloc{Kind: RelocAddr, Sites: a.loadAddr(rd), Sym: sym})
 }
 
 // relocEntry is a sentinel Addend meaning "entry address, not base".
@@ -1380,11 +1350,7 @@ func (a *Asm) emulCall(op Op, t Type, rd, rs1, rs2 Reg, imm int64, hasImm bool) 
 	} else if !emit(bk.Load(b, TypeL, a1, sp, 8)) {
 		return
 	}
-	sites, err := bk.CallSite(b)
-	if !emit(err) {
-		return
-	}
-	a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: sites, Sym: sym})
+	a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: a.callSite(), Sym: sym})
 	if rd != v0 && !emit(bk.Unary(b, OpMov, TypeL, rd, v0)) {
 		return
 	}

@@ -76,45 +76,12 @@ type Backend interface {
 	Branch(b *Buf, op Op, t Type, rs1, rs2 Reg) (int, error)
 	// BranchImm is Branch with an immediate second operand.
 	BranchImm(b *Buf, op Op, t Type, rs Reg, imm int64) (int, error)
-	// Jump emits an unconditional jump with an unresolved intra-function
-	// target, returning the patch site.
-	Jump(b *Buf) (int, error)
-	// JumpReg emits a jump through a register.
-	JumpReg(b *Buf, r Reg) error
-	// CallSite emits a call (jump-and-link) whose absolute target is
-	// resolved at install time, returning the word indices the loader
-	// must patch (RelocCall).
-	CallSite(b *Buf) ([]int, error)
-	// CallLabel emits a PC-relative call to an intra-function label,
-	// returning a patch site, which End resolves as it does a Branch.
-	CallLabel(b *Buf) (int, error)
-	// CallReg emits a call through a register.
-	CallReg(b *Buf, r Reg) error
-	// PatchCall resolves a CallSite to an absolute byte address; base is
-	// the address of buffer word 0.
-	PatchCall(b *Buf, sites []int, base, target uint64) error
-	// RetEncoding returns the single-word plain-return instruction: the
-	// epilogue's last transfer, and what jump-to-epilogue sites become
-	// when the finished function turns out to need no frame (paper §5.2).
-	RetEncoding(conv *CallConv) uint32
 
-	// LoadAddr emits code materializing an absolute address into rd,
-	// returning the word indices the loader patches (RelocAddr).
-	LoadAddr(b *Buf, rd Reg) ([]int, error)
-	// PatchAddr resolves a LoadAddr site to the absolute address addr.
-	PatchAddr(b *Buf, sites []int, addr uint64) error
-
-	// Nop emits a no-op.
-	Nop(b *Buf)
-	// IsNop reports whether word w encodes the canonical nop.
-	IsNop(w uint32) bool
-
-	// FrameAdjust returns the word that adds a displacement to the stack
-	// pointer, the displacement zero.  It is all a port states of the §5.2
-	// frame (frame.go): End writes -size into the prologue's copy and
-	// +size into the epilogue's through the number field ISA declares for
-	// it, and a size the field cannot hold is ErrFrameRange.
-	FrameAdjust() uint32
+	// Fixed returns the port's fixed-shape words — nop, jumps, calls,
+	// the address pair, the frame adjust and the return — which the core
+	// emits and relocates itself (fixed.go).  Like the templates it is
+	// read once per Backend type.
+	Fixed() *Fixed
 
 	// EmulatedOp reports the runtime-helper symbol for operations the
 	// target cannot perform inline (e.g. integer division on Alpha).
@@ -131,8 +98,9 @@ type Backend interface {
 	TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (bool, error)
 
 	// ISA returns the port's instruction table, with its one declaration
-	// of where each operand sits: the core reads templates off it, and End
-	// patches branch sites and incoming stack-argument loads through it.
+	// of where each operand sits: the core reads templates off it, End
+	// patches branch sites and incoming stack-argument loads through it,
+	// and the loader relocates calls and addresses through it.
 	ISA() *exec.Table
 
 	// Disasm decodes one instruction word at byte address pc for

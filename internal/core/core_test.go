@@ -103,56 +103,21 @@ func (f *fakeBackend) BranchImm(b *Buf, op Op, t Type, rs Reg, imm int64) (int, 
 	return site, nil
 }
 
-func (f *fakeBackend) Jump(b *Buf) (int, error) {
-	site := b.Len()
-	b.Emit(0x18000000)
-	b.Emit(0)
-	return site, nil
+// fakeFixed is the fake's declared words: a jump and a label call that
+// fakeISA decodes, a one-word call, an address pair of two numbers.
+var fakeFixed = Fixed{
+	Jump:        0x18000000,
+	CallLabel:   0x19100000,
+	Call:        []uint32{0x19000000},
+	Addr:        [2]Word{{W: 0x1a000000}, {W: 0x1a100000}},
+	AddrShift:   16,
+	JumpReg:     Word{W: 0x18100000},
+	CallReg:     Word{W: 0x19200000},
+	FrameAdjust: 0x1c000000,
+	Ret:         0x1b000000,
 }
 
-func (f *fakeBackend) JumpReg(b *Buf, r Reg) error {
-	b.Emit(0x18100000)
-	b.Emit(0)
-	return nil
-}
-
-func (f *fakeBackend) CallSite(b *Buf) ([]int, error) {
-	site := b.Len()
-	b.Emit(0x19000000)
-	b.Emit(0)
-	return []int{site}, nil
-}
-
-func (f *fakeBackend) CallLabel(b *Buf) (int, error) {
-	site := b.Len()
-	b.Emit(0x19100000)
-	b.Emit(0)
-	return site, nil
-}
-
-func (f *fakeBackend) CallReg(b *Buf, r Reg) error {
-	b.Emit(0x19200000)
-	b.Emit(0)
-	return nil
-}
-
-func (f *fakeBackend) PatchCall(b *Buf, sites []int, base, target uint64) error { return nil }
-
-func (f *fakeBackend) LoadAddr(b *Buf, rd Reg) ([]int, error) {
-	s := b.Len()
-	b.Emit(0x1a000000)
-	b.Emit(0x1a100000)
-	return []int{s, s + 1}, nil
-}
-
-func (f *fakeBackend) PatchAddr(b *Buf, sites []int, addr uint64) error { return nil }
-
-func (f *fakeBackend) Nop(b *Buf)          { b.Emit(0) }
-func (f *fakeBackend) IsNop(w uint32) bool { return w == 0 }
-
-func (f *fakeBackend) RetEncoding(conv *CallConv) uint32 { return 0x1b000000 }
-
-func (f *fakeBackend) FrameAdjust() uint32 { return 0x1c000000 }
+func (f *fakeBackend) Fixed() *Fixed { return &fakeFixed }
 
 func (f *fakeBackend) EmulatedOp(op Op, t Type) (string, bool) { return "", false }
 
@@ -162,13 +127,16 @@ func (f *fakeBackend) TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (boo
 
 // fakeISA decodes what End patches: the fake's branch, jump and label-call
 // words (a 16-bit displacement from the delay slot, as on mips), its
-// immediate load and its stack-pointer adjust (a 16-bit number each).
+// immediate load and its stack-pointer adjust (a 16-bit number each); and
+// what the loader would relocate, its address pair.
 var fakeISA = exec.NewTable([]exec.Row{
 	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(exec.KindBranch),
 	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(exec.KindBranch),
 	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
 	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
 	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
+	exec.Ins("hi", 0x1a000000, 0xfff00000, " i", 0, 0),
+	exec.Ins("lo", 0x1a100000, 0xfff00000, " i", 0, 0),
 }, map[byte]exec.Field{
 	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
 	'i': {Width: 16, Signed: true, Fmt: "%d"},

@@ -27,8 +27,8 @@ func (a *Asm) ScheduleDelay(branch, slot func()) {
 		return
 	}
 	slotWords := end - mid
-	if a.backend.BranchDelaySlots() == 1 && slotWords == 1 &&
-		mid-start >= 2 && a.backend.IsNop(a.buf.At(mid-1)) &&
+	if a.fx.slots == 1 && slotWords == 1 &&
+		mid-start >= 2 && a.buf.At(mid-1) == a.fx.Nop &&
 		!a.sitesIn(mid, end) && !a.boundIn(mid, end) {
 		// Drop the slot word into the branch's padding nop.
 		a.buf.Set(mid-1, a.buf.At(mid))
@@ -64,7 +64,7 @@ func (a *Asm) RawLoad(load func(), uses int) {
 	a.recordUnsupported("raw-load scheduling")
 	load()
 	for pad := a.backend.LoadDelay() - uses; pad > 0; pad-- {
-		a.backend.Nop(a.buf)
+		a.buf.Emit(a.fx.Nop)
 	}
 }
 

@@ -19,8 +19,9 @@ func (e *EmulatedOps) Has(op Op, t Type) bool { return e.types[op].has(t) }
 // port is what the core has worked out about one Backend type from the
 // port's own methods, once, for every assembler of that port to share.
 type port struct {
-	emul EmulatedOps
-	tmpl Templates
+	emul  EmulatedOps
+	tmpl  Templates
+	fixed fixed
 }
 
 var ports sync.Map // reflect.Type of a Backend -> *port
@@ -35,6 +36,7 @@ func portOf(b Backend) *port {
 	}
 	p := new(port)
 	p.tmpl.derive(b)
+	p.fixed.derive(b)
 	for op := Op(0); op < numOps; op++ {
 		for t := TypeV; t < numTypes; t++ {
 			if _, ok := b.EmulatedOp(op, t); ok {

@@ -36,6 +36,9 @@ var (
 	// does not fit the target's stack-pointer adjust, or an incoming stack
 	// argument's offset from it does not fit the target's load.
 	ErrFrameRange = errors.New("vcode: frame offset out of range")
+	// ErrRelocRange is reported at install when a call's or an address's
+	// target does not fit the field the port declares for it.
+	ErrRelocRange = errors.New("vcode: relocation out of range")
 	// ErrState is reported when the Asm lifecycle is misused (emitting
 	// before Begin or after End, ending twice, ...).
 	ErrState = errors.New("vcode: assembler used in wrong state")

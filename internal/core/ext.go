@@ -230,7 +230,7 @@ var builtinExts = map[string]*ExtDef{
 		Name: "prefetch", NSrc: 1,
 		Types: []Type{TypeP},
 		Synth: func(a *Asm, t Type, rd Reg, rs []Reg) {
-			a.backend.Nop(a.buf)
+			a.buf.Emit(a.fx.Nop)
 		},
 	},
 }

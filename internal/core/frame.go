@@ -15,8 +15,8 @@ import (
 // prologue region of the worst-case size reserved at Begin and filled at
 // End (the entry point set past its unused words), and one epilogue that
 // every return reaches by a backpatched jump, or, when the finished
-// function needs no frame, direct returns.  A port gives one word, its
-// stack-pointer adjust (Backend.FrameAdjust); the saves and restores are
+// function needs no frame, direct returns.  A port gives two words, its
+// stack-pointer adjust and its return (Fixed); the saves and restores are
 // its own Store and Load, one word each.
 type frame struct {
 	// Leaf records the client's v_lambda leaf declaration.
@@ -112,8 +112,8 @@ func (a *Asm) epilogue() (pop int, err error) {
 	if err := a.saves(a.backend.Load); err != nil {
 		return 0, err
 	}
-	words := [2]uint32{a.backend.FrameAdjust(), a.backend.RetEncoding(a.conv)}
-	slot := a.backend.BranchDelaySlots()
+	words := [2]uint32{a.fx.FrameAdjust, a.fx.Ret}
+	slot := a.fx.slots
 	pop = a.buf.Len() + slot
 	a.buf.Emit(words[slot])
 	a.buf.Emit(words[1-slot])
@@ -125,7 +125,7 @@ func (a *Asm) epilogue() (pop int, err error) {
 // and returns the entry: the push's index.
 func (a *Asm) prologue(pop int) (entry int, err error) {
 	at := a.buf.Len()
-	a.buf.Emit(a.backend.FrameAdjust())
+	a.buf.Emit(a.fx.FrameAdjust)
 	if err := a.saves(a.backend.Store); err != nil {
 		return 0, err
 	}

@@ -128,6 +128,8 @@ type Machine struct {
 	ptrBytes int
 	retOff   uint64
 	haltLink uint64
+	// fx is the backend's fixed-shape words, which Install relocates.
+	fx *fixed
 
 	// MaxSteps bounds a single Call (guards against runaway generated
 	// code in tests).
@@ -205,6 +207,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		conv:     b.DefaultConv(),
 		ptrBytes: b.PtrBytes(),
 		retOff:   uint64(b.RetAddrOffset()),
+		fx:       &portOf(b).fixed,
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
 	if t, ok := cpu.(ThreadedCPU); ok {
@@ -543,7 +546,6 @@ func (m *Machine) install(f *Func) error {
 
 // resolvedReloc is one relocation with its target address pinned.
 type resolvedReloc struct {
-	kind   RelocKind
 	sites  []int
 	target uint64
 }
@@ -588,7 +590,7 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 			}
 			target = a + uint64(r.Addend)
 		}
-		out = append(out, resolvedReloc{kind: r.Kind, sites: r.Sites, target: target})
+		out = append(out, resolvedReloc{sites: r.Sites, target: target})
 	}
 	return out, nil
 }
@@ -597,19 +599,9 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 // runs the pre-install verifier, and writes the finished words into f's
 // place in target byte order.  Caller holds mu.
 func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc) error {
-	if len(resolved) > 0 { // the patch buffer escapes: allocate it only when used
-		buf := &Buf{w: f.Words}
-		for _, r := range resolved {
-			var err error
-			switch r.kind {
-			case RelocCall:
-				err = m.backend.PatchCall(buf, r.sites, f.addr, r.target)
-			case RelocAddr:
-				err = m.backend.PatchAddr(buf, r.sites, r.target)
-			}
-			if err != nil {
-				return fmt.Errorf("machine: relocating %s: %w", f.Name, err)
-			}
+	for _, r := range resolved {
+		if !m.fx.link(f.Words, r.sites, f.addr, r.target) {
+			return fmt.Errorf("machine: relocating %s: %w: %#x at word %d", f.Name, ErrRelocRange, r.target, r.sites[0])
 		}
 	}
 

@@ -316,21 +316,30 @@ func (t *Table) Classify(w uint32, pc uint64) Insn {
 	return Insn{Kind: KindIllegal}
 }
 
-// Retarget points the transfer code[site] to code[target] through the
-// field its row declares; ok is false when the word has no target field
-// or the field cannot reach.
-func (t *Table) Retarget(code []uint32, site, target int) (ok bool) {
+// Retarget points the transfer code[site], the word at address pc, to the
+// address target through the field its row declares; ok is false when the
+// word has no target field or the field cannot reach.
+func (t *Table) Retarget(code []uint32, site int, pc, target uint64) (ok bool) {
 	if r := t.Lookup(code[site]); r != nil && r.tgt != nil {
-		code[site], ok = r.tgt.Put(code[site], int64(4*uint64(target)-r.tgt.origin(4*uint64(site))))
+		code[site], ok = r.tgt.Put(code[site], int64(target-r.tgt.origin(pc)))
 	}
 	return ok
+}
+
+// Number returns the number field the row of w names (an immediate or a
+// displacement), nil when w has no row or its row no number.
+func (t *Table) Number(w uint32) *Field {
+	if r := t.Lookup(w); r != nil {
+		return r.imm
+	}
+	return nil
 }
 
 // SetImm writes v into the number the row of code[site] names (a load or
 // store's displacement); ok is false when there is none or it cannot hold v.
 func (t *Table) SetImm(code []uint32, site int, v int64) (ok bool) {
-	if r := t.Lookup(code[site]); r != nil && r.imm != nil {
-		code[site], ok = r.imm.Put(code[site], v)
+	if f := t.Number(code[site]); f != nil {
+		code[site], ok = f.Put(code[site], v)
 	}
 	return ok
 }

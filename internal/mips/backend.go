@@ -482,83 +482,21 @@ func (m *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, i
 	return site, nil
 }
 
-// Jump emits an unconditional intra-function jump (patched later).
-func (m *Backend) Jump(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(iType(opBeq, rZero, rZero, 0))
-	b.Emit(encNop)
-	return site, nil
+// fixed is what core emits for a jump, a call, an address and a frame.
+var fixed = core.Fixed{
+	Nop:         encNop,
+	Jump:        iType(opBeq, rZero, rZero, 0),
+	CallLabel:   iType(opRegimm, rZero, rtBal, 0),
+	Call:        []uint32{jType(opJal, 0)},
+	Addr:        [2]core.Word{{W: iType(opLui, 0, 0, 0), Reg: "t"}, {W: iType(opOri, 0, 0, 0), Reg: "ts"}},
+	AddrShift:   16,
+	JumpReg:     core.Word{W: rType(fnJr, 0, 0, 0, 0), Reg: "s"},
+	CallReg:     core.Word{W: rType(fnJalr, 0, 0, rRA, 0), Reg: "s"},
+	FrameAdjust: iType(opAddiu, rSP, rSP, 0),
+	Ret:         rType(fnJr, rRA, 0, 0, 0),
 }
 
-// JumpReg emits jr r.
-func (m *Backend) JumpReg(b *core.Buf, r core.Reg) error {
-	b.Emit(rType(fnJr, gn(r), 0, 0, 0))
-	b.Emit(encNop)
-	return nil
-}
-
-// CallSite emits jal with a placeholder target.
-func (m *Backend) CallSite(b *core.Buf) ([]int, error) {
-	site := b.Len()
-	b.Emit(jType(opJal, 0))
-	b.Emit(encNop)
-	return []int{site}, nil
-}
-
-// CallLabel emits bal (branch-and-link) for intra-function calls.
-func (m *Backend) CallLabel(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(iType(opRegimm, rZero, rtBal, 0))
-	b.Emit(encNop)
-	return site, nil
-}
-
-// CallReg emits jalr r.
-func (m *Backend) CallReg(b *core.Buf, r core.Reg) error {
-	b.Emit(rType(fnJalr, gn(r), 0, rRA, 0))
-	b.Emit(encNop)
-	return nil
-}
-
-// PatchCall resolves jal sites to an absolute target address.
-func (m *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
-	for _, site := range sites {
-		pc := base + 4*uint64(site) + 4 // address of the delay slot
-		if pc&0xf0000000 != target&0xf0000000 {
-			return fmt.Errorf("mips: jal target %#x outside 256MB segment of %#x", target, pc)
-		}
-		b.Set(site, jType(opJal, uint32(target>>2)))
-	}
-	return nil
-}
-
-// LoadAddr emits lui/ori materializing an address to be patched.
-func (m *Backend) LoadAddr(b *core.Buf, rd core.Reg) ([]int, error) {
-	s0 := b.Len()
-	b.Emit(iType(opLui, 0, gn(rd), 0))
-	b.Emit(iType(opOri, gn(rd), gn(rd), 0))
-	return []int{s0, s0 + 1}, nil
-}
-
-// PatchAddr resolves a LoadAddr pair.
-func (m *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
-	if len(sites) != 2 {
-		return fmt.Errorf("mips: PatchAddr wants 2 sites, got %d", len(sites))
-	}
-	b.Set(sites[0], b.At(sites[0])&^0xffff|uint32(addr>>16&0xffff))
-	b.Set(sites[1], b.At(sites[1])&^0xffff|uint32(addr&0xffff))
-	return nil
-}
-
-// Nop emits the canonical nop.
-func (m *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
-
-// IsNop reports whether w is the canonical nop.
-func (m *Backend) IsNop(w uint32) bool { return w == encNop }
-
-// RetEncoding returns jr ra; FrameAdjust, addiu sp, sp, 0.
-func (m *Backend) RetEncoding(conv *core.CallConv) uint32 { return rType(fnJr, rRA, 0, 0, 0) }
-func (*Backend) FrameAdjust() uint32                      { return iType(opAddiu, rSP, rSP, 0) }
+func (*Backend) Fixed() *core.Fixed { return &fixed }
 
 // EmulatedOp: MIPS has hardware multiply and divide; nothing is emulated.
 func (m *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }

@@ -463,82 +463,21 @@ func (s *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, i
 	return site, nil
 }
 
-// Jump emits ba + nop.
-func (s *Backend) Jump(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(fmtBicc(condA, 0))
-	b.Emit(encNop)
-	return site, nil
+// fixed is what core emits for a jump, a call, an address and a frame.
+var fixed = core.Fixed{
+	Nop:         encNop,
+	Jump:        fmtBicc(condA, 0),
+	CallLabel:   fmtCall(0),
+	Call:        []uint32{fmtCall(0)},
+	Addr:        [2]core.Word{{W: fmtSethi(0, 0), Reg: "d"}, {W: fmt3i(2, 0, op3Or, 0, 0), Reg: "1d"}},
+	AddrShift:   10,
+	JumpReg:     core.Word{W: fmt3i(2, 0, op3Jmpl, 0, 0), Reg: "1"},
+	CallReg:     core.Word{W: fmt3i(2, rO7, op3Jmpl, 0, 0), Reg: "1"},
+	FrameAdjust: fmt3i(2, rSP, op3Add, rSP, 0),
+	Ret:         fmt3i(2, 0, op3Jmpl, rO7, 8),
 }
 
-// JumpReg emits jmpl r, %g0.
-func (s *Backend) JumpReg(b *core.Buf, r core.Reg) error {
-	b.Emit(fmt3i(2, 0, op3Jmpl, gn(r), 0))
-	b.Emit(encNop)
-	return nil
-}
-
-// CallSite emits call with a placeholder displacement.
-func (s *Backend) CallSite(b *core.Buf) ([]int, error) {
-	site := b.Len()
-	b.Emit(fmtCall(0))
-	b.Emit(encNop)
-	return []int{site}, nil
-}
-
-// CallLabel also uses the PC-relative call instruction.
-func (s *Backend) CallLabel(b *core.Buf) (int, error) {
-	site := b.Len()
-	b.Emit(fmtCall(0))
-	b.Emit(encNop)
-	return site, nil
-}
-
-// CallReg emits jmpl r, %o7.
-func (s *Backend) CallReg(b *core.Buf, r core.Reg) error {
-	b.Emit(fmt3i(2, rO7, op3Jmpl, gn(r), 0))
-	b.Emit(encNop)
-	return nil
-}
-
-// PatchCall resolves call sites to an absolute address (the call
-// instruction is PC-relative, so the site address matters).
-func (s *Backend) PatchCall(b *core.Buf, sites []int, base, target uint64) error {
-	for _, site := range sites {
-		pc := base + 4*uint64(site)
-		disp := (int64(target) - int64(pc)) / 4
-		b.Set(site, fmtCall(int32(disp)))
-	}
-	return nil
-}
-
-// LoadAddr emits sethi/or to be patched with an absolute address.
-func (s *Backend) LoadAddr(b *core.Buf, rd core.Reg) ([]int, error) {
-	s0 := b.Len()
-	b.Emit(fmtSethi(gn(rd), 0))
-	b.Emit(fmt3i(2, gn(rd), op3Or, gn(rd), 0))
-	return []int{s0, s0 + 1}, nil
-}
-
-// PatchAddr resolves a LoadAddr pair.
-func (s *Backend) PatchAddr(b *core.Buf, sites []int, addr uint64) error {
-	if len(sites) != 2 {
-		return fmt.Errorf("sparc: PatchAddr wants 2 sites, got %d", len(sites))
-	}
-	b.Set(sites[0], b.At(sites[0])&^uint32(0x3fffff)|uint32(addr>>10)&0x3fffff)
-	b.Set(sites[1], b.At(sites[1])&^uint32(0x1fff)|uint32(addr)&0x3ff)
-	return nil
-}
-
-// Nop emits sethi 0, %g0.
-func (s *Backend) Nop(b *core.Buf) { b.Emit(encNop) }
-
-// IsNop reports the canonical nop.
-func (s *Backend) IsNop(w uint32) bool { return w == encNop }
-
-// RetEncoding returns jmpl %o7+8, %g0; FrameAdjust, add %sp, 0, %sp.
-func (s *Backend) RetEncoding(conv *core.CallConv) uint32 { return fmt3i(2, 0, op3Jmpl, rO7, 8) }
-func (*Backend) FrameAdjust() uint32                      { return fmt3i(2, rSP, op3Add, rSP, 0) }
+func (*Backend) Fixed() *core.Fixed { return &fixed }
 
 // EmulatedOp: SPARC V8 has hardware multiply and divide.
 func (s *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }

@@ -135,112 +135,53 @@ func materialize(b *core.Buf, r uint32, imm int64) {
 	}
 }
 
-// canon32 sign-extends the low 32 bits of r into r (the canonical form).
-func canon32(b *core.Buf, r uint32) {
-	b.Emit(opFmtL(opInta, r, 0, fnAddl, r))
-}
+// canon emits rd = the sign-extended low 32 bits of rs, the canonical form
+// of a 32-bit value: the mapped addl rs, 0, rd.
+func canon(b *core.Buf, rd, rs core.Reg) { templates.ALUImm(b, core.OpAdd, core.TypeI, rd, rs, 0) }
 
-// ALU implements rd = rs1 op rs2.
+// ALU implements rd = rs1 op rs2: the mapped row, or a 32-bit shift.
 func (a *Backend) ALU(b *core.Buf, op core.Op, t core.Type, rd, rs1, rs2 core.Reg) error {
-	if t.IsFloat() {
-		var fn uint32
-		switch {
-		case op == core.OpAdd && t == core.TypeF:
-			fn = fnAdds
-		case op == core.OpAdd:
-			fn = fnAddt
-		case op == core.OpSub && t == core.TypeF:
-			fn = fnSubs
-		case op == core.OpSub:
-			fn = fnSubt
-		case op == core.OpMul && t == core.TypeF:
-			fn = fnMuls
-		case op == core.OpMul:
-			fn = fnMult
-		case op == core.OpDiv && t == core.TypeF:
-			fn = fnDivs
-		case op == core.OpDiv:
-			fn = fnDivt
-		default:
-			return fmt.Errorf("alpha: %s%s unsupported", op, t)
-		}
-		b.Emit(fpFmt(opFlti, gn(rs1), gn(rs2), fn, gn(rd)))
+	if templates.ALU(b, op, t, rd, rs1, rs2) {
 		return nil
 	}
-	return a.aluInt(b, op, t, gn(rd), gn(rs1), gn(rs2), 0, false)
+	rs, err := widen(b, op, t, rs1)
+	if err == nil {
+		templates.ALU(b, op, core.TypeUL, rd, rs, rs2)
+		canon(b, rd, rd)
+	}
+	return err
 }
 
-// ALUImm implements rd = rs op imm.
+// ALUImm implements rd = rs op imm: the mapped row's literal form, a 32-bit
+// shift, or the register form of imm materialized into at.
 func (a *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, imm int64) error {
-	if fitsLit8(imm) {
-		return a.aluInt(b, op, t, gn(rd), gn(rs), 0, uint32(imm), true)
+	if !fitsLit8(imm) {
+		materialize(b, rAT, imm)
+		return a.ALU(b, op, t, rd, rs, core.GPR(rAT))
 	}
-	materialize(b, rAT, imm)
-	return a.aluInt(b, op, t, gn(rd), gn(rs), rAT, 0, false)
+	if templates.ALUImm(b, op, t, rd, rs, imm) {
+		return nil
+	}
+	rs, err := widen(b, op, t, rs)
+	if err == nil {
+		templates.ALUImm(b, op, core.TypeUL, rd, rs, imm)
+		canon(b, rd, rd)
+	}
+	return err
 }
 
-// aluInt emits an integer binary operation in register or literal form.
-func (a *Backend) aluInt(b *core.Buf, op core.Op, t core.Type, rd, rs1, rs2, lit uint32, isLit bool) error {
-	emit := func(opc, fn uint32) {
-		if isLit {
-			b.Emit(opFmtL(opc, rs1, lit, fn, rd))
-		} else {
-			b.Emit(opFmtR(opc, rs1, rs2, fn, rd))
-		}
+// widen starts a shift of a 32-bit type, which the Alpha has no word for:
+// the quad shift re-canonicalized, of the source itself for a left shift
+// and of the source zero-extended into at for a logical right shift.
+func widen(b *core.Buf, op core.Op, t core.Type, rs core.Reg) (core.Reg, error) {
+	switch {
+	case op == core.OpLsh && is32(t):
+		return rs, nil
+	case op == core.OpRsh && t == core.TypeU:
+		b.Emit(opFmtL(opInts, gn(rs), 0x0f, fnZapnot, rAT))
+		return core.GPR(rAT), nil
 	}
-	w32 := is32(t)
-	switch op {
-	case core.OpAdd:
-		if w32 {
-			emit(opInta, fnAddl)
-		} else {
-			emit(opInta, fnAddq)
-		}
-	case core.OpSub:
-		if w32 {
-			emit(opInta, fnSubl)
-		} else {
-			emit(opInta, fnSubq)
-		}
-	case core.OpMul:
-		if w32 {
-			emit(opIntm, fnMull)
-		} else {
-			emit(opIntm, fnMulq)
-		}
-	case core.OpAnd:
-		emit(opIntl, fnAnd)
-	case core.OpOr:
-		emit(opIntl, fnBis)
-	case core.OpXor:
-		emit(opIntl, fnXor)
-	case core.OpLsh:
-		if w32 {
-			emit(opInts, fnSll)
-			canon32(b, rd)
-		} else {
-			emit(opInts, fnSll)
-		}
-	case core.OpRsh:
-		switch {
-		case t.IsSigned():
-			emit(opInts, fnSra) // canonical 32-bit values shift correctly
-		case w32:
-			// Zero-extend, 64-bit logical shift, re-canonicalize.
-			b.Emit(opFmtL(opInts, rs1, 0x0f, fnZapnot, rAT))
-			if isLit {
-				b.Emit(opFmtL(opInts, rAT, lit, fnSrl, rd))
-			} else {
-				b.Emit(opFmtR(opInts, rAT, rs2, fnSrl, rd))
-			}
-			canon32(b, rd)
-		default:
-			emit(opInts, fnSrl)
-		}
-	default:
-		return fmt.Errorf("alpha: ALU op %s%s unsupported (division is emulated)", op, t)
-	}
-	return nil
+	return rs, fmt.Errorf("alpha: ALU op %s%s unsupported (division is emulated)", op, t)
 }
 
 // Unary implements rd = op rs.
@@ -296,7 +237,7 @@ func (a *Backend) Cvt(b *core.Buf, from, to core.Type, rd, rs core.Reg) error {
 	case from.IsInteger() && to.IsInteger():
 		switch {
 		case is32(to):
-			canonTo(b, gn(rs), gn(rd))
+			canon(b, rd, rs)
 		case from == core.TypeU:
 			// Zero-extend the canonical 32-bit value.
 			b.Emit(opFmtL(opInts, gn(rs), 0x0f, fnZapnot, gn(rd)))
@@ -330,7 +271,7 @@ func (a *Backend) Cvt(b *core.Buf, from, to core.Type, rd, rs core.Reg) error {
 		b.Emit(memFmt(opLdq, gn(rd), rSP, 0))
 		b.Emit(memFmt(opLda, rSP, rSP, 16))
 		if is32(to) {
-			canon32(b, gn(rd))
+			canon(b, rd, rd)
 		}
 	case from == core.TypeF && to == core.TypeD:
 		b.Emit(fpFmt(opFlti, 31, gn(rs), fnCvtst, gn(rd)))
@@ -342,36 +283,21 @@ func (a *Backend) Cvt(b *core.Buf, from, to core.Type, rd, rs core.Reg) error {
 	return nil
 }
 
-// canonTo emits rd = sign-extended low 32 bits of rs.
-func canonTo(b *core.Buf, rs, rd uint32) {
-	b.Emit(opFmtL(opInta, rs, 0, fnAddl, rd))
-}
-
-// Load implements rd = *(t*)(base+off), synthesizing byte/halfword
-// accesses from unaligned quad loads (§6.2).
+// Load implements rd = *(t*)(base+off): the mapped row, at an offset past
+// 16 bits from at = base + off, and for a byte or halfword an unaligned quad
+// load and an extract (§6.2).
 func (a *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) error {
-	d, bs := gn(rd), gn(base)
-	if !fitsS16(off) {
-		materialize(b, rAT, off)
-		b.Emit(opFmtR(opInta, rAT, bs, fnAddq, rAT))
-		bs, off = rAT, 0
-	}
-	switch t {
-	case core.TypeI, core.TypeU:
-		b.Emit(memFmt(opLdl, d, bs, int32(off)))
-	case core.TypeL, core.TypeUL, core.TypeP:
-		b.Emit(memFmt(opLdq, d, bs, int32(off)))
-	case core.TypeF:
-		b.Emit(memFmt(opLds, d, bs, int32(off)))
-	case core.TypeD:
-		b.Emit(memFmt(opLdt, d, bs, int32(off)))
-	case core.TypeC, core.TypeUC, core.TypeS, core.TypeUS:
+	switch {
+	case templates.Load(b, t, rd, base, off):
+	case !fitsS16(off):
+		return a.Load(b, t, rd, far(b, base, off), 0)
+	case t.IsSubWord():
 		// lda at, off(base); ldq_u rd, 0(at); ext{b,w}l rd, at, rd
 		// [; sll/sra to sign-extend].
-		b.Emit(memFmt(opLda, rAT, bs, int32(off)))
+		d := gn(rd)
+		b.Emit(memFmt(opLda, rAT, gn(base), int32(off)))
 		b.Emit(memFmt(opLdqU, d, rAT, 0))
-		ext := uint32(fnExtbl)
-		bits := uint32(56)
+		ext, bits := uint32(fnExtbl), uint32(56)
 		if t == core.TypeS || t == core.TypeUS {
 			ext, bits = fnExtwl, 48
 		}
@@ -386,33 +312,22 @@ func (a *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) e
 	return nil
 }
 
-// Store implements *(t*)(base+off) = rs; byte/halfword stores use the
-// read-modify-write sequence that costs the paper's eleven-instruction
-// worst case on the real machine.
+// Store implements *(t*)(base+off) = rs as Load does; a byte or halfword
+// store is the read-modify-write sequence that costs the paper's
+// eleven-instruction worst case on the real machine.
 func (a *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) error {
-	s, bs := gn(rs), gn(base)
-	if !fitsS16(off) {
-		materialize(b, rAT, off)
-		b.Emit(opFmtR(opInta, rAT, bs, fnAddq, rAT))
-		bs, off = rAT, 0
-	}
-	switch t {
-	case core.TypeI, core.TypeU:
-		b.Emit(memFmt(opStl, s, bs, int32(off)))
-	case core.TypeL, core.TypeUL, core.TypeP:
-		b.Emit(memFmt(opStq, s, bs, int32(off)))
-	case core.TypeF:
-		b.Emit(memFmt(opSts, s, bs, int32(off)))
-	case core.TypeD:
-		b.Emit(memFmt(opStt, s, bs, int32(off)))
-	case core.TypeC, core.TypeUC, core.TypeS, core.TypeUS:
+	switch {
+	case templates.Store(b, t, rs, base, off):
+	case !fitsS16(off):
+		return a.Store(b, t, rs, far(b, base, off), 0)
+	case t.IsSubWord():
 		ins, msk := uint32(fnInsbl), uint32(fnMskbl)
 		if t == core.TypeS || t == core.TypeUS {
 			ins, msk = fnInswl, fnMskwl
 		}
-		b.Emit(memFmt(opLda, rAT, bs, int32(off)))
+		b.Emit(memFmt(opLda, rAT, gn(base), int32(off)))
 		b.Emit(memFmt(opLdqU, rGP, rAT, 0))
-		b.Emit(opFmtR(opInts, s, rAT, ins, rPV))
+		b.Emit(opFmtR(opInts, gn(rs), rAT, ins, rPV))
 		b.Emit(opFmtR(opInts, rGP, rAT, msk, rGP))
 		b.Emit(opFmtR(opIntl, rGP, rPV, fnBis, rGP))
 		b.Emit(memFmt(opStqU, rGP, rAT, 0))
@@ -422,16 +337,26 @@ func (a *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) 
 	return nil
 }
 
+// far materializes off into at and adds base, returning at.
+func far(b *core.Buf, base core.Reg, off int64) core.Reg {
+	materialize(b, rAT, off)
+	return index(b, core.GPR(rAT), base)
+}
+
+// index emits at = base + idx, returning at.
+func index(b *core.Buf, base, idx core.Reg) core.Reg {
+	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
+	return core.GPR(rAT)
+}
+
 // LoadRR implements rd = *(t*)(base+idx).
 func (a *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	b.Emit(opFmtR(opInta, gn(base), gn(idx), fnAddq, rAT))
-	return a.Load(b, t, rd, core.GPR(rAT), 0)
+	return a.Load(b, t, rd, index(b, base, idx), 0)
 }
 
 // StoreRR implements *(t*)(base+idx) = rs.
 func (a *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	b.Emit(opFmtR(opInta, gn(base), gn(idx), fnAddq, rAT))
-	return a.Store(b, t, rs, core.GPR(rAT), 0)
+	return a.Store(b, t, rs, index(b, base, idx), 0)
 }
 
 // Branch emits compare + branch and returns the patch site.
@@ -599,48 +524,58 @@ var fixed = core.Fixed{
 
 func (*Backend) Fixed() *core.Fixed { return &fixed }
 
-// EmulatedOp: the Alpha has no integer divide; division and remainder go
-// through the machine's runtime helpers (§5.2).
-func (a *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) {
-	if t.IsFloat() {
-		return "", false
-	}
-	switch op {
-	case core.OpDiv:
-		switch t {
-		case core.TypeI:
-			return "__div_i", true
-		case core.TypeU:
-			return "__div_u", true
-		case core.TypeL:
-			return "__div_l", true
-		default:
-			return "__div_ul", true
-		}
-	case core.OpMod:
-		switch t {
-		case core.TypeI:
-			return "__mod_i", true
-		case core.TypeU:
-			return "__mod_u", true
-		case core.TypeL:
-			return "__mod_l", true
-		default:
-			return "__mod_ul", true
-		}
-	}
-	return "", false
-}
+// templates is the port's instruction mapping.  The Alpha has no integer
+// divide: division and remainder go through the machine's runtime helpers
+// (§5.2).
+var templates = core.NewTemplates(isa, core.Mapping{
+	ALU: []core.Rule{
+		{Op: core.OpAdd, Types: "i u", Row: "addl", Regs: "cal", Imm: "addl"},
+		{Op: core.OpAdd, Types: "l ul p", Row: "addq", Regs: "cal", Imm: "addq"},
+		{Op: core.OpAdd, Types: "f", Row: "adds", Regs: "CAB"},
+		{Op: core.OpAdd, Types: "d", Row: "addt", Regs: "CAB"},
+		{Op: core.OpSub, Types: "i u", Row: "subl", Regs: "cal", Imm: "subl"},
+		{Op: core.OpSub, Types: "l ul p", Row: "subq", Regs: "cal", Imm: "subq"},
+		{Op: core.OpSub, Types: "f", Row: "subs", Regs: "CAB"},
+		{Op: core.OpSub, Types: "d", Row: "subt", Regs: "CAB"},
+		{Op: core.OpMul, Types: "i u", Row: "mull", Regs: "cal", Imm: "mull"},
+		{Op: core.OpMul, Types: "l ul p", Row: "mulq", Regs: "cal", Imm: "mulq"},
+		{Op: core.OpMul, Types: "f", Row: "muls", Regs: "CAB"},
+		{Op: core.OpMul, Types: "d", Row: "mult", Regs: "CAB"},
+		{Op: core.OpDiv, Types: "f", Row: "divs", Regs: "CAB"},
+		{Op: core.OpDiv, Types: "d", Row: "divt", Regs: "CAB"},
+		{Op: core.OpAnd, Types: "i u l ul", Row: "and", Regs: "cal", Imm: "and"},
+		{Op: core.OpOr, Types: "i u l ul", Row: "bis", Regs: "cal", Imm: "bis"},
+		{Op: core.OpXor, Types: "i u l ul", Row: "xor", Regs: "cal", Imm: "xor"},
+		{Op: core.OpLsh, Types: "l ul", Row: "sll", Regs: "cal", Imm: "sll"},
+		{Op: core.OpRsh, Types: "i l", Row: "sra", Regs: "cal", Imm: "sra"},
+		{Op: core.OpRsh, Types: "ul", Row: "srl", Regs: "cal", Imm: "srl"},
+	},
+	Ld: []core.Mem{
+		{Types: "i u", Row: "ldl", Regs: "abi"},
+		{Types: "l ul p", Row: "ldq", Regs: "abi"},
+		{Types: "f", Row: "lds", Regs: "Abi"},
+		{Types: "d", Row: "ldt", Regs: "Abi"},
+	},
+	St: []core.Mem{
+		{Types: "i u", Row: "stl", Regs: "abi"},
+		{Types: "l ul p", Row: "stq", Regs: "abi"},
+		{Types: "f", Row: "sts", Regs: "Abi"},
+		{Types: "d", Row: "stt", Regs: "Abi"},
+	},
+	Ext: []core.ExtRule{
+		{Name: "sqrt", Types: "f", Row: "sqrts", Regs: "CB", Fix: 'A', FixTo: rZero},
+		{Name: "sqrt", Types: "d", Row: "sqrtt", Regs: "CB", Fix: 'A', FixTo: rZero},
+	},
+	Emulated: []core.Helper{
+		{Op: core.OpDiv, Types: "i", Sym: "__div_i"},
+		{Op: core.OpDiv, Types: "u", Sym: "__div_u"},
+		{Op: core.OpDiv, Types: "l", Sym: "__div_l"},
+		{Op: core.OpDiv, Types: "ul p", Sym: "__div_ul"},
+		{Op: core.OpMod, Types: "i", Sym: "__mod_i"},
+		{Op: core.OpMod, Types: "u", Sym: "__mod_u"},
+		{Op: core.OpMod, Types: "l", Sym: "__mod_l"},
+		{Op: core.OpMod, Types: "ul p", Sym: "__mod_ul"},
+	},
+})
 
-// TryExt maps sqrt onto the hardware square-root group.
-func (a *Backend) TryExt(b *core.Buf, name string, t core.Type, rd core.Reg, rs []core.Reg) (bool, error) {
-	if name == "sqrt" && t.IsFloat() && len(rs) == 1 {
-		fn := uint32(fnSqrtt)
-		if t == core.TypeF {
-			fn = fnSqrts
-		}
-		b.Emit(fpFmt(opFlts, 31, gn(rs[0]), fn, gn(rd)))
-		return true, nil
-	}
-	return false, nil
-}
+func (*Backend) Templates() *core.Templates { return templates }

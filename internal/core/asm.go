@@ -86,11 +86,9 @@ type Asm struct {
 	result   Type
 
 	ra regAlloc
-	// emul is the backend's emulated-operation set (see emulated.go), read
-	// per ALU instruction in place of a Backend.EmulatedOp call.
-	emul *EmulatedOps
-	// tmpl is the backend's single-word encodings (see tmpl.go): where one
-	// covers the instruction the emitter appends the word itself.
+	// tmpl is the backend's instruction mapping (see tmpl.go): where a
+	// template covers the instruction the emitter appends the word itself,
+	// and an emulated operation is one load away.
 	tmpl *Templates
 	// fx is the backend's fixed-shape words (see fixed.go).
 	fx *fixed
@@ -135,14 +133,12 @@ func NewAsm(b Backend) *Asm { return NewAsmConv(b, b.DefaultConv()) }
 // convention (obtain one with DefaultConv().Clone() and adjust register
 // classes as needed).
 func NewAsmConv(b Backend, conv *CallConv) *Asm {
-	p := portOf(b)
 	return &Asm{
 		backend: b,
 		conv:    conv,
 		buf:     NewBuf(256),
-		emul:    &p.emul,
-		tmpl:    &p.tmpl,
-		fx:      &p.fixed,
+		tmpl:    b.Templates(),
+		fx:      fixedOf(b),
 	}
 }
 
@@ -643,7 +639,7 @@ func (a *Asm) ALU(op Op, t Type, rd, rs1, rs2 Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecALU, Op: op, T: t, Rd: rd, Rs1: rs1, Rs2: rs2})
 	}
-	if a.emul.Has(op, t) {
+	if a.tmpl.emul.Has(op, t) {
 		a.emulCall(op, t, rd, rs1, rs2, 0, false)
 		return
 	}
@@ -670,7 +666,7 @@ func (a *Asm) ALUI(op Op, t Type, rd, rs Reg, imm int64) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecALUI, Op: op, T: t, Rd: rd, Rs1: rs, Imm: imm})
 	}
-	if a.emul.Has(op, t) {
+	if a.tmpl.emul.Has(op, t) {
 		a.emulCall(op, t, rd, rs, NoReg, imm, true)
 		return
 	}
@@ -1303,7 +1299,7 @@ const relocEntry int64 = -1
 // leaf procedure — exactly the paper's "VCODE ignores client hints" escape.
 func (a *Asm) emulCall(op Op, t Type, rd, rs1, rs2 Reg, imm int64, hasImm bool) {
 	bk, b, c := a.backend, a.buf, a.conv
-	sym, _ := bk.EmulatedOp(op, t)
+	sym := a.tmpl.syms[op][t]
 	a0, a1, v0, ra, sp := c.IntArgs[0], c.IntArgs[1], c.RetInt, c.RA, c.SP
 	if rs1 == sp || rs2 == sp {
 		a.failf("vcode: emulated op on SP is unsupported")

@@ -6,7 +6,8 @@ import "repro/internal/exec"
 // instruction set onto one machine's binary encodings plus that machine's
 // calling convention.  What is the same on every machine is not restated
 // here: core lays down the activation record (frame.go) from the port's
-// Load, Store, return word and one stack-pointer adjust, and patches
+// Load, Store, return word and one stack-pointer adjust, emits the words
+// its mapping and fixed words declare (Templates, Fixed) and patches
 // through the port's instruction table (ISA).  Retargeting VCODE means
 // implementing this interface (paper §3.3); the MIPS, SPARC and Alpha
 // ports live in internal/mips, internal/sparc and internal/alpha.
@@ -44,12 +45,6 @@ type Backend interface {
 	// form the return address (8 on SPARC, 0 elsewhere).
 	RetAddrOffset() int
 
-	// ALU, ALUImm, Load and Store must be pure functions of their
-	// arguments — the same words for the same (op, type, registers,
-	// immediate) on every instance of the port, whatever was emitted
-	// before: the core reads each single-word encoding off them once per
-	// Backend type (TemplatesOf) and from then on fills it in itself.
-
 	// ALU emits rd = rs1 op rs2 for a binary operation.
 	ALU(b *Buf, op Op, t Type, rd, rs1, rs2 Reg) error
 	// ALUImm emits rd = rs op imm.  Out-of-range immediates are
@@ -79,26 +74,18 @@ type Backend interface {
 
 	// Fixed returns the port's fixed-shape words — nop, jumps, calls,
 	// the address pair, the frame adjust and the return — which the core
-	// emits and relocates itself (fixed.go).  Like the templates it is
-	// read once per Backend type.
+	// emits and relocates itself (fixed.go).  It is read once per Backend
+	// type.
 	Fixed() *Fixed
 
-	// EmulatedOp reports the runtime-helper symbol for operations the
-	// target cannot perform inline (e.g. integer division on Alpha).
-	// The helper convention: operands in the first integer argument
-	// registers, result in the integer return register, all other
-	// registers preserved.  The answer must depend only on the port, not
-	// on the instance: the core asks once per Backend type and keeps the
-	// set (EmulatedOpsOf).
-	EmulatedOp(op Op, t Type) (sym string, ok bool)
-
-	// Extension hooks (paper §5.4): TryExt emits the named extension
-	// instruction directly if the hardware supports it, reporting
-	// whether it did; otherwise the portable core-level definition runs.
-	TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (bool, error)
+	// Templates returns the port's instruction mapping, built once
+	// (NewTemplates) from its declaration beside Fixed: the core emits a
+	// generic emitter's single-word encodings and the hardware extensions
+	// from it, and calls a runtime helper for each operation it emulates.
+	Templates() *Templates
 
 	// ISA returns the port's instruction table, with its one declaration
-	// of where each operand sits: the core reads templates off it, End
+	// of where each operand sits: the port's mapping is built over it, End
 	// patches branch sites and incoming stack-argument loads through it,
 	// and the loader relocates calls and addresses through it.
 	ISA() *exec.Table

@@ -119,16 +119,17 @@ var fakeFixed = Fixed{
 
 func (f *fakeBackend) Fixed() *Fixed { return &fakeFixed }
 
-func (f *fakeBackend) EmulatedOp(op Op, t Type) (string, bool) { return "", false }
+// fakeTemplates is the fake's mapping: no generic emitter has a row, no
+// extension is in hardware, nothing is emulated.
+var fakeTemplates = NewTemplates(fakeISA, Mapping{})
 
-func (f *fakeBackend) TryExt(b *Buf, name string, t Type, rd Reg, rs []Reg) (bool, error) {
-	return false, nil
-}
+func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
 
 // fakeISA decodes what End patches: the fake's branch, jump and label-call
 // words (a 16-bit displacement from the delay slot, as on mips), its
-// immediate load and its stack-pointer adjust (a 16-bit number each); and
-// what the loader would relocate, its address pair.
+// immediate load and its stack-pointer adjust (a 16-bit number each); what
+// the loader would relocate, its address pair; and the row a mapping can
+// give cmoveq.
 var fakeISA = exec.NewTable([]exec.Row{
 	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(exec.KindBranch),
 	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(exec.KindBranch),
@@ -137,6 +138,7 @@ var fakeISA = exec.NewTable([]exec.Row{
 	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
 	exec.Ins("hi", 0x1a000000, 0xfff00000, " i", 0, 0),
 	exec.Ins("lo", 0x1a100000, 0xfff00000, " i", 0, 0),
+	exec.Ins("cmoveq", 0x1e000000, 0xff000000, "", 0, 0),
 }, map[byte]exec.Field{
 	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
 	'i': {Width: 16, Signed: true, Fmt: "%d"},

@@ -6,10 +6,10 @@ import "math"
 // Extensions are instruction families less general than the core — the
 // paper's examples are conditional move and floating-point square root —
 // defined either in terms of the core itself (so a retarget of the core
-// brings them along for free) or overridden by a backend that has direct
-// hardware support (Backend.TryExt).  Because VCODE builds no intermediate
-// representation, adding an instruction requires no semantic knowledge:
-// an extension is just another emitter.
+// brings them along for free) or overridden by a port that has direct
+// hardware support, one row of its mapping (Mapping.Ext).  Because VCODE
+// builds no intermediate representation, adding an instruction requires no
+// semantic knowledge: an extension is just another emitter.
 
 // ExtDef defines one extension instruction family: a name, the types it
 // composes with, and a portable synthesis in terms of core instructions.
@@ -19,8 +19,8 @@ type ExtDef struct {
 	NSrc int
 	// Types lists the operand types the family composes with.
 	Types []Type
-	// Synth emits the portable definition.  It runs only when the
-	// backend's TryExt declines the instruction.
+	// Synth emits the portable definition.  It runs only when the port's
+	// mapping has no row for the instruction.
 	Synth func(a *Asm, t Type, rd Reg, rs []Reg)
 }
 
@@ -42,9 +42,9 @@ func (a *Asm) DefineExt(d *ExtDef) {
 	a.exts[d.Name] = d
 }
 
-// Ext emits the named extension instruction.  The backend is offered the
-// instruction first (hardware implementation); otherwise the registered or
-// builtin portable definition is synthesized from core instructions.
+// Ext emits the named extension instruction: the row the port's mapping
+// gives it (hardware implementation), or else the registered or builtin
+// portable definition, synthesized from core instructions.
 func (a *Asm) Ext(name string, t Type, rd Reg, rs ...Reg) {
 	if !a.ready() {
 		return
@@ -62,23 +62,24 @@ func (a *Asm) Ext(name string, t Type, rd Reg, rs ...Reg) {
 		a.failf("vcode: %s takes %d source registers, got %d", name, d.NSrc, len(rs))
 		return
 	}
-	a.insnCount++
-	ok, err := a.backend.TryExt(a.buf, name, t, rd, rs)
-	if err != nil {
-		a.setErr(err)
-		return
-	}
-	if ok {
-		// Hardware implementation: no public sub-emissions happened, so
-		// record the extension as one opaque event; replay re-offers it
-		// to the same backend.  The Synth path below needs no event of
-		// its own — its expansion goes through the public emitters and is
-		// recorded instruction by instruction.
+	if hw := a.tmpl.extOf(name, t); hw != nil {
+		// Hardware: one mapped word, its registers bank-tested as at
+		// every other door, recorded as one opaque event.  Synth below
+		// records nothing itself: its expansion goes through the public
+		// emitters, which record instruction by instruction.
+		if !a.checkRegs(t, rd) || !a.checkRegs(t, rs...) {
+			return
+		}
+		a.insnCount++
+		var src [2]Reg
+		copy(src[:], rs)
+		a.buf.Emit(hw.regs(rd, src[0], src[1]))
 		if a.rec != nil {
 			a.record(RecEvent{Kind: RecExt, Name: name, T: t, Rd: rd, Srcs: append([]Reg(nil), rs...)})
 		}
 		return
 	}
+	a.insnCount++
 	if d.Synth == nil {
 		a.failf("%w: %q has no portable definition on %s", ErrUnknownExt, name, a.backend.Name())
 		return
@@ -151,7 +152,7 @@ var builtinExts = map[string]*ExtDef{
 				bits = int64(8*a.backend.PtrBytes() - 1)
 			}
 			a.ALUI(OpRsh, t, tmp, rs[0], bits)
-			a.ALU(OpXor, toBits(t), rd, rs[0], tmp)
+			a.ALU(OpXor, t, rd, rs[0], tmp)
 			a.ALU(OpSub, t, rd, rd, tmp)
 			a.PutReg(tmp)
 		},
@@ -167,8 +168,8 @@ var builtinExts = map[string]*ExtDef{
 		Synth: minmax(OpBge),
 	},
 	"sqrt": {
-		// sqrt has no portable core definition; every shipped backend
-		// implements it through TryExt, mirroring the paper's MIPS
+		// sqrt has no portable core definition; every shipped port maps
+		// it onto its hardware rows, mirroring the paper's MIPS
 		// fsqrts/fsqrtd example spec.
 		Name: "sqrt", NSrc: 1,
 		Types: []Type{TypeF, TypeD},
@@ -246,19 +247,6 @@ func minmax(keep Op) func(a *Asm, t Type, rd Reg, rs []Reg) {
 		a.Bind(other)
 		a.Unary(OpMov, t, rd, rs[0])
 		a.Bind(done)
-	}
-}
-
-// toBits maps a type to its same-width bitwise-operation type (signed
-// shifts keep their own type; xor wants an and/or/xor-legal type).
-func toBits(t Type) Type {
-	switch t {
-	case TypeI:
-		return TypeI
-	case TypeL:
-		return TypeL
-	default:
-		return t
 	}
 }
 

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/exec"
+import (
+	"reflect"
+	"sync"
+
+	"repro/internal/exec"
+)
 
 // Fixed is a port's fixed-shape words, declared once as data beside its
 // instruction table (Backend.Fixed).  No operand changes their shape, so
@@ -46,6 +51,22 @@ type fixed struct {
 	jumpReg, callReg, hi, lo regWord
 	hiNum, loNum             *exec.Field
 	loMax                    int64
+}
+
+var fixeds sync.Map // reflect.Type of a Backend -> *fixed
+
+// fixedOf returns b's fixed words as the core uses them, worked out on the
+// first call per Backend type: front ends that create an assembler per
+// compile pay a map lookup in NewAsm.
+func fixedOf(b Backend) *fixed {
+	key := reflect.TypeOf(b)
+	if x, ok := fixeds.Load(key); ok {
+		return x.(*fixed)
+	}
+	x := new(fixed)
+	x.derive(b)
+	actual, _ := fixeds.LoadOrStore(key, x)
+	return actual.(*fixed)
 }
 
 func (x *fixed) derive(b Backend) {

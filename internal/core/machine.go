@@ -207,7 +207,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		conv:     b.DefaultConv(),
 		ptrBytes: b.PtrBytes(),
 		retOff:   uint64(b.RetAddrOffset()),
-		fx:       &portOf(b).fixed,
+		fx:       fixedOf(b),
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
 	if t, ok := cpu.(ThreadedCPU); ok {

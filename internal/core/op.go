@@ -193,41 +193,43 @@ func (s typeSet) has(t Type) bool { return s&(1<<t) != 0 }
 // legal holds, for each generic emitter of Asm, the operand types it
 // accepts — per op where the emitter takes one, over Op's whole range so
 // that an op outside the instruction set reads as the empty set.  The
-// predicates above stay the definition; init derives every set from them,
-// and an emitter pays one load and one bit test per instruction.
-var legal struct {
+// predicates above stay the definition; every set is derived from them
+// (before any package-level mapping is built from it), and an emitter pays
+// one load and one bit test per instruction.
+var legal = legalSets()
+
+func legalSets() (sets struct {
 	alu, alui, unary, br, bri [1 << 8]typeSet
 	mem, seti, ret            typeSet
-}
-
-func init() {
+}) {
 	for t := TypeV; t < numTypes; t++ {
 		bit := typeSet(1) << t
 		for op := Op(0); op < numOps; op++ {
 			if aluTypeOK(op, t) {
-				legal.alu[op] |= bit
+				sets.alu[op] |= bit
 				if !t.IsFloat() {
-					legal.alui[op] |= bit
+					sets.alui[op] |= bit
 				}
 			}
 			if unaryTypeOK(op, t) && op != OpSet {
-				legal.unary[op] |= bit
+				sets.unary[op] |= bit
 			}
 			if branchTypeOK(op, t) {
-				legal.br[op] |= bit
+				sets.br[op] |= bit
 				if !t.IsFloat() {
-					legal.bri[op] |= bit
+					sets.bri[op] |= bit
 				}
 			}
 		}
 		if memTypeOK(t) {
-			legal.mem |= bit
+			sets.mem |= bit
 		}
 		if unaryTypeOK(OpSet, t) && !t.IsFloat() {
-			legal.seti |= bit
+			sets.seti |= bit
 		}
 		if unaryTypeOK(OpMov, t) {
-			legal.ret |= bit
+			sets.ret |= bit
 		}
 	}
+	return sets
 }

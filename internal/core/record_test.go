@@ -173,18 +173,14 @@ func TestRecordDetached(t *testing.T) {
 // extension instruction in hardware.
 type emulatingFake struct{ *fakeBackend }
 
-func (emulatingFake) EmulatedOp(op Op, t Type) (string, bool) {
-	return "__div_i", op == OpDiv && t == TypeI
-}
+// emulatingTemplates routes divi through a helper and gives the port cmoveq
+// in hardware; cmovne stays a synthesis.
+var emulatingTemplates = NewTemplates(fakeISA, Mapping{
+	Ext:      []ExtRule{{Name: "cmoveq", Types: "i u l ul p", Row: "cmoveq"}},
+	Emulated: []Helper{{Op: OpDiv, Types: "i", Sym: "__div_i"}},
+})
 
-// TryExt gives the port cmoveq in hardware; cmovne stays a synthesis.
-func (emulatingFake) TryExt(b *Buf, name string, _ Type, _ Reg, _ []Reg) (bool, error) {
-	if name != "cmoveq" {
-		return false, nil
-	}
-	b.Emit(0x1e000000)
-	return true, nil
-}
+func (emulatingFake) Templates() *Templates { return emulatingTemplates }
 
 // buildEveryEvent emits at least one event of every kind a recording can
 // hold, through the generic front doors, with refused instructions mixed in

@@ -1,35 +1,80 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/exec"
 )
+
+// Mapping is a port's instruction mapping (paper §3.3), declared once as
+// data beside its Fixed: which row of the port's instruction table each
+// generic emitter's (op, type) is and which syntax letter each operand goes
+// into, which row each extension the hardware has is, and which operations
+// go through a runtime helper.  What no rule covers — a multi-word
+// expansion, an immediate its field cannot hold — the port's own method
+// emits; an expansion that ends in a mapped word takes it from here too.
+type Mapping struct {
+	ALU      []Rule
+	Ld, St   []Mem
+	Ext      []ExtRule
+	Emulated []Helper
+}
+
+// Rule maps Op at Types onto the row named Row, rd, rs1 and rs2 into the
+// fields of the letters Regs; and, where Imm names a row, ALUI's rd, rs and
+// immediate into the fields of ImmRegs (Regs if empty).  The paper's spec
+// clause is the same pair: (types mach-insn [mach-imm-insn]).
+type Rule struct {
+	Op           Op
+	Types        string // type letters, "i u l ul p"; only those the emitter accepts count
+	Row, Regs    string
+	Imm, ImmRegs string
+	Neg          bool   // the immediate's field holds -imm (mips subtracts by addiu)
+	Mask         uint32 // not 0: imm&Mask goes in, for every imm (a shift count)
+}
+
+// Mem maps a load or store at Types onto the row named Row, the loaded or
+// stored register, the base and the displacement into the fields of the
+// letters Regs.
+type Mem struct{ Types, Row, Regs string }
+
+// ExtRule maps the extension Name at Types onto the row named Row: Regs
+// has rd's letter, then each source's.  A register field the row reads and
+// the extension does not name is Fix, holding register FixTo.
+type ExtRule struct {
+	Name, Types, Row, Regs string
+	Fix                    byte
+	FixTo                  int64
+}
+
+// Helper routes Op at Types through the runtime helper Sym, the paper's
+// emulated instructions (§5.2, integer division on the Alpha): operands in
+// the first integer argument registers, result in the integer return
+// register, all other registers preserved.
+type Helper struct {
+	Op         Op
+	Types, Sym string
+}
 
 // tmpl is one (op, type) of one port as the generic emitters use it: the
 // instruction word with every operand zero, and where each operand goes.
 // The paper's emitters are macros whose op and type are compile-time
 // constants, so an instruction costs a handful of shifts and a store; here
 // they are run-time values, and a table load takes the place of the
-// interface call and the `switch op` the port's encoder opens with.
-//
-// An encoding is templatable when the port's encoder answers with exactly
-// one word, each register number sits in a bit field of its own, and the
-// immediate (or its negation), masked, sits in one more:
+// interface call and the `switch op` of an encoder:
 //
 //	word | rd<<d | rs1<<s1 | rs2<<s2 | (±imm & mask)<<sh,  lo <= imm <= hi
 //
-// Anything else — a multi-word expansion, an immediate outside [lo, hi], an
-// emulated operation, a branch — has no template and goes through the
-// Backend interface, the reference.  A template is read from the port's
-// field declaration (Backend.ISA), not found by probing: the encoder's word
-// names the row, the row's syntax the fields, and their declared shifts and
-// ranges are the template's (TestTemplatesAgreeWithEncoders holds it to the
-// encoder word for word).
+// The word is the mapped row's Match, with the selector bit of a field
+// that has a register form set for an immediate (Field.Put); the shifts
+// and the range are the declared fields'.
 type tmpl struct {
 	word, mask    uint32
 	d, s1, s2, sh uint8 // field shifts: rd (or the stored register), rs1, rs2, immediate
-	neg           uint8 // 1 when the field holds -imm (mips subtracts by addiu)
+	neg           uint8 // 1 when the field holds -imm
 	ok            bool
 	lo, hi        int64
 }
@@ -55,107 +100,201 @@ func (tp *tmpl) holds(imm int64) bool { return tp.ok && tp.lo <= imm && imm <= t
 // numBinOps bounds the ops of the two-source forms (OpAdd..OpRsh).
 const numBinOps = OpRsh + 1
 
-// Templates is one port's single-word encodings, per generic emitter and
-// (op, type).  32 bytes a template, 8.25 KB a port; an emitter touches the
-// few entries its client's instruction mix names.
+// Templates is a port's Mapping as the emitters read it, built once by the
+// port and read by the core and the port's own methods alike: a template
+// per generic emitter and (op, type), about 10 KB a port; the hardware
+// extensions; the emulated set and its helpers.
 type Templates struct {
 	alu, alui [numBinOps][numTypes]tmpl
 	ld, st    [numTypes]tmpl
+	ldx, stx  [numTypes]tmpl // ld and st with a register for the displacement (SPARC)
+	ext       []extTmpl
+	emul      EmulatedOps
+	syms      [numBinOps][numTypes]string
 }
 
-// TemplatesOf returns b's templates: like EmulatedOpsOf, derived once per
-// Backend type from the port's own methods and shared.
-func TemplatesOf(b Backend) *Templates { return &portOf(b).tmpl }
-
-// derive fills ts in from bk's ALU, ALUImm, Load and Store, over every (op,
-// type) the generic emitters accept.
-func (ts *Templates) derive(bk Backend) {
-	isa, buf := bk.ISA(), NewBuf(8)
-	for t := TypeV; t < numTypes; t++ {
-		reg := GPR
-		if t.IsFloat() {
-			reg = FPR
-		}
-		r := [3]Reg{reg(5), reg(6), reg(7)}
-		for op := Op(0); op < numBinOps; op++ {
-			if legal.alu[op].has(t) {
-				ts.alu[op][t] = read(isa, buf, r[:], func(b *Buf, _ int64) error {
-					return bk.ALU(b, op, t, r[0], r[1], r[2])
-				})
-			}
-			if legal.alui[op].has(t) {
-				ts.alui[op][t] = read(isa, buf, r[:2], func(b *Buf, imm int64) error {
-					return bk.ALUImm(b, op, t, r[0], r[1], imm)
-				})
-			}
-		}
-		if legal.mem.has(t) {
-			m := []Reg{r[0], GPR(6)} // the base is an address whatever is loaded
-			ts.ld[t] = read(isa, buf, m, func(b *Buf, off int64) error {
-				return bk.Load(b, t, m[0], m[1], off)
-			})
-			ts.st[t] = read(isa, buf, m, func(b *Buf, off int64) error {
-				return bk.Store(b, t, m[0], m[1], off)
-			})
-		}
-	}
+// extTmpl is one hardware extension: a template for name at types.
+type extTmpl struct {
+	name  string
+	types typeSet
+	tmpl
 }
 
-// read reads enc's template off the row of the word it encodes and that
-// row's fields in isa, or returns the zero tmpl.  enc's operands are regs
-// (rd, rs1, and rs2 for a form without an immediate), registers no port
-// hardwires, so the field each turns up in is its operand's; probes at a
-// few immediates settle how the immediate goes in.
-func read(isa *exec.Table, buf *Buf, regs []Reg, enc func(b *Buf, imm int64) error) tmpl {
-	one := func(imm int64) (uint32, bool) {
-		buf.Reset()
-		if enc(buf, imm) != nil || buf.Len() != 1 {
-			return 0, false
-		}
-		return buf.At(0), true
-	}
-	w, ok := one(0)
-	row := isa.Lookup(w)
-	if !ok || row == nil {
-		return tmpl{}
-	}
-	tp, found := tmpl{word: w, ok: true}, 0
-	shift := [3]*uint8{&tp.d, &tp.s1, &tp.s2}
-	var imm *exec.Field
-	for _, c := range []byte(row.Syntax) {
-		f := isa.Field(c).In(w)
-		if f == nil {
+// EmulatedOps is the set of (op, type) pairs a port routes through runtime
+// helpers, as a table the per-instruction path reads with one load.
+type EmulatedOps struct {
+	types [1 << 8]typeSet // by Op, over its whole range
+}
+
+// Has reports whether the port emulates op at type t.
+func (e *EmulatedOps) Has(op Op, t Type) bool { return e.types[op].has(t) }
+
+// EmulatedOpsOf returns b's emulated-operation set.
+func EmulatedOpsOf(b Backend) *EmulatedOps { return &b.Templates().emul }
+
+// NewTemplates builds m over isa, the port's instruction table, for the
+// types each emitter accepts.  A rule that names no row, letter or type is
+// a bug in the port, and panics when its package starts.
+func NewTemplates(isa *exec.Table, m Mapping) *Templates {
+	ts := new(Templates)
+	for _, r := range m.ALU {
+		tp, _ := build(isa, r.Row, r.Regs, false)
+		types := typesOf(r.Types)
+		set(&ts.alu[r.Op], types&legal.alu[r.Op], tp)
+		if r.Imm == "" {
 			continue
 		}
-		for i, r := range regs {
-			if f.Names != nil && f.Get(w) == int64(r.Num()) {
-				*shift[i], found = f.Shift, found|1<<i
-				tp.word &^= f.Bits() << f.Shift
-			}
+		if r.ImmRegs == "" {
+			r.ImmRegs = r.Regs
 		}
-		if f.Names == nil && !f.Target && f.Scale == 0 {
-			imm = f
-		}
-	}
-	hasImm := len(regs) == 2
-	if found != 1<<len(regs)-1 || hasImm && imm == nil {
-		return tmpl{}
-	}
-	if hasImm {
-		// The field holds imm, or -imm (mips subtracts by addiu), over its
-		// declared range; or the encoder masks imm into it (a shift count)
-		// and every imm is one word.
-		tp.sh, tp.mask = imm.Shift, imm.Bits()
-		tp.lo, tp.hi = imm.Range()
-		if w, _ := one(1); imm.Get(w) == -1 {
+		tp, _ = build(isa, r.Imm, r.ImmRegs, true)
+		if r.Neg {
 			tp.neg, tp.lo, tp.hi = 1, -tp.hi, -tp.lo
 		}
-		_, min := one(math.MinInt64)
-		if _, max := one(math.MaxInt64); min && max {
-			w, _ := one(-1)
-			tp.mask &= uint32(imm.Get(w))
+		if r.Mask != 0 {
+			tp.mask &= r.Mask
 			tp.lo, tp.hi = math.MinInt64, math.MaxInt64
 		}
+		set(&ts.alui[r.Op], types&legal.alui[r.Op], tp)
 	}
-	return tp
+	tabs := [2][2]*[numTypes]tmpl{{&ts.ld, &ts.ldx}, {&ts.st, &ts.stx}}
+	for i, rules := range [2][]Mem{m.Ld, m.St} {
+		for _, r := range rules {
+			tp, x := build(isa, r.Row, r.Regs, true)
+			types := typesOf(r.Types) & legal.mem
+			set(tabs[i][0], types, tp)
+			set(tabs[i][1], types, x)
+		}
+	}
+	for _, r := range m.Ext {
+		tp, _ := build(isa, r.Row, r.Regs, false)
+		if r.Fix != 0 {
+			tp.word, _ = isa.Field(r.Fix).Put(tp.word, r.FixTo)
+		}
+		ts.ext = append(ts.ext, extTmpl{r.Name, typesOf(r.Types), tp})
+	}
+	for _, h := range m.Emulated {
+		emul := typesOf(h.Types) & legal.alu[h.Op]
+		ts.emul.types[h.Op] |= emul
+		set(&ts.syms[h.Op], emul, h.Sym)
+	}
+	return ts
+}
+
+// set puts v into tab at each of types.
+func set[T any](tab *[numTypes]T, types typeSet, v T) {
+	for t := TypeV; t < numTypes; t++ {
+		if types.has(t) {
+			tab[t] = v
+		}
+	}
+}
+
+// build is the template of the row named name with its operands in the
+// fields of letters: rd's, rs1's, then rs2's or, with imm, the
+// immediate's.  x is the same row with a register where the immediate
+// goes, when the immediate's field has a register form.
+func build(isa *exec.Table, name, letters string, imm bool) (tp, x tmpl) {
+	row := isa.Row(name)
+	if row == nil || len(letters) > 3 {
+		panic(fmt.Sprintf("core: mapping names row %q with operands %q", name, letters))
+	}
+	tp = tmpl{word: row.Match, ok: true}
+	shift := [3]*uint8{&tp.d, &tp.s1, &tp.s2}
+	for i, c := range []byte(letters) {
+		f := isa.Field(c)
+		switch {
+		case f == nil:
+			panic(fmt.Sprintf("core: mapping of %q names no field %q", name, c))
+		case imm && i == 2:
+			if x = tp; f.Else != nil {
+				x.s2 = f.Else.Shift
+			} else {
+				x.ok = false
+			}
+			tp.word, _ = f.Put(tp.word, 0)
+			tp.sh, tp.mask = f.Shift, f.Bits()
+			tp.lo, tp.hi = f.Range()
+		default:
+			*shift[i] = f.In(row.Match).Shift
+		}
+	}
+	return tp, x
+}
+
+// typesOf parses a rule's type letters.
+func typesOf(letters string) typeSet {
+	var s typeSet
+	for _, l := range strings.Fields(letters) {
+		i := slices.Index(typeLetters[:], l)
+		if i < 0 {
+			panic(fmt.Sprintf("core: mapping names type %q", l))
+		}
+		s |= 1 << i
+	}
+	return s
+}
+
+// ALU appends rd = rs1 op rs2 if the mapping has a row for it, and reports
+// whether it did.
+func (ts *Templates) ALU(b *Buf, op Op, t Type, rd, rs1, rs2 Reg) bool {
+	if op >= numBinOps || t >= numTypes || !ts.alu[op][t].ok {
+		return false
+	}
+	b.Emit(ts.alu[op][t].regs(rd, rs1, rs2))
+	return true
+}
+
+// ALUImm appends rd = rs op imm if the mapping has a row for it whose
+// field holds imm, and reports whether it did.
+func (ts *Templates) ALUImm(b *Buf, op Op, t Type, rd, rs Reg, imm int64) bool {
+	if op >= numBinOps || t >= numTypes || !ts.alui[op][t].holds(imm) {
+		return false
+	}
+	b.Emit(ts.alui[op][t].imm(rd, rs, imm))
+	return true
+}
+
+// Load appends rd = *(t*)(base + off) if the mapping has a row for it whose
+// field holds off, and reports whether it did.
+func (ts *Templates) Load(b *Buf, t Type, rd, base Reg, off int64) bool {
+	return ts.mem(b, &ts.ld, t, rd, base, off)
+}
+
+// Store appends *(t*)(base + off) = rs as Load does.
+func (ts *Templates) Store(b *Buf, t Type, rs, base Reg, off int64) bool {
+	return ts.mem(b, &ts.st, t, rs, base, off)
+}
+
+func (ts *Templates) mem(b *Buf, tab *[numTypes]tmpl, t Type, r, base Reg, off int64) bool {
+	if t >= numTypes || !tab[t].holds(off) {
+		return false
+	}
+	b.Emit(tab[t].imm(r, base, off))
+	return true
+}
+
+// Indexed appends the load (or, with store, the store) of r at base + idx
+// if the mapped row's displacement field has a register form, and reports
+// whether it did.
+func (ts *Templates) Indexed(b *Buf, store bool, t Type, r, base, idx Reg) bool {
+	tab := &ts.ldx
+	if store {
+		tab = &ts.stx
+	}
+	if t >= numTypes || !tab[t].ok {
+		return false
+	}
+	b.Emit(tab[t].regs(r, base, idx))
+	return true
+}
+
+// extOf returns the hardware extension name at t, nil when there is none.
+func (ts *Templates) extOf(name string, t Type) *tmpl {
+	for i := range ts.ext {
+		if x := &ts.ext[i]; x.name == name && x.types.has(t) {
+			return &x.tmpl
+		}
+	}
+	return nil
 }

@@ -59,9 +59,10 @@ func sweepImms(rng *rand.Rand, lo, hi int64) []int64 {
 
 // TestTemplatesAgreeWithEncoders: for every template of every port, what the
 // generic emitter appends is what the port's encoder emits — for every
-// register number of the right banks, at every immediate of sweepImms.  One
-// step outside the template's range that is the encoder's multi-word
-// expansion, which only the interface path can have produced.
+// register number of the right banks, at every immediate of sweepImms.
+// Inside the range both emit the mapped word; one step outside it is the
+// encoder's multi-word expansion, which only the interface path can have
+// produced, so this is the check of every expansion's boundary.
 func TestTemplatesAgreeWithEncoders(t *testing.T) {
 	for _, tg := range regtest.Targets() {
 		rng := rand.New(rand.NewSource(24))
@@ -70,7 +71,7 @@ func TestTemplatesAgreeWithEncoders(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := a.Buf().Len()
-		for _, tp := range core.TemplatesOf(tg.Backend).All() {
+		for _, tp := range tg.Backend.Templates().All() {
 			bank := func(ty core.Type, n int) core.Reg {
 				if ty.IsFloat() {
 					return core.FPR(n)
@@ -110,10 +111,9 @@ func TestTemplatesAgreeWithEncoders(t *testing.T) {
 
 // TestTemplatesExist pins every template of every port: the generic emitter
 // it serves, its (op, type) and the immediates it holds for, one line per
-// (port, emitter, range).  It pins the fast path itself, not its size: an
-// encoder that starts special-casing a register or grows a second word, or
-// a field declaration that drifts from the encoders, changes an entry here
-// and not just a benchmark.
+// (port, emitter, range).  It pins the fast path itself, not its size: a
+// mapping rule or a field declaration that changes what is one word
+// changes an entry here and not just a benchmark.
 func TestTemplatesExist(t *testing.T) {
 	const want = `
 mips ALU [0, 0]: addi addu addl addul addp addf addd subi subu subl subul subp subf subd mulf muld divf divd andi andu andl andul ori oru orl orul xori xoru xorl xorul lshi lshu lshl lshul rshi rshu rshl rshul
@@ -135,7 +135,7 @@ alpha StI [-32768, 32767]: sti stu stl stul stp stf std
 `
 	var got []string
 	for _, tg := range regtest.Targets() {
-		ts := core.TemplatesOf(tg.Backend)
+		ts := tg.Backend.Templates()
 		var keys []string
 		groups := map[string][]string{}
 		for _, tp := range ts.All() {
@@ -151,7 +151,7 @@ alpha StI [-32768, 32767]: sti stu stl stul stp stf std
 		for _, k := range keys {
 			got = append(got, k+": "+strings.Join(groups[k], " "))
 		}
-		if again := core.TemplatesOf(tg.NewMachine().Backend()); again != ts {
+		if again := tg.NewMachine().Backend().Templates(); again != ts {
 			t.Errorf("%s: a second backend of the port derived templates of its own", tg.Name)
 		}
 	}

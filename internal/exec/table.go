@@ -248,6 +248,16 @@ func NewTable(rows []Row, fields map[byte]Field) *Table {
 // ISA, Classify and Disasm.
 func (t *Table) ISA() *Table { return t }
 
+// Row returns a row named name, nil when there is none.
+func (t *Table) Row(name string) *Row {
+	for i := range t.rows {
+		if t.rows[i].Name == name {
+			return &t.rows[i]
+		}
+	}
+	return nil
+}
+
 // Field returns the declaration of Syntax letter c, nil for punctuation.
 func (t *Table) Field(c byte) *Field { return t.fields[c] }
 

@@ -85,7 +85,6 @@ func (*Backend) RetAddrOffset() int            { return 0 }
 func gn(r core.Reg) uint32 { return uint32(r.Num()) }
 
 func fitsS16(v int64) bool { return v >= -32768 && v <= 32767 }
-func fitsU16(v int64) bool { return v >= 0 && v <= 0xffff }
 
 // materialize loads a 32-bit immediate into register r.
 func materialize(b *core.Buf, r uint32, imm int64) {
@@ -110,110 +109,39 @@ func fpFmt(t core.Type) uint32 {
 	return fmtS
 }
 
-// ALU implements rd = rs1 op rs2.
+// ALU implements rd = rs1 op rs2: the mapped row, or an integer multiply
+// or divide into hi and lo and a move from the half op wants.
 func (m *Backend) ALU(b *core.Buf, op core.Op, t core.Type, rd, rs1, rs2 core.Reg) error {
-	if t.IsFloat() {
-		var fn uint32
-		switch op {
-		case core.OpAdd:
-			fn = fpAdd
-		case core.OpSub:
-			fn = fpSub
-		case core.OpMul:
-			fn = fpMul
-		case core.OpDiv:
-			fn = fpDiv
-		default:
-			return fmt.Errorf("mips: %s%s unsupported", op, t)
-		}
-		b.Emit(fpRType(fpFmt(t), gn(rs2), gn(rs1), gn(rd), fn))
+	if templates.ALU(b, op, t, rd, rs1, rs2) {
 		return nil
 	}
-	d, s1, s2 := gn(rd), gn(rs1), gn(rs2)
-	switch op {
-	case core.OpAdd:
-		b.Emit(rType(fnAddu, s1, s2, d, 0))
-	case core.OpSub:
-		b.Emit(rType(fnSubu, s1, s2, d, 0))
-	case core.OpAnd:
-		b.Emit(rType(fnAnd, s1, s2, d, 0))
-	case core.OpOr:
-		b.Emit(rType(fnOr, s1, s2, d, 0))
-	case core.OpXor:
-		b.Emit(rType(fnXor, s1, s2, d, 0))
-	case core.OpLsh:
-		b.Emit(rType(fnSllv, s2, s1, d, 0))
-	case core.OpRsh:
-		if t.IsSigned() {
-			b.Emit(rType(fnSrav, s2, s1, d, 0))
-		} else {
-			b.Emit(rType(fnSrlv, s2, s1, d, 0))
-		}
-	case core.OpMul:
-		if t.IsSigned() {
-			b.Emit(rType(fnMult, s1, s2, 0, 0))
-		} else {
-			b.Emit(rType(fnMultu, s1, s2, 0, 0))
-		}
-		b.Emit(rType(fnMflo, 0, 0, d, 0))
-	case core.OpDiv, core.OpMod:
-		if t.IsSigned() {
-			b.Emit(rType(fnDiv, s1, s2, 0, 0))
-		} else {
-			b.Emit(rType(fnDivu, s1, s2, 0, 0))
-		}
-		if op == core.OpDiv {
-			b.Emit(rType(fnMflo, 0, 0, d, 0))
-		} else {
-			b.Emit(rType(fnMfhi, 0, 0, d, 0))
+	mul, div, from := uint32(fnMultu), uint32(fnDivu), uint32(fnMflo)
+	if t.IsSigned() {
+		mul, div = fnMult, fnDiv
+	}
+	switch {
+	case t.IsFloat():
+		return fmt.Errorf("mips: %s%s unsupported", op, t)
+	case op == core.OpMul:
+		b.Emit(rType(mul, gn(rs1), gn(rs2), 0, 0))
+	case op == core.OpDiv || op == core.OpMod:
+		b.Emit(rType(div, gn(rs1), gn(rs2), 0, 0))
+		if op == core.OpMod {
+			from = fnMfhi
 		}
 	default:
 		return fmt.Errorf("mips: ALU op %s unsupported", op)
 	}
+	b.Emit(rType(from, 0, 0, gn(rd), 0))
 	return nil
 }
 
-// ALUImm implements rd = rs op imm.
+// ALUImm implements rd = rs op imm: the mapped row, or the register form
+// of imm materialized into AT.
 func (m *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, imm int64) error {
-	d, s := gn(rd), gn(rs)
-	switch op {
-	case core.OpAdd:
-		if fitsS16(imm) {
-			b.Emit(iType(opAddiu, s, d, uint16(imm)))
-			return nil
-		}
-	case core.OpSub:
-		if fitsS16(-imm) {
-			b.Emit(iType(opAddiu, s, d, uint16(-imm)))
-			return nil
-		}
-	case core.OpAnd:
-		if fitsU16(imm) {
-			b.Emit(iType(opAndi, s, d, uint16(imm)))
-			return nil
-		}
-	case core.OpOr:
-		if fitsU16(imm) {
-			b.Emit(iType(opOri, s, d, uint16(imm)))
-			return nil
-		}
-	case core.OpXor:
-		if fitsU16(imm) {
-			b.Emit(iType(opXori, s, d, uint16(imm)))
-			return nil
-		}
-	case core.OpLsh:
-		b.Emit(rType(fnSll, 0, s, d, uint32(imm&31)))
-		return nil
-	case core.OpRsh:
-		if t.IsSigned() {
-			b.Emit(rType(fnSra, 0, s, d, uint32(imm&31)))
-		} else {
-			b.Emit(rType(fnSrl, 0, s, d, uint32(imm&31)))
-		}
+	if templates.ALUImm(b, op, t, rd, rs, imm) {
 		return nil
 	}
-	// Fall back: materialize into AT and use the register form.
 	materialize(b, rAT, imm)
 	return m.ALU(b, op, t, rd, rs, core.GPR(rAT))
 }
@@ -285,79 +213,44 @@ func (m *Backend) Cvt(b *core.Buf, from, to core.Type, rd, rs core.Reg) error {
 	return nil
 }
 
-func memOpcode(t core.Type, store bool) (uint32, error) {
-	if store {
-		switch t {
-		case core.TypeC, core.TypeUC:
-			return opSb, nil
-		case core.TypeS, core.TypeUS:
-			return opSh, nil
-		case core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP:
-			return opSw, nil
-		case core.TypeF:
-			return opSwc1, nil
-		case core.TypeD:
-			return opSdc1, nil
-		}
-		return 0, fmt.Errorf("mips: st%s unsupported", t)
-	}
-	switch t {
-	case core.TypeC:
-		return opLb, nil
-	case core.TypeUC:
-		return opLbu, nil
-	case core.TypeS:
-		return opLh, nil
-	case core.TypeUS:
-		return opLhu, nil
-	case core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP:
-		return opLw, nil
-	case core.TypeF:
-		return opLwc1, nil
-	case core.TypeD:
-		return opLdc1, nil
-	}
-	return 0, fmt.Errorf("mips: ld%s unsupported", t)
-}
-
-func (m *Backend) mem(b *core.Buf, t core.Type, r, base core.Reg, off int64, store bool) error {
-	op, err := memOpcode(t, store)
-	if err != nil {
-		return err
-	}
-	if fitsS16(off) {
-		b.Emit(iType(op, gn(base), gn(r), uint16(off)))
-		return nil
-	}
-	// lui at, %hi(off); addu at, at, base; op r, %lo(off)(at)
-	hi := (off + 0x8000) >> 16
-	lo := off - hi<<16
-	b.Emit(iType(opLui, 0, rAT, uint16(hi)))
-	b.Emit(rType(fnAddu, rAT, gn(base), rAT, 0))
-	b.Emit(iType(op, rAT, gn(r), uint16(lo)))
-	return nil
-}
-
 // Load implements rd = *(t*)(base+off).
 func (m *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) error {
-	return m.mem(b, t, rd, base, off, false)
+	if templates.Load(b, t, rd, base, off) {
+		return nil
+	}
+	return far(b, templates.Load, t, rd, base, off)
 }
 
 // Store implements *(t*)(base+off) = rs.
 func (m *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) error {
-	return m.mem(b, t, rs, base, off, true)
+	if templates.Store(b, t, rs, base, off) {
+		return nil
+	}
+	return far(b, templates.Store, t, rs, base, off)
+}
+
+// far is a load or store at an offset past 16 bits: lui at, %hi(off);
+// addu at, at, base; then the mapped word at %lo(off)(at).
+func far(b *core.Buf, mem func(*core.Buf, core.Type, core.Reg, core.Reg, int64) bool, t core.Type, r, base core.Reg, off int64) error {
+	hi, at := (off+0x8000)>>16, core.GPR(rAT)
+	b.Emit(iType(opLui, 0, rAT, uint16(hi)))
+	templates.ALU(b, core.OpAdd, core.TypeP, at, at, base)
+	if !mem(b, t, r, at, off-hi<<16) {
+		return fmt.Errorf("mips: memory access of type %s unsupported", t)
+	}
+	return nil
 }
 
 // LoadRR implements rd = *(t*)(base+idx).
 func (m *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	b.Emit(rType(fnAddu, gn(base), gn(idx), rAT, 0))
-	return m.mem(b, t, rd, core.GPR(rAT), 0, false)
+	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
+	return m.Load(b, t, rd, core.GPR(rAT), 0)
 }
 
 // StoreRR implements *(t*)(base+idx) = rs.
 func (m *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	b.Emit(rType(fnAddu, gn(base), gn(idx), rAT, 0))
-	return m.mem(b, t, rs, core.GPR(rAT), 0, true)
+	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
+	return m.Store(b, t, rs, core.GPR(rAT), 0)
 }
 
 // Branch emits a conditional branch (delay-slot nop included) and returns
@@ -498,22 +391,48 @@ var fixed = core.Fixed{
 
 func (*Backend) Fixed() *core.Fixed { return &fixed }
 
-// EmulatedOp: MIPS has hardware multiply and divide; nothing is emulated.
-func (m *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }
+// templates is the port's instruction mapping; MIPS emulates nothing.
+var templates = core.NewTemplates(isa, core.Mapping{
+	ALU: []core.Rule{
+		{Op: core.OpAdd, Types: "i u l ul p", Row: "addu", Regs: "dst", Imm: "addiu", ImmRegs: "tsi"},
+		{Op: core.OpAdd, Types: "f", Row: "add.s", Regs: "DST"},
+		{Op: core.OpAdd, Types: "d", Row: "add.d", Regs: "DST"},
+		{Op: core.OpSub, Types: "i u l ul p", Row: "subu", Regs: "dst", Imm: "addiu", ImmRegs: "tsi", Neg: true},
+		{Op: core.OpSub, Types: "f", Row: "sub.s", Regs: "DST"},
+		{Op: core.OpSub, Types: "d", Row: "sub.d", Regs: "DST"},
+		{Op: core.OpMul, Types: "f", Row: "mul.s", Regs: "DST"},
+		{Op: core.OpMul, Types: "d", Row: "mul.d", Regs: "DST"},
+		{Op: core.OpDiv, Types: "f", Row: "div.s", Regs: "DST"},
+		{Op: core.OpDiv, Types: "d", Row: "div.d", Regs: "DST"},
+		{Op: core.OpAnd, Types: "i u l ul", Row: "and", Regs: "dst", Imm: "andi", ImmRegs: "tsu"},
+		{Op: core.OpOr, Types: "i u l ul", Row: "or", Regs: "dst", Imm: "ori", ImmRegs: "tsu"},
+		{Op: core.OpXor, Types: "i u l ul", Row: "xor", Regs: "dst", Imm: "xori", ImmRegs: "tsu"},
+		{Op: core.OpLsh, Types: "i u l ul", Row: "sllv", Regs: "dts", Imm: "sll", ImmRegs: "dth", Mask: 31},
+		{Op: core.OpRsh, Types: "i l", Row: "srav", Regs: "dts", Imm: "sra", ImmRegs: "dth", Mask: 31},
+		{Op: core.OpRsh, Types: "u ul", Row: "srlv", Regs: "dts", Imm: "srl", ImmRegs: "dth", Mask: 31},
+	},
+	Ld: []core.Mem{
+		{Types: "c", Row: "lb", Regs: "tsi"},
+		{Types: "uc", Row: "lbu", Regs: "tsi"},
+		{Types: "s", Row: "lh", Regs: "tsi"},
+		{Types: "us", Row: "lhu", Regs: "tsi"},
+		{Types: "i u l ul p", Row: "lw", Regs: "tsi"},
+		{Types: "f", Row: "lwc1", Regs: "Tsi"},
+		{Types: "d", Row: "ldc1", Regs: "Tsi"},
+	},
+	St: []core.Mem{
+		{Types: "c uc", Row: "sb", Regs: "tsi"},
+		{Types: "s us", Row: "sh", Regs: "tsi"},
+		{Types: "i u l ul p", Row: "sw", Regs: "tsi"},
+		{Types: "f", Row: "swc1", Regs: "Tsi"},
+		{Types: "d", Row: "sdc1", Regs: "Tsi"},
+	},
+	Ext: []core.ExtRule{
+		{Name: "sqrt", Types: "f", Row: "sqrt.s", Regs: "DS"},
+		{Name: "sqrt", Types: "d", Row: "sqrt.d", Regs: "DS"},
+		{Name: "abs", Types: "f", Row: "abs.s", Regs: "DS"},
+		{Name: "abs", Types: "d", Row: "abs.d", Regs: "DS"},
+	},
+})
 
-// TryExt provides hardware implementations for extension instructions.
-func (m *Backend) TryExt(b *core.Buf, name string, t core.Type, rd core.Reg, rs []core.Reg) (bool, error) {
-	switch name {
-	case "sqrt":
-		if t.IsFloat() && len(rs) == 1 {
-			b.Emit(fpRType(fpFmt(t), 0, gn(rs[0]), gn(rd), fpSqrt))
-			return true, nil
-		}
-	case "abs":
-		if t.IsFloat() && len(rs) == 1 {
-			b.Emit(fpRType(fpFmt(t), 0, gn(rs[0]), gn(rd), fpAbs))
-			return true, nil
-		}
-	}
-	return false, nil
-}
+func (*Backend) Templates() *core.Templates { return templates }

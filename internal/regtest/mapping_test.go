@@ -1,0 +1,248 @@
+package regtest
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's behaviour")
+
+// wordsHex renders ws as space-separated hex words.
+func wordsHex(ws []uint32) string {
+	var sb strings.Builder
+	for i, w := range ws {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "%08x", w)
+	}
+	return sb.String()
+}
+
+// template is one (generic emitter, op, type) a port encodes in one word
+// over [lo, hi], an immediate range around 0 (0 to 0 for ALU).
+type template struct {
+	door   string
+	op     core.Op
+	t      core.Type
+	lo, hi int64
+}
+
+// emitDoor emits one instruction through the generic emitter door, r being
+// rd (or the stored register), rs1 (or the base) and rs2.
+func emitDoor(a *core.Asm, door string, op core.Op, t core.Type, r [3]core.Reg, imm int64) {
+	switch door {
+	case "ALU":
+		a.ALU(op, t, r[0], r[1], r[2])
+	case "ALUI":
+		a.ALUI(op, t, r[0], r[1], imm)
+	case "LdI":
+		a.LdI(t, r[0], r[1], imm)
+	case "StI":
+		a.StI(t, r[0], r[1], imm)
+	}
+}
+
+// regsFor is the registers of assignment n for an instruction of type t
+// through door: the base of a load or store is an integer register.
+func regsFor(door string, t core.Type, n [3]int) [3]core.Reg {
+	var r [3]core.Reg
+	for i := range r {
+		if r[i] = core.GPR(n[i]); t.IsFloat() && !(i == 1 && door[0] != 'A') {
+			r[i] = core.FPR(n[i])
+		}
+	}
+	return r
+}
+
+// templatesOf finds tg's templates from outside, through the generic
+// emitters alone: every accepted (emitter, op, type) that is one word at
+// immediate 0, with the range around 0 it stays one word over.
+func templatesOf(tg Target) []template {
+	var out []template
+	for _, door := range []string{"ALU", "ALUI", "LdI", "StI"} {
+		ops := []core.Op{core.OpLd}
+		if door == "StI" {
+			ops[0] = core.OpSt
+		} else if door[0] == 'A' {
+			ops = ops[:0]
+			for op := core.OpAdd; op <= core.OpRsh; op++ {
+				ops = append(ops, op)
+			}
+		}
+		for _, op := range ops {
+			for ty := core.TypeV; ty <= core.TypeD; ty++ {
+				a := core.NewAsm(tg.Backend)
+				if _, err := a.Begin("", core.Leaf); err != nil {
+					panic(err)
+				}
+				start, r := a.Buf().Len(), regsFor(door, ty, [3]int{5, 6, 7})
+				one := func(imm int64) bool {
+					emitDoor(a, door, op, ty, r, imm)
+					ok := a.Err() == nil && a.Buf().Len() == start+1
+					a.Buf().Truncate(start)
+					return ok
+				}
+				if !one(0) {
+					continue // refused, or more than a word
+				}
+				tp := template{door: door, op: op, t: ty}
+				if door != "ALU" {
+					tp.lo, tp.hi = rangeEnd(one, math.MinInt64), rangeEnd(one, math.MaxInt64)
+				}
+				out = append(out, tp)
+			}
+		}
+	}
+	return out
+}
+
+// rangeEnd is the last immediate from 0 towards end that one holds for,
+// one's range being contiguous.
+func rangeEnd(one func(int64) bool, end int64) int64 {
+	if one(end) {
+		return end
+	}
+	in, out := int64(0), end
+	for (out-in)/2 != 0 {
+		if mid := in + (out-in)/2; one(mid) {
+			in = mid
+		} else {
+			out = mid
+		}
+	}
+	return in
+}
+
+// TestTemplateWords pins what every port's instruction mapping yields, as
+// the generic emitters emit it: each template's words at two register
+// assignments and at the immediates lo, -1, 0, 1 and hi of its range (the
+// ends of a masked template's range are the ends of int64), each of sqrt
+// and abs at f and d, and the runtime helper each emulated (op, type)
+// calls.  testdata/template_words.golden was captured before the mapping
+// became declared data, from the ports' hand-written encoders.
+func TestTemplateWords(t *testing.T) {
+	assigns := [2][3]int{{5, 6, 7}, {17, 30, 2}}
+	var got []string
+	for _, tg := range Targets() {
+		a := core.NewAsm(tg.Backend)
+		if _, err := a.Begin("", core.Leaf); err != nil {
+			t.Fatal(err)
+		}
+		start := a.Buf().Len()
+		emit := func(key string, f func()) {
+			f()
+			if err := a.Err(); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			got = append(got, key+"\t"+wordsHex(a.Buf().Words()[start:]))
+			a.Buf().Truncate(start)
+		}
+		for _, tp := range templatesOf(tg) {
+			for _, n := range assigns {
+				key, r := fmt.Sprintf("%s %s %s%s %v", tg.Name, tp.door, tp.op, tp.t.Letter(), n), regsFor(tp.door, tp.t, n)
+				if tp.door == "ALU" {
+					emit(key, func() { emitDoor(a, tp.door, tp.op, tp.t, r, 0) })
+					continue
+				}
+				imms := []int64{tp.lo, -1, 0, 1, tp.hi}
+				for i, imm := range imms {
+					if !slices.Contains(imms[:i], imm) { // lo is 0 or hi is 1
+						emit(fmt.Sprintf("%s imm %d", key, imm), func() { emitDoor(a, tp.door, tp.op, tp.t, r, imm) })
+					}
+				}
+			}
+		}
+		for _, name := range []string{"sqrt", "abs"} {
+			for _, ty := range []core.Type{core.TypeF, core.TypeD} {
+				for _, n := range assigns {
+					emit(fmt.Sprintf("%s ext %s%s %v", tg.Name, name, ty.Letter(), n[:2]), func() {
+						a.Ext(name, ty, core.FPR(n[0]), core.FPR(n[1]))
+					})
+				}
+			}
+		}
+		got = append(got, emulatedPairs(t, tg)...)
+	}
+	Golden(t, "testdata/template_words.golden", got, *update)
+}
+
+// emulatedPairs lists, for every (op, type) tg's ALU accepts and routes
+// through a runtime helper, the helper its call is relocated to.
+func emulatedPairs(t *testing.T, tg Target) []string {
+	var out []string
+	emul := core.EmulatedOpsOf(tg.Backend)
+	for op := core.OpAdd; op <= core.OpRsh; op++ {
+		for ty := core.TypeV; ty <= core.TypeD; ty++ {
+			if !emul.Has(op, ty) {
+				continue
+			}
+			a := core.NewAsm(tg.Backend)
+			args, err := a.BeginTypes([]core.Type{core.TypeL, core.TypeL}, core.Leaf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.ALU(op, ty, args[0], args[0], args[1]); errors.Is(a.Err(), core.ErrBadType) {
+				continue
+			}
+			a.RetVoid()
+			fn, err := a.End()
+			if err != nil {
+				t.Fatalf("%s %s%s: %v", tg.Name, op, ty.Letter(), err)
+			}
+			var syms []string
+			for _, r := range fn.Relocs {
+				if r.Sym != "" {
+					syms = append(syms, r.Sym)
+				}
+			}
+			out = append(out, fmt.Sprintf("%s emulated %s%s\t%s", tg.Name, op, ty.Letter(), strings.Join(syms, " ")))
+		}
+	}
+	return out
+}
+
+// TestExtRefusesWrongBank: an extension the port has in hardware takes its
+// registers through the same bank test as every other door — an integer
+// register or NoReg where the type wants a floating-point one is refused
+// with ErrBadReg and emits nothing, as the synthesised ones already are
+// through the emitters they expand to.
+func TestExtRefusesWrongBank(t *testing.T) {
+	for _, tg := range Targets() {
+		cases := []struct {
+			name   string
+			rd, rs core.Reg
+		}{
+			{"sqrt", core.GPR(5), core.GPR(6)},
+			{"sqrt", core.FPR(5), core.GPR(6)},
+			{"sqrt", core.GPR(5), core.FPR(6)},
+			{"sqrt", core.FPR(5), core.NoReg},
+			{"min", core.FPR(5), core.FPR(6)},
+		}
+		for _, c := range cases {
+			a := core.NewAsm(tg.Backend)
+			if _, err := a.Begin("", core.Leaf); err != nil {
+				t.Fatal(err)
+			}
+			start, n := a.Buf().Len(), a.InsnCount()
+			if c.name == "min" {
+				a.Ext(c.name, core.TypeI, c.rd, c.rs, c.rs)
+			} else {
+				a.Ext(c.name, core.TypeF, c.rd, c.rs)
+			}
+			if err := a.Err(); !errors.Is(err, core.ErrBadReg) {
+				t.Errorf("%s: %s %v, %v: err %v, want ErrBadReg", tg.Name, c.name, c.rd, c.rs, err)
+			}
+			if c.name == "sqrt" && (a.Buf().Len() != start || a.InsnCount() != n) {
+				t.Errorf("%s: refused sqrt %v, %v emitted %#x", tg.Name, c.rd, c.rs, a.Buf().Words()[start:])
+			}
+		}
+	}
+}

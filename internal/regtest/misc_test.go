@@ -171,7 +171,7 @@ func TestExtensionsAllTargets(t *testing.T) {
 				t.Errorf("bswap4 = %#x", got.Uint())
 			}
 
-			// sqrt (hardware via TryExt on all three ports).
+			// sqrt (hardware, a row of each port's mapping).
 			a2 := core.NewAsm(tg.Backend)
 			argsd, err := a2.BeginTypes([]core.Type{core.TypeD}, core.Leaf)
 			if err != nil {

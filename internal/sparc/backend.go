@@ -100,123 +100,46 @@ func materialize(b *core.Buf, r uint32, imm int64) {
 	}
 }
 
-// ALU implements rd = rs1 op rs2.
+// ALU implements rd = rs1 op rs2: the mapped row, or an integer division,
+// which seeds Y with the upper dividend half, divides, and for mod
+// multiplies back and subtracts.  The sequence uses %g7 internally so that
+// %g1 stays free to carry a materialized immediate divisor.
 func (s *Backend) ALU(b *core.Buf, op core.Op, t core.Type, rd, rs1, rs2 core.Reg) error {
-	if t.IsFloat() {
-		var opf uint32
-		switch {
-		case op == core.OpAdd && t == core.TypeF:
-			opf = opfFadds
-		case op == core.OpAdd:
-			opf = opfFaddd
-		case op == core.OpSub && t == core.TypeF:
-			opf = opfFsubs
-		case op == core.OpSub:
-			opf = opfFsubd
-		case op == core.OpMul && t == core.TypeF:
-			opf = opfFmuls
-		case op == core.OpMul:
-			opf = opfFmuld
-		case op == core.OpDiv && t == core.TypeF:
-			opf = opfFdivs
-		case op == core.OpDiv:
-			opf = opfFdivd
-		default:
-			return fmt.Errorf("sparc: %s%s unsupported", op, t)
-		}
-		b.Emit(fmtFP(op3FPop1, gn(rd), opf, gn(rs1), gn(rs2)))
+	if templates.ALU(b, op, t, rd, rs1, rs2) {
 		return nil
 	}
-	d, s1, s2 := gn(rd), gn(rs1), gn(rs2)
-	switch op {
-	case core.OpAdd:
-		b.Emit(fmt3r(2, d, op3Add, s1, s2))
-	case core.OpSub:
-		b.Emit(fmt3r(2, d, op3Sub, s1, s2))
-	case core.OpAnd:
-		b.Emit(fmt3r(2, d, op3And, s1, s2))
-	case core.OpOr:
-		b.Emit(fmt3r(2, d, op3Or, s1, s2))
-	case core.OpXor:
-		b.Emit(fmt3r(2, d, op3Xor, s1, s2))
-	case core.OpLsh:
-		b.Emit(fmt3r(2, d, op3Sll, s1, s2))
-	case core.OpRsh:
-		if t.IsSigned() {
-			b.Emit(fmt3r(2, d, op3Sra, s1, s2))
-		} else {
-			b.Emit(fmt3r(2, d, op3Srl, s1, s2))
-		}
-	case core.OpMul:
-		if t.IsSigned() {
-			b.Emit(fmt3r(2, d, op3Smul, s1, s2))
-		} else {
-			b.Emit(fmt3r(2, d, op3Umul, s1, s2))
-		}
-	case core.OpDiv, core.OpMod:
-		// Seed the Y register with the upper dividend half, divide,
-		// and for mod multiply back and subtract.  The sequence uses
-		// %g7 internally so that %g1 stays free to carry a
-		// materialized immediate divisor.
-		if t.IsSigned() {
-			b.Emit(fmt3i(2, rG7, op3Sra, s1, 31))
-		} else {
-			b.Emit(fmt3r(2, rG7, op3Or, rG0, rG0))
-		}
-		b.Emit(fmt3r(2, 0, op3WrY, rG7, rG0)) // wr %g7, %y
-		fn := uint32(op3Sdiv)
-		if !t.IsSigned() {
-			fn = op3Udiv
-		}
-		if op == core.OpDiv {
-			b.Emit(fmt3r(2, d, fn, s1, s2))
-			return nil
-		}
-		b.Emit(fmt3r(2, rG7, fn, s1, s2))
-		b.Emit(fmt3r(2, rG7, op3Smul, rG7, s2))
-		b.Emit(fmt3r(2, d, op3Sub, s1, rG7))
-	default:
-		return fmt.Errorf("sparc: ALU op %s unsupported", op)
+	if t.IsFloat() || op != core.OpDiv && op != core.OpMod {
+		return fmt.Errorf("sparc: %s%s unsupported", op, t)
 	}
+	d, s1, s2, g7 := gn(rd), gn(rs1), gn(rs2), core.GPR(rG7)
+	if t.IsSigned() {
+		b.Emit(fmt3i(2, rG7, op3Sra, s1, 31))
+	} else {
+		b.Emit(fmt3r(2, rG7, op3Or, rG0, rG0))
+	}
+	b.Emit(fmt3r(2, 0, op3WrY, rG7, rG0)) // wr %g7, %y
+	fn := uint32(op3Sdiv)
+	if !t.IsSigned() {
+		fn = op3Udiv
+	}
+	if op == core.OpDiv {
+		b.Emit(fmt3r(2, d, fn, s1, s2))
+		return nil
+	}
+	b.Emit(fmt3r(2, rG7, fn, s1, s2))
+	templates.ALU(b, core.OpMul, core.TypeI, g7, g7, rs2)
+	templates.ALU(b, core.OpSub, core.TypeI, rd, rs1, g7)
 	return nil
 }
 
-// ALUImm implements rd = rs op imm.
+// ALUImm implements rd = rs op imm: the mapped row, or the register form
+// of imm materialized into %g1.
 func (s *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, imm int64) error {
-	d, src := gn(rd), gn(rs)
-	var op3 uint32
-	switch op {
-	case core.OpAdd:
-		op3 = op3Add
-	case core.OpSub:
-		op3 = op3Sub
-	case core.OpAnd:
-		op3 = op3And
-	case core.OpOr:
-		op3 = op3Or
-	case core.OpXor:
-		op3 = op3Xor
-	case core.OpLsh:
-		b.Emit(fmt3i(2, d, op3Sll, src, int32(imm&31)))
-		return nil
-	case core.OpRsh:
-		if t.IsSigned() {
-			b.Emit(fmt3i(2, d, op3Sra, src, int32(imm&31)))
-		} else {
-			b.Emit(fmt3i(2, d, op3Srl, src, int32(imm&31)))
-		}
-		return nil
-	default:
-		materialize(b, rG1, imm)
-		return s.ALU(b, op, t, rd, rs, core.GPR(rG1))
-	}
-	if fitsS13(imm) {
-		b.Emit(fmt3i(2, d, op3, src, int32(imm)))
+	if templates.ALUImm(b, op, t, rd, rs, imm) {
 		return nil
 	}
 	materialize(b, rG1, imm)
-	b.Emit(fmt3r(2, d, op3, src, rG1))
-	return nil
+	return s.ALU(b, op, t, rd, rs, core.GPR(rG1))
 }
 
 // Unary implements rd = op rs.
@@ -302,82 +225,38 @@ func (s *Backend) Cvt(b *core.Buf, from, to core.Type, rd, rs core.Reg) error {
 	return nil
 }
 
-func memOp3(t core.Type, store bool) (uint32, error) {
-	if store {
-		switch t {
-		case core.TypeC, core.TypeUC:
-			return op3Stb, nil
-		case core.TypeS, core.TypeUS:
-			return op3Sth, nil
-		case core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP:
-			return op3St, nil
-		case core.TypeF:
-			return op3Stf, nil
-		case core.TypeD:
-			return op3Stdf, nil
-		}
-		return 0, fmt.Errorf("sparc: st%s unsupported", t)
-	}
-	switch t {
-	case core.TypeC:
-		return op3Ldsb, nil
-	case core.TypeUC:
-		return op3Ldub, nil
-	case core.TypeS:
-		return op3Ldsh, nil
-	case core.TypeUS:
-		return op3Lduh, nil
-	case core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP:
-		return op3Ld, nil
-	case core.TypeF:
-		return op3Ldf, nil
-	case core.TypeD:
-		return op3Lddf, nil
-	}
-	return 0, fmt.Errorf("sparc: ld%s unsupported", t)
-}
-
-func (s *Backend) mem(b *core.Buf, t core.Type, r, base core.Reg, off int64, store bool) error {
-	op3, err := memOp3(t, store)
-	if err != nil {
-		return err
-	}
-	if fitsS13(off) {
-		b.Emit(fmt3i(3, gn(r), op3, gn(base), int32(off)))
+// Load implements rd = *(t*)(base+off): the mapped row, or its register
+// form with off materialized into %g1.
+func (s *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) error {
+	if templates.Load(b, t, rd, base, off) {
 		return nil
 	}
 	materialize(b, rG1, off)
-	b.Emit(fmt3r(3, gn(r), op3, gn(base), rG1))
-	return nil
+	return s.LoadRR(b, t, rd, base, core.GPR(rG1))
 }
 
-// Load implements rd = *(t*)(base+off).
-func (s *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) error {
-	return s.mem(b, t, rd, base, off, false)
-}
-
-// Store implements *(t*)(base+off) = rs.
+// Store implements *(t*)(base+off) = rs as Load does.
 func (s *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) error {
-	return s.mem(b, t, rs, base, off, true)
+	if templates.Store(b, t, rs, base, off) {
+		return nil
+	}
+	materialize(b, rG1, off)
+	return s.StoreRR(b, t, rs, base, core.GPR(rG1))
 }
 
 // LoadRR uses SPARC's native register+register addressing.
 func (s *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	op3, err := memOp3(t, false)
-	if err != nil {
-		return err
+	if !templates.Indexed(b, false, t, rd, base, idx) {
+		return fmt.Errorf("sparc: ld%s unsupported", t)
 	}
-	b.Emit(fmt3r(3, gn(rd), op3, gn(base), gn(idx)))
 	return nil
 }
 
 // StoreRR uses register+register addressing.
 func (s *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	op3, err := memOp3(t, true)
-	if err != nil {
-		return err
+	if !templates.Indexed(b, true, t, rs, base, idx) {
+		return fmt.Errorf("sparc: st%s unsupported", t)
 	}
-	b.Emit(fmt3r(3, gn(rs), op3, gn(base), gn(idx)))
 	return nil
 }
 
@@ -479,26 +358,50 @@ var fixed = core.Fixed{
 
 func (*Backend) Fixed() *core.Fixed { return &fixed }
 
-// EmulatedOp: SPARC V8 has hardware multiply and divide.
-func (s *Backend) EmulatedOp(op core.Op, t core.Type) (string, bool) { return "", false }
+// templates is the port's instruction mapping; SPARC V8 multiplies and
+// divides in hardware and emulates nothing.
+var templates = core.NewTemplates(isa, core.Mapping{
+	ALU: []core.Rule{
+		{Op: core.OpAdd, Types: "i u l ul p", Row: "add", Regs: "d12", Imm: "add"},
+		{Op: core.OpAdd, Types: "f", Row: "fadds", Regs: "DAB"},
+		{Op: core.OpAdd, Types: "d", Row: "faddd", Regs: "DAB"},
+		{Op: core.OpSub, Types: "i u l ul p", Row: "sub", Regs: "d12", Imm: "sub"},
+		{Op: core.OpSub, Types: "f", Row: "fsubs", Regs: "DAB"},
+		{Op: core.OpSub, Types: "d", Row: "fsubd", Regs: "DAB"},
+		{Op: core.OpMul, Types: "i l", Row: "smul", Regs: "d12"},
+		{Op: core.OpMul, Types: "u ul p", Row: "umul", Regs: "d12"},
+		{Op: core.OpMul, Types: "f", Row: "fmuls", Regs: "DAB"},
+		{Op: core.OpMul, Types: "d", Row: "fmuld", Regs: "DAB"},
+		{Op: core.OpDiv, Types: "f", Row: "fdivs", Regs: "DAB"},
+		{Op: core.OpDiv, Types: "d", Row: "fdivd", Regs: "DAB"},
+		{Op: core.OpAnd, Types: "i u l ul", Row: "and", Regs: "d12", Imm: "and"},
+		{Op: core.OpOr, Types: "i u l ul", Row: "or", Regs: "d12", Imm: "or"},
+		{Op: core.OpXor, Types: "i u l ul", Row: "xor", Regs: "d12", Imm: "xor"},
+		{Op: core.OpLsh, Types: "i u l ul", Row: "sll", Regs: "d12", Imm: "sll", Mask: 31},
+		{Op: core.OpRsh, Types: "i l", Row: "sra", Regs: "d12", Imm: "sra", Mask: 31},
+		{Op: core.OpRsh, Types: "u ul", Row: "srl", Regs: "d12", Imm: "srl", Mask: 31},
+	},
+	Ld: []core.Mem{
+		{Types: "c", Row: "ldsb", Regs: "d12"},
+		{Types: "uc", Row: "ldub", Regs: "d12"},
+		{Types: "s", Row: "ldsh", Regs: "d12"},
+		{Types: "us", Row: "lduh", Regs: "d12"},
+		{Types: "i u l ul p", Row: "ld", Regs: "d12"},
+		{Types: "f", Row: "ldf", Regs: "D12"},
+		{Types: "d", Row: "lddf", Regs: "D12"},
+	},
+	St: []core.Mem{
+		{Types: "c uc", Row: "stb", Regs: "d12"},
+		{Types: "s us", Row: "sth", Regs: "d12"},
+		{Types: "i u l ul p", Row: "st", Regs: "d12"},
+		{Types: "f", Row: "stf", Regs: "D12"},
+		{Types: "d", Row: "stdf", Regs: "D12"},
+	},
+	Ext: []core.ExtRule{
+		{Name: "sqrt", Types: "f", Row: "fsqrts", Regs: "DB"},
+		{Name: "sqrt", Types: "d", Row: "fsqrtd", Regs: "DB"},
+		{Name: "abs", Types: "f", Row: "fabss", Regs: "DB"},
+	},
+})
 
-// TryExt provides hardware implementations for extensions.
-func (s *Backend) TryExt(b *core.Buf, name string, t core.Type, rd core.Reg, rs []core.Reg) (bool, error) {
-	switch name {
-	case "sqrt":
-		if t == core.TypeF && len(rs) == 1 {
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFsqrts, 0, gn(rs[0])))
-			return true, nil
-		}
-		if t == core.TypeD && len(rs) == 1 {
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFsqrtd, 0, gn(rs[0])))
-			return true, nil
-		}
-	case "abs":
-		if t == core.TypeF && len(rs) == 1 {
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFabss, 0, gn(rs[0])))
-			return true, nil
-		}
-	}
-	return false, nil
-}
+func (*Backend) Templates() *core.Templates { return templates }

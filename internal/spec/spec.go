@@ -13,8 +13,8 @@
 // consumers: Parse (the reader), GenerateGo (the preprocessor — it emits a
 // Go wrapper family, used by cmd/vcodegen), and Apply (runtime
 // registration of the family on an assembler, where hardware mappings are
-// honoured through Backend.TryExt and portable definitions are supplied as
-// synthesis functions).
+// the rows of the port's declared mapping and portable definitions are
+// supplied as synthesis functions).
 package spec
 
 import (
@@ -204,8 +204,8 @@ func toDef(node *sexpr) (*Def, error) {
 // GenerateGo emits a Go source file defining one wrapper function per
 // family/type composition, in the paper's v_<name><type> naming.  The
 // wrappers route through the assembler's extension mechanism, so they pick
-// up hardware implementations via Backend.TryExt and portable definitions
-// registered with Apply.
+// up hardware implementations from the port's mapping (core.Mapping.Ext)
+// and portable definitions registered with Apply.
 func GenerateGo(pkg string, defs []*Def) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by vcodegen -spec; DO NOT EDIT.\n\n")
@@ -279,7 +279,7 @@ func typeConstName(t core.Type) string {
 type Synth func(a *core.Asm, t core.Type, rd core.Reg, rs []core.Reg)
 
 // Apply registers every family in defs on the assembler.  A family whose
-// machine instructions the backend recognizes (through TryExt) needs no
+// machine instructions the port's mapping has rows for needs no
 // synthesis; families with an entry in synths carry a portable definition
 // and therefore work on every target.
 func Apply(a *core.Asm, defs []*Def, synths map[string]Synth) {

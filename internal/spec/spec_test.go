@@ -92,8 +92,8 @@ func TestGenerateGo(t *testing.T) {
 }
 
 // TestApplyEndToEnd registers a spec-defined family and executes it: the
-// hardware clause is honoured via TryExt (sqrt on MIPS), and a portable
-// synthesis runs where provided.
+// hardware clause is honoured by the port's mapping (sqrt on MIPS), and a
+// portable synthesis runs where provided.
 func TestApplyEndToEnd(t *testing.T) {
 	defs, err := Parse(`
 (sqrt (rd, rs) (f fsqrts) (d fsqrtd))

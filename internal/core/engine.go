@@ -75,6 +75,17 @@ func (m *Machine) Engine() Engine {
 	return m.engine
 }
 
+// Body returns f's resident predecoded body, nil when f is not resident
+// here or the machine has no threaded engine.
+func (m *Machine) Body(f *Func) *exec.Body {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if f.home() != m {
+		return nil
+	}
+	return m.regions[m.find(f.addr)].body
+}
+
 // PredecodedBodies reports how many predecoded function bodies are
 // currently attached — an introspection hook for eviction and
 // stale-predecode tests.

@@ -226,6 +226,9 @@ func TestGoldenWords(t *testing.T) {
 			if res, _, err := m.Run(fn, args...); err != nil || res != want {
 				t.Errorf("%s/%s%v = %d, %v; interpreter says %d", target, f.Name, args, res, err, want)
 			}
+			if err := regtest.CheckBody(m.machine, fn); err != nil { // Run installed it
+				t.Error(err)
+			}
 		}
 	}
 	regtest.Golden(t, "testdata/words.golden", got, *update)

@@ -20,6 +20,30 @@ func CheckRows(bk core.Backend, fn *core.Func) error {
 	return nil
 }
 
+// CheckBody holds fn's resident body on m to a fresh Predecode of its
+// installed words, field for field: what the threaded engine runs is what
+// the words say, whatever occupied the span before.
+func CheckBody(m *core.Machine, fn *core.Func) error {
+	tcpu, ok := m.CPU().(core.ThreadedCPU)
+	if !ok {
+		return nil
+	}
+	got, want := m.Body(fn), tcpu.Predecode(fn.Words, fn.Addr())
+	switch {
+	case got == nil:
+		return fmt.Errorf("%s/%s: no resident body", m.Backend().Name(), fn.Name)
+	case got.Base != want.Base || len(got.Code) != len(want.Code):
+		return fmt.Errorf("%s/%s: resident body %d words at %#x, fresh %d at %#x",
+			m.Backend().Name(), fn.Name, len(got.Code), got.Base, len(want.Code), want.Base)
+	}
+	for i := range want.Code {
+		if got.Code[i] != want.Code[i] {
+			return fmt.Errorf("%s/%s: word %d: resident %+v, fresh %+v", m.Backend().Name(), fn.Name, i, got.Code[i], want.Code[i])
+		}
+	}
+	return nil
+}
+
 // end finishes a generated function and checks it with CheckRows, so a
 // mis-encoded instruction anywhere in the matrix is named when it is
 // built, not by an install failure downstream.

@@ -270,6 +270,9 @@ func TestGoldenWords(t *testing.T) {
 				if err := regtest.CheckRows(m.Backend(), fn); err != nil {
 					t.Error(err)
 				}
+				if err := regtest.CheckBody(m, fn); err != nil {
+					t.Error(err)
+				}
 				full := "-"
 				if len(fnames) == 1 {
 					full = fmt.Sprintf("%s @%#x", regtest.WordsHash(fn, false), fn.Addr())

@@ -162,6 +162,9 @@ func TestGoldenWords(t *testing.T) {
 				if err := regtest.CheckRows(m.Backend(), fn); err != nil {
 					t.Error(err)
 				}
+				if err := regtest.CheckBody(m, fn); err != nil {
+					t.Error(err)
+				}
 				got = append(got, fmt.Sprintf("%s/%s/%s\t%s @%#x", tg.Name, names[i], fname, regtest.WordsHash(fn, false), fn.Addr()))
 			}
 		}

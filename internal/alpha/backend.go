@@ -513,6 +513,7 @@ var fixed = core.Fixed{
 	Nop:         encNop,
 	Jump:        brFmt(opBr, rZero, 0),
 	CallLabel:   brFmt(opBsr, rRA, 0),
+	Branch:      't',
 	Call:        []uint32{memFmt(opLdah, rPV, rZero, 0), memFmt(opLda, rPV, rPV, 0), jmpFmt(rRA, rPV, hintJsr)},
 	Addr:        [2]core.Word{{W: memFmt(opLdah, 0, rZero, 0), Reg: "a"}, {W: memFmt(opLda, 0, 0, 0), Reg: "ab"}},
 	AddrShift:   16,

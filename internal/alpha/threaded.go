@@ -167,25 +167,30 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	return taken
 }
 
-// Predecode unpacks words into a threaded body: each word's row in the
-// instruction table (isa.go) names its opcode, whether it is plain, and
-// which operands to unpack.  Pure function of its arguments; a word with
-// no row becomes aBad, whose handler reproduces the oracle's exact message.
+// Predecode unpacks words, the installed image of one function at base,
+// into a fresh threaded body (Decode, each word looked up).
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
-	code := make([]exec.Instr, len(words))
-	body := &exec.Body{Base: base, Code: code}
+	return exec.Predecode(words, base, c.Decode)
+}
+
+// Decode unpacks words, the image of one function at b.Base, into b.Code,
+// one slot each, written in full: each word's row in the instruction table
+// (isa.go; rows[i], or looked up when rows is nil) names its opcode,
+// whether it is plain, and which operands to unpack.  Pure function of its
+// arguments; a word with no row becomes aBad, whose handler reproduces the
+// oracle's exact message.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
 	for i, w := range words {
-		in := &code[i]
+		in := &b.Code[i]
 		ra := uint8(w >> 21 & 31)
 		rb := uint8(w >> 16 & 31)
 		regForm := w>>12&1 == 0
-		in.PC = base + 4*uint64(i)
 		// Interlock metadata, mirroring the oracle's pre-dispatch check:
 		// ra is always a stall candidate; rb only for register-form
 		// integer operates, decodable or not.
-		in.SrcA, in.SrcB, in.LoadReg = ra, exec.NoReg, exec.NoReg
+		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: ra, SrcB: exec.NoReg, LoadReg: exec.NoReg}
 
-		r := isa.Lookup(w)
+		r := isa.At(rows, i, w)
 		if r == nil {
 			in.Op, in.Imm = aBad, int64(w)
 			if op := w >> 26; op >= opInta && op <= opIntm && regForm {
@@ -193,7 +198,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		r.Start(in, w, body)
+		r.Start(in, w, b)
 		in.A, in.B = ra, rb
 		switch r.Layout {
 		case layMem:
@@ -214,8 +219,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.C = uint8(w & 31)
 		}
 	}
-	exec.MarkRuns(code, port.Never, port.Slots)
-	return body
+	exec.MarkRuns(b.Code, port.Never, port.Slots)
 }
 
 // port is what Alpha gives exec's run loop: no delay slots, an interlock

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/trace"
 )
 
@@ -21,9 +22,12 @@ const (
 	stEnded
 )
 
+// fixup is a transfer to a label, patched at End through f, the target
+// field of the word at site.
 type fixup struct {
 	site  int
 	label Label
+	f     *exec.Field
 }
 
 type poolEntry struct {
@@ -39,6 +43,7 @@ type poolRef struct {
 type pendingArgLoad struct {
 	site     int
 	stackOff int64
+	t        Type // what the mapped load at site loads
 }
 
 type retSite struct {
@@ -278,7 +283,7 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 		if err := a.backend.Load(a.buf, loc.t, r, a.conv.SP, 0); err != nil {
 			a.setErr(err)
 		}
-		a.pending = append(a.pending, pendingArgLoad{site: site, stackOff: loc.stackOff})
+		a.pending = append(a.pending, pendingArgLoad{site: site, stackOff: loc.stackOff, t: loc.t})
 		a.argRegs = append(a.argRegs, r)
 	}
 	if a.err != nil {
@@ -307,10 +312,10 @@ func (a *Asm) needFrame() bool {
 		len(a.frame.SavedGPR) > 0 || len(a.frame.SavedFPR) > 0
 }
 
-// retarget points the transfer at word site to word target, through the
-// target field the port's table declares for it.
-func (a *Asm) retarget(site, target int) bool {
-	return a.fx.isa.Retarget(a.buf.Words(), site, 4*uint64(site), 4*uint64(target))
+// retarget points the transfer at word site to word target through f,
+// the target field of its row.
+func (a *Asm) retarget(f *exec.Field, site, target int) bool {
+	return aim(f, a.buf.Words(), site, 0, 4*uint64(target))
 }
 
 // End finishes the function (v_end): it writes the real prologue and
@@ -337,7 +342,7 @@ func (a *Asm) End() (*Func, error) {
 	}
 
 	// Returns: either a shared epilogue or rewritten direct returns.
-	isa, pop := a.backend.ISA(), 0
+	pop := 0
 	if need {
 		epi := a.buf.Len()
 		var err error
@@ -345,7 +350,7 @@ func (a *Asm) End() (*Func, error) {
 			return nil, err
 		}
 		for _, rs := range a.retSites {
-			if !a.retarget(rs.jmpIdx, epi) {
+			if !a.retarget(a.fx.jumpTo, rs.jmpIdx, epi) {
 				return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, rs.jmpIdx, epi)
 			}
 		}
@@ -369,7 +374,7 @@ func (a *Asm) End() (*Func, error) {
 
 	// Incoming stack-argument loads now know the frame size.
 	for _, p := range a.pending {
-		if off := a.frame.Size + p.stackOff; !isa.SetImm(a.buf.Words(), p.site, off) {
+		if off := a.frame.Size + p.stackOff; !a.tmpl.ld[p.t].patch(a.buf.Words(), p.site, off) {
 			return nil, fmt.Errorf("%w: incoming argument at %d(sp), word %d", ErrFrameRange, off, p.site)
 		}
 	}
@@ -380,7 +385,7 @@ func (a *Asm) End() (*Func, error) {
 		if t < 0 {
 			return nil, fmt.Errorf("%w: label L%d", ErrUnboundLabel, f.label)
 		}
-		if !a.retarget(f.site, t) {
+		if !a.retarget(f.f, f.site, t) {
 			return nil, fmt.Errorf("%w: word %d to word %d", ErrBranchRange, f.site, t)
 		}
 	}
@@ -486,14 +491,14 @@ func (a *Asm) Bind(l Label) {
 	}
 }
 
-func (a *Asm) refLabel(site int, l Label) {
+func (a *Asm) refLabel(site int, l Label, f *exec.Field) {
 	if int(l) >= len(a.labels) || l < 0 {
 		a.failf("%w: reference to unknown label L%d", ErrUnboundLabel, l)
 		return
 	}
 	// All branches are patched at End (even backward ones), so that
 	// ScheduleDelay's code motion can never leave a stale displacement.
-	a.fixups = append(a.fixups, fixup{site: site, label: l})
+	a.fixups = append(a.fixups, fixup{site: site, label: l, f: f})
 }
 
 // ---- Register allocation ----
@@ -865,7 +870,7 @@ func (a *Asm) Br(op Op, t Type, rs1, rs2 Reg, l Label) {
 		a.setErr(err)
 		return
 	}
-	a.refLabel(site, l)
+	a.refLabel(site, l, a.fx.branchTo)
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecBr, Op: op, T: t, Rs1: rs1, Rs2: rs2, Label: l, Site: site})
 	}
@@ -889,7 +894,7 @@ func (a *Asm) BrI(op Op, t Type, rs Reg, imm int64, l Label) {
 		a.setErr(err)
 		return
 	}
-	a.refLabel(site, l)
+	a.refLabel(site, l, a.fx.branchTo)
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecBrI, Op: op, T: t, Rs1: rs, Imm: imm, Label: l, Site: site})
 	}
@@ -902,7 +907,7 @@ func (a *Asm) Jmp(l Label) {
 	}
 	a.insnCount++
 	site := a.transfer(a.fx.Jump)
-	a.refLabel(site, l)
+	a.refLabel(site, l, a.fx.jumpTo)
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecJmp, Label: l, Site: site})
 	}
@@ -1057,7 +1062,7 @@ func (a *Asm) cvtUnsignedToFloat(from, to Type, rd, rs Reg) {
 		a.setErr(err)
 		return
 	}
-	a.refLabel(site, done)
+	a.refLabel(site, done, a.fx.branchTo)
 	bias := 4294967296.0 // 2^32
 	if wide && ptr == 8 {
 		bias = 18446744073709551616.0 // 2^64
@@ -1089,7 +1094,7 @@ func (a *Asm) Jal(l Label) {
 	}
 	a.frame.SaveRA = true
 	a.insnCount++
-	a.refLabel(a.transfer(a.fx.CallLabel), l)
+	a.refLabel(a.transfer(a.fx.CallLabel), l, a.fx.labelTo)
 }
 
 // JalReg emits a call through register r (v_jalp with a register target).

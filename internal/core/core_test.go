@@ -108,6 +108,7 @@ func (f *fakeBackend) BranchImm(b *Buf, op Op, t Type, rs Reg, imm int64) (int, 
 var fakeFixed = Fixed{
 	Jump:        0x18000000,
 	CallLabel:   0x19100000,
+	Branch:      'b',
 	Call:        []uint32{0x19000000},
 	Addr:        [2]Word{{W: 0x1a000000}, {W: 0x1a100000}},
 	AddrShift:   16,

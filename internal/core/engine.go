@@ -23,8 +23,12 @@ import (
 // the CPU.
 type ThreadedCPU interface {
 	CPU
-	// Predecode unpacks words (already linked, as installed at base) into
-	// a threaded body.  It must be a pure function of its arguments.
+	// Decode unpacks words (already linked, as installed at b.Base) into
+	// b.Code, writing every slot in full; rows[i] is the row of words[i],
+	// or nil rows and Decode looks each word up.  It must be a pure
+	// function of its arguments.  Predecode is its thin form, into a
+	// fresh body.
+	Decode(b *exec.Body, words []uint32, rows []*exec.Row)
 	Predecode(words []uint32, base uint64) *exec.Body
 	// Run executes up to allow instructions starting at body index idx,
 	// returning how many retired.  On return the CPU's PC is
@@ -76,7 +80,8 @@ func (m *Machine) Engine() Engine {
 }
 
 // Body returns f's resident predecoded body, nil when f is not resident
-// here or the machine has no threaded engine.
+// here or the machine has no threaded engine.  Its slots belong to the
+// code region: once f leaves, the next function placed there reuses them.
 func (m *Machine) Body(f *Func) *exec.Body {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -11,12 +11,16 @@ import (
 // instruction table (Backend.Fixed).  No operand changes their shape, so
 // the core emits them itself: it writes a register through the field its
 // syntax letter declares and pads a transfer with BranchDelaySlots nops.
-// The loader relocates them through the table's fields (link).  Every
-// target and number in the declaration is zero.
+// End and the loader patch them through the table's fields, worked out
+// once per port (fixed).  Every target and number in the declaration is
+// zero.
 type Fixed struct {
 	Nop       uint32 // the canonical no-op
 	Jump      uint32 // unconditional jump to a label
 	CallLabel uint32 // call to a label of the function
+	// Branch is the syntax letter of a conditional branch's target: End
+	// patches every site Backend.Branch and BranchImm return through it.
+	Branch byte
 	// Call is the call to an address the loader resolves: one word whose
 	// row has a target field, or Addr's pair with its register written in
 	// followed by the words that call through that register.
@@ -42,15 +46,18 @@ type Word struct {
 }
 
 // fixed is a port's Fixed as the core uses it, worked out once per port:
-// the register letters resolved to their fields, the address pair's two
-// number fields, and the largest number the low one holds.
+// the register letters resolved to their fields; the target fields End
+// and the loader patch a branch, a jump, a label call and a one-word call
+// through; the number fields of the frame adjust and of the address pair,
+// and the largest number the pair's low one holds.  A word with no row has
+// nil fields, and patching through one fails.
 type fixed struct {
 	*Fixed
-	isa                      *exec.Table
-	slots                    int
-	jumpReg, callReg, hi, lo regWord
-	hiNum, loNum             *exec.Field
-	loMax                    int64
+	slots                             int
+	jumpReg, callReg, hi, lo          regWord
+	branchTo, jumpTo, labelTo, callTo *exec.Field
+	adjust, hiNum, loNum              *exec.Field
+	loMax                             int64
 }
 
 var fixeds sync.Map // reflect.Type of a Backend -> *fixed
@@ -70,20 +77,48 @@ func fixedOf(b Backend) *fixed {
 }
 
 func (x *fixed) derive(b Backend) {
-	x.Fixed, x.isa, x.slots = b.Fixed(), b.ISA(), b.BranchDelaySlots()
+	isa := b.ISA()
+	x.Fixed, x.slots = b.Fixed(), b.BranchDelaySlots()
 	word := func(w Word) regWord {
 		r := regWord{w: w.W}
 		for _, c := range []byte(w.Reg) {
-			r.f = append(r.f, x.isa.Field(c))
+			r.f = append(r.f, isa.Field(c))
 		}
 		return r
 	}
 	x.jumpReg, x.callReg, x.hi, x.lo = word(x.JumpReg), word(x.CallReg), word(x.Addr[0]), word(x.Addr[1])
+	row := func(w uint32) *exec.Row {
+		if r := isa.Lookup(w); r != nil {
+			return r
+		}
+		return &exec.Row{}
+	}
+	x.branchTo, x.jumpTo, x.labelTo = isa.Field(x.Branch), row(x.Jump).Tgt, row(x.CallLabel).Tgt
+	x.callTo = row(x.Call[0]).Tgt
 	// The pair as loadPool emits it: with register zero, SPARC's sethi
 	// would read as its nop.
 	sr := b.ScratchReg()
-	x.hiNum, x.loNum = x.isa.Number(x.hi.with(sr)), x.isa.Number(x.lo.with(sr))
+	x.adjust, x.hiNum, x.loNum = row(x.FrameAdjust).Num, row(x.hi.with(sr)).Num, row(x.lo.with(sr)).Num
 	_, x.loMax = x.loNum.Range()
+}
+
+// put writes v into f of code[site]; ok is false, and nothing written,
+// when there is no f or it cannot hold v.
+func put(f *exec.Field, code []uint32, site int, v int64) (ok bool) {
+	if f != nil {
+		code[site], ok = f.Put(code[site], v)
+	}
+	return ok
+}
+
+// aim points the transfer code[site], placed at base, to target through
+// f, its row's target field; ok is false, and nothing written, when there
+// is no f or it cannot reach.
+func aim(f *exec.Field, code []uint32, site int, base, target uint64) (ok bool) {
+	if f != nil {
+		code[site], ok = f.PutTarget(code[site], base+4*uint64(site), target)
+	}
+	return ok
 }
 
 // regWord is a Word with its letters' fields.
@@ -103,13 +138,13 @@ func (rw *regWord) with(r Reg) uint32 {
 
 // link points the relocation sites of code, placed at base, to target; ok
 // is false, and nothing written, when a field cannot hold its part.  One
-// site is a transfer, retargeted through its row's target field.  Two are
+// site is the one-word call, retargeted through its target field.  Two are
 // an address pair: the low number takes target's low AddrShift bits, less
 // 1<<AddrShift when that is more than its field holds (a signed low half
 // borrows from the high), and the high number the rest, in its units.
 func (x *fixed) link(code []uint32, sites []int, base, target uint64) (ok bool) {
 	if len(sites) == 1 {
-		return x.isa.Retarget(code, sites[0], base+4*uint64(sites[0]), target)
+		return aim(x.callTo, code, sites[0], base, target)
 	}
 	lo := int64(target & (1<<x.AddrShift - 1))
 	if lo > x.loMax {

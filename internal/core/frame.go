@@ -135,7 +135,7 @@ func (a *Asm) prologue(pop int) (entry int, err error) {
 	}
 	copy(w[entry:], w[at:])
 	a.buf.Truncate(at)
-	if isa := a.backend.ISA(); !isa.SetImm(w, entry, -a.frame.Size) || !isa.SetImm(w, pop, a.frame.Size) {
+	if !put(a.fx.adjust, w, entry, -a.frame.Size) || !put(a.fx.adjust, w, pop, a.frame.Size) {
 		return 0, fmt.Errorf("%w: frame size %d", ErrFrameRange, a.frame.Size)
 	}
 	return entry, nil

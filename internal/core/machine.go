@@ -148,6 +148,13 @@ type Machine struct {
 	engine   Engine
 	lastBody *exec.Body
 	bodyGen  uint64
+	// shadow is the threaded engine's copy of the code region: shadow[i]
+	// predecodes the word at codeBase+4i, and a body is the slice of it
+	// its function's span covers, so a span reused is predecoded in place.
+	// rows is install's scratch: the row of each word it installs.  Both
+	// under mu.
+	shadow []exec.Instr
+	rows   []*exec.Row
 
 	// dctx is the running call's context when its CallOpts carry a
 	// Deadline (deadlineCtx), kept here so a call allocates none.  Under mu.
@@ -531,8 +538,9 @@ func (m *Machine) install(f *Func) error {
 	var body *exec.Body
 	if m.tcpu != nil {
 		// f.Words were patched in place by linkAndVerify, so they match
-		// the installed image exactly.
-		body = m.tcpu.Predecode(f.Words, f.addr)
+		// the installed image exactly, and m.rows holds their rows.
+		body = m.shadowOf(f)
+		m.tcpu.Decode(body, f.Words, m.rows)
 	}
 	m.complete(f, name, body)
 	if !start.IsZero() {
@@ -542,6 +550,18 @@ func (m *Machine) install(f *Func) error {
 			start, time.Since(start), trace.Attrs{Bytes: int64(size)})
 	}
 	return nil
+}
+
+// shadowOf returns a body of f's slots in the shadow, which grows to twice
+// the span's end when the span reaches past it: the old array stays with
+// the bodies still in it.  Caller holds mu.
+func (m *Machine) shadowOf(f *Func) *exec.Body {
+	lo := int(f.addr-m.codeBase) / 4
+	hi := lo + len(f.Words)
+	if hi > len(m.shadow) {
+		m.shadow = make([]exec.Instr, 2*hi)
+	}
+	return &exec.Body{Base: f.addr, Code: m.shadow[lo:hi:hi]}
 }
 
 // resolvedReloc is one relocation with its target address pinned.
@@ -596,14 +616,20 @@ func (m *Machine) resolveRelocs(f *Func) ([]resolvedReloc, error) {
 }
 
 // linkAndVerify patches f's words with the resolved relocation targets,
-// runs the pre-install verifier, and writes the finished words into f's
-// place in target byte order.  Caller holds mu.
+// looks each word's row up once into m.rows, runs the pre-install verifier
+// on those rows, and writes the finished words into f's place in target
+// byte order.  Caller holds mu.
 func (m *Machine) linkAndVerify(f *Func, resolved []resolvedReloc) error {
 	for _, r := range resolved {
 		if !m.fx.link(f.Words, r.sites, f.addr, r.target) {
 			return fmt.Errorf("machine: relocating %s: %w: %#x at word %d", f.Name, ErrRelocRange, r.target, r.sites[0])
 		}
 	}
+	isa, rows := m.backend.ISA(), m.rows[:0]
+	for _, w := range f.Words {
+		rows = append(rows, isa.Lookup(w))
+	}
+	m.rows = rows
 
 	if !m.verifyOff {
 		if err := m.verifyFunc(f); err != nil {
@@ -635,8 +661,8 @@ func (m *Machine) SetVerify(on bool) {
 	m.verifyOff = !on
 }
 
-// verifyFunc runs the static verifier over f's relocated image.  Caller
-// holds mu.
+// verifyFunc runs the static verifier over f's relocated image, whose rows
+// are m.rows.  Caller holds mu.
 func (m *Machine) verifyFunc(f *Func) error {
 	var start time.Time
 	if trace.Recording() {
@@ -659,6 +685,7 @@ func (m *Machine) verifyFunc(f *Func) error {
 		Entry:     f.Entry,
 		PoolStart: ps,
 		PoolRefs:  prs,
+		Rows:      m.rows,
 	}, verify.Options{ExternTarget: m.validCallTarget})
 	if !start.IsZero() {
 		verdict := "ok"

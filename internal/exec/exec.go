@@ -127,6 +127,14 @@ type Body struct {
 	Code []Instr
 }
 
+// Predecode is the thin form of a port's Decode: a fresh body at base,
+// each word looked up as it is unpacked.
+func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32, rows []*Row)) *Body {
+	b := &Body{Base: base, Code: make([]Instr, len(words))}
+	decode(b, words, nil)
+	return b
+}
+
 // End returns the first address past the body.
 func (b *Body) End() uint64 { return b.Base + 4*uint64(len(b.Code)) }
 

@@ -72,7 +72,9 @@ type Row struct {
 	Kind   Kind   // control-flow behaviour, for the verifier
 	Op     uint16 // dense opcode: what the threaded engine executes it as
 
-	tgt, imm *Field // the fields Syntax names that hold a target and a number
+	// Tgt and Num are the fields Syntax names that hold a target and a
+	// number, nil for none; NewTable sets them.
+	Tgt, Num *Field
 }
 
 // Field is what one Syntax letter of an ISA names: where the operand sits
@@ -91,6 +93,9 @@ type Field struct {
 	PC             uint8
 	Sel            uint8  // with Else: bit Sel set selects this (number) form,
 	Else           *Field // clear the register form Else (SPARC operand2, Alpha literals)
+
+	lo, hi int64  // the values the field holds, worked out once by NewTable
+	mask   uint32 // its bits in place
 }
 
 // Numbered is a register bank's names: format applied to 0..31.
@@ -122,24 +127,38 @@ func (f *Field) Get(w uint32) int64 {
 	return v << f.Scale
 }
 
-// Range returns the smallest and the largest value f holds.
-func (f *Field) Range() (lo, hi int64) {
+// prep works out f's range and mask, and its register form's, once.
+func (f *Field) prep() {
+	f.lo, f.hi, f.mask = 0, int64(f.Bits())<<f.Scale, f.Bits()<<f.Shift
 	if f.Signed {
-		return -1 << (f.Width - 1) << f.Scale, (1<<(f.Width-1) - 1) << f.Scale
+		f.lo, f.hi = -1<<(f.Width-1)<<f.Scale, (1<<(f.Width-1)-1)<<f.Scale
 	}
-	return 0, int64(f.Bits()) << f.Scale
+	if f.Else != nil {
+		e := *f.Else
+		e.prep()
+		f.Else = &e
+	}
 }
+
+// Range returns the smallest and the largest value f holds.
+func (f *Field) Range() (lo, hi int64) { return f.lo, f.hi }
 
 // Put writes v into f of w, selecting f's form; ok is false, and w
 // unchanged, when f cannot hold v.
 func (f *Field) Put(w uint32, v int64) (_ uint32, ok bool) {
-	if lo, hi := f.Range(); v < lo || v > hi || v&(1<<f.Scale-1) != 0 {
+	if v < f.lo || v > f.hi || v&(1<<f.Scale-1) != 0 {
 		return w, false
 	}
 	if f.Else != nil {
 		w |= 1 << f.Sel
 	}
-	return w&^(f.Bits()<<f.Shift) | uint32(v>>f.Scale)&f.Bits()<<f.Shift, true
+	return w&^f.mask | uint32(v>>f.Scale)<<f.Shift&f.mask, true
+}
+
+// PutTarget points f, the target field of w, the word at pc, to target;
+// ok is false, and w unchanged, when f cannot reach it.
+func (f *Field) PutTarget(w uint32, pc, target uint64) (_ uint32, ok bool) {
+	return f.Put(w, int64(target-f.origin(pc)))
 }
 
 // origin is the address a target field of the word at pc counts from.
@@ -152,10 +171,20 @@ func (f *Field) origin(pc uint64) uint64 {
 
 // target returns the static target of w, a word of r at pc, if any.
 func (r *Row) target(w uint32, pc uint64) (uint64, bool) {
-	if r.tgt == nil {
+	if r.Tgt == nil {
 		return 0, false
 	}
-	return r.tgt.origin(pc) + uint64(r.tgt.Get(w)), true
+	return r.Tgt.origin(pc) + uint64(r.Tgt.Get(w)), true
+}
+
+// Insn classifies w, a word of r at pc, for the pre-install verifier: r's
+// kind and static target; a word with no row (r nil) is illegal.
+func (r *Row) Insn(w uint32, pc uint64) Insn {
+	if r == nil {
+		return Insn{Kind: KindIllegal}
+	}
+	tg, ok := r.target(w, pc)
+	return Insn{Kind: r.Kind, Target: tg, HasTarget: ok}
 }
 
 // Ins builds a Row from positional arguments, so a backend's table reads
@@ -229,15 +258,16 @@ const fixedSteps = 2
 func NewTable(rows []Row, fields map[byte]Field) *Table {
 	t := &Table{fields: make(map[byte]*Field, len(fields))}
 	for c, f := range fields {
+		f.prep()
 		t.fields[c] = &f
 	}
 	t.root = t.build(rows, 0, 0)
 	for i := range t.rows {
 		for _, c := range []byte(t.rows[i].Syntax) {
 			if f := t.fields[c]; f != nil && f.Target {
-				t.rows[i].tgt = f
+				t.rows[i].Tgt = f
 			} else if f != nil && f.Names == nil {
-				t.rows[i].imm = f
+				t.rows[i].Num = f
 			}
 		}
 	}
@@ -315,44 +345,19 @@ func (t *Table) Lookup(w uint32) *Row {
 	return nil
 }
 
+// At returns rows[i], the row of w, which the caller looked up; with no
+// rows it looks w up.
+func (t *Table) At(rows []*Row, i int, w uint32) *Row {
+	if rows != nil {
+		return rows[i]
+	}
+	return t.Lookup(w)
+}
+
 // Classify decodes the control-flow behaviour of w at pc for the
 // pre-install verifier: its row's kind and static target; a word with no
 // row is illegal.
-func (t *Table) Classify(w uint32, pc uint64) Insn {
-	if r := t.Lookup(w); r != nil {
-		tg, ok := r.target(w, pc)
-		return Insn{Kind: r.Kind, Target: tg, HasTarget: ok}
-	}
-	return Insn{Kind: KindIllegal}
-}
-
-// Retarget points the transfer code[site], the word at address pc, to the
-// address target through the field its row declares; ok is false when the
-// word has no target field or the field cannot reach.
-func (t *Table) Retarget(code []uint32, site int, pc, target uint64) (ok bool) {
-	if r := t.Lookup(code[site]); r != nil && r.tgt != nil {
-		code[site], ok = r.tgt.Put(code[site], int64(target-r.tgt.origin(pc)))
-	}
-	return ok
-}
-
-// Number returns the number field the row of w names (an immediate or a
-// displacement), nil when w has no row or its row no number.
-func (t *Table) Number(w uint32) *Field {
-	if r := t.Lookup(w); r != nil {
-		return r.imm
-	}
-	return nil
-}
-
-// SetImm writes v into the number the row of code[site] names (a load or
-// store's displacement); ok is false when there is none or it cannot hold v.
-func (t *Table) SetImm(code []uint32, site int, v int64) (ok bool) {
-	if f := t.Number(code[site]); f != nil {
-		code[site], ok = f.Put(code[site], v)
-	}
-	return ok
-}
+func (t *Table) Classify(w uint32, pc uint64) Insn { return t.Lookup(w).Insn(w, pc) }
 
 // Disasm renders w, the word at pc, as its row's mnemonic followed by the
 // row's syntax, each field letter expanded as its declaration says and

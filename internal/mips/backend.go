@@ -380,6 +380,7 @@ var fixed = core.Fixed{
 	Nop:         encNop,
 	Jump:        iType(opBeq, rZero, rZero, 0),
 	CallLabel:   iType(opRegimm, rZero, rtBal, 0),
+	Branch:      'b',
 	Call:        []uint32{jType(opJal, 0)},
 	Addr:        [2]core.Word{{W: iType(opLui, 0, 0, 0), Reg: "t"}, {W: iType(opOri, 0, 0, 0), Reg: "ts"}},
 	AddrShift:   16,

@@ -159,30 +159,33 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	return taken
 }
 
-// Predecode unpacks words (the installed image of one function, starting
-// at base) into a threaded body: each word's row in the instruction
-// table (isa.go) names its opcode, whether it is plain, and which
-// operands to unpack.  It is a pure function of its arguments — no CPU
-// state is read or written.  Malformed words never fail predecode: a word
-// with no row becomes mBad, whose handler reproduces the oracle's exact
-// error text, so unreachable garbage (alignment pads, literal pools) still
-// installs.
+// Predecode unpacks words, the installed image of one function at base,
+// into a fresh threaded body (Decode, each word looked up).
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
-	code := make([]exec.Instr, len(words))
-	body := &exec.Body{Base: base, Code: code}
+	return exec.Predecode(words, base, c.Decode)
+}
+
+// Decode unpacks words, the installed image of one function at b.Base,
+// into b.Code, one slot each, written in full: each word's row in the
+// instruction table (isa.go; rows[i], or looked up when rows is nil) names
+// its opcode, whether it is plain, and which operands to unpack.  It is a
+// pure function of its arguments — no CPU state is read or written.
+// Malformed words never fail predecode: a word with no row becomes mBad,
+// whose handler reproduces the oracle's exact error text, so unreachable
+// garbage (alignment pads, literal pools) still installs.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
 	for i, w := range words {
-		in := &code[i]
+		in := &b.Code[i]
 		rs := uint8(w >> 21 & 31)
 		rt := uint8(w >> 16 & 31)
 		rd := uint8(w >> 11 & 31)
 		sh := uint8(w >> 6 & 31)
-		in.PC = base + 4*uint64(i)
 		// The oracle charges the load-use interlock on the raw rs field
 		// of every word (and on rt where a layout says so) before it
 		// even validates the word.
-		in.SrcA, in.SrcB, in.LoadReg = rs, exec.NoReg, exec.NoReg
+		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: rs, SrcB: exec.NoReg, LoadReg: exec.NoReg}
 
-		r := isa.Lookup(w)
+		r := isa.At(rows, i, w)
 		if r == nil {
 			in.Op, in.Imm = mBad, int64(w)
 			if w>>26 == opSpecial {
@@ -190,7 +193,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			}
 			continue
 		}
-		r.Start(in, w, body)
+		r.Start(in, w, b)
 		in.A, in.B = rs, rt
 		if w == encNop {
 			in.Flags |= exec.FNop
@@ -215,8 +218,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rd, rt, sh
 		}
 	}
-	exec.MarkRuns(code, port.Never, port.Slots)
-	return body
+	exec.MarkRuns(b.Code, port.Never, port.Slots)
 }
 
 // port is what MIPS gives exec's run loop: one delay slot, an interlock

@@ -347,6 +347,7 @@ var fixed = core.Fixed{
 	Nop:         encNop,
 	Jump:        fmtBicc(condA, 0),
 	CallLabel:   fmtCall(0),
+	Branch:      'b',
 	Call:        []uint32{fmtCall(0)},
 	Addr:        [2]core.Word{{W: fmtSethi(0, 0), Reg: "d"}, {W: fmt3i(2, 0, op3Or, 0, 0), Reg: "1d"}},
 	AddrShift:   10,

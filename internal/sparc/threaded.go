@@ -126,25 +126,29 @@ func (c *CPU) branch(in *exec.Instr) bool {
 	return taken
 }
 
-// Predecode unpacks words into a threaded body: each word's row in the
-// instruction table (isa.go) names its opcode, whether it is plain, and
-// which operands to unpack.  Pure function of its arguments; a word with
-// no row becomes sBad, whose handler reproduces the oracle's exact message,
-// never a predecode failure.
+// Predecode unpacks words, the installed image of one function at base,
+// into a fresh threaded body (Decode, each word looked up).
 func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
-	code := make([]exec.Instr, len(words))
-	body := &exec.Body{Base: base, Code: code}
-	for i, w := range words {
-		in := &code[i]
-		in.PC = base + 4*uint64(i)
-		in.SrcA, in.SrcB, in.LoadReg = exec.NoReg, exec.NoReg, exec.NoReg
+	return exec.Predecode(words, base, c.Decode)
+}
 
-		r := isa.Lookup(w)
+// Decode unpacks words, the image of one function at b.Base, into b.Code,
+// one slot each, written in full: each word's row in the instruction table
+// (isa.go; rows[i], or looked up when rows is nil) names its opcode,
+// whether it is plain, and which operands to unpack.  Pure function of its
+// arguments; a word with no row becomes sBad, whose handler reproduces the
+// oracle's exact message, never a predecode failure.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
+	for i, w := range words {
+		in := &b.Code[i]
+		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: exec.NoReg, SrcB: exec.NoReg, LoadReg: exec.NoReg}
+
+		r := isa.At(rows, i, w)
 		if r == nil {
 			in.Op, in.Imm = sBad, int64(w)
 			continue
 		}
-		r.Start(in, w, body)
+		r.Start(in, w, b)
 		if w == encNop {
 			in.Flags |= exec.FNop
 		}
@@ -167,8 +171,7 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 			in.A, in.B, in.C = rs1, uint8(w&31), rd
 		}
 	}
-	exec.MarkRuns(code, port.Never, port.Slots)
-	return body
+	exec.MarkRuns(b.Code, port.Never, port.Slots)
 }
 
 // port is what SPARC gives exec's run loop: one delay slot, no load-use

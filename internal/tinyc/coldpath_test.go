@@ -48,14 +48,14 @@ func coldOp(tb testing.TB, m *core.Machine, src string) (words int) {
 // TestColdPathAllocBudget pins what Parse + Compile + Install + Unload of
 // a corpus-sized program may allocate — per program, not per token, node,
 // scope or function: the count at twice the source length is the same.
-// Measured: 24 on every backend (the tokens, the nodes, the identifier
+// Measured: 22 on every backend (the tokens, the nodes, the identifier
 // table and the names; the Program with its functions, parameters and
 // function index; the Compiler and its Funcs; the Unit and its members;
 // the scope stack, the name bindings, the signature buffer, the loop stack;
-// the Func with its Words and Params; Install's four), where PR 17's parent
+// the Func with its Words and Params; Install's three), where PR 17's parent
 // allocated 164.
 func TestColdPathAllocBudget(t *testing.T) {
-	const ceiling = 28
+	const ceiling = 22
 	for _, tg := range targets() {
 		m := tg.mk()
 		for _, scale := range []int{1, 2} {

@@ -58,13 +58,13 @@ func coldOp(tb testing.TB, m *core.Machine, src string) (words int) {
 // TestColdPathAllocBudget pins what Assemble + Install + Unload of a
 // corpus-sized program may allocate — per program, not per line, token,
 // name or function: the count at twice the source length is the same.
-// Measured: 19 on every backend (the token and line indexes; the Program,
+// Measured: 17 on every backend (the token and line indexes; the Program,
 // its Funcs and Order; the Unit and its members; the symbol table; the
-// Func with its Words and Params; Install's four), where PR 17's parent
+// Func with its Words and Params; Install's three), where PR 17's parent
 // allocated 251.  A program with .data adds the unit's name map and block
 // list.
 func TestColdPathAllocBudget(t *testing.T) {
-	const ceiling = 20
+	const ceiling = 17
 	for _, tg := range regtest.Targets() {
 		m := tg.NewMachine()
 		for _, scale := range []int{1, 2} {

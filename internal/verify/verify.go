@@ -55,6 +55,12 @@ type Code struct {
 	Entry     int    // word index execution starts at
 	PoolStart int    // word index where the constant pool begins (== len(Words) if none)
 	PoolRefs  []PoolRef
+	// Rows, when not nil, is the row of each word in the target's
+	// instruction table, looked up by the caller (the machine's install
+	// shares them with the predecoder): Verify classifies from them and
+	// asks the Decoder only for error text.  Nil, and Verify classifies
+	// each word through the Decoder.
+	Rows []*exec.Row
 }
 
 // Options carries machine-level knowledge into a verification.
@@ -114,7 +120,12 @@ func Verify(d Decoder, c *Code, opt Options) error {
 	for i := c.Entry; i < c.PoolStart; i++ {
 		w := c.Words[i]
 		pc := c.Base + 4*uint64(i)
-		ins := d.Classify(w, pc)
+		var ins exec.Insn
+		if c.Rows != nil {
+			ins = c.Rows[i].Insn(w, pc)
+		} else {
+			ins = d.Classify(w, pc)
+		}
 		if ins.Kind == exec.KindIllegal {
 			return fail(i, pc, w, ErrIllegalInsn)
 		}

@@ -139,6 +139,36 @@ func TestChangesEntrySize(t *testing.T) {
 	}
 }
 
+// experimentsSectionRE finds where an EXPERIMENTS section starts, and its
+// number.
+var experimentsSectionRE = regexp.MustCompile(`(?m)^## S(\d+) `)
+
+// TestExperimentsSectionSize keeps a section short enough to read: the
+// highest-numbered "## S<n>" section of EXPERIMENTS, up to the next "## "
+// heading, is at most 8 KB.
+func TestExperimentsSectionSize(t *testing.T) {
+	src, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, top, at := string(src), -1, 0
+	for _, l := range experimentsSectionRE.FindAllStringSubmatchIndex(text, -1) {
+		if n, _ := strconv.Atoi(text[l[2]:l[3]]); n > top {
+			top, at = n, l[0]
+		}
+	}
+	if top < 0 {
+		t.Fatal("EXPERIMENTS.md has no section")
+	}
+	size := len(text) - at
+	if i := strings.Index(text[at+1:], "\n## "); i >= 0 {
+		size = i + 2
+	}
+	if size > 8<<10 {
+		t.Errorf("EXPERIMENTS S%d is %d bytes, at most %d allowed", top, size, 8<<10)
+	}
+}
+
 // declarations maps the name of every package directory under internal/
 // and cmd/ to the top-level identifiers its non-test files declare.
 func declarations(t *testing.T) map[string]map[string]bool {

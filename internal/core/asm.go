@@ -40,10 +40,13 @@ type poolRef struct {
 	entry int
 }
 
+// pendingArgLoad is an incoming stack argument's load, the port's mapped
+// load of t into r, written again at End with its displacement.
 type pendingArgLoad struct {
 	site     int
 	stackOff int64
-	t        Type // what the mapped load at site loads
+	t        Type
+	r        Reg
 }
 
 type retSite struct {
@@ -283,7 +286,7 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 		if err := a.backend.Load(a.buf, loc.t, r, a.conv.SP, 0); err != nil {
 			a.setErr(err)
 		}
-		a.pending = append(a.pending, pendingArgLoad{site: site, stackOff: loc.stackOff, t: loc.t})
+		a.pending = append(a.pending, pendingArgLoad{site: site, stackOff: loc.stackOff, t: loc.t, r: r})
 		a.argRegs = append(a.argRegs, r)
 	}
 	if a.err != nil {
@@ -314,8 +317,10 @@ func (a *Asm) needFrame() bool {
 
 // retarget points the transfer at word site to word target through f,
 // the target field of its row.
-func (a *Asm) retarget(f *exec.Field, site, target int) bool {
-	return aim(f, a.buf.Words(), site, 0, 4*uint64(target))
+func (a *Asm) retarget(f *exec.Field, site, target int) (ok bool) {
+	w := a.buf.Words()
+	w[site], ok = f.PutTarget(w[site], 4*uint64(site), 4*uint64(target))
+	return ok
 }
 
 // End finishes the function (v_end): it writes the real prologue and
@@ -374,9 +379,11 @@ func (a *Asm) End() (*Func, error) {
 
 	// Incoming stack-argument loads now know the frame size.
 	for _, p := range a.pending {
-		if off := a.frame.Size + p.stackOff; !a.tmpl.ld[p.t].patch(a.buf.Words(), p.site, off) {
+		off, tp := a.frame.Size+p.stackOff, &a.tmpl.ld[p.t]
+		if !tp.holds(off) {
 			return nil, fmt.Errorf("%w: incoming argument at %d(sp), word %d", ErrFrameRange, off, p.site)
 		}
+		a.buf.Set(p.site, tp.imm(p.r, a.conv.SP, off))
 	}
 
 	// Resolve remaining forward references.

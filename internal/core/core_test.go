@@ -126,8 +126,8 @@ var fakeTemplates = NewTemplates(fakeISA, Mapping{})
 
 func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
 
-// fakeISA decodes what End patches: the fake's branch, jump and label-call
-// words (a 16-bit displacement from the delay slot, as on mips), its
+// fakeISA decodes what End patches: the fake's branch, jump, label-call
+// and call words (a 16-bit displacement from the delay slot, as on mips), its
 // immediate load and its stack-pointer adjust (a 16-bit number each); what
 // the loader would relocate, its address pair; and the row a mapping can
 // give cmoveq.
@@ -135,6 +135,7 @@ var fakeISA = exec.NewTable([]exec.Row{
 	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(exec.KindBranch),
 	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(exec.KindBranch),
 	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
+	exec.Ins("ext", 0x19000000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
 	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
 	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
 	exec.Ins("hi", 0x1a000000, 0xfff00000, " i", 0, 0),

@@ -23,11 +23,9 @@ import (
 // the CPU.
 type ThreadedCPU interface {
 	CPU
-	// Decode unpacks words (already linked, as installed at b.Base) into
-	// b.Code, writing every slot in full; rows[i] is the row of words[i],
-	// or nil rows and Decode looks each word up.  It must be a pure
-	// function of its arguments.  Predecode is its thin form, into a
-	// fresh body.
+	// Decode unpacks words (linked, as installed at b.Base) into b.Code,
+	// every slot in full, from rows[i], the row of words[i] (nil rows: it
+	// looks them up).  Pure; Predecode is its thin form, a fresh body.
 	Decode(b *exec.Body, words []uint32, rows []*exec.Row)
 	Predecode(words []uint32, base uint64) *exec.Body
 	// Run executes up to allow instructions starting at body index idx,
@@ -79,9 +77,8 @@ func (m *Machine) Engine() Engine {
 	return m.engine
 }
 
-// Body returns f's resident predecoded body, nil when f is not resident
-// here or the machine has no threaded engine.  Its slots belong to the
-// code region: once f leaves, the next function placed there reuses them.
+// Body returns f's resident predecoded body, nil if it has none here; once
+// f leaves, the next function placed in its span reuses the body's slots.
 func (m *Machine) Body(f *Func) *exec.Body {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -46,11 +46,10 @@ type Word struct {
 }
 
 // fixed is a port's Fixed as the core uses it, worked out once per port:
-// the register letters resolved to their fields; the target fields End
-// and the loader patch a branch, a jump, a label call and a one-word call
-// through; the number fields of the frame adjust and of the address pair,
-// and the largest number the pair's low one holds.  A word with no row has
-// nil fields, and patching through one fails.
+// the register letters resolved to their fields; the fields End and the
+// loader patch through: a branch's, a jump's, a label call's and a
+// one-word call's target, the frame adjust's and the address pair's
+// numbers; and the largest number the pair's low one holds.
 type fixed struct {
 	*Fixed
 	slots                             int
@@ -87,38 +86,14 @@ func (x *fixed) derive(b Backend) {
 		return r
 	}
 	x.jumpReg, x.callReg, x.hi, x.lo = word(x.JumpReg), word(x.CallReg), word(x.Addr[0]), word(x.Addr[1])
-	row := func(w uint32) *exec.Row {
-		if r := isa.Lookup(w); r != nil {
-			return r
-		}
-		return &exec.Row{}
-	}
+	row := isa.Lookup // a declared word its table does not decode panics here
 	x.branchTo, x.jumpTo, x.labelTo = isa.Field(x.Branch), row(x.Jump).Tgt, row(x.CallLabel).Tgt
-	x.callTo = row(x.Call[0]).Tgt
 	// The pair as loadPool emits it: with register zero, SPARC's sethi
 	// would read as its nop.
 	sr := b.ScratchReg()
-	x.adjust, x.hiNum, x.loNum = row(x.FrameAdjust).Num, row(x.hi.with(sr)).Num, row(x.lo.with(sr)).Num
+	x.callTo, x.adjust = row(x.Call[0]).Tgt, row(x.FrameAdjust).Num
+	x.hiNum, x.loNum = row(x.hi.with(sr)).Num, row(x.lo.with(sr)).Num
 	_, x.loMax = x.loNum.Range()
-}
-
-// put writes v into f of code[site]; ok is false, and nothing written,
-// when there is no f or it cannot hold v.
-func put(f *exec.Field, code []uint32, site int, v int64) (ok bool) {
-	if f != nil {
-		code[site], ok = f.Put(code[site], v)
-	}
-	return ok
-}
-
-// aim points the transfer code[site], placed at base, to target through
-// f, its row's target field; ok is false, and nothing written, when there
-// is no f or it cannot reach.
-func aim(f *exec.Field, code []uint32, site int, base, target uint64) (ok bool) {
-	if f != nil {
-		code[site], ok = f.PutTarget(code[site], base+4*uint64(site), target)
-	}
-	return ok
 }
 
 // regWord is a Word with its letters' fields.
@@ -144,7 +119,8 @@ func (rw *regWord) with(r Reg) uint32 {
 // borrows from the high), and the high number the rest, in its units.
 func (x *fixed) link(code []uint32, sites []int, base, target uint64) (ok bool) {
 	if len(sites) == 1 {
-		return aim(x.callTo, code, sites[0], base, target)
+		code[sites[0]], ok = x.callTo.PutTarget(code[sites[0]], base+4*uint64(sites[0]), target)
+		return ok
 	}
 	lo := int64(target & (1<<x.AddrShift - 1))
 	if lo > x.loMax {

@@ -135,7 +135,11 @@ func (a *Asm) prologue(pop int) (entry int, err error) {
 	}
 	copy(w[entry:], w[at:])
 	a.buf.Truncate(at)
-	if !put(a.fx.adjust, w, entry, -a.frame.Size) || !put(a.fx.adjust, w, pop, a.frame.Size) {
+	ok := false
+	if w[entry], ok = a.fx.adjust.Put(w[entry], -a.frame.Size); ok {
+		w[pop], ok = a.fx.adjust.Put(w[pop], a.frame.Size)
+	}
+	if !ok {
 		return 0, fmt.Errorf("%w: frame size %d", ErrFrameRange, a.frame.Size)
 	}
 	return entry, nil

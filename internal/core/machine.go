@@ -148,11 +148,9 @@ type Machine struct {
 	engine   Engine
 	lastBody *exec.Body
 	bodyGen  uint64
-	// shadow is the threaded engine's copy of the code region: shadow[i]
-	// predecodes the word at codeBase+4i, and a body is the slice of it
-	// its function's span covers, so a span reused is predecoded in place.
-	// rows is install's scratch: the row of each word it installs.  Both
-	// under mu.
+	// shadow[i] predecodes the word at codeBase+4i, a body being the slice
+	// its function's span covers; it grows to twice the span's end when a
+	// span reaches past it.  rows is install's: each word's row.  Under mu.
 	shadow []exec.Instr
 	rows   []*exec.Row
 
@@ -539,7 +537,12 @@ func (m *Machine) install(f *Func) error {
 	if m.tcpu != nil {
 		// f.Words were patched in place by linkAndVerify, so they match
 		// the installed image exactly, and m.rows holds their rows.
-		body = m.shadowOf(f)
+		lo := int(f.addr-m.codeBase) / 4
+		hi := lo + len(f.Words)
+		if hi > len(m.shadow) { // the old array stays with the bodies in it
+			m.shadow = make([]exec.Instr, 2*hi)
+		}
+		body = &exec.Body{Base: f.addr, Code: m.shadow[lo:hi:hi]}
 		m.tcpu.Decode(body, f.Words, m.rows)
 	}
 	m.complete(f, name, body)
@@ -550,18 +553,6 @@ func (m *Machine) install(f *Func) error {
 			start, time.Since(start), trace.Attrs{Bytes: int64(size)})
 	}
 	return nil
-}
-
-// shadowOf returns a body of f's slots in the shadow, which grows to twice
-// the span's end when the span reaches past it: the old array stays with
-// the bodies still in it.  Caller holds mu.
-func (m *Machine) shadowOf(f *Func) *exec.Body {
-	lo := int(f.addr-m.codeBase) / 4
-	hi := lo + len(f.Words)
-	if hi > len(m.shadow) {
-		m.shadow = make([]exec.Instr, 2*hi)
-	}
-	return &exec.Body{Base: f.addr, Code: m.shadow[lo:hi:hi]}
 }
 
 // resolvedReloc is one relocation with its target address pinned.

@@ -94,17 +94,6 @@ func (tp *tmpl) imm(rd, rs Reg, imm int64) uint32 {
 	return tp.regs(rd, rs, 0) | ((uint32(imm)^n)-n)&tp.mask<<(tp.sh&31)
 }
 
-// patch rewrites the immediate of code[site], a word of tp, to imm; ok is
-// false, and nothing written, when there is no template or imm is outside
-// its range.
-func (tp *tmpl) patch(code []uint32, site int, imm int64) (ok bool) {
-	if ok = tp.holds(imm); ok {
-		m := tp.mask << (tp.sh & 31)
-		code[site] = code[site]&^m | tp.imm(0, 0, imm)&m
-	}
-	return ok
-}
-
 // holds reports whether there is a template and imm is inside its range.
 func (tp *tmpl) holds(imm int64) bool { return tp.ok && tp.lo <= imm && imm <= tp.hi }
 

@@ -169,22 +169,16 @@ func (f *Field) origin(pc uint64) uint64 {
 	return pc + uint64(f.PC)
 }
 
-// target returns the static target of w, a word of r at pc, if any.
-func (r *Row) target(w uint32, pc uint64) (uint64, bool) {
-	if r.Tgt == nil {
-		return 0, false
-	}
-	return r.Tgt.origin(pc) + uint64(r.Tgt.Get(w)), true
-}
-
-// Insn classifies w, a word of r at pc, for the pre-install verifier: r's
-// kind and static target; a word with no row (r nil) is illegal.
+// Insn classifies w, a word of r at pc: r's kind and the static target
+// its target field gives, if any; a word with no row (r nil) is illegal.
 func (r *Row) Insn(w uint32, pc uint64) Insn {
-	if r == nil {
+	switch {
+	case r == nil:
 		return Insn{Kind: KindIllegal}
+	case r.Tgt == nil:
+		return Insn{Kind: r.Kind}
 	}
-	tg, ok := r.target(w, pc)
-	return Insn{Kind: r.Kind, Target: tg, HasTarget: ok}
+	return Insn{Kind: r.Kind, Target: r.Tgt.origin(pc) + uint64(r.Tgt.Get(w)), HasTarget: true}
 }
 
 // Ins builds a Row from positional arguments, so a backend's table reads
@@ -195,22 +189,23 @@ func Ins(name string, match, mask uint32, syntax string, layout uint8, op uint16
 	return Row{Name: name, Match: match, Mask: mask, Syntax: syntax, Layout: layout, Op: op}
 }
 
-// Start starts in, the predecoded form of w, a word of r at in.PC in b:
-// r's opcode, Run 1 for a plain row (for MarkRuns to extend), FFold for a
-// pc-relative branch (MarkRuns keeps it where the run loop can resolve
-// the branch itself), and the target r's field gives, in b or External.
+// Start starts in, the zeroed predecoded form of w, a word of r at in.PC
+// in b: r's opcode, Run 1 for a plain row (for MarkRuns to extend), FFold
+// for a pc-relative branch (MarkRuns keeps it where the run loop can
+// resolve the branch itself), and the target r's field gives, in b or
+// External.
 func (r *Row) Start(in *Instr, w uint32, b *Body) {
-	in.Op, in.Run, in.Flags = r.Op, 0, 0
+	in.Op = r.Op
 	switch r.Kind {
 	case KindOther:
 		in.Run = 1
 	case KindBranch:
 		in.Flags = FFold
 	}
-	if tg, ok := r.target(w, in.PC); ok && b.Contains(tg) {
-		in.Target = int32(b.IndexOf(tg))
-	} else if ok {
-		in.Target, in.Imm = External, int64(tg)
+	if ins := r.Insn(w, in.PC); ins.HasTarget && b.Contains(ins.Target) {
+		in.Target = int32(b.IndexOf(ins.Target))
+	} else if ins.HasTarget {
+		in.Target, in.Imm = External, int64(ins.Target)
 	}
 }
 
@@ -377,8 +372,7 @@ func (t *Table) Disasm(w uint32, pc uint64) string {
 		case f.Names != nil:
 			sb.WriteString(f.Names[f.Get(w)])
 		case f.Target:
-			tg, _ := r.target(w, pc)
-			fmt.Fprintf(&sb, "%#x", tg)
+			fmt.Fprintf(&sb, "%#x", r.Insn(w, pc).Target)
 		default:
 			fmt.Fprintf(&sb, f.Fmt, f.Get(w))
 		}

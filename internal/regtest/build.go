@@ -24,17 +24,9 @@ func CheckRows(bk core.Backend, fn *core.Func) error {
 // installed words, field for field: what the threaded engine runs is what
 // the words say, whatever occupied the span before.
 func CheckBody(m *core.Machine, fn *core.Func) error {
-	tcpu, ok := m.CPU().(core.ThreadedCPU)
-	if !ok {
-		return nil
-	}
-	got, want := m.Body(fn), tcpu.Predecode(fn.Words, fn.Addr())
-	switch {
-	case got == nil:
-		return fmt.Errorf("%s/%s: no resident body", m.Backend().Name(), fn.Name)
-	case got.Base != want.Base || len(got.Code) != len(want.Code):
-		return fmt.Errorf("%s/%s: resident body %d words at %#x, fresh %d at %#x",
-			m.Backend().Name(), fn.Name, len(got.Code), got.Base, len(want.Code), want.Base)
+	got, want := m.Body(fn), m.CPU().(core.ThreadedCPU).Predecode(fn.Words, fn.Addr())
+	if got == nil || got.Base != want.Base || len(got.Code) != len(want.Code) {
+		return fmt.Errorf("%s/%s: resident body %v, fresh one at %#x", m.Backend().Name(), fn.Name, got, want.Base)
 	}
 	for i := range want.Code {
 		if got.Code[i] != want.Code[i] {

@@ -55,11 +55,9 @@ type Code struct {
 	Entry     int    // word index execution starts at
 	PoolStart int    // word index where the constant pool begins (== len(Words) if none)
 	PoolRefs  []PoolRef
-	// Rows, when not nil, is the row of each word in the target's
-	// instruction table, looked up by the caller (the machine's install
-	// shares them with the predecoder): Verify classifies from them and
-	// asks the Decoder only for error text.  Nil, and Verify classifies
-	// each word through the Decoder.
+	// Rows, if not nil, holds each word's row in the target's table, as
+	// the caller looked it up (install shares them with the predecoder);
+	// nil, and Verify classifies each word through the Decoder.
 	Rows []*exec.Row
 }
 

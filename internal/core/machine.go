@@ -148,11 +148,6 @@ type Machine struct {
 	engine   Engine
 	lastBody *exec.Body
 	bodyGen  uint64
-	// shadow[i] predecodes the word at codeBase+4i, a body being the slice
-	// its function's span covers; it grows to twice the span's end when a
-	// span reaches past it.  rows is install's: each word's row.  Under mu.
-	shadow []exec.Instr
-	rows   []*exec.Row
 
 	// dctx is the running call's context when its CallOpts carry a
 	// Deadline (deadlineCtx), kept here so a call allocates none.  Under mu.
@@ -166,6 +161,12 @@ type Machine struct {
 	asmMu     sync.Mutex
 	idleAsms  [maxIdleAsms]*Asm
 	nIdleAsms int
+
+	// shadow[i] predecodes the word at codeBase+4i, a body being the slice
+	// its function's span covers; it grows to twice the span's end when a
+	// span reaches past it.  rows is install's: each word's row.  Under mu.
+	shadow []exec.Instr
+	rows   []*exec.Row
 }
 
 // FuncSpan maps one installed code region — or a trap vector — to a

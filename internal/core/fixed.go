@@ -88,10 +88,10 @@ func (x *fixed) derive(b Backend) {
 	x.jumpReg, x.callReg, x.hi, x.lo = word(x.JumpReg), word(x.CallReg), word(x.Addr[0]), word(x.Addr[1])
 	row := isa.Lookup // a declared word its table does not decode panics here
 	x.branchTo, x.jumpTo, x.labelTo = isa.Field(x.Branch), row(x.Jump).Tgt, row(x.CallLabel).Tgt
+	x.callTo, x.adjust = row(x.Call[0]).Tgt, row(x.FrameAdjust).Num
 	// The pair as loadPool emits it: with register zero, SPARC's sethi
 	// would read as its nop.
 	sr := b.ScratchReg()
-	x.callTo, x.adjust = row(x.Call[0]).Tgt, row(x.FrameAdjust).Num
 	x.hiNum, x.loNum = row(x.hi.with(sr)).Num, row(x.lo.with(sr)).Num
 	_, x.loMax = x.loNum.Range()
 }

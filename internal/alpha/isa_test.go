@@ -3,6 +3,7 @@ package alpha
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isatest"
 	"repro/internal/mem"
 )
@@ -12,7 +13,14 @@ import (
 func tableUnderTest() *isatest.ISA {
 	m := mem.New(1<<16, false)
 	c := NewCPU(m)
-	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Branch: c.branch}
+	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Branch: c.branch,
+		New: func() (core.ThreadedCPU, *mem.Memory) {
+			m := mem.New(1<<16, false)
+			return NewCPU(m), m
+		},
+		Load: func(r uint32) uint32 { return memFmt(opLdq, r, 31, isatest.LoadAddr) },
+		Use:  func(r uint32) uint32 { return opFmtR(opIntl, r, r, fnBis, 31) },
+	}
 }
 
 // TestISATableLegality: a word verifies exactly when the oracle decodes
@@ -32,8 +40,13 @@ func TestISATableFolds(t *testing.T) { tableUnderTest().CheckFolds(t) }
 // lands.
 func TestISATableFields(t *testing.T) { tableUnderTest().CheckFields(t) }
 
+// TestISATableStep: every row leaves the same state on both engines, and
+// every register field of every row costs the same load-use bubbles on
+// both.
+func TestISATableStep(t *testing.T) { tableUnderTest().CheckStep(t) }
+
 // TestDisasmListing pins the disassembly of one instruction of each
-// operand layout (and each alias), at pc 0x1000.
+// instruction format (and each alias), at pc 0x1000.
 func TestDisasmListing(t *testing.T) {
 	b := New()
 	for _, tc := range []struct {
@@ -41,20 +54,20 @@ func TestDisasmListing(t *testing.T) {
 		want string
 	}{
 		{encNop, "nop"}, // alias of bis
-		{memFmt(opLda, 30, 30, -32), "lda sp, -32(sp)"},              // layMem
-		{memFmt(opLdah, 29, 27, 1), "ldah gp, 1(pv)"},                // layMemHi
-		{memFmt(opLdq, 1, 30, 16), "ldq t0, 16(sp)"},                 // layLoad
-		{memFmt(opStl, 1, 30, 8), "stl t0, 8(sp)"},                   // layMem, store
-		{memFmt(opLdt, 2, 30, 24), "ldt f2, 24(sp)"},                 // layMem, FP register
-		{brFmt(opBr, 31, 3), "br zero, 0x1010"},                      // layBr
-		{brFmt(opBsr, 26, -4), "bsr ra, 0xff4"},                      // layBr, call, backward
-		{brFmt(opFblt, 2, -1), "fblt f2, 0x1000"},                    // layBr, FP register
-		{jmpFmt(31, 26, hintRet), "ret zero, (ra)"},                  // layJump
-		{jmpFmt(26, 27, hintJsr), "jsr ra, (pv)"},                    // layJump, links
-		{opFmtR(opInta, 1, 2, fnAddq, 3), "addq t0, t1, t2"},         // layOperate, register
-		{opFmtL(opInts, 1, 255, fnZapnot, 1), "zapnot t0, #255, t0"}, // layOperate, literal
-		{fpFmt(opFlti, 1, 2, fnAddt, 3), "addt f1, f2, f3"},          // layFP, three operands
-		{fpFmt(opFlti, 31, 2, fnCvttqc, 3), "cvttq/c f2, f3"},        // layFP, two operands
+		{memFmt(opLda, 30, 30, -32), "lda sp, -32(sp)"},              // memory format
+		{memFmt(opLdah, 29, 27, 1), "ldah gp, 1(pv)"},                // memory format, ldah
+		{memFmt(opLdq, 1, 30, 16), "ldq t0, 16(sp)"},                 // memory format, load
+		{memFmt(opStl, 1, 30, 8), "stl t0, 8(sp)"},                   // memory format, store
+		{memFmt(opLdt, 2, 30, 24), "ldt f2, 24(sp)"},                 // memory format, FP register
+		{brFmt(opBr, 31, 3), "br zero, 0x1010"},                      // branch format
+		{brFmt(opBsr, 26, -4), "bsr ra, 0xff4"},                      // branch format, call, backward
+		{brFmt(opFblt, 2, -1), "fblt f2, 0x1000"},                    // branch format, FP register
+		{jmpFmt(31, 26, hintRet), "ret zero, (ra)"},                  // jump format
+		{jmpFmt(26, 27, hintJsr), "jsr ra, (pv)"},                    // jump format, links
+		{opFmtR(opInta, 1, 2, fnAddq, 3), "addq t0, t1, t2"},         // operate format, register
+		{opFmtL(opInts, 1, 255, fnZapnot, 1), "zapnot t0, #255, t0"}, // operate format, literal
+		{fpFmt(opFlti, 1, 2, fnAddt, 3), "addt f1, f2, f3"},          // FP operate, three operands
+		{fpFmt(opFlti, 31, 2, fnCvttqc, 3), "cvttq/c f2, f3"},        // FP operate, two operands
 		{0x4d088f48, ".word 0x4d088f48"},                             // INTM funct 0x7a: no such instruction
 	} {
 		if got := b.Disasm(tc.w, 0x1000); got != tc.want {

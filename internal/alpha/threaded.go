@@ -8,13 +8,12 @@ import (
 )
 
 // Alpha port of the predecoded direct-threaded execution engine
-// (internal/exec): Predecode, and what exec's run loop executes the body
-// through (port): plain, branch and the transfer handlers.  Alpha has no
-// delay slots; the load-use interlock (ra always, rb only for
-// register-form operates, r31 never charged) is precomputed into
-// SrcA/SrcB/LoadReg.  The fetch/switch Step in cpu.go stays the
-// verification oracle; internal/exec/diff requires bit-identical state
-// from both engines.
+// (internal/exec): what exec's one decoder needs beside the table, whose
+// fields name each operand's slot, and what exec's run loop executes the
+// body through (port): plain, branch and the transfer handlers.  Alpha
+// has no delay slots, and its load-use interlock never charges r31.  The
+// fetch/switch Step in cpu.go stays the verification oracle;
+// internal/exec/diff requires bit-identical state from both engines.
 
 // Dense opcodes.  Each is described exactly once: a pc-relative branch
 // (a row of kind exec.KindBranch, and bsr) by a case of branch, any other
@@ -40,7 +39,8 @@ const (
 )
 
 const (
-	aLda = aNumHandlers + iota // also ldah (displacement pre-shifted)
+	aLda = aNumHandlers + iota
+	aLdah
 	aLdl
 	aLdq
 	aLdqU
@@ -173,59 +173,27 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	return exec.Predecode(words, base, c.Decode)
 }
 
-// Decode unpacks words, the image of one function at b.Base, into b.Code,
-// one slot each, written in full: each word's row in the instruction table
-// (isa.go; rows[i], or looked up when rows is nil) names its opcode,
-// whether it is plain, and which operands to unpack.  Pure function of its
-// arguments; a word with no row becomes aBad, whose handler reproduces the
-// oracle's exact message.
-func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
-	for i, w := range words {
-		in := &b.Code[i]
-		ra := uint8(w >> 21 & 31)
-		rb := uint8(w >> 16 & 31)
-		regForm := w>>12&1 == 0
-		// Interlock metadata, mirroring the oracle's pre-dispatch check:
-		// ra is always a stall candidate; rb only for register-form
-		// integer operates, decodable or not.
-		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: ra, SrcB: exec.NoReg, LoadReg: exec.NoReg}
+// Decode unpacks words into b through exec's one decoder, from the table.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode(isa, b, words, rows) }
 
-		r := isa.At(rows, i, w)
-		if r == nil {
-			in.Op, in.Imm = aBad, int64(w)
-			if op := w >> 26; op >= opInta && op <= opIntm && regForm {
-				in.SrcB = rb
-			}
-			continue
-		}
-		r.Start(in, w, b)
-		in.A, in.B = ra, rb
-		switch r.Layout {
-		case layMem:
-			in.Imm = int64(int16(w))
-		case layMemHi:
-			in.Imm = int64(int16(w)) << 16
-		case layLoad:
-			in.Imm, in.LoadReg = int64(int16(w)), ra
-		case layOperate:
-			in.C = uint8(w & 31)
-			if regForm {
-				in.SrcB = rb
-			} else {
-				in.Flags |= exec.FImm
-				in.Imm = int64(w >> 13 & 0xff)
-			}
-		case layFP:
-			in.C = uint8(w & 31)
-		}
+// interlock is the oracle's load-use check read off a word, which it
+// makes before it decodes: every word reads ra; a register-form integer
+// operate, decodable or not, reads rb; ldl, ldq and ldq_u load ra.
+func interlock(w uint32) (srcA, srcB, load uint8) {
+	srcA, srcB, load = uint8(w>>21&31), exec.NoReg, exec.NoReg
+	switch op := w >> 26; {
+	case op >= opInta && op <= opIntm && w>>12&1 == 0:
+		srcB = uint8(w >> 16 & 31)
+	case op == opLdl || op == opLdq || op == opLdqU:
+		load = srcA
 	}
-	exec.MarkRuns(b.Code, port.Never, port.Slots)
+	return srcA, srcB, load
 }
 
-// port is what Alpha gives exec's run loop: no delay slots, an interlock
-// that never charges $31, and its switches and handlers.
+// port is what Alpha gives exec's decoder and run loop: no delay slots,
+// an interlock that never charges $31, and its switches and handlers.
 var port = exec.Port[*CPU]{
-	Name: "alpha", Slots: 0, Never: 31,
+	Name: "alpha", Slots: 0, Never: 31, Bad: aBad, Interlock: interlock,
 	Plain: (*CPU).plain, Branch: (*CPU).branch,
 	Handlers: []exec.Handler[*CPU]{
 		aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
@@ -280,6 +248,8 @@ func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
 		switch in.Op {
 		case aLda:
 			c.twr(in.A, c.taddr(in))
+		case aLdah:
+			c.twr(in.A, c.tr(in.B)+uint64(in.Imm<<16))
 		case aLdl:
 			a := c.taddr(in)
 			v, ok := c.Mem.Load4(a)

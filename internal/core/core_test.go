@@ -132,18 +132,18 @@ func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
 // the loader would relocate, its address pair; and the row a mapping can
 // give cmoveq.
 var fakeISA = exec.NewTable([]exec.Row{
-	exec.Ins("br", 0x17000000, 0xff000000, " b", 0, 0).As(exec.KindBranch),
-	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0, 0).As(exec.KindBranch),
-	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
-	exec.Ins("ext", 0x19000000, 0xfff00000, " b", 0, 0).As(exec.KindCall),
-	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0, 0),
-	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0, 0),
-	exec.Ins("hi", 0x1a000000, 0xfff00000, " i", 0, 0),
-	exec.Ins("lo", 0x1a100000, 0xfff00000, " i", 0, 0),
-	exec.Ins("cmoveq", 0x1e000000, 0xff000000, "", 0, 0),
+	exec.Ins("br", 0x17000000, 0xff000000, " b", 0).As(exec.KindBranch),
+	exec.Ins("j", 0x18000000, 0xfff00000, " b", 0).As(exec.KindBranch),
+	exec.Ins("call", 0x19100000, 0xfff00000, " b", 0).As(exec.KindCall),
+	exec.Ins("ext", 0x19000000, 0xfff00000, " b", 0).As(exec.KindCall),
+	exec.Ins("ld", 0x15000000, 0xfff00000, " i", 0),
+	exec.Ins("adj", 0x1c000000, 0xffff0000, " i", 0),
+	exec.Ins("hi", 0x1a000000, 0xfff00000, " i", 0),
+	exec.Ins("lo", 0x1a100000, 0xfff00000, " i", 0),
+	exec.Ins("cmoveq", 0x1e000000, 0xff000000, "", 0),
 }, map[byte]exec.Field{
 	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
-	'i': {Width: 16, Signed: true, Fmt: "%d"},
+	'i': {Width: 16, Signed: true, Fmt: "%d", Slot: exec.SlotImm},
 })
 
 func (f *fakeBackend) ISA() *exec.Table { return fakeISA }

@@ -63,23 +63,25 @@ const (
 	// FFold marks a branch Port.Run resolves in its own loop, with no
 	// handler call and no transfer bookkeeping: its row is a pc-relative
 	// branch (exec.KindBranch), its target is in the body, and where the
-	// ISA has a delay slot the slot is the canonical nop.  Row.Start sets
+	// ISA has a delay slot the slot is the canonical nop.  Port.Decode sets
 	// it and MarkRuns keeps it only where all three hold.
 	FFold uint8 = 1 << 2
 )
 
-// Instr is one predecoded instruction.  Field meaning is backend- and
-// opcode-specific (a backend's predecoder and its plain, branch and
-// handlers agree on the convention; Port.Run reads only the shared
-// fields); the shared shape is:
+// Instr is one predecoded instruction.  Which operand goes in A, B, C and
+// Imm is declared once, by the Slot of each field a row's syntax names
+// (Field); a port's plain, branch and handlers read them by that
+// declaration, and Port.Run reads only the shared fields.  The shared
+// shape is:
 //
 //	Op      dense backend-local opcode: a case of the backend's run
 //	        switch if the instruction is plain, else its handler's index
 //	A, B, C unpacked register operands (sources / destination)
-//	Imm     sign-extended immediate, shift count, or — for a static
-//	        control transfer that leaves the body — the target address;
-//	        for a malformed encoding, the raw word (so the error
-//	        handler reproduces the oracle's exact message)
+//	Imm     the immediate its field gives (a shift count, displacement
+//	        or literal; FImm marks the number form of a field of two),
+//	        or — for a static control transfer that leaves the body —
+//	        the target address; for a malformed encoding, the raw word
+//	        (so the error handler reproduces the oracle's exact message)
 //	Target  pre-resolved static branch destination: an in-body array
 //	        index, or External (address in Imm); 0 for non-transfers
 //	PC      the instruction's own address (link values, error text)
@@ -133,6 +135,49 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 	b := &Body{Base: base, Code: make([]Instr, len(words))}
 	decode(b, words, nil)
 	return b
+}
+
+// Decode unpacks words, the image of one function at b.Base, into b.Code,
+// one Instr each, written in full: the interlock registers p reads off the
+// word, then from its row in t (rows[i], or looked up when rows is nil)
+// its opcode, its operands, Run 1 if it is plain (for MarkRuns to extend),
+// FFold if it is a pc-relative branch (MarkRuns keeps it where the run
+// loop can resolve the branch itself) and the target its field gives, in
+// b or External.  It is pure.  A word with no row becomes p.Bad, whose
+// handler gives the oracle's message, so unreachable garbage (pads,
+// literal pools) still installs.
+func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
+	for i, w := range words {
+		in := &b.Code[i]
+		*in = Instr{PC: b.Base + 4*uint64(i), SrcA: NoReg, SrcB: NoReg, LoadReg: NoReg}
+		if p.Interlock != nil {
+			in.SrcA, in.SrcB, in.LoadReg = p.Interlock(w)
+		}
+		r := t.At(rows, i, w)
+		if r == nil {
+			in.Op, in.Imm = p.Bad, int64(w)
+			continue
+		}
+		form := w >> r.sel & uint32(r.two) // 1: a field's number form
+		o := &t.ops[r.ops][form]
+		in.Op, in.Flags = r.Op, uint8(form)*FImm
+		in.A, in.B, in.C, in.Imm = o.reg(0, w), o.reg(1, w), o.reg(2, w), o.imm(w)
+		switch r.Kind {
+		case KindOther:
+			in.Run = 1
+		case KindBranch:
+			in.Flags |= FFold
+		}
+		if ins := r.Insn(w, in.PC); ins.HasTarget && b.Contains(ins.Target) {
+			in.Target = int32(b.IndexOf(ins.Target))
+		} else if ins.HasTarget {
+			in.Target, in.Imm = External, int64(ins.Target)
+		}
+		if p.Slots > 0 && w == p.Nop {
+			in.Flags |= FNop
+		}
+	}
+	MarkRuns(b.Code, p.Never, p.Slots)
 }
 
 // End returns the first address past the body.

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -58,31 +59,80 @@ type Insn struct {
 }
 
 // Row is one instruction of an ISA: the single place a backend pairs a
-// bit pattern with a mnemonic, an operand layout, a control-flow kind and
-// a threaded opcode.  The backend's Classify, Disasm and Predecode
-// all read it; a word no row matches is illegal.  Syntax letters name
-// the ISA's declared Fields; Layout is backend-local (the backend's
-// Predecode switches on it).
+// bit pattern with a mnemonic, its operands, a control-flow kind and a
+// threaded opcode.  The backend's Classify, Disasm and Predecode all read
+// it; a word no row matches is illegal.  Syntax letters name the ISA's
+// declared Fields, and each field's Slot says where Predecode puts it.
 type Row struct {
 	Name   string // mnemonic
 	Match  uint32 // the row decodes w when w&Mask == Match
 	Mask   uint32
 	Syntax string // operands as Disasm prints them, one letter per field
-	Layout uint8  // which fields Predecode unpacks, and where to
 	Kind   Kind   // control-flow behaviour, for the verifier
 	Op     uint16 // dense opcode: what the threaded engine executes it as
 
 	// Tgt and Num are the fields Syntax names that hold a target and a
-	// number, nil for none; NewTable sets them.
+	// number, nil for none.  The table's ops[ops] reads the operands of
+	// the other fields it names (an alias: of the row it specialises);
+	// two is 1 in a row with a field of two forms, and form 1 reads a word
+	// whose bit sel selects the number form.  NewTable sets them, in the
+	// rows it is given.
 	Tgt, Num *Field
+	sel, two uint8
+	ops      uint16
+}
+
+// Slot is the operand of an Instr a field's value goes into; a target
+// field has none (Predecode resolves it).
+type Slot uint8
+
+const (
+	NoSlot Slot = iota
+	SlotA
+	SlotB
+	SlotC
+	SlotImm
+)
+
+// operands is how Predecode reads a word's operands: A, B and C, each a
+// field shifted down and masked (mask 0 for none), and Imm, shifted to
+// the top, down again sign-extending, kept to the field's width if it is
+// unsigned, and scaled (keep 0 for none).
+type operands struct {
+	shift, mask     [3]uint8
+	lsh, rsh, scale uint8
+	keep            int32
+}
+
+func (o *operands) reg(k int, w uint32) uint8 { return uint8(w>>(o.shift[k]&31)) & o.mask[k] }
+
+func (o *operands) imm(w uint32) int64 {
+	return int64(int32(w<<(o.lsh&31))>>(o.rsh&31)&o.keep) << (o.scale & 31)
+}
+
+// put has o read f, a field r names, into its slot, which must take f's
+// value: A, B and C take at most 8 unsigned, unscaled bits.
+func (o *operands) put(r *Row, f *Field) {
+	switch s := f.Slot; {
+	case s == SlotImm:
+		o.lsh, o.rsh, o.scale, o.keep = 32-f.Shift-f.Width, 32-f.Width, f.Scale, -1
+		if !f.Signed {
+			o.keep = int32(f.Bits())
+		}
+	case s == NoSlot || f.Width > 8 || f.Signed || f.Scale != 0:
+		panic(fmt.Sprintf("exec: row %s %q names a field with no slot it fits", r.Name, r.Syntax))
+	default:
+		o.shift[s-SlotA], o.mask[s-SlotA] = f.Shift, uint8(f.Bits())
+	}
 }
 
 // Field is what one Syntax letter of an ISA names: where the operand sits
-// in a word and what its value means.  Each port declares a letter once,
-// for Disasm, Classify, Predecode's targets and the core's templates and
-// patcher; the port's tests hold it to the encoders and the oracle.  A
-// Target counts from the word's address plus PC or, for a Region (MIPS
-// j), from the aligned 2^(Width+Scale)-byte region holding that address.
+// in a word, what its value means and where Predecode puts it (Slot).
+// Each port declares a letter once, for Disasm, Classify, Predecode and
+// the core's templates and patcher; the port's tests hold it to the
+// encoders and the oracle.  A Target counts from the word's address plus
+// PC or, for a Region (MIPS j), from the aligned 2^(Width+Scale)-byte
+// region holding that address.
 type Field struct {
 	Shift, Width   uint8
 	Signed         bool
@@ -91,8 +141,9 @@ type Field struct {
 	Fmt            string   // otherwise, how Disasm prints the value
 	Target, Region bool
 	PC             uint8
-	Sel            uint8  // with Else: bit Sel set selects this (number) form,
+	Sel            uint8  // with Else: bit Sel set selects this (number) form, which sets FImm,
 	Else           *Field // clear the register form Else (SPARC operand2, Alpha literals)
+	Slot           Slot   // where Predecode puts the value; none for a target
 
 	lo, hi int64  // the values the field holds, worked out once by NewTable
 	mask   uint32 // its bits in place
@@ -185,28 +236,8 @@ func (r *Row) Insn(w uint32, pc uint64) Insn {
 // one line per instruction.  The row is KindOther — plain: the
 // threaded engine executes runs of such rows without looking up — and the
 // few that transfer control say so with As.
-func Ins(name string, match, mask uint32, syntax string, layout uint8, op uint16) Row {
-	return Row{Name: name, Match: match, Mask: mask, Syntax: syntax, Layout: layout, Op: op}
-}
-
-// Start starts in, the zeroed predecoded form of w, a word of r at in.PC
-// in b: r's opcode, Run 1 for a plain row (for MarkRuns to extend), FFold
-// for a pc-relative branch (MarkRuns keeps it where the run loop can
-// resolve the branch itself), and the target r's field gives, in b or
-// External.
-func (r *Row) Start(in *Instr, w uint32, b *Body) {
-	in.Op = r.Op
-	switch r.Kind {
-	case KindOther:
-		in.Run = 1
-	case KindBranch:
-		in.Flags = FFold
-	}
-	if ins := r.Insn(w, in.PC); ins.HasTarget && b.Contains(ins.Target) {
-		in.Target = int32(b.IndexOf(ins.Target))
-	} else if ins.HasTarget {
-		in.Target, in.Imm = External, int64(ins.Target)
-	}
+func Ins(name string, match, mask uint32, syntax string, op uint16) Row {
+	return Row{Name: name, Match: match, Mask: mask, Syntax: syntax, Op: op}
 }
 
 // As returns r with its control-flow kind set.
@@ -220,6 +251,7 @@ type Table struct {
 	slots  []slot // every sub-table, concatenated
 	root   slot
 	fields map[byte]*Field
+	ops    [][2]operands // the distinct ways rows read operands: Row.ops
 }
 
 // slot is one entry of a sub-table: either a further sub-table, selected
@@ -249,24 +281,63 @@ const fixedSteps = 2
 // is derived from the masks alone: a level switches on the highest run of
 // bits that every row still in play specifies, so it narrows without
 // reordering and Lookup returns exactly what a first-match scan of rows
-// would.
+// would.  It completes rows in place (Tgt, Num and the operand reads),
+// and panics on a declaration Predecode could not follow: a row naming a
+// field with no slot it fits, or two fields that fill one slot.
 func NewTable(rows []Row, fields map[byte]Field) *Table {
 	t := &Table{fields: make(map[byte]*Field, len(fields))}
 	for c, f := range fields {
 		f.prep()
 		t.fields[c] = &f
 	}
+	for i := len(rows) - 1; i >= 0; i-- {
+		t.derive(rows, i)
+	}
 	t.root = t.build(rows, 0, 0)
-	for i := range t.rows {
-		for _, c := range []byte(t.rows[i].Syntax) {
-			if f := t.fields[c]; f != nil && f.Target {
-				t.rows[i].Tgt = f
-			} else if f != nil && f.Names == nil {
-				t.rows[i].Num = f
+	return t
+}
+
+// derive sets what rows[i]'s Syntax names.  An alias (nop, move, li)
+// unpacks what the row it specialises does: the next row of its opcode
+// that decodes every word it does.
+func (t *Table) derive(rows []Row, i int) {
+	r, filled := &rows[i], 0
+	var ops [2]operands
+	for _, c := range []byte(r.Syntax) {
+		f, slots := t.fields[c], 1<<SlotImm // where a target outside the body goes
+		switch {
+		case f == nil:
+			continue
+		case f.Target:
+			r.Tgt = f
+		default:
+			reg := f.In(0) // the register form of a field of two
+			slots = 1<<f.Slot | 1<<reg.Slot
+			ops[0].put(r, reg)
+			ops[1].put(r, f)
+			if f.Else != nil {
+				r.sel, r.two = f.Sel, 1
+			}
+			if f.Names == nil {
+				r.Num = f
 			}
 		}
+		if filled&slots != 0 {
+			panic(fmt.Sprintf("exec: row %s %q fills a slot twice", r.Name, r.Syntax))
+		}
+		filled |= slots
 	}
-	return t
+	for _, s := range rows[i+1:] {
+		if s.Op == r.Op && r.Mask&s.Mask == s.Mask && r.Match&s.Mask == s.Match {
+			r.ops, r.sel, r.two = s.ops, s.sel, s.two
+			return
+		}
+	}
+	k := slices.Index(t.ops, ops)
+	if k < 0 {
+		k, t.ops = len(t.ops), append(t.ops, ops)
+	}
+	r.ops = uint16(k)
 }
 
 // ISA returns t, so that a backend embedding its table has core.Backend's

@@ -94,3 +94,58 @@ func TestMarkRunsKeepsFolds(t *testing.T) {
 		}
 	}
 }
+
+// TestNewTableRefuses: a declaration Predecode could not follow panics
+// when the table is built, at package start: a row naming a field with no
+// slot or a register slot the field does not fit, or two fields that fill
+// one slot (a target fills Imm, where it goes when it leaves the body).
+func TestNewTableRefuses(t *testing.T) {
+	reg := Field{Width: 5, Names: Numbered("r%d"), Slot: SlotA}
+	for name, fields := range map[string]map[byte]Field{
+		"no slot":         {'a': {Width: 5}},
+		"signed register": {'a': {Width: 5, Signed: true, Slot: SlotB}},
+		"register form":   {'a': {Width: 8, Slot: SlotImm, Sel: 12, Else: &Field{Width: 5}}},
+		"one slot twice":  {'a': reg, 'b': reg},
+		"target and Imm":  {'a': {Width: 8, Slot: SlotImm}, 'b': {Width: 8, Target: true}},
+		"both forms":      {'a': reg, 'b': {Width: 8, Slot: SlotImm, Sel: 12, Else: &reg}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewTable accepted it", name)
+				}
+			}()
+			NewTable([]Row{Ins("x", 0, 0, " a, b", 0)}, fields)
+		}()
+	}
+}
+
+// TestDecodeUnpacksBySlot: each letter's value lands in its field's slot;
+// a field of two forms puts its number form in Imm with FImm, its register
+// form in its own slot; and an alias reads the letters of the row it
+// specialises, so a nop that is "or r31, r31, r31" unpacks 31s, not zeros.
+func TestDecodeUnpacksBySlot(t *testing.T) {
+	reg := func(shift uint8, s Slot) Field { return Field{Shift: shift, Width: 5, Names: Numbered("r%d"), Slot: s} }
+	lit := reg(16, SlotB)
+	tab := NewTable([]Row{
+		Ins("nop", 0xffff001f, 0xffffffff, "", 7),
+		Ins("or", 0xfc000000, 0xfc000000, " a, l, c", 7),
+	}, map[byte]Field{
+		'a': reg(21, SlotA), 'c': reg(0, SlotC),
+		'l': {Shift: 13, Width: 3, Signed: true, Slot: SlotImm, Sel: 12, Else: &lit},
+	})
+	for _, tc := range []struct {
+		w    uint32
+		want Instr
+	}{
+		{0xffff001f, Instr{Op: 7, Run: 1, A: 31, B: 31, C: 31}},
+		{0xfc000000 | 3<<21 | 5<<16 | 7, Instr{Op: 7, Run: 1, A: 3, B: 5, C: 7}},
+		{0xfc000000 | 3<<21 | 6<<13 | 1<<12 | 7, Instr{Op: 7, Run: 1, A: 3, C: 7, Imm: -2, Flags: FImm}},
+	} {
+		b := &Body{Code: make([]Instr, 1)}
+		(&Port[struct{}]{Never: NoReg}).Decode(tab, b, []uint32{tc.w}, nil)
+		if tc.want.SrcA, tc.want.SrcB, tc.want.LoadReg = NoReg, NoReg, NoReg; b.Code[0] != tc.want {
+			t.Errorf("%#08x: %+v, want %+v", tc.w, b.Code[0], tc.want)
+		}
+	}
+}

@@ -8,12 +8,14 @@
 package isatest
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/exec/diff"
 	"repro/internal/mem"
 	"repro/internal/verify"
 )
@@ -28,9 +30,17 @@ type ISA struct {
 	// Branch is CPU's branch switch: whether a predecoded instruction of
 	// a pc-relative branch row is taken.  The run loop folds a branch with it.
 	Branch func(in *exec.Instr) bool
+	// New makes another simulator with its own memory, for CheckStep's
+	// two engines.  Load is a word that loads register r from LoadAddr,
+	// as the load-use interlock tracks a load; Use one that reads r.
+	New       func() (core.ThreadedCPU, *mem.Memory)
+	Load, Use func(r uint32) uint32
 }
 
 const base = 0x100 // where the word under test is placed
+
+// LoadAddr is where ISA.Load loads from; CheckStep keeps zero there.
+const LoadAddr = 0x200
 
 // row is the specification Table.Lookup is an index of: a first-match
 // scan in declaration order.
@@ -113,11 +123,17 @@ func (a *ISA) CheckLegality(t *testing.T) {
 
 // scramble gives every register one of a few values that between them
 // make every branch condition true on some trial and false on another.
-func (a *ISA) scramble(rng *rand.Rand) {
+func (a *ISA) scramble(rng *rand.Rand) { scramble(rng, a.CPU) }
+
+// scramble gives every register of cpus the same one of those values.
+func scramble(rng *rand.Rand, cpus ...core.ThreadedCPU) {
 	pick := func() uint64 { return [...]uint64{0, 1, ^uint64(0), rng.Uint64()}[rng.Intn(4)] }
 	for i := 0; i < 32; i++ {
-		a.CPU.SetReg(core.GPR(i), pick())
-		a.CPU.SetFReg(core.FPR(i), pick(), true)
+		g, f := pick(), pick()
+		for _, c := range cpus {
+			c.SetReg(core.GPR(i), g)
+			c.SetFReg(core.FPR(i), f, true)
+		}
 	}
 }
 
@@ -348,4 +364,97 @@ func (a *ISA) land(t *testing.T, w, slot uint32) (pc uint64, taken bool) {
 		return a.CPU.PC(), true
 	}
 	return a.CPU.PC(), a.CPU.PC() != base+4
+}
+
+// CheckStep holds the threaded engine to the oracle row by row, on two
+// simulators that start alike: Step runs on one, Predecode and Run on the
+// other.  Every row's words, followed by a nop for a transfer's delay
+// slot, run on a scrambled state and must leave the same state and error:
+// this pins the operands each row's handler reads.  Then, for every
+// register field of every row and every register X, two bodies run from
+// zeroed registers: a tracked load into X and the row's word with X in
+// the field, and that word and a read of X.  Both must charge the same
+// cycles, which pins the interlock metadata (SrcA, SrcB, LoadReg) row by
+// row.  A row's number field holds an offset that, from zeroed
+// registers, addresses mapped memory clear of the code.
+func (a *ISA) CheckStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var p [2]core.ThreadedCPU
+	var m [2]*mem.Memory
+	p[0], m[0] = a.New()
+	p[1], m[1] = a.New()
+	run := func(r *exec.Row, what string, words ...uint32) {
+		for i := range p {
+			for k, w := range words {
+				if err := m[i].Store(base+4*uint64(k), 4, uint64(w)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p[i].SetPC(base)
+			p[i].ResetStats()
+		}
+		var errs [2]error
+		for range words { // as Run does, the oracle stops where control leaves the words
+			if pc := p[0].PC(); !p[0].PendingDelay() && (pc < base || pc >= base+4*uint64(len(words))) {
+				break
+			}
+			if errs[0] = p[0].Step(); errs[0] != nil {
+				break
+			}
+		}
+		_, errs[1] = p[1].Run(p[1].Predecode(words, base), 0, uint64(len(words)))
+		d := diff.ErrDiff(errs[0], errs[1]) + diff.StateDiff(p[0], p[1])
+		if p[0].PendingDelay() != p[1].PendingDelay() {
+			d += "a delay slot pending on one engine only\n"
+		}
+		if d != "" {
+			t.Errorf("%s %s%s %#08x: %s", a.Dec.(core.Backend).Name(), r.Name, what, words, d)
+		}
+	}
+	var nop uint32 // a transfer's delay slot, where it has one
+	for _, r := range a.Rows {
+		if r.Name == "nop" {
+			nop = r.Match
+		}
+	}
+	for k := 0; k < 64; k++ {
+		for i := range a.Rows {
+			r := &a.Rows[i]
+			scramble(rng, p[0], p[1])
+			run(r, "", synth(r, rng), nop)
+		}
+	}
+	for i := range a.Rows {
+		r := &a.Rows[i]
+		var num *exec.Field
+		for _, c := range []byte(r.Syntax) {
+			if f := a.Table.Field(c); f != nil && !f.Target && f.Names == nil {
+				num = f
+			}
+		}
+		for _, c := range []byte(r.Syntax) {
+			decl := a.Table.Field(c)
+			f := decl.In(0) // a number-or-register field's register form
+			for x := 0; f != nil && x < len(f.Names); x++ {
+				w := synth(r, rng)
+				if decl != f {
+					w &^= 1 << decl.Sel
+				} else if num != nil {
+					w, _ = num.Put(w, 0x400) // unchanged where num cannot hold it
+				}
+				w, _ = f.Put(w, int64(x))
+				for _, body := range [][]uint32{{a.Load(uint32(x)), w}, {w, a.Use(uint32(x))}} {
+					for i := range p {
+						for n := 0; n < 32; n++ {
+							p[i].SetReg(core.GPR(n), 0)
+						}
+						if err := m[i].Store(LoadAddr, 8, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run(r, fmt.Sprintf(", %c = %d,", c, x), body...)
+				}
+			}
+		}
+	}
 }

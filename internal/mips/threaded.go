@@ -8,12 +8,13 @@ import (
 )
 
 // This file is the MIPS port of the predecoded direct-threaded execution
-// engine (internal/exec).  Predecode unpacks every word of an installed
-// function once — operands extracted, static branch targets resolved to
-// body indices, load-use interlock metadata precomputed, straight-line
-// runs measured — and exec's run loop executes the resulting contiguous
-// []exec.Instr through what this file gives it (port): plain, the switch
-// a run of plain instructions executes in; branch, the conditions of the
+// engine (internal/exec).  exec's one decoder unpacks every word of an
+// installed function once — each operand into the slot its field in
+// isa.go names, static branch targets resolved to body indices, load-use
+// interlock metadata read off by interlock, straight-line runs measured —
+// and exec's run loop executes the resulting contiguous []exec.Instr
+// through what this file gives it (port): plain, the switch a run of
+// plain instructions executes in; branch, the conditions of the
 // pc-relative branches; and the handlers of the other transfers.
 // Semantics must stay bit-identical to the fetch/switch oracle in cpu.go:
 // same registers, memory, cycle charges, interlock stalls, sampling/edge
@@ -36,7 +37,8 @@ const (
 	mBne
 	mBlez
 	mBgtz
-	mBc1
+	mBc1f
+	mBc1t
 	mBad // a word with no row
 	mNumHandlers
 )
@@ -148,8 +150,10 @@ func (c *CPU) branch(in *exec.Instr) bool {
 		taken = c.trs(in.A) <= 0
 	case mBgtz:
 		taken = c.trs(in.A) > 0
-	case mBc1:
-		taken = (in.B&1 == 1) == c.cc
+	case mBc1f:
+		taken = !c.cc
+	case mBc1t:
+		taken = c.cc
 	default:
 		panic(fmt.Sprintf("mips: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
 	}
@@ -165,66 +169,28 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	return exec.Predecode(words, base, c.Decode)
 }
 
-// Decode unpacks words, the installed image of one function at b.Base,
-// into b.Code, one slot each, written in full: each word's row in the
-// instruction table (isa.go; rows[i], or looked up when rows is nil) names
-// its opcode, whether it is plain, and which operands to unpack.  It is a
-// pure function of its arguments — no CPU state is read or written.
-// Malformed words never fail predecode: a word with no row becomes mBad,
-// whose handler reproduces the oracle's exact error text, so unreachable
-// garbage (alignment pads, literal pools) still installs.
-func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
-	for i, w := range words {
-		in := &b.Code[i]
-		rs := uint8(w >> 21 & 31)
-		rt := uint8(w >> 16 & 31)
-		rd := uint8(w >> 11 & 31)
-		sh := uint8(w >> 6 & 31)
-		// The oracle charges the load-use interlock on the raw rs field
-		// of every word (and on rt where a layout says so) before it
-		// even validates the word.
-		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: rs, SrcB: exec.NoReg, LoadReg: exec.NoReg}
+// Decode unpacks words into b through exec's one decoder, from the table.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode(isa, b, words, rows) }
 
-		r := isa.At(rows, i, w)
-		if r == nil {
-			in.Op, in.Imm = mBad, int64(w)
-			if w>>26 == opSpecial {
-				in.SrcB = rt
-			}
-			continue
-		}
-		r.Start(in, w, b)
-		in.A, in.B = rs, rt
-		if w == encNop {
-			in.Flags |= exec.FNop
-		}
-		switch r.Layout {
-		case layR:
-			in.C, in.Imm, in.SrcB = rd, int64(sh), rt
-		case layBr2:
-			in.SrcB = rt
-		case layImmS:
-			in.Imm = int64(int16(w))
-		case layImmU:
-			in.Imm = int64(w & 0xffff)
-		case layLoad:
-			in.Imm, in.LoadReg = int64(int16(w)), rt
-		case layStore:
-			in.Imm, in.SrcB = int64(int16(w)), rt
-		case layFP, layFBr:
-			// cop1 operand convention: A = fs (rd field), B = ft (rt
-			// field), C = fd (sh field) — matching the oracle's cop1()
-			// parameter mapping.
-			in.A, in.B, in.C = rd, rt, sh
-		}
+// interlock is the oracle's load-use check read off a word, which it
+// makes before it decodes: every word reads rs; SPECIAL, beq, bne and the
+// integer stores read rt; lb..lw load rt.
+func interlock(w uint32) (srcA, srcB, load uint8) {
+	srcA, srcB, load = uint8(w>>21&31), exec.NoReg, exec.NoReg
+	switch w >> 26 {
+	case opSpecial, opBeq, opBne, opSb, opSh, opSw:
+		srcB = uint8(w >> 16 & 31)
+	case opLb, opLbu, opLh, opLhu, opLw:
+		load = uint8(w >> 16 & 31)
 	}
-	exec.MarkRuns(b.Code, port.Never, port.Slots)
+	return srcA, srcB, load
 }
 
-// port is what MIPS gives exec's run loop: one delay slot, an interlock
-// that never charges $zero, and its switches and handlers.
+// port is what MIPS gives exec's decoder and run loop: one delay slot and
+// its nop, an interlock that never charges $zero, and its switches and
+// handlers.
 var port = exec.Port[*CPU]{
-	Name: "mips", Slots: 1, Never: 0,
+	Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Interlock: interlock,
 	Plain: (*CPU).plain, Branch: (*CPU).branch,
 	Handlers: []exec.Handler[*CPU]{
 		mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {

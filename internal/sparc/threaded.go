@@ -8,8 +8,9 @@ import (
 )
 
 // SPARC port of the predecoded direct-threaded execution engine
-// (internal/exec): Predecode, and what exec's run loop executes the body
-// through (port): plain, branch and the transfer handlers.  The
+// (internal/exec): what exec's one decoder needs beside the table, whose
+// fields name each operand's slot, and what exec's run loop executes the
+// body through (port): plain, branch and the transfer handlers.  The
 // fetch/switch Step in cpu.go stays the verification oracle: registers,
 // memory, icc/fcc/Y state, cycle charges, probes, delay slots, and error
 // strings must match bit for bit (internal/exec/diff enforces it).  SPARC
@@ -132,52 +133,13 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 	return exec.Predecode(words, base, c.Decode)
 }
 
-// Decode unpacks words, the image of one function at b.Base, into b.Code,
-// one slot each, written in full: each word's row in the instruction table
-// (isa.go; rows[i], or looked up when rows is nil) names its opcode,
-// whether it is plain, and which operands to unpack.  Pure function of its
-// arguments; a word with no row becomes sBad, whose handler reproduces the
-// oracle's exact message, never a predecode failure.
-func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) {
-	for i, w := range words {
-		in := &b.Code[i]
-		*in = exec.Instr{PC: b.Base + 4*uint64(i), SrcA: exec.NoReg, SrcB: exec.NoReg, LoadReg: exec.NoReg}
+// Decode unpacks words into b through exec's one decoder, from the table.
+func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode(isa, b, words, rows) }
 
-		r := isa.At(rows, i, w)
-		if r == nil {
-			in.Op, in.Imm = sBad, int64(w)
-			continue
-		}
-		r.Start(in, w, b)
-		if w == encNop {
-			in.Flags |= exec.FNop
-		}
-		rd := uint8(w >> 25 & 31)
-		rs1 := uint8(w >> 14 & 31)
-		switch r.Layout {
-		case laySethi:
-			in.C, in.Imm = rd, int64(w<<10)
-		case layBr:
-			in.A = rd & 0xf // cond
-		case layArith:
-			in.A, in.C = rs1, rd
-			if w>>13&1 == 1 {
-				in.Flags |= exec.FImm
-				in.Imm = int64(int32(w<<19) >> 19)
-			} else {
-				in.B = uint8(w & 31)
-			}
-		case layFP:
-			in.A, in.B, in.C = rs1, uint8(w&31), rd
-		}
-	}
-	exec.MarkRuns(b.Code, port.Never, port.Slots)
-}
-
-// port is what SPARC gives exec's run loop: one delay slot, no load-use
-// interlock, and its switches and handlers.
+// port is what SPARC gives exec's decoder and run loop: one delay slot
+// and its nop, no load-use interlock, and its switches and handlers.
 var port = exec.Port[*CPU]{
-	Name: "sparc", Slots: 1, Never: exec.NoReg,
+	Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad,
 	Plain: (*CPU).plain, Branch: (*CPU).branch,
 	Handlers: []exec.Handler[*CPU]{
 		sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {

@@ -136,4 +136,4 @@ var rows = []exec.Row{
 	exec.Ins("cvtst", fpFmt(opFlti, 0, 0, fnCvtst, 0), maskFP, " B, C", aCvtst),
 }
 
-var isa = exec.NewTable(rows, fields)
+var isa = exec.NewTable(rows, fields, interlock)

@@ -179,21 +179,20 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // interlock is the oracle's load-use check read off a word, which it
 // makes before it decodes: every word reads ra; a register-form integer
 // operate, decodable or not, reads rb; ldl, ldq and ldq_u load ra.
-func interlock(w uint32) (srcA, srcB, load uint8) {
-	srcA, srcB, load = uint8(w>>21&31), exec.NoReg, exec.NoReg
+func interlock(w uint32) (srcA, srcB, load byte) {
 	switch op := w >> 26; {
 	case op >= opInta && op <= opIntm && w>>12&1 == 0:
-		srcB = uint8(w >> 16 & 31)
+		return 'a', 'b', 0
 	case op == opLdl || op == opLdq || op == opLdqU:
-		load = srcA
+		return 'a', 0, 'a'
 	}
-	return srcA, srcB, load
+	return 'a', 0, 0
 }
 
 // port is what Alpha gives exec's decoder and run loop: no delay slots,
 // an interlock that never charges $31, and its switches and handlers.
 var port = exec.Port[*CPU]{
-	Name: "alpha", Slots: 0, Never: 31, Bad: aBad, Interlock: interlock,
+	Name: "alpha", Slots: 0, Never: 31, Bad: aBad,
 	Plain: (*CPU).plain, Branch: (*CPU).branch,
 	Handlers: []exec.Handler[*CPU]{
 		aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {

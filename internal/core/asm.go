@@ -72,10 +72,13 @@ type callState struct {
 type Asm struct {
 	backend Backend
 	conv    *CallConv
-	buf     *Buf
+	buf     Buf
 	err     error
 	state   asmState
-	name    string
+	// open is the emitters' gate word: err is nil, state is stBuilding
+	// and rec is nil.  gate recomputes it after each write of the three.
+	open bool
+	name string
 
 	labels []int
 	fixups []fixup
@@ -144,7 +147,7 @@ func NewAsmConv(b Backend, conv *CallConv) *Asm {
 	return &Asm{
 		backend: b,
 		conv:    conv,
-		buf:     NewBuf(256),
+		buf:     Buf{make([]uint32, 0, 256)},
 		tmpl:    b.Templates(),
 		fx:      fixedOf(b),
 	}
@@ -157,7 +160,7 @@ func (a *Asm) Backend() Backend { return a.backend }
 func (a *Asm) Conv() *CallConv { return a.conv }
 
 // Buf exposes the underlying code buffer (tests, disassembly).
-func (a *Asm) Buf() *Buf { return a.buf }
+func (a *Asm) Buf() *Buf { return &a.buf }
 
 // SetName sets the diagnostic name of the function being built.
 func (a *Asm) SetName(name string) { a.name = name }
@@ -172,16 +175,20 @@ func (a *Asm) InsnCount() int { return a.insnCount }
 func (a *Asm) setErr(err error) {
 	if a.err == nil && err != nil {
 		a.err = err
+		a.gate()
 	}
 }
+
+// gate recomputes open from the fields it stands for.
+func (a *Asm) gate() { a.open = a.err == nil && a.state == stBuilding && a.rec == nil }
 
 func (a *Asm) failf(format string, args ...any) {
 	a.setErr(fmt.Errorf(format, args...))
 }
 
-// ready is every emitter's gate: a build is open and nothing has gone wrong
-// in it.  The accepted case inlines into the emitter; notReady is the rest.
-func (a *Asm) ready() bool { return a.err == nil && a.state == stBuilding || a.notReady() }
+// ready is every emitter's state test: a build is open and nothing has gone
+// wrong in it.  open answers first; the rest inlines but for notReady.
+func (a *Asm) ready() bool { return a.open || a.err == nil && a.state == stBuilding || a.notReady() }
 
 // notReady makes emission outside Begin/End the sticky error, unless an
 // earlier one already is.  Kept out of line so that ready stays within the
@@ -190,7 +197,7 @@ func (a *Asm) ready() bool { return a.err == nil && a.state == stBuilding || a.n
 //go:noinline
 func (a *Asm) notReady() bool {
 	if a.err == nil {
-		a.err = fmt.Errorf("%w: emission outside Begin/End", ErrState)
+		a.setErr(fmt.Errorf("%w: emission outside Begin/End", ErrState))
 	}
 	return false
 }
@@ -238,6 +245,7 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	if a.recOn {
 		a.rec = &Recording{Params: append([]Type(nil), params...), Leaf: leaf}
 	}
+	a.gate()
 	a.labels = a.labels[:0]
 	a.fixups = a.fixups[:0]
 	a.pending = a.pending[:0]
@@ -283,7 +291,7 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 			a.noteSaved(r)
 		}
 		site := a.buf.Len()
-		if err := a.backend.Load(a.buf, loc.t, r, a.conv.SP, 0); err != nil {
+		if err := a.backend.Load(&a.buf, loc.t, r, a.conv.SP, 0); err != nil {
 			a.setErr(err)
 		}
 		a.pending = append(a.pending, pendingArgLoad{site: site, stackOff: loc.stackOff, t: loc.t, r: r})
@@ -332,6 +340,7 @@ func (a *Asm) End() (*Func, error) {
 		return nil, fmt.Errorf("%w: End without Begin", ErrState)
 	}
 	a.state = stEnded
+	a.gate()
 	if a.err != nil {
 		return nil, a.err
 	}
@@ -613,13 +622,16 @@ func (a *Asm) StLocal(t Type, rs Reg, off int64) { a.StI(t, rs, a.conv.SP, off) 
 // instructions_gen.go delegate here; clients generating code from their
 // own tables may call these directly, as tcc does).
 //
-// Every one has the same shape, and an accepted instruction pays only the
-// tests on its way: ready's inlined half, one load from a legality table
-// (op.go), one fixed-arity register-bank test (reg.go; checkRegs runs only
-// when that fails, to say which operand and why), the recording gate, then
-// the encoding: the port's template for (op, type) filled in here when there
-// is one and the immediate is inside its range (tmpl.go), the backend's
-// encoder otherwise. ----
+// An instruction a template covers passes one gate: open, the build's
+// state in one word, and the template entry for (op, type), which holds
+// whether the case may take it (legal, not emulated) and its operands'
+// bank; the registers and the immediate are tested against the entry and
+// the word is written (tmpl.go).  Whatever fails that falls through to the
+// checks in order: ready, a legality table (op.go), the bank test (reg.go;
+// checkRegs says which operand and why), recording, then the template or
+// the backend's encoder; alu, alui, ldI and stI hold those checks out of
+// line, which keeps the gated door's frame small (S26).  SetI, BrI, Bind
+// and Ret keep their backend calls and test open in ready. ----
 
 func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 	for _, r := range regs {
@@ -637,6 +649,17 @@ func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 
 // ALU emits the binary operation rd = rs1 op rs2.
 func (a *Asm) ALU(op Op, t Type, rd, rs1, rs2 Reg) {
+	if a.open && op < numBinOps && t < numTypes {
+		if w, ok := a.tmpl.alu[op][t].take(rd, rs1, rs2); ok {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
+	a.alu(op, t, rd, rs1, rs2)
+}
+
+func (a *Asm) alu(op Op, t Type, rd, rs1, rs2 Reg) {
 	if !a.ready() {
 		return
 	}
@@ -659,11 +682,23 @@ func (a *Asm) ALU(op Op, t Type, rd, rs1, rs2 Reg) {
 		a.buf.Emit(tp.regs(rd, rs1, rs2))
 		return
 	}
-	a.setErr(a.backend.ALU(a.buf, op, t, rd, rs1, rs2))
+	a.setErr(a.backend.ALU(&a.buf, op, t, rd, rs1, rs2))
 }
 
 // ALUI emits rd = rs op imm.
 func (a *Asm) ALUI(op Op, t Type, rd, rs Reg, imm int64) {
+	if a.open && op < numBinOps && t < numTypes {
+		tp := &a.tmpl.alui[op][t]
+		if w, ok := tp.takeImm(rd, rs, imm); ok && tp.lo <= imm && imm <= tp.hi {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
+	a.alui(op, t, rd, rs, imm)
+}
+
+func (a *Asm) alui(op Op, t Type, rd, rs Reg, imm int64) {
 	if !a.ready() {
 		return
 	}
@@ -686,7 +721,7 @@ func (a *Asm) ALUI(op Op, t Type, rd, rs Reg, imm int64) {
 		a.buf.Emit(tp.imm(rd, rs, imm))
 		return
 	}
-	a.setErr(a.backend.ALUImm(a.buf, op, t, rd, rs, imm))
+	a.setErr(a.backend.ALUImm(&a.buf, op, t, rd, rs, imm))
 }
 
 // Unary emits rd = op rs (com, not, mov, neg).
@@ -705,7 +740,7 @@ func (a *Asm) Unary(op Op, t Type, rd, rs Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecUnary, Op: op, T: t, Rd: rd, Rs1: rs})
 	}
-	a.setErr(a.backend.Unary(a.buf, op, t, rd, rs))
+	a.setErr(a.backend.Unary(&a.buf, op, t, rd, rs))
 }
 
 // SetI emits rd = imm for an integer or pointer type (v_set*i).
@@ -724,7 +759,7 @@ func (a *Asm) SetI(t Type, rd Reg, imm int64) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecSetI, T: t, Rd: rd, Imm: imm})
 	}
-	a.setErr(a.backend.SetImm(a.buf, t, rd, imm))
+	a.setErr(a.backend.SetImm(&a.buf, t, rd, imm))
 }
 
 // SetF emits rd = imm for TypeF via the per-function constant pool.
@@ -772,11 +807,18 @@ func (a *Asm) loadPool(t Type, rd Reg, bits uint64, double bool) {
 	}
 	scratch := a.backend.ScratchReg()
 	a.poolRefs = append(a.poolRefs, poolRef{sites: a.loadAddr(scratch), entry: entry})
-	a.setErr(a.backend.Load(a.buf, t, rd, scratch, 0))
+	a.setErr(a.backend.Load(&a.buf, t, rd, scratch, 0))
 }
 
 // Ld emits rd = *(t*)(base + roff) with a register offset.
 func (a *Asm) Ld(t Type, rd, base, roff Reg) {
+	if a.open && t < numTypes {
+		if w, ok := a.tmpl.ldx[t].take(rd, base, roff); ok {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
 	if !a.ready() {
 		return
 	}
@@ -791,11 +833,23 @@ func (a *Asm) Ld(t Type, rd, base, roff Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecLd, T: t, Rd: rd, Rs1: base, Rs2: roff})
 	}
-	a.setErr(a.backend.LoadRR(a.buf, t, rd, base, roff))
+	a.setErr(a.backend.LoadRR(&a.buf, t, rd, base, roff))
 }
 
 // LdI emits rd = *(t*)(base + off) with an immediate offset.
 func (a *Asm) LdI(t Type, rd, base Reg, off int64) {
+	if a.open && t < numTypes {
+		tp := &a.tmpl.ld[t]
+		if w, ok := tp.takeImm(rd, base, off); ok && tp.lo <= off && off <= tp.hi {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
+	a.ldI(t, rd, base, off)
+}
+
+func (a *Asm) ldI(t Type, rd, base Reg, off int64) {
 	if !a.ready() {
 		return
 	}
@@ -814,11 +868,18 @@ func (a *Asm) LdI(t Type, rd, base Reg, off int64) {
 		a.buf.Emit(tp.imm(rd, base, off))
 		return
 	}
-	a.setErr(a.backend.Load(a.buf, t, rd, base, off))
+	a.setErr(a.backend.Load(&a.buf, t, rd, base, off))
 }
 
 // St emits *(t*)(base + roff) = rs.
 func (a *Asm) St(t Type, rs, base, roff Reg) {
+	if a.open && t < numTypes {
+		if w, ok := a.tmpl.stx[t].take(rs, base, roff); ok {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
 	if !a.ready() {
 		return
 	}
@@ -833,11 +894,23 @@ func (a *Asm) St(t Type, rs, base, roff Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecSt, T: t, Rd: rs, Rs1: base, Rs2: roff})
 	}
-	a.setErr(a.backend.StoreRR(a.buf, t, rs, base, roff))
+	a.setErr(a.backend.StoreRR(&a.buf, t, rs, base, roff))
 }
 
 // StI emits *(t*)(base + off) = rs.
 func (a *Asm) StI(t Type, rs, base Reg, off int64) {
+	if a.open && t < numTypes {
+		tp := &a.tmpl.st[t]
+		if w, ok := tp.takeImm(rs, base, off); ok && tp.lo <= off && off <= tp.hi {
+			a.insnCount++
+			a.buf.Emit(w)
+			return
+		}
+	}
+	a.stI(t, rs, base, off)
+}
+
+func (a *Asm) stI(t Type, rs, base Reg, off int64) {
 	if !a.ready() {
 		return
 	}
@@ -856,7 +929,7 @@ func (a *Asm) StI(t Type, rs, base Reg, off int64) {
 		a.buf.Emit(tp.imm(rs, base, off))
 		return
 	}
-	a.setErr(a.backend.Store(a.buf, t, rs, base, off))
+	a.setErr(a.backend.Store(&a.buf, t, rs, base, off))
 }
 
 // Br emits a conditional branch to l comparing rs1 and rs2.
@@ -872,7 +945,7 @@ func (a *Asm) Br(op Op, t Type, rs1, rs2 Reg, l Label) {
 		return
 	}
 	a.insnCount++
-	site, err := a.backend.Branch(a.buf, op, t, rs1, rs2)
+	site, err := a.backend.Branch(&a.buf, op, t, rs1, rs2)
 	if err != nil {
 		a.setErr(err)
 		return
@@ -896,7 +969,7 @@ func (a *Asm) BrI(op Op, t Type, rs Reg, imm int64, l Label) {
 		return
 	}
 	a.insnCount++
-	site, err := a.backend.BranchImm(a.buf, op, t, rs, imm)
+	site, err := a.backend.BranchImm(&a.buf, op, t, rs, imm)
 	if err != nil {
 		a.setErr(err)
 		return
@@ -970,7 +1043,7 @@ func (a *Asm) Ret(t Type, rs Reg) {
 	moveIdx := -1
 	if rs != ret {
 		moveIdx = a.buf.Len()
-		if err := a.backend.Unary(a.buf, OpMov, t, ret, rs); err != nil {
+		if err := a.backend.Unary(&a.buf, OpMov, t, ret, rs); err != nil {
 			a.setErr(err)
 			return
 		}
@@ -1030,7 +1103,7 @@ func (a *Asm) Cvt(from, to Type, rd, rs Reg) {
 		a.cvtUnsignedToFloat(from, to, rd, rs)
 		return
 	}
-	a.setErr(a.backend.Cvt(a.buf, from, to, rd, rs))
+	a.setErr(a.backend.Cvt(&a.buf, from, to, rd, rs))
 }
 
 // cvtUnsignedToFloat synthesizes unsigned->float conversions from core
@@ -1043,11 +1116,11 @@ func (a *Asm) cvtUnsignedToFloat(from, to Type, rd, rs Reg) {
 		// 64-bit target: zero-extend into the scratch register, then a
 		// signed 64-bit convert is exact.
 		sc := a.backend.ScratchReg()
-		if err := a.backend.Cvt(a.buf, TypeU, TypeUL, sc, rs); err != nil {
+		if err := a.backend.Cvt(&a.buf, TypeU, TypeUL, sc, rs); err != nil {
 			a.setErr(err)
 			return
 		}
-		a.setErr(a.backend.Cvt(a.buf, TypeL, to, rd, sc))
+		a.setErr(a.backend.Cvt(&a.buf, TypeL, to, rd, sc))
 		return
 	}
 	signedFrom := TypeI
@@ -1059,12 +1132,12 @@ func (a *Asm) cvtUnsignedToFloat(from, to Type, rd, rs Reg) {
 	if to == TypeF {
 		target = TypeD // do the arithmetic in double, narrow at the end
 	}
-	if err := a.backend.Cvt(a.buf, signedFrom, target, rd, rs); err != nil {
+	if err := a.backend.Cvt(&a.buf, signedFrom, target, rd, rs); err != nil {
 		a.setErr(err)
 		return
 	}
 	done := a.NewLabel()
-	site, err := a.backend.BranchImm(a.buf, OpBge, signedFrom, rs, 0)
+	site, err := a.backend.BranchImm(&a.buf, OpBge, signedFrom, rs, 0)
 	if err != nil {
 		a.setErr(err)
 		return
@@ -1076,13 +1149,13 @@ func (a *Asm) cvtUnsignedToFloat(from, to Type, rd, rs Reg) {
 	}
 	fs := a.backend.ScratchFPR()
 	a.loadPool(TypeD, fs, f64bits(bias), true)
-	if err := a.backend.ALU(a.buf, OpAdd, TypeD, rd, rd, fs); err != nil {
+	if err := a.backend.ALU(&a.buf, OpAdd, TypeD, rd, rd, fs); err != nil {
 		a.setErr(err)
 		return
 	}
 	a.Bind(done)
 	if to == TypeF {
-		a.setErr(a.backend.Cvt(a.buf, TypeD, TypeF, rd, rd))
+		a.setErr(a.backend.Cvt(&a.buf, TypeD, TypeF, rd, rd))
 	}
 }
 
@@ -1168,7 +1241,7 @@ func (a *Asm) openCall(params []Type) {
 	a.callBuf = callState{locs: locs, stackBytes: stackBytes}
 	a.call = &a.callBuf
 	if stackBytes > 0 {
-		a.setErr(a.backend.ALUImm(a.buf, OpAdd, TypeL, a.conv.SP, a.conv.SP, -stackBytes))
+		a.setErr(a.backend.ALUImm(&a.buf, OpAdd, TypeL, a.conv.SP, a.conv.SP, -stackBytes))
 	}
 }
 
@@ -1194,16 +1267,16 @@ func (a *Asm) SetArg(i int, r Reg) {
 	}
 	if loc.reg != NoReg {
 		if r != loc.reg {
-			a.setErr(a.backend.Unary(a.buf, OpMov, loc.t, loc.reg, r))
+			a.setErr(a.backend.Unary(&a.buf, OpMov, loc.t, loc.reg, r))
 		}
 		return
 	}
-	a.setErr(a.backend.Store(a.buf, loc.t, r, a.conv.SP, loc.stackOff))
+	a.setErr(a.backend.Store(&a.buf, loc.t, r, a.conv.SP, loc.stackOff))
 }
 
 func (a *Asm) finishCall() {
 	if a.call != nil && a.call.stackBytes > 0 {
-		a.setErr(a.backend.ALUImm(a.buf, OpAdd, TypeL, a.conv.SP, a.conv.SP, a.call.stackBytes))
+		a.setErr(a.backend.ALUImm(&a.buf, OpAdd, TypeL, a.conv.SP, a.conv.SP, a.call.stackBytes))
 	}
 	a.call = nil
 }
@@ -1264,7 +1337,7 @@ func (a *Asm) RetVal(t Type, rd Reg) {
 		return
 	}
 	a.insnCount++
-	a.setErr(a.backend.Unary(a.buf, OpMov, t, rd, src))
+	a.setErr(a.backend.Unary(&a.buf, OpMov, t, rd, src))
 }
 
 // Setfunc materializes the entry address of another generated function
@@ -1310,7 +1383,7 @@ const relocEntry int64 = -1
 // registers it borrows, including RA, so it is legal even in a declared
 // leaf procedure — exactly the paper's "VCODE ignores client hints" escape.
 func (a *Asm) emulCall(op Op, t Type, rd, rs1, rs2 Reg, imm int64, hasImm bool) {
-	bk, b, c := a.backend, a.buf, a.conv
+	bk, b, c := a.backend, &a.buf, a.conv
 	sym := a.tmpl.syms[op][t]
 	a0, a1, v0, ra, sp := c.IntArgs[0], c.IntArgs[1], c.RetInt, c.RA, c.SP
 	if rs1 == sp || rs2 == sp {

@@ -47,6 +47,7 @@ func (m *Machine) ReturnAsm(a *Asm) {
 	a.name = ""
 	a.exts = nil
 	a.recOn, a.rec = false, nil
+	a.gate()
 	m.asmMu.Lock()
 	defer m.asmMu.Unlock()
 	for _, idle := range m.idleAsms[:m.nIdleAsms] {

@@ -95,13 +95,13 @@ func (l saveLayout) prologueWords() int {
 func (a *Asm) saves(mem func(b *Buf, t Type, r, base Reg, off int64) error) error {
 	sp, lay, err := a.conv.SP, &a.saveLayout, error(nil)
 	if a.frame.SaveRA {
-		err = mem(a.buf, TypeP, a.conv.RA, sp, 0)
+		err = mem(&a.buf, TypeP, a.conv.RA, sp, 0)
 	}
 	for _, r := range a.frame.SavedGPR {
-		err = cmp.Or(err, mem(a.buf, TypeP, r, sp, lay.gprOff(r)))
+		err = cmp.Or(err, mem(&a.buf, TypeP, r, sp, lay.gprOff(r)))
 	}
 	for _, r := range a.frame.SavedFPR {
-		err = cmp.Or(err, mem(a.buf, TypeD, r, sp, lay.fprOff(r)))
+		err = cmp.Or(err, mem(&a.buf, TypeD, r, sp, lay.fprOff(r)))
 	}
 	return err
 }

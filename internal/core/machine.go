@@ -216,6 +216,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		fx:       fixedOf(b),
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
+	m.SetStoreFloor(mc.heapNext) // trap vectors and code are read-only to generated code
 	if t, ok := cpu.(ThreadedCPU); ok {
 		mc.tcpu = t
 		mc.engine = EngineThreaded

@@ -135,6 +135,7 @@ func (a *Asm) Record(on bool) { a.recOn = on }
 func (a *Asm) TakeRecording() *Recording {
 	r := a.rec
 	a.rec = nil
+	a.gate()
 	return r
 }
 

@@ -66,32 +66,65 @@ type Helper struct {
 // they are run-time values, and a table load takes the place of the
 // interface call and the `switch op` of an encoder:
 //
-//	word | rd<<d | rs1<<s1 | rs2<<s2 | (±imm & mask)<<sh,  lo <= imm <= hi
+//	word | rd*d | rs1*s1 | rs2*s2 | imm*sh & mask,  lo <= imm <= hi
 //
 // The word is the mapped row's Match, with the selector bit of a field
-// that has a register form set for an immediate (Field.Put); the shifts
-// and the range are the declared fields'.
+// that has a register form set for an immediate (Field.Put); d, s1, s2 and
+// sh are 1<<shift of the declared fields (a multiply takes its scale from
+// memory, where a shift wants its count in a register), mask is the
+// immediate field's bits in place, and the range is the immediate field's.
+//
+// bank and lim are the generic emitters' gate (see asm.go): a register
+// XORed with its bank (0, or fprBase) is its number, and anything else 64
+// or more, so the accepted case takes the template when every operand
+// XORed with the bank of its type is below lim: 64 where the entry is ok,
+// legal at its type and not emulated, 0 where it never is.
 type tmpl struct {
-	word, mask    uint32
-	d, s1, s2, sh uint8 // field shifts: rd (or the stored register), rs1, rs2, immediate
-	neg           uint8 // 1 when the field holds -imm
-	ok            bool
-	lo, hi        int64
+	word, mask uint32
+	d, s1, s2  uint32 // field scales: rd (or the stored register), rs1, rs2
+	sh         uint32 // the immediate's, negated when the field holds -imm (mips subtracts by addiu)
+	ok         bool
+	bank, lim  uint8
+	lo, hi     int64
+}
+
+// take is regs for the gate: the word, and whether the case takes it.
+func (tp *tmpl) take(rd, rs1, rs2 Reg) (uint32, bool) {
+	b := uint32(tp.bank)
+	d, s1, s2 := uint32(uint16(rd))^b, uint32(uint16(rs1))^b, uint32(uint16(rs2))^b
+	return tp.word | d*tp.d | s1*tp.s1 | s2*tp.s2, d|s1|s2 < uint32(tp.lim)
+}
+
+// takeImm is take for an integer rs and an immediate, which the emitter
+// holds to [lo, hi] itself.
+func (tp *tmpl) takeImm(rd, rs Reg, imm int64) (uint32, bool) {
+	d, s := uint32(uint16(rd))^uint32(tp.bank), uint32(uint16(rs))
+	return tp.word | d*tp.d | s*tp.s1 | uint32(imm)*tp.sh&tp.mask, d|s < uint32(tp.lim)
+}
+
+// admit opens tp to the gate at t for an emitter whose legal types are
+// legal, unless t is emulated.
+func (tp *tmpl) admit(legal, emulated typeSet, t Type) {
+	if tp.ok && legal.has(t) && !emulated.has(t) {
+		tp.lim = 64
+		if t.IsFloat() {
+			tp.bank = fprBase
+		}
+	}
 }
 
 // regs is the word for an all-register form.  Register numbers are taken
 // modulo the bank (an FPR is fprBase+n); the emitters' bank test has already
 // refused anything that is not a register.
 func (tp *tmpl) regs(rd, rs1, rs2 Reg) uint32 {
-	return tp.word | uint32(rd)&63<<(tp.d&31) | uint32(rs1)&63<<(tp.s1&31) | uint32(rs2)&63<<(tp.s2&31)
+	return tp.word | uint32(rd)&63*tp.d | uint32(rs1)&63*tp.s1 | uint32(rs2)&63*tp.s2
 }
 
 // imm is the word for a two-register form with an immediate inside
-// [lo, hi].  (x^n)-n is x for n = 0 and -x for n = ^0: the two adjacent
-// mips forms addiu-by-imm and addiu-by-minus-imm do not become a branch.
+// [lo, hi].  The sign is in the scale: the two adjacent mips forms
+// addiu-by-imm and addiu-by-minus-imm do not become a branch.
 func (tp *tmpl) imm(rd, rs Reg, imm int64) uint32 {
-	n := -uint32(tp.neg)
-	return tp.regs(rd, rs, 0) | ((uint32(imm)^n)-n)&tp.mask<<(tp.sh&31)
+	return tp.regs(rd, rs, 0) | uint32(imm)*tp.sh&tp.mask
 }
 
 // holds reports whether there is a template and imm is inside its range.
@@ -148,12 +181,12 @@ func NewTemplates(isa *exec.Table, m Mapping) *Templates {
 			r.ImmRegs = r.Regs
 		}
 		tp, _ = build(isa, r.Imm, r.ImmRegs, true)
-		if r.Neg {
-			tp.neg, tp.lo, tp.hi = 1, -tp.hi, -tp.lo
-		}
 		if r.Mask != 0 {
-			tp.mask &= r.Mask
+			tp.mask &= r.Mask * tp.sh
 			tp.lo, tp.hi = math.MinInt64, math.MaxInt64
+		}
+		if r.Neg {
+			tp.sh, tp.lo, tp.hi = -tp.sh, -tp.hi, -tp.lo
 		}
 		set(&ts.alui[r.Op], types&legal.alui[r.Op], tp)
 	}
@@ -178,6 +211,18 @@ func NewTemplates(isa *exec.Table, m Mapping) *Templates {
 		ts.emul.types[h.Op] |= emul
 		set(&ts.syms[h.Op], emul, h.Sym)
 	}
+	for t := TypeV; t < numTypes; t++ {
+		for op := Op(0); op < numBinOps; op++ {
+			ts.alu[op][t].admit(legal.alu[op], ts.emul.types[op], t)
+			ts.alui[op][t].admit(legal.alui[op], ts.emul.types[op], t)
+		}
+		ts.ld[t].admit(legal.mem, 0, t)
+		ts.st[t].admit(legal.mem, 0, t)
+		if !t.IsFloat() { // take holds base and index to rd's bank
+			ts.ldx[t].admit(legal.mem, 0, t)
+			ts.stx[t].admit(legal.mem, 0, t)
+		}
+	}
 	return ts
 }
 
@@ -200,7 +245,7 @@ func build(isa *exec.Table, name, letters string, imm bool) (tp, x tmpl) {
 		panic(fmt.Sprintf("core: mapping names row %q with operands %q", name, letters))
 	}
 	tp = tmpl{word: row.Match, ok: true}
-	shift := [3]*uint8{&tp.d, &tp.s1, &tp.s2}
+	scale := [3]*uint32{&tp.d, &tp.s1, &tp.s2}
 	for i, c := range []byte(letters) {
 		f := isa.Field(c)
 		switch {
@@ -208,15 +253,15 @@ func build(isa *exec.Table, name, letters string, imm bool) (tp, x tmpl) {
 			panic(fmt.Sprintf("core: mapping of %q names no field %q", name, c))
 		case imm && i == 2:
 			if x = tp; f.Else != nil {
-				x.s2 = f.Else.Shift
+				x.s2 = 1 << f.Else.Shift
 			} else {
 				x.ok = false
 			}
 			tp.word, _ = f.Put(tp.word, 0)
-			tp.sh, tp.mask = f.Shift, f.Bits()
+			tp.sh, tp.mask = 1<<f.Shift, f.Bits()<<f.Shift
 			tp.lo, tp.hi = f.Range()
 		default:
-			*shift[i] = f.In(row.Match).Shift
+			*scale[i] = 1 << f.In(row.Match).Shift
 		}
 	}
 	return tp, x

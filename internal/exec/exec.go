@@ -138,9 +138,10 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 }
 
 // Decode unpacks words, the image of one function at b.Base, into b.Code,
-// one Instr each, written in full: the interlock registers p reads off the
-// word, then from its row in t (rows[i], or looked up when rows is nil)
-// its opcode, its operands, Run 1 if it is plain (for MarkRuns to extend),
+// one Instr each, written in full, from its row in t (rows[i], or looked
+// up when rows is nil): the interlock registers at the fields the row
+// keeps for them, its opcode, its operands, Run 1 if it is plain (for
+// MarkRuns to extend),
 // FFold if it is a pc-relative branch (MarkRuns keeps it where the run
 // loop can resolve the branch itself) and the target its field gives, in
 // b or External.  It is pure.  A word with no row becomes p.Bad, whose
@@ -150,15 +151,17 @@ func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 	for i, w := range words {
 		in := &b.Code[i]
 		*in = Instr{PC: b.Base + 4*uint64(i), SrcA: NoReg, SrcB: NoReg, LoadReg: NoReg}
-		if p.Interlock != nil {
-			in.SrcA, in.SrcB, in.LoadReg = p.Interlock(w)
-		}
 		r := t.At(rows, i, w)
 		if r == nil {
+			l := t.lockOf(w, w) // the rule, for this word alone
+			in.SrcA, in.SrcB, in.LoadReg = l.regs(w)
 			in.Op, in.Imm = p.Bad, int64(w)
 			continue
 		}
 		form := w >> r.sel & uint32(r.two) // 1: a field's number form
+		if t.rule != nil {
+			in.SrcA, in.SrcB, in.LoadReg = r.lock[form].regs(w)
+		}
 		o := &t.ops[r.ops][form]
 		in.Op, in.Flags = r.Op, uint8(form)*FImm
 		in.A, in.B, in.C, in.Imm = o.reg(0, w), o.reg(1, w), o.reg(2, w), o.imm(w)

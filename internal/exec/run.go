@@ -75,10 +75,6 @@ type Port[P any] struct {
 	Never uint8  // the register the load-use interlock never charges, NoReg for none
 	Bad   uint16 // the opcode of a word with no row: its handler refuses it
 
-	// Interlock reads off any word the registers the oracle's load-use
-	// check takes it to read and load (NoReg for none); nil for no interlock.
-	Interlock func(w uint32) (srcA, srcB, load uint8)
-
 	// Plain executes code, which holds only plain instructions, in order.
 	// It returns how many completed, the sum of the Stall bits of those it
 	// started, and the fault of the one that did not complete, if any.

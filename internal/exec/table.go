@@ -67,9 +67,10 @@ type Row struct {
 	Name   string // mnemonic
 	Match  uint32 // the row decodes w when w&Mask == Match
 	Mask   uint32
-	Syntax string // operands as Disasm prints them, one letter per field
-	Kind   Kind   // control-flow behaviour, for the verifier
-	Op     uint16 // dense opcode: what the threaded engine executes it as
+	Syntax string  // operands as Disasm prints them, one letter per field
+	Kind   Kind    // control-flow behaviour, for the verifier
+	Op     uint16  // dense opcode: what the threaded engine executes it as
+	lock   [2]lock // per form: the registers the interlock reads (NewTable)
 
 	// Tgt and Num are the fields Syntax names that hold a target and a
 	// number, nil for none.  The table's ops[ops] reads the operands of
@@ -252,7 +253,19 @@ type Table struct {
 	root   slot
 	fields map[byte]*Field
 	ops    [][2]operands // the distinct ways rows read operands: Row.ops
+	rule   Interlock
 }
+
+// Interlock names the fields the oracle's load-use check reads a word's
+// source registers and its loaded register from: a letter of the table's
+// fields, 0 for none.
+type Interlock func(w uint32) (srcA, srcB, load byte)
+
+// lock is a row's interlock in one form: the shift of each (5-bit)
+// field the rule names, noLock for none.
+type lock [3]uint8
+
+const noLock = 0xff
 
 // slot is one entry of a sub-table: either a further sub-table, selected
 // from by the mask-wide field of the word at shift, or (mask == 0, below
@@ -281,11 +294,12 @@ const fixedSteps = 2
 // is derived from the masks alone: a level switches on the highest run of
 // bits that every row still in play specifies, so it narrows without
 // reordering and Lookup returns exactly what a first-match scan of rows
-// would.  It completes rows in place (Tgt, Num and the operand reads),
-// and panics on a declaration Predecode could not follow: a row naming a
-// field with no slot it fits, or two fields that fill one slot.
-func NewTable(rows []Row, fields map[byte]Field) *Table {
-	t := &Table{fields: make(map[byte]*Field, len(fields))}
+// would.  It completes rows in place (Tgt, Num, the operand reads and
+// the interlock's, which rule gives; nil for no interlock), and panics on
+// a declaration Predecode could not follow: a row naming a field with no
+// slot it fits, or two fields that fill one slot.
+func NewTable(rows []Row, fields map[byte]Field, rule Interlock) *Table {
+	t := &Table{fields: make(map[byte]*Field, len(fields)), rule: rule}
 	for c, f := range fields {
 		f.prep()
 		t.fields[c] = &f
@@ -293,8 +307,45 @@ func NewTable(rows []Row, fields map[byte]Field) *Table {
 	for i := len(rows) - 1; i >= 0; i-- {
 		t.derive(rows, i)
 	}
+	for i := range rows {
+		r, sel := &rows[i], uint32(rows[i].two)<<rows[i].sel
+		for form := range r.lock { // two words of the form: free bits clear, then set
+			w := r.Match | uint32(form)*sel
+			r.lock[form] = t.lockOf(w, w|^r.Mask&^sel)
+		}
+	}
 	t.root = t.build(rows, 0, 0)
 	return t
+}
+
+// lockOf is the lock of the row form w0 and w1 are words of; a rule that
+// names other fields for the two is a bug in the port.
+func (t *Table) lockOf(w0, w1 uint32) lock {
+	l := lock{noLock, noLock, noLock}
+	if t.rule == nil {
+		return l
+	}
+	a, b, ld := t.rule(w0)
+	if a1, b1, ld1 := t.rule(w1); a != a1 || b != b1 || ld != ld1 {
+		panic(fmt.Sprintf("exec: interlock names other fields for %#x than for %#x", w1, w0))
+	}
+	for k, c := range []byte{a, b, ld} {
+		if f := t.fields[c]; f != nil {
+			l[k] = f.Shift
+		}
+	}
+	return l
+}
+
+// regs is the registers the oracle's load-use check takes w, a word of
+// the row form whose lock is l, to read and load (NoReg for none).
+func (l *lock) regs(w uint32) (srcA, srcB, load uint8) { return l.reg(0, w), l.reg(1, w), l.reg(2, w) }
+
+func (l *lock) reg(k int, w uint32) uint8 {
+	if l[k] == noLock {
+		return NoReg
+	}
+	return uint8(w>>l[k]) & 31
 }
 
 // derive sets what rows[i]'s Syntax names.  An alias (nop, move, li)

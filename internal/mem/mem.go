@@ -6,8 +6,13 @@ package mem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
+
+// ErrReadOnly is a simulated store below the store floor: into code or a
+// trap vector on a machine's memory.
+var ErrReadOnly = errors.New("mem: store below the store floor")
 
 // Memory is a flat simulated memory.  Loads and stores are bounds- and
 // alignment-checked; misaligned accesses are errors, which catches a large
@@ -15,10 +20,11 @@ import (
 // instruction mis-mapping).
 type Memory struct {
 	data []byte
-	// [lo, hi) is what a simulated load, store or fetch may touch: the one
-	// bounds pair check and the fast accessors compare against.  New makes
-	// it the whole memory.
-	lo, hi uint64
+	// [lo, hi) is what a simulated load or fetch may touch and [wlo, hi)
+	// what a simulated store may: the one bounds pair check and the fast
+	// accessors compare against, the store's with its own floor.  New
+	// makes both the whole memory; SetStoreFloor raises wlo.
+	lo, wlo, hi uint64
 	// plain holds while no fault hook and no cache model is attached: the
 	// fast accessors answer only then.
 	plain bool
@@ -69,14 +75,22 @@ func (m *Memory) Size() uint64 { return uint64(len(m.data)) }
 // BigEndian reports the configured byte order.
 func (m *Memory) BigEndian() bool { return m.big }
 
+// SetStoreFloor refuses simulated stores below addr with ErrReadOnly;
+// loads, fetches and the raw accessors are unaffected.
+func (m *Memory) SetStoreFloor(addr uint64) { m.wlo = max(m.lo, addr) }
+
 // within reports whether the n bytes at addr lie inside [lo, hi), with no
 // wrap past 2^64 on the way: the one range test of this package.
 func within(addr, n, lo, hi uint64) bool {
 	return addr-lo <= hi-lo && n <= hi-addr
 }
 
-func (m *Memory) check(addr uint64, size int) error {
-	if !within(addr, uint64(size), m.lo, m.hi) {
+// check is the checks of a load or fetch (lo is m.lo) or a store (m.wlo).
+func (m *Memory) check(addr uint64, size int, lo uint64) error {
+	if !within(addr, uint64(size), lo, m.hi) {
+		if within(addr, uint64(size), m.lo, m.hi) {
+			return fmt.Errorf("%w: [%#x,+%d) is below %#x", ErrReadOnly, addr, size, lo)
+		}
 		return fmt.Errorf("mem: access [%#x,+%d) out of range (size %#x)", addr, size, len(m.data))
 	}
 	if addr&uint64(size-1) != 0 {
@@ -88,7 +102,7 @@ func (m *Memory) check(addr uint64, size int) error {
 // Load reads a size-byte value (1, 2, 4 or 8) zero-extended into a uint64,
 // charging the cache model for a data read.
 func (m *Memory) Load(addr uint64, size int) (uint64, error) {
-	if err := m.check(addr, size); err != nil {
+	if err := m.check(addr, size, m.lo); err != nil {
 		return 0, err
 	}
 	if m.hook != nil {
@@ -133,7 +147,7 @@ func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
 
 // Store4 is Store(addr, 4, v) when that is a plain copy.
 func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
-	if !m.plain || addr&3 != 0 || !within(addr, 4, m.lo, m.hi) {
+	if !m.plain || addr&3 != 0 || !within(addr, 4, m.wlo, m.hi) {
 		return false
 	}
 	if m.big {
@@ -146,7 +160,7 @@ func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
 
 // Store8 is Store(addr, 8, v) when that is a plain copy.
 func (m *Memory) Store8(addr uint64, v uint64) (ok bool) {
-	if !m.plain || addr&7 != 0 || !within(addr, 8, m.lo, m.hi) {
+	if !m.plain || addr&7 != 0 || !within(addr, 8, m.wlo, m.hi) {
 		return false
 	}
 	if m.big {
@@ -187,7 +201,7 @@ func (m *Memory) loadRaw(addr uint64, size int) uint64 {
 // Store writes the low size bytes of v, charging the cache model for a
 // data write.
 func (m *Memory) Store(addr uint64, size int, v uint64) error {
-	if err := m.check(addr, size); err != nil {
+	if err := m.check(addr, size, m.wlo); err != nil {
 		return err
 	}
 	if m.hook != nil {
@@ -229,7 +243,7 @@ func (m *Memory) Store(addr uint64, size int, v uint64) error {
 // (instruction fetch is modelled as free; both compared systems in every
 // experiment fetch from the same cache-resident loops).
 func (m *Memory) FetchWord(addr uint64) (uint32, error) {
-	if err := m.check(addr, 4); err != nil {
+	if err := m.check(addr, 4, m.lo); err != nil {
 		return 0, err
 	}
 	w := uint32(m.loadRaw(addr, 4))

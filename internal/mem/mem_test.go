@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -237,7 +238,7 @@ func TestFastAccessorsAgree(t *testing.T) {
 	const size = 256
 	var addrs []uint64
 	for a := uint64(0); a < 16; a++ {
-		addrs = append(addrs, a, size-16+a, size+a, 1<<64-16+a)
+		addrs = append(addrs, a, size/2-8+a, size-16+a, size+a, 1<<64-16+a)
 	}
 	for _, big := range []bool{false, true} {
 		m, ref := New(size, big), New(size, big)
@@ -250,6 +251,8 @@ func TestFastAccessorsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		m.SetStoreFloor(size / 2) // stores below it decline, and Store says ErrReadOnly
+		ref.SetStoreFloor(size / 2)
 		for _, a := range addrs {
 			want4, err4 := ref.Load(a, 4)
 			if v, ok := m.Load4(a); ok != (err4 == nil) || ok && uint64(v) != want4 {
@@ -265,6 +268,10 @@ func TestFastAccessorsAgree(t *testing.T) {
 			}
 			if ok, err := m.Store8(a, v), ref.Store(a, 8, v); ok != (err == nil) {
 				t.Errorf("big %v: Store8(%#x) = %v; Store gives %v", big, a, ok, err)
+			}
+			err, errM := ref.Store(a, 1, 0), m.Store(a, 1, 0)
+			if (a < size/2) != errors.Is(err, ErrReadOnly) || (errM == nil) != (err == nil) {
+				t.Errorf("big %v: Store(%#x) with the floor at %#x gives %v", big, a, size/2, err)
 			}
 		}
 		got, _ := m.ReadBytes(0, size)

@@ -138,4 +138,4 @@ var rows = []exec.Row{
 	exec.Ins("cvt.d.w", fpRType(fmtW, 0, 0, 0, fpCvtD), maskFP, " D, S", mFCvtDW),
 }
 
-var isa = exec.NewTable(rows, fields)
+var isa = exec.NewTable(rows, fields, interlock)

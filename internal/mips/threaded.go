@@ -175,22 +175,21 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // interlock is the oracle's load-use check read off a word, which it
 // makes before it decodes: every word reads rs; SPECIAL, beq, bne and the
 // integer stores read rt; lb..lw load rt.
-func interlock(w uint32) (srcA, srcB, load uint8) {
-	srcA, srcB, load = uint8(w>>21&31), exec.NoReg, exec.NoReg
+func interlock(w uint32) (srcA, srcB, load byte) {
 	switch w >> 26 {
 	case opSpecial, opBeq, opBne, opSb, opSh, opSw:
-		srcB = uint8(w >> 16 & 31)
+		return 's', 't', 0
 	case opLb, opLbu, opLh, opLhu, opLw:
-		load = uint8(w >> 16 & 31)
+		return 's', 0, 't'
 	}
-	return srcA, srcB, load
+	return 's', 0, 0
 }
 
 // port is what MIPS gives exec's decoder and run loop: one delay slot and
 // its nop, an interlock that never charges $zero, and its switches and
 // handlers.
 var port = exec.Port[*CPU]{
-	Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Interlock: interlock,
+	Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad,
 	Plain: (*CPU).plain, Branch: (*CPU).branch,
 	Handlers: []exec.Handler[*CPU]{
 		mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {

@@ -1,6 +1,7 @@
 package regtest
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -183,8 +184,12 @@ func buildFarBranch(bk core.Backend, pad int) (fn *core.Func, end int, err error
 // returns where the taken branch lands, as an offset from the entry.
 func landing(t *testing.T, m *core.Machine, fn *core.Func, end int) uint64 {
 	const base = 0x1000
+	order := binary.AppendByteOrder(binary.LittleEndian)
+	if m.Mem().BigEndian() {
+		order = binary.BigEndian
+	}
 	for i, w := range fn.Words[fn.Entry:end] {
-		if err := m.Mem().Store(base+4*uint64(i), 4, uint64(w)); err != nil {
+		if err := m.Mem().WriteBytes(base+4*uint64(i), order.AppendUint32(nil, w)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/mem"
 )
 
 // Cross-tenant isolation: a tenant that grinds into every quota wall it
@@ -43,6 +45,7 @@ func quietPost(ts *httptest.Server, path string, body map[string]any) (int, map[
 
 func TestCrossTenantIsolation(t *testing.T) {
 	t.Run("symbols", testSymbolsArePerUnit)
+	t.Run("code", testCodeIsReadOnly)
 	cases := []struct {
 		name   string
 		lang   string
@@ -184,6 +187,42 @@ func TestCrossTenantIsolation(t *testing.T) {
 				t.Errorf("hostile never hit resident-bytes quota: %v", hostileCodes)
 			}
 		})
+	}
+}
+
+// testCodeIsReadOnly is TestCrossTenantIsolation's code half: a tenant
+// that stores over another tenant's resident code by its address gets a
+// typed exec_error (the machine's store floor, mem.ErrReadOnly), and the
+// victim's program answers as before, cached.
+func testCodeIsReadOnly(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) { c.Shards = 1 })
+	victim := func() {
+		t.Helper()
+		status, out := post(t, ts, "/v1/exec", map[string]any{
+			"tenant": "victim", "lang": LangVasm, "source": factVasm, "args": []int{7}})
+		if status != http.StatusOK || asInt(t, out["result"]) != 5040 {
+			t.Fatalf("victim fact(7): %d %v, want 5040", status, out)
+		}
+	}
+	victim()
+	var at uint64
+	for _, sp := range s.shards[0].machine.FuncSpans() {
+		if sp.Name == "fact" {
+			at = sp.Start
+		}
+	}
+	if at == 0 {
+		t.Fatal("the victim's fact is not resident")
+	}
+	const poke = ".func poke (%i%i) leaf\n stii arg1, arg0, 0\n reti arg1\n.end\n"
+	for _, off := range []uint64{0, 8} {
+		status, out := post(t, ts, "/v1/exec", map[string]any{
+			"tenant": "hostile", "lang": LangVasm, "source": poke, "args": []uint64{at + off, 0}})
+		wantErrCode(t, status, out, http.StatusUnprocessableEntity, CodeExecError)
+		if msg, _ := out["error"].(map[string]any)["message"].(string); !strings.Contains(msg, mem.ErrReadOnly.Error()) {
+			t.Errorf("hostile store into fact+%d: %q, want %q", off, msg, mem.ErrReadOnly)
+		}
+		victim()
 	}
 }
 

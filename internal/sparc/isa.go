@@ -115,4 +115,4 @@ var rows = []exec.Row{
 	exec.Ins("stdf", fmt3r(3, 0, op3Stdf, 0, 0), maskOp3, " D, [1+2]", sStdf),
 }
 
-var isa = exec.NewTable(rows, fields)
+var isa = exec.NewTable(rows, fields, nil)

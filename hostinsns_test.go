@@ -16,8 +16,8 @@ import (
 )
 
 // The paper's unit is host instructions per generated instruction (§5.1:
-// 6–10 for a macro).  This box has no hardware counters, so the count is
-// exact instead: the test binary runs itself again under ptrace, the child
+// 6–10 for a macro).  It needs no hardware counters and is exact: the
+// test binary runs itself again under ptrace, the child
 // brackets each measured call with runtime.Breakpoint, and the parent
 // single-steps the window between them, counting the instructions whose
 // function (innermost, through inlining) is in a repro/… package — the

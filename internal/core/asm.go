@@ -630,8 +630,8 @@ func (a *Asm) StLocal(t Type, rs Reg, off int64) { a.StI(t, rs, a.conv.SP, off) 
 // checks in order: ready, a legality table (op.go), the bank test (reg.go;
 // checkRegs says which operand and why), recording, then the template or
 // the backend's encoder; alu, alui, ldI and stI hold those checks out of
-// line, which keeps the gated door's frame small (S26).  SetI, BrI, Bind
-// and Ret keep their backend calls and test open in ready. ----
+// line, which keeps the gated door's frame small (EXPERIMENTS S26).  SetI,
+// BrI, Bind and Ret keep their backend calls and test open in ready. ----
 
 func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 	for _, r := range regs {

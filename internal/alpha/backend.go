@@ -153,10 +153,11 @@ func (a *Backend) ALU(b *core.Buf, op core.Op, t core.Type, rd, rs1, rs2 core.Re
 }
 
 // ALUImm implements rd = rs op imm: the mapped row's literal form, a 32-bit
-// shift, or the register form of imm materialized into at.
+// shift, or the register form of imm set into at (at a 32-bit type, its low
+// 32 bits sign-extended, as every 32-bit value is held).
 func (a *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, imm int64) error {
 	if !fitsLit8(imm) {
-		materialize(b, rAT, imm)
+		a.SetImm(b, t, core.GPR(rAT), imm)
 		return a.ALU(b, op, t, rd, rs, core.GPR(rAT))
 	}
 	if templates.ALUImm(b, op, t, rd, rs, imm) {
@@ -496,7 +497,7 @@ func (a *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, i
 		b.Emit(brFmt(brTrue, rAT, 0))
 		return site, nil
 	}
-	materialize(b, rAT, imm)
+	a.SetImm(b, t, core.GPR(rAT), imm)
 	return a.Branch(b, op, t, rs, core.GPR(rAT))
 }
 

@@ -1,6 +1,7 @@
 package regtest
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,6 +210,53 @@ func TestGeneratedBranches(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestImmediatesPast32Bits: a 32-bit type's immediate is its low 32 bits
+// on every port, through the field that holds it and through the scratch
+// register it is set into otherwise, where a 64-bit port must hold it
+// sign-extended like every 32-bit value.  BrI and ALUI against Go's int32
+// and uint32 answers, at immediates with bit 31 set and past 32 bits.
+func TestImmediatesPast32Bits(t *testing.T) {
+	xs := []uint32{0, 1, 0x7fffffff, 0x80000000, 0xfffffffe, 0xffffffff}
+	for _, tg := range Targets() {
+		m, ptr := tg.NewMachine(), tg.Backend.PtrBytes()
+		for _, ty := range []core.Type{core.TypeI, core.TypeU} {
+			for _, imm := range []int64{0x80000000, 0xfffffffe, 0xffffffff, 1 << 40} {
+				y := uint32(imm)
+				for _, op := range []core.Op{core.OpBeq, core.OpBlt, core.OpBgt, core.OpBge} {
+					fn, err := BuildBranchImm(tg.Backend, op, ty, imm)
+					if err != nil {
+						t.Fatalf("%si imm %#x: build: %v", CaseName(tg.Name, op, ty), imm, err)
+					}
+					for _, x := range xs {
+						c := cmp.Compare(x, y)
+						if ty.IsSigned() {
+							c = cmp.Compare(int32(x), int32(y))
+						}
+						want := map[core.Op]bool{core.OpBeq: c == 0, core.OpBlt: c < 0, core.OpBgt: c > 0, core.OpBge: c >= 0}[op]
+						got, err := m.Call(fn, MakeValue(ty, uint64(x), ptr))
+						if err != nil || (got.Int() == 1) != want {
+							t.Errorf("%si(%#x, imm %#x) = %v (%v), want %v", CaseName(tg.Name, op, ty), x, imm, got.Int(), err, want)
+						}
+					}
+				}
+				for _, op := range []core.Op{core.OpAnd, core.OpOr, core.OpXor} {
+					fn, err := BuildALUImm(tg.Backend, op, ty, imm)
+					if err != nil {
+						t.Fatalf("%si imm %#x: build: %v", CaseName(tg.Name, op, ty), imm, err)
+					}
+					for _, x := range xs {
+						want := map[core.Op]uint32{core.OpAnd: x & y, core.OpOr: x | y, core.OpXor: x ^ y}[op]
+						got, err := m.Call(fn, MakeValue(ty, uint64(x), ptr))
+						if w := MakeValue(ty, uint64(want), ptr); err != nil || got.Bits != w.Bits {
+							t.Errorf("%si(%#x, imm %#x) = %v (%v), want %v", CaseName(tg.Name, op, ty), x, imm, got, err, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

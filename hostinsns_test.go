@@ -56,6 +56,12 @@ var (
 		{"LdI", func(a *core.Asm) { a.LdI(core.TypeI, hr1, hr2, 8) }},
 		{"StI", func(a *core.Asm) { a.StI(core.TypeI, hr1, hr2, 8) }},
 		{"SetI", func(a *core.Asm) { a.SetI(core.TypeI, hr1, 5) }},
+		{"Unary", func(a *core.Asm) { a.Unary(core.OpMov, core.TypeI, hr1, hr2) }},
+		{"Br+NewLabel+Bind", func(a *core.Asm) {
+			l := a.NewLabel()
+			a.Br(core.OpBlt, core.TypeI, hr1, hr2, l)
+			a.Bind(l)
+		}},
 		{"BrI+NewLabel+Bind", func(a *core.Asm) {
 			l := a.NewLabel()
 			a.BrI(core.OpBne, core.TypeI, hr1, 0, l)
@@ -71,11 +77,14 @@ var (
 var hostCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips ALU": 55, "mips ALUI": 60, "mips LdI": 53, "mips StI": 53,
-		"mips SetI": 93, "mips BrI+NewLabel+Bind": 176,
+		"mips SetI": 93, "mips Unary": 105,
+		"mips Br+NewLabel+Bind": 211, "mips BrI+NewLabel+Bind": 176,
 		"sparc ALU": 55, "sparc ALUI": 60, "sparc LdI": 53, "sparc StI": 53,
-		"sparc SetI": 93, "sparc BrI+NewLabel+Bind": 199,
+		"sparc SetI": 93, "sparc Unary": 105,
+		"sparc Br+NewLabel+Bind": 213, "sparc BrI+NewLabel+Bind": 199,
 		"alpha ALU": 55, "alpha ALUI": 60, "alpha LdI": 53, "alpha StI": 53,
-		"alpha SetI": 115, "alpha BrI+NewLabel+Bind": 173,
+		"alpha SetI": 115, "alpha Unary": 109,
+		"alpha Br+NewLabel+Bind": 204, "alpha BrI+NewLabel+Bind": 173,
 	},
 }
 

@@ -175,7 +175,16 @@ func gateCases(tps []core.Template) map[string][]gateCase {
 				add("SetI", fmt.Sprint(t, r, imm), func(a *core.Asm) { a.SetI(t, r, imm) })
 			}
 		}
+		for _, op := range gateOps(core.OpCom, core.OpNeg, core.OpAdd) {
+			for _, r := range regs2 {
+				add("Unary", fmt.Sprint(op, t, r), func(a *core.Asm) { a.Unary(op, t, r[0], r[1]) })
+			}
+		}
 		for _, op := range gateOps(core.OpBlt, core.OpBne, core.OpAdd) {
+			for _, r := range regs2 {
+				add("Br", fmt.Sprint(op, t, r), func(a *core.Asm) { a.Br(op, t, r[0], r[1], a.NewLabel()) })
+			}
+			add("Br", fmt.Sprint(op, t, "unknown label"), func(a *core.Asm) { a.Br(op, t, g5, g6, 99) })
 			for _, r := range regs1 {
 				for _, imm := range []int64{0, 1, -1, 32767, 32768, 1 << 40} {
 					add("BrI", fmt.Sprint(op, t, r, imm), func(a *core.Asm) { a.BrI(op, t, r, imm, a.NewLabel()) })
@@ -235,12 +244,14 @@ func observe(bk core.Backend, s gateState, c gateCase) string {
 // observations per port, door and state.  It was captured at d92069f, where
 // every call took each check in turn, so a gate that accepts anything the
 // checks refuse, or skips a recording, changes a digest; a changed digest
-// is a behaviour change, not a file to regenerate.
+// is a behaviour change, not a file to regenerate.  The Unary and Br lines
+// were captured while the ports still encoded those doors by hand, before
+// the mapping took them.
 func TestGateAgreement(t *testing.T) {
 	var got []string
 	for _, tg := range regtest.Targets() {
 		cases := gateCases(tg.Backend.Templates().All())
-		for _, door := range []string{"ALU", "ALUI", "LdI", "StI", "Ld", "St", "SetI", "BrI", "Bind", "Ret"} {
+		for _, door := range []string{"ALU", "ALUI", "LdI", "StI", "Ld", "St", "SetI", "BrI", "Bind", "Ret", "Unary", "Br"} {
 			for _, s := range gateStates {
 				h := sha256.New()
 				for _, c := range cases[door] {

@@ -126,23 +126,27 @@ func rangeEnd(one func(int64) bool, end int64) int64 {
 // assignments and at the immediates lo, -1, 0, 1 and hi of its range (the
 // ends of a masked template's range are the ends of int64), each of sqrt
 // and abs at f and d, and the runtime helper each emulated (op, type)
-// calls.  testdata/template_words.golden was captured before the mapping
-// became declared data, from the ports' hand-written encoders.
+// calls; then every Unary and Br at each legal type and every BrI at each
+// of brImms, at the same two assignments.  testdata/template_words.golden
+// was captured from the ports' hand-written encoders before each of these
+// became declared data: the ALU, ALUI, LdI, StI and Ext lines before the
+// mapping, the Unary, Br and BrI lines (the file's tail) before the
+// mapping took unary ops and branches.
 func TestTemplateWords(t *testing.T) {
 	assigns := [2][3]int{{5, 6, 7}, {17, 30, 2}}
-	var got []string
+	var got, more []string
 	for _, tg := range Targets() {
 		a := core.NewAsm(tg.Backend)
 		if _, err := a.Begin("", core.Leaf); err != nil {
 			t.Fatal(err)
 		}
-		start := a.Buf().Len()
+		start, out := a.Buf().Len(), &got
 		emit := func(key string, f func()) {
 			f()
 			if err := a.Err(); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			got = append(got, key+"\t"+wordsHex(a.Buf().Words()[start:]))
+			*out = append(*out, key+"\t"+wordsHex(a.Buf().Words()[start:]))
 			a.Buf().Truncate(start)
 		}
 		for _, tp := range templatesOf(tg) {
@@ -169,10 +173,50 @@ func TestTemplateWords(t *testing.T) {
 				}
 			}
 		}
-		got = append(got, emulatedPairs(t, tg)...)
+		got, out = append(got, emulatedPairs(t, tg)...), &more
+		for _, n := range assigns {
+			for _, c := range unaryCases {
+				for _, ty := range c.types {
+					r := regsFor("ALU", ty, n)
+					emit(fmt.Sprintf("%s Unary %s%s %v", tg.Name, c.op, ty.Letter(), n[:2]), func() { a.Unary(c.op, ty, r[0], r[1]) })
+				}
+			}
+			for op := core.OpBlt; op <= core.OpBne; op++ {
+				for _, ty := range brTypes {
+					r := regsFor("ALU", ty, n)
+					emit(fmt.Sprintf("%s Br %s%s %v", tg.Name, op, ty.Letter(), n[:2]), func() { a.Br(op, ty, r[0], r[1], a.NewLabel()) })
+					if ty.IsFloat() {
+						continue
+					}
+					for _, imm := range brImms {
+						emit(fmt.Sprintf("%s BrI %s%s %v imm %d", tg.Name, op, ty.Letter(), n[:1], imm), func() { a.BrI(op, ty, r[0], imm, a.NewLabel()) })
+					}
+				}
+			}
+		}
 	}
-	Golden(t, "testdata/template_words.golden", got, *update)
+	Golden(t, "testdata/template_words.golden", append(got, more...), *update)
 }
+
+// The cases of the doors whose every call TestTemplateWords pins: each
+// unary op at its legal types, the branches' types, and BrI's immediates —
+// every immediate form's ends and one step past them on every port (mips
+// slti, slti with imm+1, sltiu from 0; sparc simm13; alpha's literal), and
+// values that no field or only 64 bits hold.
+var (
+	unaryCases = []struct {
+		op    core.Op
+		types []core.Type
+	}{
+		{core.OpCom, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
+		{core.OpNot, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
+		{core.OpMov, brTypes},
+		{core.OpNeg, []core.Type{core.TypeI, core.TypeL, core.TypeF, core.TypeD}},
+	}
+	brTypes = []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
+	brImms  = []int64{0, 1, -1, 255, 256, -4097, -4096, 4095, 4096, -32770, -32769, -32768,
+		32766, 32767, 32768, 1 << 40, math.MinInt64, math.MaxInt64}
+)
 
 // emulatedPairs lists, for every (op, type) tg's ALU accepts and routes
 // through a runtime helper, the helper its call is relocated to.

@@ -185,39 +185,17 @@ func widen(b *core.Buf, op core.Op, t core.Type, rs core.Reg) (core.Reg, error) 
 	return rs, fmt.Errorf("alpha: ALU op %s%s unsupported (division is emulated)", op, t)
 }
 
-// Unary implements rd = op rs.
+// Unary implements rd = op rs: the mapped row, or a single's neg, which
+// has none: promoted into f30, the double's, demoted.
 func (a *Backend) Unary(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg) error {
-	if t.IsFloat() {
-		switch {
-		case op == core.OpMov:
-			b.Emit(fpFmt(opFltl, gn(rs), gn(rs), fnCpys, gn(rd)))
-		case op == core.OpNeg && t == core.TypeD:
-			b.Emit(fpFmt(opFltl, gn(rs), gn(rs), fnCpysn, gn(rd)))
-		case op == core.OpNeg: // single: promote, flip the sign, demote
-			b.Emit(fpFmt(opFlti, 31, gn(rs), fnCvtst, 30))
-			b.Emit(fpFmt(opFltl, 30, 30, fnCpysn, 30))
-			b.Emit(fpFmt(opFlti, 31, 30, fnCvtts, gn(rd)))
-		default:
-			return fmt.Errorf("alpha: %s%s unsupported", op, t)
-		}
-		return nil
-	}
-	d, s := gn(rd), gn(rs)
-	switch op {
-	case core.OpMov:
-		b.Emit(opFmtR(opIntl, s, s, fnBis, d))
-	case core.OpCom:
-		b.Emit(opFmtR(opIntl, rZero, s, fnOrnot, d))
-	case core.OpNot:
-		b.Emit(opFmtL(opInta, s, 0, fnCmpeq, d))
-	case core.OpNeg:
-		if is32(t) {
-			b.Emit(opFmtR(opInta, rZero, s, fnSubl, d))
-		} else {
-			b.Emit(opFmtR(opInta, rZero, s, fnSubq, d))
-		}
+	switch {
+	case templates.Unary(b, op, t, rd, rs):
+	case op == core.OpNeg && t == core.TypeF:
+		b.Emit(fpFmt(opFlti, 31, gn(rs), fnCvtst, 30))
+		templates.Unary(b, op, core.TypeD, core.FPR(30), core.FPR(30))
+		b.Emit(fpFmt(opFlti, 31, 30, fnCvtts, gn(rd)))
 	default:
-		return fmt.Errorf("alpha: unary op %s unsupported", op)
+		return fmt.Errorf("alpha: %s%s unsupported", op, t)
 	}
 	return nil
 }
@@ -360,152 +338,21 @@ func (a *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) erro
 	return a.Store(b, t, rs, index(b, base, idx), 0)
 }
 
-// Branch emits compare + branch and returns the patch site.
+// Branch implements a conditional branch: the mapped compare and branch,
+// a single's after promoting both into f29 and f30, the double's.
 func (a *Backend) Branch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
-	if t.IsFloat() {
-		return a.fpBranch(b, op, t, rs1, rs2)
-	}
-	s1, s2 := gn(rs1), gn(rs2)
-	signed := t.IsSigned()
-	cmp := func(fn uint32, x, y uint32) {
-		b.Emit(opFmtR(opInta, x, y, fn, rAT))
-	}
-	brTrue := uint32(opBne)
-	switch op {
-	case core.OpBeq:
-		cmp(fnCmpeq, s1, s2)
-	case core.OpBne:
-		cmp(fnCmpeq, s1, s2)
-		brTrue = opBeq
-	case core.OpBlt:
-		if signed {
-			cmp(fnCmplt, s1, s2)
-		} else {
-			cmp(fnCmpult, s1, s2)
-		}
-	case core.OpBge:
-		if signed {
-			cmp(fnCmplt, s1, s2)
-		} else {
-			cmp(fnCmpult, s1, s2)
-		}
-		brTrue = opBeq
-	case core.OpBle:
-		if signed {
-			cmp(fnCmple, s1, s2)
-		} else {
-			cmp(fnCmpule, s1, s2)
-		}
-	case core.OpBgt:
-		if signed {
-			cmp(fnCmple, s1, s2)
-		} else {
-			cmp(fnCmpule, s1, s2)
-		}
-		brTrue = opBeq
-	default:
-		return 0, fmt.Errorf("alpha: branch op %s", op)
-	}
-	site := b.Len()
-	b.Emit(brFmt(brTrue, rAT, 0))
-	return site, nil
-}
-
-func (a *Backend) fpBranch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
-	f1, f2 := gn(rs1), gn(rs2)
 	if t == core.TypeF {
-		// Promote singles to T format in the two FP scratches.
-		b.Emit(fpFmt(opFlti, 31, f1, fnCvtst, 29))
-		b.Emit(fpFmt(opFlti, 31, f2, fnCvtst, 30))
-		f1, f2 = 29, 30
+		b.Emit(fpFmt(opFlti, 31, gn(rs1), fnCvtst, 29))
+		b.Emit(fpFmt(opFlti, 31, gn(rs2), fnCvtst, 30))
+		t, rs1, rs2 = core.TypeD, core.FPR(29), core.FPR(30)
 	}
-	brTrue := uint32(opFbne)
-	switch op {
-	case core.OpBeq:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmpteq, 30))
-	case core.OpBne:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmpteq, 30))
-		brTrue = opFbeq
-	case core.OpBlt:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmptlt, 30))
-	case core.OpBge:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmptlt, 30))
-		brTrue = opFbeq
-	case core.OpBle:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmptle, 30))
-	case core.OpBgt:
-		b.Emit(fpFmt(opFlti, f1, f2, fnCmptle, 30))
-		brTrue = opFbeq
-	default:
-		return 0, fmt.Errorf("alpha: fp branch op %s", op)
-	}
-	site := b.Len()
-	b.Emit(brFmt(brTrue, 30, 0))
-	return site, nil
+	return core.Branch(a, b, op, t, rs1, rs2)
 }
 
-// BranchImm compares rs against an immediate; comparisons with zero use
-// the native compare-and-branch forms directly.
+// BranchImm implements a conditional branch against imm: a mapped form,
+// else imm set into at.
 func (a *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, imm int64) (int, error) {
-	if imm == 0 && (t.IsSigned() || op == core.OpBeq || op == core.OpBne) {
-		var brOp uint32
-		switch op {
-		case core.OpBeq:
-			brOp = opBeq
-		case core.OpBne:
-			brOp = opBne
-		case core.OpBlt:
-			brOp = opBlt
-		case core.OpBle:
-			brOp = opBle
-		case core.OpBgt:
-			brOp = opBgt
-		case core.OpBge:
-			brOp = opBge
-		default:
-			return 0, fmt.Errorf("alpha: branch op %s", op)
-		}
-		site := b.Len()
-		b.Emit(brFmt(brOp, gn(rs), 0))
-		return site, nil
-	}
-	if fitsLit8(imm) {
-		signed := t.IsSigned()
-		brTrue := uint32(opBne)
-		lit := uint32(imm)
-		s := gn(rs)
-		switch op {
-		case core.OpBeq:
-			b.Emit(opFmtL(opInta, s, lit, fnCmpeq, rAT))
-		case core.OpBne:
-			b.Emit(opFmtL(opInta, s, lit, fnCmpeq, rAT))
-			brTrue = opBeq
-		case core.OpBlt:
-			b.Emit(opFmtL(opInta, s, lit, pick(signed, fnCmplt, fnCmpult), rAT))
-		case core.OpBge:
-			b.Emit(opFmtL(opInta, s, lit, pick(signed, fnCmplt, fnCmpult), rAT))
-			brTrue = opBeq
-		case core.OpBle:
-			b.Emit(opFmtL(opInta, s, lit, pick(signed, fnCmple, fnCmpule), rAT))
-		case core.OpBgt:
-			b.Emit(opFmtL(opInta, s, lit, pick(signed, fnCmple, fnCmpule), rAT))
-			brTrue = opBeq
-		default:
-			return 0, fmt.Errorf("alpha: branch op %s", op)
-		}
-		site := b.Len()
-		b.Emit(brFmt(brTrue, rAT, 0))
-		return site, nil
-	}
-	a.SetImm(b, t, core.GPR(rAT), imm)
-	return a.Branch(b, op, t, rs, core.GPR(rAT))
-}
-
-func pick(cond bool, a, b uint32) uint32 {
-	if cond {
-		return a
-	}
-	return b
+	return core.BranchImm(a, b, op, t, rs, imm)
 }
 
 // fixed is what core emits for a jump, a call, an address and a frame.  A
@@ -529,7 +376,7 @@ func (*Backend) Fixed() *core.Fixed { return &fixed }
 // templates is the port's instruction mapping.  The Alpha has no integer
 // divide: division and remainder go through the machine's runtime helpers
 // (§5.2).
-var templates = core.NewTemplates(isa, core.Mapping{
+var templates = core.NewTemplates(New(), core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u", Row: "addl", Regs: "cal", Imm: "addl"},
 		{Op: core.OpAdd, Types: "l ul p", Row: "addq", Regs: "cal", Imm: "addq"},
@@ -563,6 +410,39 @@ var templates = core.NewTemplates(isa, core.Mapping{
 		{Types: "l ul p", Row: "stq", Regs: "abi"},
 		{Types: "f", Row: "sts", Regs: "Abi"},
 		{Types: "d", Row: "stt", Regs: "Abi"},
+	},
+	Unary: []core.ExtRule{
+		{Name: "com", Types: "i u l ul", Row: "ornot", Regs: "cl", Fix: 'a', FixTo: rZero},
+		{Name: "not", Types: "i u l ul", Row: "cmpeq", Regs: "ca", Fix: 'l', FixTo: 0},
+		{Name: "mov", Types: "i u l ul p", Row: "bis", Regs: "cal"},
+		{Name: "mov", Types: "f d", Row: "cpys", Regs: "CAB"},
+		{Name: "neg", Types: "i", Row: "subl", Regs: "cl", Fix: 'a', FixTo: rZero},
+		{Name: "neg", Types: "l", Row: "subq", Regs: "cl", Fix: 'a', FixTo: rZero},
+		{Name: "neg", Types: "d", Row: "cpysn", Regs: "CAB"},
+	},
+	Br: []core.Cond{
+		{Op: core.OpBeq, Types: "i u l ul p", Br: "beq", BrRegs: "_a"},
+		{Op: core.OpBne, Types: "i u l ul p", Br: "bne", BrRegs: "_a"},
+		{Op: core.OpBlt, Types: "i l", Br: "blt", BrRegs: "_a"},
+		{Op: core.OpBle, Types: "i l", Br: "ble", BrRegs: "_a"},
+		{Op: core.OpBgt, Types: "i l", Br: "bgt", BrRegs: "_a"},
+		{Op: core.OpBge, Types: "i l", Br: "bge", BrRegs: "_a"},
+		{Op: core.OpBeq, Types: "i u l ul p", Cmp: "cmpeq", Regs: "cal", Imm: "cmpeq", Br: "bne", BrRegs: "a"},
+		{Op: core.OpBne, Types: "i u l ul p", Cmp: "cmpeq", Regs: "cal", Imm: "cmpeq", Br: "beq", BrRegs: "a"},
+		{Op: core.OpBlt, Types: "i l", Cmp: "cmplt", Regs: "cal", Imm: "cmplt", Br: "bne", BrRegs: "a"},
+		{Op: core.OpBge, Types: "i l", Cmp: "cmplt", Regs: "cal", Imm: "cmplt", Br: "beq", BrRegs: "a"},
+		{Op: core.OpBle, Types: "i l", Cmp: "cmple", Regs: "cal", Imm: "cmple", Br: "bne", BrRegs: "a"},
+		{Op: core.OpBgt, Types: "i l", Cmp: "cmple", Regs: "cal", Imm: "cmple", Br: "beq", BrRegs: "a"},
+		{Op: core.OpBlt, Types: "u ul p", Cmp: "cmpult", Regs: "cal", Imm: "cmpult", Br: "bne", BrRegs: "a"},
+		{Op: core.OpBge, Types: "u ul p", Cmp: "cmpult", Regs: "cal", Imm: "cmpult", Br: "beq", BrRegs: "a"},
+		{Op: core.OpBle, Types: "u ul p", Cmp: "cmpule", Regs: "cal", Imm: "cmpule", Br: "bne", BrRegs: "a"},
+		{Op: core.OpBgt, Types: "u ul p", Cmp: "cmpule", Regs: "cal", Imm: "cmpule", Br: "beq", BrRegs: "a"},
+		{Op: core.OpBeq, Types: "d", Cmp: "cmpteq", Regs: "CAB", Br: "fbne", BrRegs: "A"},
+		{Op: core.OpBne, Types: "d", Cmp: "cmpteq", Regs: "CAB", Br: "fbeq", BrRegs: "A"},
+		{Op: core.OpBlt, Types: "d", Cmp: "cmptlt", Regs: "CAB", Br: "fbne", BrRegs: "A"},
+		{Op: core.OpBge, Types: "d", Cmp: "cmptlt", Regs: "CAB", Br: "fbeq", BrRegs: "A"},
+		{Op: core.OpBle, Types: "d", Cmp: "cmptle", Regs: "CAB", Br: "fbne", BrRegs: "A"},
+		{Op: core.OpBgt, Types: "d", Cmp: "cmptle", Regs: "CAB", Br: "fbeq", BrRegs: "A"},
 	},
 	Ext: []core.ExtRule{
 		{Name: "sqrt", Types: "f", Row: "sqrts", Regs: "CB", Fix: 'A', FixTo: rZero},

@@ -630,8 +630,9 @@ func (a *Asm) StLocal(t Type, rs Reg, off int64) { a.StI(t, rs, a.conv.SP, off) 
 // checks in order: ready, a legality table (op.go), the bank test (reg.go;
 // checkRegs says which operand and why), recording, then the template or
 // the backend's encoder; alu, alui, ldI and stI hold those checks out of
-// line, which keeps the gated door's frame small (EXPERIMENTS S26).  SetI,
-// BrI, Bind and Ret keep their backend calls and test open in ready. ----
+// line, which keeps the gated door's frame small (EXPERIMENTS S26).  Unary,
+// Br and BrI take the mapped form after the checks, else call the backend;
+// SetI, Bind and Ret test open in ready. ----
 
 func (a *Asm) checkRegs(t Type, regs ...Reg) bool {
 	for _, r := range regs {
@@ -740,7 +741,17 @@ func (a *Asm) Unary(op Op, t Type, rd, rs Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecUnary, Op: op, T: t, Rd: rd, Rs1: rs})
 	}
-	a.setErr(a.backend.Unary(&a.buf, op, t, rd, rs))
+	if !a.tmpl.Unary(&a.buf, op, t, rd, rs) {
+		a.setErr(a.backend.Unary(&a.buf, op, t, rd, rs))
+	}
+}
+
+// unary emits rd = op rs: the mapped row, else the port's expansion.
+func (a *Asm) unary(op Op, t Type, rd, rs Reg) error {
+	if a.tmpl.Unary(&a.buf, op, t, rd, rs) {
+		return nil
+	}
+	return a.backend.Unary(&a.buf, op, t, rd, rs)
 }
 
 // SetI emits rd = imm for an integer or pointer type (v_set*i).
@@ -945,10 +956,15 @@ func (a *Asm) Br(op Op, t Type, rs1, rs2 Reg, l Label) {
 		return
 	}
 	a.insnCount++
-	site, err := a.backend.Branch(&a.buf, op, t, rs1, rs2)
-	if err != nil {
-		a.setErr(err)
-		return
+	var site int
+	if sq := a.tmpl.brForm(op, t); sq != nil {
+		site = sq.emit(&a.buf, rs1, rs2, 0)
+	} else {
+		var err error
+		if site, err = a.backend.Branch(&a.buf, op, t, rs1, rs2); err != nil {
+			a.setErr(err)
+			return
+		}
 	}
 	a.refLabel(site, l, a.fx.branchTo)
 	if a.rec != nil {
@@ -969,10 +985,15 @@ func (a *Asm) BrI(op Op, t Type, rs Reg, imm int64, l Label) {
 		return
 	}
 	a.insnCount++
-	site, err := a.backend.BranchImm(&a.buf, op, t, rs, imm)
-	if err != nil {
-		a.setErr(err)
-		return
+	var site int
+	if sq, v := a.tmpl.immForm(op, t, imm); sq != nil {
+		site = sq.emit(&a.buf, rs, 0, v)
+	} else {
+		var err error
+		if site, err = a.backend.BranchImm(&a.buf, op, t, rs, imm); err != nil {
+			a.setErr(err)
+			return
+		}
 	}
 	a.refLabel(site, l, a.fx.branchTo)
 	if a.rec != nil {
@@ -1043,7 +1064,7 @@ func (a *Asm) Ret(t Type, rs Reg) {
 	moveIdx := -1
 	if rs != ret {
 		moveIdx = a.buf.Len()
-		if err := a.backend.Unary(&a.buf, OpMov, t, ret, rs); err != nil {
+		if err := a.unary(OpMov, t, ret, rs); err != nil {
 			a.setErr(err)
 			return
 		}
@@ -1267,7 +1288,7 @@ func (a *Asm) SetArg(i int, r Reg) {
 	}
 	if loc.reg != NoReg {
 		if r != loc.reg {
-			a.setErr(a.backend.Unary(&a.buf, OpMov, loc.t, loc.reg, r))
+			a.setErr(a.unary(OpMov, loc.t, loc.reg, r))
 		}
 		return
 	}
@@ -1337,7 +1358,7 @@ func (a *Asm) RetVal(t Type, rd Reg) {
 		return
 	}
 	a.insnCount++
-	a.setErr(a.backend.Unary(&a.buf, OpMov, t, rd, src))
+	a.setErr(a.unary(OpMov, t, rd, src))
 }
 
 // Setfunc materializes the entry address of another generated function
@@ -1432,7 +1453,7 @@ func (a *Asm) emulCall(op Op, t Type, rd, rs1, rs2 Reg, imm int64, hasImm bool) 
 		return
 	}
 	a.relocs = append(a.relocs, Reloc{Kind: RelocCall, Sites: a.callSite(), Sym: sym})
-	if rd != v0 && !emit(bk.Unary(b, OpMov, TypeL, rd, v0)) {
+	if rd != v0 && !emit(a.unary(OpMov, TypeL, rd, v0)) {
 		return
 	}
 	if !emit(bk.Load(b, TypeL, ra, sp, 40)) {

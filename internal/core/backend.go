@@ -50,7 +50,9 @@ type Backend interface {
 	// ALUImm emits rd = rs op imm.  Out-of-range immediates are
 	// materialized into the assembler scratch register.
 	ALUImm(b *Buf, op Op, t Type, rd, rs Reg, imm int64) error
-	// Unary emits rd = op rs (com, not, mov, neg).
+	// Unary emits rd = op rs (com, not, mov, neg): the mapped row
+	// (Templates.Unary), else the port's multi-word expansion.  Core takes
+	// the mapped row itself and calls this for the rest.
 	Unary(b *Buf, op Op, t Type, rd, rs Reg) error
 	// SetImm emits rd = imm for an integer or pointer type.
 	SetImm(b *Buf, t Type, rd Reg, imm int64) error
@@ -66,10 +68,15 @@ type Backend interface {
 	StoreRR(b *Buf, t Type, rs, base, idx Reg) error
 
 	// Branch emits a conditional branch comparing rs1 and rs2 with an
-	// unresolved target, returning the instruction index to patch.  On
-	// delay-slot machines the slot is filled with a nop.
+	// unresolved target, returning the instruction index to patch; on
+	// delay-slot machines the slot holds a nop.  The mapped compare and
+	// branch (Mapping.Br) is core.Branch; a port's method adds only what no
+	// rule covers.  Core takes the mapped form itself and calls this for
+	// the rest.
 	Branch(b *Buf, op Op, t Type, rs1, rs2 Reg) (int, error)
-	// BranchImm is Branch with an immediate second operand.
+	// BranchImm is Branch with an immediate second operand: the mapped
+	// zero or immediate form, else the immediate set into the scratch
+	// register and Branch (core.BranchImm).
 	BranchImm(b *Buf, op Op, t Type, rs Reg, imm int64) (int, error)
 
 	// Fixed returns the port's fixed-shape words — nop, jumps, calls,
@@ -80,8 +87,9 @@ type Backend interface {
 
 	// Templates returns the port's instruction mapping, built once
 	// (NewTemplates) from its declaration beside Fixed: the core emits a
-	// generic emitter's single-word encodings and the hardware extensions
-	// from it, and calls a runtime helper for each operation it emulates.
+	// generic emitter's single-word encodings, the unary ops, the
+	// conditional branches and the hardware extensions from it, and calls a
+	// runtime helper for each operation it emulates.
 	Templates() *Templates
 
 	// ISA returns the port's instruction table, with its one declaration

@@ -122,7 +122,7 @@ func (f *fakeBackend) Fixed() *Fixed { return &fakeFixed }
 
 // fakeTemplates is the fake's mapping: no generic emitter has a row, no
 // extension is in hardware, nothing is emulated.
-var fakeTemplates = NewTemplates(fakeISA, Mapping{})
+var fakeTemplates = NewTemplates(newFake(), Mapping{})
 
 func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
 

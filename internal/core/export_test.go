@@ -15,13 +15,14 @@ func (m *Machine) Free(addr uint64, n int) error {
 }
 
 // Template is one template as the tests sweep it: the generic emitter it
-// serves ("ALU", "ALUI", "LdI", "StI"), its (op, type) and the immediates it
-// holds for.
+// serves ("ALU", "ALUI", "LdI", "StI", "Unary", "Br", "BrI"), its (op,
+// type), the immediates it holds for and the words it emits.
 type Template struct {
 	Door   string
 	Op     Op
 	T      Type
 	Lo, Hi int64
+	Words  int
 }
 
 // All lists the templates ts holds.
@@ -29,7 +30,12 @@ func (ts *Templates) All() []Template {
 	var out []Template
 	add := func(door string, op Op, t Type, tp *tmpl) {
 		if tp.ok {
-			out = append(out, Template{door, op, t, tp.lo, tp.hi})
+			out = append(out, Template{door, op, t, tp.lo, tp.hi, 1})
+		}
+	}
+	form := func(door string, op Op, t Type, sq *seq) {
+		if sq.ok {
+			out = append(out, Template{door, op, t, sq.lo, sq.hi, sq.n})
 		}
 	}
 	for op := Op(0); op < numBinOps; op++ {
@@ -41,6 +47,14 @@ func (ts *Templates) All() []Template {
 	for t := TypeV; t < numTypes; t++ {
 		add("LdI", OpLd, t, &ts.ld[t])
 		add("StI", OpSt, t, &ts.st[t])
+		for op := OpCom; op <= OpNeg; op++ {
+			add("Unary", op, t, &ts.un[op-OpCom][t])
+		}
+		for op := OpBlt; op <= OpBne; op++ {
+			form("Br", op, t, &ts.br[op-OpBlt][t])
+			form("BrI", op, t, &ts.zero[op-OpBlt][t])
+			form("BrI", op, t, &ts.bri[op-OpBlt][t])
+		}
 	}
 	return out
 }

@@ -175,7 +175,7 @@ type emulatingFake struct{ *fakeBackend }
 
 // emulatingTemplates routes divi through a helper and gives the port cmoveq
 // in hardware; cmovne stays a synthesis.
-var emulatingTemplates = NewTemplates(fakeISA, Mapping{
+var emulatingTemplates = NewTemplates(newFake(), Mapping{
 	Ext:      []ExtRule{{Name: "cmoveq", Types: "i u l ul p", Row: "cmoveq"}},
 	Emulated: []Helper{{Op: OpDiv, Types: "i", Sym: "__div_i"}},
 })

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -12,14 +13,20 @@ import (
 // Mapping is a port's instruction mapping (paper §3.3), declared once as
 // data beside its Fixed: which row of the port's instruction table each
 // generic emitter's (op, type) is and which syntax letter each operand goes
-// into, which row each extension the hardware has is, and which operations
-// go through a runtime helper.  What no rule covers — a multi-word
-// expansion, an immediate its field cannot hold — the port's own method
-// emits; an expansion that ends in a mapped word takes it from here too.
+// into, which rows each conditional branch is, which row each extension the
+// hardware has is, and which operations go through a runtime helper.  What
+// no rule covers — a multi-word expansion, an immediate its field cannot
+// hold — the port's own method emits; an expansion that ends in a mapped
+// word takes it from here too.
 type Mapping struct {
-	ALU      []Rule
-	Ld, St   []Mem
-	Ext      []ExtRule
+	ALU    []Rule
+	Ld, St []Mem
+	Unary  []ExtRule // named by the op: com, not, mov, neg
+	Ext    []ExtRule
+	Br     []Cond
+	// Gap names the compare rows a branch may not follow at once: a nop
+	// goes between (SPARC's fcmp and fbfcc).
+	Gap      []string
 	Emulated []Helper
 }
 
@@ -43,11 +50,40 @@ type Mem struct{ Types, Row, Regs string }
 
 // ExtRule maps the extension Name at Types onto the row named Row: Regs
 // has rd's letter, then each source's.  A register field the row reads and
-// the extension does not name is Fix, holding register FixTo.
+// the extension does not name is Fix, holding register FixTo.  A unary
+// op's source goes into each source letter (Alpha's mov is bis rs, rs, rd),
+// and its Fix may hold a number (MIPS's not is sltiu rd, rs, 1).
 type ExtRule struct {
 	Name, Types, Row, Regs string
 	Fix                    byte
 	FixTo                  int64
+}
+
+// Cond maps the conditional branch Op at Types onto a compare row, Cmp,
+// then the branch row, Br, which core follows with the port's delay slots.
+// Regs and BrRegs put the scratch, rs1 and rs2, in that order, into the
+// fields of their letters, '_' leaving one out: the compare writes the
+// scratch (ScratchReg, or ScratchFPR at a float type) or, naming no letter
+// for it, the condition codes, and the branch reads what the compare wrote.
+// Without Cmp the branch compares the sources itself; one that reads rs1
+// alone compares it with zero, and is BrI's form for an immediate of 0.
+// Fix is a field of Br holding FixTo (SPARC's condition).
+//
+// Imm names the compare's immediate form, BrI's where the field of
+// ImmRegs's third letter holds imm (ImmRegs is Regs if empty): with Inc
+// the field holds imm+1 (mips's ble and bgt as blt and bge), with NonNeg
+// no imm below 0 goes in.  A rule with Imm and no Cmp is that form alone.
+// BrI tries the zero form, then the immediate form, then sets imm into the
+// scratch and takes the register form (BranchImm).
+type Cond struct {
+	Op           Op
+	Types        string
+	Cmp, Regs    string
+	Br, BrRegs   string
+	Imm, ImmRegs string
+	Fix          byte
+	FixTo        int64
+	Inc, NonNeg  bool
 }
 
 // Helper routes Op at Types through the runtime helper Sym, the paper's
@@ -130,17 +166,51 @@ func (tp *tmpl) imm(rd, rs Reg, imm int64) uint32 {
 // holds reports whether there is a template and imm is inside its range.
 func (tp *tmpl) holds(imm int64) bool { return tp.ok && tp.lo <= imm && imm <= tp.hi }
 
-// numBinOps bounds the ops of the two-source forms (OpAdd..OpRsh).
-const numBinOps = OpRsh + 1
+// numBinOps bounds the ops of the two-source forms (OpAdd..OpRsh); the
+// unary ops (OpCom..OpNeg) and the branches (OpBlt..OpBne) are numUnOps
+// and numConds from their first.
+const (
+	numBinOps = OpRsh + 1
+	numUnOps  = OpNeg - OpCom + 1
+	numConds  = OpBne - OpBlt + 1
+)
+
+// seq is one (op, type) of a branch form as core emits it: n words, the
+// compare, a gap's nop, the branch and the delay slots' nops, the branch
+// being word site.  The first word, tmpl, is the one that reads the
+// operands (and, for BrI, imm+inc); the rest, w[1:n], are constant: a
+// compare's branch reads the scratch, which is already in.
+type seq struct {
+	tmpl
+	w       [4]uint32
+	n, site int
+	inc     int64
+}
+
+// emit appends sq's words for rs1, rs2 and an immediate's bits v, and
+// returns the branch's index.  It appends all four words and keeps n of
+// them: one capacity test, not one a word.
+func (sq *seq) emit(b *Buf, rs1, rs2 Reg, v uint32) int {
+	at := len(b.w)
+	b.w = append(b.w, sq.word|uint32(rs1)&63*sq.s1|uint32(rs2)&63*sq.s2|v, sq.w[1], sq.w[2], sq.w[3])
+	b.w = b.w[:at+sq.n]
+	return at + sq.site
+}
 
 // Templates is a port's Mapping as the emitters read it, built once by the
 // port and read by the core and the port's own methods alike: a template
-// per generic emitter and (op, type), about 10 KB a port; the hardware
-// extensions; the emulated set and its helpers.
+// per generic emitter and (op, type), about 30 KB a port; the hardware
+// extensions; the emulated set and its helpers; and the nop and delay slots
+// a branch is followed by.
 type Templates struct {
 	alu, alui [numBinOps][numTypes]tmpl
 	ld, st    [numTypes]tmpl
 	ldx, stx  [numTypes]tmpl // ld and st with a register for the displacement (SPARC)
+	un        [numUnOps][numTypes]tmpl
+	br        [numConds][numTypes]seq
+	zero, bri [numConds][numTypes]seq // BrI's form for 0, its immediate form
+	nop       uint32                  // what a gap and each delay slot hold
+	slots     int
 	ext       []extTmpl
 	emul      EmulatedOps
 	syms      [numBinOps][numTypes]string
@@ -165,11 +235,13 @@ func (e *EmulatedOps) Has(op Op, t Type) bool { return e.types[op].has(t) }
 // EmulatedOpsOf returns b's emulated-operation set.
 func EmulatedOpsOf(b Backend) *EmulatedOps { return &b.Templates().emul }
 
-// NewTemplates builds m over isa, the port's instruction table, for the
-// types each emitter accepts.  A rule that names no row, letter or type is
-// a bug in the port, and panics when its package starts.
-func NewTemplates(isa *exec.Table, m Mapping) *Templates {
-	ts := new(Templates)
+// NewTemplates builds b's mapping m over its instruction table, for the
+// types each emitter accepts, with its scratch registers, nop and delay
+// slots.  A rule that names no row, letter, op or type is a bug in the
+// port, and panics when its package starts.
+func NewTemplates(b Backend, m Mapping) *Templates {
+	isa := b.ISA()
+	ts := &Templates{nop: b.Fixed().Nop, slots: b.BranchDelaySlots()}
 	for _, r := range m.ALU {
 		tp, _ := build(isa, r.Row, r.Regs, false)
 		types := typesOf(r.Types)
@@ -199,12 +271,18 @@ func NewTemplates(isa *exec.Table, m Mapping) *Templates {
 			set(tabs[i][1], types, x)
 		}
 	}
-	for _, r := range m.Ext {
-		tp, _ := build(isa, r.Row, r.Regs, false)
-		if r.Fix != 0 {
-			tp.word, _ = isa.Field(r.Fix).Put(tp.word, r.FixTo)
+	for _, r := range m.Unary {
+		op := slices.Index(opNames[OpCom:OpNeg+1], r.Name)
+		if op < 0 {
+			panic(fmt.Sprintf("core: mapping names unary op %q", r.Name))
 		}
-		ts.ext = append(ts.ext, extTmpl{r.Name, typesOf(r.Types), tp})
+		set(&ts.un[op], typesOf(r.Types)&legal.unary[OpCom+Op(op)], extTemplate(isa, r))
+	}
+	for _, r := range m.Ext {
+		ts.ext = append(ts.ext, extTmpl{r.Name, typesOf(r.Types), extTemplate(isa, r)})
+	}
+	for _, c := range m.Br {
+		ts.addCond(b, c, m.Gap)
 	}
 	for _, h := range m.Emulated {
 		emul := typesOf(h.Types) & legal.alu[h.Op]
@@ -224,6 +302,62 @@ func NewTemplates(isa *exec.Table, m Mapping) *Templates {
 		}
 	}
 	return ts
+}
+
+// extTemplate is r's template: its row with its operands' fields and Fix,
+// if any, holding FixTo.
+func extTemplate(isa *exec.Table, r ExtRule) tmpl {
+	tp, _ := build(isa, r.Row, r.Regs, false)
+	if r.Fix != 0 {
+		tp.word, _ = isa.Field(r.Fix).Put(tp.word, r.FixTo)
+	}
+	return tp
+}
+
+// addCond builds c into the branch forms it declares; a row's scratch
+// letter holds b's scratch register of c's bank.
+func (ts *Templates) addCond(b Backend, c Cond, gap []string) {
+	isa, i, types := b.ISA(), c.Op-OpBlt, typesOf(c.Types)&legal.br[c.Op]
+	sc := uint32(b.ScratchReg().Num())
+	if types&(1<<TypeF|1<<TypeD) != 0 {
+		sc = uint32(b.ScratchFPR().Num())
+	}
+	form := func(cmp, letters string, imm bool) seq {
+		var tps []tmpl
+		if cmp != "" {
+			tp, _ := build(isa, cmp, letters, imm)
+			if tps = append(tps, tp); slices.Contains(gap, cmp) {
+				tps = append(tps, tmpl{word: ts.nop})
+			}
+		}
+		sq := seq{site: len(tps)}
+		tps = append(tps, extTemplate(isa, ExtRule{Row: c.Br, Regs: c.BrRegs, Fix: c.Fix, FixTo: c.FixTo}))
+		for range ts.slots {
+			tps = append(tps, tmpl{word: ts.nop})
+		}
+		for k, tp := range tps {
+			sq.w[k] = tp.word | sc*tp.d
+		}
+		sq.tmpl, sq.n = tps[0], len(tps)
+		sq.word = sq.w[0]
+		return sq
+	}
+	switch {
+	case c.Cmp == "" && c.Imm == "" && len(c.BrRegs) < 3: // rs1 against zero
+		set(&ts.zero[i], types&legal.bri[c.Op], form("", "", false))
+	case c.Cmp != "" || c.Imm == "":
+		set(&ts.br[i], types, form(c.Cmp, c.Regs, false))
+	}
+	if c.Imm != "" {
+		sq := form(c.Imm, cmp.Or(c.ImmRegs, c.Regs), true)
+		if c.Inc {
+			sq.inc, sq.lo, sq.hi = 1, sq.lo-1, sq.hi-1
+		}
+		if c.NonNeg {
+			sq.lo = max(sq.lo, 0)
+		}
+		set(&ts.bri[i], types&legal.bri[c.Op], sq)
+	}
 }
 
 // set puts v into tab at each of types.
@@ -249,6 +383,7 @@ func build(isa *exec.Table, name, letters string, imm bool) (tp, x tmpl) {
 	for i, c := range []byte(letters) {
 		f := isa.Field(c)
 		switch {
+		case c == '_':
 		case f == nil:
 			panic(fmt.Sprintf("core: mapping of %q names no field %q", name, c))
 		case imm && i == 2:
@@ -332,6 +467,60 @@ func (ts *Templates) Indexed(b *Buf, store bool, t Type, r, base, idx Reg) bool 
 	}
 	b.Emit(tab[t].regs(r, base, idx))
 	return true
+}
+
+// Unary appends rd = op rs if the mapping has a row for it, and reports
+// whether it did.
+func (ts *Templates) Unary(b *Buf, op Op, t Type, rd, rs Reg) bool {
+	if op-OpCom >= numUnOps || t >= numTypes || !ts.un[op-OpCom][t].ok {
+		return false
+	}
+	b.Emit(ts.un[op-OpCom][t].regs(rd, rs, rs))
+	return true
+}
+
+// brForm is Br's form of op at t, nil where there is none.
+func (ts *Templates) brForm(op Op, t Type) *seq {
+	if op-OpBlt >= numConds || t >= numTypes || !ts.br[op-OpBlt][t].ok {
+		return nil
+	}
+	return &ts.br[op-OpBlt][t]
+}
+
+// immForm is BrI's form of op at t for imm, the zero form or the compare's
+// immediate form, and imm's bits in its first word; nil where neither
+// holds imm.
+func (ts *Templates) immForm(op Op, t Type, imm int64) (*seq, uint32) {
+	if op-OpBlt >= numConds || t >= numTypes {
+		return nil, 0
+	}
+	if z := &ts.zero[op-OpBlt][t]; imm == 0 && z.ok {
+		return z, 0
+	} else if sq := &ts.bri[op-OpBlt][t]; sq.holds(imm) {
+		return sq, uint32(imm+sq.inc) * sq.sh & sq.mask
+	}
+	return nil, 0
+}
+
+// Branch is a port's Backend.Branch where every branch is a mapped form.
+func Branch(bk Backend, b *Buf, op Op, t Type, rs1, rs2 Reg) (int, error) {
+	if sq := bk.Templates().brForm(op, t); sq != nil {
+		return sq.emit(b, rs1, rs2, 0), nil
+	}
+	return 0, fmt.Errorf("%s: branch op %s%s unsupported", bk.Name(), op, t)
+}
+
+// BranchImm is a port's Backend.BranchImm: rs op imm's mapped form, else
+// imm set into the scratch register and the register form.
+func BranchImm(bk Backend, b *Buf, op Op, t Type, rs Reg, imm int64) (int, error) {
+	if sq, v := bk.Templates().immForm(op, t, imm); sq != nil {
+		return sq.emit(b, rs, 0, v), nil
+	}
+	sc := bk.ScratchReg()
+	if err := bk.SetImm(b, t, sc, imm); err != nil {
+		return 0, err
+	}
+	return bk.Branch(b, op, t, rs, sc)
 }
 
 // extOf returns the hardware extension name at t, nil when there is none.

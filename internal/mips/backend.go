@@ -146,33 +146,10 @@ func (m *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, 
 	return m.ALU(b, op, t, rd, rs, core.GPR(rAT))
 }
 
-// Unary implements rd = op rs.
+// Unary implements rd = op rs: every unary op is a mapped row.
 func (m *Backend) Unary(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg) error {
-	if t.IsFloat() {
-		var fn uint32
-		switch op {
-		case core.OpMov:
-			fn = fpMov
-		case core.OpNeg:
-			fn = fpNeg
-		default:
-			return fmt.Errorf("mips: %s%s unsupported", op, t)
-		}
-		b.Emit(fpRType(fpFmt(t), 0, gn(rs), gn(rd), fn))
-		return nil
-	}
-	d, s := gn(rd), gn(rs)
-	switch op {
-	case core.OpMov:
-		b.Emit(rType(fnAddu, s, rZero, d, 0))
-	case core.OpNeg:
-		b.Emit(rType(fnSubu, rZero, s, d, 0))
-	case core.OpCom:
-		b.Emit(rType(fnNor, s, rZero, d, 0))
-	case core.OpNot:
-		b.Emit(iType(opSltiu, s, d, 1))
-	default:
-		return fmt.Errorf("mips: unary op %s unsupported", op)
+	if !templates.Unary(b, op, t, rd, rs) {
+		return fmt.Errorf("mips: %s%s unsupported", op, t)
 	}
 	return nil
 }
@@ -253,126 +230,16 @@ func (m *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) erro
 	return m.Store(b, t, rs, core.GPR(rAT), 0)
 }
 
-// Branch emits a conditional branch (delay-slot nop included) and returns
-// the patch site.
+// Branch implements a conditional branch: every one is a mapped compare
+// and branch.
 func (m *Backend) Branch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
-	if t.IsFloat() {
-		return m.fpBranch(b, op, t, rs1, rs2)
-	}
-	s1, s2 := gn(rs1), gn(rs2)
-	slt := func(a, c uint32) {
-		fn := uint32(fnSlt)
-		if !t.IsSigned() {
-			fn = fnSltu
-		}
-		b.Emit(rType(fn, a, c, rAT, 0))
-	}
-	var site int
-	switch op {
-	case core.OpBeq:
-		site = b.Len()
-		b.Emit(iType(opBeq, s1, s2, 0))
-	case core.OpBne:
-		site = b.Len()
-		b.Emit(iType(opBne, s1, s2, 0))
-	case core.OpBlt:
-		slt(s1, s2)
-		site = b.Len()
-		b.Emit(iType(opBne, rAT, rZero, 0))
-	case core.OpBge:
-		slt(s1, s2)
-		site = b.Len()
-		b.Emit(iType(opBeq, rAT, rZero, 0))
-	case core.OpBgt:
-		slt(s2, s1)
-		site = b.Len()
-		b.Emit(iType(opBne, rAT, rZero, 0))
-	case core.OpBle:
-		slt(s2, s1)
-		site = b.Len()
-		b.Emit(iType(opBeq, rAT, rZero, 0))
-	default:
-		return 0, fmt.Errorf("mips: branch op %s", op)
-	}
-	b.Emit(encNop)
-	return site, nil
+	return core.Branch(m, b, op, t, rs1, rs2)
 }
 
-func (m *Backend) fpBranch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
-	fm := fpFmt(t)
-	cmp := func(fn, fs, ft uint32) { b.Emit(fpRType(fm, ft, fs, 0, fn)) }
-	onTrue := true
-	switch op {
-	case core.OpBlt:
-		cmp(fpCLt, gn(rs1), gn(rs2))
-	case core.OpBle:
-		cmp(fpCLe, gn(rs1), gn(rs2))
-	case core.OpBgt:
-		cmp(fpCLt, gn(rs2), gn(rs1))
-	case core.OpBge:
-		cmp(fpCLe, gn(rs2), gn(rs1))
-	case core.OpBeq:
-		cmp(fpCEq, gn(rs1), gn(rs2))
-	case core.OpBne:
-		cmp(fpCEq, gn(rs1), gn(rs2))
-		onTrue = false
-	default:
-		return 0, fmt.Errorf("mips: fp branch op %s", op)
-	}
-	site := b.Len()
-	tf := uint32(1)
-	if !onTrue {
-		tf = 0
-	}
-	b.Emit(opCop1<<26 | fmtBC<<21 | tf<<16)
-	b.Emit(encNop)
-	return site, nil
-}
-
-// BranchImm emits a conditional branch against an immediate.
+// BranchImm implements a conditional branch against imm: a mapped form,
+// else imm set into at.
 func (m *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, imm int64) (int, error) {
-	s := gn(rs)
-	var site int
-	switch {
-	case (op == core.OpBeq || op == core.OpBne) && imm == 0:
-		mop := uint32(opBeq)
-		if op == core.OpBne {
-			mop = opBne
-		}
-		site = b.Len()
-		b.Emit(iType(mop, s, rZero, 0))
-	case op == core.OpBlt && fitsS16(imm) && t.IsSigned():
-		b.Emit(iType(opSlti, s, rAT, uint16(imm)))
-		site = b.Len()
-		b.Emit(iType(opBne, rAT, rZero, 0))
-	case op == core.OpBge && fitsS16(imm) && t.IsSigned():
-		b.Emit(iType(opSlti, s, rAT, uint16(imm)))
-		site = b.Len()
-		b.Emit(iType(opBeq, rAT, rZero, 0))
-	case op == core.OpBle && t.IsSigned() && fitsS16(imm+1):
-		b.Emit(iType(opSlti, s, rAT, uint16(imm+1)))
-		site = b.Len()
-		b.Emit(iType(opBne, rAT, rZero, 0))
-	case op == core.OpBgt && t.IsSigned() && fitsS16(imm+1):
-		b.Emit(iType(opSlti, s, rAT, uint16(imm+1)))
-		site = b.Len()
-		b.Emit(iType(opBeq, rAT, rZero, 0))
-	case op == core.OpBlt && !t.IsSigned() && imm >= 0 && imm <= 32767:
-		b.Emit(iType(opSltiu, s, rAT, uint16(imm)))
-		site = b.Len()
-		b.Emit(iType(opBne, rAT, rZero, 0))
-	case op == core.OpBge && !t.IsSigned() && imm >= 0 && imm <= 32767:
-		b.Emit(iType(opSltiu, s, rAT, uint16(imm)))
-		site = b.Len()
-		b.Emit(iType(opBeq, rAT, rZero, 0))
-	default:
-		// Materialize and compare registers; AT may serve as both the
-		// comparison source and the slt destination.
-		materialize(b, rAT, imm)
-		return m.Branch(b, op, t, rs, core.GPR(rAT))
-	}
-	b.Emit(encNop)
-	return site, nil
+	return core.BranchImm(m, b, op, t, rs, imm)
 }
 
 // fixed is what core emits for a jump, a call, an address and a frame.
@@ -393,7 +260,7 @@ var fixed = core.Fixed{
 func (*Backend) Fixed() *core.Fixed { return &fixed }
 
 // templates is the port's instruction mapping; MIPS emulates nothing.
-var templates = core.NewTemplates(isa, core.Mapping{
+var templates = core.NewTemplates(New(), core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u l ul p", Row: "addu", Regs: "dst", Imm: "addiu", ImmRegs: "tsi"},
 		{Op: core.OpAdd, Types: "f", Row: "add.s", Regs: "DST"},
@@ -427,6 +294,44 @@ var templates = core.NewTemplates(isa, core.Mapping{
 		{Types: "i u l ul p", Row: "sw", Regs: "tsi"},
 		{Types: "f", Row: "swc1", Regs: "Tsi"},
 		{Types: "d", Row: "sdc1", Regs: "Tsi"},
+	},
+	Unary: []core.ExtRule{
+		{Name: "com", Types: "i u l ul", Row: "nor", Regs: "ds"},
+		{Name: "not", Types: "i u l ul", Row: "sltiu", Regs: "ts", Fix: 'i', FixTo: 1},
+		{Name: "mov", Types: "i u l ul p", Row: "move", Regs: "ds"},
+		{Name: "mov", Types: "f", Row: "mov.s", Regs: "DS"},
+		{Name: "mov", Types: "d", Row: "mov.d", Regs: "DS"},
+		{Name: "neg", Types: "i l", Row: "subu", Regs: "dt"},
+		{Name: "neg", Types: "f", Row: "neg.s", Regs: "DS"},
+		{Name: "neg", Types: "d", Row: "neg.d", Regs: "DS"},
+	},
+	Br: []core.Cond{
+		{Op: core.OpBeq, Types: "i u l ul p", Br: "beq", BrRegs: "_st"},
+		{Op: core.OpBeq, Types: "i u l ul p", Br: "beq", BrRegs: "_s"},
+		{Op: core.OpBne, Types: "i u l ul p", Br: "bne", BrRegs: "_st"},
+		{Op: core.OpBne, Types: "i u l ul p", Br: "bne", BrRegs: "_s"},
+		{Op: core.OpBlt, Types: "i l", Cmp: "slt", Regs: "dst", Br: "bne", BrRegs: "s", Imm: "slti", ImmRegs: "tsi"},
+		{Op: core.OpBge, Types: "i l", Cmp: "slt", Regs: "dst", Br: "beq", BrRegs: "s", Imm: "slti", ImmRegs: "tsi"},
+		{Op: core.OpBgt, Types: "i l", Cmp: "slt", Regs: "dts", Br: "bne", BrRegs: "s"},
+		{Op: core.OpBle, Types: "i l", Cmp: "slt", Regs: "dts", Br: "beq", BrRegs: "s"},
+		{Op: core.OpBgt, Types: "i l", Imm: "slti", ImmRegs: "tsi", Inc: true, Br: "beq", BrRegs: "s"},
+		{Op: core.OpBle, Types: "i l", Imm: "slti", ImmRegs: "tsi", Inc: true, Br: "bne", BrRegs: "s"},
+		{Op: core.OpBlt, Types: "u ul p", Cmp: "sltu", Regs: "dst", Br: "bne", BrRegs: "s", Imm: "sltiu", ImmRegs: "tsi", NonNeg: true},
+		{Op: core.OpBge, Types: "u ul p", Cmp: "sltu", Regs: "dst", Br: "beq", BrRegs: "s", Imm: "sltiu", ImmRegs: "tsi", NonNeg: true},
+		{Op: core.OpBgt, Types: "u ul p", Cmp: "sltu", Regs: "dts", Br: "bne", BrRegs: "s"},
+		{Op: core.OpBle, Types: "u ul p", Cmp: "sltu", Regs: "dts", Br: "beq", BrRegs: "s"},
+		{Op: core.OpBlt, Types: "f", Cmp: "c.lt.s", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBle, Types: "f", Cmp: "c.le.s", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBgt, Types: "f", Cmp: "c.lt.s", Regs: "_TS", Br: "bc1t"},
+		{Op: core.OpBge, Types: "f", Cmp: "c.le.s", Regs: "_TS", Br: "bc1t"},
+		{Op: core.OpBeq, Types: "f", Cmp: "c.eq.s", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBne, Types: "f", Cmp: "c.eq.s", Regs: "_ST", Br: "bc1f"},
+		{Op: core.OpBlt, Types: "d", Cmp: "c.lt.d", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBle, Types: "d", Cmp: "c.le.d", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBgt, Types: "d", Cmp: "c.lt.d", Regs: "_TS", Br: "bc1t"},
+		{Op: core.OpBge, Types: "d", Cmp: "c.le.d", Regs: "_TS", Br: "bc1t"},
+		{Op: core.OpBeq, Types: "d", Cmp: "c.eq.d", Regs: "_ST", Br: "bc1t"},
+		{Op: core.OpBne, Types: "d", Cmp: "c.eq.d", Regs: "_ST", Br: "bc1f"},
 	},
 	Ext: []core.ExtRule{
 		{Name: "sqrt", Types: "f", Row: "sqrt.s", Regs: "DS"},

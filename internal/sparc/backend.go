@@ -142,44 +142,23 @@ func (s *Backend) ALUImm(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg, 
 	return s.ALU(b, op, t, rd, rs, core.GPR(rG1))
 }
 
-// Unary implements rd = op rs.
+// Unary implements rd = op rs: the mapped row; not, which is subcc and
+// addx; or a double's mov and neg, which are the single's on the sign word
+// and a move of the other word (none for a neg in place).
 func (s *Backend) Unary(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg) error {
-	if t.IsFloat() {
-		switch {
-		case op == core.OpMov && t == core.TypeF:
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFmovs, 0, gn(rs)))
-		case op == core.OpMov: // move a double: two single moves
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFmovs, 0, gn(rs)))
+	switch {
+	case templates.Unary(b, op, t, rd, rs):
+	case op == core.OpNot:
+		// subcc rs, 1, %g0 borrows (sets carry) iff rs == 0; addx %g0, 0, rd takes the carry.
+		b.Emit(fmt3i(2, 0, op3SubCC, gn(rs), 1))
+		b.Emit(fmt3i(2, gn(rd), op3Addx, rG0, 0))
+	case t == core.TypeD && (op == core.OpMov || op == core.OpNeg):
+		templates.Unary(b, op, core.TypeF, rd, rs)
+		if op == core.OpMov || rd != rs {
 			b.Emit(fmtFP(op3FPop1, gn(rd)+1, opfFmovs, 0, gn(rs)+1))
-		case op == core.OpNeg && t == core.TypeF:
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFnegs, 0, gn(rs)))
-		case op == core.OpNeg: // negate a double: flip the sign word
-			b.Emit(fmtFP(op3FPop1, gn(rd), opfFnegs, 0, gn(rs)))
-			if rd != rs {
-				b.Emit(fmtFP(op3FPop1, gn(rd)+1, opfFmovs, 0, gn(rs)+1))
-			}
-		default:
-			return fmt.Errorf("sparc: %s%s unsupported", op, t)
 		}
-		return nil
-	}
-	d, src := gn(rd), gn(rs)
-	switch op {
-	case core.OpMov:
-		b.Emit(fmt3r(2, d, op3Or, rG0, src))
-	case core.OpNeg:
-		b.Emit(fmt3r(2, d, op3Sub, rG0, src))
-	case core.OpCom:
-		b.Emit(fmt3r(2, d, op3Xnor, src, rG0))
-	case core.OpNot:
-		// rd = (rs == 0): subcc %g0, rs, %g0 sets carry iff rs != 0;
-		// addx captures it inverted via subcc/ addx trick:
-		// subcc rs, 1, %g0  (carry set iff rs == 0, unsigned borrow)
-		// addx %g0, 0, rd   (rd = carry)
-		b.Emit(fmt3i(2, 0, op3SubCC, src, 1))
-		b.Emit(fmt3i(2, d, 0x08 /* addx */, rG0, 0))
 	default:
-		return fmt.Errorf("sparc: unary op %s unsupported", op)
+		return fmt.Errorf("sparc: %s%s unsupported", op, t)
 	}
 	return nil
 }
@@ -260,86 +239,16 @@ func (s *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) erro
 	return nil
 }
 
-func intCond(op core.Op, signed bool) uint32 {
-	switch op {
-	case core.OpBeq:
-		return condE
-	case core.OpBne:
-		return condNE
-	case core.OpBlt:
-		if signed {
-			return condL
-		}
-		return condCS
-	case core.OpBle:
-		if signed {
-			return condLE
-		}
-		return condLEU
-	case core.OpBgt:
-		if signed {
-			return condG
-		}
-		return condGU
-	case core.OpBge:
-		if signed {
-			return condGE
-		}
-		return condCC
-	}
-	return condN
-}
-
-// Branch emits subcc + conditional branch + delay nop.
+// Branch implements a conditional branch: every one is a mapped compare
+// and branch.
 func (s *Backend) Branch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
-	if t.IsFloat() {
-		opf := uint32(opfFcmps)
-		if t == core.TypeD {
-			opf = opfFcmpd
-		}
-		b.Emit(fmtFP(op3FPop2, 0, opf, gn(rs1), gn(rs2)))
-		b.Emit(encNop) // required gap between fcmp and fbcc
-		var cond uint32
-		switch op {
-		case core.OpBeq:
-			cond = fcondE
-		case core.OpBne:
-			cond = fcondNE
-		case core.OpBlt:
-			cond = fcondL
-		case core.OpBle:
-			cond = fcondLE
-		case core.OpBgt:
-			cond = fcondG
-		case core.OpBge:
-			cond = fcondGE
-		default:
-			return 0, fmt.Errorf("sparc: fp branch %s", op)
-		}
-		site := b.Len()
-		b.Emit(fmtFBfcc(cond, 0))
-		b.Emit(encNop)
-		return site, nil
-	}
-	b.Emit(fmt3r(2, 0, op3SubCC, gn(rs1), gn(rs2)))
-	site := b.Len()
-	b.Emit(fmtBicc(intCond(op, t.IsSigned()), 0))
-	b.Emit(encNop)
-	return site, nil
+	return core.Branch(s, b, op, t, rs1, rs2)
 }
 
-// BranchImm compares against an immediate.
+// BranchImm implements a conditional branch against imm: a mapped form,
+// else imm set into %g1.
 func (s *Backend) BranchImm(b *core.Buf, op core.Op, t core.Type, rs core.Reg, imm int64) (int, error) {
-	if fitsS13(imm) {
-		b.Emit(fmt3i(2, 0, op3SubCC, gn(rs), int32(imm)))
-	} else {
-		materialize(b, rG1, imm)
-		b.Emit(fmt3r(2, 0, op3SubCC, gn(rs), rG1))
-	}
-	site := b.Len()
-	b.Emit(fmtBicc(intCond(op, t.IsSigned()), 0))
-	b.Emit(encNop)
-	return site, nil
+	return core.BranchImm(s, b, op, t, rs, imm)
 }
 
 // fixed is what core emits for a jump, a call, an address and a frame.
@@ -361,7 +270,7 @@ func (*Backend) Fixed() *core.Fixed { return &fixed }
 
 // templates is the port's instruction mapping; SPARC V8 multiplies and
 // divides in hardware and emulates nothing.
-var templates = core.NewTemplates(isa, core.Mapping{
+var templates = core.NewTemplates(New(), core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u l ul p", Row: "add", Regs: "d12", Imm: "add"},
 		{Op: core.OpAdd, Types: "f", Row: "fadds", Regs: "DAB"},
@@ -398,6 +307,38 @@ var templates = core.NewTemplates(isa, core.Mapping{
 		{Types: "f", Row: "stf", Regs: "D12"},
 		{Types: "d", Row: "stdf", Regs: "D12"},
 	},
+	Unary: []core.ExtRule{
+		{Name: "com", Types: "i u l ul", Row: "xnor", Regs: "d1"},
+		{Name: "mov", Types: "i u l ul p", Row: "or", Regs: "d2"},
+		{Name: "mov", Types: "f", Row: "fmovs", Regs: "DB"},
+		{Name: "neg", Types: "i l", Row: "sub", Regs: "d2"},
+		{Name: "neg", Types: "f", Row: "fnegs", Regs: "DB"},
+	},
+	Br: []core.Cond{
+		{Op: core.OpBeq, Types: "i u l ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condE},
+		{Op: core.OpBne, Types: "i u l ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condNE},
+		{Op: core.OpBlt, Types: "i l", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condL},
+		{Op: core.OpBle, Types: "i l", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condLE},
+		{Op: core.OpBgt, Types: "i l", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condG},
+		{Op: core.OpBge, Types: "i l", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condGE},
+		{Op: core.OpBlt, Types: "u ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condCS},
+		{Op: core.OpBle, Types: "u ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condLEU},
+		{Op: core.OpBgt, Types: "u ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condGU},
+		{Op: core.OpBge, Types: "u ul p", Cmp: "subcc", Regs: "_12", Imm: "subcc", Br: "b", Fix: 'c', FixTo: condCC},
+		{Op: core.OpBeq, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondE},
+		{Op: core.OpBne, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondNE},
+		{Op: core.OpBlt, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondL},
+		{Op: core.OpBle, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondLE},
+		{Op: core.OpBgt, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondG},
+		{Op: core.OpBge, Types: "f", Cmp: "fcmps", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondGE},
+		{Op: core.OpBeq, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondE},
+		{Op: core.OpBne, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondNE},
+		{Op: core.OpBlt, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondL},
+		{Op: core.OpBle, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondLE},
+		{Op: core.OpBgt, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondG},
+		{Op: core.OpBge, Types: "d", Cmp: "fcmpd", Regs: "_AB", Br: "fb", Fix: 'k', FixTo: fcondGE},
+	},
+	Gap: []string{"fcmps", "fcmpd"}, // an FP compare's result is not ready for the next word
 	Ext: []core.ExtRule{
 		{Name: "sqrt", Types: "f", Row: "fsqrts", Regs: "DB"},
 		{Name: "sqrt", Types: "d", Row: "fsqrtd", Regs: "DB"},

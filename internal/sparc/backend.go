@@ -149,7 +149,8 @@ func (s *Backend) Unary(b *core.Buf, op core.Op, t core.Type, rd, rs core.Reg) e
 	switch {
 	case templates.Unary(b, op, t, rd, rs):
 	case op == core.OpNot:
-		// subcc rs, 1, %g0 borrows (sets carry) iff rs == 0; addx %g0, 0, rd takes the carry.
+		// subcc rs, 1, %g0 borrows (sets carry) iff rs == 0; addx %g0, 0,
+		// rd takes the carry.
 		b.Emit(fmt3i(2, 0, op3SubCC, gn(rs), 1))
 		b.Emit(fmt3i(2, gn(rd), op3Addx, rG0, 0))
 	case t == core.TypeD && (op == core.OpMov || op == core.OpNeg):

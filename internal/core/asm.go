@@ -741,6 +741,8 @@ func (a *Asm) Unary(op Op, t Type, rd, rs Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecUnary, Op: op, T: t, Rd: rd, Rs1: rs})
 	}
+	// unary's two steps, written out: through the call a door pays 14 host
+	// instructions more (TestEmitHostInstructions).
 	if !a.tmpl.Unary(&a.buf, op, t, rd, rs) {
 		a.setErr(a.backend.Unary(&a.buf, op, t, rd, rs))
 	}

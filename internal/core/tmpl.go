@@ -237,8 +237,9 @@ func EmulatedOpsOf(b Backend) *EmulatedOps { return &b.Templates().emul }
 
 // NewTemplates builds b's mapping m over its instruction table, for the
 // types each emitter accepts, with its scratch registers, nop and delay
-// slots.  A rule that names no row, letter, op or type is a bug in the
-// port, and panics when its package starts.
+// slots (so b's Fixed is declared, and initialised, before the call).  A
+// rule that names no row, letter, op or type is a bug in the port, and
+// panics when its package starts.
 func NewTemplates(b Backend, m Mapping) *Templates {
 	isa := b.ISA()
 	ts := &Templates{nop: b.Fixed().Nop, slots: b.BranchDelaySlots()}

@@ -55,6 +55,8 @@ var (
 		{"ALUI", func(a *core.Asm) { a.ALUI(core.OpAdd, core.TypeI, hr1, hr2, 5) }},
 		{"LdI", func(a *core.Asm) { a.LdI(core.TypeI, hr1, hr2, 8) }},
 		{"StI", func(a *core.Asm) { a.StI(core.TypeI, hr1, hr2, 8) }},
+		{"Ld", func(a *core.Asm) { a.Ld(core.TypeI, hr1, hr2, hr3) }},
+		{"St", func(a *core.Asm) { a.St(core.TypeI, hr1, hr2, hr3) }},
 		{"SetI", func(a *core.Asm) { a.SetI(core.TypeI, hr1, 5) }},
 		{"Unary", func(a *core.Asm) { a.Unary(core.OpMov, core.TypeI, hr1, hr2) }},
 		{"Br+NewLabel+Bind", func(a *core.Asm) {
@@ -77,12 +79,15 @@ var (
 var hostCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips ALU": 55, "mips ALUI": 60, "mips LdI": 53, "mips StI": 53,
+		"mips Ld": 205, "mips St": 205,
 		"mips SetI": 93, "mips Unary": 95,
 		"mips Br+NewLabel+Bind": 176, "mips BrI+NewLabel+Bind": 172,
 		"sparc ALU": 55, "sparc ALUI": 60, "sparc LdI": 53, "sparc StI": 53,
+		"sparc Ld": 51, "sparc St": 51,
 		"sparc SetI": 93, "sparc Unary": 95,
 		"sparc Br+NewLabel+Bind": 176, "sparc BrI+NewLabel+Bind": 188,
 		"alpha ALU": 55, "alpha ALUI": 60, "alpha LdI": 53, "alpha StI": 53,
+		"alpha Ld": 229, "alpha St": 229,
 		"alpha SetI": 115, "alpha Unary": 95,
 		"alpha Br+NewLabel+Bind": 176, "alpha BrI+NewLabel+Bind": 172,
 	},

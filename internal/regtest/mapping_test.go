@@ -127,14 +127,16 @@ func rangeEnd(one func(int64) bool, end int64) int64 {
 // ends of a masked template's range are the ends of int64), each of sqrt
 // and abs at f and d, and the runtime helper each emulated (op, type)
 // calls; then every Unary and Br at each legal type and every BrI at each
-// of brImms, at the same two assignments.  testdata/template_words.golden
-// was captured from the ports' hand-written encoders before each of these
-// became declared data: the ALU, ALUI, LdI, StI and Ext lines before the
-// mapping, the Unary, Br and BrI lines (the file's tail) before the
-// mapping took unary ops and branches.
+// of brImms, at the same two assignments; last, Ld and St with a register
+// offset at each type.  testdata/template_words.golden was captured from
+// the ports' hand-written encoders before each of these became declared
+// data: the ALU, ALUI, LdI, StI and Ext lines before the mapping, the
+// Unary, Br and BrI lines before the mapping took unary ops and branches,
+// and the Ld and St lines (the file's tail) before core took the
+// register-offset access from the ports.
 func TestTemplateWords(t *testing.T) {
 	assigns := [2][3]int{{5, 6, 7}, {17, 30, 2}}
-	var got, more []string
+	var got, more, indexed []string
 	for _, tg := range Targets() {
 		a := core.NewAsm(tg.Backend)
 		if _, err := a.Begin("", core.Leaf); err != nil {
@@ -194,8 +196,17 @@ func TestTemplateWords(t *testing.T) {
 				}
 			}
 		}
+		out = &indexed
+		for _, n := range assigns {
+			for ty := core.TypeC; ty <= core.TypeD; ty++ {
+				r := regsFor("Ld", ty, n)
+				r[2] = core.GPR(n[2])
+				emit(fmt.Sprintf("%s Ld %s %v", tg.Name, ty.Letter(), n), func() { a.Ld(ty, r[0], r[1], r[2]) })
+				emit(fmt.Sprintf("%s St %s %v", tg.Name, ty.Letter(), n), func() { a.St(ty, r[0], r[1], r[2]) })
+			}
+		}
 	}
-	Golden(t, "testdata/template_words.golden", append(got, more...), *update)
+	Golden(t, "testdata/template_words.golden", slices.Concat(got, more, indexed), *update)
 }
 
 // The cases of the doors whose every call TestTemplateWords pins: each

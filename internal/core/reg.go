@@ -3,8 +3,8 @@ package core
 import "fmt"
 
 // Reg names a physical machine register in the target's own numbering.
-// Values 0..63 are general-purpose (integer) registers; fprBase..fprBase+63
-// are floating-point registers.  VCODE registers are client-managed: they
+// Values 0..31 are general-purpose (integer) registers; fprBase..fprBase+31
+// are floating-point registers: every port has 32 of each.  VCODE registers are client-managed: they
 // are handed out by the Asm register allocator (GetReg/PutReg), named
 // architecture-independently (T, S, FT, FS), or referenced directly by
 // clients that know the target.
@@ -32,28 +32,30 @@ func (r Reg) Num() int {
 	return int(r)
 }
 
-// Valid reports whether r names a register at all.
-func (r Reg) Valid() bool { return r >= 0 && r < 2*fprBase }
+// Valid reports whether r names a register at all: 0..31 of either bank.
+func (r Reg) Valid() bool { return r >= 0 && r&^fprBase < 32 }
 
 // bankOK is checkRegs for the accepted case, at a fixed arity and without a
 // loop: given the bitwise OR and AND of an instruction's register operands
 // it reports whether every one of them is valid and in the bank type t
-// uses.  (An invalid operand — negative or past the FP bank — leaves a bit
-// above the banks set in the OR; an integer operand among FP ones clears
-// the FP bit of the AND.)
+// uses.  (An invalid operand — negative, or numbered 32 or more in its
+// bank — leaves a bit at or above 32 set in the OR beside the FP bit; an
+// integer operand among FP ones clears the FP bit of the AND.)
 func bankOK(t Type, or, and Reg) bool {
 	if t.IsFloat() {
-		return uint16(or) < 2*fprBase && and&fprBase != 0
+		return uint16(or) < fprBase+32 && and&fprBase != 0
 	}
 	return gprOK(or)
 }
 
 // gprOK is bankOK for an integer or pointer type.
-func gprOK(or Reg) bool { return uint16(or) < fprBase }
+func gprOK(or Reg) bool { return uint16(or) < 32 }
 
+// String names r by its bank and number, also past the bank's 32
+// registers, so that a refusal names what it refused.
 func (r Reg) String() string {
 	switch {
-	case !r.Valid():
+	case r < 0 || r >= 2*fprBase:
 		return "r?"
 	case r.IsFP():
 		return fmt.Sprintf("f%d", r.Num())

@@ -111,10 +111,11 @@ type Helper struct {
 // immediate field's bits in place, and the range is the immediate field's.
 //
 // bank and lim are the generic emitters' gate (see asm.go): a register
-// XORed with its bank (0, or fprBase) is its number, and anything else 64
+// XORed with its bank (0, or fprBase) is its number, and anything else 32
 // or more, so the accepted case takes the template when every operand
-// XORed with the bank of its type is below lim: 64 where the entry is ok,
-// legal at its type and not emulated, 0 where it never is.
+// XORed with the bank of its type is below lim: 32, a bank's registers,
+// where the entry is ok, legal at its type and not emulated, 0 where it
+// never is.
 type tmpl struct {
 	word, mask uint32
 	d, s1, s2  uint32 // field scales: rd (or the stored register), rs1, rs2
@@ -142,7 +143,7 @@ func (tp *tmpl) takeImm(rd, rs Reg, imm int64) (uint32, bool) {
 // legal, unless t is emulated.
 func (tp *tmpl) admit(legal, emulated typeSet, t Type) {
 	if tp.ok && legal.has(t) && !emulated.has(t) {
-		tp.lim = 64
+		tp.lim = 32
 		if t.IsFloat() {
 			tp.bank = fprBase
 		}

@@ -301,3 +301,74 @@ func TestExtRefusesWrongBank(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistersPastTheBank: every port has 32 registers a bank, so every
+// door that takes a register refuses one numbered 32 to 63 of either bank
+// in any operand position, with ErrBadReg naming it, and emits nothing.
+// Numbers past 31 used to pass the bank test and come out as another
+// register's, or as a word of no row.
+func TestRegistersPastTheBank(t *testing.T) {
+	i, d, p := core.TypeI, core.TypeD, core.TypeP
+	doors := []struct {
+		name  string
+		banks []core.Type // each operand's, in signature order
+		call  func(a *core.Asm, r []core.Reg)
+	}{
+		{"ALU", []core.Type{i, i, i}, func(a *core.Asm, r []core.Reg) { a.ALU(core.OpAdd, i, r[0], r[1], r[2]) }},
+		{"ALU/d", []core.Type{d, d, d}, func(a *core.Asm, r []core.Reg) { a.ALU(core.OpAdd, d, r[0], r[1], r[2]) }},
+		{"ALUI", []core.Type{i, i}, func(a *core.Asm, r []core.Reg) { a.ALUI(core.OpAdd, i, r[0], r[1], 1) }},
+		{"Unary", []core.Type{i, i}, func(a *core.Asm, r []core.Reg) { a.Unary(core.OpMov, i, r[0], r[1]) }},
+		{"Unary/d", []core.Type{d, d}, func(a *core.Asm, r []core.Reg) { a.Unary(core.OpNeg, d, r[0], r[1]) }},
+		{"SetI", []core.Type{i}, func(a *core.Asm, r []core.Reg) { a.SetI(i, r[0], 1) }},
+		{"SetD", []core.Type{d}, func(a *core.Asm, r []core.Reg) { a.SetD(r[0], 1) }},
+		{"Ld", []core.Type{i, p, p}, func(a *core.Asm, r []core.Reg) { a.Ld(i, r[0], r[1], r[2]) }},
+		{"Ld/d", []core.Type{d, p, p}, func(a *core.Asm, r []core.Reg) { a.Ld(d, r[0], r[1], r[2]) }},
+		{"LdI", []core.Type{i, p}, func(a *core.Asm, r []core.Reg) { a.LdI(i, r[0], r[1], 8) }},
+		{"LdI/d", []core.Type{d, p}, func(a *core.Asm, r []core.Reg) { a.LdI(d, r[0], r[1], 8) }},
+		{"St", []core.Type{i, p, p}, func(a *core.Asm, r []core.Reg) { a.St(i, r[0], r[1], r[2]) }},
+		{"St/d", []core.Type{d, p, p}, func(a *core.Asm, r []core.Reg) { a.St(d, r[0], r[1], r[2]) }},
+		{"StI", []core.Type{i, p}, func(a *core.Asm, r []core.Reg) { a.StI(i, r[0], r[1], 8) }},
+		{"StI/d", []core.Type{d, p}, func(a *core.Asm, r []core.Reg) { a.StI(d, r[0], r[1], 8) }},
+		{"Br", []core.Type{i, i}, func(a *core.Asm, r []core.Reg) { a.Br(core.OpBlt, i, r[0], r[1], a.NewLabel()) }},
+		{"Br/d", []core.Type{d, d}, func(a *core.Asm, r []core.Reg) { a.Br(core.OpBlt, d, r[0], r[1], a.NewLabel()) }},
+		{"BrI", []core.Type{i}, func(a *core.Asm, r []core.Reg) { a.BrI(core.OpBlt, i, r[0], 1, a.NewLabel()) }},
+		{"Ret", []core.Type{i}, func(a *core.Asm, r []core.Reg) { a.Ret(i, r[0]) }},
+		{"Ret/d", []core.Type{d}, func(a *core.Asm, r []core.Reg) { a.Ret(d, r[0]) }},
+		{"Cvt", []core.Type{i, core.TypeL}, func(a *core.Asm, r []core.Reg) { a.Cvt(core.TypeL, i, r[0], r[1]) }},
+		{"Cvt/i2d", []core.Type{d, i}, func(a *core.Asm, r []core.Reg) { a.Cvt(i, d, r[0], r[1]) }},
+		{"Ext", []core.Type{d, d}, func(a *core.Asm, r []core.Reg) { a.Ext("sqrt", d, r[0], r[1]) }},
+		{"JmpReg", []core.Type{p}, func(a *core.Asm, r []core.Reg) { a.JmpReg(r[0]) }},
+		{"JalReg", []core.Type{p}, func(a *core.Asm, r []core.Reg) { a.JalReg(r[0]) }},
+		{"SetArg", []core.Type{i}, func(a *core.Asm, r []core.Reg) { a.StartCall("%i"); a.SetArg(0, r[0]) }},
+		{"CallReg", []core.Type{p}, func(a *core.Asm, r []core.Reg) { a.StartCall(""); a.CallReg(r[0]) }},
+		{"RetVal", []core.Type{i}, func(a *core.Asm, r []core.Reg) { a.RetVal(i, r[0]) }},
+		{"SetSym", []core.Type{p}, func(a *core.Asm, r []core.Reg) { a.SetSym(r[0], "x") }},
+	}
+	for _, tg := range Targets() {
+		for _, dr := range doors {
+			for pos := range dr.banks {
+				for _, bad := range []core.Reg{core.GPR(32), core.GPR(63), core.FPR(32), core.FPR(63)} {
+					r := make([]core.Reg, len(dr.banks))
+					for k, bt := range dr.banks {
+						if r[k] = core.GPR(9 + k); bt.IsFloat() {
+							r[k] = core.FPR(4 + 2*k)
+						}
+					}
+					r[pos] = bad
+					a := core.NewAsm(tg.Backend)
+					if _, err := a.Begin("", core.NonLeaf); err != nil {
+						t.Fatal(err)
+					}
+					words := a.Buf().Len()
+					dr.call(a, r)
+					err, want := a.Err(), "vcode: invalid register operand: "+bad.String()
+					if !errors.Is(err, core.ErrBadReg) || err.Error() != want {
+						t.Errorf("%s %s %v: error %v, want %q", tg.Name, dr.name, r, err, want)
+					} else if a.Buf().Len() != words {
+						t.Errorf("%s %s %v: refused, yet emitted %#x", tg.Name, dr.name, r, a.Buf().Words()[words:])
+					}
+				}
+			}
+		}
+	}
+}

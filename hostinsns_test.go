@@ -79,7 +79,7 @@ var (
 var hostCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips ALU": 55, "mips ALUI": 60, "mips LdI": 53, "mips StI": 53,
-		"mips Ld": 205, "mips St": 205,
+		"mips Ld": 189, "mips St": 193,
 		"mips SetI": 93, "mips Unary": 95,
 		"mips Br+NewLabel+Bind": 176, "mips BrI+NewLabel+Bind": 172,
 		"sparc ALU": 55, "sparc ALUI": 60, "sparc LdI": 53, "sparc StI": 53,
@@ -87,7 +87,7 @@ var hostCountGolden = map[string]map[string]int{
 		"sparc SetI": 93, "sparc Unary": 95,
 		"sparc Br+NewLabel+Bind": 176, "sparc BrI+NewLabel+Bind": 188,
 		"alpha ALU": 55, "alpha ALUI": 60, "alpha LdI": 53, "alpha StI": 53,
-		"alpha Ld": 229, "alpha St": 229,
+		"alpha Ld": 189, "alpha St": 193,
 		"alpha SetI": 115, "alpha Unary": 95,
 		"alpha Br+NewLabel+Bind": 176, "alpha BrI+NewLabel+Bind": 172,
 	},

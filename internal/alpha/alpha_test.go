@@ -183,7 +183,7 @@ func TestDisasm(t *testing.T) {
 	if s := b.Disasm(buf.At(0), 0); !strings.Contains(s, "ldq t0, 16(sp)") {
 		t.Errorf("disasm: %q", s)
 	}
-	if s := b.Disasm(b.Fixed().Ret, 0); !strings.Contains(s, "ret") {
+	if s := b.Disasm(fixed.Ret, 0); !strings.Contains(s, "ret") {
 		t.Errorf("ret disasm: %q", s)
 	}
 }

@@ -24,13 +24,11 @@ const (
 type Backend struct {
 	*exec.Table
 	conv *core.CallConv
-	regs *core.RegFile
 }
 
 // New returns the Alpha backend.
 func New() *Backend {
-	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fprNames}
-	return &Backend{Table: isa, conv: newConv(), regs: regs}
+	return &Backend{Table: isa, conv: newConv()}
 }
 
 func newConv() *core.CallConv {
@@ -78,7 +76,6 @@ var gprNames = []string{
 
 func (*Backend) Name() string                  { return "alpha" }
 func (*Backend) PtrBytes() int                 { return 8 }
-func (a *Backend) RegFile() *core.RegFile      { return a.regs }
 func (a *Backend) DefaultConv() *core.CallConv { return a.conv }
 func (*Backend) BranchDelaySlots() int         { return 0 }
 func (*Backend) LoadDelay() int                { return 2 }
@@ -319,23 +316,8 @@ func (a *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) 
 // far materializes off into at and adds base, returning at.
 func far(b *core.Buf, base core.Reg, off int64) core.Reg {
 	materialize(b, rAT, off)
-	return index(b, core.GPR(rAT), base)
-}
-
-// index emits at = base + idx, returning at.
-func index(b *core.Buf, base, idx core.Reg) core.Reg {
-	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
+	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), core.GPR(rAT), base)
 	return core.GPR(rAT)
-}
-
-// LoadRR implements rd = *(t*)(base+idx).
-func (a *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	return a.Load(b, t, rd, index(b, base, idx), 0)
-}
-
-// StoreRR implements *(t*)(base+idx) = rs.
-func (a *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	return a.Store(b, t, rs, index(b, base, idx), 0)
 }
 
 // Branch implements a conditional branch: the mapped compare and branch,
@@ -371,12 +353,10 @@ var fixed = core.Fixed{
 	Ret:         jmpFmt(rZero, rRA, hintRet),
 }
 
-func (*Backend) Fixed() *core.Fixed { return &fixed }
-
 // templates is the port's instruction mapping.  The Alpha has no integer
 // divide: division and remainder go through the machine's runtime helpers
 // (§5.2).
-var templates = core.NewTemplates(New(), core.Mapping{
+var templates = core.NewTemplates(New(), &fixed, core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u", Row: "addl", Regs: "cal", Imm: "addl"},
 		{Op: core.OpAdd, Types: "l ul p", Row: "addq", Regs: "cal", Imm: "addq"},

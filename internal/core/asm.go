@@ -144,12 +144,13 @@ func NewAsm(b Backend) *Asm { return NewAsmConv(b, b.DefaultConv()) }
 // convention (obtain one with DefaultConv().Clone() and adjust register
 // classes as needed).
 func NewAsmConv(b Backend, conv *CallConv) *Asm {
+	ts := b.Templates()
 	return &Asm{
 		backend: b,
 		conv:    conv,
 		buf:     Buf{make([]uint32, 0, 256)},
-		tmpl:    b.Templates(),
-		fx:      fixedOf(b),
+		tmpl:    ts,
+		fx:      &ts.fx,
 	}
 }
 
@@ -846,7 +847,7 @@ func (a *Asm) Ld(t Type, rd, base, roff Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecLd, T: t, Rd: rd, Rs1: base, Rs2: roff})
 	}
-	a.setErr(a.backend.LoadRR(&a.buf, t, rd, base, roff))
+	a.setErr(a.indexed(false, t, rd, base, roff))
 }
 
 // LdI emits rd = *(t*)(base + off) with an immediate offset.
@@ -907,7 +908,37 @@ func (a *Asm) St(t Type, rs, base, roff Reg) {
 	if a.rec != nil {
 		a.record(RecEvent{Kind: RecSt, T: t, Rd: rs, Rs1: base, Rs2: roff})
 	}
-	a.setErr(a.backend.StoreRR(&a.buf, t, rs, base, roff))
+	a.setErr(a.indexed(true, t, rs, base, roff))
+}
+
+// indexed emits Ld's load of r from base + idx, or with store St's store:
+// the mapped indexed row (SPARC), else the mapped add of base and idx into
+// the scratch register and the mapped access at 0 (MIPS, Alpha).  The
+// port's ALU, Load or Store runs only where there is no row.
+func (a *Asm) indexed(store bool, t Type, r, base, idx Reg) error {
+	x, m := &a.tmpl.ldx[t], &a.tmpl.ld[t]
+	if store {
+		x, m = &a.tmpl.stx[t], &a.tmpl.st[t]
+	}
+	if x.ok {
+		a.buf.Emit(x.regs(r, base, idx))
+		return nil
+	}
+	sc := a.backend.ScratchReg()
+	if add := &a.tmpl.alu[OpAdd][TypeP]; add.ok {
+		a.buf.Emit(add.regs(sc, base, idx))
+	} else if err := a.backend.ALU(&a.buf, OpAdd, TypeP, sc, base, idx); err != nil {
+		return err
+	}
+	switch {
+	case m.holds(0):
+		a.buf.Emit(m.regs(r, sc, 0))
+	case store:
+		return a.backend.Store(&a.buf, t, r, sc, 0)
+	default:
+		return a.backend.Load(&a.buf, t, r, sc, 0)
+	}
+	return nil
 }
 
 // StI emits *(t*)(base + off) = rs.

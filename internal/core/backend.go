@@ -2,13 +2,14 @@ package core
 
 import "repro/internal/exec"
 
-// Backend is the per-target port of VCODE: the mapping from the core
-// instruction set onto one machine's binary encodings plus that machine's
-// calling convention.  What is the same on every machine is not restated
-// here: core lays down the activation record (frame.go) from the port's
-// Load, Store, return word and one stack-pointer adjust, emits the words
-// its mapping and fixed words declare (Templates, Fixed) and patches
-// through the port's instruction table (ISA).  Retargeting VCODE means
+// Backend is the per-target port of VCODE: what a port writes beside the
+// two declarations it hands NewTemplates, its Mapping and its Fixed.  What
+// is the same on every machine is not restated here: core lays down the
+// activation record (frame.go) from the port's Load, Store, return word and
+// one stack-pointer adjust, emits a register-offset load or store from the
+// mapped rows (Asm.Ld, Asm.St), emits the words the mapping and fixed
+// words declare (Templates) and patches through the port's instruction
+// table (ISA).  Retargeting VCODE means declaring those two and
 // implementing this interface (paper §3.3); the MIPS, SPARC and Alpha
 // ports live in internal/mips, internal/sparc and internal/alpha.
 //
@@ -21,8 +22,6 @@ type Backend interface {
 	Name() string
 	// PtrBytes returns the native word/pointer size (4 or 8).
 	PtrBytes() int
-	// RegFile describes the target's register banks.
-	RegFile() *RegFile
 	// DefaultConv returns the target's standard calling convention.  The
 	// returned value is shared; clients wanting to modify conventions
 	// must Clone it first.
@@ -60,12 +59,8 @@ type Backend interface {
 	Cvt(b *Buf, from, to Type, rd, rs Reg) error
 	// Load emits rd = *(t*)(base + off).
 	Load(b *Buf, t Type, rd, base Reg, off int64) error
-	// LoadRR emits rd = *(t*)(base + idx).
-	LoadRR(b *Buf, t Type, rd, base, idx Reg) error
 	// Store emits *(t*)(base + off) = rs.
 	Store(b *Buf, t Type, rs, base Reg, off int64) error
-	// StoreRR emits *(t*)(base + idx) = rs.
-	StoreRR(b *Buf, t Type, rs, base, idx Reg) error
 
 	// Branch emits a conditional branch comparing rs1 and rs2 with an
 	// unresolved target, returning the instruction index to patch; on
@@ -79,16 +74,12 @@ type Backend interface {
 	// register and Branch (core.BranchImm).
 	BranchImm(b *Buf, op Op, t Type, rs Reg, imm int64) (int, error)
 
-	// Fixed returns the port's fixed-shape words — nop, jumps, calls,
-	// the address pair, the frame adjust and the return — which the core
-	// emits and relocates itself (fixed.go).  It is read once per Backend
-	// type.
-	Fixed() *Fixed
-
-	// Templates returns the port's instruction mapping, built once
-	// (NewTemplates) from its declaration beside Fixed: the core emits a
+	// Templates returns the port's instruction mapping and fixed words,
+	// built once (NewTemplates) from its declarations: the core emits a
 	// generic emitter's single-word encodings, the unary ops, the
-	// conditional branches and the hardware extensions from it, and calls a
+	// conditional branches, the hardware extensions and the fixed-shape
+	// words — nop, jumps, calls, the address pair, the frame adjust and the
+	// return — from it, relocates the fixed words (fixed.go), and calls a
 	// runtime helper for each operation it emulates.
 	Templates() *Templates
 
@@ -108,28 +99,4 @@ type Backend interface {
 	// statically known.  Together with Disasm and BranchDelaySlots this
 	// makes every Backend a verify.Decoder.
 	Classify(w uint32, pc uint64) exec.Insn
-}
-
-// RegFile describes a target's register banks.
-type RegFile struct {
-	NumGPR int
-	NumFPR int
-	// GPRName/FPRName give assembly names, indexed by register number.
-	GPRName []string
-	FPRName []string
-}
-
-// Name returns the assembly name of r.
-func (f *RegFile) Name(r Reg) string {
-	if !r.Valid() {
-		return "r?"
-	}
-	if r.IsFP() {
-		if n := r.Num(); n < len(f.FPRName) {
-			return f.FPRName[n]
-		}
-	} else if n := r.Num(); n < len(f.GPRName) {
-		return f.GPRName[n]
-	}
-	return r.String()
 }

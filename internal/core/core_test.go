@@ -35,7 +35,6 @@ func newFake() *fakeBackend {
 
 func (f *fakeBackend) Name() string           { return "fake" }
 func (f *fakeBackend) PtrBytes() int          { return 4 }
-func (f *fakeBackend) RegFile() *RegFile      { return &RegFile{NumGPR: 32, NumFPR: 32} }
 func (f *fakeBackend) DefaultConv() *CallConv { return f.conv }
 func (f *fakeBackend) BranchDelaySlots() int  { return 1 }
 func (f *fakeBackend) LoadDelay() int         { return 1 }
@@ -74,18 +73,8 @@ func (f *fakeBackend) Load(b *Buf, t Type, rd, base Reg, off int64) error {
 	return nil
 }
 
-func (f *fakeBackend) LoadRR(b *Buf, t Type, rd, base, idx Reg) error {
-	b.Emit(0x15100000)
-	return nil
-}
-
 func (f *fakeBackend) Store(b *Buf, t Type, rs, base Reg, off int64) error {
 	b.Emit(0x16000000)
-	return nil
-}
-
-func (f *fakeBackend) StoreRR(b *Buf, t Type, rs, base, idx Reg) error {
-	b.Emit(0x16100000)
 	return nil
 }
 
@@ -118,14 +107,6 @@ var fakeFixed = Fixed{
 	Ret:         0x1b000000,
 }
 
-func (f *fakeBackend) Fixed() *Fixed { return &fakeFixed }
-
-// fakeTemplates is the fake's mapping: no generic emitter has a row, no
-// extension is in hardware, nothing is emulated.
-var fakeTemplates = NewTemplates(newFake(), Mapping{})
-
-func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
-
 // fakeISA decodes what End patches: the fake's branch, jump, label-call
 // and call words (a 16-bit displacement from the delay slot, as on mips), its
 // immediate load and its stack-pointer adjust (a 16-bit number each); what
@@ -147,6 +128,13 @@ var fakeISA = exec.NewTable([]exec.Row{
 }, nil)
 
 func (f *fakeBackend) ISA() *exec.Table { return fakeISA }
+
+// fakeTemplates is the fake's mapping: no generic emitter has a row, no
+// extension is in hardware, nothing is emulated.  It follows fakeISA, which
+// NewTemplates reads the fixed words through.
+var fakeTemplates = NewTemplates(newFake(), &fakeFixed, Mapping{})
+
+func (f *fakeBackend) Templates() *Templates { return fakeTemplates }
 
 func (f *fakeBackend) Disasm(w uint32, pc uint64) string { return "?" }
 

@@ -1,19 +1,14 @@
 package core
 
-import (
-	"reflect"
-	"sync"
-
-	"repro/internal/exec"
-)
+import "repro/internal/exec"
 
 // Fixed is a port's fixed-shape words, declared once as data beside its
-// instruction table (Backend.Fixed).  No operand changes their shape, so
-// the core emits them itself: it writes a register through the field its
-// syntax letter declares and pads a transfer with BranchDelaySlots nops.
-// End and the loader patch them through the table's fields, worked out
-// once per port (fixed).  Every target and number in the declaration is
-// zero.
+// instruction table and handed to NewTemplates.  No operand changes their
+// shape, so the core emits them itself: it writes a register through the
+// field its syntax letter declares and pads a transfer with
+// BranchDelaySlots nops.  End and the loader patch them through the
+// table's fields, worked out once per port (fixed).  Every target and
+// number in the declaration is zero.
 type Fixed struct {
 	Nop       uint32 // the canonical no-op
 	Jump      uint32 // unconditional jump to a label
@@ -45,8 +40,9 @@ type Word struct {
 	Reg string
 }
 
-// fixed is a port's Fixed as the core uses it, worked out once per port:
-// the register letters resolved to their fields; the fields End and the
+// fixed is a port's Fixed as the core uses it, worked out once per port by
+// NewTemplates, which Templates carries to NewAsm and NewMachine: the
+// register letters resolved to their fields; the fields End and the
 // loader patch through: a branch's, a jump's, a label call's and a
 // one-word call's target, the frame adjust's and the address pair's
 // numbers; and the largest number the pair's low one holds.
@@ -59,25 +55,9 @@ type fixed struct {
 	loMax                             int64
 }
 
-var fixeds sync.Map // reflect.Type of a Backend -> *fixed
-
-// fixedOf returns b's fixed words as the core uses them, worked out on the
-// first call per Backend type: front ends that create an assembler per
-// compile pay a map lookup in NewAsm.
-func fixedOf(b Backend) *fixed {
-	key := reflect.TypeOf(b)
-	if x, ok := fixeds.Load(key); ok {
-		return x.(*fixed)
-	}
-	x := new(fixed)
-	x.derive(b)
-	actual, _ := fixeds.LoadOrStore(key, x)
-	return actual.(*fixed)
-}
-
-func (x *fixed) derive(b Backend) {
+func (x *fixed) derive(b Backend, fx *Fixed) {
 	isa := b.ISA()
-	x.Fixed, x.slots = b.Fixed(), b.BranchDelaySlots()
+	x.Fixed, x.slots = fx, b.BranchDelaySlots()
 	word := func(w Word) regWord {
 		r := regWord{w: w.W}
 		for _, c := range []byte(w.Reg) {

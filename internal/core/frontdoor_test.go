@@ -441,9 +441,7 @@ func (failingBackend) Unary(*Buf, Op, Type, Reg, Reg) error         { return err
 func (failingBackend) SetImm(*Buf, Type, Reg, int64) error          { return errEncode }
 func (failingBackend) Cvt(*Buf, Type, Type, Reg, Reg) error         { return errEncode }
 func (failingBackend) Load(*Buf, Type, Reg, Reg, int64) error       { return errEncode }
-func (failingBackend) LoadRR(*Buf, Type, Reg, Reg, Reg) error       { return errEncode }
 func (failingBackend) Store(*Buf, Type, Reg, Reg, int64) error      { return errEncode }
-func (failingBackend) StoreRR(*Buf, Type, Reg, Reg, Reg) error      { return errEncode }
 func (failingBackend) Branch(*Buf, Op, Type, Reg, Reg) (int, error) { return 0, errEncode }
 func (failingBackend) BranchImm(*Buf, Op, Type, Reg, int64) (int, error) {
 	return 0, errEncode

@@ -213,7 +213,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		conv:     b.DefaultConv(),
 		ptrBytes: b.PtrBytes(),
 		retOff:   uint64(b.RetAddrOffset()),
-		fx:       fixedOf(b),
+		fx:       &b.Templates().fx,
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
 	m.SetStoreFloor(mc.heapNext) // trap vectors and code are read-only to generated code

@@ -201,8 +201,8 @@ func (sq *seq) emit(b *Buf, rs1, rs2 Reg, v uint32) int {
 // Templates is a port's Mapping as the emitters read it, built once by the
 // port and read by the core and the port's own methods alike: a template
 // per generic emitter and (op, type), about 30 KB a port; the hardware
-// extensions; the emulated set and its helpers; and the nop and delay slots
-// a branch is followed by.
+// extensions; the emulated set and its helpers; and the port's fixed
+// words, whose nop and delay slots a branch is followed by.
 type Templates struct {
 	alu, alui [numBinOps][numTypes]tmpl
 	ld, st    [numTypes]tmpl
@@ -210,12 +210,14 @@ type Templates struct {
 	un        [numUnOps][numTypes]tmpl
 	br        [numConds][numTypes]seq
 	zero, bri [numConds][numTypes]seq // BrI's form for 0, its immediate form
-	nop       uint32                  // what a gap and each delay slot hold
-	slots     int
+	fx        fixed
 	ext       []extTmpl
 	emul      EmulatedOps
 	syms      [numBinOps][numTypes]string
 }
+
+// Fixed returns the fixed words the port handed NewTemplates.
+func (ts *Templates) Fixed() *Fixed { return ts.fx.Fixed }
 
 // extTmpl is one hardware extension: a template for name at types.
 type extTmpl struct {
@@ -237,13 +239,14 @@ func (e *EmulatedOps) Has(op Op, t Type) bool { return e.types[op].has(t) }
 func EmulatedOpsOf(b Backend) *EmulatedOps { return &b.Templates().emul }
 
 // NewTemplates builds b's mapping m over its instruction table, for the
-// types each emitter accepts, with its scratch registers, nop and delay
-// slots (so b's Fixed is declared, and initialised, before the call).  A
-// rule that names no row, letter, op or type is a bug in the port, and
+// types each emitter accepts, with its scratch registers and delay slots,
+// and works out its fixed words fx, whose nop the branches take.  A rule
+// or word that names no row, letter, op or type is a bug in the port, and
 // panics when its package starts.
-func NewTemplates(b Backend, m Mapping) *Templates {
+func NewTemplates(b Backend, fx *Fixed, m Mapping) *Templates {
 	isa := b.ISA()
-	ts := &Templates{nop: b.Fixed().Nop, slots: b.BranchDelaySlots()}
+	ts := new(Templates)
+	ts.fx.derive(b, fx)
 	for _, r := range m.ALU {
 		tp, _ := build(isa, r.Row, r.Regs, false)
 		types := typesOf(r.Types)
@@ -329,13 +332,13 @@ func (ts *Templates) addCond(b Backend, c Cond, gap []string) {
 		if cmp != "" {
 			tp, _ := build(isa, cmp, letters, imm)
 			if tps = append(tps, tp); slices.Contains(gap, cmp) {
-				tps = append(tps, tmpl{word: ts.nop})
+				tps = append(tps, tmpl{word: ts.fx.Nop})
 			}
 		}
 		sq := seq{site: len(tps)}
 		tps = append(tps, extTemplate(isa, ExtRule{Row: c.Br, Regs: c.BrRegs, Fix: c.Fix, FixTo: c.FixTo}))
-		for range ts.slots {
-			tps = append(tps, tmpl{word: ts.nop})
+		for range ts.fx.slots {
+			tps = append(tps, tmpl{word: ts.fx.Nop})
 		}
 		for k, tp := range tps {
 			sq.w[k] = tp.word | sc*tp.d

@@ -24,13 +24,11 @@ const (
 type Backend struct {
 	*exec.Table
 	conv *core.CallConv
-	regs *core.RegFile
 }
 
 // New returns the MIPS backend.
 func New() *Backend {
-	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: exec.Numbered("f%d")}
-	return &Backend{Table: isa, conv: newConv(), regs: regs}
+	return &Backend{Table: isa, conv: newConv()}
 }
 
 func newConv() *core.CallConv {
@@ -73,7 +71,6 @@ var gprNames = []string{
 
 func (*Backend) Name() string                  { return "mips" }
 func (*Backend) PtrBytes() int                 { return 4 }
-func (m *Backend) RegFile() *core.RegFile      { return m.regs }
 func (m *Backend) DefaultConv() *core.CallConv { return m.conv }
 func (*Backend) BranchDelaySlots() int         { return 1 }
 func (*Backend) LoadDelay() int                { return 1 }
@@ -218,18 +215,6 @@ func far(b *core.Buf, mem func(*core.Buf, core.Type, core.Reg, core.Reg, int64) 
 	return nil
 }
 
-// LoadRR implements rd = *(t*)(base+idx).
-func (m *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
-	return m.Load(b, t, rd, core.GPR(rAT), 0)
-}
-
-// StoreRR implements *(t*)(base+idx) = rs.
-func (m *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	templates.ALU(b, core.OpAdd, core.TypeP, core.GPR(rAT), base, idx)
-	return m.Store(b, t, rs, core.GPR(rAT), 0)
-}
-
 // Branch implements a conditional branch: every one is a mapped compare
 // and branch.
 func (m *Backend) Branch(b *core.Buf, op core.Op, t core.Type, rs1, rs2 core.Reg) (int, error) {
@@ -257,10 +242,8 @@ var fixed = core.Fixed{
 	Ret:         rType(fnJr, rRA, 0, 0, 0),
 }
 
-func (*Backend) Fixed() *core.Fixed { return &fixed }
-
 // templates is the port's instruction mapping; MIPS emulates nothing.
-var templates = core.NewTemplates(New(), core.Mapping{
+var templates = core.NewTemplates(New(), &fixed, core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u l ul p", Row: "addu", Regs: "dst", Imm: "addiu", ImmRegs: "tsi"},
 		{Op: core.OpAdd, Types: "f", Row: "add.s", Regs: "DST"},

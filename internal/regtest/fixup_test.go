@@ -22,7 +22,7 @@ func TestFixupFieldsAgree(t *testing.T) {
 	types := []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
 	for _, tg := range Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
-			isa, fx := tg.Backend.ISA(), tg.Backend.Fixed()
+			isa, fx := tg.Backend.ISA(), tg.Backend.Templates().Fixed()
 			tgt := func(w uint32) *exec.Field { return isa.Lookup(w).Tgt }
 			// check holds the word at site to a row whose target field
 			// is want, aimed at word to.

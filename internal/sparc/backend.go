@@ -25,13 +25,11 @@ const (
 type Backend struct {
 	*exec.Table
 	conv *core.CallConv
-	regs *core.RegFile
 }
 
 // New returns the SPARC backend.
 func New() *Backend {
-	regs := &core.RegFile{NumGPR: 32, NumFPR: 32, GPRName: gprNames, FPRName: fprNames}
-	return &Backend{Table: isa, conv: newConv(), regs: regs}
+	return &Backend{Table: isa, conv: newConv()}
 }
 
 func newConv() *core.CallConv {
@@ -75,7 +73,6 @@ var gprNames = []string{
 
 func (*Backend) Name() string                  { return "sparc" }
 func (*Backend) PtrBytes() int                 { return 4 }
-func (s *Backend) RegFile() *core.RegFile      { return s.regs }
 func (s *Backend) DefaultConv() *core.CallConv { return s.conv }
 func (*Backend) BranchDelaySlots() int         { return 1 }
 func (*Backend) LoadDelay() int                { return 1 }
@@ -212,7 +209,10 @@ func (s *Backend) Load(b *core.Buf, t core.Type, rd, base core.Reg, off int64) e
 		return nil
 	}
 	materialize(b, rG1, off)
-	return s.LoadRR(b, t, rd, base, core.GPR(rG1))
+	if !templates.Indexed(b, false, t, rd, base, core.GPR(rG1)) {
+		return fmt.Errorf("sparc: ld%s unsupported", t)
+	}
+	return nil
 }
 
 // Store implements *(t*)(base+off) = rs as Load does.
@@ -221,20 +221,7 @@ func (s *Backend) Store(b *core.Buf, t core.Type, rs, base core.Reg, off int64) 
 		return nil
 	}
 	materialize(b, rG1, off)
-	return s.StoreRR(b, t, rs, base, core.GPR(rG1))
-}
-
-// LoadRR uses SPARC's native register+register addressing.
-func (s *Backend) LoadRR(b *core.Buf, t core.Type, rd, base, idx core.Reg) error {
-	if !templates.Indexed(b, false, t, rd, base, idx) {
-		return fmt.Errorf("sparc: ld%s unsupported", t)
-	}
-	return nil
-}
-
-// StoreRR uses register+register addressing.
-func (s *Backend) StoreRR(b *core.Buf, t core.Type, rs, base, idx core.Reg) error {
-	if !templates.Indexed(b, true, t, rs, base, idx) {
+	if !templates.Indexed(b, true, t, rs, base, core.GPR(rG1)) {
 		return fmt.Errorf("sparc: st%s unsupported", t)
 	}
 	return nil
@@ -267,11 +254,9 @@ var fixed = core.Fixed{
 	Ret:         fmt3i(2, 0, op3Jmpl, rO7, 8),
 }
 
-func (*Backend) Fixed() *core.Fixed { return &fixed }
-
 // templates is the port's instruction mapping; SPARC V8 multiplies and
 // divides in hardware and emulates nothing.
-var templates = core.NewTemplates(New(), core.Mapping{
+var templates = core.NewTemplates(New(), &fixed, core.Mapping{
 	ALU: []core.Rule{
 		{Op: core.OpAdd, Types: "i u l ul p", Row: "add", Regs: "d12", Imm: "add"},
 		{Op: core.OpAdd, Types: "f", Row: "fadds", Regs: "DAB"},

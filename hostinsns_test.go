@@ -47,7 +47,9 @@ type emitRow struct {
 }
 
 // The rows' operands: integer registers, a small immediate and a small
-// displacement, the accepted case every port has a template for.
+// displacement, the accepted case every port has a template for; Ld and
+// St take a register offset, one indexed row on sparc and core's mapped
+// add and access (two words) on mips and alpha.
 var (
 	hr1, hr2, hr3 = core.GPR(8), core.GPR(9), core.GPR(10)
 	emitRows      = []emitRow{

@@ -1,8 +1,8 @@
 // Command vcodegen is VCODE's instruction-specification preprocessor
-// (paper §5.4).  It consumes a concise specification of instruction
-// families — each base operation composed with a list of types — and
-// generates the per-instruction Go method layer, the analog of the paper's
-// C macro layer.
+// (paper §5.4).  It composes each base operation with the types it takes —
+// core's one declaration of Tables 1 and 2 — and generates the
+// per-instruction Go method layer, the analog of the paper's C macro layer,
+// and the INSTRUCTIONS.md reference (-doc).
 //
 // With -core it emits the builtin core layer (this is how
 // internal/core/instructions_gen.go is produced):
@@ -26,78 +26,26 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/spec"
 )
 
-type family struct {
-	base  string   // vcode base name, e.g. "add"
-	kind  string   // alu, aluNoImm, unary, set, mem, branch, ret, cvt
-	types []string // type letters
-	doc   string
-}
-
-var intTypes = []string{"i", "u", "l", "ul", "p"}
-var wordTypes = []string{"i", "u", "l", "ul"}
-var allALU = []string{"i", "u", "l", "ul", "p", "f", "d"}
-var memTypes = []string{"c", "uc", "s", "us", "i", "u", "l", "ul", "p", "f", "d"}
-
-var coreFamilies = []family{
-	{"add", "alu", allALU, "addition"},
-	{"sub", "alu", allALU, "subtraction"},
-	{"mul", "alu", allALU, "multiplication"},
-	{"div", "alu", allALU, "division"},
-	{"mod", "alu", intTypes, "modulus"},
-	{"and", "alu", wordTypes, "logical and"},
-	{"or", "alu", wordTypes, "logical or"},
-	{"xor", "alu", wordTypes, "logical xor"},
-	{"lsh", "alu", wordTypes, "left shift"},
-	{"rsh", "alu", wordTypes, "right shift (sign-propagating for signed types)"},
-	{"com", "unary", wordTypes, "bit complement"},
-	{"not", "unary", wordTypes, "logical not"},
-	{"mov", "unary", allALU, "register copy"},
-	{"neg", "unary", []string{"i", "l", "f", "d"}, "negation"},
-	{"set", "set", allALU, "load constant"},
-	{"ld", "mem", memTypes, "load"},
-	{"st", "mem", memTypes, "store"},
-	{"blt", "branch", allALU, "branch if less than"},
-	{"ble", "branch", allALU, "branch if less than or equal"},
-	{"bgt", "branch", allALU, "branch if greater than"},
-	{"bge", "branch", allALU, "branch if greater than or equal"},
-	{"beq", "branch", allALU, "branch if equal"},
-	{"bne", "branch", allALU, "branch if not equal"},
-	{"ret", "ret", allALU, "return value to caller"},
-}
-
-// cvtPairs lists the conversion matrix (from -> to) in a fixed order so
-// generation is deterministic.
-var cvtPairs = []struct {
-	from string
-	tos  []string
-}{
-	{"i", []string{"u", "l", "ul", "f", "d"}},
-	{"u", []string{"i", "l", "ul", "f", "d"}},
-	{"l", []string{"i", "u", "ul", "p", "f", "d"}},
-	{"ul", []string{"i", "u", "l", "p", "f", "d"}},
-	{"p", []string{"ul", "l"}},
-	{"f", []string{"i", "l", "d"}},
-	{"d", []string{"i", "l", "f"}},
-}
-
-var typeConst = map[string]string{
-	"c": "TypeC", "uc": "TypeUC", "s": "TypeS", "us": "TypeUS",
-	"i": "TypeI", "u": "TypeU", "l": "TypeL", "ul": "TypeUL",
-	"p": "TypeP", "f": "TypeF", "d": "TypeD",
-}
-
-var opConst = map[string]string{
-	"add": "OpAdd", "sub": "OpSub", "mul": "OpMul", "div": "OpDiv", "mod": "OpMod",
-	"and": "OpAnd", "or": "OpOr", "xor": "OpXor", "lsh": "OpLsh", "rsh": "OpRsh",
-	"com": "OpCom", "not": "OpNot", "mov": "OpMov", "neg": "OpNeg",
-	"blt": "OpBlt", "ble": "OpBle", "bgt": "OpBgt", "bge": "OpBge",
-	"beq": "OpBeq", "bne": "OpBne",
+// opDoc describes each op of Table 2 for the generated comments and the
+// reference; which types an op takes is core's to say.
+var opDoc = map[string]string{
+	"add": "addition", "sub": "subtraction", "mul": "multiplication", "div": "division",
+	"mod": "modulus", "and": "logical and", "or": "logical or", "xor": "logical xor",
+	"lsh": "left shift", "rsh": "right shift (sign-propagating for signed types)",
+	"com": "bit complement", "not": "logical not", "mov": "register copy", "neg": "negation",
+	"set": "load constant", "ld": "load", "st": "store", "ret": "return value to caller",
+	"blt": "branch if less than", "ble": "branch if less than or equal",
+	"bgt": "branch if greater than", "bge": "branch if greater than or equal",
+	"beq": "branch if equal", "bne": "branch if not equal",
 }
 
 func title(s string) string { return strings.ToUpper(s[:1]) + s[1:] }
+
+func typeConst(t core.Type) string { return "Type" + strings.ToUpper(t.Letter()) }
 
 func genCore(w *bytes.Buffer) {
 	fmt.Fprintln(w, "// Code generated by \"go run ./cmd/vcodegen -core\"; DO NOT EDIT.")
@@ -110,97 +58,93 @@ func genCore(w *bytes.Buffer) {
 	fmt.Fprintln(w, "// trailing \"i\" for immediate-operand forms.  v_addii becomes Addii.")
 	fmt.Fprintln(w)
 
-	for _, f := range coreFamilies {
-		for _, t := range f.types {
-			tc := typeConst[t]
-			name := title(f.base + t)
-			switch f.kind {
-			case "alu":
-				fmt.Fprintf(w, "// %s emits v_%s%s: rd = rs1 %s rs2 (%s).\n", name, f.base, t, f.base, f.doc)
-				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs1, rs2 Reg) { a.ALU(%s, %s, rd, rs1, rs2) }\n\n", name, opConst[f.base], tc)
-				if t != "f" && t != "d" {
-					in := title(f.base + t + "i")
-					fmt.Fprintf(w, "// %s emits v_%s%si: rd = rs %s imm.\n", in, f.base, t, f.base)
-					fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg, imm int64) { a.ALUI(%s, %s, rd, rs, imm) }\n\n", in, opConst[f.base], tc)
+	for op := core.Op(0); op < core.NumOps; op++ {
+		base, oc, doc := op.String(), "Op"+title(op.String()), opDoc[op.String()]
+		for _, ty := range op.Types() {
+			t, tc := ty.Letter(), typeConst(ty)
+			name, in := title(base+t), title(base+t+"i")
+			switch {
+			case op.IsBinary():
+				fmt.Fprintf(w, "// %s emits v_%s%s: rd = rs1 %s rs2 (%s).\n", name, base, t, base, doc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs1, rs2 Reg) { a.ALU(%s, %s, rd, rs1, rs2) }\n\n", name, oc, tc)
+				if !ty.IsFloat() {
+					fmt.Fprintf(w, "// %s emits v_%s%si: rd = rs %s imm.\n", in, base, t, base)
+					fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg, imm int64) { a.ALUI(%s, %s, rd, rs, imm) }\n\n", in, oc, tc)
 				}
-			case "unary":
-				fmt.Fprintf(w, "// %s emits v_%s%s: rd = %s rs (%s).\n", name, f.base, t, f.base, f.doc)
-				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg) { a.Unary(%s, %s, rd, rs) }\n\n", name, opConst[f.base], tc)
-			case "set":
-				switch t {
-				case "f":
-					fmt.Fprintf(w, "// Setf emits v_setf: rd = imm (float, via the constant pool).\n")
-					fmt.Fprintf(w, "func (a *Asm) Setf(rd Reg, imm float32) { a.SetF(rd, imm) }\n\n")
-				case "d":
-					fmt.Fprintf(w, "// Setd emits v_setd: rd = imm (double, via the constant pool).\n")
-					fmt.Fprintf(w, "func (a *Asm) Setd(rd Reg, imm float64) { a.SetD(rd, imm) }\n\n")
-				default:
-					fmt.Fprintf(w, "// %s emits v_set%s: rd = imm.\n", name, t)
-					fmt.Fprintf(w, "func (a *Asm) %s(rd Reg, imm int64) { a.SetI(%s, rd, imm) }\n\n", name, tc)
+			case op.IsBranch():
+				fmt.Fprintf(w, "// %s emits v_%s%s: %s, comparing rs1 and rs2.\n", name, base, t, doc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rs1, rs2 Reg, l Label) { a.Br(%s, %s, rs1, rs2, l) }\n\n", name, oc, tc)
+				if !ty.IsFloat() {
+					fmt.Fprintf(w, "// %s emits v_%s%si: %s, comparing rs and imm.\n", in, base, t, doc)
+					fmt.Fprintf(w, "func (a *Asm) %s(rs Reg, imm int64, l Label) { a.BrI(%s, %s, rs, imm, l) }\n\n", in, oc, tc)
 				}
-			case "mem":
-				if f.base == "ld" {
-					fmt.Fprintf(w, "// %s emits v_ld%s: rd = *(%s*)(rs + roff).\n", name, t, typeConst[t])
-					fmt.Fprintf(w, "func (a *Asm) %s(rd, rs, roff Reg) { a.Ld(%s, rd, rs, roff) }\n\n", name, tc)
-					in := title(f.base + t + "i")
-					fmt.Fprintf(w, "// %s emits v_ld%si: rd = *(%s*)(rs + off).\n", in, t, typeConst[t])
-					fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg, off int64) { a.LdI(%s, rd, rs, off) }\n\n", in, tc)
-				} else {
-					fmt.Fprintf(w, "// %s emits v_st%s: *(%s*)(rb + roff) = rs.\n", name, t, typeConst[t])
-					fmt.Fprintf(w, "func (a *Asm) %s(rs, rb, roff Reg) { a.St(%s, rs, rb, roff) }\n\n", name, tc)
-					in := title(f.base + t + "i")
-					fmt.Fprintf(w, "// %s emits v_st%si: *(%s*)(rb + off) = rs.\n", in, t, typeConst[t])
-					fmt.Fprintf(w, "func (a *Asm) %s(rs, rb Reg, off int64) { a.StI(%s, rs, rb, off) }\n\n", in, tc)
-				}
-			case "branch":
-				fmt.Fprintf(w, "// %s emits v_%s%s: %s, comparing rs1 and rs2.\n", name, f.base, t, f.doc)
-				fmt.Fprintf(w, "func (a *Asm) %s(rs1, rs2 Reg, l Label) { a.Br(%s, %s, rs1, rs2, l) }\n\n", name, opConst[f.base], tc)
-				if t != "f" && t != "d" {
-					in := title(f.base + t + "i")
-					fmt.Fprintf(w, "// %s emits v_%s%si: %s, comparing rs and imm.\n", in, f.base, t, f.doc)
-					fmt.Fprintf(w, "func (a *Asm) %s(rs Reg, imm int64, l Label) { a.BrI(%s, %s, rs, imm, l) }\n\n", in, opConst[f.base], tc)
-				}
-			case "ret":
-				fmt.Fprintf(w, "// %s emits v_ret%s: return rs (%s).\n", name, t, typeConst[t])
+			case op == core.OpSet && ty == core.TypeF:
+				fmt.Fprintf(w, "// Setf emits v_setf: rd = imm (float, via the constant pool).\n")
+				fmt.Fprintf(w, "func (a *Asm) Setf(rd Reg, imm float32) { a.SetF(rd, imm) }\n\n")
+			case op == core.OpSet && ty == core.TypeD:
+				fmt.Fprintf(w, "// Setd emits v_setd: rd = imm (double, via the constant pool).\n")
+				fmt.Fprintf(w, "func (a *Asm) Setd(rd Reg, imm float64) { a.SetD(rd, imm) }\n\n")
+			case op == core.OpSet:
+				fmt.Fprintf(w, "// %s emits v_set%s: rd = imm.\n", name, t)
+				fmt.Fprintf(w, "func (a *Asm) %s(rd Reg, imm int64) { a.SetI(%s, rd, imm) }\n\n", name, tc)
+			case op == core.OpLd:
+				fmt.Fprintf(w, "// %s emits v_ld%s: rd = *(%s*)(rs + roff).\n", name, t, tc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs, roff Reg) { a.Ld(%s, rd, rs, roff) }\n\n", name, tc)
+				fmt.Fprintf(w, "// %s emits v_ld%si: rd = *(%s*)(rs + off).\n", in, t, tc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg, off int64) { a.LdI(%s, rd, rs, off) }\n\n", in, tc)
+			case op == core.OpSt:
+				fmt.Fprintf(w, "// %s emits v_st%s: *(%s*)(rb + roff) = rs.\n", name, t, tc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rs, rb, roff Reg) { a.St(%s, rs, rb, roff) }\n\n", name, tc)
+				fmt.Fprintf(w, "// %s emits v_st%si: *(%s*)(rb + off) = rs.\n", in, t, tc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rs, rb Reg, off int64) { a.StI(%s, rs, rb, off) }\n\n", in, tc)
+			case op == core.OpRet:
+				fmt.Fprintf(w, "// %s emits v_ret%s: return rs (%s).\n", name, t, tc)
 				fmt.Fprintf(w, "func (a *Asm) %s(rs Reg) { a.Ret(%s, rs) }\n\n", name, tc)
+			default:
+				fmt.Fprintf(w, "// %s emits v_%s%s: rd = %s rs (%s).\n", name, base, t, base, doc)
+				fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg) { a.Unary(%s, %s, rd, rs) }\n\n", name, oc, tc)
 			}
 		}
 	}
 	fmt.Fprintf(w, "// Retv emits v_retv: return with no value.\n")
 	fmt.Fprintf(w, "func (a *Asm) Retv() { a.RetVoid() }\n\n")
 
-	for _, cp := range cvtPairs {
-		from := cp.from
-		for _, to := range cp.tos {
-			name := "Cv" + from + "2" + to
-			fmt.Fprintf(w, "// %s emits v_cv%s2%s: rd = (%s)rs.\n", name, from, to, typeConst[to])
-			fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg) { a.Cvt(%s, %s, rd, rs) }\n\n", name, typeConst[from], typeConst[to])
+	for from := core.TypeV; from < core.NumTypes; from++ {
+		for _, to := range from.ConvertsTo() {
+			name := "Cv" + from.Letter() + "2" + to.Letter()
+			fmt.Fprintf(w, "// %s emits v_cv%s2%s: rd = (%s)rs.\n", name, from.Letter(), to.Letter(), typeConst(to))
+			fmt.Fprintf(w, "func (a *Asm) %s(rd, rs Reg) { a.Cvt(%s, %s, rd, rs) }\n\n", name, typeConst(from), typeConst(to))
 		}
 	}
 }
 
+// letters joins the type letters of ts.
+func letters(ts []core.Type) string {
+	ls := make([]string, len(ts))
+	for i, t := range ts {
+		ls[i] = t.Letter()
+	}
+	return strings.Join(ls, " ")
+}
+
 // genDoc emits INSTRUCTIONS.md: the reproduction of the paper's Table 1
 // (types) and Table 2 (the core instruction set) as reference
-// documentation, derived from the same specification tables that generate
-// the code.
+// documentation, read from core's declarations, which the code is
+// generated from too.
 func genDoc(w *bytes.Buffer) {
 	fmt.Fprintln(w, "# The VCODE instruction set")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Generated by `go run ./cmd/vcodegen -doc` from the same specification")
-	fmt.Fprintln(w, "tables that generate the Go instruction layer; this file reproduces the")
-	fmt.Fprintln(w, "paper's Tables 1 and 2.")
+	fmt.Fprintln(w, "Generated by `go run ./cmd/vcodegen -doc` from the declarations of")
+	fmt.Fprintln(w, "Tables 1 and 2 in `internal/core` (each op's types, the conversion matrix")
+	fmt.Fprintln(w, "and the C names), which the Go instruction layer, vasm and the emitters'")
+	fmt.Fprintln(w, "legality checks read too; this file reproduces the paper's Tables 1 and 2.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "## Types (Table 1)")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| letter | C equivalent |")
 	fmt.Fprintln(w, "|---|---|")
-	for _, t := range []struct{ l, c string }{
-		{"v", "void"}, {"c", "signed char"}, {"uc", "unsigned char"},
-		{"s", "signed short"}, {"us", "unsigned short"}, {"i", "int"},
-		{"u", "unsigned"}, {"l", "long"}, {"ul", "unsigned long"},
-		{"p", "void *"}, {"f", "float"}, {"d", "double"},
-	} {
-		fmt.Fprintf(w, "| %s | %s |\n", t.l, t.c)
+	for t := core.TypeV; t < core.NumTypes; t++ {
+		fmt.Fprintf(w, "| %s | %s |\n", t.Letter(), t.CName())
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "## Core instructions (Table 2)")
@@ -211,23 +155,27 @@ func genDoc(w *bytes.Buffer) {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| base | types | description | immediate form |")
 	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, f := range coreFamilies {
-		imm := "yes"
-		if f.kind == "unary" || f.kind == "ret" {
-			imm = "-"
-		}
-		if f.kind == "set" {
+	for op := core.Op(0); op < core.NumOps; op++ {
+		imm := "-"
+		switch {
+		case op == core.OpSet:
 			imm = "(constant operand)"
+		case op.IsBinary(), op.IsBranch(), op == core.OpLd, op == core.OpSt:
+			imm = "yes"
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s |\n", f.base, strings.Join(f.types, " "), f.doc, imm)
+		if ts := op.Types(); ts != nil {
+			fmt.Fprintf(w, "| %s | %s | %s | %s |\n", op, letters(ts), opDoc[op.String()], imm)
+		}
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "### Conversions")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| from | to |")
 	fmt.Fprintln(w, "|---|---|")
-	for _, cp := range cvtPairs {
-		fmt.Fprintf(w, "| %s | %s |\n", cp.from, strings.Join(cp.tos, " "))
+	for from := core.TypeV; from < core.NumTypes; from++ {
+		if tos := from.ConvertsTo(); tos != nil {
+			fmt.Fprintf(w, "| %s | %s |\n", from.Letter(), letters(tos))
+		}
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "### Control and structure")

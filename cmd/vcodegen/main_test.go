@@ -26,6 +26,21 @@ func TestGeneratedFileInSync(t *testing.T) {
 	}
 }
 
+// TestDocInSync regenerates the instruction-set reference and compares it
+// with the committed INSTRUCTIONS.md: the document is the reviewed
+// statement of Tables 1 and 2, so it cannot drift from core's tables.
+func TestDocInSync(t *testing.T) {
+	var buf bytes.Buffer
+	genDoc(&buf)
+	got, err := os.ReadFile("../../INSTRUCTIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Fatal("INSTRUCTIONS.md is out of date; regenerate with:\n  go run ./cmd/vcodegen -doc > INSTRUCTIONS.md")
+	}
+}
+
 // TestCoreLayerShape sanity-checks the generated family counts.
 func TestCoreLayerShape(t *testing.T) {
 	var buf bytes.Buffer

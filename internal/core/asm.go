@@ -1135,14 +1135,14 @@ func (a *Asm) Cvt(from, to Type, rd, rs Reg) {
 	if !a.ready() {
 		return
 	}
-	if from == to || from.IsSubWord() || to.IsSubWord() || from == TypeV || to == TypeV {
+	if from == to || !regTypes.has(from) || !regTypes.has(to) {
 		a.failf("%w: cv%s2%s", ErrBadType, from.Letter(), to.Letter())
 		return
 	}
 	if !(bankOK(from, rs, rs) && bankOK(to, rd, rd)) && !(a.checkRegs(from, rs) && a.checkRegs(to, rd)) {
 		return
 	}
-	if from.IsFloat() && (to == TypeU || to == TypeUL || to == TypeP) {
+	if !legal.cvt[from].has(to) {
 		a.failf("%w: cv%s2%s (float to unsigned is not in the VCODE set)", ErrBadType, from.Letter(), to.Letter())
 		return
 	}

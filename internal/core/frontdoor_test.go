@@ -467,36 +467,53 @@ func TestFrontDoorBackendError(t *testing.T) {
 	}
 }
 
-// TestLegalityTablesAgree: the tables the front doors read are the four
-// predicates, pair for pair, over the whole range an Op and a Type can
-// hold — so an out-of-range op or type reads as illegal, not as a panic.
+// TestLegalityTablesAgree: the tables the front doors read are the
+// declared Table 2 (opTypes) and conversion matrix (cvtTypes), pair for
+// pair, over the whole range an Op and a Type can hold — so an
+// out-of-range op or type reads as illegal, not as a panic.  An immediate
+// form takes the integer types of its op; Ld and St share one set.
 func TestLegalityTablesAgree(t *testing.T) {
 	if numTypes > 16 {
 		t.Fatalf("%d types no longer fit the tables' uint16 sets", numTypes)
 	}
+	declared := func(op Op, t Type) bool { return op < numOps && t < numTypes && opTypes[op].has(t) }
+	pairs := 0
 	for o := 0; o < 256; o++ {
 		for ty := 0; ty < 256; ty++ {
 			op, t2 := Op(o), Type(ty)
 			bit := typeSet(1) << t2
+			in, integer := declared(op, t2), !t2.IsFloat()
 			for _, c := range []struct {
 				table string
 				got   bool
 				want  bool
 			}{
-				{"alu", legal.alu[op]&bit != 0, aluTypeOK(op, t2)},
-				{"alui", legal.alui[op]&bit != 0, aluTypeOK(op, t2) && !t2.IsFloat()},
-				{"unary", legal.unary[op]&bit != 0, unaryTypeOK(op, t2) && op != OpSet},
-				{"br", legal.br[op]&bit != 0, branchTypeOK(op, t2)},
-				{"bri", legal.bri[op]&bit != 0, branchTypeOK(op, t2) && !t2.IsFloat()},
-				{"mem", legal.mem&bit != 0, memTypeOK(t2)},
-				{"seti", legal.seti&bit != 0, unaryTypeOK(OpSet, t2) && !t2.IsFloat()},
-				{"ret", legal.ret&bit != 0, unaryTypeOK(OpMov, t2)},
+				{"alu", legal.alu[op]&bit != 0, in && op <= OpRsh},
+				{"alui", legal.alui[op]&bit != 0, in && op <= OpRsh && integer},
+				{"unary", legal.unary[op]&bit != 0, in && op >= OpCom && op <= OpNeg},
+				{"br", legal.br[op]&bit != 0, in && op >= OpBlt && op <= OpBne},
+				{"bri", legal.bri[op]&bit != 0, in && op >= OpBlt && op <= OpBne && integer},
+				{"mem", legal.mem&bit != 0, declared(OpLd, t2)},
+				{"mem", legal.mem&bit != 0, declared(OpSt, t2)},
+				{"seti", legal.seti&bit != 0, declared(OpSet, t2) && integer},
+				{"ret", legal.ret&bit != 0, declared(OpRet, t2)},
 			} {
 				if c.got != c.want {
-					t.Errorf("legal.%s says %v for (%s, %s), the predicate says %v", c.table, c.got, op, t2, c.want)
+					t.Errorf("legal.%s says %v for (%s, %s), the declaration says %v", c.table, c.got, op, t2, c.want)
 				}
 			}
+			from, to := Type(o), Type(ty)
+			want := from < numTypes && to < numTypes && from != to && cvtTypes[from].has(to)
+			if got := legal.cvt[from].has(to); got != want {
+				t.Errorf("legal.cvt says %v for cv%s2%s, the declaration says %v", got, from, to, want)
+			}
+			if want {
+				pairs++
+			}
 		}
+	}
+	if pairs != 36 {
+		t.Errorf("the conversion matrix holds %d pairs, want Asm.Cvt's 36", pairs)
 	}
 }
 

@@ -511,6 +511,27 @@ func (a *Asm) Std(rs, rb, roff Reg) { a.St(TypeD, rs, rb, roff) }
 // Stdi emits v_stdi: *(TypeD*)(rb + off) = rs.
 func (a *Asm) Stdi(rs, rb Reg, off int64) { a.StI(TypeD, rs, rb, off) }
 
+// Reti emits v_reti: return rs (TypeI).
+func (a *Asm) Reti(rs Reg) { a.Ret(TypeI, rs) }
+
+// Retu emits v_retu: return rs (TypeU).
+func (a *Asm) Retu(rs Reg) { a.Ret(TypeU, rs) }
+
+// Retl emits v_retl: return rs (TypeL).
+func (a *Asm) Retl(rs Reg) { a.Ret(TypeL, rs) }
+
+// Retul emits v_retul: return rs (TypeUL).
+func (a *Asm) Retul(rs Reg) { a.Ret(TypeUL, rs) }
+
+// Retp emits v_retp: return rs (TypeP).
+func (a *Asm) Retp(rs Reg) { a.Ret(TypeP, rs) }
+
+// Retf emits v_retf: return rs (TypeF).
+func (a *Asm) Retf(rs Reg) { a.Ret(TypeF, rs) }
+
+// Retd emits v_retd: return rs (TypeD).
+func (a *Asm) Retd(rs Reg) { a.Ret(TypeD, rs) }
+
 // Blti emits v_blti: branch if less than, comparing rs1 and rs2.
 func (a *Asm) Blti(rs1, rs2 Reg, l Label) { a.Br(OpBlt, TypeI, rs1, rs2, l) }
 
@@ -727,27 +748,6 @@ func (a *Asm) Bnef(rs1, rs2 Reg, l Label) { a.Br(OpBne, TypeF, rs1, rs2, l) }
 // Bned emits v_bned: branch if not equal, comparing rs1 and rs2.
 func (a *Asm) Bned(rs1, rs2 Reg, l Label) { a.Br(OpBne, TypeD, rs1, rs2, l) }
 
-// Reti emits v_reti: return rs (TypeI).
-func (a *Asm) Reti(rs Reg) { a.Ret(TypeI, rs) }
-
-// Retu emits v_retu: return rs (TypeU).
-func (a *Asm) Retu(rs Reg) { a.Ret(TypeU, rs) }
-
-// Retl emits v_retl: return rs (TypeL).
-func (a *Asm) Retl(rs Reg) { a.Ret(TypeL, rs) }
-
-// Retul emits v_retul: return rs (TypeUL).
-func (a *Asm) Retul(rs Reg) { a.Ret(TypeUL, rs) }
-
-// Retp emits v_retp: return rs (TypeP).
-func (a *Asm) Retp(rs Reg) { a.Ret(TypeP, rs) }
-
-// Retf emits v_retf: return rs (TypeF).
-func (a *Asm) Retf(rs Reg) { a.Ret(TypeF, rs) }
-
-// Retd emits v_retd: return rs (TypeD).
-func (a *Asm) Retd(rs Reg) { a.Ret(TypeD, rs) }
-
 // Retv emits v_retv: return with no value.
 func (a *Asm) Retv() { a.RetVoid() }
 
@@ -759,6 +759,9 @@ func (a *Asm) Cvi2l(rd, rs Reg) { a.Cvt(TypeI, TypeL, rd, rs) }
 
 // Cvi2ul emits v_cvi2ul: rd = (TypeUL)rs.
 func (a *Asm) Cvi2ul(rd, rs Reg) { a.Cvt(TypeI, TypeUL, rd, rs) }
+
+// Cvi2p emits v_cvi2p: rd = (TypeP)rs.
+func (a *Asm) Cvi2p(rd, rs Reg) { a.Cvt(TypeI, TypeP, rd, rs) }
 
 // Cvi2f emits v_cvi2f: rd = (TypeF)rs.
 func (a *Asm) Cvi2f(rd, rs Reg) { a.Cvt(TypeI, TypeF, rd, rs) }
@@ -774,6 +777,9 @@ func (a *Asm) Cvu2l(rd, rs Reg) { a.Cvt(TypeU, TypeL, rd, rs) }
 
 // Cvu2ul emits v_cvu2ul: rd = (TypeUL)rs.
 func (a *Asm) Cvu2ul(rd, rs Reg) { a.Cvt(TypeU, TypeUL, rd, rs) }
+
+// Cvu2p emits v_cvu2p: rd = (TypeP)rs.
+func (a *Asm) Cvu2p(rd, rs Reg) { a.Cvt(TypeU, TypeP, rd, rs) }
 
 // Cvu2f emits v_cvu2f: rd = (TypeF)rs.
 func (a *Asm) Cvu2f(rd, rs Reg) { a.Cvt(TypeU, TypeF, rd, rs) }
@@ -817,11 +823,23 @@ func (a *Asm) Cvul2f(rd, rs Reg) { a.Cvt(TypeUL, TypeF, rd, rs) }
 // Cvul2d emits v_cvul2d: rd = (TypeD)rs.
 func (a *Asm) Cvul2d(rd, rs Reg) { a.Cvt(TypeUL, TypeD, rd, rs) }
 
-// Cvp2ul emits v_cvp2ul: rd = (TypeUL)rs.
-func (a *Asm) Cvp2ul(rd, rs Reg) { a.Cvt(TypeP, TypeUL, rd, rs) }
+// Cvp2i emits v_cvp2i: rd = (TypeI)rs.
+func (a *Asm) Cvp2i(rd, rs Reg) { a.Cvt(TypeP, TypeI, rd, rs) }
+
+// Cvp2u emits v_cvp2u: rd = (TypeU)rs.
+func (a *Asm) Cvp2u(rd, rs Reg) { a.Cvt(TypeP, TypeU, rd, rs) }
 
 // Cvp2l emits v_cvp2l: rd = (TypeL)rs.
 func (a *Asm) Cvp2l(rd, rs Reg) { a.Cvt(TypeP, TypeL, rd, rs) }
+
+// Cvp2ul emits v_cvp2ul: rd = (TypeUL)rs.
+func (a *Asm) Cvp2ul(rd, rs Reg) { a.Cvt(TypeP, TypeUL, rd, rs) }
+
+// Cvp2f emits v_cvp2f: rd = (TypeF)rs.
+func (a *Asm) Cvp2f(rd, rs Reg) { a.Cvt(TypeP, TypeF, rd, rs) }
+
+// Cvp2d emits v_cvp2d: rd = (TypeD)rs.
+func (a *Asm) Cvp2d(rd, rs Reg) { a.Cvt(TypeP, TypeD, rd, rs) }
 
 // Cvf2i emits v_cvf2i: rd = (TypeI)rs.
 func (a *Asm) Cvf2i(rd, rs Reg) { a.Cvt(TypeF, TypeI, rd, rs) }

@@ -3,30 +3,30 @@ package core
 import "fmt"
 
 // Op is a VCODE base operation (paper Table 2).  An instruction is an Op
-// composed with a Type.
+// composed with a Type; opTypes declares which.
 type Op uint8
 
 const (
-	// Binary operations (rd, rs1, rs2): types i u l ul p f d unless noted.
+	// Binary operations (rd, rs1, rs2).
 	OpAdd Op = iota
 	OpSub
 	OpMul
-	OpDiv // i u l ul p
-	OpMod // i u l ul p
-	OpAnd // i u l ul
-	OpOr  // i u l ul
-	OpXor // i u l ul
-	OpLsh // i u l ul
-	OpRsh // i u l ul; sign bit propagated for signed types
+	OpDiv
+	OpMod
+	OpAnd
+	OpOr
+	OpXor
+	OpLsh
+	OpRsh // sign bit propagated for signed types
 
 	// Unary operations (rd, rs).
-	OpCom // bit complement: i u l ul
-	OpNot // logical not: i u l ul
-	OpMov // copy: i u l ul p f d
-	OpNeg // negation: i l f d
-	OpSet // load constant: i u l ul p f d
+	OpCom // bit complement
+	OpNot // logical not
+	OpMov // copy
+	OpNeg // negation
+	OpSet // load constant
 
-	// Memory operations (rd/rs, base, offset): all data types.
+	// Memory operations (rd/rs, base, offset).
 	OpLd
 	OpSt
 
@@ -35,7 +35,7 @@ const (
 	OpJmp // unconditional jump
 	OpJal // jump and link
 
-	// Branches (rs1, rs2, label): i u l ul p f d.
+	// Branches (rs1, rs2, label).
 	OpBlt
 	OpBle
 	OpBgt
@@ -46,6 +46,13 @@ const (
 	OpNop
 
 	numOps
+)
+
+// NumOps and NumTypes bound the instruction set, for the packages that
+// walk its tables.
+const (
+	NumOps   = numOps
+	NumTypes = numTypes
 )
 
 var opNames = [numOps]string{
@@ -63,6 +70,9 @@ func (o Op) String() string {
 	}
 	return opNames[o]
 }
+
+// IsBinary reports whether o is a binary operation (rd, rs1, rs2).
+func (o Op) IsBinary() bool { return o <= OpRsh }
 
 // IsBranch reports whether o is a conditional branch.
 func (o Op) IsBranch() bool { return o >= OpBlt && o <= OpBne }
@@ -112,76 +122,6 @@ func (o Op) SwapBranch() Op {
 	return o // beq, bne symmetric
 }
 
-// aluTypeOK reports whether t is a legal operand type for binary op o.
-func aluTypeOK(o Op, t Type) bool {
-	switch o {
-	case OpAdd, OpSub, OpMul:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL, TypeP, TypeF, TypeD:
-			return true
-		}
-	case OpDiv:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL, TypeP, TypeF, TypeD:
-			return true
-		}
-	case OpMod:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL, TypeP:
-			return true
-		}
-	case OpAnd, OpOr, OpXor, OpLsh, OpRsh:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL:
-			return true
-		}
-	}
-	return false
-}
-
-// unaryTypeOK reports whether t is a legal operand type for unary op o.
-func unaryTypeOK(o Op, t Type) bool {
-	switch o {
-	case OpCom, OpNot:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL:
-			return true
-		}
-	case OpMov, OpSet:
-		switch t {
-		case TypeI, TypeU, TypeL, TypeUL, TypeP, TypeF, TypeD:
-			return true
-		}
-	case OpNeg:
-		switch t {
-		case TypeI, TypeL, TypeF, TypeD:
-			return true
-		}
-	}
-	return false
-}
-
-// branchTypeOK reports whether t is a legal operand type for branch op o.
-func branchTypeOK(o Op, t Type) bool {
-	if !o.IsBranch() {
-		return false
-	}
-	switch t {
-	case TypeI, TypeU, TypeL, TypeUL, TypeP, TypeF, TypeD:
-		return true
-	}
-	return false
-}
-
-// memTypeOK reports whether t is a legal type for a load or store.
-func memTypeOK(t Type) bool {
-	switch t {
-	case TypeC, TypeUC, TypeS, TypeUS, TypeI, TypeU, TypeL, TypeUL, TypeP, TypeF, TypeD:
-		return true
-	}
-	return false
-}
-
 // typeSet is a set of Types: bit 1<<t stands for type t.
 type typeSet uint16
 
@@ -190,46 +130,85 @@ var _ [16 - numTypes]struct{} // every Type has a bit
 // has reports whether t is in s; a t no Type names is in no set.
 func (s typeSet) has(t Type) bool { return s&(1<<t) != 0 }
 
+// The type sets Table 2 composes ops with.
+const (
+	wordTypes  typeSet = 1<<TypeI | 1<<TypeU | 1<<TypeL | 1<<TypeUL
+	intTypes           = wordTypes | 1<<TypeP
+	floatTypes typeSet = 1<<TypeF | 1<<TypeD
+	regTypes           = intTypes | floatTypes
+	memTypes           = regTypes | 1<<TypeC | 1<<TypeUC | 1<<TypeS | 1<<TypeUS
+)
+
+// opTypes is Table 2, declared once: the types each op composes with.  A
+// binary op or a branch also has an immediate form at each integer type it
+// takes.  legal, the generated method layer, vasm's mnemonics and
+// INSTRUCTIONS.md are all read from here.
+var opTypes = [numOps]typeSet{
+	OpAdd: regTypes, OpSub: regTypes, OpMul: regTypes, OpDiv: regTypes, OpMod: intTypes,
+	OpAnd: wordTypes, OpOr: wordTypes, OpXor: wordTypes, OpLsh: wordTypes, OpRsh: wordTypes,
+	OpCom: wordTypes, OpNot: wordTypes, OpMov: regTypes, OpNeg: 1<<TypeI | 1<<TypeL | floatTypes,
+	OpSet: regTypes, OpLd: memTypes, OpSt: memTypes, OpRet: regTypes,
+	OpBlt: regTypes, OpBle: regTypes, OpBgt: regTypes, OpBge: regTypes, OpBeq: regTypes, OpBne: regTypes,
+}
+
+// cvtTypes is the conversion matrix (v_cv<from>2<to>): cvtTypes[from]
+// holds the types from converts to.  A register type converts to every
+// other, except a float to an unsigned one.
+var cvtTypes = [numTypes]typeSet{
+	TypeI:  regTypes &^ (1 << TypeI),
+	TypeU:  regTypes &^ (1 << TypeU),
+	TypeL:  regTypes &^ (1 << TypeL),
+	TypeUL: regTypes &^ (1 << TypeUL),
+	TypeP:  regTypes &^ (1 << TypeP),
+	TypeF:  1<<TypeI | 1<<TypeL | 1<<TypeD,
+	TypeD:  1<<TypeI | 1<<TypeL | 1<<TypeF,
+}
+
+// Types returns the types o composes with, in Table 1's order.
+func (o Op) Types() []Type {
+	if o >= numOps {
+		return nil
+	}
+	return opTypes[o].types()
+}
+
+// ConvertsTo returns the types t converts to, in Table 1's order.
+func (t Type) ConvertsTo() []Type { return legal.cvt[t].types() }
+
+func (s typeSet) types() []Type {
+	var out []Type
+	for t := TypeV; t < numTypes; t++ {
+		if s.has(t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // legal holds, for each generic emitter of Asm, the operand types it
-// accepts — per op where the emitter takes one, over Op's whole range so
-// that an op outside the instruction set reads as the empty set.  The
-// predicates above stay the definition; every set is derived from them
-// (before any package-level mapping is built from it), and an emitter pays
-// one load and one bit test per instruction.
+// accepts — per op where the emitter takes one, over Op's (and for Cvt,
+// Type's) whole range so that an op outside the instruction set reads as
+// the empty set.  Every set is derived from opTypes and cvtTypes (before
+// any package-level mapping is built from it), and an emitter pays one
+// load and one bit test per instruction.
 var legal = legalSets()
 
 func legalSets() (sets struct {
 	alu, alui, unary, br, bri [1 << 8]typeSet
 	mem, seti, ret            typeSet
+	cvt                       [1 << 8]typeSet
 }) {
-	for t := TypeV; t < numTypes; t++ {
-		bit := typeSet(1) << t
-		for op := Op(0); op < numOps; op++ {
-			if aluTypeOK(op, t) {
-				sets.alu[op] |= bit
-				if !t.IsFloat() {
-					sets.alui[op] |= bit
-				}
-			}
-			if unaryTypeOK(op, t) && op != OpSet {
-				sets.unary[op] |= bit
-			}
-			if branchTypeOK(op, t) {
-				sets.br[op] |= bit
-				if !t.IsFloat() {
-					sets.bri[op] |= bit
-				}
-			}
-		}
-		if memTypeOK(t) {
-			sets.mem |= bit
-		}
-		if unaryTypeOK(OpSet, t) && !t.IsFloat() {
-			sets.seti |= bit
-		}
-		if unaryTypeOK(OpMov, t) {
-			sets.ret |= bit
+	for op, ts := range opTypes {
+		switch op := Op(op); {
+		case op.IsBinary():
+			sets.alu[op], sets.alui[op] = ts, ts&^floatTypes
+		case op.IsBranch():
+			sets.br[op], sets.bri[op] = ts, ts&^floatTypes
+		case op >= OpCom && op <= OpNeg:
+			sets.unary[op] = ts
 		}
 	}
+	copy(sets.cvt[:], cvtTypes[:])
+	sets.mem, sets.seti, sets.ret = opTypes[OpLd], opTypes[OpSet]&^floatTypes, opTypes[OpRet]
 	return sets
 }

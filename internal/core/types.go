@@ -3,9 +3,8 @@ package core
 import "fmt"
 
 // Type is a VCODE operand type (paper Table 1).  Types are named for their
-// mappings to ANSI C types.  Most non-memory operations do not take the
-// sub-word types (C, UC, S, US) as operands; memory operations take all of
-// them.
+// mappings to ANSI C types (typeCNames); which operations take which types
+// is opTypes's, and which convert to which is cvtTypes's.
 type Type uint8
 
 const (

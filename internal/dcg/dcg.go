@@ -187,17 +187,13 @@ type rule struct {
 var ruleTable = buildRules()
 
 func buildRules() []rule {
-	ops := []core.Op{
-		core.OpAdd, core.OpSub, core.OpMul, core.OpDiv, core.OpMod,
-		core.OpAnd, core.OpOr, core.OpXor, core.OpLsh, core.OpRsh,
-	}
 	rs := []rule{
 		{kind: KindImm, cost: 1},
 		{kind: KindReg, cost: 0},
 		{kind: KindLoad, cost: 1},
 		{kind: KindOp, anyOp: true, cost: 1}, // generic unary/binary
 	}
-	for _, op := range ops {
+	for op := core.Op(0); op.IsBinary(); op++ {
 		rs = append(rs, rule{kind: KindOp, op: op, cost: 1})
 		rs = append(rs, rule{kind: KindOp, op: op, immRight: true, cost: 1})
 	}

@@ -177,14 +177,14 @@ func TestTemplateWords(t *testing.T) {
 		}
 		got, out = append(got, emulatedPairs(t, tg)...), &more
 		for _, n := range assigns {
-			for _, c := range unaryCases {
-				for _, ty := range c.types {
+			for op := core.OpCom; op <= core.OpNeg; op++ {
+				for _, ty := range op.Types() {
 					r := regsFor("ALU", ty, n)
-					emit(fmt.Sprintf("%s Unary %s%s %v", tg.Name, c.op, ty.Letter(), n[:2]), func() { a.Unary(c.op, ty, r[0], r[1]) })
+					emit(fmt.Sprintf("%s Unary %s%s %v", tg.Name, op, ty.Letter(), n[:2]), func() { a.Unary(op, ty, r[0], r[1]) })
 				}
 			}
 			for op := core.OpBlt; op <= core.OpBne; op++ {
-				for _, ty := range brTypes {
+				for _, ty := range op.Types() {
 					r := regsFor("ALU", ty, n)
 					emit(fmt.Sprintf("%s Br %s%s %v", tg.Name, op, ty.Letter(), n[:2]), func() { a.Br(op, ty, r[0], r[1], a.NewLabel()) })
 					if ty.IsFloat() {
@@ -209,25 +209,13 @@ func TestTemplateWords(t *testing.T) {
 	Golden(t, "testdata/template_words.golden", slices.Concat(got, more, indexed), *update)
 }
 
-// The cases of the doors whose every call TestTemplateWords pins: each
-// unary op at its legal types, the branches' types, and BrI's immediates —
-// every immediate form's ends and one step past them on every port (mips
-// slti, slti with imm+1, sltiu from 0; sparc simm13; alpha's literal), and
-// values that no field or only 64 bits hold.
-var (
-	unaryCases = []struct {
-		op    core.Op
-		types []core.Type
-	}{
-		{core.OpCom, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
-		{core.OpNot, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
-		{core.OpMov, brTypes},
-		{core.OpNeg, []core.Type{core.TypeI, core.TypeL, core.TypeF, core.TypeD}},
-	}
-	brTypes = []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
-	brImms  = []int64{0, 1, -1, 255, 256, -4097, -4096, 4095, 4096, -32770, -32769, -32768,
-		32766, 32767, 32768, 1 << 40, math.MinInt64, math.MaxInt64}
-)
+// brImms is BrI's immediates TestTemplateWords pins: every immediate
+// form's ends and one step past them on every port (mips slti, slti with
+// imm+1, sltiu from 0; sparc simm13; alpha's literal), and values that no
+// field or only 64 bits hold.  Unary ops and branches are pinned at every
+// type core gives them.
+var brImms = []int64{0, 1, -1, 255, 256, -4097, -4096, 4095, 4096, -32770, -32769, -32768,
+	32766, 32767, 32768, 1 << 40, math.MinInt64, math.MaxInt64}
 
 // emulatedPairs lists, for every (op, type) tg's ALU accepts and routes
 // through a runtime helper, the helper its call is relocated to.

@@ -403,28 +403,26 @@ func CaseName(target string, op core.Op, t core.Type) string {
 	return fmt.Sprintf("%s/%s%s", target, op, t.Letter())
 }
 
-// ALUTypes lists the legal types for a binary op (mirrors Table 2).
+// ALUTypes lists the legal types for a binary op (core's Table 2).
 func ALUTypes(op core.Op) []core.Type {
-	switch op {
-	case core.OpAdd, core.OpSub, core.OpMul, core.OpDiv:
-		return []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
-	case core.OpMod:
-		return []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP}
-	case core.OpAnd, core.OpOr, core.OpXor, core.OpLsh, core.OpRsh:
-		return []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}
+	if !op.IsBinary() {
+		return nil
 	}
-	return nil
+	return op.Types()
 }
 
 // BinaryOps lists the binary operations of the core set.
-func BinaryOps() []core.Op {
-	return []core.Op{
-		core.OpAdd, core.OpSub, core.OpMul, core.OpDiv, core.OpMod,
-		core.OpAnd, core.OpOr, core.OpXor, core.OpLsh, core.OpRsh,
-	}
-}
+func BinaryOps() []core.Op { return opsWhere(core.Op.IsBinary) }
 
 // BranchOps lists the conditional branches.
-func BranchOps() []core.Op {
-	return []core.Op{core.OpBlt, core.OpBle, core.OpBgt, core.OpBge, core.OpBeq, core.OpBne}
+func BranchOps() []core.Op { return opsWhere(core.Op.IsBranch) }
+
+func opsWhere(is func(core.Op) bool) []core.Op {
+	var ops []core.Op
+	for op := core.Op(0); op < core.NumOps; op++ {
+		if is(op) {
+			ops = append(ops, op)
+		}
+	}
+	return ops
 }

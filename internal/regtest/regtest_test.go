@@ -106,39 +106,30 @@ func TestGeneratedALUImm(t *testing.T) {
 
 // TestGeneratedUnary covers com/not/mov/neg.
 func TestGeneratedUnary(t *testing.T) {
-	cases := []struct {
-		op    core.Op
-		types []core.Type
-	}{
-		{core.OpCom, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
-		{core.OpNot, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}},
-		{core.OpMov, []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}},
-		{core.OpNeg, []core.Type{core.TypeI, core.TypeL, core.TypeF, core.TypeD}},
-	}
 	for _, tg := range Targets() {
 		tg := tg
 		t.Run(tg.Name, func(t *testing.T) {
 			m := tg.NewMachine()
 			ptr := tg.Backend.PtrBytes()
 			rng := rand.New(rand.NewSource(3))
-			for _, c := range cases {
-				for _, ty := range c.types {
-					fn, err := BuildUnary(tg.Backend, c.op, ty)
+			for op := core.OpCom; op <= core.OpNeg; op++ {
+				for _, ty := range op.Types() {
+					fn, err := BuildUnary(tg.Backend, op, ty)
 					if err != nil {
-						t.Fatalf("%s: build: %v", CaseName(tg.Name, c.op, ty), err)
+						t.Fatalf("%s: build: %v", CaseName(tg.Name, op, ty), err)
 					}
 					for _, xb := range Samples(ty, 10, rng) {
 						x := MakeValue(ty, xb, ptr)
-						want, ok := RefUnary(c.op, ty, ptr, x)
+						want, ok := RefUnary(op, ty, ptr, x)
 						if !ok {
 							continue
 						}
 						got, err := m.Call(fn, x)
 						if err != nil {
-							t.Fatalf("%s(%v): %v", CaseName(tg.Name, c.op, ty), x, err)
+							t.Fatalf("%s(%v): %v", CaseName(tg.Name, op, ty), x, err)
 						}
 						if got.Bits != want.Bits {
-							t.Errorf("%s(%v) = %v, want %v", CaseName(tg.Name, c.op, ty), x, got, want)
+							t.Errorf("%s(%v) = %v, want %v", CaseName(tg.Name, op, ty), x, got, want)
 						}
 					}
 				}
@@ -156,9 +147,8 @@ func TestGeneratedBranches(t *testing.T) {
 			m := tg.NewMachine()
 			ptr := tg.Backend.PtrBytes()
 			rng := rand.New(rand.NewSource(4))
-			types := []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
 			for _, op := range BranchOps() {
-				for _, ty := range types {
+				for _, ty := range op.Types() {
 					fn, err := BuildBranch(tg.Backend, op, ty)
 					if err != nil {
 						t.Fatalf("%s: build: %v", CaseName(tg.Name, op, ty), err)
@@ -184,7 +174,10 @@ func TestGeneratedBranches(t *testing.T) {
 			}
 			// Immediate forms over integer types and boundary immediates.
 			for _, op := range BranchOps() {
-				for _, ty := range []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP} {
+				for _, ty := range op.Types() {
+					if ty.IsFloat() {
+						continue
+					}
 					for _, imm := range []int64{0, 1, -1, 255, 4095, 32767, 65536} {
 						fn, err := BuildBranchImm(tg.Backend, op, ty, imm)
 						if err != nil {
@@ -260,20 +253,13 @@ func TestImmediatesPast32Bits(t *testing.T) {
 	}
 }
 
-// TestGeneratedCvt covers the conversion matrix.
+// TestGeneratedCvt covers the conversion matrix: every pair core accepts.
 func TestGeneratedCvt(t *testing.T) {
-	pairs := []struct{ from, to core.Type }{
-		{core.TypeI, core.TypeU}, {core.TypeI, core.TypeL}, {core.TypeI, core.TypeUL},
-		{core.TypeI, core.TypeF}, {core.TypeI, core.TypeD},
-		{core.TypeU, core.TypeI}, {core.TypeU, core.TypeL}, {core.TypeU, core.TypeUL},
-		{core.TypeU, core.TypeD}, {core.TypeU, core.TypeF},
-		{core.TypeL, core.TypeI}, {core.TypeL, core.TypeU}, {core.TypeL, core.TypeUL},
-		{core.TypeL, core.TypeP}, {core.TypeL, core.TypeF}, {core.TypeL, core.TypeD},
-		{core.TypeUL, core.TypeI}, {core.TypeUL, core.TypeL}, {core.TypeUL, core.TypeP},
-		{core.TypeUL, core.TypeD},
-		{core.TypeP, core.TypeUL}, {core.TypeP, core.TypeL},
-		{core.TypeF, core.TypeI}, {core.TypeF, core.TypeL}, {core.TypeF, core.TypeD},
-		{core.TypeD, core.TypeI}, {core.TypeD, core.TypeL}, {core.TypeD, core.TypeF},
+	var pairs []struct{ from, to core.Type }
+	for from := core.TypeV; from < core.NumTypes; from++ {
+		for _, to := range from.ConvertsTo() {
+			pairs = append(pairs, struct{ from, to core.Type }{from, to})
+		}
 	}
 	for _, tg := range Targets() {
 		tg := tg
@@ -309,11 +295,6 @@ func TestGeneratedCvt(t *testing.T) {
 // TestGeneratedMem round-trips every memory type, including the
 // synthesized byte/halfword sequences on Alpha.
 func TestGeneratedMem(t *testing.T) {
-	memTypes := []core.Type{
-		core.TypeC, core.TypeUC, core.TypeS, core.TypeUS,
-		core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP,
-		core.TypeF, core.TypeD,
-	}
 	for _, tg := range Targets() {
 		tg := tg
 		t.Run(tg.Name, func(t *testing.T) {
@@ -324,7 +305,7 @@ func TestGeneratedMem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ty := range memTypes {
+			for _, ty := range core.OpLd.Types() {
 				fn, err := BuildMemRoundtrip(tg.Backend, ty)
 				if err != nil {
 					t.Fatalf("%s/mem%s: build: %v", tg.Name, ty.Letter(), err)

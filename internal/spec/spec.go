@@ -226,7 +226,7 @@ func GenerateGo(pkg string, defs []*Def) (string, error) {
 					fmt.Fprintf(&b, ", %s", s)
 				}
 				fmt.Fprintf(&b, " core.Reg) {\n")
-				fmt.Fprintf(&b, "\ta.Ext(%q, core.%s, rd", d.Name, typeConstName(t))
+				fmt.Fprintf(&b, "\ta.Ext(%q, core.Type%s, rd", d.Name, strings.ToUpper(t.Letter()))
 				for _, s := range args {
 					fmt.Fprintf(&b, ", %s", s)
 				}
@@ -242,34 +242,6 @@ func capitalize(s string) string {
 		return s
 	}
 	return strings.ToUpper(s[:1]) + s[1:]
-}
-
-func typeConstName(t core.Type) string {
-	switch t {
-	case core.TypeC:
-		return "TypeC"
-	case core.TypeUC:
-		return "TypeUC"
-	case core.TypeS:
-		return "TypeS"
-	case core.TypeUS:
-		return "TypeUS"
-	case core.TypeI:
-		return "TypeI"
-	case core.TypeU:
-		return "TypeU"
-	case core.TypeL:
-		return "TypeL"
-	case core.TypeUL:
-		return "TypeUL"
-	case core.TypeP:
-		return "TypeP"
-	case core.TypeF:
-		return "TypeF"
-	case core.TypeD:
-		return "TypeD"
-	}
-	return "TypeV"
 }
 
 // ---- runtime registration ----

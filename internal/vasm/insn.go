@@ -46,8 +46,9 @@ type insnDef struct {
 }
 
 // insnTable maps every mnemonic — the paper's instruction names (addii,
-// bltuli, cvi2d, …), built by composition exactly like the generated method
-// layer, and the handful of untyped ones — onto the emitter that takes it.
+// bltuli, cvi2d, …), composed from core's Table 2 and conversion matrix as
+// the generated method layer is, and the handful of untyped ones — onto
+// the emitter that takes it.
 var insnTable = buildInsns()
 
 func buildInsns() map[string]insnDef {
@@ -57,72 +58,36 @@ func buildInsns() map[string]insnDef {
 		"setsym": {kind: kSetSym}, "callsym": {kind: kCallSym}, "callr": {kind: kCallR},
 		"retval": {kind: kRetVal}, "ext": {kind: kExt},
 	}
-	word := []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL}
-	all := append(word[:4:4], core.TypeP, core.TypeF, core.TypeD)
-	memT := append([]core.Type{core.TypeC, core.TypeUC, core.TypeS, core.TypeUS}, all...)
-
-	addFam := func(base string, op core.Op, ts []core.Type, imm bool) {
-		for _, t := range ts {
-			m[base+t.Letter()] = insnDef{kind: kALU, op: op, t: t}
-			if imm && !t.IsFloat() {
-				m[base+t.Letter()+"i"] = insnDef{kind: kALUI, op: op, t: t}
+	for op := core.Op(0); op < core.NumOps; op++ {
+		for _, t := range op.Types() {
+			name, imm := op.String()+t.Letter(), op.String()+t.Letter()+"i"
+			switch {
+			case op.IsBinary():
+				m[name] = insnDef{kind: kALU, op: op, t: t}
+				if !t.IsFloat() {
+					m[imm] = insnDef{kind: kALUI, op: op, t: t}
+				}
+			case op.IsBranch():
+				m[name] = insnDef{kind: kBr, op: op, t: t}
+				if !t.IsFloat() {
+					m[imm] = insnDef{kind: kBrI, op: op, t: t}
+				}
+			case op == core.OpLd:
+				m[name], m[imm] = insnDef{kind: kLd, t: t}, insnDef{kind: kLdI, t: t}
+			case op == core.OpSt:
+				m[name], m[imm] = insnDef{kind: kSt, t: t}, insnDef{kind: kStI, t: t}
+			case op == core.OpSet:
+				m[name] = insnDef{kind: kSet, t: t}
+			case op == core.OpRet:
+				m[name] = insnDef{kind: kRet, t: t}
+			default:
+				m[name] = insnDef{kind: kUnary, op: op, t: t}
 			}
 		}
 	}
-	addFam("add", core.OpAdd, all, true)
-	addFam("sub", core.OpSub, all, true)
-	addFam("mul", core.OpMul, all, true)
-	addFam("div", core.OpDiv, all, true)
-	addFam("mod", core.OpMod, append(word[:4:4], core.TypeP), true)
-	addFam("and", core.OpAnd, word, true)
-	addFam("or", core.OpOr, word, true)
-	addFam("xor", core.OpXor, word, true)
-	addFam("lsh", core.OpLsh, word, true)
-	addFam("rsh", core.OpRsh, word, true)
-
-	for _, u := range []struct {
-		base string
-		op   core.Op
-		ts   []core.Type
-	}{
-		{"com", core.OpCom, word},
-		{"not", core.OpNot, word},
-		{"mov", core.OpMov, all},
-		{"neg", core.OpNeg, []core.Type{core.TypeI, core.TypeL, core.TypeF, core.TypeD}},
-	} {
-		for _, t := range u.ts {
-			m[u.base+t.Letter()] = insnDef{kind: kUnary, op: u.op, t: t}
-		}
-	}
-	for _, t := range all {
-		m["set"+t.Letter()] = insnDef{kind: kSet, t: t}
-		m["ret"+t.Letter()] = insnDef{kind: kRet, t: t}
-	}
-	for _, t := range memT {
-		m["ld"+t.Letter()] = insnDef{kind: kLd, t: t}
-		m["ld"+t.Letter()+"i"] = insnDef{kind: kLdI, t: t}
-		m["st"+t.Letter()] = insnDef{kind: kSt, t: t}
-		m["st"+t.Letter()+"i"] = insnDef{kind: kStI, t: t}
-	}
-	for _, b := range []struct {
-		base string
-		op   core.Op
-	}{
-		{"blt", core.OpBlt}, {"ble", core.OpBle}, {"bgt", core.OpBgt},
-		{"bge", core.OpBge}, {"beq", core.OpBeq}, {"bne", core.OpBne},
-	} {
-		for _, t := range all {
-			m[b.base+t.Letter()] = insnDef{kind: kBr, op: b.op, t: t}
-			if !t.IsFloat() {
-				m[b.base+t.Letter()+"i"] = insnDef{kind: kBrI, op: b.op, t: t}
-			}
-		}
-	}
-	for _, from := range all {
-		for _, to := range all {
-			if from != to {
-				m["cv"+from.Letter()+"2"+to.Letter()] = insnDef{kind: kCvt, from: from, to: to}
-			}
+	for from := core.TypeV; from < core.NumTypes; from++ {
+		for _, to := range from.ConvertsTo() {
+			m["cv"+from.Letter()+"2"+to.Letter()] = insnDef{kind: kCvt, from: from, to: to}
 		}
 	}
 	return m

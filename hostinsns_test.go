@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"os/exec"
@@ -28,22 +29,49 @@ import (
 // hostCountCalls calls, so a slice growing or a preemption request in one
 // call does not show.
 
-// hostCountEnv names the port a re-executed test binary counts on.
-const hostCountEnv = "REPRO_HOST_COUNT_PORT"
+// hostCountEnv names the rows and the port a re-executed test binary
+// counts, as "rows:port".
+const hostCountEnv = "REPRO_HOST_COUNT"
 
 // hostCountCalls is how many measured calls each row takes the least of.
 const hostCountCalls = 8
 
-var hostCountAll = flag.Bool("hostcount.all", false, "count the emit rows on every port, not only mips")
+var hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
 
 // raceEnabled is set by race_test.go under the race detector, whose
 // instrumentation the counts would include.
 var raceEnabled bool
 
-// emitRow is one measured call of the emit path.
-type emitRow struct {
-	name string
-	call func(a *core.Asm)
+// hostRow is one measured call: setup readies it on a port, warm, and
+// returns it.
+type hostRow struct {
+	name  string
+	setup func(tg regtest.Target) func()
+}
+
+// emitting is the setup of an emit row: an assembler whose buffers two
+// builds of 256 calls have grown, inside a third build.
+func emitting(call func(a *core.Asm)) func(regtest.Target) func() {
+	return func(tg regtest.Target) func() {
+		a := core.NewAsm(tg.Backend)
+		for warm := 0; warm < 2; warm++ {
+			must(a.Begin("%i%i", core.Leaf))
+			for i := 0; i < 256; i++ {
+				call(a)
+			}
+			must(a.End())
+		}
+		must(a.Begin("%i%i", core.Leaf))
+		return func() { call(a) }
+	}
+}
+
+// must panics on err: a child's setup that fails has nothing to count.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // The rows' operands: integer registers, a small immediate and a small
@@ -52,27 +80,155 @@ type emitRow struct {
 // add and access (two words) on mips and alpha.
 var (
 	hr1, hr2, hr3 = core.GPR(8), core.GPR(9), core.GPR(10)
-	emitRows      = []emitRow{
-		{"ALU", func(a *core.Asm) { a.ALU(core.OpAdd, core.TypeI, hr1, hr2, hr3) }},
-		{"ALUI", func(a *core.Asm) { a.ALUI(core.OpAdd, core.TypeI, hr1, hr2, 5) }},
-		{"LdI", func(a *core.Asm) { a.LdI(core.TypeI, hr1, hr2, 8) }},
-		{"StI", func(a *core.Asm) { a.StI(core.TypeI, hr1, hr2, 8) }},
-		{"Ld", func(a *core.Asm) { a.Ld(core.TypeI, hr1, hr2, hr3) }},
-		{"St", func(a *core.Asm) { a.St(core.TypeI, hr1, hr2, hr3) }},
-		{"SetI", func(a *core.Asm) { a.SetI(core.TypeI, hr1, 5) }},
-		{"Unary", func(a *core.Asm) { a.Unary(core.OpMov, core.TypeI, hr1, hr2) }},
-		{"Br+NewLabel+Bind", func(a *core.Asm) {
+	emitRows      = []hostRow{
+		{"ALU", emitting(func(a *core.Asm) { a.ALU(core.OpAdd, core.TypeI, hr1, hr2, hr3) })},
+		{"ALUI", emitting(func(a *core.Asm) { a.ALUI(core.OpAdd, core.TypeI, hr1, hr2, 5) })},
+		{"LdI", emitting(func(a *core.Asm) { a.LdI(core.TypeI, hr1, hr2, 8) })},
+		{"StI", emitting(func(a *core.Asm) { a.StI(core.TypeI, hr1, hr2, 8) })},
+		{"Ld", emitting(func(a *core.Asm) { a.Ld(core.TypeI, hr1, hr2, hr3) })},
+		{"St", emitting(func(a *core.Asm) { a.St(core.TypeI, hr1, hr2, hr3) })},
+		{"SetI", emitting(func(a *core.Asm) { a.SetI(core.TypeI, hr1, 5) })},
+		{"Unary", emitting(func(a *core.Asm) { a.Unary(core.OpMov, core.TypeI, hr1, hr2) })},
+		{"Br+NewLabel+Bind", emitting(func(a *core.Asm) {
 			l := a.NewLabel()
 			a.Br(core.OpBlt, core.TypeI, hr1, hr2, l)
 			a.Bind(l)
-		}},
-		{"BrI+NewLabel+Bind", func(a *core.Asm) {
+		})},
+		{"BrI+NewLabel+Bind", emitting(func(a *core.Asm) {
 			l := a.NewLabel()
 			a.BrI(core.OpBne, core.TypeI, hr1, 0, l)
 			a.Bind(l)
-		}},
+		})},
 	}
 )
+
+// The exec rows, through a warm CallWithStats: loop_long's body (a load,
+// five ALU and ALUI forms, the load's consumer, the counter's decrement
+// and the back-edge, as internal/exec/diff's load-led loop) for two trip
+// counts, whose difference is a trip's cost, and a 13-instruction leaf,
+// whose count is a warm call's.
+const loopTripsFew, loopTripsMany = 2, 10
+
+var execRows = []hostRow{
+	{"loop few", calling(buildLoopLongBody, loopArgs(loopTripsFew))},
+	{"loop many", calling(buildLoopLongBody, loopArgs(loopTripsMany))},
+	{"leaf call", calling(buildLeaf, func(uint64) []core.Value { return []core.Value{core.I(12345), core.I(678)} })},
+}
+
+// loopArgs is loop_long's body's arguments: a buffer and the trip count.
+func loopArgs(trips int32) func(buf uint64) []core.Value {
+	return func(buf uint64) []core.Value { return []core.Value{core.P(buf), core.I(trips)} }
+}
+
+// calling is the setup of an exec row: a machine, and the function build
+// makes called warm, with the arguments args gives for a 32-byte buffer.
+func calling(build func(core.Backend) (*core.Func, error), args func(buf uint64) []core.Value) func(regtest.Target) func() {
+	return func(tg regtest.Target) func() {
+		m := tg.NewMachine()
+		fn := must(build(tg.Backend))
+		args := args(must(m.Alloc(32)))
+		ctx := context.Background()
+		call := func() {
+			if _, _, err := m.CallWithStats(ctx, core.CallOpts{}, fn, args...); err != nil {
+				panic(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			call()
+		}
+		return call
+	}
+}
+
+// buildLoopLongBody is loop_long's body around a counted loop.
+func buildLoopLongBody(bk core.Backend) (*core.Func, error) {
+	a := core.NewAsm(bk)
+	args, err := a.BeginTypes([]core.Type{core.TypeP, core.TypeI}, core.Leaf)
+	if err != nil {
+		return nil, err
+	}
+	p, n := args[0], args[1]
+	acc, x, t := core.GPR(0), core.GPR(0), core.GPR(0)
+	for _, r := range []*core.Reg{&acc, &x, &t} {
+		if *r, err = a.GetReg(core.Temp); err != nil {
+			return nil, err
+		}
+	}
+	const I = core.TypeI
+	a.SetI(I, acc, 0)
+	top := a.NewLabel()
+	a.Bind(top)
+	a.LdI(I, x, p, 0)
+	a.ALUI(core.OpAdd, I, t, acc, 7)
+	a.ALU(core.OpXor, I, acc, acc, t)
+	a.ALUI(core.OpLsh, I, t, t, 2)
+	a.ALU(core.OpSub, I, acc, acc, t)
+	a.ALUI(core.OpRsh, I, t, acc, 3)
+	a.ALU(core.OpOr, I, acc, acc, t)
+	a.ALU(core.OpAdd, I, acc, acc, x)
+	a.ALUI(core.OpSub, I, n, n, 1)
+	a.BrI(core.OpBgt, I, n, 0, top)
+	a.Ret(I, acc)
+	return a.End()
+}
+
+// buildLeaf is call_hot's leaf shape: five add-immediate, xor pairs and a
+// decrement on its first argument.
+func buildLeaf(bk core.Backend) (*core.Func, error) {
+	a := core.NewAsm(bk)
+	args, err := a.Begin("%i%i", core.Leaf)
+	if err != nil {
+		return nil, err
+	}
+	x, y := args[0], args[1]
+	for i := int64(0); i < 5; i++ {
+		a.Addii(x, x, i)
+		a.Xori(x, x, y)
+	}
+	a.Subii(x, x, 1)
+	a.Reti(x)
+	return a.End()
+}
+
+// execCountGolden is the exec rows' counts, per toolchain, held exactly
+// where the toolchain matches: a trip of loop_long's body and a warm leaf
+// call.
+var execCountGolden = map[string]map[string]int{
+	"go1.24.0/amd64/v1": {
+		"mips loop trip": 555, "mips leaf call": 1422,
+		"sparc loop trip": 596, "sparc leaf call": 1359,
+		"alpha loop trip": 577, "alpha leaf call": 1350,
+	},
+}
+
+// TestExecHostInstructions counts the host instructions of a trip of
+// loop_long's body, the difference of two trip counts over the trips
+// between them, and of a warm leaf call, on mips (with -hostcount.all, on
+// every port), and holds each, on the toolchain the golden counts were
+// taken with, to its count.
+func TestExecHostInstructions(t *testing.T) {
+	key := hostCountKey()
+	golden := execCountGolden[key]
+	for _, port := range hostCountPorts(t) {
+		c := countHostInstructions(t, "exec", port)
+		trips := c["loop many"] - c["loop few"]
+		if trips%(loopTripsMany-loopTripsFew) != 0 {
+			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, trips, loopTripsMany-loopTripsFew)
+		}
+		for _, row := range []struct {
+			name string
+			n    int
+		}{
+			{"loop trip", trips / (loopTripsMany - loopTripsFew)},
+			{"leaf call", c["leaf call"]},
+		} {
+			t.Logf("%s %s %s: %d host instructions", key, port, row.name, row.n)
+			if want, ok := golden[port+" "+row.name]; ok && row.n != want {
+				t.Errorf("%s %s: %d host instructions, %d on %s", port, row.name, row.n, want, key)
+			}
+		}
+	}
+}
 
 // hostCountGolden is each row's count, per toolchain: the rows are held to
 // it exactly where the toolchain matches (a changed count is a changed
@@ -99,60 +255,59 @@ var hostCountGolden = map[string]map[string]int{
 var hostCountBudget = map[string]int{"ALU": 64, "ALUI": 64, "LdI": 64, "StI": 64}
 
 func init() {
-	if port := os.Getenv(hostCountEnv); port != "" {
-		hostCountChild(port)
+	if which := os.Getenv(hostCountEnv); which != "" {
+		hostCountChild(which)
 		os.Exit(0)
 	}
 }
 
-// hostCountChild runs every row's measured calls on port, each between two
-// breakpoints, after a warm-up that grows every buffer the calls touch.
-func hostCountChild(port string) {
+// hostCountChild runs each row of a set on a port, "rows:port", each
+// call between two breakpoints, after the row's setup has warmed it.
+func hostCountChild(which string) {
+	set, port, _ := strings.Cut(which, ":")
 	for _, tg := range regtest.Targets() {
 		if tg.Name != port {
 			continue
 		}
-		for _, row := range emitRows {
-			a := core.NewAsm(tg.Backend)
-			for warm := 0; warm < 2; warm++ {
-				if _, err := a.Begin("%i%i", core.Leaf); err != nil {
-					panic(err)
-				}
-				for i := 0; i < 256; i++ {
-					row.call(a)
-				}
-				if _, err := a.End(); err != nil {
-					panic(err)
-				}
-			}
-			if _, err := a.Begin("%i%i", core.Leaf); err != nil {
-				panic(err)
-			}
+		for _, row := range hostRowSets[set] {
+			call := row.setup(tg)
 			for i := 0; i < hostCountCalls; i++ {
 				runtime.Breakpoint()
-				row.call(a)
+				call()
 				runtime.Breakpoint()
 			}
 		}
 	}
 }
+
+// hostRowSets is every set of rows a test counts, by name.
+var hostRowSets = map[string][]hostRow{"emit": emitRows, "exec": execRows}
+
+// hostCountPorts is the ports a test counts on: mips, or with
+// -hostcount.all every port; none where the counts would not be of
+// uninstrumented linux/amd64 code.
+func hostCountPorts(t *testing.T) []string {
+	if raceEnabled || testing.CoverMode() != "" || runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("counts are of uninstrumented linux/amd64 code")
+	}
+	if *hostCountAll {
+		return []string{"mips", "sparc", "alpha"}
+	}
+	return []string{"mips"}
+}
+
+// hostCountKey is the toolchain the golden counts are keyed by.
+func hostCountKey() string { return runtime.Version() + "/" + runtime.GOARCH + "/" + goamd64() }
 
 // TestEmitHostInstructions counts the host instructions of one call of each
 // emit row, on mips (with -hostcount.all, on every port), and holds each to
 // its budget and, on the toolchain the golden counts were taken with, to
 // its count.
 func TestEmitHostInstructions(t *testing.T) {
-	if raceEnabled || testing.CoverMode() != "" || runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skip("counts are of uninstrumented linux/amd64 code")
-	}
-	ports := []string{"mips"}
-	if *hostCountAll {
-		ports = []string{"mips", "sparc", "alpha"}
-	}
-	key := runtime.Version() + "/" + runtime.GOARCH + "/" + goamd64()
+	key := hostCountKey()
 	golden := hostCountGolden[key]
-	for _, port := range ports {
-		counts := countHostInstructions(t, port)
+	for _, port := range hostCountPorts(t) {
+		counts := countHostInstructions(t, "emit", port)
 		for _, row := range emitRows {
 			n := counts[row.name]
 			t.Logf("%s %s %s: %d host instructions a call", key, port, row.name, n)
@@ -166,14 +321,14 @@ func TestEmitHostInstructions(t *testing.T) {
 	}
 }
 
-// countHostInstructions runs the child for port under ptrace and returns
-// each row's least count over its calls.
-func countHostInstructions(t *testing.T, port string) map[string]int {
+// countHostInstructions runs the child for a set of rows on port under
+// ptrace and returns each row's least count over its calls.
+func countHostInstructions(t *testing.T, set, port string) map[string]int {
 	runtime.LockOSThread() // ptrace requests must come from the tracing thread
 	defer runtime.UnlockOSThread()
 	var out bytes.Buffer
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Env = append(os.Environ(), hostCountEnv+"="+port, "GOGC=off", "GODEBUG=asyncpreemptoff=1", "GOMAXPROCS=1")
+	cmd.Env = append(os.Environ(), hostCountEnv+"="+set+":"+port, "GOGC=off", "GODEBUG=asyncpreemptoff=1", "GOMAXPROCS=1")
 	cmd.Stdout, cmd.Stderr = &out, &out
 	cmd.SysProcAttr = &syscall.SysProcAttr{Ptrace: true}
 	if err := cmd.Start(); err != nil {
@@ -197,23 +352,30 @@ func countHostInstructions(t *testing.T, port string) map[string]int {
 		}
 		return regs.Rip
 	}
-	names := map[uint64]bool{}
-	counted := func(pc uint64) bool {
-		in, ok := names[pc]
+	// A preemption request (sysmon's, every 10 ms of the child's slow,
+	// stepped time) fails the stack check of the next function prologue:
+	// its stub spills, calls morestack, reloads and jumps back to the
+	// entry.  What ran of that function before morestack, and its stub,
+	// is not counted.
+	type pcInfo struct{ counted, entry, morestack bool }
+	infos := map[uint64]pcInfo{}
+	info := func(pc uint64) pcInfo {
+		in, ok := infos[pc]
 		if !ok {
-			name := ""
 			if f := runtime.FuncForPC(uintptr(pc)); f != nil {
-				name = f.Name()
+				name := f.Name()
+				in.morestack = strings.HasPrefix(name, "runtime.morestack")
+				in.counted = strings.HasPrefix(name, "repro/") && !strings.Contains(name, "morestack")
+				in.entry = f.Entry() == uintptr(pc)
 			}
-			in = strings.HasPrefix(name, "repro/") && !strings.Contains(name, "morestack")
-			names[pc] = in
+			infos[pc] = in
 		}
 		return in
 	}
 	stop() // the exec
 	counts := map[string]int{}
 	op := []byte{0}
-	for _, row := range emitRows {
+	for _, row := range hostRowSets[set] {
 		least := -1
 		for call := 0; call < hostCountCalls; call++ {
 			if err := syscall.PtraceCont(pid, 0); err != nil {
@@ -223,7 +385,7 @@ func countHostInstructions(t *testing.T, port string) map[string]int {
 			if f := runtime.FuncForPC(uintptr(pc() - 1)); f == nil || f.Name() != "runtime.breakpoint" {
 				t.Skipf("the child's code is not at the parent's addresses (at %#x)", regs.Rip)
 			}
-			n := 0
+			n, atEntry, entry, resume := 0, 0, uint64(0), uint64(0)
 			for {
 				at := pc()
 				if _, err := syscall.PtracePeekText(pid, uintptr(at), op); err != nil {
@@ -236,8 +398,18 @@ func countHostInstructions(t *testing.T, port string) map[string]int {
 					}
 					break
 				}
-				if counted(at) {
-					n++
+				switch in := info(at); {
+				case in.morestack:
+					n, resume = atEntry, entry
+				case resume != 0 && at != resume:
+				default:
+					resume = 0
+					if in.entry {
+						atEntry, entry = n, at
+					}
+					if in.counted {
+						n++
+					}
 				}
 				if err := syscall.PtraceSingleStep(pid); err != nil {
 					t.Fatal(err)

@@ -7,39 +7,19 @@ import (
 	"repro/internal/exec"
 )
 
-// Alpha port of the predecoded direct-threaded execution engine
-// (internal/exec): what exec's one decoder needs beside the table, whose
-// fields name each operand's slot, and what exec's run loop executes the
-// body through (port): plain, branch and the transfer handlers.  Alpha
-// has no delay slots, and its load-use interlock never charges r31.  The
-// fetch/switch Step in cpu.go stays the verification oracle;
-// internal/exec/diff requires bit-identical state from both engines.
+// The Alpha port of the predecoded direct-threaded execution engine
+// (internal/exec): what exec's one decoder needs beside the table
+// (interlock), and what its run loop executes a body through (port): run,
+// the hot loop; slow; cond; and the handlers.  Alpha has no delay slots,
+// and its interlock never charges r31.  The fetch/switch Step in cpu.go
+// stays the oracle; internal/exec/diff requires bit-identical state.
 
-// Dense opcodes.  Each is described exactly once: a pc-relative branch
-// (a row of kind exec.KindBranch, and bsr) by a case of branch, any other
-// transfer or an undecodable word by the handler its number indexes, a
-// plain instruction (a row of kind exec.KindOther) by a case of plain.
+// Dense opcodes, each described once: a pc-relative branch (and bsr) by
+// cond, another transfer or an undecodable word by its handler, a plain
+// instruction by a case of run or of slow (these come first, from 0, so
+// that run's jump table needs no offset).
 const (
-	aBr uint16 = iota // also bsr: identical semantics
-	aBeq
-	aBne
-	aBlt
-	aBle
-	aBgt
-	aBge
-	aFbeq
-	aFbne
-	aFblt
-	aFble
-	aFbgt
-	aFbge
-	aJump
-	aBad // a word with no row
-	aNumHandlers
-)
-
-const (
-	aLda = aNumHandlers + iota
+	aLda uint16 = iota
 	aLdah
 	aLdl
 	aLdq
@@ -99,16 +79,35 @@ const (
 	aCvtqs
 	aCvtqt
 	aCvttqc
+	aNumPlain
+)
+
+const (
+	aBr = aNumPlain + iota // also bsr: identical semantics
+	aBeq
+	aBne
+	aBlt
+	aBle
+	aBgt
+	aBge
+	aFbeq
+	aFbne
+	aFblt
+	aFble
+	aFbgt
+	aFbge
+	aJump
+	aBad // a word with no row
 )
 
 // Register helpers over the narrow predecoded operand fields.  Predecode
 // only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index.
+// would otherwise check every index.  A write to r31 lands and is
+// undone, without a branch.
 func (c *CPU) tr(n uint8) uint64 { return c.r[n&31] }
 func (c *CPU) twr(n uint8, v uint64) {
-	if n != 31 {
-		c.r[n&31] = v
-	}
+	c.r[n&31] = v
+	c.r[31] = 0
 }
 
 // topnd is the predecoded operate second operand: the 8-bit literal
@@ -123,48 +122,41 @@ func (c *CPU) topnd(in *exec.Instr) uint64 {
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
 
-// branch resolves in, an instruction of a pc-relative branch row
-// (exec.KindBranch, and bsr, which shares br's opcode): it reports
-// whether in is taken.  A conditional one fires the edge probe on every
-// resolution, taken or not; br and bsr write their link and are not
-// conditional.
-func (c *CPU) branch(in *exec.Instr) bool {
-	var taken bool
-	switch in.Op {
-	case aBr:
-		c.twr(in.A, in.PC+4)
-		return true
+// cond reports whether in, of a pc-relative branch row (or bsr), is taken.
+// An FP branch (they come last, in the integer ones' order) tests fa as
+// its twin tests ra, whose conversion keeps its sign.
+func (c *CPU) cond(in *exec.Instr) bool {
+	x, op := float64(int64(c.r[in.A&31])), in.Op
+	if op >= aFbeq {
+		x, op = math.Float64frombits(c.f[in.A&31]), op-(aFbeq-aBeq)
+	}
+	switch op {
 	case aBeq:
-		taken = int64(c.tr(in.A)) == 0
+		return x == 0
 	case aBne:
-		taken = int64(c.tr(in.A)) != 0
+		return x != 0
 	case aBlt:
-		taken = int64(c.tr(in.A)) < 0
+		return x < 0
 	case aBle:
-		taken = int64(c.tr(in.A)) <= 0
+		return x <= 0
 	case aBgt:
-		taken = int64(c.tr(in.A)) > 0
+		return x > 0
 	case aBge:
-		taken = int64(c.tr(in.A)) >= 0
-	case aFbeq:
-		taken = c.fT(uint32(in.A)) == 0
-	case aFbne:
-		taken = c.fT(uint32(in.A)) != 0
-	case aFblt:
-		taken = c.fT(uint32(in.A)) < 0
-	case aFble:
-		taken = c.fT(uint32(in.A)) <= 0
-	case aFbgt:
-		taken = c.fT(uint32(in.A)) > 0
-	case aFbge:
-		taken = c.fT(uint32(in.A)) >= 0
-	default:
-		panic(fmt.Sprintf("alpha: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
+		return x >= 0
 	}
-	if c.Edging() { // Edge's own guard: Edge is too big to inline
-		c.Edge(in.PC, taken)
+	return true // br, bsr
+}
+
+// link writes br's and bsr's return address, before cond; branch is both.
+func (c *CPU) link(in *exec.Instr) {
+	if in.Op == aBr {
+		c.twr(in.A, in.PC+4)
 	}
-	return taken
+}
+
+func (c *CPU) branch(in *exec.Instr) bool {
+	c.link(in)
+	return c.cond(in)
 }
 
 // Predecode unpacks words, the installed image of one function at base,
@@ -193,7 +185,7 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 // an interlock that never charges $31, and its switches and handlers.
 var port = exec.Port[*CPU]{
 	Name: "alpha", Slots: 0, Never: 31, Bad: aBad,
-	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).branch, Uncond: aBr,
 	Handlers: []exec.Handler[*CPU]{
 		aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 			// Read rb before the link write, as the oracle does.
@@ -237,202 +229,228 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("alpha: unknown %s funct %#x at %#x", group, fn, pc)
 }
 
-// plain executes code, which holds only plain instructions, in order.  It
-// returns how many completed, the sum of the Stall bits of those it
-// started, and the fault of the one that did not complete, if any.
-func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
-	for i := range code {
+// run is exec.Port.Loop: integer and FP operates, the quadword (aligned
+// or not) and longword loads and stores the inline accessors answer, and
+// folds.
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
+	var stall uint64
+	for left > 0 && i < len(code) {
 		in := &code[i]
-		bubbles += uint64(in.Stall)
-		switch in.Op {
-		case aLda:
-			c.twr(in.A, c.taddr(in))
-		case aLdah:
-			c.twr(in.A, c.tr(in.B)+uint64(in.Imm<<16))
-		case aLdl:
-			a := c.taddr(in)
-			v, ok := c.Mem.Load4(a)
-			if !ok {
-				w, err := c.Mem.Load(a, 4)
-				if err != nil {
-					return i, bubbles, memErr("ldl", in, err)
+		if in.Run == 0 { // a folded branch
+			if in.Flags&exec.FFold == 0 {
+				break
+			}
+			stall += exec.Bubble(in, c.LastLoad, 31)
+			c.LastLoad, left = -1, left-1
+			if c.link(in); c.cond(in) {
+				i = int(in.Target)
+			} else {
+				i++
+			}
+			continue
+		}
+		seg, start := code[:i+int(min(uint64(in.Run), left))], i
+		stall += exec.Bubble(in, c.LastLoad, 31) - uint64(in.Stall)
+	loop:
+		for ; i < len(seg); i++ {
+			in := &seg[i]
+			switch in.Op {
+			case aLda:
+				c.twr(in.A, c.taddr(in))
+			case aLdah:
+				c.twr(in.A, c.tr(in.B)+uint64(in.Imm<<16))
+			case aLdl:
+				v, ok := c.Mem.Load4(c.taddr(in))
+				if !ok {
+					c.Declined = "ldl"
+					break loop
 				}
-				v = uint32(w)
-			}
-			c.twr(in.A, uint64(int64(int32(v))))
-		case aLdq:
-			a := c.taddr(in)
-			v, ok := c.Mem.Load8(a)
-			if !ok {
-				var err error
-				if v, err = c.Mem.Load(a, 8); err != nil {
-					return i, bubbles, memErr("ldq", in, err)
+				c.twr(in.A, uint64(int64(int32(v))))
+			case aLdq:
+				v, ok := c.Mem.Load8(c.taddr(in))
+				if !ok {
+					c.Declined = "ldq"
+					break loop
 				}
-			}
-			c.twr(in.A, v)
-		case aLdqU:
-			v, err := c.Mem.Load(c.taddr(in)&^7, 8)
-			if err != nil {
-				return i, bubbles, memErr("ldq_u", in, err)
-			}
-			c.twr(in.A, v)
-		case aLds:
-			v, err := c.Mem.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, bubbles, memErr("lds", in, err)
-			}
-			if in.A != 31 {
-				c.f[in.A] = v
-			}
-		case aLdt:
-			v, err := c.Mem.Load(c.taddr(in), 8)
-			if err != nil {
-				return i, bubbles, memErr("ldt", in, err)
-			}
-			if in.A != 31 {
-				c.f[in.A] = v
-			}
-		case aStl:
-			if a, v := c.taddr(in), uint32(c.tr(in.A)); !c.Mem.Store4(a, v) {
-				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
-					return i, bubbles, memErr("store", in, err)
+				c.twr(in.A, v)
+			case aLdqU:
+				v, ok := c.Mem.Load8(c.taddr(in) &^ 7)
+				if !ok {
+					c.Declined = "ldq_u"
+					break loop
 				}
-			}
-		case aStq:
-			if a, v := c.taddr(in), c.tr(in.A); !c.Mem.Store8(a, v) {
-				if err := c.Mem.Store(a, 8, v); err != nil {
-					return i, bubbles, memErr("store", in, err)
+				c.twr(in.A, v)
+			case aStl:
+				if !c.Mem.Store4(c.taddr(in), uint32(c.tr(in.A))) {
+					c.Declined = "store"
+					break loop
 				}
+			case aStq:
+				if !c.Mem.Store8(c.taddr(in), c.tr(in.A)) {
+					c.Declined = "store"
+					break loop
+				}
+			case aStqU:
+				if !c.Mem.Store8(c.taddr(in)&^7, c.tr(in.A)) {
+					c.Declined = "store"
+					break loop
+				}
+			case aAddl:
+				c.twr(in.C, uint64(int64(int32(c.tr(in.A)+c.topnd(in)))))
+			case aSubl:
+				c.twr(in.C, uint64(int64(int32(c.tr(in.A)-c.topnd(in)))))
+			case aAddq:
+				c.twr(in.C, c.tr(in.A)+c.topnd(in))
+			case aSubq:
+				c.twr(in.C, c.tr(in.A)-c.topnd(in))
+			case aCmpeq:
+				c.twr(in.C, b2u64(c.tr(in.A) == c.topnd(in)))
+			case aCmplt:
+				c.twr(in.C, b2u64(int64(c.tr(in.A)) < int64(c.topnd(in))))
+			case aCmple:
+				c.twr(in.C, b2u64(int64(c.tr(in.A)) <= int64(c.topnd(in))))
+			case aCmpult:
+				c.twr(in.C, b2u64(c.tr(in.A) < c.topnd(in)))
+			case aCmpule:
+				c.twr(in.C, b2u64(c.tr(in.A) <= c.topnd(in)))
+			case aAnd:
+				c.twr(in.C, c.tr(in.A)&c.topnd(in))
+			case aBic:
+				c.twr(in.C, c.tr(in.A)&^c.topnd(in))
+			case aBis:
+				c.twr(in.C, c.tr(in.A)|c.topnd(in))
+			case aOrnot:
+				c.twr(in.C, c.tr(in.A)|^c.topnd(in))
+			case aXor:
+				c.twr(in.C, c.tr(in.A)^c.topnd(in))
+			case aEqv:
+				c.twr(in.C, c.tr(in.A)^^c.topnd(in))
+			case aSll:
+				c.twr(in.C, c.tr(in.A)<<(c.topnd(in)&63))
+			case aSrl:
+				c.twr(in.C, c.tr(in.A)>>(c.topnd(in)&63))
+			case aSra:
+				c.twr(in.C, uint64(int64(c.tr(in.A))>>(c.topnd(in)&63)))
+			case aZap:
+				c.twr(in.C, c.tr(in.A)&^zapMask(c.topnd(in)))
+			case aZapnot:
+				c.twr(in.C, c.tr(in.A)&zapMask(c.topnd(in)))
+			case aExtbl:
+				c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xff)
+			case aExtwl:
+				c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xffff)
+			case aInsbl:
+				c.twr(in.C, (c.tr(in.A)&0xff)<<(8*(c.topnd(in)&7)))
+			case aInswl:
+				c.twr(in.C, (c.tr(in.A)&0xffff)<<(8*(c.topnd(in)&7)))
+			case aMskbl:
+				c.twr(in.C, c.tr(in.A)&^(uint64(0xff)<<(8*(c.topnd(in)&7))))
+			case aMskwl:
+				c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
+			case aMull:
+				c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
+				c.BaseCycles += 7
+			case aMulq:
+				c.twr(in.C, c.tr(in.A)*c.topnd(in))
+				c.BaseCycles += 11
+			case aCpys:
+				if in.C != 31 {
+					c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
+				}
+			case aCpysn:
+				// The oracle writes f31 here (no guard); keep the quirk.
+				c.f[in.C] = c.f[in.B] ^ 1<<63
+			case aSqrts:
+				c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
+				c.BaseCycles += 29
+			case aSqrtt:
+				c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
+				c.BaseCycles += 29
+			case aAdds:
+				c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
+				c.BaseCycles++
+			case aSubs:
+				c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
+				c.BaseCycles++
+			case aMuls:
+				c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
+				c.BaseCycles += 3
+			case aDivs:
+				c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
+				c.BaseCycles += 11
+			case aAddt:
+				c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
+				c.BaseCycles++
+			case aSubt:
+				c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
+				c.BaseCycles++
+			case aMultT:
+				c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
+				c.BaseCycles += 4
+			case aDivt:
+				c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
+				c.BaseCycles += 18
+			case aCmpteq:
+				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
+			case aCmptlt:
+				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
+			case aCmptle:
+				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
+			case aCvtts:
+				c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
+			case aCvtst:
+				c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
+			case aCvtqs:
+				c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
+			case aCvtqt:
+				c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
+			case aCvttqc:
+				// The oracle writes f[fc] unguarded here; keep the quirk.
+				c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
+			default:
+				break loop
 			}
-		case aStqU:
-			if err := c.Mem.Store(c.taddr(in)&^7, 8, c.tr(in.A)); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case aSts:
-			if err := c.Mem.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case aStt:
-			if err := c.Mem.Store(c.taddr(in), 8, c.f[in.A]); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case aAddl:
-			c.twr(in.C, uint64(int64(int32(c.tr(in.A)+c.topnd(in)))))
-		case aSubl:
-			c.twr(in.C, uint64(int64(int32(c.tr(in.A)-c.topnd(in)))))
-		case aAddq:
-			c.twr(in.C, c.tr(in.A)+c.topnd(in))
-		case aSubq:
-			c.twr(in.C, c.tr(in.A)-c.topnd(in))
-		case aCmpeq:
-			c.twr(in.C, b2u64(c.tr(in.A) == c.topnd(in)))
-		case aCmplt:
-			c.twr(in.C, b2u64(int64(c.tr(in.A)) < int64(c.topnd(in))))
-		case aCmple:
-			c.twr(in.C, b2u64(int64(c.tr(in.A)) <= int64(c.topnd(in))))
-		case aCmpult:
-			c.twr(in.C, b2u64(c.tr(in.A) < c.topnd(in)))
-		case aCmpule:
-			c.twr(in.C, b2u64(c.tr(in.A) <= c.topnd(in)))
-		case aAnd:
-			c.twr(in.C, c.tr(in.A)&c.topnd(in))
-		case aBic:
-			c.twr(in.C, c.tr(in.A)&^c.topnd(in))
-		case aBis:
-			c.twr(in.C, c.tr(in.A)|c.topnd(in))
-		case aOrnot:
-			c.twr(in.C, c.tr(in.A)|^c.topnd(in))
-		case aXor:
-			c.twr(in.C, c.tr(in.A)^c.topnd(in))
-		case aEqv:
-			c.twr(in.C, c.tr(in.A)^^c.topnd(in))
-		case aSll:
-			c.twr(in.C, c.tr(in.A)<<(c.topnd(in)&63))
-		case aSrl:
-			c.twr(in.C, c.tr(in.A)>>(c.topnd(in)&63))
-		case aSra:
-			c.twr(in.C, uint64(int64(c.tr(in.A))>>(c.topnd(in)&63)))
-		case aZap:
-			c.twr(in.C, c.tr(in.A)&^zapMask(c.topnd(in)))
-		case aZapnot:
-			c.twr(in.C, c.tr(in.A)&zapMask(c.topnd(in)))
-		case aExtbl:
-			c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xff)
-		case aExtwl:
-			c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xffff)
-		case aInsbl:
-			c.twr(in.C, (c.tr(in.A)&0xff)<<(8*(c.topnd(in)&7)))
-		case aInswl:
-			c.twr(in.C, (c.tr(in.A)&0xffff)<<(8*(c.topnd(in)&7)))
-		case aMskbl:
-			c.twr(in.C, c.tr(in.A)&^(uint64(0xff)<<(8*(c.topnd(in)&7))))
-		case aMskwl:
-			c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
-		case aMull:
-			c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
-			c.BaseCycles += 7
-		case aMulq:
-			c.twr(in.C, c.tr(in.A)*c.topnd(in))
-			c.BaseCycles += 11
-		case aCpys:
-			if in.C != 31 {
-				c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
-			}
-		case aCpysn:
-			// The oracle writes f31 here (no guard); keep the quirk.
-			c.f[in.C] = c.f[in.B] ^ 1<<63
-		case aSqrts:
-			c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
-			c.BaseCycles += 29
-		case aSqrtt:
-			c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
-			c.BaseCycles += 29
-		case aAdds:
-			c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
-			c.BaseCycles++
-		case aSubs:
-			c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
-			c.BaseCycles++
-		case aMuls:
-			c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
-			c.BaseCycles += 3
-		case aDivs:
-			c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
-			c.BaseCycles += 11
-		case aAddt:
-			c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
-			c.BaseCycles++
-		case aSubt:
-			c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
-			c.BaseCycles++
-		case aMultT:
-			c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
-			c.BaseCycles += 4
-		case aDivt:
-			c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
-			c.BaseCycles += 18
-		case aCmpteq:
-			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
-		case aCmptlt:
-			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
-		case aCmptle:
-			c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
-		case aCvtts:
-			c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
-		case aCvtst:
-			c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
-		case aCvtqs:
-			c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
-		case aCvtqt:
-			c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
-		case aCvttqc:
-			// The oracle writes f[fc] unguarded here; keep the quirk.
-			c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
-		default:
-			panic(fmt.Sprintf("alpha: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+			stall += uint64(in.Stall)
+		}
+		if i == start {
+			stall -= exec.Bubble(&code[i], c.LastLoad, 31) - uint64(code[i].Stall)
+			break
+		}
+		c.LastLoad, left = int(int8(code[i-1].LoadReg)), left-uint64(i-start)
+		if i < len(seg) {
+			break
 		}
 	}
-	return len(code), bubbles, nil
+	return i, left, stall
+}
+
+// slow is exec.Port.Slow: FP loads and stores.
+func (c *CPU) slow(in *exec.Instr) error {
+	switch in.Op {
+	case aLds:
+		v, err := c.Mem.Load(c.taddr(in), 4)
+		if err != nil {
+			return memErr("lds", in, err)
+		}
+		if in.A != 31 {
+			c.f[in.A] = v
+		}
+	case aLdt:
+		v, err := c.Mem.Load(c.taddr(in), 8)
+		if err != nil {
+			return memErr("ldt", in, err)
+		}
+		if in.A != 31 {
+			c.f[in.A] = v
+		}
+	case aSts:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff))
+	case aStt:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 8, c.f[in.A]))
+	default:
+		panic(fmt.Sprintf("alpha: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+	}
+	return nil
 }
 
 func zapMask(b uint64) uint64 {
@@ -445,6 +463,10 @@ func zapMask(b uint64) uint64 {
 	return mask
 }
 
+// memErr is a load's or store's fault in the oracle's words, nil for none.
 func memErr(what string, in *exec.Instr, err error) error {
+	if err == nil {
+		return nil
+	}
 	return fmt.Errorf("alpha: %s at pc %#x: %w", what, in.PC, err)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -463,6 +464,47 @@ func TestFrontDoorBackendError(t *testing.T) {
 		}
 		if _, err := f.a.End(); err != errEncode {
 			t.Errorf("%s: End returned %v, want the encoder's error", d.name, err)
+		}
+	}
+}
+
+// TestTypeClasses holds Type's class predicates and sizes, which read
+// op.go's type sets and types.go's size table, to Table 1's classes and
+// sizes as they were written out before, over every value a Type can hold.
+func TestTypeClasses(t *testing.T) {
+	in := func(ty Type, class ...Type) bool { return slices.Contains(class, ty) }
+	for i := 0; i < 256; i++ {
+		ty := Type(i)
+		for _, c := range []struct {
+			name      string
+			got, want bool
+		}{
+			{"IsSigned", ty.IsSigned(), in(ty, TypeC, TypeS, TypeI, TypeL)},
+			{"IsInteger", ty.IsInteger(), in(ty, TypeC, TypeUC, TypeS, TypeUS, TypeI, TypeU, TypeL, TypeUL, TypeP)},
+			{"IsSubWord", ty.IsSubWord(), in(ty, TypeC, TypeUC, TypeS, TypeUS)},
+			{"IsFloat", ty.IsFloat(), in(ty, TypeF, TypeD)},
+		} {
+			if c.got != c.want {
+				t.Errorf("Type(%d).%s() = %v, want %v", i, c.name, c.got, c.want)
+			}
+		}
+		for _, word := range []int{4, 8} {
+			want := 0
+			switch {
+			case in(ty, TypeC, TypeUC):
+				want = 1
+			case in(ty, TypeS, TypeUS):
+				want = 2
+			case in(ty, TypeI, TypeU, TypeF):
+				want = 4
+			case in(ty, TypeL, TypeUL, TypeP):
+				want = word
+			case ty == TypeD:
+				want = 8
+			}
+			if got := ty.Size(word); got != want {
+				t.Errorf("Type(%d).Size(%d) = %d, want %d", i, word, got, want)
+			}
 		}
 	}
 }

@@ -130,13 +130,18 @@ var _ [16 - numTypes]struct{} // every Type has a bit
 // has reports whether t is in s; a t no Type names is in no set.
 func (s typeSet) has(t Type) bool { return s&(1<<t) != 0 }
 
-// The type sets Table 2 composes ops with.
+// Table 1's classes, and the type sets Table 2 composes ops with; Type's
+// IsSigned, IsInteger, IsSubWord and IsFloat read the classes.
 const (
-	wordTypes  typeSet = 1<<TypeI | 1<<TypeU | 1<<TypeL | 1<<TypeUL
-	intTypes           = wordTypes | 1<<TypeP
-	floatTypes typeSet = 1<<TypeF | 1<<TypeD
-	regTypes           = intTypes | floatTypes
-	memTypes           = regTypes | 1<<TypeC | 1<<TypeUC | 1<<TypeS | 1<<TypeUS
+	subWordTypes typeSet = 1<<TypeC | 1<<TypeUC | 1<<TypeS | 1<<TypeUS
+	signedTypes  typeSet = 1<<TypeC | 1<<TypeS | 1<<TypeI | 1<<TypeL
+	wordTypes    typeSet = 1<<TypeI | 1<<TypeU | 1<<TypeL | 1<<TypeUL
+	intTypes             = wordTypes | 1<<TypeP
+	nativeTypes  typeSet = 1<<TypeL | 1<<TypeUL | 1<<TypeP
+	integerTypes         = intTypes | subWordTypes
+	floatTypes   typeSet = 1<<TypeF | 1<<TypeD
+	regTypes             = intTypes | floatTypes
+	memTypes             = regTypes | subWordTypes
 )
 
 // opTypes is Table 2, declared once: the types each op composes with.  A

@@ -46,72 +46,48 @@ var typeCNames = [numTypes]string{
 
 // Letter returns the single/double letter VCODE name of the type ("i",
 // "ul", ...), as used to build instruction names like v_addii.
-func (t Type) Letter() string {
-	if t >= numTypes {
-		return fmt.Sprintf("Type(%d)", uint8(t))
-	}
-	return typeLetters[t]
-}
+func (t Type) Letter() string { return t.in(&typeLetters) }
 
 // CName returns the ANSI C type the VCODE type maps to.
-func (t Type) CName() string {
+func (t Type) CName() string { return t.in(&typeCNames) }
+
+// in is t's entry in names, or Type(n) for a t no Type names.
+func (t Type) in(names *[numTypes]string) string {
 	if t >= numTypes {
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
-	return typeCNames[t]
+	return names[t]
 }
 
 func (t Type) String() string { return t.Letter() }
 
 // IsFloat reports whether t is a floating-point type.
-func (t Type) IsFloat() bool { return t == TypeF || t == TypeD }
+func (t Type) IsFloat() bool { return floatTypes.has(t) }
 
 // IsSigned reports whether t is a signed integer type.
-func (t Type) IsSigned() bool {
-	switch t {
-	case TypeC, TypeS, TypeI, TypeL:
-		return true
-	}
-	return false
-}
+func (t Type) IsSigned() bool { return signedTypes.has(t) }
 
 // IsInteger reports whether t is an integer (or pointer) type.
-func (t Type) IsInteger() bool {
-	switch t {
-	case TypeC, TypeUC, TypeS, TypeUS, TypeI, TypeU, TypeL, TypeUL, TypeP:
-		return true
-	}
-	return false
-}
+func (t Type) IsInteger() bool { return integerTypes.has(t) }
 
 // IsSubWord reports whether t is smaller than a machine word (these types
 // are valid only for memory operations and conversions).
-func (t Type) IsSubWord() bool {
-	switch t {
-	case TypeC, TypeUC, TypeS, TypeUS:
-		return true
-	}
-	return false
-}
+func (t Type) IsSubWord() bool { return subWordTypes.has(t) }
+
+// typeSizes is each type's size in bytes; 0 for void and for the
+// target's native word (long/pointer).
+var typeSizes = [numTypes]int{0, 1, 1, 2, 2, 4, 4, 0, 0, 0, 4, 8}
 
 // Size returns the size in bytes of a value of type t on a target whose
 // native word (long/pointer) is ptrBytes wide.
 func (t Type) Size(ptrBytes int) int {
-	switch t {
-	case TypeV:
-		return 0
-	case TypeC, TypeUC:
-		return 1
-	case TypeS, TypeUS:
-		return 2
-	case TypeI, TypeU, TypeF:
-		return 4
-	case TypeL, TypeUL, TypeP:
+	if nativeTypes.has(t) {
 		return ptrBytes
-	case TypeD:
-		return 8
 	}
-	return 0
+	if t >= numTypes {
+		return 0
+	}
+	return typeSizes[t]
 }
 
 // ParseType parses a single VCODE type letter ("i", "ul", ...).

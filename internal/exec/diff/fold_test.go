@@ -83,6 +83,38 @@ func buildFoldLoop(bk core.Backend, slot int) (*core.Func, error) {
 	return a.End()
 }
 
+// buildLandingStall generates fn(p, n): a loop of n trips whose first
+// instruction reads what the instruction before the loop loads, so that
+// on the ports with an interlock its Stall bit is set, and whose
+// back-edge folds onto it.  Reached by falling through, it pays that
+// bubble; as the landing of a taken fold it pays none.
+func buildLandingStall(bk core.Backend) (*core.Func, error) {
+	a := core.NewAsm(bk)
+	a.SetName("landingstall")
+	args, err := a.BeginTypes([]core.Type{core.TypeP, core.TypeI}, core.Leaf)
+	if err != nil {
+		return nil, err
+	}
+	p, n := args[0], args[1]
+	var r [2]core.Reg
+	for i := range r {
+		if r[i], err = a.GetReg(core.Temp); err != nil {
+			return nil, err
+		}
+	}
+	acc, x := r[0], r[1]
+	const I = core.TypeI
+	a.SetI(I, acc, 0)
+	a.LdI(I, x, p, 0)
+	top := a.NewLabel()
+	a.Bind(top)
+	a.ALU(core.OpAdd, I, acc, acc, x)
+	a.ALUI(core.OpSub, I, n, n, 1)
+	a.BrI(core.OpBgt, I, n, 0, top)
+	a.Ret(I, acc)
+	return a.End()
+}
+
 // buildSelfBranch generates fn(n, m): it counts n up to 0 with a branch
 // back to the body's first word, then, when m > 0, spins on a jump to
 // itself until its fuel runs out.
@@ -126,7 +158,10 @@ func folds(body *exec.Body) []int {
 // on its slot among them — and a stride sweep slices the windows there
 // too; the target's first instruction faults when the back-edge reaches
 // it; edge probes and samplers are attached.  State, error text, cycles,
-// retired instructions, edge and sample streams must be identical.
+// retired instructions, edge and sample streams must be identical.  A
+// fold whose landing carries a Stall bit is pinned on its own: the budget
+// ends at the branch, at its slot and at the landing among every other
+// instruction of three trips, by fuel and by window.
 func TestDifferentialFold(t *testing.T) {
 	for _, tg := range regtest.Targets() {
 		tg := tg
@@ -222,17 +257,38 @@ func TestDifferentialFold(t *testing.T) {
 				}
 			}
 
+			landing := func() (*core.Func, error) { return buildLandingStall(bk) }
+			fn, err := landing()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := predecode(t, tg.NewMachine(), fn)
+			at := folds(body)
+			if len(at) != 1 {
+				t.Fatalf("landingstall: %d branches fold (at %v), want the back-edge", len(at), at)
+			}
+			if stall := body.Code[body.Code[at[0]].Target].Stall; stall != 1 && tg.Name != "sparc" {
+				t.Fatalf("landingstall: the back-edge's target has Stall %d, want 1", stall)
+			}
+			for fuel := uint64(1); fuel <= 24; fuel++ {
+				p.run(t, fmt.Sprintf("landingstall, fuel %d", fuel), landing, core.CallOpts{Fuel: fuel}, true,
+					core.P(buf), core.I(3))
+			}
+			for stride := uint64(1); stride <= 8; stride++ {
+				p.run(t, fmt.Sprintf("landingstall, stride %d", stride), landing, core.CallOpts{PollStride: stride}, true,
+					core.P(buf), core.I(3))
+			}
+
 			// The function's first word is its entry, not index 0 of the
 			// body it is installed as (a reserved prologue comes first), so
 			// the branch back to it reaches index 0 only in the words from
 			// the entry on, run on bare CPUs.
 			build := func() (*core.Func, error) { return buildSelfBranch(bk) }
-			fn, err := build()
-			if err != nil {
+			if fn, err = build(); err != nil {
 				t.Fatal(err)
 			}
 			words := fn.Words[fn.Entry:]
-			body := tg.NewMachine().CPU().(core.ThreadedCPU).Predecode(words, 0x1000)
+			body = tg.NewMachine().CPU().(core.ThreadedCPU).Predecode(words, 0x1000)
 			var toFirst, toSelf bool
 			for _, i := range folds(body) {
 				toFirst = toFirst || body.Code[i].Target == 0

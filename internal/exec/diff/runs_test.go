@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/mem"
 	"repro/internal/regtest"
 )
 
@@ -272,6 +273,57 @@ func TestDifferentialRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialCacheModel holds the run path to the switch engine on
+// memories with a data-cache model, where the inline accessors decline
+// every word access: each takes mem.Memory.Admit, which charges the cache,
+// and then the copy the loop makes, or the fault.  State, error text and
+// cycles with the cache's penalties must be identical.
+func TestDifferentialCacheModel(t *testing.T) {
+	for _, ft := range fuzzTargets() {
+		for _, tg := range regtest.Targets() {
+			if tg.Name != ft.name {
+				continue
+			}
+			cached := func() *core.Machine {
+				m := mem.New(1<<24, ft.big)
+				c, err := mem.NewCache(16, 64, 15, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.AttachCache(c)
+				return core.NewMachine(tg.Backend, ft.mk(m), m)
+			}
+			p := enginePair{sw: cached(), th: cached()}
+			if err := p.sw.SetEngine(core.EngineSwitch); err != nil {
+				t.Fatal(err)
+			}
+			var buf uint64
+			for _, m := range []*core.Machine{p.sw, p.th} {
+				a, err := m.Alloc(32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf = a
+			}
+			for at := -1; at < runLoopLen; at += 3 {
+				rl := runLoop{faultAt: at, store: at%2 == 0}
+				build := func() (*core.Func, error) { return buildRunLoop(tg.Backend, rl) }
+				name := fmt.Sprintf("%s cached, access at %d", tg.Name, at)
+				p.run(t, name, build, core.CallOpts{}, true, core.P(buf), core.I(3), core.P(0))
+				p.run(t, name+", window 4", build, core.CallOpts{PollStride: 4}, true, core.P(buf), core.I(3), core.P(0))
+				if at >= 0 {
+					err := p.run(t, name+", faulting", build, core.CallOpts{}, true, core.P(buf), core.I(3), core.P(faultStep))
+					if err == nil || !strings.Contains(err.Error(), "out of range") {
+						t.Fatalf("%s: the call ended with %v, want the access to fault off the buffer", name, err)
+					}
+				}
+			}
+			p.run(t, tg.Name+" cached, load-led", func() (*core.Func, error) { return buildLoadLedLoop(tg.Backend) },
+				core.CallOpts{}, true, core.P(buf), core.I(5))
+		}
 	}
 }
 

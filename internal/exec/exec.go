@@ -6,14 +6,14 @@
 // once, at install time: each verified function body is unpacked into a
 // flat contiguous []Instr — one struct per word, operands extracted,
 // static branch targets pre-resolved to array indices, straight-line
-// runs measured — and execution becomes one switch loop per run of plain
-// instructions, an in-body branch resolved in the same loop, and a call
-// through a small table of handler function pointers only at any other
-// control transfer (the minijit "VMCodeGen" idiom: contiguous memory,
-// locality, fewer per-instruction checks).  That loop is Port.Run, one
-// function every backend runs through: a backend gives it its plain
-// switch, its branch conditions and its transfer handlers (Port), and its
-// simulator keeps the state the loop shares with Step in State.
+// runs measured — and execution becomes each port's switch loop, which
+// runs plain instructions and resolves in-body branches without a call,
+// and a call through a small table of handler function pointers at any
+// other control transfer (the minijit "VMCodeGen" idiom: contiguous
+// memory, locality, fewer per-instruction checks).  Port.Run, which every
+// backend runs through, enters that loop and takes what it stops at; a
+// backend gives it its loop, slow instructions, branch conditions and
+// handlers (Port), and its simulator keeps their shared state in State.
 //
 // This package deliberately imports nothing from internal/core: core
 // caches *Body values beside installed code, the three backend packages
@@ -60,7 +60,7 @@ const (
 	// of a taken transfer, where the code generators put one unless a
 	// client scheduled the slot, without dispatching it.
 	FNop uint8 = 1 << 1
-	// FFold marks a branch Port.Run resolves in its own loop, with no
+	// FFold marks a branch a port's Loop resolves in place, with no
 	// handler call and no transfer bookkeeping: its row is a pc-relative
 	// branch (exec.KindBranch), its target is in the body, and where the
 	// ISA has a delay slot the slot is the canonical nop.  Port.Decode sets
@@ -92,8 +92,8 @@ const (
 //	Run     how many consecutive instructions from this one on are plain
 //	        (their table row is exec.KindOther: they fall through and
 //	        touch no control state); 0 for a transfer or a word with no
-//	        row.  Port.Run executes a run in one Plain call, without a
-//	        call or a per-instruction check (MarkRuns)
+//	        row.  A port's Loop executes a run as one segment, without a
+//	        call or a per-instruction budget check (MarkRuns)
 //	Stall   1 when this instruction reads what its array predecessor
 //	        loads: its load-use bubble when it is reached by falling
 //	        through, which inside a run is the only way to reach it

@@ -17,6 +17,7 @@ type State struct {
 	BaseCycles  uint64 // cycles, memory-system stalls apart
 	Retired     uint64 // instructions retired
 	LastLoad    int    // the register the previous instruction loaded, or -1
+	Declined    string // the access a Loop's inline accessor declined, as the port's error names it
 
 	Probes // the PC sampler and the branch edge probe
 }
@@ -67,7 +68,7 @@ func (s *State) flush(pc, pend, stall uint64, ll int) {
 type Handler[P any] func(c P, b *Body, in *Instr) (int32, error)
 
 // Port is what a port's CPU, of type P, gives the run loop: its shape and
-// the three parts of execution that are its own.
+// the parts of execution that are its own.
 type Port[P any] struct {
 	Name  string // the ISA's name, as its Step prefixes its errors
 	Slots int    // delay slots per transfer: 0 or 1
@@ -75,17 +76,32 @@ type Port[P any] struct {
 	Never uint8  // the register the load-use interlock never charges, NoReg for none
 	Bad   uint16 // the opcode of a word with no row: its handler refuses it
 
-	// Plain executes code, which holds only plain instructions, in order.
-	// It returns how many completed, the sum of the Stall bits of those it
-	// started, and the fault of the one that did not complete, if any.
-	Plain func(c P, code []Instr) (done int, bubbles uint64, err error)
-	// Branch resolves in, an instruction of a pc-relative branch row
-	// (KindBranch), and reports whether it is taken; a conditional one
-	// fires the edge probe on every resolution, as the oracle does.
-	Branch func(c P, in *Instr) bool
-	// Handlers holds a transfer's Handler by opcode.  A pc-relative
-	// branch has none: the loop resolves it with Branch.
+	// Loop, the port's hot loop, calls nothing.  From code[idx] on it
+	// executes runs of the plain instructions that need no call, each a
+	// segment whose first pays its bubble by the producer (a fold's landing
+	// none) and the rest their Stall bits, and the FFold branches, until
+	// the budget left runs out, the body ends or code[idx] needs a call: a
+	// slow instruction, or an access its inline accessor declines, named in
+	// State.Declined.  It returns where it stopped, the budget left and the
+	// bubbles, and keeps the interlock producer in State.LastLoad.
+	Loop func(c P, code []Instr, idx int, left uint64) (int, uint64, uint64)
+	// Slow executes a plain instruction Loop stops at but did not decline.
+	Slow func(c P, in *Instr) error
+	// Cond is whether in, of a pc-relative branch row, is taken, as Loop
+	// folds it.  Run fires the edge probe on a branch it resolves, as the
+	// oracle does, but on Uncond's (Bad where every branch is conditional).
+	Cond   func(c P, in *Instr) bool
+	Uncond uint16
+	// Handlers holds a transfer's Handler by opcode; a branch has Cond.
 	Handlers []Handler[P]
+}
+
+// Bubble is 1 where in reads ll, loaded just before, a register not never.
+func Bubble(in *Instr, ll, never int) uint64 {
+	if ll >= 0 && ll != never && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
+		return 1
+	}
+	return 0
 }
 
 // Run executes b's code from index idx, on c with state s, until allow
@@ -96,113 +112,65 @@ type Port[P any] struct {
 // beyond the body or the budget, handed back as InDelay and DelayTarget —
 // is exactly what the port's Step would have left.
 //
-// A loop trip executes a straight-line run in one Plain call, a branch
-// FFold marks in one Branch call, and any other transfer in one call of
-// its handler; a delay slot that holds the canonical nop retires without
-// a call.
+// A loop trip is one call of the port's Loop; what it stops at takes the
+// path below, alone, and so does every instruction while a sampler is
+// attached.  A delay slot that holds the canonical nop retires without a
+// call.
 func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, error) {
 	code := b.Code
 	// Retired instructions and base cycles accumulate in locals — the
 	// budget left (allow - left have retired), plus stall for load-use
-	// bubbles — and flush into s at every exit: two read-modify-writes per
-	// instruction are a measurable fraction of threaded dispatch cost, and
-	// one budget counter instead of a count and its limit keeps a value
-	// fewer live across Plain and Branch.  Instructions that charge extra
-	// cycles still add to BaseCycles directly — addition commutes, so the
-	// totals stay oracle-exact.  The sampler branch flushes through the
-	// current instruction first (flushed counts the retired instructions
-	// already applied) so probes observe the counters Step would show.
-	// ll, the interlock producer, charges a reader only when it is a
-	// register (ll >= 0) and not the one the port's interlock never
-	// charges.
+	// bubbles — and flush into s at every exit; instructions that charge
+	// extra cycles add to BaseCycles directly.  The sampler flushes through
+	// the current instruction first (flushed counts what is applied) so
+	// probes see the counters Step would show.
 	var stall, flushed uint64
 	left := allow
-	ll, never, slots := s.LastLoad, int(p.Never), uint64(p.Slots)
-	sampling := s.Sampling()
+	ll, never := s.LastLoad, int(p.Never)
+	sampling, edging := s.Sampling(), s.Edging()
 	for left > 0 {
-		in := &code[idx]
-		if in.Flags&FFold != 0 && left > slots && !sampling {
-			// An in-body branch with a nop in any slot — usually the one
-			// that closed the run the previous trip executed — and the
-			// budget admits both: resolved here, with no handler call, and
-			// the trip goes on at its successor.  It pays its bubble as on
-			// the path below; taken, it retires its slot too, not taken,
-			// the slot is its successor (MarkRuns keeps FFold only where
-			// the slot is in the body; with no slot, not taken may fall
-			// off the end).  Neither loads, so no bubble waits at the
-			// successor.
-			if ll >= 0 && ll != never && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
+		tried := false // whether Loop stopped at code[idx] for its call
+		if !sampling {
+			// Where the edge probe must see every branch, Loop is given
+			// the straight run alone, and a branch takes the path below.
+			lim := left
+			if edging {
+				lim = min(left, uint64(code[idx].Run))
 			}
-			ll = -1
-			if left--; p.Branch(c, in) {
-				left -= slots
-				idx = int(in.Target)
-			} else if idx++; idx == len(code) {
-				s.flush(in.PC+4, allow-left-flushed, stall, ll)
+			var rest, bubbles uint64
+			s.LastLoad = ll
+			idx, rest, bubbles = p.Loop(c, code, idx, lim)
+			ll, left, tried = s.LastLoad, left-(lim-rest), rest > 0
+			stall += bubbles
+			if idx == len(code) {
+				s.flush(b.End(), allow-left-flushed, stall, ll)
 				return allow - left, nil
 			}
 			if left == 0 {
 				break
 			}
-			in = &code[idx]
 		}
-		if run := min(uint64(in.Run), left); run > 1 && !sampling {
-			// A straight-line run, nobody sampling: Plain executes as much
-			// of it as the budget admits.  (One instruction alone costs
-			// less on the path below, which need not ask how far Plain
-			// got.)  Its first instruction may have been reached by a
-			// transfer, so ll decides its bubble; each of the others
-			// follows its array predecessor and carries its bubble as a
-			// bit, which Plain sums (the first one's bit comes off again).
-			if ll >= 0 && ll != never && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
-			}
-			done, bubbles, err := p.Plain(c, code[idx:idx+int(run)])
-			stall += bubbles - uint64(in.Stall)
-			if done > 0 {
-				ll = int(int8(code[idx+done-1].LoadReg))
-			}
-			idx += done
-			left -= uint64(done)
-			if err != nil {
-				// code[idx] faulted: it retires and has paid its bubble,
-				// but does not become the interlock producer.
-				left--
-				s.flush(code[idx].PC, allow-left-flushed, stall, ll)
-				return allow - left, err
-			}
-			if idx == len(code) {
-				s.flush(b.End(), allow-left-flushed, stall, ll)
-				return allow - left, nil
-			}
-			continue
+		in := &code[idx]
+		if sampling && s.SampleDue() {
+			s.flush(in.PC, allow-left+1-flushed, stall, ll)
+			flushed, stall = allow-left+1, 0
+			s.Sample(in.PC)
 		}
-		// One combined predicate guards both rare per-instruction
-		// concerns (PC sampling, a pending load-use interlock), so the
-		// common iteration pays a single not-taken branch.
-		if sampling || ll >= 0 {
-			if sampling && s.SampleDue() {
-				s.flush(in.PC, allow-left+1-flushed, stall, ll)
-				flushed, stall = allow-left+1, 0
-				s.Sample(in.PC)
-			}
-			if ll >= 0 && ll != never && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
-				stall++
-			}
-		}
+		stall += Bubble(in, ll, never)
 		// A transfer's handler is called here, and not through a helper,
 		// which would not inline and so cost a second call.
 		br, err := NoBranch, error(nil)
 		if in.Run != 0 {
-			_, _, err = p.Plain(c, code[idx:idx+1])
+			err = p.plain(c, s, code, idx, tried)
 		} else if h := p.Handlers[in.Op]; h != nil {
 			br, err = h(c, b, in)
-		} else if p.Branch(c, in) {
+		} else if p.branch(c, s, in) {
 			br = in.Jump(&s.ExtPC)
 		}
 		left--
 		if err != nil {
+			// code[idx] faulted: it retires and has paid its bubble, but
+			// does not become the interlock producer.
 			s.flush(in.PC, allow-left-flushed, stall, ll)
 			return allow - left, err
 		}
@@ -215,7 +183,7 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			}
 			continue
 		}
-		if slots == 0 {
+		if p.Slots == 0 {
 			if br == External {
 				s.flush(s.ExtPC, allow-left-flushed, stall, ll)
 				return allow - left, nil
@@ -253,10 +221,10 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		case din.Flags&FNop != 0:
 			// What most slots hold: it retires, and that is all it does.
 		case din.Run != 0:
-			_, _, derr = p.Plain(c, code[dIdx:dIdx+1])
+			derr = p.plain(c, s, code, dIdx, false)
 		case p.Handlers[din.Op] != nil:
 			dbr, derr = p.Handlers[din.Op](c, b, din)
-		case p.Branch(c, din):
+		case p.branch(c, s, din):
 			dbr = din.Jump(&s.ExtPC)
 		}
 		left--
@@ -280,4 +248,34 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 	}
 	s.flush(code[idx].PC, allow-left-flushed, stall, ll)
 	return allow - left, nil
+}
+
+// branch resolves in, of a pc-relative branch row, by Cond, and fires the
+// edge probe.
+func (p *Port[P]) branch(c P, s *State, in *Instr) bool {
+	taken := p.Cond(c, in)
+	if in.Op != p.Uncond && s.Edging() { // Edge's own guard: Edge is too big to inline
+		s.Edge(in.PC, taken)
+	}
+	return taken
+}
+
+// plain executes code[idx], a plain instruction, alone, its bubble paid:
+// in Loop (unless Loop tried it), in Slow, or, its access declined, in
+// Loop again once mem.Memory.Admit has admitted it.
+func (p *Port[P]) plain(c P, s *State, code []Instr, idx int, tried bool) error {
+	if s.LastLoad = -1; !tried {
+		if i, _, _ := p.Loop(c, code, idx, 1); i > idx {
+			return nil
+		}
+	}
+	what := s.Declined
+	if what == "" {
+		return p.Slow(c, &code[idx])
+	}
+	s.Declined = ""
+	if err := s.Mem.Admit(func() { p.Loop(c, code, idx, 1) }); err != nil {
+		return fmt.Errorf("%s: %s at pc %#x: %w", p.Name, what, code[idx].PC, err)
+	}
+	return nil
 }

@@ -27,8 +27,8 @@ type ISA struct {
 	Dec   verify.Decoder   // the backend: Classify and Disasm
 	CPU   core.ThreadedCPU // Step is the oracle, Predecode the table's reader, Run what executes its output
 	Mem   *mem.Memory
-	// Branch is CPU's branch switch: whether a predecoded instruction of
-	// a pc-relative branch row is taken.  The run loop folds a branch with it.
+	// Branch is the port's Cond: whether a predecoded instruction of a
+	// pc-relative branch row is taken.  The run loop folds a branch by it.
 	Branch func(in *exec.Instr) bool
 	// New makes another simulator with its own memory, for CheckStep's
 	// two engines.  Load is a word that loads register r from LoadAddr,
@@ -139,7 +139,7 @@ func scramble(rng *rand.Rand, cpus ...core.ThreadedCPU) {
 
 // runPlain has Run execute the one plain word in body.  Whether the
 // word faults (its operands are random) is not the point: an opcode that
-// Predecode marks plain and plain has no case for panics.
+// Predecode marks plain and neither run nor slow has a case for panics.
 func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -164,8 +164,8 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 // such word ever transfers control on the oracle, whatever the registers
 // hold; every row of another kind does on some trial; rows that share an
 // opcode (one switch case, or one handler) agree; and Run executes
-// every plain word (an opcode marked plain that plain has no case for
-// panics).  Trials are the outer loop, so the condition codes a branch
+// every plain word (an opcode marked plain that neither run nor slow has a
+// case for panics).  Trials are the outer loop, so the condition codes a branch
 // row tests are whatever the previous sweep's compares left.
 func (a *ISA) CheckRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -232,9 +232,8 @@ func (a *ISA) CheckRows(t *testing.T) {
 
 // CheckFolds is the table walk behind the run loop's fold: Predecode may mark
 // any instruction of a pc-relative branch row (exec.KindBranch) for
-// the run loop to resolve with Branch, so every such row must have a case in
-// Branch's switch — a row without one panics, and fails here — and on
-// every trial Branch must decide taken exactly as the oracle's Step does.
+// the port's loop to resolve by Branch, which on every trial must decide
+// taken as the oracle's Step does (a row it has no case for fails here).
 // Each trial first steps every row's word on the oracle, so the condition
 // codes and registers the branches test vary.
 func (a *ISA) CheckFolds(t *testing.T) {
@@ -261,8 +260,7 @@ func (a *ISA) CheckFolds(t *testing.T) {
 	}
 }
 
-// branch calls a.Branch, reporting a panic (no case for r's opcode) as a
-// failure of r.
+// branch calls a.Branch, reporting a panic as a failure of r.
 func (a *ISA) branch(t *testing.T, r *exec.Row, in *exec.Instr) (taken, ok bool) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -27,9 +27,10 @@ type Memory struct {
 	lo, wlo, hi uint64
 	// plain holds while no fault hook and no cache model is attached: the
 	// fast accessors answer only then.
-	plain bool
-	big   bool
-	dc    *Cache
+	plain    bool
+	declined access // what a fast accessor last declined, for Admit
+	big      bool
+	dc       *Cache
 	// penaltyCycles accumulates memory-system stall cycles charged by
 	// the cache model.
 	penaltyCycles uint64
@@ -119,13 +120,36 @@ func (m *Memory) Load(addr uint64, size int) (uint64, error) {
 // Load4, Load8, Store4 and Store8 are the forms of Load and Store the
 // simulators' run loops inline.  Each answers only when the access needs
 // nothing but the copy: no fault hook, no cache model, an aligned address
-// inside the bounds.  Otherwise it declines (ok false) and touches nothing,
-// and the caller takes Load or Store, which give the error, call the hook
-// and charge the cache as they always have.
+// inside the bounds.  Otherwise it declines (ok false), touching nothing
+// but the note Admit reads, and the caller takes Load, Store or Admit,
+// which give the error, call the hook and charge the cache as they always
+// have.
+
+// access is a declined access: size bytes at addr, and v, for a store.
+type access struct {
+	addr, v uint64
+	size    int
+	store   bool
+}
+
+// Admit completes the access a fast accessor last declined: a store by
+// Store, a load by Load and then again, where the fast accessors answer.
+func (m *Memory) Admit(again func()) error {
+	if d := m.declined; d.store {
+		return m.Store(d.addr, d.size, d.v)
+	} else if _, err := m.Load(d.addr, d.size); err != nil {
+		return err
+	}
+	defer func() { m.plain = m.hook == nil && m.dc == nil }()
+	m.plain = true
+	again()
+	return nil
+}
 
 // Load4 is Load(addr, 4) when that is a plain copy.
 func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
 	if !m.plain || addr&3 != 0 || !within(addr, 4, m.lo, m.hi) {
+		m.declined = access{addr: addr, size: 4}
 		return 0, false
 	}
 	if m.big {
@@ -137,6 +161,7 @@ func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
 // Load8 is Load(addr, 8) when that is a plain copy.
 func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
 	if !m.plain || addr&7 != 0 || !within(addr, 8, m.lo, m.hi) {
+		m.declined = access{addr: addr, size: 8}
 		return 0, false
 	}
 	if m.big {
@@ -148,6 +173,7 @@ func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
 // Store4 is Store(addr, 4, v) when that is a plain copy.
 func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
 	if !m.plain || addr&3 != 0 || !within(addr, 4, m.wlo, m.hi) {
+		m.declined = access{addr, uint64(v), 4, true}
 		return false
 	}
 	if m.big {
@@ -161,6 +187,7 @@ func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
 // Store8 is Store(addr, 8, v) when that is a plain copy.
 func (m *Memory) Store8(addr uint64, v uint64) (ok bool) {
 	if !m.plain || addr&7 != 0 || !within(addr, 8, m.wlo, m.hi) {
+		m.declined = access{addr, uint64(v), 8, true}
 		return false
 	}
 	if m.big {

@@ -7,44 +7,19 @@ import (
 	"repro/internal/exec"
 )
 
-// This file is the MIPS port of the predecoded direct-threaded execution
-// engine (internal/exec).  exec's one decoder unpacks every word of an
-// installed function once — each operand into the slot its field in
-// isa.go names, static branch targets resolved to body indices, load-use
-// interlock metadata read off by interlock, straight-line runs measured —
-// and exec's run loop executes the resulting contiguous []exec.Instr
-// through what this file gives it (port): plain, the switch a run of
-// plain instructions executes in; branch, the conditions of the
-// pc-relative branches; and the handlers of the other transfers.
-// Semantics must stay bit-identical to the fetch/switch oracle in cpu.go:
-// same registers, memory, cycle charges, interlock stalls, sampling/edge
-// probes, delay-slot behaviour, and error strings.  internal/exec/diff
-// enforces that differentially.
+// The MIPS port of the predecoded direct-threaded execution engine
+// (internal/exec): what exec's one decoder needs beside the table
+// (interlock), and what its run loop executes a body through (port): run,
+// the hot loop; slow; cond; and the handlers of the other transfers.
+// Semantics must stay bit-identical to the fetch/switch oracle in cpu.go,
+// error strings included; internal/exec/diff enforces that.
 
-// Dense opcodes.  Each is described exactly once: a pc-relative branch
-// (a row of kind exec.KindBranch) by a case of branch, any other transfer
-// or an undecodable word by the handler its number indexes, a plain
-// instruction (a row of kind exec.KindOther) by a case of plain.
+// Dense opcodes, each described once: a pc-relative branch by a case of
+// cond, another transfer or an undecodable word by its handler, a plain
+// instruction by a case of run or of slow (these come first, from 0, so
+// that run's jump table needs no offset).
 const (
-	mJr uint16 = iota
-	mJalr
-	mBltz
-	mBgez
-	mBal
-	mJ
-	mJal
-	mBeq
-	mBne
-	mBlez
-	mBgtz
-	mBc1f
-	mBc1t
-	mBad // a word with no row
-	mNumHandlers
-)
-
-const (
-	mSll = mNumHandlers + iota
+	mSll uint16 = iota
 	mSrl
 	mSra
 	mSllv
@@ -113,54 +88,59 @@ const (
 	mFCLeD
 	mFCvtSW
 	mFCvtDW
+	mNumPlain
+)
+
+const (
+	mJr = mNumPlain + iota
+	mJalr
+	mBltz
+	mBgez
+	mBal
+	mJ
+	mJal
+	mBeq
+	mBne
+	mBlez
+	mBgtz
+	mBc1f
+	mBc1t
+	mBad // a word with no row
 )
 
 // Register helpers over the narrow predecoded operand fields.  Predecode
 // only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index (5% of loop_long).
+// would otherwise check every index (5% of loop_long).  A write to $zero
+// lands and is undone, without a branch.
 func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n&31]) }
 func (c *CPU) trs(n uint8) int32  { return int32(c.r[n&31]) }
 func (c *CPU) twr(n uint8, v uint32) {
-	if n != 0 {
-		c.r[n&31] = uint64(v)
-	}
+	c.r[n&31] = uint64(v)
+	c.r[0] = 0
 }
 
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + uint32(int32(in.Imm))) }
 
-// branch resolves in, an instruction of a pc-relative branch row
-// (exec.KindBranch): it reports whether in is taken.  A conditional one
-// fires the edge probe on every resolution, taken or not, exactly like the
-// oracle's branchRel; j is not conditional.
-func (c *CPU) branch(in *exec.Instr) bool {
-	var taken bool
+// cond reports whether in, of a pc-relative branch row, is taken.  A field
+// a row does not name decodes as $zero: d is rs but in beq and bne, 0 in j.
+func (c *CPU) cond(in *exec.Instr) bool {
+	d := int32(c.tru(in.A) - c.tru(in.B))
 	switch in.Op {
-	case mJ:
-		return true
 	case mBltz:
-		taken = c.trs(in.A) < 0
+		return d < 0
 	case mBgez:
-		taken = c.trs(in.A) >= 0
-	case mBeq:
-		taken = c.tru(in.A) == c.tru(in.B)
+		return d >= 0
+	case mBeq, mJ:
+		return d == 0
 	case mBne:
-		taken = c.tru(in.A) != c.tru(in.B)
+		return d != 0
 	case mBlez:
-		taken = c.trs(in.A) <= 0
+		return d <= 0
 	case mBgtz:
-		taken = c.trs(in.A) > 0
-	case mBc1f:
-		taken = !c.cc
-	case mBc1t:
-		taken = c.cc
-	default:
-		panic(fmt.Sprintf("mips: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
+		return d > 0
 	}
-	if c.Edging() { // Edge's own guard: Edge is too big to inline
-		c.Edge(in.PC, taken)
-	}
-	return taken
+	return c.cc == (in.Op == mBc1t) // bc1f, bc1t
 }
 
 // Predecode unpacks words, the installed image of one function at base,
@@ -190,7 +170,7 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 // handlers.
 var port = exec.Port[*CPU]{
 	Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad,
-	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).cond, Uncond: mJ,
 	Handlers: []exec.Handler[*CPU]{
 		mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
 			return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
@@ -249,232 +229,260 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
 }
 
-// plain executes code, which holds only plain instructions, in order.  It
-// returns how many completed, the sum of the Stall bits of those it
-// started, and the fault of the one that did not complete, if any.
-func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
-	for i := range code {
+// run is exec.Port.Loop: integer and FP operates but the divides, moves,
+// and the word loads and stores the inline accessors answer, and folds.
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
+	var stall uint64
+	for left > 0 && i < len(code) {
 		in := &code[i]
-		bubbles += uint64(in.Stall)
-		switch in.Op {
-		case mSll:
-			c.twr(in.C, c.tru(in.B)<<uint32(in.Imm))
-		case mSrl:
-			c.twr(in.C, c.tru(in.B)>>uint32(in.Imm))
-		case mSra:
-			c.twr(in.C, uint32(c.trs(in.B)>>uint32(in.Imm)))
-		case mSllv:
-			c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
-		case mSrlv:
-			c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
-		case mSrav:
-			c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
-		case mMfhi:
-			c.twr(in.C, c.hi)
-		case mMflo:
-			c.twr(in.C, c.lo)
-		case mMult:
-			p := int64(c.trs(in.A)) * int64(c.trs(in.B))
-			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.BaseCycles += 11
-		case mMultu:
-			p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
-			c.lo, c.hi = uint32(p), uint32(p>>32)
-			c.BaseCycles += 11
-		case mDiv:
-			d := c.trs(in.B)
-			if d == 0 {
-				c.lo, c.hi = 0, 0
-			} else if c.trs(in.A) == math.MinInt32 && d == -1 {
-				c.lo, c.hi = 0x80000000, 0
+		if in.Run == 0 { // a folded branch; taken, its nop slot retires too
+			if in.Flags&exec.FFold == 0 || left < 2 {
+				break
+			}
+			stall += exec.Bubble(in, c.LastLoad, 0)
+			c.LastLoad, left = -1, left-1
+			if c.cond(in) {
+				i, left = int(in.Target), left-1
 			} else {
-				c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
+				i++
 			}
-			c.BaseCycles += 34
-		case mDivu:
-			d := c.tru(in.B)
-			if d == 0 {
-				c.lo, c.hi = 0, 0
-			} else {
-				c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
-			}
-			c.BaseCycles += 34
-		case mAddu:
-			c.twr(in.C, c.tru(in.A)+c.tru(in.B))
-		case mSubu:
-			c.twr(in.C, c.tru(in.A)-c.tru(in.B))
-		case mAnd:
-			c.twr(in.C, c.tru(in.A)&c.tru(in.B))
-		case mOr:
-			c.twr(in.C, c.tru(in.A)|c.tru(in.B))
-		case mXor:
-			c.twr(in.C, c.tru(in.A)^c.tru(in.B))
-		case mNor:
-			c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
-		case mSlt:
-			c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
-		case mSltu:
-			c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
-		case mAddiu:
-			c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
-		case mSlti:
-			c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
-		case mSltiu:
-			c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
-		case mAndi:
-			c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
-		case mOri:
-			c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
-		case mXori:
-			c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
-		case mLui:
-			c.twr(in.B, uint32(in.Imm)<<16)
-		case mLb:
-			v, err := c.Mem.Load(c.taddr(in), 1)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.twr(in.B, uint32(int32(int8(v))))
-		case mLbu:
-			v, err := c.Mem.Load(c.taddr(in), 1)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.twr(in.B, uint32(uint8(v)))
-		case mLh:
-			v, err := c.Mem.Load(c.taddr(in), 2)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.twr(in.B, uint32(int32(int16(v))))
-		case mLhu:
-			v, err := c.Mem.Load(c.taddr(in), 2)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.twr(in.B, uint32(uint16(v)))
-		case mLw:
-			a := c.taddr(in)
-			v, ok := c.Mem.Load4(a)
-			if !ok {
-				w, err := c.Mem.Load(a, 4)
-				if err != nil {
-					return i, bubbles, memErr("load", in, err)
+			continue
+		}
+		seg, start := code[:i+int(min(uint64(in.Run), left))], i
+		stall += exec.Bubble(in, c.LastLoad, 0) - uint64(in.Stall)
+	loop:
+		for ; i < len(seg); i++ {
+			in := &seg[i]
+			switch in.Op {
+			case mSll:
+				c.twr(in.C, c.tru(in.B)<<uint32(in.Imm))
+			case mSrl:
+				c.twr(in.C, c.tru(in.B)>>uint32(in.Imm))
+			case mSra:
+				c.twr(in.C, uint32(c.trs(in.B)>>uint32(in.Imm)))
+			case mSllv:
+				c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
+			case mSrlv:
+				c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
+			case mSrav:
+				c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
+			case mMfhi:
+				c.twr(in.C, c.hi)
+			case mMflo:
+				c.twr(in.C, c.lo)
+			case mMult:
+				p := int64(c.trs(in.A)) * int64(c.trs(in.B))
+				c.lo, c.hi = uint32(p), uint32(p>>32)
+				c.BaseCycles += 11
+			case mMultu:
+				p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
+				c.lo, c.hi = uint32(p), uint32(p>>32)
+				c.BaseCycles += 11
+			case mAddu:
+				c.twr(in.C, c.tru(in.A)+c.tru(in.B))
+			case mSubu:
+				c.twr(in.C, c.tru(in.A)-c.tru(in.B))
+			case mAnd:
+				c.twr(in.C, c.tru(in.A)&c.tru(in.B))
+			case mOr:
+				c.twr(in.C, c.tru(in.A)|c.tru(in.B))
+			case mXor:
+				c.twr(in.C, c.tru(in.A)^c.tru(in.B))
+			case mNor:
+				c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
+			case mSlt:
+				c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
+			case mSltu:
+				c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
+			case mAddiu:
+				c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
+			case mSlti:
+				c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
+			case mSltiu:
+				c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
+			case mAndi:
+				c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
+			case mOri:
+				c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
+			case mXori:
+				c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
+			case mLui:
+				c.twr(in.B, uint32(in.Imm)<<16)
+			case mLw:
+				v, ok := c.Mem.Load4(c.taddr(in))
+				if !ok {
+					c.Declined = "load"
+					break loop
 				}
-				v = uint32(w)
-			}
-			c.twr(in.B, v)
-		case mLwc1:
-			v, err := c.Mem.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.f[in.B] = uint64(uint32(v))
-		case mLdc1:
-			v, err := c.Mem.Load(c.taddr(in), 8)
-			if err != nil {
-				return i, bubbles, memErr("load", in, err)
-			}
-			c.f[in.B] = v
-		case mSb:
-			if err := c.Mem.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case mSh:
-			if err := c.Mem.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case mSw:
-			if a, v := c.taddr(in), c.tru(in.B); !c.Mem.Store4(a, v) {
-				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
-					return i, bubbles, memErr("store", in, err)
+				c.twr(in.B, v)
+			case mSw:
+				if !c.Mem.Store4(c.taddr(in), c.tru(in.B)) {
+					c.Declined = "store"
+					break loop
 				}
+			case mMfc1:
+				c.twr(in.B, uint32(c.f[in.A]))
+			case mMtc1:
+				c.f[in.A] = uint64(c.tru(in.B))
+			case mFAddS:
+				c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
+				c.BaseCycles++
+			case mFSubS:
+				c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
+				c.BaseCycles++
+			case mFMulS:
+				c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
+				c.BaseCycles += 3
+			case mFDivS:
+				c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
+				c.BaseCycles += 11
+			case mFSqrtS:
+				c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
+				c.BaseCycles += 29
+			case mFAbsS:
+				c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
+			case mFMovS:
+				c.f[in.C] = c.f[in.A] & 0xffffffff
+			case mFNegS:
+				c.wfs(uint32(in.C), -c.fs(uint32(in.A)))
+			case mFCvtDS:
+				c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
+			case mFCvtWS:
+				c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
+			case mFCEqS:
+				c.cc = c.fs(uint32(in.A)) == c.fs(uint32(in.B))
+			case mFCLtS:
+				c.cc = c.fs(uint32(in.A)) < c.fs(uint32(in.B))
+			case mFCLeS:
+				c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
+			case mFAddD:
+				c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
+				c.BaseCycles++
+			case mFSubD:
+				c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
+				c.BaseCycles++
+			case mFMulD:
+				c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
+				c.BaseCycles += 4
+			case mFDivD:
+				c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
+				c.BaseCycles += 18
+			case mFSqrtD:
+				c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
+				c.BaseCycles += 29
+			case mFAbsD:
+				c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
+			case mFMovD:
+				c.f[in.C] = c.f[in.A]
+			case mFNegD:
+				c.wfd(uint32(in.C), -c.fd(uint32(in.A)))
+			case mFCvtSD:
+				c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
+			case mFCvtWD:
+				c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
+			case mFCEqD:
+				c.cc = c.fd(uint32(in.A)) == c.fd(uint32(in.B))
+			case mFCLtD:
+				c.cc = c.fd(uint32(in.A)) < c.fd(uint32(in.B))
+			case mFCLeD:
+				c.cc = c.fd(uint32(in.A)) <= c.fd(uint32(in.B))
+			case mFCvtSW:
+				c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
+			case mFCvtDW:
+				c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
+			default:
+				break loop
 			}
-		case mSwc1:
-			if err := c.Mem.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case mSdc1:
-			if err := c.Mem.Store(c.taddr(in), 8, c.f[in.B]); err != nil {
-				return i, bubbles, memErr("store", in, err)
-			}
-		case mMfc1:
-			c.twr(in.B, uint32(c.f[in.A]))
-		case mMtc1:
-			c.f[in.A] = uint64(c.tru(in.B))
-		case mFAddS:
-			c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
-			c.BaseCycles++
-		case mFSubS:
-			c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
-			c.BaseCycles++
-		case mFMulS:
-			c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
-			c.BaseCycles += 3
-		case mFDivS:
-			c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
-			c.BaseCycles += 11
-		case mFSqrtS:
-			c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
-			c.BaseCycles += 29
-		case mFAbsS:
-			c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
-		case mFMovS:
-			c.f[in.C] = c.f[in.A] & 0xffffffff
-		case mFNegS:
-			c.wfs(uint32(in.C), -c.fs(uint32(in.A)))
-		case mFCvtDS:
-			c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
-		case mFCvtWS:
-			c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
-		case mFCEqS:
-			c.cc = c.fs(uint32(in.A)) == c.fs(uint32(in.B))
-		case mFCLtS:
-			c.cc = c.fs(uint32(in.A)) < c.fs(uint32(in.B))
-		case mFCLeS:
-			c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
-		case mFAddD:
-			c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
-			c.BaseCycles++
-		case mFSubD:
-			c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
-			c.BaseCycles++
-		case mFMulD:
-			c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
-			c.BaseCycles += 4
-		case mFDivD:
-			c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
-			c.BaseCycles += 18
-		case mFSqrtD:
-			c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
-			c.BaseCycles += 29
-		case mFAbsD:
-			c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
-		case mFMovD:
-			c.f[in.C] = c.f[in.A]
-		case mFNegD:
-			c.wfd(uint32(in.C), -c.fd(uint32(in.A)))
-		case mFCvtSD:
-			c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
-		case mFCvtWD:
-			c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
-		case mFCEqD:
-			c.cc = c.fd(uint32(in.A)) == c.fd(uint32(in.B))
-		case mFCLtD:
-			c.cc = c.fd(uint32(in.A)) < c.fd(uint32(in.B))
-		case mFCLeD:
-			c.cc = c.fd(uint32(in.A)) <= c.fd(uint32(in.B))
-		case mFCvtSW:
-			c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
-		case mFCvtDW:
-			c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
-		default:
-			panic(fmt.Sprintf("mips: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+			stall += uint64(in.Stall)
+		}
+		if i == start {
+			stall -= exec.Bubble(&code[i], c.LastLoad, 0) - uint64(code[i].Stall)
+			break
+		}
+		c.LastLoad, left = int(int8(code[i-1].LoadReg)), left-uint64(i-start)
+		if i < len(seg) {
+			break
 		}
 	}
-	return len(code), bubbles, nil
+	return i, left, stall
 }
 
+// slow is exec.Port.Slow: byte, halfword and FP loads and stores, and the
+// divides, whose host registers would cost every case of run one.
+func (c *CPU) slow(in *exec.Instr) error {
+	switch in.Op {
+	case mDiv:
+		d := c.trs(in.B)
+		if d == 0 {
+			c.lo, c.hi = 0, 0
+		} else if c.trs(in.A) == math.MinInt32 && d == -1 {
+			c.lo, c.hi = 0x80000000, 0
+		} else {
+			c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
+		}
+		c.BaseCycles += 34
+	case mDivu:
+		d := c.tru(in.B)
+		if d == 0 {
+			c.lo, c.hi = 0, 0
+		} else {
+			c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
+		}
+		c.BaseCycles += 34
+	case mLb:
+		v, err := c.Mem.Load(c.taddr(in), 1)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.B, uint32(int32(int8(v))))
+	case mLbu:
+		v, err := c.Mem.Load(c.taddr(in), 1)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.B, uint32(uint8(v)))
+	case mLh:
+		v, err := c.Mem.Load(c.taddr(in), 2)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.B, uint32(int32(int16(v))))
+	case mLhu:
+		v, err := c.Mem.Load(c.taddr(in), 2)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.B, uint32(uint16(v)))
+	case mLwc1:
+		v, err := c.Mem.Load(c.taddr(in), 4)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.f[in.B] = uint64(uint32(v))
+	case mLdc1:
+		v, err := c.Mem.Load(c.taddr(in), 8)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.f[in.B] = v
+	case mSb:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))))
+	case mSh:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))))
+	case mSwc1:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))))
+	case mSdc1:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 8, c.f[in.B]))
+	default:
+		panic(fmt.Sprintf("mips: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+	}
+	return nil
+}
+
+// memErr is a load's or store's fault in the oracle's words, nil for none.
 func memErr(what string, in *exec.Instr, err error) error {
+	if err == nil {
+		return nil
+	}
 	return fmt.Errorf("mips: %s at pc %#x: %w", what, in.PC, err)
 }

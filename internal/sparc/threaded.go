@@ -7,31 +7,18 @@ import (
 	"repro/internal/exec"
 )
 
-// SPARC port of the predecoded direct-threaded execution engine
-// (internal/exec): what exec's one decoder needs beside the table, whose
-// fields name each operand's slot, and what exec's run loop executes the
-// body through (port): plain, branch and the transfer handlers.  The
-// fetch/switch Step in cpu.go stays the verification oracle: registers,
-// memory, icc/fcc/Y state, cycle charges, probes, delay slots, and error
-// strings must match bit for bit (internal/exec/diff enforces it).  SPARC
-// models no load-use interlock, so the predecoded interlock metadata stays
-// NoReg — exactly like the oracle.
+// The SPARC port of the predecoded direct-threaded execution engine
+// (internal/exec): what its run loop executes a body through (port): run,
+// the hot loop; slow; cond; and the handlers.  The fetch/switch Step in
+// cpu.go stays the oracle, bit for bit (internal/exec/diff enforces it).
+// SPARC models no load-use interlock, so no Instr has interlock metadata.
 
-// Dense opcodes.  Each is described exactly once: a pc-relative branch
-// (a row of kind exec.KindBranch) by a case of branch, any other transfer
-// or an undecodable word by the handler its number indexes, a plain
-// instruction (a row of kind exec.KindOther) by a case of plain.
+// Dense opcodes, each described once: a pc-relative branch by cond,
+// another transfer or an undecodable word by its handler, a plain
+// instruction by a case of run or of slow (these come first, from 0, so
+// that run's jump table needs no offset).
 const (
-	sBicc uint16 = iota
-	sFBfcc
-	sCall
-	sJmpl
-	sBad // a word with no row
-	sNumHandlers
-)
-
-const (
-	sSethi = sNumHandlers + iota
+	sSethi uint16 = iota
 	sAdd
 	sSub
 	sAnd
@@ -84,16 +71,25 @@ const (
 	sSth
 	sStf
 	sStdf
+	sNumPlain
 )
 
-// Register helpers over the narrow predecoded operand fields.  (Not
-// masked with 31 to spare the compiler's index check, as on MIPS and
-// Alpha: here that form reads 10% slower on loop_long, EXPERIMENTS S8.)
-func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n]) }
+const (
+	sBicc = sNumPlain + iota
+	sFBfcc
+	sCall
+	sJmpl
+	sBad // a word with no row
+)
+
+// Register helpers over the narrow predecoded operand fields.  Predecode
+// only stores numbers below 32 in them; the mask tells the compiler, which
+// would otherwise check every index.  A write to %g0 lands and is undone,
+// without a branch.
+func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n&31]) }
 func (c *CPU) twr(n uint8, v uint32) {
-	if n != 0 {
-		c.r[n] = uint64(v)
-	}
+	c.r[n&31] = uint64(v)
+	c.r[0] = 0
 }
 
 // topnd2 is the predecoded form of operand2: the sign-extended simm13
@@ -108,23 +104,34 @@ func (c *CPU) topnd2(in *exec.Instr) uint32 {
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + c.topnd2(in)) }
 
-// branch resolves in, an instruction of a pc-relative branch row
-// (exec.KindBranch): it reports whether in is taken, after the edge probe
-// that fires on every resolution, as in the oracle.
-func (c *CPU) branch(in *exec.Instr) bool {
-	var taken bool
-	switch in.Op {
-	case sBicc:
-		taken = c.takenI(uint32(in.A))
-	case sFBfcc:
-		taken = c.takenF(uint32(in.A))
-	default:
-		panic(fmt.Sprintf("sparc: opcode %d at %#x is marked a branch and has no case", in.Op, in.PC))
+// cond reports whether in, of a pc-relative branch row, is taken: the
+// oracle's takenI and takenF as a table.
+func (c *CPU) cond(in *exec.Instr) bool {
+	st := b2u(c.n)<<3 | b2u(c.z)<<2 | b2u(c.v)<<1 | b2u(c.c) | uint32(c.fcc&3)<<4
+	return branches[in.Op&1][in.A&15]&(1<<st) != 0
+}
+
+// branches is, by opcode (its low bit: sBicc and sFBfcc are adjacent)
+// and condition, the states it holds in: icc's n, z, v, c, then fcc.
+var branches = conditions()
+
+func conditions() (t [2][16]uint64) {
+	var c CPU
+	for cond := uint32(0); cond < 16; cond++ {
+		for st := uint32(0); st < 64; st++ {
+			c.n, c.z, c.v, c.c, c.fcc = st&8 != 0, st&4 != 0, st&2 != 0, st&1 != 0, uint8(st>>4)
+			t[sBicc&1][cond] |= uint64(b2u(c.takenI(cond))) << st
+			t[sFBfcc&1][cond] |= uint64(b2u(c.takenF(cond))) << st
+		}
 	}
-	if c.Edging() { // Edge's own guard: Edge is too big to inline
-		c.Edge(in.PC, taken)
+	return t
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
-	return taken
+	return 0
 }
 
 // Predecode unpacks words, the installed image of one function at base,
@@ -140,7 +147,7 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // and its nop, no load-use interlock, and its switches and handlers.
 var port = exec.Port[*CPU]{
 	Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad,
-	Plain: (*CPU).plain, Branch: (*CPU).branch,
+	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).cond, Uncond: sBad,
 	Handlers: []exec.Handler[*CPU]{
 		sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
 			c.twr(rO7, uint32(in.PC))
@@ -180,226 +187,241 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, pc)
 }
 
-// plain executes code, which holds only plain instructions, in order.  It
-// returns how many completed, no bubbles (no instruction has a Stall bit
-// without an interlock), and the fault of the one that did not complete,
-// if any.
-func (c *CPU) plain(code []exec.Instr) (done int, bubbles uint64, err error) {
-	for i := range code {
+// run is exec.Port.Loop: integer and FP operates, the word loads and
+// stores the inline accessors answer, and folds.  Nothing stalls.
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
+	for left > 0 && i < len(code) {
 		in := &code[i]
-		switch in.Op {
-		case sSethi:
-			c.twr(in.C, uint32(in.Imm))
-		case sAdd:
-			c.twr(in.C, c.tru(in.A)+c.topnd2(in))
-		case sSub:
-			c.twr(in.C, c.tru(in.A)-c.topnd2(in))
-		case sAnd:
-			c.twr(in.C, c.tru(in.A)&c.topnd2(in))
-		case sAndn:
-			c.twr(in.C, c.tru(in.A)&^c.topnd2(in))
-		case sOr:
-			c.twr(in.C, c.tru(in.A)|c.topnd2(in))
-		case sXor:
-			c.twr(in.C, c.tru(in.A)^c.topnd2(in))
-		case sXnor:
-			c.twr(in.C, ^(c.tru(in.A) ^ c.topnd2(in)))
-		case sAddx:
-			x := uint32(0)
-			if c.c {
-				x = 1
+		if in.Run == 0 { // a folded branch; taken, its nop slot retires too
+			if in.Flags&exec.FFold == 0 || left < 2 {
+				break
 			}
-			c.twr(in.C, c.tru(in.A)+c.topnd2(in)+x)
-		case sAddCC:
-			a, b := c.tru(in.A), c.topnd2(in)
-			r := a + b
-			c.twr(in.C, r)
-			c.n, c.z = int32(r) < 0, r == 0
-			c.v = (a>>31 == b>>31) && (r>>31 != a>>31)
-			c.c = r < a
-		case sSubCC:
-			a, b := c.tru(in.A), c.topnd2(in)
-			r := a - b
-			c.twr(in.C, r)
-			c.n, c.z = int32(r) < 0, r == 0
-			c.v = (a>>31 != b>>31) && (r>>31 != a>>31)
-			c.c = a < b
-		case sSll:
-			c.twr(in.C, c.tru(in.A)<<(c.topnd2(in)&31))
-		case sSrl:
-			c.twr(in.C, c.tru(in.A)>>(c.topnd2(in)&31))
-		case sSra:
-			c.twr(in.C, uint32(int32(c.tru(in.A))>>(c.topnd2(in)&31)))
-		case sUmul:
-			p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
-			c.y = uint32(p >> 32)
-			c.twr(in.C, uint32(p))
-			c.BaseCycles += 4
-		case sSmul:
-			p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
-			c.y = uint32(uint64(p) >> 32)
-			c.twr(in.C, uint32(p))
-			c.BaseCycles += 4
-		case sUdiv:
-			b := c.topnd2(in)
-			dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
-			if b == 0 {
-				c.twr(in.C, 0)
+			left--
+			if c.cond(in) {
+				i, left = int(in.Target), left-1
 			} else {
-				q := dividend / uint64(b)
-				if q > math.MaxUint32 {
-					q = math.MaxUint32
+				i++
+			}
+			continue
+		}
+		seg, start := code[:i+int(min(uint64(in.Run), left))], i
+	loop:
+		for ; i < len(seg); i++ {
+			in := &seg[i]
+			switch in.Op {
+			case sSethi:
+				c.twr(in.C, uint32(in.Imm))
+			case sAdd:
+				c.twr(in.C, c.tru(in.A)+c.topnd2(in))
+			case sSub:
+				c.twr(in.C, c.tru(in.A)-c.topnd2(in))
+			case sAnd:
+				c.twr(in.C, c.tru(in.A)&c.topnd2(in))
+			case sAndn:
+				c.twr(in.C, c.tru(in.A)&^c.topnd2(in))
+			case sOr:
+				c.twr(in.C, c.tru(in.A)|c.topnd2(in))
+			case sXor:
+				c.twr(in.C, c.tru(in.A)^c.topnd2(in))
+			case sXnor:
+				c.twr(in.C, ^(c.tru(in.A) ^ c.topnd2(in)))
+			case sAddx:
+				x := uint32(0)
+				if c.c {
+					x = 1
 				}
-				c.twr(in.C, uint32(q))
-			}
-			c.BaseCycles += 36
-		case sSdiv:
-			b := c.topnd2(in)
-			dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
-			if b == 0 {
-				c.twr(in.C, 0)
-			} else {
-				q := dividend / int64(int32(b))
-				switch {
-				case q > math.MaxInt32:
-					q = math.MaxInt32
-				case q < math.MinInt32:
-					q = math.MinInt32
+				c.twr(in.C, c.tru(in.A)+c.topnd2(in)+x)
+			case sAddCC:
+				a, b := c.tru(in.A), c.topnd2(in)
+				r := a + b
+				c.twr(in.C, r)
+				c.n, c.z = int32(r) < 0, r == 0
+				c.v = (a>>31 == b>>31) && (r>>31 != a>>31)
+				c.c = r < a
+			case sSubCC:
+				a, b := c.tru(in.A), c.topnd2(in)
+				r := a - b
+				c.twr(in.C, r)
+				c.n, c.z = int32(r) < 0, r == 0
+				c.v = (a>>31 != b>>31) && (r>>31 != a>>31)
+				c.c = a < b
+			case sSll:
+				c.twr(in.C, c.tru(in.A)<<(c.topnd2(in)&31))
+			case sSrl:
+				c.twr(in.C, c.tru(in.A)>>(c.topnd2(in)&31))
+			case sSra:
+				c.twr(in.C, uint32(int32(c.tru(in.A))>>(c.topnd2(in)&31)))
+			case sUmul:
+				p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
+				c.y = uint32(p >> 32)
+				c.twr(in.C, uint32(p))
+				c.BaseCycles += 4
+			case sSmul:
+				p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
+				c.y = uint32(uint64(p) >> 32)
+				c.twr(in.C, uint32(p))
+				c.BaseCycles += 4
+			case sUdiv:
+				b := c.topnd2(in)
+				dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
+				if b == 0 {
+					c.twr(in.C, 0)
+				} else {
+					q := dividend / uint64(b)
+					if q > math.MaxUint32 {
+						q = math.MaxUint32
+					}
+					c.twr(in.C, uint32(q))
 				}
-				c.twr(in.C, uint32(int32(q)))
-			}
-			c.BaseCycles += 36
-		case sRdY:
-			c.twr(in.C, c.y)
-		case sWrY:
-			c.y = c.tru(in.A) ^ c.topnd2(in)
-		case sFmovs:
-			c.f[in.C] = c.f[in.B]
-		case sFnegs:
-			c.f[in.C] = c.f[in.B] ^ 0x80000000
-		case sFabss:
-			c.f[in.C] = c.f[in.B] &^ 0x80000000
-		case sFsqrts:
-			c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
-			c.BaseCycles += 29
-		case sFsqrtd:
-			c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
-			c.BaseCycles += 29
-		case sFadds:
-			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
-			c.BaseCycles++
-		case sFaddd:
-			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
-			c.BaseCycles++
-		case sFsubs:
-			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
-			c.BaseCycles++
-		case sFsubd:
-			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
-			c.BaseCycles++
-		case sFmuls:
-			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
-			c.BaseCycles += 3
-		case sFmuld:
-			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
-			c.BaseCycles += 4
-		case sFdivs:
-			c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
-			c.BaseCycles += 12
-		case sFdivd:
-			c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
-			c.BaseCycles += 18
-		case sFitos:
-			c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
-		case sFitod:
-			c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
-		case sFstoi:
-			c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
-		case sFdtoi:
-			c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
-		case sFstod:
-			c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
-		case sFdtos:
-			c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
-		case sFcmps:
-			c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
-		case sFcmpd:
-			c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
-		case sLd:
-			a := c.taddr(in)
-			v, ok := c.Mem.Load4(a)
-			if !ok {
-				w, err := c.Mem.Load(a, 4)
-				if err != nil {
-					return i, 0, memErr("load", in, err)
+				c.BaseCycles += 36
+			case sSdiv:
+				b := c.topnd2(in)
+				dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
+				if b == 0 {
+					c.twr(in.C, 0)
+				} else {
+					q := dividend / int64(int32(b))
+					switch {
+					case q > math.MaxInt32:
+						q = math.MaxInt32
+					case q < math.MinInt32:
+						q = math.MinInt32
+					}
+					c.twr(in.C, uint32(int32(q)))
 				}
-				v = uint32(w)
-			}
-			c.twr(in.C, v)
-		case sLdub:
-			v, err := c.Mem.Load(c.taddr(in), 1)
-			if err != nil {
-				return i, 0, memErr("load", in, err)
-			}
-			c.twr(in.C, uint32(v))
-		case sLduh:
-			v, err := c.Mem.Load(c.taddr(in), 2)
-			if err != nil {
-				return i, 0, memErr("load", in, err)
-			}
-			c.twr(in.C, uint32(v))
-		case sLdsb:
-			v, err := c.Mem.Load(c.taddr(in), 1)
-			if err != nil {
-				return i, 0, memErr("load", in, err)
-			}
-			c.twr(in.C, uint32(int32(int8(v))))
-		case sLdsh:
-			v, err := c.Mem.Load(c.taddr(in), 2)
-			if err != nil {
-				return i, 0, memErr("load", in, err)
-			}
-			c.twr(in.C, uint32(int32(int16(v))))
-		case sLdf:
-			v, err := c.Mem.Load(c.taddr(in), 4)
-			if err != nil {
-				return i, 0, memErr("ldf", in, err)
-			}
-			c.f[in.C] = uint32(v)
-		case sLddf:
-			v, err := c.Mem.Load(c.taddr(in), 8)
-			if err != nil {
-				return i, 0, memErr("lddf", in, err)
-			}
-			c.f[in.C&^1] = uint32(v >> 32)
-			c.f[in.C|1] = uint32(v)
-		case sSt:
-			if a, v := c.taddr(in), c.tru(in.C); !c.Mem.Store4(a, v) {
-				if err := c.Mem.Store(a, 4, uint64(v)); err != nil {
-					return i, 0, memErr("store", in, err)
+				c.BaseCycles += 36
+			case sRdY:
+				c.twr(in.C, c.y)
+			case sWrY:
+				c.y = c.tru(in.A) ^ c.topnd2(in)
+			case sFmovs:
+				c.f[in.C] = c.f[in.B]
+			case sFnegs:
+				c.f[in.C] = c.f[in.B] ^ 0x80000000
+			case sFabss:
+				c.f[in.C] = c.f[in.B] &^ 0x80000000
+			case sFsqrts:
+				c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
+				c.BaseCycles += 29
+			case sFsqrtd:
+				c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
+				c.BaseCycles += 29
+			case sFadds:
+				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
+				c.BaseCycles++
+			case sFaddd:
+				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
+				c.BaseCycles++
+			case sFsubs:
+				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
+				c.BaseCycles++
+			case sFsubd:
+				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
+				c.BaseCycles++
+			case sFmuls:
+				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
+				c.BaseCycles += 3
+			case sFmuld:
+				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
+				c.BaseCycles += 4
+			case sFdivs:
+				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
+				c.BaseCycles += 12
+			case sFdivd:
+				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
+				c.BaseCycles += 18
+			case sFitos:
+				c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
+			case sFitod:
+				c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
+			case sFstoi:
+				c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
+			case sFdtoi:
+				c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
+			case sFstod:
+				c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
+			case sFdtos:
+				c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
+			case sFcmps:
+				c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
+			case sFcmpd:
+				c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
+			case sLd:
+				v, ok := c.Mem.Load4(c.taddr(in))
+				if !ok {
+					c.Declined = "load"
+					break loop
 				}
+				c.twr(in.C, v)
+			case sSt:
+				if !c.Mem.Store4(c.taddr(in), c.tru(in.C)) {
+					c.Declined = "store"
+					break loop
+				}
+			default:
+				break loop
 			}
-		case sStb:
-			if err := c.Mem.Store(c.taddr(in), 1, uint64(c.tru(in.C))); err != nil {
-				return i, 0, memErr("store", in, err)
-			}
-		case sSth:
-			if err := c.Mem.Store(c.taddr(in), 2, uint64(c.tru(in.C))); err != nil {
-				return i, 0, memErr("store", in, err)
-			}
-		case sStf:
-			if err := c.Mem.Store(c.taddr(in), 4, uint64(c.f[in.C])); err != nil {
-				return i, 0, memErr("stf", in, err)
-			}
-		case sStdf:
-			if err := c.Mem.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])); err != nil {
-				return i, 0, memErr("stdf", in, err)
-			}
-		default:
-			panic(fmt.Sprintf("sparc: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+		}
+		left -= uint64(i - start)
+		if i < len(seg) {
+			break
 		}
 	}
-	return len(code), 0, nil
+	return i, left, 0
+}
+
+// slow is exec.Port.Slow: byte, halfword and FP loads and stores.
+func (c *CPU) slow(in *exec.Instr) error {
+	switch in.Op {
+	case sLdub:
+		v, err := c.Mem.Load(c.taddr(in), 1)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.C, uint32(v))
+	case sLduh:
+		v, err := c.Mem.Load(c.taddr(in), 2)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.C, uint32(v))
+	case sLdsb:
+		v, err := c.Mem.Load(c.taddr(in), 1)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.C, uint32(int32(int8(v))))
+	case sLdsh:
+		v, err := c.Mem.Load(c.taddr(in), 2)
+		if err != nil {
+			return memErr("load", in, err)
+		}
+		c.twr(in.C, uint32(int32(int16(v))))
+	case sLdf:
+		v, err := c.Mem.Load(c.taddr(in), 4)
+		if err != nil {
+			return memErr("ldf", in, err)
+		}
+		c.f[in.C] = uint32(v)
+	case sLddf:
+		v, err := c.Mem.Load(c.taddr(in), 8)
+		if err != nil {
+			return memErr("lddf", in, err)
+		}
+		c.f[in.C&^1] = uint32(v >> 32)
+		c.f[in.C|1] = uint32(v)
+	case sStb:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 1, uint64(c.tru(in.C))))
+	case sSth:
+		return memErr("store", in, c.Mem.Store(c.taddr(in), 2, uint64(c.tru(in.C))))
+	case sStf:
+		return memErr("stf", in, c.Mem.Store(c.taddr(in), 4, uint64(c.f[in.C])))
+	case sStdf:
+		return memErr("stdf", in, c.Mem.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])))
+	default:
+		panic(fmt.Sprintf("sparc: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
+	}
+	return nil
 }
 
 // fcmp sets fcc exactly like the oracle's fpop2 tail.
@@ -416,6 +438,10 @@ func (c *CPU) fcmp(a, b float64) {
 	}
 }
 
+// memErr is a load's or store's fault in the oracle's words, nil for none.
 func memErr(what string, in *exec.Instr, err error) error {
+	if err == nil {
+		return nil
+	}
 	return fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
 }

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/regtest"
+	"repro/internal/trace"
 )
 
 // The paper's unit is host instructions per generated instruction (§5.1:
@@ -106,14 +109,22 @@ var (
 // five ALU and ALUI forms, the load's consumer, the counter's decrement
 // and the back-edge, as internal/exec/diff's load-led loop) for two trip
 // counts, whose difference is a trip's cost, and a 13-instruction leaf,
-// whose count is a warm call's.
+// whose count is a warm call's, then the same with the trace recorder on
+// (the last row: the recorder stays on in the child).
 const loopTripsFew, loopTripsMany = 2, 10
 
 var execRows = []hostRow{
 	{"loop few", calling(buildLoopLongBody, loopArgs(loopTripsFew))},
 	{"loop many", calling(buildLoopLongBody, loopArgs(loopTripsMany))},
-	{"leaf call", calling(buildLeaf, func(uint64) []core.Value { return []core.Value{core.I(12345), core.I(678)} })},
+	{"leaf call", calling(buildLeaf, leafArgs)},
+	{"leaf call recorded", func(tg regtest.Target) func() {
+		trace.SetEnabled(true)
+		return calling(buildLeaf, leafArgs)(tg)
+	}},
 }
+
+// leafArgs is the leaf's arguments.
+func leafArgs(uint64) []core.Value { return []core.Value{core.I(12345), core.I(678)} }
 
 // loopArgs is loop_long's body's arguments: a buffer and the trip count.
 func loopArgs(trips int32) func(buf uint64) []core.Value {
@@ -191,24 +202,31 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 }
 
 // execCountGolden is the exec rows' counts, per toolchain, held exactly
-// where the toolchain matches: a trip of loop_long's body and a warm leaf
-// call.  Before the ports' loops called nothing they were 555, 596 and
-// 577 a trip and 1,422, 1,359 and 1,350 a call.
+// where the toolchain matches: a trip of loop_long's body, a warm leaf
+// call, and the same call recorded.  Before the ports' loops called
+// nothing they were 555, 596 and 577 a trip and 1,422, 1,359 and 1,350 a
+// call; before the call body was one and read the simulator's state in
+// place, a call was 1,414, 1,271 and 1,291.
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
-		"mips loop trip": 383, "mips leaf call": 1414,
-		"sparc loop trip": 409, "sparc leaf call": 1271,
-		"alpha loop trip": 422, "alpha leaf call": 1291,
+		"mips loop trip": 383, "mips leaf call": 997, "mips leaf call recorded": 1240,
+		"sparc loop trip": 409, "sparc leaf call": 907, "sparc leaf call recorded": 1150,
+		"alpha loop trip": 422, "alpha leaf call": 928, "alpha leaf call recorded": 1171,
 	},
 }
 
 // execCountBudget is the most an exec row may cost on any toolchain: a
-// trip, and a warm leaf call at most 5% above its count before the loops
-// called nothing.
+// trip, and a warm leaf call, recorded or not, at most 5% above its count
+// on the golden toolchain.
 var execCountBudget = map[string]int{
 	"mips loop trip": 425, "sparc loop trip": 425, "alpha loop trip": 425,
-	"mips leaf call": 1493, "sparc leaf call": 1427, "alpha leaf call": 1417,
+	"mips leaf call": 1047, "sparc leaf call": 952, "alpha leaf call": 974,
+	"mips leaf call recorded": 1302, "sparc leaf call recorded": 1208, "alpha leaf call recorded": 1230,
 }
+
+// execCoreBudget is the most core's share of an exec row may cost on any
+// toolchain.
+var execCoreBudget = map[string]int{"mips leaf call": 300, "sparc leaf call": 300, "alpha leaf call": 300}
 
 // TestExecHostInstructions counts the host instructions of a trip of
 // loop_long's body, the difference of two trip counts over the trips
@@ -220,23 +238,34 @@ func TestExecHostInstructions(t *testing.T) {
 	golden := execCountGolden[key]
 	for _, port := range hostCountPorts(t) {
 		c := countHostInstructions(t, "exec", port)
-		trips := c["loop many"] - c["loop few"]
-		if trips%(loopTripsMany-loopTripsFew) != 0 {
-			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, trips, loopTripsMany-loopTripsFew)
+		few, many, n := c["loop few"], c["loop many"], loopTripsMany-loopTripsFew
+		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
+		if (many.n-few.n)%n != 0 {
+			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, many.n-few.n, n)
+		}
+		for p, k := range many.pkgs {
+			if d := (k - few.pkgs[p]) / n; d != 0 {
+				trip.pkgs[p] = d
+			}
 		}
 		for _, row := range []struct {
 			name string
-			n    int
+			c    hostCount
 		}{
-			{"loop trip", trips / (loopTripsMany - loopTripsFew)},
+			{"loop trip", trip},
 			{"leaf call", c["leaf call"]},
+			{"leaf call recorded", c["leaf call recorded"]},
 		} {
-			t.Logf("%s %s %s: %d host instructions", key, port, row.name, row.n)
-			if b := execCountBudget[port+" "+row.name]; row.n > b {
-				t.Errorf("%s %s: %d host instructions, budget %d", port, row.name, row.n, b)
+			name := port + " " + row.name
+			t.Logf("%s %s: %d host instructions (%v)", key, name, row.c.n, row.c)
+			if b := execCountBudget[name]; row.c.n > b {
+				t.Errorf("%s: %d host instructions, budget %d", name, row.c.n, b)
 			}
-			if want, ok := golden[port+" "+row.name]; ok && row.n != want {
-				t.Errorf("%s %s: %d host instructions, %d on %s", port, row.name, row.n, want, key)
+			if b, ok := execCoreBudget[name]; ok && row.c.pkgs["core"] > b {
+				t.Errorf("%s: core's share is %d host instructions, budget %d", name, row.c.pkgs["core"], b)
+			}
+			if want, ok := golden[name]; ok && row.c.n != want {
+				t.Errorf("%s: %d host instructions, %d on %s", name, row.c.n, want, key)
 			}
 		}
 	}
@@ -321,7 +350,7 @@ func TestEmitHostInstructions(t *testing.T) {
 	for _, port := range hostCountPorts(t) {
 		counts := countHostInstructions(t, "emit", port)
 		for _, row := range emitRows {
-			n := counts[row.name]
+			n := counts[row.name].n
 			t.Logf("%s %s %s: %d host instructions a call", key, port, row.name, n)
 			if b, ok := hostCountBudget[row.name]; ok && n > b {
 				t.Errorf("%s %s: %d host instructions a call, budget %d", port, row.name, n, b)
@@ -333,9 +362,47 @@ func TestEmitHostInstructions(t *testing.T) {
 	}
 }
 
+// hostCount is one row's count, in all and by package.
+type hostCount struct {
+	n    int
+	pkgs map[string]int // by the package's last path element ("core")
+}
+
+// String lists the count's packages, the dearest first.
+func (c hostCount) String() string {
+	pkgs := make([]string, 0, len(c.pkgs))
+	for p := range c.pkgs {
+		pkgs = append(pkgs, p)
+	}
+	sort.Slice(pkgs, func(i, j int) bool {
+		a, b := pkgs[i], pkgs[j]
+		return c.pkgs[a] > c.pkgs[b] || c.pkgs[a] == c.pkgs[b] && a < b
+	})
+	var b strings.Builder
+	for i, p := range pkgs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %d", p, c.pkgs[p])
+	}
+	return b.String()
+}
+
+// hostPackage is the last path element of the package of a function named
+// as runtime.FuncForPC names it: "core" for
+// "repro/internal/core.(*Machine).CallWithStats".
+func hostPackage(fn string) string {
+	fn = fn[strings.LastIndex(fn, "/")+1:]
+	if i := strings.Index(fn, "."); i >= 0 {
+		fn = fn[:i]
+	}
+	return fn
+}
+
 // countHostInstructions runs the child for a set of rows on port under
-// ptrace and returns each row's least count over its calls.
-func countHostInstructions(t *testing.T, set, port string) map[string]int {
+// ptrace and returns each row's least count over its calls, with that
+// call's count by package.
+func countHostInstructions(t *testing.T, set, port string) map[string]hostCount {
 	runtime.LockOSThread() // ptrace requests must come from the tracing thread
 	defer runtime.UnlockOSThread()
 	var out bytes.Buffer
@@ -369,7 +436,10 @@ func countHostInstructions(t *testing.T, set, port string) map[string]int {
 	// its stub spills, calls morestack, reloads and jumps back to the
 	// entry.  What ran of that function before morestack, and its stub,
 	// is not counted.
-	type pcInfo struct{ counted, entry, morestack bool }
+	type pcInfo struct {
+		counted, entry, morestack bool
+		pkg                       string
+	}
 	infos := map[uint64]pcInfo{}
 	info := func(pc uint64) pcInfo {
 		in, ok := infos[pc]
@@ -379,16 +449,17 @@ func countHostInstructions(t *testing.T, set, port string) map[string]int {
 				in.morestack = strings.HasPrefix(name, "runtime.morestack")
 				in.counted = strings.HasPrefix(name, "repro/") && !strings.Contains(name, "morestack")
 				in.entry = f.Entry() == uintptr(pc)
+				in.pkg = hostPackage(name)
 			}
 			infos[pc] = in
 		}
 		return in
 	}
 	stop() // the exec
-	counts := map[string]int{}
+	counts := map[string]hostCount{}
 	op := []byte{0}
 	for _, row := range hostRowSets[set] {
-		least := -1
+		var least []string
 		for call := 0; call < hostCountCalls; call++ {
 			if err := syscall.PtraceCont(pid, 0); err != nil {
 				t.Fatal(err)
@@ -397,7 +468,9 @@ func countHostInstructions(t *testing.T, set, port string) map[string]int {
 			if f := runtime.FuncForPC(uintptr(pc() - 1)); f == nil || f.Name() != "runtime.breakpoint" {
 				t.Skipf("the child's code is not at the parent's addresses (at %#x)", regs.Rip)
 			}
-			n, atEntry, entry, resume := 0, 0, uint64(0), uint64(0)
+			// trail is each counted instruction's package, in order.
+			var trail []string
+			atEntry, entry, resume := 0, uint64(0), uint64(0)
 			for {
 				at := pc()
 				if _, err := syscall.PtracePeekText(pid, uintptr(at), op); err != nil {
@@ -412,15 +485,15 @@ func countHostInstructions(t *testing.T, set, port string) map[string]int {
 				}
 				switch in := info(at); {
 				case in.morestack:
-					n, resume = atEntry, entry
+					trail, resume = trail[:atEntry], entry
 				case resume != 0 && at != resume:
 				default:
 					resume = 0
 					if in.entry {
-						atEntry, entry = n, at
+						atEntry, entry = len(trail), at
 					}
 					if in.counted {
-						n++
+						trail = append(trail, in.pkg)
 					}
 				}
 				if err := syscall.PtraceSingleStep(pid); err != nil {
@@ -428,11 +501,15 @@ func countHostInstructions(t *testing.T, set, port string) map[string]int {
 				}
 				stop()
 			}
-			if least < 0 || n < least {
-				least = n
+			if call == 0 || len(trail) < len(least) {
+				least = trail
 			}
 		}
-		counts[row.name] = least
+		c := hostCount{n: len(least), pkgs: map[string]int{}}
+		for _, pkg := range least {
+			c.pkgs[pkg]++
+		}
+		counts[row.name] = c
 	}
 	if err := syscall.PtraceCont(pid, 0); err != nil {
 		t.Fatal(err)

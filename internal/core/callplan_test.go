@@ -310,17 +310,96 @@ func buildNth(bk core.Backend, params []core.Type, k int) (*core.Func, error) {
 	return a.End()
 }
 
+// sigTypes is every type a signature's parameter may have.
+var sigTypes = []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
+
+// regBits is an integer argument as the convention holds it in a register
+// (SetReg then keeps the register's width of it): 32-bit values
+// sign-extended but unsigned ones on a 32-bit port, the rest as they are.
+func regBits(v core.Value, ptrBytes int) uint64 {
+	switch {
+	case v.T == core.TypeI, v.T == core.TypeU && ptrBytes == 8:
+		return uint64(int64(int32(v.Bits)))
+	case v.T == core.TypeU:
+		return uint64(uint32(v.Bits))
+	}
+	return v.Bits
+}
+
+// callNth calls fn, an nth function, with args under e, and requires the
+// k-th argument back and every integer register argument the callee left
+// alone to hold what SetReg, on ref, leaves there: the call body writes
+// them in place, and this is where their canonical form is proven.
+func callNth(t *testing.T, tg regtest.Target, m *core.Machine, ref core.CPU, e core.Engine, fn *core.Func, k int, args []core.Value) {
+	t.Helper()
+	if err := m.SetEngine(e); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Call(fn, args...)
+	if err != nil {
+		t.Fatalf("%v: nth%d under %s: %v", fn.Params, k, e, err)
+	}
+	if got != args[k] {
+		t.Errorf("%v: nth%d under %s = %+v, want %+v", fn.Params, k, e, got, args[k])
+	}
+	conv, pb := tg.Backend.DefaultConv(), tg.Backend.PtrBytes()
+	ints := 0
+	for _, a := range args {
+		if a.T.IsFloat() {
+			continue
+		}
+		if ints == len(conv.IntArgs) {
+			break
+		}
+		r := conv.IntArgs[ints]
+		ints++
+		if r == conv.RetInt {
+			continue // the result's
+		}
+		ref.SetReg(r, regBits(a, pb))
+		if got, want := m.CPU().Reg(r), ref.Reg(r); got != want {
+			t.Errorf("%v under %s: %v holds %#x for %+v, SetReg leaves %#x", fn.Params, e, r, got, a, want)
+		}
+	}
+}
+
 // TestCallPlanSignatures is the marshalling property: whatever the
 // signature — register arguments, stack arguments, doubles 8-aligned on
 // the 32-bit stacks, more parameters than the plan holds inline — the
-// callee sees its k-th parameter where the plan put the k-th argument.
+// callee sees its k-th parameter where the plan put the k-th argument, and
+// an integer register argument holds what SetReg would have left there.
+// The edge values 0, -1, 2^31, 2^32-1 and 2^63 go through every type, on
+// their own and beside a double (which takes the plan off its direct path).
 func TestCallPlanSignatures(t *testing.T) {
-	sigTypes := []core.Type{core.TypeI, core.TypeU, core.TypeL, core.TypeUL, core.TypeP, core.TypeF, core.TypeD}
+	edges := []uint64{0, ^uint64(0), 1 << 31, 1<<32 - 1, 1 << 63}
 	for _, tg := range regtest.Targets() {
 		t.Run(tg.Name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(14))
-			m := tg.NewMachine()
+			m, ref := tg.NewMachine(), tg.NewMachine().CPU()
 			pb := tg.Backend.PtrBytes()
+			for _, ty := range sigTypes {
+				for _, params := range [][]core.Type{
+					{ty, ty, ty, ty, ty},
+					{ty, core.TypeD, ty, ty, ty, ty},
+				} {
+					args := make([]core.Value, len(params))
+					for i, p := range params {
+						args[i] = regtest.MakeValue(p, edges[i%len(edges)], pb)
+					}
+					for k := range params {
+						fn, err := buildNth(tg.Backend, params, k)
+						if err != nil {
+							t.Fatalf("%v: build nth%d: %v", params, k, err)
+						}
+						for _, e := range engines {
+							callNth(t, tg, m, ref, e, fn, k, args)
+						}
+						if err := m.Uninstall(fn); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
 			spilled, stackD := 0, 0
 			for round := 0; round < 60; round++ {
 				n := round % 13
@@ -366,16 +445,7 @@ func TestCallPlanSignatures(t *testing.T) {
 					}
 					built = true
 					for _, e := range engines {
-						if err := m.SetEngine(e); err != nil {
-							t.Fatal(err)
-						}
-						got, err := m.Call(fn, args...)
-						if err != nil {
-							t.Fatalf("%v: nth%d under %s: %v", params, k, e, err)
-						}
-						if got != args[k] {
-							t.Errorf("%v: nth%d under %s = %+v, want %+v", params, k, e, got, args[k])
-						}
+						callNth(t, tg, m, ref, e, fn, k, args)
 					}
 					if err := m.Uninstall(fn); err != nil {
 						t.Fatal(err)

@@ -85,3 +85,75 @@ func TestCallDeadline(t *testing.T) {
 		}
 	}
 }
+
+// buildSpinDiv generates a loop that never returns and divides on every
+// trip: i++; j = i / i; goto top.  On a port without a hardware divide the
+// division is a trap dispatch, a step of its own.
+func buildSpinDiv(tb testing.TB, bk core.Backend) *core.Func {
+	tb.Helper()
+	a := core.NewAsm(bk)
+	a.SetName("spindiv")
+	args, err := a.Begin("%i", core.Leaf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j, err := a.GetReg(core.Temp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	top := a.NewLabel()
+	a.Bind(top)
+	a.Addii(args[0], args[0], 1)
+	a.Divi(j, args[0], args[0])
+	a.Jmp(top)
+	a.Reti(j) // unreachable
+	fn, err := a.End()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
+}
+
+// pollCounter is a context that is canceled at its at-th Err, the run
+// loop's at-th poll.
+type pollCounter struct {
+	context.Context
+	polls, at int
+}
+
+func (c *pollCounter) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *pollCounter) Err() error {
+	if c.polls++; c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPollsLandOnTheStride: CallOpts.PollStride's contract on both engines
+// and every port — the k-th poll of ctx comes after exactly (k-1)·stride
+// steps, however the loop's slices end: between a taken branch and its
+// delay slot, or at a trap dispatch (alpha's divide helper).  The threaded
+// engine used to poll only where its slices happened to end on a
+// multiple of the stride, and once one did not, never again on one.
+func TestPollsLandOnTheStride(t *testing.T) {
+	for _, tg := range regtest.Targets() {
+		m := tg.NewMachine()
+		spin := buildSpinDiv(t, tg.Backend)
+		for _, e := range engines {
+			if err := m.SetEngine(e); err != nil {
+				t.Fatal(err)
+			}
+			for _, stride := range []uint64{16, 256} {
+				for _, k := range []int{1, 2, 37, 100} {
+					ctx := &pollCounter{Context: context.Background(), at: k}
+					_, st, err := m.CallWithStats(ctx, core.CallOpts{PollStride: stride}, spin, core.I(1))
+					want := uint64(k-1) * stride
+					if !errors.Is(err, context.Canceled) || st.Fuel != want {
+						t.Errorf("%s/%s stride %d: poll %d after %d steps (%v), want after %d", tg.Name, e, stride, k, st.Fuel, err, want)
+					}
+				}
+			}
+		}
+	}
+}

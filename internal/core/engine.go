@@ -9,35 +9,11 @@
 // architectural state from both engines on every regtest program.
 package core
 
-import (
-	"fmt"
+import "repro/internal/exec"
 
-	"repro/internal/exec"
-)
-
-// ThreadedCPU is implemented by simulators that provide a predecoded
-// direct-threaded execution engine alongside Step.  The dispatch loop is
-// exec's, written once (exec.Port.Run): a port gives it the switch its
-// plain instructions execute in, the conditions of its pc-relative
-// branches and the handlers of its other transfers, and Run binds them to
-// the CPU.
-type ThreadedCPU interface {
-	CPU
-	// Decode unpacks words (linked, as installed at b.Base) into b.Code,
-	// every slot in full, from rows[i], the row of words[i] (nil rows: it
-	// looks them up).  Pure; Predecode is its thin form, a fresh body.
-	Decode(b *exec.Body, words []uint32, rows []*exec.Row)
-	Predecode(words []uint32, base uint64) *exec.Body
-	// Run executes up to allow instructions starting at body index idx,
-	// returning how many retired.  On return the CPU's PC is
-	// architecturally consistent: the next instruction to execute, or the
-	// faulting instruction when err is non-nil.
-	Run(b *exec.Body, idx int, allow uint64) (uint64, error)
-	// PendingDelay reports whether a delay-slot branch is in flight
-	// (exec.State.InDelay); Run cannot resume mid-delay-pair, so the run
-	// loop must fall back to Step until the pair completes.
-	PendingDelay() bool
-}
+// ThreadedCPU is CPU: every simulator has the threaded engine, and the
+// name stays for code that asserts it.
+type ThreadedCPU = CPU
 
 // Engine selects how Machine.Call executes installed code.
 type Engine int
@@ -47,7 +23,7 @@ const (
 	// loop — the original engine and the verification oracle.
 	EngineSwitch Engine = iota
 	// EngineThreaded dispatches through per-function predecoded bodies
-	// (the default when the backend's CPU implements ThreadedCPU).
+	// (the default).
 	EngineThreaded
 )
 
@@ -58,15 +34,13 @@ func (e Engine) String() string {
 	return "switch"
 }
 
-// SetEngine selects the execution engine for subsequent calls.  Asking
-// for the threaded engine on a CPU without one reports an error.
+// SetEngine selects the execution engine for subsequent calls.  Every CPU
+// has both, so it never fails.
 func (m *Machine) SetEngine(e Engine) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e == EngineThreaded && m.tcpu == nil {
-		return fmt.Errorf("machine: %s CPU has no threaded engine", m.backend.Name())
-	}
 	m.engine = e
+	m.threaded = e == EngineThreaded && m.trace == nil
 	return nil
 }
 

@@ -85,18 +85,20 @@ type Func struct {
 }
 
 // callPlan is everything about calling a resident function that cannot
-// change until it leaves: where each argument goes under the machine's
-// convention and the entry PC.  The machine fills it when it places the
-// function and drops it when the function leaves, so a warm call lays
-// nothing out and asks the backend nothing.
+// change until it leaves, compiled when the machine places it and dropped
+// when it leaves: the entry PC; whether every argument goes to an integer
+// register (direct), and then how to write argument i (store[i]); how to
+// read the result, an integer (ret) or a float (fpRet); and home, the
+// machine f is resident on (Func.home).  nargs is len(Params) as
+// planned.
 type callPlan struct {
-	entry      uint64
-	stackBytes uint64
-	// nargs is len(Params) as laid out.  Up to callBufArgs locations live
-	// inline, so planning them allocates nothing; longer signatures spill.
+	entry  uint64
 	nargs  int
-	inline [callBufArgs]argLoc
-	spill  []argLoc
+	direct bool
+	store  [callBufArgs]argStore
+	ret    argStore
+	fpRet  bool
+	home   *Machine
 
 	// body and idx remember where the threaded engine enters the function,
 	// believed only while gen equals the machine's bodyGen (no body came
@@ -106,24 +108,21 @@ type callPlan struct {
 	gen  uint64
 }
 
-// locs returns the planned argument locations, one per parameter.
-func (p *callPlan) locs() []argLoc {
-	if p.nargs <= callBufArgs {
-		return p.inline[:p.nargs]
-	}
-	return p.spill
-}
-
-// planCall records f's call plan under conv.  Caller holds the owner's mu
+// planCall records f's call plan under m's convention.  Caller holds mu
 // and has set f.addr.
-func (f *Func) planCall(conv *CallConv) {
+func (m *Machine) planCall(f *Func) {
 	p := &f.plan
-	*p = callPlan{entry: f.EntryAddr(), nargs: len(f.Params)}
-	locs, stackBytes := conv.layoutArgs(f.Params, p.inline[:0])
-	if len(locs) > callBufArgs {
-		p.spill = locs
+	*p = callPlan{entry: f.EntryAddr(), nargs: len(f.Params), home: m,
+		ret: m.retLoad(f.Result), fpRet: f.Result.IsFloat()}
+	var buf [callBufArgs]argLoc
+	locs, _ := m.conv.layoutArgs(f.Params, buf[:0])
+	p.direct = len(locs) <= callBufArgs
+	for i, loc := range locs {
+		if p.direct = p.direct && loc.reg != NoReg && !loc.t.IsFloat(); !p.direct {
+			break
+		}
+		p.store[i] = m.argStore(loc)
 	}
-	p.stackBytes = uint64(stackBytes)
 }
 
 // TraceFlow returns the function's lifecycle span ID, or 0 if tracing
@@ -140,13 +139,13 @@ func (f *Func) lifecycleFlow() uint64 {
 	return f.flow
 }
 
-// home returns the machine f is resident on (its unit's, unless the unit
-// is unloaded), or nil, also for a nil f.  Caller holds that machine's mu.
+// home returns the machine f is resident on (its plan's, set by install and
+// dropped on leaving), or nil, also for a nil f.  Caller holds its mu.
 func (f *Func) home() *Machine {
-	if f != nil && f.unit != nil && !f.unit.unloaded {
-		return f.unit.m
+	if f == nil {
+		return nil
 	}
-	return nil
+	return f.plan.home
 }
 
 // Unit returns the program that placed the function last; nil if none has.

@@ -44,31 +44,45 @@ type CPU interface {
 	Insns() uint64
 	// ResetStats zeroes both counters.
 	ResetStats()
-	// SetSampler installs fn to fire with the pre-execution pc every
-	// stride retired instructions, SetEdgeProbe fn to fire with (branch
-	// pc, taken) every stride conditional-branch resolutions; nil fn or
-	// zero stride removes the hook (exec.Probes).  A hook runs inside Step,
-	// so it must not call back into the Machine's locked API (the
-	// lock-free FuncSpans/SymbolizePC/InCodeRegion are safe).
-	SetSampler(fn func(pc uint64), stride uint64)
-	SetEdgeProbe(fn func(pc uint64, taken bool), stride uint64)
+
+	// The threaded engine, whose loop is exec's (exec.Port.Run).  Decode
+	// unpacks words (linked, as installed at b.Base) into b.Code from
+	// rows[i], the row of words[i] (nil rows: it looks them up); pure.
+	// Predecode is its thin form, a fresh body.
+	Decode(b *exec.Body, words []uint32, rows []*exec.Row)
+	Predecode(words []uint32, base uint64) *exec.Body
+	// Run executes up to allow instructions from body index idx and
+	// returns how many retired: at least one, a faulting one included.
+	// The PC is then the next instruction, or the faulting one.
+	Run(b *exec.Body, idx int, allow uint64) (uint64, error)
+	// PendingDelay reports a delay-slot branch in flight, which only Step
+	// completes.
+	PendingDelay() bool
+	// Regs returns the simulator's exec.State and integer register file,
+	// which the call body reads and writes in place: a register holds
+	// what SetReg leaves.
+	Regs() (*exec.State, *[32]uint64)
 }
 
-// SetSampler installs (or, with a nil fn, removes) a PC-sampling hook on
-// the machine's simulator; it never fails.
+// SetSampler installs fn to fire with the pre-execution pc every stride
+// retired instructions, SetEdgeProbe fn to fire with (branch pc, taken)
+// every stride conditional-branch resolutions, on the machine's simulator
+// (exec.Probes); a nil fn or zero stride removes the hook, and neither
+// fails.  A hook runs inside the simulator, so it must not call back into
+// the Machine's locked API (the lock-free FuncSpans/SymbolizePC/
+// InCodeRegion are safe).
 func (m *Machine) SetSampler(fn func(pc uint64), stride uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cpu.SetSampler(fn, stride)
+	m.st.SetSampler(fn, stride)
 	return nil
 }
 
-// SetEdgeProbe installs (or, with a nil fn, removes) a branch edge probe
-// on the machine's simulator; it never fails.
+// SetEdgeProbe is SetSampler's counterpart for the branch edge probe.
 func (m *Machine) SetEdgeProbe(fn func(pc uint64, taken bool), stride uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cpu.SetEdgeProbe(fn, stride)
+	m.st.SetEdgeProbe(fn, stride)
 	return nil
 }
 
@@ -90,6 +104,13 @@ type Machine struct {
 	backend Backend
 	cpu     CPU
 	mem     *mem.Memory
+
+	// st and regs are cpu's (CPU.Regs): the call body's arguments, SP, RA,
+	// PC, counters and result, in place; sp and ra number the
+	// convention's SP and RA.
+	st     *exec.State
+	regs   *[32]uint64
+	sp, ra uint8
 
 	syms map[string]uint64
 
@@ -115,7 +136,7 @@ type Machine struct {
 	heapFree      map[uint64][]uint64
 	heapFreeBytes uint64
 
-	stackTop uint64
+	stackTop uint64 // aligned to the convention's StackAlign
 	haltAddr uint64
 	trapNext uint64
 	trapEnd  uint64
@@ -138,20 +159,19 @@ type Machine struct {
 	// verifyOff disables the pre-install code verifier (SetVerify).
 	verifyOff bool
 
-	// tcpu is the simulator's threaded engine, or nil if the CPU only
-	// implements Step; engine selects which one Call uses (engine.go).
-	// lastBody is a single-entry cache of bodyAt.  bodyGen counts the
-	// bodies that came and went (from 1, so a zero callPlan never
-	// matches): a body a call plan remembered is current while its stamp
-	// equals it.  All under mu.
-	tcpu     ThreadedCPU
+	// engine selects the engine Call uses (engine.go), and threaded is
+	// whether a call dispatches through the threaded engine: the engine is
+	// threaded and no trace writer is set.  lastBody is a single-entry
+	// cache of bodyFor.  bodyGen counts the bodies that came and went (from
+	// 1, so a zero callPlan never matches): a body a call plan remembered
+	// is current while its stamp equals it.  All under mu.
 	engine   Engine
+	threaded bool
 	lastBody *exec.Body
 	bodyGen  uint64
 
-	// dctx is the running call's context when its CallOpts carry a
-	// Deadline (deadlineCtx), kept here so a call allocates none.  Under mu.
-	dctx deadlineCtx
+	// call is the running call's frame.  Under mu.
+	call callFrame
 
 	trace io.Writer
 
@@ -210,17 +230,20 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		MaxSteps: 1 << 28,
 		haltAddr: trapBase,
 		bodyGen:  1,
+		engine:   EngineThreaded,
+		threaded: true,
 		conv:     b.DefaultConv(),
 		ptrBytes: b.PtrBytes(),
 		retOff:   uint64(b.RetAddrOffset()),
 		fx:       &b.Templates().fx,
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
-	m.SetStoreFloor(mc.heapNext) // trap vectors and code are read-only to generated code
-	if t, ok := cpu.(ThreadedCPU); ok {
-		mc.tcpu = t
-		mc.engine = EngineThreaded
+	mc.st, mc.regs = cpu.Regs()
+	mc.sp, mc.ra = uint8(mc.conv.SP.Num()), uint8(mc.conv.RA.Num())
+	if a := uint64(mc.conv.StackAlign); a > 0 {
+		mc.stackTop &^= a - 1
 	}
+	m.SetStoreFloor(mc.heapNext) // trap vectors and code are read-only to generated code
 	mc.codeNextPub.Store(mc.codeNext)
 	registerDivHelpers(mc)
 	return mc
@@ -518,7 +541,7 @@ func (m *Machine) install(f *Func) error {
 		return err
 	}
 	f.addr = addr
-	f.planCall(m.conv)
+	m.planCall(f)
 	resolved, err := m.resolveRelocs(f)
 	if err == nil {
 		err = m.linkAndVerify(f, resolved)
@@ -535,18 +558,15 @@ func (m *Machine) install(f *Func) error {
 	if name == "" {
 		name = fmt.Sprintf("func@%#x", addr)
 	}
-	var body *exec.Body
-	if m.tcpu != nil {
-		// f.Words were patched in place by linkAndVerify, so they match
-		// the installed image exactly, and m.rows holds their rows.
-		lo := int(f.addr-m.codeBase) / 4
-		hi := lo + len(f.Words)
-		if hi > len(m.shadow) { // the old array stays with the bodies in it
-			m.shadow = make([]exec.Instr, 2*hi)
-		}
-		body = &exec.Body{Base: f.addr, Code: m.shadow[lo:hi:hi]}
-		m.tcpu.Decode(body, f.Words, m.rows)
+	// f.Words were patched in place by linkAndVerify, so they match the
+	// installed image exactly, and m.rows holds their rows.
+	lo := int(f.addr-m.codeBase) / 4
+	hi := lo + len(f.Words)
+	if hi > len(m.shadow) { // the old array stays with the bodies in it
+		m.shadow = make([]exec.Instr, 2*hi)
 	}
+	body := &exec.Body{Base: f.addr, Code: m.shadow[lo:hi:hi]}
+	m.cpu.Decode(body, f.Words, m.rows)
 	m.complete(f, name, body)
 	if !start.IsZero() {
 		// Nested installs (referenced functions) are timed individually;
@@ -772,37 +792,135 @@ type CallStats struct {
 }
 
 // CallWithStats is CallWith returning per-call simulator statistics
-// alongside the result.
-func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
+// alongside the result.  It is the one call body: a warm call writes its
+// integer arguments (one store each, as install planned), SP, RA and PC
+// into the simulator's state in place, enters the entry body the plan
+// remembers and reads the counters and the result in place; placement,
+// stack and FP arguments, polling, recording, traps, Step and the trace
+// writer are out of line.
+func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (v Value, st CallStats, err error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	defer func() {
+		s, c := m.st, &m.call
+		// The simulators are fuzzed, but a panic must still come back an
+		// error, not unwind the caller; v is still zero then.
+		if r := recover(); r != nil {
+			err = m.runErr(f, &PanicError{PC: s.Pc, Value: r})
+		}
+		st = CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
+		if !c.start.IsZero() {
+			m.recordCall(f, c.start, st, err)
+			c.start = time.Time{}
+		}
+		if c.stride != 0 {
+			c.stride, c.ctx = 0, nil
+		}
+		m.mu.Unlock()
+	}()
+	s, c := m.st, &m.call
+	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
-	var start time.Time
 	if trace.Recording() {
-		start = time.Now()
+		c.start = time.Now()
 	}
-	cycles0, insns0 := m.cpu.Cycles(), m.cpu.Insns()
-	timed := !opts.Deadline.IsZero()
-	if timed {
-		m.dctx = deadlineCtx{Context: ctx, deadline: opts.Deadline}
-		ctx = &m.dctx
+	c.budget = m.MaxSteps
+	if opts.Fuel > 0 && opts.Fuel < c.budget {
+		c.budget = opts.Fuel
 	}
-	v, fuelUsed, err := m.callLocked(ctx, opts.Fuel, opts.PollStride, f, args)
-	if timed {
-		m.dctx = deadlineCtx{}
+	stop := c.budget
+	if !opts.Deadline.IsZero() || ctx != nil && ctx.Done() != nil {
+		c.ctx, c.deadline, c.stride, stop = ctx, opts.Deadline, opts.PollStride, 0
+		if c.stride == 0 {
+			c.stride = 1024
+		}
 	}
-	st := CallStats{
-		Cycles: m.cpu.Cycles() - cycles0,
-		Insns:  m.cpu.Insns() - insns0,
-		Fuel:   fuelUsed,
+	if f.home() != m {
+		if err = m.placeForCall(f); err != nil {
+			return
+		}
 	}
-	if !start.IsZero() {
-		m.recordCall(f, start, st, err)
+	p := &f.plan
+	if !m.store(f, args) {
+		if err = m.marshal(f, args); err != nil {
+			return
+		}
 	}
-	return v, st, err
+	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
+
+	for pc := p.entry; pc != m.haltAddr; pc = s.Pc {
+		if c.steps == stop { // a poll is due, or the budget is spent
+			if stop, err = m.checkpoint(f); err != nil {
+				return
+			}
+		}
+		// A trap dispatch consumes a step too, so a trap that returns to
+		// itself burns fuel instead of spinning forever.
+		c.steps++
+		// The body that covers pc (the entry's, remembered, on the first
+		// pass) may retire up to stop-steps+1, so polls land on the
+		// stride's multiples as on Step.  An in-body pc is never a trap.
+		// A pending delay slot, a fault hook (which sees only Step's
+		// fetches) and the trace writer force Step.
+		var b *exec.Body
+		var idx int
+		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
+			if pc == p.entry && p.gen == m.bodyGen {
+				b, idx = p.body, p.idx
+			} else {
+				b, idx = m.bodyFor(p, pc)
+			}
+		}
+		if b == nil {
+			if err = m.step(pc); err != nil {
+				return v, st, m.runErr(f, err)
+			}
+			continue
+		}
+		n, rerr := m.cpu.Run(b, idx, stop-c.steps+1)
+		if c.steps += n - 1; rerr != nil {
+			return v, st, m.runErr(f, rerr)
+		}
+	}
+	if p.fpRet { // SPARC pairs its FP bank: FReg reads the result
+		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, st, nil
+	}
+	return Value{T: f.Result, Bits: p.ret.canon(m.regs[p.ret.num&31])}, st, nil
+}
+
+// callFrame is the running call's own state, kept in the machine under
+// mu, where the call body's stops out of line read it: the clock and
+// counters at its start, the steps it has taken, its budget, and, if it
+// polls, every stride steps, its context (which may be nil) and deadline.
+type callFrame struct {
+	start                  time.Time
+	cycles0, insns0, steps uint64
+	budget, stride         uint64
+	ctx                    context.Context
+	deadline               time.Time
+}
+
+// checkpoint is the call body's stop at its step count, out of line: it
+// polls ctx and the deadline where a poll is due (step 0 and every
+// stride), fails a call whose budget is spent, and returns the next stop.
+// A call that does not poll stops only there, at its budget.
+func (m *Machine) checkpoint(f *Func) (uint64, error) {
+	c := &m.call
+	if c.stride != 0 && c.steps%c.stride == 0 {
+		var err error
+		if c.ctx != nil {
+			err = c.ctx.Err()
+		}
+		if err == nil && !c.deadline.IsZero() && time.Until(c.deadline) <= 0 {
+			err = context.DeadlineExceeded
+		}
+		if err != nil {
+			return 0, m.runErr(f, fmt.Errorf("after %d steps: %w", c.steps, err))
+		}
+	}
+	if c.steps == c.budget {
+		return 0, m.runErr(f, fmt.Errorf("%w: %d steps (runaway generated code?)", ErrFuelExhausted, c.budget))
+	}
+	return min(c.budget, c.steps-c.steps%c.stride+c.stride), nil
 }
 
 // recordCall records one finished call, timed from start.  f may be nil
@@ -820,71 +938,122 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 		start, time.Since(start), trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
 }
 
-// callLocked is the hot body of a call: placement of a function never
-// placed, argument marshaling from the function's call plan, the simulator
-// run, and result extraction.  With ≤ callBufArgs arguments nothing on the
-// path allocates, for a resident function nothing is laid out, and the
-// backend is asked nothing.  The second result is the simulated steps
-// consumed (fuel).  fuel and stride are the call's CallOpts.Fuel and
-// PollStride; its Deadline is on ctx.  Caller holds mu.
-func (m *Machine) callLocked(ctx context.Context, fuel, stride uint64, f *Func, args []Value) (Value, uint64, error) {
-	if f.home() != m {
-		if err := m.placeForCall(f); err != nil {
-			return Value{}, 0, err
-		}
+// runErr is a failure of f's run, in the words every call reports it in.
+func (m *Machine) runErr(f *Func, err error) error {
+	name := ""
+	if f != nil {
+		name = f.Name
 	}
-	if len(args) != len(f.Params) {
-		return Value{}, 0, fmt.Errorf("machine: %s takes %d args, got %d", f.Name, len(f.Params), len(args))
-	}
-	for i, a := range args {
-		if a.T != f.Params[i] {
-			return Value{}, 0, fmt.Errorf("machine: %s arg %d: have %s, want %s", f.Name, i, a.T, f.Params[i])
-		}
-	}
-	plan := &f.plan
-	if plan.nargs != len(args) {
-		// Params was resized behind the resident function's back; lay the
-		// signature the arguments just matched out afresh.
-		f.planCall(m.conv)
-	}
-	conv := m.conv
-	sp := m.stackTop - plan.stackBytes
-	if a := uint64(conv.StackAlign); a > 0 {
-		sp &^= a - 1
-	}
-	for i, loc := range plan.locs() {
-		if loc.reg != NoReg {
-			if loc.t.IsFloat() {
-				m.cpu.SetFReg(loc.reg, args[i].Bits, loc.t == TypeD)
-			} else {
-				m.cpu.SetReg(loc.reg, regBits(args[i], m.ptrBytes))
-			}
-			continue
-		}
-		if err := m.mem.Store(sp+uint64(loc.stackOff), loc.t.Size(m.ptrBytes), args[i].Bits); err != nil {
-			return Value{}, 0, err
-		}
-	}
-
-	m.cpu.SetReg(conv.SP, sp)
-	m.cpu.SetReg(conv.RA, m.haltLink)
-	m.cpu.SetPC(plan.entry)
-	steps, err := m.run(ctx, fuel, stride, plan)
-	if err != nil {
-		return Value{}, steps, fmt.Errorf("machine: running %s: %w", f.Name, err)
-	}
-
-	return m.result(f.Result), steps, nil
+	return fmt.Errorf("machine: running %s: %w", name, err)
 }
 
-// placeForCall is callLocked's slow path, out of line to keep the warm path
-// lean (which never re-hashes the words: Install checks the fingerprint): a
-// function no unit has placed is installed, one that left never is again.
+// placeForCall is the call body's placement, out of line to keep the warm
+// path lean (which never re-hashes the words: Install checks the
+// fingerprint): a function no unit has placed is installed, one that left
+// never is again.
 func (m *Machine) placeForCall(f *Func) error {
 	if f != nil && f.unit != nil && f.unit.unloaded {
 		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
 	}
 	return m.installLocked(f)
+}
+
+// store writes args as f's plan compiled them, and SP and RA, if the plan
+// is direct and args match f.Params, the signature it was laid out for,
+// and reports whether it did.  Caller holds mu.
+func (m *Machine) store(f *Func, args []Value) bool {
+	p, params := &f.plan, f.Params
+	if !p.direct || p.nargs != len(args) || len(params) != len(args) {
+		return false
+	}
+	var mismatch Type
+	regs, store := m.regs, p.store[:len(args)]
+	regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
+	for i, a := range args {
+		mismatch |= a.T ^ params[i]
+		regs[store[i].num&31] = store[i].canon(a.Bits)
+	}
+	return mismatch == 0
+}
+
+// marshal is the call body's argument path out of line, where store
+// declines: it checks the arguments' count and types, plans f afresh if
+// Params was resized behind the resident function's back, lays the
+// arguments out, and writes stack arguments to memory, FP ones through
+// SetFReg (SPARC pairs its FP bank), integer ones, SP and RA as store
+// does.  With ≤ callBufArgs arguments it allocates nothing.  Caller holds
+// mu.
+func (m *Machine) marshal(f *Func, args []Value) error {
+	if len(args) != len(f.Params) {
+		return fmt.Errorf("machine: %s takes %d args, got %d", f.Name, len(f.Params), len(args))
+	}
+	for i, a := range args {
+		if a.T != f.Params[i] {
+			return fmt.Errorf("machine: %s arg %d: have %s, want %s", f.Name, i, a.T, f.Params[i])
+		}
+	}
+	if f.plan.nargs != len(args) {
+		m.planCall(f)
+	}
+	var buf [callBufArgs]argLoc
+	locs, stackBytes := m.conv.layoutArgs(f.Params, buf[:0])
+	sp := m.stackTop - uint64(stackBytes) // layoutArgs aligned stackBytes
+	for i, loc := range locs {
+		switch {
+		case loc.reg == NoReg:
+			if err := m.mem.Store(sp+uint64(loc.stackOff), loc.t.Size(m.ptrBytes), args[i].Bits); err != nil {
+				return err
+			}
+		case loc.t.IsFloat():
+			m.cpu.SetFReg(loc.reg, args[i].Bits, loc.t == TypeD)
+		default:
+			d := m.argStore(loc)
+			m.regs[d.num&31] = d.canon(args[i].Bits)
+		}
+	}
+	m.regs[m.sp&31], m.regs[m.ra&31] = sp, m.haltLink
+	return nil
+}
+
+// argStore is how the call body writes an integer register argument: the
+// register's number, and the register's canonical form of the value, what
+// SetReg would leave there: sign-extended from its low 32 bits if sx (a
+// 32-bit type on a 64-bit port), then masked to the register's width (the
+// low 32 bits on a 32-bit port).
+type argStore struct {
+	num  uint8
+	sx   bool
+	mask uint64
+}
+
+// argStore compiles the store of the integer register argument at loc.
+func (m *Machine) argStore(loc argLoc) argStore {
+	return argStore{num: uint8(loc.reg.Num()), sx: m.ptrBytes == 8 && (loc.t == TypeI || loc.t == TypeU),
+		mask: ^uint64(0) >> (64 - 8*m.ptrBytes)}
+}
+
+// retLoad compiles the read of an integer result of type t, as an argStore
+// of the result register: a 32-bit signed type is sign-extended from the
+// register's low word, an unsigned one zero-extended, and void reads 0.
+func (m *Machine) retLoad(t Type) argStore {
+	d := argStore{num: uint8(m.conv.RetInt.Num()), mask: ^uint64(0)}
+	switch {
+	case t == TypeV:
+		d.mask = 0
+	case t == TypeI || t == TypeL && m.ptrBytes == 4:
+		d.sx = true
+	case t == TypeU || m.ptrBytes == 4:
+		d.mask = 0xffffffff
+	}
+	return d
+}
+
+// canon is bits in the register's canonical form.
+func (d argStore) canon(bits uint64) uint64 {
+	if d.sx {
+		bits = uint64(int64(int32(bits)))
+	}
+	return bits & d.mask
 }
 
 // callBufArgs is how many arguments the call path can marshal without
@@ -902,128 +1071,29 @@ func (m *Machine) SetTrace(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.trace = w
+	m.threaded = m.engine == EngineThreaded && w == nil
 }
 
-// run steps the simulator from the PC callLocked set until the function
-// returns to haltAddr; plan is the called function's, for its entry body.
-func (m *Machine) run(ctx context.Context, fuel, stride uint64, plan *callPlan) (steps uint64, err error) {
-	// Last line of defense: the simulators are panic-proofed and fuzzed,
-	// but if one does panic the call must still return an error rather
-	// than unwind the caller (who may be a cache or a server loop).
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{PC: m.cpu.PC(), Value: r}
-		}
-	}()
-	budget := m.MaxSteps
-	if fuel > 0 && fuel < budget {
-		budget = fuel
-	}
-	if stride == 0 {
-		stride = 1024
-	}
-	cancelable := ctx.Done() != nil
-	// Engine, threaded CPU and trace writer are fixed while mu is held.
-	threaded := m.engine == EngineThreaded && m.tcpu != nil && m.trace == nil
-	for {
-		pc := m.cpu.PC()
-		if pc == m.haltAddr {
-			return steps, nil
-		}
-		if cancelable && steps%stride == 0 {
-			if err := ctx.Err(); err != nil {
-				return steps, fmt.Errorf("after %d steps: %w", steps, err)
-			}
-		}
-		// A trap dispatch consumes a step too, so a trap that returns to
-		// itself burns fuel instead of spinning forever.
-		steps++
-		if steps > budget {
-			return steps, fmt.Errorf("%w: %d steps (runaway generated code?)", ErrFuelExhausted, budget)
-		}
-		// Threaded fast path: dispatch through the predecoded body when
-		// one covers pc.  It runs before the trap lookup because bodies
-		// and trap vectors are disjoint entries of one table — an
-		// in-body pc is never a trap.  The budget check above
-		// already admitted this instruction, so the body may retire up
-		// to budget-steps+1 more before the loop must regain control;
-		// with a cancelable context the slice is clamped to the poll
-		// stride so cancellation latency stays bounded exactly as on the
-		// Step path.  A pending delay slot (materialized by a previous
-		// fuel-bounded exit), a fault-injection hook (which intercepts
-		// per-instruction fetches the threaded engine does not perform),
-		// and single-step tracing all force Step.  Every call's first
-		// dispatch is at the function's entry (recursion comes back to it
-		// too): the plan remembers that body, so it needs no search.
-		if threaded && !m.tcpu.PendingDelay() && !m.mem.HasFaultHook() {
-			var b *exec.Body
-			var idx int
-			if pc == plan.entry {
-				b, idx = m.entryBody(plan)
-			} else if b = m.bodyAt(pc); b != nil {
-				idx = b.IndexOf(pc)
-			}
-			if b != nil {
-				allow := budget - steps + 1
-				if cancelable && allow > stride {
-					allow = stride
-				}
-				n, rerr := m.tcpu.Run(b, idx, allow)
-				if n > 0 {
-					steps += n - 1
-				}
-				if rerr != nil {
-					return steps, rerr
-				}
-				continue
-			}
-		}
-		if v := m.vector(pc); v != nil && v.trap != nil {
-			if m.trace != nil {
-				fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)
-			}
-			if err := m.safeTrap(pc, v); err != nil {
-				return steps, err
-			}
-			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
-			continue
-		}
+// step is the call body's dispatch out of line: the trap vector at pc, or
+// one Step, each written to the trace writer if one is set.
+func (m *Machine) step(pc uint64) error {
+	if v := m.vector(pc); v != nil && v.trap != nil {
 		if m.trace != nil {
-			// Tracing needs per-instruction visibility: stay on Step.
-			if w, err := m.mem.FetchWord(pc); err == nil {
-				fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
-			}
+			fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)
 		}
-		if err := m.cpu.Step(); err != nil {
-			return steps, err
+		err := m.safeTrap(pc, v)
+		if err == nil {
+			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
 		}
-	}
-}
-
-// deadlineCtx is a call's context with its CallOpts.Deadline on it, for
-// the polls run makes of ctx anyway: Err reports
-// context.DeadlineExceeded once the clock reaches the deadline.  No timer
-// backs it, so Done never closes: it lives for one call inside the
-// machine, where run reads only Done (to know it must poll) and Err.
-type deadlineCtx struct {
-	context.Context
-	deadline time.Time
-}
-
-var neverDone = make(chan struct{})
-
-// Done is non-nil, so run polls, and is not the parent's: asking a
-// request's context for its Done channel makes one.
-func (c *deadlineCtx) Done() <-chan struct{} { return neverDone }
-
-func (c *deadlineCtx) Err() error {
-	if err := c.Context.Err(); err != nil {
 		return err
 	}
-	if time.Until(c.deadline) <= 0 {
-		return context.DeadlineExceeded
+	if m.trace != nil {
+		// Tracing needs per-instruction visibility: stay on Step.
+		if w, err := m.mem.FetchWord(pc); err == nil {
+			fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
+		}
 	}
-	return nil
+	return m.cpu.Step()
 }
 
 // safeTrap runs trap vector v's handler with panic isolation: a faulty
@@ -1037,51 +1107,6 @@ func (m *Machine) safeTrap(pc uint64, v *region) (err error) {
 	}()
 	v.trap(m.cpu, m.mem)
 	return nil
-}
-
-func (m *Machine) result(t Type) Value {
-	conv := m.conv
-	switch t {
-	case TypeV:
-		return Value{T: TypeV}
-	case TypeF:
-		return Value{T: TypeF, Bits: m.cpu.FReg(conv.RetFP, false) & 0xffffffff}
-	case TypeD:
-		return Value{T: TypeD, Bits: m.cpu.FReg(conv.RetFP, true)}
-	case TypeI:
-		return Value{T: t, Bits: uint64(int64(int32(m.cpu.Reg(conv.RetInt))))}
-	case TypeU:
-		return Value{T: t, Bits: uint64(uint32(m.cpu.Reg(conv.RetInt)))}
-	default:
-		bits := m.cpu.Reg(conv.RetInt)
-		if m.ptrBytes == 4 {
-			switch t {
-			case TypeL:
-				bits = uint64(int64(int32(bits)))
-			case TypeUL, TypeP:
-				bits = uint64(uint32(bits))
-			}
-		}
-		return Value{T: t, Bits: bits}
-	}
-}
-
-// regBits canonicalizes an argument value for the target's register width.
-func regBits(v Value, ptrBytes int) uint64 {
-	switch v.T {
-	case TypeI:
-		return uint64(int64(int32(v.Bits)))
-	case TypeU:
-		if ptrBytes == 8 {
-			// 32-bit values are held sign-extended (canonical form).
-			return uint64(int64(int32(v.Bits)))
-		}
-		return uint64(uint32(v.Bits))
-	case TypeF:
-		return v.Bits & 0xffffffff
-	default:
-		return v.Bits
-	}
 }
 
 // registerDivHelpers installs the integer division/remainder emulation

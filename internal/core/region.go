@@ -149,37 +149,27 @@ func (m *Machine) FuncSpans() []FuncSpan {
 	return cp
 }
 
-// entryBody is bodyAt(p.entry) and the index of the entry in that body,
-// without the search while no body has come or gone since the plan last
-// looked: a rotation of warm callers always misses lastBody, and its entry
-// is where every call of a function starts.  Caller holds mu.
-func (m *Machine) entryBody(p *callPlan) (*exec.Body, int) {
-	if p.gen != m.bodyGen {
-		p.body, p.idx = m.bodyAt(p.entry), 0
-		if p.body != nil {
-			p.idx = p.body.IndexOf(p.entry)
-		}
-		p.gen = m.bodyGen
-	}
-	return p.body, p.idx
-}
-
-// bodyAt finds the predecoded body containing pc (word-aligned), or nil.
-// The single-entry lastBody cache makes the common call pattern — many
-// dispatches into the same hot function — a pointer compare instead of a
-// search.  Caller holds mu (the run loop does).
-func (m *Machine) bodyAt(pc uint64) *exec.Body {
-	if b := m.lastBody; b != nil && b.Contains(pc) {
-		return b
-	}
-	i := m.find(pc)
-	if i == len(m.regions) {
-		return nil
-	}
-	b := m.regions[i].body
+// bodyFor is the predecoded body containing pc (word-aligned) and pc's
+// index in it, nil if none.  The one-entry lastBody cache makes many
+// dispatches into the same function a pointer compare, not a search.  At
+// p's entry it stamps what p remembers, the entry's body, so that calls
+// take it without either while no body comes or goes: a rotation of warm
+// callers always misses lastBody.  Caller holds mu.
+func (m *Machine) bodyFor(p *callPlan, pc uint64) (*exec.Body, int) {
+	b := m.lastBody
 	if b == nil || !b.Contains(pc) {
-		return nil
+		i := m.find(pc)
+		if i == len(m.regions) {
+			return nil, 0
+		}
+		if b = m.regions[i].body; b == nil || !b.Contains(pc) {
+			return nil, 0
+		}
+		m.lastBody = b
 	}
-	m.lastBody = b
-	return b
+	idx := b.IndexOf(pc)
+	if pc == p.entry {
+		p.body, p.idx, p.gen = b, idx, m.bodyGen
+	}
+	return b, idx
 }

@@ -221,7 +221,10 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		case din.Flags&FNop != 0:
 			// What most slots hold: it retires, and that is all it does.
 		case din.Run != 0:
-			derr = p.plain(c, s, code, dIdx, false)
+			s.LastLoad = -1 // Loop runs the slot, unless it stops at it
+			if i, _, _ := p.Loop(c, code, dIdx, 1); i == dIdx {
+				derr = p.plain(c, s, code, dIdx, true)
+			}
 		case p.Handlers[din.Op] != nil:
 			dbr, derr = p.Handlers[din.Op](c, b, din)
 		case p.branch(c, s, din):

@@ -486,3 +486,6 @@ func memErr(what string, in *exec.Instr, err error) error {
 	}
 	return fmt.Errorf("mips: %s at pc %#x: %w", what, in.PC, err)
 }
+
+// Regs returns the state the run loop shares and the integer registers.
+func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, &c.r }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	vexec "repro/internal/exec"
 	"repro/internal/regtest"
 	"repro/internal/trace"
 )
@@ -105,15 +106,17 @@ var (
 	}
 )
 
-// The exec rows, through a warm CallWithStats: loop_long's body (a load,
-// five ALU and ALUI forms, the load's consumer, the counter's decrement
-// and the back-edge, as internal/exec/diff's load-led loop) for two trip
-// counts, whose difference is a trip's cost, and a 13-instruction leaf,
-// whose count is a warm call's, then the same with the trace recorder on
-// (the last row: the recorder stays on in the child).
+// The exec rows: the port's Decode of loop_long's body (a load, five ALU
+// and ALUI forms, the load's consumer, the counter's decrement and the
+// back-edge, as internal/exec/diff's load-led loop) into a warm body, as
+// Install decodes it; then, through a warm CallWithStats, the body for two
+// trip counts, whose difference is a trip's cost, and a 13-instruction
+// leaf, whose count is a warm call's, then the same with the trace
+// recorder on (the last row: the recorder stays on in the child).
 const loopTripsFew, loopTripsMany = 2, 10
 
 var execRows = []hostRow{
+	{"decode", decoding(buildLoopLongBody)},
 	{"loop few", calling(buildLoopLongBody, loopArgs(loopTripsFew))},
 	{"loop many", calling(buildLoopLongBody, loopArgs(loopTripsMany))},
 	{"leaf call", calling(buildLeaf, leafArgs)},
@@ -149,6 +152,39 @@ func calling(build func(core.Backend) (*core.Func, error), args func(buf uint64)
 		}
 		return call
 	}
+}
+
+// decoding is the setup of a decode row: the function build makes,
+// installed, and a body its words decode into, from their rows, warm.
+func decoding(build func(core.Backend) (*core.Func, error)) func(regtest.Target) func() {
+	return func(tg regtest.Target) func() {
+		m := tg.NewMachine()
+		fn := must(build(tg.Backend))
+		if err := m.Install(fn); err != nil {
+			panic(err)
+		}
+		rows := make([]*vexec.Row, len(fn.Words))
+		for i, w := range fn.Words {
+			rows[i] = tg.Backend.ISA().Lookup(w)
+		}
+		b := &vexec.Body{Base: fn.Addr(), Code: make([]vexec.Instr, len(fn.Words))}
+		cpu := m.CPU()
+		decode := func() { cpu.Decode(b, fn.Words, rows) }
+		for i := 0; i < 4; i++ {
+			decode()
+		}
+		return decode
+	}
+}
+
+// decodeWords is the number of words of loop_long's body on port.
+func decodeWords(port string) int {
+	for _, tg := range regtest.Targets() {
+		if tg.Name == port {
+			return len(must(buildLoopLongBody(tg.Backend)).Words)
+		}
+	}
+	return 0
 }
 
 // buildLoopLongBody is loop_long's body around a counted loop.
@@ -202,13 +238,15 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 }
 
 // execCountGolden is the exec rows' counts, per toolchain, held exactly
-// where the toolchain matches: a trip of loop_long's body, a warm leaf
-// call, and the same call recorded.  Before the ports' loops called
+// where the toolchain matches: the decode of loop_long's body (32 words on
+// mips, 31 on sparc and alpha), a trip of it, a warm leaf call, and the
+// same call recorded.  Before the ports' loops called
 // nothing they were 555, 596 and 577 a trip and 1,422, 1,359 and 1,350 a
 // call; before the call body was one and read the simulator's state in
 // place, a call was 1,414, 1,271 and 1,291.
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
+		"mips decode": 6363, "sparc decode": 5040, "alpha decode": 5965,
 		"mips loop trip": 383, "mips leaf call": 997, "mips leaf call recorded": 1240,
 		"sparc loop trip": 409, "sparc leaf call": 907, "sparc leaf call recorded": 1150,
 		"alpha loop trip": 422, "alpha leaf call": 928, "alpha leaf call recorded": 1171,
@@ -216,9 +254,10 @@ var execCountGolden = map[string]map[string]int{
 }
 
 // execCountBudget is the most an exec row may cost on any toolchain: a
-// trip, and a warm leaf call, recorded or not, at most 5% above its count
-// on the golden toolchain.
+// decode, a trip, and a warm leaf call, recorded or not, at most 5% above
+// its count on the golden toolchain.
 var execCountBudget = map[string]int{
+	"mips decode": 6681, "sparc decode": 5292, "alpha decode": 6263,
 	"mips loop trip": 425, "sparc loop trip": 425, "alpha loop trip": 425,
 	"mips leaf call": 1047, "sparc leaf call": 952, "alpha leaf call": 974,
 	"mips leaf call recorded": 1302, "sparc leaf call recorded": 1208, "alpha leaf call recorded": 1230,
@@ -228,16 +267,16 @@ var execCountBudget = map[string]int{
 // toolchain.
 var execCoreBudget = map[string]int{"mips leaf call": 300, "sparc leaf call": 300, "alpha leaf call": 300}
 
-// TestExecHostInstructions counts the host instructions of a trip of
-// loop_long's body, the difference of two trip counts over the trips
-// between them, and of a warm leaf call, on mips (with -hostcount.all, on
-// every port), and holds each to its budget and, on the toolchain the
-// golden counts were taken with, to its count.
+// TestExecHostInstructions counts the host instructions of the port's
+// Decode of loop_long's body, of a trip of it, the difference of two trip
+// counts over the trips between them, and of a warm leaf call, on mips
+// (with -hostcount.all, on every port), and holds each to its budget and,
+// on the toolchain the golden counts were taken with, to its count.
 func TestExecHostInstructions(t *testing.T) {
 	key := hostCountKey()
 	golden := execCountGolden[key]
 	for _, port := range hostCountPorts(t) {
-		c := countHostInstructions(t, "exec", port)
+		c, entries := countHostInstructions(t, "exec", port)
 		few, many, n := c["loop few"], c["loop many"], loopTripsMany-loopTripsFew
 		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
 		if (many.n-few.n)%n != 0 {
@@ -248,10 +287,16 @@ func TestExecHostInstructions(t *testing.T) {
 				trip.pkgs[p] = d
 			}
 		}
+		t.Logf("%s %s decode: %.1f host instructions a word", key, port, float64(c["decode"].n)/float64(decodeWords(port)))
+		// A 32-byte move of the port's Loop has moved loop_long by up to
+		// 25% at equal counts: a timing is read beside where it starts.
+		run := entries["repro/internal/"+port+".(*CPU).run"]
+		t.Logf("%s %s loop: (*CPU).run at %#x, %d mod 64", key, port, run, run%64)
 		for _, row := range []struct {
 			name string
 			c    hostCount
 		}{
+			{"decode", c["decode"]},
 			{"loop trip", trip},
 			{"leaf call", c["leaf call"]},
 			{"leaf call recorded", c["leaf call recorded"]},
@@ -348,7 +393,7 @@ func TestEmitHostInstructions(t *testing.T) {
 	key := hostCountKey()
 	golden := hostCountGolden[key]
 	for _, port := range hostCountPorts(t) {
-		counts := countHostInstructions(t, "emit", port)
+		counts, _ := countHostInstructions(t, "emit", port)
 		for _, row := range emitRows {
 			n := counts[row.name].n
 			t.Logf("%s %s %s: %d host instructions a call", key, port, row.name, n)
@@ -401,8 +446,9 @@ func hostPackage(fn string) string {
 
 // countHostInstructions runs the child for a set of rows on port under
 // ptrace and returns each row's least count over its calls, with that
-// call's count by package.
-func countHostInstructions(t *testing.T, set, port string) map[string]hostCount {
+// call's count by package, and the entry address of each counted function
+// by name.
+func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount, map[string]uint64) {
 	runtime.LockOSThread() // ptrace requests must come from the tracing thread
 	defer runtime.UnlockOSThread()
 	var out bytes.Buffer
@@ -440,7 +486,7 @@ func countHostInstructions(t *testing.T, set, port string) map[string]hostCount 
 		counted, entry, morestack bool
 		pkg                       string
 	}
-	infos := map[uint64]pcInfo{}
+	infos, entries := map[uint64]pcInfo{}, map[string]uint64{}
 	info := func(pc uint64) pcInfo {
 		in, ok := infos[pc]
 		if !ok {
@@ -448,6 +494,9 @@ func countHostInstructions(t *testing.T, set, port string) map[string]hostCount 
 				name := f.Name()
 				in.morestack = strings.HasPrefix(name, "runtime.morestack")
 				in.counted = strings.HasPrefix(name, "repro/") && !strings.Contains(name, "morestack")
+				if in.counted {
+					entries[name] = uint64(f.Entry())
+				}
 				in.entry = f.Entry() == uintptr(pc)
 				in.pkg = hostPackage(name)
 			}
@@ -518,7 +567,7 @@ func countHostInstructions(t *testing.T, set, port string) map[string]hostCount 
 	if _, err := syscall.Wait4(pid, &ws, 0, nil); err != nil || !ws.Exited() || ws.ExitStatus() != 0 {
 		t.Fatalf("child %s did not exit cleanly: %v %#x: %s", port, err, ws, out.String())
 	}
-	return counts
+	return counts, entries
 }
 
 // goamd64 is the GOAMD64 level the test binary was built for.

@@ -243,13 +243,15 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 // same call recorded.  Before the ports' loops called
 // nothing they were 555, 596 and 577 a trip and 1,422, 1,359 and 1,350 a
 // call; before the call body was one and read the simulator's state in
-// place, a call was 1,414, 1,271 and 1,291.
+// place, a call was 1,414, 1,271 and 1,291; before predecode settled each
+// instruction's bookkeeping, a decode was 6,363, 5,040 and 5,965, a trip
+// 383, 409 and 422 and a call 997, 907 and 928.
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
-		"mips decode": 6363, "sparc decode": 5040, "alpha decode": 5965,
-		"mips loop trip": 383, "mips leaf call": 997, "mips leaf call recorded": 1240,
-		"sparc loop trip": 409, "sparc leaf call": 907, "sparc leaf call recorded": 1150,
-		"alpha loop trip": 422, "alpha leaf call": 928, "alpha leaf call recorded": 1171,
+		"mips decode": 5863, "sparc decode": 4942, "alpha decode": 5580,
+		"mips loop trip": 298, "mips leaf call": 966, "mips leaf call recorded": 1210,
+		"sparc loop trip": 327, "sparc leaf call": 850, "sparc leaf call recorded": 1094,
+		"alpha loop trip": 333, "alpha leaf call": 842, "alpha leaf call recorded": 1086,
 	},
 }
 
@@ -257,10 +259,10 @@ var execCountGolden = map[string]map[string]int{
 // decode, a trip, and a warm leaf call, recorded or not, at most 5% above
 // its count on the golden toolchain.
 var execCountBudget = map[string]int{
-	"mips decode": 6681, "sparc decode": 5292, "alpha decode": 6263,
-	"mips loop trip": 425, "sparc loop trip": 425, "alpha loop trip": 425,
-	"mips leaf call": 1047, "sparc leaf call": 952, "alpha leaf call": 974,
-	"mips leaf call recorded": 1302, "sparc leaf call recorded": 1208, "alpha leaf call recorded": 1230,
+	"mips decode": 6157, "sparc decode": 5190, "alpha decode": 5859,
+	"mips loop trip": 313, "sparc loop trip": 344, "alpha loop trip": 350,
+	"mips leaf call": 1015, "sparc leaf call": 893, "alpha leaf call": 885,
+	"mips leaf call recorded": 1271, "sparc leaf call recorded": 1149, "alpha leaf call recorded": 1141,
 }
 
 // execCoreBudget is the most core's share of an exec row may cost on any

@@ -16,7 +16,7 @@ import (
 // register mapping that is consistent between this simulator and the
 // encoder.
 type CPU struct {
-	r [32]uint64
+	r [256]uint64 // exec.Sink and spares past the 32
 	f [32]uint64
 
 	exec.State // pc, memory, counters, interlock, probes

@@ -44,11 +44,11 @@ var fprNames = exec.Numbered("f%d")
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", aBis),
 
-	exec.Ins("lda", memFmt(opLda, 0, 0, 0), maskOp, " a, i(b)", aLda),
-	exec.Ins("ldah", memFmt(opLdah, 0, 0, 0), maskOp, " a, i(b)", aLdah),
-	exec.Ins("ldl", memFmt(opLdl, 0, 0, 0), maskOp, " a, i(b)", aLdl),
-	exec.Ins("ldq", memFmt(opLdq, 0, 0, 0), maskOp, " a, i(b)", aLdq),
-	exec.Ins("ldq_u", memFmt(opLdqU, 0, 0, 0), maskOp, " a, i(b)", aLdqU),
+	exec.Ins("lda", memFmt(opLda, 0, 0, 0), maskOp, " a, i(b)", aLda).Writes('a'),
+	exec.Ins("ldah", memFmt(opLdah, 0, 0, 0), maskOp, " a, i(b)", aLdah).Writes('a'),
+	exec.Ins("ldl", memFmt(opLdl, 0, 0, 0), maskOp, " a, i(b)", aLdl).Writes('a'),
+	exec.Ins("ldq", memFmt(opLdq, 0, 0, 0), maskOp, " a, i(b)", aLdq).Writes('a'),
+	exec.Ins("ldq_u", memFmt(opLdqU, 0, 0, 0), maskOp, " a, i(b)", aLdqU).Writes('a'),
 	exec.Ins("lds", memFmt(opLds, 0, 0, 0), maskOp, " A, i(b)", aLds),
 	exec.Ins("ldt", memFmt(opLdt, 0, 0, 0), maskOp, " A, i(b)", aLdt),
 	exec.Ins("stl", memFmt(opStl, 0, 0, 0), maskOp, " a, i(b)", aStl),
@@ -57,8 +57,8 @@ var rows = []exec.Row{
 	exec.Ins("sts", memFmt(opSts, 0, 0, 0), maskOp, " A, i(b)", aSts),
 	exec.Ins("stt", memFmt(opStt, 0, 0, 0), maskOp, " A, i(b)", aStt),
 
-	exec.Ins("br", brFmt(opBr, 0, 0), maskOp, " a, t", aBr).As(exec.KindBranch),
-	exec.Ins("bsr", brFmt(opBsr, 0, 0), maskOp, " a, t", aBr).As(exec.KindCall),
+	exec.Ins("br", brFmt(opBr, 0, 0), maskOp, " a, t", aBr).As(exec.KindBranch).Writes('a'),
+	exec.Ins("bsr", brFmt(opBsr, 0, 0), maskOp, " a, t", aBr).As(exec.KindCall).Writes('a'),
 	exec.Ins("beq", brFmt(opBeq, 0, 0), maskOp, " a, t", aBeq).As(exec.KindBranch),
 	exec.Ins("bne", brFmt(opBne, 0, 0), maskOp, " a, t", aBne).As(exec.KindBranch),
 	exec.Ins("blt", brFmt(opBlt, 0, 0), maskOp, " a, t", aBlt).As(exec.KindBranch),
@@ -72,46 +72,46 @@ var rows = []exec.Row{
 	exec.Ins("fbgt", brFmt(opFbgt, 0, 0), maskOp, " A, t", aFbgt).As(exec.KindBranch),
 	exec.Ins("fbge", brFmt(opFbge, 0, 0), maskOp, " A, t", aFbge).As(exec.KindBranch),
 
-	exec.Ins("jmp", jmpFmt(31, 0, hintJmp), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg),
-	exec.Ins("jmp", jmpFmt(0, 0, hintJmp), maskJump, " a, (b)", aJump).As(exec.KindCall),
-	exec.Ins("jsr", jmpFmt(31, 0, hintJsr), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg),
-	exec.Ins("jsr", jmpFmt(0, 0, hintJsr), maskJump, " a, (b)", aJump).As(exec.KindCall),
-	exec.Ins("ret", jmpFmt(31, 0, hintRet), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg),
-	exec.Ins("ret", jmpFmt(0, 0, hintRet), maskJump, " a, (b)", aJump).As(exec.KindCall),
-	exec.Ins("jsr_coroutine", jmpFmt(31, 0, hintCo), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg),
-	exec.Ins("jsr_coroutine", jmpFmt(0, 0, hintCo), maskJump, " a, (b)", aJump).As(exec.KindCall),
+	exec.Ins("jmp", jmpFmt(31, 0, hintJmp), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg).Writes('a'),
+	exec.Ins("jmp", jmpFmt(0, 0, hintJmp), maskJump, " a, (b)", aJump).As(exec.KindCall).Writes('a'),
+	exec.Ins("jsr", jmpFmt(31, 0, hintJsr), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg).Writes('a'),
+	exec.Ins("jsr", jmpFmt(0, 0, hintJsr), maskJump, " a, (b)", aJump).As(exec.KindCall).Writes('a'),
+	exec.Ins("ret", jmpFmt(31, 0, hintRet), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg).Writes('a'),
+	exec.Ins("ret", jmpFmt(0, 0, hintRet), maskJump, " a, (b)", aJump).As(exec.KindCall).Writes('a'),
+	exec.Ins("jsr_coroutine", jmpFmt(31, 0, hintCo), maskJump|fieldRa, " a, (b)", aJump).As(exec.KindJumpReg).Writes('a'),
+	exec.Ins("jsr_coroutine", jmpFmt(0, 0, hintCo), maskJump, " a, (b)", aJump).As(exec.KindCall).Writes('a'),
 
-	exec.Ins("addl", opFmtR(opInta, 0, 0, fnAddl, 0), maskOperate, " a, l, c", aAddl),
-	exec.Ins("subl", opFmtR(opInta, 0, 0, fnSubl, 0), maskOperate, " a, l, c", aSubl),
-	exec.Ins("addq", opFmtR(opInta, 0, 0, fnAddq, 0), maskOperate, " a, l, c", aAddq),
-	exec.Ins("subq", opFmtR(opInta, 0, 0, fnSubq, 0), maskOperate, " a, l, c", aSubq),
-	exec.Ins("cmpult", opFmtR(opInta, 0, 0, fnCmpult, 0), maskOperate, " a, l, c", aCmpult),
-	exec.Ins("cmpeq", opFmtR(opInta, 0, 0, fnCmpeq, 0), maskOperate, " a, l, c", aCmpeq),
-	exec.Ins("cmpule", opFmtR(opInta, 0, 0, fnCmpule, 0), maskOperate, " a, l, c", aCmpule),
-	exec.Ins("cmplt", opFmtR(opInta, 0, 0, fnCmplt, 0), maskOperate, " a, l, c", aCmplt),
-	exec.Ins("cmple", opFmtR(opInta, 0, 0, fnCmple, 0), maskOperate, " a, l, c", aCmple),
+	exec.Ins("addl", opFmtR(opInta, 0, 0, fnAddl, 0), maskOperate, " a, l, c", aAddl).Writes('c'),
+	exec.Ins("subl", opFmtR(opInta, 0, 0, fnSubl, 0), maskOperate, " a, l, c", aSubl).Writes('c'),
+	exec.Ins("addq", opFmtR(opInta, 0, 0, fnAddq, 0), maskOperate, " a, l, c", aAddq).Writes('c'),
+	exec.Ins("subq", opFmtR(opInta, 0, 0, fnSubq, 0), maskOperate, " a, l, c", aSubq).Writes('c'),
+	exec.Ins("cmpult", opFmtR(opInta, 0, 0, fnCmpult, 0), maskOperate, " a, l, c", aCmpult).Writes('c'),
+	exec.Ins("cmpeq", opFmtR(opInta, 0, 0, fnCmpeq, 0), maskOperate, " a, l, c", aCmpeq).Writes('c'),
+	exec.Ins("cmpule", opFmtR(opInta, 0, 0, fnCmpule, 0), maskOperate, " a, l, c", aCmpule).Writes('c'),
+	exec.Ins("cmplt", opFmtR(opInta, 0, 0, fnCmplt, 0), maskOperate, " a, l, c", aCmplt).Writes('c'),
+	exec.Ins("cmple", opFmtR(opInta, 0, 0, fnCmple, 0), maskOperate, " a, l, c", aCmple).Writes('c'),
 
-	exec.Ins("and", opFmtR(opIntl, 0, 0, fnAnd, 0), maskOperate, " a, l, c", aAnd),
-	exec.Ins("bic", opFmtR(opIntl, 0, 0, fnBic, 0), maskOperate, " a, l, c", aBic),
-	exec.Ins("bis", opFmtR(opIntl, 0, 0, fnBis, 0), maskOperate, " a, l, c", aBis),
-	exec.Ins("ornot", opFmtR(opIntl, 0, 0, fnOrnot, 0), maskOperate, " a, l, c", aOrnot),
-	exec.Ins("xor", opFmtR(opIntl, 0, 0, fnXor, 0), maskOperate, " a, l, c", aXor),
-	exec.Ins("eqv", opFmtR(opIntl, 0, 0, fnEqv, 0), maskOperate, " a, l, c", aEqv),
+	exec.Ins("and", opFmtR(opIntl, 0, 0, fnAnd, 0), maskOperate, " a, l, c", aAnd).Writes('c'),
+	exec.Ins("bic", opFmtR(opIntl, 0, 0, fnBic, 0), maskOperate, " a, l, c", aBic).Writes('c'),
+	exec.Ins("bis", opFmtR(opIntl, 0, 0, fnBis, 0), maskOperate, " a, l, c", aBis).Writes('c'),
+	exec.Ins("ornot", opFmtR(opIntl, 0, 0, fnOrnot, 0), maskOperate, " a, l, c", aOrnot).Writes('c'),
+	exec.Ins("xor", opFmtR(opIntl, 0, 0, fnXor, 0), maskOperate, " a, l, c", aXor).Writes('c'),
+	exec.Ins("eqv", opFmtR(opIntl, 0, 0, fnEqv, 0), maskOperate, " a, l, c", aEqv).Writes('c'),
 
-	exec.Ins("mskbl", opFmtR(opInts, 0, 0, fnMskbl, 0), maskOperate, " a, l, c", aMskbl),
-	exec.Ins("extbl", opFmtR(opInts, 0, 0, fnExtbl, 0), maskOperate, " a, l, c", aExtbl),
-	exec.Ins("insbl", opFmtR(opInts, 0, 0, fnInsbl, 0), maskOperate, " a, l, c", aInsbl),
-	exec.Ins("mskwl", opFmtR(opInts, 0, 0, fnMskwl, 0), maskOperate, " a, l, c", aMskwl),
-	exec.Ins("extwl", opFmtR(opInts, 0, 0, fnExtwl, 0), maskOperate, " a, l, c", aExtwl),
-	exec.Ins("inswl", opFmtR(opInts, 0, 0, fnInswl, 0), maskOperate, " a, l, c", aInswl),
-	exec.Ins("zap", opFmtR(opInts, 0, 0, fnZap, 0), maskOperate, " a, l, c", aZap),
-	exec.Ins("zapnot", opFmtR(opInts, 0, 0, fnZapnot, 0), maskOperate, " a, l, c", aZapnot),
-	exec.Ins("srl", opFmtR(opInts, 0, 0, fnSrl, 0), maskOperate, " a, l, c", aSrl),
-	exec.Ins("sll", opFmtR(opInts, 0, 0, fnSll, 0), maskOperate, " a, l, c", aSll),
-	exec.Ins("sra", opFmtR(opInts, 0, 0, fnSra, 0), maskOperate, " a, l, c", aSra),
+	exec.Ins("mskbl", opFmtR(opInts, 0, 0, fnMskbl, 0), maskOperate, " a, l, c", aMskbl).Writes('c'),
+	exec.Ins("extbl", opFmtR(opInts, 0, 0, fnExtbl, 0), maskOperate, " a, l, c", aExtbl).Writes('c'),
+	exec.Ins("insbl", opFmtR(opInts, 0, 0, fnInsbl, 0), maskOperate, " a, l, c", aInsbl).Writes('c'),
+	exec.Ins("mskwl", opFmtR(opInts, 0, 0, fnMskwl, 0), maskOperate, " a, l, c", aMskwl).Writes('c'),
+	exec.Ins("extwl", opFmtR(opInts, 0, 0, fnExtwl, 0), maskOperate, " a, l, c", aExtwl).Writes('c'),
+	exec.Ins("inswl", opFmtR(opInts, 0, 0, fnInswl, 0), maskOperate, " a, l, c", aInswl).Writes('c'),
+	exec.Ins("zap", opFmtR(opInts, 0, 0, fnZap, 0), maskOperate, " a, l, c", aZap).Writes('c'),
+	exec.Ins("zapnot", opFmtR(opInts, 0, 0, fnZapnot, 0), maskOperate, " a, l, c", aZapnot).Writes('c'),
+	exec.Ins("srl", opFmtR(opInts, 0, 0, fnSrl, 0), maskOperate, " a, l, c", aSrl).Writes('c'),
+	exec.Ins("sll", opFmtR(opInts, 0, 0, fnSll, 0), maskOperate, " a, l, c", aSll).Writes('c'),
+	exec.Ins("sra", opFmtR(opInts, 0, 0, fnSra, 0), maskOperate, " a, l, c", aSra).Writes('c'),
 
-	exec.Ins("mull", opFmtR(opIntm, 0, 0, fnMull, 0), maskOperate, " a, l, c", aMull),
-	exec.Ins("mulq", opFmtR(opIntm, 0, 0, fnMulq, 0), maskOperate, " a, l, c", aMulq),
+	exec.Ins("mull", opFmtR(opIntm, 0, 0, fnMull, 0), maskOperate, " a, l, c", aMull).Writes('c'),
+	exec.Ins("mulq", opFmtR(opIntm, 0, 0, fnMulq, 0), maskOperate, " a, l, c", aMulq).Writes('c'),
 
 	exec.Ins("cpys", fpFmt(opFltl, 0, 0, fnCpys, 0), maskFP, " A, B, C", aCpys),
 	exec.Ins("cpysn", fpFmt(opFltl, 0, 0, fnCpysn, 0), maskFP, " A, B, C", aCpysn),
@@ -136,4 +136,4 @@ var rows = []exec.Row{
 	exec.Ins("cvtst", fpFmt(opFlti, 0, 0, fnCvtst, 0), maskFP, " B, C", aCvtst),
 }
 
-var isa = exec.NewTable(rows, fields, interlock)
+var isa = exec.NewTable(rows, fields, interlock, 31)

@@ -100,24 +100,15 @@ const (
 	aBad // a word with no row
 )
 
-// Register helpers over the narrow predecoded operand fields.  Predecode
-// only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index.  A write to r31 lands and is
-// undone, without a branch.
-func (c *CPU) tr(n uint8) uint64 { return c.r[n&31] }
-func (c *CPU) twr(n uint8, v uint64) {
-	c.r[n&31] = v
-	c.r[31] = 0
-}
+// Register helpers over the narrow predecoded operand fields, which index
+// the register file with no mask and no bounds check: it has a slot for
+// every uint8.  A write to r31 was predecoded to exec.Sink.
+func (c *CPU) tr(n uint8) uint64     { return c.r[n] }
+func (c *CPU) twr(n uint8, v uint64) { c.r[n] = v }
 
-// topnd is the predecoded operate second operand: the 8-bit literal
-// baked at predecode time, or rb.
-func (c *CPU) topnd(in *exec.Instr) uint64 {
-	if in.Flags&exec.FImm != 0 {
-		return uint64(in.Imm)
-	}
-	return c.tr(in.B)
-}
+// topnd is the predecoded operate second operand: rb plus the 8-bit
+// literal, one of which predecode made r31 or 0.
+func (c *CPU) topnd(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
 
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) }
@@ -126,7 +117,7 @@ func (c *CPU) taddr(in *exec.Instr) uint64 { return c.tr(in.B) + uint64(in.Imm) 
 // An FP branch (they come last, in the integer ones' order) tests fa as
 // its twin tests ra, whose conversion keeps its sign.
 func (c *CPU) cond(in *exec.Instr) bool {
-	x, op := float64(int64(c.r[in.A&31])), in.Op
+	x, op := float64(int64(c.r[in.A])), in.Op
 	if op >= aFbeq {
 		x, op = math.Float64frombits(c.f[in.A&31]), op-(aFbeq-aBeq)
 	}
@@ -232,196 +223,204 @@ func badWord(w uint32, pc uint64) error {
 // run is exec.Port.Loop: integer and FP operates, the quadword (aligned
 // or not) and longword loads and stores the inline accessors answer, and
 // folds.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
-	var stall uint64
-	for left > 0 && i < len(code) {
-		in := &code[i]
-		if in.Run == 0 { // a folded branch
-			if in.Flags&exec.FFold == 0 {
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+	in, pc := &code[i], &code // code itself stays in memory while a segment runs
+	c.BaseCycles += exec.Bubble(in, c.LastLoad, 31)
+	for {
+		if in.Run != 0 {
+			seg, start, after := code[:i+int(min(uint64(in.Run), left))], i, in.Target
+		loop:
+			for ; uint(i) < uint(len(seg)); i++ {
+				in := &seg[i]
+				switch in.Op {
+				case aLda:
+					c.twr(in.A, c.taddr(in))
+				case aLdah:
+					c.twr(in.A, c.tr(in.B)+uint64(in.Imm<<16))
+				case aLdl:
+					v, ok := c.Mem.Load4(c.taddr(in))
+					if !ok {
+						c.Declined = "ldl"
+						break loop
+					}
+					c.twr(in.A, uint64(int64(int32(v))))
+				case aLdq:
+					v, ok := c.Mem.Load8(c.taddr(in))
+					if !ok {
+						c.Declined = "ldq"
+						break loop
+					}
+					c.twr(in.A, v)
+				case aLdqU:
+					v, ok := c.Mem.Load8(c.taddr(in) &^ 7)
+					if !ok {
+						c.Declined = "ldq_u"
+						break loop
+					}
+					c.twr(in.A, v)
+				case aStl:
+					if !c.Mem.Store4(c.taddr(in), uint32(c.tr(in.A))) {
+						c.Declined = "store"
+						break loop
+					}
+				case aStq:
+					if !c.Mem.Store8(c.taddr(in), c.tr(in.A)) {
+						c.Declined = "store"
+						break loop
+					}
+				case aStqU:
+					if !c.Mem.Store8(c.taddr(in)&^7, c.tr(in.A)) {
+						c.Declined = "store"
+						break loop
+					}
+				case aAddl:
+					c.twr(in.C, uint64(int64(int32(c.tr(in.A)+c.topnd(in)))))
+				case aSubl:
+					c.twr(in.C, uint64(int64(int32(c.tr(in.A)-c.topnd(in)))))
+				case aAddq:
+					c.twr(in.C, c.tr(in.A)+c.topnd(in))
+				case aSubq:
+					c.twr(in.C, c.tr(in.A)-c.topnd(in))
+				case aCmpeq:
+					c.twr(in.C, b2u64(c.tr(in.A) == c.topnd(in)))
+				case aCmplt:
+					c.twr(in.C, b2u64(int64(c.tr(in.A)) < int64(c.topnd(in))))
+				case aCmple:
+					c.twr(in.C, b2u64(int64(c.tr(in.A)) <= int64(c.topnd(in))))
+				case aCmpult:
+					c.twr(in.C, b2u64(c.tr(in.A) < c.topnd(in)))
+				case aCmpule:
+					c.twr(in.C, b2u64(c.tr(in.A) <= c.topnd(in)))
+				case aAnd:
+					c.twr(in.C, c.tr(in.A)&c.topnd(in))
+				case aBic:
+					c.twr(in.C, c.tr(in.A)&^c.topnd(in))
+				case aBis:
+					c.twr(in.C, c.tr(in.A)|c.topnd(in))
+				case aOrnot:
+					c.twr(in.C, c.tr(in.A)|^c.topnd(in))
+				case aXor:
+					c.twr(in.C, c.tr(in.A)^c.topnd(in))
+				case aEqv:
+					c.twr(in.C, c.tr(in.A)^^c.topnd(in))
+				case aSll:
+					c.twr(in.C, c.tr(in.A)<<(c.topnd(in)&63))
+				case aSrl:
+					c.twr(in.C, c.tr(in.A)>>(c.topnd(in)&63))
+				case aSra:
+					c.twr(in.C, uint64(int64(c.tr(in.A))>>(c.topnd(in)&63)))
+				case aZap:
+					c.twr(in.C, c.tr(in.A)&^zapMask(c.topnd(in)))
+				case aZapnot:
+					c.twr(in.C, c.tr(in.A)&zapMask(c.topnd(in)))
+				case aExtbl:
+					c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xff)
+				case aExtwl:
+					c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xffff)
+				case aInsbl:
+					c.twr(in.C, (c.tr(in.A)&0xff)<<(8*(c.topnd(in)&7)))
+				case aInswl:
+					c.twr(in.C, (c.tr(in.A)&0xffff)<<(8*(c.topnd(in)&7)))
+				case aMskbl:
+					c.twr(in.C, c.tr(in.A)&^(uint64(0xff)<<(8*(c.topnd(in)&7))))
+				case aMskwl:
+					c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
+				case aMull:
+					c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
+					c.BaseCycles += 7
+				case aMulq:
+					c.twr(in.C, c.tr(in.A)*c.topnd(in))
+					c.BaseCycles += 11
+				case aCpys:
+					if in.C != 31 {
+						c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
+					}
+				case aCpysn:
+					// The oracle writes f31 here (no guard); keep the quirk.
+					c.f[in.C] = c.f[in.B] ^ 1<<63
+				case aSqrts:
+					c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
+					c.BaseCycles += 29
+				case aSqrtt:
+					c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
+					c.BaseCycles += 29
+				case aAdds:
+					c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
+					c.BaseCycles++
+				case aSubs:
+					c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
+					c.BaseCycles++
+				case aMuls:
+					c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
+					c.BaseCycles += 3
+				case aDivs:
+					c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
+					c.BaseCycles += 11
+				case aAddt:
+					c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
+					c.BaseCycles++
+				case aSubt:
+					c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
+					c.BaseCycles++
+				case aMultT:
+					c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
+					c.BaseCycles += 4
+				case aDivt:
+					c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
+					c.BaseCycles += 18
+				case aCmpteq:
+					c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
+				case aCmptlt:
+					c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
+				case aCmptle:
+					c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
+				case aCvtts:
+					c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
+				case aCvtst:
+					c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
+				case aCvtqs:
+					c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
+				case aCvtqt:
+					c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
+				case aCvttqc:
+					// The oracle writes f[fc] unguarded here; keep the quirk.
+					c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
+				default:
+					break loop
+				}
+			}
+			if i == start {
+				c.BaseCycles -= exec.Bubble(&(*pc)[i], c.LastLoad, 31)
 				break
 			}
-			stall += exec.Bubble(in, c.LastLoad, 31)
-			c.LastLoad, left = -1, left-1
-			if c.link(in); c.cond(in) {
-				i = int(in.Target)
-			} else {
-				i++
+			last := &seg[i-1]
+			c.BaseCycles += uint64(after - last.Target)
+			c.LastLoad, left = int(int8(last.LoadReg)), left-uint64(i-start)
+			if i < len(seg) || i == len(*pc) {
+				break
 			}
-			continue
-		}
-		seg, start := code[:i+int(min(uint64(in.Run), left))], i
-		stall += exec.Bubble(in, c.LastLoad, 31) - uint64(in.Stall)
-	loop:
-		for ; i < len(seg); i++ {
-			in := &seg[i]
-			switch in.Op {
-			case aLda:
-				c.twr(in.A, c.taddr(in))
-			case aLdah:
-				c.twr(in.A, c.tr(in.B)+uint64(in.Imm<<16))
-			case aLdl:
-				v, ok := c.Mem.Load4(c.taddr(in))
-				if !ok {
-					c.Declined = "ldl"
-					break loop
-				}
-				c.twr(in.A, uint64(int64(int32(v))))
-			case aLdq:
-				v, ok := c.Mem.Load8(c.taddr(in))
-				if !ok {
-					c.Declined = "ldq"
-					break loop
-				}
-				c.twr(in.A, v)
-			case aLdqU:
-				v, ok := c.Mem.Load8(c.taddr(in) &^ 7)
-				if !ok {
-					c.Declined = "ldq_u"
-					break loop
-				}
-				c.twr(in.A, v)
-			case aStl:
-				if !c.Mem.Store4(c.taddr(in), uint32(c.tr(in.A))) {
-					c.Declined = "store"
-					break loop
-				}
-			case aStq:
-				if !c.Mem.Store8(c.taddr(in), c.tr(in.A)) {
-					c.Declined = "store"
-					break loop
-				}
-			case aStqU:
-				if !c.Mem.Store8(c.taddr(in)&^7, c.tr(in.A)) {
-					c.Declined = "store"
-					break loop
-				}
-			case aAddl:
-				c.twr(in.C, uint64(int64(int32(c.tr(in.A)+c.topnd(in)))))
-			case aSubl:
-				c.twr(in.C, uint64(int64(int32(c.tr(in.A)-c.topnd(in)))))
-			case aAddq:
-				c.twr(in.C, c.tr(in.A)+c.topnd(in))
-			case aSubq:
-				c.twr(in.C, c.tr(in.A)-c.topnd(in))
-			case aCmpeq:
-				c.twr(in.C, b2u64(c.tr(in.A) == c.topnd(in)))
-			case aCmplt:
-				c.twr(in.C, b2u64(int64(c.tr(in.A)) < int64(c.topnd(in))))
-			case aCmple:
-				c.twr(in.C, b2u64(int64(c.tr(in.A)) <= int64(c.topnd(in))))
-			case aCmpult:
-				c.twr(in.C, b2u64(c.tr(in.A) < c.topnd(in)))
-			case aCmpule:
-				c.twr(in.C, b2u64(c.tr(in.A) <= c.topnd(in)))
-			case aAnd:
-				c.twr(in.C, c.tr(in.A)&c.topnd(in))
-			case aBic:
-				c.twr(in.C, c.tr(in.A)&^c.topnd(in))
-			case aBis:
-				c.twr(in.C, c.tr(in.A)|c.topnd(in))
-			case aOrnot:
-				c.twr(in.C, c.tr(in.A)|^c.topnd(in))
-			case aXor:
-				c.twr(in.C, c.tr(in.A)^c.topnd(in))
-			case aEqv:
-				c.twr(in.C, c.tr(in.A)^^c.topnd(in))
-			case aSll:
-				c.twr(in.C, c.tr(in.A)<<(c.topnd(in)&63))
-			case aSrl:
-				c.twr(in.C, c.tr(in.A)>>(c.topnd(in)&63))
-			case aSra:
-				c.twr(in.C, uint64(int64(c.tr(in.A))>>(c.topnd(in)&63)))
-			case aZap:
-				c.twr(in.C, c.tr(in.A)&^zapMask(c.topnd(in)))
-			case aZapnot:
-				c.twr(in.C, c.tr(in.A)&zapMask(c.topnd(in)))
-			case aExtbl:
-				c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xff)
-			case aExtwl:
-				c.twr(in.C, c.tr(in.A)>>(8*(c.topnd(in)&7))&0xffff)
-			case aInsbl:
-				c.twr(in.C, (c.tr(in.A)&0xff)<<(8*(c.topnd(in)&7)))
-			case aInswl:
-				c.twr(in.C, (c.tr(in.A)&0xffff)<<(8*(c.topnd(in)&7)))
-			case aMskbl:
-				c.twr(in.C, c.tr(in.A)&^(uint64(0xff)<<(8*(c.topnd(in)&7))))
-			case aMskwl:
-				c.twr(in.C, c.tr(in.A)&^(uint64(0xffff)<<(8*(c.topnd(in)&7))))
-			case aMull:
-				c.twr(in.C, uint64(int64(int32(c.tr(in.A))*int32(c.topnd(in)))))
-				c.BaseCycles += 7
-			case aMulq:
-				c.twr(in.C, c.tr(in.A)*c.topnd(in))
-				c.BaseCycles += 11
-			case aCpys:
-				if in.C != 31 {
-					c.f[in.C] = c.f[in.B]&^(1<<63) | c.f[in.A]&(1<<63)
-				}
-			case aCpysn:
-				// The oracle writes f31 here (no guard); keep the quirk.
-				c.f[in.C] = c.f[in.B] ^ 1<<63
-			case aSqrts:
-				c.wfS(uint32(in.C), float32(math.Sqrt(float64(c.fS(uint32(in.B))))))
-				c.BaseCycles += 29
-			case aSqrtt:
-				c.wfT(uint32(in.C), math.Sqrt(c.fT(uint32(in.B))))
-				c.BaseCycles += 29
-			case aAdds:
-				c.wfS(uint32(in.C), c.fS(uint32(in.A))+c.fS(uint32(in.B)))
-				c.BaseCycles++
-			case aSubs:
-				c.wfS(uint32(in.C), c.fS(uint32(in.A))-c.fS(uint32(in.B)))
-				c.BaseCycles++
-			case aMuls:
-				c.wfS(uint32(in.C), c.fS(uint32(in.A))*c.fS(uint32(in.B)))
-				c.BaseCycles += 3
-			case aDivs:
-				c.wfS(uint32(in.C), c.fS(uint32(in.A))/c.fS(uint32(in.B)))
-				c.BaseCycles += 11
-			case aAddt:
-				c.wfT(uint32(in.C), c.fT(uint32(in.A))+c.fT(uint32(in.B)))
-				c.BaseCycles++
-			case aSubt:
-				c.wfT(uint32(in.C), c.fT(uint32(in.A))-c.fT(uint32(in.B)))
-				c.BaseCycles++
-			case aMultT:
-				c.wfT(uint32(in.C), c.fT(uint32(in.A))*c.fT(uint32(in.B)))
-				c.BaseCycles += 4
-			case aDivt:
-				c.wfT(uint32(in.C), c.fT(uint32(in.A))/c.fT(uint32(in.B)))
-				c.BaseCycles += 18
-			case aCmpteq:
-				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) == c.fT(uint32(in.B))))
-			case aCmptlt:
-				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) < c.fT(uint32(in.B))))
-			case aCmptle:
-				c.wfT(uint32(in.C), cmpResult(c.fT(uint32(in.A)) <= c.fT(uint32(in.B))))
-			case aCvtts:
-				c.wfS(uint32(in.C), float32(c.fT(uint32(in.B))))
-			case aCvtst:
-				c.wfT(uint32(in.C), float64(c.fS(uint32(in.B))))
-			case aCvtqs:
-				c.wfS(uint32(in.C), float32(int64(c.f[in.B])))
-			case aCvtqt:
-				c.wfT(uint32(in.C), float64(int64(c.f[in.B])))
-			case aCvttqc:
-				// The oracle writes f[fc] unguarded here; keep the quirk.
-				c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
-			default:
-				break loop
+			in = &(*pc)[i]
+			if c.BaseCycles += uint64(in.Stall); in.Run != 0 && left > 0 {
+				continue // a run longer than Run holds
 			}
-			stall += uint64(in.Stall)
 		}
-		if i == start {
-			stall -= exec.Bubble(&code[i], c.LastLoad, 31) - uint64(code[i].Stall)
+		// A folded branch, where a segment ends.
+		if in.Flags&exec.FFold == 0 || left == 0 {
+			c.BaseCycles -= exec.Bubble(in, c.LastLoad, 31)
 			break
 		}
-		c.LastLoad, left = int(int8(code[i-1].LoadReg)), left-uint64(i-start)
-		if i < len(seg) {
+		c.LastLoad, left = -1, left-1
+		if c.link(in); c.cond(in) {
+			i = int(in.Target)
+		} else {
+			i++
+		}
+		if left == 0 || i == len(*pc) {
 			break
 		}
+		in = &(*pc)[i]
 	}
-	return i, left, stall
+	return i, left
 }
 
 // slow is exec.Port.Slow: FP loads and stores.
@@ -472,4 +471,4 @@ func memErr(what string, in *exec.Instr, err error) error {
 }
 
 // Regs returns the state the run loop shares and the integer registers.
-func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, &c.r }
+func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, (*[32]uint64)(c.r[:32]) }

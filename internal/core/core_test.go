@@ -125,7 +125,7 @@ var fakeISA = exec.NewTable([]exec.Row{
 }, map[byte]exec.Field{
 	'b': {Width: 16, Signed: true, Scale: 2, Target: true, PC: 4},
 	'i': {Width: 16, Signed: true, Fmt: "%d", Slot: exec.SlotImm},
-}, nil)
+}, nil, 0)
 
 func (f *fakeBackend) ISA() *exec.Table { return fakeISA }
 

@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/mem"
+	"repro/internal/regtest"
 )
 
 // This file holds the threaded engine to the switch engine on raw words at
@@ -146,5 +151,116 @@ func TestDifferentialDelaySlotTransfer(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDifferentialRunCharge holds a straight run's load-use bubbles, which
+// a segment pays in one sum (exec.MarkRuns), to the switch engine: a run
+// of 300 loads, each read by the next instruction, so more bubbles than a
+// byte holds, entered at its start with the budget ending at every
+// position.
+func TestDifferentialRunCharge(t *testing.T) {
+	for _, ft := range fuzzTargets() {
+		var words []uint32
+		for k := 0; k < 300; k++ {
+			switch ft.name {
+			case "mips":
+				words = append(words, mipsLw(8, 0), mipsAddu(2, 8, 8))
+			case "sparc":
+				words = append(words, sparcLd(8, 0), sparcAlu(0, 2, 8, 8))
+			case "alpha":
+				words = append(words, alphaLdl(8, 0), alphaAddq(8, 8, 2))
+			}
+		}
+		for allow := uint64(1); allow <= uint64(len(words)); allow++ {
+			diffPrefix(t, ft, words, allow)
+		}
+	}
+}
+
+// diffPrefix runs words from their start on both engines, allow
+// instructions on the switch engine and one Run of allow on the threaded
+// one, and fails on any divergence.
+func diffPrefix(t *testing.T, ft fuzzTarget, words []uint32, allow uint64) {
+	t.Helper()
+	const base = 0x1000
+	var cpus [2]core.CPU
+	for k := range cpus {
+		m := mem.New(1<<16, ft.big)
+		for i, w := range words {
+			if err := m.Store(base+4*uint64(i), 4, uint64(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cpus[k] = ft.mk(m)
+		cpus[k].SetReg(core.GPR(4), 0x2000)
+		cpus[k].SetPC(base)
+	}
+	var err1 error
+	for err1 == nil && cpus[0].Insns() < allow {
+		err1 = cpus[0].Step()
+	}
+	tc := cpus[1].(core.ThreadedCPU)
+	_, err2 := tc.Run(tc.Predecode(words, base), 0, allow)
+	if d := ErrDiff(err1, err2); d != "" {
+		t.Fatalf("%s, budget %d: %s", ft.name, allow, d)
+	}
+	if d := StateDiff(cpus[0], cpus[1]); d != "" {
+		t.Fatalf("%s, budget %d: state diverged:\n%s", ft.name, allow, d)
+	}
+}
+
+// TestDifferentialZeroWrites holds every plain row that writes an integer
+// register, writing the zero register ($zero, %g0, r31), to the switch
+// engine, followed in the same run by a read of the zero register into a
+// live one.  Predecode sends the write to exec.Sink; the zero register
+// must read zero after it on both engines.  The row's other register
+// fields name registers that hold nonzero values, so most writes are not
+// of zero.
+func TestDifferentialZeroWrites(t *testing.T) {
+	zero := map[string]uint32{"mips": 0, "sparc": 0, "alpha": 31}
+	reader := map[string]uint32{
+		"mips":  mipsAddu(2, 0, 0),
+		"sparc": sparcAlu(0, 2, 0, 0),
+		"alpha": alphaAddq(31, 31, 2),
+	}
+	setup := func(c core.CPU) { c.SetReg(core.GPR(5), 0x1000) } // the code: loads read nonzero words
+	targets := map[string]regtest.Target{}
+	for _, tg := range regtest.Targets() {
+		targets[tg.Name] = tg
+	}
+	for _, ft := range fuzzTargets() {
+		isa, writers := targets[ft.name].Backend.ISA(), 0
+		for _, r := range isa.Rows() {
+			if r.Kind != exec.KindOther {
+				continue
+			}
+			for _, c := range []byte(r.Syntax) {
+				f := isa.Field(c)
+				if f == nil || f.Names == nil || f.Slot < exec.SlotA || f.Slot > exec.SlotC {
+					continue
+				}
+				// c names the zero register, every other register field
+				// r5 or r9, in turn.
+				w, other := r.Match|zero[ft.name]<<f.Shift&^r.Mask, uint32(5)
+				for _, d := range []byte(r.Syntax) {
+					if g := isa.Field(d); d != c && g != nil && g.Names != nil && g.Slot >= exec.SlotA && g.Slot <= exec.SlotC {
+						w, other = w|other<<g.Shift&^r.Mask, 14-other
+					}
+				}
+				in := targets[ft.name].NewMachine().CPU().(core.ThreadedCPU).Predecode([]uint32{w}, 0x1000).Code[0]
+				if in.A != exec.Sink && in.B != exec.Sink && in.C != exec.Sink {
+					continue // c is not the register r writes
+				}
+				writers++
+				for chunk := uint64(1); chunk <= 2; chunk++ {
+					diffWords(t, ft, []uint32{w, reader[ft.name]}, chunk, setup)
+				}
+			}
+		}
+		if writers == 0 {
+			t.Errorf("%s: no plain row writes the zero register", ft.name)
+		}
+		t.Logf("%s: %d plain rows write the zero register", ft.name, writers)
 	}
 }

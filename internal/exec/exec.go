@@ -50,6 +50,10 @@ const (
 // pending load" value the switch interpreters keep in lastLoad.
 const NoReg uint8 = 0xff
 
+// Sink is the register a predecoded write to the hardwired zero register
+// names instead (Row.Writes), past the 32: the zero register stays zero.
+const Sink uint8 = 32
+
 // Instr flags.
 const (
 	// FImm marks the immediate/literal operand form of an instruction
@@ -70,20 +74,23 @@ const (
 
 // Instr is one predecoded instruction.  Which operand goes in A, B, C and
 // Imm is declared once, by the Slot of each field a row's syntax names
-// (Field); a port's plain, branch and handlers read them by that
+// (Field); a port's run, slow, cond and handlers read them by that
 // declaration, and Port.Run reads only the shared fields.  The shared
 // shape is:
 //
 //	Op      dense backend-local opcode: a case of the backend's run
 //	        switch if the instruction is plain, else its handler's index
-//	A, B, C unpacked register operands (sources / destination)
+//	A, B, C unpacked register operands (sources / destination, Sink for
+//	        a written zero register: Row.Writes)
 //	Imm     the immediate its field gives (a shift count, displacement
-//	        or literal; FImm marks the number form of a field of two),
-//	        or — for a static control transfer that leaves the body —
-//	        the target address; for a malformed encoding, the raw word
-//	        (so the error handler reproduces the oracle's exact message)
+//	        or literal; FImm marks the number form of a field of two, whose
+//	        B is the zero register: B plus Imm is the operand either way),
+//	        or — for a static control transfer that leaves the body — the
+//	        target address; for a malformed encoding, the raw word (so the
+//	        error handler reproduces the oracle's exact message)
 //	Target  pre-resolved static branch destination: an in-body array
-//	        index, or External (address in Imm); 0 for non-transfers
+//	        index, or External (address in Imm); for a plain instruction,
+//	        the sum of the Stall bits after it in its run (MarkRuns)
 //	PC      the instruction's own address (link values, error text)
 //	SrcA/SrcB  consumer registers checked against the load-interlock
 //	        (NoReg when the backend charges no stall on that slot)
@@ -148,23 +155,42 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 // handler gives the oracle's message, so unreachable garbage (pads,
 // literal pools) still installs.
 func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
+	if rows == nil {
+		rows = make([]*Row, len(words))
+		for i, w := range words {
+			rows[i] = t.Lookup(w)
+		}
+	}
+	// The loop calls nothing, so what it reads stays in registers.
+	code, rows, bad := b.Code[:len(words)], rows[:len(words)], false
+	slots, nop, locks := p.Slots > 0, p.Nop, t.rule != nil
 	for i, w := range words {
-		in := &b.Code[i]
+		in, r := &code[i], rows[i]
 		*in = Instr{PC: b.Base + 4*uint64(i), SrcA: NoReg, SrcB: NoReg, LoadReg: NoReg}
-		r := t.At(rows, i, w)
 		if r == nil {
-			l := t.lockOf(w, w) // the rule, for this word alone
-			in.SrcA, in.SrcB, in.LoadReg = l.regs(w)
-			in.Op, in.Imm = p.Bad, int64(w)
+			in.Op, in.Imm, bad = p.Bad, int64(w), true
 			continue
 		}
-		form := w >> r.sel & uint32(r.two) // 1: a field's number form
-		if t.rule != nil {
-			in.SrcA, in.SrcB, in.LoadReg = r.lock[form].regs(w)
+		// A branch, not an index, picks the form: o stays one pointer.
+		form, o := w>>(r.sel&31)&uint32(r.two), &r.ops[0] // form 1: a field's number form
+		if form != 0 {
+			o = &r.ops[1]
 		}
-		o := &t.ops[r.ops][form]
-		in.Op, in.Flags = r.Op, uint8(form)*FImm
-		in.A, in.B, in.C, in.Imm = o.reg(0, w), o.reg(1, w), o.reg(2, w), o.imm(w)
+		in.Op, in.Flags, in.Imm = r.Op, uint8(form)*FImm, o.imm(w)
+		in.A, in.B, in.C = o.reg(0, w), o.reg(1, w), o.reg(2, w)
+		if locks {
+			in.SrcA, in.SrcB, in.LoadReg = o.reg(3, w), o.reg(4, w), o.reg(5, w)
+		}
+		if w&o.dmask == o.dzero { // it writes the zero register
+			switch o.dst {
+			case 0:
+				in.A = Sink
+			case 1:
+				in.B = Sink
+			default:
+				in.C = Sink
+			}
+		}
 		switch r.Kind {
 		case KindOther:
 			in.Run = 1
@@ -176,8 +202,14 @@ func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 		} else if ins.HasTarget {
 			in.Target, in.Imm = External, int64(ins.Target)
 		}
-		if p.Slots > 0 && w == p.Nop {
+		if w == nop && slots {
 			in.Flags |= FNop
+		}
+	}
+	for i := 0; bad && i < len(rows); i++ { // a bad word's interlock: the rule, for it alone
+		if o, w := (operands{}), words[i]; rows[i] == nil {
+			t.lock(&o, w, w)
+			code[i].SrcA, code[i].SrcB, code[i].LoadReg = o.reg(3, w), o.reg(4, w), o.reg(5, w)
 		}
 	}
 	MarkRuns(b.Code, p.Never, p.Slots)
@@ -199,32 +231,34 @@ func (b *Body) IndexOf(pc uint64) int { return int(pc-b.Base) / 4 }
 // left Run at 1 on every plain instruction and 0 elsewhere; MarkRuns
 // turns that into the length of the straight-line run starting at each
 // instruction (saturating: a longer run is executed in pieces), sets
-// Stall from the interlock metadata, and keeps FFold only on a branch
-// whose target is in the body and, when the ISA has slots (delay slots
-// per transfer, 0 or 1), whose slot is in the body and a nop.  never is
-// the register the backend's interlock does not charge (the hardwired
-// zero), NoReg if it has none.
+// Stall from the interlock metadata and, on a plain instruction, Target
+// to the sum of the Stall bits after it in its run, and keeps FFold only
+// on a branch whose target is in the body and, when the ISA has slots
+// (delay slots per transfer, 0 or 1), whose slot is in the body and a
+// nop.  never is the register the backend's interlock does not charge
+// (the hardwired zero), NoReg if it has none.
 func MarkRuns(code []Instr, never uint8, slots int) {
-	run := uint16(0)
+	run, sum := uint16(0), int32(0) // code[i+1]'s Run and Target
 	for i := len(code) - 1; i >= 0; i-- {
 		in := &code[i]
 		if in.Flags&FFold != 0 && (in.Target < 0 ||
 			slots > 0 && (i+1 == len(code) || code[i+1].Flags&FNop == 0)) {
 			in.Flags &^= FFold
 		}
-		if in.Run == 0 {
-			run = 0
-		} else {
-			if run < math.MaxUint16 {
-				run++
-			}
-			in.Run = run
-		}
 		if ld := in.LoadReg; ld != NoReg && ld != never && i+1 < len(code) {
 			if next := &code[i+1]; next.SrcA == ld || next.SrcB == ld {
 				next.Stall = 1
+				sum += int32(min(run, 1)) // in code[i+1]'s run, if it has one
 			}
 		}
+		if in.Run == 0 {
+			run, sum = 0, 0
+			continue
+		}
+		if run < math.MaxUint16 {
+			run++
+		}
+		in.Run, in.Target = run, sum
 	}
 }
 

@@ -78,13 +78,16 @@ type Port[P any] struct {
 
 	// Loop, the port's hot loop, calls nothing.  From code[idx] on it
 	// executes runs of the plain instructions that need no call, each a
-	// segment whose first pays its bubble by the producer (a fold's landing
-	// none) and the rest their Stall bits, and the FFold branches, until
-	// the budget left runs out, the body ends or code[idx] needs a call: a
-	// slow instruction, or an access its inline accessor declines, named in
-	// State.Declined.  It returns where it stopped, the budget left and the
-	// bubbles, and keeps the interlock producer in State.LastLoad.
-	Loop func(c P, code []Instr, idx int, left uint64) (int, uint64, uint64)
+	// segment that pays the Stall bits after its first in one sum
+	// (Instr.Target), and the FFold branches, each folded where a segment
+	// ends, until the budget left runs out, the body ends or code[idx]
+	// needs a call: a slow instruction, or an access its inline accessor
+	// declines, named in State.Declined.  Only code[idx] pays its bubble
+	// by the producer in State.LastLoad: what Loop reaches by falling
+	// through pays its Stall bit, and a fold's landing none.  It returns
+	// where it stopped and the budget left, charges the bubbles to
+	// State.BaseCycles and leaves the interlock producer in State.LastLoad.
+	Loop func(c P, code []Instr, idx int, left uint64) (int, uint64)
 	// Slow executes a plain instruction Loop stops at but did not decline.
 	Slow func(c P, in *Instr) error
 	// Cond is whether in, of a pc-relative branch row, is taken, as Loop
@@ -137,11 +140,10 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			if edging {
 				lim = min(left, uint64(code[idx].Run))
 			}
-			var rest, bubbles uint64
+			var rest uint64
 			s.LastLoad = ll
-			idx, rest, bubbles = p.Loop(c, code, idx, lim)
+			idx, rest = p.Loop(c, code, idx, lim)
 			ll, left, tried = s.LastLoad, left-(lim-rest), rest > 0
-			stall += bubbles
 			if idx == len(code) {
 				s.flush(b.End(), allow-left-flushed, stall, ll)
 				return allow - left, nil
@@ -222,7 +224,7 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			// What most slots hold: it retires, and that is all it does.
 		case din.Run != 0:
 			s.LastLoad = -1 // Loop runs the slot, unless it stops at it
-			if i, _, _ := p.Loop(c, code, dIdx, 1); i == dIdx {
+			if i, _ := p.Loop(c, code, dIdx, 1); i == dIdx {
 				derr = p.plain(c, s, code, dIdx, true)
 			}
 		case p.Handlers[din.Op] != nil:
@@ -268,7 +270,7 @@ func (p *Port[P]) branch(c P, s *State, in *Instr) bool {
 // Loop again once mem.Memory.Admit has admitted it.
 func (p *Port[P]) plain(c P, s *State, code []Instr, idx int, tried bool) error {
 	if s.LastLoad = -1; !tried {
-		if i, _, _ := p.Loop(c, code, idx, 1); i > idx {
+		if i, _ := p.Loop(c, code, idx, 1); i > idx {
 			return nil
 		}
 	}

@@ -67,20 +67,20 @@ type Row struct {
 	Name   string // mnemonic
 	Match  uint32 // the row decodes w when w&Mask == Match
 	Mask   uint32
-	Syntax string  // operands as Disasm prints them, one letter per field
-	Kind   Kind    // control-flow behaviour, for the verifier
-	Op     uint16  // dense opcode: what the threaded engine executes it as
-	lock   [2]lock // per form: the registers the interlock reads (NewTable)
+	Syntax string // operands as Disasm prints them, one letter per field
+	Kind   Kind   // control-flow behaviour, for the verifier
+	Op     uint16 // dense opcode: what the threaded engine executes it as
+	dst    byte   // the letter of the integer register it writes (Writes)
 
 	// Tgt and Num are the fields Syntax names that hold a target and a
-	// number, nil for none.  The table's ops[ops] reads the operands of
-	// the other fields it names (an alias: of the row it specialises);
-	// two is 1 in a row with a field of two forms, and form 1 reads a word
-	// whose bit sel selects the number form.  NewTable sets them, in the
-	// rows it is given.
-	Tgt, Num *Field
+	// number, nil for none.  ops reads the operands of the other fields
+	// it names (an alias: of the row it specialises) and the registers the
+	// interlock reads; two is 1 in a row with a field of two forms, and
+	// form 1 reads a word whose bit sel selects the number form.  NewTable
+	// sets them, in the rows it is given.
 	sel, two uint8
-	ops      uint16
+	Tgt, Num *Field
+	ops      *[2]operands
 }
 
 // Slot is the operand of an Instr a field's value goes into; a target
@@ -95,17 +95,21 @@ const (
 	SlotImm
 )
 
-// operands is how Predecode reads a word's operands: A, B and C, each a
-// field shifted down and masked (mask 0 for none), and Imm, shifted to
+// operands is how Predecode reads a word of one row form: A, B, C, SrcA,
+// SrcB and LoadReg, each a field shifted down and masked, then set (mask
+// 0: a constant, such as NoReg or the zero register); and Imm, shifted to
 // the top, down again sign-extending, kept to the field's width if it is
-// unsigned, and scaled (keep 0 for none).
+// unsigned, and scaled (keep 0 for none).  Where w&dmask == dzero, the
+// register the row writes, A, B or C as dst says, is the zero register.
 type operands struct {
-	shift, mask     [3]uint8
-	lsh, rsh, scale uint8
-	keep            int32
+	shift, mask, set [6]uint8
+	lsh, rsh, scale  uint8
+	keep             int32
+	dst              uint8
+	dmask, dzero     uint32
 }
 
-func (o *operands) reg(k int, w uint32) uint8 { return uint8(w>>(o.shift[k]&31)) & o.mask[k] }
+func (o *operands) reg(k int, w uint32) uint8 { return uint8(w>>(o.shift[k]&31))&o.mask[k] | o.set[k] }
 
 func (o *operands) imm(w uint32) int64 {
 	return int64(int32(w<<(o.lsh&31))>>(o.rsh&31)&o.keep) << (o.scale & 31)
@@ -233,6 +237,10 @@ func (r *Row) Insn(w uint32, pc uint64) Insn {
 	return Insn{Kind: r.Kind, Target: r.Tgt.origin(pc) + uint64(r.Tgt.Get(w)), HasTarget: true}
 }
 
+// Writes returns r with c, a letter of its syntax, named as the integer
+// register it writes: Decode sends a write to the zero register to Sink.
+func (r Row) Writes(c byte) Row { r.dst = c; return r }
+
 // Ins builds a Row from positional arguments, so a backend's table reads
 // one line per instruction.  The row is KindOther — plain: the
 // threaded engine executes runs of such rows without looking up — and the
@@ -252,20 +260,15 @@ type Table struct {
 	slots  []slot // every sub-table, concatenated
 	root   slot
 	fields map[byte]*Field
-	ops    [][2]operands // the distinct ways rows read operands: Row.ops
+	ops    []*[2]operands // the distinct ways rows read operands: Row.ops
 	rule   Interlock
+	zero   uint8 // the register hardwired to zero (NewTable's zero)
 }
 
 // Interlock names the fields the oracle's load-use check reads a word's
 // source registers and its loaded register from: a letter of the table's
 // fields, 0 for none.
 type Interlock func(w uint32) (srcA, srcB, load byte)
-
-// lock is a row's interlock in one form: the shift of each (5-bit)
-// field the rule names, noLock for none.
-type lock [3]uint8
-
-const noLock = 0xff
 
 // slot is one entry of a sub-table: either a further sub-table, selected
 // from by the mask-wide field of the word at shift, or (mask == 0, below
@@ -297,9 +300,10 @@ const fixedSteps = 2
 // would.  It completes rows in place (Tgt, Num, the operand reads and
 // the interlock's, which rule gives; nil for no interlock), and panics on
 // a declaration Predecode could not follow: a row naming a field with no
-// slot it fits, or two fields that fill one slot.
-func NewTable(rows []Row, fields map[byte]Field, rule Interlock) *Table {
-	t := &Table{fields: make(map[byte]*Field, len(fields)), rule: rule}
+// slot it fits, two fields that fill one slot, a field of two whose
+// register form is not B, or a Writes letter that is not its register.
+func NewTable(rows []Row, fields map[byte]Field, rule Interlock, zero uint8) *Table {
+	t := &Table{fields: make(map[byte]*Field, len(fields)), rule: rule, zero: zero}
 	for c, f := range fields {
 		f.prep()
 		t.fields[c] = &f
@@ -307,23 +311,17 @@ func NewTable(rows []Row, fields map[byte]Field, rule Interlock) *Table {
 	for i := len(rows) - 1; i >= 0; i-- {
 		t.derive(rows, i)
 	}
-	for i := range rows {
-		r, sel := &rows[i], uint32(rows[i].two)<<rows[i].sel
-		for form := range r.lock { // two words of the form: free bits clear, then set
-			w := r.Match | uint32(form)*sel
-			r.lock[form] = t.lockOf(w, w|^r.Mask&^sel)
-		}
-	}
 	t.root = t.build(rows, 0, 0)
 	return t
 }
 
-// lockOf is the lock of the row form w0 and w1 are words of; a rule that
-// names other fields for the two is a bug in the port.
-func (t *Table) lockOf(w0, w1 uint32) lock {
-	l := lock{noLock, noLock, noLock}
+// lock has o read the registers the interlock reads and loads in a word
+// of the row form w0 and w1 are words of; a rule that names other fields
+// for the two is a bug in the port.
+func (t *Table) lock(o *operands, w0, w1 uint32) {
+	o.set[3], o.set[4], o.set[5] = NoReg, NoReg, NoReg
 	if t.rule == nil {
-		return l
+		return
 	}
 	a, b, ld := t.rule(w0)
 	if a1, b1, ld1 := t.rule(w1); a != a1 || b != b1 || ld != ld1 {
@@ -331,21 +329,9 @@ func (t *Table) lockOf(w0, w1 uint32) lock {
 	}
 	for k, c := range []byte{a, b, ld} {
 		if f := t.fields[c]; f != nil {
-			l[k] = f.Shift
+			o.shift[3+k], o.mask[3+k], o.set[3+k] = f.Shift, 31, 0
 		}
 	}
-	return l
-}
-
-// regs is the registers the oracle's load-use check takes w, a word of
-// the row form whose lock is l, to read and load (NoReg for none).
-func (l *lock) regs(w uint32) (srcA, srcB, load uint8) { return l.reg(0, w), l.reg(1, w), l.reg(2, w) }
-
-func (l *lock) reg(k int, w uint32) uint8 {
-	if l[k] == noLock {
-		return NoReg
-	}
-	return uint8(w>>l[k]) & 31
 }
 
 // derive sets what rows[i]'s Syntax names.  An alias (nop, move, li)
@@ -353,7 +339,7 @@ func (l *lock) reg(k int, w uint32) uint8 {
 // that decodes every word it does.
 func (t *Table) derive(rows []Row, i int) {
 	r, filled := &rows[i], 0
-	var ops [2]operands
+	ops := [2]operands{{dzero: 1}, {dzero: 1}} // w&0 is never 1: it writes no register
 	for _, c := range []byte(r.Syntax) {
 		f, slots := t.fields[c], 1<<SlotImm // where a target outside the body goes
 		switch {
@@ -366,8 +352,15 @@ func (t *Table) derive(rows []Row, i int) {
 			slots = 1<<f.Slot | 1<<reg.Slot
 			ops[0].put(r, reg)
 			ops[1].put(r, f)
-			if f.Else != nil {
+			if f.Else != nil && reg.Slot == SlotB { // Decode points B at the zero register in the number form
 				r.sel, r.two = f.Sel, 1
+			} else if f.Else != nil {
+				panic(fmt.Sprintf("exec: row %s %q names a field of two whose register form is not B", r.Name, r.Syntax))
+			}
+			if c == r.dst && f.Else == nil && f.Slot != SlotImm {
+				for k := range ops {
+					ops[k].dst, ops[k].dmask, ops[k].dzero = uint8(f.Slot-SlotA), f.mask, uint32(t.zero)<<f.Shift
+				}
 			}
 			if f.Names == nil {
 				r.Num = f
@@ -378,17 +371,28 @@ func (t *Table) derive(rows []Row, i int) {
 		}
 		filled |= slots
 	}
+	if r.dst != 0 && ops[0].dmask == 0 {
+		panic(fmt.Sprintf("exec: row %s %q writes %q, which is not a register it names", r.Name, r.Syntax, r.dst))
+	}
 	for _, s := range rows[i+1:] {
 		if s.Op == r.Op && r.Mask&s.Mask == s.Mask && r.Match&s.Mask == s.Match {
-			r.ops, r.sel, r.two = s.ops, s.sel, s.two
-			return
+			ops, r.sel, r.two = *s.ops, s.sel, s.two
+			break
 		}
 	}
-	k := slices.Index(t.ops, ops)
-	if k < 0 {
-		k, t.ops = len(t.ops), append(t.ops, ops)
+	sel := uint32(r.two) << r.sel
+	for form := range ops { // two words of the form: free bits clear, then set
+		w := r.Match | uint32(form)*sel
+		t.lock(&ops[form], w, w|^r.Mask&^sel)
 	}
-	r.ops = uint16(k)
+	if r.two != 0 { // the number form's register slot reads zero
+		ops[1].set[SlotB-SlotA] = t.zero
+	}
+	k := slices.IndexFunc(t.ops, func(o *[2]operands) bool { return *o == ops })
+	if k < 0 {
+		k, t.ops = len(t.ops), append(t.ops, &ops)
+	}
+	r.ops = t.ops[k]
 }
 
 // ISA returns t, so that a backend embedding its table has core.Backend's
@@ -404,6 +408,9 @@ func (t *Table) Row(name string) *Row {
 	}
 	return nil
 }
+
+// Rows returns the table's rows, in the index's order.
+func (t *Table) Rows() []Row { return t.rows }
 
 // Field returns the declaration of Syntax letter c, nil for punctuation.
 func (t *Table) Field(c byte) *Field { return t.fields[c] }
@@ -460,15 +467,6 @@ func (t *Table) Lookup(w uint32) *Row {
 		}
 	}
 	return nil
-}
-
-// At returns rows[i], the row of w, which the caller looked up; with no
-// rows it looks w up.
-func (t *Table) At(rows []*Row, i int, w uint32) *Row {
-	if rows != nil {
-		return rows[i]
-	}
-	return t.Lookup(w)
 }
 
 // Classify decodes the control-flow behaviour of w at pc for the

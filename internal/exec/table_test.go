@@ -23,7 +23,7 @@ func TestLookupIsFirstMatch(t *testing.T) {
 			}
 			rows[i] = Row{Mask: mask, Match: rng.Uint32() & mask, Op: uint16(i)}
 		}
-		tab := NewTable(rows, nil, nil)
+		tab := NewTable(rows, nil, nil, 0)
 		for k := 0; k < 2000; k++ {
 			w := rng.Uint32()
 			if len(rows) > 0 && k%2 == 0 { // half the probes hit some row's pattern
@@ -115,7 +115,7 @@ func TestNewTableRefuses(t *testing.T) {
 					t.Errorf("%s: NewTable accepted it", name)
 				}
 			}()
-			NewTable([]Row{Ins("x", 0, 0, " a, b", 0)}, fields, nil)
+			NewTable([]Row{Ins("x", 0, 0, " a, b", 0)}, fields, nil, 0)
 		}()
 	}
 }
@@ -133,7 +133,7 @@ func TestDecodeUnpacksBySlot(t *testing.T) {
 	}, map[byte]Field{
 		'a': reg(21, SlotA), 'c': reg(0, SlotC),
 		'l': {Shift: 13, Width: 3, Signed: true, Slot: SlotImm, Sel: 12, Else: &lit},
-	}, nil)
+	}, nil, 0)
 	for _, tc := range []struct {
 		w    uint32
 		want Instr

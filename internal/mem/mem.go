@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // ErrReadOnly is a simulated store below the store floor: into code or a
@@ -21,22 +22,42 @@ var ErrReadOnly = errors.New("mem: store below the store floor")
 type Memory struct {
 	data []byte
 	// [lo, hi) is what a simulated load or fetch may touch and [wlo, hi)
-	// what a simulated store may: the one bounds pair check and the fast
-	// accessors compare against, the store's with its own floor.  New
-	// makes both the whole memory; SetStoreFloor raises wlo.
+	// what a simulated store may: the one bounds pair check compares
+	// against, the store's with its own floor.  New makes both the whole
+	// memory; SetStoreFloor raises wlo.
 	lo, wlo, hi uint64
-	// plain holds while no fault hook and no cache model is attached: the
-	// fast accessors answer only then.
-	plain    bool
-	declined access // what a fast accessor last declined, for Admit
-	big      bool
-	dc       *Cache
+	// load and store are the windows the fast accessors answer in (open):
+	// empty while a fault hook or cache model is attached.
+	load, store window
+	declined    access // what a fast accessor last declined, for Admit
+	big         bool
+	dc          *Cache
 	// penaltyCycles accumulates memory-system stall cycles charged by
 	// the cache model.
 	penaltyCycles uint64
 	// hook, when set, intercepts accesses for fault injection
 	// (internal/faultinject); nil in normal operation.
 	hook FaultHook
+}
+
+// window is where a fast accessor answers, in one test: addr-lo <=
+// last[n/8] for n bytes.  An empty one, lo 1 and last 0, admits address 1.
+type window struct{ lo, last [2]uint64 }
+
+// open sets the windows: the bounds pairs while plain or for Admit.
+func (m *Memory) open(admit bool) {
+	plain := admit || m.hook == nil && m.dc == nil
+	m.load, m.store = span(m.lo, m.hi, plain), span(m.wlo, m.hi, plain)
+}
+
+// span is the window of [lo, hi) if open, else the empty one.
+func span(lo, hi uint64, open bool) (w window) {
+	for k, n := range [2]uint64{4, 8} {
+		if w.lo[k] = 1; open && hi-lo >= n {
+			w.lo[k], w.last[k] = lo, hi-lo-n
+		}
+	}
+	return w
 }
 
 // FaultHook intercepts memory operations for fault injection.  A hook may
@@ -55,7 +76,7 @@ type FaultHook interface {
 // SetFaultHook installs (or with nil removes) a fault-injection hook.
 func (m *Memory) SetFaultHook(h FaultHook) {
 	m.hook = h
-	m.plain = m.hook == nil && m.dc == nil
+	m.open(false)
 }
 
 // HasFaultHook reports whether a fault-injection hook is installed.  The
@@ -67,7 +88,9 @@ func (m *Memory) HasFaultHook() bool { return m.hook != nil }
 // New returns a memory of the given size.  bigEndian selects the byte
 // order (SPARC is big-endian; the DECstation MIPS and Alpha are little).
 func New(size int, bigEndian bool) *Memory {
-	return &Memory{data: make([]byte, size), hi: uint64(size), plain: true, big: bigEndian}
+	m := &Memory{data: make([]byte, size), hi: uint64(size), big: bigEndian}
+	m.open(false)
+	return m
 }
 
 // Size returns the memory size in bytes.
@@ -78,7 +101,7 @@ func (m *Memory) BigEndian() bool { return m.big }
 
 // SetStoreFloor refuses simulated stores below addr with ErrReadOnly;
 // loads, fetches and the raw accessors are unaffected.
-func (m *Memory) SetStoreFloor(addr uint64) { m.wlo = max(m.lo, addr) }
+func (m *Memory) SetStoreFloor(addr uint64) { m.wlo = max(m.lo, addr); m.open(false) }
 
 // within reports whether the n bytes at addr lie inside [lo, hi), with no
 // wrap past 2^64 on the way: the one range test of this package.
@@ -119,11 +142,11 @@ func (m *Memory) Load(addr uint64, size int) (uint64, error) {
 
 // Load4, Load8, Store4 and Store8 are the forms of Load and Store the
 // simulators' run loops inline.  Each answers only when the access needs
-// nothing but the copy: no fault hook, no cache model, an aligned address
-// inside the bounds.  Otherwise it declines (ok false), touching nothing
-// but the note Admit reads, and the caller takes Load, Store or Admit,
-// which give the error, call the hook and charge the cache as they always
-// have.
+// nothing but the copy: an aligned address inside its window, which is
+// empty while a fault hook or a cache model is attached.  Otherwise it
+// declines (ok false), touching nothing but the note Admit reads, and the
+// caller takes Load, Store or Admit, which give the error, call the hook
+// and charge the cache as they always have.
 
 // access is a declined access: size bytes at addr, and v, for a store.
 type access struct {
@@ -140,60 +163,66 @@ func (m *Memory) Admit(again func()) error {
 	} else if _, err := m.Load(d.addr, d.size); err != nil {
 		return err
 	}
-	defer func() { m.plain = m.hook == nil && m.dc == nil }()
-	m.plain = true
+	defer m.open(false)
+	m.open(true)
 	again()
 	return nil
 }
 
+// at is the n bytes at addr, inside a window: the window test has checked
+// what a slice expression would check again.
+func at[T [4]byte | [8]byte](m *Memory, addr uint64) *T {
+	return (*T)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(m.data)), addr))
+}
+
 // Load4 is Load(addr, 4) when that is a plain copy.
 func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
-	if !m.plain || addr&3 != 0 || !within(addr, 4, m.lo, m.hi) {
+	if addr&3 != 0 || addr-m.load.lo[0] > m.load.last[0] {
 		m.declined = access{addr: addr, size: 4}
 		return 0, false
 	}
 	if m.big {
-		return binary.BigEndian.Uint32(m.data[addr:]), true
+		return binary.BigEndian.Uint32(at[[4]byte](m, addr)[:]), true
 	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), true
+	return binary.LittleEndian.Uint32(at[[4]byte](m, addr)[:]), true
 }
 
 // Load8 is Load(addr, 8) when that is a plain copy.
 func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
-	if !m.plain || addr&7 != 0 || !within(addr, 8, m.lo, m.hi) {
+	if addr&7 != 0 || addr-m.load.lo[1] > m.load.last[1] {
 		m.declined = access{addr: addr, size: 8}
 		return 0, false
 	}
 	if m.big {
-		return binary.BigEndian.Uint64(m.data[addr:]), true
+		return binary.BigEndian.Uint64(at[[8]byte](m, addr)[:]), true
 	}
-	return binary.LittleEndian.Uint64(m.data[addr:]), true
+	return binary.LittleEndian.Uint64(at[[8]byte](m, addr)[:]), true
 }
 
 // Store4 is Store(addr, 4, v) when that is a plain copy.
 func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
-	if !m.plain || addr&3 != 0 || !within(addr, 4, m.wlo, m.hi) {
+	if addr&3 != 0 || addr-m.store.lo[0] > m.store.last[0] {
 		m.declined = access{addr, uint64(v), 4, true}
 		return false
 	}
 	if m.big {
-		binary.BigEndian.PutUint32(m.data[addr:], v)
+		binary.BigEndian.PutUint32(at[[4]byte](m, addr)[:], v)
 	} else {
-		binary.LittleEndian.PutUint32(m.data[addr:], v)
+		binary.LittleEndian.PutUint32(at[[4]byte](m, addr)[:], v)
 	}
 	return true
 }
 
 // Store8 is Store(addr, 8, v) when that is a plain copy.
 func (m *Memory) Store8(addr uint64, v uint64) (ok bool) {
-	if !m.plain || addr&7 != 0 || !within(addr, 8, m.wlo, m.hi) {
+	if addr&7 != 0 || addr-m.store.lo[1] > m.store.last[1] {
 		m.declined = access{addr, uint64(v), 8, true}
 		return false
 	}
 	if m.big {
-		binary.BigEndian.PutUint64(m.data[addr:], v)
+		binary.BigEndian.PutUint64(at[[8]byte](m, addr)[:], v)
 	} else {
-		binary.LittleEndian.PutUint64(m.data[addr:], v)
+		binary.LittleEndian.PutUint64(at[[8]byte](m, addr)[:], v)
 	}
 	return true
 }
@@ -313,7 +342,7 @@ func (m *Memory) Bytes(addr uint64, n int) ([]byte, error) {
 // AttachCache installs a data-cache cost model.
 func (m *Memory) AttachCache(c *Cache) {
 	m.dc = c
-	m.plain = m.hook == nil && m.dc == nil
+	m.open(false)
 }
 
 // Cache returns the attached cache model (nil if none).

@@ -16,8 +16,8 @@ import (
 // stall (modelled as an interlock, as on later MIPS implementations), and
 // whatever stall cycles the attached cache model reports.
 type CPU struct {
-	r  [32]uint64 // zero-extended 32-bit values
-	f  [32]uint64 // raw FP bits; singles in the low word
+	r  [256]uint64 // zero-extended 32-bit values; exec.Sink and spares past the 32
+	f  [32]uint64  // raw FP bits; singles in the low word
 	hi uint32
 	lo uint32
 	cc bool // FP condition flag

@@ -43,29 +43,29 @@ var fprNames = exec.Numbered("$f%d")
 
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", mSll),
-	exec.Ins("sll", rType(fnSll, 0, 0, 0, 0), maskSpecial, " d, t, h", mSll),
-	exec.Ins("srl", rType(fnSrl, 0, 0, 0, 0), maskSpecial, " d, t, h", mSrl),
-	exec.Ins("sra", rType(fnSra, 0, 0, 0, 0), maskSpecial, " d, t, h", mSra),
-	exec.Ins("sllv", rType(fnSllv, 0, 0, 0, 0), maskSpecial, " d, t, s", mSllv),
-	exec.Ins("srlv", rType(fnSrlv, 0, 0, 0, 0), maskSpecial, " d, t, s", mSrlv),
-	exec.Ins("srav", rType(fnSrav, 0, 0, 0, 0), maskSpecial, " d, t, s", mSrav),
+	exec.Ins("sll", rType(fnSll, 0, 0, 0, 0), maskSpecial, " d, t, h", mSll).Writes('d'),
+	exec.Ins("srl", rType(fnSrl, 0, 0, 0, 0), maskSpecial, " d, t, h", mSrl).Writes('d'),
+	exec.Ins("sra", rType(fnSra, 0, 0, 0, 0), maskSpecial, " d, t, h", mSra).Writes('d'),
+	exec.Ins("sllv", rType(fnSllv, 0, 0, 0, 0), maskSpecial, " d, t, s", mSllv).Writes('d'),
+	exec.Ins("srlv", rType(fnSrlv, 0, 0, 0, 0), maskSpecial, " d, t, s", mSrlv).Writes('d'),
+	exec.Ins("srav", rType(fnSrav, 0, 0, 0, 0), maskSpecial, " d, t, s", mSrav).Writes('d'),
 	exec.Ins("jr", rType(fnJr, 0, 0, 0, 0), maskSpecial, " s", mJr).As(exec.KindJumpReg),
-	exec.Ins("jalr", rType(fnJalr, 0, 0, 0, 0), maskSpecial, " d, s", mJalr).As(exec.KindCall),
-	exec.Ins("mfhi", rType(fnMfhi, 0, 0, 0, 0), maskSpecial, " d", mMfhi),
-	exec.Ins("mflo", rType(fnMflo, 0, 0, 0, 0), maskSpecial, " d", mMflo),
+	exec.Ins("jalr", rType(fnJalr, 0, 0, 0, 0), maskSpecial, " d, s", mJalr).As(exec.KindCall).Writes('d'),
+	exec.Ins("mfhi", rType(fnMfhi, 0, 0, 0, 0), maskSpecial, " d", mMfhi).Writes('d'),
+	exec.Ins("mflo", rType(fnMflo, 0, 0, 0, 0), maskSpecial, " d", mMflo).Writes('d'),
 	exec.Ins("mult", rType(fnMult, 0, 0, 0, 0), maskSpecial, " s, t", mMult),
 	exec.Ins("multu", rType(fnMultu, 0, 0, 0, 0), maskSpecial, " s, t", mMultu),
 	exec.Ins("div", rType(fnDiv, 0, 0, 0, 0), maskSpecial, " s, t", mDiv),
 	exec.Ins("divu", rType(fnDivu, 0, 0, 0, 0), maskSpecial, " s, t", mDivu),
 	exec.Ins("move", rType(fnAddu, 0, 0, 0, 0), maskSpecial|fieldRt, " d, s", mAddu),
-	exec.Ins("addu", rType(fnAddu, 0, 0, 0, 0), maskSpecial, " d, s, t", mAddu),
-	exec.Ins("subu", rType(fnSubu, 0, 0, 0, 0), maskSpecial, " d, s, t", mSubu),
-	exec.Ins("and", rType(fnAnd, 0, 0, 0, 0), maskSpecial, " d, s, t", mAnd),
-	exec.Ins("or", rType(fnOr, 0, 0, 0, 0), maskSpecial, " d, s, t", mOr),
-	exec.Ins("xor", rType(fnXor, 0, 0, 0, 0), maskSpecial, " d, s, t", mXor),
-	exec.Ins("nor", rType(fnNor, 0, 0, 0, 0), maskSpecial, " d, s, t", mNor),
-	exec.Ins("slt", rType(fnSlt, 0, 0, 0, 0), maskSpecial, " d, s, t", mSlt),
-	exec.Ins("sltu", rType(fnSltu, 0, 0, 0, 0), maskSpecial, " d, s, t", mSltu),
+	exec.Ins("addu", rType(fnAddu, 0, 0, 0, 0), maskSpecial, " d, s, t", mAddu).Writes('d'),
+	exec.Ins("subu", rType(fnSubu, 0, 0, 0, 0), maskSpecial, " d, s, t", mSubu).Writes('d'),
+	exec.Ins("and", rType(fnAnd, 0, 0, 0, 0), maskSpecial, " d, s, t", mAnd).Writes('d'),
+	exec.Ins("or", rType(fnOr, 0, 0, 0, 0), maskSpecial, " d, s, t", mOr).Writes('d'),
+	exec.Ins("xor", rType(fnXor, 0, 0, 0, 0), maskSpecial, " d, s, t", mXor).Writes('d'),
+	exec.Ins("nor", rType(fnNor, 0, 0, 0, 0), maskSpecial, " d, s, t", mNor).Writes('d'),
+	exec.Ins("slt", rType(fnSlt, 0, 0, 0, 0), maskSpecial, " d, s, t", mSlt).Writes('d'),
+	exec.Ins("sltu", rType(fnSltu, 0, 0, 0, 0), maskSpecial, " d, s, t", mSltu).Writes('d'),
 
 	exec.Ins("bltz", iType(opRegimm, 0, rtBltz, 0), maskRegimm, " s, b", mBltz).As(exec.KindBranch),
 	exec.Ins("bgez", iType(opRegimm, 0, rtBgez, 0), maskRegimm, " s, b", mBgez).As(exec.KindBranch),
@@ -80,19 +80,19 @@ var rows = []exec.Row{
 	exec.Ins("bgtz", iType(opBgtz, 0, 0, 0), maskOp, " s, b", mBgtz).As(exec.KindBranch),
 
 	exec.Ins("li", iType(opAddiu, 0, 0, 0), maskOp|fieldRs, " t, i", mAddiu),
-	exec.Ins("addiu", iType(opAddiu, 0, 0, 0), maskOp, " t, s, i", mAddiu),
-	exec.Ins("slti", iType(opSlti, 0, 0, 0), maskOp, " t, s, i", mSlti),
-	exec.Ins("sltiu", iType(opSltiu, 0, 0, 0), maskOp, " t, s, i", mSltiu),
-	exec.Ins("andi", iType(opAndi, 0, 0, 0), maskOp, " t, s, u", mAndi),
-	exec.Ins("ori", iType(opOri, 0, 0, 0), maskOp, " t, s, u", mOri),
-	exec.Ins("xori", iType(opXori, 0, 0, 0), maskOp, " t, s, u", mXori),
-	exec.Ins("lui", iType(opLui, 0, 0, 0), maskOp, " t, u", mLui),
+	exec.Ins("addiu", iType(opAddiu, 0, 0, 0), maskOp, " t, s, i", mAddiu).Writes('t'),
+	exec.Ins("slti", iType(opSlti, 0, 0, 0), maskOp, " t, s, i", mSlti).Writes('t'),
+	exec.Ins("sltiu", iType(opSltiu, 0, 0, 0), maskOp, " t, s, i", mSltiu).Writes('t'),
+	exec.Ins("andi", iType(opAndi, 0, 0, 0), maskOp, " t, s, u", mAndi).Writes('t'),
+	exec.Ins("ori", iType(opOri, 0, 0, 0), maskOp, " t, s, u", mOri).Writes('t'),
+	exec.Ins("xori", iType(opXori, 0, 0, 0), maskOp, " t, s, u", mXori).Writes('t'),
+	exec.Ins("lui", iType(opLui, 0, 0, 0), maskOp, " t, u", mLui).Writes('t'),
 
-	exec.Ins("lb", iType(opLb, 0, 0, 0), maskOp, " t, i(s)", mLb),
-	exec.Ins("lbu", iType(opLbu, 0, 0, 0), maskOp, " t, i(s)", mLbu),
-	exec.Ins("lh", iType(opLh, 0, 0, 0), maskOp, " t, i(s)", mLh),
-	exec.Ins("lhu", iType(opLhu, 0, 0, 0), maskOp, " t, i(s)", mLhu),
-	exec.Ins("lw", iType(opLw, 0, 0, 0), maskOp, " t, i(s)", mLw),
+	exec.Ins("lb", iType(opLb, 0, 0, 0), maskOp, " t, i(s)", mLb).Writes('t'),
+	exec.Ins("lbu", iType(opLbu, 0, 0, 0), maskOp, " t, i(s)", mLbu).Writes('t'),
+	exec.Ins("lh", iType(opLh, 0, 0, 0), maskOp, " t, i(s)", mLh).Writes('t'),
+	exec.Ins("lhu", iType(opLhu, 0, 0, 0), maskOp, " t, i(s)", mLhu).Writes('t'),
+	exec.Ins("lw", iType(opLw, 0, 0, 0), maskOp, " t, i(s)", mLw).Writes('t'),
 	exec.Ins("lwc1", iType(opLwc1, 0, 0, 0), maskOp, " T, i(s)", mLwc1),
 	exec.Ins("ldc1", iType(opLdc1, 0, 0, 0), maskOp, " T, i(s)", mLdc1),
 	exec.Ins("sb", iType(opSb, 0, 0, 0), maskOp, " t, i(s)", mSb),
@@ -101,7 +101,7 @@ var rows = []exec.Row{
 	exec.Ins("swc1", iType(opSwc1, 0, 0, 0), maskOp, " T, i(s)", mSwc1),
 	exec.Ins("sdc1", iType(opSdc1, 0, 0, 0), maskOp, " T, i(s)", mSdc1),
 
-	exec.Ins("mfc1", fpRType(fmtMFC1, 0, 0, 0, 0), maskCop1, " t, S", mMfc1),
+	exec.Ins("mfc1", fpRType(fmtMFC1, 0, 0, 0, 0), maskCop1, " t, S", mMfc1).Writes('t'),
 	exec.Ins("mtc1", fpRType(fmtMTC1, 0, 0, 0, 0), maskCop1, " t, S", mMtc1),
 	exec.Ins("bc1f", fpRType(fmtBC, 0, 0, 0, 0), maskCop1|1<<16, " b", mBc1f).As(exec.KindBranch),
 	exec.Ins("bc1t", fpRType(fmtBC, 1, 0, 0, 0), maskCop1|1<<16, " b", mBc1t).As(exec.KindBranch),
@@ -138,4 +138,4 @@ var rows = []exec.Row{
 	exec.Ins("cvt.d.w", fpRType(fmtW, 0, 0, 0, fpCvtD), maskFP, " D, S", mFCvtDW),
 }
 
-var isa = exec.NewTable(rows, fields, interlock)
+var isa = exec.NewTable(rows, fields, interlock, 0)

@@ -108,16 +108,12 @@ const (
 	mBad // a word with no row
 )
 
-// Register helpers over the narrow predecoded operand fields.  Predecode
-// only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index (5% of loop_long).  A write to $zero
-// lands and is undone, without a branch.
-func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n&31]) }
-func (c *CPU) trs(n uint8) int32  { return int32(c.r[n&31]) }
-func (c *CPU) twr(n uint8, v uint32) {
-	c.r[n&31] = uint64(v)
-	c.r[0] = 0
-}
+// Register helpers over the narrow predecoded operand fields, which index
+// the register file with no mask and no bounds check: it has a slot for
+// every uint8.  A write to $zero was predecoded to exec.Sink.
+func (c *CPU) tru(n uint8) uint32    { return uint32(c.r[n]) }
+func (c *CPU) trs(n uint8) int32     { return int32(c.r[n]) }
+func (c *CPU) twr(n uint8, v uint32) { c.r[n] = uint64(v) }
 
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + uint32(int32(in.Imm))) }
@@ -231,180 +227,192 @@ func badWord(w uint32, pc uint64) error {
 
 // run is exec.Port.Loop: integer and FP operates but the divides, moves,
 // and the word loads and stores the inline accessors answer, and folds.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
-	var stall uint64
-	for left > 0 && i < len(code) {
-		in := &code[i]
-		if in.Run == 0 { // a folded branch; taken, its nop slot retires too
-			if in.Flags&exec.FFold == 0 || left < 2 {
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+	if left == 0 {
+		return i, 0
+	}
+	in, pc := &code[i], &code // code itself stays in memory while a segment runs
+	c.BaseCycles += exec.Bubble(in, c.LastLoad, 0)
+	for {
+		if in.Run != 0 {
+			seg, start, after := code[:i+int(min(uint64(in.Run), left))], i, in.Target
+		loop:
+			for ; uint(i) < uint(len(seg)); i++ {
+				in := &seg[i]
+				switch in.Op {
+				case mSll:
+					c.twr(in.C, c.tru(in.B)<<(uint32(in.Imm)&31))
+				case mSrl:
+					c.twr(in.C, c.tru(in.B)>>(uint32(in.Imm)&31))
+				case mSra:
+					c.twr(in.C, uint32(c.trs(in.B)>>(uint32(in.Imm)&31)))
+				case mSllv:
+					c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
+				case mSrlv:
+					c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
+				case mSrav:
+					c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
+				case mMfhi:
+					c.twr(in.C, c.hi)
+				case mMflo:
+					c.twr(in.C, c.lo)
+				case mMult:
+					p := int64(c.trs(in.A)) * int64(c.trs(in.B))
+					c.lo, c.hi = uint32(p), uint32(p>>32)
+					c.BaseCycles += 11
+				case mMultu:
+					p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
+					c.lo, c.hi = uint32(p), uint32(p>>32)
+					c.BaseCycles += 11
+				case mAddu:
+					c.twr(in.C, c.tru(in.A)+c.tru(in.B))
+				case mSubu:
+					c.twr(in.C, c.tru(in.A)-c.tru(in.B))
+				case mAnd:
+					c.twr(in.C, c.tru(in.A)&c.tru(in.B))
+				case mOr:
+					c.twr(in.C, c.tru(in.A)|c.tru(in.B))
+				case mXor:
+					c.twr(in.C, c.tru(in.A)^c.tru(in.B))
+				case mNor:
+					c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
+				case mSlt:
+					c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
+				case mSltu:
+					c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
+				case mAddiu:
+					c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
+				case mSlti:
+					c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
+				case mSltiu:
+					c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
+				case mAndi:
+					c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
+				case mOri:
+					c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
+				case mXori:
+					c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
+				case mLui:
+					c.twr(in.B, uint32(in.Imm)<<16)
+				case mLw:
+					v, ok := c.Mem.Load4(c.taddr(in))
+					if !ok {
+						c.Declined = "load"
+						break loop
+					}
+					c.twr(in.B, v)
+				case mSw:
+					if !c.Mem.Store4(c.taddr(in), c.tru(in.B)) {
+						c.Declined = "store"
+						break loop
+					}
+				case mMfc1:
+					c.twr(in.B, uint32(c.f[in.A]))
+				case mMtc1:
+					c.f[in.A] = uint64(c.tru(in.B))
+				case mFAddS:
+					c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
+					c.BaseCycles++
+				case mFSubS:
+					c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
+					c.BaseCycles++
+				case mFMulS:
+					c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
+					c.BaseCycles += 3
+				case mFDivS:
+					c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
+					c.BaseCycles += 11
+				case mFSqrtS:
+					c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
+					c.BaseCycles += 29
+				case mFAbsS:
+					c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
+				case mFMovS:
+					c.f[in.C] = c.f[in.A] & 0xffffffff
+				case mFNegS:
+					c.wfs(uint32(in.C), -c.fs(uint32(in.A)))
+				case mFCvtDS:
+					c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
+				case mFCvtWS:
+					c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
+				case mFCEqS:
+					c.cc = c.fs(uint32(in.A)) == c.fs(uint32(in.B))
+				case mFCLtS:
+					c.cc = c.fs(uint32(in.A)) < c.fs(uint32(in.B))
+				case mFCLeS:
+					c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
+				case mFAddD:
+					c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
+					c.BaseCycles++
+				case mFSubD:
+					c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
+					c.BaseCycles++
+				case mFMulD:
+					c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
+					c.BaseCycles += 4
+				case mFDivD:
+					c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
+					c.BaseCycles += 18
+				case mFSqrtD:
+					c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
+					c.BaseCycles += 29
+				case mFAbsD:
+					c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
+				case mFMovD:
+					c.f[in.C] = c.f[in.A]
+				case mFNegD:
+					c.wfd(uint32(in.C), -c.fd(uint32(in.A)))
+				case mFCvtSD:
+					c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
+				case mFCvtWD:
+					c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
+				case mFCEqD:
+					c.cc = c.fd(uint32(in.A)) == c.fd(uint32(in.B))
+				case mFCLtD:
+					c.cc = c.fd(uint32(in.A)) < c.fd(uint32(in.B))
+				case mFCLeD:
+					c.cc = c.fd(uint32(in.A)) <= c.fd(uint32(in.B))
+				case mFCvtSW:
+					c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
+				case mFCvtDW:
+					c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
+				default:
+					break loop
+				}
+			}
+			if i == start {
+				c.BaseCycles -= exec.Bubble(&(*pc)[i], c.LastLoad, 0)
 				break
 			}
-			stall += exec.Bubble(in, c.LastLoad, 0)
-			c.LastLoad, left = -1, left-1
-			if c.cond(in) {
-				i, left = int(in.Target), left-1
-			} else {
-				i++
+			last := &seg[i-1]
+			c.BaseCycles += uint64(after - last.Target)
+			c.LastLoad, left = int(int8(last.LoadReg)), left-uint64(i-start)
+			if i < len(seg) || i == len(*pc) {
+				break
 			}
-			continue
-		}
-		seg, start := code[:i+int(min(uint64(in.Run), left))], i
-		stall += exec.Bubble(in, c.LastLoad, 0) - uint64(in.Stall)
-	loop:
-		for ; i < len(seg); i++ {
-			in := &seg[i]
-			switch in.Op {
-			case mSll:
-				c.twr(in.C, c.tru(in.B)<<uint32(in.Imm))
-			case mSrl:
-				c.twr(in.C, c.tru(in.B)>>uint32(in.Imm))
-			case mSra:
-				c.twr(in.C, uint32(c.trs(in.B)>>uint32(in.Imm)))
-			case mSllv:
-				c.twr(in.C, c.tru(in.B)<<(c.tru(in.A)&31))
-			case mSrlv:
-				c.twr(in.C, c.tru(in.B)>>(c.tru(in.A)&31))
-			case mSrav:
-				c.twr(in.C, uint32(c.trs(in.B)>>(c.tru(in.A)&31)))
-			case mMfhi:
-				c.twr(in.C, c.hi)
-			case mMflo:
-				c.twr(in.C, c.lo)
-			case mMult:
-				p := int64(c.trs(in.A)) * int64(c.trs(in.B))
-				c.lo, c.hi = uint32(p), uint32(p>>32)
-				c.BaseCycles += 11
-			case mMultu:
-				p := uint64(c.tru(in.A)) * uint64(c.tru(in.B))
-				c.lo, c.hi = uint32(p), uint32(p>>32)
-				c.BaseCycles += 11
-			case mAddu:
-				c.twr(in.C, c.tru(in.A)+c.tru(in.B))
-			case mSubu:
-				c.twr(in.C, c.tru(in.A)-c.tru(in.B))
-			case mAnd:
-				c.twr(in.C, c.tru(in.A)&c.tru(in.B))
-			case mOr:
-				c.twr(in.C, c.tru(in.A)|c.tru(in.B))
-			case mXor:
-				c.twr(in.C, c.tru(in.A)^c.tru(in.B))
-			case mNor:
-				c.twr(in.C, ^(c.tru(in.A) | c.tru(in.B)))
-			case mSlt:
-				c.twr(in.C, b2u(c.trs(in.A) < c.trs(in.B)))
-			case mSltu:
-				c.twr(in.C, b2u(c.tru(in.A) < c.tru(in.B)))
-			case mAddiu:
-				c.twr(in.B, c.tru(in.A)+uint32(int32(in.Imm)))
-			case mSlti:
-				c.twr(in.B, b2u(c.trs(in.A) < int32(in.Imm)))
-			case mSltiu:
-				c.twr(in.B, b2u(c.tru(in.A) < uint32(int32(in.Imm))))
-			case mAndi:
-				c.twr(in.B, c.tru(in.A)&uint32(in.Imm))
-			case mOri:
-				c.twr(in.B, c.tru(in.A)|uint32(in.Imm))
-			case mXori:
-				c.twr(in.B, c.tru(in.A)^uint32(in.Imm))
-			case mLui:
-				c.twr(in.B, uint32(in.Imm)<<16)
-			case mLw:
-				v, ok := c.Mem.Load4(c.taddr(in))
-				if !ok {
-					c.Declined = "load"
-					break loop
-				}
-				c.twr(in.B, v)
-			case mSw:
-				if !c.Mem.Store4(c.taddr(in), c.tru(in.B)) {
-					c.Declined = "store"
-					break loop
-				}
-			case mMfc1:
-				c.twr(in.B, uint32(c.f[in.A]))
-			case mMtc1:
-				c.f[in.A] = uint64(c.tru(in.B))
-			case mFAddS:
-				c.wfs(uint32(in.C), c.fs(uint32(in.A))+c.fs(uint32(in.B)))
-				c.BaseCycles++
-			case mFSubS:
-				c.wfs(uint32(in.C), c.fs(uint32(in.A))-c.fs(uint32(in.B)))
-				c.BaseCycles++
-			case mFMulS:
-				c.wfs(uint32(in.C), c.fs(uint32(in.A))*c.fs(uint32(in.B)))
-				c.BaseCycles += 3
-			case mFDivS:
-				c.wfs(uint32(in.C), c.fs(uint32(in.A))/c.fs(uint32(in.B)))
-				c.BaseCycles += 11
-			case mFSqrtS:
-				c.wfs(uint32(in.C), float32(math.Sqrt(float64(c.fs(uint32(in.A))))))
-				c.BaseCycles += 29
-			case mFAbsS:
-				c.wfs(uint32(in.C), float32(math.Abs(float64(c.fs(uint32(in.A))))))
-			case mFMovS:
-				c.f[in.C] = c.f[in.A] & 0xffffffff
-			case mFNegS:
-				c.wfs(uint32(in.C), -c.fs(uint32(in.A)))
-			case mFCvtDS:
-				c.wfd(uint32(in.C), float64(c.fs(uint32(in.A))))
-			case mFCvtWS:
-				c.f[in.C] = uint64(uint32(truncToI32(float64(c.fs(uint32(in.A))))))
-			case mFCEqS:
-				c.cc = c.fs(uint32(in.A)) == c.fs(uint32(in.B))
-			case mFCLtS:
-				c.cc = c.fs(uint32(in.A)) < c.fs(uint32(in.B))
-			case mFCLeS:
-				c.cc = c.fs(uint32(in.A)) <= c.fs(uint32(in.B))
-			case mFAddD:
-				c.wfd(uint32(in.C), c.fd(uint32(in.A))+c.fd(uint32(in.B)))
-				c.BaseCycles++
-			case mFSubD:
-				c.wfd(uint32(in.C), c.fd(uint32(in.A))-c.fd(uint32(in.B)))
-				c.BaseCycles++
-			case mFMulD:
-				c.wfd(uint32(in.C), c.fd(uint32(in.A))*c.fd(uint32(in.B)))
-				c.BaseCycles += 4
-			case mFDivD:
-				c.wfd(uint32(in.C), c.fd(uint32(in.A))/c.fd(uint32(in.B)))
-				c.BaseCycles += 18
-			case mFSqrtD:
-				c.wfd(uint32(in.C), math.Sqrt(c.fd(uint32(in.A))))
-				c.BaseCycles += 29
-			case mFAbsD:
-				c.wfd(uint32(in.C), math.Abs(c.fd(uint32(in.A))))
-			case mFMovD:
-				c.f[in.C] = c.f[in.A]
-			case mFNegD:
-				c.wfd(uint32(in.C), -c.fd(uint32(in.A)))
-			case mFCvtSD:
-				c.wfs(uint32(in.C), float32(c.fd(uint32(in.A))))
-			case mFCvtWD:
-				c.f[in.C] = uint64(uint32(truncToI32(c.fd(uint32(in.A)))))
-			case mFCEqD:
-				c.cc = c.fd(uint32(in.A)) == c.fd(uint32(in.B))
-			case mFCLtD:
-				c.cc = c.fd(uint32(in.A)) < c.fd(uint32(in.B))
-			case mFCLeD:
-				c.cc = c.fd(uint32(in.A)) <= c.fd(uint32(in.B))
-			case mFCvtSW:
-				c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
-			case mFCvtDW:
-				c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
-			default:
-				break loop
+			in = &(*pc)[i]
+			if c.BaseCycles += uint64(in.Stall); in.Run != 0 && left > 0 {
+				continue // a run longer than Run holds
 			}
-			stall += uint64(in.Stall)
 		}
-		if i == start {
-			stall -= exec.Bubble(&code[i], c.LastLoad, 0) - uint64(code[i].Stall)
+		// A folded branch, where a segment ends; taken, its nop slot
+		// retires too.
+		if in.Flags&exec.FFold == 0 || left < 2 {
+			c.BaseCycles -= exec.Bubble(in, c.LastLoad, 0)
 			break
 		}
-		c.LastLoad, left = int(int8(code[i-1].LoadReg)), left-uint64(i-start)
-		if i < len(seg) {
+		c.LastLoad, left = -1, left-1
+		if c.cond(in) {
+			i, left = int(in.Target), left-1
+		} else {
+			i++
+		}
+		if left == 0 {
 			break
 		}
+		in = &(*pc)[i]
 	}
-	return i, left, stall
+	return i, left
 }
 
 // slow is exec.Port.Slow: byte, halfword and FP loads and stores, and the
@@ -488,4 +496,4 @@ func memErr(what string, in *exec.Instr, err error) error {
 }
 
 // Regs returns the state the run loop shares and the integer registers.
-func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, &c.r }
+func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, (*[32]uint64)(c.r[:32]) }

@@ -14,8 +14,8 @@ import (
 // It executes branch delay slots, the Y-register multiply/divide protocol,
 // and the FP condition-code protocol.
 type CPU struct {
-	r [32]uint64 // low 32 bits significant
-	f [32]uint32 // FP bank; doubles occupy even/odd pairs (even = MSW)
+	r [256]uint64 // low 32 bits significant; exec.Sink and spares past the 32
+	f [32]uint32  // FP bank; doubles occupy even/odd pairs (even = MSW)
 	y uint32
 	// icc flags.
 	n, z, v, c bool

@@ -50,34 +50,34 @@ var (
 
 var rows = []exec.Row{
 	exec.Ins("nop", encNop, 0xffffffff, "", sSethi),
-	exec.Ins("sethi", fmtSethi(0, 0), maskOp2, " h, d", sSethi),
+	exec.Ins("sethi", fmtSethi(0, 0), maskOp2, " h, d", sSethi).Writes('d'),
 	exec.Ins("b", fmtBicc(0, 0), maskOp2, "c b", sBicc).As(exec.KindBranch),
 	exec.Ins("fb", fmtFBfcc(0, 0), maskOp2, "k b", sFBfcc).As(exec.KindBranch),
 	exec.Ins("call", fmtCall(0), maskOp, " C", sCall).As(exec.KindCall),
 
-	exec.Ins("add", fmt3r(2, 0, op3Add, 0, 0), maskOp3, " 1, 2, d", sAdd),
-	exec.Ins("and", fmt3r(2, 0, op3And, 0, 0), maskOp3, " 1, 2, d", sAnd),
-	exec.Ins("or", fmt3r(2, 0, op3Or, 0, 0), maskOp3, " 1, 2, d", sOr),
-	exec.Ins("xor", fmt3r(2, 0, op3Xor, 0, 0), maskOp3, " 1, 2, d", sXor),
-	exec.Ins("sub", fmt3r(2, 0, op3Sub, 0, 0), maskOp3, " 1, 2, d", sSub),
-	exec.Ins("andn", fmt3r(2, 0, op3Andn, 0, 0), maskOp3, " 1, 2, d", sAndn),
-	exec.Ins("xnor", fmt3r(2, 0, op3Xnor, 0, 0), maskOp3, " 1, 2, d", sXnor),
-	exec.Ins("addx", fmt3r(2, 0, op3Addx, 0, 0), maskOp3, " 1, 2, d", sAddx),
-	exec.Ins("umul", fmt3r(2, 0, op3Umul, 0, 0), maskOp3, " 1, 2, d", sUmul),
-	exec.Ins("smul", fmt3r(2, 0, op3Smul, 0, 0), maskOp3, " 1, 2, d", sSmul),
-	exec.Ins("udiv", fmt3r(2, 0, op3Udiv, 0, 0), maskOp3, " 1, 2, d", sUdiv),
-	exec.Ins("sdiv", fmt3r(2, 0, op3Sdiv, 0, 0), maskOp3, " 1, 2, d", sSdiv),
-	exec.Ins("addcc", fmt3r(2, 0, op3AddCC, 0, 0), maskOp3, " 1, 2, d", sAddCC),
-	exec.Ins("subcc", fmt3r(2, 0, op3SubCC, 0, 0), maskOp3, " 1, 2, d", sSubCC),
-	exec.Ins("sll", fmt3r(2, 0, op3Sll, 0, 0), maskOp3, " 1, 2, d", sSll),
-	exec.Ins("srl", fmt3r(2, 0, op3Srl, 0, 0), maskOp3, " 1, 2, d", sSrl),
-	exec.Ins("sra", fmt3r(2, 0, op3Sra, 0, 0), maskOp3, " 1, 2, d", sSra),
-	exec.Ins("rd", fmt3r(2, 0, op3RdY, 0, 0), maskOp3, " %y, d", sRdY),
+	exec.Ins("add", fmt3r(2, 0, op3Add, 0, 0), maskOp3, " 1, 2, d", sAdd).Writes('d'),
+	exec.Ins("and", fmt3r(2, 0, op3And, 0, 0), maskOp3, " 1, 2, d", sAnd).Writes('d'),
+	exec.Ins("or", fmt3r(2, 0, op3Or, 0, 0), maskOp3, " 1, 2, d", sOr).Writes('d'),
+	exec.Ins("xor", fmt3r(2, 0, op3Xor, 0, 0), maskOp3, " 1, 2, d", sXor).Writes('d'),
+	exec.Ins("sub", fmt3r(2, 0, op3Sub, 0, 0), maskOp3, " 1, 2, d", sSub).Writes('d'),
+	exec.Ins("andn", fmt3r(2, 0, op3Andn, 0, 0), maskOp3, " 1, 2, d", sAndn).Writes('d'),
+	exec.Ins("xnor", fmt3r(2, 0, op3Xnor, 0, 0), maskOp3, " 1, 2, d", sXnor).Writes('d'),
+	exec.Ins("addx", fmt3r(2, 0, op3Addx, 0, 0), maskOp3, " 1, 2, d", sAddx).Writes('d'),
+	exec.Ins("umul", fmt3r(2, 0, op3Umul, 0, 0), maskOp3, " 1, 2, d", sUmul).Writes('d'),
+	exec.Ins("smul", fmt3r(2, 0, op3Smul, 0, 0), maskOp3, " 1, 2, d", sSmul).Writes('d'),
+	exec.Ins("udiv", fmt3r(2, 0, op3Udiv, 0, 0), maskOp3, " 1, 2, d", sUdiv).Writes('d'),
+	exec.Ins("sdiv", fmt3r(2, 0, op3Sdiv, 0, 0), maskOp3, " 1, 2, d", sSdiv).Writes('d'),
+	exec.Ins("addcc", fmt3r(2, 0, op3AddCC, 0, 0), maskOp3, " 1, 2, d", sAddCC).Writes('d'),
+	exec.Ins("subcc", fmt3r(2, 0, op3SubCC, 0, 0), maskOp3, " 1, 2, d", sSubCC).Writes('d'),
+	exec.Ins("sll", fmt3r(2, 0, op3Sll, 0, 0), maskOp3, " 1, 2, d", sSll).Writes('d'),
+	exec.Ins("srl", fmt3r(2, 0, op3Srl, 0, 0), maskOp3, " 1, 2, d", sSrl).Writes('d'),
+	exec.Ins("sra", fmt3r(2, 0, op3Sra, 0, 0), maskOp3, " 1, 2, d", sSra).Writes('d'),
+	exec.Ins("rd", fmt3r(2, 0, op3RdY, 0, 0), maskOp3, " %y, d", sRdY).Writes('d'),
 	exec.Ins("wr", fmt3r(2, 0, op3WrY, 0, 0), maskOp3, " 1, 2, %y", sWrY),
 	// jmpl that writes no link register is a jump or return; one that
 	// does is an indirect call.
-	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3|fieldRd, " 1+2, d", sJmpl).As(exec.KindJumpReg),
-	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3, " 1+2, d", sJmpl).As(exec.KindCall),
+	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3|fieldRd, " 1+2, d", sJmpl).As(exec.KindJumpReg).Writes('d'),
+	exec.Ins("jmpl", fmt3r(2, 0, op3Jmpl, 0, 0), maskOp3, " 1+2, d", sJmpl).As(exec.KindCall).Writes('d'),
 
 	exec.Ins("fmovs", fmtFP(op3FPop1, 0, opfFmovs, 0, 0), maskOpf, " B, D", sFmovs),
 	exec.Ins("fnegs", fmtFP(op3FPop1, 0, opfFnegs, 0, 0), maskOpf, " B, D", sFnegs),
@@ -101,11 +101,11 @@ var rows = []exec.Row{
 	exec.Ins("fcmps", fmtFP(op3FPop2, 0, opfFcmps, 0, 0), maskOpf, " A, B", sFcmps),
 	exec.Ins("fcmpd", fmtFP(op3FPop2, 0, opfFcmpd, 0, 0), maskOpf, " A, B", sFcmpd),
 
-	exec.Ins("ld", fmt3r(3, 0, op3Ld, 0, 0), maskOp3, " [1+2], d", sLd),
-	exec.Ins("ldub", fmt3r(3, 0, op3Ldub, 0, 0), maskOp3, " [1+2], d", sLdub),
-	exec.Ins("lduh", fmt3r(3, 0, op3Lduh, 0, 0), maskOp3, " [1+2], d", sLduh),
-	exec.Ins("ldsb", fmt3r(3, 0, op3Ldsb, 0, 0), maskOp3, " [1+2], d", sLdsb),
-	exec.Ins("ldsh", fmt3r(3, 0, op3Ldsh, 0, 0), maskOp3, " [1+2], d", sLdsh),
+	exec.Ins("ld", fmt3r(3, 0, op3Ld, 0, 0), maskOp3, " [1+2], d", sLd).Writes('d'),
+	exec.Ins("ldub", fmt3r(3, 0, op3Ldub, 0, 0), maskOp3, " [1+2], d", sLdub).Writes('d'),
+	exec.Ins("lduh", fmt3r(3, 0, op3Lduh, 0, 0), maskOp3, " [1+2], d", sLduh).Writes('d'),
+	exec.Ins("ldsb", fmt3r(3, 0, op3Ldsb, 0, 0), maskOp3, " [1+2], d", sLdsb).Writes('d'),
+	exec.Ins("ldsh", fmt3r(3, 0, op3Ldsh, 0, 0), maskOp3, " [1+2], d", sLdsh).Writes('d'),
 	exec.Ins("ldf", fmt3r(3, 0, op3Ldf, 0, 0), maskOp3, " [1+2], D", sLdf),
 	exec.Ins("lddf", fmt3r(3, 0, op3Lddf, 0, 0), maskOp3, " [1+2], D", sLddf),
 	exec.Ins("st", fmt3r(3, 0, op3St, 0, 0), maskOp3, " d, [1+2]", sSt),
@@ -115,4 +115,4 @@ var rows = []exec.Row{
 	exec.Ins("stdf", fmt3r(3, 0, op3Stdf, 0, 0), maskOp3, " D, [1+2]", sStdf),
 }
 
-var isa = exec.NewTable(rows, fields, nil)
+var isa = exec.NewTable(rows, fields, nil, 0)

@@ -1,8 +1,10 @@
 package sparc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/exec"
 )
@@ -82,34 +84,29 @@ const (
 	sBad // a word with no row
 )
 
-// Register helpers over the narrow predecoded operand fields.  Predecode
-// only stores numbers below 32 in them; the mask tells the compiler, which
-// would otherwise check every index.  A write to %g0 lands and is undone,
-// without a branch.
-func (c *CPU) tru(n uint8) uint32 { return uint32(c.r[n&31]) }
-func (c *CPU) twr(n uint8, v uint32) {
-	c.r[n&31] = uint64(v)
-	c.r[0] = 0
-}
+// Register helpers over the narrow predecoded operand fields, which index
+// the register file with no mask and no bounds check: it has a slot for
+// every uint8.  A write to %g0 was predecoded to exec.Sink.
+func (c *CPU) tru(n uint8) uint32    { return uint32(c.r[n]) }
+func (c *CPU) twr(n uint8, v uint32) { c.r[n] = uint64(v) }
 
-// topnd2 is the predecoded form of operand2: the sign-extended simm13
-// baked at predecode time, or the rs2 register.
-func (c *CPU) topnd2(in *exec.Instr) uint32 {
-	if in.Flags&exec.FImm != 0 {
-		return uint32(in.Imm)
-	}
-	return c.tru(in.B)
-}
+// topnd2 is the predecoded form of operand2: rs2 plus the sign-extended
+// simm13, one of which predecode made %g0 or 0.
+func (c *CPU) topnd2(in *exec.Instr) uint32 { return c.tru(in.B) + uint32(in.Imm) }
 
 // taddr is the effective address of a load or store.
 func (c *CPU) taddr(in *exec.Instr) uint64 { return uint64(c.tru(in.A) + c.topnd2(in)) }
 
 // cond reports whether in, of a pc-relative branch row, is taken: the
-// oracle's takenI and takenF as a table.
+// oracle's takenI and takenF as a table.  The four icc bools, adjacent in
+// CPU, are read in one load, and a multiply gathers them.
 func (c *CPU) cond(in *exec.Instr) bool {
-	st := b2u(c.n)<<3 | b2u(c.z)<<2 | b2u(c.v)<<1 | b2u(c.c) | uint32(c.fcc&3)<<4
-	return branches[in.Op&1][in.A&15]&(1<<st) != 0
+	icc := binary.LittleEndian.Uint32((*[4]byte)(unsafe.Pointer(&c.n))[:]) * 0x08040201 >> 24
+	return branches[in.Op&1][in.A&15]&(1<<(icc|uint32(c.fcc&3)<<4)) != 0
 }
+
+var _ [unsafe.Offsetof(CPU{}.c) - unsafe.Offsetof(CPU{}.n) - 3]byte // n, z, v, c adjacent
+var _ [unsafe.Offsetof(CPU{}.n) + 3 - unsafe.Offsetof(CPU{}.c)]byte
 
 // branches is, by opcode (its low bit: sBicc and sFBfcc are adjacent)
 // and condition, the states it holds in: icc's n, z, v, c, then fcc.
@@ -189,185 +186,196 @@ func badWord(w uint32, pc uint64) error {
 
 // run is exec.Port.Loop: integer and FP operates, the word loads and
 // stores the inline accessors answer, and folds.  Nothing stalls.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64, uint64) {
-	for left > 0 && i < len(code) {
-		in := &code[i]
-		if in.Run == 0 { // a folded branch; taken, its nop slot retires too
-			if in.Flags&exec.FFold == 0 || left < 2 {
+func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+	if left == 0 {
+		return i, 0
+	}
+	in, pc := &code[i], &code // code itself stays in memory while a segment runs
+	for {
+		if in.Run != 0 {
+			seg, start := code[:i+int(min(uint64(in.Run), left))], i
+		loop:
+			for ; uint(i) < uint(len(seg)); i++ {
+				in := &seg[i]
+				switch in.Op {
+				case sSethi:
+					c.twr(in.C, uint32(in.Imm))
+				case sAdd:
+					c.twr(in.C, c.tru(in.A)+c.topnd2(in))
+				case sSub:
+					c.twr(in.C, c.tru(in.A)-c.topnd2(in))
+				case sAnd:
+					c.twr(in.C, c.tru(in.A)&c.topnd2(in))
+				case sAndn:
+					c.twr(in.C, c.tru(in.A)&^c.topnd2(in))
+				case sOr:
+					c.twr(in.C, c.tru(in.A)|c.topnd2(in))
+				case sXor:
+					c.twr(in.C, c.tru(in.A)^c.topnd2(in))
+				case sXnor:
+					c.twr(in.C, ^(c.tru(in.A) ^ c.topnd2(in)))
+				case sAddx:
+					x := uint32(0)
+					if c.c {
+						x = 1
+					}
+					c.twr(in.C, c.tru(in.A)+c.topnd2(in)+x)
+				case sAddCC:
+					a, b := c.tru(in.A), c.topnd2(in)
+					r := a + b
+					c.twr(in.C, r)
+					c.n, c.z = int32(r) < 0, r == 0
+					c.v = ^(a^b)&(a^r)>>31 != 0
+					c.c = r < a
+				case sSubCC:
+					a, b := c.tru(in.A), c.topnd2(in)
+					r := a - b
+					c.twr(in.C, r)
+					c.n, c.z = int32(r) < 0, r == 0
+					c.v = (a^b)&(a^r)>>31 != 0
+					c.c = a < b
+				case sSll:
+					c.twr(in.C, c.tru(in.A)<<(c.topnd2(in)&31))
+				case sSrl:
+					c.twr(in.C, c.tru(in.A)>>(c.topnd2(in)&31))
+				case sSra:
+					c.twr(in.C, uint32(int32(c.tru(in.A))>>(c.topnd2(in)&31)))
+				case sUmul:
+					p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
+					c.y = uint32(p >> 32)
+					c.twr(in.C, uint32(p))
+					c.BaseCycles += 4
+				case sSmul:
+					p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
+					c.y = uint32(uint64(p) >> 32)
+					c.twr(in.C, uint32(p))
+					c.BaseCycles += 4
+				case sUdiv:
+					b := c.topnd2(in)
+					dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
+					if b == 0 {
+						c.twr(in.C, 0)
+					} else {
+						q := dividend / uint64(b)
+						if q > math.MaxUint32 {
+							q = math.MaxUint32
+						}
+						c.twr(in.C, uint32(q))
+					}
+					c.BaseCycles += 36
+				case sSdiv:
+					b := c.topnd2(in)
+					dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
+					if b == 0 {
+						c.twr(in.C, 0)
+					} else {
+						q := dividend / int64(int32(b))
+						switch {
+						case q > math.MaxInt32:
+							q = math.MaxInt32
+						case q < math.MinInt32:
+							q = math.MinInt32
+						}
+						c.twr(in.C, uint32(int32(q)))
+					}
+					c.BaseCycles += 36
+				case sRdY:
+					c.twr(in.C, c.y)
+				case sWrY:
+					c.y = c.tru(in.A) ^ c.topnd2(in)
+				case sFmovs:
+					c.f[in.C] = c.f[in.B]
+				case sFnegs:
+					c.f[in.C] = c.f[in.B] ^ 0x80000000
+				case sFabss:
+					c.f[in.C] = c.f[in.B] &^ 0x80000000
+				case sFsqrts:
+					c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
+					c.BaseCycles += 29
+				case sFsqrtd:
+					c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
+					c.BaseCycles += 29
+				case sFadds:
+					c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
+					c.BaseCycles++
+				case sFaddd:
+					c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
+					c.BaseCycles++
+				case sFsubs:
+					c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
+					c.BaseCycles++
+				case sFsubd:
+					c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
+					c.BaseCycles++
+				case sFmuls:
+					c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
+					c.BaseCycles += 3
+				case sFmuld:
+					c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
+					c.BaseCycles += 4
+				case sFdivs:
+					c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
+					c.BaseCycles += 12
+				case sFdivd:
+					c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
+					c.BaseCycles += 18
+				case sFitos:
+					c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
+				case sFitod:
+					c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
+				case sFstoi:
+					c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
+				case sFdtoi:
+					c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
+				case sFstod:
+					c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
+				case sFdtos:
+					c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
+				case sFcmps:
+					c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
+				case sFcmpd:
+					c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
+				case sLd:
+					v, ok := c.Mem.Load4(c.taddr(in))
+					if !ok {
+						c.Declined = "load"
+						break loop
+					}
+					c.twr(in.C, v)
+				case sSt:
+					if !c.Mem.Store4(c.taddr(in), c.tru(in.C)) {
+						c.Declined = "store"
+						break loop
+					}
+				default:
+					break loop
+				}
+			}
+			left -= uint64(i - start)
+			if i < len(seg) || i == len(*pc) {
 				break
 			}
-			left--
-			if c.cond(in) {
-				i, left = int(in.Target), left-1
-			} else {
-				i++
-			}
-			continue
-		}
-		seg, start := code[:i+int(min(uint64(in.Run), left))], i
-	loop:
-		for ; i < len(seg); i++ {
-			in := &seg[i]
-			switch in.Op {
-			case sSethi:
-				c.twr(in.C, uint32(in.Imm))
-			case sAdd:
-				c.twr(in.C, c.tru(in.A)+c.topnd2(in))
-			case sSub:
-				c.twr(in.C, c.tru(in.A)-c.topnd2(in))
-			case sAnd:
-				c.twr(in.C, c.tru(in.A)&c.topnd2(in))
-			case sAndn:
-				c.twr(in.C, c.tru(in.A)&^c.topnd2(in))
-			case sOr:
-				c.twr(in.C, c.tru(in.A)|c.topnd2(in))
-			case sXor:
-				c.twr(in.C, c.tru(in.A)^c.topnd2(in))
-			case sXnor:
-				c.twr(in.C, ^(c.tru(in.A) ^ c.topnd2(in)))
-			case sAddx:
-				x := uint32(0)
-				if c.c {
-					x = 1
-				}
-				c.twr(in.C, c.tru(in.A)+c.topnd2(in)+x)
-			case sAddCC:
-				a, b := c.tru(in.A), c.topnd2(in)
-				r := a + b
-				c.twr(in.C, r)
-				c.n, c.z = int32(r) < 0, r == 0
-				c.v = (a>>31 == b>>31) && (r>>31 != a>>31)
-				c.c = r < a
-			case sSubCC:
-				a, b := c.tru(in.A), c.topnd2(in)
-				r := a - b
-				c.twr(in.C, r)
-				c.n, c.z = int32(r) < 0, r == 0
-				c.v = (a>>31 != b>>31) && (r>>31 != a>>31)
-				c.c = a < b
-			case sSll:
-				c.twr(in.C, c.tru(in.A)<<(c.topnd2(in)&31))
-			case sSrl:
-				c.twr(in.C, c.tru(in.A)>>(c.topnd2(in)&31))
-			case sSra:
-				c.twr(in.C, uint32(int32(c.tru(in.A))>>(c.topnd2(in)&31)))
-			case sUmul:
-				p := uint64(c.tru(in.A)) * uint64(c.topnd2(in))
-				c.y = uint32(p >> 32)
-				c.twr(in.C, uint32(p))
-				c.BaseCycles += 4
-			case sSmul:
-				p := int64(int32(c.tru(in.A))) * int64(int32(c.topnd2(in)))
-				c.y = uint32(uint64(p) >> 32)
-				c.twr(in.C, uint32(p))
-				c.BaseCycles += 4
-			case sUdiv:
-				b := c.topnd2(in)
-				dividend := uint64(c.y)<<32 | uint64(c.tru(in.A))
-				if b == 0 {
-					c.twr(in.C, 0)
-				} else {
-					q := dividend / uint64(b)
-					if q > math.MaxUint32 {
-						q = math.MaxUint32
-					}
-					c.twr(in.C, uint32(q))
-				}
-				c.BaseCycles += 36
-			case sSdiv:
-				b := c.topnd2(in)
-				dividend := int64(uint64(c.y)<<32 | uint64(c.tru(in.A)))
-				if b == 0 {
-					c.twr(in.C, 0)
-				} else {
-					q := dividend / int64(int32(b))
-					switch {
-					case q > math.MaxInt32:
-						q = math.MaxInt32
-					case q < math.MinInt32:
-						q = math.MinInt32
-					}
-					c.twr(in.C, uint32(int32(q)))
-				}
-				c.BaseCycles += 36
-			case sRdY:
-				c.twr(in.C, c.y)
-			case sWrY:
-				c.y = c.tru(in.A) ^ c.topnd2(in)
-			case sFmovs:
-				c.f[in.C] = c.f[in.B]
-			case sFnegs:
-				c.f[in.C] = c.f[in.B] ^ 0x80000000
-			case sFabss:
-				c.f[in.C] = c.f[in.B] &^ 0x80000000
-			case sFsqrts:
-				c.wfsingle(uint32(in.C), float32(math.Sqrt(float64(c.fsingle(uint32(in.B))))))
-				c.BaseCycles += 29
-			case sFsqrtd:
-				c.wfdouble(uint32(in.C), math.Sqrt(c.fdouble(uint32(in.B))))
-				c.BaseCycles += 29
-			case sFadds:
-				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))+c.fsingle(uint32(in.B)))
-				c.BaseCycles++
-			case sFaddd:
-				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))+c.fdouble(uint32(in.B)))
-				c.BaseCycles++
-			case sFsubs:
-				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))-c.fsingle(uint32(in.B)))
-				c.BaseCycles++
-			case sFsubd:
-				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))-c.fdouble(uint32(in.B)))
-				c.BaseCycles++
-			case sFmuls:
-				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))*c.fsingle(uint32(in.B)))
-				c.BaseCycles += 3
-			case sFmuld:
-				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))*c.fdouble(uint32(in.B)))
-				c.BaseCycles += 4
-			case sFdivs:
-				c.wfsingle(uint32(in.C), c.fsingle(uint32(in.A))/c.fsingle(uint32(in.B)))
-				c.BaseCycles += 12
-			case sFdivd:
-				c.wfdouble(uint32(in.C), c.fdouble(uint32(in.A))/c.fdouble(uint32(in.B)))
-				c.BaseCycles += 18
-			case sFitos:
-				c.wfsingle(uint32(in.C), float32(int32(c.f[in.B])))
-			case sFitod:
-				c.wfdouble(uint32(in.C), float64(int32(c.f[in.B])))
-			case sFstoi:
-				c.f[in.C] = uint32(truncToI32(float64(c.fsingle(uint32(in.B)))))
-			case sFdtoi:
-				c.f[in.C] = uint32(truncToI32(c.fdouble(uint32(in.B))))
-			case sFstod:
-				c.wfdouble(uint32(in.C), float64(c.fsingle(uint32(in.B))))
-			case sFdtos:
-				c.wfsingle(uint32(in.C), float32(c.fdouble(uint32(in.B))))
-			case sFcmps:
-				c.fcmp(float64(c.fsingle(uint32(in.A))), float64(c.fsingle(uint32(in.B))))
-			case sFcmpd:
-				c.fcmp(c.fdouble(uint32(in.A)), c.fdouble(uint32(in.B)))
-			case sLd:
-				v, ok := c.Mem.Load4(c.taddr(in))
-				if !ok {
-					c.Declined = "load"
-					break loop
-				}
-				c.twr(in.C, v)
-			case sSt:
-				if !c.Mem.Store4(c.taddr(in), c.tru(in.C)) {
-					c.Declined = "store"
-					break loop
-				}
-			default:
-				break loop
+			if in = &(*pc)[i]; in.Run != 0 && left > 0 {
+				continue // a run longer than Run holds
 			}
 		}
-		left -= uint64(i - start)
-		if i < len(seg) {
+		// A folded branch, where a segment ends; taken, its nop slot
+		// retires too.
+		if in.Flags&exec.FFold == 0 || left < 2 {
 			break
 		}
+		left--
+		if c.cond(in) {
+			i, left = int(in.Target), left-1
+		} else {
+			i++
+		}
+		if left == 0 {
+			break
+		}
+		in = &(*pc)[i]
 	}
-	return i, left, 0
+	return i, left
 }
 
 // slow is exec.Port.Slow: byte, halfword and FP loads and stores.
@@ -447,4 +455,4 @@ func memErr(what string, in *exec.Instr, err error) error {
 }
 
 // Regs returns the state the run loop shares and the integer registers.
-func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, &c.r }
+func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, (*[32]uint64)(c.r[:32]) }

@@ -35,8 +35,10 @@ func fuzzTargets() []fuzzTarget {
 // body or a delay pair is in flight, exactly as Machine.run does, and
 // hands Run its budget chunk instructions at a time, the way a poll
 // stride does: a window can end anywhere in a run or between a branch and
-// its slot.  setup, when not nil, sets up both CPUs further (arguments).
-// It returns the error the switch engine ended with.
+// its slot.  Like a machine's, the memory refuses stores below the end of
+// the code, which a predecoded body does not see.  setup, when not nil,
+// sets up both CPUs further (arguments).  It returns the error the switch
+// engine ended with.
 func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup func(core.CPU)) error {
 	t.Helper()
 	const base = 0x1000
@@ -57,6 +59,8 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 	if err := m2.WriteBytes(base, image); err != nil {
 		t.Fatal(err)
 	}
+	m1.SetStoreFloor(base + uint64(len(image)))
+	m2.SetStoreFloor(base + uint64(len(image)))
 	c1, c2 := ft.mk(m1), ft.mk(m2)
 	for _, c := range []core.CPU{c1, c2} {
 		// Point a few registers at mapped memory so loads and stores

@@ -248,10 +248,10 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 // 383, 409 and 422 and a call 997, 907 and 928.
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
-		"mips decode": 5863, "sparc decode": 4942, "alpha decode": 5580,
-		"mips loop trip": 298, "mips leaf call": 966, "mips leaf call recorded": 1210,
-		"sparc loop trip": 327, "sparc leaf call": 850, "sparc leaf call recorded": 1094,
-		"alpha loop trip": 333, "alpha leaf call": 842, "alpha leaf call recorded": 1086,
+		"mips decode": 5893, "sparc decode": 4971, "alpha decode": 5609,
+		"mips loop trip": 288, "mips leaf call": 954, "mips leaf call recorded": 1198,
+		"sparc loop trip": 313, "sparc leaf call": 833, "sparc leaf call recorded": 1077,
+		"alpha loop trip": 302, "alpha leaf call": 806, "alpha leaf call recorded": 1050,
 	},
 }
 
@@ -259,10 +259,10 @@ var execCountGolden = map[string]map[string]int{
 // decode, a trip, and a warm leaf call, recorded or not, at most 5% above
 // its count on the golden toolchain.
 var execCountBudget = map[string]int{
-	"mips decode": 6157, "sparc decode": 5190, "alpha decode": 5859,
-	"mips loop trip": 313, "sparc loop trip": 344, "alpha loop trip": 350,
-	"mips leaf call": 1015, "sparc leaf call": 893, "alpha leaf call": 885,
-	"mips leaf call recorded": 1271, "sparc leaf call recorded": 1149, "alpha leaf call recorded": 1141,
+	"mips decode": 6188, "sparc decode": 5220, "alpha decode": 5890,
+	"mips loop trip": 303, "sparc loop trip": 329, "alpha loop trip": 318,
+	"mips leaf call": 1002, "sparc leaf call": 875, "alpha leaf call": 847,
+	"mips leaf call recorded": 1258, "sparc leaf call recorded": 1131, "alpha leaf call recorded": 1103,
 }
 
 // execCoreBudget is the most core's share of an exec row may cost on any

@@ -232,7 +232,7 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 		loop:
 			for ; uint(i) < uint(len(seg)); i++ {
 				in := &seg[i]
-				switch in.Op {
+				switch in.Op & 127 { // every value a case: no range check
 				case aLda:
 					c.twr(in.A, c.taddr(in))
 				case aLdah:
@@ -385,6 +385,8 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 				case aCvttqc:
 					// The oracle writes f[fc] unguarded here; keep the quirk.
 					c.f[in.C] = uint64(truncToI64(c.fT(uint32(in.B))))
+				case 127:
+					break loop
 				default:
 					break loop
 				}

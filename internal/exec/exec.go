@@ -171,8 +171,8 @@ func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 			in.Op, in.Imm, bad = p.Bad, int64(w), true
 			continue
 		}
-		// A branch, not an index, picks the form: o stays one pointer.
-		form, o := w>>(r.sel&31)&uint32(r.two), &r.ops[0] // form 1: a field's number form
+		// Form 1 is a field's number form; a branch, not an index, picks o.
+		form, o := w>>(r.sel&31)&uint32(r.two), &r.ops[0]
 		if form != 0 {
 			o = &r.ops[1]
 		}
@@ -255,9 +255,7 @@ func MarkRuns(code []Instr, never uint8, slots int) {
 			run, sum = 0, 0
 			continue
 		}
-		if run < math.MaxUint16 {
-			run++
-		}
+		run = min(run, math.MaxUint16-1) + 1
 		in.Run, in.Target = run, sum
 	}
 }

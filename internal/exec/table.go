@@ -315,9 +315,8 @@ func NewTable(rows []Row, fields map[byte]Field, rule Interlock, zero uint8) *Ta
 	return t
 }
 
-// lock has o read the registers the interlock reads and loads in a word
-// of the row form w0 and w1 are words of; a rule that names other fields
-// for the two is a bug in the port.
+// lock has o read the interlock's registers in the row form of w0 and w1;
+// a rule that names other fields for the two is a bug in the port.
 func (t *Table) lock(o *operands, w0, w1 uint32) {
 	o.set[3], o.set[4], o.set[5] = NoReg, NoReg, NoReg
 	if t.rule == nil {

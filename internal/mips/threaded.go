@@ -239,7 +239,7 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 		loop:
 			for ; uint(i) < uint(len(seg)); i++ {
 				in := &seg[i]
-				switch in.Op {
+				switch in.Op & 127 { // every value a case: no range check
 				case mSll:
 					c.twr(in.C, c.tru(in.B)<<(uint32(in.Imm)&31))
 				case mSrl:
@@ -376,6 +376,8 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 					c.wfs(uint32(in.C), float32(int32(uint32(c.f[in.A]))))
 				case mFCvtDW:
 					c.wfd(uint32(in.C), float64(int32(uint32(c.f[in.A]))))
+				case 127:
+					break loop
 				default:
 					break loop
 				}
@@ -395,8 +397,7 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 				continue // a run longer than Run holds
 			}
 		}
-		// A folded branch, where a segment ends; taken, its nop slot
-		// retires too.
+		// A folded branch, where a segment ends: taken, its nop slot retires.
 		if in.Flags&exec.FFold == 0 || left < 2 {
 			c.BaseCycles -= exec.Bubble(in, c.LastLoad, 0)
 			break

@@ -197,7 +197,7 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 		loop:
 			for ; uint(i) < uint(len(seg)); i++ {
 				in := &seg[i]
-				switch in.Op {
+				switch in.Op & 127 { // every value a case: no range check
 				case sSethi:
 					c.twr(in.C, uint32(in.Imm))
 				case sAdd:
@@ -347,6 +347,8 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 						c.Declined = "store"
 						break loop
 					}
+				case 127:
+					break loop
 				default:
 					break loop
 				}
@@ -359,8 +361,7 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 				continue // a run longer than Run holds
 			}
 		}
-		// A folded branch, where a segment ends; taken, its nop slot
-		// retires too.
+		// A folded branch, where a segment ends: taken, its nop slot retires.
 		if in.Flags&exec.FFold == 0 || left < 2 {
 			break
 		}

@@ -40,7 +40,10 @@ const hostCountEnv = "REPRO_HOST_COUNT"
 // hostCountCalls is how many measured calls each row takes the least of.
 const hostCountCalls = 8
 
-var hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
+var (
+	hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
+	hostCountBy  = flag.String("hostcount.by", "", "also log each row's count by function (func) or by source line (line)")
+)
 
 // raceEnabled is set by race_test.go under the race detector, whose
 // instrumentation the counts would include.
@@ -111,20 +114,26 @@ var (
 // back-edge, as internal/exec/diff's load-led loop) into a warm body, as
 // Install decodes it; then, through a warm CallWithStats, the body for two
 // trip counts, whose difference is a trip's cost, and a 13-instruction
-// leaf, whose count is a warm call's, then the same with the trace
-// recorder on (the last row: the recorder stays on in the child).
+// leaf, whose count is a warm call's, then the same under a context that
+// can be canceled and never is (it polls, at the default stride, as a call
+// vcoded makes with a deadline does), then with the trace recorder on (the
+// last row: the recorder stays on in the child).
 const loopTripsFew, loopTripsMany = 2, 10
 
 var execRows = []hostRow{
 	{"decode", decoding(buildLoopLongBody)},
-	{"loop few", calling(buildLoopLongBody, loopArgs(loopTripsFew))},
-	{"loop many", calling(buildLoopLongBody, loopArgs(loopTripsMany))},
-	{"leaf call", calling(buildLeaf, leafArgs)},
+	{"loop few", calling(context.Background(), buildLoopLongBody, loopArgs(loopTripsFew))},
+	{"loop many", calling(context.Background(), buildLoopLongBody, loopArgs(loopTripsMany))},
+	{"leaf call", calling(context.Background(), buildLeaf, leafArgs)},
+	{"leaf call polled", calling(livePollCtx, buildLeaf, leafArgs)},
 	{"leaf call recorded", func(tg regtest.Target) func() {
 		trace.SetEnabled(true)
-		return calling(buildLeaf, leafArgs)(tg)
+		return calling(context.Background(), buildLeaf, leafArgs)(tg)
 	}},
 }
+
+// livePollCtx is a context that can be canceled and never is.
+var livePollCtx, _ = context.WithCancel(context.Background())
 
 // leafArgs is the leaf's arguments.
 func leafArgs(uint64) []core.Value { return []core.Value{core.I(12345), core.I(678)} }
@@ -135,13 +144,13 @@ func loopArgs(trips int32) func(buf uint64) []core.Value {
 }
 
 // calling is the setup of an exec row: a machine, and the function build
-// makes called warm, with the arguments args gives for a 32-byte buffer.
-func calling(build func(core.Backend) (*core.Func, error), args func(buf uint64) []core.Value) func(regtest.Target) func() {
+// makes called warm under ctx, with the arguments args gives for a 32-byte
+// buffer.
+func calling(ctx context.Context, build func(core.Backend) (*core.Func, error), args func(buf uint64) []core.Value) func(regtest.Target) func() {
 	return func(tg regtest.Target) func() {
 		m := tg.NewMachine()
 		fn := must(build(tg.Backend))
 		args := args(must(m.Alloc(32)))
-		ctx := context.Background()
 		call := func() {
 			if _, _, err := m.CallWithStats(ctx, core.CallOpts{}, fn, args...); err != nil {
 				panic(err)
@@ -240,7 +249,7 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 // execCountGolden is the exec rows' counts, per toolchain, held exactly
 // where the toolchain matches: the decode of loop_long's body (32 words on
 // mips, 31 on sparc and alpha), a trip of it, a warm leaf call, and the
-// same call recorded.  Before the ports' loops called
+// same call polled and recorded.  Before the ports' loops called
 // nothing they were 555, 596 and 577 a trip and 1,422, 1,359 and 1,350 a
 // call; before the call body was one and read the simulator's state in
 // place, a call was 1,414, 1,271 and 1,291; before predecode settled each
@@ -249,19 +258,20 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips decode": 5893, "sparc decode": 4971, "alpha decode": 5609,
-		"mips loop trip": 288, "mips leaf call": 954, "mips leaf call recorded": 1198,
-		"sparc loop trip": 313, "sparc leaf call": 833, "sparc leaf call recorded": 1077,
-		"alpha loop trip": 302, "alpha leaf call": 806, "alpha leaf call recorded": 1050,
+		"mips loop trip": 288, "mips leaf call": 954, "mips leaf call polled": 1047, "mips leaf call recorded": 1198,
+		"sparc loop trip": 313, "sparc leaf call": 833, "sparc leaf call polled": 926, "sparc leaf call recorded": 1077,
+		"alpha loop trip": 302, "alpha leaf call": 806, "alpha leaf call polled": 899, "alpha leaf call recorded": 1050,
 	},
 }
 
 // execCountBudget is the most an exec row may cost on any toolchain: a
-// decode, a trip, and a warm leaf call, recorded or not, at most 5% above
-// its count on the golden toolchain.
+// decode, a trip, and a warm leaf call, polled, recorded or neither, at
+// most 5% above its count on the golden toolchain.
 var execCountBudget = map[string]int{
 	"mips decode": 6188, "sparc decode": 5220, "alpha decode": 5890,
 	"mips loop trip": 303, "sparc loop trip": 329, "alpha loop trip": 318,
 	"mips leaf call": 1002, "sparc leaf call": 875, "alpha leaf call": 847,
+	"mips leaf call polled": 1099, "sparc leaf call polled": 972, "alpha leaf call polled": 944,
 	"mips leaf call recorded": 1258, "sparc leaf call recorded": 1131, "alpha leaf call recorded": 1103,
 }
 
@@ -280,13 +290,18 @@ func TestExecHostInstructions(t *testing.T) {
 	for _, port := range hostCountPorts(t) {
 		c, entries := countHostInstructions(t, "exec", port)
 		few, many, n := c["loop few"], c["loop many"], loopTripsMany-loopTripsFew
-		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
+		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}, by: map[string]int{}}
 		if (many.n-few.n)%n != 0 {
 			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, many.n-few.n, n)
 		}
 		for p, k := range many.pkgs {
 			if d := (k - few.pkgs[p]) / n; d != 0 {
 				trip.pkgs[p] = d
+			}
+		}
+		for k, v := range many.by {
+			if d := (v - few.by[k]) / n; d != 0 {
+				trip.by[k] = d
 			}
 		}
 		t.Logf("%s %s decode: %.1f host instructions a word", key, port, float64(c["decode"].n)/float64(decodeWords(port)))
@@ -301,10 +316,14 @@ func TestExecHostInstructions(t *testing.T) {
 			{"decode", c["decode"]},
 			{"loop trip", trip},
 			{"leaf call", c["leaf call"]},
+			{"leaf call polled", c["leaf call polled"]},
 			{"leaf call recorded", c["leaf call recorded"]},
 		} {
 			name := port + " " + row.name
 			t.Logf("%s %s: %d host instructions (%v)", key, name, row.c.n, row.c)
+			if *hostCountBy != "" {
+				t.Logf("%s by %s:\n\t%s", name, *hostCountBy, tally(row.c.by, "\n\t"))
+			}
 			if b := execCountBudget[name]; row.c.n > b {
 				t.Errorf("%s: %d host instructions, budget %d", name, row.c.n, b)
 			}
@@ -409,28 +428,33 @@ func TestEmitHostInstructions(t *testing.T) {
 	}
 }
 
-// hostCount is one row's count, in all and by package.
+// hostCount is one row's count, in all and by package, and with
+// -hostcount.by by function or source line.
 type hostCount struct {
 	n    int
 	pkgs map[string]int // by the package's last path element ("core")
+	by   map[string]int
 }
 
 // String lists the count's packages, the dearest first.
-func (c hostCount) String() string {
-	pkgs := make([]string, 0, len(c.pkgs))
-	for p := range c.pkgs {
-		pkgs = append(pkgs, p)
+func (c hostCount) String() string { return tally(c.pkgs, ", ") }
+
+// tally lists the counts of m, the dearest first, separated by sep.
+func tally(m map[string]int, sep string) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(pkgs, func(i, j int) bool {
-		a, b := pkgs[i], pkgs[j]
-		return c.pkgs[a] > c.pkgs[b] || c.pkgs[a] == c.pkgs[b] && a < b
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		return m[a] > m[b] || m[a] == m[b] && a < b
 	})
 	var b strings.Builder
-	for i, p := range pkgs {
+	for i, k := range keys {
 		if i > 0 {
-			b.WriteString(", ")
+			b.WriteString(sep)
 		}
-		fmt.Fprintf(&b, "%s %d", p, c.pkgs[p])
+		fmt.Fprintf(&b, "%s %d", k, m[k])
 	}
 	return b.String()
 }
@@ -486,7 +510,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 	// is not counted.
 	type pcInfo struct {
 		counted, entry, morestack bool
-		pkg                       string
+		pkg, by                   string
 	}
 	infos, entries := map[uint64]pcInfo{}, map[string]uint64{}
 	info := func(pc uint64) pcInfo {
@@ -500,7 +524,11 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 					entries[name] = uint64(f.Entry())
 				}
 				in.entry = f.Entry() == uintptr(pc)
-				in.pkg = hostPackage(name)
+				in.pkg, in.by = hostPackage(name), name
+				if *hostCountBy == "line" {
+					file, line := f.FileLine(uintptr(pc))
+					in.by = fmt.Sprintf("%s:%d", file[strings.LastIndex(file, "/")+1:], line)
+				}
 			}
 			infos[pc] = in
 		}
@@ -510,7 +538,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 	counts := map[string]hostCount{}
 	op := []byte{0}
 	for _, row := range hostRowSets[set] {
-		var least []string
+		var least []pcInfo
 		for call := 0; call < hostCountCalls; call++ {
 			if err := syscall.PtraceCont(pid, 0); err != nil {
 				t.Fatal(err)
@@ -519,8 +547,8 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 			if f := runtime.FuncForPC(uintptr(pc() - 1)); f == nil || f.Name() != "runtime.breakpoint" {
 				t.Skipf("the child's code is not at the parent's addresses (at %#x)", regs.Rip)
 			}
-			// trail is each counted instruction's package, in order.
-			var trail []string
+			// trail is each counted instruction, in order.
+			var trail []pcInfo
 			atEntry, entry, resume := 0, uint64(0), uint64(0)
 			for {
 				at := pc()
@@ -544,7 +572,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 						atEntry, entry = len(trail), at
 					}
 					if in.counted {
-						trail = append(trail, in.pkg)
+						trail = append(trail, in)
 					}
 				}
 				if err := syscall.PtraceSingleStep(pid); err != nil {
@@ -556,9 +584,10 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 				least = trail
 			}
 		}
-		c := hostCount{n: len(least), pkgs: map[string]int{}}
-		for _, pkg := range least {
-			c.pkgs[pkg]++
+		c := hostCount{n: len(least), pkgs: map[string]int{}, by: map[string]int{}}
+		for _, in := range least {
+			c.pkgs[in.pkg]++
+			c.by[in.by]++
 		}
 		counts[row.name] = c
 	}

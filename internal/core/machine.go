@@ -798,100 +798,145 @@ type CallStats struct {
 // remembers and reads the counters and the result in place; placement,
 // stack and FP arguments, polling, recording, traps, Step and the trace
 // writer are out of line.
-func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (v Value, st CallStats, err error) {
+func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
+	// Whether ctx can end the call is asked first, while nothing else is
+	// live across the interface call.
+	polls := ctx != nil && ctx.Done() != nil || !opts.Deadline.IsZero()
 	m.mu.Lock()
-	defer func() {
-		s, c := m.st, &m.call
-		// The simulators are fuzzed, but a panic must still come back an
-		// error, not unwind the caller; v is still zero then.
-		if r := recover(); r != nil {
-			err = m.runErr(f, &PanicError{PC: s.Pc, Value: r})
-		}
-		st = CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
-		if !c.start.IsZero() {
-			m.recordCall(f, c.start, st, err)
-			c.start = time.Time{}
-		}
-		if c.stride != 0 {
-			c.stride, c.ctx = 0, nil
-		}
-		m.mu.Unlock()
-	}()
 	s, c := m.st, &m.call
 	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
 	if trace.Recording() {
-		c.start = time.Now()
+		c.start, c.closing = time.Now(), true
 	}
-	c.budget = m.MaxSteps
-	if opts.Fuel > 0 && opts.Fuel < c.budget {
-		c.budget = opts.Fuel
+	stop := m.MaxSteps
+	if opts.Fuel > 0 && opts.Fuel < stop {
+		stop = opts.Fuel
 	}
-	stop := c.budget
-	if !opts.Deadline.IsZero() || ctx != nil && ctx.Done() != nil {
-		c.ctx, c.deadline, c.stride, stop = ctx, opts.Deadline, opts.PollStride, 0
+	if c.budget = stop; polls {
+		c.ctx, c.deadline, c.stride, c.closing, stop = ctx, opts.Deadline, opts.PollStride, true, 0
 		if c.stride == 0 {
 			c.stride = 1024
 		}
 	}
-	if f.home() != m {
-		if err = m.placeForCall(f); err != nil {
-			return
-		}
+	v, err := m.enter(f, args, stop)
+	if c.panicked != nil {
+		err, c.panicked = m.runErr(f, &PanicError{PC: s.Pc, Value: c.panicked}), nil
 	}
-	p := &f.plan
-	if !m.store(f, args) {
-		if err = m.marshal(f, args); err != nil {
-			return
-		}
+	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
+	if c.closing {
+		m.closeCall(f, st, err)
 	}
-	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
+	m.mu.Unlock()
+	return v, st, err
+}
 
-	for pc := p.entry; pc != m.haltAddr; pc = s.Pc {
+// enter places f if it must, writes its arguments and runs it from its
+// entry until it returns, with a poll or the budget's end due at step
+// stop.  The simulators are fuzzed, but a panic must still come back an
+// error, not unwind the caller: enter then returns zeros, and the panic's
+// value is in the call's frame.  Caller holds mu.
+func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.call.panicked = r
+		}
+	}()
+	if f.home() != m {
+		if err := m.placeForCall(f); err != nil {
+			return Value{}, err
+		}
+	}
+	p, params, regs := &f.plan, f.Params, m.regs
+	if !p.direct || p.nargs != len(args) || len(params) != len(args) {
+		if err := m.marshal(f, args); err != nil {
+			return Value{}, err
+		}
+	} else {
+		var mismatch Type
+		store := p.store[:len(args)]
+		for i, a := range args {
+			mismatch |= a.T ^ params[i]
+			regs[store[i].num&31] = store[i].canon(a.Bits)
+		}
+		regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
+		if mismatch != 0 {
+			if err := m.marshal(f, args); err != nil {
+				return Value{}, err
+			}
+		}
+	}
+	s, c := m.st, &m.call
+	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
+	// The first pass enters the entry's body, remembered, where nothing
+	// forces Step.  From there the body that
+	// covers pc may retire up to stop-steps+1, so polls land on the
+	// stride's multiples as on Step.  An in-body pc is never a trap.  A
+	// pending delay slot, a fault hook (which sees only Step's fetches)
+	// and the trace writer force Step.
+	var err error
+	if stop == 0 { // a poll is due at step 0, or the budget is spent
+		if stop, err = m.checkpoint(f); err != nil {
+			return Value{}, err
+		}
+	}
+	if p.gen == m.bodyGen && m.threaded && !m.mem.HasFaultHook() {
+		c.steps = 1
+		if c.steps, err = m.cpu.Run(p.body, p.idx, stop); err != nil {
+			return Value{}, m.runErr(f, err)
+		}
+	}
+	for pc := s.Pc; pc != m.haltAddr; pc = s.Pc {
 		if c.steps == stop { // a poll is due, or the budget is spent
 			if stop, err = m.checkpoint(f); err != nil {
-				return
+				return Value{}, err
 			}
 		}
 		// A trap dispatch consumes a step too, so a trap that returns to
 		// itself burns fuel instead of spinning forever.
 		c.steps++
-		// The body that covers pc (the entry's, remembered, on the first
-		// pass) may retire up to stop-steps+1, so polls land on the
-		// stride's multiples as on Step.  An in-body pc is never a trap.
-		// A pending delay slot, a fault hook (which sees only Step's
-		// fetches) and the trace writer force Step.
 		var b *exec.Body
 		var idx int
 		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
-			if pc == p.entry && p.gen == m.bodyGen {
-				b, idx = p.body, p.idx
-			} else {
-				b, idx = m.bodyFor(p, pc)
-			}
+			b, idx = m.bodyFor(p, pc)
 		}
 		if b == nil {
 			if err = m.step(pc); err != nil {
-				return v, st, m.runErr(f, err)
+				return Value{}, m.runErr(f, err)
 			}
 			continue
 		}
-		n, rerr := m.cpu.Run(b, idx, stop-c.steps+1)
-		if c.steps += n - 1; rerr != nil {
-			return v, st, m.runErr(f, rerr)
+		n, err := m.cpu.Run(b, idx, stop-c.steps+1)
+		if c.steps += n - 1; err != nil {
+			return Value{}, m.runErr(f, err)
 		}
 	}
 	if p.fpRet { // SPARC pairs its FP bank: FReg reads the result
-		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, st, nil
+		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, nil
 	}
-	return Value{T: f.Result, Bits: p.ret.canon(m.regs[p.ret.num&31])}, st, nil
+	return Value{T: f.Result, Bits: p.ret.canon(regs[p.ret.num&31])}, nil
+}
+
+// closeCall ends a call that was timed or polled: it records the call if
+// it was timed and drops a polling call's context.  Caller holds mu.
+func (m *Machine) closeCall(f *Func, st CallStats, err error) {
+	c := &m.call
+	if !c.start.IsZero() {
+		m.recordCall(f, c.start, st, err)
+		c.start = time.Time{}
+	}
+	c.stride, c.ctx, c.closing = 0, nil, false
 }
 
 // callFrame is the running call's own state, kept in the machine under
 // mu, where the call body's stops out of line read it: the clock and
 // counters at its start, the steps it has taken, its budget, and, if it
 // polls, every stride steps, its context (which may be nil) and deadline.
+// closing is whether the call is timed or polls, so closeCall ends it;
+// panicked is what a simulator panicked with, until the call reports it.
 type callFrame struct {
+	closing                bool
+	panicked               any
 	start                  time.Time
 	cycles0, insns0, steps uint64
 	budget, stride         uint64
@@ -958,30 +1003,12 @@ func (m *Machine) placeForCall(f *Func) error {
 	return m.installLocked(f)
 }
 
-// store writes args as f's plan compiled them, and SP and RA, if the plan
-// is direct and args match f.Params, the signature it was laid out for,
-// and reports whether it did.  Caller holds mu.
-func (m *Machine) store(f *Func, args []Value) bool {
-	p, params := &f.plan, f.Params
-	if !p.direct || p.nargs != len(args) || len(params) != len(args) {
-		return false
-	}
-	var mismatch Type
-	regs, store := m.regs, p.store[:len(args)]
-	regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
-	for i, a := range args {
-		mismatch |= a.T ^ params[i]
-		regs[store[i].num&31] = store[i].canon(a.Bits)
-	}
-	return mismatch == 0
-}
-
-// marshal is the call body's argument path out of line, where store
-// declines: it checks the arguments' count and types, plans f afresh if
+// marshal is the call body's argument path out of line, where the plan's
+// stores decline: it checks the arguments' count and types, plans f afresh if
 // Params was resized behind the resident function's back, lays the
 // arguments out, and writes stack arguments to memory, FP ones through
-// SetFReg (SPARC pairs its FP bank), integer ones, SP and RA as store
-// does.  With ≤ callBufArgs arguments it allocates nothing.  Caller holds
+// SetFReg (SPARC pairs its FP bank), integer ones, SP and RA as the
+// plan's stores do.  With ≤ callBufArgs arguments it allocates nothing.  Caller holds
 // mu.
 func (m *Machine) marshal(f *Func, args []Value) error {
 	if len(args) != len(f.Params) {
@@ -1017,19 +1044,21 @@ func (m *Machine) marshal(f *Func, args []Value) error {
 
 // argStore is how the call body writes an integer register argument: the
 // register's number, and the register's canonical form of the value, what
-// SetReg would leave there: sign-extended from its low 32 bits if sx (a
-// 32-bit type on a 64-bit port), then masked to the register's width (the
-// low 32 bits on a 32-bit port).
+// SetReg would leave there: sign-extended from its low 32 bits (a 32-bit
+// type on a 64-bit port: sx is 32, else 0), then masked to the register's
+// width (the low 32 bits on a 32-bit port).
 type argStore struct {
-	num  uint8
-	sx   bool
-	mask uint64
+	num, sx uint8
+	mask    uint64
 }
 
 // argStore compiles the store of the integer register argument at loc.
 func (m *Machine) argStore(loc argLoc) argStore {
-	return argStore{num: uint8(loc.reg.Num()), sx: m.ptrBytes == 8 && (loc.t == TypeI || loc.t == TypeU),
-		mask: ^uint64(0) >> (64 - 8*m.ptrBytes)}
+	d := argStore{num: uint8(loc.reg.Num()), mask: ^uint64(0) >> (64 - 8*m.ptrBytes)}
+	if m.ptrBytes == 8 && (loc.t == TypeI || loc.t == TypeU) {
+		d.sx = 32
+	}
+	return d
 }
 
 // retLoad compiles the read of an integer result of type t, as an argStore
@@ -1041,19 +1070,16 @@ func (m *Machine) retLoad(t Type) argStore {
 	case t == TypeV:
 		d.mask = 0
 	case t == TypeI || t == TypeL && m.ptrBytes == 4:
-		d.sx = true
+		d.sx = 32
 	case t == TypeU || m.ptrBytes == 4:
 		d.mask = 0xffffffff
 	}
 	return d
 }
 
-// canon is bits in the register's canonical form.
+// canon is bits in the register's canonical form, without a branch.
 func (d argStore) canon(bits uint64) uint64 {
-	if d.sx {
-		bits = uint64(int64(int32(bits)))
-	}
-	return bits & d.mask
+	return uint64(int64(bits<<(d.sx&63))>>(d.sx&63)) & d.mask
 }
 
 // callBufArgs is how many arguments the call path can marshal without

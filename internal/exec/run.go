@@ -53,11 +53,11 @@ func (s *State) PendingDelay() bool { return s.InDelay }
 
 // flush brings s up to date at pc, where the run loop is leaving or a
 // probe is about to look: pend retired instructions not yet counted, their
-// base cycles plus stall interlock bubbles, and the interlock producer.
-func (s *State) flush(pc, pend, stall uint64, ll int) {
+// base cycles, and the interlock producer.
+func (s *State) flush(pc, pend uint64, ll int) {
 	s.Pc = pc
 	s.Retired += pend
-	s.BaseCycles += pend + stall
+	s.BaseCycles += pend
 	s.LastLoad = ll
 }
 
@@ -121,13 +121,13 @@ func Bubble(in *Instr, ll, never int) uint64 {
 // call.
 func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, error) {
 	code := b.Code
-	// Retired instructions and base cycles accumulate in locals — the
-	// budget left (allow - left have retired), plus stall for load-use
-	// bubbles — and flush into s at every exit; instructions that charge
-	// extra cycles add to BaseCycles directly.  The sampler flushes through
-	// the current instruction first (flushed counts what is applied) so
-	// probes see the counters Step would show.
-	var stall, flushed uint64
+	// Retired instructions and their base cycles accumulate in the budget
+	// left (allow - left have retired) and flush into s at every exit;
+	// load-use bubbles and instructions that charge extra cycles add to
+	// BaseCycles directly.  The sampler flushes through the current
+	// instruction first (flushed counts what is applied) so probes see the
+	// counters Step would show.
+	var flushed uint64
 	left := allow
 	ll, never := s.LastLoad, int(p.Never)
 	sampling, edging := s.Sampling(), s.Edging()
@@ -145,7 +145,7 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			idx, rest = p.Loop(c, code, idx, lim)
 			ll, left, tried = s.LastLoad, left-(lim-rest), rest > 0
 			if idx == len(code) {
-				s.flush(b.End(), allow-left-flushed, stall, ll)
+				s.flush(b.End(), allow-left-flushed, ll)
 				return allow - left, nil
 			}
 			if left == 0 {
@@ -154,11 +154,11 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		}
 		in := &code[idx]
 		if sampling && s.SampleDue() {
-			s.flush(in.PC, allow-left+1-flushed, stall, ll)
-			flushed, stall = allow-left+1, 0
+			s.flush(in.PC, allow-left+1-flushed, ll)
+			flushed = allow - left + 1
 			s.Sample(in.PC)
 		}
-		stall += Bubble(in, ll, never)
+		s.BaseCycles += Bubble(in, ll, never)
 		// A transfer's handler is called here, and not through a helper,
 		// which would not inline and so cost a second call.
 		br, err := NoBranch, error(nil)
@@ -173,21 +173,21 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		if err != nil {
 			// code[idx] faulted: it retires and has paid its bubble, but
 			// does not become the interlock producer.
-			s.flush(in.PC, allow-left-flushed, stall, ll)
+			s.flush(in.PC, allow-left-flushed, ll)
 			return allow - left, err
 		}
 		ll = int(int8(in.LoadReg))
 		if br == NoBranch {
 			idx++
 			if idx == len(code) {
-				s.flush(in.PC+4, allow-left-flushed, stall, ll)
+				s.flush(in.PC+4, allow-left-flushed, ll)
 				return allow - left, nil
 			}
 			continue
 		}
 		if p.Slots == 0 {
 			if br == External {
-				s.flush(s.ExtPC, allow-left-flushed, stall, ll)
+				s.flush(s.ExtPC, allow-left-flushed, ll)
 				return allow - left, nil
 			}
 			idx = int(br)
@@ -208,14 +208,14 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			// pending transfer back in architectural form so Step (or the
 			// next Run) resumes correctly.
 			s.InDelay, s.DelayTarget = true, pendAddr
-			s.flush(in.PC+4, allow-left-flushed, stall, ll)
+			s.flush(in.PC+4, allow-left-flushed, ll)
 			return allow - left, nil
 		}
 		// A transfer loads nothing, so no bubble waits at its slot.
 		din := &code[dIdx]
 		if sampling && s.SampleDue() {
-			s.flush(din.PC, allow-left+1-flushed, stall, ll)
-			flushed, stall = allow-left+1, 0
+			s.flush(din.PC, allow-left+1-flushed, ll)
+			flushed = allow - left + 1
 			s.Sample(din.PC)
 		}
 		dbr, derr := NoBranch, error(nil)
@@ -223,8 +223,10 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		case din.Flags&FNop != 0:
 			// What most slots hold: it retires, and that is all it does.
 		case din.Run != 0:
-			s.LastLoad = -1 // Loop runs the slot, unless it stops at it
-			if i, _ := p.Loop(c, code, dIdx, 1); i == dIdx {
+			// Loop runs the slot, unless it stops at it, as a body of one:
+			// what follows the slot is not looked at.
+			s.LastLoad = -1
+			if i, _ := p.Loop(c, code[dIdx:dIdx+1], 0, 1); i == 0 {
 				derr = p.plain(c, s, code, dIdx, true)
 			}
 		case p.Handlers[din.Op] != nil:
@@ -235,23 +237,23 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 		left--
 		if derr != nil {
 			s.InDelay, s.DelayTarget = true, pendAddr
-			s.flush(din.PC, allow-left-flushed, stall, ll)
+			s.flush(din.PC, allow-left-flushed, ll)
 			return allow - left, derr
 		}
 		ll = int(int8(din.LoadReg))
 		if dbr != NoBranch {
 			// Branch in a delay slot: Step resolves the pending transfer
 			// first, then reports the bug at the landing pc.
-			s.flush(pendAddr, allow-left-flushed, stall, ll)
+			s.flush(pendAddr, allow-left-flushed, ll)
 			return allow - left, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, s.Pc)
 		}
 		if br == External {
-			s.flush(pendAddr, allow-left-flushed, stall, ll)
+			s.flush(pendAddr, allow-left-flushed, ll)
 			return allow - left, nil
 		}
 		idx = int(br)
 	}
-	s.flush(code[idx].PC, allow-left-flushed, stall, ll)
+	s.flush(code[idx].PC, allow-left-flushed, ll)
 	return allow - left, nil
 }
 

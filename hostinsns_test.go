@@ -42,7 +42,7 @@ const hostCountCalls = 8
 
 var (
 	hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
-	hostCountBy  = flag.String("hostcount.by", "", "also log each row's count by function (func) or by source line (line)")
+	hostCountBy  = flag.String("hostcount.by", "", "also log each row's count by function (func) or source line (line), or its functions in the order they ran (trail)")
 )
 
 // raceEnabled is set by race_test.go under the race detector, whose
@@ -307,8 +307,8 @@ func TestExecHostInstructions(t *testing.T) {
 		t.Logf("%s %s decode: %.1f host instructions a word", key, port, float64(c["decode"].n)/float64(decodeWords(port)))
 		// A 32-byte move of the port's Loop has moved loop_long by up to
 		// 25% at equal counts: a timing is read beside where it starts.
-		run := entries["repro/internal/"+port+".(*CPU).run"]
-		t.Logf("%s %s loop: (*CPU).run at %#x, %d mod 64", key, port, run, run%64)
+		run := entries["repro/internal/"+port+".(*CPU).Loop"]
+		t.Logf("%s %s loop: (*CPU).Loop at %#x, %d mod 64", key, port, run, run%64)
 		for _, row := range []struct {
 			name string
 			c    hostCount
@@ -321,7 +321,11 @@ func TestExecHostInstructions(t *testing.T) {
 		} {
 			name := port + " " + row.name
 			t.Logf("%s %s: %d host instructions (%v)", key, name, row.c.n, row.c)
-			if *hostCountBy != "" {
+			switch *hostCountBy {
+			case "":
+			case "trail":
+				t.Logf("%s in order:\n\t%s", name, strings.Join(row.c.trail, "\n\t"))
+			default:
 				t.Logf("%s by %s:\n\t%s", name, *hostCountBy, tally(row.c.by, "\n\t"))
 			}
 			if b := execCountBudget[name]; row.c.n > b {
@@ -432,8 +436,9 @@ func TestEmitHostInstructions(t *testing.T) {
 // -hostcount.by by function or source line.
 type hostCount struct {
 	n    int
-	pkgs map[string]int // by the package's last path element ("core")
-	by   map[string]int
+	pkgs  map[string]int // by the package's last path element ("core")
+	by    map[string]int
+	trail []string // each stretch in one function, in order: "name n"
 }
 
 // String lists the count's packages, the dearest first.
@@ -588,6 +593,11 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 		for _, in := range least {
 			c.pkgs[in.pkg]++
 			c.by[in.by]++
+		}
+		for i, j := 0, 0; i < len(least); i = j {
+			for j = i; j < len(least) && least[j].by == least[i].by; j++ {
+			}
+			c.trail = append(c.trail, fmt.Sprintf("%s %d", least[i].by, j-i))
 		}
 		counts[row.name] = c
 	}

@@ -173,27 +173,26 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 }
 
 // port is what Alpha gives exec's decoder and run loop: no delay slots,
-// an interlock that never charges $31, and its switches and handlers.
-var port = exec.Port[*CPU]{
-	Name: "alpha", Slots: 0, Never: 31, Bad: aBad,
-	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).branch, Uncond: aBr,
-	Handlers: []exec.Handler[*CPU]{
-		aJump: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-			// Read rb before the link write, as the oracle does.
-			t := c.tr(in.B) &^ 3
-			c.twr(in.A, in.PC+4)
-			return b.Indirect(t, &c.ExtPC), nil
-		},
-		aBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			return 0, badWord(uint32(in.Imm), in.PC)
-		},
-	},
+// and an interlock that never charges $31.
+var port = exec.Port{Name: "alpha", Slots: 0, Never: 31, Bad: aBad, Uncond: aBr}
+
+// Transfer is exec.Machine.Transfer: the jumps, a pc-relative branch (or
+// bsr) by branch, and a word with no row.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+	switch in.Op {
+	case aJump:
+		// Read rb before the link write, as the oracle does.
+		t := c.tr(in.B) &^ 3
+		c.twr(in.A, in.PC+4)
+		return b.Indirect(t, &c.ExtPC), nil
+	case aBad:
+		return 0, badWord(uint32(in.Imm), in.PC)
+	}
+	return port.Branch(&c.State, in, c.branch(in)), nil
 }
 
-// Run executes b from index idx through the run loop every port shares.
-func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	return port.Run(c, &c.State, b, idx, allow)
-}
+// Port is the port and the state the run loop executes c with.
+func (c *CPU) Port() (*exec.Port, *exec.State) { return &port, &c.State }
 
 // badWord is what the oracle says of a word with no row: of its function
 // field where the major opcode is an operate group, else of the opcode.
@@ -220,10 +219,10 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("alpha: unknown %s funct %#x at %#x", group, fn, pc)
 }
 
-// run is exec.Port.Loop: integer and FP operates, the quadword (aligned
+// Loop is exec.Machine.Loop: integer and FP operates, the quadword (aligned
 // or not) and longword loads and stores the inline accessors answer, and
 // folds.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 	in, pc := &code[i], &code // code itself stays in memory while a segment runs
 	c.BaseCycles += exec.Bubble(in, c.LastLoad, 31)
 	for {
@@ -425,8 +424,8 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 	return i, left
 }
 
-// slow is exec.Port.Slow: FP loads and stores.
-func (c *CPU) slow(in *exec.Instr) error {
+// Slow is exec.Machine.Slow: FP loads and stores.
+func (c *CPU) Slow(in *exec.Instr) error {
 	switch in.Op {
 	case aLds:
 		v, err := c.Mem.Load(c.taddr(in), 4)

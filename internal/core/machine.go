@@ -45,16 +45,14 @@ type CPU interface {
 	// ResetStats zeroes both counters.
 	ResetStats()
 
-	// The threaded engine, whose loop is exec's (exec.Port.Run).  Decode
-	// unpacks words (linked, as installed at b.Base) into b.Code from
-	// rows[i], the row of words[i] (nil rows: it looks them up); pure.
-	// Predecode is its thin form, a fresh body.
+	// The threaded engine, whose loop is exec's (exec.Port.Run, which
+	// drives the simulator as an exec.Machine).  Decode unpacks words
+	// (linked, as installed at b.Base) into b.Code from rows[i], the row
+	// of words[i] (nil rows: it looks them up); pure.  Predecode is its
+	// thin form, a fresh body.
+	exec.Machine
 	Decode(b *exec.Body, words []uint32, rows []*exec.Row)
 	Predecode(words []uint32, base uint64) *exec.Body
-	// Run executes up to allow instructions from body index idx and
-	// returns how many retired: at least one, a faulting one included.
-	// The PC is then the next instruction, or the faulting one.
-	Run(b *exec.Body, idx int, allow uint64) (uint64, error)
 	// PendingDelay reports a delay-slot branch in flight, which only Step
 	// completes.
 	PendingDelay() bool
@@ -111,6 +109,10 @@ type Machine struct {
 	st     *exec.State
 	regs   *[32]uint64
 	sp, ra uint8
+	// port and mach run the threaded engine: exec's run loop, and cpu as
+	// it drives it.
+	port *exec.Port
+	mach exec.Machine
 
 	syms map[string]uint64
 
@@ -239,6 +241,8 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
 	mc.st, mc.regs = cpu.Regs()
+	mc.port, _ = cpu.Port()
+	mc.mach = cpu
 	mc.sp, mc.ra = uint8(mc.conv.SP.Num()), uint8(mc.conv.RA.Num())
 	if a := uint64(mc.conv.StackAlign); a > 0 {
 		mc.stackTop &^= a - 1
@@ -882,7 +886,7 @@ func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
 	}
 	if p.gen == m.bodyGen && m.threaded && !m.mem.HasFaultHook() {
 		c.steps = 1
-		if c.steps, err = m.cpu.Run(p.body, p.idx, stop); err != nil {
+		if c.steps, err = m.port.Run(m.mach, s, p.body, p.idx, stop); err != nil {
 			return Value{}, m.runErr(f, err)
 		}
 	}
@@ -906,7 +910,7 @@ func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
 			}
 			continue
 		}
-		n, err := m.cpu.Run(b, idx, stop-c.steps+1)
+		n, err := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
 		if c.steps += n - 1; err != nil {
 			return Value{}, m.runErr(f, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/alpha"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/mips"
 	"repro/internal/regtest"
@@ -101,7 +102,7 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 		if allow > chunk {
 			allow = chunk
 		}
-		if _, err := tc.Run(body, body.IndexOf(pc), allow); err != nil {
+		if _, err := exec.Run(tc, body, body.IndexOf(pc), allow); err != nil {
 			err2 = err
 			break
 		}

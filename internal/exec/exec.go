@@ -154,7 +154,7 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 // b or External.  It is pure.  A word with no row becomes p.Bad, whose
 // handler gives the oracle's message, so unreachable garbage (pads,
 // literal pools) still installs.
-func (p *Port[P]) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
+func (p *Port) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 	if rows == nil {
 		rows = make([]*Row, len(words))
 		for i, w := range words {

@@ -61,21 +61,9 @@ func (s *State) flush(pc, pend uint64, ll int) {
 	s.LastLoad = ll
 }
 
-// Handler executes one transfer, or refuses one undecodable word.  It
-// returns NoBranch to fall through, an in-body index for a taken transfer
-// that stays in the body, or External after depositing the destination in
-// the State's ExtPC (Instr.Jump, Body.Indirect).
-type Handler[P any] func(c P, b *Body, in *Instr) (int32, error)
-
-// Port is what a port's CPU, of type P, gives the run loop: its shape and
-// the parts of execution that are its own.
-type Port[P any] struct {
-	Name  string // the ISA's name, as its Step prefixes its errors
-	Slots int    // delay slots per transfer: 0 or 1
-	Nop   uint32 // with slots, the canonical nop (FNop)
-	Never uint8  // the register the load-use interlock never charges, NoReg for none
-	Bad   uint16 // the opcode of a word with no row: its handler refuses it
-
+// Machine is a port's simulator as the run loop drives it: the parts of
+// execution that are its own.
+type Machine interface {
 	// Loop, the port's hot loop, calls nothing.  From code[idx] on it
 	// executes runs of the plain instructions that need no call, each a
 	// segment that pays the Stall bits after its first in one sum
@@ -87,16 +75,35 @@ type Port[P any] struct {
 	// through pays its Stall bit, and a fold's landing none.  It returns
 	// where it stopped and the budget left, charges the bubbles to
 	// State.BaseCycles and leaves the interlock producer in State.LastLoad.
-	Loop func(c P, code []Instr, idx int, left uint64) (int, uint64)
+	Loop(code []Instr, idx int, left uint64) (int, uint64)
 	// Slow executes a plain instruction Loop stops at but did not decline.
-	Slow func(c P, in *Instr) error
-	// Cond is whether in, of a pc-relative branch row, is taken, as Loop
-	// folds it.  Run fires the edge probe on a branch it resolves, as the
-	// oracle does, but on Uncond's (Bad where every branch is conditional).
-	Cond   func(c P, in *Instr) bool
-	Uncond uint16
-	// Handlers holds a transfer's Handler by opcode; a branch has Cond.
-	Handlers []Handler[P]
+	Slow(in *Instr) error
+	// Transfer executes a transfer Loop does not fold, a pc-relative
+	// branch through Port.Branch, or refuses an undecodable word.  It
+	// returns NoBranch to fall through, an in-body index for a taken
+	// transfer that stays in b, or External after depositing the
+	// destination in the State's ExtPC (Instr.Jump, Body.Indirect).
+	Transfer(b *Body, in *Instr) (int32, error)
+	// Port is the port's shape, and State its simulator's state: what Run
+	// executes it with.
+	Port() (*Port, *State)
+}
+
+// Port is a port's shape.
+type Port struct {
+	Name   string // the ISA's name, as its Step prefixes its errors
+	Slots  int    // delay slots per transfer: 0 or 1
+	Nop    uint32 // with slots, the canonical nop (FNop)
+	Never  uint8  // the register the load-use interlock never charges, NoReg for none
+	Bad    uint16 // the opcode of a word with no row: Transfer refuses it
+	Uncond uint16 // the branch Branch fires no edge probe on (Bad where every branch is conditional)
+}
+
+// Run executes b's code from index idx on c, through the run loop every
+// port shares (Port.Run).
+func Run(c Machine, b *Body, idx int, allow uint64) (uint64, error) {
+	p, s := c.Port()
+	return p.Run(c, s, b, idx, allow)
 }
 
 // Bubble is 1 where in reads ll, loaded just before, a register not never.
@@ -119,7 +126,7 @@ func Bubble(in *Instr, ll, never int) uint64 {
 // path below, alone, and so does every instruction while a sampler is
 // attached.  A delay slot that holds the canonical nop retires without a
 // call.
-func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, error) {
+func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64, error) {
 	code := b.Code
 	// Retired instructions and their base cycles accumulate in the budget
 	// left (allow - left have retired) and flush into s at every exit;
@@ -142,7 +149,7 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			}
 			var rest uint64
 			s.LastLoad = ll
-			idx, rest = p.Loop(c, code, idx, lim)
+			idx, rest = c.Loop(code, idx, lim)
 			ll, left, tried = s.LastLoad, left-(lim-rest), rest > 0
 			if idx == len(code) {
 				s.flush(b.End(), allow-left-flushed, ll)
@@ -159,15 +166,11 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			s.Sample(in.PC)
 		}
 		s.BaseCycles += Bubble(in, ll, never)
-		// A transfer's handler is called here, and not through a helper,
-		// which would not inline and so cost a second call.
 		br, err := NoBranch, error(nil)
 		if in.Run != 0 {
 			err = p.plain(c, s, code, idx, tried)
-		} else if h := p.Handlers[in.Op]; h != nil {
-			br, err = h(c, b, in)
-		} else if p.branch(c, s, in) {
-			br = in.Jump(&s.ExtPC)
+		} else {
+			br, err = c.Transfer(b, in)
 		}
 		left--
 		if err != nil {
@@ -226,13 +229,11 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 			// Loop runs the slot, unless it stops at it, as a body of one:
 			// what follows the slot is not looked at.
 			s.LastLoad = -1
-			if i, _ := p.Loop(c, code[dIdx:dIdx+1], 0, 1); i == 0 {
+			if i, _ := c.Loop(code[dIdx:dIdx+1], 0, 1); i == 0 {
 				derr = p.plain(c, s, code, dIdx, true)
 			}
-		case p.Handlers[din.Op] != nil:
-			dbr, derr = p.Handlers[din.Op](c, b, din)
-		case p.branch(c, s, din):
-			dbr = din.Jump(&s.ExtPC)
+		default:
+			dbr, derr = c.Transfer(b, din)
 		}
 		left--
 		if derr != nil {
@@ -257,31 +258,34 @@ func (p *Port[P]) Run(c P, s *State, b *Body, idx int, allow uint64) (uint64, er
 	return allow - left, nil
 }
 
-// branch resolves in, of a pc-relative branch row, by Cond, and fires the
-// edge probe.
-func (p *Port[P]) branch(c P, s *State, in *Instr) bool {
-	taken := p.Cond(c, in)
+// Branch is where in, of a pc-relative branch row, goes: NoBranch, or
+// where in.Jump says if taken.  It fires the edge probe, as the oracle
+// does, but on Uncond.
+func (p *Port) Branch(s *State, in *Instr, taken bool) int32 {
 	if in.Op != p.Uncond && s.Edging() { // Edge's own guard: Edge is too big to inline
 		s.Edge(in.PC, taken)
 	}
-	return taken
+	if !taken {
+		return NoBranch
+	}
+	return in.Jump(&s.ExtPC)
 }
 
 // plain executes code[idx], a plain instruction, alone, its bubble paid:
 // in Loop (unless Loop tried it), in Slow, or, its access declined, in
 // Loop again once mem.Memory.Admit has admitted it.
-func (p *Port[P]) plain(c P, s *State, code []Instr, idx int, tried bool) error {
+func (p *Port) plain(c Machine, s *State, code []Instr, idx int, tried bool) error {
 	if s.LastLoad = -1; !tried {
-		if i, _ := p.Loop(c, code, idx, 1); i > idx {
+		if i, _ := c.Loop(code, idx, 1); i > idx {
 			return nil
 		}
 	}
 	what := s.Declined
 	if what == "" {
-		return p.Slow(c, &code[idx])
+		return c.Slow(&code[idx])
 	}
 	s.Declined = ""
-	if err := s.Mem.Admit(func() { p.Loop(c, code, idx, 1) }); err != nil {
+	if err := s.Mem.Admit(func() { c.Loop(code, idx, 1) }); err != nil {
 		return fmt.Errorf("%s: %s at pc %#x: %w", p.Name, what, code[idx].PC, err)
 	}
 	return nil

@@ -143,7 +143,7 @@ func TestDecodeUnpacksBySlot(t *testing.T) {
 		{0xfc000000 | 3<<21 | 6<<13 | 1<<12 | 7, Instr{Op: 7, Run: 1, A: 3, C: 7, Imm: -2, Flags: FImm}},
 	} {
 		b := &Body{Code: make([]Instr, 1)}
-		(&Port[struct{}]{Never: NoReg}).Decode(tab, b, []uint32{tc.w}, nil)
+		(&Port{Never: NoReg}).Decode(tab, b, []uint32{tc.w}, nil)
 		if tc.want.SrcA, tc.want.SrcB, tc.want.LoadReg = NoReg, NoReg, NoReg; b.Code[0] != tc.want {
 			t.Errorf("%#08x: %+v, want %+v", tc.w, b.Code[0], tc.want)
 		}

@@ -147,7 +147,7 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 		}
 	}()
 	a.CPU.SetPC(base)
-	_, _ = a.CPU.Run(body, 0, 1)
+	_, _ = exec.Run(a.CPU, body, 0, 1)
 }
 
 // CheckRows is the per-row round trip: words synthesised from each row's
@@ -400,7 +400,7 @@ func (a *ISA) CheckStep(t *testing.T) {
 				break
 			}
 		}
-		_, errs[1] = p[1].Run(p[1].Predecode(words, base), 0, uint64(len(words)))
+		_, errs[1] = exec.Run(p[1], p[1].Predecode(words, base), 0, uint64(len(words)))
 		d := diff.ErrDiff(errs[0], errs[1]) + diff.StateDiff(p[0], p[1])
 		if p[0].PendingDelay() != p[1].PendingDelay() {
 			d += "a delay slot pending on one engine only\n"

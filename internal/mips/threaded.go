@@ -162,46 +162,41 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 }
 
 // port is what MIPS gives exec's decoder and run loop: one delay slot and
-// its nop, an interlock that never charges $zero, and its switches and
-// handlers.
-var port = exec.Port[*CPU]{
-	Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad,
-	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).cond, Uncond: mJ,
-	Handlers: []exec.Handler[*CPU]{
-		mJr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-			return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
-		},
-		mJalr: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-			// Link before reading rs, as the oracle does (rd == rs uses the
-			// freshly written link value).
-			c.twr(in.C, uint32(in.PC+8))
-			return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
-		},
-		mBal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			// The oracle writes the link register before evaluating the
-			// condition, taken or not; the condition is bgez's.
-			c.twr(rRA, uint32(in.PC+8))
-			taken := c.trs(in.A) >= 0
-			c.Edge(in.PC, taken)
-			if !taken {
-				return exec.NoBranch, nil
-			}
-			return in.Jump(&c.ExtPC), nil
-		},
-		mJal: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			c.twr(rRA, uint32(in.PC+8))
-			return in.Jump(&c.ExtPC), nil
-		},
-		mBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			return 0, badWord(uint32(in.Imm), in.PC)
-		},
-	},
+// its nop, and an interlock that never charges $zero.
+var port = exec.Port{Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Uncond: mJ}
+
+// Transfer is exec.Machine.Transfer: jr, jalr, bal, jal, a pc-relative
+// branch by cond, and a word with no row.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+	switch in.Op {
+	case mJr:
+		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+	case mJalr:
+		// Link before reading rs, as the oracle does (rd == rs uses the
+		// freshly written link value).
+		c.twr(in.C, uint32(in.PC+8))
+		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+	case mBal:
+		// The oracle writes the link register before evaluating the
+		// condition, taken or not; the condition is bgez's.
+		c.twr(rRA, uint32(in.PC+8))
+		taken := c.trs(in.A) >= 0
+		c.Edge(in.PC, taken)
+		if !taken {
+			return exec.NoBranch, nil
+		}
+		return in.Jump(&c.ExtPC), nil
+	case mJal:
+		c.twr(rRA, uint32(in.PC+8))
+		return in.Jump(&c.ExtPC), nil
+	case mBad:
+		return 0, badWord(uint32(in.Imm), in.PC)
+	}
+	return port.Branch(&c.State, in, c.cond(in)), nil
 }
 
-// Run executes b from index idx through the run loop every port shares.
-func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	return port.Run(c, &c.State, b, idx, allow)
-}
+// Port is the port and the state the run loop executes c with.
+func (c *CPU) Port() (*exec.Port, *exec.State) { return &port, &c.State }
 
 // badWord is what the oracle says of a word with no row, decode group by
 // decode group.
@@ -225,9 +220,9 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
 }
 
-// run is exec.Port.Loop: integer and FP operates but the divides, moves,
+// Loop is exec.Machine.Loop: integer and FP operates but the divides, moves,
 // and the word loads and stores the inline accessors answer, and folds.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 	if left == 0 {
 		return i, 0
 	}
@@ -416,9 +411,9 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 	return i, left
 }
 
-// slow is exec.Port.Slow: byte, halfword and FP loads and stores, and the
+// Slow is exec.Machine.Slow: byte, halfword and FP loads and stores, and the
 // divides, whose host registers would cost every case of run one.
-func (c *CPU) slow(in *exec.Instr) error {
+func (c *CPU) Slow(in *exec.Instr) error {
 	switch in.Op {
 	case mDiv:
 		d := c.trs(in.B)

@@ -141,31 +141,29 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode(isa, b, words, rows) }
 
 // port is what SPARC gives exec's decoder and run loop: one delay slot
-// and its nop, no load-use interlock, and its switches and handlers.
-var port = exec.Port[*CPU]{
-	Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad,
-	Loop: (*CPU).run, Slow: (*CPU).slow, Cond: (*CPU).cond, Uncond: sBad,
-	Handlers: []exec.Handler[*CPU]{
-		sCall: func(c *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			c.twr(rO7, uint32(in.PC))
-			return in.Jump(&c.ExtPC), nil
-		},
-		sJmpl: func(c *CPU, b *exec.Body, in *exec.Instr) (int32, error) {
-			// Read the sources before the link write, as the oracle does.
-			t := c.taddr(in)
-			c.twr(in.C, uint32(in.PC))
-			return b.Indirect(t, &c.ExtPC), nil
-		},
-		sBad: func(_ *CPU, _ *exec.Body, in *exec.Instr) (int32, error) {
-			return 0, badWord(uint32(in.Imm), in.PC)
-		},
-	},
+// and its nop, and no load-use interlock.
+var port = exec.Port{Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad, Uncond: sBad}
+
+// Transfer is exec.Machine.Transfer: call, jmpl, a pc-relative branch by
+// cond, and a word with no row.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+	switch in.Op {
+	case sCall:
+		c.twr(rO7, uint32(in.PC))
+		return in.Jump(&c.ExtPC), nil
+	case sJmpl:
+		// Read the sources before the link write, as the oracle does.
+		t := c.taddr(in)
+		c.twr(in.C, uint32(in.PC))
+		return b.Indirect(t, &c.ExtPC), nil
+	case sBad:
+		return 0, badWord(uint32(in.Imm), in.PC)
+	}
+	return port.Branch(&c.State, in, c.cond(in)), nil
 }
 
-// Run executes b from index idx through the run loop every port shares.
-func (c *CPU) Run(b *exec.Body, idx int, allow uint64) (uint64, error) {
-	return port.Run(c, &c.State, b, idx, allow)
-}
+// Port is the port and the state the run loop executes c with.
+func (c *CPU) Port() (*exec.Port, *exec.State) { return &port, &c.State }
 
 // badWord is what the oracle says of a word with no row, decode group by
 // decode group.
@@ -184,9 +182,9 @@ func badWord(w uint32, pc uint64) error {
 	return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, pc)
 }
 
-// run is exec.Port.Loop: integer and FP operates, the word loads and
+// Loop is exec.Machine.Loop: integer and FP operates, the word loads and
 // stores the inline accessors answer, and folds.  Nothing stalls.
-func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
+func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 	if left == 0 {
 		return i, 0
 	}
@@ -379,8 +377,8 @@ func (c *CPU) run(code []exec.Instr, i int, left uint64) (int, uint64) {
 	return i, left
 }
 
-// slow is exec.Port.Slow: byte, halfword and FP loads and stores.
-func (c *CPU) slow(in *exec.Instr) error {
+// Slow is exec.Machine.Slow: byte, halfword and FP loads and stores.
+func (c *CPU) Slow(in *exec.Instr) error {
 	switch in.Op {
 	case sLdub:
 		v, err := c.Mem.Load(c.taddr(in), 1)

@@ -802,11 +802,22 @@ type CallStats struct {
 // remembers and reads the counters and the result in place; placement,
 // stack and FP arguments, polling, recording, traps, Step and the trace
 // writer are out of line.
-func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
+func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (v Value, st CallStats, err error) {
 	// Whether ctx can end the call is asked first, while nothing else is
 	// live across the interface call.
 	polls := ctx != nil && ctx.Done() != nil || !opts.Deadline.IsZero()
 	m.mu.Lock()
+	defer func() {
+		// The simulators are fuzzed, but a panic must still come back an
+		// error, not unwind the caller; v is still zero then.
+		if r := recover(); r != nil {
+			err, st = m.runErr(f, &PanicError{PC: m.st.Pc, Value: r}), m.stats()
+		}
+		if m.call.closing {
+			m.closeCall(f, st, err)
+		}
+		m.mu.Unlock()
+	}()
 	s, c := m.st, &m.call
 	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
@@ -823,54 +834,28 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			c.stride = 1024
 		}
 	}
-	v, err := m.enter(f, args, stop)
-	if c.panicked != nil {
-		err, c.panicked = m.runErr(f, &PanicError{PC: s.Pc, Value: c.panicked}), nil
-	}
-	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
-	if c.closing {
-		m.closeCall(f, st, err)
-	}
-	m.mu.Unlock()
-	return v, st, err
-}
-
-// enter places f if it must, writes its arguments and runs it from its
-// entry until it returns, with a poll or the budget's end due at step
-// stop.  The simulators are fuzzed, but a panic must still come back an
-// error, not unwind the caller: enter then returns zeros, and the panic's
-// value is in the call's frame.  Caller holds mu.
-func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.call.panicked = r
-		}
-	}()
-	if f.home() != m {
-		if err := m.placeForCall(f); err != nil {
-			return Value{}, err
-		}
-	}
-	p, params, regs := &f.plan, f.Params, m.regs
-	if !p.direct || p.nargs != len(args) || len(params) != len(args) {
-		if err := m.marshal(f, args); err != nil {
-			return Value{}, err
-		}
-	} else {
-		var mismatch Type
-		store := p.store[:len(args)]
-		for i, a := range args {
-			mismatch |= a.T ^ params[i]
-			regs[store[i].num&31] = store[i].canon(a.Bits)
-		}
-		regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
-		if mismatch != 0 {
-			if err := m.marshal(f, args); err != nil {
-				return Value{}, err
+	// A resident function whose plan is direct takes one store an
+	// argument; prepare does what else a call may need first.
+	regs, pend := m.regs, true
+	if f.home() == m {
+		if p := &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
+			var mismatch Type
+			store := p.store[:len(args)]
+			for i := range store {
+				a, d := &args[i], &store[i]
+				mismatch |= a.T ^ d.t
+				regs[d.num&31] = d.canon(a.Bits)
 			}
+			regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
+			pend = mismatch != 0
 		}
 	}
-	s, c := m.st, &m.call
+	if pend {
+		if err := m.prepare(f, args); err != nil {
+			return v, m.stats(), err
+		}
+	}
+	p := &f.plan
 	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
 	// The first pass enters the entry's body, remembered, where nothing
 	// forces Step.  From there the body that
@@ -878,22 +863,21 @@ func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
 	// stride's multiples as on Step.  An in-body pc is never a trap.  A
 	// pending delay slot, a fault hook (which sees only Step's fetches)
 	// and the trace writer force Step.
-	var err error
 	if stop == 0 { // a poll is due at step 0, or the budget is spent
 		if stop, err = m.checkpoint(f); err != nil {
-			return Value{}, err
+			return v, m.stats(), err
 		}
 	}
 	if p.gen == m.bodyGen && m.threaded && !m.mem.HasFaultHook() {
 		c.steps = 1
 		if c.steps, err = m.port.Run(m.mach, s, p.body, p.idx, stop); err != nil {
-			return Value{}, m.runErr(f, err)
+			return v, m.stats(), m.runErr(f, err)
 		}
 	}
 	for pc := s.Pc; pc != m.haltAddr; pc = s.Pc {
 		if c.steps == stop { // a poll is due, or the budget is spent
 			if stop, err = m.checkpoint(f); err != nil {
-				return Value{}, err
+				return v, m.stats(), err
 			}
 		}
 		// A trap dispatch consumes a step too, so a trap that returns to
@@ -906,19 +890,25 @@ func (m *Machine) enter(f *Func, args []Value, stop uint64) (Value, error) {
 		}
 		if b == nil {
 			if err = m.step(pc); err != nil {
-				return Value{}, m.runErr(f, err)
+				return v, m.stats(), m.runErr(f, err)
 			}
 			continue
 		}
 		n, err := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
 		if c.steps += n - 1; err != nil {
-			return Value{}, m.runErr(f, err)
+			return v, m.stats(), m.runErr(f, err)
 		}
 	}
 	if p.fpRet { // SPARC pairs its FP bank: FReg reads the result
-		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, nil
+		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, m.stats(), nil
 	}
-	return Value{T: f.Result, Bits: p.ret.canon(regs[p.ret.num&31])}, nil
+	return Value{T: f.Result, Bits: p.ret.canon(regs[p.ret.num&31])}, m.stats(), nil
+}
+
+// stats is the running call's CallStats so far.
+func (m *Machine) stats() CallStats {
+	s, c := m.st, &m.call
+	return CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
 }
 
 // closeCall ends a call that was timed or polled: it records the call if
@@ -936,11 +926,9 @@ func (m *Machine) closeCall(f *Func, st CallStats, err error) {
 // mu, where the call body's stops out of line read it: the clock and
 // counters at its start, the steps it has taken, its budget, and, if it
 // polls, every stride steps, its context (which may be nil) and deadline.
-// closing is whether the call is timed or polls, so closeCall ends it;
-// panicked is what a simulator panicked with, until the call reports it.
+// closing is whether the call is timed or polls, so closeCall ends it.
 type callFrame struct {
 	closing                bool
-	panicked               any
 	start                  time.Time
 	cycles0, insns0, steps uint64
 	budget, stride         uint64
@@ -996,19 +984,24 @@ func (m *Machine) runErr(f *Func, err error) error {
 	return fmt.Errorf("machine: running %s: %w", name, err)
 }
 
-// placeForCall is the call body's placement, out of line to keep the warm
-// path lean (which never re-hashes the words: Install checks the
-// fingerprint): a function no unit has placed is installed, one that left
-// never is again.
-func (m *Machine) placeForCall(f *Func) error {
-	if f != nil && f.unit != nil && f.unit.unloaded {
-		return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+// prepare is the call body's placement and argument path, out of line to
+// keep the warm path lean (which never re-hashes the words: Install
+// checks the fingerprint): a function no unit has placed is installed,
+// one that left never is again; then marshal writes the arguments.
+func (m *Machine) prepare(f *Func, args []Value) error {
+	if f.home() != m {
+		if f != nil && f.unit != nil && f.unit.unloaded {
+			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+		}
+		if err := m.installLocked(f); err != nil {
+			return err
+		}
 	}
-	return m.installLocked(f)
+	return m.marshal(f, args)
 }
 
 // marshal is the call body's argument path out of line, where the plan's
-// stores decline: it checks the arguments' count and types, plans f afresh if
+// stores decline (prepare): it checks the arguments' count and types, plans f afresh if
 // Params was resized behind the resident function's back, lays the
 // arguments out, and writes stack arguments to memory, FP ones through
 // SetFReg (SPARC pairs its FP bank), integer ones, SP and RA as the
@@ -1046,19 +1039,20 @@ func (m *Machine) marshal(f *Func, args []Value) error {
 	return nil
 }
 
-// argStore is how the call body writes an integer register argument: the
-// register's number, and the register's canonical form of the value, what
-// SetReg would leave there: sign-extended from its low 32 bits (a 32-bit
-// type on a 64-bit port: sx is 32, else 0), then masked to the register's
-// width (the low 32 bits on a 32-bit port).
+// argStore is how the call body writes an integer register argument of
+// type t: the register's number, and the register's canonical form of the
+// value, what SetReg would leave there: sign-extended from its low 32 bits
+// (a 32-bit type on a 64-bit port: sx is 32, else 0), then masked to the
+// register's width (the low 32 bits on a 32-bit port).
 type argStore struct {
 	num, sx uint8
+	t       Type
 	mask    uint64
 }
 
 // argStore compiles the store of the integer register argument at loc.
 func (m *Machine) argStore(loc argLoc) argStore {
-	d := argStore{num: uint8(loc.reg.Num()), mask: ^uint64(0) >> (64 - 8*m.ptrBytes)}
+	d := argStore{num: uint8(loc.reg.Num()), t: loc.t, mask: ^uint64(0) >> (64 - 8*m.ptrBytes)}
 	if m.ptrBytes == 8 && (loc.t == TypeI || loc.t == TypeU) {
 		d.sx = 32
 	}

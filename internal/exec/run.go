@@ -52,13 +52,12 @@ func (s *State) ResetStats() {
 func (s *State) PendingDelay() bool { return s.InDelay }
 
 // flush brings s up to date at pc, where the run loop is leaving or a
-// probe is about to look: pend retired instructions not yet counted, their
-// base cycles, and the interlock producer.
-func (s *State) flush(pc, pend uint64, ll int) {
+// probe is about to look: pend retired instructions not yet counted, and
+// their base cycles.
+func (s *State) flush(pc, pend uint64) {
 	s.Pc = pc
 	s.Retired += pend
 	s.BaseCycles += pend
-	s.LastLoad = ll
 }
 
 // Machine is a port's simulator as the run loop drives it: the parts of
@@ -131,12 +130,12 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64,
 	// Retired instructions and their base cycles accumulate in the budget
 	// left (allow - left have retired) and flush into s at every exit;
 	// load-use bubbles and instructions that charge extra cycles add to
-	// BaseCycles directly.  The sampler flushes through the current
-	// instruction first (flushed counts what is applied) so probes see the
-	// counters Step would show.
+	// BaseCycles directly, and the interlock producer is s.LastLoad
+	// throughout.  The sampler flushes through the current instruction
+	// first (flushed counts what is applied) so probes see the counters
+	// Step would show.
 	var flushed uint64
 	left := allow
-	ll, never := s.LastLoad, int(p.Never)
 	sampling, edging := s.Sampling(), s.Edging()
 	for left > 0 {
 		tried := false // whether Loop stopped at code[idx] for its call
@@ -148,24 +147,23 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64,
 				lim = min(left, uint64(code[idx].Run))
 			}
 			var rest uint64
-			s.LastLoad = ll
 			idx, rest = c.Loop(code, idx, lim)
-			ll, left, tried = s.LastLoad, left-(lim-rest), rest > 0
+			left, tried = left-(lim-rest), rest > 0
 			if idx == len(code) {
-				s.flush(b.End(), allow-left-flushed, ll)
+				s.flush(b.End(), allow-left-flushed)
 				return allow - left, nil
 			}
 			if left == 0 {
 				break
 			}
 		}
-		in := &code[idx]
+		in, ll := &code[idx], s.LastLoad
 		if sampling && s.SampleDue() {
-			s.flush(in.PC, allow-left+1-flushed, ll)
+			s.flush(in.PC, allow-left+1-flushed)
 			flushed = allow - left + 1
 			s.Sample(in.PC)
 		}
-		s.BaseCycles += Bubble(in, ll, never)
+		s.BaseCycles += Bubble(in, ll, int(p.Never))
 		br, err := NoBranch, error(nil)
 		if in.Run != 0 {
 			err = p.plain(c, s, code, idx, tried)
@@ -176,21 +174,25 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64,
 		if err != nil {
 			// code[idx] faulted: it retires and has paid its bubble, but
 			// does not become the interlock producer.
-			s.flush(in.PC, allow-left-flushed, ll)
+			s.LastLoad = ll
+			s.flush(in.PC, allow-left-flushed)
 			return allow - left, err
 		}
-		ll = int(int8(in.LoadReg))
+		s.LastLoad = int(int8(in.LoadReg))
 		if br == NoBranch {
-			idx++
-			if idx == len(code) {
-				s.flush(in.PC+4, allow-left-flushed, ll)
+			if idx++; idx == len(code) {
+				s.flush(in.PC+4, allow-left-flushed)
 				return allow - left, nil
 			}
 			continue
 		}
+		pend := s.ExtPC
+		if br != External {
+			pend = b.Base + 4*uint64(br)
+		}
 		if p.Slots == 0 {
 			if br == External {
-				s.flush(s.ExtPC, allow-left-flushed, ll)
+				s.flush(pend, allow-left-flushed)
 				return allow - left, nil
 			}
 			idx = int(br)
@@ -199,62 +201,51 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64,
 
 		// Taken transfer: the next word is the delay slot and the
 		// transfer lands after it.
-		var pendAddr uint64
-		if br == External {
-			pendAddr = s.ExtPC
-		} else {
-			pendAddr = b.Base + 4*uint64(br)
-		}
-		dIdx := idx + 1
-		if dIdx == len(code) || left == 0 {
+		if idx++; idx == len(code) || left == 0 {
 			// Delay slot beyond this body or beyond budget: hand the
 			// pending transfer back in architectural form so Step (or the
 			// next Run) resumes correctly.
-			s.InDelay, s.DelayTarget = true, pendAddr
-			s.flush(in.PC+4, allow-left-flushed, ll)
+			s.InDelay, s.DelayTarget = true, pend
+			s.flush(in.PC+4, allow-left-flushed)
 			return allow - left, nil
 		}
 		// A transfer loads nothing, so no bubble waits at its slot.
-		din := &code[dIdx]
+		in = &code[idx]
 		if sampling && s.SampleDue() {
-			s.flush(din.PC, allow-left+1-flushed, ll)
+			s.flush(in.PC, allow-left+1-flushed)
 			flushed = allow - left + 1
-			s.Sample(din.PC)
+			s.Sample(in.PC)
 		}
-		dbr, derr := NoBranch, error(nil)
-		switch {
-		case din.Flags&FNop != 0:
-			// What most slots hold: it retires, and that is all it does.
-		case din.Run != 0:
-			// Loop runs the slot, unless it stops at it, as a body of one:
-			// what follows the slot is not looked at.
-			s.LastLoad = -1
-			if i, _ := c.Loop(code[dIdx:dIdx+1], 0, 1); i == 0 {
-				derr = p.plain(c, s, code, dIdx, true)
+		if left--; in.Flags&FNop == 0 { // what most slots hold: it retires, and that is all it does
+			if in.Run != 0 {
+				// Loop runs the slot, unless it stops at it, as a body of
+				// one: what follows the slot is not looked at.
+				if i, _ := c.Loop(code[idx:idx+1], 0, 1); i == 0 {
+					err = p.plain(c, s, code, idx, true)
+				}
+			} else if br2, err2 := c.Transfer(b, in); err2 == nil && br2 != NoBranch {
+				// Branch in a delay slot: Step resolves the pending
+				// transfer first, then reports the bug at the landing pc.
+				s.LastLoad = int(int8(in.LoadReg))
+				s.flush(pend, allow-left-flushed)
+				return allow - left, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, s.Pc)
+			} else {
+				err = err2
 			}
-		default:
-			dbr, derr = c.Transfer(b, din)
+			if err != nil {
+				s.InDelay, s.DelayTarget = true, pend
+				s.flush(in.PC, allow-left-flushed)
+				return allow - left, err
+			}
 		}
-		left--
-		if derr != nil {
-			s.InDelay, s.DelayTarget = true, pendAddr
-			s.flush(din.PC, allow-left-flushed, ll)
-			return allow - left, derr
-		}
-		ll = int(int8(din.LoadReg))
-		if dbr != NoBranch {
-			// Branch in a delay slot: Step resolves the pending transfer
-			// first, then reports the bug at the landing pc.
-			s.flush(pendAddr, allow-left-flushed, ll)
-			return allow - left, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, s.Pc)
-		}
+		s.LastLoad = int(int8(in.LoadReg))
 		if br == External {
-			s.flush(pendAddr, allow-left-flushed, ll)
+			s.flush(pend, allow-left-flushed)
 			return allow - left, nil
 		}
 		idx = int(br)
 	}
-	s.flush(code[idx].PC, allow-left-flushed, ll)
+	s.flush(code[idx].PC, allow-left-flushed)
 	return allow - left, nil
 }
 

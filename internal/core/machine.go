@@ -802,22 +802,11 @@ type CallStats struct {
 // remembers and reads the counters and the result in place; placement,
 // stack and FP arguments, polling, recording, traps, Step and the trace
 // writer are out of line.
-func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (v Value, st CallStats, err error) {
+func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
 	// Whether ctx can end the call is asked first, while nothing else is
 	// live across the interface call.
 	polls := ctx != nil && ctx.Done() != nil || !opts.Deadline.IsZero()
 	m.mu.Lock()
-	defer func() {
-		// The simulators are fuzzed, but a panic must still come back an
-		// error, not unwind the caller; v is still zero then.
-		if r := recover(); r != nil {
-			err, st = m.runErr(f, &PanicError{PC: m.st.Pc, Value: r}), m.stats()
-		}
-		if m.call.closing {
-			m.closeCall(f, st, err)
-		}
-		m.mu.Unlock()
-	}()
 	s, c := m.st, &m.call
 	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
@@ -834,6 +823,13 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			c.stride = 1024
 		}
 	}
+	// Every stop below that runs a simulator, or code the machine does
+	// not own, recovers a panic into the error the call reports: the
+	// simulators are fuzzed, but a panic must still come back an error,
+	// not unwind the caller with the machine locked.
+	var v Value
+	var err error
+	var p *callPlan
 	// A resident function whose plan is direct takes one store an
 	// argument; prepare does what else a call may need first.
 	regs, pend := m.regs, true
@@ -851,33 +847,32 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		}
 	}
 	if pend {
-		if err := m.prepare(f, args); err != nil {
-			return v, m.stats(), err
+		if err = m.prepare(f, args); err != nil {
+			goto done
 		}
 	}
-	p := &f.plan
+	p = &f.plan
 	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
 	// The first pass enters the entry's body, remembered, where nothing
-	// forces Step.  From there the body that
-	// covers pc may retire up to stop-steps+1, so polls land on the
-	// stride's multiples as on Step.  An in-body pc is never a trap.  A
-	// pending delay slot, a fault hook (which sees only Step's fetches)
-	// and the trace writer force Step.
+	// forces Step.  From there the body that covers pc may retire up to
+	// stop-steps+1, so polls land on the stride's multiples as on Step.
+	// An in-body pc is never a trap.  A pending delay slot, a fault hook
+	// (which sees only Step's fetches) and the trace writer force Step.
 	if stop == 0 { // a poll is due at step 0, or the budget is spent
 		if stop, err = m.checkpoint(f); err != nil {
-			return v, m.stats(), err
+			goto done
 		}
 	}
 	if p.gen == m.bodyGen && m.threaded && !m.mem.HasFaultHook() {
-		c.steps = 1
 		if c.steps, err = m.port.Run(m.mach, s, p.body, p.idx, stop); err != nil {
-			return v, m.stats(), m.runErr(f, err)
+			err = m.runErr(f, err)
+			goto done
 		}
 	}
 	for pc := s.Pc; pc != m.haltAddr; pc = s.Pc {
 		if c.steps == stop { // a poll is due, or the budget is spent
 			if stop, err = m.checkpoint(f); err != nil {
-				return v, m.stats(), err
+				goto done
 			}
 		}
 		// A trap dispatch consumes a step too, so a trap that returns to
@@ -889,26 +884,37 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			b, idx = m.bodyFor(p, pc)
 		}
 		if b == nil {
-			if err = m.step(pc); err != nil {
-				return v, m.stats(), m.runErr(f, err)
+			if err = m.step(f, pc); err != nil {
+				goto done
 			}
 			continue
 		}
-		n, err := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
-		if c.steps += n - 1; err != nil {
-			return v, m.stats(), m.runErr(f, err)
+		n, rerr := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
+		if c.steps += n - 1; rerr != nil {
+			err = m.runErr(f, rerr)
+			goto done
 		}
 	}
-	if p.fpRet { // SPARC pairs its FP bank: FReg reads the result
-		return Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}, m.stats(), nil
+	if v.T = f.Result; p.fpRet { // SPARC pairs its FP bank: FReg reads the result
+		v.Bits = m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)
+	} else {
+		v.Bits = p.ret.canon(regs[p.ret.num&31])
 	}
-	return Value{T: f.Result, Bits: p.ret.canon(regs[p.ret.num&31])}, m.stats(), nil
+done:
+	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
+	if c.closing {
+		m.closeCall(f, st, err)
+	}
+	m.mu.Unlock()
+	return v, st, err
 }
 
-// stats is the running call's CallStats so far.
-func (m *Machine) stats() CallStats {
-	s, c := m.st, &m.call
-	return CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
+// catch, deferred by a stop of the call body, turns a panic into the
+// error the call reports, a *PanicError at the simulator's pc.
+func (m *Machine) catch(f *Func, err *error) {
+	if r := recover(); r != nil {
+		*err = m.runErr(f, &exec.Panic{Value: r})
+	}
 }
 
 // closeCall ends a call that was timed or polled: it records the call if
@@ -940,10 +946,10 @@ type callFrame struct {
 // polls ctx and the deadline where a poll is due (step 0 and every
 // stride), fails a call whose budget is spent, and returns the next stop.
 // A call that does not poll stops only there, at its budget.
-func (m *Machine) checkpoint(f *Func) (uint64, error) {
+func (m *Machine) checkpoint(f *Func) (next uint64, err error) {
+	defer m.catch(f, &err)
 	c := &m.call
 	if c.stride != 0 && c.steps%c.stride == 0 {
-		var err error
 		if c.ctx != nil {
 			err = c.ctx.Err()
 		}
@@ -977,6 +983,9 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 
 // runErr is a failure of f's run, in the words every call reports it in.
 func (m *Machine) runErr(f *Func, err error) error {
+	if p, ok := err.(*exec.Panic); ok {
+		err = &PanicError{PC: m.st.Pc, Value: p.Value}
+	}
 	name := ""
 	if f != nil {
 		name = f.Name
@@ -988,12 +997,13 @@ func (m *Machine) runErr(f *Func, err error) error {
 // keep the warm path lean (which never re-hashes the words: Install
 // checks the fingerprint): a function no unit has placed is installed,
 // one that left never is again; then marshal writes the arguments.
-func (m *Machine) prepare(f *Func, args []Value) error {
+func (m *Machine) prepare(f *Func, args []Value) (err error) {
+	defer m.catch(f, &err)
 	if f.home() != m {
 		if f != nil && f.unit != nil && f.unit.unloaded {
 			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
 		}
-		if err := m.installLocked(f); err != nil {
+		if err = m.installLocked(f); err != nil {
 			return err
 		}
 	}
@@ -1099,25 +1109,30 @@ func (m *Machine) SetTrace(w io.Writer) {
 }
 
 // step is the call body's dispatch out of line: the trap vector at pc, or
-// one Step, each written to the trace writer if one is set.
-func (m *Machine) step(pc uint64) error {
+// one Step, each written to the trace writer if one is set.  It returns
+// the error the call reports.
+func (m *Machine) step(f *Func, pc uint64) (err error) {
+	defer m.catch(f, &err)
 	if v := m.vector(pc); v != nil && v.trap != nil {
 		if m.trace != nil {
 			fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)
 		}
-		err := m.safeTrap(pc, v)
-		if err == nil {
+		if err = m.safeTrap(pc, v); err == nil {
 			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
 		}
-		return err
-	}
-	if m.trace != nil {
-		// Tracing needs per-instruction visibility: stay on Step.
-		if w, err := m.mem.FetchWord(pc); err == nil {
-			fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
+	} else {
+		if m.trace != nil {
+			// Tracing needs per-instruction visibility: stay on Step.
+			if w, err := m.mem.FetchWord(pc); err == nil {
+				fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
+			}
 		}
+		err = m.cpu.Step()
 	}
-	return m.cpu.Step()
+	if err != nil {
+		err = m.runErr(f, err)
+	}
+	return err
 }
 
 // safeTrap runs trap vector v's handler with panic isolation: a faulty

@@ -98,6 +98,13 @@ type Port struct {
 	Uncond uint16 // the branch Branch fires no edge probe on (Bad where every branch is conditional)
 }
 
+// Panic is a panic Run recovered, out of the simulator or a probe it
+// drove: the simulators are fuzzed, but a panic must still come back an
+// error, not unwind the caller.
+type Panic struct{ Value any }
+
+func (p *Panic) Error() string { return fmt.Sprint("exec: panic: ", p.Value) }
+
 // Run executes b's code from index idx on c, through the run loop every
 // port shares (Port.Run).
 func Run(c Machine, b *Body, idx int, allow uint64) (uint64, error) {
@@ -125,7 +132,12 @@ func Bubble(in *Instr, ll, never int) uint64 {
 // path below, alone, and so does every instruction while a sampler is
 // attached.  A delay slot that holds the canonical nop retires without a
 // call.
-func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64, error) {
+func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			n, err = 1, &Panic{Value: r}
+		}
+	}()
 	code := b.Code
 	// Retired instructions and their base cycles accumulate in the budget
 	// left (allow - left have retired) and flush into s at every exit;

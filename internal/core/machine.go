@@ -811,14 +811,14 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
 	if trace.Recording() {
-		c.start, c.closing = time.Now(), true
+		c.start, c.timed = time.Now(), true
 	}
 	stop := m.MaxSteps
 	if opts.Fuel > 0 && opts.Fuel < stop {
 		stop = opts.Fuel
 	}
 	if c.budget = stop; polls {
-		c.ctx, c.deadline, c.stride, c.closing, stop = ctx, opts.Deadline, opts.PollStride, true, 0
+		c.ctx, c.deadline, c.stride, stop = ctx, opts.Deadline, opts.PollStride, 0
 		if c.stride == 0 {
 			c.stride = 1024
 		}
@@ -902,39 +902,32 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	}
 done:
 	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
-	if c.closing {
-		m.closeCall(f, st, err)
+	if c.stride != 0 { // a polling call lets go of its context
+		c.stride, c.ctx = 0, nil
+	}
+	if c.timed {
+		m.recordCall(f, c.start, st, err)
+		c.timed = false
 	}
 	m.mu.Unlock()
 	return v, st, err
 }
 
-// catch, deferred by a stop of the call body, turns a panic into the
-// error the call reports, a *PanicError at the simulator's pc.
-func (m *Machine) catch(f *Func, err *error) {
-	if r := recover(); r != nil {
+// recovered, given what a stop of the call body recovered, turns a panic
+// into the error the call reports, a *PanicError at the simulator's pc.
+func (m *Machine) recovered(f *Func, r any, err *error) {
+	if r != nil {
 		*err = m.runErr(f, &exec.Panic{Value: r})
 	}
-}
-
-// closeCall ends a call that was timed or polled: it records the call if
-// it was timed and drops a polling call's context.  Caller holds mu.
-func (m *Machine) closeCall(f *Func, st CallStats, err error) {
-	c := &m.call
-	if !c.start.IsZero() {
-		m.recordCall(f, c.start, st, err)
-		c.start = time.Time{}
-	}
-	c.stride, c.ctx, c.closing = 0, nil, false
 }
 
 // callFrame is the running call's own state, kept in the machine under
 // mu, where the call body's stops out of line read it: the clock and
 // counters at its start, the steps it has taken, its budget, and, if it
 // polls, every stride steps, its context (which may be nil) and deadline.
-// closing is whether the call is timed or polls, so closeCall ends it.
+// timed is whether the call is recorded, from start.
 type callFrame struct {
-	closing                bool
+	timed                  bool
 	start                  time.Time
 	cycles0, insns0, steps uint64
 	budget, stride         uint64
@@ -947,7 +940,7 @@ type callFrame struct {
 // stride), fails a call whose budget is spent, and returns the next stop.
 // A call that does not poll stops only there, at its budget.
 func (m *Machine) checkpoint(f *Func) (next uint64, err error) {
-	defer m.catch(f, &err)
+	defer func() { m.recovered(f, recover(), &err) }()
 	c := &m.call
 	if c.stride != 0 && c.steps%c.stride == 0 {
 		if c.ctx != nil {
@@ -998,7 +991,7 @@ func (m *Machine) runErr(f *Func, err error) error {
 // checks the fingerprint): a function no unit has placed is installed,
 // one that left never is again; then marshal writes the arguments.
 func (m *Machine) prepare(f *Func, args []Value) (err error) {
-	defer m.catch(f, &err)
+	defer func() { m.recovered(f, recover(), &err) }()
 	if f.home() != m {
 		if f != nil && f.unit != nil && f.unit.unloaded {
 			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
@@ -1112,7 +1105,7 @@ func (m *Machine) SetTrace(w io.Writer) {
 // one Step, each written to the trace writer if one is set.  It returns
 // the error the call reports.
 func (m *Machine) step(f *Func, pc uint64) (err error) {
-	defer m.catch(f, &err)
+	defer func() { m.recovered(f, recover(), &err) }()
 	if v := m.vector(pc); v != nil && v.trap != nil {
 		if m.trace != nil {
 			fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)

@@ -138,18 +138,18 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint6
 			n, err = 1, &Panic{Value: r}
 		}
 	}()
-	code := b.Code
 	// Retired instructions and their base cycles accumulate in the budget
-	// left (allow - left have retired) and flush into s at every exit;
-	// load-use bubbles and instructions that charge extra cycles add to
-	// BaseCycles directly, and the interlock producer is s.LastLoad
-	// throughout.  The sampler flushes through the current instruction
-	// first (flushed counts what is applied) so probes see the counters
-	// Step would show.
-	var flushed uint64
-	left := allow
+	// left (allow - left have retired) and flush into s where the run
+	// stops, at pc; load-use bubbles and instructions that charge extra
+	// cycles add to BaseCycles directly, and the interlock producer is
+	// s.LastLoad throughout.  The sampler flushes through the current
+	// instruction first (flushed counts what is applied) so probes see
+	// the counters Step would show.
+	code, left := b.Code, allow
+	var flushed, pc uint64
 	sampling, edging := s.Sampling(), s.Edging()
-	for left > 0 {
+run:
+	for {
 		tried := false // whether Loop stopped at code[idx] for its call
 		if !sampling {
 			// Where the edge probe must see every branch, Loop is given
@@ -160,12 +160,12 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint6
 			}
 			var rest uint64
 			idx, rest = c.Loop(code, idx, lim)
-			left, tried = left-(lim-rest), rest > 0
-			if idx == len(code) {
-				s.flush(b.End(), allow-left-flushed)
-				return allow - left, nil
+			if left, tried = left-(lim-rest), rest > 0; idx == len(code) {
+				pc = b.End()
+				break
 			}
 			if left == 0 {
+				pc = code[idx].PC
 				break
 			}
 		}
@@ -176,89 +176,85 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint6
 			s.Sample(in.PC)
 		}
 		s.BaseCycles += Bubble(in, ll, int(p.Never))
-		br, err := NoBranch, error(nil)
+		br := NoBranch
 		if in.Run != 0 {
 			err = p.plain(c, s, code, idx, tried)
 		} else {
 			br, err = c.Transfer(b, in)
 		}
-		left--
-		if err != nil {
+		if pc, left = in.PC, left-1; err != nil {
 			// code[idx] faulted: it retires and has paid its bubble, but
 			// does not become the interlock producer.
 			s.LastLoad = ll
-			s.flush(in.PC, allow-left-flushed)
-			return allow - left, err
-		}
-		s.LastLoad = int(int8(in.LoadReg))
-		if br == NoBranch {
-			if idx++; idx == len(code) {
-				s.flush(in.PC+4, allow-left-flushed)
-				return allow - left, nil
-			}
-			continue
-		}
-		pend := s.ExtPC
-		if br != External {
-			pend = b.Base + 4*uint64(br)
-		}
-		if p.Slots == 0 {
-			if br == External {
-				s.flush(pend, allow-left-flushed)
-				return allow - left, nil
-			}
-			idx = int(br)
-			continue
-		}
-
-		// Taken transfer: the next word is the delay slot and the
-		// transfer lands after it.
-		if idx++; idx == len(code) || left == 0 {
-			// Delay slot beyond this body or beyond budget: hand the
-			// pending transfer back in architectural form so Step (or the
-			// next Run) resumes correctly.
-			s.InDelay, s.DelayTarget = true, pend
-			s.flush(in.PC+4, allow-left-flushed)
-			return allow - left, nil
+			break
 		}
 		// A transfer loads nothing, so no bubble waits at its slot.
-		in = &code[idx]
-		if sampling && s.SampleDue() {
-			s.flush(in.PC, allow-left+1-flushed)
-			flushed = allow - left + 1
-			s.Sample(in.PC)
-		}
-		if left--; in.Flags&FNop == 0 { // what most slots hold: it retires, and that is all it does
-			if in.Run != 0 {
-				// Loop runs the slot, unless it stops at it, as a body of
-				// one: what follows the slot is not looked at.
-				if i, _ := c.Loop(code[idx:idx+1], 0, 1); i == 0 {
-					err = p.plain(c, s, code, idx, true)
-				}
-			} else if br2, err2 := c.Transfer(b, in); err2 == nil && br2 != NoBranch {
-				// Branch in a delay slot: Step resolves the pending
-				// transfer first, then reports the bug at the landing pc.
-				s.LastLoad = int(int8(in.LoadReg))
-				s.flush(pend, allow-left-flushed)
-				return allow - left, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, s.Pc)
-			} else {
-				err = err2
-			}
-			if err != nil {
-				s.InDelay, s.DelayTarget = true, pend
-				s.flush(in.PC, allow-left-flushed)
-				return allow - left, err
-			}
-		}
 		s.LastLoad = int(int8(in.LoadReg))
-		if br == External {
-			s.flush(pend, allow-left-flushed)
-			return allow - left, nil
+		idx++
+		switch {
+		case br == NoBranch:
+			pc += 4
+			if idx == len(code) {
+				break run
+			}
+		case p.Slots == 0 && br == External:
+			pc = s.ExtPC
+			break run
+		case p.Slots == 0:
+			idx = int(br)
+		default:
+			// Taken transfer: the next word is the delay slot and the
+			// transfer lands after it.
+			pend := s.ExtPC
+			if br != External {
+				pend = b.Base + 4*uint64(br)
+			}
+			if pc += 4; idx == len(code) || left == 0 {
+				// Delay slot beyond this body or beyond budget: hand the
+				// pending transfer back in architectural form so Step (or
+				// the next Run) resumes correctly.
+				s.InDelay, s.DelayTarget = true, pend
+				break run
+			}
+			if in = &code[idx]; sampling && s.SampleDue() {
+				s.flush(in.PC, allow-left+1-flushed)
+				flushed = allow - left + 1
+				s.Sample(in.PC)
+			}
+			if left--; in.Flags&FNop == 0 { // what most slots hold: it retires, and that is all it does
+				if in.Run != 0 {
+					// Loop runs the slot, unless it stops at it, as a body
+					// of one: what follows the slot is not looked at.
+					if i, _ := c.Loop(code[idx:idx+1], 0, 1); i == 0 {
+						err = p.plain(c, s, code, idx, true)
+					}
+				} else if br2, err2 := c.Transfer(b, in); err2 == nil && br2 != NoBranch {
+					// Branch in a delay slot: Step resolves the pending
+					// transfer first, then reports the bug at the landing pc.
+					s.LastLoad = int(int8(in.LoadReg))
+					pc, err = pend, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, pend)
+					break run
+				} else {
+					err = err2
+				}
+				if pc = in.PC; err != nil {
+					s.InDelay, s.DelayTarget = true, pend
+					break run
+				}
+			}
+			s.LastLoad = int(int8(in.LoadReg))
+			if pc = pend; br == External {
+				break run
+			}
+			idx = int(br)
 		}
-		idx = int(br)
+		if left == 0 {
+			pc = code[idx].PC
+			break
+		}
 	}
-	s.flush(code[idx].PC, allow-left-flushed)
-	return allow - left, nil
+	s.flush(pc, allow-left-flushed)
+	return allow - left, err
 }
 
 // Branch is where in, of a pc-relative branch row, goes: NoBranch, or

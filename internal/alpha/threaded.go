@@ -391,13 +391,16 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 				}
 			}
 			if i == start {
-				c.BaseCycles -= exec.Bubble(&(*pc)[i], c.LastLoad, 31)
 				break
 			}
 			last := &seg[i-1]
 			c.BaseCycles += uint64(after - last.Target)
 			c.LastLoad, left = int(int8(last.LoadReg)), left-uint64(i-start)
-			if i < len(seg) || i == len(*pc) {
+			if i < len(seg) { // declined: it pays its Stall bit, reached by falling through
+				c.BaseCycles += uint64((*pc)[i].Stall)
+				break
+			}
+			if i == len(*pc) {
 				break
 			}
 			in = &(*pc)[i]
@@ -407,7 +410,9 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 		}
 		// A folded branch, where a segment ends.
 		if in.Flags&exec.FFold == 0 || left == 0 {
-			c.BaseCycles -= exec.Bubble(in, c.LastLoad, 31)
+			if left == 0 { // not reached: it pays nothing yet
+				c.BaseCycles -= exec.Bubble(in, c.LastLoad, 31)
+			}
 			break
 		}
 		c.LastLoad, left = -1, left-1

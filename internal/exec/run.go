@@ -73,7 +73,8 @@ type Machine interface {
 	// by the producer in State.LastLoad: what Loop reaches by falling
 	// through pays its Stall bit, and a fold's landing none.  It returns
 	// where it stopped and the budget left, charges the bubbles to
-	// State.BaseCycles and leaves the interlock producer in State.LastLoad.
+	// State.BaseCycles, that of the instruction it stopped at too while
+	// budget is left, and leaves the interlock producer in State.LastLoad.
 	Loop(code []Instr, idx int, left uint64) (int, uint64)
 	// Slow executes a plain instruction Loop stops at but did not decline.
 	Slow(in *Instr) error
@@ -175,7 +176,9 @@ run:
 			flushed = allow - left + 1
 			s.Sample(in.PC)
 		}
-		s.BaseCycles += Bubble(in, ll, int(p.Never))
+		if !tried { // else Loop has charged it
+			s.BaseCycles += Bubble(in, ll, int(p.Never))
+		}
 		br := NoBranch
 		if in.Run != 0 {
 			err = p.plain(c, s, code, idx, tried)

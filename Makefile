@@ -48,6 +48,25 @@ crash-soak:
 test:
 	go test ./...
 
+# The ports' Loop calls nothing: every call in it to a register or
+# operand helper, a branch condition or exec.Bubble must be one the
+# compiler reports inlined at its line and column (go build -gcflags=-m),
+# or a loop trip pays a call.  mips' and alpha's cond cost 78 of Go's
+# inline budget of 80.
+INLINED = cond|tru|trs|tr|twr|topnd|topnd2|taddr|Bubble
+inline:
+	@go build -gcflags=-m ./internal/mips ./internal/sparc ./internal/alpha 2>&1 | \
+	awk 'FNR == NR { if (match($$0, /inlining call to (\(\*CPU\)|exec)\.($(INLINED))$$/)) { split($$1, at, ":"); n = split($$0, w, "."); done[at[1] ":" at[2] ":" at[3] ":" w[n]] = 1 }; next } \
+		/^func \(c \*CPU\) Loop\(/ { loop = 1 } \
+		loop { rest = $$0; off = 0; \
+			while (match(rest, /(c|exec)\.($(INLINED))\(/)) { \
+				name = substr(rest, RSTART, RLENGTH - 1); sub(/^(c|exec)\./, "", name); col = off + RSTART + RLENGTH - 1; calls++; \
+				if (!((FILENAME ":" FNR ":" col ":" name) in done)) { print FILENAME ":" FNR ":" col ": " name " is not inlined"; bad = 1 } \
+				off = col; rest = substr(rest, RSTART + RLENGTH) } } \
+		loop && /^}/ { loop = 0 } \
+		END { if (!calls) { print "no helper call found in a Loop"; bad = 1 } else if (!bad) print calls " helper calls in the ports'"'"' Loops, all inlined"; exit bad }' \
+		- internal/mips/threaded.go internal/sparc/threaded.go internal/alpha/threaded.go
+
 # Non-test Go lines per package and in total.  ROADMAP aim 2 expects the
 # per-ISA packages to go down as descriptions are merged; CI prints this
 # so every log carries the number.  The test-only harness packages (only
@@ -139,4 +158,4 @@ bench-cold:
 bench-loop:
 	go test -run '^$$' -bench BenchmarkLoopDispatch -benchtime 2000x -count 5 ./internal/exec/diff
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test loc doccheck orphans bench bench-miss bench-hit bench-call bench-emit bench-cold bench-loop
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test inline loc doccheck orphans bench bench-miss bench-hit bench-call bench-emit bench-cold bench-loop

@@ -155,6 +155,7 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 // handler gives the oracle's message, so unreachable garbage (pads,
 // literal pools) still installs.
 func (p *Port) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
+	slots, nop, locks := p.Slots > 0, p.Nop, t.rule != nil
 	if rows == nil {
 		rows = make([]*Row, len(words))
 		for i, w := range words {
@@ -163,7 +164,6 @@ func (p *Port) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 	}
 	// The loop calls nothing, so what it reads stays in registers.
 	code, rows, bad := b.Code[:len(words)], rows[:len(words)], false
-	slots, nop, locks := p.Slots > 0, p.Nop, t.rule != nil
 	for i, w := range words {
 		in, r := &code[i], rows[i]
 		*in = Instr{PC: b.Base + 4*uint64(i), SrcA: NoReg, SrcB: NoReg, LoadReg: NoReg}

@@ -801,7 +801,10 @@ type CallStats struct {
 // into the simulator's state in place, enters the entry body the plan
 // remembers and reads the counters and the result in place; placement,
 // stack and FP arguments, polling, recording, traps, Step and the trace
-// writer are out of line.
+// writer are out of line.  Each stop that runs a simulator or code the
+// machine does not own recovers a panic into the error the call reports:
+// the simulators are fuzzed, but a panic must still come back an error,
+// not unwind the caller with the machine locked.
 func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
 	// Whether ctx can end the call is asked first, while nothing else is
 	// live across the interface call.
@@ -823,18 +826,11 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			c.stride = 1024
 		}
 	}
-	// Every stop below that runs a simulator, or code the machine does
-	// not own, recovers a panic into the error the call reports: the
-	// simulators are fuzzed, but a panic must still come back an error,
-	// not unwind the caller with the machine locked.
-	var v Value
-	var err error
-	var p *callPlan
 	// A resident function whose plan is direct takes one store an
 	// argument; prepare does what else a call may need first.
-	regs, pend := m.regs, true
+	v, err, p, regs, pend := Value{}, error(nil), (*callPlan)(nil), m.regs, true
 	if f.home() == m {
-		if p := &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
+		if p = &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
 			var mismatch Type
 			store := p.store[:len(args)]
 			for i := range store {

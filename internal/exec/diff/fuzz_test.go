@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/alpha"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/mem"
 	"repro/internal/mips"
 	"repro/internal/regtest"
@@ -102,7 +101,8 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 		if allow > chunk {
 			allow = chunk
 		}
-		if _, err := exec.Run(tc, body, body.IndexOf(pc), allow); err != nil {
+		port, st := tc.Port()
+		if _, err := port.Run(tc, st, body, body.IndexOf(pc), allow); err != nil {
 			err2 = err
 			break
 		}

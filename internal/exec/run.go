@@ -78,15 +78,13 @@ type Machine interface {
 	Loop(code []Instr, idx int, left uint64) (int, uint64)
 	// Slow executes a plain instruction Loop stops at but did not decline.
 	Slow(in *Instr) error
-	// Transfer executes a transfer Loop does not fold, a pc-relative
-	// branch through Port.Branch, or refuses an undecodable word.  It
-	// returns NoBranch to fall through, an in-body index for a taken
-	// transfer that stays in b, or External after depositing the
-	// destination in the State's ExtPC (Instr.Jump, Body.Indirect).
+	// Transfer executes a transfer Loop does not fold (a pc-relative branch
+	// through Port.Branch) or refuses an undecodable word: NoBranch falls
+	// through, an index in b is taken, External has left its destination
+	// in the State's ExtPC (Instr.Jump, Body.Indirect).
 	Transfer(b *Body, in *Instr) (int32, error)
-	// Port is the port's shape, and State its simulator's state: what Run
-	// executes it with.
-	Port() (*Port, *State)
+	Port() (*Port, *State) // the port's shape and the simulator's state
+
 }
 
 // Port is a port's shape.
@@ -105,13 +103,6 @@ type Port struct {
 type Panic struct{ Value any }
 
 func (p *Panic) Error() string { return fmt.Sprint("exec: panic: ", p.Value) }
-
-// Run executes b's code from index idx on c, through the run loop every
-// port shares (Port.Run).
-func Run(c Machine, b *Body, idx int, allow uint64) (uint64, error) {
-	p, s := c.Port()
-	return p.Run(c, s, b, idx, allow)
-}
 
 // Bubble is 1 where in reads ll, loaded just before, a register not never.
 func Bubble(in *Instr, ll, never int) uint64 {

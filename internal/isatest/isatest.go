@@ -147,7 +147,8 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 		}
 	}()
 	a.CPU.SetPC(base)
-	_, _ = exec.Run(a.CPU, body, 0, 1)
+	port, st := a.CPU.Port()
+	_, _ = port.Run(a.CPU, st, body, 0, 1)
 }
 
 // CheckRows is the per-row round trip: words synthesised from each row's
@@ -400,7 +401,8 @@ func (a *ISA) CheckStep(t *testing.T) {
 				break
 			}
 		}
-		_, errs[1] = exec.Run(p[1], p[1].Predecode(words, base), 0, uint64(len(words)))
+		port, st := p[1].Port()
+		_, errs[1] = port.Run(p[1], st, p[1].Predecode(words, base), 0, uint64(len(words)))
 		d := diff.ErrDiff(errs[0], errs[1]) + diff.StateDiff(p[0], p[1])
 		if p[0].PendingDelay() != p[1].PendingDelay() {
 			d += "a delay slot pending on one engine only\n"

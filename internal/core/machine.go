@@ -56,10 +56,10 @@ type CPU interface {
 	// PendingDelay reports a delay-slot branch in flight, which only Step
 	// completes.
 	PendingDelay() bool
-	// Regs returns the simulator's exec.State and integer register file,
-	// which the call body reads and writes in place: a register holds
-	// what SetReg leaves.
-	Regs() (*exec.State, *[32]uint64)
+	// Threaded returns the port exec's run loop executes the simulator
+	// with, its exec.State and its integer register file, which the call
+	// body reads and writes in place: a register holds what SetReg leaves.
+	Threaded() (*exec.Port, *exec.State, *[32]uint64)
 }
 
 // SetSampler installs fn to fire with the pre-execution pc every stride
@@ -103,16 +103,14 @@ type Machine struct {
 	cpu     CPU
 	mem     *mem.Memory
 
-	// st and regs are cpu's (CPU.Regs): the call body's arguments, SP, RA,
+	// st and regs are cpu's (CPU.Threaded): the call body's arguments, SP, RA,
 	// PC, counters and result, in place; sp and ra number the
 	// convention's SP and RA.
 	st     *exec.State
 	regs   *[32]uint64
 	sp, ra uint8
-	// port and mach run the threaded engine: exec's run loop, and cpu as
-	// it drives it.
-	port *exec.Port
-	mach exec.Machine
+	port   *exec.Port   // exec's run loop for cpu ...
+	mach   exec.Machine // ... as it drives it
 
 	syms map[string]uint64
 
@@ -240,8 +238,7 @@ func NewMachine(b Backend, cpu CPU, m *mem.Memory) *Machine {
 		fx:       &b.Templates().fx,
 	}
 	mc.haltLink = mc.haltAddr - mc.retOff
-	mc.st, mc.regs = cpu.Regs()
-	mc.port, _ = cpu.Port()
+	mc.port, mc.st, mc.regs = cpu.Threaded()
 	mc.mach = cpu
 	mc.sp, mc.ra = uint8(mc.conv.SP.Num()), uint8(mc.conv.RA.Num())
 	if a := uint64(mc.conv.StackAlign); a > 0 {
@@ -849,11 +846,11 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	}
 	p = &f.plan
 	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
-	// The first pass enters the entry's body, remembered, where nothing
-	// forces Step.  From there the body that covers pc may retire up to
-	// stop-steps+1, so polls land on the stride's multiples as on Step.
-	// An in-body pc is never a trap.  A pending delay slot, a fault hook
-	// (which sees only Step's fetches) and the trace writer force Step.
+	// The first pass enters the entry's body, remembered; then the body
+	// that covers pc may retire up to stop-steps+1, so polls land on the
+	// stride's multiples as on Step.  An in-body pc is never a trap.  A
+	// pending delay slot, a fault hook (which sees only Step's fetches)
+	// and the trace writer force Step.
 	if stop == 0 { // a poll is due at step 0, or the budget is spent
 		if stop, err = m.checkpoint(f); err != nil {
 			goto done
@@ -874,8 +871,7 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		// A trap dispatch consumes a step too, so a trap that returns to
 		// itself burns fuel instead of spinning forever.
 		c.steps++
-		var b *exec.Body
-		var idx int
+		b, idx := (*exec.Body)(nil), 0
 		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
 			b, idx = m.bodyFor(p, pc)
 		}
@@ -909,8 +905,8 @@ done:
 	return v, st, err
 }
 
-// recovered, given what a stop of the call body recovered, turns a panic
-// into the error the call reports, a *PanicError at the simulator's pc.
+// recovered turns what a stop of the call body recovered into the error
+// the call reports.
 func (m *Machine) recovered(f *Func, r any, err *error) {
 	if r != nil {
 		*err = m.runErr(f, &exec.Panic{Value: r})

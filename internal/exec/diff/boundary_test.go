@@ -201,7 +201,7 @@ func diffPrefix(t *testing.T, ft fuzzTarget, words []uint32, allow uint64) {
 		err1 = cpus[0].Step()
 	}
 	tc := cpus[1].(core.ThreadedCPU)
-	port, st := tc.Port()
+	port, st, _ := tc.Threaded()
 	_, err2 := port.Run(tc, st, tc.Predecode(words, base), 0, allow)
 	if d := ErrDiff(err1, err2); d != "" {
 		t.Fatalf("%s, budget %d: %s", ft.name, allow, d)

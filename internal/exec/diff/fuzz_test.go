@@ -101,7 +101,7 @@ func diffWords(t *testing.T, ft fuzzTarget, words []uint32, chunk uint64, setup 
 		if allow > chunk {
 			allow = chunk
 		}
-		port, st := tc.Port()
+		port, st, _ := tc.Threaded()
 		if _, err := port.Run(tc, st, body, body.IndexOf(pc), allow); err != nil {
 			err2 = err
 			break

@@ -83,8 +83,6 @@ type Machine interface {
 	// through, an index in b is taken, External has left its destination
 	// in the State's ExtPC (Instr.Jump, Body.Indirect).
 	Transfer(b *Body, in *Instr) (int32, error)
-	Port() (*Port, *State) // the port's shape and the simulator's state
-
 }
 
 // Port is a port's shape.

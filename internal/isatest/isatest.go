@@ -147,7 +147,7 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 		}
 	}()
 	a.CPU.SetPC(base)
-	port, st := a.CPU.Port()
+	port, st, _ := a.CPU.Threaded()
 	_, _ = port.Run(a.CPU, st, body, 0, 1)
 }
 
@@ -401,7 +401,7 @@ func (a *ISA) CheckStep(t *testing.T) {
 				break
 			}
 		}
-		port, st := p[1].Port()
+		port, st, _ := p[1].Threaded()
 		_, errs[1] = port.Run(p[1], st, p[1].Predecode(words, base), 0, uint64(len(words)))
 		d := diff.ErrDiff(errs[0], errs[1]) + diff.StateDiff(p[0], p[1])
 		if p[0].PendingDelay() != p[1].PendingDelay() {

@@ -162,9 +162,6 @@ func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
 	return port.Branch(&c.State, in, c.cond(in)), nil
 }
 
-// Port is the port and the state the run loop executes c with.
-func (c *CPU) Port() (*exec.Port, *exec.State) { return &port, &c.State }
-
 // badWord is what the oracle says of a word with no row, decode group by
 // decode group.
 func badWord(w uint32, pc uint64) error {
@@ -453,5 +450,8 @@ func memErr(what string, in *exec.Instr, err error) error {
 	return fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
 }
 
-// Regs returns the state the run loop shares and the integer registers.
-func (c *CPU) Regs() (*exec.State, *[32]uint64) { return &c.State, (*[32]uint64)(c.r[:32]) }
+// Threaded returns the port and state the run loop executes c with, and
+// the integer registers.
+func (c *CPU) Threaded() (*exec.Port, *exec.State, *[32]uint64) {
+	return &port, &c.State, (*[32]uint64)(c.r[:32])
+}

@@ -795,13 +795,10 @@ type CallStats struct {
 // CallWithStats is CallWith returning per-call simulator statistics
 // alongside the result.  It is the one call body: a warm call writes its
 // integer arguments (one store each, as install planned), SP, RA and PC
-// into the simulator's state in place, enters the entry body the plan
-// remembers and reads the counters and the result in place; placement,
-// stack and FP arguments, polling, recording, traps, Step and the trace
-// writer are out of line.  Each stop that runs a simulator or code the
-// machine does not own recovers a panic into the error the call reports:
-// the simulators are fuzzed, but a panic must still come back an error,
-// not unwind the caller with the machine locked.
+// into the simulator's state in place, runs the entry body the plan
+// remembers and reads the counters and the result in place.  The rest —
+// placement, stack and FP arguments, polling, traps, Step and the trace
+// writer — is out of line, in resume.
 func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
 	// Whether ctx can end the call is asked first, while nothing else is
 	// live across the interface call.
@@ -824,75 +821,45 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		}
 	}
 	// A resident function whose plan is direct takes one store an
-	// argument; prepare does what else a call may need first.
-	v, err, p, regs, pend := Value{}, error(nil), (*callPlan)(nil), m.regs, true
+	// argument and, where no poll is due and nothing forces Step, runs
+	// from the entry's body, remembered, for up to the budget.
+	err, pend := error(nil), true
 	if f.home() == m {
-		if p = &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
+		if p := &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
 			var mismatch Type
-			store := p.store[:len(args)]
+			regs, store := m.regs, p.store[:len(args)]
 			for i := range store {
 				a, d := &args[i], &store[i]
 				mismatch |= a.T ^ d.t
 				regs[d.num&31] = d.canon(a.Bits)
 			}
 			regs[m.sp&31], regs[m.ra&31] = m.stackTop, m.haltLink
+			s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
 			pend = mismatch != 0
 		}
 	}
-	if pend {
-		if err = m.prepare(f, args); err != nil {
-			goto done
-		}
+	if !pend && stop == 0 { // a poll is due at step 0, or the budget is spent
+		stop, err = m.checkpoint(f)
 	}
-	p = &f.plan
-	s.Pc, s.InDelay, s.LastLoad = p.entry, false, -1
-	// The first pass enters the entry's body, remembered; then the body
-	// that covers pc may retire up to stop-steps+1, so polls land on the
-	// stride's multiples as on Step.  An in-body pc is never a trap.  A
-	// pending delay slot, a fault hook (which sees only Step's fetches)
-	// and the trace writer force Step.
-	if stop == 0 { // a poll is due at step 0, or the budget is spent
-		if stop, err = m.checkpoint(f); err != nil {
-			goto done
-		}
-	}
-	if p.gen == m.bodyGen && m.threaded && !m.mem.HasFaultHook() {
-		if c.steps, err = m.port.Run(m.mach, s, p.body, p.idx, stop); err != nil {
+	switch {
+	case err != nil:
+	case pend || f.plan.gen != m.bodyGen || !m.threaded || m.mem.HasFaultHook():
+		err = m.resume(f, args, pend, stop)
+	default:
+		if c.steps, err = m.port.Run(m.mach, s, f.plan.body, f.plan.idx, stop); err != nil {
 			err = m.runErr(f, err)
-			goto done
+		} else if s.Pc != m.haltAddr {
+			err = m.resume(f, args, false, stop)
 		}
 	}
-	for pc := s.Pc; pc != m.haltAddr; pc = s.Pc {
-		if c.steps == stop { // a poll is due, or the budget is spent
-			if stop, err = m.checkpoint(f); err != nil {
-				goto done
-			}
-		}
-		// A trap dispatch consumes a step too, so a trap that returns to
-		// itself burns fuel instead of spinning forever.
-		c.steps++
-		b, idx := (*exec.Body)(nil), 0
-		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
-			b, idx = m.bodyFor(p, pc)
-		}
-		if b == nil {
-			if err = m.step(f, pc); err != nil {
-				goto done
-			}
-			continue
-		}
-		n, rerr := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
-		if c.steps += n - 1; rerr != nil {
-			err = m.runErr(f, rerr)
-			goto done
+	var v Value
+	if err == nil {
+		if p := &f.plan; p.fpRet { // SPARC pairs its FP bank: FReg reads the result
+			v = Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}
+		} else {
+			v = Value{T: f.Result, Bits: p.ret.canon(m.regs[p.ret.num&31])}
 		}
 	}
-	if v.T = f.Result; p.fpRet { // SPARC pairs its FP bank: FReg reads the result
-		v.Bits = m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)
-	} else {
-		v.Bits = p.ret.canon(regs[p.ret.num&31])
-	}
-done:
 	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
 	if c.stride != 0 { // a polling call lets go of its context
 		c.stride, c.ctx = 0, nil
@@ -905,12 +872,58 @@ done:
 	return v, st, err
 }
 
-// recovered turns what a stop of the call body recovered into the error
-// the call reports.
-func (m *Machine) recovered(f *Func, r any, err *error) {
-	if r != nil {
-		*err = m.runErr(f, &exec.Panic{Value: r})
+// resume is the call body out of line, from where the call stands:
+// placement and the argument path where the plan's stores declined
+// (pend), then, from s.Pc, the body that covers pc may retire up to
+// stop-steps+1, so polls land on the stride's multiples as on Step, until
+// f returns.  An in-body pc is never a trap.  A pending delay slot, a
+// fault hook (which sees only Step's fetches) and the trace writer force
+// Step.  It recovers a panic, as the run loop does: the simulators are
+// fuzzed, but a panic must still come back an error, not unwind the
+// caller with the machine locked.  Caller holds mu.
+func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = m.runErr(f, &exec.Panic{Value: r})
+		}
+	}()
+	s, c := m.st, &m.call
+	if pend {
+		if err = m.prepare(f, args); err != nil {
+			return err
+		}
+		s.Pc, s.InDelay, s.LastLoad = f.plan.entry, false, -1
 	}
+	p := &f.plan
+	for pc := s.Pc; pc != m.haltAddr; pc = s.Pc {
+		if c.steps == stop { // a poll is due, or the budget is spent
+			if stop, err = m.checkpoint(f); err != nil {
+				return err
+			}
+		}
+		// A trap dispatch consumes a step too, so a trap that returns to
+		// itself burns fuel instead of spinning forever.
+		c.steps++
+		b, idx := (*exec.Body)(nil), 0
+		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
+			if pc == p.entry && p.gen == m.bodyGen {
+				b, idx = p.body, p.idx
+			} else {
+				b, idx = m.bodyFor(p, pc)
+			}
+		}
+		if b == nil {
+			if err = m.step(pc); err != nil {
+				return m.runErr(f, err)
+			}
+			continue
+		}
+		n, err := m.port.Run(m.mach, s, b, idx, stop-c.steps+1)
+		if c.steps += n - 1; err != nil {
+			return m.runErr(f, err)
+		}
+	}
+	return nil
 }
 
 // callFrame is the running call's own state, kept in the machine under
@@ -932,7 +945,11 @@ type callFrame struct {
 // stride), fails a call whose budget is spent, and returns the next stop.
 // A call that does not poll stops only there, at its budget.
 func (m *Machine) checkpoint(f *Func) (next uint64, err error) {
-	defer func() { m.recovered(f, recover(), &err) }()
+	defer func() {
+		if r := recover(); r != nil { // ctx is the caller's
+			err = m.runErr(f, &exec.Panic{Value: r})
+		}
+	}()
 	c := &m.call
 	if c.stride != 0 && c.steps%c.stride == 0 {
 		if c.ctx != nil {
@@ -982,13 +999,12 @@ func (m *Machine) runErr(f *Func, err error) error {
 // keep the warm path lean (which never re-hashes the words: Install
 // checks the fingerprint): a function no unit has placed is installed,
 // one that left never is again; then marshal writes the arguments.
-func (m *Machine) prepare(f *Func, args []Value) (err error) {
-	defer func() { m.recovered(f, recover(), &err) }()
+func (m *Machine) prepare(f *Func, args []Value) error {
 	if f.home() != m {
 		if f != nil && f.unit != nil && f.unit.unloaded {
 			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
 		}
-		if err = m.installLocked(f); err != nil {
+		if err := m.installLocked(f); err != nil {
 			return err
 		}
 	}
@@ -1094,30 +1110,25 @@ func (m *Machine) SetTrace(w io.Writer) {
 }
 
 // step is the call body's dispatch out of line: the trap vector at pc, or
-// one Step, each written to the trace writer if one is set.  It returns
-// the error the call reports.
-func (m *Machine) step(f *Func, pc uint64) (err error) {
-	defer func() { m.recovered(f, recover(), &err) }()
+// one Step, each written to the trace writer if one is set.
+func (m *Machine) step(pc uint64) error {
 	if v := m.vector(pc); v != nil && v.trap != nil {
 		if m.trace != nil {
 			fmt.Fprintf(m.trace, "%08x: <trap %s>\n", pc, v.name)
 		}
-		if err = m.safeTrap(pc, v); err == nil {
+		err := m.safeTrap(pc, v)
+		if err == nil {
 			m.cpu.SetPC(m.cpu.Reg(m.conv.RA) + m.retOff)
 		}
-	} else {
-		if m.trace != nil {
-			// Tracing needs per-instruction visibility: stay on Step.
-			if w, err := m.mem.FetchWord(pc); err == nil {
-				fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
-			}
+		return err
+	}
+	if m.trace != nil {
+		// Tracing needs per-instruction visibility: stay on Step.
+		if w, err := m.mem.FetchWord(pc); err == nil {
+			fmt.Fprintf(m.trace, "%08x: %08x  %s\n", pc, w, m.backend.Disasm(w, pc))
 		}
-		err = m.cpu.Step()
 	}
-	if err != nil {
-		err = m.runErr(f, err)
-	}
-	return err
+	return m.cpu.Step()
 }
 
 // safeTrap runs trap vector v's handler with panic isolation: a faulty

@@ -873,7 +873,8 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 }
 
 // resume is the call body out of line, from where the call stands:
-// placement and the argument path where the plan's stores declined
+// placement (which never re-hashes the words: Install checks the
+// fingerprint) and the argument path where the plan's stores declined
 // (pend), then, from s.Pc, the body that covers pc may retire up to
 // stop-steps+1, so polls land on the stride's multiples as on Step, until
 // f returns.  An in-body pc is never a trap.  A pending delay slot, a
@@ -882,14 +883,20 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 // fuzzed, but a panic must still come back an error, not unwind the
 // caller with the machine locked.  Caller holds mu.
 func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = m.runErr(f, &exec.Panic{Value: r})
-		}
-	}()
+	defer func() { m.recovered(f, recover(), &err) }()
 	s, c := m.st, &m.call
 	if pend {
-		if err = m.prepare(f, args); err != nil {
+		switch { // a function no unit has placed is installed, one that left never is again
+		case f.home() == m:
+		case f != nil && f.unit != nil && f.unit.unloaded:
+			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
+		default:
+			err = m.installLocked(f)
+		}
+		if err == nil {
+			err = m.marshal(f, args)
+		}
+		if err != nil {
 			return err
 		}
 		s.Pc, s.InDelay, s.LastLoad = f.plan.entry, false, -1
@@ -945,11 +952,7 @@ type callFrame struct {
 // stride), fails a call whose budget is spent, and returns the next stop.
 // A call that does not poll stops only there, at its budget.
 func (m *Machine) checkpoint(f *Func) (next uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil { // ctx is the caller's
-			err = m.runErr(f, &exec.Panic{Value: r})
-		}
-	}()
+	defer func() { m.recovered(f, recover(), &err) }() // ctx is the caller's
 	c := &m.call
 	if c.stride != 0 && c.steps%c.stride == 0 {
 		if c.ctx != nil {
@@ -983,6 +986,14 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 		start, time.Since(start), trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
 }
 
+// recovered turns what a stop of the call body recovered into the error
+// the call reports.
+func (m *Machine) recovered(f *Func, r any, err *error) {
+	if r != nil {
+		*err = m.runErr(f, &exec.Panic{Value: r})
+	}
+}
+
 // runErr is a failure of f's run, in the words every call reports it in.
 func (m *Machine) runErr(f *Func, err error) error {
 	if p, ok := err.(*exec.Panic); ok {
@@ -995,24 +1006,8 @@ func (m *Machine) runErr(f *Func, err error) error {
 	return fmt.Errorf("machine: running %s: %w", name, err)
 }
 
-// prepare is the call body's placement and argument path, out of line to
-// keep the warm path lean (which never re-hashes the words: Install
-// checks the fingerprint): a function no unit has placed is installed,
-// one that left never is again; then marshal writes the arguments.
-func (m *Machine) prepare(f *Func, args []Value) error {
-	if f.home() != m {
-		if f != nil && f.unit != nil && f.unit.unloaded {
-			return fmt.Errorf("machine: %s: %w", f.Name, ErrUnloaded)
-		}
-		if err := m.installLocked(f); err != nil {
-			return err
-		}
-	}
-	return m.marshal(f, args)
-}
-
 // marshal is the call body's argument path out of line, where the plan's
-// stores decline (prepare): it checks the arguments' count and types, plans f afresh if
+// stores decline: it checks the arguments' count and types, plans f afresh if
 // Params was resized behind the resident function's back, lays the
 // arguments out, and writes stack arguments to memory, FP ones through
 // SetFReg (SPARC pairs its FP bank), integer ones, SP and RA as the

@@ -1152,37 +1152,23 @@ func registerDivHelpers(m *Machine) {
 	}
 	div := func(signed bool, bits int, mod bool) func(x, y uint64) uint64 {
 		return func(x, y uint64) uint64 {
-			if signed {
-				sx, sy := int64(x), int64(y)
-				if bits == 32 {
-					sx, sy = int64(int32(x)), int64(int32(y))
-				}
-				if sy == 0 {
-					return 0
-				}
-				var r int64
-				if mod {
-					r = sx % sy
-				} else {
-					r = sx / sy
-				}
-				if bits == 32 {
-					r = int64(int32(r))
-				}
-				return uint64(r)
-			}
-			ux, uy := x, y
-			if bits == 32 {
-				ux, uy = uint64(uint32(x)), uint64(uint32(y))
-			}
-			if uy == 0 {
-				return 0
+			if bits == 32 && signed {
+				x, y = uint64(int64(int32(x))), uint64(int64(int32(y)))
+			} else if bits == 32 {
+				x, y = uint64(uint32(x)), uint64(uint32(y))
 			}
 			var r uint64
-			if mod {
-				r = ux % uy
-			} else {
-				r = ux / uy
+			switch {
+			case y == 0:
+				return 0
+			case signed && mod:
+				r = uint64(int64(x) % int64(y))
+			case signed:
+				r = uint64(int64(x) / int64(y))
+			case mod:
+				r = x % y
+			default:
+				r = x / y
 			}
 			if bits == 32 {
 				r = uint64(int64(int32(r)))

@@ -1144,12 +1144,7 @@ func (m *Machine) safeTrap(pc uint64, v *region) (err error) {
 // machines that do not provide division in hardware, the VCODE integer
 // division instructions require subroutine calls").
 func registerDivHelpers(m *Machine) {
-	conv := m.conv
-	a0, a1, v0 := conv.IntArgs[0], conv.IntArgs[1], conv.RetInt
-	type sem struct {
-		sym string
-		f   func(x, y uint64) uint64
-	}
+	a0, a1, v0 := m.conv.IntArgs[0], m.conv.IntArgs[1], m.conv.RetInt
 	div := func(signed bool, bits int, mod bool) func(x, y uint64) uint64 {
 		return func(x, y uint64) uint64 {
 			if bits == 32 && signed {
@@ -1157,18 +1152,17 @@ func registerDivHelpers(m *Machine) {
 			} else if bits == 32 {
 				x, y = uint64(uint32(x)), uint64(uint32(y))
 			}
-			var r uint64
-			switch {
-			case y == 0:
+			if y == 0 {
 				return 0
+			}
+			r := x / y
+			switch {
 			case signed && mod:
 				r = uint64(int64(x) % int64(y))
 			case signed:
 				r = uint64(int64(x) / int64(y))
 			case mod:
 				r = x % y
-			default:
-				r = x / y
 			}
 			if bits == 32 {
 				r = uint64(int64(int32(r)))
@@ -1176,7 +1170,10 @@ func registerDivHelpers(m *Machine) {
 			return r
 		}
 	}
-	helpers := []sem{
+	helpers := []struct {
+		sym string
+		f   func(x, y uint64) uint64
+	}{
 		{"__div_i", div(true, 32, false)},
 		{"__div_u", div(false, 32, false)},
 		{"__div_l", div(true, 64, false)},

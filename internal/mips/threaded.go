@@ -148,19 +148,6 @@ func (c *CPU) Predecode(words []uint32, base uint64) *exec.Body {
 // Decode unpacks words into b through exec's one decoder, from the table.
 func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode(isa, b, words, rows) }
 
-// interlock is the oracle's load-use check read off a word, which it
-// makes before it decodes: every word reads rs; SPECIAL, beq, bne and the
-// integer stores read rt; lb..lw load rt.
-func interlock(w uint32) (srcA, srcB, load byte) {
-	switch w >> 26 {
-	case opSpecial, opBeq, opBne, opSb, opSh, opSw:
-		return 's', 't', 0
-	case opLb, opLbu, opLh, opLhu, opLw:
-		return 's', 0, 't'
-	}
-	return 's', 0, 0
-}
-
 // port is what MIPS gives exec's decoder and run loop: one delay slot and
 // its nop, and an interlock that never charges $zero.
 var port = exec.Port{Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Uncond: mJ}
@@ -411,6 +398,19 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 		in = &(*pc)[i]
 	}
 	return i, left
+}
+
+// interlock is the oracle's load-use check read off a word, which it
+// makes before it decodes: every word reads rs; SPECIAL, beq, bne and the
+// integer stores read rt; lb..lw load rt.
+func interlock(w uint32) (srcA, srcB, load byte) {
+	switch w >> 26 {
+	case opSpecial, opBeq, opBne, opSb, opSh, opSw:
+		return 's', 't', 0
+	case opLb, opLbu, opLh, opLhu, opLw:
+		return 's', 0, 't'
+	}
+	return 's', 0, 0
 }
 
 // Slow is exec.Machine.Slow: byte, halfword and FP loads and stores, and the

@@ -144,24 +144,6 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // and its nop, and no load-use interlock.
 var port = exec.Port{Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad, Uncond: sBad}
 
-// Transfer is exec.Machine.Transfer: call, jmpl, a pc-relative branch by
-// cond, and a word with no row.
-func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
-	switch in.Op {
-	case sCall:
-		c.twr(rO7, uint32(in.PC))
-		return in.Jump(&c.ExtPC), nil
-	case sJmpl:
-		// Read the sources before the link write, as the oracle does.
-		t := c.taddr(in)
-		c.twr(in.C, uint32(in.PC))
-		return b.Indirect(t, &c.ExtPC), nil
-	case sBad:
-		return 0, badWord(uint32(in.Imm), in.PC)
-	}
-	return port.Branch(&c.State, in, c.cond(in)), nil
-}
-
 // badWord is what the oracle says of a word with no row, decode group by
 // decode group.
 func badWord(w uint32, pc uint64) error {
@@ -372,6 +354,24 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 		in = &(*pc)[i]
 	}
 	return i, left
+}
+
+// Transfer is exec.Machine.Transfer: call, jmpl, a pc-relative branch by
+// cond, and a word with no row.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+	switch in.Op {
+	case sCall:
+		c.twr(rO7, uint32(in.PC))
+		return in.Jump(&c.ExtPC), nil
+	case sJmpl:
+		// Read the sources before the link write, as the oracle does.
+		t := c.taddr(in)
+		c.twr(in.C, uint32(in.PC))
+		return b.Indirect(t, &c.ExtPC), nil
+	case sBad:
+		return 0, badWord(uint32(in.Imm), in.PC)
+	}
+	return port.Branch(&c.State, in, c.cond(in)), nil
 }
 
 // Slow is exec.Machine.Slow: byte, halfword and FP loads and stores.

@@ -112,16 +112,17 @@ func Bubble(in *Instr, ll, never int) uint64 {
 
 // Run executes b's code from index idx, on c with state s, until allow
 // instructions have retired, control leaves the body, or an instruction
-// faults; it returns the number retired.  Preconditions (core.Machine
-// keeps them): allow > 0, no pending delay slot.  On return s — pc,
-// counters, interlock producer, and a taken transfer whose slot lies
-// beyond the body or the budget, handed back as InDelay and DelayTarget —
-// is exactly what the port's Step would have left.
+// faults; it returns the number retired, 1 for a panic it recovers as a
+// *Panic.  Preconditions (core.Machine keeps them): allow > 0, no pending
+// delay slot.  On return s — pc, counters, interlock producer, and a
+// taken transfer whose slot lies beyond the body or the budget, handed
+// back as InDelay and DelayTarget — is exactly what the port's Step would
+// have left.
 //
 // A loop trip is one call of the port's Loop; what it stops at takes the
 // path below, alone, and so does every instruction while a sampler is
 // attached.  A delay slot that holds the canonical nop retires without a
-// call.
+// call, and a plain one runs in Loop as a body of one.
 func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint64, err error) {
 	defer func() {
 		if r := recover(); r != nil {

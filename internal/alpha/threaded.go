@@ -9,15 +9,15 @@ import (
 
 // The Alpha port of the predecoded direct-threaded execution engine
 // (internal/exec): what exec's one decoder needs beside the table
-// (interlock), and what its run loop executes a body through (port): run,
-// the hot loop; slow; cond; and the handlers.  Alpha has no delay slots,
+// (interlock), and what its run loop executes a body through (exec.Machine):
+// Loop, the hot loop; Slow; and Transfer, a branch by cond.  Alpha has no delay slots,
 // and its interlock never charges r31.  The fetch/switch Step in cpu.go
 // stays the oracle; internal/exec/diff requires bit-identical state.
 
 // Dense opcodes, each described once: a pc-relative branch (and bsr) by
-// cond, another transfer or an undecodable word by its handler, a plain
-// instruction by a case of run or of slow (these come first, from 0, so
-// that run's jump table needs no offset).
+// cond, another transfer or an undecodable word by a case of Transfer, a
+// plain instruction by a case of Loop or of Slow (these come first, from
+// 0, so that Loop's jump table needs no offset).
 const (
 	aLda uint16 = iota
 	aLdah

@@ -9,15 +9,15 @@ import (
 
 // The MIPS port of the predecoded direct-threaded execution engine
 // (internal/exec): what exec's one decoder needs beside the table
-// (interlock), and what its run loop executes a body through (port): run,
-// the hot loop; slow; cond; and the handlers of the other transfers.
+// (interlock), and what its run loop executes a body through (exec.Machine):
+// Loop, the hot loop; Slow; and Transfer, a branch by cond.
 // Semantics must stay bit-identical to the fetch/switch oracle in cpu.go,
 // error strings included; internal/exec/diff enforces that.
 
 // Dense opcodes, each described once: a pc-relative branch by a case of
-// cond, another transfer or an undecodable word by its handler, a plain
-// instruction by a case of run or of slow (these come first, from 0, so
-// that run's jump table needs no offset).
+// cond, another transfer or an undecodable word by a case of Transfer, a
+// plain instruction by a case of Loop or of Slow (these come first, from
+// 0, so that Loop's jump table needs no offset).
 const (
 	mSll uint16 = iota
 	mSrl
@@ -414,7 +414,7 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 }
 
 // Slow is exec.Machine.Slow: byte, halfword and FP loads and stores, and the
-// divides, whose host registers would cost every case of run one.
+// divides, whose host registers would cost every case of Loop one.
 func (c *CPU) Slow(in *exec.Instr) error {
 	switch in.Op {
 	case mDiv:

@@ -10,15 +10,15 @@ import (
 )
 
 // The SPARC port of the predecoded direct-threaded execution engine
-// (internal/exec): what its run loop executes a body through (port): run,
-// the hot loop; slow; cond; and the handlers.  The fetch/switch Step in
+// (internal/exec): what its run loop executes a body through (exec.Machine):
+// Loop, the hot loop; Slow; and Transfer, a branch by cond.  The fetch/switch Step in
 // cpu.go stays the oracle, bit for bit (internal/exec/diff enforces it).
 // SPARC models no load-use interlock, so no Instr has interlock metadata.
 
 // Dense opcodes, each described once: a pc-relative branch by cond,
-// another transfer or an undecodable word by its handler, a plain
-// instruction by a case of run or of slow (these come first, from 0, so
-// that run's jump table needs no offset).
+// another transfer or an undecodable word by a case of Transfer, a plain
+// instruction by a case of Loop or of Slow (these come first, from 0, so
+// that Loop's jump table needs no offset).
 const (
 	sSethi uint16 = iota
 	sAdd

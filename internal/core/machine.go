@@ -1144,25 +1144,45 @@ func (m *Machine) safeTrap(pc uint64, v *region) (err error) {
 // machines that do not provide division in hardware, the VCODE integer
 // division instructions require subroutine calls").
 func registerDivHelpers(m *Machine) {
-	a0, a1, v0 := m.conv.IntArgs[0], m.conv.IntArgs[1], m.conv.RetInt
+	conv := m.conv
+	a0, a1, v0 := conv.IntArgs[0], conv.IntArgs[1], conv.RetInt
+	type sem struct {
+		sym string
+		f   func(x, y uint64) uint64
+	}
 	div := func(signed bool, bits int, mod bool) func(x, y uint64) uint64 {
 		return func(x, y uint64) uint64 {
-			if bits == 32 && signed {
-				x, y = uint64(int64(int32(x))), uint64(int64(int32(y)))
-			} else if bits == 32 {
-				x, y = uint64(uint32(x)), uint64(uint32(y))
+			if signed {
+				sx, sy := int64(x), int64(y)
+				if bits == 32 {
+					sx, sy = int64(int32(x)), int64(int32(y))
+				}
+				if sy == 0 {
+					return 0
+				}
+				var r int64
+				if mod {
+					r = sx % sy
+				} else {
+					r = sx / sy
+				}
+				if bits == 32 {
+					r = int64(int32(r))
+				}
+				return uint64(r)
 			}
-			if y == 0 {
+			ux, uy := x, y
+			if bits == 32 {
+				ux, uy = uint64(uint32(x)), uint64(uint32(y))
+			}
+			if uy == 0 {
 				return 0
 			}
-			r := x / y
-			switch {
-			case signed && mod:
-				r = uint64(int64(x) % int64(y))
-			case signed:
-				r = uint64(int64(x) / int64(y))
-			case mod:
-				r = x % y
+			var r uint64
+			if mod {
+				r = ux % uy
+			} else {
+				r = ux / uy
 			}
 			if bits == 32 {
 				r = uint64(int64(int32(r)))
@@ -1170,10 +1190,7 @@ func registerDivHelpers(m *Machine) {
 			return r
 		}
 	}
-	helpers := []struct {
-		sym string
-		f   func(x, y uint64) uint64
-	}{
+	helpers := []sem{
 		{"__div_i", div(true, 32, false)},
 		{"__div_u", div(false, 32, false)},
 		{"__div_l", div(true, 64, false)},

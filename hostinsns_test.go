@@ -40,10 +40,7 @@ const hostCountEnv = "REPRO_HOST_COUNT"
 // hostCountCalls is how many measured calls each row takes the least of.
 const hostCountCalls = 8
 
-var (
-	hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
-	hostCountBy  = flag.String("hostcount.by", "", "also log each row's count by function (func) or source line (line), or its functions in the order they ran (trail)")
-)
+var hostCountAll = flag.Bool("hostcount.all", false, "count the rows on every port, not only mips")
 
 // raceEnabled is set by race_test.go under the race detector, whose
 // instrumentation the counts would include.
@@ -298,18 +295,13 @@ func TestExecHostInstructions(t *testing.T) {
 	for _, port := range hostCountPorts(t) {
 		c, entries := countHostInstructions(t, "exec", port)
 		few, many, n := c["loop few"], c["loop many"], loopTripsMany-loopTripsFew
-		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}, by: map[string]int{}}
+		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
 		if (many.n-few.n)%n != 0 {
 			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, many.n-few.n, n)
 		}
 		for p, k := range many.pkgs {
 			if d := (k - few.pkgs[p]) / n; d != 0 {
 				trip.pkgs[p] = d
-			}
-		}
-		for k, v := range many.by {
-			if d := (v - few.by[k]) / n; d != 0 {
-				trip.by[k] = d
 			}
 		}
 		t.Logf("%s %s decode: %.1f host instructions a word", key, port, float64(c["decode"].n)/float64(decodeWords(port)))
@@ -329,13 +321,6 @@ func TestExecHostInstructions(t *testing.T) {
 		} {
 			name := port + " " + row.name
 			t.Logf("%s %s: %d host instructions (%v)", key, name, row.c.n, row.c)
-			switch *hostCountBy {
-			case "":
-			case "trail":
-				t.Logf("%s in order:\n\t%s", name, strings.Join(row.c.trail, "\n\t"))
-			default:
-				t.Logf("%s by %s:\n\t%s", name, *hostCountBy, tally(row.c.by, "\n\t"))
-			}
 			if b := execCountBudget[name]; row.c.n > b {
 				t.Errorf("%s: %d host instructions, budget %d", name, row.c.n, b)
 			}
@@ -443,34 +428,28 @@ func TestEmitHostInstructions(t *testing.T) {
 	}
 }
 
-// hostCount is one row's count, in all and by package, and with
-// -hostcount.by by function or source line.
+// hostCount is one row's count, in all and by package.
 type hostCount struct {
-	n     int
-	pkgs  map[string]int // by the package's last path element ("core")
-	by    map[string]int
-	trail []string // each stretch in one function, in order: "name n"
+	n    int
+	pkgs map[string]int // by the package's last path element ("core")
 }
 
 // String lists the count's packages, the dearest first.
-func (c hostCount) String() string { return tally(c.pkgs, ", ") }
-
-// tally lists the counts of m, the dearest first, separated by sep.
-func tally(m map[string]int, sep string) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func (c hostCount) String() string {
+	pkgs := make([]string, 0, len(c.pkgs))
+	for p := range c.pkgs {
+		pkgs = append(pkgs, p)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		return m[a] > m[b] || m[a] == m[b] && a < b
+	sort.Slice(pkgs, func(i, j int) bool {
+		a, b := pkgs[i], pkgs[j]
+		return c.pkgs[a] > c.pkgs[b] || c.pkgs[a] == c.pkgs[b] && a < b
 	})
 	var b strings.Builder
-	for i, k := range keys {
+	for i, p := range pkgs {
 		if i > 0 {
-			b.WriteString(sep)
+			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s %d", k, m[k])
+		fmt.Fprintf(&b, "%s %d", p, c.pkgs[p])
 	}
 	return b.String()
 }
@@ -526,7 +505,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 	// is not counted.
 	type pcInfo struct {
 		counted, entry, morestack bool
-		pkg, by                   string
+		pkg                       string
 	}
 	infos, entries := map[uint64]pcInfo{}, map[string]uint64{}
 	info := func(pc uint64) pcInfo {
@@ -540,11 +519,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 					entries[name] = uint64(f.Entry())
 				}
 				in.entry = f.Entry() == uintptr(pc)
-				in.pkg, in.by = hostPackage(name), name
-				if *hostCountBy == "line" {
-					file, line := f.FileLine(uintptr(pc))
-					in.by = fmt.Sprintf("%s:%d", file[strings.LastIndex(file, "/")+1:], line)
-				}
+				in.pkg = hostPackage(name)
 			}
 			infos[pc] = in
 		}
@@ -554,7 +529,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 	counts := map[string]hostCount{}
 	op := []byte{0}
 	for _, row := range hostRowSets[set] {
-		var least []pcInfo
+		var least []string
 		for call := 0; call < hostCountCalls; call++ {
 			if err := syscall.PtraceCont(pid, 0); err != nil {
 				t.Fatal(err)
@@ -563,8 +538,8 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 			if f := runtime.FuncForPC(uintptr(pc() - 1)); f == nil || f.Name() != "runtime.breakpoint" {
 				t.Skipf("the child's code is not at the parent's addresses (at %#x)", regs.Rip)
 			}
-			// trail is each counted instruction, in order.
-			var trail []pcInfo
+			// trail is each counted instruction's package, in order.
+			var trail []string
 			atEntry, entry, resume := 0, uint64(0), uint64(0)
 			for {
 				at := pc()
@@ -588,7 +563,7 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 						atEntry, entry = len(trail), at
 					}
 					if in.counted {
-						trail = append(trail, in)
+						trail = append(trail, in.pkg)
 					}
 				}
 				if err := syscall.PtraceSingleStep(pid); err != nil {
@@ -600,15 +575,9 @@ func countHostInstructions(t *testing.T, set, port string) (map[string]hostCount
 				least = trail
 			}
 		}
-		c := hostCount{n: len(least), pkgs: map[string]int{}, by: map[string]int{}}
-		for _, in := range least {
-			c.pkgs[in.pkg]++
-			c.by[in.by]++
-		}
-		for i, j := 0, 0; i < len(least); i = j {
-			for j = i; j < len(least) && least[j].by == least[i].by; j++ {
-			}
-			c.trail = append(c.trail, fmt.Sprintf("%s %d", least[i].by, j-i))
+		c := hostCount{n: len(least), pkgs: map[string]int{}}
+		for _, pkg := range least {
+			c.pkgs[pkg]++
 		}
 		counts[row.name] = c
 	}

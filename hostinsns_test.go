@@ -252,15 +252,15 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 // place, a call was 1,414, 1,271 and 1,291; before predecode settled each
 // instruction's bookkeeping, a decode was 6,363, 5,040 and 5,965, a trip
 // 383, 409 and 422 and a call 997, 907 and 928; before core reached the
-// run loop directly and a warm call paid no defer, a decode was 5,893,
+// run loop directly, a decode was 5,893,
 // 4,971 and 5,609 and a call 954, 833 and 806 (polled 1,047, 926 and 899,
 // recorded 1,198, 1,077 and 1,050).
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips decode": 5889, "sparc decode": 4967, "alpha decode": 5605,
-		"mips loop trip": 288, "mips leaf call": 853, "mips leaf call polled": 978, "mips leaf call recorded": 1105,
-		"sparc loop trip": 313, "sparc leaf call": 742, "sparc leaf call polled": 867, "sparc leaf call recorded": 994,
-		"alpha loop trip": 302, "alpha leaf call": 726, "alpha leaf call polled": 851, "alpha leaf call recorded": 978,
+		"mips loop trip": 288, "mips leaf call": 881, "mips leaf call polled": 987, "mips leaf call recorded": 1149,
+		"sparc loop trip": 313, "sparc leaf call": 768, "sparc leaf call polled": 874, "sparc leaf call recorded": 1036,
+		"alpha loop trip": 302, "alpha leaf call": 752, "alpha leaf call polled": 858, "alpha leaf call recorded": 1020,
 	},
 }
 
@@ -270,9 +270,9 @@ var execCountGolden = map[string]map[string]int{
 var execCountBudget = map[string]int{
 	"mips decode": 6183, "sparc decode": 5215, "alpha decode": 5885,
 	"mips loop trip": 303, "sparc loop trip": 329, "alpha loop trip": 318,
-	"mips leaf call": 896, "sparc leaf call": 779, "alpha leaf call": 762,
-	"mips leaf call polled": 1027, "sparc leaf call polled": 910, "alpha leaf call polled": 894,
-	"mips leaf call recorded": 1160, "sparc leaf call recorded": 1044, "alpha leaf call recorded": 1027,
+	"mips leaf call": 925, "sparc leaf call": 806, "alpha leaf call": 790,
+	"mips leaf call polled": 1036, "sparc leaf call polled": 918, "alpha leaf call polled": 901,
+	"mips leaf call recorded": 1206, "sparc leaf call recorded": 1088, "alpha leaf call recorded": 1071,
 }
 
 // execCoreBudget and execExecBudget are the most core's and exec's shares
@@ -280,8 +280,8 @@ var execCountBudget = map[string]int{
 // golden toolchain (core's was 296 on every port, exec's 251, 217 and 173,
 // before core reached the run loop directly).
 var (
-	execCoreBudget = map[string]int{"mips leaf call": 234, "sparc leaf call": 234, "alpha leaf call": 234}
-	execExecBudget = map[string]int{"mips leaf call": 264, "sparc leaf call": 216, "alpha leaf call": 183}
+	execCoreBudget = map[string]int{"mips leaf call": 287, "sparc leaf call": 287, "alpha leaf call": 287}
+	execExecBudget = map[string]int{"mips leaf call": 240, "sparc leaf call": 191, "alpha leaf call": 158}
 )
 
 // TestExecHostInstructions counts the host instructions of the port's

@@ -799,11 +799,21 @@ type CallStats struct {
 // remembers and reads the counters and the result in place.  The rest —
 // placement, stack and FP arguments, polling, traps, Step and the trace
 // writer — is out of line, in resume.
-func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (Value, CallStats, error) {
+func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, args ...Value) (v Value, st CallStats, err error) {
 	// Whether ctx can end the call is asked first, while nothing else is
 	// live across the interface call.
 	polls := ctx != nil && ctx.Done() != nil || !opts.Deadline.IsZero()
 	m.mu.Lock()
+	defer func() {
+		// The simulators are fuzzed, but a panic must still come back an
+		// error, not unwind the caller with the machine locked.
+		if r := recover(); r != nil {
+			err = m.runErr(f, &PanicError{PC: m.st.Pc, Value: r})
+			st = m.call.stats(m.st)
+			m.end(f, st, err)
+		}
+		m.mu.Unlock()
+	}()
 	s, c := m.st, &m.call
 	c.cycles0, c.insns0, c.steps = s.BaseCycles+s.Mem.PenaltyCycles(), s.Retired, 0
 	// The recorders own the clock: with both gates off a call reads none.
@@ -823,7 +833,7 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 	// A resident function whose plan is direct takes one store an
 	// argument and, where no poll is due and nothing forces Step, runs
 	// from the entry's body, remembered, for up to the budget.
-	err, pend := error(nil), true
+	pend := true
 	if f.home() == m {
 		if p := &f.plan; p.direct && p.nargs == len(args) && len(f.Params) == len(args) {
 			var mismatch Type
@@ -852,7 +862,6 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			err = m.resume(f, args, false, stop)
 		}
 	}
-	var v Value
 	if err == nil {
 		if p := &f.plan; p.fpRet { // SPARC pairs its FP bank: FReg reads the result
 			v = Value{T: f.Result, Bits: m.cpu.FReg(m.conv.RetFP, f.Result == TypeD)}
@@ -860,16 +869,25 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 			v = Value{T: f.Result, Bits: p.ret.canon(m.regs[p.ret.num&31])}
 		}
 	}
-	st := CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
-	if c.stride != 0 { // a polling call lets go of its context
-		c.stride, c.ctx = 0, nil
+	if st = c.stats(s); c.stride != 0 || c.timed {
+		m.end(f, st, err)
 	}
-	if c.timed {
+	return v, st, err
+}
+
+// stats is the running call's CallStats, from s.
+func (c *callFrame) stats(s *exec.State) CallStats {
+	return CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
+}
+
+// end ends a polling or timed call of f, which err ended with st: it lets
+// go of the context and records a timed call.  Caller holds mu.
+func (m *Machine) end(f *Func, st CallStats, err error) {
+	c := &m.call
+	if c.stride, c.ctx = 0, nil; c.timed {
 		m.recordCall(f, c.start, st, err)
 		c.timed = false
 	}
-	m.mu.Unlock()
-	return v, st, err
 }
 
 // resume is the call body out of line, from where the call stands:
@@ -879,11 +897,8 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 // stop-steps+1, so polls land on the stride's multiples as on Step, until
 // f returns.  An in-body pc is never a trap.  A pending delay slot, a
 // fault hook (which sees only Step's fetches) and the trace writer force
-// Step.  It recovers a panic, as the run loop does: the simulators are
-// fuzzed, but a panic must still come back an error, not unwind the
-// caller with the machine locked.  Caller holds mu.
+// Step.  Caller holds mu.
 func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err error) {
-	defer func() { m.recovered(f, recover(), &err) }()
 	s, c := m.st, &m.call
 	if pend {
 		switch { // a function no unit has placed is installed, one that left never is again
@@ -952,7 +967,6 @@ type callFrame struct {
 // stride), fails a call whose budget is spent, and returns the next stop.
 // A call that does not poll stops only there, at its budget.
 func (m *Machine) checkpoint(f *Func) (next uint64, err error) {
-	defer func() { m.recovered(f, recover(), &err) }() // ctx is the caller's
 	c := &m.call
 	if c.stride != 0 && c.steps%c.stride == 0 {
 		if c.ctx != nil {
@@ -986,19 +1000,8 @@ func (m *Machine) recordCall(f *Func, start time.Time, st CallStats, err error) 
 		start, time.Since(start), trace.Attrs{N: int64(st.Insns), Fuel: st.Fuel, Err: errText(err)})
 }
 
-// recovered turns what a stop of the call body recovered into the error
-// the call reports.
-func (m *Machine) recovered(f *Func, r any, err *error) {
-	if r != nil {
-		*err = m.runErr(f, &exec.Panic{Value: r})
-	}
-}
-
 // runErr is a failure of f's run, in the words every call reports it in.
 func (m *Machine) runErr(f *Func, err error) error {
-	if p, ok := err.(*exec.Panic); ok {
-		err = &PanicError{PC: m.st.Pc, Value: p.Value}
-	}
 	name := ""
 	if f != nil {
 		name = f.Name

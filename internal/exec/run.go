@@ -95,13 +95,6 @@ type Port struct {
 	Uncond uint16 // the branch Branch fires no edge probe on (Bad where every branch is conditional)
 }
 
-// Panic is a panic Run recovered, out of the simulator or a probe it
-// drove: the simulators are fuzzed, but a panic must still come back an
-// error, not unwind the caller.
-type Panic struct{ Value any }
-
-func (p *Panic) Error() string { return fmt.Sprint("exec: panic: ", p.Value) }
-
 // Bubble is 1 where in reads ll, loaded just before, a register not never.
 func Bubble(in *Instr, ll, never int) uint64 {
 	if ll >= 0 && ll != never && (in.SrcA == uint8(ll) || in.SrcB == uint8(ll)) {
@@ -112,23 +105,17 @@ func Bubble(in *Instr, ll, never int) uint64 {
 
 // Run executes b's code from index idx, on c with state s, until allow
 // instructions have retired, control leaves the body, or an instruction
-// faults; it returns the number retired, 1 for a panic it recovers as a
-// *Panic.  Preconditions (core.Machine keeps them): allow > 0, no pending
-// delay slot.  On return s — pc, counters, interlock producer, and a
-// taken transfer whose slot lies beyond the body or the budget, handed
-// back as InDelay and DelayTarget — is exactly what the port's Step would
-// have left.
+// faults; it returns the number retired.  Preconditions (core.Machine
+// keeps them): allow > 0, no pending delay slot.  On return s — pc,
+// counters, interlock producer, and a taken transfer whose slot lies
+// beyond the body or the budget, handed back as InDelay and DelayTarget —
+// is exactly what the port's Step would have left.
 //
 // A loop trip is one call of the port's Loop; what it stops at takes the
 // path below, alone, and so does every instruction while a sampler is
 // attached.  A delay slot that holds the canonical nop retires without a
 // call, and a plain one runs in Loop as a body of one.
-func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			n, err = 1, &Panic{Value: r}
-		}
-	}()
+func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64, error) {
 	// Retired instructions and their base cycles accumulate in the budget
 	// left (allow - left have retired) and flush into s where the run
 	// stops, at pc; load-use bubbles and instructions that charge extra
@@ -138,6 +125,7 @@ func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (n uint6
 	// the counters Step would show.
 	code, left := b.Code, allow
 	var flushed, pc uint64
+	var err error
 	sampling, edging := s.Sampling(), s.Edging()
 run:
 	for {

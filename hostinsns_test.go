@@ -110,7 +110,9 @@ var (
 // and ALUI forms, the load's consumer, the counter's decrement and the
 // back-edge, as internal/exec/diff's load-led loop) into a warm body, as
 // Install decodes it; then, through a warm CallWithStats, the body for two
-// trip counts, whose difference is a trip's cost, and a 13-instruction
+// trip counts, whose difference is a trip's cost, the same with a byte
+// load in place of the word load (a step of the oracle where the port's
+// Loop hands it off: mips and sparc), and a 13-instruction
 // leaf, whose count is a warm call's, then the same under a context that
 // can be canceled and never is (it polls, at the default stride, as a call
 // vcoded makes with a deadline does), then with the trace recorder on (the
@@ -121,6 +123,8 @@ var execRows = []hostRow{
 	{"decode", decoding(buildLoopLongBody)},
 	{"loop few", calling(context.Background(), buildLoopLongBody, loopArgs(loopTripsFew))},
 	{"loop many", calling(context.Background(), buildLoopLongBody, loopArgs(loopTripsMany))},
+	{"byte loop few", calling(context.Background(), buildByteLoopBody, loopArgs(loopTripsFew))},
+	{"byte loop many", calling(context.Background(), buildByteLoopBody, loopArgs(loopTripsMany))},
 	{"leaf call", calling(context.Background(), buildLeaf, leafArgs)},
 	{"leaf call polled", calling(livePollCtx, buildLeaf, leafArgs)},
 	{"leaf call recorded", func(tg regtest.Target) func() {
@@ -194,7 +198,13 @@ func decodeWords(port string) int {
 }
 
 // buildLoopLongBody is loop_long's body around a counted loop.
-func buildLoopLongBody(bk core.Backend) (*core.Func, error) {
+func buildLoopLongBody(bk core.Backend) (*core.Func, error) { return buildLoopBody(bk, core.TypeI) }
+
+// buildByteLoopBody is the same with an unsigned byte load.
+func buildByteLoopBody(bk core.Backend) (*core.Func, error) { return buildLoopBody(bk, core.TypeUC) }
+
+// buildLoopBody is loop_long's body around a counted loop, its load of type ty.
+func buildLoopBody(bk core.Backend, ty core.Type) (*core.Func, error) {
 	a := core.NewAsm(bk)
 	args, err := a.BeginTypes([]core.Type{core.TypeP, core.TypeI}, core.Leaf)
 	if err != nil {
@@ -211,7 +221,7 @@ func buildLoopLongBody(bk core.Backend) (*core.Func, error) {
 	a.SetI(I, acc, 0)
 	top := a.NewLabel()
 	a.Bind(top)
-	a.LdI(I, x, p, 0)
+	a.LdI(ty, x, p, 0)
 	a.ALUI(core.OpAdd, I, t, acc, 7)
 	a.ALU(core.OpXor, I, acc, acc, t)
 	a.ALUI(core.OpLsh, I, t, t, 2)
@@ -245,8 +255,9 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 
 // execCountGolden is the exec rows' counts, per toolchain, held exactly
 // where the toolchain matches: the decode of loop_long's body (32 words on
-// mips, 31 on sparc and alpha), a trip of it, a warm leaf call, and the
-// same call polled and recorded.  Before the ports' loops called
+// mips, 31 on sparc and alpha), a trip of it, one with a byte load, a
+// warm leaf call, and the same call polled and recorded.  Before the
+// ports' loops called
 // nothing they were 555, 596 and 577 a trip and 1,422, 1,359 and 1,350 a
 // call; before the call body was one and read the simulator's state in
 // place, a call was 1,414, 1,271 and 1,291; before predecode settled each
@@ -258,6 +269,7 @@ func buildLeaf(bk core.Backend) (*core.Func, error) {
 var execCountGolden = map[string]map[string]int{
 	"go1.24.0/amd64/v1": {
 		"mips decode": 5889, "sparc decode": 4967, "alpha decode": 5605,
+		"mips byte load trip": 562, "sparc byte load trip": 575, "alpha byte load trip": 339,
 		"mips loop trip": 288, "mips leaf call": 881, "mips leaf call polled": 987, "mips leaf call recorded": 1149,
 		"sparc loop trip": 313, "sparc leaf call": 768, "sparc leaf call polled": 874, "sparc leaf call recorded": 1036,
 		"alpha loop trip": 302, "alpha leaf call": 752, "alpha leaf call polled": 858, "alpha leaf call recorded": 1020,
@@ -265,11 +277,12 @@ var execCountGolden = map[string]map[string]int{
 }
 
 // execCountBudget is the most an exec row may cost on any toolchain: a
-// decode, a trip, and a warm leaf call, polled, recorded or neither, at
+// decode, a trip (with a word or a byte load), and a warm leaf call, polled, recorded or neither, at
 // most 5% above its count on the golden toolchain.
 var execCountBudget = map[string]int{
 	"mips decode": 6183, "sparc decode": 5215, "alpha decode": 5885,
 	"mips loop trip": 303, "sparc loop trip": 329, "alpha loop trip": 318,
+	"mips byte load trip": 590, "sparc byte load trip": 604, "alpha byte load trip": 356,
 	"mips leaf call": 925, "sparc leaf call": 806, "alpha leaf call": 790,
 	"mips leaf call polled": 1036, "sparc leaf call polled": 918, "alpha leaf call polled": 901,
 	"mips leaf call recorded": 1206, "sparc leaf call recorded": 1088, "alpha leaf call recorded": 1071,
@@ -294,15 +307,18 @@ func TestExecHostInstructions(t *testing.T) {
 	golden := execCountGolden[key]
 	for _, port := range hostCountPorts(t) {
 		c, entries := countHostInstructions(t, "exec", port)
-		few, many, n := c["loop few"], c["loop many"], loopTripsMany-loopTripsFew
-		trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
-		if (many.n-few.n)%n != 0 {
-			t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, many.n-few.n, n)
-		}
-		for p, k := range many.pkgs {
-			if d := (k - few.pkgs[p]) / n; d != 0 {
-				trip.pkgs[p] = d
+		trip := func(few, many hostCount) hostCount {
+			n := loopTripsMany - loopTripsFew
+			trip := hostCount{n: (many.n - few.n) / n, pkgs: map[string]int{}}
+			if (many.n-few.n)%n != 0 {
+				t.Errorf("%s: %d host instructions over %d trips is not the same each trip", port, many.n-few.n, n)
 			}
+			for p, k := range many.pkgs {
+				if d := (k - few.pkgs[p]) / n; d != 0 {
+					trip.pkgs[p] = d
+				}
+			}
+			return trip
 		}
 		t.Logf("%s %s decode: %.1f host instructions a word", key, port, float64(c["decode"].n)/float64(decodeWords(port)))
 		// A 32-byte move of the port's Loop has moved loop_long by up to
@@ -314,7 +330,8 @@ func TestExecHostInstructions(t *testing.T) {
 			c    hostCount
 		}{
 			{"decode", c["decode"]},
-			{"loop trip", trip},
+			{"loop trip", trip(c["loop few"], c["loop many"])},
+			{"byte load trip", trip(c["byte loop few"], c["byte loop many"])},
 			{"leaf call", c["leaf call"]},
 			{"leaf call polled", c["leaf call polled"]},
 			{"leaf call recorded", c["leaf call recorded"]},

@@ -114,6 +114,40 @@ func buildSpinDiv(tb testing.TB, bk core.Backend) *core.Func {
 	return fn
 }
 
+// buildSpinLoad generates a loop that never returns and, on every trip,
+// loads a double and a byte from p: x++; f = *p; y = p[1]; goto top.  An
+// FP load is one step of the oracle on every port (a hand-off from the
+// threaded engine's loop), and so is a byte load where there is one.
+func buildSpinLoad(tb testing.TB, bk core.Backend) *core.Func {
+	tb.Helper()
+	a := core.NewAsm(bk)
+	a.SetName("spinload")
+	args, err := a.Begin("%p%i", core.Leaf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	y, err := a.GetReg(core.Temp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := a.GetFReg(core.Temp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	top := a.NewLabel()
+	a.Bind(top)
+	a.Addii(args[1], args[1], 1)
+	a.LdI(core.TypeD, f, args[0], 0)
+	a.LdI(core.TypeUC, y, args[0], 1)
+	a.Jmp(top)
+	a.Reti(y) // unreachable
+	fn, err := a.End()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fn
+}
+
 // pollCounter is a context that is canceled at its at-th Err, the run
 // loop's at-th poll.
 type pollCounter struct {
@@ -133,24 +167,38 @@ func (c *pollCounter) Err() error {
 // TestPollsLandOnTheStride: CallOpts.PollStride's contract on both engines
 // and every port — the k-th poll of ctx comes after exactly (k-1)·stride
 // steps, however the loop's slices end: between a taken branch and its
-// delay slot, or at a trap dispatch (alpha's divide helper).  The threaded
+// delay slot, at a trap dispatch (alpha's divide helper), or at an
+// instruction the threaded engine's loop hands to the oracle.  The threaded
 // engine used to poll only where its slices happened to end on a
 // multiple of the stride, and once one did not, never again on one.
 func TestPollsLandOnTheStride(t *testing.T) {
 	for _, tg := range regtest.Targets() {
 		m := tg.NewMachine()
-		spin := buildSpinDiv(t, tg.Backend)
+		buf, err := m.Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spins := []struct {
+			fn   *core.Func
+			args []core.Value
+		}{
+			{buildSpinDiv(t, tg.Backend), []core.Value{core.I(1)}},
+			{buildSpinLoad(t, tg.Backend), []core.Value{core.P(buf), core.I(1)}},
+		}
 		for _, e := range engines {
 			if err := m.SetEngine(e); err != nil {
 				t.Fatal(err)
 			}
-			for _, stride := range []uint64{16, 256} {
-				for _, k := range []int{1, 2, 37, 100} {
-					ctx := &pollCounter{Context: context.Background(), at: k}
-					_, st, err := m.CallWithStats(ctx, core.CallOpts{PollStride: stride}, spin, core.I(1))
-					want := uint64(k-1) * stride
-					if !errors.Is(err, context.Canceled) || st.Fuel != want {
-						t.Errorf("%s/%s stride %d: poll %d after %d steps (%v), want after %d", tg.Name, e, stride, k, st.Fuel, err, want)
+			for _, spin := range spins {
+				for _, stride := range []uint64{16, 256} {
+					for _, k := range []int{1, 2, 37, 100} {
+						ctx := &pollCounter{Context: context.Background(), at: k}
+						_, st, err := m.CallWithStats(ctx, core.CallOpts{PollStride: stride}, spin.fn, spin.args...)
+						want := uint64(k-1) * stride
+						if !errors.Is(err, context.Canceled) || st.Fuel != want {
+							t.Errorf("%s/%s %s stride %d: poll %d after %d steps (%v), want after %d",
+								tg.Name, e, spin.fn.Name, stride, k, st.Fuel, err, want)
+						}
 					}
 				}
 			}

@@ -13,7 +13,7 @@ import (
 func tableUnderTest() *isatest.ISA {
 	m := mem.New(1<<16, false)
 	c := NewCPU(m)
-	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Branch: c.branch,
+	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Stepped: [2]uint16{aLds, aNumPlain}, Branch: c.branch,
 		New: func() (core.ThreadedCPU, *mem.Memory) {
 			m := mem.New(1<<16, false)
 			return NewCPU(m), m

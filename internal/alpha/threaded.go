@@ -1,7 +1,6 @@
 package alpha
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/exec"
@@ -10,27 +9,23 @@ import (
 // The Alpha port of the predecoded direct-threaded execution engine
 // (internal/exec): what exec's one decoder needs beside the table
 // (interlock), and what its run loop executes a body through (exec.Machine):
-// Loop, the hot loop; Slow; and Transfer, a branch by cond.  Alpha has no delay slots,
+// Loop, the hot loop, Transfer, a branch by cond, and Step for the rest.  Alpha has no delay slots,
 // and its interlock never charges r31.  The fetch/switch Step in cpu.go
 // stays the oracle; internal/exec/diff requires bit-identical state.
 
 // Dense opcodes, each described once: a pc-relative branch (and bsr) by
-// cond, another transfer or an undecodable word by a case of Transfer, a
-// plain instruction by a case of Loop or of Slow (these come first, from
-// 0, so that Loop's jump table needs no offset).
+// cond, another transfer by a case of Transfer, a plain instruction by a
+// case of Loop or, last of the plain ones, by Step alone (these come
+// first, from 0, so that Loop's jump table needs no offset).
 const (
 	aLda uint16 = iota
 	aLdah
 	aLdl
 	aLdq
 	aLdqU
-	aLds
-	aLdt
 	aStl
 	aStq
 	aStqU
-	aSts
-	aStt
 	aAddl
 	aSubl
 	aAddq
@@ -79,6 +74,11 @@ const (
 	aCvtqs
 	aCvtqt
 	aCvttqc
+	// Loop has no case for these: Step runs them.
+	aLds
+	aLdt
+	aSts
+	aStt
 	aNumPlain
 )
 
@@ -176,44 +176,17 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 // and an interlock that never charges $31.
 var port = exec.Port{Name: "alpha", Slots: 0, Never: 31, Bad: aBad, Uncond: aBr}
 
-// Transfer is exec.Machine.Transfer: the jumps, a pc-relative branch (or
-// bsr) by branch, and a word with no row.
-func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+// Transfer is exec.Machine.Transfer: the jumps, and a pc-relative branch
+// (or bsr) by branch.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) int32 {
 	switch in.Op {
 	case aJump:
 		// Read rb before the link write, as the oracle does.
 		t := c.tr(in.B) &^ 3
 		c.twr(in.A, in.PC+4)
-		return b.Indirect(t, &c.ExtPC), nil
-	case aBad:
-		return 0, badWord(uint32(in.Imm), in.PC)
+		return b.Indirect(t, &c.ExtPC)
 	}
-	return port.Branch(&c.State, in, c.branch(in)), nil
-}
-
-// badWord is what the oracle says of a word with no row: of its function
-// field where the major opcode is an operate group, else of the opcode.
-func badWord(w uint32, pc uint64) error {
-	group, fn := "", w>>5&0x7f
-	switch w >> 26 {
-	case opInta:
-		group = "INTA"
-	case opIntl:
-		group = "INTL"
-	case opInts:
-		group = "INTS"
-	case opIntm:
-		group = "INTM"
-	case opFltl:
-		group, fn = "FLTL", w>>5&0x7ff
-	case opFlts:
-		group, fn = "FLTS", w>>5&0x7ff
-	case opFlti:
-		group, fn = "FLTI", w>>5&0x7ff
-	default:
-		return fmt.Errorf("alpha: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
-	}
-	return fmt.Errorf("alpha: unknown %s funct %#x at %#x", group, fn, pc)
+	return port.Branch(&c.State, in, c.branch(in))
 }
 
 // Loop is exec.Machine.Loop: integer and FP operates, the quadword (aligned
@@ -236,37 +209,31 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 				case aLdl:
 					v, ok := c.Mem.Load4(c.taddr(in))
 					if !ok {
-						c.Declined = "ldl"
 						break loop
 					}
 					c.twr(in.A, uint64(int64(int32(v))))
 				case aLdq:
 					v, ok := c.Mem.Load8(c.taddr(in))
 					if !ok {
-						c.Declined = "ldq"
 						break loop
 					}
 					c.twr(in.A, v)
 				case aLdqU:
 					v, ok := c.Mem.Load8(c.taddr(in) &^ 7)
 					if !ok {
-						c.Declined = "ldq_u"
 						break loop
 					}
 					c.twr(in.A, v)
 				case aStl:
 					if !c.Mem.Store4(c.taddr(in), uint32(c.tr(in.A))) {
-						c.Declined = "store"
 						break loop
 					}
 				case aStq:
 					if !c.Mem.Store8(c.taddr(in), c.tr(in.A)) {
-						c.Declined = "store"
 						break loop
 					}
 				case aStqU:
 					if !c.Mem.Store8(c.taddr(in)&^7, c.tr(in.A)) {
-						c.Declined = "store"
 						break loop
 					}
 				case aAddl:
@@ -426,35 +393,6 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 	return i, left
 }
 
-// Slow is exec.Machine.Slow: FP loads and stores.
-func (c *CPU) Slow(in *exec.Instr) error {
-	switch in.Op {
-	case aLds:
-		v, err := c.Mem.Load(c.taddr(in), 4)
-		if err != nil {
-			return memErr("lds", in, err)
-		}
-		if in.A != 31 {
-			c.f[in.A] = v
-		}
-	case aLdt:
-		v, err := c.Mem.Load(c.taddr(in), 8)
-		if err != nil {
-			return memErr("ldt", in, err)
-		}
-		if in.A != 31 {
-			c.f[in.A] = v
-		}
-	case aSts:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 4, c.f[in.A]&0xffffffff))
-	case aStt:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 8, c.f[in.A]))
-	default:
-		panic(fmt.Sprintf("alpha: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
-	}
-	return nil
-}
-
 func zapMask(b uint64) uint64 {
 	mask := uint64(0)
 	for i := 0; i < 8; i++ {
@@ -463,14 +401,6 @@ func zapMask(b uint64) uint64 {
 		}
 	}
 	return mask
-}
-
-// memErr is a load's or store's fault in the oracle's words, nil for none.
-func memErr(what string, in *exec.Instr, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("alpha: %s at pc %#x: %w", what, in.PC, err)
 }
 
 // Threaded returns the port and state the run loop executes c with, and

@@ -62,8 +62,9 @@ func buildBad(tb testing.TB, bk core.Backend) *core.Func {
 	return fn
 }
 
-// callFuncs are the functions TestHowACallEnds calls.
-type callFuncs struct{ leaf, faulting, byteFaulting, bad *core.Func }
+// callFuncs are the functions TestHowACallEnds calls; fresh is placed by
+// the call that panics in it.
+type callFuncs struct{ leaf, faulting, byteFaulting, bad, fresh *core.Func }
 
 // callEnd is how a call came out: its result, its stats, and its error's
 // text and the types along its chain.
@@ -86,14 +87,14 @@ func endOf(v core.Value, st core.CallStats, err error) callEnd {
 // TestHowACallEnds holds every way a warm call ends — a return, fuel spent
 // at exactly the budget, a context canceled at a poll, a deadline already
 // past, a word and a byte load fault mid-run, a word with no row and a
-// simulator panic recovered — to the
+// simulator panic recovered, in a warm call and in a function's first —
+// to the
 // switch engine on every port: the result, CallStats (cycles, instructions
 // and fuel) and the error, its text and the type of each error it wraps.
 // Each case also says what its error must be, so that both engines cannot
-// agree on the wrong one.  A panic's fuel is held on the switch engine
-// alone, to each step up to the one that panicked: the threaded engine
-// counts the steps of a body when the body returns, and one that panics
-// does not.
+// agree on the wrong one.  A panic's fuel is every step up to the one that
+// panicked, which the threaded engine takes from what its run loop
+// flushed before the sampler fired.
 func TestHowACallEnds(t *testing.T) {
 	two := []core.Value{core.I(12345), core.I(678)}
 	cases := []struct {
@@ -130,6 +131,13 @@ func TestHowACallEnds(t *testing.T) {
 			defer m.SetSampler(nil, 0)
 			return m.CallWithStats(context.Background(), core.CallOpts{}, fs.leaf, two...)
 		}, func(err error) bool { var pe *core.PanicError; return errors.As(err, &pe) }},
+		{"simulator panic in a first call", func(m *core.Machine, fs *callFuncs) (core.Value, core.CallStats, error) {
+			if err := m.SetSampler(func(uint64) { panic("sampled") }, 6); err != nil {
+				return core.Value{}, core.CallStats{}, err
+			}
+			defer m.SetSampler(nil, 0)
+			return m.CallWithStats(context.Background(), core.CallOpts{}, fs.fresh, two...)
+		}, func(err error) bool { var pe *core.PanicError; return errors.As(err, &pe) }},
 	}
 	for _, tg := range regtest.Targets() {
 		var ends [2][]callEnd // by engine, switch first
@@ -139,7 +147,7 @@ func TestHowACallEnds(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs := &callFuncs{buildLeaf(t, tg.Backend, 1), buildFaulting(t, tg.Backend, core.TypeI),
-				buildFaulting(t, tg.Backend, core.TypeUC), buildBad(t, tg.Backend)}
+				buildFaulting(t, tg.Backend, core.TypeUC), buildBad(t, tg.Backend), buildLeaf(t, tg.Backend, 2)}
 			m.SetVerify(false)
 			for _, f := range []*core.Func{fs.leaf, fs.faulting, fs.byteFaulting, fs.bad} {
 				if err := m.Install(f); err != nil {
@@ -160,11 +168,8 @@ func TestHowACallEnds(t *testing.T) {
 		}
 		for j, c := range cases {
 			ref, got := ends[0][j], ends[1][j]
-			if c.name == "simulator panic" {
-				if ref.st.Fuel != ref.st.Insns {
-					t.Errorf("%s/%s: fuel %d on the switch engine, want %d", tg.Name, c.name, ref.st.Fuel, ref.st.Insns)
-				}
-				ref.st.Fuel, got.st.Fuel = 0, 0
+			if strings.HasPrefix(c.name, "simulator panic") && ref.st.Fuel != ref.st.Insns {
+				t.Errorf("%s/%s: fuel %d on the switch engine, want %d", tg.Name, c.name, ref.st.Fuel, ref.st.Insns)
 			}
 			if got != ref {
 				t.Errorf("%s/%s: threaded %+v, switch %+v", tg.Name, c.name, got, ref)

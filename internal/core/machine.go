@@ -809,7 +809,7 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		// error, not unwind the caller with the machine locked.
 		if r := recover(); r != nil {
 			err = m.runErr(f, &PanicError{PC: m.st.Pc, Value: r})
-			st = m.call.stats(m.st)
+			st = m.call.panicked(m.st)
 			m.end(f, st, err)
 		}
 		m.mu.Unlock()
@@ -880,6 +880,20 @@ func (c *callFrame) stats(s *exec.State) CallStats {
 	return CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
 }
 
+// panicked is the running call's CallStats where a panic ended it: the
+// steps of the body it ran are what Run flushed into s before the sampler
+// fired, counted from the call's start where no step is counted yet (the
+// entry body, which the call body runs itself), else from where resume
+// began the body, whose first step it counted then.
+func (c *callFrame) panicked(s *exec.State) CallStats {
+	if c.steps == 0 {
+		c.steps = s.Retired - c.insns0
+	} else {
+		c.steps += s.Retired - c.began - 1
+	}
+	return c.stats(s)
+}
+
 // end ends a polling or timed call of f, which err ended with st: it lets
 // go of the context and records a timed call.  Caller holds mu.
 func (m *Machine) end(f *Func, st CallStats, err error) {
@@ -925,7 +939,7 @@ func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err err
 		}
 		// A trap dispatch consumes a step too, so a trap that returns to
 		// itself burns fuel instead of spinning forever.
-		c.steps++
+		c.steps, c.began = c.steps+1, s.Retired
 		b, idx := (*exec.Body)(nil), 0
 		if m.threaded && !s.InDelay && !m.mem.HasFaultHook() {
 			if pc == p.entry && p.gen == m.bodyGen {
@@ -950,13 +964,15 @@ func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err err
 
 // callFrame is the running call's own state, kept in the machine under
 // mu, where the call body's stops out of line read it: the clock and
-// counters at its start, the steps it has taken, its budget, and, if it
-// polls, every stride steps, its context (which may be nil) and deadline.
-// timed is whether the call is recorded, from start.
+// counters at its start, the steps it has taken, where resume began the
+// body it runs, its budget, and, if it polls, every stride steps, its
+// context (which may be nil) and deadline.  timed is whether the call is
+// recorded, from start.
 type callFrame struct {
 	timed                  bool
 	start                  time.Time
 	cycles0, insns0, steps uint64
+	began                  uint64 // s.Retired where resume began the body it runs
 	budget, stride         uint64
 	ctx                    context.Context
 	deadline               time.Time

@@ -98,9 +98,10 @@ const (
 //	        (NoReg otherwise)
 //	Run     how many consecutive instructions from this one on are plain
 //	        (their table row is exec.KindOther: they fall through and
-//	        touch no control state); 0 for a transfer or a word with no
-//	        row.  A port's Loop executes a run as one segment, without a
-//	        call or a per-instruction budget check (MarkRuns)
+//	        touch no control state) or words with no row (which fault);
+//	        0 for a transfer.  A port's Loop executes a run as one
+//	        segment, without a call or a per-instruction budget check,
+//	        and stops at what it has no case for (MarkRuns)
 //	Stall   1 when this instruction reads what its array predecessor
 //	        loads: its load-use bubble when it is reached by falling
 //	        through, which inside a run is the only way to reach it
@@ -148,12 +149,11 @@ func Predecode(words []uint32, base uint64, decode func(b *Body, words []uint32,
 // one Instr each, written in full, from its row in t (rows[i], or looked
 // up when rows is nil): the interlock registers at the fields the row
 // keeps for them, its opcode, its operands, Run 1 if it is plain (for
-// MarkRuns to extend),
-// FFold if it is a pc-relative branch (MarkRuns keeps it where the run
-// loop can resolve the branch itself) and the target its field gives, in
-// b or External.  It is pure.  A word with no row becomes p.Bad, whose
-// handler gives the oracle's message, so unreachable garbage (pads,
-// literal pools) still installs.
+// MarkRuns to extend), FFold if it is a pc-relative branch (MarkRuns
+// keeps it where the run loop can resolve the branch itself) and the
+// target its field gives, in b or External.  It is pure.  A word with no
+// row becomes p.Bad with Run 1, which Step refuses in the oracle's words,
+// so unreachable garbage (pads, literal pools) still installs.
 func (p *Port) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 	slots, nop, locks := p.Slots > 0, p.Nop, t.rule != nil
 	if rows == nil {
@@ -209,7 +209,7 @@ func (p *Port) Decode(t *Table, b *Body, words []uint32, rows []*Row) {
 	for i := 0; bad && i < len(rows); i++ { // a bad word's interlock: the rule, for it alone
 		if o, w := (operands{}), words[i]; rows[i] == nil {
 			t.lock(&o, w, w)
-			code[i].SrcA, code[i].SrcB, code[i].LoadReg = o.reg(3, w), o.reg(4, w), o.reg(5, w)
+			code[i].SrcA, code[i].SrcB, code[i].LoadReg, code[i].Run = o.reg(3, w), o.reg(4, w), o.reg(5, w), 1
 		}
 	}
 	MarkRuns(b.Code, p.Never, p.Slots)

@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // State is the simulator state every port keeps alike, embedded by each
 // port's CPU: its Step and the run loop read and write the same fields.
@@ -17,7 +13,6 @@ type State struct {
 	BaseCycles  uint64 // cycles, memory-system stalls apart
 	Retired     uint64 // instructions retired
 	LastLoad    int    // the register the previous instruction loaded, or -1
-	Declined    string // the access a Loop's inline accessor declined, as the port's error names it
 
 	Probes // the PC sampler and the branch edge probe
 }
@@ -64,25 +59,27 @@ func (s *State) flush(pc, pend uint64) {
 // execution that are its own.
 type Machine interface {
 	// Loop, the port's hot loop, calls nothing.  From code[idx] on it
-	// executes runs of the plain instructions that need no call, each a
+	// executes runs of the plain instructions it has a case for, each a
 	// segment that pays the Stall bits after its first in one sum
 	// (Instr.Target), and the FFold branches, each folded where a segment
-	// ends, until the budget left runs out, the body ends or code[idx]
-	// needs a call: a slow instruction, or an access its inline accessor
-	// declines, named in State.Declined.  Only code[idx] pays its bubble
-	// by the producer in State.LastLoad: what Loop reaches by falling
-	// through pays its Stall bit, and a fold's landing none.  It returns
-	// where it stopped and the budget left, charges the bubbles to
+	// ends, until the budget left runs out, the body ends or code[idx] is
+	// not one of those: a transfer, a plain instruction it hands to Step,
+	// or an access its inline accessor declines.  Only code[idx] pays its
+	// bubble by the producer in State.LastLoad: what Loop reaches by
+	// falling through pays its Stall bit, and a fold's landing none.  It
+	// returns where it stopped and the budget left, charges the bubbles to
 	// State.BaseCycles, that of the instruction it stopped at too while
 	// budget is left, and leaves the interlock producer in State.LastLoad.
 	Loop(code []Instr, idx int, left uint64) (int, uint64)
-	// Slow executes a plain instruction Loop stops at but did not decline.
-	Slow(in *Instr) error
 	// Transfer executes a transfer Loop does not fold (a pc-relative branch
-	// through Port.Branch) or refuses an undecodable word: NoBranch falls
-	// through, an index in b is taken, External has left its destination
-	// in the State's ExtPC (Instr.Jump, Body.Indirect).
-	Transfer(b *Body, in *Instr) (int32, error)
+	// through Port.Branch): NoBranch falls through, an index in b is taken,
+	// External has left its destination in the State's ExtPC (Instr.Jump,
+	// Body.Indirect).
+	Transfer(b *Body, in *Instr) int32
+	// Step is the port's oracle, one instruction at State.Pc: Run steps
+	// what Loop stops at and is not a transfer, and a delay slot Loop does
+	// not run.
+	Step() error
 }
 
 // Port is a port's shape.
@@ -91,7 +88,7 @@ type Port struct {
 	Slots  int    // delay slots per transfer: 0 or 1
 	Nop    uint32 // with slots, the canonical nop (FNop)
 	Never  uint8  // the register the load-use interlock never charges, NoReg for none
-	Bad    uint16 // the opcode of a word with no row: Transfer refuses it
+	Bad    uint16 // the opcode of a word with no row: Step refuses it
 	Uncond uint16 // the branch Branch fires no edge probe on (Bad where every branch is conditional)
 }
 
@@ -113,23 +110,24 @@ func Bubble(in *Instr, ll, never int) uint64 {
 //
 // A loop trip is one call of the port's Loop; what it stops at takes the
 // path below, alone, and so does every instruction while a sampler is
-// attached.  A delay slot that holds the canonical nop retires without a
-// call, and a plain one runs in Loop as a body of one.
+// attached: a transfer by Transfer, anything else by one Step.  A delay
+// slot that holds the canonical nop retires without a call, a plain one
+// runs in Loop as a body of one, and Step runs any other.
 func (p *Port) Run(c Machine, s *State, b *Body, idx int, allow uint64) (uint64, error) {
 	// Retired instructions and their base cycles accumulate in the budget
 	// left (allow - left have retired) and flush into s where the run
-	// stops, at pc; load-use bubbles and instructions that charge extra
-	// cycles add to BaseCycles directly, and the interlock producer is
-	// s.LastLoad throughout.  The sampler flushes through the current
-	// instruction first (flushed counts what is applied) so probes see
-	// the counters Step would show.
+	// stops, at pc, or before a Step; load-use bubbles and instructions
+	// that charge extra cycles add to BaseCycles directly, and the
+	// interlock producer is s.LastLoad throughout.  The sampler flushes
+	// through the current instruction first (flushed counts what is
+	// applied) so probes see the counters Step would show.
 	code, left := b.Code, allow
 	var flushed, pc uint64
 	var err error
 	sampling, edging := s.Sampling(), s.Edging()
 run:
 	for {
-		tried := false // whether Loop stopped at code[idx] for its call
+		tried := false // whether Loop stopped at code[idx], its bubble charged
 		if !sampling {
 			// Where the edge probe must see every branch, Loop is given
 			// the straight run alone, and a branch takes the path below.
@@ -148,26 +146,28 @@ run:
 				break
 			}
 		}
-		in, ll := &code[idx], s.LastLoad
+		in := &code[idx]
 		if sampling && s.SampleDue() {
 			s.flush(in.PC, allow-left+1-flushed)
 			flushed = allow - left + 1
 			s.Sample(in.PC)
 		}
-		if !tried { // else Loop has charged it
-			s.BaseCycles += Bubble(in, ll, int(p.Never))
-		}
 		br := NoBranch
-		if in.Run != 0 {
-			err = p.plain(c, s, code, idx, tried)
-		} else {
-			br, err = c.Transfer(b, in)
+		switch {
+		case in.Run == 0:
+			if !tried { // else Loop has charged it
+				s.BaseCycles += Bubble(in, s.LastLoad, int(p.Never))
+			}
+			br = c.Transfer(b, in)
+		case !tried && once(c, code, idx):
+		default:
+			// Loop stopped at it and charged its bubble, which Step
+			// charges itself.
+			s.BaseCycles -= Bubble(in, s.LastLoad, int(p.Never))
+			err = s.step(c, in.PC, allow-left, &flushed, sampling)
 		}
 		if pc, left = in.PC, left-1; err != nil {
-			// code[idx] faulted: it retires and has paid its bubble, but
-			// does not become the interlock producer.
-			s.LastLoad = ll
-			break
+			break // Step left what a fault leaves
 		}
 		// A transfer loads nothing, so no bubble waits at its slot.
 		s.LastLoad = int(int8(in.LoadReg))
@@ -202,24 +202,15 @@ run:
 				flushed = allow - left + 1
 				s.Sample(in.PC)
 			}
-			if left--; in.Flags&FNop == 0 { // what most slots hold: it retires, and that is all it does
-				if in.Run != 0 {
-					// Loop runs the slot, unless it stops at it, as a body
-					// of one: what follows the slot is not looked at.
-					if i, _ := c.Loop(code[idx:idx+1], 0, 1); i == 0 {
-						err = p.plain(c, s, code, idx, true)
-					}
-				} else if br2, err2 := c.Transfer(b, in); err2 == nil && br2 != NoBranch {
-					// Branch in a delay slot: Step resolves the pending
-					// transfer first, then reports the bug at the landing pc.
-					s.LastLoad = int(int8(in.LoadReg))
-					pc, err = pend, fmt.Errorf("%s: branch in delay slot at %#x", p.Name, pend)
-					break run
-				} else {
-					err = err2
-				}
-				if pc = in.PC; err != nil {
-					s.InDelay, s.DelayTarget = true, pend
+			// What most slots hold, the nop, retires, and that is all it
+			// does; Loop runs a plain slot as a body of one, not looking
+			// past it.  Step runs any other, the transfer pending: it
+			// lands, or reports a branch in the slot or a fault there.
+			if left--; in.Flags&FNop == 0 && (in.Run == 0 || !once(c, code[idx:idx+1], 0)) {
+				// The transfer loads nothing: Loop charged no bubble.
+				s.InDelay, s.DelayTarget = true, pend
+				if err = s.step(c, in.PC, allow-left-1, &flushed, sampling); err != nil {
+					pc = s.Pc
 					break run
 				}
 			}
@@ -238,6 +229,25 @@ run:
 	return allow - left, err
 }
 
+// once reports whether Loop runs code[idx], a plain instruction, as a body
+// of one; else it stopped at it, its bubble charged.
+func once(c Machine, code []Instr, idx int) bool {
+	i, _ := c.Loop(code, idx, 1)
+	return i > idx
+}
+
+// step runs the instruction at pc as one Step of the oracle, which counts
+// it, charges its bubble and would sample it: s is flushed through the
+// done instructions before it, taking back the count of a sample Run took
+// of it, which Step does not take again.
+func (s *State) step(c Machine, pc, done uint64, flushed *uint64, sampling bool) error {
+	s.flush(pc, done-*flushed)
+	if *flushed = done + 1; sampling {
+		s.sampleLeft++
+	}
+	return c.Step()
+}
+
 // Branch is where in, of a pc-relative branch row, goes: NoBranch, or
 // where in.Jump says if taken.  It fires the edge probe, as the oracle
 // does, but on Uncond.
@@ -249,24 +259,4 @@ func (p *Port) Branch(s *State, in *Instr, taken bool) int32 {
 		return NoBranch
 	}
 	return in.Jump(&s.ExtPC)
-}
-
-// plain executes code[idx], a plain instruction, alone, its bubble paid:
-// in Loop (unless Loop tried it), in Slow, or, its access declined, in
-// Loop again once mem.Memory.Admit has admitted it.
-func (p *Port) plain(c Machine, s *State, code []Instr, idx int, tried bool) error {
-	if s.LastLoad = -1; !tried {
-		if i, _ := c.Loop(code, idx, 1); i > idx {
-			return nil
-		}
-	}
-	what := s.Declined
-	if what == "" {
-		return c.Slow(&code[idx])
-	}
-	s.Declined = ""
-	if err := s.Mem.Admit(func() { c.Loop(code, idx, 1) }); err != nil {
-		return fmt.Errorf("%s: %s at pc %#x: %w", p.Name, what, code[idx].PC, err)
-	}
-	return nil
 }

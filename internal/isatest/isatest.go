@@ -30,6 +30,9 @@ type ISA struct {
 	// Branch is the port's Cond: whether a predecoded instruction of a
 	// pc-relative branch row is taken.  The run loop folds a branch by it.
 	Branch func(in *exec.Instr) bool
+	// Stepped is the plain opcodes [lo, hi) the port's Loop has no case
+	// for, the last of its plain ones: the run loop hands them to Step.
+	Stepped [2]uint16
 	// New makes another simulator with its own memory, for CheckStep's
 	// two engines.  Load is a word that loads register r from LoadAddr,
 	// as the load-use interlock tracks a load; Use one that reads r.
@@ -56,17 +59,19 @@ func (a *ISA) row(w uint32) *exec.Row {
 // oracleStep executes w on the simulator.  It reports whether the
 // simulator's own decode accepts w — every decode fault in the three cpu.go
 // files reads "...: unknown ...", which memory and alignment faults do not
-// — and whether w transferred control: it completed, and left the
-// simulator anywhere but at the next word with nothing pending.
-func (a *ISA) oracleStep(t testing.TB, w uint32) (runs, transfers bool) {
+// — whether w transferred control: it completed, and left the simulator
+// anywhere but at the next word with nothing pending, and whether it
+// faulted otherwise.
+func (a *ISA) oracleStep(t testing.TB, w uint32) (runs, transfers, faults bool) {
 	if err := a.Mem.Store(base, 4, uint64(w)); err != nil {
 		t.Fatal(err)
 	}
 	a.CPU.SetPC(base)
 	if err := a.CPU.Step(); err != nil {
-		return !strings.Contains(err.Error(), ": unknown "), false
+		runs = !strings.Contains(err.Error(), ": unknown ")
+		return runs, false, runs
 	}
-	return true, a.CPU.PC() != base+4 || a.CPU.PendingDelay()
+	return true, a.CPU.PC() != base+4 || a.CPU.PendingDelay(), false
 }
 
 // CheckWords asserts that legality is one fact for every word given: the
@@ -83,7 +88,7 @@ func (a *ISA) CheckWords(t testing.TB, words []uint32) (legal int) {
 	bad := 0
 	for i, w := range words {
 		verifies := a.Dec.Classify(w, base).Kind != exec.KindIllegal
-		runs, _ := a.oracleStep(t, w)
+		runs, _, _ := a.oracleStep(t, w)
 		handled := rowOp[body.Code[i].Op]
 		if verifies {
 			legal++
@@ -137,18 +142,18 @@ func scramble(rng *rand.Rand, cpus ...core.ThreadedCPU) {
 	}
 }
 
-// runPlain has Run execute the one plain word in body.  Whether the
-// word faults (its operands are random) is not the point: an opcode that
-// Predecode marks plain and neither run nor slow has a case for panics.
-func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
-	defer func() {
-		if p := recover(); p != nil {
-			t.Errorf("%s: Run: %v", r.Name, p)
-		}
-	}()
-	a.CPU.SetPC(base)
-	port, st, _ := a.CPU.Threaded()
-	_, _ = port.Run(a.CPU, st, body, 0, 1)
+// checkLoop holds the port's Loop, on c, whose registers are the oracle's
+// before it stepped w, the one plain word in body, to running the word
+// exactly when its opcode is not one the port hands to Step and it did
+// not fault on the oracle (an access a fast accessor declines).
+func (a *ISA) checkLoop(t *testing.T, r *exec.Row, w uint32, c core.ThreadedCPU, body *exec.Body, faults bool) {
+	in := &body.Code[0]
+	handed := in.Op >= a.Stepped[0] && in.Op < a.Stepped[1]
+	c.SetPC(base)
+	if i, _ := c.Loop(body.Code, 0, 1); (i == 1) != (!handed && !faults) {
+		t.Errorf("%s %#08x: Loop ran it: %v; the port hands its opcode to Step: %v; it faults on the oracle: %v",
+			r.Name, w, i == 1, handed, faults)
+	}
 }
 
 // CheckRows is the per-row round trip: words synthesised from each row's
@@ -164,12 +169,14 @@ func (a *ISA) runPlain(t *testing.T, r *exec.Row, body *exec.Body) {
 // word predecodes to Run >= 1 exactly when its row is of that kind; no
 // such word ever transfers control on the oracle, whatever the registers
 // hold; every row of another kind does on some trial; rows that share an
-// opcode (one switch case, or one handler) agree; and Run executes
-// every plain word (an opcode marked plain that neither run nor slow has a
-// case for panics).  Trials are the outer loop, so the condition codes a branch
+// opcode (one switch case, or one handler) agree; and the port's Loop
+// runs every plain word but those it hands to Step (ISA.Stepped) and the
+// accesses that fault, and runs none of those (delete a case of Loop and
+// this fails).  Trials are the outer loop, so the condition codes a branch
 // row tests are whatever the previous sweep's compares left.
 func (a *ISA) CheckRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	loop, _ := a.New()
 	reached := make([]bool, len(a.Rows))
 	transferred := make([]bool, len(a.Rows))
 	plainOp := map[uint16]bool{}
@@ -193,11 +200,14 @@ func (a *ISA) CheckRows(t *testing.T) {
 				t.Errorf("%s %#08x: claimed by %s, which has another opcode (%d, not %d)",
 					r.Name, w, want.Name, want.Op, r.Op)
 			}
-			runs, transfers := a.oracleStep(t, w)
+			plain := want.Kind == exec.KindOther
+			for i := 0; plain && i < 32; i++ {
+				loop.SetReg(core.GPR(i), a.CPU.Reg(core.GPR(i)))
+			}
+			runs, transfers, faults := a.oracleStep(t, w)
 			if !runs {
 				t.Errorf("%s %#08x: the oracle faults decoding it", r.Name, w)
 			}
-			plain := want.Kind == exec.KindOther
 			if transfers && plain {
 				t.Errorf("%s %#08x: its row is plain, and the oracle transfers control", r.Name, w)
 			}
@@ -210,7 +220,7 @@ func (a *ISA) CheckRows(t *testing.T) {
 				t.Errorf("%s %#08x: predecoded to Run %d, and its row's kind is %v", r.Name, w, run, want.Kind)
 			}
 			if plain {
-				a.runPlain(t, r, body)
+				a.checkLoop(t, r, w, loop, body, faults)
 			}
 			if kind := a.Dec.Classify(w, base).Kind; kind != want.Kind {
 				t.Errorf("%s %#08x: classified %v, want %v", r.Name, w, kind, want.Kind)
@@ -245,7 +255,7 @@ func (a *ISA) CheckFolds(t *testing.T) {
 		for i := range a.Rows {
 			r := &a.Rows[i]
 			w := synth(r, rng)
-			_, transfers := a.oracleStep(t, w)
+			_, transfers, _ := a.oracleStep(t, w)
 			if r.Kind != exec.KindBranch || a.row(w).Kind != exec.KindBranch || failed[i] ||
 				a.Dec.Classify(w, base).Target == base+4 { // taken or not, the oracle lands on the next word
 				continue
@@ -353,7 +363,7 @@ func (a *ISA) land(t *testing.T, w, slot uint32) (pc uint64, taken bool) {
 	if err := a.Mem.Store(base+4, 4, uint64(slot)); err != nil {
 		t.Fatal(err)
 	}
-	if runs, _ := a.oracleStep(t, w); !runs {
+	if runs, _, _ := a.oracleStep(t, w); !runs {
 		return 0, false
 	}
 	if a.CPU.PendingDelay() {

@@ -29,7 +29,6 @@ type Memory struct {
 	// load and store are the windows the fast accessors answer in (open):
 	// empty while a fault hook or cache model is attached.
 	load, store window
-	declined    access // what a fast accessor last declined, for Admit
 	big         bool
 	dc          *Cache
 	// penaltyCycles accumulates memory-system stall cycles charged by
@@ -44,9 +43,9 @@ type Memory struct {
 // last[n/8] for n bytes.  An empty one, lo 1 and last 0, admits address 1.
 type window struct{ lo, last [2]uint64 }
 
-// open sets the windows: the bounds pairs while plain or for Admit.
-func (m *Memory) open(admit bool) {
-	plain := admit || m.hook == nil && m.dc == nil
+// open sets the windows: the bounds pairs while plain.
+func (m *Memory) open() {
+	plain := m.hook == nil && m.dc == nil
 	m.load, m.store = span(m.lo, m.hi, plain), span(m.wlo, m.hi, plain)
 }
 
@@ -76,7 +75,7 @@ type FaultHook interface {
 // SetFaultHook installs (or with nil removes) a fault-injection hook.
 func (m *Memory) SetFaultHook(h FaultHook) {
 	m.hook = h
-	m.open(false)
+	m.open()
 }
 
 // HasFaultHook reports whether a fault-injection hook is installed.  The
@@ -89,7 +88,7 @@ func (m *Memory) HasFaultHook() bool { return m.hook != nil }
 // order (SPARC is big-endian; the DECstation MIPS and Alpha are little).
 func New(size int, bigEndian bool) *Memory {
 	m := &Memory{data: make([]byte, size), hi: uint64(size), big: bigEndian}
-	m.open(false)
+	m.open()
 	return m
 }
 
@@ -101,7 +100,7 @@ func (m *Memory) BigEndian() bool { return m.big }
 
 // SetStoreFloor refuses simulated stores below addr with ErrReadOnly;
 // loads, fetches and the raw accessors are unaffected.
-func (m *Memory) SetStoreFloor(addr uint64) { m.wlo = max(m.lo, addr); m.open(false) }
+func (m *Memory) SetStoreFloor(addr uint64) { m.wlo = max(m.lo, addr); m.open() }
 
 // within reports whether the n bytes at addr lie inside [lo, hi), with no
 // wrap past 2^64 on the way: the one range test of this package.
@@ -144,30 +143,8 @@ func (m *Memory) Load(addr uint64, size int) (uint64, error) {
 // simulators' run loops inline.  Each answers only when the access needs
 // nothing but the copy: an aligned address inside its window, which is
 // empty while a fault hook or a cache model is attached.  Otherwise it
-// declines (ok false), touching nothing but the note Admit reads, and the
-// caller takes Load, Store or Admit, which give the error, call the hook
-// and charge the cache as they always have.
-
-// access is a declined access: size bytes at addr, and v, for a store.
-type access struct {
-	addr, v uint64
-	size    int
-	store   bool
-}
-
-// Admit completes the access a fast accessor last declined: a store by
-// Store, a load by Load and then again, where the fast accessors answer.
-func (m *Memory) Admit(again func()) error {
-	if d := m.declined; d.store {
-		return m.Store(d.addr, d.size, d.v)
-	} else if _, err := m.Load(d.addr, d.size); err != nil {
-		return err
-	}
-	defer m.open(false)
-	m.open(true)
-	again()
-	return nil
-}
+// declines (ok false), touching nothing, and the caller takes Load or
+// Store, which give the error, call the hook and charge the cache.
 
 // at is the n bytes at addr, inside a window: the window test has checked
 // what a slice expression would check again.
@@ -178,7 +155,6 @@ func at[T [4]byte | [8]byte](m *Memory, addr uint64) *T {
 // Load4 is Load(addr, 4) when that is a plain copy.
 func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
 	if addr&3 != 0 || addr-m.load.lo[0] > m.load.last[0] {
-		m.declined = access{addr: addr, size: 4}
 		return 0, false
 	}
 	if m.big {
@@ -190,7 +166,6 @@ func (m *Memory) Load4(addr uint64) (v uint32, ok bool) {
 // Load8 is Load(addr, 8) when that is a plain copy.
 func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
 	if addr&7 != 0 || addr-m.load.lo[1] > m.load.last[1] {
-		m.declined = access{addr: addr, size: 8}
 		return 0, false
 	}
 	if m.big {
@@ -202,7 +177,6 @@ func (m *Memory) Load8(addr uint64) (v uint64, ok bool) {
 // Store4 is Store(addr, 4, v) when that is a plain copy.
 func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
 	if addr&3 != 0 || addr-m.store.lo[0] > m.store.last[0] {
-		m.declined = access{addr, uint64(v), 4, true}
 		return false
 	}
 	if m.big {
@@ -216,7 +190,6 @@ func (m *Memory) Store4(addr uint64, v uint32) (ok bool) {
 // Store8 is Store(addr, 8, v) when that is a plain copy.
 func (m *Memory) Store8(addr uint64, v uint64) (ok bool) {
 	if addr&7 != 0 || addr-m.store.lo[1] > m.store.last[1] {
-		m.declined = access{addr, uint64(v), 8, true}
 		return false
 	}
 	if m.big {
@@ -342,7 +315,7 @@ func (m *Memory) Bytes(addr uint64, n int) ([]byte, error) {
 // AttachCache installs a data-cache cost model.
 func (m *Memory) AttachCache(c *Cache) {
 	m.dc = c
-	m.open(false)
+	m.open()
 }
 
 // Cache returns the attached cache model (nil if none).

@@ -1,7 +1,6 @@
 package mips
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/exec"
@@ -10,14 +9,14 @@ import (
 // The MIPS port of the predecoded direct-threaded execution engine
 // (internal/exec): what exec's one decoder needs beside the table
 // (interlock), and what its run loop executes a body through (exec.Machine):
-// Loop, the hot loop; Slow; and Transfer, a branch by cond.
+// Loop, the hot loop, Transfer, a branch by cond, and Step for the rest.
 // Semantics must stay bit-identical to the fetch/switch oracle in cpu.go,
 // error strings included; internal/exec/diff enforces that.
 
 // Dense opcodes, each described once: a pc-relative branch by a case of
-// cond, another transfer or an undecodable word by a case of Transfer, a
-// plain instruction by a case of Loop or of Slow (these come first, from
-// 0, so that Loop's jump table needs no offset).
+// cond, another transfer by a case of Transfer, a plain instruction by a
+// case of Loop or, last of the plain ones, by Step alone (these come
+// first, from 0, so that Loop's jump table needs no offset).
 const (
 	mSll uint16 = iota
 	mSrl
@@ -29,8 +28,6 @@ const (
 	mMflo
 	mMult
 	mMultu
-	mDiv
-	mDivu
 	mAddu
 	mSubu
 	mAnd
@@ -46,18 +43,8 @@ const (
 	mOri
 	mXori
 	mLui
-	mLb
-	mLbu
-	mLh
-	mLhu
 	mLw
-	mLwc1
-	mLdc1
-	mSb
-	mSh
 	mSw
-	mSwc1
-	mSdc1
 	mMfc1
 	mMtc1
 	mFAddS
@@ -88,6 +75,19 @@ const (
 	mFCLeD
 	mFCvtSW
 	mFCvtDW
+	// Loop has no case for these: Step runs them.
+	mDiv
+	mDivu
+	mLb
+	mLbu
+	mLh
+	mLhu
+	mLwc1
+	mLdc1
+	mSb
+	mSh
+	mSwc1
+	mSdc1
 	mNumPlain
 )
 
@@ -152,17 +152,17 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // its nop, and an interlock that never charges $zero.
 var port = exec.Port{Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Uncond: mJ}
 
-// Transfer is exec.Machine.Transfer: jr, jalr, bal, jal, a pc-relative
-// branch by cond, and a word with no row.
-func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+// Transfer is exec.Machine.Transfer: jr, jalr, bal, jal, and a
+// pc-relative branch by cond.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) int32 {
 	switch in.Op {
 	case mJr:
-		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC)
 	case mJalr:
 		// Link before reading rs, as the oracle does (rd == rs uses the
 		// freshly written link value).
 		c.twr(in.C, uint32(in.PC+8))
-		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC), nil
+		return b.Indirect(uint64(c.tru(in.A)), &c.ExtPC)
 	case mBal:
 		// The oracle writes the link register before evaluating the
 		// condition, taken or not; the condition is bgez's.
@@ -170,38 +170,14 @@ func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
 		taken := c.trs(in.A) >= 0
 		c.Edge(in.PC, taken)
 		if !taken {
-			return exec.NoBranch, nil
+			return exec.NoBranch
 		}
-		return in.Jump(&c.ExtPC), nil
+		return in.Jump(&c.ExtPC)
 	case mJal:
 		c.twr(rRA, uint32(in.PC+8))
-		return in.Jump(&c.ExtPC), nil
-	case mBad:
-		return 0, badWord(uint32(in.Imm), in.PC)
+		return in.Jump(&c.ExtPC)
 	}
-	return port.Branch(&c.State, in, c.cond(in)), nil
-}
-
-// badWord is what the oracle says of a word with no row, decode group by
-// decode group.
-func badWord(w uint32, pc uint64) error {
-	switch w >> 26 {
-	case opSpecial:
-		return fmt.Errorf("mips: unknown SPECIAL funct %#x at %#x", w&63, pc)
-	case opRegimm:
-		return fmt.Errorf("mips: unknown REGIMM rt %#x at %#x", w>>16&31, pc)
-	case opCop1:
-		switch w >> 21 & 31 {
-		case fmtS:
-			return fmt.Errorf("mips: unknown fp.s funct %#x at %#x", w&63, pc)
-		case fmtD:
-			return fmt.Errorf("mips: unknown fp.d funct %#x at %#x", w&63, pc)
-		case fmtW:
-			return fmt.Errorf("mips: unknown fp.w funct %#x at %#x", w&63, pc)
-		}
-		return fmt.Errorf("mips: unknown COP1 fmt %#x (word %#08x) at %#x", w>>21&31, w, pc)
-	}
-	return fmt.Errorf("mips: unknown opcode %#x (word %#08x) at %#x", w>>26, w, pc)
+	return port.Branch(&c.State, in, c.cond(in))
 }
 
 // Loop is exec.Machine.Loop: integer and FP operates but the divides, moves,
@@ -276,13 +252,11 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 				case mLw:
 					v, ok := c.Mem.Load4(c.taddr(in))
 					if !ok {
-						c.Declined = "load"
 						break loop
 					}
 					c.twr(in.B, v)
 				case mSw:
 					if !c.Mem.Store4(c.taddr(in), c.tru(in.B)) {
-						c.Declined = "store"
 						break loop
 					}
 				case mMfc1:
@@ -411,86 +385,6 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 		return 's', 0, 't'
 	}
 	return 's', 0, 0
-}
-
-// Slow is exec.Machine.Slow: byte, halfword and FP loads and stores, and the
-// divides, whose host registers would cost every case of Loop one.
-func (c *CPU) Slow(in *exec.Instr) error {
-	switch in.Op {
-	case mDiv:
-		d := c.trs(in.B)
-		if d == 0 {
-			c.lo, c.hi = 0, 0
-		} else if c.trs(in.A) == math.MinInt32 && d == -1 {
-			c.lo, c.hi = 0x80000000, 0
-		} else {
-			c.lo, c.hi = uint32(c.trs(in.A)/d), uint32(c.trs(in.A)%d)
-		}
-		c.BaseCycles += 34
-	case mDivu:
-		d := c.tru(in.B)
-		if d == 0 {
-			c.lo, c.hi = 0, 0
-		} else {
-			c.lo, c.hi = c.tru(in.A)/d, c.tru(in.A)%d
-		}
-		c.BaseCycles += 34
-	case mLb:
-		v, err := c.Mem.Load(c.taddr(in), 1)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.B, uint32(int32(int8(v))))
-	case mLbu:
-		v, err := c.Mem.Load(c.taddr(in), 1)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.B, uint32(uint8(v)))
-	case mLh:
-		v, err := c.Mem.Load(c.taddr(in), 2)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.B, uint32(int32(int16(v))))
-	case mLhu:
-		v, err := c.Mem.Load(c.taddr(in), 2)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.B, uint32(uint16(v)))
-	case mLwc1:
-		v, err := c.Mem.Load(c.taddr(in), 4)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.f[in.B] = uint64(uint32(v))
-	case mLdc1:
-		v, err := c.Mem.Load(c.taddr(in), 8)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.f[in.B] = v
-	case mSb:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 1, uint64(uint8(c.tru(in.B)))))
-	case mSh:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 2, uint64(uint16(c.tru(in.B)))))
-	case mSwc1:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 4, uint64(uint32(c.f[in.B]))))
-	case mSdc1:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 8, c.f[in.B]))
-	default:
-		panic(fmt.Sprintf("mips: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
-	}
-	return nil
-}
-
-// memErr is a load's or store's fault in the oracle's words, nil for none.
-func memErr(what string, in *exec.Instr, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("mips: %s at pc %#x: %w", what, in.PC, err)
 }
 
 // Threaded returns the port and state the run loop executes c with, and

@@ -13,7 +13,7 @@ import (
 func tableUnderTest() *isatest.ISA {
 	m := mem.New(1<<16, true)
 	c := NewCPU(m)
-	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Branch: c.cond,
+	return &isatest.ISA{Rows: rows, Table: isa, Dec: New(), CPU: c, Mem: m, Stepped: [2]uint16{sLdub, sNumPlain}, Branch: c.cond,
 		New: func() (core.ThreadedCPU, *mem.Memory) {
 			m := mem.New(1<<16, true)
 			return NewCPU(m), m

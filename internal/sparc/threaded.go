@@ -2,7 +2,6 @@ package sparc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"unsafe"
 
@@ -11,14 +10,14 @@ import (
 
 // The SPARC port of the predecoded direct-threaded execution engine
 // (internal/exec): what its run loop executes a body through (exec.Machine):
-// Loop, the hot loop; Slow; and Transfer, a branch by cond.  The fetch/switch Step in
+// Loop, the hot loop, Transfer, a branch by cond, and Step for the rest.  The fetch/switch Step in
 // cpu.go stays the oracle, bit for bit (internal/exec/diff enforces it).
 // SPARC models no load-use interlock, so no Instr has interlock metadata.
 
 // Dense opcodes, each described once: a pc-relative branch by cond,
-// another transfer or an undecodable word by a case of Transfer, a plain
-// instruction by a case of Loop or of Slow (these come first, from 0, so
-// that Loop's jump table needs no offset).
+// another transfer by a case of Transfer, a plain instruction by a case
+// of Loop or, last of the plain ones, by Step alone (these come first,
+// from 0, so that Loop's jump table needs no offset).
 const (
 	sSethi uint16 = iota
 	sAdd
@@ -62,13 +61,14 @@ const (
 	sFcmps
 	sFcmpd
 	sLd
+	sSt
+	// Loop has no case for these: Step runs them.
 	sLdub
 	sLduh
 	sLdsb
 	sLdsh
 	sLdf
 	sLddf
-	sSt
 	sStb
 	sSth
 	sStf
@@ -143,23 +143,6 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 // port is what SPARC gives exec's decoder and run loop: one delay slot
 // and its nop, and no load-use interlock.
 var port = exec.Port{Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad, Uncond: sBad}
-
-// badWord is what the oracle says of a word with no row, decode group by
-// decode group.
-func badWord(w uint32, pc uint64) error {
-	op3 := w >> 19 & 0x3f
-	switch {
-	case w>>30 == 0:
-		return fmt.Errorf("sparc: unknown op2 %d at %#x", w>>22&7, pc)
-	case w>>30 == 3:
-		return fmt.Errorf("sparc: unknown mem op3 %#x at %#x", op3, pc)
-	case op3 == op3FPop1:
-		return fmt.Errorf("sparc: unknown FPop1 opf %#x at %#x", w>>5&0x1ff, pc)
-	case op3 == op3FPop2:
-		return fmt.Errorf("sparc: unknown FPop2 opf %#x at %#x", w>>5&0x1ff, pc)
-	}
-	return fmt.Errorf("sparc: unknown op3 %#x at %#x", op3, pc)
-}
 
 // Loop is exec.Machine.Loop: integer and FP operates, the word loads and
 // stores the inline accessors answer, and folds.  Nothing stalls.
@@ -315,13 +298,11 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 				case sLd:
 					v, ok := c.Mem.Load4(c.taddr(in))
 					if !ok {
-						c.Declined = "load"
 						break loop
 					}
 					c.twr(in.C, v)
 				case sSt:
 					if !c.Mem.Store4(c.taddr(in), c.tru(in.C)) {
-						c.Declined = "store"
 						break loop
 					}
 				case 127:
@@ -356,76 +337,20 @@ func (c *CPU) Loop(code []exec.Instr, i int, left uint64) (int, uint64) {
 	return i, left
 }
 
-// Transfer is exec.Machine.Transfer: call, jmpl, a pc-relative branch by
-// cond, and a word with no row.
-func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) (int32, error) {
+// Transfer is exec.Machine.Transfer: call, jmpl, and a pc-relative branch
+// by cond.
+func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) int32 {
 	switch in.Op {
 	case sCall:
 		c.twr(rO7, uint32(in.PC))
-		return in.Jump(&c.ExtPC), nil
+		return in.Jump(&c.ExtPC)
 	case sJmpl:
 		// Read the sources before the link write, as the oracle does.
 		t := c.taddr(in)
 		c.twr(in.C, uint32(in.PC))
-		return b.Indirect(t, &c.ExtPC), nil
-	case sBad:
-		return 0, badWord(uint32(in.Imm), in.PC)
+		return b.Indirect(t, &c.ExtPC)
 	}
-	return port.Branch(&c.State, in, c.cond(in)), nil
-}
-
-// Slow is exec.Machine.Slow: byte, halfword and FP loads and stores.
-func (c *CPU) Slow(in *exec.Instr) error {
-	switch in.Op {
-	case sLdub:
-		v, err := c.Mem.Load(c.taddr(in), 1)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.C, uint32(v))
-	case sLduh:
-		v, err := c.Mem.Load(c.taddr(in), 2)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.C, uint32(v))
-	case sLdsb:
-		v, err := c.Mem.Load(c.taddr(in), 1)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.C, uint32(int32(int8(v))))
-	case sLdsh:
-		v, err := c.Mem.Load(c.taddr(in), 2)
-		if err != nil {
-			return memErr("load", in, err)
-		}
-		c.twr(in.C, uint32(int32(int16(v))))
-	case sLdf:
-		v, err := c.Mem.Load(c.taddr(in), 4)
-		if err != nil {
-			return memErr("ldf", in, err)
-		}
-		c.f[in.C] = uint32(v)
-	case sLddf:
-		v, err := c.Mem.Load(c.taddr(in), 8)
-		if err != nil {
-			return memErr("lddf", in, err)
-		}
-		c.f[in.C&^1] = uint32(v >> 32)
-		c.f[in.C|1] = uint32(v)
-	case sStb:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 1, uint64(c.tru(in.C))))
-	case sSth:
-		return memErr("store", in, c.Mem.Store(c.taddr(in), 2, uint64(c.tru(in.C))))
-	case sStf:
-		return memErr("stf", in, c.Mem.Store(c.taddr(in), 4, uint64(c.f[in.C])))
-	case sStdf:
-		return memErr("stdf", in, c.Mem.Store(c.taddr(in), 8, uint64(c.f[in.C&^1])<<32|uint64(c.f[in.C|1])))
-	default:
-		panic(fmt.Sprintf("sparc: opcode %d at %#x is marked plain and has no case", in.Op, in.PC))
-	}
-	return nil
+	return port.Branch(&c.State, in, c.cond(in))
 }
 
 // fcmp sets fcc exactly like the oracle's fpop2 tail.
@@ -440,14 +365,6 @@ func (c *CPU) fcmp(a, b float64) {
 	default:
 		c.fcc = 2
 	}
-}
-
-// memErr is a load's or store's fault in the oracle's words, nil for none.
-func memErr(what string, in *exec.Instr, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("sparc: %s at pc %#x: %w", what, in.PC, err)
 }
 
 // Threaded returns the port and state the run loop executes c with, and

@@ -174,7 +174,7 @@ func interlock(w uint32) (srcA, srcB, load byte) {
 
 // port is what Alpha gives exec's decoder and run loop: no delay slots,
 // and an interlock that never charges $31.
-var port = exec.Port{Name: "alpha", Slots: 0, Never: 31, Bad: aBad, Uncond: aBr}
+var port = exec.Port{Slots: 0, Never: 31, Bad: aBad, Uncond: aBr}
 
 // Transfer is exec.Machine.Transfer: the jumps, and a pc-relative branch
 // (or bsr) by branch.
@@ -187,6 +187,12 @@ func (c *CPU) Transfer(b *exec.Body, in *exec.Instr) int32 {
 		return b.Indirect(t, &c.ExtPC)
 	}
 	return port.Branch(&c.State, in, c.branch(in))
+}
+
+// Threaded returns the port and state the run loop executes c with, and
+// the integer registers.
+func (c *CPU) Threaded() (*exec.Port, *exec.State, *[32]uint64) {
+	return &port, &c.State, (*[32]uint64)(c.r[:32])
 }
 
 // Loop is exec.Machine.Loop: integer and FP operates, the quadword (aligned
@@ -401,10 +407,4 @@ func zapMask(b uint64) uint64 {
 		}
 	}
 	return mask
-}
-
-// Threaded returns the port and state the run loop executes c with, and
-// the integer registers.
-func (c *CPU) Threaded() (*exec.Port, *exec.State, *[32]uint64) {
-	return &port, &c.State, (*[32]uint64)(c.r[:32])
 }

@@ -880,11 +880,10 @@ func (c *callFrame) stats(s *exec.State) CallStats {
 	return CallStats{Cycles: s.BaseCycles + s.Mem.PenaltyCycles() - c.cycles0, Insns: s.Retired - c.insns0, Fuel: c.steps}
 }
 
-// panicked is the running call's CallStats where a panic ended it: the
-// steps of the body it ran are what Run flushed into s before the sampler
-// fired, counted from the call's start where no step is counted yet (the
-// entry body, which the call body runs itself), else from where resume
-// began the body, whose first step it counted then.
+// panicked is the call's CallStats where a panic ended it, the body it ran
+// counted as Run flushed it before the sampler fired: from the call's
+// start (the entry body, no step counted yet) or from where resume began
+// the body, its first step counted.
 func (c *callFrame) panicked(s *exec.State) CallStats {
 	if c.steps == 0 {
 		c.steps = s.Retired - c.insns0
@@ -964,15 +963,15 @@ func (m *Machine) resume(f *Func, args []Value, pend bool, stop uint64) (err err
 
 // callFrame is the running call's own state, kept in the machine under
 // mu, where the call body's stops out of line read it: the clock and
-// counters at its start, the steps it has taken, where resume began the
-// body it runs, its budget, and, if it polls, every stride steps, its
-// context (which may be nil) and deadline.  timed is whether the call is
-// recorded, from start.
+// counters at its start, the steps it has taken, the retired count where
+// resume began the body it runs (began), its budget, and, if it polls,
+// every stride steps, its context (which may be nil) and deadline.  timed
+// is whether the call is recorded, from start.
 type callFrame struct {
 	timed                  bool
 	start                  time.Time
 	cycles0, insns0, steps uint64
-	began                  uint64 // s.Retired where resume began the body it runs
+	began                  uint64
 	budget, stride         uint64
 	ctx                    context.Context
 	deadline               time.Time

@@ -278,9 +278,9 @@ func TestDifferentialRuns(t *testing.T) {
 
 // TestDifferentialCacheModel holds the run path to the switch engine on
 // memories with a data-cache model, where the inline accessors decline
-// every word access: each takes mem.Memory.Admit, which charges the cache,
-// and then the copy the loop makes, or the fault.  State, error text and
-// cycles with the cache's penalties must be identical.
+// every word access: each is one step of the oracle, which charges the
+// cache and makes the copy, or faults.  State, error text and cycles with
+// the cache's penalties must be identical.
 func TestDifferentialCacheModel(t *testing.T) {
 	for _, ft := range fuzzTargets() {
 		for _, tg := range regtest.Targets() {

@@ -7,13 +7,13 @@
 // flat contiguous []Instr — one struct per word, operands extracted,
 // static branch targets pre-resolved to array indices, straight-line
 // runs measured — and execution becomes each port's switch loop, which
-// runs plain instructions and resolves in-body branches without a call,
-// and a call through a small table of handler function pointers at any
-// other control transfer (the minijit "VMCodeGen" idiom: contiguous
-// memory, locality, fewer per-instruction checks).  Port.Run, which every
-// backend runs through, enters that loop and takes what it stops at; a
-// backend gives it its loop, slow instructions, branch conditions and
-// handlers (Port), and its simulator keeps their shared state in State.
+// runs plain instructions and resolves in-body branches without a call
+// (the minijit "VMCodeGen" idiom: contiguous memory, locality, fewer
+// per-instruction checks).  Port.Run, which every backend runs through,
+// enters that loop and takes what it stops at: a transfer by the port's
+// Transfer, anything else as one Step of the port's oracle.  A backend
+// gives it its shape (Port) and those three methods (Machine), and its
+// simulator keeps their shared state in State.
 //
 // This package deliberately imports nothing from internal/core: core
 // caches *Body values beside installed code, the three backend packages

@@ -84,7 +84,6 @@ type Machine interface {
 
 // Port is a port's shape.
 type Port struct {
-	Name   string // the ISA's name, as its Step prefixes its errors
 	Slots  int    // delay slots per transfer: 0 or 1
 	Nop    uint32 // with slots, the canonical nop (FNop)
 	Never  uint8  // the register the load-use interlock never charges, NoReg for none

@@ -150,7 +150,7 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 
 // port is what MIPS gives exec's decoder and run loop: one delay slot and
 // its nop, and an interlock that never charges $zero.
-var port = exec.Port{Name: "mips", Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Uncond: mJ}
+var port = exec.Port{Slots: 1, Nop: encNop, Never: 0, Bad: mBad, Uncond: mJ}
 
 // Transfer is exec.Machine.Transfer: jr, jalr, bal, jal, and a
 // pc-relative branch by cond.

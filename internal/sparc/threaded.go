@@ -142,7 +142,13 @@ func (*CPU) Decode(b *exec.Body, words []uint32, rows []*exec.Row) { port.Decode
 
 // port is what SPARC gives exec's decoder and run loop: one delay slot
 // and its nop, and no load-use interlock.
-var port = exec.Port{Name: "sparc", Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad, Uncond: sBad}
+var port = exec.Port{Slots: 1, Nop: encNop, Never: exec.NoReg, Bad: sBad, Uncond: sBad}
+
+// Threaded returns the port and state the run loop executes c with, and
+// the integer registers.
+func (c *CPU) Threaded() (*exec.Port, *exec.State, *[32]uint64) {
+	return &port, &c.State, (*[32]uint64)(c.r[:32])
+}
 
 // Loop is exec.Machine.Loop: integer and FP operates, the word loads and
 // stores the inline accessors answer, and folds.  Nothing stalls.
@@ -365,10 +371,4 @@ func (c *CPU) fcmp(a, b float64) {
 	default:
 		c.fcc = 2
 	}
-}
-
-// Threaded returns the port and state the run loop executes c with, and
-// the integer registers.
-func (c *CPU) Threaded() (*exec.Port, *exec.State, *[32]uint64) {
-	return &port, &c.State, (*[32]uint64)(c.r[:32])
 }
